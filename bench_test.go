@@ -145,7 +145,9 @@ func BenchmarkAblationGenericVsPerApp(b *testing.B) {
 // The four headline hot-path benchmarks live in internal/bench so that
 // cmd/brbench -bench-json emits numbers from exactly this code.
 
-func BenchmarkBURSTFrameRoundTrip(b *testing.B) { bench.BURSTFrameRoundTrip(b) }
+func BenchmarkBURSTFrameEncode(b *testing.B) { bench.BURSTFrameEncode(b) }
+
+func BenchmarkBURSTFrameDecode(b *testing.B) { bench.BURSTFrameDecode(b) }
 
 func BenchmarkPylonPublish(b *testing.B) { bench.PylonPublish(b) }
 

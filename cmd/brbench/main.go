@@ -44,7 +44,9 @@ type benchResult struct {
 // immediately before the subscriber-cache / payload-coalescing /
 // frame-pooling fast path landed — on the same reference machine the
 // "after" numbers in BENCH_3.json were measured on. They are kept here so
-// every regenerated report carries its before/after comparison.
+// every regenerated report carries its before/after comparison. The frame
+// row measured one JSON encode + decode; its "after" is now the two rows
+// BURSTFrameEncode + BURSTFrameDecode of the binary codec.
 var benchBaseline = []benchResult{
 	{Name: "PylonPublish", NsPerOp: 3511, AllocsPerOp: 30, BytesPerOp: 2579},
 	{Name: "HotTopicFanout", NsPerOp: 1599513, AllocsPerOp: 97, BytesPerOp: 810832},
@@ -109,7 +111,8 @@ func runBenchJSON(path string, seed int64) error {
 	}{
 		{"PylonPublish", plain(bench.PylonPublish)},
 		{"HotTopicFanout", plain(bench.HotTopicFanout)},
-		{"BURSTFrameRoundTrip", plain(bench.BURSTFrameRoundTrip)},
+		{"BURSTFrameEncode", plain(bench.BURSTFrameEncode)},
+		{"BURSTFrameDecode", plain(bench.BURSTFrameDecode)},
 		{"EndToEndCommentPush", plain(bench.EndToEndCommentPush)},
 		{"EndToEndCommentPushHops", bench.EndToEndCommentPushHops},
 	}

@@ -7,10 +7,13 @@
 package bench
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,26 +150,74 @@ func HotTopicFanoutConfig(b *testing.B, cfg pylon.Config) {
 	}
 }
 
-// BURSTFrameRoundTrip measures encoding and decoding one batch frame with a
-// 256-byte payload delta.
-func BURSTFrameRoundTrip(b *testing.B) {
-	payload, err := burst.EncodePayload(burst.Batch{Deltas: []burst.Delta{
-		burst.PayloadDelta(7, bytes.Repeat([]byte("x"), 256)),
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame := burst.Frame{Type: burst.FrameBatch, SID: 42, Payload: payload}
-	var buf bytes.Buffer
+// frameSink is the transport under the BURST frame benchmarks: a write
+// replaces the captured wire bytes, a read blocks until Close.
+type frameSink struct {
+	wire   []byte
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (s *frameSink) Write(p []byte) (int, error) {
+	s.wire = append(s.wire[:0], p...)
+	return len(p), nil
+}
+
+func (s *frameSink) Read([]byte) (int, error) {
+	<-s.closed
+	return 0, io.EOF
+}
+
+func (s *frameSink) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return nil
+}
+
+// frameBatch is the batch both frame benchmarks carry: one payload delta
+// with a 256-byte body.
+var frameBatch = burst.Batch{Deltas: []burst.Delta{
+	burst.PayloadDelta(7, bytes.Repeat([]byte("x"), 256)),
+}}
+
+// BURSTFrameEncode measures Session.SendMsg for one batch frame: binary
+// encode of header and payload into the pooled buffer, one transport write.
+func BURSTFrameEncode(b *testing.B) {
+	sink := &frameSink{closed: make(chan struct{})}
+	sess := burst.NewSession("bench", sink, burst.HandlerFuncs{})
+	defer sess.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := burst.WriteFrame(&buf, frame); err != nil {
+		if err := sess.SendMsg(burst.FrameBatch, 42, frameBatch); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := burst.ReadFrame(&buf); err != nil {
+	}
+}
+
+// BURSTFrameDecode measures the receive side of the same frame: ReadFrame
+// (one allocation, the frame buffer) and DecodeBatch (one, the []Delta,
+// whose payload aliases the frame buffer).
+func BURSTFrameDecode(b *testing.B) {
+	sink := &frameSink{closed: make(chan struct{})}
+	sess := burst.NewSession("bench", sink, burst.HandlerFuncs{})
+	defer sess.Close()
+	if err := sess.SendMsg(burst.FrameBatch, 42, frameBatch); err != nil {
+		b.Fatal(err)
+	}
+	src := bytes.NewReader(sink.wire)
+	br := bufio.NewReader(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset(sink.wire)
+		br.Reset(src)
+		f, err := burst.ReadFrame(br)
+		if err != nil {
 			b.Fatal(err)
+		}
+		batch, err := burst.DecodeBatch(f.Payload)
+		if err != nil || len(batch.Deltas) != 1 || len(batch.Deltas[0].Payload) != 256 {
+			b.Fatalf("decoded %+v, %v", batch, err)
 		}
 	}
 }

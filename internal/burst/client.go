@@ -36,6 +36,13 @@ type Client struct {
 	// salvages its control deltas instead (see ClientStream.pushEvents).
 	Dropped metrics.Counter
 
+	// DecodeErrors counts batch frames whose payload did not decode. The
+	// session survives (one bad stream never kills the multiplexed
+	// session), and the addressed stream, if live, is told with a
+	// FlowDegraded "undecodable batch" — a lost batch is a gap the endpoint
+	// must hear about (axiom 1).
+	DecodeErrors metrics.Counter
+
 	// CtlSalvaged counts control deltas rescued from evicted batches and
 	// re-queued at the front of the incoming batch.
 	CtlSalvaged metrics.Counter
@@ -183,7 +190,8 @@ func (h clientHandler) HandleFrame(f Frame) {
 	}
 	batch, err := DecodeBatch(f.Payload)
 	if err != nil {
-		return
+		c.DecodeErrors.Inc()
+		batch.Deltas = []Delta{FlowStatusDelta(FlowDegraded, "undecodable batch")}
 	}
 	c.mu.Lock()
 	st := c.streams[f.SID]
@@ -215,16 +223,17 @@ func (h clientHandler) HandleClose(err error) {
 
 // apply processes one atomically delivered batch: rewrites update stored
 // state invisibly, terminations close the stream, and the remainder is
-// forwarded to the application.
+// forwarded to the application. It owns deltas and filters it in place.
 func (st *ClientStream) apply(deltas []Delta) {
-	visible := make([]Delta, 0, len(deltas))
 	terminate := false
 	st.mu.Lock()
 	if st.terminated {
 		st.mu.Unlock()
 		return
 	}
-	for _, d := range deltas {
+	n := 0
+	for i := range deltas {
+		d := &deltas[i]
 		switch d.Type {
 		case DeltaRewriteRequest:
 			if d.Header != nil {
@@ -233,21 +242,22 @@ func (st *ClientStream) apply(deltas []Delta) {
 			if d.Body != nil {
 				st.sub.Body = append([]byte(nil), d.Body...)
 			}
-			if st.client.RelayRewrites {
-				visible = append(visible, d)
+			if !st.client.RelayRewrites {
+				continue
 			}
 		case DeltaPayload:
 			if d.Seq > st.lastSeq {
 				st.lastSeq = d.Seq
 			}
-			visible = append(visible, d)
 		case DeltaTermination:
 			terminate = true
-			visible = append(visible, d)
-		default:
-			visible = append(visible, d)
 		}
+		if n != i {
+			deltas[n] = *d
+		}
+		n++
 	}
+	visible := deltas[:n]
 	if terminate {
 		st.terminated = true
 	}

@@ -17,7 +17,7 @@
 package burst
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 
 	"bladerunner/internal/trace"
@@ -30,7 +30,8 @@ type StreamID uint64
 // Header carries the properties of a subscription request: the application
 // name, the GraphQL subscription / topic, client version, sticky-routing
 // hints, resume tokens, and anything a BRASS patches in via rewrites. The
-// paper standardizes on JSON for headers; so do we.
+// paper standardizes on JSON for headers; here they stay a string map every
+// proxy can read, carried as counted key/value pairs (DESIGN.md §7e).
 type Header map[string]string
 
 // Well-known header keys used across the system.
@@ -118,21 +119,21 @@ func (t FrameType) String() string {
 type Subscribe struct {
 	// Header indicates the properties of the request, visible to and
 	// interpreted by proxies for routing.
-	Header Header `json:"header"`
+	Header Header
 	// Body is an opaque blob only the target BRASS understands.
-	Body []byte `json:"body,omitempty"`
+	Body []byte
 }
 
 // Cancel is the payload of a FrameCancel: it terminates a stream from the
 // client side.
 type Cancel struct {
-	Reason string `json:"reason,omitempty"`
+	Reason string
 }
 
 // Ack is the payload of a FrameAck: the client acknowledges deltas up to
 // and including Seq (used by applications implementing reliable delivery).
 type Ack struct {
-	Seq uint64 `json:"seq"`
+	Seq uint64
 }
 
 // DeltaType discriminates the deltas inside a batch (paper §3.5).
@@ -197,28 +198,28 @@ func (c FlowCode) String() string {
 
 // Delta is one element of a server-to-client batch.
 type Delta struct {
-	Type DeltaType `json:"type"`
+	Type DeltaType
 	// Seq is the application-assigned sequence number of a payload delta
 	// (0 when unused).
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Payload is the update body for DeltaPayload.
-	Payload []byte `json:"payload,omitempty"`
+	Payload []byte
 	// Flow describes a DeltaFlowStatus.
-	Flow FlowCode `json:"flow,omitempty"`
+	Flow FlowCode
 	// FlowDetail is a human-readable description of the flow event.
-	FlowDetail string `json:"flow_detail,omitempty"`
+	FlowDetail string
 	// Header is the replacement subscription header for
 	// DeltaRewriteRequest.
-	Header Header `json:"header,omitempty"`
+	Header Header
 	// Body is the replacement subscription body for DeltaRewriteRequest
 	// (nil leaves the body unchanged).
-	Body []byte `json:"body,omitempty"`
+	Body []byte
 	// Reason describes a DeltaTermination.
-	Reason string `json:"reason,omitempty"`
+	Reason string
 	// Trace is the trace context of the mutation that produced a payload
 	// delta (zero when unsampled). It rides the wire so proxies and the
 	// device can close their hop spans against the originating trace.
-	Trace trace.ID `json:"trace,omitempty"`
+	Trace trace.ID
 }
 
 // PayloadDelta builds a payload delta.
@@ -245,32 +246,120 @@ func TerminationDelta(reason string) Delta {
 // applied atomically (paper §3.5: "processed client side atomically, in an
 // all or nothing fashion").
 type Batch struct {
-	Deltas []Delta `json:"deltas"`
+	Deltas []Delta
 }
 
 // Frame is one unit on the wire: a type, the stream it belongs to, and a
-// JSON-encoded payload appropriate to the type. Ping/Pong frames have
-// SID 0 and empty payloads.
+// binary payload appropriate to the type (DESIGN.md §7e). Ping/Pong frames
+// have SID 0 and empty payloads.
 type Frame struct {
 	Type FrameType
 	SID  StreamID
-	// Payload is the JSON encoding of Subscribe/Cancel/Ack/Batch.
+	// Payload is the encoding of Subscribe/Cancel/Ack/Batch. ReadFrame
+	// allocates it fresh for every frame and never recycles it, which is
+	// what lets the Decode functions alias it.
 	Payload []byte
 }
 
-// EncodePayload marshals v into a frame payload.
-func EncodePayload(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("burst: encode payload: %w", err)
+// minDeltaSize is the encoding of an all-zero delta: every field is on the
+// wire, each at least one byte.
+const minDeltaSize = 9
+
+// putHeader appends h: a presence byte (0 = nil, so nil and empty stay
+// distinct), then a pair count and the key/value strings.
+//
+//brlint:hotpath per-rewrite encode into the pooled frame buffer.
+func putHeader(b *bytes.Buffer, h Header) {
+	if h == nil {
+		b.WriteByte(0)
+		return
 	}
-	return b, nil
+	b.WriteByte(1)
+	putUvarint(b, uint64(len(h)))
+	for k, v := range h {
+		putString(b, k)
+		putString(b, v)
+	}
 }
 
-// DecodeSubscribe parses a Subscribe payload.
+// header reads a header; its strings are copies (a stored request must not
+// pin a frame buffer).
+func (r *reader) header() Header {
+	if r.byte() == 0 {
+		return nil
+	}
+	n := r.count(2) // a pair is at least two length bytes
+	h := make(Header, n)
+	for ; n > 0 && r.err == nil; n-- {
+		k := r.str()
+		h[k] = r.str()
+	}
+	return h
+}
+
+// putDelta appends one delta: every field, in declaration order.
+//
+//brlint:hotpath per-delta encode into the pooled frame buffer.
+func putDelta(b *bytes.Buffer, d *Delta) {
+	b.WriteByte(byte(d.Type))
+	putUvarint(b, d.Seq)
+	putBytes(b, d.Payload)
+	b.WriteByte(byte(d.Flow))
+	putString(b, d.FlowDetail)
+	putHeader(b, d.Header)
+	putBytes(b, d.Body)
+	putString(b, d.Reason)
+	putUvarint(b, uint64(d.Trace))
+}
+
+// delta reads one delta into d. Payload and Body alias the input.
+func (r *reader) delta(d *Delta) {
+	d.Type = DeltaType(r.byte())
+	d.Seq = r.uvarint()
+	d.Payload = r.bytes()
+	d.Flow = FlowCode(r.byte())
+	d.FlowDetail = r.str()
+	d.Header = r.header()
+	d.Body = r.bytes()
+	d.Reason = r.str()
+	d.Trace = trace.ID(r.uvarint())
+}
+
+//brlint:hotpath per-batch encode into the pooled frame buffer.
+func putBatch(b *bytes.Buffer, deltas []Delta) {
+	putUvarint(b, uint64(len(deltas)))
+	for i := range deltas {
+		putDelta(b, &deltas[i])
+	}
+}
+
+// putMsg appends the payload encoding of v — a Subscribe, Cancel, Ack or
+// Batch, or nil for an empty payload — and reports whether v was one.
+//
+//brlint:hotpath per-frame payload encode into the pooled frame buffer.
+func putMsg(b *bytes.Buffer, v any) bool {
+	switch m := v.(type) {
+	case nil:
+	case Batch:
+		putBatch(b, m.Deltas)
+	case Subscribe:
+		putHeader(b, m.Header)
+		putBytes(b, m.Body)
+	case Cancel:
+		putString(b, m.Reason)
+	case Ack:
+		putUvarint(b, m.Seq)
+	default:
+		return false
+	}
+	return true
+}
+
+// DecodeSubscribe parses a Subscribe payload. Body aliases b.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
-	var s Subscribe
-	if err := json.Unmarshal(b, &s); err != nil {
+	r := reader{b: b}
+	s := Subscribe{Header: r.header(), Body: r.bytes()}
+	if err := r.done(); err != nil {
 		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)
 	}
 	return s, nil
@@ -278,8 +367,9 @@ func DecodeSubscribe(b []byte) (Subscribe, error) {
 
 // DecodeCancel parses a Cancel payload.
 func DecodeCancel(b []byte) (Cancel, error) {
-	var c Cancel
-	if err := json.Unmarshal(b, &c); err != nil {
+	r := reader{b: b}
+	c := Cancel{Reason: r.str()}
+	if err := r.done(); err != nil {
 		return Cancel{}, fmt.Errorf("burst: decode cancel: %w", err)
 	}
 	return c, nil
@@ -287,18 +377,25 @@ func DecodeCancel(b []byte) (Cancel, error) {
 
 // DecodeAck parses an Ack payload.
 func DecodeAck(b []byte) (Ack, error) {
-	var a Ack
-	if err := json.Unmarshal(b, &a); err != nil {
+	r := reader{b: b}
+	a := Ack{Seq: r.uvarint()}
+	if err := r.done(); err != nil {
 		return Ack{}, fmt.Errorf("burst: decode ack: %w", err)
 	}
 	return a, nil
 }
 
-// DecodeBatch parses a Batch payload.
+// DecodeBatch parses a Batch payload in one pass. The deltas' Payload and
+// Body alias b; the []Delta is the only allocation for a batch without
+// strings or headers.
 func DecodeBatch(b []byte) (Batch, error) {
-	var ba Batch
-	if err := json.Unmarshal(b, &ba); err != nil {
+	r := reader{b: b}
+	deltas := make([]Delta, r.count(minDeltaSize))
+	for i := range deltas {
+		r.delta(&deltas[i])
+	}
+	if err := r.done(); err != nil {
 		return Batch{}, fmt.Errorf("burst: decode batch: %w", err)
 	}
-	return ba, nil
+	return Batch{Deltas: deltas}, nil
 }

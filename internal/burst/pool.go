@@ -6,9 +6,11 @@ import (
 )
 
 // Frame encoding on the send path is the per-delta hot loop of the whole
-// stack: every payload push JSON-encodes a Batch. Encoding into pooled
-// buffers (written to the wire before the buffer is released) removes the
-// per-frame allocation of json.Marshal's returned slice.
+// stack: every payload push encodes a Batch. A frame — header and payload —
+// is built in one pooled buffer and written to the wire before the buffer
+// is released, so the send path allocates nothing per frame. Only the ENCODE
+// side pools: a received frame's buffer is aliased by the decoded deltas
+// and belongs to whoever holds them.
 
 // maxPooledBuf caps the size of buffers returned to the pool; encoding a
 // rare jumbo batch must not pin megabytes in the pool forever.

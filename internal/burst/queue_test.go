@@ -98,11 +98,10 @@ func TestQueueTerminatedStream(t *testing.T) {
 	}
 }
 
-// TestSendMsgPooledEncodingMatchesMarshal pins the wire compatibility of
-// the pooled encoder: the bytes SendMsg produces must decode identically to
-// EncodePayload output, including for values whose encoding exceeds the
-// pool's retention cap.
-func TestSendMsgPooledEncodingMatchesMarshal(t *testing.T) {
+// TestSendMsgPooledEncoding pins the pooled encoder end to end: what
+// SendMsg writes decodes to what was sent, including for values whose
+// encoding exceeds the pool's retention cap.
+func TestSendMsgPooledEncoding(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })

@@ -36,26 +36,32 @@ func TestResubscribeErrorPaths(t *testing.T) {
 		steps       []step
 		wantStreams int    // streams registered after all steps
 		wantTopic   string // topic of stream 0 ("" = no stream expected)
+		// wantDecodeErrors is what ServerSession.DecodeErrors must read:
+		// dropped is never the same as unnoticed.
+		wantDecodeErrors int64
 	}{
 		{
 			// A device resubscribes with a stored request that was
-			// corrupted on disk: the frame decodes as garbage JSON.
+			// corrupted on disk: the header claims 100 pairs, the frame
+			// carries one.
 			name: "malformed subscribe payload dropped",
 			steps: []step{
-				{frame: Frame{Type: FrameSubscribe, SID: 1, Payload: []byte(`{"header":`)}},
+				{frame: Frame{Type: FrameSubscribe, SID: 1, Payload: []byte{1, 100, 1, 'k', 1, 'v', 0}}},
 			},
-			wantStreams: 0,
+			wantDecodeErrors: 1,
+			wantStreams:      0,
 		},
 		{
 			// A malformed subscribe must not poison the session: the next
 			// well-formed resubscribe on another SID still lands.
 			name: "session survives malformed subscribe",
 			steps: []step{
-				{frame: Frame{Type: FrameSubscribe, SID: 1, Payload: []byte(`not json at all`)}},
+				{frame: Frame{Type: FrameSubscribe, SID: 1, Payload: []byte{0, 100, 'x'}}}, // nil header, body length past the end
 				{frame: Frame{Type: FrameSubscribe, SID: 2}, msg: Subscribe{Header: Header{HdrTopic: "/MB/ok"}}},
 			},
-			wantStreams: 1,
-			wantTopic:   "/MB/ok",
+			wantDecodeErrors: 1,
+			wantStreams:      1,
+			wantTopic:        "/MB/ok",
 		},
 		{
 			// A buggy client resubscribes reusing a live SID: the second
@@ -74,10 +80,11 @@ func TestResubscribeErrorPaths(t *testing.T) {
 			name: "malformed cancel ignored",
 			steps: []step{
 				{frame: Frame{Type: FrameSubscribe, SID: 3}, msg: Subscribe{Header: Header{HdrTopic: "/MB/live"}}},
-				{frame: Frame{Type: FrameCancel, SID: 3, Payload: []byte(`{{{{`)}},
+				{frame: Frame{Type: FrameCancel, SID: 3, Payload: []byte{9, 'g', 'o'}}}, // reason length past the end
 			},
-			wantStreams: 1,
-			wantTopic:   "/MB/live",
+			wantDecodeErrors: 1,
+			wantStreams:      1,
+			wantTopic:        "/MB/live",
 		},
 		{
 			// Cancel and ack for a SID the server never saw (the stream
@@ -96,10 +103,11 @@ func TestResubscribeErrorPaths(t *testing.T) {
 			name: "malformed ack ignored",
 			steps: []step{
 				{frame: Frame{Type: FrameSubscribe, SID: 5}, msg: Subscribe{Header: Header{HdrTopic: "/MB/acked"}}},
-				{frame: Frame{Type: FrameAck, SID: 5, Payload: []byte(`"seq": oops`)}},
+				{frame: Frame{Type: FrameAck, SID: 5, Payload: []byte{0x80, 0x80}}}, // unterminated varint
 			},
-			wantStreams: 1,
-			wantTopic:   "/MB/acked",
+			wantDecodeErrors: 1,
+			wantStreams:      1,
+			wantTopic:        "/MB/acked",
 		},
 	}
 	for _, tc := range cases {
@@ -127,11 +135,66 @@ func TestResubscribeErrorPaths(t *testing.T) {
 			if got := len(ss.Streams()); got != tc.wantStreams {
 				t.Fatalf("server tracks %d streams, want %d", got, tc.wantStreams)
 			}
+			waitFor(t, "decode errors counted", func() bool { return ss.DecodeErrors.Value() == tc.wantDecodeErrors })
 			if tc.wantTopic != "" {
 				waitFor(t, "stream registered with handler", func() bool { return srv.stream(0) != nil })
 				if got := srv.stream(0).Request().Header[HdrTopic]; got != tc.wantTopic {
 					t.Fatalf("stream 0 topic = %q, want %q", got, tc.wantTopic)
 				}
+			}
+		})
+	}
+}
+
+// TestUndecodableBatch pins the downstream half of the same stance: a batch
+// that does not decode is dropped and the session lives on, but it is
+// counted, and a live addressed stream is told — the lost batch is a gap,
+// and axiom 1 says the endpoint hears about gaps.
+func TestUndecodableBatch(t *testing.T) {
+	cases := []struct {
+		name    string
+		sid     StreamID // 1 = the live stream
+		payload []byte
+		// wantFlow: the live stream must receive FlowDegraded
+		// "undecodable batch".
+		wantFlow bool
+	}{
+		{name: "delta count beyond input", sid: 1, payload: []byte{0x7F, 1, 0}, wantFlow: true},
+		{name: "payload length past end", sid: 1, payload: []byte{1, byte(DeltaPayload), 7, 100, 'x', 0, 0, 0, 0, 0, 0}, wantFlow: true},
+		{name: "trailing garbage", sid: 1, payload: append(encodeMsg(Batch{Deltas: []Delta{PayloadDelta(1, []byte("p"))}}), 0xEE), wantFlow: true},
+		{name: "empty payload", sid: 1, payload: nil, wantFlow: true},
+		{name: "addressed to no live stream", sid: 99, payload: []byte{0x7F}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := pipePair()
+			raw := NewSession("raw-server", b, HandlerFuncs{})
+			cli := NewClient("client", a, nil)
+			t.Cleanup(func() { raw.Close(); cli.Close() })
+			st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if err := raw.Send(Frame{Type: FrameBatch, SID: tc.sid, Payload: tc.payload}); err != nil {
+				t.Fatal(err)
+			}
+			// The session survived: a well-formed batch still lands, behind
+			// the notice if there was one.
+			if err := raw.SendMsg(FrameBatch, 1, Batch{Deltas: []Delta{PayloadDelta(7, []byte("after"))}}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantFlow {
+				got := recvBatch(t, st)
+				if len(got) != 1 || got[0].Type != DeltaFlowStatus || got[0].Flow != FlowDegraded || got[0].FlowDetail != "undecodable batch" {
+					t.Fatalf("stream got %+v, want one FlowDegraded \"undecodable batch\"", got)
+				}
+			}
+			if got := recvBatch(t, st); len(got) != 1 || got[0].Seq != 7 {
+				t.Fatalf("batch after the bad one = %+v, want seq 7", got)
+			}
+			if n := cli.DecodeErrors.Value(); n != 1 {
+				t.Errorf("Client.DecodeErrors = %d, want 1", n)
 			}
 		})
 	}

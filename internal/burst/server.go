@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"bladerunner/internal/metrics"
 )
 
 // ServerHandler receives stream lifecycle events on the upstream (BRASS or
@@ -32,6 +34,11 @@ type ServerSession struct {
 	mu      sync.Mutex
 	streams map[StreamID]*ServerStream
 	closed  bool
+
+	// DecodeErrors counts subscribe/cancel/ack frames whose payload did not
+	// decode. Each is dropped — one bad stream never kills the multiplexed
+	// session — but never silently.
+	DecodeErrors metrics.Counter
 }
 
 // ServerStream is one request-stream from the server's perspective.
@@ -293,6 +300,7 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	case FrameSubscribe:
 		sub, err := DecodeSubscribe(f.Payload)
 		if err != nil {
+			s.DecodeErrors.Inc()
 			return
 		}
 		st := &ServerStream{srv: s, sid: f.SID, sub: sub}
@@ -307,6 +315,7 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	case FrameCancel:
 		c, err := DecodeCancel(f.Payload)
 		if err != nil {
+			s.DecodeErrors.Inc()
 			return
 		}
 		s.mu.Lock()
@@ -322,6 +331,7 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	case FrameAck:
 		a, err := DecodeAck(f.Payload)
 		if err != nil {
+			s.DecodeErrors.Inc()
 			return
 		}
 		s.mu.Lock()

@@ -2,7 +2,7 @@ package burst
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -34,8 +34,7 @@ type Session struct {
 	rwc  io.ReadWriteCloser
 	br   *bufio.Reader
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu sync.Mutex // serializes frame writes on rwc
 
 	handler FrameHandler
 
@@ -57,7 +56,6 @@ func NewSession(name string, rwc io.ReadWriteCloser, handler FrameHandler) *Sess
 		name:    name,
 		rwc:     rwc,
 		br:      frameReader(rwc),
-		bw:      bufio.NewWriterSize(rwc, 32<<10),
 		handler: handler,
 		done:    make(chan struct{}),
 	}
@@ -87,12 +85,26 @@ func (s *Session) SetPongListener(fn func()) {
 }
 
 // Send writes f to the peer. Frames from concurrent senders are serialized;
-// each frame is flushed immediately (streams are latency-sensitive).
+// each frame goes out immediately (streams are latency-sensitive) as a
+// single write of header and payload together.
 //
-// buffered write, flush.
-//
-//brlint:hotpath per-frame wire path: header encode into a stack buffer,
+//brlint:hotpath per-frame wire path: header and payload into one pooled buffer.
 func (s *Session) Send(f Frame) error {
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	beginFrame(buf, f.Type, f.SID)
+	buf.Write(f.Payload)
+	return s.write(buf)
+}
+
+// write completes the frame begun in buf and puts it on the transport.
+//
+//brlint:hotpath per-frame wire path: length patch, one transport write.
+func (s *Session) write(buf *bytes.Buffer) error {
+	wire, err := endFrame(buf)
+	if err != nil {
+		return err
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	// The closed check must happen under wmu: a sender that checked before
@@ -105,10 +117,7 @@ func (s *Session) Send(f Frame) error {
 	if closed {
 		return fmt.Errorf("session %s: %w", s.name, ErrSessionClosed)
 	}
-	if err := WriteFrame(s.bw, f); err != nil {
-		return s.sendFailed(err)
-	}
-	if err := s.bw.Flush(); err != nil {
+	if _, err := s.rwc.Write(wire); err != nil {
 		return s.sendFailed(err)
 	}
 	return nil
@@ -130,31 +139,21 @@ func (s *Session) sendFailed(err error) error {
 	return err
 }
 
-// SendMsg encodes v as the payload of a frame of type t on stream sid.
-// The encoding runs in a pooled buffer that is written to the wire (Send
-// flushes synchronously) before being reused, so the fast path allocates no
-// per-frame payload slice.
+// SendMsg encodes v — a Subscribe, Cancel, Ack or Batch, or nil for an
+// empty payload — as a frame of type t on stream sid. Frame header and
+// payload are appended to one pooled buffer that is written to the wire
+// before being reused, so the send path allocates nothing per frame. v is
+// only inspected, never retained: boxing it costs the caller no allocation.
 //
-// audited allocation.
-//
-//brlint:hotpath per-delta payload push; the JSON encoder itself is the one
+//brlint:hotpath per-delta payload push: binary encode into the pooled frame buffer.
 func (s *Session) SendMsg(t FrameType, sid StreamID, v any) error {
-	if v == nil {
-		return s.Send(Frame{Type: t, SID: sid})
-	}
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	//brlint:allow(hot-path-alloc) the json.Encoder is a small per-frame cost the pooled payload buffer does not cover; the payload slice — the dominant per-delta allocation — stays pooled
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("burst: encode payload: %w", err)
+	beginFrame(buf, t, sid)
+	if !putMsg(buf, v) {
+		return fmt.Errorf("burst: no payload encoding for this message type on a %v frame", t)
 	}
-	b := buf.Bytes()
-	// json.Encoder appends a newline after each value; trim it so the
-	// wire bytes match EncodePayload exactly.
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	return s.Send(Frame{Type: t, SID: sid, Payload: b})
+	return s.write(buf)
 }
 
 // Ping sends a liveness probe.

@@ -2,6 +2,7 @@ package burst
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,7 +13,7 @@ import (
 //	1 byte  frame type
 //	8 bytes stream id (big endian)
 //	4 bytes payload length (big endian)
-//	N bytes payload (JSON)
+//	N bytes payload (binary, per frame type; DESIGN.md §7e)
 //
 // MaxPayload bounds a single frame's payload; batches larger than this must
 // be split by the sender. The bound protects intermediaries from unbounded
@@ -21,31 +22,56 @@ const MaxPayload = 4 << 20
 
 const frameHeaderSize = 1 + 8 + 4
 
-// WriteFrame encodes f to w. It is not safe for concurrent use; Session
-// serializes writers.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload) > MaxPayload {
-		return fmt.Errorf("burst: frame payload %d exceeds max %d", len(f.Payload), MaxPayload)
-	}
+// beginFrame starts a frame in b: the header with its length left zero. The
+// payload is appended behind it and endFrame patches the length in, so a
+// whole frame is one contiguous buffer and one write.
+//
+//brlint:hotpath per-frame header encode into the pooled frame buffer.
+func beginFrame(b *bytes.Buffer, t FrameType, sid StreamID) {
 	var hdr [frameHeaderSize]byte
-	hdr[0] = byte(f.Type)
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(f.SID))
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("burst: write frame header: %w", err)
+	hdr[0] = byte(t)
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(sid))
+	b.Write(hdr[:])
+}
+
+// endFrame completes the frame begun in b and returns its wire bytes.
+//
+//brlint:hotpath per-frame length patch.
+func endFrame(b *bytes.Buffer) ([]byte, error) {
+	wire := b.Bytes()
+	n := len(wire) - frameHeaderSize
+	if n > MaxPayload {
+		return nil, fmt.Errorf("burst: frame payload %d exceeds max %d", n, MaxPayload)
 	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return fmt.Errorf("burst: write frame payload: %w", err)
-		}
+	binary.BigEndian.PutUint32(wire[9:13], uint32(n))
+	return wire, nil
+}
+
+// WriteFrame encodes f to w in a single write.
+func WriteFrame(w io.Writer, f Frame) error {
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	beginFrame(buf, f.Type, f.SID)
+	buf.Write(f.Payload)
+	wire, err := endFrame(buf)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(wire); err != nil {
+		return fmt.Errorf("burst: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame decodes one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame decodes one frame from br. The header is parsed in place in
+// br's buffer; the payload is a fresh allocation owned by the returned
+// frame (the Decode functions alias it, so it is never recycled).
+func ReadFrame(br *bufio.Reader) (Frame, error) {
+	hdr, err := br.Peek(frameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // torn header
+		}
 		return Frame{}, err // io.EOF passes through for clean shutdown
 	}
 	f := Frame{
@@ -59,9 +85,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if f.Type < FrameSubscribe || f.Type > FramePong {
 		return Frame{}, fmt.Errorf("burst: unknown frame type %d", hdr[0])
 	}
+	_, _ = br.Discard(frameHeaderSize) // cannot fail: Peek buffered these bytes
 	if n > 0 {
 		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
+		if _, err := io.ReadFull(br, f.Payload); err != nil {
 			return Frame{}, fmt.Errorf("burst: read frame payload: %w", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -41,25 +42,25 @@ func newChunkConn(rwc io.ReadWriteCloser) *chunkConn {
 func (c *chunkConn) Read(p []byte) (int, error) { return c.cr.Read(p) }
 
 // TestReadFrameToleratesPartialReads feeds encoded frames through a
-// 1–7-byte chunker straight into ReadFrame (no session buffering in the
-// way), proving the decoder reassembles torn headers and payloads.
+// 1–7-byte chunker into ReadFrame, proving the decoder reassembles torn
+// headers and payloads.
 func TestReadFrameToleratesPartialReads(t *testing.T) {
 	var buf bytes.Buffer
 	want := []Frame{
 		{Type: FramePing},
-		{Type: FrameSubscribe, SID: 1, Payload: []byte(`{"header":{"topic":"/t/1"}}`)},
+		{Type: FrameSubscribe, SID: 1, Payload: encodeMsg(Subscribe{Header: Header{HdrTopic: "/t/1"}})},
 		{Type: FrameBatch, SID: 7, Payload: []byte(strings.Repeat("x", 1000))},
 		{Type: FramePong},
-		{Type: FrameAck, SID: 1 << 40, Payload: []byte(`{"seq":9}`)},
+		{Type: FrameAck, SID: 1 << 40, Payload: encodeMsg(Ack{Seq: 9})},
 	}
 	for _, f := range want {
 		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cr := &chunkReader{r: &buf}
+	br := bufio.NewReader(&chunkReader{r: &buf})
 	for i, w := range want {
-		f, err := ReadFrame(cr)
+		f, err := ReadFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -67,7 +68,7 @@ func TestReadFrameToleratesPartialReads(t *testing.T) {
 			t.Fatalf("frame %d = %+v, want %+v", i, f, w)
 		}
 	}
-	if _, err := ReadFrame(cr); err != io.EOF {
+	if _, err := ReadFrame(br); err != io.EOF {
 		t.Fatalf("after all frames: err = %v, want io.EOF", err)
 	}
 }

@@ -1,20 +1,37 @@
 package burst
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"bladerunner/internal/trace"
 )
+
+// encodeMsg returns the payload bytes SendMsg would put behind the frame
+// header for v (a copy: the pooled buffer goes back).
+func encodeMsg(v any) []byte {
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	if !putMsg(buf, v) {
+		panic("encodeMsg: not a BURST message")
+	}
+	return append([]byte(nil), buf.Bytes()...)
+}
+
+func frameStream(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Type: FrameSubscribe, SID: 1, Payload: []byte(`{"header":{"app":"lvc"}}`)},
-		{Type: FrameCancel, SID: 42, Payload: []byte(`{}`)},
-		{Type: FrameAck, SID: 7, Payload: []byte(`{"seq":9}`)},
-		{Type: FrameBatch, SID: 1 << 40, Payload: []byte(`{"deltas":[]}`)},
+		{Type: FrameSubscribe, SID: 1, Payload: encodeMsg(Subscribe{Header: Header{"app": "lvc"}})},
+		{Type: FrameCancel, SID: 42, Payload: encodeMsg(Cancel{})},
+		{Type: FrameAck, SID: 7, Payload: encodeMsg(Ack{Seq: 9})},
+		{Type: FrameBatch, SID: 1 << 40, Payload: encodeMsg(Batch{})},
 		{Type: FramePing},
 		{Type: FramePong},
 	}
@@ -24,8 +41,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	br := bufio.NewReader(&buf)
 	for i, want := range frames {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -33,26 +51,22 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := ReadFrame(br); err != io.EOF {
 		t.Errorf("expected EOF at end, got %v", err)
 	}
 }
 
 func TestReadFrameRejectsUnknownType(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteByte(0xEE)
-	buf.Write(make([]byte, 12))
-	if _, err := ReadFrame(&buf); err == nil {
+	wire := append([]byte{0xEE}, make([]byte, 12)...)
+	if _, err := ReadFrame(frameStream(wire)); err == nil {
 		t.Error("unknown frame type accepted")
 	}
 }
 
 func TestReadFrameRejectsOversizedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(FrameBatch))
-	buf.Write(make([]byte, 8))
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB length
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	wire := append([]byte{byte(FrameBatch)}, make([]byte, 8)...)
+	wire = append(wire, 0xFF, 0xFF, 0xFF, 0xFF) // 4 GiB length
+	if _, err := ReadFrame(frameStream(wire)); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("oversized payload: %v", err)
 	}
 }
@@ -64,80 +78,191 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-func TestReadFrameTruncatedPayload(t *testing.T) {
+func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Frame{Type: FrameBatch, SID: 1, Payload: []byte("abcdef")}); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated frame accepted")
+	wire := buf.Bytes()
+	if _, err := ReadFrame(frameStream(wire[:len(wire)-3])); err == nil {
+		t.Error("truncated payload accepted")
+	}
+	// A torn header is an error close, distinct from the clean EOF between
+	// frames.
+	if _, err := ReadFrame(frameStream(wire[:5])); err != io.ErrUnexpectedEOF {
+		t.Errorf("torn header: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
-func TestSubscribeEncodeDecode(t *testing.T) {
-	sub := Subscribe{
-		Header: Header{HdrApp: "lvc", HdrTopic: "/LVC/9", HdrUser: "77"},
-		Body:   []byte{0x01, 0x02, 0xFF},
-	}
-	b, err := EncodePayload(sub)
-	if err != nil {
+// TestWriteFrameSingleWrite pins the one-buffer encode: header and payload
+// reach the transport together.
+func TestWriteFrameSingleWrite(t *testing.T) {
+	var w countingWriter
+	if err := WriteFrame(&w, Frame{Type: FrameBatch, SID: 3, Payload: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSubscribe(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sub) {
-		t.Errorf("roundtrip: got %+v want %+v", got, sub)
+	if w.writes != 1 || w.bytes != frameHeaderSize+len("payload") {
+		t.Errorf("WriteFrame made %d writes of %d bytes, want 1 of %d", w.writes, w.bytes, frameHeaderSize+len("payload"))
 	}
 }
 
-func TestBatchEncodeDecode(t *testing.T) {
-	batch := Batch{Deltas: []Delta{
+type countingWriter struct{ writes, bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// roundTripDeltas is every shape the codec must carry unchanged: each delta
+// type, nil vs empty header, an absent body, a maximal payload, a non-zero
+// trace, and fields a constructor would never combine.
+func roundTripDeltas() []Delta {
+	traced := PayloadDelta(math.MaxUint64, []byte("traced"))
+	traced.Trace = trace.ID(math.MaxUint64)
+	return []Delta{
 		PayloadDelta(3, []byte("comment")),
+		PayloadDelta(0, nil),
+		traced,
 		FlowStatusDelta(FlowRecovered, "proxy back"),
-		RewriteDelta(Header{HdrStickyBRASS: "brass-7"}, nil),
+		FlowStatusDelta(FlowDegraded, ""),
+		RewriteDelta(Header{HdrStickyBRASS: "brass-7", "": ""}, []byte{0, 1, 0xFF}),
+		RewriteDelta(Header{}, nil),
+		RewriteDelta(nil, []byte("body only")),
 		TerminationDelta("load shed"),
-	}}
-	b, err := EncodePayload(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Deltas) != 4 {
-		t.Fatalf("deltas = %d", len(got.Deltas))
-	}
-	if got.Deltas[0].Type != DeltaPayload || got.Deltas[0].Seq != 3 || string(got.Deltas[0].Payload) != "comment" {
-		t.Errorf("payload delta: %+v", got.Deltas[0])
-	}
-	if got.Deltas[1].Flow != FlowRecovered || got.Deltas[1].FlowDetail != "proxy back" {
-		t.Errorf("flow delta: %+v", got.Deltas[1])
-	}
-	if got.Deltas[2].Header[HdrStickyBRASS] != "brass-7" {
-		t.Errorf("rewrite delta: %+v", got.Deltas[2])
-	}
-	if got.Deltas[3].Reason != "load shed" {
-		t.Errorf("termination delta: %+v", got.Deltas[3])
+		{},
+		{Type: 200, Seq: 1, Payload: []byte("p"), Flow: 9, FlowDetail: "d", Header: Header{"k": "v"}, Body: []byte("b"), Reason: "r", Trace: 5},
 	}
 }
 
-func TestDecodeErrors(t *testing.T) {
-	bad := []byte("{not json")
-	if _, err := DecodeSubscribe(bad); err == nil {
-		t.Error("bad subscribe accepted")
+func TestBatchRoundTrip(t *testing.T) {
+	all := roundTripDeltas()
+	batches := [][]Delta{nil, all}
+	for i := range all {
+		batches = append(batches, all[i:i+1])
 	}
-	if _, err := DecodeCancel(bad); err == nil {
-		t.Error("bad cancel accepted")
+	batches = append(batches, []Delta{PayloadDelta(1, bytes.Repeat([]byte{0xAB}, MaxPayload-64))})
+	for _, in := range batches {
+		got, err := DecodeBatch(encodeMsg(Batch{Deltas: in}))
+		if err != nil {
+			t.Fatalf("batch of %d: %v", len(in), err)
+		}
+		if len(got.Deltas) != len(in) {
+			t.Fatalf("batch of %d decoded to %d deltas", len(in), len(got.Deltas))
+		}
+		for i := range in {
+			if !reflect.DeepEqual(got.Deltas[i], in[i]) {
+				t.Errorf("delta %d:\n got %+v\nwant %+v", i, got.Deltas[i], in[i])
+			}
+		}
 	}
-	if _, err := DecodeAck(bad); err == nil {
-		t.Error("bad ack accepted")
+}
+
+// TestEmptyBytesDecodeAsNil pins the one place the round trip is not the
+// identity: an empty payload or body is not sent, so it reads back nil.
+func TestEmptyBytesDecodeAsNil(t *testing.T) {
+	got, err := DecodeBatch(encodeMsg(Batch{Deltas: []Delta{{Type: DeltaRewriteRequest, Payload: []byte{}, Body: []byte{}}}}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeBatch(bad); err == nil {
-		t.Error("bad batch accepted")
+	if d := got.Deltas[0]; d.Payload != nil || d.Body != nil {
+		t.Errorf("empty payload/body decoded as %#v / %#v, want nil", d.Payload, d.Body)
+	}
+	sub, err := DecodeSubscribe(encodeMsg(Subscribe{Body: []byte{}}))
+	if err != nil || sub.Body != nil || sub.Header != nil {
+		t.Errorf("subscribe with empty body decoded as %+v, %v", sub, err)
+	}
+}
+
+func TestSubscribeCancelAckRoundTrip(t *testing.T) {
+	subs := []Subscribe{
+		{Header: Header{HdrApp: "lvc", HdrTopic: "/LVC/9", HdrUser: "77"}, Body: []byte{0x01, 0x02, 0xFF}},
+		{Header: Header{}},
+		{Body: []byte("body")},
+		{},
+	}
+	for _, in := range subs {
+		got, err := DecodeSubscribe(encodeMsg(in))
+		if err != nil || !reflect.DeepEqual(got, in) {
+			t.Errorf("subscribe: got %+v, %v; want %+v", got, err, in)
+		}
+	}
+	for _, in := range []Cancel{{}, {Reason: "scrolled away"}} {
+		got, err := DecodeCancel(encodeMsg(in))
+		if err != nil || got != in {
+			t.Errorf("cancel: got %+v, %v; want %+v", got, err, in)
+		}
+	}
+	for _, in := range []Ack{{}, {Seq: 9}, {Seq: math.MaxUint64}} {
+		got, err := DecodeAck(encodeMsg(in))
+		if err != nil || got != in {
+			t.Errorf("ack: got %+v, %v; want %+v", got, err, in)
+		}
+	}
+}
+
+// TestDecodeAliasesFrameBuffer pins the aliasing rule: a decoded payload is
+// a capacity-clipped window of the frame buffer, strings are copies.
+func TestDecodeAliasesFrameBuffer(t *testing.T) {
+	wire := encodeMsg(Batch{Deltas: []Delta{
+		PayloadDelta(1, []byte("first")),
+		FlowStatusDelta(FlowDegraded, "detail"),
+		PayloadDelta(2, []byte("second")),
+	}})
+	got, err := DecodeBatch(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := got.Deltas[0].Payload
+	if i := bytes.Index(wire, []byte("first")); &wire[i] != &first[0] {
+		t.Error("payload was copied, not aliased")
+	}
+	if cap(first) != len(first) {
+		t.Errorf("aliased payload has cap %d > len %d: an append would overwrite the next field", cap(first), len(first))
+	}
+	_ = append(first, "XXXXXXXXXXXX"...)
+	for i := range wire {
+		wire[i] = 0
+	}
+	if got.Deltas[1].FlowDetail != "detail" {
+		t.Error("string field aliases the frame buffer")
+	}
+}
+
+func TestDecodeRejectsMalformed(t *testing.T) {
+	good := encodeMsg(Batch{Deltas: roundTripDeltas()})
+	subscribe := func(b []byte) error { _, err := DecodeSubscribe(b); return err }
+	cancel := func(b []byte) error { _, err := DecodeCancel(b); return err }
+	ack := func(b []byte) error { _, err := DecodeAck(b); return err }
+	batch := func(b []byte) error { _, err := DecodeBatch(b); return err }
+	cases := []struct {
+		name   string
+		decode func([]byte) error
+		in     []byte
+	}{
+		{"empty subscribe", subscribe, nil},
+		{"empty cancel", cancel, nil},
+		{"empty ack", ack, nil},
+		{"empty batch", batch, nil},
+		{"subscribe header count beyond input", subscribe, []byte{1, 100, 1, 'k', 1, 'v', 0}},
+		{"subscribe header value truncated", subscribe, []byte{1, 1, 1, 'k', 5, 'v'}},
+		{"subscribe body length past end", subscribe, []byte{0, 9, 'x'}},
+		{"subscribe trailing byte", subscribe, []byte{0, 0, 0}},
+		{"cancel reason length past end", cancel, []byte{4, 'a', 'b'}},
+		{"cancel trailing byte", cancel, []byte{1, 'a', 'b'}},
+		{"ack overlong varint", ack, bytes.Repeat([]byte{0x80}, 11)},
+		{"ack trailing byte", ack, []byte{9, 9}},
+		{"batch count of 2^64-1", batch, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+		{"batch count beyond input", batch, append([]byte{3}, make([]byte, 2*minDeltaSize)...)},
+		{"batch header count beyond input", batch, []byte{1, byte(DeltaRewriteRequest), 0, 0, 0, 0, 1, 100, 1, 'k', 1, 'v', 0, 0, 0}},
+		{"batch payload length past end", batch, []byte{1, byte(DeltaPayload), 7, 100, 'x', 0, 0, 0, 0, 0, 0}},
+		{"batch truncated", batch, good[:len(good)-1]},
+		{"batch trailing byte", batch, append(append([]byte(nil), good...), 0)},
+	}
+	for _, tc := range cases {
+		if err := tc.decode(tc.in); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 
@@ -177,14 +302,43 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := WriteFrame(&buf, in); err != nil {
 			return false
 		}
-		out, err := ReadFrame(&buf)
+		out, err := ReadFrame(bufio.NewReader(&buf))
 		if err != nil {
 			return false
 		}
-		if len(in.Payload) == 0 {
-			return out.Type == in.Type && out.SID == in.SID && len(out.Payload) == 0
-		}
 		return out.Type == in.Type && out.SID == in.SID && bytes.Equal(out.Payload, in.Payload)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// canonical maps a delta to what the wire can carry: empty byte strings
+// read back nil.
+func canonical(d Delta) Delta {
+	if len(d.Payload) == 0 {
+		d.Payload = nil
+	}
+	if len(d.Body) == 0 {
+		d.Body = nil
+	}
+	return d
+}
+
+// Property: decode(encode(x)) == x for arbitrary deltas in arbitrary
+// batches, whatever combination of fields they carry.
+func TestBatchRoundTripProperty(t *testing.T) {
+	f := func(in []Delta) bool {
+		got, err := DecodeBatch(encodeMsg(Batch{Deltas: in}))
+		if err != nil || len(got.Deltas) != len(in) {
+			return false
+		}
+		for i := range in {
+			if !reflect.DeepEqual(got.Deltas[i], canonical(in[i])) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

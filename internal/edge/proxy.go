@@ -267,11 +267,14 @@ func (r *relay) targetName() string {
 func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 	for batch := range up.Events {
 		sp := r.startRelaySpan(batch)
-		forward := make([]burst.Delta, 0, len(batch))
 		sawFailure := false
 		terminated := false
 		rewrites := 0
-		for _, d := range batch {
+		// The batch is this relay's alone (freshly decoded by the upstream
+		// client), so it is filtered in place.
+		n := 0
+		for i := range batch {
+			d := &batch[i]
 			switch d.Type {
 			case burst.DeltaFlowStatus:
 				if d.Flow == burst.FlowDegraded && d.FlowDetail == "session closed" {
@@ -284,7 +287,6 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 				if overload.IsShedMarker(d.FlowDetail) {
 					r.p.ShedNotices.Inc()
 				}
-				forward = append(forward, d)
 			case burst.DeltaRewriteRequest:
 				// Keep the repair state fresh and pass the rewrite
 				// along so the device updates its copy too.
@@ -293,14 +295,15 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 				r.mu.Unlock()
 				r.p.RewritesRelayed.Inc()
 				rewrites++
-				forward = append(forward, d)
 			case burst.DeltaTermination:
 				terminated = true
-				forward = append(forward, d)
-			default:
-				forward = append(forward, d)
 			}
+			if n != i {
+				batch[n] = *d
+			}
+			n++
 		}
+		forward := batch[:n]
 		if rewrites > 0 {
 			sp.AnnotateInt("rewrites", int64(rewrites))
 		}

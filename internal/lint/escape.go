@@ -71,10 +71,17 @@ var stdlibAllocFreeFuncs = map[string]bool{
 	"(time.Time).UnixNano":    true,
 	"(time.Duration).Seconds": true,
 
-	"(*bytes.Buffer).Reset":    true,
-	"(*bytes.Buffer).Len":      true,
-	"(*bytes.Buffer).Cap":      true,
-	"(*bytes.Buffer).Bytes":    true,
+	"(*bytes.Buffer).Reset": true,
+	"(*bytes.Buffer).Len":   true,
+	"(*bytes.Buffer).Cap":   true,
+	"(*bytes.Buffer).Bytes": true,
+	// Appends to a pooled buffer grow it only while the pool is warming to
+	// the steady-state frame size; after that they are a bounds check and
+	// a copy (the same amortization as sync.Pool above).
+	"(*bytes.Buffer).Write":       true,
+	"(*bytes.Buffer).WriteByte":   true,
+	"(*bytes.Buffer).WriteString": true,
+
 	"(*bufio.Writer).Flush":    true,
 	"(*bufio.Writer).Buffered": true,
 

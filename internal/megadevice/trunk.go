@@ -162,9 +162,9 @@ func (t *trunk) lookupSub(area uint32) *topicSub {
 type trunkHandler struct{ t *trunk }
 
 // HandleFrame decodes downstream batches and routes each delta. Batch
-// decode allocates (one JSON parse per wire batch — the same cost every
-// real client pays); the per-delta payload application below it is the
-// allocation-free hot path.
+// decode allocates the []Delta (one per wire batch, aliasing the frame
+// buffer — the same cost every real client pays); the per-delta payload
+// application below it is the allocation-free hot path.
 func (h trunkHandler) HandleFrame(fr burst.Frame) {
 	if fr.Type != burst.FrameBatch {
 		return

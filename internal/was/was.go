@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -373,12 +374,16 @@ func (s *Server) CheckEventVisibility(viewer socialgraph.UserID, ev pylon.Event)
 	defer sp.End()
 	sp.AnnotateInt("viewer", int64(viewer))
 	if authorStr, ok := ev.Meta["author"]; ok {
-		var author socialgraph.UserID
-		if _, err := fmt.Sscanf(authorStr, "%d", &author); err == nil {
-			if !s.PrivacyCheck(viewer, author) {
-				sp.Annotate("denied", "blocked")
-				return fmt.Errorf("%w: viewer %d vs author %d", ErrDenied, viewer, author)
-			}
+		author, err := strconv.ParseUint(authorStr, 10, 64)
+		if err != nil {
+			// Fail closed: a tag that does not name an author cannot be
+			// checked, and an unchecked delivery is not allowed.
+			sp.Annotate("denied", "bad-author-tag")
+			return fmt.Errorf("%w: viewer %d vs unparseable author tag %q", ErrDenied, viewer, authorStr)
+		}
+		if !s.PrivacyCheck(viewer, socialgraph.UserID(author)) {
+			sp.Annotate("denied", "blocked")
+			return fmt.Errorf("%w: viewer %d vs author %d", ErrDenied, viewer, author)
 		}
 	}
 	return nil

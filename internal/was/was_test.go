@@ -242,6 +242,30 @@ func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 	}
 }
 
+// TestVisibilityFailsClosedOnBadAuthorTag is the regression test for the
+// fail-open parse: "privacy is checked before every delivery" must not
+// depend on well-formed metadata. An author tag that is not a whole decimal
+// user id denies; no tag at all (a system event) still passes.
+func TestVisibilityFailsClosedOnBadAuthorTag(t *testing.T) {
+	s, _ := newTestWAS(t)
+	s.Graph.Block(1, 12)
+	for _, tag := range []string{"12abc", "abc", "", " 12", "-3", "1e3", "99999999999999999999999"} {
+		ev := pylon.Event{Meta: map[string]string{"author": tag}}
+		if err := s.CheckEventVisibility(1, ev); !errors.Is(err, ErrDenied) {
+			t.Errorf("author tag %q: err = %v, want ErrDenied", tag, err)
+		}
+	}
+	if err := s.CheckEventVisibility(1, pylon.Event{Meta: map[string]string{"author": "12"}}); !errors.Is(err, ErrDenied) {
+		t.Errorf("blocked author 12: err = %v, want ErrDenied", err)
+	}
+	if err := s.CheckEventVisibility(1, pylon.Event{Meta: map[string]string{"author": "13"}}); err != nil {
+		t.Errorf("unblocked author 13: %v", err)
+	}
+	if err := s.CheckEventVisibility(1, pylon.Event{}); err != nil {
+		t.Errorf("untagged event: %v", err)
+	}
+}
+
 func TestPublishImmediateAndRanked(t *testing.T) {
 	s, eng := newTestWAS(t)
 	s.RankDelay = sim.Constant{V: 1790 * time.Millisecond}
