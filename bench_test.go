@@ -157,6 +157,12 @@ func BenchmarkHotTopicFanout(b *testing.B) { bench.HotTopicFanout(b) }
 
 func BenchmarkEndToEndCommentPush(b *testing.B) { bench.EndToEndCommentPush(b) }
 
+// The two tier RPCs on the hot paths, over loopback TCP: publish is paid
+// once per mutation, the visibility check once per delivery.
+func BenchmarkPylonPublishWire(b *testing.B) { bench.PylonPublishWire(b) }
+
+func BenchmarkCtrlCheckVisibility(b *testing.B) { bench.CtrlCheckVisibilityWire(b) }
+
 // BenchmarkEndToEndCommentPushHops is the same pipeline with the tracing
 // plane sampling every mutation: the per-hop latency breakdown (publish,
 // fan-out, payload fetch, push) is reported as custom <hop>-ns metrics.

@@ -1,5 +1,5 @@
 // Command brnode runs ONE Bladerunner tier as a standalone OS process,
-// speaking BURST (device/stream traffic) and the internal/ctrl JSON
+// speaking BURST (device/stream traffic) and the internal/ctrl binary
 // control protocol over real TCP. Four processes make a cluster:
 //
 //	brnode -role pylon -ctrl 127.0.0.1:7101

@@ -86,7 +86,7 @@ func PylonPublishLocal(b *testing.B) {
 }
 
 // PylonPublishWire measures the same publish issued through the control
-// protocol over loopback TCP: marshal, socket round trip, dispatch,
+// protocol over loopback TCP: encode, socket round trip, dispatch,
 // publish, ack. The delta against PylonPublishLocal is the wire tax the
 // multi-process deployment pays per publish.
 func PylonPublishWire(b *testing.B) {
@@ -104,6 +104,47 @@ func PylonPublishWire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pc.Publish(pylon.Event{Topic: "/bench", Ref: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// visibilityFixture is a WAS and the event the two visibility benchmarks
+// ask it about: a comment by a tagged author, the shape every fanned-out
+// delivery carries to its privacy check.
+func visibilityFixture() (*was.Server, pylon.Event) {
+	store := tao.MustNewStore(tao.DefaultConfig(), nil)
+	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
+	return was.New(store, graph, nil, nil), pylon.Event{
+		Topic: apps.PostTopic(1), ID: 1 << 20, Ref: 4242, Meta: map[string]string{"author": "2"},
+	}
+}
+
+// CtrlCheckVisibilityLocal measures one in-process privacy check, the floor
+// for CtrlCheckVisibilityWire.
+func CtrlCheckVisibilityLocal(b *testing.B) {
+	w, ev := visibilityFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.CheckEventVisibility(socialgraph.UserID(i%50+3), ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// CtrlCheckVisibilityWire measures the same check as one was.check-visibility
+// round trip over loopback TCP — the RPC the multi-process deployment pays
+// once per delivery, where publish is paid once per mutation.
+func CtrlCheckVisibilityWire(b *testing.B) {
+	w, ev := visibilityFixture()
+	wc := ctrl.NewWASClient(ctrlPair(b, "brass->was", func(c *ctrl.Conn) {
+		ctrl.ServeWAS(c, w)
+	}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wc.CheckEventVisibility(socialgraph.UserID(i%50+3), ev); err != nil {
 			b.Fatal(err)
 		}
 	}

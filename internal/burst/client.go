@@ -67,7 +67,8 @@ func NewClient(name string, rwc io.ReadWriteCloser, onClose func(error)) *Client
 		streams: make(map[StreamID]*ClientStream),
 		onClose: onClose,
 	}
-	c.sess = NewSession(name, rwc, clientHandler{c})
+	c.sess = newSession(name, rwc, clientHandler{c})
+	go c.sess.readLoop()
 	return c
 }
 

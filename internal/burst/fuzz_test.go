@@ -110,7 +110,7 @@ func FuzzDecodeAck(f *testing.F) {
 // FuzzReadFrame feeds a byte stream to ReadFrame until it errors. Every
 // frame it returns must re-encode to exactly the bytes it was read from
 // (so its payload is no longer than the input — ReadFrame's own allocation
-// bound is MaxPayload, checked against the length field before the make),
+// bound is frame.MaxPayload, checked against the length field before the make),
 // and a batch frame's payload goes through the batch checks.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"bladerunner/internal/frame"
 	"bladerunner/internal/trace"
 )
 
@@ -265,69 +266,38 @@ type Frame struct {
 // wire, each at least one byte.
 const minDeltaSize = 9
 
-// putHeader appends h: a presence byte (0 = nil, so nil and empty stay
-// distinct), then a pair count and the key/value strings.
-//
-//brlint:hotpath per-rewrite encode into the pooled frame buffer.
-func putHeader(b *bytes.Buffer, h Header) {
-	if h == nil {
-		b.WriteByte(0)
-		return
-	}
-	b.WriteByte(1)
-	putUvarint(b, uint64(len(h)))
-	for k, v := range h {
-		putString(b, k)
-		putString(b, v)
-	}
-}
-
-// header reads a header; its strings are copies (a stored request must not
-// pin a frame buffer).
-func (r *reader) header() Header {
-	if r.byte() == 0 {
-		return nil
-	}
-	n := r.count(2) // a pair is at least two length bytes
-	h := make(Header, n)
-	for ; n > 0 && r.err == nil; n-- {
-		k := r.str()
-		h[k] = r.str()
-	}
-	return h
-}
-
 // putDelta appends one delta: every field, in declaration order.
 //
 //brlint:hotpath per-delta encode into the pooled frame buffer.
 func putDelta(b *bytes.Buffer, d *Delta) {
 	b.WriteByte(byte(d.Type))
-	putUvarint(b, d.Seq)
-	putBytes(b, d.Payload)
+	frame.PutUvarint(b, d.Seq)
+	frame.PutBytes(b, d.Payload)
 	b.WriteByte(byte(d.Flow))
-	putString(b, d.FlowDetail)
-	putHeader(b, d.Header)
-	putBytes(b, d.Body)
-	putString(b, d.Reason)
-	putUvarint(b, uint64(d.Trace))
+	frame.PutString(b, d.FlowDetail)
+	frame.PutStringMap(b, d.Header)
+	frame.PutBytes(b, d.Body)
+	frame.PutString(b, d.Reason)
+	frame.PutUvarint(b, uint64(d.Trace))
 }
 
-// delta reads one delta into d. Payload and Body alias the input.
-func (r *reader) delta(d *Delta) {
-	d.Type = DeltaType(r.byte())
-	d.Seq = r.uvarint()
-	d.Payload = r.bytes()
-	d.Flow = FlowCode(r.byte())
-	d.FlowDetail = r.str()
-	d.Header = r.header()
-	d.Body = r.bytes()
-	d.Reason = r.str()
-	d.Trace = trace.ID(r.uvarint())
+// readDelta reads one delta into d. Payload and Body alias the input; the
+// header's strings are copies (a stored request must not pin a frame buffer).
+func readDelta(r *frame.Reader, d *Delta) {
+	d.Type = DeltaType(r.Byte())
+	d.Seq = r.Uvarint()
+	d.Payload = r.Bytes()
+	d.Flow = FlowCode(r.Byte())
+	d.FlowDetail = r.Str()
+	d.Header = r.StringMap()
+	d.Body = r.Bytes()
+	d.Reason = r.Str()
+	d.Trace = trace.ID(r.Uvarint())
 }
 
 //brlint:hotpath per-batch encode into the pooled frame buffer.
 func putBatch(b *bytes.Buffer, deltas []Delta) {
-	putUvarint(b, uint64(len(deltas)))
+	frame.PutUvarint(b, uint64(len(deltas)))
 	for i := range deltas {
 		putDelta(b, &deltas[i])
 	}
@@ -343,12 +313,12 @@ func putMsg(b *bytes.Buffer, v any) bool {
 	case Batch:
 		putBatch(b, m.Deltas)
 	case Subscribe:
-		putHeader(b, m.Header)
-		putBytes(b, m.Body)
+		frame.PutStringMap(b, m.Header)
+		frame.PutBytes(b, m.Body)
 	case Cancel:
-		putString(b, m.Reason)
+		frame.PutString(b, m.Reason)
 	case Ack:
-		putUvarint(b, m.Seq)
+		frame.PutUvarint(b, m.Seq)
 	default:
 		return false
 	}
@@ -357,9 +327,9 @@ func putMsg(b *bytes.Buffer, v any) bool {
 
 // DecodeSubscribe parses a Subscribe payload. Body aliases b.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
-	r := reader{b: b}
-	s := Subscribe{Header: r.header(), Body: r.bytes()}
-	if err := r.done(); err != nil {
+	r := frame.Reader{B: b}
+	s := Subscribe{Header: r.StringMap(), Body: r.Bytes()}
+	if err := r.Done(); err != nil {
 		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)
 	}
 	return s, nil
@@ -367,9 +337,9 @@ func DecodeSubscribe(b []byte) (Subscribe, error) {
 
 // DecodeCancel parses a Cancel payload.
 func DecodeCancel(b []byte) (Cancel, error) {
-	r := reader{b: b}
-	c := Cancel{Reason: r.str()}
-	if err := r.done(); err != nil {
+	r := frame.Reader{B: b}
+	c := Cancel{Reason: r.Str()}
+	if err := r.Done(); err != nil {
 		return Cancel{}, fmt.Errorf("burst: decode cancel: %w", err)
 	}
 	return c, nil
@@ -377,9 +347,9 @@ func DecodeCancel(b []byte) (Cancel, error) {
 
 // DecodeAck parses an Ack payload.
 func DecodeAck(b []byte) (Ack, error) {
-	r := reader{b: b}
-	a := Ack{Seq: r.uvarint()}
-	if err := r.done(); err != nil {
+	r := frame.Reader{B: b}
+	a := Ack{Seq: r.Uvarint()}
+	if err := r.Done(); err != nil {
 		return Ack{}, fmt.Errorf("burst: decode ack: %w", err)
 	}
 	return a, nil
@@ -389,12 +359,12 @@ func DecodeAck(b []byte) (Ack, error) {
 // Body alias b; the []Delta is the only allocation for a batch without
 // strings or headers.
 func DecodeBatch(b []byte) (Batch, error) {
-	r := reader{b: b}
-	deltas := make([]Delta, r.count(minDeltaSize))
+	r := frame.Reader{B: b}
+	deltas := make([]Delta, r.Count(minDeltaSize))
 	for i := range deltas {
-		r.delta(&deltas[i])
+		readDelta(&r, &deltas[i])
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return Batch{}, fmt.Errorf("burst: decode batch: %w", err)
 	}
 	return Batch{Deltas: deltas}, nil

@@ -76,7 +76,8 @@ func NewServerSession(name string, rwc io.ReadWriteCloser, handler ServerHandler
 		handler: handler,
 		streams: make(map[StreamID]*ServerStream),
 	}
-	s.sess = NewSession(name, rwc, serverDispatch{s})
+	s.sess = newSession(name, rwc, serverDispatch{s})
+	go s.sess.readLoop()
 	return s
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"bladerunner/internal/frame"
 	"bladerunner/internal/sim"
 )
 
@@ -49,18 +50,25 @@ type Session struct {
 // NewSession wraps rwc and starts the read loop. name is used in errors.
 // The handler must be non-nil.
 func NewSession(name string, rwc io.ReadWriteCloser, handler FrameHandler) *Session {
+	s := newSession(name, rwc, handler)
+	go s.readLoop()
+	return s
+}
+
+// newSession is NewSession without the read loop: for an owner whose handler
+// reaches the session through the owner, and so must store it before the
+// first frame can dispatch (a peer's frame may already be in the socket).
+func newSession(name string, rwc io.ReadWriteCloser, handler FrameHandler) *Session {
 	if handler == nil {
 		panic("burst: NewSession with nil handler")
 	}
-	s := &Session{
+	return &Session{
 		name:    name,
 		rwc:     rwc,
-		br:      frameReader(rwc),
+		br:      bufio.NewReaderSize(rwc, 32<<10),
 		handler: handler,
 		done:    make(chan struct{}),
 	}
-	go s.readLoop()
-	return s
 }
 
 // Name returns the session's diagnostic name.
@@ -90,9 +98,9 @@ func (s *Session) SetPongListener(fn func()) {
 //
 //brlint:hotpath per-frame wire path: header and payload into one pooled buffer.
 func (s *Session) Send(f Frame) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	beginFrame(buf, f.Type, f.SID)
+	buf := frame.GetBuf()
+	defer frame.PutBuf(buf)
+	frame.Begin(buf, byte(f.Type), uint64(f.SID))
 	buf.Write(f.Payload)
 	return s.write(buf)
 }
@@ -101,7 +109,7 @@ func (s *Session) Send(f Frame) error {
 //
 //brlint:hotpath per-frame wire path: length patch, one transport write.
 func (s *Session) write(buf *bytes.Buffer) error {
-	wire, err := endFrame(buf)
+	wire, err := frame.End(buf)
 	if err != nil {
 		return err
 	}
@@ -147,9 +155,9 @@ func (s *Session) sendFailed(err error) error {
 //
 //brlint:hotpath per-delta payload push: binary encode into the pooled frame buffer.
 func (s *Session) SendMsg(t FrameType, sid StreamID, v any) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	beginFrame(buf, t, sid)
+	buf := frame.GetBuf()
+	defer frame.PutBuf(buf)
+	frame.Begin(buf, byte(t), uint64(sid))
 	if !putMsg(buf, v) {
 		return fmt.Errorf("burst: no payload encoding for this message type on a %v frame", t)
 	}

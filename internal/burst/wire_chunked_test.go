@@ -8,38 +8,9 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"bladerunner/internal/frame/frametest"
 )
-
-// chunkReader delivers at most 1–7 bytes per Read, cycling the chunk size,
-// so frame headers and payloads arrive torn across many reads — the shape
-// real TCP segmentation produces under small socket buffers.
-type chunkReader struct {
-	r io.Reader
-	n int
-}
-
-func (c *chunkReader) Read(p []byte) (int, error) {
-	c.n++
-	max := c.n%7 + 1
-	if len(p) > max {
-		p = p[:max]
-	}
-	return c.r.Read(p)
-}
-
-// chunkConn chunks the read side of an io.ReadWriteCloser.
-type chunkConn struct {
-	io.ReadWriteCloser
-	cr chunkReader
-}
-
-func newChunkConn(rwc io.ReadWriteCloser) *chunkConn {
-	c := &chunkConn{ReadWriteCloser: rwc}
-	c.cr.r = rwc
-	return c
-}
-
-func (c *chunkConn) Read(p []byte) (int, error) { return c.cr.Read(p) }
 
 // TestReadFrameToleratesPartialReads feeds encoded frames through a
 // 1–7-byte chunker into ReadFrame, proving the decoder reassembles torn
@@ -58,7 +29,7 @@ func TestReadFrameToleratesPartialReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(&chunkReader{r: &buf})
+	br := bufio.NewReader(&frametest.ChunkReader{R: &buf})
 	for i, w := range want {
 		f, err := ReadFrame(br)
 		if err != nil {
@@ -79,7 +50,7 @@ func roundTrip(t *testing.T, a, b io.ReadWriteCloser) {
 	t.Helper()
 	col := &frameCollector{}
 	sa := NewSession("a", a, HandlerFuncs{})
-	sb := NewSession("b", newChunkConn(b), col)
+	sb := NewSession("b", frametest.NewChunkConn(b), col)
 	defer sa.Close()
 	defer sb.Close()
 

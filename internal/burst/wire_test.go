@@ -10,14 +10,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bladerunner/internal/frame"
 	"bladerunner/internal/trace"
 )
 
 // encodeMsg returns the payload bytes SendMsg would put behind the frame
 // header for v (a copy: the pooled buffer goes back).
 func encodeMsg(v any) []byte {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
+	buf := frame.GetBuf()
+	defer frame.PutBuf(buf)
 	if !putMsg(buf, v) {
 		panic("encodeMsg: not a BURST message")
 	}
@@ -72,7 +73,7 @@ func TestReadFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
-	err := WriteFrame(io.Discard, Frame{Type: FrameBatch, Payload: make([]byte, MaxPayload+1)})
+	err := WriteFrame(io.Discard, Frame{Type: FrameBatch, Payload: make([]byte, frame.MaxPayload+1)})
 	if err == nil {
 		t.Error("oversized write accepted")
 	}
@@ -101,8 +102,8 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 	if err := WriteFrame(&w, Frame{Type: FrameBatch, SID: 3, Payload: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
-	if w.writes != 1 || w.bytes != frameHeaderSize+len("payload") {
-		t.Errorf("WriteFrame made %d writes of %d bytes, want 1 of %d", w.writes, w.bytes, frameHeaderSize+len("payload"))
+	if w.writes != 1 || w.bytes != frame.HeaderSize+len("payload") {
+		t.Errorf("WriteFrame made %d writes of %d bytes, want 1 of %d", w.writes, w.bytes, frame.HeaderSize+len("payload"))
 	}
 }
 
@@ -141,7 +142,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range all {
 		batches = append(batches, all[i:i+1])
 	}
-	batches = append(batches, []Delta{PayloadDelta(1, bytes.Repeat([]byte{0xAB}, MaxPayload-64))})
+	batches = append(batches, []Delta{PayloadDelta(1, bytes.Repeat([]byte{0xAB}, frame.MaxPayload-64))})
 	for _, in := range batches {
 		got, err := DecodeBatch(encodeMsg(Batch{Deltas: in}))
 		if err != nil {

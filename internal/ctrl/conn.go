@@ -1,62 +1,81 @@
 // Package ctrl is the control protocol between Bladerunner tier processes:
-// a small newline-delimited JSON RPC carried over any io.ReadWriteCloser
-// (in production a TCP connection from edge.TCPNetwork). It exists so the
-// multi-process deployment (cmd/brnode) can cut the in-process cluster at
-// its interface seams — brass.PubSub, brass.Backend, device.Backend — and
-// replace a function call with a socket without the tiers noticing.
+// a small binary RPC carried over any io.ReadWriteCloser (in production a
+// TCP connection from edge.TCPNetwork). It exists so the multi-process
+// deployment (cmd/brnode) can cut the in-process cluster at its interface
+// seams — brass.PubSub, brass.Backend, device.Backend — and replace a
+// function call with a socket without the tiers noticing.
 //
-// The protocol has three message shapes on one duplex connection:
+// Every message is one internal/frame frame; the frame kind says what the
+// message is, and each method (methods.go) has one fixed field layout for
+// its params and one for its result (DESIGN.md §12):
 //
-//	request:      {"id":1,"method":"pylon.subscribe","params":{...}}
-//	response:     {"id":1,"result":{...}}  or  {"id":1,"error":{"code":"...","msg":"..."}}
-//	notification: {"method":"pylon.deliver","params":{...}}   (no id, no reply)
+//	request:  id = the caller's call id; payload = method number, params
+//	response: id echoes the request;     payload = result
+//	error:    id echoes the request;     payload = code, message
+//	notify:   id = 0, no reply;          payload = method number, params
 //
 // Both ends may call and serve on the same Conn; ids are correlated per
 // direction (each side numbers its own requests). Incoming requests and
 // notifications are dispatched in arrival order on a single dispatcher
-// goroutine, never on the read loop — a handler that issues a Call back
+// goroutine, never on the read loop — a handler that issues a call back
 // over the same Conn must not deadlock against the loop that would
 // deliver its response. Event delivery (pylon.deliver) therefore stays
 // ordered per connection, matching Pylon's per-topic ordering contract.
 //
-// BURST is deliberately not reused here: BURST frames are per-stream
-// device traffic with flow control and shedding; control traffic wants
-// strict request/response semantics and zero shedding. The two protocols
-// share sockets' fate, nothing else.
+// What is shared with BURST is everything below the message: the frame
+// header and its reader, the MaxPayload bound, the pooled encode buffers
+// and the varint/string/map primitives all live in internal/frame. What is
+// not shared is queue policy. A BURST stream is device traffic with flow
+// control, and under overload it sheds; control traffic is strict
+// request/response with an unbounded dispatch queue and never sheds.
 package ctrl
 
 import (
-	"encoding/json"
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"bladerunner/internal/frame"
 )
 
 // ErrConnClosed is wrapped by calls that fail because the connection is
 // (or just became) closed.
 var ErrConnClosed = errors.New("ctrl: connection closed")
 
-// Handler serves one method. The returned value is marshaled as the
-// result; a returned error is mapped to a wire error (sentinel identities
-// surviving via codeFor/errFor).
-type Handler func(params json.RawMessage) (any, error)
+// Frame kinds.
+const (
+	kindRequest byte = iota + 1
+	kindResponse
+	kindError
+	kindNotify
+)
 
-// envelope is the single wire shape; field presence distinguishes the
-// three message kinds (ids start at 1, so ID==0 means "absent").
-type envelope struct {
-	ID     uint64          `json:"id,omitempty"`
-	Method string          `json:"method,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *wireError      `json:"error,omitempty"`
+// handler serves one method: it reads the params from r (which aliases the
+// received payload, valid only until the handler returns), checks r.Done
+// before acting on them, and appends the result to out. A returned error travels as an error frame (sentinel
+// identity surviving via errors.go); params that do not parse close the
+// connection.
+type handler func(r *frame.Reader, out *bytes.Buffer) error
+
+// msg is one received frame. A request's or notification's payload sits in
+// buf, a pooled buffer that goes back when the handler returns; a reply's
+// is a fresh allocation, because results alias it and outlive the call.
+type msg struct {
+	kind    byte
+	id      uint64
+	payload []byte
+	buf     *bytes.Buffer
 }
 
-// wireError carries an error across the wire. Code preserves sentinel
-// identity (see errors.go); Msg is the human-readable rendering.
-type wireError struct {
-	Code string `json:"code,omitempty"`
-	Msg  string `json:"msg"`
+// slot is one in-flight call. Slots, and their channels, are reused: the
+// read loop (or closeWith) removes the slot from pending and sends exactly
+// one msg, the caller receives it and puts the slot on the free list.
+type slot struct {
+	done chan msg     // cap 1: the one reply, kind 0 when the conn closed
+	r    frame.Reader // over the reply; here so that handing it to get does not allocate
 }
 
 // Conn is one control connection. Safe for concurrent use.
@@ -64,12 +83,12 @@ type Conn struct {
 	name string
 	rwc  io.ReadWriteCloser
 
-	wmu sync.Mutex
-	enc *json.Encoder
+	wmu sync.Mutex // one transport Write at a time
 
 	mu       sync.Mutex
-	handlers map[string]Handler
-	pending  map[uint64]chan envelope
+	handlers [numMethods + 1]handler
+	pending  map[uint64]*slot
+	free     []*slot
 	nextID   uint64
 	closed   bool
 	err      error
@@ -77,11 +96,14 @@ type Conn struct {
 
 	// Incoming requests/notifications queue here (unbounded, so the read
 	// loop never blocks behind a slow handler) and drain in order on the
-	// dispatcher goroutine.
+	// dispatcher goroutine, which swaps the whole queue for its own drained
+	// batch: two backing arrays, reused for the life of the connection.
 	qmu   sync.Mutex
 	qcond *sync.Cond
-	queue []envelope
+	queue []msg
 	qdone bool
+	rd    frame.Reader // the dispatcher's, over the message it is serving
+	memo  eventMemo    // the dispatcher's
 
 	wg sync.WaitGroup
 }
@@ -93,12 +115,10 @@ type Conn struct {
 // registration.
 func NewConn(name string, rwc io.ReadWriteCloser, onClose func(error)) *Conn {
 	c := &Conn{
-		name:     name,
-		rwc:      rwc,
-		enc:      json.NewEncoder(rwc),
-		handlers: make(map[string]Handler),
-		pending:  make(map[uint64]chan envelope),
-		onClose:  onClose,
+		name:    name,
+		rwc:     rwc,
+		pending: make(map[uint64]*slot),
+		onClose: onClose,
 	}
 	c.qcond = sync.NewCond(&c.qmu)
 	return c
@@ -113,72 +133,109 @@ func (c *Conn) Start() *Conn {
 	return c
 }
 
-// Handle registers fn for method. Registration after traffic has started
-// is racy by design choice: register every handler before the peer can
-// send (i.e. immediately after NewConn on the accepting side).
-func (c *Conn) Handle(method string, fn Handler) {
+// handle registers fn for m. Registration after traffic has started is
+// racy by design choice: register every handler before the peer can send
+// (i.e. immediately after NewConn on the accepting side).
+func (c *Conn) handle(m method, fn handler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.handlers[method] = fn
+	c.handlers[m] = fn
 }
 
-// Call sends a request and blocks for the matching response. result, when
-// non-nil, receives the unmarshaled result payload. Wire errors come back
-// with sentinel identity restored where the code maps to one.
-func (c *Conn) Call(method string, params, result any) error {
-	raw, err := marshalParams(params)
-	if err != nil {
-		return fmt.Errorf("ctrl %s: marshal %s params: %w", c.name, method, err)
-	}
-	ch := make(chan envelope, 1)
+// begin starts a frame of the given kind for m in a pooled buffer.
+//
+//brlint:hotpath per-message header encode into the pooled frame buffer.
+func begin(kind byte, id uint64, m method) *bytes.Buffer {
+	b := frame.GetBuf()
+	frame.Begin(b, kind, id)
+	b.WriteByte(byte(m))
+	return b
+}
+
+// call sends a request — put, when non-nil, appends the params — and
+// blocks for the matching response, whose result get, when non-nil, reads
+// (byte strings it keeps alias the response payload, which is the caller's
+// to own). Wire errors come back with sentinel identity restored where the
+// code maps to one; a response that does not parse closes the connection.
+func (c *Conn) call(m method, put func(*bytes.Buffer), get func(*frame.Reader)) error {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
-		return c.closedErr(method, err)
+		return c.closedErr(m, err)
+	}
+	var s *slot
+	if n := len(c.free); n > 0 {
+		s, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		s = &slot{done: make(chan msg, 1)}
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = s
 	c.mu.Unlock()
 
-	if err := c.send(envelope{ID: id, Method: method, Params: raw}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return fmt.Errorf("ctrl %s: send %s: %w", c.name, method, err)
+	buf := begin(kindRequest, id, m)
+	if put != nil {
+		put(buf)
 	}
-	env, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return c.closedErr(method, err)
-	}
-	if env.Error != nil {
-		return env.Error.unwire(c.name, method)
-	}
-	if result != nil && len(env.Result) > 0 {
-		if err := json.Unmarshal(env.Result, result); err != nil {
-			return fmt.Errorf("ctrl %s: unmarshal %s result: %w", c.name, method, err)
-		}
-	}
-	return nil
-}
+	err := c.write(buf)
+	frame.PutBuf(buf)
 
-// Notify sends a fire-and-forget notification (no id, no response).
-func (c *Conn) Notify(method string, params any) error {
-	raw, err := marshalParams(params)
 	if err != nil {
-		return fmt.Errorf("ctrl %s: marshal %s params: %w", c.name, method, err)
+		c.mu.Lock()
+		_, unanswered := c.pending[id]
+		if unanswered {
+			delete(c.pending, id)
+			c.free = append(c.free, s)
+		}
+		c.mu.Unlock()
+		if unanswered {
+			return fmt.Errorf("ctrl %s: send %s: %w", c.name, m, err)
+		}
+		// closeWith got to the slot first and answered it: collect that.
 	}
-	if err := c.send(envelope{Method: method, Params: raw}); err != nil {
-		return fmt.Errorf("ctrl %s: notify %s: %w", c.name, method, err)
+	reply := <-s.done
+	defer func() {
+		s.r = frame.Reader{} // a parked slot must not pin the reply
+		c.mu.Lock()
+		c.free = append(c.free, s)
+		c.mu.Unlock()
+	}()
+
+	r := &s.r
+	*r = frame.Reader{B: reply.payload}
+	switch reply.kind {
+	case 0:
+		return c.closedErr(m, c.Err())
+	case kindError:
+		code, text := r.Byte(), r.Str()
+		if err := r.Done(); err != nil {
+			return c.protocolErr(fmt.Errorf("malformed %s error: %w", m, err))
+		}
+		return unwire(code, text, c.name, m)
+	}
+	if get != nil {
+		get(r)
+	}
+	if err := r.Done(); err != nil {
+		return c.protocolErr(fmt.Errorf("malformed %s response: %w", m, err))
 	}
 	return nil
 }
 
-// Close tears the connection down and fails every in-flight Call.
+// notify sends a fire-and-forget notification (id 0, no response).
+func (c *Conn) notify(m method, put func(*bytes.Buffer)) error {
+	buf := begin(kindNotify, 0, m)
+	defer frame.PutBuf(buf)
+	put(buf)
+	if err := c.write(buf); err != nil {
+		return fmt.Errorf("ctrl %s: notify %s: %w", c.name, m, err)
+	}
+	return nil
+}
+
+// Close tears the connection down and fails every in-flight call.
 func (c *Conn) Close() error {
 	c.closeWith(nil)
 	c.wg.Wait()
@@ -193,36 +250,44 @@ func (c *Conn) Err() error {
 	return c.err
 }
 
-func (c *Conn) closedErr(method string, cause error) error {
+func (c *Conn) closedErr(m method, cause error) error {
 	if cause != nil {
-		return fmt.Errorf("ctrl %s: call %s: %w (%w)", c.name, method, ErrConnClosed, cause)
+		return fmt.Errorf("ctrl %s: call %s: %w (%w)", c.name, m, ErrConnClosed, cause)
 	}
-	return fmt.Errorf("ctrl %s: call %s: %w", c.name, method, ErrConnClosed)
+	return fmt.Errorf("ctrl %s: call %s: %w", c.name, m, ErrConnClosed)
 }
 
-func marshalParams(params any) (json.RawMessage, error) {
-	if params == nil {
-		return nil, nil
-	}
-	return json.Marshal(params)
+// protocolErr closes the connection because the peer sent something that
+// is not the protocol; the returned error is what Err reports.
+func (c *Conn) protocolErr(err error) error {
+	err = fmt.Errorf("ctrl %s: %w", c.name, err)
+	c.closeWith(err)
+	return err
 }
 
-// send serializes one envelope under the write lock. Encoder appends the
-// newline separating messages.
-func (c *Conn) send(env envelope) error {
+// write completes the frame begun in buf and puts it on the transport: one
+// message, one Write.
+//
+//brlint:hotpath per-message wire path: length patch, one transport write.
+func (c *Conn) write(buf *bytes.Buffer) error {
+	wire, err := frame.End(buf)
+	if err != nil {
+		return err
+	}
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
+		c.wmu.Unlock()
 		return ErrConnClosed
 	}
-	if err := c.enc.Encode(env); err != nil {
+	_, err = c.rwc.Write(wire)
+	c.wmu.Unlock()
+	if err != nil {
 		c.closeWith(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // closeWith performs the one-time teardown: marks closed, fails pending
@@ -236,12 +301,12 @@ func (c *Conn) closeWith(err error) {
 	c.closed = true
 	c.err = err
 	pend := c.pending
-	c.pending = make(map[uint64]chan envelope)
+	c.pending = make(map[uint64]*slot)
 	onClose := c.onClose
 	c.mu.Unlock()
 
-	for _, ch := range pend {
-		close(ch)
+	for _, s := range pend {
+		s.done <- msg{}
 	}
 	c.qmu.Lock()
 	c.qdone = true
@@ -253,36 +318,54 @@ func (c *Conn) closeWith(err error) {
 	}
 }
 
-// readLoop decodes envelopes: responses resolve pending calls directly;
-// requests and notifications enqueue for the dispatcher.
+// readLoop reads frames: responses and errors resolve pending calls
+// directly; requests and notifications enqueue for the dispatcher. A frame
+// that is not the protocol — oversized, unknown kind, a request or notify
+// without a method number, a notify for a number nobody defines — closes
+// the connection.
 func (c *Conn) readLoop() {
 	defer c.wg.Done()
-	dec := json.NewDecoder(c.rwc)
+	br := bufio.NewReader(c.rwc)
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		kind, id, n, err := frame.ReadHeader(br, kindNotify)
+		in := msg{kind: kind, id: id}
+		if err == nil {
+			if kind == kindRequest || kind == kindNotify {
+				in.buf = frame.GetBuf()
+				in.buf.Grow(n)
+				in.payload = in.buf.AvailableBuffer()[:n]
+			} else {
+				in.payload = make([]byte, n)
+			}
+			err = frame.ReadPayload(br, in.payload)
+		}
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.EOF // clean peer close keeps its identity
 			}
 			c.closeWith(err)
 			return
 		}
-		if env.Method == "" { // response
+		if kind == kindResponse || kind == kindError {
 			c.mu.Lock()
-			ch, ok := c.pending[env.ID]
-			delete(c.pending, env.ID)
+			s := c.pending[id]
+			delete(c.pending, id)
 			c.mu.Unlock()
-			if ok {
-				ch <- env
+			if s != nil {
+				s.done <- in
 			}
 			continue
 		}
-		c.qmu.Lock()
-		if c.qdone {
-			c.qmu.Unlock()
+		if n == 0 {
+			_ = c.protocolErr(errors.New("message without a method number"))
 			return
 		}
-		c.queue = append(c.queue, env)
+		if m := method(in.payload[0]); kind == kindNotify && !m.known() {
+			_ = c.protocolErr(fmt.Errorf("notify for unknown method %s", m))
+			return
+		}
+		c.qmu.Lock()
+		c.queue = append(c.queue, in)
 		c.qcond.Signal()
 		c.qmu.Unlock()
 	}
@@ -293,50 +376,59 @@ func (c *Conn) readLoop() {
 // the queue has drained.
 func (c *Conn) dispatchLoop() {
 	defer c.wg.Done()
+	var batch []msg
 	for {
 		c.qmu.Lock()
 		for len(c.queue) == 0 && !c.qdone {
 			//brlint:allow(no-lock-across-block) the canonical Cond pattern: Wait atomically releases qmu while parked, so the read loop can still append; the queue must stay unbounded so the read loop never blocks behind a slow handler
 			c.qcond.Wait()
 		}
-		if len(c.queue) == 0 && c.qdone {
+		if len(c.queue) == 0 {
 			c.qmu.Unlock()
 			return
 		}
-		env := c.queue[0]
-		c.queue = c.queue[1:]
+		batch, c.queue = c.queue, batch[:0]
 		c.qmu.Unlock()
-		c.serve(env)
+		for i := range batch {
+			c.serve(batch[i])
+			frame.PutBuf(batch[i].buf)
+			batch[i] = msg{} // the backing array outlives the message
+		}
 	}
 }
 
-// serve runs one request or notification through its handler.
-func (c *Conn) serve(env envelope) {
-	c.mu.Lock()
-	fn := c.handlers[env.Method]
-	c.mu.Unlock()
-	if env.ID == 0 { // notification: no reply even on error
-		if fn != nil {
-			_, _ = fn(env.Params)
+// serve runs one request or notification through its handler. The response
+// is begun before the handler runs so the handler appends its result
+// straight into the buffer that goes on the wire.
+func (c *Conn) serve(in msg) {
+	r := &c.rd
+	*r = frame.Reader{B: in.payload}
+	m := method(r.Byte())
+	var fn handler
+	if m.known() {
+		c.mu.Lock()
+		fn = c.handlers[m]
+		c.mu.Unlock()
+	}
+	out := frame.GetBuf()
+	defer frame.PutBuf(out)
+	frame.Begin(out, kindResponse, in.id)
+	err := errUnknownMethod
+	if fn != nil {
+		err = fn(r, out)
+		if derr := r.Done(); derr != nil {
+			_ = c.protocolErr(fmt.Errorf("malformed %s params: %w", m, derr))
+			return
 		}
+	}
+	if in.kind == kindNotify { // no reply even on error
 		return
 	}
-	resp := envelope{ID: env.ID}
-	switch {
-	case fn == nil:
-		resp.Error = &wireError{Code: codeUnknownMethod, Msg: fmt.Sprintf("ctrl: unknown method %q", env.Method)}
-	default:
-		out, err := fn(env.Params)
-		if err != nil {
-			resp.Error = wire(err)
-		} else if out != nil {
-			raw, merr := json.Marshal(out)
-			if merr != nil {
-				resp.Error = wire(fmt.Errorf("ctrl: marshal %s result: %w", env.Method, merr))
-			} else {
-				resp.Result = raw
-			}
-		}
+	if err != nil {
+		out.Reset()
+		frame.Begin(out, kindError, in.id)
+		out.WriteByte(codeFor(err))
+		frame.PutString(out, err.Error())
 	}
-	_ = c.send(resp) // a dead conn fails every pending call anyway
+	_ = c.write(out) // a dead conn fails every pending call anyway
 }

@@ -1,7 +1,7 @@
 package ctrl
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -10,8 +10,16 @@ import (
 	"testing"
 	"time"
 
-	"bladerunner/internal/kvstore"
+	"bladerunner/internal/frame"
 	"bladerunner/internal/pylon"
+	"bladerunner/internal/was"
+)
+
+// The generic behaviours of a Conn, exercised with test handlers hung on
+// the node method numbers (a Conn does not care what a number means).
+const (
+	mTestA = mPing
+	mTestB = mDrain
 )
 
 // pair returns two connected Conns over an in-memory pipe.
@@ -27,30 +35,54 @@ func pair(t *testing.T) (*Conn, *Conn) {
 	return ca, cb
 }
 
+// intHandler serves fn over one uvarint in, one uvarint out.
+func intHandler(fn func(uint64) (uint64, error)) handler {
+	return func(r *frame.Reader, out *bytes.Buffer) error {
+		v := r.Uvarint()
+		if err := r.Done(); err != nil {
+			return err
+		}
+		res, err := fn(v)
+		frame.PutUvarint(out, res)
+		return err
+	}
+}
+
+func putInt(v uint64) func(*bytes.Buffer) {
+	return func(b *bytes.Buffer) { frame.PutUvarint(b, v) }
+}
+
 func TestCallRoundTrip(t *testing.T) {
 	ca, cb := pair(t)
-	cb.Handle("echo", func(params json.RawMessage) (any, error) {
-		var in map[string]string
-		if err := json.Unmarshal(params, &in); err != nil {
-			return nil, err
+	cb.handle(mTestA, func(r *frame.Reader, out *bytes.Buffer) error {
+		in := r.StringMap()
+		if err := r.Done(); err != nil {
+			return err
 		}
 		in["seen"] = "yes"
-		return in, nil
+		frame.PutStringMap(out, in)
+		return nil
 	})
 	var out map[string]string
-	if err := ca.Call("echo", map[string]string{"k": "v"}, &out); err != nil {
+	err := ca.call(mTestA,
+		func(b *bytes.Buffer) { frame.PutStringMap(b, map[string]string{"k": "v"}) },
+		func(r *frame.Reader) { out = r.StringMap() })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out["k"] != "v" || out["seen"] != "yes" {
+	if len(out) != 2 || out["k"] != "v" || out["seen"] != "yes" {
 		t.Errorf("out = %v", out)
 	}
 }
 
-func TestUnknownMethodErrors(t *testing.T) {
-	ca, _ := pair(t)
-	err := ca.Call("no.such", nil, nil)
-	if err == nil {
-		t.Fatal("unknown method succeeded")
+func TestUnservedMethodErrorsAndKeepsTheConn(t *testing.T) {
+	ca, cb := pair(t)
+	if err := ca.call(mTestA, nil, nil); err == nil || !errors.Is(err, errUnknownMethod) {
+		t.Fatalf("unserved method: err = %v, want unknown method", err)
+	}
+	cb.handle(mTestB, intHandler(func(v uint64) (uint64, error) { return v, nil }))
+	if err := ca.call(mTestB, putInt(1), func(r *frame.Reader) { r.Uvarint() }); err != nil {
+		t.Fatalf("call after an unknown-method answer: %v", err)
 	}
 }
 
@@ -61,41 +93,47 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 		pylon.ErrUnavailable,
 		pylon.ErrShed,
 		pylon.ErrUnknownSubscriber,
+		was.ErrDenied,
+		was.ErrUnknownField,
 	}
-	cb.Handle("fail", func(params json.RawMessage) (any, error) {
-		var p struct{ I int }
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
+	cb.handle(mTestA, intHandler(func(i uint64) (uint64, error) {
+		if int(i) == len(cases) {
+			return 0, errors.New("plain failure")
 		}
 		// Wrapped, as real code returns them.
-		return nil, fmt.Errorf("subscribe shard 3: %w", cases[p.I])
-	})
+		return 0, fmt.Errorf("subscribe shard 3: %w", cases[i])
+	}))
 	for i, want := range cases {
-		err := ca.Call("fail", struct{ I int }{i}, nil)
+		err := ca.call(mTestA, putInt(uint64(i)), nil)
 		if !errors.Is(err, want) {
 			t.Errorf("case %d: sentinel %v lost: got %v", i, want, err)
 		}
+		for j, other := range cases {
+			if j != i && errors.Is(err, other) {
+				t.Errorf("case %d: %v also reads as %v", i, err, other)
+			}
+		}
+	}
+	err := ca.call(mTestA, putInt(uint64(len(cases))), nil)
+	if err == nil || codeFor(err) != 0 {
+		t.Errorf("plain remote failure = %v, want an error that is no sentinel", err)
 	}
 }
 
 func TestNotificationsArriveInOrder(t *testing.T) {
 	ca, cb := pair(t)
 	const n = 100
-	got := make(chan int, n)
-	cb.Handle("tick", func(params json.RawMessage) (any, error) {
-		var p struct{ I int }
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		got <- p.I
-		return nil, nil
-	})
-	for i := 0; i < n; i++ {
-		if err := ca.Notify("tick", struct{ I int }{i}); err != nil {
+	got := make(chan uint64, n)
+	cb.handle(mTestA, intHandler(func(i uint64) (uint64, error) {
+		got <- i
+		return 0, nil
+	}))
+	for i := uint64(0); i < n; i++ {
+		if err := ca.notify(mTestA, putInt(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		select {
 		case v := <-got:
 			if v != i {
@@ -107,57 +145,59 @@ func TestNotificationsArriveInOrder(t *testing.T) {
 	}
 }
 
+// Call slots are reused, so a reply must never reach the wrong caller, or
+// a caller that has already gone: 32 goroutines, many calls each.
 func TestConcurrentCallsCorrelate(t *testing.T) {
 	ca, cb := pair(t)
-	cb.Handle("double", func(params json.RawMessage) (any, error) {
-		var p struct{ V int }
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		return struct{ V int }{2 * p.V}, nil
-	})
+	cb.handle(mTestA, intHandler(func(v uint64) (uint64, error) { return 2 * v, nil }))
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var out struct{ V int }
-			if err := ca.Call("double", struct{ V int }{i}, &out); err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
-			}
-			if out.V != 2*i {
-				t.Errorf("call %d: got %d", i, out.V)
+			for j := 0; j < 20; j++ {
+				in := uint64(i*1000 + j)
+				var out uint64
+				if err := ca.call(mTestA, putInt(in), func(r *frame.Reader) { out = r.Uvarint() }); err != nil {
+					t.Errorf("call %d: %v", in, err)
+					return
+				}
+				if out != 2*in {
+					t.Errorf("call %d: got %d", in, out)
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
+	ca.mu.Lock()
+	defer ca.mu.Unlock()
+	if len(ca.pending) != 0 || len(ca.free) == 0 || len(ca.free) > 32 {
+		t.Errorf("after the storm: %d pending, %d free slots; want 0 and 1..32", len(ca.pending), len(ca.free))
+	}
 }
 
-// A handler that issues a Call back over the same connection must not
+// A handler that issues a call back over the same connection must not
 // deadlock: dispatch runs off the read loop, so the nested response can
 // still be read.
 func TestHandlerMayCallBackOnSameConn(t *testing.T) {
 	ca, cb := pair(t)
-	ca.Handle("leaf", func(json.RawMessage) (any, error) {
-		return struct{ OK bool }{true}, nil
-	})
-	cb.Handle("nested", func(json.RawMessage) (any, error) {
-		var out struct{ OK bool }
-		if err := cb.Call("leaf", nil, &out); err != nil {
-			return nil, err
+	ca.handle(mTestB, intHandler(func(v uint64) (uint64, error) { return v + 1, nil }))
+	cb.handle(mTestA, func(r *frame.Reader, out *bytes.Buffer) error {
+		v := r.Uvarint()
+		if err := r.Done(); err != nil {
+			return err
 		}
-		return out, nil
+		return cb.call(mTestB, putInt(v), func(r *frame.Reader) { frame.PutUvarint(out, r.Uvarint()) })
 	})
 	done := make(chan error, 1)
+	var out uint64
 	go func() {
-		var out struct{ OK bool }
-		done <- ca.Call("nested", nil, &out)
+		done <- ca.call(mTestA, putInt(41), func(r *frame.Reader) { out = r.Uvarint() })
 	}()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || out != 42 {
+			t.Fatalf("nested call = %d, %v; want 42", out, err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("nested call deadlocked")
@@ -166,14 +206,15 @@ func TestHandlerMayCallBackOnSameConn(t *testing.T) {
 
 func TestCloseFailsPendingCalls(t *testing.T) {
 	ca, cb := pair(t)
-	block := make(chan struct{})
-	cb.Handle("hang", func(json.RawMessage) (any, error) {
+	block, entered := make(chan struct{}), make(chan struct{})
+	cb.handle(mTestA, func(r *frame.Reader, _ *bytes.Buffer) error {
+		close(entered)
 		<-block
-		return nil, nil
+		return r.Done()
 	})
 	done := make(chan error, 1)
-	go func() { done <- ca.Call("hang", nil, nil) }()
-	time.Sleep(20 * time.Millisecond) // let the call get in flight
+	go func() { done <- ca.call(mTestA, nil, nil) }()
+	<-entered // the call is in flight
 	_ = ca.Close()
 	select {
 	case err := <-done:
@@ -184,6 +225,9 @@ func TestCloseFailsPendingCalls(t *testing.T) {
 		t.Fatal("pending call never failed")
 	}
 	close(block)
+	if err := ca.call(mTestA, nil, nil); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("call on a closed conn = %v, want ErrConnClosed", err)
+	}
 }
 
 func TestPeerCloseReportsEOF(t *testing.T) {
@@ -200,80 +244,51 @@ func TestPeerCloseReportsEOF(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("onClose never fired")
 	}
+	if err := ca.Err(); !errors.Is(err, io.EOF) {
+		t.Errorf("Err() = %v, want io.EOF", err)
+	}
 	_ = ca.Close()
 }
 
-// collector implements pylon.Subscriber.
-type collector struct {
-	id string
-	mu sync.Mutex
-	ev []pylon.Event
+// countingWriter counts transport writes.
+type countingWriter struct {
+	io.ReadWriteCloser
+	mu     sync.Mutex
+	writes int
 }
 
-func (c *collector) ID() string { return c.id }
-func (c *collector) Deliver(ev pylon.Event) {
-	c.mu.Lock()
-	c.ev = append(c.ev, ev)
-	c.mu.Unlock()
-}
-func (c *collector) events() []pylon.Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]pylon.Event(nil), c.ev...)
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes++
+	w.mu.Unlock()
+	return w.ReadWriteCloser.Write(p)
 }
 
-func TestPylonClientEndToEnd(t *testing.T) {
-	svc := newPylon(t)
-	serverConn, clientConn := pair(t)
-	ServePylon(serverConn, svc, nil)
-	cli := NewPylonClient(clientConn)
-
-	sub := &collector{id: "host-1"}
-	cli.RegisterHost(sub)
-	if err := cli.Subscribe("/t/1", "host-1"); err != nil {
+// One message is one transport Write: a round trip is two, a notification
+// one.
+func TestOneWritePerMessage(t *testing.T) {
+	a, b := net.Pipe()
+	wa, wb := &countingWriter{ReadWriteCloser: a}, &countingWriter{ReadWriteCloser: b}
+	ca, cb := NewConn("a", wa, nil), NewConn("b", wb, nil)
+	seen := make(chan struct{}, 1)
+	cb.handle(mTestA, intHandler(func(v uint64) (uint64, error) { return v, nil }))
+	cb.handle(mTestB, intHandler(func(uint64) (uint64, error) { seen <- struct{}{}; return 0, nil }))
+	ca.Start()
+	cb.Start()
+	defer ca.Close()
+	defer cb.Close()
+	if err := ca.call(mTestA, putInt(1<<40), func(r *frame.Reader) { r.Uvarint() }); err != nil {
 		t.Fatal(err)
 	}
-	if !cli.WaitForSubscriber("/t/1", time.Second) {
-		t.Fatal("WaitForSubscriber timed out")
-	}
-	n, err := cli.Publish(pylon.Event{Topic: "/t/1", Ref: 42, Meta: map[string]string{"k": "v"}})
-	if err != nil {
+	if err := ca.notify(mTestB, putInt(7)); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Errorf("Publish fanout = %d, want 1", n)
+	<-seen
+	wa.mu.Lock()
+	wb.mu.Lock()
+	defer wa.mu.Unlock()
+	defer wb.mu.Unlock()
+	if wa.writes != 2 || wb.writes != 1 {
+		t.Errorf("writes: caller %d, server %d; want 2 (request, notify) and 1 (response)", wa.writes, wb.writes)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		evs := sub.events()
-		if len(evs) == 1 {
-			if evs[0].Ref != 42 || evs[0].Meta["k"] != "v" || evs[0].Topic != "/t/1" {
-				t.Errorf("delivered event = %+v", evs[0])
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("event never delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Unsubscribe: fanout stops counting us.
-	if err := cli.Unsubscribe("/t/1", "host-1"); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := cli.Publish(pylon.Event{Topic: "/t/1"}); n != 0 {
-		t.Errorf("post-unsubscribe fanout = %d", n)
-	}
-	cli.RemoveHost("host-1")
-	if err := cli.Subscribe("/t/1", "host-1"); !errors.Is(err, pylon.ErrUnknownSubscriber) {
-		t.Errorf("subscribe after RemoveHost = %v, want ErrUnknownSubscriber", err)
-	}
-}
-
-func newPylon(t *testing.T) *pylon.Service {
-	t.Helper()
-	nodes := []*kvstore.Node{
-		kvstore.NewNode("a", "us"), kvstore.NewNode("b", "eu"), kvstore.NewNode("c", "ap"),
-	}
-	return pylon.MustNew(pylon.DefaultConfig(), kvstore.MustNewCluster(nodes, 3))
 }

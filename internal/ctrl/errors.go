@@ -8,63 +8,43 @@ import (
 	"bladerunner/internal/was"
 )
 
-// Wire error codes. Sentinel errors that callers classify with errors.Is
-// (the brass subscription manager retries transient Pylon failures; the
-// device layer distinguishes shed from failure) must survive the RPC
-// boundary, so each gets a stable code that errFor maps back to the
-// sentinel on the calling side.
-const (
-	codeUnknownMethod     = "unknown-method"
-	codeNoQuorum          = "pylon-no-quorum"
-	codeUnavailable       = "pylon-unavailable"
-	codeShed              = "pylon-shed"
-	codeUnknownSubscriber = "pylon-unknown-subscriber"
-	codeDenied            = "was-denied"
-	codeUnknownField      = "was-unknown-field"
-)
+// errUnknownMethod answers a request for a method this end does not serve.
+var errUnknownMethod = errors.New("ctrl: unknown method")
 
-// wire maps err to its wire form, stamping a sentinel code when one
-// applies. errors.Is runs on the server side, so wrapped sentinels map
-// correctly even though only the rendered message crosses the wire.
-func wire(err error) *wireError {
-	w := &wireError{Msg: err.Error()}
-	switch {
-	case errors.Is(err, pylon.ErrNoQuorum):
-		w.Code = codeNoQuorum
-	case errors.Is(err, pylon.ErrUnavailable):
-		w.Code = codeUnavailable
-	case errors.Is(err, pylon.ErrShed):
-		w.Code = codeShed
-	case errors.Is(err, pylon.ErrUnknownSubscriber):
-		w.Code = codeUnknownSubscriber
-	case errors.Is(err, was.ErrDenied):
-		w.Code = codeDenied
-	case errors.Is(err, was.ErrUnknownField):
-		w.Code = codeUnknownField
+// sentinels is the error-code table: an error frame carries the index of
+// the first entry the error Is (0 = none of them) beside its rendered
+// message. Sentinel errors that callers classify with errors.Is (the brass
+// subscription manager retries transient Pylon failures; the device layer
+// distinguishes shed from failure) must survive the RPC boundary, so each
+// has a stable code that unwire maps back to the sentinel on the calling
+// side. The codes are the protocol: never renumber, only append.
+var sentinels = [...]error{
+	1: errUnknownMethod,
+	2: pylon.ErrNoQuorum,
+	3: pylon.ErrUnavailable,
+	4: pylon.ErrShed,
+	5: pylon.ErrUnknownSubscriber,
+	6: was.ErrDenied,
+	7: was.ErrUnknownField,
+}
+
+// codeFor maps err to its wire code. errors.Is runs on the server side, so
+// wrapped sentinels map correctly even though only the rendered message
+// crosses the wire.
+func codeFor(err error) byte {
+	for code := 1; code < len(sentinels); code++ {
+		if errors.Is(err, sentinels[code]) {
+			return byte(code)
+		}
 	}
-	return w
+	return 0
 }
 
 // unwire reconstructs a caller-side error, restoring sentinel identity
 // from the code. The remote message is preserved in the rendering.
-func (w *wireError) unwire(name, method string) error {
-	var sentinel error
-	switch w.Code {
-	case codeNoQuorum:
-		sentinel = pylon.ErrNoQuorum
-	case codeUnavailable:
-		sentinel = pylon.ErrUnavailable
-	case codeShed:
-		sentinel = pylon.ErrShed
-	case codeUnknownSubscriber:
-		sentinel = pylon.ErrUnknownSubscriber
-	case codeDenied:
-		sentinel = was.ErrDenied
-	case codeUnknownField:
-		sentinel = was.ErrUnknownField
+func unwire(code byte, text, name string, m method) error {
+	if code > 0 && int(code) < len(sentinels) {
+		return fmt.Errorf("ctrl %s: %s: %w (remote: %s)", name, m, sentinels[code], text)
 	}
-	if sentinel != nil {
-		return fmt.Errorf("ctrl %s: %s: %w (remote: %s)", name, method, sentinel, w.Msg)
-	}
-	return fmt.Errorf("ctrl %s: %s: remote: %s", name, method, w.Msg)
+	return fmt.Errorf("ctrl %s: %s: remote: %s", name, m, text)
 }

@@ -1,42 +1,37 @@
 package ctrl
 
-import "encoding/json"
+import (
+	"bytes"
 
-// Node admin method names, served by every brnode role.
-const (
-	MethodPing  = "node.ping"
-	MethodDrain = "node.drain"
+	"bladerunner/internal/frame"
 )
-
-type pingResult struct {
-	Role string `json:"role"`
-}
 
 // ServeNode registers the node admin handlers: ping answers with the
 // node's role (the launcher's readiness probe), drain triggers a graceful
 // drain (the same path as SIGTERM) via the supplied callback.
 func ServeNode(conn *Conn, role string, drain func()) {
-	conn.Handle(MethodPing, func(json.RawMessage) (any, error) {
-		return pingResult{Role: role}, nil
+	conn.handle(mPing, func(r *frame.Reader, out *bytes.Buffer) error {
+		frame.PutString(out, role)
+		return r.Done()
 	})
-	conn.Handle(MethodDrain, func(json.RawMessage) (any, error) {
+	conn.handle(mDrain, func(r *frame.Reader, _ *bytes.Buffer) error {
+		if err := r.Done(); err != nil {
+			return err
+		}
 		if drain != nil {
 			drain()
 		}
-		return nil, nil
+		return nil
 	})
 }
 
 // Ping round-trips a node.ping, returning the remote role.
-func Ping(conn *Conn) (string, error) {
-	var res pingResult
-	if err := conn.Call(MethodPing, nil, &res); err != nil {
-		return "", err
-	}
-	return res.Role, nil
+func Ping(conn *Conn) (role string, err error) {
+	err = conn.call(mPing, nil, func(r *frame.Reader) { role = r.Str() })
+	return role, err
 }
 
 // Drain asks the remote node to drain gracefully.
 func Drain(conn *Conn) error {
-	return conn.Call(MethodDrain, nil, nil)
+	return conn.call(mDrain, nil, nil)
 }

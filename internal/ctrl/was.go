@@ -1,113 +1,67 @@
 package ctrl
 
 import (
-	"encoding/json"
+	"bytes"
 
+	"bladerunner/internal/frame"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/was"
 )
 
-// WAS method names.
-const (
-	MethodQuery               = "was.query"
-	MethodPointQuery          = "was.point-query"
-	MethodMutate              = "was.mutate"
-	MethodResolveSubscription = "was.resolve-subscription"
-	MethodCheckVisibility     = "was.check-visibility"
-	MethodResolvePayload      = "was.resolve-payload"
-	MethodFetchPayload        = "was.fetch-payload"
-)
-
-type exprParams struct {
-	Region string `json:"region,omitempty"`
-	Viewer uint64 `json:"viewer"`
-	Expr   string `json:"expr"`
-}
-
-type bytesResult struct {
-	Data []byte `json:"data"`
-}
-
-type topicsResult struct {
-	Topics []string `json:"topics"`
-}
-
-type visibilityParams struct {
-	Viewer uint64      `json:"viewer"`
-	Event  pylon.Event `json:"event"`
-}
-
-type payloadParams struct {
-	Region string      `json:"region,omitempty"`
-	App    string      `json:"app"`
-	Viewer uint64      `json:"viewer,omitempty"`
-	Event  pylon.Event `json:"event"`
-}
-
 // ServeWAS registers the WAS tier's handlers on conn, exposing srv to the
 // remote peer.
 func ServeWAS(conn *Conn, srv *was.Server) {
-	exprCall := func(fn func(region string, viewer socialgraph.UserID, expr string) ([]byte, error)) Handler {
-		return func(params json.RawMessage) (any, error) {
-			var p exprParams
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
+	exprCall := func(fn func(region string, viewer socialgraph.UserID, expr string) ([]byte, error)) handler {
+		return func(r *frame.Reader, out *bytes.Buffer) error {
+			region, viewer, expr := r.Str(), r.Uvarint(), r.Str()
+			if err := r.Done(); err != nil {
+				return err
 			}
-			out, err := fn(p.Region, socialgraph.UserID(p.Viewer), p.Expr)
-			if err != nil {
-				return nil, err
-			}
-			return bytesResult{Data: out}, nil
+			data, err := fn(region, socialgraph.UserID(viewer), expr)
+			frame.PutBytes(out, data)
+			return err
 		}
 	}
-	conn.Handle(MethodQuery, exprCall(srv.QueryIn))
-	conn.Handle(MethodPointQuery, exprCall(srv.PointQueryIn))
-	conn.Handle(MethodMutate, exprCall(srv.MutateIn))
-	conn.Handle(MethodResolveSubscription, func(params json.RawMessage) (any, error) {
-		var p exprParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
+	conn.handle(mQuery, exprCall(srv.QueryIn))
+	conn.handle(mPointQuery, exprCall(srv.PointQueryIn))
+	conn.handle(mMutate, exprCall(srv.MutateIn))
+	conn.handle(mResolveSubscription, func(r *frame.Reader, out *bytes.Buffer) error {
+		viewer, expr := r.Uvarint(), r.Str()
+		if err := r.Done(); err != nil {
+			return err
 		}
-		topics, err := srv.ResolveSubscription(socialgraph.UserID(p.Viewer), p.Expr)
-		if err != nil {
-			return nil, err
+		topics, err := srv.ResolveSubscription(socialgraph.UserID(viewer), expr)
+		frame.PutUvarint(out, uint64(len(topics)))
+		for _, t := range topics {
+			frame.PutString(out, string(t))
 		}
-		res := topicsResult{Topics: make([]string, len(topics))}
-		for i, t := range topics {
-			res.Topics[i] = string(t)
-		}
-		return res, nil
+		return err
 	})
-	conn.Handle(MethodCheckVisibility, func(params json.RawMessage) (any, error) {
-		var p visibilityParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
+	conn.handle(mCheckVisibility, func(r *frame.Reader, _ *bytes.Buffer) error {
+		viewer, ev := r.Uvarint(), conn.readEvent(r)
+		if err := r.Done(); err != nil {
+			return err
 		}
-		return nil, srv.CheckEventVisibility(socialgraph.UserID(p.Viewer), p.Event)
+		return srv.CheckEventVisibility(socialgraph.UserID(viewer), ev)
 	})
-	conn.Handle(MethodResolvePayload, func(params json.RawMessage) (any, error) {
-		var p payloadParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
+	// resolve-payload and fetch-payload share one layout; resolve has no
+	// viewer (the resolver runs in the system context) and sends 0.
+	payloadCall := func(fn func(region, app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error)) handler {
+		return func(r *frame.Reader, out *bytes.Buffer) error {
+			region, app, viewer, ev := r.Str(), r.Str(), r.Uvarint(), conn.readEvent(r)
+			if err := r.Done(); err != nil {
+				return err
+			}
+			data, err := fn(region, app, socialgraph.UserID(viewer), ev)
+			frame.PutBytes(out, data)
+			return err
 		}
-		out, err := srv.ResolvePayloadIn(p.Region, p.App, p.Event)
-		if err != nil {
-			return nil, err
-		}
-		return bytesResult{Data: out}, nil
-	})
-	conn.Handle(MethodFetchPayload, func(params json.RawMessage) (any, error) {
-		var p payloadParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
-		out, err := srv.FetchPayloadIn(p.Region, p.App, socialgraph.UserID(p.Viewer), p.Event)
-		if err != nil {
-			return nil, err
-		}
-		return bytesResult{Data: out}, nil
-	})
+	}
+	conn.handle(mResolvePayload, payloadCall(func(region, app string, _ socialgraph.UserID, ev pylon.Event) ([]byte, error) {
+		return srv.ResolvePayloadIn(region, app, ev)
+	}))
+	conn.handle(mFetchPayload, payloadCall(srv.FetchPayloadIn))
 }
 
 // WASClient implements brass.Backend and device.Backend over a control
@@ -119,62 +73,68 @@ type WASClient struct {
 // NewWASClient wraps conn.
 func NewWASClient(conn *Conn) *WASClient { return &WASClient{conn: conn} }
 
-func (c *WASClient) exprCall(method, region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	var res bytesResult
-	err := c.conn.Call(method, exprParams{Region: region, Viewer: uint64(viewer), Expr: expr}, &res)
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
+func (c *WASClient) exprCall(m method, region string, viewer socialgraph.UserID, expr string) (data []byte, err error) {
+	err = c.conn.call(m, func(b *bytes.Buffer) {
+		frame.PutString(b, region)
+		frame.PutUvarint(b, uint64(viewer))
+		frame.PutString(b, expr)
+	}, func(r *frame.Reader) { data = r.Bytes() })
+	return data, err
 }
 
 // QueryIn implements brass.Backend and device.Backend.
 func (c *WASClient) QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return c.exprCall(MethodQuery, region, viewer, expr)
+	return c.exprCall(mQuery, region, viewer, expr)
 }
 
 // PointQueryIn implements device.Backend.
 func (c *WASClient) PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return c.exprCall(MethodPointQuery, region, viewer, expr)
+	return c.exprCall(mPointQuery, region, viewer, expr)
 }
 
 // MutateIn implements device.Backend.
 func (c *WASClient) MutateIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return c.exprCall(MethodMutate, region, viewer, expr)
+	return c.exprCall(mMutate, region, viewer, expr)
 }
 
 // ResolveSubscription implements brass.Backend.
-func (c *WASClient) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]pylon.Topic, error) {
-	var res topicsResult
-	if err := c.conn.Call(MethodResolveSubscription, exprParams{Viewer: uint64(viewer), Expr: expr}, &res); err != nil {
-		return nil, err
-	}
-	topics := make([]pylon.Topic, len(res.Topics))
-	for i, t := range res.Topics {
-		topics[i] = pylon.Topic(t)
-	}
-	return topics, nil
+func (c *WASClient) ResolveSubscription(viewer socialgraph.UserID, expr string) (topics []pylon.Topic, err error) {
+	err = c.conn.call(mResolveSubscription, func(b *bytes.Buffer) {
+		frame.PutUvarint(b, uint64(viewer))
+		frame.PutString(b, expr)
+	}, func(r *frame.Reader) {
+		topics = make([]pylon.Topic, r.Count(1))
+		for i := range topics {
+			topics[i] = pylon.Topic(r.Str())
+		}
+	})
+	return topics, err
 }
 
 // CheckEventVisibility implements brass.Backend.
 func (c *WASClient) CheckEventVisibility(viewer socialgraph.UserID, ev pylon.Event) error {
-	return c.conn.Call(MethodCheckVisibility, visibilityParams{Viewer: uint64(viewer), Event: ev}, nil)
+	return c.conn.call(mCheckVisibility, func(b *bytes.Buffer) {
+		frame.PutUvarint(b, uint64(viewer))
+		putEvent(b, &ev)
+	}, nil)
+}
+
+func (c *WASClient) payloadCall(m method, region, app string, viewer socialgraph.UserID, ev *pylon.Event) (data []byte, err error) {
+	err = c.conn.call(m, func(b *bytes.Buffer) {
+		frame.PutString(b, region)
+		frame.PutString(b, app)
+		frame.PutUvarint(b, uint64(viewer))
+		putEvent(b, ev)
+	}, func(r *frame.Reader) { data = r.Bytes() })
+	return data, err
 }
 
 // ResolvePayloadIn implements brass.Backend.
 func (c *WASClient) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, error) {
-	var res bytesResult
-	if err := c.conn.Call(MethodResolvePayload, payloadParams{Region: region, App: app, Event: ev}, &res); err != nil {
-		return nil, err
-	}
-	return res.Data, nil
+	return c.payloadCall(mResolvePayload, region, app, 0, &ev)
 }
 
 // FetchPayloadIn implements brass.Backend.
 func (c *WASClient) FetchPayloadIn(region, app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
-	var res bytesResult
-	if err := c.conn.Call(MethodFetchPayload, payloadParams{Region: region, App: app, Viewer: uint64(viewer), Event: ev}, &res); err != nil {
-		return nil, err
-	}
-	return res.Data, nil
+	return c.payloadCall(mFetchPayload, region, app, viewer, &ev)
 }

@@ -46,7 +46,9 @@ func Wire(seed int64) (Result, []WireBench) {
 		note        string
 	}{
 		{"PylonPublish", bench.PylonPublishLocal, bench.PylonPublishWire,
-			"publish ack through one ctrl socket (WAS process -> pylon process)"},
+			"publish ack through one ctrl socket (WAS process -> pylon process), paid once per mutation"},
+		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityLocal, bench.CtrlCheckVisibilityWire,
+			"privacy check through one ctrl socket (brass process -> WAS process), paid once per delivery"},
 		{"EndToEndCommentPush", bench.EndToEndCommentPush, bench.EndToEndCommentPushWire,
 			"full comment trip across 4 sockets (brnode topology on loopback)"},
 	}
