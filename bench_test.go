@@ -142,8 +142,9 @@ func BenchmarkAblationGenericVsPerApp(b *testing.B) {
 
 // ---- Microbenchmarks of the hot paths ----
 //
-// The four headline hot-path benchmarks live in internal/bench so that
-// cmd/brbench -bench-json emits numbers from exactly this code.
+// The headline hot-path benchmarks live in internal/bench so that
+// TestAllocContracts (alloc_test.go) and the hotfanout experiment run
+// exactly this code.
 
 func BenchmarkBURSTFrameEncode(b *testing.B) { bench.BURSTFrameEncode(b) }
 

@@ -14,9 +14,9 @@
 //	brload -what lifetimes -n 100000
 //	brload -what diurnal
 //	brload -what graph -n 10000
-//	brload -scenario diurnal -devices 1000000 -bench-json BENCH_8.json
+//	brload -scenario diurnal -devices 1000000 -bench-json report.json
 //	brload -scenario storm -short
-//	brload -scenario replay -devices 100000 -bench-json BENCH_9.json
+//	brload -scenario replay -devices 100000 -bench-json report.json
 //
 // With -net tcp it instead drives a LIVE multi-process cluster (cmd/brnode)
 // over real sockets, from this separate process: trunks dial the POP's

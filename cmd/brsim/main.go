@@ -93,9 +93,10 @@ func main() {
 	cluster.Quiesce()
 	fmt.Printf("\nposted %d comments in %v; %d viewer deliveries\n",
 		*comments, clock.Now().Sub(start).Round(time.Millisecond), total)
+	fanout := cluster.Pylon.FanoutSize
 	fmt.Printf("pylon: %d publishes, %d host deliveries, fanout mean %.1f\n",
 		cluster.Pylon.Publishes.Value(), cluster.Pylon.Deliveries.Value(),
-		float64(cluster.Pylon.FanoutSize.Mean()))
+		float64(fanout.Sum())/float64(max(fanout.Count(), 1)))
 	fmt.Printf("brass: %d decisions, %d deliveries, %d filtered (filter rate %.0f%%)\n",
 		cluster.TotalDecisions(), cluster.TotalDeliveries(), totalFiltered(cluster),
 		filterRate(cluster)*100)

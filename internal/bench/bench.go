@@ -1,8 +1,8 @@
 // Package bench holds the hot-path benchmark bodies shared by the root
-// `go test -bench` suite and cmd/brbench's machine-readable BENCH report.
-// Keeping them in one non-test package means the numbers in BENCH_*.json
-// are produced by exactly the code `go test -bench` runs, and that the
-// bodies are subject to brlint (no wall-clock polling — waits go through
+// `go test -bench` suite, its TestAllocContracts, and the hotfanout
+// experiment. Keeping them in one non-test package means the experiment
+// measures exactly the code `go test -bench` runs, and that the bodies are
+// subject to brlint (no wall-clock polling — waits go through
 // pylon.WaitForSubscriber or channel receives).
 package bench
 
@@ -230,24 +230,20 @@ func EndToEndCommentPush(b *testing.B) {
 }
 
 // EndToEndCommentPushHops is EndToEndCommentPush with the tracing plane on
-// at rate 1: every op's hops are measured, and the per-hop latency
+// at rate 1: every op's hops are measured, the per-hop latency
 // sub-histograms (publish, fan-out, payload fetch, push) are folded into a
-// Breakdown — with trace-ID exemplars — that cmd/brbench attaches to
-// BENCH_*.json. The hop means are also reported as custom benchmark
-// metrics, so `go test -bench EndToEndCommentPushHops` prints the
-// breakdown inline.
-func EndToEndCommentPushHops(b *testing.B) map[string]trace.HopStat {
+// Breakdown, and the hop means are reported as custom benchmark metrics,
+// so `go test -bench EndToEndCommentPushHops` prints the breakdown inline.
+func EndToEndCommentPushHops(b *testing.B) {
 	// 1<<16 spans per process ring: enough that a typical benchtime keeps
 	// every hop of every op (the WAS collects three spans per op).
 	plane := trace.NewPlane(trace.Config{Rate: 1, Capacity: 1 << 16})
 	endToEndCommentPush(b, plane)
 	breakdown := trace.NewBreakdown()
 	breakdown.Record(plane.Gather())
-	stats := breakdown.Stats()
-	for hop, s := range stats {
+	for hop, s := range breakdown.Stats() {
 		b.ReportMetric(float64(s.Mean), hop+"-ns")
 	}
-	return stats
 }
 
 func endToEndCommentPush(b *testing.B, plane *trace.Plane) {

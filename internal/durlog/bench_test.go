@@ -7,11 +7,10 @@ import (
 	"bladerunner/internal/sim"
 )
 
-// BenchmarkDurlogAppend is the runtime twin of the //brlint:hotpath
-// annotation on Append: steady-state appends (slab writes, rotations,
-// structural evictions, retention checks all exercised as the ring
-// cycles) must stay at 0 allocs/op. CI gates on the allocs column.
-func BenchmarkDurlogAppend(b *testing.B) {
+// appendOp returns one steady-state append and the log it lands in: 256-
+// entry slabs in a ring of four, so a run of a few thousand cycles the ring
+// (slab writes, rotations, structural evictions, retention checks).
+func appendOp() (*Log, func()) {
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	l := New(Config{
 		Clock:          clk,
@@ -26,15 +25,42 @@ func BenchmarkDurlogAppend(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
+	seq := uint64(0)
+	return l, func() {
+		seq++
+		l.Append(topic, seq, payload)
+	}
+}
 
+// BenchmarkDurlogAppend is the runtime twin of the //brlint:hotpath
+// annotation on Append; TestAppendDoesNotAllocate gates its allocs column.
+func BenchmarkDurlogAppend(b *testing.B) {
+	l, op := appendOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Append(topic, uint64(i+1), payload)
+		op()
 	}
 	b.StopTimer()
 	if got := l.Appends.Value(); got != int64(b.N) {
 		b.Fatalf("appended %d, want %d", got, b.N)
+	}
+}
+
+// TestAppendDoesNotAllocate is the durlog row of the alloc contracts (the
+// root package's TestAllocContracts holds the rest): one append per
+// delivered delta stays at 0 allocs/op over 2000 appends, the three
+// first-lap slab allocations included.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc contract: 2000 measured iterations")
+	}
+	l, op := appendOp()
+	if allocs := testing.AllocsPerRun(2000, op); allocs != 0 {
+		t.Errorf("durlog.Append allocates %v allocs/op on the publish path, want 0", allocs)
+	}
+	if l.Rotations.Value() < 4 {
+		t.Errorf("only %d rotations: the run never cycled the ring", l.Rotations.Value())
 	}
 }
 

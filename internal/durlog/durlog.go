@@ -10,8 +10,9 @@
 // retention, postdates a crash-truncated tail, or crosses a continuity
 // epoch) returns ErrCursorExpired and the client falls back to a WAS
 // resync. Appends are the delivery hot path and stay allocation-free in
-// steady state: every slab (payload bytes, entry offsets, entry seqs) is
-// preallocated at Open and recycled in place by rotation, retention
+// steady state: a slab (payload bytes, entry offsets, entry seqs) is
+// allocated once — the first at Open, each other the first time rotation
+// reaches it — and from then on recycled in place by rotation, retention
 // expiry, and gap resets.
 package durlog
 
@@ -157,19 +158,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// segment is one preallocated slab: payloads packed contiguously in buf,
-// entry i spanning buf[ends[i-1]:ends[i]] with sequence seqs[i]. A slab
-// is hot while it is the append target and immutable (cold) after
-// rotation seals it; recycling only resets the counters, so steady-state
-// appends never allocate.
+// segment is one slab: payloads packed contiguously in buf, entry i
+// spanning buf[ends[i-1]:ends[i]] with sequence seqs[i]. A slab is hot
+// while it is the append target and immutable (cold) after rotation seals
+// it; recycling only resets the counters, so steady-state appends never
+// allocate. A slab rotation has not reached yet has nil arrays and n == 0:
+// a topic that never fills its first slab never pays for the rest.
 type segment struct {
-	buf  []byte   // len = HotBytes, fixed at Open
-	ends []uint32 // len = SegmentEntries, fixed at Open
-	seqs []uint64 // len = SegmentEntries, fixed at Open
+	buf  []byte   // len = HotBytes, fixed by alloc
+	ends []uint32 // len = SegmentEntries, fixed by alloc
+	seqs []uint64 // len = SegmentEntries, fixed by alloc
 
 	n      int       // entries used
 	used   int       // bytes used
 	sealed time.Time // rotation timestamp (zero while hot)
+}
+
+func (s *segment) alloc(cfg *Config) {
+	s.buf = make([]byte, cfg.HotBytes)
+	s.ends = make([]uint32, cfg.SegmentEntries)
+	s.seqs = make([]uint64, cfg.SegmentEntries)
 }
 
 // topicLog is one topic's slab ring plus its window bookkeeping. The
@@ -213,9 +221,9 @@ func New(cfg Config) *Log {
 	return &Log{cfg: cfg.withDefaults(), topics: make(map[string]*topicLog)}
 }
 
-// Open allocates topic's slab ring. Idempotent; control path (stream
-// open / app registration), so Append on the delivery path never
-// allocates. Append on an unopened topic is a no-op returning false.
+// Open allocates topic's ring and its first slab. Idempotent; control path
+// (stream open / app registration). Append on an unopened topic is a no-op
+// returning false.
 func (l *Log) Open(topic string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -224,11 +232,7 @@ func (l *Log) Open(topic string) {
 	}
 	t := &topicLog{name: topic, epoch: 1, floor: 1}
 	t.segs = make([]segment, l.cfg.Segments)
-	for i := range t.segs {
-		t.segs[i].buf = make([]byte, l.cfg.HotBytes)
-		t.segs[i].ends = make([]uint32, l.cfg.SegmentEntries)
-		t.segs[i].seqs = make([]uint64, l.cfg.SegmentEntries)
-	}
+	t.segs[0].alloc(&l.cfg)
 	l.topics[topic] = t
 }
 
@@ -246,7 +250,7 @@ func (l *Log) lookup(topic string) *topicLog {
 // is unopened, the sequence is a duplicate (<= tail), or the payload is
 // too large for a slab (which poisons the window — see appendLocked).
 //
-// payload-offset writes into slabs preallocated at Open.
+// payload-offset writes into slabs allocated before the write reaches them.
 //
 // only mutex ops, map reads, counter increments, copy, and indexed
 //
@@ -311,13 +315,13 @@ func (t *topicLog) appendLocked(l *Log, seq uint64, payload []byte) bool {
 	return true
 }
 
-// rotateLocked seals the hot slab and recycles the eldest slab in place.
-// Ring pressure advancing over a live cold slab moves the floor — the
-// structural retention bound.
+// rotateLocked seals the hot slab and recycles the eldest slab in place
+// (allocating it on the ring's first lap). Ring pressure advancing over a
+// live cold slab moves the floor — the structural retention bound.
 //
 // and counter resets only.
 //
-//brlint:hotpath rotation recycles preallocated slabs: index arithmetic
+//brlint:hotpath rotation recycles slabs in place: index arithmetic
 func (t *topicLog) rotateLocked(l *Log, now time.Time) {
 	t.segs[t.active].sealed = now
 	if l.cfg.CrashHook != nil {
@@ -329,6 +333,10 @@ func (t *topicLog) rotateLocked(l *Log, now time.Time) {
 		t.active = 0
 	}
 	seg := &t.segs[t.active]
+	if seg.buf == nil {
+		//brlint:allow(hot-path-alloc) ring warm-up: at most Segments-1 times per topic
+		seg.alloc(&l.cfg)
+	}
 	if seg.n > 0 {
 		t.floor = seg.seqs[seg.n-1] + 1
 		l.Evictions.Inc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"regexp"
 	"testing"
 	"time"
 
@@ -302,4 +303,128 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	if err := l2.Recover(snap); err == nil {
 		t.Fatal("Recover on a populated log succeeded")
 	}
+}
+
+// allocatedSlabs counts the slabs of topic's ring that own their arrays.
+func allocatedSlabs(l *Log, topic string) int {
+	t := l.lookup(topic)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for i := range t.segs {
+		if t.segs[i].buf != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// assertGapFreeWindow reads topic's whole retained window and checks it is
+// exactly floor..tail.
+func assertGapFreeWindow(t *testing.T, l *Log, topic string) {
+	t.Helper()
+	_, floor, tail, _ := l.Window(topic)
+	ec, _ := l.EarliestCursor(topic)
+	out, next := mustRead(t, l, topic, ec)
+	if next.Seq != tail || uint64(len(out)) != tail+1-floor {
+		t.Fatalf("window [%d,%d] served %d entries ending at %d", floor, tail, len(out), next.Seq)
+	}
+	for i, e := range out {
+		if e.Seq != floor+uint64(i) || !bytes.Equal(e.Payload, payload(e.Seq)) {
+			t.Fatalf("entry %d = {%d %q}, want seq %d", i, e.Seq, e.Payload, floor+uint64(i))
+		}
+	}
+}
+
+// TestSlabsAllocateOnFirstRotation: a topic pays for a slab the first time
+// rotation reaches it, and the lazily built ring serves the same gap-free
+// window as a preallocated one — through a full lap and a crash replay.
+func TestSlabsAllocateOnFirstRotation(t *testing.T) {
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	cfg := testConfig(clk) // 3 slabs x 4 entries
+	l := New(cfg)
+	l.Open("/T/1")
+	l.Append("/T/1", 1, payload(1))
+	if got := allocatedSlabs(l, "/T/1"); got != 1 {
+		t.Fatalf("a topic holding one entry owns %d slabs, want 1", got)
+	}
+
+	seq := uint64(1)
+	for l.Rotations.Value() < int64(cfg.Segments)+1 {
+		seq++
+		if !l.Append("/T/1", seq, payload(seq)) {
+			t.Fatalf("append %d failed", seq)
+		}
+		assertGapFreeWindow(t, l, "/T/1")
+		if got, want := allocatedSlabs(l, "/T/1"), min(int(l.Rotations.Value())+1, cfg.Segments); got != want {
+			t.Fatalf("after %d rotations the ring owns %d slabs, want %d", l.Rotations.Value(), got, want)
+		}
+	}
+	if l.Evictions.Value() == 0 {
+		t.Fatal("a full lap plus one rotation evicted nothing")
+	}
+
+	// Crash: the replacement replays the checkpoint into a fresh lazy ring,
+	// then keeps appending past it.
+	l2 := New(cfg)
+	if err := l2.Recover(l.Checkpoint()); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	e1, f1, t1, _ := l.Window("/T/1")
+	if e2, f2, t2, _ := l2.Window("/T/1"); e1 != e2 || f1 != f2 || t1 != t2 {
+		t.Fatalf("recovered window (%d %d %d), want (%d %d %d)", e2, f2, t2, e1, f1, t1)
+	}
+	assertGapFreeWindow(t, l2, "/T/1")
+	for i := 0; i < 2*cfg.Segments*cfg.SegmentEntries; i++ {
+		seq++
+		l2.Append("/T/1", seq, payload(seq))
+		assertGapFreeWindow(t, l2, "/T/1")
+	}
+}
+
+// Every accepted cursor is digits.digits; every digits.digits short enough
+// to fit a uint64 without looking (19 digits) is accepted.
+var (
+	digitsDotDigits  = regexp.MustCompile(`^[0-9]+\.[0-9]+$`)
+	wellFormedCursor = regexp.MustCompile(`^[0-9]{1,19}\.[0-9]{1,19}$`)
+)
+
+// FuzzParseCursor: cursor strings arrive from devices, so Parse and Clamp
+// see arbitrary bytes. Neither may panic; a parsed cursor survives its own
+// wire form; anything not digits.digits — the sentinels among the seeds
+// included — is refused; Clamp never raises a seq and never touches what it
+// cannot parse.
+func FuzzParseCursor(f *testing.F) {
+	for _, s := range []string{
+		"1.5", "0.0", "18446744073709551615.1", "1.18446744073709551616", "007.08",
+		SentinelEarliest, SentinelLive, "", "5", ".5", "5.", "a.b", "1.2.3", "-1.2", "+1.2", "1_0.2", "1. 2", "1.2\n",
+	} {
+		f.Add(s, uint64(5))
+	}
+	f.Fuzz(func(t *testing.T, s string, maxSeq uint64) {
+		c, ok := Parse(s)
+		if ok {
+			if rt, rtOK := Parse(c.String()); !rtOK || rt != c {
+				t.Fatalf("Parse(%q) = %v but Parse(%q) = %v, %v", s, c, c.String(), rt, rtOK)
+			}
+		}
+		if ok && !digitsDotDigits.MatchString(s) {
+			t.Fatalf("Parse accepted malformed %q as %v", s, c)
+		}
+		if !ok && wellFormedCursor.MatchString(s) {
+			t.Fatalf("Parse refused well-formed %q", s)
+		}
+
+		out := Clamp(s, maxSeq)
+		if !ok {
+			if out != s {
+				t.Fatalf("Clamp rewrote unparseable %q to %q", s, out)
+			}
+			return
+		}
+		got, gotOK := Parse(out)
+		if !gotOK || got.Epoch != c.Epoch || got.Seq != min(c.Seq, maxSeq) {
+			t.Fatalf("Clamp(%q, %d) = %q, want epoch %d seq %d", s, maxSeq, out, c.Epoch, min(c.Seq, maxSeq))
+		}
+	})
 }

@@ -30,8 +30,8 @@ func Figure6(seed int64, samples int) Result {
 	poll := DefaultPollModels()
 	stream := DefaultStreamModels()
 
-	pollHist := metrics.NewHistogram()
-	streamHist := metrics.NewHistogram()
+	pollHist := metrics.NewHistogram[time.Duration]()
+	streamHist := metrics.NewHistogram[time.Duration]()
 
 	for i := 0; i < samples; i++ {
 		pollHist.Observe(samplePollLatency(rng, poll))
@@ -90,7 +90,7 @@ func sampleStreamLatency(rng *rand.Rand, m StreamModels) time.Duration {
 
 // histogramSeries converts a histogram into the paper's per-second
 // fraction buckets, 1..20 s.
-func histogramSeries(h *metrics.Histogram, total int) []SeriesPoint {
+func histogramSeries(h *metrics.Histogram[time.Duration], total int) []SeriesPoint {
 	bounds := make([]time.Duration, 20)
 	for i := range bounds {
 		bounds[i] = time.Duration(i+1) * time.Second

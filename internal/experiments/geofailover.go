@@ -209,7 +209,7 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 	close(senderDone)
 	senderWG.Wait()
 
-	failover := metrics.NewHistogram()
+	failover := metrics.NewHistogram[time.Duration]()
 	recovered := 0
 	remoteServed := 0
 	for _, s := range states {

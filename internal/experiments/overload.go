@@ -65,7 +65,7 @@ func OverloadStorm(seed int64) Result {
 		if admission {
 			adm = overload.NewAdmission(admitRate, admitBurst, eng, seed)
 		}
-		lat := metrics.NewHistogram()
+		lat := metrics.NewHistogram[time.Duration]()
 		depth := metrics.NewTimeSeries(figStart, depthBucket, int(horizon/depthBucket)+1)
 
 		var o outcome

@@ -16,15 +16,15 @@ func Table3(seed int64, samples int) Result {
 	rng := rand.New(rand.NewSource(seed))
 	m := DefaultLatencies()
 
-	wasLVC := metrics.NewHistogram()
-	wasOther := metrics.NewHistogram()
-	pylonSmall := metrics.NewHistogram() // <10k subscribers
-	pylonLarge := metrics.NewHistogram() // >=10k subscribers
-	brassHist := metrics.NewHistogram()
-	brassWASQ := metrics.NewHistogram()
-	subReg := metrics.NewHistogram()
-	subNAEU := metrics.NewHistogram()
-	subAll := metrics.NewHistogram()
+	wasLVC := metrics.NewHistogram[time.Duration]()
+	wasOther := metrics.NewHistogram[time.Duration]()
+	pylonSmall := metrics.NewHistogram[time.Duration]() // <10k subscribers
+	pylonLarge := metrics.NewHistogram[time.Duration]() // >=10k subscribers
+	brassHist := metrics.NewHistogram[time.Duration]()
+	brassWASQ := metrics.NewHistogram[time.Duration]()
+	subReg := metrics.NewHistogram[time.Duration]()
+	subNAEU := metrics.NewHistogram[time.Duration]()
+	subAll := metrics.NewHistogram[time.Duration]()
 
 	for i := 0; i < samples; i++ {
 		wasLVC.Observe(m.WASRanking.Sample(rng) + m.WASBase.Sample(rng))
@@ -65,14 +65,14 @@ func Figure9(seed int64, samples int) Result {
 	m := DefaultLatencies()
 	stream := DefaultStreamModels()
 
-	hists := map[string]*metrics.Histogram{}
+	hists := map[string]*metrics.Histogram[time.Duration]{}
 	for _, name := range []string{
 		"publish-ti", "publish-lvc",
 		"brass-ti", "brass-lvc",
 		"push-ti", "push-lvc",
 		"total-ti", "total-lvc",
 	} {
-		hists[name] = metrics.NewHistogram()
+		hists[name] = metrics.NewHistogram[time.Duration]()
 	}
 
 	for i := 0; i < samples; i++ {
@@ -125,7 +125,7 @@ func Figure9(seed int64, samples int) Result {
 
 // cdfSeries renders a histogram as (fraction, milliseconds) CDF points,
 // matching the figure's axes.
-func cdfSeries(h *metrics.Histogram) []SeriesPoint {
+func cdfSeries(h *metrics.Histogram[time.Duration]) []SeriesPoint {
 	pts := h.CDF(100)
 	out := make([]SeriesPoint, len(pts))
 	for i, p := range pts {

@@ -293,7 +293,7 @@ func TestRepoLintsClean(t *testing.T) {
 		"(*burst.Session).Send",
 		"(*burst.Session).SendMsg",
 		"(*trace.Span).End",
-		"(*metrics.CountHistogram).Observe",
+		"(*metrics.Histogram[T]).Observe",
 	} {
 		if !hot[want] {
 			t.Errorf("%s is not annotated //brlint:hotpath; the static zero-alloc gate no longer covers it", want)

@@ -18,7 +18,7 @@ import (
 // production drop site regresses without anyone noticing. Every select
 // containing a send clause AND a default clause must therefore record the
 // drop on an internal/metrics instrument (Counter.Inc/Add, Gauge.Add,
-// Histogram/CountHistogram.Observe, TimeSeries.Inc/Add), either
+// Histogram.Observe, TimeSeries.Inc/Add), either
 //
 //   - in the default body itself (the classic counted-drop site), or
 //   - in the statements following the select in the same block (the

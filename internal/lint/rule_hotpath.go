@@ -4,7 +4,7 @@ import "go/token"
 
 // hot-path-alloc: functions annotated //brlint:hotpath must be statically
 // allocation-free on their non-error paths. The annotation is the static
-// twin of the runtime 0 allocs/op benchmark gates (BENCH_3–5): the
+// twin of the runtime allocs/op contracts (TestAllocContracts): the
 // benchmarks prove the paths they execute, this rule proves the paths they
 // don't — a regression on a branch the bench harness never takes (a rare
 // cache state, an unusual frame type) is caught at lint time instead of in

@@ -1,19 +1,13 @@
 package megadevice
 
-import (
-	"testing"
-	"time"
+import "testing"
 
-	"bladerunner/internal/metrics"
-)
-
-// BenchmarkApplyPayload measures the per-delta fan-in with a probe armed
-// every iteration (the worst case: seq compare + store per stream, counter
-// adds, probe claim, histogram observation). CI gates this at 0 allocs/op;
-// the histogram reservoir is pre-warmed so algorithm R overwrites in place
-// instead of growing the backing array mid-benchmark.
-func BenchmarkApplyPayload(b *testing.B) {
-	f, engine := virtualFleet(b, 64, 1)
+// applyPayloadOp returns one iteration of the per-delta fan-in with a probe
+// armed (the worst case: seq compare + store per stream, counter adds,
+// probe claim, histogram observation) over a freshly attached 64-device
+// fleet whose latency histogram has seen nothing yet.
+func applyPayloadOp(tb testing.TB) func() {
+	f, engine := virtualFleet(tb, 64, 1)
 	f.ConnectAll(0)
 	engine.Run()
 	f.mu.Lock()
@@ -21,15 +15,33 @@ func BenchmarkApplyPayload(b *testing.B) {
 	f.mu.Unlock()
 	ts := tr.lookupSub(0)
 	if ts == nil || len(ts.streams) != 64 {
-		b.Fatal("benchmark fleet did not attach")
+		tb.Fatal("benchmark fleet did not attach")
 	}
-	for i := 0; i < metrics.DefaultReservoirSize; i++ {
-		f.ApplyLatency.Observe(time.Microsecond)
+	seq := uint64(0)
+	return func() {
+		seq++
+		f.ProbeArm(0, 1)
+		f.applyPayload(ts, seq)
 	}
+}
+
+func BenchmarkApplyPayload(b *testing.B) {
+	op := applyPayloadOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.ProbeArm(0, 1)
-		f.applyPayload(ts, uint64(i+1))
+		op()
+	}
+}
+
+// TestApplyPayloadDoesNotAllocate is the megadevice row of the alloc
+// contracts (the root package's TestAllocContracts holds the rest): the
+// per-delta apply path stays at 0 allocs/op from the first delta on.
+func TestApplyPayloadDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc contract: 2000 measured iterations")
+	}
+	if allocs := testing.AllocsPerRun(2000, applyPayloadOp(t)); allocs != 0 {
+		t.Errorf("apply path allocates %v allocs/op, want 0", allocs)
 	}
 }

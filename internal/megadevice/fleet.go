@@ -142,7 +142,7 @@ type Fleet struct {
 	DialFailures  metrics.Counter
 	TrunkDeaths   metrics.Counter
 	Transitions   metrics.Counter
-	ApplyLatency  *metrics.Histogram
+	ApplyLatency  *metrics.Histogram[time.Duration]
 }
 
 // paddedInt64 is an atomically accessed int64 padded to a cache line so
@@ -205,7 +205,7 @@ func New(cfg Config) (*Fleet, error) {
 		seedBase:     splitmix64(uint64(cfg.Seed) ^ 0xb1adeb1ade),
 		trunks:       make(map[string]*trunk, len(cfg.POPs)),
 		probeWall:    make([]paddedInt64, len(cfg.Areas)),
-		ApplyLatency: metrics.NewHistogram(),
+		ApplyLatency: metrics.NewHistogram[time.Duration](),
 	}
 
 	// Intern every area topic up front: handles are dense from 1 in area

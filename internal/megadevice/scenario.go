@@ -50,8 +50,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Report is the scenario's measured outcome, serialized into BENCH_8.json
-// by brload.
+// Report is the scenario's measured outcome, serialized by brload
+// -bench-json.
 type Report struct {
 	Scenario   string  `json:"scenario"`
 	Devices    int     `json:"devices"`
@@ -83,8 +83,8 @@ type Report struct {
 	Probes      int64 `json:"probes"`
 	ProbeMisses int64 `json:"probe_misses"`
 	// Delivery latency (mutate -> first edge apply), wall clock.
-	LatencyNS  metrics.HistogramSnapshot `json:"latency_ns"`
-	LatencyCDF []metrics.CDFPoint        `json:"latency_cdf,omitempty"`
+	LatencyNS  metrics.Snapshot[time.Duration]   `json:"latency_ns"`
+	LatencyCDF []metrics.CDFPoint[time.Duration] `json:"latency_cdf,omitempty"`
 
 	// Storm-only: per-minute connected counts around the cut, plus the
 	// simulated minutes from cut to full reattach.

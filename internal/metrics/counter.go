@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing counter, safe for concurrent use.
@@ -46,7 +47,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	histograms map[string]*Histogram[time.Duration]
 }
 
 // NewRegistry returns an empty Registry.
@@ -54,7 +55,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		histograms: make(map[string]*Histogram[time.Duration]),
 	}
 }
 
@@ -95,14 +96,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram with the given name, creating it on first
-// use.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns the latency histogram with the given name, creating it
+// on first use.
+func (r *Registry) Histogram(name string) *Histogram[time.Duration] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = NewHistogram()
+		h = NewHistogram[time.Duration]()
 		r.histograms[name] = h
 	}
 	return h

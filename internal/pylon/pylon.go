@@ -241,7 +241,7 @@ type Service struct {
 	SubCacheHits  metrics.Counter // fan-outs served from the cache
 	SubCacheMiss  metrics.Counter // cold or TTL-expired lookups
 	SubCacheStale metrics.Counter // entries invalidated by a version bump
-	FanoutSize    *metrics.CountHistogram
+	FanoutSize    *metrics.Histogram[int64]
 
 	// Tracer, when set, closes a pylon.fanout span around each sampled
 	// publish. nil (the default) keeps the publish path allocation-free.
@@ -264,7 +264,7 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 		eventSeq:   make([]padded, eventStripes),
 		shardVer:   make([]atomic.Uint64, cfg.Shards),
 		hostIDs:    intern.New(),
-		FanoutSize: metrics.NewCountHistogram(),
+		FanoutSize: metrics.NewHistogram[int64](),
 	}
 	hosts := make(map[string]Subscriber)
 	s.hosts.Store(&hosts)
@@ -486,9 +486,7 @@ func (s *Service) nextEventID(shard int) uint64 {
 // Delivery is best effort: unknown or failed hosts are skipped silently.
 // Publish returns the number of hosts the event was sent to.
 //
-// slow path lives in publishSlow behind an audited allow.
-//
-//brlint:hotpath fast-path fan-out is gated at 0 allocs/op (BENCH_3/5); the
+//brlint:hotpath fast-path fan-out is gated at 0 allocs/op (TestAllocContracts); the slow path lives in publishSlow behind an audited allow
 func (s *Service) Publish(ev Event) (int, error) {
 	shard := s.Shard(ev.Topic)
 	rt := s.route.Load()

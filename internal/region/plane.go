@@ -30,7 +30,7 @@ type Plane struct {
 	closeOnce sync.Once
 
 	// ReplLag observes event age (now − Published) at remote delivery.
-	ReplLag *metrics.Histogram
+	ReplLag *metrics.Histogram[time.Duration]
 	// ReplDrops counts events shed because a link's queue was full.
 	ReplDrops metrics.Counter
 	// ReplDelivered counts events delivered into a remote region.
@@ -65,7 +65,7 @@ func NewPlane(topo *Topology, sched sim.Scheduler, pylons map[string]*pylon.Serv
 		topo:    topo,
 		sched:   sched,
 		pylons:  pylons,
-		ReplLag: metrics.NewHistogram(),
+		ReplLag: metrics.NewHistogram[time.Duration](),
 	}
 	// One directed link per ordered region pair: every region's mutations
 	// replicate to every other region.

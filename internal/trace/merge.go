@@ -221,12 +221,12 @@ func Forest(traces []*Trace) string {
 // trace.
 type Breakdown struct {
 	mu   sync.Mutex
-	hops map[string]*metrics.Histogram
+	hops map[string]*metrics.Histogram[time.Duration]
 }
 
 // NewBreakdown returns an empty breakdown.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{hops: make(map[string]*metrics.Histogram)}
+	return &Breakdown{hops: make(map[string]*metrics.Histogram[time.Duration])}
 }
 
 // Record folds spans into the per-hop histograms.
@@ -237,12 +237,12 @@ func (b *Breakdown) Record(spans []SpanData) {
 }
 
 // Hist returns (creating if needed) the histogram for one hop.
-func (b *Breakdown) Hist(hop string) *metrics.Histogram {
+func (b *Breakdown) Hist(hop string) *metrics.Histogram[time.Duration] {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	h := b.hops[hop]
 	if h == nil {
-		h = metrics.NewHistogram()
+		h = metrics.NewHistogram[time.Duration]()
 		b.hops[hop] = h
 	}
 	return h
@@ -301,18 +301,7 @@ func (b *Breakdown) Table() string {
 	for _, hop := range hops {
 		s := b.Hist(hop).Snapshot()
 		fmt.Fprintf(&out, "%-14s %8d %12v %12v %12v %12v\n",
-			hop, s.Count, round(s.Mean), round(s.P50), round(s.P95), round(s.Max))
+			hop, s.Count, metrics.Round3(s.Mean), metrics.Round3(s.P50), metrics.Round3(s.P95), metrics.Round3(s.Max))
 	}
 	return out.String()
-}
-
-func round(d time.Duration) time.Duration {
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond)
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond)
-	default:
-		return d.Round(100 * time.Nanosecond)
-	}
 }

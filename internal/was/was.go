@@ -120,8 +120,8 @@ type Server struct {
 	PayloadFetches   metrics.Counter
 	PrivacyChecks    metrics.Counter
 	PrivacyDenied    metrics.Counter
-	PublishLatency   *metrics.Histogram // mutation commit → publish sent
-	CPUMillis        metrics.Counter    // modeled CPU cost accounting
+	PublishLatency   *metrics.Histogram[time.Duration] // mutation commit → publish sent
+	CPUMillis        metrics.Counter                   // modeled CPU cost accounting
 	PublishesEmitted metrics.Counter
 }
 
@@ -162,7 +162,7 @@ func New(store *tao.Store, graph *socialgraph.Graph, pyl *pylon.Service, sched s
 		payloads:       make(map[string]PayloadFunc),
 		readers:        make(map[string]tao.Reader),
 		rng:            rngSource{s: 0x9E3779B97F4A7C15},
-		PublishLatency: metrics.NewHistogram(),
+		PublishLatency: metrics.NewHistogram[time.Duration](),
 	}
 }
 
