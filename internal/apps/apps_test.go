@@ -10,6 +10,7 @@ import (
 
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/durlog"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
@@ -638,5 +639,82 @@ func TestVideoCommentsPollQuery(t *testing.T) {
 	// Range query cost accounted in TAO stats.
 	if e.tao.Stats().RangeQueries.Value() == 0 {
 		t.Error("poll query not accounted as range query")
+	}
+}
+
+// An in-order Messenger event is ONE decision and ONE batch: the payload and
+// a rewrite patching exactly resume-seq and cursor. With the per-stream
+// delivery rate exhausted the payload is shed but the rewrite still goes out,
+// and the durable log already holds the entry the device will resume from.
+func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
+	e := newEnv(t)
+	host := brass.NewHost(brass.HostConfig{
+		ID: "brass-log", Region: "us",
+		Durlog: &durlog.Config{}, DurlogApps: []string{AppMessenger},
+		StreamDeliverRate: 0.01, StreamDeliverBurst: 1, // one delivery, then shed
+	}, e.pylon, e.was, nil)
+	e.suite.RegisterBRASS(host)
+	t.Cleanup(host.Close)
+	a, b := net.Pipe()
+	cli := burst.NewClient("relay", a, nil)
+	cli.RelayRewrites = true // see rewrites as a proxy would
+	host.AcceptSession("sess", b)
+	t.Cleanup(func() { cli.Close() })
+
+	alice, bob := socialgraph.UserID(17), socialgraph.UserID(18)
+	out, _ := e.was.Mutate(alice, `createThread(members: "17,18")`)
+	var tid uint64
+	_ = json.Unmarshal(out, &tid)
+	st := e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
+	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
+	send := func(text string) {
+		t.Helper()
+		if _, err := e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: %q)`, tid, text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// batchWith returns the first batch carrying a rewrite of resume-seq to seq.
+	batchWith := func(seq string) []burst.Delta {
+		t.Helper()
+		for {
+			select {
+			case batch := <-st.Events:
+				for _, d := range batch {
+					if d.Type == burst.DeltaRewriteRequest && d.Header[burst.HdrResumeSeq] == seq {
+						return batch
+					}
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no rewrite of resume-seq to %s", seq)
+			}
+		}
+	}
+
+	send("one")
+	batch := batchWith("1")
+	if len(batch) != 2 || batch[0].Type != burst.DeltaPayload || batch[0].Seq != 1 {
+		t.Fatalf("in-order delivery arrived as %+v, want ONE batch [payload 1, rewrite]", batch)
+	}
+	patch := batch[1].Header
+	if len(patch) != 2 || patch[burst.HdrCursor] == "" || batch[1].Body != nil {
+		t.Errorf("resume rewrite = %+v, want a patch of exactly resume-seq and cursor", batch[1])
+	}
+
+	send("two") // over the rate: shed
+	batch = batchWith("2")
+	if len(batch) != 1 || len(batch[0].Header) != 2 {
+		t.Errorf("shed delivery arrived as %+v, want the resume patch alone", batch)
+	}
+	if got := host.StreamSheds.Value(); got != 1 {
+		t.Errorf("StreamSheds = %d, want 1", got)
+	}
+	cur, _ := durlog.Parse(patch[burst.HdrCursor])
+	entries, _, err := host.DurLog().ReadFrom(string(MailboxTopic(bob)), cur)
+	if err != nil || len(entries) != 1 || entries[0].Seq != 2 {
+		t.Errorf("log after cursor %v = %+v, %v; want the shed seq 2", cur, entries, err)
+	}
+	// The device ends up holding every original key plus the patches.
+	if h := st.Request().Header; h[burst.HdrResumeSeq] != "2" || h[burst.HdrApp] != AppMessenger || h[burst.HdrUser] != "18" {
+		t.Errorf("stored request = %+v", h)
 	}
 }

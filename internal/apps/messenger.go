@@ -323,31 +323,29 @@ func (in *messengerInstance) logCatchUp(st *brass.Stream, state *messengerStream
 	return true
 }
 
-// rewriteResume persists the stream's resume state after a delivery. With
-// the durable log enabled both tokens (WAS sequence + log cursor) travel in
-// one rewrite frame; without it, only the legacy sequence field.
-func (in *messengerInstance) rewriteResume(st *brass.Stream, state *messengerStream) {
+// resumePatch is the header patch that persists seq as the stream's resume
+// state. With the durable log enabled both tokens (WAS sequence + log
+// cursor) travel in ONE delta: a failover between two separate single-field
+// rewrites could strand a stream carrying a seq and a cursor from different
+// moments, and the resubscribe would resume from an inconsistent pair.
+// Without the log, only the legacy sequence field.
+func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) burst.Header {
+	h := burst.Header{burst.HdrResumeSeq: strconv.FormatUint(seq, 10)}
 	if in.rt.LogEnabled() && state.topic != "" {
 		if tail, ok := in.rt.LogTail(state.topic); ok {
-			in.rewriteResumeState(st, state, tail)
-			return
+			h[burst.HdrCursor] = tail.String()
 		}
 	}
-	_ = st.RewriteHeaderField(burst.HdrResumeSeq, strconv.FormatUint(state.lastSeq, 10))
+	return h
 }
 
-// rewriteResumeState writes HdrResumeSeq and HdrCursor in a SINGLE rewrite
-// frame: a failover between two separate single-field rewrites could strand
-// a stream carrying a seq and a cursor from different moments, and the
-// resubscribe would resume from an inconsistent pair.
+// rewriteResumeState persists the stream's resume state with an explicit
+// cursor, again as one delta.
 func (in *messengerInstance) rewriteResumeState(st *brass.Stream, state *messengerStream, c durlog.Cursor) {
-	h := st.Request().Header.Clone()
-	if h == nil {
-		h = burst.Header{}
-	}
-	h[burst.HdrResumeSeq] = strconv.FormatUint(state.lastSeq, 10)
-	h[burst.HdrCursor] = c.String()
-	_ = st.Rewrite(h, nil)
+	_ = st.Rewrite(burst.Header{
+		burst.HdrResumeSeq: strconv.FormatUint(state.lastSeq, 10),
+		burst.HdrCursor:    c.String(),
+	}, nil)
 }
 
 // catchUp polls the mailbox for messages after state.lastSeq and pushes
@@ -376,7 +374,7 @@ func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
 			state.lastSeq = m.Seq
 		}
 	}
-	in.rewriteResume(st, state)
+	_ = st.Rewrite(in.resumePatch(state, state.lastSeq), nil)
 }
 
 func (in *messengerInstance) OnStreamClose(st *brass.Stream, reason string) { st.State = nil }
@@ -396,16 +394,21 @@ func (in *messengerInstance) OnEvent(ev pylon.Event) {
 			// push and regardless of its admission outcome: Push reports
 			// success even when the per-stream bucket sheds the payload, so
 			// the log is what makes a shed delta recoverable by the
-			// device's later cursor resume.
+			// device's later cursor resume. The payload and the resume
+			// state it implies are one decision and travel as ONE batch:
+			// applied all-or-nothing (§3.5), so the device's stored resume
+			// state cannot lag the payload it applied; admission sheds
+			// only the payload, never the rewrite.
 			payload, err := st.FetchPayload(ev)
 			if err != nil {
 				st.Filtered()
 				continue
 			}
 			in.rt.LogAppend(ev.Topic, ev.Seq, payload)
-			if st.PushPayloadFor(ev, ev.Seq, payload) == nil {
+			d := burst.PayloadDelta(ev.Seq, payload)
+			d.Trace = ev.Trace
+			if st.Push(d, burst.RewriteDelta(in.resumePatch(state, ev.Seq), nil)) == nil {
 				state.lastSeq = ev.Seq
-				in.rewriteResume(st, state)
 			}
 		default:
 			// Gap: a prior event was dropped somewhere. The BRASS

@@ -360,10 +360,10 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 	_ = st.Push(burst.PayloadDelta(1, []byte("p1")))
 	_ = st.Push(burst.PayloadDelta(2, []byte("p2")))
 	waitFor(t, "shed recorded", func() bool { return host.StreamSheds.Value() == 1 })
+	// The shed is counted before its rewrite is sent: wait for the header,
+	// not the counter.
+	waitFor(t, "admission state persisted", func() bool { return cs.HeaderField(HdrAdmissionState) != "" })
 	req := cs.Request()
-	if req.Header[HdrAdmissionState] == "" {
-		t.Fatal("no persisted admission state to fail over with")
-	}
 	_ = cli.Close()
 
 	// "Failover": a new session resubscribes with the stored request, as

@@ -59,7 +59,7 @@ func (st *Stream) SID() burst.StreamID { return st.burst.SID() }
 func (st *Stream) Request() burst.Subscribe { return st.burst.Request() }
 
 // Header returns a specific header field of the current request.
-func (st *Stream) Header(key string) string { return st.burst.Request().Header[key] }
+func (st *Stream) Header(key string) string { return st.burst.HeaderField(key) }
 
 // AddTopic subscribes the stream to a Pylon topic. The first local
 // reference triggers instance→host→Pylon registration. Loop-only.
@@ -289,8 +289,9 @@ func (st *Stream) Flush() error {
 // to this stream (the complement of Push in the decision accounting).
 func (st *Stream) Filtered() { st.inst.host.Filtered.Inc() }
 
-// Rewrite replaces the stream's stored subscription header (paper §3.5):
-// resume tokens, rate-limiter state, redirect targets.
+// Rewrite patches the stream's stored subscription request (paper §3.5):
+// resume tokens, rate-limiter state, redirect targets. The keys of h are set
+// at every hop and every other key is kept.
 func (st *Stream) Rewrite(h burst.Header, body []byte) error { return st.burst.Rewrite(h, body) }
 
 // RewriteHeaderField patches one header key.

@@ -102,6 +102,14 @@ func (st *ClientStream) Request() Subscribe {
 	return out
 }
 
+// HeaderField returns one header key of the current request without copying
+// the rest.
+func (st *ClientStream) HeaderField(key string) string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.sub.Header[key]
+}
+
 // LastSeq returns the highest payload sequence number received.
 func (st *ClientStream) LastSeq() uint64 {
 	st.mu.Lock()
@@ -222,8 +230,8 @@ func (h clientHandler) HandleClose(err error) {
 	}
 }
 
-// apply processes one atomically delivered batch: rewrites update stored
-// state invisibly, terminations close the stream, and the remainder is
+// apply processes one atomically delivered batch: rewrites patch the stored
+// request invisibly, terminations close the stream, and the remainder is
 // forwarded to the application. It owns deltas and filters it in place.
 func (st *ClientStream) apply(deltas []Delta) {
 	terminate := false
@@ -237,12 +245,7 @@ func (st *ClientStream) apply(deltas []Delta) {
 		d := &deltas[i]
 		switch d.Type {
 		case DeltaRewriteRequest:
-			if d.Header != nil {
-				st.sub.Header = d.Header.Clone()
-			}
-			if d.Body != nil {
-				st.sub.Body = append([]byte(nil), d.Body...)
-			}
+			st.sub.applyRewrite(d)
 			if !st.client.RelayRewrites {
 				continue
 			}
@@ -280,10 +283,14 @@ func (st *ClientStream) apply(deltas []Delta) {
 // a control delta. If the buffer is full it evicts the OLDEST buffered
 // batch, sheds that batch's payload deltas (counted in Dropped), salvages
 // its control deltas onto the front of the outgoing batch (order
-// preserved), and retries. This is safe only because the session read
-// goroutine is the sole sender on Events — apply and sessionLost both run
-// there — so a non-blocking receive here cannot steal from a concurrent
-// producer, and after one eviction the retry always finds room.
+// preserved), and retries. A salvaged rewrite jumps behind every batch
+// still buffered, so it re-asserts its keys at their CURRENT stored values
+// (st.sub has applied everything buffered): replayed last it must not put a
+// newer patch's key back, because no later rewrite re-asserts it. This is
+// safe only because the session read goroutine is the sole sender on
+// Events — apply and sessionLost both run there, holding st.mu — so a
+// non-blocking receive here cannot steal from a concurrent producer, and
+// after one eviction the retry always finds room.
 func (st *ClientStream) pushEvents(visible []Delta) {
 	for {
 		select {
@@ -299,6 +306,14 @@ func (st *ClientStream) pushEvents(visible []Delta) {
 				if d.Type == DeltaPayload {
 					shed = true
 					continue
+				}
+				if d.Type == DeltaRewriteRequest {
+					for k := range d.Header { // the batch was ours alone
+						d.Header[k] = st.sub.Header[k]
+					}
+					if d.Body != nil {
+						d.Body = st.sub.Body
+					}
 				}
 				salvage = append(salvage, d)
 			}

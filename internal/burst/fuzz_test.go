@@ -46,6 +46,7 @@ func checkBatch(t *testing.T, in []byte) {
 	pairs := 0
 	for _, d := range batch.Deltas {
 		pairs += len(d.Header)
+		checkHeaderKeys(t, d.Header, in)
 		if !within(d.Payload, in) || !within(d.Body, in) {
 			t.Fatal("payload/body does not alias the input")
 		}
@@ -71,6 +72,7 @@ func FuzzDecodeSubscribe(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkHeaderKeys(t, sub.Header, in)
 		if len(sub.Header) > len(in)/2 || !within(sub.Body, in) {
 			t.Fatalf("%d header pairs from %d bytes, body aliased=%v", len(sub.Header), len(in), within(sub.Body, in))
 		}

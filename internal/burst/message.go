@@ -12,7 +12,7 @@
 // stream spans several participants, failure signalling is richer than a
 // socket error: flow_status deltas carry failure and recovery notifications
 // to every node on the path (paper §4, axiom 1). rewrite_request deltas let
-// the serving BRASS replace the stored subscription request used for
+// the serving BRASS patch the stored subscription request used for
 // reconnection, enabling sticky routing, resumption, and redirects.
 package burst
 
@@ -71,7 +71,13 @@ const (
 	HdrTraceStream = "trace-stream"
 )
 
-// Clone returns a deep copy of the header.
+// wellKnownKeys are the Hdr* constants above. Header decode returns them
+// instead of copying "resume-seq" out of every frame at every hop.
+var wellKnownKeys = [...]string{HdrApp, HdrSubscription, HdrTopic, HdrUser, HdrStickyBRASS,
+	HdrResumeSeq, HdrClientVersion, HdrCursor, HdrTraceStream}
+
+// Clone returns a deep copy of the header. It is for stream open and
+// Request(); nothing on a per-delta path calls it.
 func (h Header) Clone() Header {
 	if h == nil {
 		return nil
@@ -81,6 +87,19 @@ func (h Header) Clone() Header {
 		out[k] = v
 	}
 	return out
+}
+
+// Merge sets every key of patch on h in place — what the header of a
+// rewrite_request means (DESIGN.md §7e): a patch, not a replacement — and
+// returns h, allocated if it was nil. The caller owns h and holds its lock.
+func (h Header) Merge(patch Header) Header {
+	if h == nil && len(patch) > 0 {
+		h = make(Header, len(patch))
+	}
+	for k, v := range patch {
+		h[k] = v
+	}
+	return h
 }
 
 // FrameType discriminates the frames exchanged on a BURST session.
@@ -125,6 +144,15 @@ type Subscribe struct {
 	Body []byte
 }
 
+// applyRewrite folds a rewrite_request delta into the stored request s: the
+// header patch is merged, a nil body leaves the body unchanged.
+func (s *Subscribe) applyRewrite(d *Delta) {
+	s.Header = s.Header.Merge(d.Header)
+	if d.Body != nil {
+		s.Body = append([]byte(nil), d.Body...)
+	}
+}
+
 // Cancel is the payload of a FrameCancel: it terminates a stream from the
 // client side.
 type Cancel struct {
@@ -146,7 +174,7 @@ const (
 	DeltaPayload DeltaType = iota + 1
 	// DeltaFlowStatus signals failure or recovery of the stream path.
 	DeltaFlowStatus
-	// DeltaRewriteRequest replaces the stored subscription request used
+	// DeltaRewriteRequest patches the stored subscription request used
 	// for reconnection.
 	DeltaRewriteRequest
 	// DeltaTermination ends the stream from the server side.
@@ -209,8 +237,9 @@ type Delta struct {
 	Flow FlowCode
 	// FlowDetail is a human-readable description of the flow event.
 	FlowDetail string
-	// Header is the replacement subscription header for
-	// DeltaRewriteRequest.
+	// Header is the subscription header PATCH of a DeltaRewriteRequest:
+	// the keys it carries are set on the stored request, every other key
+	// is kept (nil or empty changes nothing).
 	Header Header
 	// Body is the replacement subscription body for DeltaRewriteRequest
 	// (nil leaves the body unchanged).
@@ -281,15 +310,39 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 	frame.PutUvarint(b, uint64(d.Trace))
 }
 
-// readDelta reads one delta into d. Payload and Body alias the input; the
-// header's strings are copies (a stored request must not pin a frame buffer).
+// readHeader reads what frame.PutStringMap wrote. A well-known key decodes
+// to the package's own constant; every other string is a copy (a stored
+// request must not pin a frame buffer). The loop needs no error check: Count
+// bounds it by the input and a failed Reader yields zero values until Done.
+func readHeader(r *frame.Reader) Header {
+	if r.Byte() == 0 {
+		return nil
+	}
+	n := r.Count(2) // a pair is at least two length bytes
+	h := make(Header, n)
+	for ; n > 0; n-- {
+		h[headerKey(r.Bytes())] = r.Str()
+	}
+	return h
+}
+
+func headerKey(b []byte) string {
+	for _, k := range wellKnownKeys {
+		if string(b) == k {
+			return k
+		}
+	}
+	return string(b)
+}
+
+// readDelta reads one delta into d. Payload and Body alias the input.
 func readDelta(r *frame.Reader, d *Delta) {
 	d.Type = DeltaType(r.Byte())
 	d.Seq = r.Uvarint()
 	d.Payload = r.Bytes()
 	d.Flow = FlowCode(r.Byte())
 	d.FlowDetail = r.Str()
-	d.Header = r.StringMap()
+	d.Header = readHeader(r)
 	d.Body = r.Bytes()
 	d.Reason = r.Str()
 	d.Trace = trace.ID(r.Uvarint())
@@ -328,7 +381,7 @@ func putMsg(b *bytes.Buffer, v any) bool {
 // DecodeSubscribe parses a Subscribe payload. Body aliases b.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
 	r := frame.Reader{B: b}
-	s := Subscribe{Header: r.StringMap(), Body: r.Bytes()}
+	s := Subscribe{Header: readHeader(&r), Body: r.Bytes()}
 	if err := r.Done(); err != nil {
 		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)
 	}

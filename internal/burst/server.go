@@ -123,13 +123,35 @@ func (st *ServerStream) Request() Subscribe {
 	return out
 }
 
-// SendBatch transmits deltas as one atomic batch.
+// HeaderField returns one header key of the stored request without copying
+// the rest.
+func (st *ServerStream) HeaderField(key string) string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.sub.Header[key]
+}
+
+// applyRewritesLocked folds the rewrite deltas among deltas into the
+// server's own copy of the stored request, keeping both ends of the stream
+// (and the proxies in between, which snoop batches) in agreement about the
+// reconnect state. It is the only writer of st.sub; callers hold st.mu.
+func (st *ServerStream) applyRewritesLocked(deltas ...Delta) {
+	for i := range deltas {
+		if deltas[i].Type == DeltaRewriteRequest {
+			st.sub.applyRewrite(&deltas[i])
+		}
+	}
+}
+
+// SendBatch transmits deltas as one atomic batch, applying any rewrite it
+// carries to the server's stored request first.
 func (st *ServerStream) SendBatch(deltas ...Delta) error {
 	st.mu.Lock()
 	if st.terminated {
 		st.mu.Unlock()
 		return fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
 	}
+	st.applyRewritesLocked(deltas...)
 	st.mu.Unlock()
 	return st.srv.sess.SendMsg(FrameBatch, st.sid, Batch{Deltas: deltas})
 }
@@ -138,13 +160,16 @@ func (st *ServerStream) SendBatch(deltas ...Delta) error {
 // immediately. Use it to coalesce the deltas of one application decision —
 // a payload push plus a state rewrite, several ranked payloads — into a
 // single batch frame. Queued deltas are not visible to the peer until
-// Flush.
+// Flush, but a queued rewrite updates the server's stored request at once
+// (the server's view of the reconnect state must not lag its own decisions;
+// the peer converges at Flush).
 func (st *ServerStream) Queue(deltas ...Delta) error {
 	st.mu.Lock()
 	if st.terminated {
 		st.mu.Unlock()
 		return fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
 	}
+	st.applyRewritesLocked(deltas...)
 	st.pending = append(st.pending, deltas...)
 	var shed []Delta
 	if st.pendingLimit > 0 && len(st.pending) > st.pendingLimit {
@@ -187,36 +212,24 @@ func (st *ServerStream) SetPendingLimit(limit int, onShed func(Delta)) {
 	st.mu.Unlock()
 }
 
-// QueueRewrite buffers a rewrite_request delta and updates the server's
-// stored request immediately (the server's view of the reconnect state must
-// not lag its own decisions; the peer converges at Flush).
+// QueueRewrite buffers a rewrite_request delta (h is a patch; see Rewrite).
+// Unlike Queue it never sheds: a control delta may exceed the pending bound.
 func (st *ServerStream) QueueRewrite(h Header, body []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.terminated {
 		return fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
 	}
-	if h != nil {
-		st.sub.Header = h.Clone()
-	}
-	if body != nil {
-		st.sub.Body = append([]byte(nil), body...)
-	}
-	st.pending = append(st.pending, RewriteDelta(h, body))
+	d := RewriteDelta(h, body)
+	st.applyRewritesLocked(d)
+	st.pending = append(st.pending, d)
 	return nil
 }
 
 // QueueRewriteHeaderField buffers a single-key header rewrite (see
 // RewriteHeaderField).
 func (st *ServerStream) QueueRewriteHeaderField(key, value string) error {
-	st.mu.Lock()
-	h := st.sub.Header.Clone()
-	st.mu.Unlock()
-	if h == nil {
-		h = Header{}
-	}
-	h[key] = value
-	return st.QueueRewrite(h, nil)
+	return st.QueueRewrite(Header{key: value}, nil)
 }
 
 // Flush sends every queued delta as one atomic batch frame and returns the
@@ -241,36 +254,17 @@ func (st *ServerStream) Flush() ([]Delta, error) {
 	return deltas, nil
 }
 
-// Rewrite sends a rewrite_request delta and updates the server's own copy
-// of the stored request, keeping both ends of the stream (and the proxies
-// in between, which snoop batches) in agreement about the reconnect state.
+// Rewrite sends a rewrite_request delta: the keys of h are set on the stored
+// request at every hop and every other key is kept; a non-nil body replaces
+// the stored body.
 func (st *ServerStream) Rewrite(h Header, body []byte) error {
-	st.mu.Lock()
-	if st.terminated {
-		st.mu.Unlock()
-		return fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
-	}
-	if h != nil {
-		st.sub.Header = h.Clone()
-	}
-	if body != nil {
-		st.sub.Body = append([]byte(nil), body...)
-	}
-	st.mu.Unlock()
-	return st.srv.sess.SendMsg(FrameBatch, st.sid, Batch{Deltas: []Delta{RewriteDelta(h, body)}})
+	return st.SendBatch(RewriteDelta(h, body))
 }
 
-// RewriteHeaderField patches a single header key, preserving the rest —
-// the common form of rewrite (sticky routing, resume tokens).
+// RewriteHeaderField patches a single header key — the common form of
+// rewrite (sticky routing, resume tokens).
 func (st *ServerStream) RewriteHeaderField(key, value string) error {
-	st.mu.Lock()
-	h := st.sub.Header.Clone()
-	st.mu.Unlock()
-	if h == nil {
-		h = Header{}
-	}
-	h[key] = value
-	return st.Rewrite(h, nil)
+	return st.Rewrite(Header{key: value}, nil)
 }
 
 // Terminate ends the stream from the server side with a termination delta.
@@ -304,7 +298,9 @@ func (d serverDispatch) HandleFrame(f Frame) {
 			s.DecodeErrors.Inc()
 			return
 		}
-		st := &ServerStream{srv: s, sid: f.SID, sub: sub}
+		// The stream owns its header map from here on (rewrites merge into
+		// it in place); the handler gets the decoded one.
+		st := &ServerStream{srv: s, sid: f.SID, sub: Subscribe{Header: sub.Header.Clone(), Body: sub.Body}}
 		s.mu.Lock()
 		if _, dup := s.streams[f.SID]; dup {
 			s.mu.Unlock()

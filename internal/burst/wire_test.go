@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bladerunner/internal/frame"
 	"bladerunner/internal/trace"
@@ -128,6 +129,7 @@ func roundTripDeltas() []Delta {
 		FlowStatusDelta(FlowRecovered, "proxy back"),
 		FlowStatusDelta(FlowDegraded, ""),
 		RewriteDelta(Header{HdrStickyBRASS: "brass-7", "": ""}, []byte{0, 1, 0xFF}),
+		RewriteDelta(Header{HdrResumeSeq: "41", HdrCursor: "1.41", "rl-state": "bucket=3"}, nil),
 		RewriteDelta(Header{}, nil),
 		RewriteDelta(nil, []byte("body only")),
 		TerminationDelta("load shed"),
@@ -264,6 +266,109 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		if err := tc.decode(tc.in); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// checkHeaderKeys pins how a decoded header holds its keys: a well-known key
+// IS the package constant (no copy per hop), any other key is a copy that
+// does not alias the frame buffer in.
+func checkHeaderKeys(t *testing.T, h Header, in []byte) {
+	t.Helper()
+	for k := range h {
+		known := false
+		for _, w := range wellKnownKeys {
+			if k == w {
+				known = true
+				if unsafe.StringData(k) != unsafe.StringData(w) {
+					t.Errorf("well-known key %q decoded as a copy, want the package constant", k)
+				}
+			}
+		}
+		if !known && len(k) > 0 && within(unsafe.Slice(unsafe.StringData(k), len(k)), in) {
+			t.Errorf("key %q aliases the frame buffer", k)
+		}
+	}
+}
+
+func TestHeaderDecodeKeys(t *testing.T) {
+	all := Header{"rl-state": "bucket=3", "": "empty key"}
+	for _, k := range wellKnownKeys {
+		all[k] = "v-" + k
+	}
+	wire := encodeMsg(Batch{Deltas: []Delta{PayloadDelta(1, []byte("p")), RewriteDelta(all, nil)}})
+	got, err := DecodeBatch(wire)
+	if err != nil || !reflect.DeepEqual(got.Deltas[1].Header, all) {
+		t.Fatalf("decoded %+v, %v; want %+v", got.Deltas, err, all)
+	}
+	checkHeaderKeys(t, got.Deltas[1].Header, wire)
+	wire = encodeMsg(Subscribe{Header: all})
+	sub, err := DecodeSubscribe(wire)
+	if err != nil || !reflect.DeepEqual(sub.Header, all) {
+		t.Fatalf("decoded %+v, %v; want %+v", sub, err, all)
+	}
+	checkHeaderKeys(t, sub.Header, wire)
+	for i := range wire {
+		wire[i] = 0
+	}
+	if sub.Header["rl-state"] != "bucket=3" || sub.Header[HdrCursor] != "v-cursor" {
+		t.Errorf("header strings alias the frame buffer: %+v", sub.Header)
+	}
+}
+
+// A patch that repeats a key on the wire (no Go map can, a peer's encoder
+// might) folds in wire order: the last value wins, at decode and therefore
+// at every holder.
+func TestRewriteDuplicateKeyLastWins(t *testing.T) {
+	var b bytes.Buffer
+	frame.PutUvarint(&b, 1) // one delta
+	b.WriteByte(byte(DeltaRewriteRequest))
+	b.Write([]byte{0, 0, 0, 0}) // seq, payload, flow, flow detail
+	b.WriteByte(1)              // header present
+	frame.PutUvarint(&b, 3)
+	for _, kv := range [][2]string{{HdrResumeSeq, "1"}, {"k", "v"}, {HdrResumeSeq, "2"}} {
+		frame.PutString(&b, kv[0])
+		frame.PutString(&b, kv[1])
+	}
+	b.Write([]byte{0, 0, 0}) // body, reason, trace
+	got, err := DecodeBatch(b.Bytes())
+	want := Header{HdrResumeSeq: "2", "k": "v"}
+	if err != nil || !reflect.DeepEqual(got.Deltas[0].Header, want) {
+		t.Fatalf("decoded %+v, %v; want %+v", got.Deltas, err, want)
+	}
+
+	cli, ss, srv := newClientServer(t)
+	st, err := cli.Subscribe(Subscribe{Header: Header{HdrApp: "m", HdrResumeSeq: "0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
+	if err := ss.sess.Send(Frame{Type: FrameBatch, SID: st.SID(), Payload: b.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "patch applied", func() bool { return st.HeaderField("k") == "v" })
+	if got, want := st.Request().Header, (Header{HdrApp: "m", HdrResumeSeq: "2", "k": "v"}); !reflect.DeepEqual(got, want) {
+		t.Errorf("stored request = %+v, want %+v", got, want)
+	}
+}
+
+func TestHeaderMerge(t *testing.T) {
+	h := Header{HdrApp: "x", HdrCursor: "1.1"}
+	if got := h.Merge(Header{HdrCursor: "1.2", "new": "k"}); !reflect.DeepEqual(got, Header{HdrApp: "x", HdrCursor: "1.2", "new": "k"}) {
+		t.Errorf("merge = %+v", got)
+	}
+	if h["new"] != "k" {
+		t.Error("merge must patch in place")
+	}
+	for _, empty := range []Header{nil, {}} { // an empty patch is a no-op
+		if got := h.Merge(empty); len(got) != 3 {
+			t.Errorf("empty patch changed the header: %+v", got)
+		}
+		if got := Header(nil).Merge(empty); got != nil {
+			t.Errorf("empty patch onto nil = %#v, want nil", got)
+		}
+	}
+	if got := Header(nil).Merge(Header{"k": "v"}); !reflect.DeepEqual(got, Header{"k": "v"}) {
+		t.Errorf("merge onto nil = %+v", got)
 	}
 }
 

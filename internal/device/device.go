@@ -508,7 +508,7 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 					// routing check is sound because the BRASS rewrites the
 					// cursor into the stored request during stream open,
 					// BEFORE any live delivery can shed.
-					if cs.Request().Header[burst.HdrCursor] != "" {
+					if cs.HeaderField(burst.HdrCursor) != "" {
 						st.triggerCursorResume()
 					} else {
 						st.triggerResync()
@@ -520,14 +520,11 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 				return
 			}
 		}
-		// Keep the stored request in sync with rewrites (the BURST
-		// client applies them to cs's copy).
-		st.mu.Lock()
-		st.req = cs.Request()
-		st.mu.Unlock()
 	}
 	// Channel closed without termination: session loss. The device-level
-	// reconnect will resubscribe us; nothing to do here.
+	// reconnect will resubscribe us; nothing to do here. (Rewrites need no
+	// handling either: the BURST client applied them to cs's copy, which
+	// Request reads and resubscribe snapshots.)
 }
 
 // pushFlow delivers a flow code to the app, coalescing under pressure:
@@ -685,6 +682,16 @@ func (st *Stream) LastSeq() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.seq
+}
+
+// HeaderField returns one header key of the current stored request.
+func (st *Stream) HeaderField(key string) string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.cur != nil {
+		return st.cur.HeaderField(key)
+	}
+	return st.req.Header[key]
 }
 
 // Request returns the stream's current stored request, including any

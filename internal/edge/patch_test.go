@@ -1,0 +1,265 @@
+package edge
+
+import (
+	"io"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"bladerunner/internal/burst"
+)
+
+// A rewrite_request is a patch (DESIGN.md §7e): every holder of a stored
+// request — the serving stream, each relay (its upstream client stream and
+// the stream it serves downstream) and the device — owns its copy and merges
+// patches into it in place. These tests hold the three things that design
+// must not lose: the copies agree, nobody shares a map, repair replays the
+// merged state.
+
+// chain is device → pop-1 → rproxy-1 → brass-a | brass-b.
+type chain struct {
+	net            *PipeNetwork
+	brassA, brassB *upstreamServer
+	rproxy, pop    *Proxy
+	gate           *sync.Mutex // held = the device has stopped reading
+	client         *burst.Client
+}
+
+// gatedConn is the device's end of its POP connection with a stoppable
+// reader: net.Pipe is synchronous, so a device that does not read blocks the
+// POP's relay in its downstream write and the POP's upstream client stream
+// fills, evicts and salvages.
+type gatedConn struct {
+	io.ReadWriteCloser
+	gate *sync.Mutex
+}
+
+func (g gatedConn) Read(p []byte) (int, error) {
+	g.gate.Lock() // a barrier, not a critical section
+	g.gate.Unlock()
+	return g.ReadWriteCloser.Read(p)
+}
+
+func newChain(t *testing.T, subscribe func(*upstreamServer, *burst.ServerStream, burst.Subscribe)) *chain {
+	t.Helper()
+	c := &chain{
+		net:    NewPipeNetwork(),
+		brassA: &upstreamServer{name: "brass-a", onSubscribe: subscribe},
+		brassB: &upstreamServer{name: "brass-b", onSubscribe: subscribe},
+		gate:   new(sync.Mutex),
+	}
+	c.net.Register("brass-a", c.brassA.accept)
+	c.net.Register("brass-b", c.brassB.accept)
+	c.rproxy = NewProxy("rproxy-1", c.net, StickyRouter{Fallback: NewRoundRobinRouter("brass-a", "brass-b")})
+	c.net.Register("rproxy-1", c.rproxy.Accept)
+	c.pop = NewProxy("pop-1", c.net, StaticRouter("rproxy-1"))
+	c.net.Register("pop-1", c.pop.Accept)
+	rwc, err := c.net.Dial("pop-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.client = burst.NewClient("device", gatedConn{rwc, c.gate}, nil)
+	t.Cleanup(func() { c.client.Close(); c.pop.Close(); c.rproxy.Close() })
+	return c
+}
+
+// holders returns a reader for every copy of the one stream's stored
+// request along the chain, named for failure messages. A relay is skipped
+// while it has no upstream (mid-repair).
+func (c *chain) holders(server *burst.ServerStream, device *burst.ClientStream) map[string]func() burst.Subscribe {
+	out := map[string]func() burst.Subscribe{"device": device.Request}
+	if server != nil {
+		out["server"] = server.Request
+	}
+	for _, p := range []*Proxy{c.rproxy, c.pop} {
+		p.mu.Lock()
+		for r := range p.relays {
+			out[p.name+" downstream"] = r.down.Request
+			r.mu.Lock()
+			if r.up != nil {
+				out[p.name+" upstream"] = r.up.Request
+			}
+			r.mu.Unlock()
+		}
+		p.mu.Unlock()
+	}
+	return out
+}
+
+// waitConverged waits until all six copies of the stored request equal want.
+func (c *chain) waitConverged(t *testing.T, server *burst.ServerStream, device *burst.ClientStream, want burst.Subscribe) {
+	t.Helper()
+	converged := func() bool {
+		hs := c.holders(server, device)
+		for _, read := range hs {
+			if !reflect.DeepEqual(read(), want) {
+				return false
+			}
+		}
+		return len(hs) == 6
+	}
+	for deadline := time.Now().Add(5 * time.Second); !converged(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			for name, read := range c.holders(server, device) {
+				t.Logf("%-19s holds %+v", name, read())
+			}
+			t.Fatalf("holders did not converge on %+v", want)
+		}
+	}
+}
+
+func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
+	c := newChain(t, nil)
+	want := burst.Subscribe{
+		Header: burst.Header{burst.HdrApp: "messenger", burst.HdrUser: "7", burst.HdrStickyBRASS: "brass-a", "lang": "en"},
+		Body:   []byte("body-0"),
+	}
+	st, err := c.client.Subscribe(burst.Subscribe{Header: want.Header.Clone(), Body: want.Body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range st.Events {
+		}
+	}()
+	waitFor(t, "upstream stream", func() bool { return c.brassA.stream(0) != nil })
+	ss := c.brassA.stream(0)
+
+	keys := []string{burst.HdrResumeSeq, burst.HdrCursor, burst.HdrStickyBRASS, "rl-state", "admission-state", ""}
+	rng := rand.New(rand.NewSource(18))
+	seq := uint64(0)
+	step := func(i int) {
+		v := strconv.Itoa(i)
+		patch := burst.Header{keys[rng.Intn(len(keys))]: v}
+		if rng.Intn(3) == 0 { // multi-key
+			patch[keys[rng.Intn(len(keys))]] = v + "b"
+			patch[keys[rng.Intn(len(keys))]] = v + "c"
+		}
+		var body []byte
+		if rng.Intn(8) == 0 {
+			body = []byte("body-" + v)
+		}
+		seq++
+		payload := burst.PayloadDelta(seq, []byte(v))
+		var err error
+		switch rng.Intn(6) {
+		case 0:
+			patch, body = nil, nil
+			err = ss.SendBatch(payload)
+		case 1:
+			k := keys[rng.Intn(len(keys))]
+			patch, body = burst.Header{k: v}, nil
+			err = ss.RewriteHeaderField(k, v)
+		case 2:
+			err = ss.Rewrite(patch, body)
+		case 3: // one decision, one batch: payload, patch, and an empty patch (a no-op)
+			err = ss.SendBatch(payload, burst.RewriteDelta(patch, body), burst.RewriteDelta(burst.Header{}, nil))
+		case 4: // body only
+			patch = nil
+			err = ss.Rewrite(nil, body)
+		default:
+			_ = ss.Queue(payload)
+			_ = ss.QueueRewrite(patch, body)
+			_, err = ss.Flush()
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		want.Header.Merge(patch)
+		if body != nil {
+			want.Body = body
+		}
+	}
+
+	for i := 0; i < 300; i++ {
+		step(i)
+	}
+	c.waitConverged(t, ss, st, want)
+
+	// The device stops reading: the POP's relay blocks, its upstream client
+	// stream overflows and must salvage every rewrite from the batches it
+	// evicts, in order — a patch applied out of order or lost leaves a stale
+	// key behind for good, since no later rewrite re-asserts it.
+	c.gate.Lock()
+	for i := 300; i < 1100; i++ {
+		step(i)
+	}
+	c.pop.mu.Lock()
+	popUp := c.pop.upstreams["rproxy-1"].client
+	c.pop.mu.Unlock()
+	waitFor(t, "salvage at the POP", func() bool { return popUp.CtlSalvaged.Value() > 0 })
+	c.gate.Unlock()
+	c.waitConverged(t, ss, st, want)
+	waitFor(t, "the POP to relay every rewrite the reverse proxy did", func() bool {
+		return c.pop.RewritesRelayed.Value() == c.rproxy.RewritesRelayed.Value()
+	})
+}
+
+// TestRewriteOwnershipUnderRace runs rewrites on the server against reads of
+// every holder's copy — and of the map the subscribe handler was given —
+// while the reverse proxy repairs the stream onto a second server that is
+// rewriting too. Run under -race it fails if any two holders share a map
+// (the subscribe-time aliasing in-place merging must not inherit).
+func TestRewriteOwnershipUnderRace(t *testing.T) {
+	const rewrites = 300
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	c := newChain(t, func(u *upstreamServer, ss *burst.ServerStream, sub burst.Subscribe) {
+		wg.Add(2)
+		go func() { // the handler's view of the request it was handed
+			defer wg.Done()
+			for i := 0; i < rewrites; i++ {
+				for k, v := range sub.Header {
+					_, _ = k, v
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= rewrites; i++ {
+				k := [...]string{burst.HdrResumeSeq, burst.HdrCursor, burst.HdrApp}[i%3]
+				if ss.RewriteHeaderField(k, u.name+"-"+strconv.Itoa(i)) != nil {
+					return // this server was killed
+				}
+			}
+		}()
+	})
+	st, err := c.client.Subscribe(burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: "0", burst.HdrStickyBRASS: "brass-a", burst.HdrTraceStream: "dev/1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-st.Events:
+			default:
+			}
+			for _, read := range c.holders(c.brassA.stream(0), st) {
+				_ = read().Header[burst.HdrCursor]
+			}
+			if up := c.brassB.stream(0); up != nil {
+				_ = up.HeaderField(burst.HdrResumeSeq)
+			}
+			_ = st.HeaderField(burst.HdrResumeSeq)
+		}
+	}()
+
+	waitFor(t, "rewrites from brass-a", func() bool { return st.HeaderField(burst.HdrResumeSeq) != "" })
+	c.net.SetDown("brass-a", true) // repair in flight while both ends keep going
+	waitFor(t, "repair onto brass-b", func() bool { return c.brassB.stream(0) != nil })
+	last := "brass-b-" + strconv.Itoa(rewrites)
+	waitFor(t, "brass-b's last rewrite at the device", func() bool { return st.HeaderField(burst.HdrResumeSeq) == last })
+	if got := st.HeaderField(burst.HdrTraceStream); got != "dev/1" {
+		t.Errorf("a key no patch carried changed: trace-stream = %q", got)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // Proxy is a stream-level BURST relay. POPs and datacenter reverse proxies
 // are both Proxies; they differ only in name, dialer, and router. Streams
 // are relayed independently: each downstream request-stream maps to one
-// upstream request-stream, with the proxy holding the stream's current
+// upstream request-stream, whose client end holds the stream's current
 // subscription request for repair.
 type Proxy struct {
 	name   string
@@ -160,13 +160,14 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 	return u, nil
 }
 
-// relay is the per-stream state machine.
+// relay is the per-stream state machine. It keeps no copy of the stored
+// request: up, which applies every rewrite before the relay sees it, IS the
+// repair state (Request() at repair, HeaderField for one key).
 type relay struct {
 	p    *Proxy
 	down *burst.ServerStream
 
 	mu     sync.Mutex
-	req    burst.Subscribe // current stored request (kept fresh on rewrites)
 	up     *burst.ClientStream
 	target string
 	done   bool
@@ -188,11 +189,8 @@ func (r *relay) isDone() bool {
 	return r.done
 }
 
-// connect routes and subscribes the relay's current request upstream.
-func (r *relay) connect(avoid map[string]bool) error {
-	r.mu.Lock()
-	req := r.req
-	r.mu.Unlock()
+// connect routes and subscribes req, the stream's current request, upstream.
+func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
 	target, err := r.p.router.Route(req, avoid)
 	if err != nil {
 		return err
@@ -242,7 +240,7 @@ func (r *relay) run() {
 		// Upstream leg failed; notify downstream (axiom 1), then repair.
 		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
 			"upstream "+r.target+" lost"))
-		if !r.repair() {
+		if !r.repair(up.Request()) {
 			r.p.RepairFailures.Inc()
 			if r.setDone() {
 				_ = r.down.Terminate("stream unrecoverable: upstream gone")
@@ -266,7 +264,7 @@ func (r *relay) targetName() string {
 // termination/cancel.
 func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 	for batch := range up.Events {
-		sp := r.startRelaySpan(batch)
+		sp := r.startRelaySpan(up, batch)
 		sawFailure := false
 		terminated := false
 		rewrites := 0
@@ -288,11 +286,8 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 					r.p.ShedNotices.Inc()
 				}
 			case burst.DeltaRewriteRequest:
-				// Keep the repair state fresh and pass the rewrite
-				// along so the device updates its copy too.
-				r.mu.Lock()
-				r.req = up.Request()
-				r.mu.Unlock()
+				// up already applied it; pass the rewrite along so
+				// the device updates its copy too.
 				r.p.RewritesRelayed.Inc()
 				rewrites++
 			case burst.DeltaTermination:
@@ -334,7 +329,7 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 // startRelaySpan opens the edge.relay span for one forwarded batch,
 // keying on the first traced delta (inactive when the batch carries no
 // trace context or the proxy has no tracer).
-func (r *relay) startRelaySpan(batch []burst.Delta) trace.Span {
+func (r *relay) startRelaySpan(up *burst.ClientStream, batch []burst.Delta) trace.Span {
 	tr := r.p.Tracer
 	if tr == nil {
 		return trace.Span{}
@@ -348,30 +343,26 @@ func (r *relay) startRelaySpan(batch []burst.Delta) trace.Span {
 	}
 	sp := tr.Start(id, trace.HopRelay, trace.HopFlush)
 	if sp.Active() {
-		r.mu.Lock()
-		stream := r.req.Header[burst.HdrTraceStream]
-		target := r.target
-		r.mu.Unlock()
 		sp.Annotate("proxy", r.p.name)
-		sp.Annotate("upstream", target)
-		sp.Annotate("stream", stream)
+		sp.Annotate("upstream", r.targetName())
+		sp.Annotate("stream", up.HeaderField(burst.HdrTraceStream))
 		sp.AnnotateInt("deltas", int64(len(batch)))
 	}
 	return sp
 }
 
-// repair re-routes and re-subscribes the stream using the stored request.
+// repair re-routes and re-subscribes the stream using req, the stored request.
 // Failed targets accumulate into the avoid set so successive attempts fan
 // out across the healthy fleet (a sticky target in a dead region must not
 // be retried on every pass); the final attempt widens to every target
 // again, in case an avoided one has recovered.
-func (r *relay) repair() bool {
+func (r *relay) repair(req burst.Subscribe) bool {
 	avoid := map[string]bool{r.targetName(): true}
 	for attempt := 0; attempt < r.p.MaxRepairAttempts; attempt++ {
 		if r.isDone() {
 			return false
 		}
-		if err := r.connect(avoid); err == nil {
+		if err := r.connect(req, avoid); err == nil {
 			return true
 		}
 		if attempt == r.p.MaxRepairAttempts-2 {
@@ -395,17 +386,17 @@ type proxyHandler struct {
 
 func (h proxyHandler) OnSubscribe(down *burst.ServerStream, sub burst.Subscribe) {
 	p := h.p
-	r := &relay{p: p, down: down, req: sub}
+	r := &relay{p: p, down: down}
 	down.State = r
 
-	if err := r.connect(nil); err != nil {
+	if err := r.connect(sub, nil); err != nil {
 		// The first routing choice failed — e.g. a sticky upstream in a
 		// dead region, or a cross-region link that just went down. Run
 		// the repair loop (avoid the failed target, then widen) instead
 		// of terminating: the stream should land on ANY healthy upstream,
 		// which is what makes cross-region failover of resubscribed
 		// streams work at all.
-		if !r.repair() {
+		if !r.repair(sub) {
 			p.RepairFailures.Inc()
 			_ = down.Terminate(fmt.Sprintf("no upstream: %v", err))
 			return

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // upstreamServer is a scripted BRASS-like endpoint for proxy tests.
 type upstreamServer struct {
 	name string
+	// onSubscribe, if set, runs after a stream is recorded.
+	onSubscribe func(*upstreamServer, *burst.ServerStream, burst.Subscribe)
 
 	mu       sync.Mutex
 	streams  []*burst.ServerStream
@@ -40,6 +43,9 @@ func (u *upstreamServer) accept(rwc io.ReadWriteCloser) {
 			u.mu.Lock()
 			u.streams = append(u.streams, st)
 			u.mu.Unlock()
+			if u.onSubscribe != nil {
+				u.onSubscribe(u, st, sub)
+			}
 		},
 		Cancel: func(st *burst.ServerStream, c burst.Cancel) {
 			u.mu.Lock()
@@ -172,11 +178,14 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	st := subscribeSticky(t, env, "brass-a")
 	waitFor(t, "upstream on A", func() bool { return env.brassA.stream(0) != nil })
 
-	// BRASS rewrites a resume token; the repair must carry it.
-	if err := env.brassA.stream(0).RewriteHeaderField("resume-seq", "7"); err != nil {
-		t.Fatal(err)
+	// BRASS patches three different keys; the repair must carry all three
+	// and every key of the original subscribe.
+	for _, kv := range [][2]string{{"resume-seq", "7"}, {"cursor", "1.7"}, {"rl-state", "bucket=3"}} {
+		if err := env.brassA.stream(0).RewriteHeaderField(kv[0], kv[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, "rewrite", func() bool { return st.Request().Header["resume-seq"] == "7" })
+	waitFor(t, "rewrites", func() bool { return st.HeaderField("rl-state") == "bucket=3" })
 
 	// Kill brass-a: its sessions die and the target becomes undialable.
 	env.net.SetDown("brass-a", true)
@@ -203,9 +212,12 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	// Stream landed on brass-b with the rewritten request. The sticky
 	// header pointed at brass-a, but it is avoided after the failure.
 	waitFor(t, "repaired on B", func() bool { return env.brassB.stream(0) != nil })
-	req := env.brassB.stream(0).Request()
-	if req.Header["resume-seq"] != "7" {
-		t.Errorf("repair lost rewrite state: %+v", req.Header)
+	want := burst.Header{
+		burst.HdrApp: "echo", burst.HdrTopic: "/t/1", burst.HdrStickyBRASS: "brass-a",
+		"resume-seq": "7", "cursor": "1.7", "rl-state": "bucket=3",
+	}
+	if got := env.brassB.stream(0).Request().Header; !reflect.DeepEqual(got, want) {
+		t.Errorf("repair carried %+v, want the merged state %+v", got, want)
 	}
 	if env.proxy.Reconnects.Value() != 1 {
 		t.Errorf("Reconnects = %d", env.proxy.Reconnects.Value())

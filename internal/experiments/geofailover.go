@@ -128,7 +128,7 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 	}()
 
 	servedFrom := func(s *recvState) string {
-		return c.Gate.RegionOf(s.st.Request().Header[burst.HdrStickyBRASS])
+		return c.Gate.RegionOf(s.st.HeaderField(burst.HdrStickyBRASS))
 	}
 	waitUntil := func(cond func() bool) bool {
 		limit := sched.Now().Add(deadline)

@@ -191,13 +191,13 @@ func (h trunkHandler) HandleFrame(fr burst.Frame) {
 		case burst.DeltaRewriteRequest:
 			f.Rewrites.Inc()
 			ts.mu.Lock()
-			// Replace the stored request header (sticky-brass, resume
+			// Patch the stored request header (sticky-brass, resume
 			// seq, ...) exactly as burst.Client does; the shared stream
 			// carries it for the trunk's lifetime. A NEW trunk
 			// re-subscribes from the area's original request — sticky
 			// state is per-trunk here, per-device in device.Device;
 			// that is part of the documented fidelity trade.
-			ts.header = d.Header.Clone()
+			ts.header = ts.header.Merge(d.Header)
 			ts.mu.Unlock()
 		case burst.DeltaTermination:
 			f.Terminations.Inc()

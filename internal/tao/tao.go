@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -318,22 +319,21 @@ func (s *Store) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data 
 	key := assocKey{id1, typ}
 	sh.mu.Lock()
 	lst := sh.assocs[key]
-	// Replace if present.
-	replaced := false
-	for i := range lst {
-		if lst[i].ID2 == id2 {
-			lst[i].Time = t
-			lst[i].Data = data
-			sortAssocsDesc(lst)
-			replaced = true
-			break
-		}
+	// Replace if present: take the old one out, then insert as if new.
+	i := 0
+	for i < len(lst) && lst[i].ID2 != id2 {
+		i++
 	}
-	if !replaced {
-		lst = append(lst, Assoc{ID1: id1, Type: typ, ID2: id2, Time: t, Data: data})
-		sortAssocsDesc(lst)
-		sh.assocs[key] = lst
+	if i < len(lst) {
+		lst = append(lst[:i], lst[i+1:]...)
 	}
+	// Ordered insert, newest first. Among equal times an assoc goes behind
+	// those that were ahead of it (j < i; for a new one, all of them) and in
+	// front of the rest — the order a stable sort of the appended list gave.
+	at := sort.Search(len(lst), func(j int) bool {
+		return lst[j].Time.Before(t) || (j >= i && !lst[j].Time.After(t))
+	})
+	sh.assocs[key] = slices.Insert(lst, at, Assoc{ID1: id1, Type: typ, ID2: id2, Time: t, Data: data})
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
 	s.invalidateFollowersAssoc(id1, typ)
@@ -487,10 +487,6 @@ func sliceRange(lst []Assoc, offset, limit int) []Assoc {
 	out := make([]Assoc, end-offset)
 	copy(out, lst[offset:end])
 	return out
-}
-
-func sortAssocsDesc(lst []Assoc) {
-	sort.SliceStable(lst, func(i, j int) bool { return lst[i].Time.After(lst[j].Time) })
 }
 
 func cloneData(m map[string]string) map[string]string {

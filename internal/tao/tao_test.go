@@ -2,6 +2,10 @@ package tao
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -371,5 +375,55 @@ func TestAssocRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the ordered insert in AssocAdd leaves a list in exactly the
+// order the append-and-stable-sort it replaced did — newest first, equal
+// times in arrival order, a replace keeping its place among its new equals —
+// over a seeded mix of adds, replaces and deletes with colliding timestamps.
+// It also allocates nothing beyond growing the list.
+func TestAssocAddOrderMatchesStableSortReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, _ := newTestStore(t)
+		var ref []Assoc
+		for op := 0; op < 400; op++ {
+			id2 := ObjID(1 + rng.Intn(40))                         // few ids: about half the adds replace
+			at := t0.Add(time.Duration(rng.Intn(8)) * time.Second) // few times: most collide
+			i := 0
+			for i < len(ref) && ref[i].ID2 != id2 {
+				i++
+			}
+			if rng.Intn(5) == 0 {
+				err := s.AssocDelete(1, "p", id2)
+				if (err == nil) != (i < len(ref)) {
+					t.Fatalf("seed %d op %d: delete of %d: %v, reference has it: %v", seed, op, id2, err, i < len(ref))
+				}
+				if i < len(ref) {
+					ref = append(ref[:i], ref[i+1:]...)
+				}
+			} else {
+				data := strconv.Itoa(op)
+				s.AssocAdd(1, "p", id2, at, data)
+				if i < len(ref) {
+					ref[i].Time, ref[i].Data = at, data
+				} else {
+					ref = append(ref, Assoc{ID1: 1, Type: "p", ID2: id2, Time: at, Data: data})
+				}
+				sort.SliceStable(ref, func(i, j int) bool { return ref[i].Time.After(ref[j].Time) })
+			}
+			if got := s.AssocRange(1, "p", 0, 0); !slices.Equal(got, ref) {
+				t.Fatalf("seed %d op %d: order diverged from the stable-sort reference\n got %v\nwant %v", seed, op, got, ref)
+			}
+		}
+	}
+
+	s, _ := newTestStore(t)
+	for i := 0; i < 64; i++ {
+		s.AssocAdd(1, "p", ObjID(i+1), t0, "")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.AssocAdd(1, "p", 7, t0.Add(time.Second), "x") }); n != 0 {
+		t.Errorf("AssocAdd replacing in a list with room: %v allocs, want 0", n)
 	}
 }
