@@ -1,6 +1,7 @@
 package bladerunner
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"sync"
@@ -37,36 +38,131 @@ func TestAllocContracts(t *testing.T) {
 		{"PylonPublish", bench.PylonPublish, 0, "cached fan-out, token-bucket refill and per-link enqueue all run in place"},
 		{"HotTopicFanout", bench.HotTopicFanout, 0, "1000 subscribers are served from the subscriber cache"},
 		{"BURSTFrameEncode", bench.BURSTFrameEncode, 0, "header and payload go into one pooled buffer"},
-		{"BURSTFrameDecode", bench.BURSTFrameDecode, 2, "the frame buffer and the []Delta that aliases it"},
+		{"BURSTFrameDecode", bench.BURSTFrameDecode, 2, "the owning read: the frame buffer and the []Delta that aliases it"},
+		{"BURSTSessionReceive", sessionReceive, 0, "a session lends its handler the payload in place in its read buffer"},
+		{"BURSTRelayHop", relayHop, 1, "the batch is decoded into a pooled lease and released after the re-encode; room for a pool refill after a GC"},
+		{"BURSTDeviceReceive", deviceReceive, 2, "a consumer that never releases, as the device: one lease and its bytes per batch, what the frame buffer and the []Delta cost before leases"},
 		{"PylonPublishWire", bench.PylonPublishWire, 4, "the topic string and the one-byte result, plus pool refills after a GC"},
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 5, "the []Delta, the patch map's two, two values; resume-seq and cursor decode to the package constants"},
-		{"BURSTResumeBatchApply", resumeBatchApply, 6, "the frame buffer plus the decode: merging a patch into a header that has both keys allocates nothing"},
+		{"BURSTResumeBatchApply", resumeBatchApply, 2, "the two values: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 	} {
 		res := testing.Benchmark(c.body)
 		if res.N != 2000 {
 			t.Errorf("%s: ran %d iterations, want 2000 (a failed body reports 0)", c.name, res.N)
 			continue
 		}
-		if got := res.AllocsPerOp(); got > c.limit {
+		got := res.AllocsPerOp()
+		t.Logf("%-24s %d allocs/op (%d over %d ops), contract <= %d", c.name, got, res.MemAllocs, res.N, c.limit)
+		if got > c.limit {
 			t.Errorf("%s: %d allocs/op, contract is <= %d (%s)", c.name, got, c.limit, c.why)
 		}
 	}
 }
 
-// resumeBatchWire is Messenger's per-delivery batch — the payload and the
-// rewrite patching both resume tokens — as the frame client stream 1 reads.
-func resumeBatchWire(b *testing.B) []byte {
+// batchWire is the frame a peer's SendBatch(deltas...) on stream 1 puts on
+// the wire.
+func batchWire(b *testing.B, deltas ...burst.Delta) []byte {
 	tap := &wireTap{closed: make(chan struct{})}
 	enc := burst.NewSession("enc", tap, burst.HandlerFuncs{})
 	defer enc.Close()
-	if err := enc.SendMsg(burst.FrameBatch, 1, burst.Batch{Deltas: []burst.Delta{
-		burst.PayloadDelta(41, []byte(`{"seq":41,"thread":1,"author":7,"text":"hi"}`)),
-		burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: "41", burst.HdrCursor: "1.41"}, nil),
-	}}); err != nil {
+	if err := enc.SendMsg(burst.FrameBatch, 1, burst.Batch{Deltas: deltas}); err != nil {
 		b.Fatal(err)
 	}
 	return tap.written
+}
+
+// resumeBatchWire is Messenger's per-delivery batch — the payload and the
+// rewrite patching both resume tokens — as the frame client stream 1 reads.
+func resumeBatchWire(b *testing.B) []byte {
+	return batchWire(b,
+		burst.PayloadDelta(41, []byte(`{"seq":41,"thread":1,"author":7,"text":"hi"}`)),
+		burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: "41", burst.HdrCursor: "1.41"}, nil))
+}
+
+// sessionReceive is what every hop pays to take a batch frame off the wire
+// before it looks inside: header parsed and payload lent in place.
+func sessionReceive(b *testing.B) {
+	tap := &wireTap{wire: resumeBatchWire(b), next: make(chan struct{}), closed: make(chan struct{})}
+	seen := make(chan int)
+	sess := burst.NewSession("rx", tap, burst.HandlerFuncs{OnFrame: func(f burst.Frame) { seen <- len(f.Payload) }})
+	defer sess.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tap.next <- struct{}{}
+		if n := <-seen; n != len(tap.wire)-13 {
+			b.Fatalf("handler saw %d payload bytes of %d", n, len(tap.wire)-13)
+		}
+	}
+}
+
+// payloadBatchTap feeds its reader hot_fanout's batch, a single payload delta
+// with a 256-byte body, on stream 1.
+func payloadBatchTap(b *testing.B) *wireTap {
+	return &wireTap{wire: batchWire(b, burst.PayloadDelta(7, bytes.Repeat([]byte("x"), 256))),
+		next: make(chan struct{}), closed: make(chan struct{})}
+}
+
+// relayHop is one relay's whole turn on hot_fanout's batch, a single payload
+// delta: frame in, decoded into a lease, through the client stream onto
+// Events, re-encoded downstream with SendBatch, lease released.
+func relayHop(b *testing.B) {
+	up := payloadBatchTap(b)
+	cli := burst.NewClient("relay->up", up, nil)
+	defer cli.Close()
+	cli.RelayRewrites = true
+	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "feed"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The downstream stream: a peer that sends this one subscribe frame and
+	// takes whatever it is sent.
+	opened := make(chan *burst.ServerStream, 1)
+	down := &wireTap{wire: up.written, next: make(chan struct{}, 1), closed: make(chan struct{})}
+	srv := burst.NewServerSession("down->relay", down, burst.ServerHandlerFuncs{
+		Subscribe: func(st *burst.ServerStream, _ burst.Subscribe) { opened <- st },
+	})
+	defer srv.Close()
+	down.next <- struct{}{}
+	ds := <-opened
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		up.next <- struct{}{}
+		rc := <-st.Events
+		if len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
+			b.Fatalf("relay saw %+v", rc.Deltas)
+		}
+		if err := ds.SendBatch(rc.Deltas...); err != nil {
+			b.Fatal(err)
+		}
+		rc.Release()
+	}
+	if down.sent != b.N {
+		b.Fatalf("%d frames went downstream, want %d", down.sent, b.N)
+	}
+}
+
+// deviceReceive is relayHop's frame at the end of the line: the device hands
+// the deltas on to the app and never releases, so the garbage collector takes
+// each lease.
+func deviceReceive(b *testing.B) {
+	tap := payloadBatchTap(b)
+	cli := burst.NewClient("device", tap, nil)
+	defer cli.Close()
+	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "feed"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tap.next <- struct{}{}
+		if rc := <-st.Events; len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
+			b.Fatalf("device saw %+v", rc.Deltas)
+		}
+	}
 }
 
 func resumeBatchDecode(b *testing.B) {
@@ -94,25 +190,31 @@ func resumeBatchApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tap.next <- struct{}{}
-		if batch := <-st.Events; len(batch) != 1 || batch[0].Seq != 41 {
-			b.Fatalf("device saw %+v, want the payload alone", batch)
+		batch := <-st.Events
+		if len(batch.Deltas) != 1 || batch.Deltas[0].Seq != 41 {
+			b.Fatalf("device saw %+v, want the payload alone", batch.Deltas)
 		}
+		batch.Release()
 	}
 	if st.HeaderField(burst.HdrCursor) != "1.41" || st.HeaderField(burst.HdrApp) != "messenger" {
 		b.Fatalf("patch not merged: %+v", st.Request().Header)
 	}
 }
 
-// wireTap is a transport end that records what is written to it and hands
-// its reader one copy of wire per token on next (never, with a nil next).
+// wireTap is a transport end that records the first write to it and counts
+// them all, and hands its reader one copy of wire per token on next (never,
+// with a nil next).
 type wireTap struct {
 	written, wire []byte
+	sent          int
 	next, closed  chan struct{}
 	once          sync.Once
 }
 
 func (w *wireTap) Write(p []byte) (int, error) {
-	w.written = append(w.written, p...)
+	if w.sent++; w.sent == 1 {
+		w.written = append(w.written, p...)
+	}
 	return len(p), nil
 }
 

@@ -100,7 +100,7 @@ func recvPayload(t *testing.T, st *burst.ClientStream) burst.Delta {
 			if !ok {
 				t.Fatal("stream closed while awaiting payload")
 			}
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaPayload {
 					return d
 				}
@@ -160,7 +160,7 @@ func TestLVCFiltersOwnComments(t *testing.T) {
 	e.host.Quiesce()
 	select {
 	case b := <-st.Events:
-		t.Errorf("own comment delivered: %+v", b)
+		t.Errorf("own comment delivered: %+v", b.Deltas)
 	case <-time.After(100 * time.Millisecond):
 	}
 	if e.host.Filtered.Value() == 0 {
@@ -184,7 +184,7 @@ func TestLVCLanguageFilter(t *testing.T) {
 	e.host.Quiesce()
 	select {
 	case b := <-st.Events:
-		t.Errorf("foreign-language comment delivered: %+v", b)
+		t.Errorf("foreign-language comment delivered: %+v", b.Deltas)
 	case <-time.After(100 * time.Millisecond):
 	}
 }
@@ -202,7 +202,7 @@ func TestLVCPrivacyDenialSkipsComment(t *testing.T) {
 	}
 	select {
 	case b := <-st.Events:
-		for _, d := range b {
+		for _, d := range b.Deltas {
 			if d.Type == burst.DeltaPayload {
 				t.Errorf("blocked author's comment delivered: %s", d.Payload)
 			}
@@ -242,7 +242,7 @@ drain:
 			if !ok {
 				break drain
 			}
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaPayload {
 					received++
 				}
@@ -313,7 +313,7 @@ func TestActiveStatusOnlineOffline(t *testing.T) {
 			if !ok {
 				t.Fatal("stream closed")
 			}
-			for _, dd := range batch {
+			for _, dd := range batch.Deltas {
 				if dd.Type != burst.DeltaPayload {
 					continue
 				}
@@ -420,7 +420,7 @@ func TestStoriesTrayManagement(t *testing.T) {
 			if !ok {
 				t.Fatal("closed")
 			}
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type != burst.DeltaPayload {
 					continue
 				}
@@ -679,9 +679,9 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 		for {
 			select {
 			case batch := <-st.Events:
-				for _, d := range batch {
+				for _, d := range batch.Deltas {
 					if d.Type == burst.DeltaRewriteRequest && d.Header[burst.HdrResumeSeq] == seq {
-						return batch
+						return batch.Deltas
 					}
 				}
 			case <-time.After(5 * time.Second):

@@ -209,7 +209,7 @@ func TestHotVideoEndToEnd(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		for _, dd := range batch {
+		for _, dd := range batch.Deltas {
 			if dd.Type == burst.DeltaPayload {
 				var q CommentPayload
 				_ = json.Unmarshal(dd.Payload, &q)

@@ -89,7 +89,7 @@ func TestNotificationsPrivacyFilter(t *testing.T) {
 	e.host.Quiesce()
 	select {
 	case b := <-st.Events:
-		for _, d := range b {
+		for _, d := range b.Deltas {
 			if d.Type == burst.DeltaPayload {
 				t.Errorf("blocked actor's notification delivered: %s", d.Payload)
 			}

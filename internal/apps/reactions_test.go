@@ -36,7 +36,7 @@ func TestReactionsAggregation(t *testing.T) {
 	for sum(total) < 30 {
 		select {
 		case delta := <-st.Events:
-			for _, d := range delta {
+			for _, d := range delta.Deltas {
 				var agg ReactionAggregate
 				if err := json.Unmarshal(d.Payload, &agg); err != nil {
 					t.Fatal(err)
@@ -86,7 +86,7 @@ func TestReactionsNoFlushWhenIdle(t *testing.T) {
 	})
 	select {
 	case b := <-st.Events:
-		t.Errorf("idle stream pushed %+v", b)
+		t.Errorf("idle stream pushed %+v", b.Deltas)
 	case <-time.After(100 * time.Millisecond):
 	}
 }

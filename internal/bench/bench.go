@@ -194,9 +194,10 @@ func BURSTFrameEncode(b *testing.B) {
 	}
 }
 
-// BURSTFrameDecode measures the receive side of the same frame: ReadFrame
-// (one allocation, the frame buffer) and DecodeBatch (one, the []Delta,
-// whose payload aliases the frame buffer).
+// BURSTFrameDecode measures the owning receive of the same frame, as a
+// caller outside a session pays it: ReadFrame (one allocation, the frame
+// buffer) and DecodeBatch (one, the []Delta, whose payload aliases the frame
+// buffer). A session's own receive path is BURSTSessionReceive/BURSTRelayHop.
 func BURSTFrameDecode(b *testing.B) {
 	sink := &frameSink{closed: make(chan struct{})}
 	sess := burst.NewSession("bench", sink, burst.HandlerFuncs{})
@@ -293,7 +294,7 @@ func endToEndCommentPush(b *testing.B, plane *trace.Plane) {
 				b.Fatal("stream closed")
 			}
 			done := false
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaPayload {
 					done = true
 				}

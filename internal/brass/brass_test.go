@@ -160,11 +160,11 @@ func TestUnknownAppTerminatesStream(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if batch[0].Type != burst.DeltaTermination {
-			t.Errorf("got %+v, want termination", batch[0])
+		if batch.Deltas[0].Type != burst.DeltaTermination {
+			t.Errorf("got %+v, want termination", batch.Deltas[0])
 		}
-		if !strings.Contains(batch[0].Reason, "unknown application") {
-			t.Errorf("reason = %q", batch[0].Reason)
+		if !strings.Contains(batch.Deltas[0].Reason, "unknown application") {
+			t.Errorf("reason = %q", batch.Deltas[0].Reason)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no termination for unknown app")
@@ -183,8 +183,8 @@ func TestEventDeliveryThroughPylon(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != "ref=99" {
-			t.Errorf("payload = %q", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != "ref=99" {
+			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("event never reached device")
@@ -548,9 +548,9 @@ func TestMaxInstancesCapacity(t *testing.T) {
 	waitFor(t, "capacity filled", func() bool { return host.RunningInstances() == 2 })
 	select {
 	case batch := <-streams[2].Events:
-		if batch[0].Type != burst.DeltaTermination ||
-			!strings.Contains(batch[0].Reason, "capacity") {
-			t.Errorf("third stream got %+v, want capacity termination", batch[0])
+		if batch.Deltas[0].Type != burst.DeltaTermination ||
+			!strings.Contains(batch.Deltas[0].Reason, "capacity") {
+			t.Errorf("third stream got %+v, want capacity termination", batch.Deltas[0])
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("third stream never rejected")
@@ -679,8 +679,8 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != `"payload-1"` {
-			t.Errorf("payload = %s", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != `"payload-1"` {
+			t.Errorf("payload = %s", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no payload push")
@@ -703,7 +703,7 @@ func TestStreamSurfaceAPI(t *testing.T) {
 				}
 				return
 			}
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaTermination && !strings.Contains(d.Reason, "redirect") {
 					t.Errorf("termination reason = %q", d.Reason)
 				}

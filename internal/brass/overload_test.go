@@ -78,7 +78,7 @@ type flowCollector struct {
 
 func (c *flowCollector) run(cs *burst.ClientStream) {
 	for batch := range cs.Events {
-		for _, d := range batch {
+		for _, d := range batch.Deltas {
 			if d.Type == burst.DeltaFlowStatus {
 				c.mu.Lock()
 				c.flows = append(c.flows, d)
@@ -225,7 +225,7 @@ type recordedBatches struct {
 func (r *recordedBatches) run(cs *burst.ClientStream) {
 	for batch := range cs.Events {
 		r.mu.Lock()
-		r.batches = append(r.batches, batch)
+		r.batches = append(r.batches, batch.Deltas)
 		r.mu.Unlock()
 	}
 }

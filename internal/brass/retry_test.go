@@ -75,7 +75,7 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		t.Fatalf("stream received %+v during quorum loss, want nothing", batch)
+		t.Fatalf("stream received %+v during quorum loss, want nothing", batch.Deltas)
 	default:
 	}
 
@@ -96,8 +96,8 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != "ref=7" {
-			t.Errorf("payload = %q", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != "ref=7" {
+			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("delivery never arrived after quorum recovery")
@@ -147,8 +147,8 @@ func TestPermanentPylonFailureStillErrors(t *testing.T) {
 	// The app's OnStreamOpen error terminates the stream.
 	select {
 	case batch := <-st.Events:
-		if batch[0].Type != burst.DeltaTermination {
-			t.Errorf("got %+v, want termination", batch[0])
+		if batch.Deltas[0].Type != burst.DeltaTermination {
+			t.Errorf("got %+v, want termination", batch.Deltas[0])
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stream with permanent subscribe failure never terminated")

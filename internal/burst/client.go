@@ -82,9 +82,9 @@ type ClientStream struct {
 	terminated bool
 	lastSeq    uint64
 
-	// Events delivers batches of deltas. Each slice was transmitted
-	// atomically; the channel is closed when the stream terminates.
-	Events chan []Delta
+	// Events delivers batches of deltas, each transmitted atomically and
+	// leased to the receiver (see Received); closed when the stream terminates.
+	Events chan *Received
 }
 
 // SID returns the stream id.
@@ -150,7 +150,7 @@ func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
 		client: c,
 		sid:    sid,
 		sub:    Subscribe{Header: sub.Header.Clone(), Body: sub.Body},
-		Events: make(chan []Delta, eventBuffer),
+		Events: make(chan *Received, eventBuffer),
 	}
 	c.streams[sid] = st
 	c.mu.Unlock()
@@ -197,18 +197,21 @@ func (h clientHandler) HandleFrame(f Frame) {
 	if f.Type != FrameBatch {
 		return // clients only receive batches
 	}
-	batch, err := DecodeBatch(f.Payload)
-	if err != nil {
+	// The payload is borrowed, the batch outlives this call: decode a copy.
+	rc := lease(f.Payload)
+	var err error
+	if rc.Deltas, err = decodeBatch(rc.buf.Bytes(), rc); err != nil {
 		c.DecodeErrors.Inc()
-		batch.Deltas = []Delta{FlowStatusDelta(FlowDegraded, "undecodable batch")}
+		rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, "undecodable batch"))
 	}
 	c.mu.Lock()
 	st := c.streams[f.SID]
 	c.mu.Unlock()
 	if st == nil {
+		rc.Release()
 		return // stream already cancelled; late batch
 	}
-	st.apply(batch.Deltas)
+	st.apply(rc)
 }
 
 func (h clientHandler) HandleClose(err error) {
@@ -232,17 +235,18 @@ func (h clientHandler) HandleClose(err error) {
 
 // apply processes one atomically delivered batch: rewrites patch the stored
 // request invisibly, terminations close the stream, and the remainder is
-// forwarded to the application. It owns deltas and filters it in place.
-func (st *ClientStream) apply(deltas []Delta) {
+// forwarded to the application. It owns rc and filters it in place.
+func (st *ClientStream) apply(rc *Received) {
 	terminate := false
 	st.mu.Lock()
 	if st.terminated {
 		st.mu.Unlock()
+		rc.Release()
 		return
 	}
 	n := 0
-	for i := range deltas {
-		d := &deltas[i]
+	for i := range rc.Deltas {
+		d := &rc.Deltas[i]
 		switch d.Type {
 		case DeltaRewriteRequest:
 			st.sub.applyRewrite(d)
@@ -257,19 +261,21 @@ func (st *ClientStream) apply(deltas []Delta) {
 			terminate = true
 		}
 		if n != i {
-			deltas[n] = *d
+			rc.Deltas[n] = *d
 		}
 		n++
 	}
-	visible := deltas[:n]
+	rc.Deltas = rc.Deltas[:n]
 	if terminate {
 		st.terminated = true
 	}
 	// Send while holding the lock: Cancel/sessionLost close Events only
 	// after setting terminated under the same lock, so this send can
 	// never race with the close. Sends and evictions are non-blocking.
-	if len(visible) > 0 {
-		st.pushEvents(visible)
+	if n > 0 {
+		st.pushEvents(rc)
+	} else {
+		rc.Release()
 	}
 	st.mu.Unlock()
 
@@ -290,11 +296,12 @@ func (st *ClientStream) apply(deltas []Delta) {
 // safe only because the session read goroutine is the sole sender on
 // Events — apply and sessionLost both run there, holding st.mu — so a
 // non-blocking receive here cannot steal from a concurrent producer, and
-// after one eviction the retry always finds room.
-func (st *ClientStream) pushEvents(visible []Delta) {
+// after one eviction the retry always finds room. An evicted lease is released
+// only if nothing was salvaged: salvaged deltas still alias its maps and bytes.
+func (st *ClientStream) pushEvents(rc *Received) {
 	for {
 		select {
-		case st.Events <- visible:
+		case st.Events <- rc:
 			return
 		default:
 		}
@@ -302,7 +309,7 @@ func (st *ClientStream) pushEvents(visible []Delta) {
 		case old := <-st.Events:
 			shed := false
 			var salvage []Delta
-			for _, d := range old {
+			for _, d := range old.Deltas {
 				if d.Type == DeltaPayload {
 					shed = true
 					continue
@@ -322,7 +329,9 @@ func (st *ClientStream) pushEvents(visible []Delta) {
 			}
 			if len(salvage) > 0 {
 				st.client.CtlSalvaged.Add(int64(len(salvage)))
-				visible = append(salvage, visible...)
+				rc.Deltas = append(salvage, rc.Deltas...)
+			} else {
+				old.Release()
 			}
 		default:
 			// The consumer drained a slot between our two selects; the
@@ -341,7 +350,9 @@ func (st *ClientStream) sessionLost() {
 		return
 	}
 	st.terminated = true
-	st.pushEvents([]Delta{FlowStatusDelta(FlowDegraded, "session closed")})
+	rc := lease(nil)
+	rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, "session closed"))
+	st.pushEvents(rc)
 	st.mu.Unlock()
 	close(st.Events)
 }

@@ -68,7 +68,7 @@ func recvBatch(t *testing.T, st *ClientStream) []Delta {
 		if !ok {
 			t.Fatal("stream closed while expecting batch")
 		}
-		return b
+		return b.Deltas
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for batch")
 		return nil
@@ -116,7 +116,7 @@ func TestMultipleIndependentStreams(t *testing.T) {
 	}
 	select {
 	case b := <-st1.Events:
-		t.Errorf("stream1 unexpectedly got %+v", b)
+		t.Errorf("stream1 unexpectedly got %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
 }
@@ -136,7 +136,7 @@ func TestRewriteUpdatesClientStateInvisibly(t *testing.T) {
 	// The rewrite must NOT surface as an application event.
 	select {
 	case b := <-st.Events:
-		t.Errorf("rewrite surfaced to application: %+v", b)
+		t.Errorf("rewrite surfaced to application: %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Original fields preserved.

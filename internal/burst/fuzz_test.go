@@ -37,6 +37,18 @@ func within(p, buf []byte) bool {
 
 func checkBatch(t *testing.T, in []byte) {
 	batch, err := DecodeBatch(in)
+	// The leased decode a client stream does is the same decode: the same
+	// verdict and the same deltas — the second time too, into the slots and
+	// maps a Release has recycled.
+	for i := 0; i < 2; i++ {
+		rc := lease(in)
+		deltas, lerr := decodeBatch(rc.buf.Bytes(), rc)
+		if (lerr == nil) != (err == nil) || !reflect.DeepEqual(deltas, batch.Deltas) {
+			t.Fatalf("leased decode %d = %+v, %v; DecodeBatch = %+v, %v", i, deltas, lerr, batch.Deltas, err)
+		}
+		rc.Deltas = rc.slots[:0]
+		rc.Release()
+	}
 	if err != nil {
 		return
 	}

@@ -19,6 +19,7 @@ package burst
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"bladerunner/internal/frame"
 	"bladerunner/internal/trace"
@@ -279,15 +280,77 @@ type Batch struct {
 	Deltas []Delta
 }
 
+// Received is one batch on ClientStream.Events, LEASED from a pool together
+// with what its deltas alias: the payload bytes, a one- or two-delta batch's
+// backing array, the header-patch maps. The consumer of Events may filter
+// Deltas in place and is the only one who may Release: at most once, keeping
+// nothing that aliases the lease (a Delta's Payload, Body, Header; strings are
+// copies). It need not: the GC takes an unreleased lease (DESIGN.md §7e).
+type Received struct {
+	Deltas []Delta
+
+	buf   bytes.Buffer // the batch payload the deltas alias
+	slots [2]Delta
+	hdrs  [2]Header // this batch's patch maps: cleared by Release, decoded into again
+	nhdr  int       // how many of hdrs this batch uses
+}
+
+// What a lease takes back to the pool: a payload buffer up to maxLeasedBuf,
+// patch maps of up to maxLeasedPairs (a larger patch gets a map of its own).
+const maxLeasedBuf, maxLeasedPairs = 64 << 10, 8
+
+var recvPool = sync.Pool{New: func() any { return new(Received) }}
+
+// lease copies p, a borrowed batch payload, into a pooled receive unit.
+//
+//brlint:hotpath per-frame receive: pooled unit, bytes appended to its pooled buffer.
+func lease(p []byte) *Received {
+	rc := recvPool.Get().(*Received)
+	rc.buf.Write(p)
+	return rc
+}
+
+// header returns an empty map for a patch of n pairs: the lease's own while
+// it has one free, a fresh one otherwise (always for DecodeBatch's nil rc).
+func (rc *Received) header(n int) Header {
+	if rc == nil || rc.nhdr == len(rc.hdrs) || n > maxLeasedPairs {
+		return make(Header, n)
+	}
+	h := &rc.hdrs[rc.nhdr]
+	if rc.nhdr++; *h == nil {
+		*h = make(Header, n)
+	}
+	return *h
+}
+
+// Release returns the lease to the pool (see Received for who may call it).
+//
+//brlint:hotpath per-batch lease return: clears in place, pools.
+func (rc *Received) Release() {
+	if poison != "" && rc.Deltas == nil {
+		panic("burst: lease released twice")
+	}
+	poisonBytes(rc.buf.Bytes())
+	rc.slots = [2]Delta{} // drop what the deltas referenced
+	for _, h := range rc.hdrs[:rc.nhdr] {
+		clear(h)
+	}
+	rc.Deltas, rc.nhdr = nil, 0
+	rc.buf.Reset()
+	if rc.buf.Cap() <= maxLeasedBuf {
+		recvPool.Put(rc)
+	}
+}
+
 // Frame is one unit on the wire: a type, the stream it belongs to, and a
 // binary payload appropriate to the type (DESIGN.md §7e). Ping/Pong frames
 // have SID 0 and empty payloads.
 type Frame struct {
 	Type FrameType
 	SID  StreamID
-	// Payload is the encoding of Subscribe/Cancel/Ack/Batch. ReadFrame
-	// allocates it fresh for every frame and never recycles it, which is
-	// what lets the Decode functions alias it.
+	// Payload is the encoding of Subscribe/Cancel/Ack/Batch, and the Decode
+	// functions alias it. From ReadFrame it is a fresh allocation the caller
+	// owns; in FrameHandler.HandleFrame it is borrowed for the call.
 	Payload []byte
 }
 
@@ -310,16 +373,17 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 	frame.PutUvarint(b, uint64(d.Trace))
 }
 
-// readHeader reads what frame.PutStringMap wrote. A well-known key decodes
-// to the package's own constant; every other string is a copy (a stored
-// request must not pin a frame buffer). The loop needs no error check: Count
-// bounds it by the input and a failed Reader yields zero values until Done.
-func readHeader(r *frame.Reader) Header {
+// readHeader reads what frame.PutStringMap wrote, into a map from rc. A
+// well-known key decodes to the package's own constant; every other string is
+// a copy (a stored request must not pin a frame buffer). The loop needs no
+// error check: Count bounds it by the input and a failed Reader yields zero
+// values until Done.
+func readHeader(r *frame.Reader, rc *Received) Header {
 	if r.Byte() == 0 {
 		return nil
 	}
 	n := r.Count(2) // a pair is at least two length bytes
-	h := make(Header, n)
+	h := rc.header(n)
 	for ; n > 0; n-- {
 		h[headerKey(r.Bytes())] = r.Str()
 	}
@@ -335,14 +399,15 @@ func headerKey(b []byte) string {
 	return string(b)
 }
 
-// readDelta reads one delta into d. Payload and Body alias the input.
-func readDelta(r *frame.Reader, d *Delta) {
+// readDelta reads one delta into d, every field. Payload and Body alias the
+// input.
+func readDelta(r *frame.Reader, d *Delta, rc *Received) {
 	d.Type = DeltaType(r.Byte())
 	d.Seq = r.Uvarint()
 	d.Payload = r.Bytes()
 	d.Flow = FlowCode(r.Byte())
 	d.FlowDetail = r.Str()
-	d.Header = readHeader(r)
+	d.Header = readHeader(r, rc)
 	d.Body = r.Bytes()
 	d.Reason = r.Str()
 	d.Trace = trace.ID(r.Uvarint())
@@ -381,7 +446,7 @@ func putMsg(b *bytes.Buffer, v any) bool {
 // DecodeSubscribe parses a Subscribe payload. Body aliases b.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
 	r := frame.Reader{B: b}
-	s := Subscribe{Header: readHeader(&r), Body: r.Bytes()}
+	s := Subscribe{Header: readHeader(&r, nil), Body: r.Bytes()}
 	if err := r.Done(); err != nil {
 		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)
 	}
@@ -412,13 +477,25 @@ func DecodeAck(b []byte) (Ack, error) {
 // Body alias b; the []Delta is the only allocation for a batch without
 // strings or headers.
 func DecodeBatch(b []byte) (Batch, error) {
+	deltas, err := decodeBatch(b, nil)
+	return Batch{Deltas: deltas}, err
+}
+
+// decodeBatch is DecodeBatch into a lease's slots and maps, where they
+// suffice, instead of fresh ones: the same pass, the same checks.
+func decodeBatch(b []byte, rc *Received) ([]Delta, error) {
 	r := frame.Reader{B: b}
-	deltas := make([]Delta, r.Count(minDeltaSize))
+	var deltas []Delta
+	if n := r.Count(minDeltaSize); rc != nil && n <= len(rc.slots) {
+		deltas = rc.slots[:n]
+	} else {
+		deltas = make([]Delta, n)
+	}
 	for i := range deltas {
-		readDelta(&r, &deltas[i])
+		readDelta(&r, &deltas[i], rc)
 	}
 	if err := r.Done(); err != nil {
-		return Batch{}, fmt.Errorf("burst: decode batch: %w", err)
+		return nil, fmt.Errorf("burst: decode batch: %w", err)
 	}
-	return Batch{Deltas: deltas}, nil
+	return deltas, nil
 }

@@ -127,7 +127,7 @@ func TestClientBufferEvictionSalvagesControl(t *testing.T) {
 	for done := false; !done; {
 		select {
 		case batch := <-st.Events:
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == DeltaFlowStatus && d.Flow == FlowDegraded {
 					sawFlow = true
 				}

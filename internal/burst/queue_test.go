@@ -28,7 +28,7 @@ func TestQueueFlushCoalescesOneFrame(t *testing.T) {
 	// Nothing on the wire until Flush.
 	select {
 	case b := <-st.Events:
-		t.Fatalf("queued deltas leaked before Flush: %+v", b)
+		t.Fatalf("queued deltas leaked before Flush: %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Server's stored request already reflects the queued rewrite.
@@ -69,7 +69,7 @@ func TestFlushEmptyQueueIsNoop(t *testing.T) {
 	}
 	select {
 	case b := <-st.Events:
-		t.Fatalf("empty Flush produced a batch: %+v", b)
+		t.Fatalf("empty Flush produced a batch: %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
 }

@@ -112,11 +112,11 @@ func TestBatchAtomicityProperty(t *testing.T) {
 		for _, want := range sent {
 			select {
 			case got := <-st.Events:
-				if len(got) != len(want) {
+				if len(got.Deltas) != len(want) {
 					return false // split or merged batch
 				}
 				for i := range want {
-					if got[i].Seq != want[i].Seq {
+					if got.Deltas[i].Seq != want[i].Seq {
 						return false
 					}
 				}

@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -299,7 +300,9 @@ func (d serverDispatch) HandleFrame(f Frame) {
 			return
 		}
 		// The stream owns its header map from here on (rewrites merge into
-		// it in place); the handler gets the decoded one.
+		// it in place); the handler gets the decoded one. The body, shared and
+		// never written, must outlive the borrowed frame.
+		sub.Body = bytes.Clone(sub.Body)
 		st := &ServerStream{srv: s, sid: f.SID, sub: Subscribe{Header: sub.Header.Clone(), Body: sub.Body}}
 		s.mu.Lock()
 		if _, dup := s.streams[f.SID]; dup {

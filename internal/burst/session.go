@@ -20,6 +20,8 @@ var ErrSessionClosed = errors.New("burst: session closed")
 // HandleFrame is invoked from the session's single read goroutine, so
 // implementations observe frames in wire order.
 type FrameHandler interface {
+	// HandleFrame BORROWS f.Payload: the next frame overwrites it, so it and
+	// what was decoded from it (DESIGN.md §7e) are valid only until it returns.
 	HandleFrame(f Frame)
 	// HandleClose is invoked exactly once when the session dies; err is
 	// nil for a locally initiated close, io.EOF for a clean peer close.
@@ -65,7 +67,7 @@ func newSession(name string, rwc io.ReadWriteCloser, handler FrameHandler) *Sess
 	return &Session{
 		name:    name,
 		rwc:     rwc,
-		br:      bufio.NewReaderSize(rwc, 32<<10),
+		br:      bufio.NewReaderSize(rwc, readBufSize),
 		handler: handler,
 		done:    make(chan struct{}),
 	}
@@ -186,10 +188,41 @@ func (s *Session) closeWith(err error) {
 	_ = s.rwc.Close()
 }
 
+// readBufSize is the session's read buffer; a payload that fits it (nearly
+// all: a batch is a few hundred bytes) is handled in place, never copied out.
+const readBufSize = 32 << 10
+
+// poison, when non-empty, overwrites memory whose loan has ended — a payload
+// once HandleFrame returns, a lease on Release — so whoever kept it reads 0xDB,
+// not plausible stale data. A test hook, not a setting: this package's tests
+// set it in TestMain, others link with -X bladerunner/internal/burst.poison=on.
+var poison string
+
+func poisonBytes(p []byte) {
+	if poison != "" {
+		for i := range p {
+			p[i] = 0xDB
+		}
+	}
+}
+
 func (s *Session) readLoop() {
 	defer close(s.done)
 	for {
-		f, err := ReadFrame(s.br)
+		// The payload stays in s.br's buffer while the handler runs; the held
+		// bytes go after. One too large for that (but within MaxPayload, which
+		// ReadHeader checked) gets its own allocation.
+		kind, id, n, err := frame.ReadHeader(s.br, byte(FramePong))
+		f, held := Frame{Type: FrameType(kind), SID: StreamID(id)}, 0
+		switch {
+		case err != nil || n == 0:
+		case n > readBufSize:
+			f.Payload = make([]byte, n)
+			err = frame.ReadPayload(s.br, f.Payload)
+		default:
+			f.Payload, err = frame.PeekPayload(s.br, n)
+			held = n
+		}
 		if err != nil {
 			s.mu.Lock()
 			alreadyClosed := s.closed
@@ -228,6 +261,8 @@ func (s *Session) readLoop() {
 		default:
 			s.handler.HandleFrame(f)
 		}
+		poisonBytes(f.Payload)
+		_, _ = s.br.Discard(held) // cannot fail: Peek buffered these bytes
 	}
 }
 

@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -32,6 +33,7 @@ type frameCollector struct {
 }
 
 func (c *frameCollector) HandleFrame(f Frame) {
+	f.Payload = bytes.Clone(f.Payload) // borrowed for this call only; the collector keeps it
 	c.mu.Lock()
 	c.frames = append(c.frames, f)
 	c.mu.Unlock()

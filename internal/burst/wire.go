@@ -30,8 +30,8 @@ func WriteFrame(w io.Writer, f Frame) error {
 }
 
 // ReadFrame decodes one frame from br. The payload is a fresh allocation
-// owned by the returned frame (the Decode functions alias it, so it is
-// never recycled).
+// owned by the returned frame: the read for a caller outside a Session, which
+// lends its handler each payload in place instead (FrameHandler).
 func ReadFrame(br *bufio.Reader) (Frame, error) {
 	kind, id, payload, err := frame.Read(br, byte(FramePong))
 	if err != nil {

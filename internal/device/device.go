@@ -468,10 +468,11 @@ func (st *Stream) cancelRetryLocked() {
 
 // pump forwards one underlying client stream's batches into the persistent
 // channels. It returns when that client stream ends; reconnection starts a
-// new pump.
+// new pump. It never releases a batch's lease: the payload deltas it hands the
+// app on Updates alias it, so the garbage collector takes it with them.
 func (st *Stream) pump(cs *burst.ClientStream) {
 	for batch := range cs.Events {
-		for _, delta := range batch {
+		for _, delta := range batch.Deltas {
 			switch delta.Type {
 			case burst.DeltaPayload:
 				sp := st.dev.cfg.Tracer.Start(delta.Trace, trace.HopApply, trace.HopFlush)

@@ -72,8 +72,19 @@ func TestSlowDeviceNeverLosesFlowRecovered(t *testing.T) {
 	if env.dev.FlowCoalesced.Value() == 0 {
 		t.Error("expected stale flow codes to be coalesced under pressure")
 	}
-	if env.dev.RenderDrops.Value() == 0 {
-		t.Error("expected payload render drops while the app stalled")
+	// The recovered notice was the last batch, so every payload before it has
+	// met its fate: shed by the burst client's 256-batch buffer (one payload
+	// per batch here), shed by the full Updates channel, or waiting in it.
+	// Which buffer overflows first is the scheduler's choice — a pump that
+	// keeps up sheds at Updates, one that falls behind lets the client evict —
+	// so the books must balance, not one particular counter be non-zero.
+	env.dev.mu.Lock()
+	evicted := env.dev.client.Dropped.Value()
+	env.dev.mu.Unlock()
+	rendered, queued := env.dev.RenderDrops.Value(), int64(len(st.Updates))
+	if evicted+rendered+queued != payloads || evicted+rendered == 0 {
+		t.Errorf("%d payloads sent: %d evicted by the client + %d render drops + %d queued in Updates = %d",
+			payloads, evicted, rendered, queued, evicted+rendered+queued)
 	}
 }
 

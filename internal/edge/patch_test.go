@@ -185,6 +185,17 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 	// key behind for good, since no later rewrite re-asserts it.
 	c.gate.Lock()
 	for i := 300; i < 1100; i++ {
+		if i == 310 {
+			// By now the POP's relay is stuck in its downstream write, so this
+			// rewrite waits in the POP's upstream buffer, is evicted and
+			// salvaged — more than once — and nothing ever re-asserts its key:
+			// it reaches the device only if a salvaged rewrite keeps its header
+			// when the lease it was evicted from is released.
+			if err := ss.RewriteHeaderField("salvage-probe", "310"); err != nil {
+				t.Fatal(err)
+			}
+			want.Header["salvage-probe"] = "310"
+		}
 		step(i)
 	}
 	c.pop.mu.Lock()

@@ -263,13 +263,14 @@ func (r *relay) targetName() string {
 // the ending was a transport failure (repairable) as opposed to an orderly
 // termination/cancel.
 func (r *relay) pump(up *burst.ClientStream) (failed bool) {
-	for batch := range up.Events {
+	for rc := range up.Events {
+		batch := rc.Deltas
 		sp := r.startRelaySpan(up, batch)
 		sawFailure := false
 		terminated := false
 		rewrites := 0
-		// The batch is this relay's alone (freshly decoded by the upstream
-		// client), so it is filtered in place.
+		// The batch is this relay's alone (a lease from the upstream client),
+		// so it is filtered in place.
 		n := 0
 		for i := range batch {
 			d := &batch[i]
@@ -313,6 +314,7 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 				return false
 			}
 		}
+		rc.Release() // SendBatch merged rewrites by copy and encoded: nothing aliases it now
 		sp.End()
 		if terminated {
 			r.setDone()

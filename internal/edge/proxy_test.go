@@ -140,8 +140,8 @@ func TestProxyRelaysSubscribeAndDeltas(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != "data" {
-			t.Errorf("payload = %q", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != "data" {
+			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("delta never relayed")
@@ -168,7 +168,7 @@ func TestProxyRelaysRewritesAndTracksState(t *testing.T) {
 	// No app-visible event for the rewrite at the device.
 	select {
 	case b := <-st.Events:
-		t.Errorf("rewrite leaked to device app: %+v", b)
+		t.Errorf("rewrite leaked to device app: %+v", b.Deltas)
 	case <-time.After(30 * time.Millisecond):
 	}
 }
@@ -197,7 +197,7 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	for len(flows) < 2 {
 		select {
 		case batch := <-st.Events:
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaFlowStatus {
 					flows = append(flows, d.Flow)
 				}
@@ -228,8 +228,8 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != "post-repair" {
-			t.Errorf("payload = %q", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != "post-repair" {
+			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery after repair")
@@ -262,7 +262,7 @@ func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
 			if !ok {
 				t.Fatal("stream closed without termination delta")
 			}
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaTermination {
 					sawTermination = true
 					if !strings.Contains(d.Reason, "unrecoverable") {
@@ -339,7 +339,7 @@ func TestProxyServerTerminationForwardedAndGCd(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if batch[0].Type != burst.DeltaTermination || batch[0].Reason != "app says bye" {
+		if batch.Deltas[0].Type != burst.DeltaTermination || batch.Deltas[0].Reason != "app says bye" {
 			t.Errorf("batch = %+v", batch)
 		}
 	case <-time.After(5 * time.Second):
@@ -374,8 +374,8 @@ func TestTwoHopChain(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != "through 2 hops" {
-			t.Errorf("payload = %q", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != "through 2 hops" {
+			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery across 2 hops")

@@ -44,8 +44,8 @@ func TestBURSTOverRealTCP(t *testing.T) {
 	}
 	select {
 	case batch := <-st.Events:
-		if string(batch[0].Payload) != "over real sockets" {
-			t.Errorf("payload = %q", batch[0].Payload)
+		if string(batch.Deltas[0].Payload) != "over real sockets" {
+			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery over TCP")
@@ -163,7 +163,7 @@ func TestFlakyLastMileTriggersDeviceRecovery(t *testing.T) {
 			if !ok {
 				return // channel closed after flow status: recovery path engaged
 			}
-			for _, d := range batch {
+			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaFlowStatus && d.Flow == burst.FlowDegraded {
 					// Got the failure signal.
 				}

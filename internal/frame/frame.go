@@ -32,8 +32,9 @@ const HeaderSize = 1 + 8 + 4
 
 // A frame — header and payload — is built in one pooled buffer and written
 // to the wire before the buffer is released, so a send path allocates
-// nothing per frame. Only the ENCODE side pools: a received payload is
-// aliased by whatever was decoded from it and belongs to whoever holds that.
+// nothing per frame. A receiver reads a payload it owns (Read) or borrows one
+// in place in the reader's buffer (PeekPayload); what is decoded from either
+// aliases it and lives as long as it does (DESIGN.md §7e).
 
 // maxPooledBuf caps the size of buffers returned to the pool; encoding a
 // rare jumbo frame must not pin megabytes in the pool forever.
@@ -113,13 +114,34 @@ func ReadHeader(br *bufio.Reader, maxKind byte) (kind byte, id uint64, n int, er
 // ReadPayload fills p, the payload ReadHeader announced, from br.
 func ReadPayload(br *bufio.Reader, p []byte) error {
 	if _, err := io.ReadFull(br, p); err != nil {
-		return fmt.Errorf("frame: read payload: %w", err)
+		return tornPayload(err)
 	}
 	return nil
 }
 
+// tornPayload names a failed payload read. The header promised bytes: running
+// out anywhere in them, the first too, is a torn frame, never a clean io.EOF.
+func tornPayload(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("frame: read payload: %w", err)
+}
+
+// PeekPayload lends the n payload bytes ReadHeader announced, n at most
+// br.Size(), in place: p is br's own buffer, valid until the caller's next
+// call on br, which must be Discard(n).
+//
+//brlint:hotpath per-frame receive: the payload stays in the reader's buffer.
+func PeekPayload(br *bufio.Reader, n int) (p []byte, err error) {
+	if p, err = br.Peek(n); err != nil {
+		return nil, tornPayload(err)
+	}
+	return p, nil
+}
+
 // Read decodes one frame from br. The payload is a fresh allocation owned
-// by the caller (decoders alias it, so it is never recycled).
+// by the caller: the read for anyone who keeps what they decode from it.
 func Read(br *bufio.Reader, maxKind byte) (kind byte, id uint64, payload []byte, err error) {
 	kind, id, n, err := ReadHeader(br, maxKind)
 	if err == nil && n > 0 {

@@ -14,9 +14,10 @@
 package kvstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -56,7 +57,7 @@ func (v SetView) Members() []Member {
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -163,6 +164,13 @@ func (n *Node) apply(key string, m Member, rec record) error {
 
 // View returns the node's current view of key.
 func (n *Node) View(key string) (SetView, error) {
+	return n.viewUnless(key, nil)
+}
+
+// viewUnless is View, except that a node whose set at key already equals a
+// non-nil same answers nil without copying it: Patch asks every replica on
+// every slow-path publish, and nearly always they agree.
+func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 	if err := n.runHook("view", key); err != nil {
 		return nil, fmt.Errorf("node %s: %w", n.ID, err)
 	}
@@ -172,6 +180,18 @@ func (n *Node) View(key string) (SetView, error) {
 		return nil, fmt.Errorf("node %s: %w", n.ID, ErrNodeDown)
 	}
 	set := n.data[key]
+	if same != nil && len(set) == len(same) {
+		agree := true
+		for m, r := range set {
+			if same[m] != VersionedMember(r) {
+				agree = false
+				break
+			}
+		}
+		if agree {
+			return nil, nil
+		}
+	}
 	out := make(SetView, len(set))
 	for m, r := range set {
 		out[m] = VersionedMember{Version: r.Version, Present: r.Present}
@@ -228,45 +248,51 @@ func MustNewCluster(nodes []*Node, replicas int) *Cluster {
 // deterministic for a given key; index 0 is the "primary" (typically the
 // fastest responder in the local region).
 func (c *Cluster) ReplicasFor(key string) []*Node {
-	type scored struct {
-		n *Node
-		s uint64
+	// Every subscribe, unsubscribe, patch and slow-path publish comes through
+	// here: the scores live on the stack, the result is the one allocation.
+	var few [16]scored
+	all := few[:0]
+	if len(c.nodes) > len(few) {
+		all = make([]scored, 0, len(c.nodes))
 	}
-	all := make([]scored, len(c.nodes))
-	for i, n := range c.nodes {
-		all[i] = scored{n, rendezvousScore(key, n.ID)}
+	for _, n := range c.nodes {
+		all = append(all, scored{n, rendezvousScore(key, n.ID)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
+	return pickReplicas(all, c.replicas)
+}
+
+// scored is a node beside its rendezvous score for one key.
+type scored struct {
+	n *Node
+	s uint64
+}
+
+// pickReplicas orders all by score, highest first (ties by node id), and
+// picks replicas of them: the best node of each region first, then the best
+// of the rest. It reorders all.
+func pickReplicas(all []scored, replicas int) []*Node {
+	slices.SortFunc(all, func(a, b scored) int {
+		if a.s != b.s {
+			return cmp.Compare(b.s, a.s)
 		}
-		return all[i].n.ID < all[j].n.ID
+		return cmp.Compare(a.n.ID, b.n.ID)
 	})
-	out := make([]*Node, 0, c.replicas)
-	used := make(map[string]bool)
+	out := make([]*Node, 0, replicas)
 	// First pass: best node per unused region.
 	for _, sc := range all {
-		if len(out) == c.replicas {
+		if len(out) == replicas {
 			return out
 		}
-		if !used[sc.n.Region] {
+		if !slices.ContainsFunc(out, func(o *Node) bool { return o.Region == sc.n.Region }) {
 			out = append(out, sc.n)
-			used[sc.n.Region] = true
 		}
 	}
 	// Second pass: fill remaining slots regardless of region.
 	for _, sc := range all {
-		if len(out) == c.replicas {
+		if len(out) == replicas {
 			break
 		}
-		dup := false
-		for _, o := range out {
-			if o == sc.n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, sc.n) {
 			out = append(out, sc.n)
 		}
 	}
@@ -361,13 +387,13 @@ func (c *Cluster) ReadAll(key string) []ReplicaResponse {
 // replicas patched.
 func (c *Cluster) Patch(key string, merged SetView) int {
 	patched := 0
+	if merged == nil {
+		merged = SetView{} // nil would ask viewUnless for plain views
+	}
 	for _, n := range c.ReplicasFor(key) {
-		v, err := n.View(key)
-		if err != nil {
-			continue
-		}
-		if viewsEqual(v, merged) {
-			continue
+		v, err := n.viewUnless(key, merged)
+		if err != nil || v == nil {
+			continue // unreachable, or already holds the merged view
 		}
 		for m, r := range merged {
 			if cur, ok := v[m]; !ok || newer(r.Version, r.Present, cur.Version, cur.Present) {
@@ -390,16 +416,4 @@ func (c *Cluster) QuorumAvailable(key string) bool {
 		}
 	}
 	return up*2 > len(replicas)
-}
-
-func viewsEqual(a, b SetView) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for m, r := range a {
-		if b[m] != r {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,9 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +66,99 @@ func TestReplicasForSpreadsKeys(t *testing.T) {
 	}
 	if len(primary) < 5 {
 		t.Errorf("only %d distinct primaries across 300 keys", len(primary))
+	}
+}
+
+// referenceReplicas is ReplicasFor's body as it was before it stopped
+// allocating — sort.Slice over a scratch slice, a map of used regions — kept
+// as the oracle for the order pickReplicas must reproduce.
+func referenceReplicas(all []scored, replicas int) []*Node {
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].s != all[j].s {
+			return all[i].s > all[j].s
+		}
+		return all[i].n.ID < all[j].n.ID
+	})
+	out := make([]*Node, 0, replicas)
+	used := make(map[string]bool)
+	for _, sc := range all {
+		if len(out) == replicas {
+			return out
+		}
+		if !used[sc.n.Region] {
+			out = append(out, sc.n)
+			used[sc.n.Region] = true
+		}
+	}
+	for _, sc := range all {
+		if len(out) == replicas {
+			break
+		}
+		dup := false
+		for _, o := range out {
+			if o == sc.n {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, sc.n)
+		}
+	}
+	return out
+}
+
+func TestReplicasForMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 2000; i++ {
+		regions, nodes := 1+rng.Intn(3), 1+rng.Intn(9)
+		if i%50 == 0 {
+			nodes += 16 // past the scores ReplicasFor keeps on its stack
+		}
+		replicas := 1 + rng.Intn(min(3, nodes))
+		ns := make([]*Node, nodes)
+		for j := range ns {
+			ns[j] = NewNode(fmt.Sprintf("kv%d", j), fmt.Sprintf("region-%d", j%regions))
+		}
+		rng.Shuffle(nodes, func(a, b int) { ns[a], ns[b] = ns[b], ns[a] })
+		c := MustNewCluster(ns, replicas)
+		key := fmt.Sprintf("/topic/%d", rng.Int63())
+		mask := ^uint64(0)
+		if i%4 == 0 {
+			mask = 1 // two scores in all: ties everywhere, broken by node id
+		}
+		score := func() []scored {
+			all := make([]scored, nodes)
+			for j, n := range ns {
+				all[j] = scored{n, rendezvousScore(key, n.ID) & mask}
+			}
+			return all
+		}
+		want := referenceReplicas(score(), replicas)
+		if got := pickReplicas(score(), replicas); !slices.Equal(got, want) {
+			t.Fatalf("case %d (%d regions, %d nodes, %d replicas, mask %#x): picked %v, reference %v",
+				i, regions, nodes, replicas, mask, ids(got), ids(want))
+		}
+		if mask != 1 {
+			if got := c.ReplicasFor(key); !slices.Equal(got, want) {
+				t.Fatalf("case %d: ReplicasFor = %v, reference %v", i, ids(got), ids(want))
+			}
+		}
+	}
+}
+
+func ids(ns []*Node) []string {
+	out := make([]string, len(ns))
+	for i, n := range ns {
+		out[i] = n.ID
+	}
+	return out
+}
+
+func TestReplicasForAllocatesOnlyItsResult(t *testing.T) {
+	c := newTestCluster(t, 9, 3)
+	if got := testing.AllocsPerRun(1000, func() { _ = c.ReplicasFor("/LVC/42") }); got > 1 {
+		t.Errorf("ReplicasFor: %v allocs/op, want <= 1 (the result slice)", got)
 	}
 }
 

@@ -84,6 +84,10 @@ var stdlibAllocFreeFuncs = map[string]bool{
 
 	"(*bufio.Writer).Flush":    true,
 	"(*bufio.Writer).Buffered": true,
+	// Peek and Discard work inside the buffer the Reader was built with;
+	// neither ever allocates.
+	"(*bufio.Reader).Peek":    true,
+	"(*bufio.Reader).Discard": true,
 
 	"errors.Is": true,
 

@@ -161,10 +161,11 @@ func (t *trunk) lookupSub(area uint32) *topicSub {
 // session's single read goroutine.
 type trunkHandler struct{ t *trunk }
 
-// HandleFrame decodes downstream batches and routes each delta. Batch
-// decode allocates the []Delta (one per wire batch, aliasing the frame
-// buffer — the same cost every real client pays); the per-delta payload
-// application below it is the allocation-free hot path.
+// HandleFrame decodes downstream batches and routes each delta. The frame is
+// borrowed for this call (burst.FrameHandler) and everything is applied
+// inside it — nothing decoded is kept — so the []Delta is the one allocation
+// per wire batch; the per-delta payload application below it is the
+// allocation-free hot path.
 func (h trunkHandler) HandleFrame(fr burst.Frame) {
 	if fr.Type != burst.FrameBatch {
 		return

@@ -46,14 +46,13 @@ func NewFollower(store *Store, sched sim.Scheduler, delay time.Duration) *Follow
 }
 
 // ObjectGet serves the object from cache, filling from the leader on miss.
+// Its Data is the leader's immutable bag (see Object), shared, never cloned.
 func (f *Follower) ObjectGet(id ObjID) (Object, error) {
 	f.mu.Lock()
 	if obj, ok := f.objects[id]; ok {
 		f.mu.Unlock()
 		f.Hits.Inc()
-		out := obj
-		out.Data = cloneData(obj.Data)
-		return out, nil
+		return obj, nil
 	}
 	f.mu.Unlock()
 	f.Misses.Inc()
@@ -64,9 +63,7 @@ func (f *Follower) ObjectGet(id ObjID) (Object, error) {
 	f.mu.Lock()
 	f.objects[id] = obj
 	f.mu.Unlock()
-	out := obj
-	out.Data = cloneData(obj.Data)
-	return out, nil
+	return obj, nil
 }
 
 // AssocRange serves the association list from cache, filling on miss.

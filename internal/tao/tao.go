@@ -21,6 +21,7 @@ package tao
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -54,8 +55,11 @@ var ErrNotFound = errors.New("tao: not found")
 
 // Object is a node with a free-form property bag.
 type Object struct {
-	ID      ObjID
-	Type    ObjType
+	ID   ObjID
+	Type ObjType
+	// Data is READ-ONLY once stored: ObjectGet hands every reader the
+	// stored map itself, and ObjectUpdate swaps in a new merged map instead
+	// of writing into it. A reader that wants to change a bag copies it.
 	Data    map[string]string
 	Created time.Time
 	Version uint64
@@ -254,8 +258,9 @@ func (s *Store) ObjectAdd(typ ObjType, data map[string]string) ObjID {
 	return id
 }
 
-// ObjectGet returns a copy of the object with the given id. This is a point
-// query touching one shard.
+// ObjectGet returns the object with the given id as it is now; its Data is
+// the stored, immutable bag (see Object), so a later update does not show
+// through it. This is a point query touching one shard.
 func (s *Store) ObjectGet(id ObjID) (Object, error) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
@@ -263,7 +268,6 @@ func (s *Store) ObjectGet(id ObjID) (Object, error) {
 	var out Object
 	if ok {
 		out = *obj
-		out.Data = cloneData(obj.Data)
 	}
 	sh.mu.RUnlock()
 	s.stats.recordPoint(1)
@@ -274,7 +278,8 @@ func (s *Store) ObjectGet(id ObjID) (Object, error) {
 }
 
 // ObjectUpdate merges data into the object's property bag and bumps its
-// version.
+// version. Readers hold the old bag, so the merge goes into a copy that
+// replaces it (copy-on-write).
 func (s *Store) ObjectUpdate(id ObjID, data map[string]string) error {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -283,12 +288,10 @@ func (s *Store) ObjectUpdate(id ObjID, data map[string]string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("object %d: %w", id, ErrNotFound)
 	}
-	if obj.Data == nil {
-		obj.Data = make(map[string]string, len(data))
-	}
-	for k, v := range data {
-		obj.Data[k] = v
-	}
+	merged := make(map[string]string, len(obj.Data)+len(data))
+	maps.Copy(merged, obj.Data)
+	maps.Copy(merged, data)
+	obj.Data = merged
 	obj.Version++
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -67,15 +68,85 @@ func TestObjectLifecycle(t *testing.T) {
 	}
 }
 
-func TestObjectGetReturnsCopy(t *testing.T) {
+// A stored property bag is immutable (see Object): a read returns the stored
+// map itself, an update swaps in a merged copy. So a bag already handed out
+// is a snapshot no later update shows through, and the map ObjectAdd was
+// given stays the caller's.
+func TestObjectGetReturnsSnapshot(t *testing.T) {
 	s, _ := newTestStore(t)
-	id := s.ObjectAdd("user", map[string]string{"k": "v"})
-	obj, _ := s.ObjectGet(id)
-	obj.Data["k"] = "mutated"
-	obj2, _ := s.ObjectGet(id)
-	if obj2.Data["k"] != "v" {
-		t.Error("caller mutation leaked into store")
+	f := NewFollower(s, nil, 0)
+	mine := map[string]string{"k": "v"}
+	id := s.ObjectAdd("user", mine)
+	mine["k"] = "mutated by the adder"
+	before, _ := s.ObjectGet(id)
+	cached, _ := f.ObjectGet(id) // fill
+	if err := f.ObjectUpdate(id, map[string]string{"k": "v2", "n": "1"}); err != nil {
+		t.Fatal(err)
 	}
+	for name, obj := range map[string]Object{"store": before, "follower": cached} {
+		if len(obj.Data) != 1 || obj.Data["k"] != "v" || obj.Version != 1 {
+			t.Errorf("%s: bag read before the update now reads %v (version %d)", name, obj.Data, obj.Version)
+		}
+	}
+	for name, get := range map[string]func(ObjID) (Object, error){"store": s.ObjectGet, "follower miss": f.ObjectGet, "follower hit": f.ObjectGet} {
+		if obj, _ := get(id); len(obj.Data) != 2 || obj.Data["k"] != "v2" || obj.Data["n"] != "1" || obj.Version != 2 {
+			t.Errorf("%s: after the update = %v (version %d)", name, obj.Data, obj.Version)
+		}
+	}
+}
+
+// Readers range over the bag ObjectGet returned while a writer updates the
+// same object: under -race this fails if an update writes into a map a reader
+// holds, and every reader must see one complete bag — all keys at one
+// generation — never a mix of two.
+func TestObjectDataReadersRaceUpdate(t *testing.T) {
+	s, _ := newTestStore(t)
+	f := NewFollower(s, nil, 0)
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} // past one map group
+	bag := func(gen int) map[string]string {
+		m := make(map[string]string, len(keys))
+		for _, k := range keys {
+			m[k] = strconv.Itoa(gen)
+		}
+		return m
+	}
+	id := s.ObjectAdd("post", bag(0))
+	updates := 2000
+	if testing.Short() {
+		updates = 300
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		get := s.ObjectGet
+		if r%2 == 1 {
+			get = f.ObjectGet
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				obj, err := get(id)
+				if err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+				for k, v := range obj.Data {
+					if v != obj.Data["a"] || len(obj.Data) != len(keys) {
+						t.Errorf("torn bag: %s=%s beside a=%s in %v", k, v, obj.Data["a"], obj.Data)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for gen := 1; gen <= updates; gen++ {
+		if err := f.ObjectUpdate(id, bag(gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
 }
 
 func TestObjectIDsUnique(t *testing.T) {
