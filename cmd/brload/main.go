@@ -174,10 +174,10 @@ func runScenario(name string, devices, areas int, zipfS float64, seed int64,
 			rep.FanoutPerSec, rep.HotTopicSubs)
 	}
 	if rep.Scenario == megadevice.ScenarioReplay {
-		fmt.Printf("  replay: %d late joiners caught up %d deltas from the edge log (backlog=%d, log resumes=%d, point queries=%d)\n",
-			rep.ReplayLateJoiners, rep.ReplayCatchUpApplied, rep.ReplayBacklog, rep.LogResumes, rep.ReplayPointQueries)
-		fmt.Printf("  log: appends=%d catchup_deltas=%d expired=%d cursor_resumes=%d\n",
-			rep.LogAppends, rep.LogCatchUpDeltas, rep.LogExpired, rep.CursorResumes)
+		fmt.Printf("  replay: %d late joiners caught up %d deltas from the edge log (backlog=%d, log resumes=%d)\n",
+			rep.ReplayLateJoiners, rep.ReplayCatchUpApplied, rep.ReplayBacklog, rep.LogResumes)
+		fmt.Printf("  log: appends=%d catchup_deltas=%d expired=%d resumes=%d\n",
+			rep.LogAppends, rep.LogCatchUpDeltas, rep.LogExpired, rep.Resumes)
 	}
 	if benchJSON != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

@@ -2,8 +2,7 @@
 // binary, boot a cluster of separate OS processes on loopback, run the
 // quickstart flow over real TCP, SIGKILL a POP mid-stream, and assert
 // the launcher restarts it on the same port and the reconnecting device
-// resumes gap-free from its durable-log cursor — zero point-query
-// resyncs, zero backend reads.
+// resumes gap-free by resubscribing from its stored request.
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -154,18 +152,6 @@ func (lc *liveCluster) restartCount(role string) int {
 	return lc.restarts[role]
 }
 
-// countingBackend wraps the ctrl WAS client and counts point queries so
-// the test can prove shed/reconnect repair never read the backend.
-type countingBackend struct {
-	*ctrl.WASClient
-	pointQueries atomic.Int64
-}
-
-func (b *countingBackend) PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	b.pointQueries.Add(1)
-	return b.WASClient.PointQueryIn(region, viewer, expr)
-}
-
 func dialCtrlT(t *testing.T, name, addr string) *ctrl.Conn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
@@ -254,7 +240,7 @@ func TestE2EMultiProcessFailover(t *testing.T) {
 	pop0 := lc.child(t, "pop", 0)
 	pop1 := lc.child(t, "pop", 1)
 
-	backend := &countingBackend{WASClient: ctrl.NewWASClient(dialCtrlT(t, "test->was", wasInfo.ctrl))}
+	backend := ctrl.NewWASClient(dialCtrlT(t, "test->was", wasInfo.ctrl))
 	var pylonCli *ctrl.PylonClient
 	pconn, err := net.Dial("tcp", pylonInfo.ctrl)
 	if err != nil {
@@ -363,20 +349,14 @@ func TestE2EMultiProcessFailover(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for !trA.hasAll(sent) {
 		if time.Now().After(deadline) {
-			t.Fatalf("viewer A never converged: %d sent, missing %v, resubscribes=%d resyncs=%d",
-				sent, trA.missing(sent), viewerA.Resubscribes.Value(), viewerA.Resyncs.Value())
+			t.Fatalf("viewer A never converged: %d sent, missing %v, resubscribes=%d resumes=%d",
+				sent, trA.missing(sent), viewerA.Resubscribes.Value(), viewerA.Resumes.Value())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
 	if got := viewerA.Resubscribes.Value(); got == 0 {
 		t.Error("viewer A resubscribed zero times; the failover path never engaged")
-	}
-	if got := viewerA.Resyncs.Value(); got != 0 {
-		t.Errorf("viewer A ran %d legacy point resyncs; the outage gap must close via the log cursor", got)
-	}
-	if got := backend.pointQueries.Load(); got != 0 {
-		t.Errorf("devices issued %d point queries; durlog resume must not read the backend", got)
 	}
 	if got := viewerA.PeerCloses.Value(); got == 0 {
 		t.Log("note: POP kill surfaced as a hard error, not a clean close (expected for SIGKILL)")
@@ -387,6 +367,6 @@ func TestE2EMultiProcessFailover(t *testing.T) {
 	viewerB.Close()
 	trA.done.Wait()
 	trB.done.Wait()
-	t.Logf("sent=%d resubscribes=%d cursorResumes=%d popRestarts=%d",
-		sent, viewerA.Resubscribes.Value(), viewerA.CursorResumes.Value(), lc.restartCount("pop"))
+	t.Logf("sent=%d resubscribes=%d resumes=%d popRestarts=%d",
+		sent, viewerA.Resubscribes.Value(), viewerA.Resumes.Value(), lc.restartCount("pop"))
 }

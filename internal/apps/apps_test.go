@@ -567,13 +567,21 @@ func TestMessengerResumeAfterReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for len(got) < 2 {
-		d := recvPayload(t, st2)
-		var m MessagePayload
-		_ = json.Unmarshal(d.Payload, &m)
-		got = append(got, m.Text)
+	for len(got) < 2 { // the catch-up is one batch of two payloads
+		select {
+		case batch := <-st2.Events:
+			for _, d := range batch.Deltas {
+				if d.Type == burst.DeltaPayload {
+					var m MessagePayload
+					_ = json.Unmarshal(d.Payload, &m)
+					got = append(got, m.Text)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for the catch-up; got %v", got)
+		}
 	}
-	if got[0] != "while offline 1" || got[1] != "while offline 2" {
+	if len(got) != 2 || got[0] != "while offline 1" || got[1] != "while offline 2" {
 		t.Errorf("catch-up = %v", got)
 	}
 }
@@ -716,5 +724,93 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 	// The device ends up holding every original key plus the patches.
 	if h := st.Request().Header; h[burst.HdrResumeSeq] != "2" || h[burst.HdrApp] != AppMessenger || h[burst.HdrUser] != "18" {
 		t.Errorf("stored request = %+v", h)
+	}
+}
+
+// A stream open is answered from ONE place (messengerInstance.resume): the
+// floor is the lower of the request's two resume tokens, the suffix comes
+// from the host's log when the cursor proves continuity and from the mailbox
+// when it does not, and either way it goes out with its resume state as one
+// batch that the stream's exhausted admission bucket cannot shed.
+func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
+	e := newEnv(t)
+	host := brass.NewHost(brass.HostConfig{
+		ID: "brass-log", Region: "us",
+		Durlog: &durlog.Config{}, DurlogApps: []string{AppMessenger},
+		StreamDeliverRate: 0.01, StreamDeliverBurst: 1,
+	}, e.pylon, e.was, nil)
+	e.suite.RegisterBRASS(host)
+	t.Cleanup(host.Close)
+	a, b := net.Pipe()
+	cli := burst.NewClient("relay", a, nil)
+	cli.RelayRewrites = true // see rewrites as a proxy would
+	host.AcceptSession("sess", b)
+	t.Cleanup(func() { cli.Close() })
+
+	alice, bob := socialgraph.UserID(19), socialgraph.UserID(20)
+	out, _ := e.was.Mutate(alice, `createThread(members: "19,20")`)
+	var tid uint64
+	_ = json.Unmarshal(out, &tid)
+	topic := string(MailboxTopic(bob))
+
+	// A first stream keeps the host on the topic while ten messages flow:
+	// all but the first are shed by admission, all ten are journaled.
+	e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
+	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
+	for i := 1; i <= 10; i++ {
+		if _, err := e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "m%d")`, tid, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "ten entries journaled", func() bool {
+		epoch, _, tail, _ := host.DurLog().Window(topic)
+		return epoch == 1 && tail == 10
+	})
+
+	for _, tc := range []struct {
+		name, cursor             string
+		resumes, expired, served int64 // what the open adds to the host's log counters
+	}{
+		{"live epoch: from the log", "1.5", 1, 0, 5},
+		{"dead epoch: from the mailbox", "7.5", 0, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sheds := host.StreamSheds.Value()
+			resumes, expired, served := host.LogResumes.Value(), host.LogExpired.Value(), host.LogCatchUpDeltas.Value()
+			// resume-seq over-claims (9 > 5): the floor must be the cursor's 5.
+			st := e.subscribe(t, cli, AppMessenger, "messenger", bob, burst.Header{
+				burst.HdrResumeSeq:      "9",
+				burst.HdrCursor:         tc.cursor,
+				brass.HdrAdmissionState: fmt.Sprintf("0@%d", time.Now().UnixNano()), // bucket exhausted
+			})
+			var batch []burst.Delta
+			for len(batch) == 0 {
+				select {
+				case rc := <-st.Events:
+					if rc.Deltas[0].Type == burst.DeltaPayload {
+						batch = rc.Deltas
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("no catch-up batch")
+				}
+			}
+			if len(batch) != 6 {
+				t.Fatalf("catch-up batch has %d deltas, want payloads 6..10 and the resume patch in ONE batch: %+v", len(batch), batch)
+			}
+			for i, d := range batch[:5] {
+				if d.Type != burst.DeltaPayload || d.Seq != uint64(6+i) {
+					t.Fatalf("delta %d = %v seq %d, want payload seq %d", i, d.Type, d.Seq, 6+i)
+				}
+			}
+			if p := batch[5]; p.Type != burst.DeltaRewriteRequest || p.Header[burst.HdrResumeSeq] != "10" || p.Header[burst.HdrCursor] != "1.10" {
+				t.Errorf("resume patch = %+v, want resume-seq 10 and the live cursor 1.10", p)
+			}
+			if got := host.StreamSheds.Value() - sheds; got != 0 {
+				t.Errorf("catch-up shed %d payloads; it must bypass admission", got)
+			}
+			if r, x, s := host.LogResumes.Value()-resumes, host.LogExpired.Value()-expired, host.LogCatchUpDeltas.Value()-served; r != tc.resumes || x != tc.expired || s != tc.served {
+				t.Errorf("log counters moved by resumes=%d expired=%d catch-up deltas=%d, want %d %d %d", r, x, s, tc.resumes, tc.expired, tc.served)
+			}
+		})
 	}
 }

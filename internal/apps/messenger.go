@@ -23,10 +23,13 @@ import (
 // detectable at both the BRASS and the device, and the BRASS repairs them
 // by querying the WAS — so the device rarely has to.
 //
-// Resumption state (the last sequence number pushed) is persisted in the
-// stream header via rewrites: after a failure, the resubscribe arrives
-// carrying HdrResumeSeq and the (possibly different) serving BRASS catches
-// the device up from the mailbox before resuming live delivery.
+// Resumption state (the last sequence number pushed and, with the durable
+// log on, its cursor) is persisted in the stream header via rewrites: after
+// a failure or a shed marker the resubscribe arrives carrying both tokens,
+// lowered by the device to what it actually has, and the (possibly
+// different) serving BRASS replays what is missing — from its log if the
+// cursor proves continuity, else from the mailbox — before resuming live
+// delivery (resume).
 type Messenger struct {
 	w Registrar
 
@@ -235,11 +238,6 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 		return err
 	}
 	state := &messengerStream{}
-	if resume := st.Header(burst.HdrResumeSeq); resume != "" {
-		if seq, err := strconv.ParseUint(resume, 10, 64); err == nil {
-			state.lastSeq = seq
-		}
-	}
 	st.State = state
 	for _, t := range topics {
 		if err := st.AddTopic(t); err != nil {
@@ -248,87 +246,78 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 	}
 	if len(topics) > 0 {
 		state.topic = topics[0]
-	}
-	if in.rt.LogEnabled() && state.topic != "" {
 		in.rt.LogOpen(state.topic)
-		// Cursor resume: replay the missed suffix from the host's durable
-		// log — gap-free, no backend read. An expired (or malformed)
-		// cursor is NEVER repaired into a fabricated one; the stream falls
-		// through to the WAS resync below instead.
-		if cur := st.Header(burst.HdrCursor); cur != "" {
-			if in.logCatchUp(st, state, cur) {
-				return nil
-			}
-		}
 	}
-	// Catch-up: deliver everything the device missed while disconnected
-	// (the device resubscribed with the last sequence number it had).
-	in.catchUp(st, state)
+	in.resume(st, state)
 	return nil
 }
 
-// logCatchUp serves a resume from the durable log. It handles the two
-// input-only sentinels ("live" skips the backlog, "earliest" replays the
-// whole retained window) and concrete "epoch.seq" cursors, pushes the
-// gap-free suffix as ONE catch-up batch (bypassing per-stream admission —
-// see Stream.PushCatchUp), and persists the advanced resume state in one
-// rewrite frame. Returns false when the log cannot prove continuity; the
-// caller then falls back to the WAS.
-func (in *messengerInstance) logCatchUp(st *brass.Stream, state *messengerStream, raw string) bool {
-	var c durlog.Cursor
+// resume serves a stream open: it replays everything after the request's
+// resume point and persists the new resume state, the one place that chooses
+// between the two sources. The resume point is the LOWER of the two tokens
+// the request carries: the device lowers both to what it actually has before
+// it resubscribes, so neither may be used to skip what the other admits is
+// missing. The source is the host's durable log when the cursor proves
+// continuity — gap-free, no backend read — and otherwise (no log, no cursor,
+// a malformed one, or durlog.ErrCursorExpired: a cursor is NEVER repaired
+// into a fabricated one) the mailbox. Either way the suffix goes out with
+// its resume state as ONE batch that bypasses per-stream admission (see
+// Stream.PushCatchUp). The input-only sentinels keep their meaning: "live"
+// skips the backlog, "earliest" replays the whole retained window.
+func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
+	floor, seqErr := strconv.ParseUint(st.Header(burst.HdrResumeSeq), 10, 64)
+	// The Log* accessors answer "no" for a host or topic without a log, so
+	// every log branch below falls through to the mailbox by itself.
+	raw := st.Header(burst.HdrCursor)
+	c, ok := durlog.Parse(raw)
 	switch raw {
 	case durlog.SentinelLive:
-		tail, ok := in.rt.LogTail(state.topic)
-		if !ok {
-			return false
+		if tail, live := in.rt.LogTail(state.topic); live {
+			state.lastSeq = max(floor, tail.Seq)
+			_ = st.Rewrite(in.resumePatch(state, state.lastSeq), nil)
+			return
 		}
-		if tail.Seq > state.lastSeq {
-			state.lastSeq = tail.Seq
-		}
-		in.rewriteResumeState(st, state, tail)
-		return true
 	case durlog.SentinelEarliest:
-		e, ok := in.rt.LogEarliest(state.topic)
-		if !ok {
-			return false
-		}
-		c = e
-	default:
-		p, ok := durlog.Parse(raw)
-		if !ok {
-			return false
-		}
-		c = p
+		c, ok = in.rt.LogEarliest(state.topic)
 	}
-	entries, next, err := in.rt.LogRead(state.topic, c)
-	if err != nil {
-		return false // expired: fall back to WAS resync, never fabricate
+	if ok && (seqErr != nil || c.Seq < floor) {
+		floor = c.Seq
 	}
-	deltas := make([]burst.Delta, 0, len(entries))
-	for _, e := range entries {
-		if e.Seq <= state.lastSeq {
-			continue
-		}
-		deltas = append(deltas, burst.PayloadDelta(e.Seq, e.Payload))
-	}
-	if len(deltas) > 0 {
-		if st.PushCatchUp(deltas...) != nil {
-			return false
+	state.lastSeq = floor
+
+	var deltas []burst.Delta
+	fromLog := false
+	if ok {
+		entries, _, err := in.rt.LogRead(state.topic, durlog.Cursor{Epoch: c.Epoch, Seq: floor})
+		fromLog = err == nil
+		for _, e := range entries {
+			deltas = append(deltas, burst.PayloadDelta(e.Seq, e.Payload))
 		}
 	}
-	if next.Seq > state.lastSeq {
-		state.lastSeq = next.Seq
+	if !fromLog {
+		msgs, _ := in.queryMailbox(st.Viewer, floor) // a failed read replays nothing; see below
+		for _, m := range msgs {
+			b, _ := json.Marshal(m)
+			in.rt.LogAppend(state.topic, m.Seq, b) // as in catchUp
+			deltas = append(deltas, burst.PayloadDelta(m.Seq, b))
+		}
 	}
-	in.rewriteResumeState(st, state, next)
-	return true
+	last := floor
+	if n := len(deltas); n > 0 {
+		last = deltas[n-1].Seq
+	}
+	// If nothing could be read or sent lastSeq stays at the floor, and the
+	// next live event finds the gap and repairs it through catchUp.
+	if st.PushCatchUp(append(deltas, burst.RewriteDelta(in.resumePatch(state, last), nil))...) == nil {
+		state.lastSeq = last
+	}
 }
 
 // resumePatch is the header patch that persists seq as the stream's resume
 // state. With the durable log enabled both tokens (WAS sequence + log
 // cursor) travel in ONE delta: a failover between two separate single-field
 // rewrites could strand a stream carrying a seq and a cursor from different
-// moments, and the resubscribe would resume from an inconsistent pair.
-// Without the log, only the legacy sequence field.
+// moments. Without the log, only the sequence field.
 func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) burst.Header {
 	h := burst.Header{burst.HdrResumeSeq: strconv.FormatUint(seq, 10)}
 	if in.rt.LogEnabled() && state.topic != "" {
@@ -339,24 +328,23 @@ func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) bur
 	return h
 }
 
-// rewriteResumeState persists the stream's resume state with an explicit
-// cursor, again as one delta.
-func (in *messengerInstance) rewriteResumeState(st *brass.Stream, state *messengerStream, c durlog.Cursor) {
-	_ = st.Rewrite(burst.Header{
-		burst.HdrResumeSeq: strconv.FormatUint(state.lastSeq, 10),
-		burst.HdrCursor:    c.String(),
-	}, nil)
-}
-
-// catchUp polls the mailbox for messages after state.lastSeq and pushes
-// them in order.
-func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
-	raw, err := in.rt.Query(st.Viewer, fmt.Sprintf("mailboxSince(seq: %d)", state.lastSeq))
+// queryMailbox asks the WAS for viewer's messages after since, oldest first.
+func (in *messengerInstance) queryMailbox(viewer socialgraph.UserID, since uint64) ([]MessagePayload, error) {
+	raw, err := in.rt.Query(viewer, fmt.Sprintf("mailboxSince(seq: %d)", since))
 	if err != nil {
-		return
+		return nil, err
 	}
 	var msgs []MessagePayload
-	if err := json.Unmarshal(raw, &msgs); err != nil {
+	err = json.Unmarshal(raw, &msgs)
+	return msgs, err
+}
+
+// catchUp repairs a gap the BRASS itself detected on the live path: it polls
+// the mailbox for messages after state.lastSeq and pushes them in order,
+// through admission like any live delivery.
+func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
+	msgs, err := in.queryMailbox(st.Viewer, state.lastSeq)
+	if err != nil {
 		return
 	}
 	for _, m := range msgs {

@@ -162,7 +162,7 @@ type Host struct {
 	StreamSheds        metrics.Counter // payload deltas shed by per-stream admission
 	LogResumes         metrics.Counter // cursor catch-up reads served from the durable log
 	LogExpired         metrics.Counter // cursor reads refused with ErrCursorExpired
-	LogCatchUpDeltas   metrics.Counter // payload deltas delivered via log catch-up batches
+	LogCatchUpDeltas   metrics.Counter // payload deltas served by those reads
 }
 
 // subRetry is one topic's background re-subscription state.

@@ -144,8 +144,8 @@ func (inst *Instance) loop() {
 
 // signalFlow tells every stream on this instance that its loop entered or
 // left the shedding state. The detail carries the shed marker so devices
-// know deltas may have been dropped and a resync (WAS point query) is
-// needed — the gap cannot be trusted (DESIGN.md §7c).
+// know deltas may have been dropped and the stream must be reopened from
+// its resume point — the gap cannot be trusted (DESIGN.md §7c).
 func (inst *Instance) signalFlow(code burst.FlowCode) {
 	detail := overload.ShedMarkerPrefix + "brass-loop"
 	if code == burst.FlowRecovered {
@@ -322,7 +322,7 @@ func (inst *Instance) openStream(st *Stream) {
 		inst.flowMu.Unlock()
 		inst.host.StreamsOpened.Inc()
 		// A stream landing on an already-shedding loop learns immediately
-		// that deltas may be dropped, so its device can resync.
+		// that deltas may be dropped, so its device can reopen it.
 		if inst.tasks.Shedding() {
 			_ = st.burst.SendBatch(burst.FlowStatusDelta(
 				burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop"))

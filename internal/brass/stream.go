@@ -81,7 +81,8 @@ func (st *Stream) Topics() []pylon.Topic {
 // delivery per delta. When per-stream admission is enabled
 // (HostConfig.StreamDeliverRate), an over-rate batch has its payload
 // deltas shed — control deltas always go through — and the device is told
-// via FlowDegraded with a shed marker so it can resync.
+// via FlowDegraded with a shed marker so it can reopen the stream from its
+// resume point.
 func (st *Stream) Push(deltas ...burst.Delta) error {
 	admitted, shed := st.admitPayloads(deltas)
 	if shed > 0 {
@@ -172,14 +173,15 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 	return kept, payloads
 }
 
-// PushCatchUp sends payload deltas replayed from the durable log as one
-// atomic batch, BYPASSING per-stream admission. Catch-up is not live
-// fan-out: the deltas were already admitted (and possibly shed) once when
-// they were first delivered, and the whole point of a cursor resume is to
-// close the gap — running the replay through the admission bucket again
-// would shed it, emit a fresh marker, and trap the stream in a
-// shed→resume→shed livelock. The batch is bounded by the log window, so
-// the bypass cannot be abused for sustained over-rate delivery.
+// PushCatchUp sends the deltas an application replays at stream open — from
+// the durable log or from its backend — as one atomic batch, BYPASSING
+// per-stream admission. Catch-up is not live fan-out: the deltas were
+// already admitted (and possibly shed) once when they were first delivered,
+// and the whole point of a resume is to close the gap — running the replay
+// through the admission bucket again would shed it, emit a fresh marker, and
+// trap the stream in a shed→resume→shed livelock. The batch is bounded by
+// what the device is missing, so the bypass cannot be abused for sustained
+// over-rate delivery.
 func (st *Stream) PushCatchUp(deltas ...burst.Delta) error {
 	sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
 	defer sp.End()
@@ -194,7 +196,6 @@ func (st *Stream) PushCatchUp(deltas ...burst.Delta) error {
 		}
 	}
 	st.inst.host.Deliveries.Add(int64(n))
-	st.inst.host.LogCatchUpDeltas.Add(int64(n))
 	return nil
 }
 
@@ -367,7 +368,7 @@ func (rt *Runtime) Query(viewer socialgraph.UserID, expr string) ([]byte, error)
 
 // LogEnabled reports whether the host's durable log is configured AND
 // opted in for this instance's application. Apps must check it before the
-// other Log* accessors; with it false they fall back to WAS resync.
+// other Log* accessors; with it false they read their backend instead.
 func (rt *Runtime) LogEnabled() bool {
 	return rt.host.dlog != nil && rt.host.dlogApps[rt.inst.app.Name()]
 }
@@ -393,7 +394,7 @@ func (rt *Runtime) LogAppend(topic pylon.Topic, seq uint64, payload []byte) bool
 
 // LogRead serves a cursor catch-up read: the gap-free suffix after c, or
 // durlog.ErrCursorExpired when the log cannot prove continuity (the app
-// then falls back to WAS resync — the log NEVER fabricates a cursor).
+// then reads its backend instead — the log NEVER fabricates a cursor).
 func (rt *Runtime) LogRead(topic pylon.Topic, c durlog.Cursor) ([]durlog.Entry, durlog.Cursor, error) {
 	if !rt.LogEnabled() {
 		return nil, durlog.Cursor{}, durlog.ErrUnknownTopic
@@ -402,6 +403,7 @@ func (rt *Runtime) LogRead(topic pylon.Topic, c durlog.Cursor) ([]durlog.Entry, 
 	switch {
 	case err == nil:
 		rt.host.LogResumes.Inc()
+		rt.host.LogCatchUpDeltas.Add(int64(len(out)))
 	case errors.Is(err, durlog.ErrCursorExpired):
 		rt.host.LogExpired.Inc()
 	}

@@ -50,17 +50,19 @@ const (
 	// HdrStickyBRASS pins the stream to a BRASS instance on reconnect
 	// (sticky routing; written by a rewrite as soon as a stream lands).
 	HdrStickyBRASS = "sticky-brass"
-	// HdrResumeSeq is the sequence number of the last delta the client
-	// received (resumption; maintained by rewrites).
+	// HdrResumeSeq is the sequence number the serving BRASS last decided
+	// to push (resumption; maintained by rewrites). It over-claims whenever
+	// admission shed the payload the rewrite rode with, so the client lowers
+	// it to its ResumePoint before every resubscribe.
 	HdrResumeSeq = "resume-seq"
 	// HdrClientVersion expresses client capabilities to the BRASS.
 	HdrClientVersion = "client-version"
 	// HdrCursor is the durable-log resume cursor ("epoch.seq", or the
 	// sentinels internal/durlog accepts): the server rewrites it forward
-	// as deltas are delivered, the client clamps it down to what it
-	// actually applied before resubscribing, and the serving BRASS
-	// answers it with a gap-free log catch-up — or expires it, NEVER
-	// fabricating one (the client then falls back to a WAS resync). Like
+	// as deltas are delivered, the client lowers it to its ResumePoint
+	// before resubscribing, and the serving BRASS answers it with a
+	// gap-free log catch-up — or expires it, NEVER fabricating one, and
+	// serves the same suffix from the application's backend instead. Like
 	// HdrAdmissionState it lives in the stored request, so failover
 	// rewrites and resubscriptions carry it across hosts.
 	HdrCursor = "cursor"

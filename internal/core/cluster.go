@@ -53,7 +53,7 @@ type Config struct {
 	// Durlog, when set, gives every BRASS host a durable per-topic log
 	// (internal/durlog) and enables cursor-based resume for the listed
 	// applications. nil (the default) keeps the pre-log behaviour: every
-	// recovery is a WAS resync.
+	// resume is served from the application's backend.
 	Durlog *DurlogConfig
 	// Geo, when set, activates the multi-region plane: each region gets
 	// its own Pylon cluster (over its own subscription KV nodes) and TAO

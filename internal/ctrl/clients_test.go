@@ -228,7 +228,6 @@ func TestWASClientEndToEnd(t *testing.T) {
 		field        string
 	}{
 		{"QueryIn", cli.QueryIn, srv.QueryIn, "read"},
-		{"PointQueryIn", cli.PointQueryIn, srv.PointQueryIn, "read"},
 		{"MutateIn", cli.MutateIn, srv.MutateIn, "write"},
 	} {
 		for _, expr := range []string{

@@ -86,7 +86,7 @@ type Conn struct {
 	wmu sync.Mutex // one transport Write at a time
 
 	mu       sync.Mutex
-	handlers [numMethods + 1]handler
+	handlers [maxMethod + 1]handler
 	pending  map[uint64]*slot
 	free     []*slot
 	nextID   uint64

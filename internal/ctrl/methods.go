@@ -11,7 +11,10 @@ import (
 )
 
 // method is the number that opens every payload. The numbers are the
-// protocol: never renumber, only append (DESIGN.md §12 has the layouts).
+// protocol: never renumber, only append (DESIGN.md §12 has the layouts). A
+// retired method keeps its number as a reserved gap — 9 was was.point-query —
+// which nothing serves or sends: a request for it is answered like any other
+// method this end does not serve.
 type method uint8
 
 const (
@@ -23,7 +26,7 @@ const (
 	mWaitSubscriber
 	mDeliver // notification, pylon -> host
 	mQuery
-	mPointQuery
+	_ // 9: reserved
 	mMutate
 	mResolveSubscription
 	mCheckVisibility
@@ -32,10 +35,10 @@ const (
 	mPing
 	mDrain
 
-	numMethods = int(mDrain)
+	maxMethod = int(mDrain)
 )
 
-var methodNames = [numMethods + 1]string{
+var methodNames = [maxMethod + 1]string{
 	mRegisterHost:        "pylon.register-host",
 	mSubscribe:           "pylon.subscribe",
 	mUnsubscribe:         "pylon.unsubscribe",
@@ -44,7 +47,6 @@ var methodNames = [numMethods + 1]string{
 	mWaitSubscriber:      "pylon.wait-subscriber",
 	mDeliver:             "pylon.deliver",
 	mQuery:               "was.query",
-	mPointQuery:          "was.point-query",
 	mMutate:              "was.mutate",
 	mResolveSubscription: "was.resolve-subscription",
 	mCheckVisibility:     "was.check-visibility",
@@ -54,7 +56,7 @@ var methodNames = [numMethods + 1]string{
 	mDrain:               "node.drain",
 }
 
-func (m method) known() bool { return m >= 1 && int(m) <= numMethods }
+func (m method) known() bool { return int(m) <= maxMethod && methodNames[m] != "" }
 
 func (m method) String() string {
 	if m.known() {

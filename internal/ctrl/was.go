@@ -24,7 +24,6 @@ func ServeWAS(conn *Conn, srv *was.Server) {
 		}
 	}
 	conn.handle(mQuery, exprCall(srv.QueryIn))
-	conn.handle(mPointQuery, exprCall(srv.PointQueryIn))
 	conn.handle(mMutate, exprCall(srv.MutateIn))
 	conn.handle(mResolveSubscription, func(r *frame.Reader, out *bytes.Buffer) error {
 		viewer, expr := r.Uvarint(), r.Str()
@@ -85,11 +84,6 @@ func (c *WASClient) exprCall(m method, region string, viewer socialgraph.UserID,
 // QueryIn implements brass.Backend and device.Backend.
 func (c *WASClient) QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
 	return c.exprCall(mQuery, region, viewer, expr)
-}
-
-// PointQueryIn implements device.Backend.
-func (c *WASClient) PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return c.exprCall(mPointQuery, region, viewer, expr)
 }
 
 // MutateIn implements device.Backend.

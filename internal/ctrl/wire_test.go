@@ -180,8 +180,6 @@ func TestMethodLayouts(t *testing.T) {
 		}, cat(str("h1"), goldenEventBytes), nil, nil},
 		{mQuery, 8, func(c *Conn) (result, error) { return NewWASClient(c).QueryIn("eu", 300, "q(a: 1)") },
 			cat(str("eu"), []byte{0xac, 0x02}, str("q(a: 1)")), str("data"), []byte("data")},
-		{mPointQuery, 9, func(c *Conn) (result, error) { return NewWASClient(c).PointQueryIn("", 1, "q") },
-			cat(str(""), []byte{1}, str("q")), str(""), []byte(nil)},
 		{mMutate, 10, func(c *Conn) (result, error) { return NewWASClient(c).MutateIn("eu", 2, "m") },
 			cat(str("eu"), []byte{2}, str("m")), str("ok"), []byte("ok")},
 		{mResolveSubscription, 11, func(c *Conn) (result, error) { return NewWASClient(c).ResolveSubscription(5, "s") },
@@ -195,8 +193,10 @@ func TestMethodLayouts(t *testing.T) {
 		{mPing, 15, func(c *Conn) (result, error) { return Ping(c) }, nil, str("brass"), "brass"},
 		{mDrain, 16, func(c *Conn) (result, error) { return nil, Drain(c) }, nil, nil, nil},
 	}
-	if len(cases) != numMethods {
-		t.Fatalf("%d layouts for %d methods", len(cases), numMethods)
+	// Fifteen methods on numbers 1..16: 9 (once was.point-query) is reserved.
+	if len(cases) != 15 || maxMethod != 16 || method(9).known() {
+		t.Fatalf("%d layouts, highest number %d, 9 known=%v; the protocol says 15, 16, reserved",
+			len(cases), maxMethod, method(9).known())
 	}
 	for _, c := range cases {
 		if byte(c.m) != c.num {
@@ -297,6 +297,7 @@ func TestMalformedInputClosesTheConn(t *testing.T) {
 		{"notify without a method", rawFrame(kindNotify, 0, nil), "without a method number"},
 		{"unknown method on a notify", rawFrame(kindNotify, 0, []byte{99}), "notify for unknown method method(99)"},
 		{"method 0 on a notify", rawFrame(kindNotify, 0, []byte{0}), "notify for unknown method method(0)"},
+		{"reserved method on a notify", rawFrame(kindNotify, 0, []byte{9}), "notify for unknown method method(9)"},
 		{"trailing byte after ping", rawFrame(kindRequest, 1, []byte{15, 0}), "malformed node.ping params: trailing bytes"},
 		{"trailing byte after subscribe", rawFrame(kindRequest, 1, append(subscribe[:len(subscribe):len(subscribe)], 0)), "malformed pylon.subscribe params: trailing bytes"},
 		{"subscribe without a host", rawFrame(kindRequest, 1, subscribe[:6]), "malformed pylon.subscribe params: truncated"},
@@ -338,25 +339,28 @@ func TestMalformedInputClosesTheConn(t *testing.T) {
 	}
 }
 
-// An unknown method number on a request is answered, not fatal: the peer
-// may be newer than this end.
+// A method number this end does not serve — one nobody defines yet, or the
+// reserved 9 — is answered on a request, not fatal: the peer may be newer
+// (or older) than this end.
 func TestUnknownMethodOnARequestKeepsTheConn(t *testing.T) {
 	for _, chunked := range []bool{false, true} {
-		raw, conn, _ := served(t, chunked)
-		br := bufio.NewReader(raw)
-		go func() {
-			_, _ = raw.Write(cat(rawFrame(kindRequest, 7, []byte{99, 1, 2, 3}), rawFrame(kindRequest, 8, []byte{15})))
-		}()
-		kind, id, payload, err := frame.Read(br, kindNotify)
-		if want := cat([]byte{1}, str("ctrl: unknown method")); err != nil || kind != kindError || id != 7 || !bytes.Equal(payload, want) {
-			t.Fatalf("chunked=%v: answer to method 99 = kind %d id %d %q, %v", chunked, kind, id, payload, err)
-		}
-		kind, id, payload, err = frame.Read(br, kindNotify)
-		if want := str("pylon"); err != nil || kind != kindResponse || id != 8 || !bytes.Equal(payload, want) {
-			t.Fatalf("chunked=%v: ping after method 99 = kind %d id %d %q, %v", chunked, kind, id, payload, err)
-		}
-		if err := conn.Err(); err != nil {
-			t.Errorf("chunked=%v: conn closed: %v", chunked, err)
+		for _, num := range []byte{99, 9} {
+			raw, conn, _ := served(t, chunked)
+			br := bufio.NewReader(raw)
+			go func() {
+				_, _ = raw.Write(cat(rawFrame(kindRequest, 7, []byte{num, 1, 2, 3}), rawFrame(kindRequest, 8, []byte{15})))
+			}()
+			kind, id, payload, err := frame.Read(br, kindNotify)
+			if want := cat([]byte{1}, str("ctrl: unknown method")); err != nil || kind != kindError || id != 7 || !bytes.Equal(payload, want) {
+				t.Fatalf("chunked=%v: answer to method %d = kind %d id %d %q, %v", chunked, num, kind, id, payload, err)
+			}
+			kind, id, payload, err = frame.Read(br, kindNotify)
+			if want := str("pylon"); err != nil || kind != kindResponse || id != 8 || !bytes.Equal(payload, want) {
+				t.Fatalf("chunked=%v: ping after method %d = kind %d id %d %q, %v", chunked, num, kind, id, payload, err)
+			}
+			if err := conn.Err(); err != nil {
+				t.Errorf("chunked=%v: conn closed after method %d: %v", chunked, num, err)
+			}
 		}
 	}
 }

@@ -2,17 +2,19 @@ package device
 
 import (
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/overload"
 	"bladerunner/internal/sim"
 )
 
-// These are white-box tests of the device's durable-log recovery path: the
-// cursor clamp on resubscribe, and the coalescing of both recovery flavors
-// (cursor resumes and point-query resyncs) under repeated shed markers.
+// These are white-box tests of the device's one recovery path: a shed marker
+// freezes the stream's resume point and reopens the stream from its stored
+// request, resume tokens lowered to the point; repeated markers coalesce.
 
 // newIdleDevice builds a device on a manual engine whose timers never fire:
 // After(0, fn) stays pending, which makes pending-state assertions
@@ -42,39 +44,22 @@ func TestCursorResumeCoalesces(t *testing.T) {
 
 	// First marker schedules the resume; the engine never runs, so it
 	// stays pending and the next two markers coalesce into it.
-	st.triggerCursorResume()
-	st.triggerCursorResume()
-	st.triggerCursorResume()
-	if got := d.ResyncCoalesced.Value(); got != 2 {
-		t.Fatalf("ResyncCoalesced = %d, want 2", got)
-	}
-	if got := d.CursorResumes.Value(); got != 0 {
-		t.Fatalf("CursorResumes = %d before the timer fired", got)
-	}
-}
-
-func TestPointResyncCoalesces(t *testing.T) {
-	d, _ := newIdleDevice(t)
-	st := newIdleStream(d)
-	st.SetResync(func(uint64) string { return "q" }, nil)
-
-	st.triggerResync()
-	st.triggerResync()
-	st.triggerResync()
-	if got := d.ResyncCoalesced.Value(); got != 2 {
-		t.Fatalf("ResyncCoalesced = %d, want 2", got)
-	}
 	st.mu.Lock()
-	pending, again := st.resyncPending, st.resyncAgain
+	st.scheduleResumeLocked()
+	st.scheduleResumeLocked()
+	st.scheduleResumeLocked()
 	st.mu.Unlock()
-	if !pending || !again {
-		t.Fatalf("resyncPending=%v resyncAgain=%v, want both true", pending, again)
+	if got := d.ResumesCoalesced.Value(); got != 2 {
+		t.Fatalf("ResumesCoalesced = %d, want 2", got)
+	}
+	if got := d.Resumes.Value(); got != 0 {
+		t.Fatalf("Resumes = %d before the timer fired", got)
 	}
 }
 
 // TestResubscribeClampsCursor proves the client half of never-fabricate:
-// a resubscribe lowers a server-advanced cursor to the device's applied
-// seq, and leaves an honest (lower) cursor untouched.
+// a resubscribe lowers a server-advanced cursor to the stream's resume
+// point, and leaves an honest (lower) cursor untouched.
 func TestResubscribeClampsCursor(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -91,42 +76,198 @@ func TestResubscribeClampsCursor(t *testing.T) {
 			d, _ := newIdleDevice(t)
 			st := newIdleStream(d)
 			st.req.Header[burst.HdrCursor] = tc.cursor
-			st.seq = tc.seq
+			st.resume.Payload(tc.seq)
 
-			a, b := net.Pipe()
-			var (
-				mu   sync.Mutex
-				subs []burst.Subscribe
-			)
-			srv := burst.NewServerSession("brass", b, burst.ServerHandlerFuncs{
-				Subscribe: func(_ *burst.ServerStream, sub burst.Subscribe) {
-					mu.Lock()
-					subs = append(subs, sub)
-					mu.Unlock()
-				},
-			})
-			cli := burst.NewClient("dev", a, nil)
-			t.Cleanup(func() { cli.Close(); srv.Close() })
-
+			cli, streams := pipeSession(t, d)
 			st.resubscribe(cli)
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				mu.Lock()
-				n := len(subs)
-				mu.Unlock()
-				if n > 0 || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if len(subs) != 1 {
-				t.Fatalf("server saw %d subscribes", len(subs))
-			}
-			if got := subs[0].Header[burst.HdrCursor]; got != tc.want {
+			got := nextStream(t, streams).Request().Header[burst.HdrCursor]
+			if got != tc.want {
 				t.Fatalf("resubscribed cursor = %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// pipeSession connects d to a scripted BURST server over a pipe, as if
+// Connect had dialed it. streams receives every server stream opened.
+func pipeSession(t *testing.T, d *Device) (cli *burst.Client, streams chan *burst.ServerStream) {
+	t.Helper()
+	a, b := net.Pipe()
+	streams = make(chan *burst.ServerStream, 4) // as many as any test opens
+	srv := burst.NewServerSession("brass", b, burst.ServerHandlerFuncs{
+		Subscribe: func(ss *burst.ServerStream, _ burst.Subscribe) { streams <- ss },
+	})
+	cli = burst.NewClient("dev", a, nil)
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+	d.mu.Lock()
+	d.client, d.connected = cli, true
+	d.mu.Unlock()
+	return cli, streams
+}
+
+func nextStream(t *testing.T, streams chan *burst.ServerStream) *burst.ServerStream {
+	t.Helper()
+	select {
+	case ss := <-streams:
+		return ss
+	case <-time.After(5 * time.Second):
+		t.Fatal("no stream reached the server")
+		return nil
+	}
+}
+
+// TestShedResumeReopensFromFrozenPoint is the regression for the resync
+// hole: after a shed marker, neither a payload that lands behind the gap nor
+// a rewrite describing payloads that never arrived may lift the resume
+// point. The resubscribe must carry BOTH tokens lowered to the last payload
+// seen before the marker.
+func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
+	d, eng := newIdleDevice(t)
+	_, streams := pipeSession(t, d)
+	st, err := d.Subscribe("messenger", "messenger", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := nextStream(t, streams)
+
+	resumeState := func(seq uint64) burst.Delta {
+		n := strconv.FormatUint(seq, 10)
+		return burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: n, burst.HdrCursor: "1." + n}, nil)
+	}
+	send := func(deltas ...burst.Delta) {
+		t.Helper()
+		if err := srv.SendBatch(deltas...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		send(burst.PayloadDelta(seq, []byte("m")), resumeState(seq))
+	}
+	send(burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"))
+	send(resumeState(9)) // admission shed 6..8 and now 9: only the rewrite survives
+	send(burst.PayloadDelta(9, []byte("m")))
+	for _, want := range []uint64{1, 2, 3, 4, 5, 9} {
+		select {
+		case <-st.Updates:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("update %d never arrived", want)
+		}
+	}
+	if got := st.LastSeq(); got != 5 {
+		t.Fatalf("resume point = %d after marker + isolated payload 9, want 5", got)
+	}
+	if got := st.HeaderField(burst.HdrResumeSeq); got != "9" {
+		t.Fatalf("stored resume-seq = %q, want the over-claim 9 the server rewrote", got)
+	}
+
+	// Release the pending resume: cancel + resubscribe on the live session.
+	st.mu.Lock() // orders the pump's After before this goroutine's Step
+	pending := st.resumePending
+	st.mu.Unlock()
+	if !pending || !eng.Step() {
+		t.Fatalf("no resume pending after the shed marker (pending=%v)", pending)
+	}
+	req := nextStream(t, streams).Request()
+	if seq, cur := req.Header[burst.HdrResumeSeq], req.Header[burst.HdrCursor]; seq != "5" || cur != "1.5" {
+		t.Fatalf("resubscribe carried resume-seq %q cursor %q, want 5 and 1.5", seq, cur)
+	}
+	if got := d.Resumes.Value(); got != 1 {
+		t.Errorf("Resumes = %d, want 1", got)
+	}
+	if got := st.LastSeq(); got != 5 {
+		t.Errorf("resume point = %d after the reopen, want 5", got)
+	}
+}
+
+// A stream whose stored request carries no resume token has nothing to
+// resume from: a shed marker only surfaces on Flow.
+func TestShedMarkerWithoutResumeTokenOnlySurfaces(t *testing.T) {
+	d, eng := newIdleDevice(t)
+	_, streams := pipeSession(t, d)
+	st, err := d.Subscribe("typing", "s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := nextStream(t, streams)
+	if err := srv.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-st.Flow:
+		if code != burst.FlowDegraded {
+			t.Fatalf("flow = %v", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("marker never surfaced on Flow")
+	}
+	st.mu.Lock()
+	pending := st.resumePending
+	st.mu.Unlock()
+	if pending || eng.Pending() != 0 {
+		t.Fatalf("a stream with no resume token scheduled a resume (pending=%v, timers=%d)", pending, eng.Pending())
+	}
+}
+
+// What a superseded incarnation still has buffered reaches Updates but moves
+// no state: its FlowDegraded landing after the reopen's FlowRecovered would
+// leave the app degraded for ever, and its payloads sit behind a gap the
+// reopen is already repairing.
+func TestSupersededIncarnationMovesNoState(t *testing.T) {
+	d, eng := newIdleDevice(t)
+	st := newIdleStream(d)
+	st.req.Header[burst.HdrCursor] = "1.4"
+	st.resume.Payload(4)
+	st.mu.Lock()
+	st.pushFlowLocked(burst.FlowRecovered) // the reopen's
+	st.mu.Unlock()
+
+	old := &burst.ClientStream{Events: make(chan *burst.Received, 1)}
+	old.Events <- &burst.Received{Deltas: []burst.Delta{
+		burst.PayloadDelta(7, []byte("late")),
+		burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"),
+	}}
+	close(old.Events)
+	st.pump(old) // st.cur is not old
+
+	if got := len(st.Updates); got != 1 {
+		t.Errorf("the superseded stream's payload did not reach Updates (len %d)", got)
+	}
+	if got := st.LastSeq(); got != 4 {
+		t.Errorf("resume point = %d, want 4: a superseded payload advanced it", got)
+	}
+	if code := <-st.Flow; code != burst.FlowRecovered || len(st.Flow) != 0 {
+		t.Errorf("Flow = %v then %d more, want FlowRecovered alone", code, len(st.Flow))
+	}
+	if eng.Pending() != 0 {
+		t.Error("a superseded stream's shed marker scheduled a resume")
+	}
+}
+
+// Resubscribes race by design — the reconnect, a per-stream retry and a
+// shed-marker resume may each decide to reopen the stream — so the request
+// one of them is still sending must not be the map the next one lowers its
+// tokens in. Fails under -race if they share it.
+func TestConcurrentResubscribesShareNoRequest(t *testing.T) {
+	d, _ := newIdleDevice(t)
+	cli, streams := pipeSession(t, d)
+	st := newIdleStream(d)
+	st.req.Header[burst.HdrCursor] = "1.9"
+	st.req.Header[burst.HdrResumeSeq] = "9"
+	st.resume.Payload(5)
+
+	const n = 4
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.resubscribe(cli)
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if h := nextStream(t, streams).Request().Header; h[burst.HdrCursor] != "1.5" || h[burst.HdrResumeSeq] != "5" {
+			t.Errorf("resubscribe %d carried %v", i, h)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
-	"bladerunner/internal/durlog"
 	"bladerunner/internal/edge"
 	"bladerunner/internal/faults"
 	"bladerunner/internal/metrics"
@@ -26,15 +25,14 @@ import (
 // ErrNotConnected is returned when subscribing while disconnected.
 var ErrNotConnected = errors.New("device: not connected")
 
-// Backend is the WAS surface a device consumes: initial reads, mutations,
-// and the shed-then-resync point queries. *was.Server satisfies it
-// directly (in-process cluster); the multi-process deployment uses a
-// control-protocol client (internal/ctrl), so a device is oblivious to
-// whether the WAS is a function call or a socket away.
+// Backend is the WAS surface a device consumes: initial reads and
+// mutations. *was.Server satisfies it directly (in-process cluster); the
+// multi-process deployment uses a control-protocol client (internal/ctrl),
+// so a device is oblivious to whether the WAS is a function call or a
+// socket away.
 type Backend interface {
 	QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error)
 	MutateIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error)
-	PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error)
 }
 
 // Config parameterizes a Device.
@@ -49,12 +47,9 @@ type Config struct {
 	// POPs are the edge targets the device can connect through, in
 	// preference order. On failure it rotates to the next.
 	POPs []string
-	// ReconnectDelay is the base delay of the reconnect backoff (kept for
-	// compatibility; it seeds Backoff.Base when that is zero).
-	ReconnectDelay time.Duration
 	// Backoff is the jittered-exponential policy pacing reconnects and
-	// per-stream resubscribe retries. Zero fields default from
-	// ReconnectDelay and faults.DefaultBackoff; jitter decorrelates mass
+	// per-stream resubscribe retries. A zero Base defaults to 50 ms, the
+	// other zero fields from faults.DefaultBackoff; jitter decorrelates mass
 	// disconnects so a fleet of devices does not re-dial in lockstep.
 	Backoff faults.BackoffPolicy
 	// BackoffSeed seeds the backoff jitter RNG. Devices in experiments
@@ -97,17 +92,13 @@ type Device struct {
 	// FlowCoalesced counts stale flow codes evicted so a newer one could
 	// land — the Flow channel always delivers the latest state.
 	FlowCoalesced metrics.Counter
-	// Resyncs counts shed-then-resync point queries issued after an
-	// upstream hop reported a shed gap.
-	Resyncs metrics.Counter
-	// ResyncCoalesced counts recovery triggers absorbed by one already in
-	// flight — shed markers that did NOT become an extra point query or
-	// resubscribe because the pending recovery covers them.
-	ResyncCoalesced metrics.Counter
-	// CursorResumes counts shed gaps repaired by resubscribing with the
-	// durable-log cursor (clamped to the applied seq) instead of a WAS
-	// point query — the log-backed recovery path.
-	CursorResumes metrics.Counter
+	// Resumes counts shed gaps repaired by reopening the stream from its
+	// stored request, resume tokens lowered to the stream's resume point.
+	Resumes metrics.Counter
+	// ResumesCoalesced counts shed markers absorbed by a resume already
+	// scheduled — they did NOT become an extra resubscribe because the
+	// pending one replays everything after the frozen resume point.
+	ResumesCoalesced metrics.Counter
 	// PeerCloses counts sessions the *edge* hung up cleanly (HandleClose
 	// delivered io.EOF — e.g. a draining POP) as opposed to local closes
 	// or transport failures. The reconnect path is the same either way.
@@ -132,27 +123,20 @@ type Stream struct {
 	curCli *burst.Client // session the current client stream lives on
 	req    burst.Subscribe
 	closed bool
-	seq    uint64 // last payload seq seen
+
+	// resume is what the next resubscribe resumes from. Only the pump of
+	// the current incarnation (cur) moves it.
+	resume burst.ResumePoint
 
 	// bo paces per-stream resubscribe retries; retryCancel is the pending
 	// retry timer, cancelled on close or when a resubscribe supersedes it.
 	bo          *faults.Backoff
 	retryCancel func()
 
-	// Shed-then-resync state (SetResync): when an upstream hop signals
-	// FlowDegraded with a shed marker, deltas were dropped and the gap
-	// cannot be trusted, so the device re-fetches authoritative state with
-	// a WAS point query instead of waiting for pushes that never come.
-	resyncBuild   func(lastSeq uint64) string
-	resyncApply   func([]byte)
-	resyncPending bool
-	resyncAgain   bool
-
-	// cursorPending coalesces cursor resumes: while one is scheduled,
-	// further shed markers have nothing to add (the resubscribe replays
-	// the whole clamped-cursor suffix, so there is no trailing re-run to
-	// queue, unlike point-query resyncs).
-	cursorPending bool
+	// resumePending coalesces shed-marker resumes: while one is scheduled,
+	// further markers have nothing to add (the resubscribe replays
+	// everything after the frozen resume point).
+	resumePending bool
 }
 
 // New builds a device. dialer reaches POP targets; wasrv serves the initial
@@ -162,11 +146,8 @@ func New(cfg Config, dialer edge.Dialer, wasrv Backend, sched sim.Scheduler) *De
 	if sched == nil {
 		sched = sim.RealClock{}
 	}
-	if cfg.ReconnectDelay <= 0 {
-		cfg.ReconnectDelay = 50 * time.Millisecond
-	}
 	if cfg.Backoff.Base <= 0 {
-		cfg.Backoff.Base = cfg.ReconnectDelay
+		cfg.Backoff.Base = 50 * time.Millisecond
 	}
 	seed := cfg.BackoffSeed
 	if seed == 0 {
@@ -207,14 +188,16 @@ func (d *Device) Connect() error {
 		d.mu.Unlock()
 		return fmt.Errorf("device: dial %s: %w", pop, err)
 	}
-	cli := burst.NewClient(fmt.Sprintf("device-%d", d.cfg.User), rwc, func(err error) {
+	// The client's read loop starts inside NewClient, and a peer that hangs
+	// up at once runs onSessionLost from it: holding d.mu across the store
+	// keeps that loss from being overwritten by the connected state below.
+	d.mu.Lock()
+	d.client = burst.NewClient(fmt.Sprintf("device-%d", d.cfg.User), rwc, func(err error) {
 		if errors.Is(err, io.EOF) {
 			d.PeerCloses.Inc()
 		}
 		d.onSessionLost()
 	})
-	d.mu.Lock()
-	d.client = cli
 	d.connected = true
 	d.mu.Unlock()
 	return nil
@@ -375,12 +358,17 @@ func (d *Device) reconnect() {
 		// dead region carries that saturated delay into its FIRST retry on
 		// the healthy one, stretching failover by up to Backoff.Cap.
 		st.bo.Reset()
-		st.resubscribe(cli)
+		// A nil client means the new session is lost already; its loss
+		// scheduled the next reconnect.
+		if cli != nil {
+			st.resubscribe(cli)
+		}
 	}
 }
 
-// resubscribe reopens the stream on a fresh session using the stored
-// (possibly rewritten) request.
+// resubscribe reopens the stream from its stored (possibly rewritten)
+// request, on a fresh session or — to repair a shed gap — on the live one.
+// It is the one place a resubscribe request is built.
 func (st *Stream) resubscribe(cli *burst.Client) {
 	st.mu.Lock()
 	if st.closed {
@@ -389,21 +377,21 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	}
 	// This attempt supersedes any pending per-stream retry.
 	st.cancelRetryLocked()
-	// Snapshot the request from the dead client stream: it holds the
-	// latest rewritten state even though its session is gone.
+	// Snapshot the request from the old client stream: it holds the latest
+	// rewritten state even if its session is gone. The old incarnation is
+	// superseded from here on, so nothing it still has buffered can move the
+	// resume point the request below is built from.
 	if st.cur != nil {
 		st.req = st.cur.Request()
+		st.cur = nil
 	}
-	// Clamp the durable-log cursor to what this device actually APPLIED:
-	// the server rewrote it forward as it delivered, but deltas past
-	// st.seq died with the session. Lowering an over-claim is always
-	// safe (the server re-serves a prefix the device dedups); raising
-	// one would fabricate progress, which nothing in the system ever
-	// does — Clamp only lowers.
-	if c := st.req.Header[burst.HdrCursor]; c != "" {
-		st.req.Header[burst.HdrCursor] = durlog.Clamp(c, st.seq)
-	}
-	req := st.req
+	// The server rewrote the resume tokens forward as it pushed, but what
+	// admission shed or a dead session swallowed never arrived: lower both
+	// to what this device actually has.
+	st.resume.Reopen(&st.req)
+	// A copy: another resubscribe may lower st.req again while this one is
+	// still being sent.
+	req := burst.Subscribe{Header: st.req.Header.Clone(), Body: st.req.Body}
 	st.mu.Unlock()
 
 	cs, err := cli.Resubscribe(req)
@@ -419,8 +407,8 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	st.mu.Lock()
 	st.cur = cs
 	st.curCli = cli
+	st.pushFlowLocked(burst.FlowRecovered)
 	st.mu.Unlock()
-	st.pushFlow(burst.FlowRecovered)
 	go st.pump(cs)
 }
 
@@ -468,8 +456,13 @@ func (st *Stream) cancelRetryLocked() {
 
 // pump forwards one underlying client stream's batches into the persistent
 // channels. It returns when that client stream ends; reconnection starts a
-// new pump. It never releases a batch's lease: the payload deltas it hands the
-// app on Updates alias it, so the garbage collector takes it with them.
+// new pump. Only the current incarnation (st.cur == cs) moves stream state:
+// what a superseded client stream still has buffered keeps reaching Updates,
+// but it neither advances the resume point nor reports flow — its
+// FlowDegraded landing after the reopen's FlowRecovered would leave the app
+// degraded for ever. pump never releases a batch's lease: the payload deltas
+// it hands the app on Updates alias it, so the garbage collector takes it
+// with them.
 func (st *Stream) pump(cs *burst.ClientStream) {
 	for batch := range cs.Events {
 		for _, delta := range batch.Deltas {
@@ -481,8 +474,8 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 				if sp.Active() {
 					sp.Annotate("stream", st.req.Header[burst.HdrTraceStream])
 				}
-				if delta.Seq > st.seq {
-					st.seq = delta.Seq
+				if st.cur == cs {
+					st.resume.Payload(delta.Seq)
 				}
 				if !st.closed {
 					st.dev.Updates.Inc()
@@ -497,25 +490,24 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 				sp.End()
 			case burst.DeltaFlowStatus:
 				st.dev.FlowEvents.Inc()
-				if (delta.Flow == burst.FlowDegraded && overload.IsShedMarker(delta.FlowDetail)) ||
-					(delta.Flow == burst.FlowRecovered && overload.IsRecoveredMarker(delta.FlowDetail)) {
-					// An upstream hop dropped deltas: the gap is not
-					// trustworthy. If the stored request carries a durable-log
-					// cursor the gap is repairable from the edge — resubscribe
-					// with the clamped cursor and let the serving BRASS replay
-					// the suffix. Otherwise re-fetch via point query. The
-					// episode's CLOSE triggers one too — deltas shed after the
-					// onset recovery's snapshot are only visible now. The
-					// routing check is sound because the BRASS rewrites the
-					// cursor into the stored request during stream open,
-					// BEFORE any live delivery can shed.
-					if cs.HeaderField(burst.HdrCursor) != "" {
-						st.triggerCursorResume()
-					} else {
-						st.triggerResync()
+				st.mu.Lock()
+				if st.cur == cs {
+					// A shed marker means an upstream hop dropped deltas. If
+					// the stored request carries a resume token the gap is
+					// repairable: freeze the resume point and reopen the
+					// stream from it, exactly as after a session loss. A
+					// stream without one has nothing to resume from; the app
+					// only hears the code. The matching shed-recovered marker
+					// triggers nothing — it follows its FlowDegraded on a
+					// server stream the reopen has already replaced.
+					if delta.Flow == burst.FlowDegraded && overload.IsShedMarker(delta.FlowDetail) &&
+						(cs.HeaderField(burst.HdrCursor) != "" || cs.HeaderField(burst.HdrResumeSeq) != "") {
+						st.resume.Shed()
+						st.scheduleResumeLocked()
 					}
+					st.pushFlowLocked(delta.Flow)
 				}
-				st.pushFlow(delta.Flow)
+				st.mu.Unlock()
 			case burst.DeltaTermination:
 				st.terminate()
 				return
@@ -528,15 +520,13 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 	// Request reads and resubscribe snapshots.)
 }
 
-// pushFlow delivers a flow code to the app, coalescing under pressure:
-// a full buffer evicts the OLDEST code so the latest connectivity state
-// always lands. Silently dropping the newest (the old behaviour) could
+// pushFlowLocked delivers a flow code to the app, coalescing under
+// pressure: a full buffer evicts the OLDEST code so the latest connectivity
+// state always lands. Silently dropping the newest (the old behaviour) could
 // lose a FlowRecovered behind a backlog of stale degraded notices,
-// wedging the app in "degraded" forever. st.mu serializes producers, so
-// after one eviction the retry always finds room.
-func (st *Stream) pushFlow(code burst.FlowCode) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// wedging the app in "degraded" forever. Callers hold st.mu, which
+// serializes producers, so after one eviction the retry always finds room.
+func (st *Stream) pushFlowLocked(code burst.FlowCode) {
 	if st.closed {
 		return
 	}
@@ -555,102 +545,24 @@ func (st *Stream) pushFlow(code burst.FlowCode) {
 	}
 }
 
-// SetResync registers the stream's shed-then-resync hooks. build renders
-// the point-query expression from the last applied sequence number; apply
-// consumes the query result (e.g. replacing the rendered view). When an
-// upstream hop signals FlowDegraded with a shed marker, the device issues
-// the query off the pump goroutine; concurrent triggers coalesce into one
-// in-flight resync.
-func (st *Stream) SetResync(build func(lastSeq uint64) string, apply func([]byte)) {
-	st.mu.Lock()
-	st.resyncBuild = build
-	st.resyncApply = apply
-	st.mu.Unlock()
-}
-
-// triggerResync schedules a shed-then-resync point query (no-op when no
-// resync hooks are registered or the stream is closed). Triggers that
-// arrive while a resync is in flight coalesce into ONE trailing re-run:
-// the in-flight query's snapshot predates them, so skipping entirely could
-// leave a permanent gap, while re-running once after it completes cannot.
-func (st *Stream) triggerResync() {
-	st.mu.Lock()
-	if st.resyncBuild == nil || st.closed {
-		st.mu.Unlock()
-		return
-	}
-	if st.resyncPending {
-		st.resyncAgain = true
-		st.dev.ResyncCoalesced.Inc()
-		st.mu.Unlock()
-		return
-	}
-	st.resyncPending = true
-	st.mu.Unlock()
-	st.runResync()
-}
-
-// runResync issues one point query off the pump goroutine; resyncPending
-// is held by the caller and released (or rolled into a trailing re-run)
-// when the query completes.
-func (st *Stream) runResync() {
-	st.mu.Lock()
-	build, apply := st.resyncBuild, st.resyncApply
-	seq := st.seq
-	if st.closed || build == nil {
-		st.resyncPending = false
-		st.resyncAgain = false
-		st.mu.Unlock()
-		return
-	}
-	st.mu.Unlock()
-	d := st.dev
-	d.sched.After(0, func() {
-		out, err := d.was.PointQueryIn(d.cfg.Region, d.cfg.User, build(seq))
-		st.mu.Lock()
-		again := st.resyncAgain
-		st.resyncAgain = false
-		if !again {
-			st.resyncPending = false
-		}
-		closed := st.closed
-		st.mu.Unlock()
-		if err == nil && !closed {
-			d.Resyncs.Inc()
-			if apply != nil {
-				apply(out)
-			}
-		}
-		if again {
-			st.runResync()
-		}
-	})
-}
-
-// triggerCursorResume repairs a shed gap from the durable log: cancel the
-// current client stream and resubscribe with the stored request, whose
-// cursor (clamped to the applied seq by resubscribe) the serving BRASS
-// answers with a gap-free catch-up batch. Triggers arriving while one
-// resume is scheduled coalesce away entirely — the resubscribe replays
-// everything after the clamped cursor, so there is nothing left for a
-// trailing re-run to pick up.
-func (st *Stream) triggerCursorResume() {
-	st.mu.Lock()
+// scheduleResumeLocked repairs a shed gap: off the pump goroutine, cancel the
+// current client stream and resubscribe with the stored request, which the
+// serving BRASS answers with everything after the frozen resume point.
+// Markers arriving while one resume is scheduled coalesce away entirely —
+// there is nothing left for a second one to pick up. Callers hold st.mu.
+func (st *Stream) scheduleResumeLocked() {
 	if st.closed {
-		st.mu.Unlock()
 		return
 	}
-	if st.cursorPending {
-		st.dev.ResyncCoalesced.Inc()
-		st.mu.Unlock()
+	if st.resumePending {
+		st.dev.ResumesCoalesced.Inc()
 		return
 	}
-	st.cursorPending = true
-	st.mu.Unlock()
+	st.resumePending = true
 	d := st.dev
 	d.sched.After(0, func() {
 		st.mu.Lock()
-		st.cursorPending = false
+		st.resumePending = false
 		closed := st.closed
 		cur := st.cur
 		st.mu.Unlock()
@@ -663,13 +575,13 @@ func (st *Stream) triggerCursorResume() {
 		d.mu.Unlock()
 		if !ok {
 			// Session down: the reconnect path resubscribes every stream
-			// with its stored request, which carries the cursor anyway.
+			// from the same stored request and the same resume point.
 			return
 		}
 		if cur != nil {
-			_ = cur.Cancel("cursor-resume")
+			_ = cur.Cancel("shed-resume")
 		}
-		d.CursorResumes.Inc()
+		d.Resumes.Inc()
 		st.resubscribe(cli)
 	})
 }
@@ -678,11 +590,12 @@ func (st *Stream) triggerCursorResume() {
 // retry/saturation counters) for tests asserting post-failover pacing.
 func (st *Stream) RetryBackoff() *faults.Backoff { return st.bo }
 
-// LastSeq returns the highest payload sequence number received.
+// LastSeq returns the stream's resume point: the highest payload sequence
+// number received with no shed gap known below it.
 func (st *Stream) LastSeq() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.seq
+	return st.resume.Seq()
 }
 
 // HeaderField returns one header key of the current stored request.

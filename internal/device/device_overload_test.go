@@ -1,14 +1,9 @@
 package device
 
 import (
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"bladerunner/internal/burst"
-	"bladerunner/internal/overload"
-	"bladerunner/internal/was"
 )
 
 // Regression for the slow-device control-delta bug: the apply path used to
@@ -86,111 +81,4 @@ func TestSlowDeviceNeverLosesFlowRecovered(t *testing.T) {
 		t.Errorf("%d payloads sent: %d evicted by the client + %d render drops + %d queued in Updates = %d",
 			payloads, evicted, rendered, queued, evicted+rendered+queued)
 	}
-}
-
-// A shed-marker FlowDegraded means deltas were dropped upstream and the
-// gap cannot be trusted: the device must re-fetch authoritative state via
-// a cheap WAS point query (shed-then-resync) instead of waiting for pushes
-// that will never come.
-func TestShedMarkerTriggersResync(t *testing.T) {
-	env := newDevEnv(t)
-	w := env.was
-	w.RegisterQuery("snapshot", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
-		return "state-after-" + call.Args["since"], nil
-	})
-	if err := env.dev.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := env.dev.Subscribe("app", "s", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got []string
-	st.SetResync(
-		func(lastSeq uint64) string { return fmt.Sprintf("snapshot(since: %d)", lastSeq) },
-		func(b []byte) {
-			mu.Lock()
-			got = append(got, string(b))
-			mu.Unlock()
-		},
-	)
-	waitFor(t, "pop stream", func() bool { return env.popA.stream(0) != nil })
-	srv := env.popA.stream(0)
-
-	if err := srv.SendBatch(burst.PayloadDelta(9, []byte("p"))); err != nil {
-		t.Fatal(err)
-	}
-	// Non-shed degraded notice (e.g. plain connectivity blip): NO resync.
-	if err := srv.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded, "blip")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "flow event", func() bool { return env.dev.FlowEvents.Value() == 1 })
-	if env.dev.Resyncs.Value() != 0 {
-		t.Fatalf("resync on non-shed degraded notice")
-	}
-
-	// Shed-marked degraded notice: resync fires with the last applied seq.
-	if err := srv.SendBatch(burst.FlowStatusDelta(
-		burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "resync", func() bool { return env.dev.Resyncs.Value() == 1 })
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != `"state-after-9"` {
-		t.Fatalf("resync results = %q", got)
-	}
-	if w.PointQueries.Value() != 1 {
-		t.Errorf("PointQueries = %d, want 1", w.PointQueries.Value())
-	}
-	if w.Queries.Value() != 0 {
-		t.Errorf("resync used a range query (Queries = %d)", w.Queries.Value())
-	}
-}
-
-// Concurrent shed notices coalesce: triggers arriving while a resync is
-// in flight collapse into exactly ONE trailing re-run (their deltas were
-// shed after the in-flight snapshot, so skipping them could leave a
-// permanent gap). A fresh notice after everything settles starts anew.
-func TestResyncCoalescesInFlight(t *testing.T) {
-	env := newDevEnv(t)
-	w := env.was
-	block := make(chan struct{})
-	w.RegisterQuery("snap", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
-		<-block
-		return "ok", nil
-	})
-	if err := env.dev.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := env.dev.Subscribe("app", "s", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetResync(func(uint64) string { return "snap" }, nil)
-	waitFor(t, "pop stream", func() bool { return env.popA.stream(0) != nil })
-	srv := env.popA.stream(0)
-
-	for i := 0; i < 5; i++ {
-		if err := srv.SendBatch(burst.FlowStatusDelta(
-			burst.FlowDegraded, overload.ShedMarkerPrefix+"storm")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "flow events", func() bool { return env.dev.FlowEvents.Value() == 5 })
-	close(block) // release the in-flight query; the trailing re-run follows
-	waitFor(t, "in-flight + one trailing resync", func() bool {
-		return env.dev.Resyncs.Value() == 2
-	})
-	time.Sleep(10 * time.Millisecond)
-	if n := env.dev.Resyncs.Value(); n != 2 {
-		t.Fatalf("Resyncs = %d, want 2 (4 in-flight triggers must collapse to one re-run)", n)
-	}
-
-	if err := srv.SendBatch(burst.FlowStatusDelta(
-		burst.FlowDegraded, overload.ShedMarkerPrefix+"again")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "fresh resync after settle", func() bool { return env.dev.Resyncs.Value() == 3 })
 }

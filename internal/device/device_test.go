@@ -104,9 +104,9 @@ func newDevEnv(t *testing.T) *devEnv {
 	n.Register("pop-b", b.accept)
 	w := newWAS(t)
 	d := New(Config{
-		User:           7,
-		POPs:           []string{"pop-a", "pop-b"},
-		ReconnectDelay: 5 * time.Millisecond,
+		User:    7,
+		POPs:    []string{"pop-a", "pop-b"},
+		Backoff: faults.BackoffPolicy{Base: 5 * time.Millisecond},
 	}, n, w, nil)
 	t.Cleanup(d.Close)
 	return &devEnv{net: n, popA: a, popB: b, dev: d, was: w}
@@ -188,13 +188,24 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	}
 	waitFor(t, "stream on pop-a", func() bool { return env.popA.stream(0) != nil })
 
-	// The serving side rewrites a resume token into the request.
-	if err := env.popA.stream(0).RewriteHeaderField(burst.HdrResumeSeq, "12"); err != nil {
+	// The serving side delivers seq 12 and rewrites the resume token that
+	// describes it into the request, as one batch. (A token for a payload
+	// that never arrived would, correctly, be lowered on resubscribe.)
+	if err := env.popA.stream(0).SendBatch(burst.PayloadDelta(12, []byte("before")),
+		burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: "12"}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "rewrite stored", func() bool {
-		return st.Request().Header[burst.HdrResumeSeq] == "12"
-	})
+	select {
+	case d := <-st.Updates:
+		if d.Seq != 12 {
+			t.Fatalf("first update has seq %d", d.Seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no update before the failure")
+	}
+	if got := st.Request().Header[burst.HdrResumeSeq]; got != "12" {
+		t.Fatalf("stored resume-seq = %q after the batch was applied", got)
+	}
 
 	env.popA.kill() // POP fails
 

@@ -8,12 +8,12 @@
 // ACCEPTS cursors and serves a gap-free batch from the retained window,
 // but NEVER FABRICATES one — a cursor outside the window (predates
 // retention, postdates a crash-truncated tail, or crosses a continuity
-// epoch) returns ErrCursorExpired and the client falls back to a WAS
-// resync. Appends are the delivery hot path and stay allocation-free in
-// steady state: a slab (payload bytes, entry offsets, entry seqs) is
-// allocated once — the first at Open, each other the first time rotation
-// reaches it — and from then on recycled in place by rotation, retention
-// expiry, and gap resets.
+// epoch) returns ErrCursorExpired and the serving BRASS falls back to the
+// application's backend. Appends are the delivery hot path and stay
+// allocation-free in steady state: a slab (payload bytes, entry offsets,
+// entry seqs) is allocated once — the first at Open, each other the first
+// time rotation reaches it — and from then on recycled in place by
+// rotation, retention expiry, and gap resets.
 package durlog
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 // ErrCursorExpired reports a cursor outside the retained window. The
-// caller must fall back to a full resync — the log will not guess.
+// caller must fall back to its backend — the log will not guess.
 var ErrCursorExpired = errors.New("durlog: cursor outside retained window")
 
 // ErrUnknownTopic reports a read on a topic never opened on this log.

@@ -38,8 +38,8 @@ type Proxy struct {
 	RewritesRelayed metrics.Counter
 	DownstreamDrops metrics.Counter
 	// ShedNotices counts shed-marker flow deltas this proxy relayed —
-	// upstream hops telling devices that deltas were dropped and a resync
-	// is needed. Edge visibility into degraded mode per POP.
+	// upstream hops telling devices that deltas were dropped and the stream
+	// must be reopened. Edge visibility into degraded mode per POP.
 	ShedNotices metrics.Counter
 
 	// Tracer, when set, closes an edge.relay span per traced batch this

@@ -13,14 +13,13 @@ import (
 )
 
 // DurlogResume reruns the overload storm on the LIVE stack twice — once in
-// the pre-log posture, where every shed episode is repaired by a device
-// point query against the WAS (shed-then-resync), and once with the
-// durable per-topic log enabled for Messenger, where the BRASS appends
-// every delivery decision to its edge log and the device repairs shed gaps
-// by resubscribing from its cursor. The legacy resync machinery stays
-// installed in BOTH runs; with the log on it must go unused — the run
-// measures backend point queries going to ~0 while the view still
-// converges gap-free.
+// the pre-log posture and once with the durable per-topic log enabled for
+// Messenger, where the BRASS appends every delivery decision to its edge
+// log. The device repairs a shed gap the same way in both: it reopens the
+// stream from its stored request. What differs is where the serving BRASS
+// finds the missing suffix — the WAS mailbox, or its own log — so the run
+// reports each posture's backend mailbox reads beside the log's own
+// counters; the view must converge gap-free in both.
 func DurlogResume(seed int64) Result { return DurlogResumeOn(sim.RealClock{}, seed) }
 
 // DurlogResumeOn is DurlogResume on an explicit scheduler.
@@ -33,17 +32,16 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	)
 
 	type outcome struct {
-		sent          uint64
-		sheds         int64
-		resyncs       int64
-		cursorResumes int64
-		coalesced     int64
-		pointQueries  int64
-		logResumes    int64
-		logCatchUp    int64
-		logAppends    int64
-		converged     bool
-		fail          string
+		sent         uint64
+		sheds        int64
+		resumes      int64
+		coalesced    int64
+		mailboxReads int64 // WAS queries after the baseline delivery
+		logResumes   int64
+		logCatchUp   int64
+		logAppends   int64
+		converged    bool
+		fail         string
 	}
 
 	run := func(durable bool) (o outcome) {
@@ -117,21 +115,6 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			for range st.Flow {
 			}
 		}()
-		// Legacy shed-then-resync, installed either way: the durable-log
-		// run must leave it idle.
-		st.SetResync(
-			func(lastSeq uint64) string { return fmt.Sprintf("mailboxSince(seq: %d)", lastSeq) },
-			func(out []byte) {
-				var msgs []apps.MessagePayload
-				if json.Unmarshal(out, &msgs) != nil {
-					return
-				}
-				for _, m := range msgs {
-					note(m.Seq)
-				}
-			},
-		)
-
 		var thread uint64
 		out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
 		if err != nil {
@@ -167,14 +150,15 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			o.fail = "baseline never delivered"
 			return o
 		}
+		queriesBase := c.WAS.Queries.Value()
 
 		for i := 0; i < storm; i++ {
 			send(fmt.Sprintf("storm-%d", i))
 		}
 
 		// Post-storm trickle: each message is under the admission rate, so
-		// it lands, closes open shed episodes, and drives whichever repair
-		// path is active until the view is gap-free.
+		// it lands and closes open shed episodes while the resumes backfill
+		// what the storm dropped, until the view is gap-free.
 		limit := sched.Now().Add(deadline)
 		for !hasAll(o.sent) && sched.Now().Before(limit) {
 			send("trickle")
@@ -190,10 +174,9 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 				o.logAppends += l.Appends.Value()
 			}
 		}
-		o.resyncs = viewer.Resyncs.Value()
-		o.cursorResumes = viewer.CursorResumes.Value()
-		o.coalesced = viewer.ResyncCoalesced.Value()
-		o.pointQueries = c.WAS.PointQueries.Value()
+		o.resumes = viewer.Resumes.Value()
+		o.coalesced = viewer.ResumesCoalesced.Value()
+		o.mailboxReads = c.WAS.Queries.Value() - queriesBase
 
 		viewer.Close()
 		author.Close()
@@ -205,7 +188,7 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	on := run(true)
 
 	r := Result{ID: "durlog", Title: fmt.Sprintf(
-		"Durable-log resume: overload storm (%d msgs over a 25/s stream budget), WAS resync vs cursor resume", storm)}
+		"Durable-log resume: overload storm (%d msgs over a 25/s stream budget), catch-up from the WAS mailbox vs the edge log", storm)}
 	if off.fail != "" || on.fail != "" {
 		r.AddRow("ERROR", "-", off.fail+on.fail, "run aborted")
 		return r
@@ -222,17 +205,16 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	r.AddRow("stream sheds (off / on)", "-",
 		fmt.Sprintf("%d / %d", off.sheds, on.sheds),
 		"the storm must actually shed for the comparison to mean anything")
-	r.AddRow("WAS point queries, log off", "-", fmt.Sprintf("%d", off.pointQueries),
-		"every shed episode re-reads the mailbox from the backend")
-	r.AddRow("WAS point queries, log on", "~0", fmt.Sprintf("%d", on.pointQueries),
-		"shed gaps replay from the edge log instead")
-	r.AddRow("device point resyncs (off / on)", "-",
-		fmt.Sprintf("%d / %d", off.resyncs, on.resyncs), "")
-	r.AddRow("device cursor resumes, log on", "-", fmt.Sprintf("%d", on.cursorResumes),
-		"cancel + resubscribe from the clamped cursor")
-	r.AddRow("recovery triggers coalesced (off / on)", "-",
+	r.AddRow("WAS mailbox reads after the baseline, log off", "-", fmt.Sprintf("%d", off.mailboxReads),
+		"every resume re-reads the mailbox from the backend")
+	r.AddRow("WAS mailbox reads after the baseline, log on", "-", fmt.Sprintf("%d", on.mailboxReads),
+		"resumes replay from the edge log; what remains is the BRASS repairing loop-queue drops")
+	r.AddRow("device resumes (off / on)", "-",
+		fmt.Sprintf("%d / %d", off.resumes, on.resumes),
+		"cancel + resubscribe from the frozen resume point")
+	r.AddRow("shed markers coalesced (off / on)", "-",
 		fmt.Sprintf("%d / %d", off.coalesced, on.coalesced),
-		"markers absorbed by an already-pending repair")
+		"markers absorbed by an already-pending resume")
 	r.AddRow("log catch-up deltas, log on", "-", fmt.Sprintf("%d", on.logCatchUp),
 		"payloads served from the durable log's retained window")
 	r.AddRow("log resumes served, log on", "-", fmt.Sprintf("%d", on.logResumes), "")

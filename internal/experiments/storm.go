@@ -14,10 +14,10 @@ import (
 // ReconnectStorm measures a mass-disconnect reconnect storm: one POP dies
 // under a fleet of connected devices, heals after a fixed outage, and every
 // device re-dials under a retry policy. It compares the fixed-delay policy
-// (the old ReconnectDelay behaviour: every device retries on the same
-// schedule, so the fleet hammers the healed POP in lockstep) against the
-// jittered exponential backoff the recovery paths now share, reporting the
-// peak dial rate the POP absorbs and the time until the whole fleet is back.
+// (every device retries on the same schedule, so the fleet hammers the
+// healed POP in lockstep) against the jittered exponential backoff the
+// recovery paths now share, reporting the peak dial rate the POP absorbs and
+// the time until the whole fleet is back.
 //
 // The run is a model composition on the discrete-event kernel: devices are
 // retry loops dialing through a FaultNetwork, so the whole storm is

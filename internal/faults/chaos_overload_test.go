@@ -3,10 +3,11 @@
 // with a message storm that forces real shedding, a seeded mid-storm POP
 // cut, and subscriber churn on the hot mailbox topic. The invariants:
 //
-//   - Gap-free resume: every shed payload is recovered by the device's
-//     shed-then-resync point queries (mailboxSince) — the final view holds
-//     sequence 1..K with no holes, even though most of the storm was
-//     dropped in flight.
+//   - Gap-free resume: every shed payload is recovered by the device
+//     reopening the stream from its frozen resume point and the serving
+//     BRASS replaying the mailbox suffix — the final view holds sequence
+//     1..K with no holes, even though most of the storm was dropped in
+//     flight.
 //   - Flow state converges: the stream's last flow code is FlowRecovered.
 //   - Subscriber-cache invalidation holds while shedding: a host
 //     unsubscribed mid-storm goes silent once in-flight rounds drain.
@@ -17,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,8 +31,8 @@ import (
 
 // TestChaosOverloadGapFreeResync storms one mailbox stream hard enough to
 // shed, cuts the device's POP mid-storm, and asserts the device's view is
-// eventually gap-free purely through shed-then-resync plus the BRASS
-// resume catch-up.
+// eventually gap-free purely through stream reopens (shed markers and the
+// reconnect alike) and the BRASS catch-up that answers them.
 func TestChaosOverloadGapFreeResync(t *testing.T) {
 	seed := chaosSeed(t)
 	goroutinesBefore := runtime.NumGoroutine()
@@ -69,44 +69,6 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := watch(st)
-
-	// Shed-then-resync: a shed marker (or the matching recovery) re-fetches
-	// the mailbox tail via a WAS point query and feeds it to the same
-	// watcher, closing whatever gap the shedding opened.
-	// The first resync dwells until a second recovery marker has arrived
-	// and coalesced into it (bounded at 5s): the shed episode's CLOSE
-	// marker, driven by the post-storm trickle, lands while that first
-	// query is provably still in flight, so the coalescing path (markers
-	// absorbed into one trailing re-run) is exercised deterministically
-	// and asserted below. build runs on its own timer goroutine with
-	// resyncPending held, so the dwell blocks neither the delta pump nor
-	// the reconnect backoff timers.
-	var dwell sync.Once
-	st.SetResync(
-		func(lastSeq uint64) string {
-			dwell.Do(func() {
-				wait := time.Now().Add(5 * time.Second)
-				for viewer.ResyncCoalesced.Value() == 0 && time.Now().Before(wait) {
-					time.Sleep(5 * time.Millisecond)
-				}
-			})
-			return fmt.Sprintf("mailboxSince(seq: %d)", lastSeq)
-		},
-		func(out []byte) {
-			var msgs []apps.MessagePayload
-			if err := json.Unmarshal(out, &msgs); err != nil {
-				return
-			}
-			w.mu.Lock()
-			for _, m := range msgs {
-				w.seqs[m.Seq] = true
-				if m.Seq > w.maxSeq {
-					w.maxSeq = m.Seq
-				}
-			}
-			w.mu.Unlock()
-		},
-	)
 
 	var thread uint64
 	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
@@ -181,9 +143,8 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 	}
 
 	// Post-storm trickle until the view is gap-free: each message is under
-	// the admission rate, so it lands, closes any open shed episode
-	// (FlowRecovered carries the recovered marker → trailing resync), and
-	// the resyncs backfill everything the storm dropped.
+	// the admission rate, so it lands and closes any open shed episode,
+	// while the reopens backfill everything the storm dropped.
 	// FlowRecovered is emitted lazily (on the next admitted payload after a
 	// shed episode), so the trickle also drives flow-state convergence.
 	settled := func() bool {
@@ -202,20 +163,14 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 			}
 			w.mu.Unlock()
 			recovered, last := w.snapshot()
-			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, resyncs=%d, recovered=%d, lastFlow=%v",
-				seed, sent, missing, viewer.Resyncs.Value(), recovered, last)
+			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, resumes=%d, resubscribes=%d, recovered=%d, lastFlow=%v",
+				seed, sent, missing, viewer.Resumes.Value(), viewer.Resubscribes.Value(), recovered, last)
 		}
 		sent += send("trickle")
 		time.Sleep(50 * time.Millisecond)
 	}
-	if viewer.Resyncs.Value() == 0 {
-		t.Error("gap closed without any resync — storm was not shed enough to test the path")
-	}
-	if c.WAS.PointQueries.Value() == 0 {
-		t.Error("resyncs issued no WAS point queries")
-	}
-	if viewer.ResyncCoalesced.Value() == 0 {
-		t.Error("no recovery marker coalesced into the dwelled first resync")
+	if viewer.Resubscribes.Value() == 0 {
+		t.Error("gap closed without any resubscribe — the recovery path never engaged")
 	}
 
 	// The removed churn host stays silent for post-removal publishes.
@@ -237,7 +192,7 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= goroutinesBefore+3
 	})
-	t.Logf("seed %d: sent=%d sheds=%d resyncs=%d coalesced=%d pointQueries=%d coalesced-flow=%d",
-		seed, sent, sheds, viewer.Resyncs.Value(), viewer.ResyncCoalesced.Value(),
-		c.WAS.PointQueries.Value(), viewer.FlowCoalesced.Value())
+	t.Logf("seed %d: sent=%d sheds=%d resubscribes=%d resumes=%d coalesced=%d coalesced-flow=%d",
+		seed, sent, sheds, viewer.Resubscribes.Value(), viewer.Resumes.Value(),
+		viewer.ResumesCoalesced.Value(), viewer.FlowCoalesced.Value())
 }

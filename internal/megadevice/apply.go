@@ -22,6 +22,7 @@ import (
 //brlint:hotpath per-delta fan-in for the million-device harness: every
 func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 	ts.mu.Lock()
+	ts.resume.Payload(seq)
 	streams := ts.streams
 	if len(streams) > 0 {
 		for _, sid := range streams {
@@ -46,35 +47,25 @@ func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 	ts.mu.Unlock()
 }
 
-// applyFlow handles flow_status deltas on a shared stream: count them,
-// and on a shed marker record the shed-then-resync episode ONCE for the
-// shared stream (a real fleet would issue one point query per device;
-// the trunk model coalesces them, and OnShed lets the scenario issue a
-// representative real query). Flow deltas are rare control traffic — not
+// applyFlow handles flow_status deltas on a shared stream: count them, and
+// on a shed marker do what device.Stream does — if the stored request
+// carries a resume token, freeze the shared stream's resume point and queue
+// ONE reopen for it (a real fleet would reopen one stream per device; the
+// trunk model coalesces them). Flow deltas are rare control traffic — not
 // part of the hot path.
 func (f *Fleet) applyFlow(ts *topicSub, d *burst.Delta) {
 	f.FlowEvents.Inc()
-	if d.Flow == burst.FlowDegraded && overload.IsShedMarker(d.FlowDetail) {
-		ts.mu.Lock()
-		cursor := ts.header[burst.HdrCursor] != ""
-		var last uint64
-		for _, sid := range ts.streams {
-			if s := atomic.LoadUint64(&f.tab.streamSeq[sid]); s > last {
-				last = s
-			}
-		}
-		ts.mu.Unlock()
-		if cursor {
-			// Durable-log stream: the gap is repaired by a cursor
-			// resubscribe (counted as CursorResumes when it runs), not a
-			// legacy point-query episode.
-			f.enqueueResume(ts)
-			return
-		}
-		f.Resyncs.Inc()
-		if f.cfg.OnShed != nil {
-			f.enqueueShed(ts.area, last)
-		}
+	if d.Flow != burst.FlowDegraded || !overload.IsShedMarker(d.FlowDetail) {
+		return
+	}
+	ts.mu.Lock()
+	resumable := ts.header[burst.HdrCursor] != "" || ts.header[burst.HdrResumeSeq] != ""
+	if resumable {
+		ts.resume.Shed()
+	}
+	ts.mu.Unlock()
+	if resumable {
+		f.enqueueResume(ts)
 	}
 }
 

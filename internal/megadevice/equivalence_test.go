@@ -2,13 +2,19 @@ package megadevice
 
 import (
 	"fmt"
+	"io"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
+	"bladerunner/internal/edge"
+	"bladerunner/internal/overload"
 	"bladerunner/internal/socialgraph"
 )
 
@@ -29,7 +35,13 @@ import (
 // the publishes in the same order on both clusters makes pylon's striped
 // event IDs (the delta seqs) identical. Warm deltas are excluded from the
 // comparison; the phase deltas must match exactly.
+//
+// Recovery from a shed gap is the other half of the contract, and it needs
+// no cluster: the shed-episode subtest feeds both models one scripted stream
+// and compares the resubscribe requests they answer it with.
 func TestEquivalenceWithDeviceModel(t *testing.T) {
+	t.Run("shed episode", testShedEpisodeEquivalence)
+
 	const (
 		eqN     = 50
 		eqAreas = 10
@@ -278,4 +290,88 @@ func equalSeqs(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// shedEpisode plays the resync hole's script to whatever open connects to the
+// scripted POP "pop" — payloads 1..5 each with its resume state, then ONE
+// batch holding a shed marker, a rewrite that over-claims both tokens (it
+// describes payloads admission shed) and a payload from behind the gap — and
+// returns the request the stream is reopened with.
+func shedEpisode(t *testing.T, open func(edge.Dialer)) burst.Header {
+	t.Helper()
+	n := edge.NewPipeNetwork()
+	streams := make(chan *burst.ServerStream, 2) // the open and the reopen
+	n.Register("pop", func(rwc io.ReadWriteCloser) {
+		sess := burst.NewServerSession("pop", rwc, burst.ServerHandlerFuncs{
+			Subscribe: func(ss *burst.ServerStream, _ burst.Subscribe) { streams <- ss },
+		})
+		t.Cleanup(func() { _ = sess.Close() })
+	})
+	open(n)
+	next := func() *burst.ServerStream {
+		t.Helper()
+		select {
+		case ss := <-streams:
+			return ss
+		case <-time.After(10 * time.Second):
+			t.Fatal("no stream reached the scripted POP")
+			return nil
+		}
+	}
+	resumeState := func(seq uint64) burst.Delta {
+		v := strconv.FormatUint(seq, 10)
+		return burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: v, burst.HdrCursor: "1." + v}, nil)
+	}
+	srv := next()
+	for seq := uint64(1); seq <= 5; seq++ {
+		if err := srv.SendBatch(burst.PayloadDelta(seq, []byte("m")), resumeState(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.SendBatch(
+		burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"),
+		resumeState(9), burst.PayloadDelta(9, []byte("m"))); err != nil {
+		t.Fatal(err)
+	}
+	return next().Request().Header
+}
+
+func testShedEpisodeEquivalence(t *testing.T) {
+	const user = 999
+	dev := shedEpisode(t, func(n edge.Dialer) {
+		d := device.New(device.Config{User: user, POPs: []string{"pop"}}, n, nil, nil)
+		t.Cleanup(d.Close)
+		if err := d.Connect(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := d.Subscribe(apps.AppMessenger, "messenger", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for range st.Updates {
+			}
+		}()
+	})
+	mega := shedEpisode(t, func(n edge.Dialer) {
+		fleet, err := New(Config{
+			Devices: 1,
+			Areas: []Area{{App: apps.AppMessenger, Subscription: "messenger",
+				Topic: string(apps.MailboxTopic(user)), User: user}},
+			POPs:   []string{"pop"},
+			Dialer: n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fleet.Close)
+		fleet.ConnectAll(0)
+	})
+	if !reflect.DeepEqual(dev, mega) {
+		t.Errorf("the models reopened the stream differently:\n device %v\n fleet  %v", dev, mega)
+	}
+	if dev[burst.HdrResumeSeq] != "5" || dev[burst.HdrCursor] != "1.5" {
+		t.Errorf("reopened with resume-seq %q cursor %q, want 5 and 1.5: the last payload before the marker",
+			dev[burst.HdrResumeSeq], dev[burst.HdrCursor])
+	}
 }

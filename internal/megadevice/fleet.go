@@ -25,9 +25,7 @@ type Area struct {
 	User         uint64
 	// Cursor, when non-empty, is sent as HdrCursor on the shared
 	// subscription: a durable-log resume token ("earliest" replays the
-	// whole retained window — the late-joiner case). Shed markers on a
-	// cursor-carrying stream repair via cursor resubscribe instead of the
-	// legacy point-query resync.
+	// whole retained window — the late-joiner case).
 	Cursor string
 }
 
@@ -68,11 +66,6 @@ type Config struct {
 	// (equivalence tests only; costs per-delivery memory, excluded from
 	// Footprint's per-device budget by design — see DeliveredSeqs).
 	RecordDeliveries bool
-	// OnShed, when set, is invoked (outside all fleet locks, from
-	// Service) once per shed episode observed on a shared stream — the
-	// point where a real device would issue its shed-then-resync point
-	// query. The fleet counts episodes either way (Resyncs).
-	OnShed func(area uint32, lastSeq uint64)
 	// HomePOP, when set, pins each device's initial POP preference
 	// (index into POPs) instead of the default 0. Scenario use: seed
 	// devices and late joiners land on different POPs so the joiners
@@ -114,7 +107,6 @@ type Fleet struct {
 	// Service, so a HandleClose firing mid-transition cannot deadlock.
 	extMu      sync.Mutex
 	extClosed  []*trunk
-	extSheds   []shedEvent
 	extResumes []*topicSub
 
 	// probeWall holds, per area, the wall-clock nanos of an armed
@@ -130,19 +122,18 @@ type Fleet struct {
 	rec [][]uint64
 
 	// Metrics.
-	Deltas        metrics.Counter // payload deltas decoded on trunks
-	Applied       metrics.Counter // per-virtual-device delta applications
-	FlowEvents    metrics.Counter
-	Resyncs       metrics.Counter // shed episodes repaired by point-query resync
-	CursorResumes metrics.Counter // shed episodes repaired by cursor resubscribe
-	Rewrites      metrics.Counter
-	Terminations  metrics.Counter
-	Connects      metrics.Counter
-	Drops         metrics.Counter
-	DialFailures  metrics.Counter
-	TrunkDeaths   metrics.Counter
-	Transitions   metrics.Counter
-	ApplyLatency  *metrics.Histogram[time.Duration]
+	Deltas       metrics.Counter // payload deltas decoded on trunks
+	Applied      metrics.Counter // per-virtual-device delta applications
+	FlowEvents   metrics.Counter
+	Resumes      metrics.Counter // shed episodes repaired by reopening the shared stream
+	Rewrites     metrics.Counter
+	Terminations metrics.Counter
+	Connects     metrics.Counter
+	Drops        metrics.Counter
+	DialFailures metrics.Counter
+	TrunkDeaths  metrics.Counter
+	Transitions  metrics.Counter
+	ApplyLatency *metrics.Histogram[time.Duration]
 }
 
 // paddedInt64 is an atomically accessed int64 padded to a cache line so
@@ -150,11 +141,6 @@ type Fleet struct {
 type paddedInt64 struct {
 	v int64
 	_ [56]byte
-}
-
-type shedEvent struct {
-	area    uint32
-	lastSeq uint64
 }
 
 // New builds a fleet with every device Idle. Call ConnectAt (or
@@ -539,16 +525,14 @@ func (f *Fleet) backoffDelay(dev uint32, attempt uint8) int64 {
 }
 
 // Service drains externally queued events: trunk deaths (detach everyone
-// attached, schedule their redials) and shed episodes (invoke OnShed).
-// Engine-driven callers invoke it between engine bursts; Async fleets
-// self-schedule it. Safe to call at any time.
+// attached, schedule their redials) and shed episodes (reopen the shared
+// stream). Engine-driven callers invoke it between engine bursts; Async
+// fleets self-schedule it. Safe to call at any time.
 func (f *Fleet) Service() {
 	f.extMu.Lock()
 	closed := f.extClosed
-	sheds := f.extSheds
 	resumes := f.extResumes
 	f.extClosed = nil
-	f.extSheds = nil
 	f.extResumes = nil
 	f.extMu.Unlock()
 
@@ -559,11 +543,6 @@ func (f *Fleet) Service() {
 		}
 		f.armLocked()
 		f.mu.Unlock()
-	}
-	if f.cfg.OnShed != nil {
-		for _, s := range sheds {
-			f.cfg.OnShed(s.area, s.lastSeq)
-		}
 	}
 	if len(resumes) > 0 {
 		// Coalesce markers that piled up on the same shared stream while
@@ -625,18 +604,8 @@ func (f *Fleet) enqueueClosed(t *trunk) {
 	}
 }
 
-// enqueueShed records a shed episode from a trunk read goroutine.
-func (f *Fleet) enqueueShed(area uint32, lastSeq uint64) {
-	f.extMu.Lock()
-	f.extSheds = append(f.extSheds, shedEvent{area: area, lastSeq: lastSeq})
-	f.extMu.Unlock()
-	if f.cfg.Async {
-		f.sched.After(0, f.Service)
-	}
-}
-
-// enqueueResume records a cursor-repairable shed episode from a trunk
-// read goroutine; Service coalesces per shared stream and resubscribes.
+// enqueueResume records a shed episode from a trunk read goroutine;
+// Service coalesces per shared stream and resubscribes.
 func (f *Fleet) enqueueResume(ts *topicSub) {
 	f.extMu.Lock()
 	f.extResumes = append(f.extResumes, ts)
@@ -686,7 +655,7 @@ func (f *Fleet) Footprint() int64 {
 	b += 16 * int64(cap(f.heap))
 	b += 64 * int64(len(f.probeWall))
 	const perTrunk = 256 // trunk struct, session bookkeeping
-	const perSub = 96    // topicSub struct + two map entries
+	const perSub = 112   // topicSub struct + two map entries
 	for _, t := range f.trunkIDs {
 		b += perTrunk
 		t.mu.Lock()

@@ -224,8 +224,7 @@ func RunLive(o LiveOptions) (*Report, error) {
 	rep.Deltas = fleet.Deltas.Value()
 	rep.Applied = fleet.Applied.Value()
 	rep.FlowEvents = fleet.FlowEvents.Value()
-	rep.Resyncs = fleet.Resyncs.Value()
-	rep.CursorResumes = fleet.CursorResumes.Value()
+	rep.Resumes = fleet.Resumes.Value()
 	rep.BytesPerDevice = fleet.BytesPerDevice()
 	if rep.WallSecs > 0 {
 		rep.EventsPerSec = float64(rep.Applied) / rep.WallSecs

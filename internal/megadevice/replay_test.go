@@ -7,7 +7,8 @@ import (
 // TestReplayScenarioServesBacklogFromLog runs the replay scenario at toy
 // scale and asserts its durable-log contract: late joiners subscribing
 // from the "earliest" cursor receive the full backlog out of the BRASS
-// log — zero WAS point queries — and the log counters account for it.
+// log — every open a log resume, none expired into a mailbox read — and the
+// log counters account for it.
 func TestReplayScenarioServesBacklogFromLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay scenario drives a live cluster")
@@ -34,9 +35,6 @@ func TestReplayScenarioServesBacklogFromLog(t *testing.T) {
 	}
 	if rep.ReplayCatchUpApplied == 0 {
 		t.Error("ReplayCatchUpApplied = 0: no backlog reached a late joiner")
-	}
-	if rep.ReplayPointQueries != 0 {
-		t.Errorf("ReplayPointQueries = %d, want 0 (catch-up must come from the log)", rep.ReplayPointQueries)
 	}
 	// At least one cursor resume per area was served from the log.
 	if rep.LogResumes < 8 {

@@ -78,7 +78,7 @@ type Report struct {
 	Deltas       int64  `json:"deltas"`
 	Applied      int64  `json:"applied"`
 	FlowEvents   int64  `json:"flow_events"`
-	Resyncs      int64  `json:"resyncs"`
+	Resumes      int64  `json:"resumes"` // shed episodes repaired by reopening the shared stream
 
 	Probes      int64 `json:"probes"`
 	ProbeMisses int64 `json:"probe_misses"`
@@ -101,12 +101,10 @@ type Report struct {
 	ReplayLateJoiners    int   `json:"replay_late_joiners,omitempty"`
 	ReplayBacklog        int64 `json:"replay_backlog,omitempty"`
 	ReplayCatchUpApplied int64 `json:"replay_catchup_applied,omitempty"`
-	ReplayPointQueries   int64 `json:"replay_point_queries,omitempty"`
 	LogAppends           int64 `json:"log_appends,omitempty"`
 	LogResumes           int64 `json:"log_resumes,omitempty"`
 	LogCatchUpDeltas     int64 `json:"log_catchup_deltas,omitempty"`
 	LogExpired           int64 `json:"log_expired,omitempty"`
-	CursorResumes        int64 `json:"cursor_resumes,omitempty"`
 
 	// GitDescribe is run metadata stamped by the emitting command
 	// (brload), so every BENCH json records the tree it came from.
@@ -425,7 +423,7 @@ func Run(o Options) (*Report, error) {
 	rep.Deltas = fleet.Deltas.Value()
 	rep.Applied = fleet.Applied.Value()
 	rep.FlowEvents = fleet.FlowEvents.Value()
-	rep.Resyncs = fleet.Resyncs.Value()
+	rep.Resumes = fleet.Resumes.Value()
 	rep.BytesPerDevice = fleet.BytesPerDevice()
 	if rep.WallSecs > 0 {
 		rep.EventsPerSec = (float64(rep.EngineEvents) + float64(rep.Applied)) / rep.WallSecs
@@ -576,7 +574,6 @@ func runReplay(o Options) (*Report, error) {
 	sim.Sleep(wall, 200*time.Millisecond)
 	fleet.Service()
 	seedApplied := fleet.Applied.Value()
-	pointBase := cluster.WAS.PointQueries.Value()
 	o.Logf("backlog published: %d messages, seed applied %d", rep.ReplayBacklog, seedApplied)
 
 	// Phase 3: late joiners subscribe from "earliest"; their catch-up is
@@ -605,7 +602,6 @@ func runReplay(o Options) (*Report, error) {
 	fleet.Service()
 
 	rep.ReplayCatchUpApplied = fleet.Applied.Value() - seedApplied
-	rep.ReplayPointQueries = cluster.WAS.PointQueries.Value() - pointBase
 	rep.WallSecs = wall.Now().Sub(start).Seconds()
 	rep.EngineEvents = engine.Executed()
 	rep.Transitions = fleet.Transitions.Value()
@@ -616,8 +612,7 @@ func runReplay(o Options) (*Report, error) {
 	rep.Deltas = fleet.Deltas.Value()
 	rep.Applied = fleet.Applied.Value()
 	rep.FlowEvents = fleet.FlowEvents.Value()
-	rep.Resyncs = fleet.Resyncs.Value()
-	rep.CursorResumes = fleet.CursorResumes.Value()
+	rep.Resumes = fleet.Resumes.Value()
 	rep.BytesPerDevice = fleet.BytesPerDevice()
 	for _, h := range cluster.Hosts {
 		rep.LogResumes += h.LogResumes.Value()
@@ -631,7 +626,7 @@ func runReplay(o Options) (*Report, error) {
 		rep.EventsPerSec = (float64(rep.EngineEvents) + float64(rep.Applied)) / rep.WallSecs
 	}
 	rep.LatencyNS = fleet.ApplyLatency.Snapshot()
-	o.Logf("replay: joiners applied %d of %d backlog deltas from the log (resumes=%d, point queries=%d)",
-		rep.ReplayCatchUpApplied, int64(backlogPerArea)*int64(o.Devices-seedDevs), rep.LogResumes, rep.ReplayPointQueries)
+	o.Logf("replay: joiners applied %d of %d backlog deltas from the log (log resumes=%d, expired=%d)",
+		rep.ReplayCatchUpApplied, int64(backlogPerArea)*int64(o.Devices-seedDevs), rep.LogResumes, rep.LogExpired)
 	return rep, nil
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"bladerunner/internal/burst"
-	"bladerunner/internal/durlog"
 )
 
 // trunk is one real BURST session to a POP carrying every virtual device
@@ -42,7 +40,8 @@ type topicSub struct {
 
 	mu      sync.Mutex
 	streams []uint32
-	header  burst.Header // stored request header, patched by rewrites
+	header  burst.Header      // stored request header, patched by rewrites
+	resume  burst.ResumePoint // what the real stream has seen; moved by frames for sid only
 }
 
 // trunkForLocked returns the live trunk for pop, dialing one if needed.
@@ -111,14 +110,14 @@ func (t *trunk) sub(area uint32) *topicSub {
 	return ts
 }
 
-// resumeSub repairs a shed gap on a shared stream the durable-log way:
-// cancel the shed subscription and resubscribe under a fresh stream id
-// with the stored (rewrite-maintained) cursor, clamped to the highest seq
-// actually applied on the stream — the trunk-model analogue of
-// device.Stream.triggerCursorResume, and subject to the same
-// never-raise clamp rule. One resume covers every virtual device
-// attached to the stream, exactly as one OnShed point query does for the
-// legacy path. Called from Service, outside all fleet locks.
+// resumeSub repairs a shed gap on a shared stream: cancel the shed
+// subscription and reopen it under a fresh stream id from the stored
+// (rewrite-maintained) request, resume tokens lowered to the stream's resume
+// point — the trunk-model analogue of device.Stream.resubscribe, and the one
+// place the fleet builds a resubscribe request. Frames still in flight for
+// the old id find no subscription and move nothing. One reopen covers every
+// virtual device attached to the stream. Called from Service, outside all
+// fleet locks.
 func (t *trunk) resumeSub(ts *topicSub) {
 	t.mu.Lock()
 	if t.sess == nil || t.subs == nil || t.subs[ts.area] != ts {
@@ -131,22 +130,14 @@ func (t *trunk) resumeSub(ts *topicSub) {
 	delete(t.bySID, oldSID)
 	t.bySID[newSID] = ts
 	ts.sid = newSID
-	var last uint64
 	ts.mu.Lock()
-	for _, sid := range ts.streams {
-		if s := atomic.LoadUint64(&t.f.tab.streamSeq[sid]); s > last {
-			last = s
-		}
-	}
 	req := burst.Subscribe{Header: ts.header.Clone()}
+	ts.resume.Reopen(&req)
 	ts.mu.Unlock()
 	t.mu.Unlock()
-	if c := req.Header[burst.HdrCursor]; c != "" {
-		req.Header[burst.HdrCursor] = durlog.Clamp(c, last)
-	}
-	_ = t.sess.SendMsg(burst.FrameCancel, oldSID, burst.Cancel{Reason: "cursor-resume"})
+	_ = t.sess.SendMsg(burst.FrameCancel, oldSID, burst.Cancel{Reason: "shed-resume"})
 	_ = t.sess.SendMsg(burst.FrameSubscribe, newSID, req)
-	t.f.CursorResumes.Inc()
+	t.f.Resumes.Inc()
 }
 
 // lookupSub returns the shared subscription for area, or nil.

@@ -48,25 +48,21 @@ func (c Class) String() string {
 
 // ShedMarkerPrefix prefixes the FlowDetail of every FlowDegraded emitted
 // because a hop shed data deltas. Devices use it to distinguish "the path
-// is degraded, wait" from "deltas were dropped, resynchronize via a WAS
-// point query" (shed-then-resync).
+// is degraded, wait" from "deltas were dropped": on the latter a stream
+// that holds a resume token reopens from its stored request and the
+// serving BRASS replays what is missing (DESIGN.md §7c).
 const ShedMarkerPrefix = "shed:"
 
 // RecoveredMarkerPrefix prefixes the FlowDetail of the matching
-// FlowRecovered once the hop leaves shedding.
+// FlowRecovered once the hop leaves shedding. It is informational: the
+// reopen its FlowDegraded triggered has already replaced the stream it
+// arrives on.
 const RecoveredMarkerPrefix = "shed-recovered:"
 
 // IsShedMarker reports whether a flow_status detail string marks a shed
 // episode (as opposed to a transport failure).
 func IsShedMarker(detail string) bool {
 	return len(detail) >= len(ShedMarkerPrefix) && detail[:len(ShedMarkerPrefix)] == ShedMarkerPrefix
-}
-
-// IsRecoveredMarker reports whether a flow_status detail string marks the
-// end of a shed episode. Devices resync on this too: deltas shed after the
-// onset resync's snapshot are only recoverable once the episode closes.
-func IsRecoveredMarker(detail string) bool {
-	return len(detail) >= len(RecoveredMarkerPrefix) && detail[:len(RecoveredMarkerPrefix)] == RecoveredMarkerPrefix
 }
 
 // TokenBucket is a loop-owned (unsynchronized) token bucket: Rate tokens

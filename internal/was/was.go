@@ -114,7 +114,6 @@ type Server struct {
 
 	// Metrics.
 	Queries          metrics.Counter
-	PointQueries     metrics.Counter // cheap keyed reads (shed-then-resync)
 	Mutations        metrics.Counter
 	Subscriptions    metrics.Counter
 	PayloadFetches   metrics.Counter
@@ -140,7 +139,6 @@ func (r *rngSource) next() uint64 {
 // resource-usage comparisons (paper §5: poll queries cost far more than
 // point fetches).
 const (
-	cpuQueryPoint = 1
 	cpuQueryRange = 12
 	cpuMutation   = 2
 	cpuPayload    = 1
@@ -244,36 +242,6 @@ func (s *Server) QueryIn(region string, viewer socialgraph.UserID, expr string) 
 	}
 	s.Queries.Inc()
 	s.CPUMillis.Add(cpuQueryRange)
-	v, err := fn(s.ctxIn(viewer, region), call)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
-}
-
-// PointQuery executes a read expression as viewer at point-read cost: the
-// cheap keyed lookup a device issues to resynchronize one stream after an
-// upstream shed (shed-then-resync), as opposed to the expensive range
-// polls Query models (paper §5's poll-vs-push CPU comparison). The query
-// registry is shared with Query; only the accounting differs.
-func (s *Server) PointQuery(viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return s.PointQueryIn("", viewer, expr)
-}
-
-// PointQueryIn is PointQuery executing in a datacenter region.
-func (s *Server) PointQueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	call, err := ParseField(expr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	fn := s.queries[call.Name]
-	s.mu.Unlock()
-	if fn == nil {
-		return nil, fmt.Errorf("%w: query %q", ErrUnknownField, call.Name)
-	}
-	s.PointQueries.Inc()
-	s.CPUMillis.Add(cpuQueryPoint)
 	v, err := fn(s.ctxIn(viewer, region), call)
 	if err != nil {
 		return nil, err
