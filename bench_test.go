@@ -143,8 +143,7 @@ func BenchmarkAblationGenericVsPerApp(b *testing.B) {
 // ---- Microbenchmarks of the hot paths ----
 //
 // The headline hot-path benchmarks live in internal/bench so that
-// TestAllocContracts (alloc_test.go) and the hotfanout experiment run
-// exactly this code.
+// TestAllocContracts (alloc_test.go) runs exactly this code.
 
 func BenchmarkBURSTFrameEncode(b *testing.B) { bench.BURSTFrameEncode(b) }
 

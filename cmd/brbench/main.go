@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: all, table1, table2, table3, fig6, fig7, fig8, fig9, fig10, switchover, storm, hotfanout, tracehops, overload, geofailover, durlog, ablations")
+	exp := flag.String("exp", "all", "experiment id: all, table1, table2, table3, fig6, fig7, fig8, fig9, fig10, switchover, storm, tracehops, geofailover, durlog, ablations")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	series := flag.Bool("series", false, "dump full figure series as CSV after each result")
 	flag.Parse()
@@ -39,9 +39,7 @@ func main() {
 		"fig10":       func() experiments.Result { return experiments.Figure10(*seed) },
 		"switchover":  func() experiments.Result { return experiments.Switchover(*seed) },
 		"storm":       func() experiments.Result { return experiments.ReconnectStorm(*seed) },
-		"hotfanout":   func() experiments.Result { return experiments.HotFanout(*seed) },
 		"tracehops":   func() experiments.Result { return experiments.TraceHops(*seed) },
-		"overload":    func() experiments.Result { return experiments.OverloadStorm(*seed) },
 		"geofailover": func() experiments.Result { return experiments.GeoFailover(*seed) },
 		"durlog":      func() experiments.Result { return experiments.DurlogResume(*seed) },
 		"ablations":   nil, // expanded below

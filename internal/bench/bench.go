@@ -1,9 +1,8 @@
 // Package bench holds the hot-path benchmark bodies shared by the root
-// `go test -bench` suite, its TestAllocContracts, and the hotfanout
-// experiment. Keeping them in one non-test package means the experiment
-// measures exactly the code `go test -bench` runs, and that the bodies are
-// subject to brlint (no wall-clock polling — waits go through
-// pylon.WaitForSubscriber or channel receives).
+// `go test -bench` suite and its TestAllocContracts. Keeping them in one
+// non-test package means the contracts measure exactly the code `go test
+// -bench` runs, and that the bodies are subject to brlint (no wall-clock
+// polling — waits go through pylon.WaitForSubscriber or channel receives).
 package bench
 
 import (
@@ -117,17 +116,11 @@ func PylonPublish(b *testing.B) {
 // cache exists for: repeat publishes must not re-read the replicated
 // subscription store per event. Admission control is enabled (at a
 // non-shedding rate) so the alloc gate covers the plane.
-func HotTopicFanout(b *testing.B) {
-	HotTopicFanoutConfig(b, benchAdmission(pylon.DefaultConfig()))
-}
-
-// HotTopicFanoutConfig is HotTopicFanout with a caller-supplied Pylon
-// config, so the hotfanout experiment can ablate the subscriber cache.
 // Publishes route through the two-region plane; the asserted fan-out count
 // is the synchronous origin-region one.
-func HotTopicFanoutConfig(b *testing.B, cfg pylon.Config) {
+func HotTopicFanout(b *testing.B) {
 	const subscribers = 1000
-	pyl := pylon.MustNew(cfg, NewKV())
+	pyl := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
 	topic := pylon.Topic("/bench/hot")
 	for i := 0; i < subscribers; i++ {
 		s := NewSink(fmt.Sprintf("sink-%d", i))

@@ -375,7 +375,7 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 	cli2 := burst.NewClient("device-2", a2, nil)
 	host.AcceptSession("host-side-2", b2)
 	t.Cleanup(func() { cli2.Close() })
-	cs2, err := cli2.Resubscribe(req)
+	cs2, err := cli2.Subscribe(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,8 +309,10 @@ func (st *Stream) Terminate(reason string) error {
 }
 
 // Redirect rewrites routing state to point at another BRASS and terminates
-// the stream; the device's automatic resubscribe will land there (paper
-// §3.5 "Redirects").
+// the stream (paper §3.5 "Redirects"). No device model in this repository
+// resubscribes after it: a termination ends the stream for good
+// (burst.Recovery answers End), so the rewritten routing state is used only
+// by an application that opens the stream again from that request itself.
 func (st *Stream) Redirect(targetHostID string) error {
 	if err := st.RewriteHeaderField(burst.HdrStickyBRASS, targetHostID); err != nil {
 		return err

@@ -137,7 +137,8 @@ func (st *ClientStream) Cancel(reason string) error {
 	return err
 }
 
-// Subscribe opens a new request-stream with the given request.
+// Subscribe opens a new request-stream with the given request — a fresh one,
+// or a stored (rewritten) one reopening a stream after a failure.
 func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -160,13 +161,6 @@ func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// Resubscribe opens a stream using a previously stored request (e.g. after
-// reconnecting on a fresh session). It is equivalent to Subscribe but named
-// for readability at call sites.
-func (c *Client) Resubscribe(sub Subscribe) (*ClientStream, error) {
-	return c.Subscribe(sub)
 }
 
 // Streams returns the currently open streams.
@@ -249,7 +243,7 @@ func (st *ClientStream) apply(rc *Received) {
 		d := &rc.Deltas[i]
 		switch d.Type {
 		case DeltaRewriteRequest:
-			st.sub.applyRewrite(d)
+			st.sub.Patch(d)
 			if !st.client.RelayRewrites {
 				continue
 			}

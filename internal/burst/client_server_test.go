@@ -361,19 +361,6 @@ func TestServerSessionAccessors(t *testing.T) {
 	}
 }
 
-func TestClientResubscribeAlias(t *testing.T) {
-	cli, _, srv := newClientServer(t)
-	st, err := cli.Resubscribe(Subscribe{Header: Header{HdrApp: "x", HdrResumeSeq: "5"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	if got := srv.stream(0).Request().Header[HdrResumeSeq]; got != "5" {
-		t.Errorf("resume header = %q", got)
-	}
-	_ = st
-}
-
 func TestStreamsAccessor(t *testing.T) {
 	cli, ss, srv := newClientServer(t)
 	for i := 0; i < 3; i++ {

@@ -52,16 +52,16 @@ const (
 	HdrStickyBRASS = "sticky-brass"
 	// HdrResumeSeq is the sequence number the serving BRASS last decided
 	// to push (resumption; maintained by rewrites). It over-claims whenever
-	// admission shed the payload the rewrite rode with, so the client lowers
-	// it to its ResumePoint before every resubscribe.
+	// admission shed the payload the rewrite rode with, so its holder lowers
+	// it to the stream's resume point (Recovery.Reopen) on every reopen.
 	HdrResumeSeq = "resume-seq"
 	// HdrClientVersion expresses client capabilities to the BRASS.
 	HdrClientVersion = "client-version"
 	// HdrCursor is the durable-log resume cursor ("epoch.seq", or the
 	// sentinels internal/durlog accepts): the server rewrites it forward
-	// as deltas are delivered, the client lowers it to its ResumePoint
-	// before resubscribing, and the serving BRASS answers it with a
-	// gap-free log catch-up — or expires it, NEVER fabricating one, and
+	// as deltas are delivered, the holder lowers it to the stream's resume
+	// point (Recovery.Reopen) on every reopen, and the serving BRASS answers
+	// it with a gap-free log catch-up — or expires it, NEVER fabricating one, and
 	// serves the same suffix from the application's backend instead. Like
 	// HdrAdmissionState it lives in the stored request, so failover
 	// rewrites and resubscriptions carry it across hosts.
@@ -147,14 +147,19 @@ type Subscribe struct {
 	Body []byte
 }
 
-// applyRewrite folds a rewrite_request delta into the stored request s: the
-// header patch is merged, a nil body leaves the body unchanged.
-func (s *Subscribe) applyRewrite(d *Delta) {
+// Patch folds a rewrite_request delta into the stored request s: the header
+// patch is merged, a nil body leaves the body unchanged. Every holder of a
+// stored request merges a rewrite here; the caller holds the request's lock.
+func (s *Subscribe) Patch(d *Delta) {
 	s.Header = s.Header.Merge(d.Header)
 	if d.Body != nil {
 		s.Body = append([]byte(nil), d.Body...)
 	}
 }
+
+// HeaderField returns one header key of the request (Stored, for a holder
+// that keeps the request under its own lock).
+func (s *Subscribe) HeaderField(key string) string { return s.Header[key] }
 
 // Cancel is the payload of a FrameCancel: it terminates a stream from the
 // client side.

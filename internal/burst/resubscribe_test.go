@@ -226,7 +226,7 @@ func TestRewriteRacingResubscribe(t *testing.T) {
 	if err := st.Cancel("resubscribe"); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := cli.Resubscribe(stored)
+	st2, err := cli.Subscribe(stored)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func (st *ServerStream) HeaderField(key string) string {
 func (st *ServerStream) applyRewritesLocked(deltas ...Delta) {
 	for i := range deltas {
 		if deltas[i].Type == DeltaRewriteRequest {
-			st.sub.applyRewrite(&deltas[i])
+			st.sub.Patch(&deltas[i])
 		}
 	}
 }

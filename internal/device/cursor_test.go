@@ -37,23 +37,47 @@ func newIdleStream(d *Device) *Stream {
 	}
 }
 
-func TestCursorResumeCoalesces(t *testing.T) {
-	d, _ := newIdleDevice(t)
-	st := newIdleStream(d)
-	st.req.Header[burst.HdrCursor] = "1.4"
+// seen moves st's resume point to seq, as a payload of its current
+// incarnation would.
+func seen(st *Stream, seq uint64) {
+	d := burst.PayloadDelta(seq, nil)
+	st.rec.Step(&d, &st.req)
+}
 
-	// First marker schedules the resume; the engine never runs, so it
-	// stays pending and the next two markers coalesce into it.
-	st.mu.Lock()
-	st.scheduleResumeLocked()
-	st.scheduleResumeLocked()
-	st.scheduleResumeLocked()
-	st.mu.Unlock()
-	if got := d.ResumesCoalesced.Value(); got != 2 {
-		t.Fatalf("ResumesCoalesced = %d, want 2", got)
+func TestCursorResumeCoalesces(t *testing.T) {
+	d, eng := newIdleDevice(t)
+	_, streams := pipeSession(t, d)
+	st, err := d.Subscribe("messenger", "messenger", burst.Header{burst.HdrCursor: "1.4"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv := nextStream(t, streams)
+
+	// The first marker schedules the resume; the engine never runs, so it
+	// stays pending and the next two markers coalesce into it.
+	marker := burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission")
+	if err := srv.SendBatch(marker, marker, marker); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-st.Flow:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("marker %d never surfaced on Flow", i)
+		}
+	}
+	waitFor(t, "two coalesced markers", func() bool { return d.ResumesCoalesced.Value() == 2 })
 	if got := d.Resumes.Value(); got != 0 {
 		t.Fatalf("Resumes = %d before the timer fired", got)
+	}
+	// One resume was scheduled for the three markers, and it is one reopen.
+	if got := eng.Pending(); got != 1 {
+		t.Fatalf("%d timers pending after three markers, want 1", got)
+	}
+	eng.Step()
+	nextStream(t, streams)
+	if got := d.Resumes.Value(); got != 1 {
+		t.Fatalf("Resumes = %d after the timer fired, want 1", got)
 	}
 }
 
@@ -76,7 +100,7 @@ func TestResubscribeClampsCursor(t *testing.T) {
 			d, _ := newIdleDevice(t)
 			st := newIdleStream(d)
 			st.req.Header[burst.HdrCursor] = tc.cursor
-			st.resume.Payload(tc.seq)
+			seen(st, tc.seq)
 
 			cli, streams := pipeSession(t, d)
 			st.resubscribe(cli)
@@ -161,11 +185,10 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	}
 
 	// Release the pending resume: cancel + resubscribe on the live session.
-	st.mu.Lock() // orders the pump's After before this goroutine's Step
-	pending := st.resumePending
-	st.mu.Unlock()
-	if !pending || !eng.Step() {
-		t.Fatalf("no resume pending after the shed marker (pending=%v)", pending)
+	// (The marker was pumped before payload 9 reached Updates, so its After
+	// is on the engine by now.)
+	if !eng.Step() {
+		t.Fatal("no resume pending after the shed marker")
 	}
 	req := nextStream(t, streams).Request()
 	if seq, cur := req.Header[burst.HdrResumeSeq], req.Header[burst.HdrCursor]; seq != "5" || cur != "1.5" {
@@ -200,11 +223,9 @@ func TestShedMarkerWithoutResumeTokenOnlySurfaces(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("marker never surfaced on Flow")
 	}
-	st.mu.Lock()
-	pending := st.resumePending
-	st.mu.Unlock()
-	if pending || eng.Pending() != 0 {
-		t.Fatalf("a stream with no resume token scheduled a resume (pending=%v, timers=%d)", pending, eng.Pending())
+	if eng.Pending() != 0 || d.ResumesCoalesced.Value() != 0 {
+		t.Fatalf("a stream with no resume token scheduled a resume (timers=%d, coalesced=%d)",
+			eng.Pending(), d.ResumesCoalesced.Value())
 	}
 }
 
@@ -216,7 +237,7 @@ func TestSupersededIncarnationMovesNoState(t *testing.T) {
 	d, eng := newIdleDevice(t)
 	st := newIdleStream(d)
 	st.req.Header[burst.HdrCursor] = "1.4"
-	st.resume.Payload(4)
+	seen(st, 4)
 	st.mu.Lock()
 	st.pushFlowLocked(burst.FlowRecovered) // the reopen's
 	st.mu.Unlock()
@@ -253,7 +274,7 @@ func TestConcurrentResubscribesShareNoRequest(t *testing.T) {
 	st := newIdleStream(d)
 	st.req.Header[burst.HdrCursor] = "1.9"
 	st.req.Header[burst.HdrResumeSeq] = "9"
-	st.resume.Payload(5)
+	seen(st, 5)
 
 	const n = 4
 	var wg sync.WaitGroup

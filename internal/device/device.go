@@ -16,7 +16,6 @@ import (
 	"bladerunner/internal/edge"
 	"bladerunner/internal/faults"
 	"bladerunner/internal/metrics"
-	"bladerunner/internal/overload"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/trace"
@@ -124,19 +123,15 @@ type Stream struct {
 	req    burst.Subscribe
 	closed bool
 
-	// resume is what the next resubscribe resumes from. Only the pump of
-	// the current incarnation (cur) moves it.
-	resume burst.ResumePoint
+	// rec decides what every delta of the current incarnation (cur) means
+	// for the stream and what the next resubscribe resumes from; only that
+	// incarnation's pump steps it.
+	rec burst.Recovery
 
 	// bo paces per-stream resubscribe retries; retryCancel is the pending
 	// retry timer, cancelled on close or when a resubscribe supersedes it.
 	bo          *faults.Backoff
 	retryCancel func()
-
-	// resumePending coalesces shed-marker resumes: while one is scheduled,
-	// further markers have nothing to add (the resubscribe replays
-	// everything after the frozen resume point).
-	resumePending bool
 }
 
 // New builds a device. dialer reaches POP targets; wasrv serves the initial
@@ -145,9 +140,6 @@ type Stream struct {
 func New(cfg Config, dialer edge.Dialer, wasrv Backend, sched sim.Scheduler) *Device {
 	if sched == nil {
 		sched = sim.RealClock{}
-	}
-	if cfg.Backoff.Base <= 0 {
-		cfg.Backoff.Base = 50 * time.Millisecond
 	}
 	seed := cfg.BackoffSeed
 	if seed == 0 {
@@ -229,7 +221,7 @@ func (d *Device) Close() {
 		_ = cli.Close()
 	}
 	for _, st := range streams {
-		st.shutdown()
+		st.end(false, "")
 	}
 }
 
@@ -260,9 +252,6 @@ func (d *Device) Subscribe(app, subscription string, extra burst.Header) (*Strea
 		return nil, fmt.Errorf("device: stream cap %d reached", d.cfg.MaxStreams)
 	}
 	cli := d.client
-	d.mu.Unlock()
-
-	d.mu.Lock()
 	d.nextSalt++
 	salt := d.nextSalt
 	d.mu.Unlock()
@@ -388,13 +377,13 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	// The server rewrote the resume tokens forward as it pushed, but what
 	// admission shed or a dead session swallowed never arrived: lower both
 	// to what this device actually has.
-	st.resume.Reopen(&st.req)
+	st.rec.Reopen(&st.req)
 	// A copy: another resubscribe may lower st.req again while this one is
 	// still being sent.
 	req := burst.Subscribe{Header: st.req.Header.Clone(), Body: st.req.Body}
 	st.mu.Unlock()
 
-	cs, err := cli.Resubscribe(req)
+	cs, err := cli.Subscribe(req)
 	if err != nil {
 		// The session may still be alive (transient send failure) — do
 		// not wait for the next session loss; schedule a per-stream
@@ -456,68 +445,67 @@ func (st *Stream) cancelRetryLocked() {
 
 // pump forwards one underlying client stream's batches into the persistent
 // channels. It returns when that client stream ends; reconnection starts a
-// new pump. Only the current incarnation (st.cur == cs) moves stream state:
-// what a superseded client stream still has buffered keeps reaching Updates,
-// but it neither advances the resume point nor reports flow — its
-// FlowDegraded landing after the reopen's FlowRecovered would leave the app
-// degraded for ever. pump never releases a batch's lease: the payload deltas
-// it hands the app on Updates alias it, so the garbage collector takes it
-// with them.
+// new pump. st.rec decides what each delta means and pump carries it out —
+// for the current incarnation (st.cur == cs) only: what a superseded client
+// stream still has buffered keeps reaching Updates, but it neither moves the
+// resume point nor reports flow — its FlowDegraded landing after the reopen's
+// FlowRecovered would leave the app degraded for ever — nor ends the stream.
+// pump never releases a batch's lease: the payload deltas it hands the app on
+// Updates alias it, so the garbage collector takes it with them.
 func (st *Stream) pump(cs *burst.ClientStream) {
 	for batch := range cs.Events {
-		for _, delta := range batch.Deltas {
-			switch delta.Type {
-			case burst.DeltaPayload:
-				sp := st.dev.cfg.Tracer.Start(delta.Trace, trace.HopApply, trace.HopFlush)
-				sp.AnnotateInt("seq", int64(delta.Seq))
-				st.mu.Lock()
-				if sp.Active() {
-					sp.Annotate("stream", st.req.Header[burst.HdrTraceStream])
-				}
-				if st.cur == cs {
-					st.resume.Payload(delta.Seq)
-				}
-				if !st.closed {
-					st.dev.Updates.Inc()
-					select {
-					case st.Updates <- delta:
-					default: // device is slow; best-effort drop (counted)
-						st.dev.RenderDrops.Inc()
-						sp.Drop("render-queue-full")
-					}
-				}
-				st.mu.Unlock()
-				sp.End()
-			case burst.DeltaFlowStatus:
+		for i := range batch.Deltas {
+			delta := &batch.Deltas[i]
+			st.mu.Lock()
+			act := burst.Ignore
+			if st.cur == cs {
+				act = st.rec.Step(delta, cs)
+			} else if delta.Type == burst.DeltaPayload {
+				act = burst.Apply
+			}
+			switch act {
+			case burst.Apply:
+				st.renderLocked(delta)
+			case burst.Surface, burst.Reopen, burst.Coalesce:
 				st.dev.FlowEvents.Inc()
-				st.mu.Lock()
-				if st.cur == cs {
-					// A shed marker means an upstream hop dropped deltas. If
-					// the stored request carries a resume token the gap is
-					// repairable: freeze the resume point and reopen the
-					// stream from it, exactly as after a session loss. A
-					// stream without one has nothing to resume from; the app
-					// only hears the code. The matching shed-recovered marker
-					// triggers nothing — it follows its FlowDegraded on a
-					// server stream the reopen has already replaced.
-					if delta.Flow == burst.FlowDegraded && overload.IsShedMarker(delta.FlowDetail) &&
-						(cs.HeaderField(burst.HdrCursor) != "" || cs.HeaderField(burst.HdrResumeSeq) != "") {
-						st.resume.Shed()
-						st.scheduleResumeLocked()
-					}
-					st.pushFlowLocked(delta.Flow)
+				st.pushFlowLocked(delta.Flow)
+				if act == burst.Reopen {
+					st.scheduleResume()
+				} else if act == burst.Coalesce {
+					st.dev.ResumesCoalesced.Inc()
 				}
-				st.mu.Unlock()
-			case burst.DeltaTermination:
-				st.terminate()
+			}
+			st.mu.Unlock()
+			if act == burst.End {
+				st.end(false, "")
 				return
 			}
 		}
 	}
 	// Channel closed without termination: session loss. The device-level
-	// reconnect will resubscribe us; nothing to do here. (Rewrites need no
-	// handling either: the BURST client applied them to cs's copy, which
+	// reconnect will resubscribe us; nothing to do here. (burst.Patch never
+	// reaches pump: the BURST client merged the rewrite into cs's copy, which
 	// Request reads and resubscribe snapshots.)
+}
+
+// renderLocked hands one payload delta to the app, best effort. Callers hold
+// st.mu.
+func (st *Stream) renderLocked(delta *burst.Delta) {
+	sp := st.dev.cfg.Tracer.Start(delta.Trace, trace.HopApply, trace.HopFlush)
+	sp.AnnotateInt("seq", int64(delta.Seq))
+	if sp.Active() {
+		sp.Annotate("stream", st.req.Header[burst.HdrTraceStream])
+	}
+	if !st.closed {
+		st.dev.Updates.Inc()
+		select {
+		case st.Updates <- *delta:
+		default: // device is slow; best-effort drop (counted)
+			st.dev.RenderDrops.Inc()
+			sp.Drop("render-queue-full")
+		}
+	}
+	sp.End()
 }
 
 // pushFlowLocked delivers a flow code to the app, coalescing under
@@ -545,24 +533,13 @@ func (st *Stream) pushFlowLocked(code burst.FlowCode) {
 	}
 }
 
-// scheduleResumeLocked repairs a shed gap: off the pump goroutine, cancel the
+// scheduleResume repairs a shed gap: off the pump goroutine, cancel the
 // current client stream and resubscribe with the stored request, which the
 // serving BRASS answers with everything after the frozen resume point.
-// Markers arriving while one resume is scheduled coalesce away entirely —
-// there is nothing left for a second one to pick up. Callers hold st.mu.
-func (st *Stream) scheduleResumeLocked() {
-	if st.closed {
-		return
-	}
-	if st.resumePending {
-		st.dev.ResumesCoalesced.Inc()
-		return
-	}
-	st.resumePending = true
+func (st *Stream) scheduleResume() {
 	d := st.dev
 	d.sched.After(0, func() {
 		st.mu.Lock()
-		st.resumePending = false
 		closed := st.closed
 		cur := st.cur
 		st.mu.Unlock()
@@ -595,7 +572,7 @@ func (st *Stream) RetryBackoff() *faults.Backoff { return st.bo }
 func (st *Stream) LastSeq() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.resume.Seq()
+	return st.rec.Seq()
 }
 
 // HeaderField returns one header key of the current stored request.
@@ -620,7 +597,12 @@ func (st *Stream) Request() burst.Subscribe {
 }
 
 // Cancel ends the stream from the device side.
-func (st *Stream) Cancel(reason string) {
+func (st *Stream) Cancel(reason string) { st.end(true, reason) }
+
+// end closes the stream, once: the device's own Cancel also cancels the live
+// client stream upstream; a server termination (burst.End) and device
+// teardown have nobody left to tell.
+func (st *Stream) end(upstream bool, reason string) {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -630,47 +612,15 @@ func (st *Stream) Cancel(reason string) {
 	cur := st.cur
 	st.cancelRetryLocked()
 	st.mu.Unlock()
-	if cur != nil {
+	if upstream && cur != nil {
 		_ = cur.Cancel(reason)
 	}
-	st.dev.dropStream(st)
-	close(st.Updates)
-	close(st.Flow)
-}
-
-// terminate handles a server-side termination delta.
-func (st *Stream) terminate() {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return
-	}
-	st.closed = true
-	st.cancelRetryLocked()
-	st.mu.Unlock()
-	st.dev.dropStream(st)
-	close(st.Updates)
-	close(st.Flow)
-}
-
-// shutdown closes channels on device teardown.
-func (st *Stream) shutdown() {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return
-	}
-	st.closed = true
-	st.cancelRetryLocked()
-	st.mu.Unlock()
-	close(st.Updates)
-	close(st.Flow)
-}
-
-func (d *Device) dropStream(st *Stream) {
+	d := st.dev
 	d.mu.Lock()
 	delete(d.streams, st)
 	d.mu.Unlock()
+	close(st.Updates)
+	close(st.Flow)
 }
 
 // StartPresence begins the periodic ONLINE report the paper's ActiveStatus

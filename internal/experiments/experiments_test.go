@@ -352,7 +352,7 @@ func TestAllRuns(t *testing.T) {
 		t.Skip("runs every experiment including the live switchover")
 	}
 	results := All(2)
-	if len(results) != 15 {
+	if len(results) != 13 {
 		t.Fatalf("All returned %d results", len(results))
 	}
 	ids := map[string]bool{}
@@ -362,7 +362,7 @@ func TestAllRuns(t *testing.T) {
 		}
 		ids[r.ID] = true
 	}
-	for _, want := range []string{"table1", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "switchover", "storm", "hotfanout", "tracehops", "overload", "geofailover", "durlog"} {
+	for _, want := range []string{"table1", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "switchover", "storm", "tracehops", "geofailover", "durlog"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
 		}

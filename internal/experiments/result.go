@@ -100,9 +100,7 @@ func All(seed int64) []Result {
 		Figure10(seed),
 		Switchover(seed),
 		ReconnectStorm(seed),
-		HotFanout(seed),
 		TraceHops(seed),
-		OverloadStorm(seed),
 		GeoFailover(seed),
 		DurlogResume(seed),
 	}

@@ -26,6 +26,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -57,8 +58,9 @@ func DefaultBackoff() BackoffPolicy {
 	return BackoffPolicy{Base: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
 }
 
-// normalized fills zero fields with their defaults.
-func (p BackoffPolicy) normalized() BackoffPolicy {
+// Normalized fills zero fields with their defaults and clamps the rest
+// (Max >= Base, Jitter in [0,1]). Normalizing twice changes nothing.
+func (p BackoffPolicy) Normalized() BackoffPolicy {
 	if p.Base <= 0 {
 		p.Base = 50 * time.Millisecond
 	}
@@ -73,7 +75,7 @@ func (p BackoffPolicy) normalized() BackoffPolicy {
 	}
 	switch {
 	case p.NoJitter || p.Jitter < 0:
-		p.Jitter = 0
+		p.Jitter, p.NoJitter = 0, true
 	case p.Jitter == 0:
 		p.Jitter = 0.5
 	case p.Jitter > 1:
@@ -82,9 +84,24 @@ func (p BackoffPolicy) normalized() BackoffPolicy {
 	return p
 }
 
+// Delay is the one backoff formula: the delay before retry number attempt
+// (0 is the first) of a Normalized policy — Base·Multiplier^attempt capped at
+// Max, which it reports as saturated — spread by the caller's randomness
+// u in [0,1) uniformly over [raw·(1−Jitter), raw·(1+Jitter)]: the same mean
+// as the fixed schedule, but a fleet of retries decorrelates. It keeps no
+// state, so a holder may draw u from a seeded RNG (Backoff) or from a hash
+// of what it already stores (megadevice's 0 B/device).
+func (p BackoffPolicy) Delay(attempt int, u float64) (d time.Duration, saturated bool) {
+	raw := float64(p.Base) * math.Pow(p.Multiplier, float64(attempt))
+	if raw >= float64(p.Max) {
+		raw, saturated = float64(p.Max), true
+	}
+	return time.Duration(raw * (1 - p.Jitter + 2*p.Jitter*u)), saturated
+}
+
 // String renders the normalized policy.
 func (p BackoffPolicy) String() string {
-	n := p.normalized()
+	n := p.Normalized()
 	return fmt.Sprintf("backoff{base=%v max=%v mult=%.2g jitter=%.2g}",
 		n.Base, n.Max, n.Multiplier, n.Jitter)
 }
@@ -107,7 +124,7 @@ type Backoff struct {
 // NewBackoff builds a Backoff with the given (normalized) policy and seed.
 func NewBackoff(p BackoffPolicy, seed int64) *Backoff {
 	return &Backoff{
-		policy:      p.normalized(),
+		policy:      p.Normalized(),
 		rng:         rand.New(rand.NewSource(seed)),
 		retries:     &metrics.Counter{},
 		saturations: &metrics.Counter{},
@@ -133,29 +150,13 @@ func (b *Backoff) Child(salt int64) *Backoff {
 func (b *Backoff) Next() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	raw := float64(b.policy.Base)
-	for i := 0; i < b.attempt; i++ {
-		raw *= b.policy.Multiplier
-		if raw >= float64(b.policy.Max) {
-			break
-		}
-	}
-	if raw >= float64(b.policy.Max) {
-		raw = float64(b.policy.Max)
+	d, saturated := b.policy.Delay(b.attempt, b.rng.Float64())
+	if saturated {
 		b.saturations.Inc()
 	}
 	b.attempt++
 	b.retries.Inc()
-	d := raw
-	if j := b.policy.Jitter; j > 0 {
-		// Uniform on [raw·(1−j), raw·(1+j)]: same mean as the fixed
-		// schedule, but a fleet of backoffs decorrelates.
-		d = raw * (1 - j + 2*j*b.rng.Float64())
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return d
 }
 
 // Reset rewinds the attempt counter after a successful attempt.

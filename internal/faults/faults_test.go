@@ -2,6 +2,7 @@ package faults
 
 import (
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -11,11 +12,11 @@ import (
 )
 
 func TestBackoffPolicyDefaults(t *testing.T) {
-	p := BackoffPolicy{}.normalized()
+	p := BackoffPolicy{}.Normalized()
 	if p.Base != 50*time.Millisecond || p.Max != 32*p.Base || p.Multiplier != 2 || p.Jitter != 0.5 {
 		t.Errorf("defaults = %+v", p)
 	}
-	fixed := BackoffPolicy{NoJitter: true}.normalized()
+	fixed := BackoffPolicy{NoJitter: true}.Normalized()
 	if fixed.Jitter != 0 {
 		t.Errorf("NoJitter policy kept jitter %v", fixed.Jitter)
 	}
@@ -86,6 +87,49 @@ func TestBackoffJitterBounds(t *testing.T) {
 		if d < base/2 || d > 3*base/2 {
 			t.Fatalf("delay %v outside [%v, %v]", d, base/2, 3*base/2)
 		}
+	}
+}
+
+// fixedSource makes a rand.Rand's Float64 return one value, u = s / 2^63.
+type fixedSource int64
+
+func (s fixedSource) Int63() int64 { return int64(s) }
+func (fixedSource) Seed(int64)     {}
+
+// Backoff.Next is BackoffPolicy.Delay fed the attempt counter and the RNG —
+// nothing else — so whoever calls Delay with the same (attempt, u) waits the
+// same time and saturates at the same attempt (megadevice's stateless
+// per-device jitter does: TestBackoffDelayIsTheOneFormula there).
+func TestBackoffNextIsDelay(t *testing.T) {
+	policies := []BackoffPolicy{
+		{}, // all defaults
+		{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, NoJitter: true},
+		{Base: 100 * time.Millisecond, Max: 10 * time.Millisecond}, // Max < Base: clamped up to Base
+		{Base: 20 * time.Millisecond, Multiplier: 1, Jitter: 1},
+	}
+	for _, p := range policies {
+		for _, frac := range []int64{0, 1 << 61, 1<<63 - 1<<10} {
+			u := float64(frac) / (1 << 63)
+			b := NewBackoff(p, 1)
+			b.rng = rand.New(fixedSource(frac))
+			for attempt := 0; attempt <= 40; attempt++ {
+				before := b.Saturations()
+				want, saturated := p.Normalized().Delay(attempt, u)
+				if got := b.Next(); got != want {
+					t.Fatalf("%v attempt %d u %v: Next = %v, Delay = %v", p, attempt, u, got, want)
+				}
+				if (b.Saturations() > before) != saturated {
+					t.Fatalf("%v attempt %d: Saturations moved %d, Delay saturated = %v", p, attempt, b.Saturations()-before, saturated)
+				}
+				n := p.Normalized()
+				if lo, hi := float64(n.Base)*(1-n.Jitter), float64(n.Max)*(1+n.Jitter); float64(want) < lo-1 || float64(want) > hi {
+					t.Fatalf("%v attempt %d u %v: %v outside [%v, %v]", p, attempt, u, want, time.Duration(lo), time.Duration(hi))
+				}
+			}
+		}
+	}
+	if p := (BackoffPolicy{Jitter: -1}).Normalized(); p != p.Normalized() {
+		t.Errorf("Normalized is not idempotent: %+v then %+v", p, p.Normalized())
 	}
 }
 

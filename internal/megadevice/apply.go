@@ -5,24 +5,52 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
-	"bladerunner/internal/overload"
 )
 
-// applyPayload fans one delivered payload delta out to every virtual
-// device attached to the shared stream. This is the model's per-delta
-// cost at 10^6 devices — a mutex, a linear pass of atomic stores over a
-// dense uint32 slice, two counters, and (when a probe is armed on the
-// topic) one histogram observation. streamSeq is written atomically so
-// LastSeq readers on other goroutines need no fleet-wide lock.
-//
-// run through them.
-//
-// delta delivered to every trunk on a hot topic multiplied by fleet size
-//
-//brlint:hotpath per-delta fan-in for the million-device harness: every
-func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
+// apply carries out what the shared stream's Recovery decides about one delta
+// of incarnation sid. Frames of a superseded incarnation — the trunk looked ts
+// up before a reopen swapped its stream id — decide nothing. Control deltas
+// are rare; the payload fan-out is the hot path, and it shares this one
+// ts.mu acquisition with the decision. A reopen or a termination is queued
+// for Service: transitions must not run on the trunk's read goroutine.
+func (f *Fleet) apply(ts *topicSub, sid burst.StreamID, d *burst.Delta) {
 	ts.mu.Lock()
-	ts.resume.Payload(seq)
+	if ts.sid == sid {
+		switch ts.rec.Step(d, &ts.req) {
+		case burst.Apply:
+			f.applyPayload(ts, d.Seq)
+		case burst.Patch:
+			// Sticky-brass, resume tokens, a new body: the shared stream
+			// carries them for the trunk's lifetime. A NEW trunk re-subscribes
+			// from the area's original request — sticky state is per-trunk
+			// here, per-device in device.Device (DESIGN.md §10).
+			f.Rewrites.Inc()
+			ts.req.Patch(d)
+		case burst.Surface, burst.Coalesce:
+			f.FlowEvents.Inc()
+		case burst.Reopen:
+			// ONE reopen for the shared stream, where a real fleet would
+			// reopen one stream per device (DESIGN.md §10).
+			f.FlowEvents.Inc()
+			enqueue(f, &f.extResumes, ts)
+		case burst.End:
+			f.Terminations.Inc()
+			enqueue(f, &f.extEnds, ts)
+		}
+	}
+	ts.mu.Unlock()
+}
+
+// applyPayload fans one delivered payload delta out to every virtual device
+// attached to the shared stream. This is the model's per-delta cost at 10^6
+// devices — a linear pass of atomic stores over a dense uint32 slice, two
+// counters, and (when a probe is armed on the topic) one histogram
+// observation, all inside apply's critical section. streamSeq is written
+// atomically so LastSeq readers on other goroutines need no fleet-wide lock.
+// Callers hold ts.mu.
+//
+//brlint:hotpath per-delta fan-in of the million-device harness: an allocation here is paid per delta, per trunk on a hot topic, per attached device.
+func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 	streams := ts.streams
 	if len(streams) > 0 {
 		for _, sid := range streams {
@@ -44,29 +72,6 @@ func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 		}
 	}
 	f.Deltas.Inc()
-	ts.mu.Unlock()
-}
-
-// applyFlow handles flow_status deltas on a shared stream: count them, and
-// on a shed marker do what device.Stream does — if the stored request
-// carries a resume token, freeze the shared stream's resume point and queue
-// ONE reopen for it (a real fleet would reopen one stream per device; the
-// trunk model coalesces them). Flow deltas are rare control traffic — not
-// part of the hot path.
-func (f *Fleet) applyFlow(ts *topicSub, d *burst.Delta) {
-	f.FlowEvents.Inc()
-	if d.Flow != burst.FlowDegraded || !overload.IsShedMarker(d.FlowDetail) {
-		return
-	}
-	ts.mu.Lock()
-	resumable := ts.header[burst.HdrCursor] != "" || ts.header[burst.HdrResumeSeq] != ""
-	if resumable {
-		ts.resume.Shed()
-	}
-	ts.mu.Unlock()
-	if resumable {
-		f.enqueueResume(ts)
-	}
 }
 
 // ProbeArm arms a delivery probe on area: wallNanos (the caller's wall
@@ -93,10 +98,9 @@ func (f *Fleet) LastSeq(sid uint32) uint64 {
 }
 
 // DeliveredCount returns the length of sid's recorded delivery trace
-// (RecordDeliveries fleets only; 0 otherwise). Safe to poll while traffic
-// flows — it locks the stream's current membership out briefly via the
-// fleet mutex plus trunk lookup being unnecessary: the count is read
-// under the same mutex ordering the appends (see DeliveredSeqs).
+// (RecordDeliveries fleets only; 0 otherwise). It is safe to poll while
+// traffic flows: the count is read under the owning topicSub's mutex, the
+// one the appends run under (see DeliveredSeqs).
 func (f *Fleet) DeliveredCount(sid uint32) int {
 	if f.rec == nil {
 		return 0

@@ -1,10 +1,14 @@
 package megadevice
 
-import "testing"
+import (
+	"testing"
+
+	"bladerunner/internal/burst"
+)
 
 // applyPayloadOp returns one iteration of the per-delta fan-in with a probe
-// armed (the worst case: seq compare + store per stream, counter adds,
-// probe claim, histogram observation) over a freshly attached 64-device
+// armed (the worst case: the lock, the Recovery step, seq compare + store per
+// stream, counter adds, probe claim, histogram observation) over a freshly attached 64-device
 // fleet whose latency histogram has seen nothing yet.
 func applyPayloadOp(tb testing.TB) func() {
 	f, engine := virtualFleet(tb, 64, 1)
@@ -17,11 +21,11 @@ func applyPayloadOp(tb testing.TB) func() {
 	if ts == nil || len(ts.streams) != 64 {
 		tb.Fatal("benchmark fleet did not attach")
 	}
-	seq := uint64(0)
+	d := burst.PayloadDelta(0, nil)
 	return func() {
-		seq++
+		d.Seq++
 		f.ProbeArm(0, 1)
-		f.applyPayload(ts, seq)
+		f.apply(ts, ts.sid, &d)
 	}
 }
 

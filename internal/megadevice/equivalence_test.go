@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,9 +37,10 @@ import (
 // event IDs (the delta seqs) identical. Warm deltas are excluded from the
 // comparison; the phase deltas must match exactly.
 //
-// Recovery from a shed gap is the other half of the contract, and it needs
-// no cluster: the shed-episode subtest feeds both models one scripted stream
-// and compares the resubscribe requests they answer it with.
+// Recovery is the other half of the contract, and it needs no cluster: the
+// shed-episode subtest plays a table of scripts — shed markers, rewrites, a
+// termination — to both models through a scripted POP and compares every
+// upstream frame they answer with.
 func TestEquivalenceWithDeviceModel(t *testing.T) {
 	t.Run("shed episode", testShedEpisodeEquivalence)
 
@@ -292,86 +294,269 @@ func equalSeqs(a, b []uint64) bool {
 	return true
 }
 
-// shedEpisode plays the resync hole's script to whatever open connects to the
-// scripted POP "pop" — payloads 1..5 each with its resume state, then ONE
-// batch holding a shed marker, a rewrite that over-claims both tokens (it
-// describes payloads admission shed) and a payload from behind the gap — and
-// returns the request the stream is reopened with.
-func shedEpisode(t *testing.T, open func(edge.Dialer)) burst.Header {
-	t.Helper()
-	n := edge.NewPipeNetwork()
-	streams := make(chan *burst.ServerStream, 2) // the open and the reopen
-	n.Register("pop", func(rwc io.ReadWriteCloser) {
+// upFrame is one frame a model sent upstream to the scripted POP.
+type upFrame struct {
+	Kind   string // "subscribe" or "cancel"
+	Header burst.Header
+	Body   string
+	Reason string
+}
+
+// scriptedPOP is a POP that says what a script tells it to and writes down
+// everything it is told: every session dialed, every subscribe and cancel.
+type scriptedPOP struct {
+	t        *testing.T
+	net      *edge.PipeNetwork
+	sessions chan *burst.ServerSession // as many as a script makes
+	streams  chan *burst.ServerStream
+
+	mu     sync.Mutex
+	frames []upFrame
+}
+
+func newScriptedPOP(t *testing.T) *scriptedPOP {
+	p := &scriptedPOP{
+		t:        t,
+		net:      edge.NewPipeNetwork(),
+		sessions: make(chan *burst.ServerSession, 4),
+		streams:  make(chan *burst.ServerStream, 4),
+	}
+	p.net.Register("pop", func(rwc io.ReadWriteCloser) {
 		sess := burst.NewServerSession("pop", rwc, burst.ServerHandlerFuncs{
-			Subscribe: func(ss *burst.ServerStream, _ burst.Subscribe) { streams <- ss },
+			Subscribe: func(ss *burst.ServerStream, sub burst.Subscribe) {
+				p.record(upFrame{Kind: "subscribe", Header: sub.Header.Clone(), Body: string(sub.Body)})
+				p.streams <- ss
+			},
+			Cancel: func(_ *burst.ServerStream, c burst.Cancel) {
+				p.record(upFrame{Kind: "cancel", Reason: c.Reason})
+			},
 		})
 		t.Cleanup(func() { _ = sess.Close() })
+		p.sessions <- sess
 	})
-	open(n)
-	next := func() *burst.ServerStream {
-		t.Helper()
-		select {
-		case ss := <-streams:
-			return ss
-		case <-time.After(10 * time.Second):
-			t.Fatal("no stream reached the scripted POP")
-			return nil
-		}
+	return p
+}
+
+func (p *scriptedPOP) record(f upFrame) {
+	p.mu.Lock()
+	p.frames = append(p.frames, f)
+	p.mu.Unlock()
+}
+
+func (p *scriptedPOP) nextSession() *burst.ServerSession {
+	p.t.Helper()
+	select {
+	case s := <-p.sessions:
+		return s
+	case <-time.After(10 * time.Second):
+		p.t.Fatal("no session reached the scripted POP")
+		return nil
 	}
+}
+
+func (p *scriptedPOP) nextStream() *burst.ServerStream {
+	p.t.Helper()
+	select {
+	case ss := <-p.streams:
+		return ss
+	case <-time.After(10 * time.Second):
+		p.t.Fatal("no stream reached the scripted POP")
+		return nil
+	}
+}
+
+func (p *scriptedPOP) send(ss *burst.ServerStream, deltas ...burst.Delta) {
+	p.t.Helper()
+	if err := ss.SendBatch(deltas...); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// scriptedModel is one device model with one messenger stream through the
+// scripted POP, as far as a script needs to see it.
+type scriptedModel struct {
+	applied func() uint64 // the highest payload seq handed to the stream so far
+	ended   func() bool   // a termination has reached the stream
+	redial  func()        // once the POP has cut the session: have the device dial again
+}
+
+const scriptUser = 999
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func openScriptedDevice(t *testing.T, n edge.Dialer) scriptedModel {
+	d := device.New(device.Config{User: scriptUser, POPs: []string{"pop"}}, n, nil, nil)
+	t.Cleanup(d.Close)
+	if err := d.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.Subscribe(apps.AppMessenger, "messenger", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied atomic.Uint64
+	go func() {
+		for delta := range st.Updates {
+			if delta.Seq > applied.Load() {
+				applied.Store(delta.Seq)
+			}
+		}
+	}()
+	return scriptedModel{
+		applied: applied.Load,
+		ended:   func() bool { return d.Streams() == 0 },
+		redial:  func() {}, // a device redials by itself
+	}
+}
+
+func openScriptedFleet(t *testing.T, n edge.Dialer) scriptedModel {
+	fleet, err := New(Config{
+		Devices: 1,
+		Areas: []Area{{App: apps.AppMessenger, Subscription: "messenger",
+			Topic: string(apps.MailboxTopic(scriptUser)), User: scriptUser}},
+		POPs:   []string{"pop"},
+		Dialer: n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	fleet.ConnectAll(0)
+	return scriptedModel{
+		applied: func() uint64 { return fleet.LastSeq(0) },
+		ended:   func() bool { return fleet.Terminations.Value() == 1 },
+		// A device whose every stream has ended is not redialed when its trunk
+		// dies (it has nothing to re-attach, DESIGN.md §10): drop it.
+		redial: func() {
+			waitFor(t, "the trunk's death", func() bool { return fleet.TrunkDeaths.Value() == 1 })
+			fleet.DropAt(0, time.Now())
+		},
+	}
+}
+
+// testShedEpisodeEquivalence plays each recovery script to BOTH models and
+// compares every upstream frame they answer it with — subscribe and cancel,
+// header and body. Recovery decides for both, so a difference here is a
+// holder carrying the same answer out differently.
+func testShedEpisodeEquivalence(t *testing.T) {
+	marker := burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission")
 	resumeState := func(seq uint64) burst.Delta {
 		v := strconv.FormatUint(seq, 10)
 		return burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: v, burst.HdrCursor: "1." + v}, nil)
 	}
-	srv := next()
-	for seq := uint64(1); seq <= 5; seq++ {
-		if err := srv.SendBatch(burst.PayloadDelta(seq, []byte("m")), resumeState(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.SendBatch(
-		burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"),
-		resumeState(9), burst.PayloadDelta(9, []byte("m"))); err != nil {
-		t.Fatal(err)
-	}
-	return next().Request().Header
-}
-
-func testShedEpisodeEquivalence(t *testing.T) {
-	const user = 999
-	dev := shedEpisode(t, func(n edge.Dialer) {
-		d := device.New(device.Config{User: user, POPs: []string{"pop"}}, n, nil, nil)
-		t.Cleanup(d.Close)
-		if err := d.Connect(); err != nil {
-			t.Fatal(err)
-		}
-		st, err := d.Subscribe(apps.AppMessenger, "messenger", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for range st.Updates {
+	// opening sends payloads 1..n on the stream the model opens, each with
+	// its resume state if the stream is to have resume tokens.
+	opening := func(p *scriptedPOP, n uint64, tokens bool) *burst.ServerStream {
+		srv := p.nextStream()
+		for seq := uint64(1); seq <= n; seq++ {
+			if tokens {
+				p.send(srv, burst.PayloadDelta(seq, []byte("m")), resumeState(seq))
+			} else {
+				p.send(srv, burst.PayloadDelta(seq, []byte("m")))
 			}
-		}()
-	})
-	mega := shedEpisode(t, func(n edge.Dialer) {
-		fleet, err := New(Config{
-			Devices: 1,
-			Areas: []Area{{App: apps.AppMessenger, Subscription: "messenger",
-				Topic: string(apps.MailboxTopic(user)), User: user}},
-			POPs:   []string{"pop"},
-			Dialer: n,
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		t.Cleanup(fleet.Close)
-		fleet.ConnectAll(0)
-	})
-	if !reflect.DeepEqual(dev, mega) {
-		t.Errorf("the models reopened the stream differently:\n device %v\n fleet  %v", dev, mega)
+		return srv
 	}
-	if dev[burst.HdrResumeSeq] != "5" || dev[burst.HdrCursor] != "1.5" {
-		t.Errorf("reopened with resume-seq %q cursor %q, want 5 and 1.5: the last payload before the marker",
-			dev[burst.HdrResumeSeq], dev[burst.HdrCursor])
+	scripts := []struct {
+		name  string
+		play  func(t *testing.T, p *scriptedPOP, m scriptedModel)
+		kinds []string // the upstream frames both models must answer with
+		// What the last subscribe must carry ("" = must not carry the key).
+		resumeSeq, cursor, body string
+	}{
+		{
+			// The resync hole's script: ONE batch holding a shed marker, a
+			// rewrite that over-claims both tokens (it describes payloads
+			// admission shed) and a payload from behind the gap.
+			name: "over-claiming rewrite",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				srv := opening(p, 5, true)
+				p.send(srv, marker, resumeState(9), burst.PayloadDelta(9, []byte("m")))
+				p.nextStream()
+			},
+			kinds: []string{"subscribe", "cancel", "subscribe"}, resumeSeq: "5", cursor: "1.5",
+		},
+		{
+			name: "marker on a stream without resume tokens",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				srv := opening(p, 5, false)
+				p.send(srv, marker, burst.PayloadDelta(6, []byte("m")))
+				waitFor(t, "payload 6", func() bool { return m.applied() == 6 })
+			},
+			kinds: []string{"subscribe"},
+		},
+		{
+			name: "two markers in one batch",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				srv := opening(p, 5, true)
+				p.send(srv, marker, marker)
+				p.nextStream()
+			},
+			kinds: []string{"subscribe", "cancel", "subscribe"}, resumeSeq: "5", cursor: "1.5",
+		},
+		{
+			name: "body rewrite then marker",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				srv := opening(p, 2, true)
+				p.send(srv, burst.RewriteDelta(nil, []byte("filter-v2")))
+				p.send(srv, marker)
+				p.nextStream()
+			},
+			kinds: []string{"subscribe", "cancel", "subscribe"}, resumeSeq: "2", cursor: "1.2", body: "filter-v2",
+		},
+		{
+			// The application ended the stream: the device drops it and stays
+			// connected, and a later re-dial does not bring it back.
+			name: "termination, session cut, re-dial",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				sess := p.nextSession()
+				srv := opening(p, 2, true)
+				if err := srv.Terminate("conversation deleted"); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "the termination", m.ended)
+				_ = sess.Close()
+				m.redial()
+				p.nextSession()
+			},
+			kinds: []string{"subscribe"},
+		},
+	}
+	for _, sc := range scripts {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(open func(*testing.T, edge.Dialer) scriptedModel) []upFrame {
+				p := newScriptedPOP(t)
+				sc.play(t, p, open(t, p.net))
+				time.Sleep(100 * time.Millisecond) // a frame too many would be on its way
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				return append([]upFrame(nil), p.frames...)
+			}
+			dev, mega := run(openScriptedDevice), run(openScriptedFleet)
+			if !reflect.DeepEqual(dev, mega) {
+				t.Errorf("the models answered differently:\n device %+v\n fleet  %+v", dev, mega)
+			}
+			var kinds []string
+			for _, f := range dev {
+				kinds = append(kinds, f.Kind)
+			}
+			if !reflect.DeepEqual(kinds, sc.kinds) {
+				t.Fatalf("the device answered %v, want %v", kinds, sc.kinds)
+			}
+			last := dev[len(dev)-1]
+			if last.Header[burst.HdrResumeSeq] != sc.resumeSeq || last.Header[burst.HdrCursor] != sc.cursor || last.Body != sc.body {
+				t.Errorf("last subscribe carried resume-seq %q cursor %q body %q, want %q %q %q",
+					last.Header[burst.HdrResumeSeq], last.Header[burst.HdrCursor], last.Body, sc.resumeSeq, sc.cursor, sc.body)
+			}
+		})
 	}
 }

@@ -24,8 +24,9 @@ type Area struct {
 	Topic        string
 	User         uint64
 	// Cursor, when non-empty, is sent as HdrCursor on the shared
-	// subscription: a durable-log resume token ("earliest" replays the
-	// whole retained window — the late-joiner case).
+	// subscription: a durable-log sentinel ("earliest" replays the whole
+	// retained window — the late-joiner case). A concrete cursor is lowered
+	// to what the stream has delivered, on the first open as on every reopen.
 	Cursor string
 }
 
@@ -57,8 +58,8 @@ type Config struct {
 	// Async marks Sched as goroutine-safe: trunk-death notifications
 	// schedule their own Service call instead of waiting for the driver.
 	Async bool
-	// Backoff paces redials, mirroring device.Device's policy (zero
-	// fields default via faults.BackoffPolicy.Normalize semantics).
+	// Backoff paces redials, as device.Config.Backoff does (zero fields
+	// default through faults.BackoffPolicy.Normalized).
 	Backoff faults.BackoffPolicy
 	// Seed decorrelates the stateless per-device jitter.
 	Seed int64
@@ -86,7 +87,6 @@ type Fleet struct {
 	topics   *intern.Table
 	areaOf   []uint32 // topic handle -> area index
 	topicOf  []uint32 // area index -> topic handle
-	jitter   float64
 	seedBase uint64
 
 	mu       sync.Mutex
@@ -102,12 +102,13 @@ type Fleet struct {
 	timerDue    int64
 	timerCancel func()
 
-	// External events (trunk deaths, shed episodes) arrive on trunk
-	// read goroutines; they queue under their own mutex and drain in
-	// Service, so a HandleClose firing mid-transition cannot deadlock.
+	// External events (trunk deaths, shed episodes, terminations) arrive
+	// on trunk read goroutines; they queue under their own mutex and drain
+	// in Service, so a HandleClose firing mid-transition cannot deadlock.
 	extMu      sync.Mutex
 	extClosed  []*trunk
 	extResumes []*topicSub
+	extEnds    []*topicSub
 
 	// probeWall holds, per area, the wall-clock nanos of an armed
 	// delivery probe; the first applied delta claims it (Swap) and
@@ -165,29 +166,13 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.RealClock{}
 	}
-	if cfg.Backoff.Base <= 0 {
-		cfg.Backoff.Base = 50 * time.Millisecond
-	}
-	if cfg.Backoff.Max <= 0 {
-		cfg.Backoff.Max = 32 * cfg.Backoff.Base
-	}
-	jitter := cfg.Backoff.Jitter
-	switch {
-	case cfg.Backoff.NoJitter || jitter < 0:
-		jitter = 0
-	case jitter == 0:
-		jitter = 0.5
-	case jitter > 1:
-		jitter = 1
-	}
 
 	f := &Fleet{
 		cfg:          cfg,
 		sched:        cfg.Sched,
 		clock:        cfg.Clock,
-		policy:       cfg.Backoff,
+		policy:       cfg.Backoff.Normalized(),
 		topics:       intern.New(),
-		jitter:       jitter,
 		seedBase:     splitmix64(uint64(cfg.Seed) ^ 0xb1adeb1ade),
 		trunks:       make(map[string]*trunk, len(cfg.POPs)),
 		probeWall:    make([]paddedInt64, len(cfg.Areas)),
@@ -466,8 +451,12 @@ func (f *Fleet) detachDeviceLocked(dev uint32) {
 }
 
 // attachLocked adds a stream to the (trunk, topic) shared subscription,
-// creating (and really subscribing) it on first use.
+// creating (and really subscribing) it on first use. A stream a termination
+// ended stays ended: its device dropped it and remains connected.
 func (f *Fleet) attachLocked(t *trunk, sid uint32) {
+	if f.tab.streamSubIdx[sid] == endedIndex {
+		return
+	}
 	area := f.areaOf[f.tab.streamTopic[sid]]
 	ts := t.sub(area)
 	ts.mu.Lock()
@@ -481,7 +470,7 @@ func (f *Fleet) attachLocked(t *trunk, sid uint32) {
 func (f *Fleet) detachStreamLocked(t *trunk, sid uint32) {
 	area := f.areaOf[f.tab.streamTopic[sid]]
 	ts := t.lookupSub(area)
-	if ts == nil {
+	if ts == nil || f.tab.streamSubIdx[sid] == endedIndex {
 		return
 	}
 	ts.mu.Lock()
@@ -497,64 +486,43 @@ func (f *Fleet) detachStreamLocked(t *trunk, sid uint32) {
 	f.tab.streamSubIdx[sid] = noIndex
 }
 
-// backoffDelay computes the jittered exponential delay for a device's
-// attempt without any per-device RNG state: delay = Base * Mult^attempt
-// capped at Max, scaled by a [1-j, 1+j] factor hashed from
-// (seed, device, attempt).
+// backoffDelay is the device's delay before redial number attempt:
+// faults' one formula, its randomness hashed from (seed, device, attempt)
+// instead of drawn from per-device RNG state.
 func (f *Fleet) backoffDelay(dev uint32, attempt uint8) int64 {
-	mult := f.policy.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(f.policy.Base)
-	for i := uint8(0); i < attempt; i++ {
-		d *= mult
-		if d >= float64(f.policy.Max) {
-			d = float64(f.policy.Max)
-			break
-		}
-	}
-	if d > float64(f.policy.Max) {
-		d = float64(f.policy.Max)
-	}
-	if f.jitter > 0 {
-		h := splitmix64(f.seedBase ^ uint64(dev)<<8 ^ uint64(attempt))
-		d *= jitterFrac(h, f.jitter)
-	}
+	d, _ := f.policy.Delay(int(attempt), unitFrac(splitmix64(f.seedBase^uint64(dev)<<8^uint64(attempt))))
 	return int64(d)
 }
 
-// Service drains externally queued events: trunk deaths (detach everyone
+// Service drains externally queued events: terminations (the shared stream
+// leaves its trunk, its virtual streams end), trunk deaths (detach everyone
 // attached, schedule their redials) and shed episodes (reopen the shared
-// stream). Engine-driven callers invoke it between engine bursts; Async
-// fleets self-schedule it. Safe to call at any time.
+// stream) — in that order, so a stream that ended just before its trunk died
+// is not redialed and an ended stream is not reopened. Engine-driven callers
+// invoke it between engine bursts; Async fleets self-schedule it. Safe to
+// call at any time.
 func (f *Fleet) Service() {
 	f.extMu.Lock()
-	closed := f.extClosed
-	resumes := f.extResumes
-	f.extClosed = nil
-	f.extResumes = nil
+	ends, closed, resumes := f.extEnds, f.extClosed, f.extResumes
+	f.extEnds, f.extClosed, f.extResumes = nil, nil, nil
 	f.extMu.Unlock()
 
-	if len(closed) > 0 {
+	if len(ends)+len(closed) > 0 {
 		f.mu.Lock()
+		for _, ts := range ends {
+			for _, sid := range ts.trunk.endSub(ts) {
+				f.tab.streamSubIdx[sid] = endedIndex
+			}
+		}
 		for _, t := range closed {
 			f.drainTrunkLocked(t)
 		}
 		f.armLocked()
 		f.mu.Unlock()
 	}
-	if len(resumes) > 0 {
-		// Coalesce markers that piled up on the same shared stream while
-		// the queue waited for Service: one resubscribe repairs them all.
-		seen := make(map[*topicSub]bool, len(resumes))
-		for _, ts := range resumes {
-			if seen[ts] {
-				continue
-			}
-			seen[ts] = true
-			ts.trunk.resumeSub(ts)
-		}
+	// Recovery answers Reopen once per episode, so each entry is one reopen.
+	for _, ts := range resumes {
+		ts.trunk.resumeSub(ts)
 	}
 }
 
@@ -594,21 +562,12 @@ func (f *Fleet) drainTrunkLocked(t *trunk) {
 	}
 }
 
-// enqueueClosed records a trunk death from its read goroutine.
-func (f *Fleet) enqueueClosed(t *trunk) {
+// enqueue records an external event on its Service queue — a trunk death
+// (f.extClosed), a shed episode (f.extResumes) or a termination (f.extEnds)
+// — from the trunk's read goroutine.
+func enqueue[T any](f *Fleet, q *[]T, v T) {
 	f.extMu.Lock()
-	f.extClosed = append(f.extClosed, t)
-	f.extMu.Unlock()
-	if f.cfg.Async {
-		f.sched.After(0, f.Service)
-	}
-}
-
-// enqueueResume records a shed episode from a trunk read goroutine;
-// Service coalesces per shared stream and resubscribes.
-func (f *Fleet) enqueueResume(ts *topicSub) {
-	f.extMu.Lock()
-	f.extResumes = append(f.extResumes, ts)
+	*q = append(*q, v)
 	f.extMu.Unlock()
 	if f.cfg.Async {
 		f.sched.After(0, f.Service)
@@ -655,7 +614,7 @@ func (f *Fleet) Footprint() int64 {
 	b += 16 * int64(cap(f.heap))
 	b += 64 * int64(len(f.probeWall))
 	const perTrunk = 256 // trunk struct, session bookkeeping
-	const perSub = 112   // topicSub struct + two map entries
+	const perSub = 136   // topicSub struct (104 B) + two map entries
 	for _, t := range f.trunkIDs {
 		b += perTrunk
 		t.mu.Lock()

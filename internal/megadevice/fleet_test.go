@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"bladerunner/internal/burst"
 	"bladerunner/internal/edge"
+	"bladerunner/internal/faults"
 	"bladerunner/internal/sim"
 )
 
@@ -203,6 +205,47 @@ func TestBackoffDelayJitteredBoundedDeterministic(t *testing.T) {
 	}
 }
 
+// applySeq applies one payload delta of ts's current incarnation.
+func applySeq(f *Fleet, ts *topicSub, seq uint64) {
+	d := burst.PayloadDelta(seq, nil)
+	f.apply(ts, ts.sid, &d)
+}
+
+// The fleet's redial delay is faults' one formula fed the device's attempt and
+// a hash — the same duration faults.Backoff hands device.Device for the same
+// (attempt, u) (TestBackoffNextIsDelay there pins Backoff.Next to Delay).
+// Where the policy has no jitter u is moot, and the two models' schedules are
+// compared directly.
+func TestBackoffDelayIsTheOneFormula(t *testing.T) {
+	policies := []faults.BackoffPolicy{
+		{}, // all defaults
+		{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, NoJitter: true},
+		{Base: 100 * time.Millisecond, Max: 10 * time.Millisecond, NoJitter: true}, // Max < Base: clamped up to Base
+		{Base: 100 * time.Millisecond, Max: 10 * time.Millisecond},
+		{Base: 20 * time.Millisecond, Multiplier: 1, Jitter: 1},
+	}
+	for _, p := range policies {
+		f, err := New(Config{Devices: 4, Areas: []Area{{Topic: "/T/0"}}, POPs: []string{"pop"}, Sched: sim.NewEngine(t0), Backoff: p, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for dev := uint32(0); dev < 4; dev++ {
+			b := faults.NewBackoff(p, int64(dev)+1)
+			for attempt := 0; attempt <= 40; attempt++ {
+				got := time.Duration(f.backoffDelay(dev, uint8(attempt)))
+				u := unitFrac(splitmix64(f.seedBase ^ uint64(dev)<<8 ^ uint64(attempt)))
+				if want, _ := p.Normalized().Delay(attempt, u); got != want || u < 0 || u >= 1 {
+					t.Fatalf("%v dev %d attempt %d: backoffDelay = %v, Delay(u=%v) = %v", p, dev, attempt, got, u, want)
+				}
+				if next := b.Next(); p.NoJitter && got != next {
+					t.Fatalf("%v attempt %d: the fleet waits %v, device.Device's Backoff %v", p, attempt, got, next)
+				}
+			}
+		}
+		f.Close()
+	}
+}
+
 func TestApplyPayloadSeqProbeAndCounters(t *testing.T) {
 	f, engine := virtualFleet(t, 8, 2)
 	f.ConnectAll(0)
@@ -219,7 +262,7 @@ func TestApplyPayloadSeqProbeAndCounters(t *testing.T) {
 		t.Fatalf("area 0 attached = %d, want 4 (round-robin of 8 devices)", attached)
 	}
 
-	f.applyPayload(ts, 7)
+	applySeq(f, ts, 7)
 	if got := f.Applied.Value(); got != int64(attached) {
 		t.Fatalf("Applied = %d, want %d", got, attached)
 	}
@@ -229,21 +272,21 @@ func TestApplyPayloadSeqProbeAndCounters(t *testing.T) {
 		}
 	}
 	// Stale seq must not regress LastSeq.
-	f.applyPayload(ts, 5)
+	applySeq(f, ts, 5)
 	if f.LastSeq(ts.streams[0]) != 7 {
 		t.Fatal("stale seq regressed LastSeq")
 	}
 
 	// An armed probe is claimed exactly once by the next applied delta.
 	f.ProbeArm(0, 123)
-	f.applyPayload(ts, 8)
+	applySeq(f, ts, 8)
 	if f.ProbeArmed(0) {
 		t.Fatal("probe not claimed")
 	}
 	if f.ApplyLatency.Count() != 1 {
 		t.Fatalf("latency samples = %d, want 1", f.ApplyLatency.Count())
 	}
-	f.applyPayload(ts, 9)
+	applySeq(f, ts, 9)
 	if f.ApplyLatency.Count() != 1 {
 		t.Fatal("unarmed apply recorded a latency sample")
 	}
@@ -252,12 +295,54 @@ func TestApplyPayloadSeqProbeAndCounters(t *testing.T) {
 	// was delivered to any device.
 	empty := &topicSub{trunk: tr, area: 1}
 	f.ProbeArm(1, 456)
-	f.applyPayload(empty, 10)
+	applySeq(f, empty, 10)
 	if !f.ProbeArmed(1) {
 		t.Fatal("empty apply claimed the probe")
 	}
 	if !f.ProbeDisarm(1) {
 		t.Fatal("disarm found nothing")
+	}
+}
+
+// A termination is executed, not just counted: the shared stream leaves its
+// trunk, the virtual streams attached to it end for good — their devices stay
+// connected and do not re-attach them on a later dial — and a device that
+// comes to the area afterwards opens a fresh stream.
+func TestTerminationEndsSharedStream(t *testing.T) {
+	f, engine := virtualFleet(t, 4, 1)
+	for dev := uint32(0); dev < 3; dev++ {
+		f.ConnectAt(dev, t0)
+	}
+	engine.Run()
+	f.mu.Lock()
+	tr := f.trunkIDs[0]
+	f.mu.Unlock()
+	ts := tr.lookupSub(0)
+	applySeq(f, ts, 1)
+	end := burst.TerminationDelta("done")
+	f.apply(ts, ts.sid, &end)
+	applySeq(f, ts, 2) // after End nothing moves
+	f.Service()
+	if tr.lookupSub(0) != nil || f.Terminations.Value() != 1 {
+		t.Fatalf("the ended stream is still subscribed (Terminations=%d)", f.Terminations.Value())
+	}
+	if f.ConnectedCount() != 3 || f.LastSeq(0) != 1 {
+		t.Fatalf("connected=%d LastSeq=%d, want 3 devices still connected at seq 1", f.ConnectedCount(), f.LastSeq(0))
+	}
+	// Device 0 drops and redials: its stream stays ended. Device 3 arrives
+	// for the first time: it gets a fresh shared stream of its own.
+	f.DropAt(0, engine.Now())
+	f.ConnectAt(3, engine.Now())
+	engine.Run()
+	fresh := tr.lookupSub(0) // device 3 starts on pop-0; device 0 rotated away
+	if f.State(0) != StateConnected || fresh == nil || fresh == ts || len(fresh.streams) != 1 || fresh.streams[0] != 3 {
+		t.Fatalf("after the termination the area's stream is %+v, want a fresh one holding stream 3 alone", fresh)
+	}
+	f.mu.Lock()
+	idx := append([]uint32(nil), f.tab.streamSubIdx...)
+	f.mu.Unlock()
+	if idx[0] != endedIndex || idx[1] != endedIndex || idx[2] != endedIndex || idx[3] != 0 {
+		t.Fatalf("streamSubIdx = %v, want three ended streams and stream 3 attached", idx)
 	}
 }
 

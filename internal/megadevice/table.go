@@ -16,10 +16,13 @@
 //     (internal/intern); rows carry only handles.
 //
 //   - State machines on the event kernel. Dial, backoff, reconnect-with-
-//     POP-rotation, drop and shed accounting are transitions in a packed
+//     POP-rotation, drop and go-offline are transitions in a packed
 //     16-byte min-heap serviced by ONE sim.Scheduler timer, instead of
 //     per-device timers and pump goroutines. A simulated day of diurnal
-//     churn is a few tens of millions of heap operations.
+//     churn is a few tens of millions of heap operations. What a stream's
+//     deltas mean (shed marker, rewrite, termination, what a reopen carries)
+//     and how long a retry waits are decided for this model and
+//     device.Device alike by burst.Recovery and faults.BackoffPolicy.Delay.
 //
 //   - Batched edge attach. One real BURST session per POP (a "trunk")
 //     carries every virtual device attached through that POP, and devices
@@ -32,8 +35,6 @@
 //     spells out what it preserves and what it drops.
 package megadevice
 
-import "math"
-
 // Device states. A device is Idle (offline, nothing pending), Backoff
 // (offline with exactly one pending dial transition), or Connected
 // (attached to a trunk). The invariant "Backoff implies one queued kDial"
@@ -44,11 +45,13 @@ const (
 	StateConnected
 )
 
-// Sentinels for "no trunk" / "no stream" / "not attached".
+// Sentinels for "no trunk" / "no stream" / "not attached" / "ended by a
+// termination: never attached again".
 const (
-	noTrunk  = ^uint16(0)
-	noStream = ^uint32(0)
-	noIndex  = ^uint32(0)
+	noTrunk    = ^uint16(0)
+	noStream   = ^uint32(0)
+	noIndex    = ^uint32(0)
+	endedIndex = noIndex - 1
 )
 
 // tables is the struct-of-arrays core: parallel fixed-width columns
@@ -80,7 +83,7 @@ type tables struct {
 	streamTopic  []uint32 // interned topic handle
 	streamNext   []uint32 // next stream of the same device, noStream ends
 	streamOwner  []uint32 // owning device id
-	streamSubIdx []uint32 // index in the topicSub membership, noIndex if detached
+	streamSubIdx []uint32 // index in the topicSub membership; noIndex if detached, endedIndex if terminated
 	streamSeq    []uint64 // highest applied payload seq (atomic access)
 }
 
@@ -208,11 +211,5 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// jitterFrac maps a hash to [1-j, 1+j].
-func jitterFrac(h uint64, j float64) float64 {
-	u := float64(h>>11) / float64(1<<53) // uniform [0,1)
-	if math.IsNaN(u) {
-		u = 0.5
-	}
-	return 1 - j + 2*j*u
-}
+// unitFrac maps a hash to [0,1): the u of faults.BackoffPolicy.Delay.
+func unitFrac(h uint64) float64 { return float64(h>>11) / (1 << 53) }

@@ -40,8 +40,8 @@ type topicSub struct {
 
 	mu      sync.Mutex
 	streams []uint32
-	header  burst.Header      // stored request header, patched by rewrites
-	resume  burst.ResumePoint // what the real stream has seen; moved by frames for sid only
+	req     burst.Subscribe // stored request, patched by rewrites
+	rec     burst.Recovery  // stepped by the deltas of sid, the current incarnation, only
 }
 
 // trunkForLocked returns the live trunk for pop, dialing one if needed.
@@ -75,69 +75,97 @@ func (f *Fleet) trunkForLocked(pop string) (*trunk, error) {
 	return t, nil
 }
 
-// sub returns the shared subscription for area, sending the real
-// FrameSubscribe on first use. Callers hold f.mu.
+// sub returns the shared subscription for area, really subscribing it on
+// first use. Callers hold f.mu.
 func (t *trunk) sub(area uint32) *topicSub {
 	t.mu.Lock()
-	if ts := t.subs[area]; ts != nil {
+	ts := t.subs[area]
+	if ts != nil {
 		t.mu.Unlock()
 		return ts
 	}
-	t.nextSID++
 	a := &t.f.cfg.Areas[area]
-	ts := &topicSub{
-		trunk: t,
-		area:  area,
-		sid:   t.nextSID,
-		header: burst.Header{
-			burst.HdrApp:          a.App,
-			burst.HdrSubscription: a.Subscription,
-			burst.HdrUser:         strconv.FormatUint(a.User, 10),
-		},
+	ts = &topicSub{trunk: t, area: area}
+	ts.req.Header = burst.Header{
+		burst.HdrApp:          a.App,
+		burst.HdrSubscription: a.Subscription,
+		burst.HdrUser:         strconv.FormatUint(a.User, 10),
 	}
 	if a.Cursor != "" {
-		ts.header[burst.HdrCursor] = a.Cursor
+		ts.req.Header[burst.HdrCursor] = a.Cursor
 	}
 	t.subs[area] = ts
-	t.bySID[ts.sid] = ts
-	req := burst.Subscribe{Header: ts.header.Clone()}
-	t.mu.Unlock()
-	if t.sess != nil {
-		// Fire-and-forget like burst.Client: a send failure means the
-		// session is dying and HandleClose will detach everyone.
-		_ = t.sess.SendMsg(burst.FrameSubscribe, ts.sid, req)
-	}
+	t.openUnlock(ts, false)
 	return ts
 }
 
 // resumeSub repairs a shed gap on a shared stream: cancel the shed
-// subscription and reopen it under a fresh stream id from the stored
-// (rewrite-maintained) request, resume tokens lowered to the stream's resume
-// point — the trunk-model analogue of device.Stream.resubscribe, and the one
-// place the fleet builds a resubscribe request. Frames still in flight for
-// the old id find no subscription and move nothing. One reopen covers every
-// virtual device attached to the stream. Called from Service, outside all
-// fleet locks.
+// subscription and reopen it from the stored request — the trunk-model
+// analogue of device.Stream's shed-resume. One reopen covers every virtual
+// device attached to the stream. Called from Service, outside all fleet locks.
 func (t *trunk) resumeSub(ts *topicSub) {
 	t.mu.Lock()
-	if t.sess == nil || t.subs == nil || t.subs[ts.area] != ts {
+	if t.sess == nil || t.subs[ts.area] != ts {
 		t.mu.Unlock()
-		return // virtual trunk, or drained since the marker queued
+		return // virtual trunk, or drained or ended since the marker queued
 	}
-	oldSID := ts.sid
-	t.nextSID++
-	newSID := t.nextSID
-	delete(t.bySID, oldSID)
-	t.bySID[newSID] = ts
-	ts.sid = newSID
+	if t.openUnlock(ts, true) {
+		t.f.Resumes.Inc()
+	}
+}
+
+// openUnlock opens ts's next incarnation under a fresh stream id from the
+// stored (rewrite-maintained) request, resume tokens lowered to what the
+// stream has seen, cancelling the incarnation it replaces if asked to — the
+// one place the fleet builds a subscribe request, as resubscribe is the
+// device's. Frames still in flight for the old id find no subscription and
+// move nothing. It reports false, and opens nothing, for a stream a
+// termination has ended. Callers hold t.mu, which openUnlock releases before
+// it sends anything: the session's read goroutine takes it for every frame.
+func (t *trunk) openUnlock(ts *topicSub, cancelOld bool) bool {
 	ts.mu.Lock()
-	req := burst.Subscribe{Header: ts.header.Clone()}
-	ts.resume.Reopen(&req)
+	if ts.rec.Ended() {
+		ts.mu.Unlock()
+		t.mu.Unlock()
+		return false
+	}
+	old := ts.sid
+	delete(t.bySID, old)
+	t.nextSID++
+	ts.sid = t.nextSID
+	t.bySID[ts.sid] = ts
+	ts.rec.Reopen(&ts.req)
+	// A copy: rewrites patch the stored header while this one is on the wire.
+	sid, req := ts.sid, burst.Subscribe{Header: ts.req.Header.Clone(), Body: ts.req.Body}
 	ts.mu.Unlock()
 	t.mu.Unlock()
-	_ = t.sess.SendMsg(burst.FrameCancel, oldSID, burst.Cancel{Reason: "shed-resume"})
-	_ = t.sess.SendMsg(burst.FrameSubscribe, newSID, req)
-	t.f.Resumes.Inc()
+	if t.sess != nil {
+		// Fire-and-forget like burst.Client: a send failure means the
+		// session is dying and HandleClose will detach everyone.
+		if cancelOld {
+			_ = t.sess.SendMsg(burst.FrameCancel, old, burst.Cancel{Reason: "shed-resume"})
+		}
+		_ = t.sess.SendMsg(burst.FrameSubscribe, sid, req)
+	}
+	return true
+}
+
+// endSub executes a termination: the shared stream leaves the trunk and the
+// virtual streams attached to it are returned for the fleet to mark ended.
+// A device that attaches to the area later opens a fresh stream, as a new
+// device.Subscribe would. Called from Service, under f.mu.
+func (t *trunk) endSub(ts *topicSub) []uint32 {
+	t.mu.Lock()
+	if t.subs[ts.area] == ts {
+		delete(t.subs, ts.area)
+		delete(t.bySID, ts.sid)
+	}
+	t.mu.Unlock()
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	streams := ts.streams
+	ts.streams = nil
+	return streams
 }
 
 // lookupSub returns the shared subscription for area, or nil.
@@ -152,11 +180,11 @@ func (t *trunk) lookupSub(area uint32) *topicSub {
 // session's single read goroutine.
 type trunkHandler struct{ t *trunk }
 
-// HandleFrame decodes downstream batches and routes each delta. The frame is
+// HandleFrame decodes downstream batches and applies each delta. The frame is
 // borrowed for this call (burst.FrameHandler) and everything is applied
 // inside it — nothing decoded is kept — so the []Delta is the one allocation
-// per wire batch; the per-delta payload application below it is the
-// allocation-free hot path.
+// per wire batch; the per-delta application below it is the allocation-free
+// hot path.
 func (h trunkHandler) HandleFrame(fr burst.Frame) {
 	if fr.Type != burst.FrameBatch {
 		return
@@ -166,39 +194,19 @@ func (h trunkHandler) HandleFrame(fr burst.Frame) {
 	ts := t.bySID[fr.SID]
 	t.mu.Unlock()
 	if ts == nil {
-		return // late frame for a drained trunk
+		return // late frame for a drained trunk or a superseded incarnation
 	}
 	batch, err := burst.DecodeBatch(fr.Payload)
 	if err != nil {
 		return
 	}
-	f := t.f
 	for i := range batch.Deltas {
-		d := &batch.Deltas[i]
-		switch d.Type {
-		case burst.DeltaPayload:
-			f.applyPayload(ts, d.Seq)
-		case burst.DeltaFlowStatus:
-			f.applyFlow(ts, d)
-		case burst.DeltaRewriteRequest:
-			f.Rewrites.Inc()
-			ts.mu.Lock()
-			// Patch the stored request header (sticky-brass, resume
-			// seq, ...) exactly as burst.Client does; the shared stream
-			// carries it for the trunk's lifetime. A NEW trunk
-			// re-subscribes from the area's original request — sticky
-			// state is per-trunk here, per-device in device.Device;
-			// that is part of the documented fidelity trade.
-			ts.header = ts.header.Merge(d.Header)
-			ts.mu.Unlock()
-		case burst.DeltaTermination:
-			f.Terminations.Inc()
-		}
+		t.f.apply(ts, fr.SID, &batch.Deltas[i])
 	}
 }
 
 // HandleClose queues the trunk death for Service; transitions must not
 // run on the read goroutine (engine schedulers are single-threaded).
 func (h trunkHandler) HandleClose(error) {
-	h.t.f.enqueueClosed(h.t)
+	enqueue(h.t.f, &h.t.f.extClosed, h.t)
 }
