@@ -125,7 +125,7 @@ func (in *asInstance) scheduleFlush(st *brass.Stream, state *asStream) {
 // one batch with the changes (paper: "periodically pushes a batch update").
 func (in *asInstance) flush(st *brass.Stream, state *asStream) {
 	now := in.rt.Now()
-	var acc brass.BatchAccumulator
+	var batch []burst.Delta
 	// Expirations: shown-online friends whose reports went stale.
 	for uid, last := range state.online {
 		if now.Sub(last) > in.app.TTL {
@@ -133,7 +133,7 @@ func (in *asInstance) flush(st *brass.Stream, state *asStream) {
 			if state.shown[uid] {
 				delete(state.shown, uid)
 				b, _ := json.Marshal(StatusPayload{User: uid, Online: false})
-				acc.Add(burst.PayloadDelta(0, b))
+				batch = append(batch, burst.PayloadDelta(0, b))
 			}
 		}
 	}
@@ -142,11 +142,11 @@ func (in *asInstance) flush(st *brass.Stream, state *asStream) {
 		if !state.shown[uid] {
 			state.shown[uid] = true
 			b, _ := json.Marshal(StatusPayload{User: uid, Online: true})
-			acc.Add(burst.PayloadDelta(0, b))
+			batch = append(batch, burst.PayloadDelta(0, b))
 		}
 	}
 	state.dirty = false
-	_ = acc.Flush(st)
+	_ = st.Push(batch...)
 }
 
 func (in *asInstance) OnStreamClose(st *brass.Stream, reason string) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -253,6 +255,64 @@ drain:
 	}
 	if received == 0 || received > 5 {
 		t.Errorf("received %d pushes in 220ms at 80ms rate limit", received)
+	}
+}
+
+// LiveVideoComments is the application the paper's overload story is about,
+// and its pushes go through the same per-stream admission as every other
+// app's: over the rate the comments are shed and counted, and the device
+// hears exactly one shed marker per episode.
+func TestLVCIsUnderStreamAdmission(t *testing.T) {
+	e := newEnv(t) // LVC pops one comment per 10 ms
+	host := brass.NewHost(brass.HostConfig{
+		ID: "brass-adm", Region: "us",
+		StreamDeliverRate: 1, StreamDeliverBurst: 1,
+	}, e.pylon, e.was, nil)
+	e.suite.RegisterBRASS(host)
+	t.Cleanup(host.Close)
+	a, b := net.Pipe()
+	cli := burst.NewClient("device", a, nil)
+	host.AcceptSession("sess", b)
+	t.Cleanup(func() { cli.Close() })
+
+	st := e.subscribe(t, cli, AppLiveComments, "liveVideoComments(videoID: 12)", 8, nil)
+	var mu sync.Mutex
+	var flows []burst.FlowCode // shed-episode announcements, in arrival order
+	go func() {
+		for batch := range st.Events {
+			for _, d := range batch.Deltas {
+				if d.Type == burst.DeltaFlowStatus && strings.HasSuffix(d.FlowDetail, "stream-admission") {
+					mu.Lock()
+					flows = append(flows, d.Flow)
+					mu.Unlock()
+				}
+			}
+		}
+	}()
+	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(LVCTopic(12))) == 1 })
+	for i := 0; i < 10; i++ {
+		if _, err := e.was.Mutate(socialgraph.UserID(20+i),
+			fmt.Sprintf(`postComment(videoID: 12, text: "comment %d")`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two sheds are one episode unless a token refilled in between.
+	waitFor(t, "comments shed", func() bool { return host.StreamSheds.Value() >= 2 })
+	waitFor(t, "shed marker heard", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(flows) > 0
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i, f := range flows {
+		want := burst.FlowDegraded
+		if i%2 == 1 {
+			want = burst.FlowRecovered
+		}
+		if f != want {
+			t.Fatalf("stream-admission announcements = %v, want degraded and recovered alternating: one marker per episode", flows)
+		}
 	}
 }
 

@@ -118,7 +118,7 @@ func (in *feedInstance) OnEvent(ev pylon.Event) {
 			st.Filtered()
 			continue
 		}
-		_ = st.PushPayloadFor(ev, ev.ID, payload)
+		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
 

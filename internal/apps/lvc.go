@@ -261,12 +261,11 @@ func (in *lvcInstance) flush(st *brass.Stream, state *lvcStream) {
 			st.Filtered()
 			continue
 		}
-		// Coalesce the comment payload and the limiter-state rewrite (the
-		// persisted cadence a replacement BRASS resumes from after
-		// failover, §3.5 "Resumption") into one batch frame.
-		_ = st.QueuePayloadFor(ev, item.Seq, payload)
-		_ = st.QueueRewriteHeaderField(brass.HdrRateLimiterState, state.limiter.HeaderState())
-		_ = st.Flush()
+		// One decision, one frame: the comment and the limiter-state
+		// rewrite (the persisted cadence a replacement BRASS resumes from
+		// after failover, §3.5 "Resumption").
+		_ = st.Push(brass.PayloadFor(ev, item.Seq, payload), burst.RewriteDelta(
+			burst.Header{brass.HdrRateLimiterState: state.limiter.HeaderState()}, nil))
 		return
 	}
 }

@@ -358,7 +358,7 @@ func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
 			// them from the edge instead.
 			in.rt.LogAppend(state.topic, m.Seq, b)
 		}
-		if st.PushPayload(m.Seq, b) == nil {
+		if st.PushPayload(pylon.Event{}, m.Seq, b) == nil {
 			state.lastSeq = m.Seq
 		}
 	}
@@ -393,9 +393,8 @@ func (in *messengerInstance) OnEvent(ev pylon.Event) {
 				continue
 			}
 			in.rt.LogAppend(ev.Topic, ev.Seq, payload)
-			d := burst.PayloadDelta(ev.Seq, payload)
-			d.Trace = ev.Trace
-			if st.Push(d, burst.RewriteDelta(in.resumePatch(state, ev.Seq), nil)) == nil {
+			if st.Push(brass.PayloadFor(ev, ev.Seq, payload),
+				burst.RewriteDelta(in.resumePatch(state, ev.Seq), nil)) == nil {
 				state.lastSeq = ev.Seq
 			}
 		default:

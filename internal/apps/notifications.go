@@ -156,10 +156,11 @@ func (in *notifInstance) OnEvent(ev pylon.Event) {
 		state.unseen++
 		p.Unseen = state.unseen
 		b, _ := json.Marshal(p)
-		if st.PushPayload(ev.ID, b) == nil {
-			_ = st.RewriteHeaderField(HdrUnseenCount,
-				strconv.FormatUint(state.unseen, 10))
-		}
+		// One decision, one frame: the device never shows the notification
+		// beside a stale badge, and admission can shed the payload but not
+		// the badge state.
+		_ = st.Push(brass.PayloadFor(ev, ev.ID, b), burst.RewriteDelta(
+			burst.Header{HdrUnseenCount: strconv.FormatUint(state.unseen, 10)}, nil))
 	}
 }
 

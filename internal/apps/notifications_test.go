@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/socialgraph"
@@ -95,5 +96,38 @@ func TestNotificationsPrivacyFilter(t *testing.T) {
 			}
 		}
 	default:
+	}
+}
+
+// One notification is one decision and ONE batch: the payload and the badge
+// state it implies are applied together (§3.5), so the device's stored
+// unseen-count can never lag the notification it is showing.
+func TestNotificationPayloadAndBadgeShareOneBatch(t *testing.T) {
+	e := newEnv(t)
+	cli := e.dial(t)
+	cli.RelayRewrites = true // see rewrites as a proxy would
+	st := e.subscribe(t, cli, AppNotifications, "websiteNotifications", 62, nil)
+	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(NotifTopic(62))) == 1 })
+	if _, err := e.was.Mutate(63, `notify(user: 62, kind: "mention", text: "hi")`); err != nil {
+		t.Fatal(err)
+	}
+	for arrived := false; !arrived; {
+		select {
+		case batch := <-st.Events:
+			d := batch.Deltas
+			if d[0].Type != burst.DeltaPayload {
+				continue // the host's sticky-routing rewrite at stream open
+			}
+			arrived = true
+			if len(d) != 2 || d[1].Type != burst.DeltaRewriteRequest ||
+				len(d[1].Header) != 1 || d[1].Header[HdrUnseenCount] != "1" {
+				t.Fatalf("notification arrived as %+v, want ONE batch [payload, rewrite{unseen-count: 1}]", d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no notification")
+		}
+	}
+	if got := st.Request().Header[HdrUnseenCount]; got != "1" {
+		t.Errorf("stored unseen-count = %q once the batch is out, want 1", got)
 	}
 }

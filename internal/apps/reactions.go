@@ -144,7 +144,7 @@ func (in *reactionsInstance) flush(st *brass.Stream, state *reactionsStream) {
 	if err != nil {
 		return
 	}
-	_ = st.PushPayload(0, b)
+	_ = st.PushPayload(pylon.Event{}, 0, b)
 }
 
 func (in *reactionsInstance) OnStreamClose(st *brass.Stream, reason string) {

@@ -177,13 +177,13 @@ func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev 
 		top[c.author] = true
 	}
 
-	var acc brass.BatchAccumulator
+	var batch []burst.Delta
 	// Containers that fell out of the tray.
 	for author := range state.displayed {
 		if !top[author] {
 			delete(state.displayed, author)
 			b, _ := json.Marshal(StoryDelta{Op: "container_remove", Author: author})
-			acc.Add(burst.PayloadDelta(0, b))
+			batch = append(batch, burst.PayloadDelta(0, b))
 		}
 	}
 	// Containers that ranked in.
@@ -192,21 +192,21 @@ func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev 
 			state.displayed[author] = true
 			b, _ := json.Marshal(StoryDelta{Op: "container_add", Author: author,
 				Rank: state.containers[author].rank})
-			acc.Add(burst.PayloadDelta(0, b))
+			batch = append(batch, burst.PayloadDelta(0, b))
 		}
 	}
 	// The new story itself, if its container is displayed.
 	evAuthor, _ := strconv.ParseUint(ev.Meta["author"], 10, 64)
 	if state.displayed[evAuthor] {
 		if payload, err := st.FetchPayload(ev); err == nil {
-			acc.Add(burst.PayloadDelta(ev.ID, payload))
+			batch = append(batch, brass.PayloadFor(ev, ev.ID, payload))
 		} else {
 			st.Filtered()
 		}
 	} else {
 		st.Filtered()
 	}
-	_ = acc.Flush(st)
+	_ = st.Push(batch...)
 }
 
 // traySize returns the configured tray size with a safe floor.

@@ -113,7 +113,7 @@ func (in *tiInstance) OnEvent(ev pylon.Event) {
 			st.Filtered() // privacy denial
 			continue
 		}
-		_ = st.PushPayload(ev.ID, payload)
+		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
 

@@ -1,22 +1,18 @@
-// Package baseline implements the alternative dissemination architectures
-// the paper evaluates Bladerunner against (§2): client-side polling,
-// server-side polling agents, pub/sub-triggered polling (Thialfi-style), a
-// Kafka-like distributed event log, and direct pub/sub data distribution.
-// The experiment harness and the benchmarks run these against the same
-// workloads as Bladerunner to reproduce the paper's resource and latency
-// comparisons (the 10× LVC switchover, the 80%-empty-poll measurement, the
-// 8× Messenger hardware claim).
+// Package baseline implements the dissemination architecture Bladerunner
+// replaced for LiveVideoComments (§2, Fig 1): client-side polling. The
+// switchover experiment runs it against the same workload as a stream to
+// reproduce the paper's 10× backend-query reduction and its 80%-empty-poll
+// measurement. The other architectures §2 discusses (server-side polling
+// agents, pub/sub-triggered polling, a distributed event log, direct
+// pub/sub) are argued against in the paper and not modelled here.
 package baseline
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"bladerunner/internal/metrics"
-	"bladerunner/internal/pylon"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/was"
@@ -106,230 +102,4 @@ func (p *ClientPoller) EmptyPollRate() float64 {
 		return 0
 	}
 	return float64(p.EmptyPolls.Value()) / float64(total)
-}
-
-// ServerAgentPoller models server-side polling (§2): a backend agent polls
-// on the client's behalf and pushes only changed data over the persistent
-// last-mile connection. Backend query cost is unchanged; last-mile bytes
-// drop to changes only.
-type ServerAgentPoller struct {
-	ClientPoller // the agent reuses the poll loop...
-
-	// Push is the last-mile delivery callback (only on change).
-	Push func(data []byte)
-
-	BytesPushed metrics.Counter
-}
-
-// Start begins the agent's poll loop with push-on-change semantics.
-func (a *ServerAgentPoller) Start() {
-	a.ClientPoller.OnNewData = func(data []byte) {
-		a.BytesPushed.Add(int64(len(data)))
-		if a.Push != nil {
-			a.Push(data)
-		}
-	}
-	a.ClientPoller.Start()
-	// The agent's poll responses do not cross the last mile; only pushes
-	// do. Reset the meaning of BytesDown by zeroing the attribution: the
-	// caller should read BytesPushed for last-mile accounting.
-}
-
-// TriggeredPoller models pub/sub-triggered polling (Thialfi-style, §2): a
-// notification-only pub/sub tells the client an update happened; the client
-// then polls. Polls that would return nothing are eliminated, but each
-// delivery still costs a full (range) query, and hot topics trigger
-// per-device query storms.
-type TriggeredPoller struct {
-	id     string
-	WAS    *was.Server
-	Viewer socialgraph.UserID
-	Query  string
-	// OnData receives each triggered poll's response.
-	OnData func(data []byte)
-
-	Triggers metrics.Counter
-	Polls    metrics.Counter
-}
-
-// NewTriggeredPoller builds a triggered poller with the given unique id
-// (it registers with Pylon as a subscriber host).
-func NewTriggeredPoller(id string, w *was.Server, viewer socialgraph.UserID, query string) *TriggeredPoller {
-	return &TriggeredPoller{id: id, WAS: w, Viewer: viewer, Query: query}
-}
-
-// ID implements pylon.Subscriber.
-func (t *TriggeredPoller) ID() string { return t.id }
-
-// Deliver implements pylon.Subscriber: each notification triggers a poll.
-func (t *TriggeredPoller) Deliver(ev pylon.Event) {
-	t.Triggers.Inc()
-	data, err := t.WAS.Query(t.Viewer, t.Query)
-	t.Polls.Inc()
-	if err != nil {
-		return
-	}
-	if t.OnData != nil {
-		t.OnData(data)
-	}
-}
-
-var _ pylon.Subscriber = (*TriggeredPoller)(nil)
-
-// ErrTopicLimit is returned when the event log cannot create more topics —
-// the structural constraint that disqualifies Kafka-style logs for
-// Bladerunner's billions of dynamic topics (§2: LinkedIn's variant supports
-// 100,000 topics).
-var ErrTopicLimit = errors.New("baseline: event log topic limit reached")
-
-// EventLog is a minimal Kafka-like partitioned append-only log. Consumers
-// poll partitions by offset. Every event lives in exactly one partition,
-// serializing access to it.
-type EventLog struct {
-	maxTopics     int
-	partitionsPer int
-
-	mu     sync.Mutex
-	topics map[string][][]LogRecord
-
-	Appends    metrics.Counter
-	FetchCalls metrics.Counter
-	EmptyFetch metrics.Counter
-}
-
-// LogRecord is one appended event.
-type LogRecord struct {
-	Offset  int64
-	Payload []byte
-	Time    time.Time
-}
-
-// NewEventLog builds a log with the given topic cap and partitions/topic.
-func NewEventLog(maxTopics, partitionsPer int) *EventLog {
-	if partitionsPer <= 0 {
-		partitionsPer = 1
-	}
-	return &EventLog{
-		maxTopics:     maxTopics,
-		partitionsPer: partitionsPer,
-		topics:        make(map[string][][]LogRecord),
-	}
-}
-
-// Topics returns the number of created topics.
-func (l *EventLog) Topics() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.topics)
-}
-
-// Append writes payload to the topic (creating it if the cap allows),
-// assigning the event to a partition by key hash.
-func (l *EventLog) Append(topic, key string, payload []byte, now time.Time) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	parts, ok := l.topics[topic]
-	if !ok {
-		if l.maxTopics > 0 && len(l.topics) >= l.maxTopics {
-			return fmt.Errorf("%w (%d topics)", ErrTopicLimit, l.maxTopics)
-		}
-		parts = make([][]LogRecord, l.partitionsPer)
-		l.topics[topic] = parts
-	}
-	p := int(fnv32(key)) % len(parts)
-	if p < 0 {
-		p += len(parts)
-	}
-	parts[p] = append(parts[p], LogRecord{
-		Offset:  int64(len(parts[p])),
-		Payload: payload,
-		Time:    now,
-	})
-	l.Appends.Inc()
-	return nil
-}
-
-// Fetch returns up to max records from the partition starting at offset.
-func (l *EventLog) Fetch(topic string, partition int, offset int64, max int) []LogRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.FetchCalls.Inc()
-	parts, ok := l.topics[topic]
-	if !ok || partition < 0 || partition >= len(parts) {
-		l.EmptyFetch.Inc()
-		return nil
-	}
-	p := parts[partition]
-	if offset >= int64(len(p)) {
-		l.EmptyFetch.Inc()
-		return nil
-	}
-	end := offset + int64(max)
-	if max <= 0 || end > int64(len(p)) {
-		end = int64(len(p))
-	}
-	out := make([]LogRecord, end-offset)
-	copy(out, p[offset:end])
-	return out
-}
-
-// Partitions returns the partition count for a topic (0 if absent).
-func (l *EventLog) Partitions(topic string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.topics[topic])
-}
-
-// DirectPubSub models pushing full update payloads straight to devices
-// with no per-user processing (§2 "Pub/sub data distribution"): hot topics
-// become a firehose that overwhelms devices and the last mile.
-type DirectPubSub struct {
-	mu     sync.Mutex
-	topics map[string][]chan<- []byte
-
-	Published     metrics.Counter
-	Fanout        metrics.Counter
-	BytesLastMile metrics.Counter
-	Overflows     metrics.Counter // deliveries dropped at a full device
-}
-
-// NewDirectPubSub returns an empty broker.
-func NewDirectPubSub() *DirectPubSub {
-	return &DirectPubSub{topics: make(map[string][]chan<- []byte)}
-}
-
-// Subscribe attaches a device channel to a topic.
-func (d *DirectPubSub) Subscribe(topic string, ch chan<- []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.topics[topic] = append(d.topics[topic], ch)
-}
-
-// Publish pushes payload to every subscribed device, unfiltered.
-func (d *DirectPubSub) Publish(topic string, payload []byte) int {
-	d.mu.Lock()
-	subs := append([]chan<- []byte(nil), d.topics[topic]...)
-	d.mu.Unlock()
-	d.Published.Inc()
-	delivered := 0
-	for _, ch := range subs {
-		select {
-		case ch <- payload:
-			delivered++
-			d.BytesLastMile.Add(int64(len(payload)))
-		default:
-			d.Overflows.Inc() // device can't keep up with the firehose
-		}
-	}
-	d.Fanout.Add(int64(delivered))
-	return delivered
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

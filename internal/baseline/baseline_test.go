@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -16,7 +14,7 @@ import (
 
 var t0 = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
-func newWASEnv(t *testing.T, eng *sim.Engine) (*was.Server, *pylon.Service) {
+func newWASEnv(t *testing.T, eng *sim.Engine) *was.Server {
 	t.Helper()
 	nodes := []*kvstore.Node{
 		kvstore.NewNode("a", "us"), kvstore.NewNode("b", "eu"), kvstore.NewNode("c", "ap"),
@@ -24,12 +22,12 @@ func newWASEnv(t *testing.T, eng *sim.Engine) (*was.Server, *pylon.Service) {
 	pyl := pylon.MustNew(pylon.DefaultConfig(), kvstore.MustNewCluster(nodes, 3))
 	store := tao.MustNewStore(tao.DefaultConfig(), eng)
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 20, MeanFriends: 3, Seed: 1})
-	return was.New(store, graph, pyl, eng), pyl
+	return was.New(store, graph, pyl, eng)
 }
 
 func TestClientPollerEmptyPolls(t *testing.T) {
 	eng := sim.NewEngine(t0)
-	w, _ := newWASEnv(t, eng)
+	w := newWASEnv(t, eng)
 	val := "v0"
 	w.RegisterQuery("data", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
 		return val, nil
@@ -67,7 +65,7 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 
 func TestClientPollerStopIsFinal(t *testing.T) {
 	eng := sim.NewEngine(t0)
-	w, _ := newWASEnv(t, eng)
+	w := newWASEnv(t, eng)
 	w.RegisterQuery("d", func(*was.Ctx, was.FieldCall) (any, error) { return 1, nil })
 	p := &ClientPoller{WAS: w, Viewer: 1, Query: "d", Interval: time.Second, Sched: eng}
 	p.Start()
@@ -77,156 +75,5 @@ func TestClientPollerStopIsFinal(t *testing.T) {
 	eng.RunFor(10 * time.Second)
 	if p.Polls.Value() != before {
 		t.Error("poller kept polling after Stop")
-	}
-}
-
-func TestServerAgentPollerPushesOnlyChanges(t *testing.T) {
-	eng := sim.NewEngine(t0)
-	w, _ := newWASEnv(t, eng)
-	val := 0
-	w.RegisterQuery("d", func(*was.Ctx, was.FieldCall) (any, error) { return val, nil })
-	var pushes int
-	a := &ServerAgentPoller{
-		ClientPoller: ClientPoller{WAS: w, Viewer: 1, Query: "d", Interval: time.Second, Sched: eng},
-		Push:         func([]byte) { pushes++ },
-	}
-	a.Start()
-	eng.RunFor(4 * time.Second) // 4 polls, 1 change (initial)
-	val = 1
-	eng.RunFor(4 * time.Second)
-	a.Stop()
-	if a.Polls.Value() != 8 {
-		t.Errorf("Polls = %d", a.Polls.Value())
-	}
-	if pushes != 2 {
-		t.Errorf("pushes = %d, want 2 (initial + one change)", pushes)
-	}
-	// Last-mile bytes = pushed bytes only, far below poll response bytes.
-	if a.BytesPushed.Value() >= a.BytesDown.Value() {
-		t.Errorf("pushed %d >= polled %d bytes", a.BytesPushed.Value(), a.BytesDown.Value())
-	}
-}
-
-func TestTriggeredPollerPollsOnlyOnNotification(t *testing.T) {
-	eng := sim.NewEngine(t0)
-	w, pyl := newWASEnv(t, eng)
-	w.RegisterQuery("d", func(*was.Ctx, was.FieldCall) (any, error) { return "x", nil })
-	var got []string
-	tp := NewTriggeredPoller("thialfi-1", w, 1, "d")
-	tp.OnData = func(b []byte) { got = append(got, string(b)) }
-	pyl.RegisterHost(tp)
-	if err := pyl.Subscribe("/area/1", "thialfi-1"); err != nil {
-		t.Fatal(err)
-	}
-	// No notifications → zero polls (this is the whole point).
-	if tp.Polls.Value() != 0 {
-		t.Error("polled without trigger")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := pyl.Publish(pylon.Event{Topic: "/area/1"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tp.Triggers.Value() != 3 || tp.Polls.Value() != 3 {
-		t.Errorf("triggers=%d polls=%d", tp.Triggers.Value(), tp.Polls.Value())
-	}
-	if len(got) != 3 {
-		t.Errorf("data deliveries = %d", len(got))
-	}
-}
-
-func TestEventLogTopicLimit(t *testing.T) {
-	l := NewEventLog(2, 4)
-	if err := l.Append("t1", "k", []byte("a"), t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("t2", "k", []byte("b"), t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("t3", "k", []byte("c"), t0); !errors.Is(err, ErrTopicLimit) {
-		t.Errorf("err = %v, want ErrTopicLimit", err)
-	}
-	if l.Topics() != 2 {
-		t.Errorf("Topics = %d", l.Topics())
-	}
-	// Existing topics still writable.
-	if err := l.Append("t1", "k2", []byte("d"), t0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEventLogFetchSemantics(t *testing.T) {
-	l := NewEventLog(0, 1) // single partition for deterministic ordering
-	for i := 0; i < 5; i++ {
-		if err := l.Append("t", "key", []byte(fmt.Sprintf("m%d", i)), t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs := l.Fetch("t", 0, 0, 3)
-	if len(recs) != 3 || string(recs[0].Payload) != "m0" || recs[2].Offset != 2 {
-		t.Errorf("recs = %+v", recs)
-	}
-	recs = l.Fetch("t", 0, 3, 10)
-	if len(recs) != 2 || string(recs[1].Payload) != "m4" {
-		t.Errorf("tail fetch = %+v", recs)
-	}
-	// Poll past the end: empty fetch (the wasteful common case).
-	if recs := l.Fetch("t", 0, 5, 10); recs != nil {
-		t.Errorf("past-end fetch = %v", recs)
-	}
-	if l.EmptyFetch.Value() != 1 {
-		t.Errorf("EmptyFetch = %d", l.EmptyFetch.Value())
-	}
-	// Unknown topic/partition.
-	if l.Fetch("ghost", 0, 0, 1) != nil || l.Fetch("t", 9, 0, 1) != nil {
-		t.Error("bad topic/partition returned data")
-	}
-}
-
-func TestEventLogPartitionAssignmentStable(t *testing.T) {
-	l := NewEventLog(0, 8)
-	for i := 0; i < 20; i++ {
-		_ = l.Append("t", "same-key", []byte("x"), t0)
-	}
-	if l.Partitions("t") != 8 {
-		t.Errorf("Partitions = %d", l.Partitions("t"))
-	}
-	// All records with one key land in one partition (serialized access).
-	nonEmpty := 0
-	for p := 0; p < 8; p++ {
-		if len(l.Fetch("t", p, 0, 100)) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 1 {
-		t.Errorf("key spread over %d partitions", nonEmpty)
-	}
-}
-
-func TestDirectPubSubFirehose(t *testing.T) {
-	d := NewDirectPubSub()
-	fast := make(chan []byte, 100)
-	slow := make(chan []byte) // unbuffered, never read: overwhelmed device
-	d.Subscribe("hot", fast)
-	d.Subscribe("hot", slow)
-	payload := []byte("full update payload, not metadata")
-	for i := 0; i < 10; i++ {
-		d.Publish("hot", payload)
-	}
-	if d.Published.Value() != 10 {
-		t.Errorf("Published = %d", d.Published.Value())
-	}
-	if d.Fanout.Value() != 10 {
-		t.Errorf("Fanout = %d (only fast device keeps up)", d.Fanout.Value())
-	}
-	if d.Overflows.Value() != 10 {
-		t.Errorf("Overflows = %d, want 10 (slow device)", d.Overflows.Value())
-	}
-	wantBytes := int64(10 * len(payload))
-	if d.BytesLastMile.Value() != wantBytes {
-		t.Errorf("BytesLastMile = %d, want %d", d.BytesLastMile.Value(), wantBytes)
-	}
-	if got := d.Publish("cold", payload); got != 0 {
-		t.Errorf("publish to empty topic delivered %d", got)
 	}
 }

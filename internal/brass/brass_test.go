@@ -60,7 +60,7 @@ func (e *echoInstance) OnEvent(ev pylon.Event) {
 			st.Filtered()
 			continue
 		}
-		_ = st.PushPayload(ev.ID, []byte(fmt.Sprintf("ref=%d", ev.Ref)))
+		_ = st.PushPayload(ev, ev.ID, []byte(fmt.Sprintf("ref=%d", ev.Ref)))
 	}
 }
 
@@ -621,7 +621,8 @@ func (s *surfaceInstance) OnStreamClose(st *Stream, reason string) {}
 func (s *surfaceInstance) OnEvent(ev pylon.Event) {
 	for _, st := range s.rt.Instance().StreamsForTopic(ev.Topic) {
 		if ev.Meta["redirect"] != "" {
-			_ = st.Redirect(ev.Meta["redirect"])
+			_ = st.RewriteHeaderField(burst.HdrStickyBRASS, ev.Meta["redirect"])
+			_ = st.Terminate("redirect to " + ev.Meta["redirect"])
 			continue
 		}
 		payload, err := st.FetchPayload(ev)
@@ -629,7 +630,7 @@ func (s *surfaceInstance) OnEvent(ev pylon.Event) {
 			st.Filtered()
 			continue
 		}
-		_ = st.PushPayload(ev.ID, payload)
+		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
 

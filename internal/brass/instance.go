@@ -143,14 +143,8 @@ func (inst *Instance) loop() {
 }
 
 // signalFlow tells every stream on this instance that its loop entered or
-// left the shedding state. The detail carries the shed marker so devices
-// know deltas may have been dropped and the stream must be reopened from
-// its resume point — the gap cannot be trusted (DESIGN.md §7c).
+// left the shedding state.
 func (inst *Instance) signalFlow(code burst.FlowCode) {
-	detail := overload.ShedMarkerPrefix + "brass-loop"
-	if code == burst.FlowRecovered {
-		detail = overload.RecoveredMarkerPrefix + "brass-loop"
-	}
 	inst.flowMu.Lock()
 	streams := make([]*Stream, 0, len(inst.flowStreams))
 	for st := range inst.flowStreams {
@@ -158,10 +152,7 @@ func (inst *Instance) signalFlow(code burst.FlowCode) {
 	}
 	inst.flowMu.Unlock()
 	for _, st := range streams {
-		// Control delta on the BURST stream; send errors mean the stream
-		// is already gone, which is fine.
-		_ = st.burst.SendBatch(burst.FlowStatusDelta(code, detail))
-		inst.host.FlowSignals.Inc()
+		st.announce(code, "brass-loop")
 	}
 }
 
@@ -324,9 +315,7 @@ func (inst *Instance) openStream(st *Stream) {
 		// A stream landing on an already-shedding loop learns immediately
 		// that deltas may be dropped, so its device can reopen it.
 		if inst.tasks.Shedding() {
-			_ = st.burst.SendBatch(burst.FlowStatusDelta(
-				burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop"))
-			inst.host.FlowSignals.Inc()
+			st.announce(burst.FlowDegraded, "brass-loop")
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"bladerunner/internal/burst"
 	"bladerunner/internal/trace"
 )
 
@@ -138,27 +137,4 @@ func (b *RankedBuffer) Expire(now time.Time) {
 		}
 	}
 	b.items = kept
-}
-
-// BatchAccumulator groups per-stream updates for periodic batch pushes
-// (ActiveStatus pushes friend-status maps in periodic batches, §3.4).
-type BatchAccumulator struct {
-	pending []burst.Delta
-}
-
-// Add queues a delta for the next flush.
-func (a *BatchAccumulator) Add(d burst.Delta) { a.pending = append(a.pending, d) }
-
-// Len returns the number of queued deltas.
-func (a *BatchAccumulator) Len() int { return len(a.pending) }
-
-// Flush sends everything queued as one atomic batch and clears the queue.
-// A nil error with zero deltas means there was nothing to send.
-func (a *BatchAccumulator) Flush(st *Stream) error {
-	if len(a.pending) == 0 {
-		return nil
-	}
-	deltas := a.pending
-	a.pending = nil
-	return st.Push(deltas...)
 }

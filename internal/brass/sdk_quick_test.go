@@ -160,13 +160,3 @@ func TestRateLimiterRestoreNeverStallsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBatchAccumulator(t *testing.T) {
-	var acc BatchAccumulator
-	if acc.Len() != 0 {
-		t.Fatal("fresh accumulator non-empty")
-	}
-	if err := acc.Flush(nil); err != nil {
-		t.Errorf("empty flush errored: %v", err)
-	}
-}

@@ -38,11 +38,6 @@ type Stream struct {
 	// buffers, rate limiters, sequence cursors...). Loop-owned.
 	State any
 
-	// pendingTrace is the trace context of the most recent sampled delta
-	// queued via QueuePayloadFor, consumed by the next Flush to open its
-	// burst.flush span. Loop-owned, like the Queue/Flush pair itself.
-	pendingTrace trace.ID
-
 	// admit is the per-stream delivery token bucket (zero Rate = disabled;
 	// configured from HostConfig.StreamDeliverRate and restored from
 	// HdrAdmissionState on subscribe). admitMu guards it plus degraded,
@@ -77,37 +72,53 @@ func (st *Stream) Topics() []pylon.Topic {
 	return out
 }
 
-// Push sends payload deltas to the device as one atomic batch, counting a
-// delivery per delta. When per-stream admission is enabled
-// (HostConfig.StreamDeliverRate), an over-rate batch has its payload
-// deltas shed — control deltas always go through — and the device is told
-// via FlowDegraded with a shed marker so it can reopen the stream from its
-// resume point.
-func (st *Stream) Push(deltas ...burst.Delta) error {
-	admitted, shed := st.admitPayloads(deltas)
-	if shed > 0 {
-		sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
-		sp.Drop("stream-admission")
-		sp.End()
-		if len(admitted) == 0 {
-			return nil
+// Push sends the deltas of one application decision — a payload, a payload
+// and the state rewrite that goes with it, several ranked payloads — to the
+// device as one atomic batch: one frame, applied all-or-nothing. When
+// per-stream admission is enabled (HostConfig.StreamDeliverRate), an
+// over-rate batch has its payload deltas shed — control deltas always go
+// through — and the device is told via FlowDegraded with a shed marker so it
+// can reopen the stream from its resume point.
+func (st *Stream) Push(deltas ...burst.Delta) error { return st.send(deltas, true) }
+
+// send is the one road from an application decision to the session writer,
+// and it holds no buffer: per-stream admission unless the caller bypasses
+// it, one burst.flush span keyed on the first traced delta, one SendBatch,
+// one delivery counted per payload delta sent. An empty batch — nothing
+// passed, or everything shed — writes no frame.
+func (st *Stream) send(deltas []burst.Delta, admit bool) error {
+	if admit {
+		admitted, shed := st.admitPayloads(deltas)
+		if shed > 0 {
+			sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
+			sp.Drop("stream-admission")
+			sp.End()
 		}
+		deltas = admitted
 	}
-	deltas = admitted
+	if len(deltas) == 0 {
+		return nil
+	}
 	sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
 	defer sp.End()
 	if err := st.burst.SendBatch(deltas...); err != nil {
 		sp.Annotate("error", "send-failed")
 		return err
 	}
+	st.inst.host.Deliveries.Add(int64(payloadCount(deltas)))
+	return nil
+}
+
+// payloadCount returns how many of deltas are payload deltas — what
+// admission meters and Deliveries counts; control deltas are neither.
+func payloadCount(deltas []burst.Delta) int {
 	n := 0
 	for _, d := range deltas {
 		if d.Type == burst.DeltaPayload {
 			n++
 		}
 	}
-	st.inst.host.Deliveries.Add(int64(n))
-	return nil
+	return n
 }
 
 // admitPayloads runs the per-stream delivery bucket over one batch. A
@@ -123,12 +134,7 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 	if h.cfg.StreamDeliverRate <= 0 {
 		return deltas, 0
 	}
-	payloads := 0
-	for _, d := range deltas {
-		if d.Type == burst.DeltaPayload {
-			payloads++
-		}
-	}
+	payloads := payloadCount(deltas)
 	if payloads == 0 {
 		return deltas, 0
 	}
@@ -150,9 +156,7 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 		if transition == recovered {
 			// Recovery notice first, so the device knows the shed gap
 			// ended before the next payload lands.
-			_ = st.burst.SendBatch(burst.FlowStatusDelta(
-				burst.FlowRecovered, overload.RecoveredMarkerPrefix+"stream-admission"))
-			h.FlowSignals.Inc()
+			st.announce(burst.FlowRecovered, "stream-admission")
 			_ = st.burst.RewriteHeaderField(HdrAdmissionState, state)
 		}
 		return deltas, 0
@@ -165,9 +169,7 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 	}
 	h.StreamSheds.Add(int64(payloads))
 	if transition == entered {
-		_ = st.burst.SendBatch(burst.FlowStatusDelta(
-			burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"))
-		h.FlowSignals.Inc()
+		st.announce(burst.FlowDegraded, "stream-admission")
 		_ = st.burst.RewriteHeaderField(HdrAdmissionState, state)
 	}
 	return kept, payloads
@@ -182,21 +184,20 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 // trap the stream in a shed→resume→shed livelock. The batch is bounded by
 // what the device is missing, so the bypass cannot be abused for sustained
 // over-rate delivery.
-func (st *Stream) PushCatchUp(deltas ...burst.Delta) error {
-	sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
-	defer sp.End()
-	if err := st.burst.SendBatch(deltas...); err != nil {
-		sp.Annotate("error", "send-failed")
-		return err
+func (st *Stream) PushCatchUp(deltas ...burst.Delta) error { return st.send(deltas, false) }
+
+// announce tells the device that a shed episode on this stream began
+// (FlowDegraded) or ended (FlowRecovered) at source. The detail carries the
+// shed marker, so the device knows deltas may have been dropped and reopens
+// the stream from its resume point (DESIGN.md §7c). It is a control delta,
+// never shed; a send error means the stream is already gone.
+func (st *Stream) announce(code burst.FlowCode, source string) {
+	prefix := overload.ShedMarkerPrefix
+	if code == burst.FlowRecovered {
+		prefix = overload.RecoveredMarkerPrefix
 	}
-	n := 0
-	for _, d := range deltas {
-		if d.Type == burst.DeltaPayload {
-			n++
-		}
-	}
-	st.inst.host.Deliveries.Add(int64(n))
-	return nil
+	_ = st.burst.SendBatch(burst.FlowStatusDelta(code, prefix+source))
+	st.inst.host.FlowSignals.Inc()
 }
 
 // startFlushSpan opens the burst.flush span covering the frame encode +
@@ -206,9 +207,7 @@ func (st *Stream) startFlushSpan(id trace.ID, deltas int) trace.Span {
 	if sp.Active() {
 		sp.Annotate("host", st.inst.host.cfg.ID)
 		sp.Annotate("stream", st.Header(burst.HdrTraceStream))
-		if deltas > 0 {
-			sp.AnnotateInt("deltas", int64(deltas))
-		}
+		sp.AnnotateInt("deltas", int64(deltas))
 	}
 	return sp
 }
@@ -225,65 +224,19 @@ func firstTrace(deltas []burst.Delta) trace.ID {
 	return 0
 }
 
-// PushPayload is shorthand for Push of a single payload delta.
-func (st *Stream) PushPayload(seq uint64, payload []byte) error {
-	return st.Push(burst.PayloadDelta(seq, payload))
-}
-
-// PushPayloadFor is PushPayload carrying ev's trace context onto the wire,
-// so proxies and the device can attribute the delta to the originating
-// mutation. Apps pushing live events should prefer it over PushPayload.
-func (st *Stream) PushPayloadFor(ev pylon.Event, seq uint64, payload []byte) error {
+// PayloadFor builds the payload delta that delivers ev: it carries the
+// event's trace context onto the wire, so the flush, the proxies and the
+// device attribute the delta to the mutation that produced it. A push no
+// event caused (a timer-driven summary) passes the zero Event.
+func PayloadFor(ev pylon.Event, seq uint64, payload []byte) burst.Delta {
 	d := burst.PayloadDelta(seq, payload)
 	d.Trace = ev.Trace
-	return st.Push(d)
+	return d
 }
 
-// QueuePayload buffers a payload delta for the stream's next Flush without
-// sending a frame. Combined with QueueRewriteHeaderField and Flush, one
-// application decision (payload + state rewrite) travels as a single batch
-// frame instead of one frame per delta. Loop-only, like Push.
-func (st *Stream) QueuePayload(seq uint64, payload []byte) error {
-	return st.burst.Queue(burst.PayloadDelta(seq, payload))
-}
-
-// QueuePayloadFor is QueuePayload carrying ev's trace context; the next
-// Flush closes its burst.flush span against that context. Loop-only.
-func (st *Stream) QueuePayloadFor(ev pylon.Event, seq uint64, payload []byte) error {
-	d := burst.PayloadDelta(seq, payload)
-	d.Trace = ev.Trace
-	if ev.Trace != 0 {
-		st.pendingTrace = ev.Trace
-	}
-	return st.burst.Queue(d)
-}
-
-// QueueRewriteHeaderField buffers a single-key header rewrite for the next
-// Flush. The server-side stored request updates immediately. Loop-only.
-func (st *Stream) QueueRewriteHeaderField(key, value string) error {
-	return st.burst.QueueRewriteHeaderField(key, value)
-}
-
-// Flush sends the queued deltas as one atomic batch, counting a delivery
-// per payload delta (the same accounting Push applies). Loop-only.
-func (st *Stream) Flush() error {
-	sp := st.startFlushSpan(st.pendingTrace, 0)
-	defer sp.End()
-	st.pendingTrace = 0
-	deltas, err := st.burst.Flush()
-	if err != nil {
-		sp.Annotate("error", "flush-failed")
-		return err
-	}
-	n := 0
-	for _, d := range deltas {
-		if d.Type == burst.DeltaPayload {
-			n++
-		}
-	}
-	st.inst.host.Deliveries.Add(int64(n))
-	sp.AnnotateInt("flushed", int64(len(deltas)))
-	return nil
+// PushPayload is shorthand for Push of the single payload delta of ev.
+func (st *Stream) PushPayload(ev pylon.Event, seq uint64, payload []byte) error {
+	return st.Push(PayloadFor(ev, seq, payload))
 }
 
 // Filtered records that the application decided not to deliver an update
@@ -306,18 +259,6 @@ func (st *Stream) Terminate(reason string) error {
 	err := st.burst.Terminate(reason)
 	st.inst.closeStream(st, reason)
 	return err
-}
-
-// Redirect rewrites routing state to point at another BRASS and terminates
-// the stream (paper §3.5 "Redirects"). No device model in this repository
-// resubscribes after it: a termination ends the stream for good
-// (burst.Recovery answers End), so the rewritten routing state is used only
-// by an application that opens the stream again from that request itself.
-func (st *Stream) Redirect(targetHostID string) error {
-	if err := st.RewriteHeaderField(burst.HdrStickyBRASS, targetHostID); err != nil {
-		return err
-	}
-	return st.Terminate("redirect to " + targetHostID)
 }
 
 // FetchPayload asks the WAS for the device-facing payload of ev, running

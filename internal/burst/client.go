@@ -334,6 +334,11 @@ func (st *ClientStream) pushEvents(rc *Received) {
 	}
 }
 
+// SessionClosedDetail is the FlowDetail of the degraded flow status a client
+// stream synthesises when its transport dies. A relay recognises it as "my
+// upstream is gone: repair, do not forward" (edge.Proxy).
+const SessionClosedDetail = "session closed"
+
 // sessionLost delivers a synthetic degraded flow status and closes the
 // stream channel: the transport under every stream on the session is gone.
 // The notice is a control delta, so it uses the same never-lost push path.
@@ -345,7 +350,7 @@ func (st *ClientStream) sessionLost() {
 	}
 	st.terminated = true
 	rc := lease(nil)
-	rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, "session closed"))
+	rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, SessionClosedDetail))
 	st.pushEvents(rc)
 	st.mu.Unlock()
 	close(st.Events)

@@ -235,6 +235,14 @@ func TestServerTerminateClosesClientStream(t *testing.T) {
 	if got := len(cli.Streams()); got != 0 {
 		t.Errorf("client still tracks %d streams", got)
 	}
+	// Every send on the terminated stream fails server-side, and a rewrite
+	// it carries is not applied to the stored request.
+	if err := srv.stream(0).SendBatch(PayloadDelta(2, []byte("y")), RewriteDelta(Header{"k": "v"}, nil)); !errors.Is(err, ErrStreamClosed) {
+		t.Errorf("SendBatch after terminate = %v, want ErrStreamClosed", err)
+	}
+	if got := srv.stream(0).HeaderField("k"); got != "" {
+		t.Errorf("rewrite on a terminated stream reached the stored request: %q", got)
+	}
 }
 
 func TestAckFlowsUpstream(t *testing.T) {

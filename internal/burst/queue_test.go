@@ -2,15 +2,15 @@ package burst
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 )
 
-// TestQueueFlushCoalescesOneFrame queues a payload and a rewrite, flushes,
-// and asserts the client receives them as ONE batch: the payload surfaces
-// as an application event, the rewrite applies invisibly, in one frame.
-func TestQueueFlushCoalescesOneFrame(t *testing.T) {
+// TestSendBatchCoalescesOneFrame sends a payload and a rewrite in one
+// SendBatch and asserts the client receives them as ONE batch: the payload
+// surfaces as an application event, the rewrite applies invisibly, in one
+// frame, and the server's own copy of the request is patched at send.
+func TestSendBatchCoalescesOneFrame(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	st, err := cli.Subscribe(Subscribe{Header: Header{HdrApp: "lvc", HdrTopic: "/LVC/1"}})
 	if err != nil {
@@ -19,29 +19,14 @@ func TestQueueFlushCoalescesOneFrame(t *testing.T) {
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
 	ss := srv.stream(0)
 
-	if err := ss.Queue(PayloadDelta(7, []byte("comment"))); err != nil {
+	if err := ss.SendBatch(
+		PayloadDelta(7, []byte("comment")),
+		RewriteDelta(Header{"rl-state": "bucket=3"}, nil),
+	); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.QueueRewriteHeaderField("rl-state", "bucket=3"); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing on the wire until Flush.
-	select {
-	case b := <-st.Events:
-		t.Fatalf("queued deltas leaked before Flush: %+v", b.Deltas)
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Server's stored request already reflects the queued rewrite.
 	if got := ss.Request().Header["rl-state"]; got != "bucket=3" {
-		t.Fatalf("server request not updated at queue time: %q", got)
-	}
-
-	deltas, err := ss.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 2 {
-		t.Fatalf("Flush sent %d deltas, want 2", len(deltas))
+		t.Fatalf("server request not updated at send time: %q", got)
 	}
 	batch := recvBatch(t, st)
 	// The client surfaces only the payload; the rewrite applied invisibly
@@ -49,52 +34,16 @@ func TestQueueFlushCoalescesOneFrame(t *testing.T) {
 	if len(batch) != 1 || string(batch[0].Payload) != "comment" {
 		t.Fatalf("client batch = %+v", batch)
 	}
-	waitFor(t, "rewrite applied", func() bool {
-		return st.Request().Header["rl-state"] == "bucket=3"
-	})
+	if got := st.Request().Header["rl-state"]; got != "bucket=3" {
+		t.Fatalf("rewrite not applied with its batch: %q", got)
+	}
 	if st.LastSeq() != 7 {
 		t.Errorf("LastSeq = %d, want 7", st.LastSeq())
 	}
-}
-
-// TestFlushEmptyQueueIsNoop verifies Flush without queued deltas sends no
-// frame.
-func TestFlushEmptyQueueIsNoop(t *testing.T) {
-	cli, _, srv := newClientServer(t)
-	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
-	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	deltas, err := srv.stream(0).Flush()
-	if err != nil || deltas != nil {
-		t.Fatalf("empty Flush = %v, %v; want nil, nil", deltas, err)
-	}
 	select {
 	case b := <-st.Events:
-		t.Fatalf("empty Flush produced a batch: %+v", b.Deltas)
+		t.Fatalf("a second frame followed the batch: %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// TestQueueTerminatedStream exercises Queue/Flush error paths on a
-// terminated stream.
-func TestQueueTerminatedStream(t *testing.T) {
-	cli, _, srv := newClientServer(t)
-	_, _ = cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
-	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	ss := srv.stream(0)
-	if err := ss.Queue(PayloadDelta(1, []byte("x"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Terminate("done"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Queue(PayloadDelta(2, []byte("y"))); !errors.Is(err, ErrStreamClosed) {
-		t.Errorf("Queue after terminate = %v, want ErrStreamClosed", err)
-	}
-	if _, err := ss.Flush(); !errors.Is(err, ErrStreamClosed) {
-		t.Errorf("Flush after terminate = %v, want ErrStreamClosed", err)
-	}
-	if err := ss.QueueRewrite(Header{"k": "v"}, nil); !errors.Is(err, ErrStreamClosed) {
-		t.Errorf("QueueRewrite after terminate = %v, want ErrStreamClosed", err)
 	}
 }
 

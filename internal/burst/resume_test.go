@@ -75,7 +75,7 @@ func TestResumePoint(t *testing.T) {
 			{delta: FlowStatusDelta(FlowRecovered, overload.RecoveredMarkerPrefix+"stream-admission"), want: Surface},
 			{delta: FlowStatusDelta(FlowRecovered, overload.ShedMarkerPrefix+"mislabelled"), want: Surface},
 			{delta: FlowStatusDelta(FlowDegraded, overload.RecoveredMarkerPrefix+"stream-admission"), want: Surface},
-			{delta: FlowStatusDelta(FlowDegraded, "session closed"), want: Surface},
+			{delta: FlowStatusDelta(FlowDegraded, SessionClosedDetail), want: Surface},
 			{delta: FlowStatusDelta(FlowRerouted, "failover"), want: Surface},
 			payload(6),
 		}, 6},

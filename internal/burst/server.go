@@ -50,17 +50,6 @@ type ServerStream struct {
 	mu         sync.Mutex
 	sub        Subscribe
 	terminated bool
-	// pending holds deltas queued for the next Flush; coalescing several
-	// deltas (payloads plus rewrites) into one batch frame halves the
-	// per-update frame count on chatty streams.
-	pending []Delta
-	// pendingLimit bounds pending (0 = unbounded). When a Queue would
-	// leave more than pendingLimit deltas buffered, the OLDEST payload
-	// deltas are shed to fit; control deltas (flow_status,
-	// rewrite_request, termination) are never shed, even if that means
-	// exceeding the bound. onShed observes each shed delta.
-	pendingLimit int
-	onShed       func(Delta)
 
 	// State is free space for the application (e.g. the BRASS keeps its
 	// per-stream filter state here). Synchronize externally if accessed
@@ -155,104 +144,6 @@ func (st *ServerStream) SendBatch(deltas ...Delta) error {
 	st.applyRewritesLocked(deltas...)
 	st.mu.Unlock()
 	return st.srv.sess.SendMsg(FrameBatch, st.sid, Batch{Deltas: deltas})
-}
-
-// Queue buffers deltas for the stream's next Flush instead of sending them
-// immediately. Use it to coalesce the deltas of one application decision —
-// a payload push plus a state rewrite, several ranked payloads — into a
-// single batch frame. Queued deltas are not visible to the peer until
-// Flush, but a queued rewrite updates the server's stored request at once
-// (the server's view of the reconnect state must not lag its own decisions;
-// the peer converges at Flush).
-func (st *ServerStream) Queue(deltas ...Delta) error {
-	st.mu.Lock()
-	if st.terminated {
-		st.mu.Unlock()
-		return fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
-	}
-	st.applyRewritesLocked(deltas...)
-	st.pending = append(st.pending, deltas...)
-	var shed []Delta
-	if st.pendingLimit > 0 && len(st.pending) > st.pendingLimit {
-		// Shed the oldest payload deltas until the bound holds; a live
-		// view wants the freshest update, and control deltas always keep
-		// their place.
-		over := len(st.pending) - st.pendingLimit
-		kept := st.pending[:0]
-		for _, d := range st.pending {
-			if over > 0 && d.Type == DeltaPayload {
-				shed = append(shed, d)
-				over--
-				continue
-			}
-			kept = append(kept, d)
-		}
-		for i := len(kept); i < len(st.pending); i++ {
-			st.pending[i] = Delta{}
-		}
-		st.pending = kept
-	}
-	onShed := st.onShed
-	st.mu.Unlock()
-	if onShed != nil {
-		for _, d := range shed {
-			onShed(d)
-		}
-	}
-	return nil
-}
-
-// SetPendingLimit bounds the stream's Queue/Flush buffer at limit deltas
-// (0 removes the bound). onShed, if non-nil, observes every payload delta
-// shed by the bound — callers use it to count sheds and signal degraded
-// mode; it runs outside the stream lock.
-func (st *ServerStream) SetPendingLimit(limit int, onShed func(Delta)) {
-	st.mu.Lock()
-	st.pendingLimit = limit
-	st.onShed = onShed
-	st.mu.Unlock()
-}
-
-// QueueRewrite buffers a rewrite_request delta (h is a patch; see Rewrite).
-// Unlike Queue it never sheds: a control delta may exceed the pending bound.
-func (st *ServerStream) QueueRewrite(h Header, body []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.terminated {
-		return fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
-	}
-	d := RewriteDelta(h, body)
-	st.applyRewritesLocked(d)
-	st.pending = append(st.pending, d)
-	return nil
-}
-
-// QueueRewriteHeaderField buffers a single-key header rewrite (see
-// RewriteHeaderField).
-func (st *ServerStream) QueueRewriteHeaderField(key, value string) error {
-	return st.QueueRewrite(Header{key: value}, nil)
-}
-
-// Flush sends every queued delta as one atomic batch frame and returns the
-// deltas it sent (nil for an empty queue, which is a no-op). Callers
-// serialize Flush with their Queue calls (in BRASS both run on the
-// instance event loop).
-func (st *ServerStream) Flush() ([]Delta, error) {
-	st.mu.Lock()
-	if st.terminated {
-		st.mu.Unlock()
-		return nil, fmt.Errorf("stream %d: %w", st.sid, ErrStreamClosed)
-	}
-	deltas := st.pending
-	st.pending = nil
-	st.mu.Unlock()
-	if len(deltas) == 0 {
-		return nil, nil
-	}
-	if err := st.srv.sess.SendMsg(FrameBatch, st.sid, Batch{Deltas: deltas}); err != nil {
-		return nil, err
-	}
-	return deltas, nil
 }
 
 // Rewrite sends a rewrite_request delta: the keys of h are set on the stored

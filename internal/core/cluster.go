@@ -268,13 +268,10 @@ func NewCluster(cfg Config, sched sim.Scheduler) (*Cluster, error) {
 		if topo != nil {
 			hostPylon = regionPylons[r]
 		}
-		for i := 0; i < cfg.BRASSHostsPerRegion; i++ {
-			id := fmt.Sprintf("brass-%s-%d", r, i)
-			h := brass.NewHost(brassHostConfig(cfg, id, r), hostPylon, w, sched)
-			suite.RegisterBRASS(h)
-			c.Hosts = append(c.Hosts, h)
+		for _, host := range NewBrassTier(cfg, r, "", suite, hostPylon, w, sched).Hosts {
+			id := host.ID()
+			c.Hosts = append(c.Hosts, host)
 			brassByRegion[r] = append(brassByRegion[r], id)
-			host := h
 			c.Net.Register(id, func(rwc io.ReadWriteCloser) {
 				host.AcceptSession(id+"-in", rwc)
 			})

@@ -563,10 +563,6 @@ func (st *Stream) scheduleResume() {
 	})
 }
 
-// RetryBackoff exposes the stream's resubscribe backoff (attempt count,
-// retry/saturation counters) for tests asserting post-failover pacing.
-func (st *Stream) RetryBackoff() *faults.Backoff { return st.bo }
-
 // LastSeq returns the stream's resume point: the highest payload sequence
 // number received with no shed gap known below it.
 func (st *Stream) LastSeq() uint64 {

@@ -236,9 +236,6 @@ func (l *Log) Open(topic string) {
 	l.topics[topic] = t
 }
 
-// Opened reports whether topic has been opened on this log.
-func (l *Log) Opened(topic string) bool { return l.lookup(topic) != nil }
-
 func (l *Log) lookup(topic string) *topicLog {
 	l.mu.RLock()
 	t := l.topics[topic]

@@ -27,6 +27,26 @@ type Dialer interface {
 	Dial(target string) (io.ReadWriteCloser, error)
 }
 
+// TransformDialer wraps another Dialer, applying a transform to every
+// connection it opens — the hook for putting a link model or a byte counter
+// between two tiers of any topology.
+type TransformDialer struct {
+	Inner     Dialer
+	Transform func(io.ReadWriteCloser) io.ReadWriteCloser
+}
+
+// Dial implements Dialer.
+func (d TransformDialer) Dial(target string) (io.ReadWriteCloser, error) {
+	rwc, err := d.Inner.Dial(target)
+	if err != nil {
+		return nil, err
+	}
+	if d.Transform != nil {
+		return d.Transform(rwc), nil
+	}
+	return rwc, nil
+}
+
 // ErrNoRoute is returned when a router cannot place a stream.
 var ErrNoRoute = errors.New("edge: no route for stream")
 
@@ -243,4 +263,7 @@ func (n *PipeNetwork) OpenConns(target string) int {
 	return len(n.conns[target])
 }
 
-var _ Dialer = (*PipeNetwork)(nil)
+var (
+	_ Dialer = (*PipeNetwork)(nil)
+	_ Dialer = TransformDialer{}
+)

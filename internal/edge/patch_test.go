@@ -161,9 +161,7 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 			patch = nil
 			err = ss.Rewrite(nil, body)
 		default:
-			_ = ss.Queue(payload)
-			_ = ss.QueueRewrite(patch, body)
-			_, err = ss.Flush()
+			err = ss.SendBatch(payload, burst.RewriteDelta(patch, body))
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)

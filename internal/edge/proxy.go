@@ -276,7 +276,7 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 			d := &batch[i]
 			switch d.Type {
 			case burst.DeltaFlowStatus:
-				if d.Flow == burst.FlowDegraded && d.FlowDetail == "session closed" {
+				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
 					// Synthesized by our upstream client: the
 					// transport died. Handled after the loop; do
 					// not forward (we send our own flow status).

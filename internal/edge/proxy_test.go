@@ -506,17 +506,6 @@ func TestRouters(t *testing.T) {
 		t.Error("empty rr succeeded")
 	}
 
-	th := NewTopicHashRouter("a", "b", "c")
-	x1, _ := th.Route(sub, nil)
-	x2, _ := th.Route(sub, nil)
-	if x1 != x2 {
-		t.Error("topic hash not stable")
-	}
-	y, err := th.Route(sub, map[string]bool{x1: true})
-	if err != nil || y == x1 {
-		t.Errorf("topic hash avoid: %v %v", y, err)
-	}
-
 	sticky := StickyRouter{Fallback: StaticRouter("fallback")}
 	s := burst.Subscribe{Header: burst.Header{burst.HdrStickyBRASS: "pinned"}}
 	if tgt, _ := sticky.Route(s, nil); tgt != "pinned" {

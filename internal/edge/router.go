@@ -60,41 +60,6 @@ func (r *RoundRobinRouter) Route(_ burst.Subscribe, avoid map[string]bool) (stri
 	return "", ErrNoRoute
 }
 
-// TopicHashRouter routes by hashing the stream's topic header so all
-// streams for one topic land on the same BRASS — the paper's topic-based
-// routing for low-fanout applications, which curtails the number of
-// subscriptions Pylon must maintain (§3.2).
-type TopicHashRouter struct {
-	mu      sync.Mutex
-	targets []string
-}
-
-// NewTopicHashRouter builds a router over targets.
-func NewTopicHashRouter(targets ...string) *TopicHashRouter {
-	return &TopicHashRouter{targets: append([]string(nil), targets...)}
-}
-
-// Route implements Router.
-func (r *TopicHashRouter) Route(sub burst.Subscribe, avoid map[string]bool) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.targets) == 0 {
-		return "", ErrNoRoute
-	}
-	key := sub.Header[burst.HdrTopic]
-	if key == "" {
-		key = sub.Header[burst.HdrSubscription]
-	}
-	h := fnv(key)
-	for i := 0; i < len(r.targets); i++ {
-		t := r.targets[(int(h)+i)%len(r.targets)]
-		if !avoid[t] {
-			return t, nil
-		}
-	}
-	return "", ErrNoRoute
-}
-
 // StickyRouter honors the sticky-routing header written by a BRASS rewrite
 // (paper §3.5): a resubscribe lands on the instance that previously served
 // the stream. When the sticky target is avoided or absent, it falls back.
@@ -108,13 +73,4 @@ func (r StickyRouter) Route(sub burst.Subscribe, avoid map[string]bool) (string,
 		return target, nil
 	}
 	return r.Fallback.Route(sub, avoid)
-}
-
-func fnv(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

@@ -65,85 +65,37 @@ func TestTCPNetworkUnknownTarget(t *testing.T) {
 	}
 }
 
-func TestLastMileConnLatency(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	lm := &LastMileConn{Inner: a, Latency: 30 * time.Millisecond}
-	go func() {
-		buf := make([]byte, 16)
-		for {
-			if _, err := b.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	start := time.Now()
-	if _, err := lm.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < 30*time.Millisecond {
-		t.Errorf("write took %v, want >= 30ms latency", took)
-	}
-	_ = lm.Close()
+// dyingConn is a last-mile link that drops for good once budget bytes have
+// been written through it.
+type dyingConn struct {
+	io.ReadWriteCloser
+	budget int
 }
 
-func TestLastMileConnBandwidth(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	lm := &LastMileConn{Inner: a, BytesPerSec: 10_000} // 10 KB/s
-	go func() {
-		buf := make([]byte, 4096)
-		for {
-			if _, err := b.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	// 1000 bytes at 10KB/s = 100ms of serialization.
-	start := time.Now()
-	if _, err := lm.Write(make([]byte, 1000)); err != nil {
-		t.Fatal(err)
+func (c *dyingConn) Write(p []byte) (int, error) {
+	if c.budget -= len(p); c.budget < 0 {
+		_ = c.Close()
+		return 0, io.ErrClosedPipe
 	}
-	if took := time.Since(start); took < 90*time.Millisecond {
-		t.Errorf("1000B at 10KB/s took %v, want ~100ms", took)
-	}
-	_ = lm.Close()
+	return c.ReadWriteCloser.Write(p)
 }
 
-func TestFlakyConnFailsAfterBytes(t *testing.T) {
-	a, b := net.Pipe()
-	fc := &FlakyConn{Inner: a, FailAfterBytes: 10}
-	go func() {
-		buf := make([]byte, 64)
-		for {
-			if _, err := b.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	if _, err := fc.Write([]byte("12345")); err != nil {
-		t.Fatalf("first write: %v", err)
-	}
-	if _, err := fc.Write([]byte("1234567890")); err != io.ErrClosedPipe {
-		t.Errorf("second write err = %v, want ErrClosedPipe", err)
-	}
-	if _, err := fc.Read(make([]byte, 4)); err != io.ErrClosedPipe {
-		t.Errorf("read after death err = %v", err)
-	}
-	if _, err := fc.Write([]byte("x")); err != io.ErrClosedPipe {
-		t.Errorf("write after death err = %v", err)
-	}
+// slowConn is a last-mile link with a fixed one-way write latency.
+type slowConn struct{ io.ReadWriteCloser }
+
+func (c slowConn) Write(p []byte) (int, error) {
+	time.Sleep(20 * time.Millisecond)
+	return c.ReadWriteCloser.Write(p)
 }
 
-// TestFlakyLastMileTriggersDeviceRecovery chains the link models with a
-// BURST session: when the flaky link dies mid-stream, the client learns via
-// the synthesized flow status — the exact signal devices act on.
+// TestFlakyLastMileTriggersDeviceRecovery puts a link that dies mid-stream
+// under a BURST session: the client learns via the synthesized flow status —
+// the exact signal devices act on — and then the closed channel.
 func TestFlakyLastMileTriggersDeviceRecovery(t *testing.T) {
 	a, b := net.Pipe()
 	srv := &upstreamServer{name: "brass"}
 	srv.accept(b)
-	flaky := &FlakyConn{Inner: a, FailAfterBytes: 256}
-	cli := burst.NewClient("device", flaky, nil)
+	cli := burst.NewClient("device", &dyingConn{ReadWriteCloser: a, budget: 256}, nil)
 	defer cli.Close()
 	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrTopic: "/f"}})
 	if err != nil {
@@ -156,16 +108,20 @@ func TestFlakyLastMileTriggersDeviceRecovery(t *testing.T) {
 			break
 		}
 	}
+	signalled := false
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
 		case batch, ok := <-st.Events:
 			if !ok {
-				return // channel closed after flow status: recovery path engaged
+				if !signalled {
+					t.Error("Events closed without the session-closed flow status")
+				}
+				return
 			}
 			for _, d := range batch.Deltas {
-				if d.Type == burst.DeltaFlowStatus && d.Flow == burst.FlowDegraded {
-					// Got the failure signal.
+				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
+					signalled = true
 				}
 			}
 		case <-deadline:
@@ -181,7 +137,7 @@ func TestTransformDialerInsertsLinkModel(t *testing.T) {
 	slow := TransformDialer{
 		Inner: n,
 		Transform: func(rwc io.ReadWriteCloser) io.ReadWriteCloser {
-			return &LastMileConn{Inner: rwc, Latency: 20 * time.Millisecond}
+			return slowConn{rwc}
 		},
 	}
 	rwc, err := slow.Dial("brass")

@@ -22,6 +22,7 @@ import (
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
 	"bladerunner/internal/faults"
+	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/trace"
 )
@@ -265,4 +266,63 @@ func TestChaosTraceSeededWindowLeavesNoDanglingSpans(t *testing.T) {
 	viewer.Close()
 	author.Close()
 	w.done.Wait()
+}
+
+// TestTraceReachesTheDeviceForEveryEventDrivenApp: a payload delta carries
+// the trace of the event that caused it whichever application pushed it
+// (brass.PayloadFor is the one spelling), so a sampled typing indicator or
+// notification closes burst.flush, edge.relay and device.apply like a
+// sampled message does — not a trace that ends at brass.fetch.
+func TestTraceReachesTheDeviceForEveryEventDrivenApp(t *testing.T) {
+	for _, tc := range []struct {
+		app, sub string
+		topic    pylon.Topic
+		mutation string
+	}{
+		{apps.AppTyping, "typingIndicator(threadID: 5, peer: 92)", apps.TypingTopic(5, 92),
+			`setTyping(threadID: 5, on: "true")`},
+		{apps.AppNotifications, "websiteNotifications", apps.NotifTopic(12),
+			`notify(user: 12, kind: "mention", text: "hi")`},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			c, _, plane := tracedChaosCluster(t, chaosSeed(t))
+			defer c.Close()
+			actor, viewer := c.NewDevice(92), c.NewDevice(12)
+			defer actor.Close()
+			defer viewer.Close()
+			if err := viewer.Connect(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := viewer.Subscribe(tc.app, tc.sub, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "subscription", func() bool { return len(c.Pylon.Subscribers(tc.topic)) >= 1 })
+			if _, err := actor.Mutate(tc.mutation); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-st.Updates:
+			case <-time.After(15 * time.Second):
+				t.Fatal("no delivery")
+			}
+			// The update reaches the application before the proxies on its
+			// way have closed their relay spans: poll, do not sample once.
+			var hops []string
+			covered := func() bool {
+				for _, tr := range trace.Assemble(plane.Gather()) {
+					if tr.Covers(trace.HopPublish, trace.HopFetch) {
+						hops = tr.Hops()
+						return tr.Covers(trace.HopFlush, trace.HopRelay, trace.HopApply)
+					}
+				}
+				return false
+			}
+			for deadline := time.Now().Add(5 * time.Second); !covered(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the sampled trace covers only %v, want burst.flush, edge.relay and device.apply too", hops)
+				}
+			}
+		})
+	}
 }

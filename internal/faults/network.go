@@ -254,22 +254,6 @@ func (n *FaultNetwork) HealGroup(targets ...string) {
 	n.inner.SetDownGroup(false, targets...)
 }
 
-// ClearFaults removes latency, drop, blackhole, and stall state from
-// target (it does not Heal a Cut).
-func (n *FaultNetwork) ClearFaults(target string) {
-	n.mu.Lock()
-	l := n.linkLocked(target)
-	l.latency = nil
-	l.dropProb = 0
-	l.blackhole = [2]bool{}
-	ch := l.stall
-	l.stall = nil
-	n.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
-
 var _ edge.Dialer = (*FaultNetwork)(nil)
 
 // faultConn is one tracked half of a connection, applying its target's

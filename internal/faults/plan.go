@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"bladerunner/internal/sim"
 )
 
 // Action is one scheduled fault-plane operation.
@@ -46,33 +44,10 @@ func (p *Plan) HealAt(at time.Duration, target string) *Plan {
 	return p.Add(at, fmt.Sprintf("heal %s", target), func(n *FaultNetwork) { n.Heal(target) })
 }
 
-// StallAt schedules a slow-reader stall on target's links.
-func (p *Plan) StallAt(at time.Duration, target string) *Plan {
-	return p.Add(at, fmt.Sprintf("stall %s", target), func(n *FaultNetwork) { n.Stall(target) })
-}
-
-// UnstallAt releases a stall.
-func (p *Plan) UnstallAt(at time.Duration, target string) *Plan {
-	return p.Add(at, fmt.Sprintf("unstall %s", target), func(n *FaultNetwork) { n.Unstall(target) })
-}
-
-// BlackholeAt schedules an asymmetric partition on one direction of
-// target's links.
-func (p *Plan) BlackholeAt(at time.Duration, target string, dir Direction, on bool) *Plan {
-	return p.Add(at, fmt.Sprintf("blackhole(%s) %s=%v", target, dir, on),
-		func(n *FaultNetwork) { n.SetBlackhole(target, dir, on) })
-}
-
 // DropAt schedules a probabilistic corrupt-free-cut rate on target.
 func (p *Plan) DropAt(at time.Duration, target string, prob float64) *Plan {
 	return p.Add(at, fmt.Sprintf("drop(%s) p=%.3f", target, prob),
 		func(n *FaultNetwork) { n.SetDropProb(target, prob) })
-}
-
-// LatencyAt schedules a per-write latency distribution on target.
-func (p *Plan) LatencyAt(at time.Duration, target string, d sim.Dist) *Plan {
-	return p.Add(at, fmt.Sprintf("latency(%s) mean=%v", target, d.Mean()),
-		func(n *FaultNetwork) { n.SetLatency(target, d) })
 }
 
 // Len returns the number of scheduled actions.

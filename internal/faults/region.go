@@ -3,7 +3,6 @@ package faults
 import (
 	"bladerunner/internal/metrics"
 	"bladerunner/internal/region"
-	"bladerunner/internal/sim"
 )
 
 // RegionFaults injects region-scoped failures: a whole datacenter region
@@ -25,10 +24,9 @@ type RegionFaults struct {
 	Topo *region.Topology
 
 	// RegionCuts counts CutRegion calls; Partitions counts PartitionLink
-	// calls; Brownouts counts SetBrownout activations.
+	// calls.
 	RegionCuts metrics.Counter
 	Partitions metrics.Counter
-	Brownouts  metrics.Counter
 }
 
 // NewRegionFaults wires the region fault plane.
@@ -72,30 +70,9 @@ func (rf *RegionFaults) PartitionLink(a, b string) {
 	rf.Gate.SeverLink(b, a)
 }
 
-// PartitionOneWay partitions only the a→b direction — the asymmetric
-// partition where b's traffic toward a still flows.
-func (rf *RegionFaults) PartitionOneWay(a, b string) {
-	rf.Partitions.Inc()
-	rf.Topo.SetLinkDown(a, b, true)
-	rf.Gate.SeverLink(a, b)
-}
-
 // HealLink heals the a↔b partition in both directions; parked replication
 // backlog drains in order, converging the two regions' views.
 func (rf *RegionFaults) HealLink(a, b string) {
 	rf.Topo.SetLinkDown(a, b, false)
 	rf.Topo.SetLinkDown(b, a, false)
-}
-
-// Brownout inflates the a→b link by an extra sampled duration per
-// operation — slow but not dead. Pass the reverse call for a symmetric
-// brownout. ClearBrownout removes it.
-func (rf *RegionFaults) Brownout(a, b string, extra sim.Dist) {
-	rf.Brownouts.Inc()
-	rf.Topo.SetBrownout(a, b, extra)
-}
-
-// ClearBrownout removes the a→b brownout.
-func (rf *RegionFaults) ClearBrownout(a, b string) {
-	rf.Topo.SetBrownout(a, b, nil)
 }

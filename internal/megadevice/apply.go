@@ -97,30 +97,6 @@ func (f *Fleet) LastSeq(sid uint32) uint64 {
 	return atomic.LoadUint64(&f.tab.streamSeq[sid])
 }
 
-// DeliveredCount returns the length of sid's recorded delivery trace
-// (RecordDeliveries fleets only; 0 otherwise). It is safe to poll while
-// traffic flows: the count is read under the owning topicSub's mutex, the
-// one the appends run under (see DeliveredSeqs).
-func (f *Fleet) DeliveredCount(sid uint32) int {
-	if f.rec == nil {
-		return 0
-	}
-	f.mu.Lock()
-	t := f.trunkOfStreamLocked(sid)
-	f.mu.Unlock()
-	if t == nil {
-		return len(f.rec[sid])
-	}
-	ts := t.lookupSub(f.areaOf[f.tab.streamTopic[sid]])
-	if ts == nil {
-		return len(f.rec[sid])
-	}
-	ts.mu.Lock()
-	n := len(f.rec[sid])
-	ts.mu.Unlock()
-	return n
-}
-
 // DeliveredSeqs returns a copy of sid's full delivery trace. The appends
 // run under the owning topicSub's mutex; taking that same mutex here
 // orders the read after every delivery so far.

@@ -451,18 +451,24 @@ func (f *Fleet) detachDeviceLocked(dev uint32) {
 }
 
 // attachLocked adds a stream to the (trunk, topic) shared subscription,
-// creating (and really subscribing) it on first use. A stream a termination
-// ended stays ended: its device dropped it and remains connected.
+// creating (and really subscribing) it on first use — attached first, then
+// opened: the first batch can arrive before the subscribe call returns, and
+// it fans out to whoever is attached. A stream a termination ended stays
+// ended: its device dropped it and remains connected.
 func (f *Fleet) attachLocked(t *trunk, sid uint32) {
 	if f.tab.streamSubIdx[sid] == endedIndex {
 		return
 	}
 	area := f.areaOf[f.tab.streamTopic[sid]]
-	ts := t.sub(area)
+	ts, fresh := t.sub(area)
 	ts.mu.Lock()
 	f.tab.streamSubIdx[sid] = uint32(len(ts.streams))
 	ts.streams = append(ts.streams, sid)
 	ts.mu.Unlock()
+	if fresh {
+		t.mu.Lock()
+		t.openUnlock(ts, false)
+	}
 }
 
 // detachStreamLocked swap-removes a stream from its shared subscription

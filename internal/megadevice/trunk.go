@@ -75,14 +75,13 @@ func (f *Fleet) trunkForLocked(pop string) (*trunk, error) {
 	return t, nil
 }
 
-// sub returns the shared subscription for area, really subscribing it on
-// first use. Callers hold f.mu.
-func (t *trunk) sub(area uint32) *topicSub {
+// sub returns the shared subscription for area, creating it on first use;
+// fresh reports that the caller has yet to open it. Callers hold f.mu.
+func (t *trunk) sub(area uint32) (ts *topicSub, fresh bool) {
 	t.mu.Lock()
-	ts := t.subs[area]
-	if ts != nil {
-		t.mu.Unlock()
-		return ts
+	defer t.mu.Unlock()
+	if ts := t.subs[area]; ts != nil {
+		return ts, false
 	}
 	a := &t.f.cfg.Areas[area]
 	ts = &topicSub{trunk: t, area: area}
@@ -95,8 +94,7 @@ func (t *trunk) sub(area uint32) *topicSub {
 		ts.req.Header[burst.HdrCursor] = a.Cursor
 	}
 	t.subs[area] = ts
-	t.openUnlock(ts, false)
-	return ts
+	return ts, true
 }
 
 // resumeSub repairs a shed gap on a shared stream: cancel the shed

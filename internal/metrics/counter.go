@@ -2,10 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter, safe for concurrent use.
@@ -40,95 +37,3 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Registry is a named collection of metrics, used by components to expose
-// their instrumentation to the experiment harness and the CLIs.
-type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram[time.Duration]
-}
-
-// NewRegistry returns an empty Registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram[time.Duration]),
-	}
-}
-
-// Counter returns the counter with the given name, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// SetCounter registers an externally owned counter under name, replacing
-// any prior registration. Components that embed their counters as plain
-// fields (the overload plane's shed/admit counters, host delivery counts)
-// use this to expose them through a registry without double-counting.
-func (r *Registry) SetCounter(name string, c *Counter) {
-	if c == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters[name] = c
-}
-
-// Gauge returns the gauge with the given name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the latency histogram with the given name, creating it
-// on first use.
-func (r *Registry) Histogram(name string) *Histogram[time.Duration] {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram[time.Duration]()
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// CounterNames returns the sorted names of all counters.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// HistogramNames returns the sorted names of all histograms.
-func (r *Registry) HistogramNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.histograms))
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

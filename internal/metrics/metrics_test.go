@@ -175,33 +175,6 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestRegistryReturnsSameInstance(t *testing.T) {
-	r := NewRegistry()
-	c1 := r.Counter("pubs")
-	c1.Inc()
-	if r.Counter("pubs").Value() != 1 {
-		t.Error("Counter not shared by name")
-	}
-	h1 := r.Histogram("lat")
-	h1.Observe(time.Second)
-	if r.Histogram("lat").Count() != 1 {
-		t.Error("Histogram not shared by name")
-	}
-	g1 := r.Gauge("streams")
-	g1.Set(3)
-	if r.Gauge("streams").Value() != 3 {
-		t.Error("Gauge not shared by name")
-	}
-	names := r.CounterNames()
-	if len(names) != 1 || names[0] != "pubs" {
-		t.Errorf("CounterNames = %v", names)
-	}
-	hn := r.HistogramNames()
-	if len(hn) != 1 || hn[0] != "lat" {
-		t.Errorf("HistogramNames = %v", hn)
-	}
-}
-
 var tsStart = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
 func TestTimeSeries(t *testing.T) {

@@ -18,8 +18,7 @@ type Admission struct {
 	b  TokenBucket
 
 	// Admitted and Shed count admission decisions. They are plain fields
-	// (not pointers) so an Admission is self-contained; wire them into a
-	// metrics.Registry with Registry.SetCounter if needed.
+	// (not pointers) so an Admission is self-contained.
 	Admitted metrics.Counter
 	Shed     metrics.Counter
 }

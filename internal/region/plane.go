@@ -206,16 +206,6 @@ func (p *Plane) QueueDepths() map[Link]int {
 	return out
 }
 
-// LinkDrops returns events shed on the src→dst link.
-func (p *Plane) LinkDrops(src, dst string) int64 {
-	for _, l := range p.links {
-		if l.link == (Link{src, dst}) {
-			return l.Drops.Value()
-		}
-	}
-	return 0
-}
-
 var _ interface {
 	Publish(ev pylon.Event) (int, error)
 } = (*Plane)(nil)

@@ -316,7 +316,7 @@ func (s *Server) PrivacyCheck(viewer, author socialgraph.UserID) bool {
 // good caching characteristics.
 //
 // The two halves are exposed separately as CheckEventVisibility and
-// ResolvePayload so a BRASS host fanning one hot event out to many viewers
+// ResolvePayloadIn so a BRASS host fanning one hot event out to many viewers
 // can run the mandatory per-viewer privacy check per stream while sharing a
 // single TAO read for the payload bytes.
 func (s *Server) FetchPayload(app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
@@ -357,17 +357,11 @@ func (s *Server) CheckEventVisibility(viewer socialgraph.UserID, ev pylon.Event)
 	return nil
 }
 
-// ResolvePayload resolves an event's payload bytes via the application's
-// registered PayloadFunc — the TAO read half of FetchPayload, independent
-// of any viewer (the resolver runs in the system context). Callers must
-// have already passed CheckEventVisibility for each viewer the bytes are
-// released to.
-func (s *Server) ResolvePayload(app string, ev pylon.Event) ([]byte, error) {
-	return s.ResolvePayloadIn("", app, ev)
-}
-
-// ResolvePayloadIn is ResolvePayload with the resolver's TAO reads served
-// from region's follower.
+// ResolvePayloadIn resolves an event's payload bytes via the application's
+// registered PayloadFunc — the TAO read half of FetchPayload, served from
+// region's follower and independent of any viewer (the resolver runs in the
+// system context). Callers must have already passed CheckEventVisibility for
+// each viewer the bytes are released to.
 func (s *Server) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, error) {
 	sp := s.Tracer.Start(ev.Trace, trace.HopResolve, trace.HopFetch)
 	defer sp.End()
