@@ -45,6 +45,9 @@ func TestAllocContracts(t *testing.T) {
 		{"PylonPublishWire", bench.PylonPublishWire, 4, "the topic string and the one-byte result, plus pool refills after a GC"},
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 5, "the []Delta, the patch map's two, two values; resume-seq and cursor decode to the package constants"},
+		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
+		{"WASMutateFeedComment", bench.WASMutateFeedComment, 10, "the resolver's own work: two formatted ids, the TAO object and association, the topic, the event's map, the boxed and encoded result; no parse, Ctx or closure allocation"},
+		{"BURSTSubscribeHop", subscribeHop, 5, "the stream, its header map's two, the one copy of the payload its strings slice; room for one"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 2, "the two values: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 	} {
 		res := testing.Benchmark(c.body)
@@ -60,16 +63,21 @@ func TestAllocContracts(t *testing.T) {
 	}
 }
 
-// batchWire is the frame a peer's SendBatch(deltas...) on stream 1 puts on
-// the wire.
-func batchWire(b *testing.B, deltas ...burst.Delta) []byte {
+// msgWire is the frame a peer's SendMsg(t, 1, v) puts on the wire.
+func msgWire(b *testing.B, t burst.FrameType, v any) []byte {
 	tap := &wireTap{closed: make(chan struct{})}
 	enc := burst.NewSession("enc", tap, burst.HandlerFuncs{})
 	defer enc.Close()
-	if err := enc.SendMsg(burst.FrameBatch, 1, burst.Batch{Deltas: deltas}); err != nil {
+	if err := enc.SendMsg(t, 1, v); err != nil {
 		b.Fatal(err)
 	}
 	return tap.written
+}
+
+// batchWire is the frame a peer's SendBatch(deltas...) on stream 1 puts on
+// the wire.
+func batchWire(b *testing.B, deltas ...burst.Delta) []byte {
+	return msgWire(b, burst.FrameBatch, burst.Batch{Deltas: deltas})
 }
 
 // resumeBatchWire is Messenger's per-delivery batch — the payload and the
@@ -161,6 +169,30 @@ func deviceReceive(b *testing.B) {
 		tap.next <- struct{}{}
 		if rc := <-st.Events; len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
 			b.Fatalf("device saw %+v", rc.Deltas)
+		}
+	}
+}
+
+// subscribeHop is what one hop pays to open a stream: the benchmark's
+// three-key subscribe frame through a ServerSession to its handler, then a
+// cancel (no reason: nothing to copy) that keeps the stream table at one entry.
+func subscribeHop(b *testing.B) {
+	open := msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: "feedcomments", burst.HdrSubscription: "feedPostComments(postID: 17)", burst.HdrUser: "9"}})
+	hop := &wireTap{wire: append(open, msgWire(b, burst.FrameCancel, burst.Cancel{})...),
+		next: make(chan struct{}), closed: make(chan struct{})}
+	seen := make(chan int)
+	srv := burst.NewServerSession("hop", hop, burst.ServerHandlerFuncs{
+		Subscribe: func(_ *burst.ServerStream, sub burst.Subscribe) { seen <- len(sub.Header) },
+		Cancel:    func(*burst.ServerStream, burst.Cancel) { seen <- 0 },
+	})
+	defer srv.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop.next <- struct{}{}
+		if n, c := <-seen, <-seen; n != 3 || c != 0 {
+			b.Fatalf("handler saw a %d-key subscribe, then %d", n, c)
 		}
 	}
 }

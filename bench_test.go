@@ -163,6 +163,11 @@ func BenchmarkPylonPublishWire(b *testing.B) { bench.PylonPublishWire(b) }
 
 func BenchmarkCtrlCheckVisibility(b *testing.B) { bench.CtrlCheckVisibilityWire(b) }
 
+// The open path's WAS half: an expression scanned, a comment through the WAS.
+func BenchmarkWASParseField(b *testing.B) { bench.WASParseField(b) }
+
+func BenchmarkWASMutateFeedComment(b *testing.B) { bench.WASMutateFeedComment(b) }
+
 // BenchmarkEndToEndCommentPushHops is the same pipeline with the tracing
 // plane sampling every mutation: the per-hop latency breakdown (publish,
 // fan-out, payload fetch, push) is reported as custom <hop>-ns metrics.

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/json"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 // topic per friend. The BRASS keeps a per-stream map of online friends with
 // a TTL and pushes batched updates periodically so devices aren't flooded.
 type ActiveStatus struct {
-	w Registrar
 
 	// TTL is how long a status report stays fresh (paper: 30 s).
 	TTL time.Duration
@@ -30,7 +28,7 @@ type ActiveStatus struct {
 
 // StatusTopic returns the Pylon topic for one user's presence.
 func StatusTopic(uid socialgraph.UserID) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/AS/%d", uid))
+	return idTopic("/AS/", uint64(uid))
 }
 
 // StatusPayload is one friend-status change pushed to devices.
@@ -41,10 +39,10 @@ type StatusPayload struct {
 
 // NewActiveStatus registers the WAS half and returns the application.
 func NewActiveStatus(w Registrar) *ActiveStatus {
-	a := &ActiveStatus{w: w, TTL: 30 * time.Second, BatchInterval: 5 * time.Second}
+	a := &ActiveStatus{TTL: 30 * time.Second, BatchInterval: 5 * time.Second}
 
 	// Devices call this every 30 s while online.
-	w.RegisterMutation("reportActive", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		ctx.Publish(pylon.Event{
 			Topic: StatusTopic(ctx.Viewer),
 			Meta: map[string]string{
@@ -57,7 +55,7 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 
 	// One device subscribe → one topic per friend (many BRASS→Pylon
 	// subscriptions per device subscription).
-	w.RegisterSubscription("activeStatus", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("activeStatus", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		friends := ctx.Srv.Graph.Friends(ctx.Viewer)
 		topics := make([]pylon.Topic, len(friends))
 		for i, f := range friends {
@@ -66,7 +64,7 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 		return topics, nil
 	})
 
-	w.RegisterPayload(AppActiveStatus, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppActiveStatus, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		uid, _ := strconv.ParseUint(ev.Meta["uid"], 10, 64)
 		return StatusPayload{User: uid, Online: true}, nil
 	})
@@ -94,8 +92,7 @@ func (a *ActiveStatus) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *asInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
+	if _, err := openTopics(in.rt, st); err != nil {
 		return err
 	}
 	state := &asStream{
@@ -103,11 +100,6 @@ func (in *asInstance) OnStreamOpen(st *brass.Stream) error {
 		shown:  make(map[uint64]bool),
 	}
 	st.State = state
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
 	in.scheduleFlush(st, state)
 	return nil
 }

@@ -16,7 +16,11 @@
 package apps
 
 import (
+	"strconv"
+
 	"bladerunner/internal/brass"
+	"bladerunner/internal/burst"
+	"bladerunner/internal/pylon"
 	"bladerunner/internal/was"
 )
 
@@ -29,6 +33,27 @@ const (
 	AppMessenger    = "messenger"
 	AppFeedComments = "feedcomments"
 )
+
+// idTopic returns prefix+id, formatted on the stack: one allocation, the topic.
+func idTopic(prefix string, id uint64) pylon.Topic {
+	var buf [32]byte
+	return pylon.Topic(strconv.AppendUint(append(buf[:0], prefix...), id, 10))
+}
+
+// openTopics is the open sequence every application shares: the stream's
+// subscription expression, resolved by the WAS, becomes the stream's topics.
+func openTopics(rt *brass.Runtime, st *brass.Stream) ([]pylon.Topic, error) {
+	topics, err := rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range topics {
+		if err := st.AddTopic(t); err != nil {
+			return nil, err
+		}
+	}
+	return topics, nil
+}
 
 // HdrLang is the stream header carrying the viewer's language, used by
 // LiveVideoComments' language filter.

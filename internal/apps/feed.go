@@ -1,11 +1,9 @@
 package apps
 
 import (
-	"fmt"
 	"strconv"
 
 	"bladerunner/internal/brass"
-	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -17,20 +15,18 @@ import (
 // comment immediately (after the WAS privacy check) without ranking — the
 // interesting property here is the rapidly changing focus: a user scrolling
 // their feed cancels and opens these streams constantly (§1 challenge 2).
-type FeedComments struct {
-	w Registrar
-}
+type FeedComments struct{}
 
 // PostTopic returns the Pylon topic for a post's comments.
 func PostTopic(postID uint64) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/Post/%d", postID))
+	return idTopic("/Post/", postID)
 }
 
 // NewFeedComments registers the WAS half and returns the application.
 func NewFeedComments(w Registrar) *FeedComments {
-	a := &FeedComments{w: w}
+	a := &FeedComments{}
 
-	w.RegisterMutation("postFeedComment", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("postFeedComment", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		postID, err := call.Uint64Arg("postID")
 		if err != nil {
 			return nil, err
@@ -39,24 +35,18 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{
-			"text":   text,
-			"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-			"post":   strconv.FormatUint(postID, 10),
-		})
+		author, post := strconv.FormatUint(uint64(ctx.Viewer), 10), strconv.FormatUint(postID, 10)
+		ref := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{"text": text, "author": author, "post": post})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{
 			Topic: PostTopic(postID),
 			Ref:   uint64(ref),
-			Meta: map[string]string{
-				"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-				"post":   strconv.FormatUint(postID, 10),
-			},
+			Meta:  map[string]string{"author": author, "post": post},
 		}, false)
 		return uint64(ref), nil
 	})
 
-	w.RegisterSubscription("feedPostComments", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("feedPostComments", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		postID, err := call.Uint64Arg("postID")
 		if err != nil {
 			return nil, err
@@ -64,7 +54,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		return []pylon.Topic{PostTopic(postID)}, nil
 	})
 
-	w.RegisterPayload(AppFeedComments, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppFeedComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -91,16 +81,8 @@ func (a *FeedComments) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *feedInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
-		return err
-	}
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := openTopics(in.rt, st)
+	return err
 }
 
 func (in *feedInstance) OnStreamClose(st *brass.Stream, reason string) {}

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -27,7 +26,6 @@ import (
 // periodic timer pops the top comment at the rate limit, fetches the
 // payload from the WAS (privacy check included), and pushes it.
 type LiveVideoComments struct {
-	w Registrar
 
 	// Tunables (paper values as defaults).
 	RateLimit         time.Duration // max one push per stream per RateLimit
@@ -53,13 +51,12 @@ type CommentPayload struct {
 
 // LVCTopic returns the Pylon topic for a video's comments.
 func LVCTopic(videoID uint64) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/LVC/%d", videoID))
+	return idTopic("/LVC/", videoID)
 }
 
 // NewLiveVideoComments registers the WAS half and returns the application.
 func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 	a := &LiveVideoComments{
-		w:                 w,
 		RateLimit:         2 * time.Second,
 		BufferK:           5,
 		BufferTTL:         10 * time.Second,
@@ -70,7 +67,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		hot:               newHotTracker(DefaultHotThreshold, DefaultHotWindow),
 	}
 
-	w.RegisterMutation("postComment", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("postComment", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -127,7 +124,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		return uint64(ref), nil
 	})
 
-	w.RegisterSubscription("liveVideoComments", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("liveVideoComments", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -146,7 +143,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 
 	// The poll-model read path (used by the baseline comparison and for
 	// initial state): a range query over the video's comment index.
-	w.RegisterQuery("videoComments", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterQuery("videoComments", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -167,13 +164,13 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		return out, nil
 	})
 
-	w.RegisterPayload(AppLiveComments, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppLiveComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		return a.payload(ctx, ref)
 	})
 	return a
 }
 
-func (a *LiveVideoComments) payload(ctx *was.Ctx, ref tao.ObjID) (CommentPayload, error) {
+func (a *LiveVideoComments) payload(ctx was.Ctx, ref tao.ObjID) (CommentPayload, error) {
 	obj, err := ctx.Reader().ObjectGet(ref)
 	if err != nil {
 		return CommentPayload{}, err
@@ -212,8 +209,7 @@ func (a *LiveVideoComments) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *lvcInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
+	if _, err := openTopics(in.rt, st); err != nil {
 		return err
 	}
 	state := &lvcStream{
@@ -223,11 +219,6 @@ func (in *lvcInstance) OnStreamOpen(st *brass.Stream) error {
 	}
 	state.limiter.RestoreHeaderState(st.Header(brass.HdrRateLimiterState), in.rt.Now())
 	st.State = state
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
 	in.scheduleFlush(st, state)
 	return nil
 }

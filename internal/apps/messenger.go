@@ -31,8 +31,6 @@ import (
 // cursor proves continuity, else from the mailbox — before resuming live
 // delivery (resume).
 type Messenger struct {
-	w Registrar
-
 	mu      sync.Mutex
 	threads map[uint64][]socialgraph.UserID // thread → members
 	mailbox map[socialgraph.UserID]*mailboxState
@@ -54,19 +52,18 @@ type MessagePayload struct {
 
 // MailboxTopic returns the Pylon topic for a user's mailbox.
 func MailboxTopic(uid socialgraph.UserID) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/MB/%d", uid))
+	return idTopic("/MB/", uint64(uid))
 }
 
 // NewMessenger registers the WAS half and returns the application.
 func NewMessenger(w Registrar) *Messenger {
 	a := &Messenger{
-		w:       w,
 		threads: make(map[uint64][]socialgraph.UserID),
 		mailbox: make(map[socialgraph.UserID]*mailboxState),
 	}
 
 	// createThread(members: "1,2,3") → thread id.
-	w.RegisterMutation("createThread", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("createThread", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		raw, err := call.StringArg("members")
 		if err != nil {
 			return nil, err
@@ -93,7 +90,7 @@ func NewMessenger(w Registrar) *Messenger {
 	// sendMessage(threadID: T, text: "..."): append to every member's
 	// mailbox with that mailbox's next sequence number, then publish one
 	// event per member mailbox.
-	w.RegisterMutation("sendMessage", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("sendMessage", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		tid, err := call.Uint64Arg("threadID")
 		if err != nil {
 			return nil, err
@@ -108,22 +105,15 @@ func NewMessenger(w Registrar) *Messenger {
 		if members == nil {
 			return nil, fmt.Errorf("messenger: unknown thread %d", tid)
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("message", map[string]string{
-			"text":   text,
-			"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-			"thread": strconv.FormatUint(tid, 10),
-		})
+		author, thread := strconv.FormatUint(uint64(ctx.Viewer), 10), strconv.FormatUint(tid, 10)
+		ref := ctx.Srv.TAO.ObjectAdd("message", map[string]string{"text": text, "author": author, "thread": thread})
 		for _, member := range members {
 			seq := a.appendToMailbox(ctx, member, ref)
 			ctx.Publish(pylon.Event{
 				Topic: MailboxTopic(member),
 				Ref:   uint64(ref),
 				Seq:   seq,
-				Meta: map[string]string{
-					"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-					"thread": strconv.FormatUint(tid, 10),
-					"seq":    strconv.FormatUint(seq, 10),
-				},
+				Meta:  map[string]string{"author": author, "thread": thread, "seq": strconv.FormatUint(seq, 10)},
 			}, false)
 		}
 		return uint64(ref), nil
@@ -131,7 +121,7 @@ func NewMessenger(w Registrar) *Messenger {
 
 	// mailboxSince(seq: S) → messages with sequence > S, oldest first.
 	// The BRASS uses this for gap repair and resume catch-up.
-	w.RegisterQuery("mailboxSince", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterQuery("mailboxSince", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		since, err := call.Uint64Arg("seq")
 		if err != nil {
 			return nil, err
@@ -139,11 +129,11 @@ func NewMessenger(w Registrar) *Messenger {
 		return a.mailboxSince(ctx, ctx.Viewer, since), nil
 	})
 
-	w.RegisterSubscription("messenger", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("messenger", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		return []pylon.Topic{MailboxTopic(ctx.Viewer)}, nil
 	})
 
-	w.RegisterPayload(AppMessenger, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppMessenger, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -161,7 +151,7 @@ func (a *Messenger) payloadFromObj(obj tao.Object, seq uint64) MessagePayload {
 
 // appendToMailbox assigns the next sequence number and stores the mailbox
 // association in TAO (assoc data = seq).
-func (a *Messenger) appendToMailbox(ctx *was.Ctx, member socialgraph.UserID, ref tao.ObjID) uint64 {
+func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref tao.ObjID) uint64 {
 	a.mu.Lock()
 	mb := a.mailbox[member]
 	if mb == nil {
@@ -188,7 +178,7 @@ func (a *Messenger) appendToMailbox(ctx *was.Ctx, member socialgraph.UserID, ref
 // resume guarantee into a best-effort one. Payload resolution of
 // individual (immutable, created-once) message objects is safe on
 // followers; the authoritative mailbox index is not.
-func (a *Messenger) mailboxSince(ctx *was.Ctx, owner socialgraph.UserID, since uint64) []MessagePayload {
+func (a *Messenger) mailboxSince(ctx was.Ctx, owner socialgraph.UserID, since uint64) []MessagePayload {
 	a.mu.Lock()
 	mb := a.mailbox[owner]
 	a.mu.Unlock()
@@ -233,17 +223,12 @@ func (a *Messenger) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
+	topics, err := openTopics(in.rt, st)
 	if err != nil {
 		return err
 	}
 	state := &messengerStream{}
 	st.State = state
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
 	if len(topics) > 0 {
 		state.topic = topics[0]
 		in.rt.LogOpen(state.topic)

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/json"
-	"fmt"
 	"strconv"
 
 	"bladerunner/internal/brass"
@@ -22,16 +21,14 @@ const AppNotifications = "notifications"
 // badge. The unseen count is persisted into the stream header via rewrites,
 // so a reconnecting device shows the right badge immediately, before any
 // notification payloads arrive.
-type WebsiteNotifications struct {
-	w Registrar
-}
+type WebsiteNotifications struct{}
 
 // HdrUnseenCount is the stream header carrying the badge state.
 const HdrUnseenCount = "unseen-count"
 
 // NotifTopic returns the Pylon topic for one user's notifications.
 func NotifTopic(uid uint64) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/Notif/%d", uid))
+	return idTopic("/Notif/", uid)
 }
 
 // NotificationPayload is the device-facing notification.
@@ -45,11 +42,11 @@ type NotificationPayload struct {
 
 // NewWebsiteNotifications registers the WAS half and returns the app.
 func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
-	a := &WebsiteNotifications{w: w}
+	a := &WebsiteNotifications{}
 
 	// notify(user: U, kind: "...", text: "..."): some product surface
 	// generated a notification for U (the caller is the actor).
-	w.RegisterMutation("notify", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("notify", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		target, err := call.Uint64Arg("user")
 		if err != nil {
 			return nil, err
@@ -80,11 +77,11 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		return uint64(ref), nil
 	})
 
-	w.RegisterSubscription("websiteNotifications", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("websiteNotifications", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		return []pylon.Topic{NotifTopic(uint64(ctx.Viewer))}, nil
 	})
 
-	w.RegisterPayload(AppNotifications, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppNotifications, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -115,8 +112,7 @@ func (a *WebsiteNotifications) NewInstance(rt *brass.Runtime) brass.AppInstance 
 }
 
 func (in *notifInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
+	if _, err := openTopics(in.rt, st); err != nil {
 		return err
 	}
 	state := &notifStream{}
@@ -127,11 +123,6 @@ func (in *notifInstance) OnStreamOpen(st *brass.Stream) error {
 		}
 	}
 	st.State = state
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

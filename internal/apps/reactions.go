@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bladerunner/internal/brass"
-	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -24,7 +23,6 @@ const AppReactions = "reactions"
 // handful of counters — the strongest possible form of "drop messages
 // intelligently".
 type LiveVideoReactions struct {
-	w Registrar
 
 	// FlushInterval is the aggregate push cadence.
 	FlushInterval time.Duration
@@ -32,7 +30,7 @@ type LiveVideoReactions struct {
 
 // ReactionsTopic returns the Pylon topic for a video's reactions.
 func ReactionsTopic(videoID uint64) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/LVR/%d", videoID))
+	return idTopic("/LVR/", videoID)
 }
 
 // ReactionAggregate is the device-facing batched counter update.
@@ -43,9 +41,9 @@ type ReactionAggregate struct {
 
 // NewLiveVideoReactions registers the WAS half and returns the application.
 func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
-	a := &LiveVideoReactions{w: w, FlushInterval: time.Second}
+	a := &LiveVideoReactions{FlushInterval: time.Second}
 
-	w.RegisterMutation("reactToVideo", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("reactToVideo", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -74,7 +72,7 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		return true, nil
 	})
 
-	w.RegisterSubscription("liveVideoReactions", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("liveVideoReactions", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -82,7 +80,7 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		return []pylon.Topic{ReactionsTopic(videoID)}, nil
 	})
 
-	w.RegisterPayload(AppReactions, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppReactions, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		// Aggregates are assembled BRASS-side; the payload resolver is
 		// only used for diagnostics.
 		return ev.Meta, nil
@@ -110,17 +108,11 @@ func (a *LiveVideoReactions) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *reactionsInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
+	if _, err := openTopics(in.rt, st); err != nil {
 		return err
 	}
 	state := &reactionsStream{counts: make(map[string]int64)}
 	st.State = state
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
 	in.scheduleFlush(st, state)
 	return nil
 }

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -20,7 +19,6 @@ import (
 // (ii) containers that ranked into the top N, and (iii) container deletion
 // requests — so the device needs only one initial poll ever.
 type Stories struct {
-	w Registrar
 
 	// TraySize is the number of containers a device displays (paper: n).
 	TraySize int
@@ -28,7 +26,7 @@ type Stories struct {
 
 // StoriesTopic returns the Pylon topic for one author's stories.
 func StoriesTopic(author uint64) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/Stories/%d", author))
+	return idTopic("/Stories/", author)
 }
 
 // StoryDelta is the device-facing tray operation.
@@ -42,9 +40,9 @@ type StoryDelta struct {
 
 // NewStories registers the WAS half and returns the application.
 func NewStories(w Registrar) *Stories {
-	a := &Stories{w: w, TraySize: 3}
+	a := &Stories{TraySize: 3}
 
-	w.RegisterMutation("postStory", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("postStory", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		content, err := call.StringArg("content")
 		if err != nil {
 			return nil, err
@@ -68,7 +66,7 @@ func NewStories(w Registrar) *Stories {
 		return uint64(ref), nil
 	})
 
-	w.RegisterSubscription("storiesTray", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("storiesTray", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		friends := ctx.Srv.Graph.Friends(ctx.Viewer)
 		topics := make([]pylon.Topic, len(friends))
 		for i, f := range friends {
@@ -77,7 +75,7 @@ func NewStories(w Registrar) *Stories {
 		return topics, nil
 	})
 
-	w.RegisterPayload(AppStories, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppStories, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -114,18 +112,12 @@ func (a *Stories) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *storiesInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
+	if _, err := openTopics(in.rt, st); err != nil {
 		return err
 	}
 	st.State = &storiesStream{
 		containers: make(map[uint64]*storyContainer),
 		displayed:  make(map[uint64]bool),
-	}
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
 	}
 	return nil
 }

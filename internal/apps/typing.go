@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"bladerunner/internal/brass"
-	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -17,9 +16,7 @@ import (
 // arrive — no buffering — but each delivery still passes through the WAS
 // for privacy checking and device-specific transformation (Fig 9's
 // description of the generalized TypingIndicator).
-type TypingIndicator struct {
-	w Registrar
-}
+type TypingIndicator struct{}
 
 // TypingTopic returns the topic for one user's typing state in a thread.
 func TypingTopic(threadID uint64, uid uint64) pylon.Topic {
@@ -35,9 +32,9 @@ type TypingPayload struct {
 
 // NewTypingIndicator registers the WAS half and returns the application.
 func NewTypingIndicator(w Registrar) *TypingIndicator {
-	a := &TypingIndicator{w: w}
+	a := &TypingIndicator{}
 
-	w.RegisterMutation("setTyping", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("setTyping", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		thread, err := call.Uint64Arg("threadID")
 		if err != nil {
 			return nil, err
@@ -58,7 +55,7 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 		return true, nil
 	})
 
-	w.RegisterSubscription("typingIndicator", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	w.RegisterSubscription("typingIndicator", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		thread, err := call.Uint64Arg("threadID")
 		if err != nil {
 			return nil, err
@@ -70,7 +67,7 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 		return []pylon.Topic{TypingTopic(thread, peer)}, nil
 	})
 
-	w.RegisterPayload(AppTyping, func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppTyping, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		uid, _ := strconv.ParseUint(ev.Meta["uid"], 10, 64)
 		thread, _ := strconv.ParseUint(ev.Meta["thread"], 10, 64)
 		return TypingPayload{Thread: thread, User: uid, Typing: ev.Meta["on"] == "true"}, nil
@@ -92,16 +89,8 @@ func (a *TypingIndicator) NewInstance(rt *brass.Runtime) brass.AppInstance {
 }
 
 func (in *tiInstance) OnStreamOpen(st *brass.Stream) error {
-	topics, err := in.rt.ResolveSubscription(st.Viewer, st.Header(burst.HdrSubscription))
-	if err != nil {
-		return err
-	}
-	for _, t := range topics {
-		if err := st.AddTopic(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := openTopics(in.rt, st)
+	return err
 }
 
 func (in *tiInstance) OnStreamClose(st *brass.Stream, reason string) {}

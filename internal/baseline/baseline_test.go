@@ -29,7 +29,7 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	w := newWASEnv(t, eng)
 	val := "v0"
-	w.RegisterQuery("data", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterQuery("data", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		return val, nil
 	})
 	var seen []string
@@ -66,7 +66,7 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 func TestClientPollerStopIsFinal(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	w := newWASEnv(t, eng)
-	w.RegisterQuery("d", func(*was.Ctx, was.FieldCall) (any, error) { return 1, nil })
+	w.RegisterQuery("d", func(was.Ctx, was.FieldCall) (any, error) { return 1, nil })
 	p := &ClientPoller{WAS: w, Viewer: 1, Query: "d", Interval: time.Second, Sched: eng}
 	p.Start()
 	eng.RunFor(3 * time.Second)

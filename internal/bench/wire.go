@@ -111,3 +111,35 @@ func CtrlCheckVisibilityWire(b *testing.B) {
 		}
 	}
 }
+
+// feedComment is the comment mutation the benchmark's feed workloads send;
+// its ids are past strconv's small-integer table, as theirs are.
+const feedComment = `postFeedComment(postID: 100017, text: "comment 4242 on post 100017, by user 1009")`
+
+// WASParseField measures the scanner on that mutation and on the workloads'
+// subscription expression.
+func WASParseField(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := was.ParseField(feedComment)
+		s, err2 := was.ParseField("feedPostComments(postID: 100017)")
+		if err != nil || err2 != nil || m.Name != "postFeedComment" || s.Name != "feedPostComments" {
+			b.Fatalf("parsed %+v, %v and %+v, %v", m, err, s, err2)
+		}
+	}
+}
+
+// WASMutateFeedComment measures one feed comment through the WAS: scan,
+// resolver, two TAO writes, publish to a Pylon without subscribers, encode.
+func WASMutateFeedComment(b *testing.B) {
+	w, _ := visibilityFixture()
+	w.Pylon = pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	apps.NewFeedComments(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.MutateIn("", 1009, feedComment); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

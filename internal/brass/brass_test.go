@@ -640,7 +640,7 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	env := newEnv(t)
 	app := &surfaceApp{probes: map[string]string{}}
 	env.host.RegisterApp(app)
-	env.was.RegisterPayload("surface", func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	env.was.RegisterPayload("surface", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		return "payload-" + ev.Meta["n"], nil
 	})
 

@@ -35,7 +35,7 @@ func newPayloadEnv(t *testing.T, cfg HostConfig) *payloadEnv {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 50, MeanFriends: 5, Seed: 1})
 	w := was.New(store, graph, pyl, nil)
 	env := &payloadEnv{was: w, graph: graph, resolve: &atomic.Int64{}}
-	w.RegisterPayload("echo", func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload("echo", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		env.resolve.Add(1)
 		if env.gate != nil {
 			<-env.gate

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -332,5 +333,36 @@ func TestStoredSubscribeBodySurvivesLaterFrames(t *testing.T) {
 	srv.mu.Unlock()
 	if !bytes.Equal(handed, body) {
 		t.Errorf("the body the subscribe handler was handed now reads %.24q...", handed)
+	}
+}
+
+// A subscribe header is borrowed by the handler and owned by the stream: what
+// a handler keeps past OnSubscribe reads empty under the poison hook, while
+// the stream still holds the whole request.
+func TestSubscribeHeaderIsBorrowed(t *testing.T) {
+	cli, _, srv := newClientServer(t)
+	want := Header{HdrApp: "feed", HdrUser: "7", HdrSubscription: "feedPostComments(postID: 1)", "custom-key": "v"}
+	st, err := cli.Subscribe(Subscribe{Header: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ack is handled on the same goroutine, after the subscribe's
+	// HandleFrame has returned and its loan has ended.
+	if err := st.Ack(1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the ack behind the subscribe", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.acks) == 1
+	})
+	srv.mu.Lock()
+	kept := srv.subs[0].Header
+	srv.mu.Unlock()
+	if len(kept) != 0 {
+		t.Errorf("the header a handler kept past OnSubscribe still reads %v", kept)
+	}
+	if got := srv.stream(0).Request().Header; !reflect.DeepEqual(got, want) {
+		t.Errorf("stored request = %v, want %v", got, want)
 	}
 }

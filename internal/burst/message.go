@@ -382,9 +382,9 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 
 // readHeader reads what frame.PutStringMap wrote, into a map from rc. A
 // well-known key decodes to the package's own constant; every other string is
-// a copy (a stored request must not pin a frame buffer). The loop needs no
-// error check: Count bounds it by the input and a failed Reader yields zero
-// values until Done.
+// a copy, or a slice of r.Own (a stored request must not pin a frame buffer).
+// The loop needs no error check: Count bounds it by the input and a failed
+// Reader yields zero values until Done.
 func readHeader(r *frame.Reader, rc *Received) Header {
 	if r.Byte() == 0 {
 		return nil
@@ -392,18 +392,19 @@ func readHeader(r *frame.Reader, rc *Received) Header {
 	n := r.Count(2) // a pair is at least two length bytes
 	h := rc.header(n)
 	for ; n > 0; n-- {
-		h[headerKey(r.Bytes())] = r.Str()
+		h[headerKey(r)] = r.Str()
 	}
 	return h
 }
 
-func headerKey(b []byte) string {
+func headerKey(r *frame.Reader) string {
+	b := r.Bytes()
 	for _, k := range wellKnownKeys {
 		if string(b) == k {
 			return k
 		}
 	}
-	return string(b)
+	return r.StrOf(b)
 }
 
 // readDelta reads one delta into d, every field. Payload and Body alias the
@@ -450,9 +451,10 @@ func putMsg(b *bytes.Buffer, v any) bool {
 	return true
 }
 
-// DecodeSubscribe parses a Subscribe payload. Body aliases b.
+// DecodeSubscribe parses a Subscribe payload. The header's strings are slices
+// of ONE copy of b (a request outlives its frame); Body aliases b.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
-	r := frame.Reader{B: b}
+	r := frame.Reader{B: b, Own: string(b)}
 	s := Subscribe{Header: readHeader(&r, nil), Body: r.Bytes()}
 	if err := r.Done(); err != nil {
 		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)

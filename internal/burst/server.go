@@ -13,7 +13,8 @@ import (
 // proxy) side of a session. Callbacks run on the session's read goroutine.
 type ServerHandler interface {
 	// OnSubscribe is invoked when a new stream is requested. The stream
-	// is already registered; the handler may send batches immediately.
+	// is already registered; the handler may send batches immediately. sub
+	// is BORROWED from the stream: read-only, valid until OnSubscribe returns.
 	OnSubscribe(st *ServerStream, sub Subscribe)
 	// OnCancel is invoked when the peer cancels a stream. The stream is
 	// already unregistered.
@@ -190,11 +191,11 @@ func (d serverDispatch) HandleFrame(f Frame) {
 			s.DecodeErrors.Inc()
 			return
 		}
-		// The stream owns its header map from here on (rewrites merge into
-		// it in place); the handler gets the decoded one. The body, shared and
-		// never written, must outlive the borrowed frame.
+		// The stream owns the decoded header map (rewrites merge into it in
+		// place), the handler borrows it. The body, shared and never
+		// written, must outlive the borrowed frame.
 		sub.Body = bytes.Clone(sub.Body)
-		st := &ServerStream{srv: s, sid: f.SID, sub: Subscribe{Header: sub.Header.Clone(), Body: sub.Body}}
+		st := &ServerStream{srv: s, sid: f.SID, sub: sub}
 		s.mu.Lock()
 		if _, dup := s.streams[f.SID]; dup {
 			s.mu.Unlock()
@@ -202,6 +203,10 @@ func (d serverDispatch) HandleFrame(f Frame) {
 		}
 		s.streams[f.SID] = st
 		s.mu.Unlock()
+		if poison != "" { // lend a copy that reads empty once the loan has ended
+			sub.Header = sub.Header.Clone()
+			defer clear(sub.Header)
+		}
 		s.handler.OnSubscribe(st, sub)
 	case FrameCancel:
 		c, err := DecodeCancel(f.Payload)

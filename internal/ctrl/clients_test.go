@@ -167,15 +167,16 @@ func newWAS(t testing.TB) *was.Server {
 	store := tao.MustNewStore(tao.DefaultConfig(), nil)
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	srv := was.New(store, graph, newPylon(t), nil)
-	echo := func(ctx *was.Ctx, call was.FieldCall) (any, error) {
-		if call.Args["fail"] != "" {
-			return nil, fmt.Errorf("resolver failed on %s", call.Args["fail"])
+	echo := func(ctx was.Ctx, call was.FieldCall) (any, error) {
+		if fail, _ := call.StringArg("fail"); fail != "" {
+			return nil, fmt.Errorf("resolver failed on %s", fail)
 		}
-		return fmt.Sprintf("%s|%s|viewer=%d|region=%s", call.Name, call.Args["text"], ctx.Viewer, ctx.Region), nil
+		text, _ := call.StringArg("text")
+		return fmt.Sprintf("%s|%s|viewer=%d|region=%s", call.Name, text, ctx.Viewer, ctx.Region), nil
 	}
 	srv.RegisterQuery("read", echo)
 	srv.RegisterMutation("write", echo)
-	srv.RegisterSubscription("watch", func(ctx *was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
+	srv.RegisterSubscription("watch", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		n, err := call.Uint64Arg("n")
 		topics := make([]pylon.Topic, n)
 		for i := range topics {
@@ -183,7 +184,7 @@ func newWAS(t testing.TB) *was.Server {
 		}
 		return topics, err
 	})
-	srv.RegisterPayload("app", func(ctx *was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	srv.RegisterPayload("app", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		ev.Published = ev.Published.UTC()
 		return fmt.Sprintf("ref=%d|viewer=%d|region=%s|%#v", ref, ctx.Viewer, ctx.Region, ev), nil
 	})

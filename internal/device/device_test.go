@@ -280,10 +280,10 @@ func TestServerTerminationClosesStream(t *testing.T) {
 func TestQueryAndMutateHitWAS(t *testing.T) {
 	env := newDevEnv(t)
 	w := env.was
-	w.RegisterQuery("ping", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterQuery("ping", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		return "pong", nil
 	})
-	w.RegisterMutation("set", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("set", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		return ctx.Viewer, nil
 	})
 	out, err := env.dev.Query("ping")
@@ -335,7 +335,7 @@ func TestStartPresenceReportsPeriodically(t *testing.T) {
 	w := env.was
 	var mu sync.Mutex
 	reports := 0
-	w.RegisterMutation("reportActive", func(ctx *was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		mu.Lock()
 		reports++
 		mu.Unlock()

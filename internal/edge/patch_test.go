@@ -205,27 +205,44 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 	waitFor(t, "the POP to relay every rewrite the reverse proxy did", func() bool {
 		return c.pop.RewritesRelayed.Value() == c.rproxy.RewritesRelayed.Value()
 	})
+
+	// Ownership, relay by relay: the downstream stream merges into the map it
+	// decoded (its subscribe handler only borrowed it), the upstream leg owns
+	// the clone Client.Subscribe took, each under its own lock. Were the two
+	// one map, this write and this read would be a data race.
+	for _, p := range []*Proxy{c.rproxy, c.pop} {
+		p.mu.Lock()
+		for r := range p.relays {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = r.down.RewriteHeaderField("probe-"+p.name, "x") // travels down only
+			}()
+			if got := r.up.HeaderField("probe-" + p.name); got != "" {
+				t.Errorf("%s: a patch to the downstream request shows upstream: %q", p.name, got)
+			}
+			wg.Wait()
+		}
+		p.mu.Unlock()
+	}
 }
 
 // TestRewriteOwnershipUnderRace runs rewrites on the server against reads of
-// every holder's copy — and of the map the subscribe handler was given —
-// while the reverse proxy repairs the stream onto a second server that is
-// rewriting too. Run under -race it fails if any two holders share a map
-// (the subscribe-time aliasing in-place merging must not inherit).
+// every holder's copy while the reverse proxy repairs the stream onto a second
+// server that is rewriting too. Run under -race it fails if any two holders
+// share a map: a relay's downstream stream merges under its own lock into the
+// map it decoded (which its subscribe handler only borrowed), the upstream
+// leg into the clone Client.Subscribe took of it.
 func TestRewriteOwnershipUnderRace(t *testing.T) {
 	const rewrites = 300
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	c := newChain(t, func(u *upstreamServer, ss *burst.ServerStream, sub burst.Subscribe) {
-		wg.Add(2)
-		go func() { // the handler's view of the request it was handed
-			defer wg.Done()
-			for i := 0; i < rewrites; i++ {
-				for k, v := range sub.Header {
-					_, _ = k, v
-				}
-			}
-		}()
+		if sub.Header[burst.HdrTraceStream] != "dev/1" { // borrowed: read here, not kept
+			t.Errorf("%s was handed %v", u.name, sub.Header)
+		}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= rewrites; i++ {

@@ -68,7 +68,10 @@ func PutStringMap(b *bytes.Buffer, m map[string]string) {
 // value: a decoder reads a whole message unconditionally and checks Done
 // once.
 type Reader struct {
-	B   []byte
+	B []byte
+	// Own, when set, is one string copy of what B started as: Str returns
+	// slices of it, so a message that outlives its frame is copied once.
+	Own string
 	err error
 }
 
@@ -125,9 +128,19 @@ func (r *Reader) Bytes() []byte {
 	return p
 }
 
-// Str copies the next byte string out of the input: strings outlive the
-// frame buffer in stored requests and events, so they must not pin it.
-func (r *Reader) Str() string { return string(r.Bytes()) }
+// Str returns the next byte string without aliasing the input — a copy, or
+// a slice of Own: strings outlive the frame buffer in stored requests and
+// events, so they must not pin it.
+func (r *Reader) Str() string { return r.StrOf(r.Bytes()) }
+
+// StrOf is Str for p, the byte string Bytes has just returned.
+func (r *Reader) StrOf(p []byte) string {
+	if r.Own == "" {
+		return string(p)
+	}
+	end := len(r.Own) - len(r.B)
+	return r.Own[end-len(p) : end]
+}
 
 // Count reads an element count and checks it against the input that is
 // left, each element occupying at least minSize bytes — the bound that

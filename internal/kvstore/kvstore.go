@@ -362,7 +362,8 @@ func (c *Cluster) ReadOne(key string) (SetView, *Node, error) {
 	return nil, nil, fmt.Errorf("key %q: all replicas down: %w", key, ErrNodeDown)
 }
 
-// ReplicaResponse is one replica's answer in a ReadAll.
+// ReplicaResponse is one replica's answer in a ReadAll. A replica that holds
+// exactly what the first responder returned copies nothing: nil View, nil Err.
 type ReplicaResponse struct {
 	Node *Node
 	View SetView
@@ -371,13 +372,17 @@ type ReplicaResponse struct {
 
 // ReadAll queries every replica of key and returns their individual
 // responses in replica order. Pylon uses the first response to start
-// fan-out and the rest for patch-up.
+// fan-out and the rest — those that differ from it — for patch-up.
 func (c *Cluster) ReadAll(key string) []ReplicaResponse {
 	replicas := c.ReplicasFor(key)
 	out := make([]ReplicaResponse, len(replicas))
+	var first SetView
 	for i, n := range replicas {
-		v, err := n.View(key)
+		v, err := n.viewUnless(key, first)
 		out[i] = ReplicaResponse{Node: n, View: v, Err: err}
+		if first == nil {
+			first = v
+		}
 	}
 	return out
 }

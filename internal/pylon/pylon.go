@@ -440,15 +440,13 @@ func (s *Service) RemoveHost(hostID string) {
 // (diagnostics; the publish path uses the cache + staged first-responder
 // flow). It always reads the replicas.
 func (s *Service) Subscribers(topic Topic) []string {
-	resp := s.kv.ReadAll(string(topic))
-	views := make([]kvstore.SetView, 0, len(resp))
-	for _, r := range resp {
-		if r.Err == nil {
+	var views []kvstore.SetView
+	for _, r := range s.kv.ReadAll(string(topic)) {
+		if r.View != nil { // down, or no different from the first
 			views = append(views, r.View)
 		}
 	}
-	merged := kvstore.Merge(views...)
-	members := merged.Members()
+	members := kvstore.Merge(views...).Members()
 	out := make([]string, len(members))
 	for i, m := range members {
 		out[i] = string(m)
@@ -577,21 +575,11 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 	resp := s.kv.ReadAll(string(ev.Topic))
 
 	// Stage 1: first successful replica response starts fan-out.
-	sent := make(map[kvstore.Member]bool)
-	first := -1
-	for i, r := range resp {
-		if r.Err == nil {
-			first = i
-			for _, m := range r.View.Members() {
-				if sub := hosts[string(m)]; sub != nil {
-					sub.Deliver(ev)
-					sent[m] = true
-				}
-			}
-			break
-		}
+	first := 0
+	for first < len(resp) && resp[first].Err != nil {
+		first++
 	}
-	if first == -1 {
+	if first == len(resp) {
 		// All replicas down: the event is dropped (best effort); the
 		// affected BRASSes detect quorum loss separately.
 		s.DroppedNoSub.Inc()
@@ -599,34 +587,45 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 		sp.End()
 		return 0, fmt.Errorf("pylon: publish %q: all subscription replicas down", ev.Topic)
 	}
+	merged := resp[first].View
+	members := merged.Members()
+	n := 0
+	for _, m := range members {
+		if sub := hosts[string(m)]; sub != nil {
+			sub.Deliver(ev)
+			n++
+		}
+	}
 
-	// Stage 2: remaining replicas may know subscribers the first missed.
-	views := make([]kvstore.SetView, 0, len(resp))
-	diverged := false
-	for i, r := range resp {
-		if r.Err != nil {
+	// Stage 2: a replica that differs from the first (one that agrees
+	// answered nil) may know subscribers the first missed.
+	var sent map[kvstore.Member]bool // non-nil once a replica has differed
+	for _, r := range resp[first+1:] {
+		if r.View == nil {
 			continue
 		}
-		views = append(views, r.View)
-		if i == first {
-			continue
+		if sent == nil {
+			sent = make(map[kvstore.Member]bool, len(members))
+			for _, m := range members {
+				sent[m] = hosts[string(m)] != nil
+			}
 		}
+		merged = kvstore.Merge(merged, r.View)
 		for _, m := range r.View.Members() {
-			if !sent[m] {
-				if sub := hosts[string(m)]; sub != nil {
-					sub.Deliver(ev)
-					sent[m] = true
-					s.PatchForwards.Inc()
-				}
-				diverged = true
+			if sub := hosts[string(m)]; sub != nil && !sent[m] {
+				sub.Deliver(ev)
+				sent[m] = true
+				n++
+				s.PatchForwards.Inc()
 			}
 		}
 	}
 
-	// Stage 3: repair divergent replicas toward the merged view.
-	merged := kvstore.Merge(views...)
+	// Stage 3: repair divergent replicas toward the merged view. Replicas
+	// that all agree with the first need none: its view is the merged one.
 	patched := 0
-	if diverged || len(views) > 1 {
+	if sent != nil {
+		members = merged.Members()
 		if patched = s.kv.Patch(string(ev.Topic), merged); patched > 0 {
 			s.Patches.Add(int64(patched))
 		}
@@ -643,7 +642,6 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 			// fan-out loop then never touches the strings again. Interning
 			// is a mutex'd map hit for known hosts — per miss, not per
 			// publish.
-			members := merged.Members()
 			handles := make([]uint32, len(members))
 			for i, m := range members {
 				handles[i] = s.hostIDs.Intern(string(m))
@@ -652,7 +650,6 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 		}
 	}
 
-	n := len(sent)
 	s.finishFanout(n)
 	sp.AnnotateInt("fanout", int64(n))
 	sp.End()

@@ -2,10 +2,12 @@ package was
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 )
+
+// maxArgs bounds a call's argument list: the arguments live in the FieldCall
+// itself, and no application takes more than three.
+const maxArgs = 8
 
 // FieldCall is a parsed GraphQL-style field invocation such as
 //
@@ -14,109 +16,135 @@ import (
 // It is the surface syntax devices use for queries, mutations, and
 // subscription expressions. Only the subset the Bladerunner applications
 // need is supported: a field name and a flat argument list of strings and
-// integers.
+// integers (Uint64Arg, StringArg), held as substrings of the expression.
 type FieldCall struct {
 	Name string
-	Args map[string]string
+	args [maxArgs]struct{ name, value string }
+	n    int
 }
 
-// ParseField parses a field invocation. The grammar:
+// ParseField scans a field invocation left to right, once. The grammar
+// (spaces, tabs and newlines may separate any two tokens):
 //
-//	call  := name [ '(' args ')' ]
-//	args  := arg { ',' arg }
+//	call  := name [ '(' [ arg { ',' arg } ] ')' ]
 //	arg   := name ':' value
-//	value := int | quoted-string | bare-word
-func ParseField(s string) (FieldCall, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return FieldCall{}, fmt.Errorf("was: empty field expression")
+//	value := quoted-string | bare-word
+//
+// A quoted string is a Go string literal: `\"` does not end it. A bare word
+// ends at white space, ',' or ')', and only those may follow a value.
+func ParseField(expr string) (FieldCall, error) {
+	var f FieldCall
+	p := scanner{s: expr}
+	p.space()
+	if f.Name = p.name(); f.Name == "" {
+		return FieldCall{}, fmt.Errorf("was: want a field name at offset %d of %q", p.i, expr)
 	}
-	open := strings.IndexByte(s, '(')
-	if open == -1 {
-		if !validName(s) {
-			return FieldCall{}, fmt.Errorf("was: invalid field name %q", s)
-		}
-		return FieldCall{Name: s, Args: map[string]string{}}, nil
-	}
-	name := strings.TrimSpace(s[:open])
-	if !validName(name) {
-		return FieldCall{}, fmt.Errorf("was: invalid field name %q", name)
-	}
-	if !strings.HasSuffix(s, ")") {
-		return FieldCall{}, fmt.Errorf("was: missing ')' in %q", s)
-	}
-	body := s[open+1 : len(s)-1]
-	args := map[string]string{}
-	if strings.TrimSpace(body) != "" {
-		for _, part := range splitArgs(body) {
-			kv := strings.SplitN(part, ":", 2)
-			if len(kv) != 2 {
-				return FieldCall{}, fmt.Errorf("was: malformed argument %q in %q", part, s)
+	if p.eat('(') && !p.eat(')') {
+		for more := true; more; more = !p.eat(')') {
+			if f.n > 0 && !p.eat(',') {
+				return FieldCall{}, fmt.Errorf("was: want ',' or ')' at offset %d of %q", p.i, expr)
 			}
-			k := strings.TrimSpace(kv[0])
-			v := strings.TrimSpace(kv[1])
-			if !validName(k) {
-				return FieldCall{}, fmt.Errorf("was: invalid argument name %q", k)
+			name := p.name()
+			if name == "" || !p.eat(':') {
+				return FieldCall{}, fmt.Errorf("was: want `name:` at offset %d of %q", p.i, expr)
 			}
-			if len(v) > 0 && v[0] == '"' {
-				unq, err := strconv.Unquote(v)
-				if err != nil {
-					return FieldCall{}, fmt.Errorf("was: bad string %q: %v", v, err)
-				}
-				v = unq
+			value, err := p.value()
+			if err != nil {
+				return FieldCall{}, fmt.Errorf("was: argument %q of %q: %v", name, expr, err)
 			}
-			if _, dup := args[k]; dup {
-				return FieldCall{}, fmt.Errorf("was: duplicate argument %q", k)
+			if _, dup := f.arg(name); dup {
+				return FieldCall{}, fmt.Errorf("was: duplicate argument %q in %q", name, expr)
 			}
-			args[k] = v
+			if f.n == maxArgs {
+				return FieldCall{}, fmt.Errorf("was: more than %d arguments in %q", maxArgs, expr)
+			}
+			f.args[f.n].name, f.args[f.n].value = name, value
+			f.n++
 		}
 	}
-	return FieldCall{Name: name, Args: args}, nil
+	if p.i != len(expr) {
+		return FieldCall{}, fmt.Errorf("was: trailing input at offset %d of %q", p.i, expr)
+	}
+	return f, nil
 }
 
-// splitArgs splits on commas not inside quotes.
-func splitArgs(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, s[start:])
-	return out
+// scanner is a position in an expression; what it returns are substrings.
+type scanner struct {
+	s string
+	i int
 }
 
-func validName(s string) bool {
-	if s == "" {
+func (p *scanner) space() {
+	for p.i < len(p.s) && (p.s[p.i] == ' ' || p.s[p.i] == '\t' || p.s[p.i] == '\n' || p.s[p.i] == '\r') {
+		p.i++
+	}
+}
+
+// eat consumes c, and the space behind it, if c is next.
+func (p *scanner) eat(c byte) bool {
+	if p.i == len(p.s) || p.s[p.i] != c {
 		return false
 	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
+	p.i++
+	p.space()
+	return true
+}
+
+// name consumes a name — letters, digits and '_', not starting with a digit
+// — and the space behind it; "" when none is next.
+func (p *scanner) name() string {
+	start := p.i
+	for ; p.i < len(p.s); p.i++ {
+		c := p.s[p.i]
+		if (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && c != '_' && (c < '0' || c > '9' || p.i == start) {
+			break
 		}
 	}
-	return true
+	name := p.s[start:p.i]
+	p.space()
+	return name
+}
+
+// value consumes a quoted string or a bare word, and the space behind it.
+func (p *scanner) value() (v string, err error) {
+	start := p.i
+	if p.i < len(p.s) && p.s[p.i] == '"' {
+		for p.i++; p.i < len(p.s) && p.s[p.i] != '"'; p.i++ {
+			if p.s[p.i] == '\\' {
+				p.i++
+			}
+		}
+		if p.i >= len(p.s) {
+			return "", fmt.Errorf("unterminated string")
+		}
+		p.i++
+		v, err = strconv.Unquote(p.s[start:p.i]) // allocates only when there are escapes
+	} else {
+		for p.i < len(p.s) && p.s[p.i] > ' ' && p.s[p.i] != ',' && p.s[p.i] != ')' {
+			p.i++
+		}
+		if v = p.s[start:p.i]; v == "" {
+			err = fmt.Errorf("no value")
+		}
+	}
+	p.space()
+	return v, err
+}
+
+func (f *FieldCall) arg(name string) (string, bool) {
+	for _, a := range f.args[:f.n] {
+		if a.name == name {
+			return a.value, true
+		}
+	}
+	return "", false
 }
 
 // Uint64Arg extracts a uint64 argument.
 func (f FieldCall) Uint64Arg(name string) (uint64, error) {
-	v, ok := f.Args[name]
-	if !ok {
-		return 0, fmt.Errorf("was: %s: missing argument %q", f.Name, name)
+	v, err := f.StringArg(name)
+	if err != nil {
+		return 0, err
 	}
 	n, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
@@ -127,33 +155,9 @@ func (f FieldCall) Uint64Arg(name string) (uint64, error) {
 
 // StringArg extracts a string argument.
 func (f FieldCall) StringArg(name string) (string, error) {
-	v, ok := f.Args[name]
+	v, ok := f.arg(name)
 	if !ok {
 		return "", fmt.Errorf("was: %s: missing argument %q", f.Name, name)
 	}
 	return v, nil
-}
-
-// String renders the call back to canonical form (sorted args), used for
-// logging and as a cache key.
-func (f FieldCall) String() string {
-	if len(f.Args) == 0 {
-		return f.Name
-	}
-	keys := make([]string, 0, len(f.Args))
-	for k := range f.Args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(f.Name)
-	b.WriteByte('(')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s: %s", k, f.Args[k])
-	}
-	b.WriteByte(')')
-	return b.String()
 }

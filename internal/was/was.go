@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bladerunner/internal/metrics"
@@ -28,8 +29,8 @@ var (
 	ErrDenied       = errors.New("was: privacy check denied")
 )
 
-// Ctx is handed to resolvers: it bundles the server's dependencies plus the
-// identity the operation runs as.
+// Ctx is handed to resolvers, by value: it bundles the server's dependencies
+// plus the identity the operation runs as.
 type Ctx struct {
 	Srv    *Server
 	Viewer socialgraph.UserID // 0 for system operations
@@ -44,12 +45,12 @@ type Ctx struct {
 // Reader returns the TAO read surface for the context's region: the
 // region-local follower when one is registered, else the leader Store.
 // Writes never go through here — resolvers mutate ctx.Srv.TAO directly.
-func (c *Ctx) Reader() tao.Reader { return c.Srv.reader(c.Region) }
+func (c Ctx) Reader() tao.Reader { return c.Srv.reader(c.Region) }
 
 // Publish emits an update event stamped with the context's region as its
 // origin, so the region plane replicates it outward from where the
 // mutation committed.
-func (c *Ctx) Publish(ev pylon.Event, rank bool) {
+func (c Ctx) Publish(ev pylon.Event, rank bool) {
 	if ev.Origin == "" {
 		ev.Origin = c.Region
 	}
@@ -64,20 +65,20 @@ type Publisher interface {
 }
 
 // QueryFunc resolves a read field to a JSON-encodable value.
-type QueryFunc func(ctx *Ctx, call FieldCall) (any, error)
+type QueryFunc func(ctx Ctx, call FieldCall) (any, error)
 
 // MutationFunc applies a write field and optionally returns a value.
-type MutationFunc func(ctx *Ctx, call FieldCall) (any, error)
+type MutationFunc func(ctx Ctx, call FieldCall) (any, error)
 
 // SubscriptionFunc resolves a subscription expression to the concrete Pylon
 // topics it maps to (step 5 of Fig 3). Most subscriptions map to one topic;
 // ActiveStatus-style subscriptions map a single device subscribe to one
 // topic per friend.
-type SubscriptionFunc func(ctx *Ctx, call FieldCall) ([]pylon.Topic, error)
+type SubscriptionFunc func(ctx Ctx, call FieldCall) ([]pylon.Topic, error)
 
 // PayloadFunc produces the device-facing payload for an update event after
 // the privacy check passed. ref is the TAO object the event points to.
-type PayloadFunc func(ctx *Ctx, ref tao.ObjID, ev pylon.Event) (any, error)
+type PayloadFunc func(ctx Ctx, ref tao.ObjID, ev pylon.Event) (any, error)
 
 // Server is one WAS. It is safe for concurrent use.
 type Server struct {
@@ -104,13 +105,12 @@ type Server struct {
 	// was.privacy / was.resolve spans. nil disables span collection.
 	Tracer *trace.Tracer
 
-	mu            sync.Mutex
-	queries       map[string]QueryFunc
-	mutations     map[string]MutationFunc
-	subscriptions map[string]SubscriptionFunc
-	payloads      map[string]PayloadFunc
-	readers       map[string]tao.Reader
-	rng           rngSource
+	// tables is published copy-on-write: a call reads it with one atomic
+	// load, a registration (legal at any time) swaps in a copy.
+	tables atomic.Pointer[tables]
+
+	mu  sync.Mutex // guards rng
+	rng rngSource
 
 	// Metrics.
 	Queries          metrics.Counter
@@ -122,6 +122,37 @@ type Server struct {
 	PublishLatency   *metrics.Histogram[time.Duration] // mutation commit → publish sent
 	CPUMillis        metrics.Counter                   // modeled CPU cost accounting
 	PublishesEmitted metrics.Counter
+}
+
+// tables is one immutable generation of what registration fills.
+type tables struct {
+	queries       map[string]QueryFunc
+	mutations     map[string]MutationFunc
+	subscriptions map[string]SubscriptionFunc
+	payloads      map[string]PayloadFunc
+	readers       map[string]tao.Reader
+}
+
+// with returns a copy of m that maps k to v.
+func with[V any](m map[string]V, k string, v V) map[string]V {
+	out := make(map[string]V, len(m)+1)
+	for mk, mv := range m {
+		out[mk] = mv
+	}
+	out[k] = v
+	return out
+}
+
+// register publishes a copy of the current tables that set has changed.
+func (s *Server) register(set func(*tables)) {
+	for {
+		old := s.tables.Load()
+		next := *old
+		set(&next)
+		if s.tables.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // rngSource is a tiny deterministic PRNG used for sampling rank delays
@@ -149,73 +180,53 @@ func New(store *tao.Store, graph *socialgraph.Graph, pyl *pylon.Service, sched s
 	if sched == nil {
 		sched = sim.RealClock{}
 	}
-	return &Server{
+	s := &Server{
 		TAO:            store,
 		Graph:          graph,
 		Pylon:          pyl,
 		Sched:          sched,
-		queries:        make(map[string]QueryFunc),
-		mutations:      make(map[string]MutationFunc),
-		subscriptions:  make(map[string]SubscriptionFunc),
-		payloads:       make(map[string]PayloadFunc),
-		readers:        make(map[string]tao.Reader),
 		rng:            rngSource{s: 0x9E3779B97F4A7C15},
 		PublishLatency: metrics.NewHistogram[time.Duration](),
 	}
+	s.tables.Store(new(tables))
+	return s
 }
 
 // RegisterQuery installs a read resolver.
 func (s *Server) RegisterQuery(name string, fn QueryFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries[name] = fn
+	s.register(func(t *tables) { t.queries = with(t.queries, name, fn) })
 }
 
 // RegisterMutation installs a write resolver.
 func (s *Server) RegisterMutation(name string, fn MutationFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mutations[name] = fn
+	s.register(func(t *tables) { t.mutations = with(t.mutations, name, fn) })
 }
 
 // RegisterSubscription installs a subscription-to-topic resolver.
 func (s *Server) RegisterSubscription(name string, fn SubscriptionFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.subscriptions[name] = fn
+	s.register(func(t *tables) { t.subscriptions = with(t.subscriptions, name, fn) })
 }
 
 // RegisterPayload installs a payload resolver for an application name.
 func (s *Server) RegisterPayload(app string, fn PayloadFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.payloads[app] = fn
+	s.register(func(t *tables) { t.payloads = with(t.payloads, app, fn) })
 }
 
-func (s *Server) ctx(viewer socialgraph.UserID) *Ctx {
-	return s.ctxIn(viewer, "")
-}
-
-func (s *Server) ctxIn(viewer socialgraph.UserID, region string) *Ctx {
-	return &Ctx{Srv: s, Viewer: viewer, Now: s.Sched.Now(), Region: region}
+func (s *Server) ctxIn(viewer socialgraph.UserID, region string) Ctx {
+	return Ctx{Srv: s, Viewer: viewer, Now: s.Sched.Now(), Region: region}
 }
 
 // RegisterReader installs a region-local TAO read replica. Resolvers
 // running in that region (QueryIn, ResolvePayloadIn) read through it via
 // Ctx.Reader; regions without a registered reader fall back to the leader.
 func (s *Server) RegisterReader(region string, r tao.Reader) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readers[region] = r
+	s.register(func(t *tables) { t.readers = with(t.readers, region, r) })
 }
 
 // reader returns region's read replica, or the leader when none is
 // registered (including the single-region configuration).
 func (s *Server) reader(region string) tao.Reader {
-	s.mu.Lock()
-	r := s.readers[region]
-	s.mu.Unlock()
-	if r != nil {
+	if r := s.tables.Load().readers[region]; r != nil {
 		return r
 	}
 	return s.TAO
@@ -234,9 +245,7 @@ func (s *Server) QueryIn(region string, viewer socialgraph.UserID, expr string) 
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	fn := s.queries[call.Name]
-	s.mu.Unlock()
+	fn := s.tables.Load().queries[call.Name]
 	if fn == nil {
 		return nil, fmt.Errorf("%w: query %q", ErrUnknownField, call.Name)
 	}
@@ -263,9 +272,7 @@ func (s *Server) MutateIn(region string, viewer socialgraph.UserID, expr string)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	fn := s.mutations[call.Name]
-	s.mu.Unlock()
+	fn := s.tables.Load().mutations[call.Name]
 	if fn == nil {
 		return nil, fmt.Errorf("%w: mutation %q", ErrUnknownField, call.Name)
 	}
@@ -285,14 +292,12 @@ func (s *Server) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	fn := s.subscriptions[call.Name]
-	s.mu.Unlock()
+	fn := s.tables.Load().subscriptions[call.Name]
 	if fn == nil {
 		return nil, fmt.Errorf("%w: subscription %q", ErrUnknownField, call.Name)
 	}
 	s.Subscriptions.Inc()
-	return fn(s.ctx(viewer), call)
+	return fn(s.ctxIn(viewer, ""), call)
 }
 
 // PrivacyCheck reports whether viewer may see content authored by author.
@@ -368,9 +373,7 @@ func (s *Server) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, e
 	sp.Annotate("app", app)
 	s.PayloadFetches.Inc()
 	s.CPUMillis.Add(cpuPayload)
-	s.mu.Lock()
-	fn := s.payloads[app]
-	s.mu.Unlock()
+	fn := s.tables.Load().payloads[app]
 	if fn == nil {
 		return nil, fmt.Errorf("%w: payload for app %q", ErrUnknownField, app)
 	}
@@ -397,26 +400,26 @@ func (s *Server) Publish(ev pylon.Event, rank bool) {
 	sp.Annotate("topic", string(ev.Topic))
 	if rank && s.RankDelay != nil {
 		sp.Annotate("ranked", "true")
-	}
-	emit := func() {
-		ev.Published = s.Sched.Now()
-		if s.Fanout != nil {
-			_, _ = s.Fanout.Publish(ev)
-		} else if s.Pylon != nil {
-			_, _ = s.Pylon.Publish(ev)
-		}
-		s.PublishesEmitted.Inc()
-		s.PublishLatency.Observe(s.Sched.Now().Sub(start))
-		sp.End()
-	}
-	if rank && s.RankDelay != nil {
 		s.mu.Lock()
 		// Sample with a throwaway rand source seeded from the xorshift
 		// stream so publishes stay deterministic under the sim engine.
 		d := s.RankDelay.Sample(newRand(s.rng.next()))
 		s.mu.Unlock()
-		s.Sched.After(d, emit)
+		ev, sp := ev, sp // the closure's own copies: only a ranked publish pays for them
+		s.Sched.After(d, func() { s.emit(ev, start, sp) })
 		return
 	}
-	emit()
+	s.emit(ev, start, sp)
+}
+
+func (s *Server) emit(ev pylon.Event, start time.Time, sp trace.Span) {
+	ev.Published = s.Sched.Now()
+	if s.Fanout != nil {
+		_, _ = s.Fanout.Publish(ev)
+	} else if s.Pylon != nil {
+		_, _ = s.Pylon.Publish(ev)
+	}
+	s.PublishesEmitted.Inc()
+	s.PublishLatency.Observe(s.Sched.Now().Sub(start))
+	sp.End()
 }

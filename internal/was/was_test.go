@@ -37,10 +37,18 @@ func TestParseFieldBasics(t *testing.T) {
 		wantArgs map[string]string
 	}{
 		{"activeStatus", "activeStatus", map[string]string{}},
+		{"noArgs()", "noArgs", map[string]string{}},
 		{"liveVideoComments(videoID: 7)", "liveVideoComments", map[string]string{"videoID": "7"}},
 		{`postComment(videoID: 7, text: "hi, there")`, "postComment",
 			map[string]string{"videoID": "7", "text": "hi, there"}},
 		{" spaced ( a : 1 , b : 2 ) ", "spaced", map[string]string{"a": "1", "b": "2"}},
+		// What fmt.Sprintf("%q") emits for the comment `6" sub, please`: an
+		// escaped quote does not end the string.
+		{`postFeedComment(postID: 1, text: "6\" sub, please")`, "postFeedComment",
+			map[string]string{"postID": "1", "text": `6" sub, please`}},
+		{`f(text: "a:b")`, "f", map[string]string{"text": "a:b"}},
+		{`f(text: "x)")`, "f", map[string]string{"text": "x)"}},
+		{`f(text: "tab\there\\")`, "f", map[string]string{"text": "tab\there\\"}},
 	}
 	for _, c := range cases {
 		got, err := ParseField(c.in)
@@ -51,13 +59,13 @@ func TestParseFieldBasics(t *testing.T) {
 		if got.Name != c.wantName {
 			t.Errorf("ParseField(%q).Name = %q", c.in, got.Name)
 		}
-		if len(got.Args) != len(c.wantArgs) {
-			t.Errorf("ParseField(%q).Args = %v, want %v", c.in, got.Args, c.wantArgs)
+		if got.n != len(c.wantArgs) {
+			t.Errorf("ParseField(%q) has %d arguments, want %v", c.in, got.n, c.wantArgs)
 			continue
 		}
 		for k, v := range c.wantArgs {
-			if got.Args[k] != v {
-				t.Errorf("ParseField(%q).Args[%q] = %q, want %q", c.in, k, got.Args[k], v)
+			if s, err := got.StringArg(k); err != nil || s != v {
+				t.Errorf("ParseField(%q).StringArg(%q) = %q, %v, want %q", c.in, k, s, err, v)
 			}
 		}
 	}
@@ -67,9 +75,12 @@ func TestParseFieldErrors(t *testing.T) {
 	for _, in := range []string{
 		"", "  ", "9bad", "f(", "f(a)", "f(a: 1", "f(a: 1, a: 2)",
 		"f(:1)", "bad name(a: 1)", `f(a: "unterminated)`,
+		"f(a: 1) trailing)", "f(a: 1 2)", "f(a: 1,)", "f(a: 1, )", "f(,a: 1)", "f(a: )",
+		`f(a: "x"y)`, `f(a: "x" "y")`, `f(a: "\")`, `f(a: "bad \q escape")`, "f(a: 1))", "f(a: 1)x",
+		"f(a: 1, b: 2, c: 3, d: 4, e: 5, f: 6, g: 7, h: 8, i: 9)",
 	} {
-		if _, err := ParseField(in); err == nil {
-			t.Errorf("ParseField(%q) accepted", in)
+		if got, err := ParseField(in); err == nil {
+			t.Errorf("ParseField(%q) accepted: %+v", in, got)
 		}
 	}
 }
@@ -96,17 +107,11 @@ func TestFieldCallHelpers(t *testing.T) {
 	if _, err := f.StringArg("missing"); err == nil {
 		t.Error("missing string arg accepted")
 	}
-	if got := f.String(); got != `m(text: yo, videoID: 42)` {
-		t.Errorf("String() = %q", got)
-	}
-	if got := (FieldCall{Name: "q"}).String(); got != "q" {
-		t.Errorf("no-arg String() = %q", got)
-	}
 }
 
 func TestQueryDispatch(t *testing.T) {
 	s, _ := newTestWAS(t)
-	s.RegisterQuery("friendCount", func(ctx *Ctx, call FieldCall) (any, error) {
+	s.RegisterQuery("friendCount", func(ctx Ctx, call FieldCall) (any, error) {
 		uid, err := call.Uint64Arg("user")
 		if err != nil {
 			return nil, err
@@ -137,7 +142,7 @@ func TestQueryDispatch(t *testing.T) {
 
 func TestMutationDispatchAndTAOWrite(t *testing.T) {
 	s, _ := newTestWAS(t)
-	s.RegisterMutation("post", func(ctx *Ctx, call FieldCall) (any, error) {
+	s.RegisterMutation("post", func(ctx Ctx, call FieldCall) (any, error) {
 		text, err := call.StringArg("text")
 		if err != nil {
 			return nil, err
@@ -170,7 +175,7 @@ func TestMutationDispatchAndTAOWrite(t *testing.T) {
 
 func TestResolveSubscription(t *testing.T) {
 	s, _ := newTestWAS(t)
-	s.RegisterSubscription("liveVideoComments", func(ctx *Ctx, call FieldCall) ([]pylon.Topic, error) {
+	s.RegisterSubscription("liveVideoComments", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
 		vid, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -215,7 +220,7 @@ func TestPrivacyCheck(t *testing.T) {
 func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 	s, _ := newTestWAS(t)
 	ref := s.TAO.ObjectAdd("comment", map[string]string{"text": "nice"})
-	s.RegisterPayload("lvc", func(ctx *Ctx, r tao.ObjID, ev pylon.Event) (any, error) {
+	s.RegisterPayload("lvc", func(ctx Ctx, r tao.ObjID, ev pylon.Event) (any, error) {
 		obj, err := ctx.Srv.TAO.ObjectGet(r)
 		if err != nil {
 			return nil, err
@@ -327,16 +332,16 @@ func TestQualityScoreRangeProperty(t *testing.T) {
 func TestConcurrentExecutorStress(t *testing.T) {
 	s, _ := newTestWAS(t)
 	s.Sched = sim.RealClock{} // timers must actually run concurrently
-	s.RegisterQuery("q", func(ctx *Ctx, call FieldCall) (any, error) { return 1, nil })
-	s.RegisterMutation("m", func(ctx *Ctx, call FieldCall) (any, error) {
+	s.RegisterQuery("q", func(ctx Ctx, call FieldCall) (any, error) { return 1, nil })
+	s.RegisterMutation("m", func(ctx Ctx, call FieldCall) (any, error) {
 		id := ctx.Srv.TAO.ObjectAdd("o", nil)
 		ctx.Srv.Publish(pylon.Event{Topic: "/stress", Ref: uint64(id)}, false)
 		return uint64(id), nil
 	})
-	s.RegisterSubscription("s", func(ctx *Ctx, call FieldCall) ([]pylon.Topic, error) {
+	s.RegisterSubscription("s", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
 		return []pylon.Topic{"/stress"}, nil
 	})
-	s.RegisterPayload("app", func(ctx *Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
 		return "p", nil
 	})
 
@@ -376,4 +381,85 @@ func TestConcurrentExecutorStress(t *testing.T) {
 	if s.Queries.Value() != 8*40 {
 		t.Errorf("Queries = %d", s.Queries.Value())
 	}
+}
+
+// TestRegisterWhileServing holds what the copy-on-write tables promise:
+// registration is legal at any time, races no call (run with -race), and a
+// resolver registered after the first call is found by the next one.
+func TestRegisterWhileServing(t *testing.T) {
+	s, _ := newTestWAS(t)
+	s.RegisterMutation("m0", func(ctx Ctx, call FieldCall) (any, error) { return 0, nil })
+	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+		_, err := ctx.Reader().ObjectGet(ref) // reads the readers table too
+		return "p", err
+	})
+	ref := uint64(s.TAO.ObjectAdd("o", nil))
+	if _, err := s.MutateIn("eu", 1, "m0"); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= rounds; i++ {
+			s.RegisterMutation(fmt.Sprintf("m%d", i), func(ctx Ctx, call FieldCall) (any, error) { return i, nil })
+			s.RegisterReader(fmt.Sprintf("region-%d", i), s.TAO)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := s.MutateIn("eu", 1, "m0"); err != nil {
+				t.Errorf("mutate: %v", err)
+			}
+			if _, err := s.ResolvePayloadIn("region-1", "app", pylon.Event{Ref: ref}); err != nil {
+				t.Errorf("resolve: %v", err)
+			}
+		}
+	}()
+	wg.Wait()
+	for _, name := range []string{"m1", fmt.Sprintf("m%d", rounds)} {
+		if _, err := s.Mutate(1, name); err != nil {
+			t.Errorf("a mutation registered while serving is not found: %v", err)
+		}
+	}
+	if len(s.tables.Load().readers) != rounds {
+		t.Errorf("%d readers registered, want %d: a concurrent registration was lost", len(s.tables.Load().readers), rounds)
+	}
+}
+
+// FuzzParseField: the expression arrives from a device, and over ctrl's
+// was.mutate. The scanner never panics; what it accepts has a valid name and
+// valid, distinct argument names; and a value written with %q — arbitrary
+// bytes — reads back unchanged through StringArg.
+func FuzzParseField(f *testing.F) {
+	for _, s := range []string{
+		`postFeedComment(postID: 1, text: "6\" sub, please")`, "f(a: 1) trailing)", // the two parser bugs
+		"activeStatus", "f()", ` spaced ( a : 1 , b : 2 ) `, `f(text: "a:b", t2: "x)")`, "f(a: 1,)", "f(a: 1, a: 2)",
+		`f(a: "unterminated)`, `f(a: "\`, "f(a: 1, b: 2, c: 3, d: 4, e: 5, f: 6, g: 7, h: 8, i: 9)", "9bad", "é(a: 1)",
+	} {
+		f.Add(s, s)
+	}
+	validName := func(s string) bool { p := scanner{s: s}; return s != "" && p.name() == s }
+	f.Fuzz(func(t *testing.T, expr, v string) {
+		if call, err := ParseField(expr); err == nil {
+			if !validName(call.Name) {
+				t.Fatalf("ParseField(%q) accepted the name %q", expr, call.Name)
+			}
+			for i, a := range call.args[:call.n] {
+				if got, _ := call.arg(a.name); !validName(a.name) || got != a.value {
+					t.Fatalf("ParseField(%q): argument %d is %q, invalid or a duplicate", expr, i, a.name)
+				}
+			}
+		}
+		call, err := ParseField(fmt.Sprintf("f(k: %q)", v))
+		if err != nil {
+			t.Fatalf("%q as a quoted value: %v", v, err)
+		}
+		if got, err := call.StringArg("k"); err != nil || got != v || call.n != 1 {
+			t.Fatalf("%q as a quoted value reads back %q, %v (%d arguments)", v, got, err, call.n)
+		}
+	})
 }
