@@ -44,11 +44,12 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTDeviceReceive", deviceReceive, 2, "a consumer that never releases, as the device: one lease and its bytes per batch, what the frame buffer and the []Delta cost before leases"},
 		{"PylonPublishWire", bench.PylonPublishWire, 4, "the topic string and the one-byte result, plus pool refills after a GC"},
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
-		{"BURSTResumeBatchDecode", resumeBatchDecode, 5, "the []Delta, the patch map's two, two values; resume-seq and cursor decode to the package constants"},
+		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch both values slice; resume-seq and cursor decode to the package constants"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
-		{"WASMutateFeedComment", bench.WASMutateFeedComment, 10, "the resolver's own work: two formatted ids, the TAO object and association, the topic, the event's map, the boxed and encoded result; no parse, Ctx or closure allocation"},
+		{"WASMutateFeedComment", bench.WASMutateFeedComment, 8, "the resolver's own work: two formatted ids, the TAO object and association, the topic, the boxed and encoded result; no parse, Ctx or closure allocation, and the event carries no map"},
 		{"BURSTSubscribeHop", subscribeHop, 5, "the stream, its header map's two, the one copy of the payload its strings slice; room for one"},
-		{"BURSTResumeBatchApply", resumeBatchApply, 2, "the two values: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
+		{"BURSTResumeBatchApply", resumeBatchApply, 1, "the one copy of the patch both values slice: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
+		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 	} {
 		res := testing.Benchmark(c.body)
 		if res.N != 2000 {

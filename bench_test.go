@@ -157,6 +157,10 @@ func BenchmarkHotTopicFanout(b *testing.B) { bench.HotTopicFanout(b) }
 
 func BenchmarkEndToEndCommentPush(b *testing.B) { bench.EndToEndCommentPush(b) }
 
+// BenchmarkBRASSEventHandOff: one event from Host.Deliver to an app's range
+// over StreamsForTopic, with nothing else on the path.
+func BenchmarkBRASSEventHandOff(b *testing.B) { bench.BRASSEventHandOff(b) }
+
 // The two tier RPCs on the hot paths, over loopback TCP: publish is paid
 // once per mutation, the visibility check once per delivery.
 func BenchmarkPylonPublishWire(b *testing.B) { bench.PylonPublishWire(b) }

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/json"
-	"strconv"
 	"time"
 
 	"bladerunner/internal/brass"
@@ -19,7 +18,6 @@ import (
 // topic per friend. The BRASS keeps a per-stream map of online friends with
 // a TTL and pushes batched updates periodically so devices aren't flooded.
 type ActiveStatus struct {
-
 	// TTL is how long a status report stays fresh (paper: 30 s).
 	TTL time.Duration
 	// BatchInterval is the push cadence.
@@ -43,13 +41,7 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 
 	// Devices call this every 30 s while online.
 	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) (any, error) {
-		ctx.Publish(pylon.Event{
-			Topic: StatusTopic(ctx.Viewer),
-			Meta: map[string]string{
-				"uid": strconv.FormatUint(uint64(ctx.Viewer), 10),
-				"at":  strconv.FormatInt(ctx.Now.UnixNano(), 10),
-			},
-		}, false)
+		ctx.Publish(pylon.Event{Topic: StatusTopic(ctx.Viewer), Author: uint64(ctx.Viewer)}, false)
 		return true, nil
 	})
 
@@ -65,8 +57,7 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 	})
 
 	w.RegisterPayload(AppActiveStatus, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		uid, _ := strconv.ParseUint(ev.Meta["uid"], 10, 64)
-		return StatusPayload{User: uid, Online: true}, nil
+		return StatusPayload{User: ev.Author, Online: true}, nil
 	})
 	return a
 }
@@ -150,22 +141,22 @@ func (in *asInstance) OnStreamClose(st *brass.Stream, reason string) {
 	}
 }
 
+// OnEvent privacy-checks the report before it marks the friend online: a
+// friend the viewer may not see never shows up in a batch.
 func (in *asInstance) OnEvent(ev pylon.Event) {
-	uid, err := strconv.ParseUint(ev.Meta["uid"], 10, 64)
-	if err != nil {
-		return
-	}
 	now := in.rt.Now()
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		state, ok := st.State.(*asStream)
 		if !ok {
 			continue
 		}
-		state.online[uid] = now
+		if _, err := st.FetchPayload(ev); err != nil {
+			st.Filtered()
+			continue
+		}
+		state.online[ev.Author] = now
 		state.dirty = true
 	}
 }
 
 func (in *asInstance) OnAck(st *brass.Stream, seq uint64) {}
-
-var _ brass.Application = (*ActiveStatus)(nil)

@@ -35,14 +35,10 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		author, post := strconv.FormatUint(uint64(ctx.Viewer), 10), strconv.FormatUint(postID, 10)
-		ref := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{"text": text, "author": author, "post": post})
+		ref := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{"text": text,
+			"author": strconv.FormatUint(uint64(ctx.Viewer), 10), "post": strconv.FormatUint(postID, 10)})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
-		ctx.Publish(pylon.Event{
-			Topic: PostTopic(postID),
-			Ref:   uint64(ref),
-			Meta:  map[string]string{"author": author, "post": post},
-		}, false)
+		ctx.Publish(pylon.Event{Topic: PostTopic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return uint64(ref), nil
 	})
 
@@ -88,10 +84,9 @@ func (in *feedInstance) OnStreamOpen(st *brass.Stream) error {
 func (in *feedInstance) OnStreamClose(st *brass.Stream, reason string) {}
 
 func (in *feedInstance) OnEvent(ev pylon.Event) {
-	author := ev.Meta["author"]
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		// Own comments are already rendered locally.
-		if author == strconv.FormatUint(uint64(st.Viewer), 10) {
+		if ev.Author == uint64(st.Viewer) {
 			st.Filtered()
 			continue
 		}
@@ -105,5 +100,3 @@ func (in *feedInstance) OnEvent(ev pylon.Event) {
 }
 
 func (in *feedInstance) OnAck(st *brass.Stream, seq uint64) {}
-
-var _ brass.Application = (*FeedComments)(nil)

@@ -7,7 +7,6 @@ import (
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
-	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
 )
@@ -26,7 +25,6 @@ import (
 // periodic timer pops the top comment at the rate limit, fetches the
 // payload from the WAS (privacy check included), and pushes it.
 type LiveVideoComments struct {
-
 	// Tunables (paper values as defaults).
 	RateLimit         time.Duration // max one push per stream per RateLimit
 	BufferK           int           // ranked buffer size (paper: 5)
@@ -93,12 +91,11 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		if score < was.SpamThreshold {
 			return uint64(ref), nil
 		}
-		meta := map[string]string{
-			"author": strconv.FormatUint(uint64(author.ID), 10),
-			"score":  strconv.FormatFloat(score, 'f', 4, 64),
-			"lang":   strconv.Itoa(int(author.Lang)),
-			"video":  strconv.FormatUint(videoID, 10),
-		}
+		ev := pylon.Event{Topic: LVCTopic(videoID), Ref: uint64(ref), Author: uint64(author.ID),
+			Meta: map[string]string{
+				"score": strconv.FormatFloat(score, 'f', 4, 64),
+				"lang":  strconv.Itoa(int(author.Lang)),
+			}}
 		// High-volume strategy (§3.4): on hot videos, only extremely
 		// high-ranked comments hit the main topic; ordinary ones go to
 		// the poster's per-user topic (delivered only toward the
@@ -106,21 +103,13 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		if a.hot.observe(videoID, ctx.Now) {
 			switch {
 			case score >= a.HighRankCutoff:
-				ctx.Publish(pylon.Event{Topic: LVCTopic(videoID),
-					Ref: uint64(ref), Meta: meta}, a.RankBeforePublish)
 			case score < a.HotDiscardCutoff:
-				// Discarded during the storm; still durable in TAO.
+				return uint64(ref), nil // discarded during the storm; still durable in TAO
 			default:
-				ctx.Publish(pylon.Event{Topic: LVCUserTopic(videoID, author.ID),
-					Ref: uint64(ref), Meta: meta}, a.RankBeforePublish)
+				ev.Topic = LVCUserTopic(videoID, author.ID)
 			}
-			return uint64(ref), nil
 		}
-		ctx.Publish(pylon.Event{
-			Topic: LVCTopic(videoID),
-			Ref:   uint64(ref),
-			Meta:  meta,
-		}, a.RankBeforePublish)
+		ctx.Publish(ev, a.RankBeforePublish)
 		return uint64(ref), nil
 	})
 
@@ -245,7 +234,7 @@ func (in *lvcInstance) flush(st *brass.Stream, state *lvcStream) {
 		if !ok {
 			return
 		}
-		ev := pylon.Event{Ref: item.Seq, Meta: item.Meta, Trace: item.Trace}
+		ev := pylon.Event{Ref: item.Seq, Author: item.Author, Trace: item.Trace}
 		payload, err := st.FetchPayload(ev)
 		if err != nil {
 			// Privacy denial or fetch failure: skip to next candidate.
@@ -272,7 +261,6 @@ func (in *lvcInstance) OnStreamClose(st *brass.Stream, reason string) {
 
 func (in *lvcInstance) OnEvent(ev pylon.Event) {
 	score, _ := strconv.ParseFloat(ev.Meta["score"], 64)
-	author, _ := strconv.ParseUint(ev.Meta["author"], 10, 64)
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		state, ok := st.State.(*lvcStream)
 		if !ok {
@@ -284,7 +272,7 @@ func (in *lvcInstance) OnEvent(ev pylon.Event) {
 			st.Filtered()
 			continue
 		}
-		if socialgraph.UserID(author) == st.Viewer {
+		if ev.Author == uint64(st.Viewer) {
 			st.Filtered() // the viewer already sees their own comment locally
 			continue
 		}
@@ -293,15 +281,13 @@ func (in *lvcInstance) OnEvent(ev pylon.Event) {
 			continue
 		}
 		state.buffer.Add(brass.RankedItem{
-			Score: score,
-			Time:  in.rt.Now(),
-			Seq:   ev.Ref,
-			Meta:  ev.Meta,
-			Trace: ev.Trace,
+			Score:  score,
+			Time:   in.rt.Now(),
+			Seq:    ev.Ref,
+			Author: ev.Author,
+			Trace:  ev.Trace,
 		})
 	}
 }
 
 func (in *lvcInstance) OnAck(st *brass.Stream, seq uint64) {}
-
-var _ brass.Application = (*LiveVideoComments)(nil)

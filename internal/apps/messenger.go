@@ -105,16 +105,11 @@ func NewMessenger(w Registrar) *Messenger {
 		if members == nil {
 			return nil, fmt.Errorf("messenger: unknown thread %d", tid)
 		}
-		author, thread := strconv.FormatUint(uint64(ctx.Viewer), 10), strconv.FormatUint(tid, 10)
-		ref := ctx.Srv.TAO.ObjectAdd("message", map[string]string{"text": text, "author": author, "thread": thread})
+		ref := ctx.Srv.TAO.ObjectAdd("message", map[string]string{"text": text,
+			"author": strconv.FormatUint(uint64(ctx.Viewer), 10), "thread": strconv.FormatUint(tid, 10)})
 		for _, member := range members {
 			seq := a.appendToMailbox(ctx, member, ref)
-			ctx.Publish(pylon.Event{
-				Topic: MailboxTopic(member),
-				Ref:   uint64(ref),
-				Seq:   seq,
-				Meta:  map[string]string{"author": author, "thread": thread, "seq": strconv.FormatUint(seq, 10)},
-			}, false)
+			ctx.Publish(pylon.Event{Topic: MailboxTopic(member), Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
 		}
 		return uint64(ref), nil
 	})
@@ -177,7 +172,8 @@ func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref 
 // lag could silently drop the most recent messages — turning the gap-free
 // resume guarantee into a best-effort one. Payload resolution of
 // individual (immutable, created-once) message objects is safe on
-// followers; the authoritative mailbox index is not.
+// followers; the authoritative mailbox index is not. Catch-up is a delivery
+// like any other: a message whose author the owner may not see is skipped.
 func (a *Messenger) mailboxSince(ctx was.Ctx, owner socialgraph.UserID, since uint64) []MessagePayload {
 	a.mu.Lock()
 	mb := a.mailbox[owner]
@@ -196,7 +192,9 @@ func (a *Messenger) mailboxSince(ctx was.Ctx, owner socialgraph.UserID, since ui
 		if err != nil {
 			continue
 		}
-		out = append(out, a.payloadFromObj(obj, seq))
+		if m := a.payloadFromObj(obj, seq); ctx.Srv.PrivacyCheck(owner, socialgraph.UserID(m.Author)) {
+			out = append(out, m)
+		}
 	}
 	return out
 }
@@ -210,6 +208,9 @@ type messengerStream struct {
 	// deliveries and serves cursor catch-ups under when the host's
 	// durable log is enabled for Messenger.
 	topic pylon.Topic
+	// patch is the stream's one resume patch, refilled per delivery: SendBatch
+	// merges it by copy and encodes it before Push returns.
+	patch burst.Header
 }
 
 type messengerInstance struct {
@@ -227,7 +228,7 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 	if err != nil {
 		return err
 	}
-	state := &messengerStream{}
+	state := &messengerStream{patch: make(burst.Header, 2)}
 	st.State = state
 	if len(topics) > 0 {
 		state.topic = topics[0]
@@ -302,15 +303,22 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 // state. With the durable log enabled both tokens (WAS sequence + log
 // cursor) travel in ONE delta: a failover between two separate single-field
 // rewrites could strand a stream carrying a seq and a cursor from different
-// moments. Without the log, only the sequence field.
+// moments. Without the log, only the sequence field. Both values are slices
+// of one string: one allocation per patch (DESIGN.md §7e rule 1a).
 func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) burst.Header {
-	h := burst.Header{burst.HdrResumeSeq: strconv.FormatUint(seq, 10)}
+	b := strconv.AppendUint(make([]byte, 0, 64), seq, 10)
+	n := len(b)
 	if in.rt.LogEnabled() && state.topic != "" {
 		if tail, ok := in.rt.LogTail(state.topic); ok {
-			h[burst.HdrCursor] = tail.String()
+			b = tail.AppendTo(b)
 		}
 	}
-	return h
+	s := string(b)
+	state.patch[burst.HdrResumeSeq] = s[:n]
+	if n < len(s) { // a log never drops a topic: a stream's patch has a cursor always or never
+		state.patch[burst.HdrCursor] = s[n:]
+	}
+	return state.patch
 }
 
 // queryMailbox asks the WAS for viewer's messages after since, oldest first.
@@ -397,5 +405,3 @@ func (in *messengerInstance) OnAck(st *brass.Stream, seq uint64) {
 	// Acks exist so BRASSes can implement retransmission policies; the
 	// mailbox makes retransmission a catch-up query here.
 }
-
-var _ brass.Application = (*Messenger)(nil)

@@ -66,14 +66,7 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 			"to":    strconv.FormatUint(target, 10),
 		})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(target), "user_notif", ref, ctx.Now, kind)
-		ctx.Publish(pylon.Event{
-			Topic: NotifTopic(target),
-			Ref:   uint64(ref),
-			Meta: map[string]string{
-				"kind":   kind,
-				"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-			},
-		}, false)
+		ctx.Publish(pylon.Event{Topic: NotifTopic(target), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return uint64(ref), nil
 	})
 
@@ -163,5 +156,3 @@ func (in *notifInstance) OnAck(st *brass.Stream, seq uint64) {
 		_ = st.RewriteHeaderField(HdrUnseenCount, "0")
 	}
 }
-
-var _ brass.Application = (*WebsiteNotifications)(nil)

@@ -23,7 +23,6 @@ const AppReactions = "reactions"
 // handful of counters — the strongest possible form of "drop messages
 // intelligently".
 type LiveVideoReactions struct {
-
 	// FlushInterval is the aggregate push cadence.
 	FlushInterval time.Duration
 }
@@ -62,12 +61,9 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(videoID), tao.AssocType("reaction_"+kind),
 			tao.ObjID(ctx.Viewer), ctx.Now, "")
 		ctx.Publish(pylon.Event{
-			Topic: ReactionsTopic(videoID),
-			Meta: map[string]string{
-				"kind":   kind,
-				"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-				"video":  strconv.FormatUint(videoID, 10),
-			},
+			Topic:  ReactionsTopic(videoID),
+			Author: uint64(ctx.Viewer),
+			Meta:   map[string]string{"kind": kind, "video": strconv.FormatUint(videoID, 10)},
 		}, false)
 		return true, nil
 	})
@@ -81,8 +77,8 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 	})
 
 	w.RegisterPayload(AppReactions, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		// Aggregates are assembled BRASS-side; the payload resolver is
-		// only used for diagnostics.
+		// Aggregates are assembled BRASS-side; a fetch is the privacy
+		// check that gates counting a reaction, its bytes are diagnostics.
 		return ev.Meta, nil
 	})
 	return a
@@ -156,6 +152,10 @@ func (in *reactionsInstance) OnEvent(ev pylon.Event) {
 		if !ok {
 			continue
 		}
+		if _, err := st.FetchPayload(ev); err != nil {
+			st.Filtered() // a reactor the viewer may not see is not counted
+			continue
+		}
 		state.videoID = video
 		state.counts[kind]++
 		// Aggregated, not forwarded: this counts as intelligent
@@ -165,5 +165,3 @@ func (in *reactionsInstance) OnEvent(ev pylon.Event) {
 }
 
 func (in *reactionsInstance) OnAck(st *brass.Stream, seq uint64) {}
-
-var _ brass.Application = (*LiveVideoReactions)(nil)

@@ -19,7 +19,6 @@ import (
 // (ii) containers that ranked into the top N, and (iii) container deletion
 // requests — so the device needs only one initial poll ever.
 type Stories struct {
-
 	// TraySize is the number of containers a device displays (paper: n).
 	TraySize int
 }
@@ -56,12 +55,10 @@ func NewStories(w Registrar) *Stories {
 		})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(author.ID), "user_story", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{
-			Topic: StoriesTopic(uint64(author.ID)),
-			Ref:   uint64(ref),
-			Meta: map[string]string{
-				"author": strconv.FormatUint(uint64(author.ID), 10),
-				"score":  strconv.FormatFloat(score, 'f', 4, 64),
-			},
+			Topic:  StoriesTopic(uint64(author.ID)),
+			Ref:    uint64(ref),
+			Author: uint64(author.ID),
+			Meta:   map[string]string{"score": strconv.FormatFloat(score, 'f', 4, 64)},
 		}, false)
 		return uint64(ref), nil
 	})
@@ -124,33 +121,36 @@ func (in *storiesInstance) OnStreamOpen(st *brass.Stream) error {
 
 func (in *storiesInstance) OnStreamClose(st *brass.Stream, reason string) { st.State = nil }
 
+// OnEvent privacy-checks the story first: a story the viewer may not see
+// does not rank its author's container into the tray either.
 func (in *storiesInstance) OnEvent(ev pylon.Event) {
-	author, err := strconv.ParseUint(ev.Meta["author"], 10, 64)
-	if err != nil {
-		return
-	}
 	score, _ := strconv.ParseFloat(ev.Meta["score"], 64)
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		state, ok := st.State.(*storiesStream)
 		if !ok {
 			continue
 		}
-		c := state.containers[author]
+		payload, err := st.FetchPayload(ev)
+		if err != nil {
+			st.Filtered()
+			continue
+		}
+		c := state.containers[ev.Author]
 		if c == nil {
-			c = &storyContainer{author: author}
-			state.containers[author] = c
+			c = &storyContainer{author: ev.Author}
+			state.containers[ev.Author] = c
 		}
 		if score > c.rank {
 			c.rank = score
 		}
-		in.reconcile(st, state, ev)
+		in.reconcile(st, state, ev, payload)
 	}
 }
 
 // reconcile recomputes the top-N containers and pushes the diff plus the
 // new story when its container is displayed. The BRASS — not the device —
 // decides what the tray shows.
-func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev pylon.Event) {
+func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev pylon.Event, payload []byte) {
 	ranked := make([]*storyContainer, 0, len(state.containers))
 	for _, c := range state.containers {
 		ranked = append(ranked, c)
@@ -162,10 +162,7 @@ func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev 
 		return ranked[i].author < ranked[j].author
 	})
 	top := make(map[uint64]bool, in.app.traySize())
-	for i, c := range ranked {
-		if i >= in.app.traySize() {
-			break
-		}
+	for _, c := range ranked[:min(len(ranked), in.app.traySize())] {
 		top[c.author] = true
 	}
 
@@ -188,13 +185,8 @@ func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev 
 		}
 	}
 	// The new story itself, if its container is displayed.
-	evAuthor, _ := strconv.ParseUint(ev.Meta["author"], 10, 64)
-	if state.displayed[evAuthor] {
-		if payload, err := st.FetchPayload(ev); err == nil {
-			batch = append(batch, brass.PayloadFor(ev, ev.ID, payload))
-		} else {
-			st.Filtered()
-		}
+	if state.displayed[ev.Author] {
+		batch = append(batch, brass.PayloadFor(ev, ev.ID, payload))
 	} else {
 		st.Filtered()
 	}
@@ -210,5 +202,3 @@ func (a *Stories) traySize() int {
 }
 
 func (in *storiesInstance) OnAck(st *brass.Stream, seq uint64) {}
-
-var _ brass.Application = (*Stories)(nil)

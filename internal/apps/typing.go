@@ -44,13 +44,9 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 			return nil, err
 		}
 		ctx.Publish(pylon.Event{
-			Topic: TypingTopic(thread, uint64(ctx.Viewer)),
-			Meta: map[string]string{
-				"uid":    strconv.FormatUint(uint64(ctx.Viewer), 10),
-				"thread": strconv.FormatUint(thread, 10),
-				"on":     on,
-				"author": strconv.FormatUint(uint64(ctx.Viewer), 10),
-			},
+			Topic:  TypingTopic(thread, uint64(ctx.Viewer)),
+			Author: uint64(ctx.Viewer),
+			Meta:   map[string]string{"thread": strconv.FormatUint(thread, 10), "on": on},
 		}, false)
 		return true, nil
 	})
@@ -68,9 +64,8 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 	})
 
 	w.RegisterPayload(AppTyping, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		uid, _ := strconv.ParseUint(ev.Meta["uid"], 10, 64)
 		thread, _ := strconv.ParseUint(ev.Meta["thread"], 10, 64)
-		return TypingPayload{Thread: thread, User: uid, Typing: ev.Meta["on"] == "true"}, nil
+		return TypingPayload{Thread: thread, User: ev.Author, Typing: ev.Meta["on"] == "true"}, nil
 	})
 	return a
 }
@@ -107,5 +102,3 @@ func (in *tiInstance) OnEvent(ev pylon.Event) {
 }
 
 func (in *tiInstance) OnAck(st *brass.Stream, seq uint64) {}
-
-var _ brass.Application = (*TypingIndicator)(nil)

@@ -216,6 +216,61 @@ func BURSTFrameDecode(b *testing.B) {
 	}
 }
 
+// handOff is a BRASS application that only ranges StreamsForTopic over the
+// event's topic and reports how many streams it saw: what is left to measure
+// is the hand-off itself.
+type handOff struct {
+	rt   *brass.Runtime
+	seen chan int
+}
+
+func (a *handOff) Name() string                                    { return "handoff" }
+func (a *handOff) NewInstance(rt *brass.Runtime) brass.AppInstance { a.rt = rt; return a }
+func (a *handOff) OnStreamClose(*brass.Stream, string)             {}
+func (a *handOff) OnAck(*brass.Stream, uint64)                     {}
+
+func (a *handOff) OnStreamOpen(st *brass.Stream) error {
+	err := st.AddTopic(pylon.Topic(st.Header(burst.HdrTopic)))
+	a.seen <- -1 // opened
+	return err
+}
+
+func (a *handOff) OnEvent(ev pylon.Event) {
+	n := 0
+	for range a.rt.Instance().StreamsForTopic(ev.Topic) {
+		n++
+	}
+	a.seen <- n
+}
+
+// BRASSEventHandOff measures one event from Host.Deliver through an
+// instance's loop queue to an app ranging StreamsForTopic over its one
+// stream: the per-event BRASS path with no application work on it.
+func BRASSEventHandOff(b *testing.B) {
+	app := &handOff{seen: make(chan int)}
+	host := brass.NewHost(brass.HostConfig{ID: "handoff-host"}, nil, nil, nil)
+	defer host.Close()
+	host.RegisterApp(app)
+	cliConn, hostConn := net.Pipe()
+	cli := burst.NewClient("handoff-device", cliConn, nil)
+	defer cli.Close()
+	host.AcceptSession("handoff", hostConn)
+	if _, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "handoff", burst.HdrTopic: "/handoff"}}); err != nil {
+		b.Fatal(err)
+	}
+	<-app.seen
+	ev := pylon.Event{Topic: "/handoff", Author: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.ID = uint64(i)
+		host.Deliver(ev)
+		if n := <-app.seen; n != 1 {
+			b.Fatalf("the app ranged over %d streams, want 1", n)
+		}
+	}
+}
+
 // EndToEndCommentPush measures one comment's full live-stack trip: WAS
 // mutation → TAO write → Pylon publish → BRASS filter+fetch → BURST push →
 // client receive.
@@ -281,19 +336,13 @@ func endToEndCommentPush(b *testing.B, plane *trace.Plane) {
 			b.Fatal(err)
 		}
 		// Wait for the push to arrive at the device.
-		for {
+		for got := false; !got; {
 			batch, ok := <-st.Events
 			if !ok {
 				b.Fatal("stream closed")
 			}
-			done := false
 			for _, d := range batch.Deltas {
-				if d.Type == burst.DeltaPayload {
-					done = true
-				}
-			}
-			if done {
-				break
+				got = got || d.Type == burst.DeltaPayload
 			}
 		}
 	}

@@ -91,7 +91,7 @@ func visibilityFixture() (*was.Server, pylon.Event) {
 	store := tao.MustNewStore(tao.DefaultConfig(), nil)
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	return was.New(store, graph, nil, nil), pylon.Event{
-		Topic: apps.PostTopic(1), ID: 1 << 20, Ref: 4242, Meta: map[string]string{"author": "2"},
+		Topic: apps.PostTopic(1), ID: 1 << 20, Ref: 4242, Author: 2,
 	}
 }
 

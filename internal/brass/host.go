@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -112,10 +113,11 @@ type Host struct {
 	mu        sync.Mutex
 	apps      map[string]Application
 	instances map[string]*Instance
-	// topicHostRefs counts, per topic, how many local instances hold a
-	// Pylon interest: the subscription manager registers with Pylon only
-	// on the 0→1 transition and unregisters on 1→0 (footnote 10).
-	topicHostRefs map[pylon.Topic]map[*Instance]bool
+	// topicHostRefs lists, per topic, the local instances holding a Pylon
+	// interest: the subscription manager registers with Pylon only on the
+	// 0→1 transition and unregisters on 1→0 (footnote 10). Each list is
+	// copy-on-write, so Deliver ranges over it after releasing mu.
+	topicHostRefs map[pylon.Topic][]*Instance
 	// pendingSubs tracks topics whose Pylon registration failed transiently
 	// and is being re-established in the background by the subscription
 	// manager; the local refs stay live meanwhile.
@@ -195,7 +197,7 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		sched:         sched,
 		apps:          make(map[string]Application),
 		instances:     make(map[string]*Instance),
-		topicHostRefs: make(map[pylon.Topic]map[*Instance]bool),
+		topicHostRefs: make(map[pylon.Topic][]*Instance),
 		pendingSubs:   make(map[pylon.Topic]*subRetry),
 		sessions:      make(map[*burst.ServerSession]bool),
 		perStream:     make(map[*Instance]bool),
@@ -325,11 +327,10 @@ func (h *Host) RunningInstances() int {
 // Deliver implements pylon.Subscriber: the host's subscription manager fans
 // the event out to every local instance interested in the topic. Host
 // admission runs first: an over-rate event is shed here, before any
-// instance queueing or app work (the nil check is free when disabled).
+// instance queueing or app work (the nil check is free when disabled). An
+// event ranges the stored copy-on-write list: membership changes pay the copy.
 //
-// audited allocation.
-//
-//brlint:hotpath per-event BRASS fan-out; the instance snapshot is the one
+//brlint:hotpath per-event BRASS fan-out
 func (h *Host) Deliver(ev pylon.Event) {
 	if !h.Admit.Allow() {
 		sp := h.cfg.Tracer.Start(ev.Trace, trace.HopDeliver, trace.HopFanout)
@@ -338,13 +339,7 @@ func (h *Host) Deliver(ev pylon.Event) {
 		return
 	}
 	h.mu.Lock()
-	set := h.topicHostRefs[ev.Topic]
-	//brlint:allow(hot-path-alloc) per-delivery instance snapshot: deliveries must run outside h.mu (no-lock-across-block), and the slice is bounded by co-resident instances per topic
-	instances := make([]*Instance, 0, len(set))
-	for inst := range set {
-		//brlint:allow(hot-path-alloc) same audited snapshot: capacity is pre-sized by the make above, the append never grows it
-		instances = append(instances, inst)
-	}
+	instances := h.topicHostRefs[ev.Topic]
 	h.mu.Unlock()
 	for _, inst := range instances {
 		inst.deliver(ev)
@@ -358,11 +353,7 @@ func (h *Host) subscribeTopic(topic pylon.Topic, inst *Instance) error {
 	h.mu.Lock()
 	set := h.topicHostRefs[topic]
 	needPylon := len(set) == 0
-	if set == nil {
-		set = make(map[*Instance]bool)
-		h.topicHostRefs[topic] = set
-	}
-	set[inst] = true
+	h.topicHostRefs[topic] = append(slices.Clip(set), inst)
 	h.mu.Unlock()
 
 	if !needPylon {
@@ -384,15 +375,22 @@ func (h *Host) subscribeTopic(topic pylon.Topic, inst *Instance) error {
 			return nil
 		}
 		h.mu.Lock()
-		delete(set, inst)
-		if len(set) == 0 {
-			delete(h.topicHostRefs, topic)
-		}
+		h.dropRefLocked(topic, inst)
 		h.mu.Unlock()
 		return err
 	}
 	h.PylonSubs.Inc()
 	return nil
+}
+
+// without returns list minus x as a new slice, or list itself: like
+// append(slices.Clip(list), x), it never writes a stored copy-on-write list.
+func without[T comparable](list []T, x T) []T {
+	i := slices.Index(list, x)
+	if i < 0 {
+		return list
+	}
+	return append(list[:i:i], list[i+1:]...)
 }
 
 // transientPylonErr reports whether a Pylon registration failure is worth
@@ -458,11 +456,8 @@ func (h *Host) retrySubscribe(topic pylon.Topic, sr *subRetry) {
 // unregisters the host from Pylon.
 func (h *Host) unsubscribeTopic(topic pylon.Topic, inst *Instance) {
 	h.mu.Lock()
-	set := h.topicHostRefs[topic]
-	delete(set, inst)
-	last := set != nil && len(set) == 0
+	last := h.dropRefLocked(topic, inst)
 	if last {
-		delete(h.topicHostRefs, topic)
 		if sr := h.pendingSubs[topic]; sr != nil {
 			if sr.cancel != nil {
 				sr.cancel()
@@ -474,6 +469,18 @@ func (h *Host) unsubscribeTopic(topic pylon.Topic, inst *Instance) {
 	if last && h.pylon != nil {
 		_ = h.pylon.Unsubscribe(topic, h.cfg.ID)
 	}
+}
+
+// dropRefLocked takes inst off topic's list and reports whether that emptied
+// the list. Callers hold h.mu.
+func (h *Host) dropRefLocked(topic pylon.Topic, inst *Instance) bool {
+	set, ok := h.topicHostRefs[topic]
+	if rest := without(set, inst); len(rest) > 0 {
+		h.topicHostRefs[topic] = rest
+		return false
+	}
+	delete(h.topicHostRefs, topic)
+	return ok
 }
 
 // DurLog returns the host's durable per-topic log (nil when disabled).
@@ -521,13 +528,7 @@ func (h *Host) Close() {
 		}
 		delete(h.pendingSubs, topic)
 	}
-	instances := make([]*Instance, 0, len(h.instances)+len(h.perStream))
-	for _, inst := range h.instances {
-		instances = append(instances, inst)
-	}
-	for inst := range h.perStream {
-		instances = append(instances, inst)
-	}
+	instances := h.instancesLocked()
 	h.perStream = make(map[*Instance]bool)
 	sessions := make([]*burst.ServerSession, 0, len(h.sessions))
 	for s := range h.sessions {
@@ -628,17 +629,23 @@ func (hh hostSessionHandler) OnSessionClose(streams []*burst.ServerStream, err e
 // posted before the call. Tests use it to avoid sleeps.
 func (h *Host) Quiesce() {
 	h.mu.Lock()
-	instances := make([]*Instance, 0, len(h.instances)+len(h.perStream))
-	for _, inst := range h.instances {
-		instances = append(instances, inst)
-	}
-	for inst := range h.perStream {
-		instances = append(instances, inst)
-	}
+	instances := h.instancesLocked()
 	h.mu.Unlock()
 	for _, inst := range instances {
 		inst.call(func() {})
 	}
+}
+
+// instancesLocked lists every running instance. Callers hold h.mu.
+func (h *Host) instancesLocked() []*Instance {
+	out := make([]*Instance, 0, len(h.instances)+len(h.perStream))
+	for _, inst := range h.instances {
+		out = append(out, inst)
+	}
+	for inst := range h.perStream {
+		out = append(out, inst)
+	}
+	return out
 }
 
 // FilterRate returns the fraction of decisions that did not result in a

@@ -20,6 +20,7 @@ package brass
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,19 +66,20 @@ type Instance struct {
 	rt   *Runtime
 	impl AppInstance
 
-	tasks *overload.Queue[func()]
+	tasks *overload.Queue[task]
 	quit  chan struct{}
 	done  chan struct{}
 
-	// Loop-owned state (no locks needed on the loop):
-	topicStreams map[pylon.Topic]map[*Stream]bool
-	streams      map[*Stream]bool
+	// Loop-owned state (no locks needed on the loop). Each topic's stream
+	// list is copy-on-write, in open order: StreamsForTopic hands out the
+	// stored slice, and an AddTopic/DropTopic stores a new one.
+	topicStreams map[pylon.Topic][]*Stream
 
-	// flowStreams mirrors the loop-owned streams set for the degraded-mode
-	// signaler, which runs on whatever goroutine tripped the queue
-	// transition and therefore cannot read the loop-owned map.
-	flowMu      sync.Mutex
-	flowStreams map[*Stream]bool
+	// streams is the open-stream set. The loop writes it under flowMu and
+	// reads it freely; the degraded-mode signaler, which runs on whatever
+	// goroutine tripped the queue transition, reads it under flowMu.
+	flowMu  sync.Mutex
+	streams map[*Stream]bool
 
 	mu      sync.Mutex
 	stopped bool
@@ -91,6 +93,13 @@ type Instance struct {
 // logic; this bounded queue is the backstop.
 const taskBuffer = 4096
 
+// task is one unit of loop work, held by value: a delivery is its event (fn
+// nil), lifecycle work — open, close, ack, timers — is fn.
+type task struct {
+	fn func()
+	ev pylon.Event
+}
+
 func newInstance(h *Host, app Application) *Instance {
 	depth := h.cfg.LoopQueueDepth
 	if depth == 0 {
@@ -101,12 +110,11 @@ func newInstance(h *Host, app Application) *Instance {
 	inst := &Instance{
 		host:         h,
 		app:          app,
-		tasks:        overload.NewQueue[func()](depth),
+		tasks:        overload.NewQueue[task](depth),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
-		topicStreams: make(map[pylon.Topic]map[*Stream]bool),
+		topicStreams: make(map[pylon.Topic][]*Stream),
 		streams:      make(map[*Stream]bool),
-		flowStreams:  make(map[*Stream]bool),
 	}
 	inst.tasks.OnDegraded = func() { inst.signalFlow(burst.FlowDegraded) }
 	inst.tasks.OnRecovered = func() { inst.signalFlow(burst.FlowRecovered) }
@@ -118,38 +126,50 @@ func newInstance(h *Host, app Application) *Instance {
 
 func (inst *Instance) loop() {
 	defer close(inst.done)
-	for {
+	for quit := false; !quit; {
 		select {
 		case <-inst.tasks.Ready():
-			for {
-				fn, _, ok := inst.tasks.Pop()
-				if !ok {
-					break
-				}
-				fn()
-			}
 		case <-inst.quit:
 			// Drain remaining tasks before exiting so shutdown is
 			// not racy with queued work.
-			for {
-				fn, _, ok := inst.tasks.Pop()
-				if !ok {
-					return
-				}
-				fn()
-			}
+			quit = true
+		}
+		for t, _, ok := inst.tasks.Pop(); ok; t, _, ok = inst.tasks.Pop() {
+			inst.run(t)
 		}
 	}
+}
+
+// run executes one task on the loop: lifecycle work, or one event handed to
+// the app — one keep/drop decision per candidate stream (Fig 8's "decisions
+// on updates").
+func (inst *Instance) run(t task) {
+	if t.fn != nil {
+		t.fn()
+		return
+	}
+	ev := t.ev
+	sp := inst.host.cfg.Tracer.Start(ev.Trace, trace.HopDeliver, trace.HopFanout)
+	defer sp.End()
+	sp.Annotate("host", inst.host.cfg.ID)
+	sp.Annotate("app", inst.app.Name())
+	if streams := inst.topicStreams[ev.Topic]; len(streams) > 0 {
+		inst.host.Decisions.Add(int64(len(streams)))
+		sp.AnnotateInt("streams", int64(len(streams)))
+	} else {
+		// Subscribed with no local streams (e.g. friend-status
+		// fan-in): still one decision by the app.
+		inst.host.Decisions.Inc()
+		sp.AnnotateInt("streams", 0)
+	}
+	inst.impl.OnEvent(ev)
 }
 
 // signalFlow tells every stream on this instance that its loop entered or
 // left the shedding state.
 func (inst *Instance) signalFlow(code burst.FlowCode) {
 	inst.flowMu.Lock()
-	streams := make([]*Stream, 0, len(inst.flowStreams))
-	for st := range inst.flowStreams {
-		streams = append(streams, st)
-	}
+	streams := inst.Streams()
 	inst.flowMu.Unlock()
 	for _, st := range streams {
 		st.announce(code, "brass-loop")
@@ -160,20 +180,23 @@ func (inst *Instance) signalFlow(code burst.FlowCode) {
 // acks, timers): it is never shed. It reports false only when the
 // instance has stopped.
 func (inst *Instance) post(fn func()) bool {
-	return inst.postClass(fn, overload.Control)
+	return inst.push(task{fn: fn}, overload.Control)
 }
 
-// postClass enqueues fn with an explicit shed class. Data-class work
-// (event deliveries) may displace the oldest queued Data task when the
-// loop is saturated; the displaced work is counted in LoopOverflows.
-func (inst *Instance) postClass(fn func(), class overload.Class) bool {
+// push enqueues t with an explicit shed class. Data-class work (event
+// deliveries) may displace the oldest queued Data task when the loop is
+// saturated; the displaced work is counted in LoopOverflows.
+//
+//brlint:hotpath per-event enqueue: the task is a value in the queue's array
+func (inst *Instance) push(t task, class overload.Class) bool {
 	inst.mu.Lock()
 	if inst.stopped {
 		inst.mu.Unlock()
 		return false
 	}
 	inst.mu.Unlock()
-	if shed := inst.tasks.Push(fn, class); shed > 0 {
+	//brlint:allow(hot-path-alloc) not per event: the queue's array grows only to a new occupancy high-water mark (Pop reuses it), and OnDegraded runs once per shed episode
+	if shed := inst.tasks.Push(t, class); shed > 0 {
 		inst.host.LoopOverflows.Add(int64(shed))
 	}
 	return true
@@ -209,49 +232,24 @@ func (inst *Instance) stop() {
 	<-inst.done
 }
 
-// deliver posts a Pylon event to the loop, counting per-stream decisions:
-// every event arriving at an instance forces one keep/drop decision per
-// candidate stream (Fig 8's "decisions on updates"). Deliveries are
-// Data-class: a saturated loop sheds the oldest queued delivery rather
-// than blocking Pylon or losing lifecycle work.
+// deliver hands a Pylon event to the loop as a value task (run does the
+// rest). Deliveries are Data-class: a saturated loop sheds the oldest queued
+// delivery rather than blocking Pylon or losing lifecycle work.
 //
-// audited allocation.
-//
-//brlint:hotpath per-event instance hand-off; the posted closure is the one
+//brlint:hotpath per-event instance hand-off
 func (inst *Instance) deliver(ev pylon.Event) {
-	//brlint:allow(hot-path-alloc) the event-loop task closure is the delivery unit itself: one bounded capture per event, shed oldest-first by the Data-class queue under overload
-	inst.postClass(func() {
-		sp := inst.host.cfg.Tracer.Start(ev.Trace, trace.HopDeliver, trace.HopFanout)
-		defer sp.End()
-		sp.Annotate("host", inst.host.cfg.ID)
-		sp.Annotate("app", inst.app.Name())
-		if streams := inst.topicStreams[ev.Topic]; len(streams) > 0 {
-			inst.host.Decisions.Add(int64(len(streams)))
-			sp.AnnotateInt("streams", int64(len(streams)))
-		} else {
-			// Subscribed with no local streams (e.g. friend-status
-			// fan-in): still one decision by the app.
-			inst.host.Decisions.Inc()
-			sp.AnnotateInt("streams", 0)
-		}
-		inst.impl.OnEvent(ev)
-	}, overload.Data)
+	inst.push(task{ev: ev}, overload.Data)
 }
 
 // addTopicRef registers st's interest in topic (loop-owned).
 func (inst *Instance) addTopicRef(topic pylon.Topic, st *Stream) error {
-	set := inst.topicStreams[topic]
-	first := set == nil
-	if first {
-		set = make(map[*Stream]bool)
-		inst.topicStreams[topic] = set
-	}
-	if set[st] {
+	if st.topics[topic] {
 		return nil
 	}
-	set[st] = true
+	set := inst.topicStreams[topic]
+	inst.topicStreams[topic] = append(slices.Clip(set), st)
 	st.topics[topic] = true
-	if first {
+	if len(set) == 0 {
 		if err := inst.host.subscribeTopic(topic, inst); err != nil {
 			delete(inst.topicStreams, topic)
 			delete(st.topics, topic)
@@ -264,30 +262,29 @@ func (inst *Instance) addTopicRef(topic pylon.Topic, st *Stream) error {
 // dropTopicRef removes st's interest; the last reference unsubscribes the
 // instance (and possibly the host) from Pylon.
 func (inst *Instance) dropTopicRef(topic pylon.Topic, st *Stream) {
-	set := inst.topicStreams[topic]
-	if set == nil || !set[st] {
+	if !st.topics[topic] {
 		return
 	}
-	delete(set, st)
 	delete(st.topics, topic)
-	if len(set) == 0 {
-		delete(inst.topicStreams, topic)
-		inst.host.unsubscribeTopic(topic, inst)
+	if rest := without(inst.topicStreams[topic], st); len(rest) > 0 {
+		inst.topicStreams[topic] = rest
+		return
 	}
+	delete(inst.topicStreams, topic)
+	inst.host.unsubscribeTopic(topic, inst)
 }
 
-// StreamsForTopic returns the streams currently interested in topic. Only
-// call from the event loop (i.e. from application callbacks).
+// StreamsForTopic returns the streams interested in topic, in the order they
+// added it. The slice is the instance's own: read-only, and a snapshot — an
+// AddTopic or DropTopic while the caller ranges over it stores a new list and
+// leaves this one alone. Only call from the event loop (i.e. from
+// application callbacks).
 func (inst *Instance) StreamsForTopic(topic pylon.Topic) []*Stream {
-	set := inst.topicStreams[topic]
-	out := make([]*Stream, 0, len(set))
-	for st := range set {
-		out = append(out, st)
-	}
-	return out
+	return inst.topicStreams[topic]
 }
 
-// Streams returns all open streams on this instance (loop-only).
+// Streams returns all open streams on this instance (loop-only, or under
+// flowMu).
 func (inst *Instance) Streams() []*Stream {
 	out := make([]*Stream, 0, len(inst.streams))
 	for st := range inst.streams {
@@ -299,18 +296,19 @@ func (inst *Instance) Streams() []*Stream {
 // openStream runs the full stream-open sequence on the loop.
 func (inst *Instance) openStream(st *Stream) {
 	inst.post(func() {
+		inst.flowMu.Lock()
 		inst.streams[st] = true
+		inst.flowMu.Unlock()
 		if err := inst.impl.OnStreamOpen(st); err != nil {
+			inst.flowMu.Lock()
 			delete(inst.streams, st)
+			inst.flowMu.Unlock()
 			for topic := range st.topics {
 				inst.dropTopicRef(topic, st)
 			}
 			_ = st.burst.Terminate(fmt.Sprintf("rejected: %v", err))
 			return
 		}
-		inst.flowMu.Lock()
-		inst.flowStreams[st] = true
-		inst.flowMu.Unlock()
 		inst.host.StreamsOpened.Inc()
 		// A stream landing on an already-shedding loop learns immediately
 		// that deltas may be dropped, so its device can reopen it.
@@ -326,9 +324,8 @@ func (inst *Instance) closeStream(st *Stream, reason string) {
 		if !inst.streams[st] {
 			return
 		}
-		delete(inst.streams, st)
 		inst.flowMu.Lock()
-		delete(inst.flowStreams, st)
+		delete(inst.streams, st)
 		inst.flowMu.Unlock()
 		for topic := range st.topics {
 			inst.dropTopicRef(topic, st)

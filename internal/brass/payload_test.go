@@ -2,7 +2,6 @@ package brass
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,10 +134,7 @@ func TestPayloadCachePrivacyPerViewer(t *testing.T) {
 	env := newPayloadEnv(t, HostConfig{})
 	const author, blocked, allowed = socialgraph.UserID(3), socialgraph.UserID(4), socialgraph.UserID(5)
 	env.graph.Block(blocked, author)
-	ev := pylon.Event{
-		Topic: "/LVC/3", ID: 0x4401, Ref: 11,
-		Meta: map[string]string{"author": fmt.Sprint(author)},
-	}
+	ev := pylon.Event{Topic: "/LVC/3", ID: 0x4401, Ref: 11, Author: uint64(author)}
 
 	// Warm the cache as an allowed viewer.
 	if _, err := env.host.fetchPayload("echo", allowed, ev); err != nil {

@@ -75,12 +75,12 @@ const HdrRateLimiterState = "rate-limiter-state"
 
 // RankedItem is one buffered update candidate.
 type RankedItem struct {
-	Score   float64
-	Time    time.Time
-	Seq     uint64
-	Payload []byte
-	// Meta carries whatever the app needs at delivery time.
-	Meta map[string]string
+	Score float64
+	Time  time.Time
+	Seq   uint64
+	// Author is the originating event's author: a delivery rebuilt from the
+	// buffer is privacy-checked against it like the event itself.
+	Author uint64
 	// Trace preserves the originating event's trace context across the
 	// buffer, so a rate-limited delivery still closes its spans against
 	// the mutation that produced it.

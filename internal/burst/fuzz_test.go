@@ -66,6 +66,18 @@ func checkBatch(t *testing.T, in []byte) {
 	if pairs > len(in)/2 {
 		t.Fatalf("%d header pairs from %d bytes", pairs, len(in))
 	}
+	// A header is one copy of its own bytes (DESIGN.md §7e rule 1a): with
+	// the frame poisoned after decode, every key and value reads the same.
+	frame := bytes.Clone(in)
+	kept, _ := DecodeBatch(frame)
+	for i := range frame {
+		frame[i] = 0xDB
+	}
+	for i, d := range kept.Deltas {
+		if !reflect.DeepEqual(d.Header, batch.Deltas[i].Header) {
+			t.Fatalf("delta %d's header reads %q once its frame is poisoned, want %q", i, d.Header, batch.Deltas[i].Header)
+		}
+	}
 	again, err := DecodeBatch(encodeMsg(batch))
 	if err != nil || !reflect.DeepEqual(again, batch) {
 		t.Fatalf("re-encoded batch decodes to %+v, %v; want %+v", again, err, batch)

@@ -380,19 +380,26 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 	frame.PutUvarint(b, uint64(d.Trace))
 }
 
-// readHeader reads what frame.PutStringMap wrote, into a map from rc. A
-// well-known key decodes to the package's own constant; every other string is
-// a copy, or a slice of r.Own (a stored request must not pin a frame buffer).
-// The loop needs no error check: Count bounds it by the input and a failed
-// Reader yields zero values until Done.
+// readHeader reads what frame.PutStringMap wrote, into a map from rc, with
+// ONE copy (DESIGN.md §7e rule 1a): a skip pass finds the pairs' encoded
+// span, which is copied once, and every value and every key that is not a
+// well-known constant is a slice of that copy — a header outlives its frame
+// and must not pin it. The loops need no error check: Count bounds them by
+// the input and a failed Reader yields zero values until Done.
 func readHeader(r *frame.Reader, rc *Received) Header {
 	if r.Byte() == 0 {
 		return nil
 	}
 	n := r.Count(2) // a pair is at least two length bytes
+	span := r.B
+	for i := 0; i < 2*n; i++ {
+		r.Bytes()
+	}
+	span = span[:len(span)-len(r.B)]
+	pairs := frame.Reader{B: span, Own: string(span)}
 	h := rc.header(n)
 	for ; n > 0; n-- {
-		h[headerKey(r)] = r.Str()
+		h[headerKey(&pairs)] = pairs.Str()
 	}
 	return h
 }
@@ -452,9 +459,10 @@ func putMsg(b *bytes.Buffer, v any) bool {
 }
 
 // DecodeSubscribe parses a Subscribe payload. The header's strings are slices
-// of ONE copy of b (a request outlives its frame); Body aliases b.
+// of ONE copy of the header's bytes (a request outlives its frame); Body
+// aliases b.
 func DecodeSubscribe(b []byte) (Subscribe, error) {
-	r := frame.Reader{B: b, Own: string(b)}
+	r := frame.Reader{B: b}
 	s := Subscribe{Header: readHeader(&r, nil), Body: r.Bytes()}
 	if err := r.Done(); err != nil {
 		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)

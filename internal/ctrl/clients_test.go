@@ -91,7 +91,7 @@ func TestPylonClientEndToEnd(t *testing.T) {
 		t.Fatal("WaitForSubscriber timed out")
 	}
 	events := []pylon.Event{
-		{Topic: "/t/1", Ref: 42, Seq: 3, Meta: map[string]string{"k": "v", "author": "12"}, Origin: "eu", Trace: 99},
+		{Topic: "/t/1", Ref: 42, Seq: 3, Author: 12, Meta: map[string]string{"k": "v"}, Origin: "eu", Trace: 99},
 		{Topic: "/t/1", Meta: map[string]string{}, Published: time.Unix(1600000000, 123456789)},
 		{Topic: "/t/1"},
 	}
@@ -256,10 +256,9 @@ func TestWASClientEndToEnd(t *testing.T) {
 	}
 
 	events := map[string]pylon.Event{
-		"untagged":       {Topic: "/t", Ref: 5},
-		"visible author": {Topic: "/t", Ref: 5, Meta: map[string]string{"author": "13"}, Published: time.Unix(1600000000, 1), Origin: "eu", Trace: 4},
-		"blocked author": {Topic: "/t", Ref: 5, Meta: map[string]string{"author": "12"}},
-		"bad author tag": {Topic: "/t", Ref: 5, Meta: map[string]string{"author": "12abc"}},
+		"no author":      {Topic: "/t", Ref: 5},
+		"visible author": {Topic: "/t", Ref: 5, Author: 13, Published: time.Unix(1600000000, 1), Origin: "eu", Trace: 4},
+		"blocked author": {Topic: "/t", Ref: 5, Author: 12, Meta: map[string]string{"k": "v"}},
 	}
 	for name, ev := range events {
 		gotErr, wantErr := cli.CheckEventVisibility(1, ev), srv.CheckEventVisibility(1, ev)

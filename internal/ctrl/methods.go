@@ -76,6 +76,7 @@ func putEvent(b *bytes.Buffer, ev *pylon.Event) {
 	frame.PutUvarint(b, ev.ID)
 	frame.PutUvarint(b, ev.Ref)
 	frame.PutUvarint(b, ev.Seq)
+	frame.PutUvarint(b, ev.Author)
 	frame.PutStringMap(b, ev.Meta)
 	var ns int64
 	if !ev.Published.IsZero() {
@@ -92,6 +93,7 @@ func readEvent(r *frame.Reader) (ev pylon.Event) {
 	ev.ID = r.Uvarint()
 	ev.Ref = r.Uvarint()
 	ev.Seq = r.Uvarint()
+	ev.Author = r.Uvarint()
 	ev.Meta = r.StringMap()
 	if ns := int64(r.Uvarint()); ns != 0 {
 		ev.Published = time.Unix(0, ns)
@@ -103,9 +105,9 @@ func readEvent(r *frame.Reader) (ev pylon.Event) {
 
 // eventMemo remembers the events a connection's dispatcher decoded last,
 // by their encoding. A fan-out asks about one event once per viewer; in
-// process those deliveries share one Event and its Meta map (which nobody
-// writes to), and the memo gives the served side the same sharing in place
-// of a topic, a map and its strings per viewer. Only the dispatcher
+// process those deliveries share one Event and its Meta map, if any (which
+// nobody writes to), and the memo gives the served side the same sharing in
+// place of a topic, a map and its strings per viewer. Only the dispatcher
 // goroutine touches it. Eight entries cover the handful of events a
 // BRASS host has in flight at once.
 type eventMemo struct {

@@ -50,11 +50,11 @@ func decodeEvent(b []byte) (pylon.Event, error) {
 }
 
 var goldenEvent = pylon.Event{
-	Topic: "/t/1", ID: 7, Ref: 42, Seq: 3, Meta: map[string]string{"author": "12"},
+	Topic: "/t/1", ID: 7, Ref: 42, Seq: 3, Author: 12, Meta: map[string]string{"lang": "2"},
 	Published: time.Unix(0, 1000), Origin: "eu", Trace: 9,
 }
 
-var goldenEventBytes = cat(str("/t/1"), []byte{7, 42, 3}, []byte{1, 1}, str("author"), str("12"),
+var goldenEventBytes = cat(str("/t/1"), []byte{7, 42, 3, 12}, []byte{1, 1}, str("lang"), str("2"),
 	[]byte{0xe8, 0x07}, str("eu"), []byte{9})
 
 func TestEventRoundTrip(t *testing.T) {
@@ -72,7 +72,7 @@ func TestEventRoundTrip(t *testing.T) {
 		"before 1970":    {Published: time.Unix(-5, 0)},
 		"traced":         {Topic: "/t", Trace: trace.ID(1<<63 + 5)},
 		"empty origin":   {Topic: "/t", Origin: ""},
-		"big numbers":    {ID: 1<<64 - 1, Ref: 1 << 63, Seq: 1 << 35},
+		"big numbers":    {ID: 1<<64 - 1, Ref: 1 << 63, Seq: 1 << 35, Author: 1<<64 - 1},
 	}
 	for name, ev := range cases {
 		got, err := decodeEvent(encodeEvent(ev))
@@ -99,8 +99,8 @@ func TestEventRoundTrip(t *testing.T) {
 }
 
 func TestEventRoundTripQuick(t *testing.T) {
-	prop := func(topic, origin string, id, ref, seq, tr uint64, meta map[string]string, emptyMeta bool, ns int64) bool {
-		ev := pylon.Event{Topic: pylon.Topic(topic), ID: id, Ref: ref, Seq: seq, Meta: meta, Origin: origin, Trace: trace.ID(tr)}
+	prop := func(topic, origin string, id, ref, seq, author, tr uint64, meta map[string]string, emptyMeta bool, ns int64) bool {
+		ev := pylon.Event{Topic: pylon.Topic(topic), ID: id, Ref: ref, Seq: seq, Author: author, Meta: meta, Origin: origin, Trace: trace.ID(tr)}
 		if emptyMeta {
 			ev.Meta = map[string]string{}
 		}
@@ -303,7 +303,7 @@ func TestMalformedInputClosesTheConn(t *testing.T) {
 		{"subscribe without a host", rawFrame(kindRequest, 1, subscribe[:6]), "malformed pylon.subscribe params: truncated"},
 		{"string longer than the frame", rawFrame(kindRequest, 1, []byte{1, 200, 'h'}), "malformed pylon.register-host params: truncated"},
 		{"event cut short", rawFrame(kindRequest, 1, cat([]byte{5}, goldenEventBytes[:9])), "malformed pylon.publish params: truncated"},
-		{"meta count beyond the frame", rawFrame(kindRequest, 1, cat([]byte{12, 5}, str("/t"), []byte{0, 0, 0, 1, 0xff, 0x7f})), "malformed was.check-visibility params: truncated"},
+		{"meta count beyond the frame", rawFrame(kindRequest, 1, cat([]byte{12, 5}, str("/t"), []byte{0, 0, 0, 0, 1, 0xff, 0x7f})), "malformed was.check-visibility params: truncated"},
 		{"deliver cut short", rawFrame(kindNotify, 0, cat([]byte{7}, str("h1"), goldenEventBytes[:3])), "malformed pylon.deliver params: truncated"},
 		{"varint that never ends", rawFrame(kindRequest, 1, cat([]byte{11}, bytes.Repeat([]byte{0x80}, 11))), "malformed was.resolve-subscription params: truncated"},
 		{"torn header then EOF", rawFrame(kindRequest, 1, []byte{15})[:5], "unexpected EOF"},

@@ -58,8 +58,11 @@ type Cursor struct {
 }
 
 // String renders the wire form "epoch.seq" carried in burst.HdrCursor.
-func (c Cursor) String() string {
-	return strconv.FormatUint(c.Epoch, 10) + "." + strconv.FormatUint(c.Seq, 10)
+func (c Cursor) String() string { return string(c.AppendTo(make([]byte, 0, 41))) }
+
+// AppendTo appends the wire form to b.
+func (c Cursor) AppendTo(b []byte) []byte {
+	return strconv.AppendUint(append(strconv.AppendUint(b, c.Epoch, 10), '.'), c.Seq, 10)
 }
 
 // Parse decodes the wire form. Sentinels and malformed strings return

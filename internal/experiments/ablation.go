@@ -23,14 +23,10 @@ import (
 // (80%+) never move payload bytes at all.
 func AblationMetadataVsPayload(events int, remoteRegions int, keepRate float64) Result {
 	meta := pylon.Event{
-		Topic: "/LVC/12345",
-		Ref:   987654321,
-		Meta: map[string]string{
-			"author": "123456789",
-			"score":  "0.8312",
-			"lang":   "2",
-			"video":  "12345",
-		},
+		Topic:  "/LVC/12345",
+		Ref:    987654321,
+		Author: 123456789,
+		Meta:   map[string]string{"score": "0.8312", "lang": "2"},
 	}
 	type fullEvent struct {
 		pylon.Event

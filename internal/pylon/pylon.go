@@ -63,9 +63,12 @@ type Event struct {
 	// Seq is an optional application-assigned sequence number (used by
 	// Messenger-style reliable applications).
 	Seq uint64
-	// Meta carries application metadata: poster uid, ML quality score,
-	// language, etc. It is small by design; cross-region links are a
-	// limited resource.
+	// Author is the uid whose action the event reports (0 = none): the one
+	// piece of metadata the system itself reads, for the privacy check.
+	Author uint64
+	// Meta is private to the application that published it (ML quality
+	// score, language, ...): nothing else reads a key. Small by design, nil
+	// when the app has nothing to say; cross-region links are limited.
 	Meta map[string]string
 	// Published is the publish timestamp.
 	Published time.Time

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,34 +301,31 @@ func (s *Server) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]
 
 // PrivacyCheck reports whether viewer may see content authored by author.
 // In the paper's environment these checks are complex and only ever run
-// inside the WAS; every update pushed to a device passes through here.
+// inside the WAS; every update pushed to a device passes through here. A
+// user the graph does not know (ids arrive over ctrl) is denied.
 func (s *Server) PrivacyCheck(viewer, author socialgraph.UserID) bool {
 	s.PrivacyChecks.Inc()
 	if viewer == 0 || author == 0 {
 		return true
 	}
-	if s.Graph.Blocks(viewer, author) || s.Graph.Blocks(author, viewer) {
+	if n := socialgraph.UserID(s.Graph.NumUsers()); viewer > n || author > n ||
+		s.Graph.Blocks(viewer, author) || s.Graph.Blocks(author, viewer) {
 		s.PrivacyDenied.Inc()
 		return false
 	}
 	return true
 }
 
-// FetchPayload is the BRASS→WAS callback (step 8 of Fig 5): it privacy-
+// FetchPayloadIn is the BRASS→WAS callback (step 8 of Fig 5): it privacy-
 // checks the event's author against the viewer, then resolves the payload
 // via the application's registered PayloadFunc — a TAO point query with
-// good caching characteristics.
+// good caching characteristics, served from region's follower so the fetch
+// a regional BRASS host issues stays region-local.
 //
 // The two halves are exposed separately as CheckEventVisibility and
 // ResolvePayloadIn so a BRASS host fanning one hot event out to many viewers
 // can run the mandatory per-viewer privacy check per stream while sharing a
 // single TAO read for the payload bytes.
-func (s *Server) FetchPayload(app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
-	return s.FetchPayloadIn("", app, viewer, ev)
-}
-
-// FetchPayloadIn is FetchPayload with the TAO read served from region's
-// follower — the fetch a regional BRASS host issues stays region-local.
 func (s *Server) FetchPayloadIn(region, app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
 	if err := s.CheckEventVisibility(viewer, ev); err != nil {
 		return nil, err
@@ -338,32 +334,23 @@ func (s *Server) FetchPayloadIn(region, app string, viewer socialgraph.UserID, e
 }
 
 // CheckEventVisibility runs the privacy check gating the release of ev's
-// payload to viewer: the event's author (when tagged in the metadata) is
-// checked against the viewer. It returns ErrDenied when the viewer must not
-// see the update. This must run once per viewer — payload bytes may be
-// shared, visibility decisions may not.
+// payload to viewer: the event's author (when it has one) is checked against
+// the viewer. It returns ErrDenied when the viewer must not see the update.
+// This must run once per viewer — payload bytes may be shared, visibility
+// decisions may not.
 func (s *Server) CheckEventVisibility(viewer socialgraph.UserID, ev pylon.Event) error {
 	sp := s.Tracer.Start(ev.Trace, trace.HopPrivacy, trace.HopFetch)
 	defer sp.End()
 	sp.AnnotateInt("viewer", int64(viewer))
-	if authorStr, ok := ev.Meta["author"]; ok {
-		author, err := strconv.ParseUint(authorStr, 10, 64)
-		if err != nil {
-			// Fail closed: a tag that does not name an author cannot be
-			// checked, and an unchecked delivery is not allowed.
-			sp.Annotate("denied", "bad-author-tag")
-			return fmt.Errorf("%w: viewer %d vs unparseable author tag %q", ErrDenied, viewer, authorStr)
-		}
-		if !s.PrivacyCheck(viewer, socialgraph.UserID(author)) {
-			sp.Annotate("denied", "blocked")
-			return fmt.Errorf("%w: viewer %d vs author %d", ErrDenied, viewer, author)
-		}
+	if ev.Author != 0 && !s.PrivacyCheck(viewer, socialgraph.UserID(ev.Author)) {
+		sp.Annotate("denied", "blocked")
+		return fmt.Errorf("%w: viewer %d vs author %d", ErrDenied, viewer, ev.Author)
 	}
 	return nil
 }
 
 // ResolvePayloadIn resolves an event's payload bytes via the application's
-// registered PayloadFunc — the TAO read half of FetchPayload, served from
+// registered PayloadFunc — the TAO read half of FetchPayloadIn, served from
 // region's follower and independent of any viewer (the resolver runs in the
 // system context). Callers must have already passed CheckEventVisibility for
 // each viewer the bytes are released to.

@@ -227,8 +227,8 @@ func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 		}
 		return obj.Data["text"], nil
 	})
-	ev := pylon.Event{Ref: uint64(ref), Meta: map[string]string{"author": "2"}}
-	out, err := s.FetchPayload("lvc", 1, ev)
+	ev := pylon.Event{Ref: uint64(ref), Author: 2}
+	out, err := s.FetchPayloadIn("", "lvc", 1, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,36 +238,36 @@ func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 	}
 	// Blocked author → denied.
 	s.Graph.Block(1, 2)
-	if _, err := s.FetchPayload("lvc", 1, ev); !errors.Is(err, ErrDenied) {
+	if _, err := s.FetchPayloadIn("", "lvc", 1, ev); !errors.Is(err, ErrDenied) {
 		t.Errorf("blocked fetch: %v", err)
 	}
 	// Unknown app.
-	if _, err := s.FetchPayload("ghost", 1, pylon.Event{}); !errors.Is(err, ErrUnknownField) {
+	if _, err := s.FetchPayloadIn("", "ghost", 1, pylon.Event{}); !errors.Is(err, ErrUnknownField) {
 		t.Errorf("unknown app: %v", err)
 	}
 }
 
-// TestVisibilityFailsClosedOnBadAuthorTag is the regression test for the
-// fail-open parse: "privacy is checked before every delivery" must not
-// depend on well-formed metadata. An author tag that is not a whole decimal
-// user id denies; no tag at all (a system event) still passes.
-func TestVisibilityFailsClosedOnBadAuthorTag(t *testing.T) {
+// TestVisibilityChecksTheEventAuthor: the privacy check reads the event's
+// Author field and nothing else — a Meta key of that name is the app's own
+// business — and an event without an author (a system event) passes.
+func TestVisibilityChecksTheEventAuthor(t *testing.T) {
 	s, _ := newTestWAS(t)
 	s.Graph.Block(1, 12)
-	for _, tag := range []string{"12abc", "abc", "", " 12", "-3", "1e3", "99999999999999999999999"} {
-		ev := pylon.Event{Meta: map[string]string{"author": tag}}
-		if err := s.CheckEventVisibility(1, ev); !errors.Is(err, ErrDenied) {
-			t.Errorf("author tag %q: err = %v, want ErrDenied", tag, err)
-		}
-	}
-	if err := s.CheckEventVisibility(1, pylon.Event{Meta: map[string]string{"author": "12"}}); !errors.Is(err, ErrDenied) {
+	if err := s.CheckEventVisibility(1, pylon.Event{Author: 12}); !errors.Is(err, ErrDenied) {
 		t.Errorf("blocked author 12: err = %v, want ErrDenied", err)
 	}
-	if err := s.CheckEventVisibility(1, pylon.Event{Meta: map[string]string{"author": "13"}}); err != nil {
+	if err := s.CheckEventVisibility(1, pylon.Event{Author: 13, Meta: map[string]string{"author": "12"}}); err != nil {
 		t.Errorf("unblocked author 13: %v", err)
 	}
 	if err := s.CheckEventVisibility(1, pylon.Event{}); err != nil {
-		t.Errorf("untagged event: %v", err)
+		t.Errorf("event without an author: %v", err)
+	}
+	// An author or viewer the graph does not know is denied, not a panic
+	// (FuzzCtrlFrame found an event from the wire that crashed the WAS).
+	for _, c := range [][2]socialgraph.UserID{{1, 101}, {101, 1}, {1 << 40, 1 << 41}} {
+		if err := s.CheckEventVisibility(c[0], pylon.Event{Author: uint64(c[1])}); !errors.Is(err, ErrDenied) {
+			t.Errorf("viewer %d, author %d: err = %v, want ErrDenied", c[0], c[1], err)
+		}
 	}
 }
 
@@ -369,7 +369,7 @@ func TestConcurrentExecutorStress(t *testing.T) {
 				case 3:
 					s.PrivacyCheck(viewer, socialgraph.UserID(i%50+1))
 				case 4:
-					_, _ = s.FetchPayload("app", viewer, pylon.Event{Ref: 1})
+					_, _ = s.FetchPayloadIn("", "app", viewer, pylon.Event{Ref: 1})
 				}
 			}
 		}()
