@@ -241,6 +241,16 @@ func BenchmarkGraphPrivacyCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkSocialGraphGenerate is what every cluster pays before its first
+// stream opens: the default graph, 1 000 users and about 76 000 friend
+// entries (TestGenerateAllocations in internal/socialgraph holds its cost).
+func BenchmarkSocialGraphGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		socialgraph.MustGenerate(socialgraph.DefaultConfig())
+	}
+}
+
 // BenchmarkAblationPerStreamInstances compares shared-instance hosting
 // (production Bladerunner) against the one-instance-per-stream variant §7
 // suggests for lower-scale deployments: the isolation costs one goroutine +

@@ -48,7 +48,11 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 	// One device subscribe → one topic per friend (many BRASS→Pylon
 	// subscriptions per device subscription).
 	w.RegisterSubscription("activeStatus", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
-		friends := ctx.Srv.Graph.Friends(ctx.Viewer)
+		me, err := ctx.User()
+		if err != nil {
+			return nil, err
+		}
+		friends := ctx.Srv.Graph.Friends(me.ID)
 		topics := make([]pylon.Topic, len(friends))
 		for i, f := range friends {
 			topics[i] = StatusTopic(f)

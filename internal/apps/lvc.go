@@ -74,7 +74,10 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		if err != nil {
 			return nil, err
 		}
-		author := ctx.Srv.Graph.User(ctx.Viewer)
+		author, err := ctx.User()
+		if err != nil {
+			return nil, err
+		}
 		score := was.QualityScore(author, text)
 
 		// The comment is always stored...

@@ -46,7 +46,10 @@ func NewStories(w Registrar) *Stories {
 		if err != nil {
 			return nil, err
 		}
-		author := ctx.Srv.Graph.User(ctx.Viewer)
+		author, err := ctx.User()
+		if err != nil {
+			return nil, err
+		}
 		score := was.QualityScore(author, content)
 		ref := ctx.Srv.TAO.ObjectAdd("story", map[string]string{
 			"content": content,
@@ -64,7 +67,11 @@ func NewStories(w Registrar) *Stories {
 	})
 
 	w.RegisterSubscription("storiesTray", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
-		friends := ctx.Srv.Graph.Friends(ctx.Viewer)
+		me, err := ctx.User()
+		if err != nil {
+			return nil, err
+		}
+		friends := ctx.Srv.Graph.Friends(me.ID)
 		topics := make([]pylon.Topic, len(friends))
 		for i, f := range friends {
 			topics[i] = StoriesTopic(uint64(f))

@@ -114,7 +114,7 @@ func CtrlCheckVisibilityWire(b *testing.B) {
 
 // feedComment is the comment mutation the benchmark's feed workloads send;
 // its ids are past strconv's small-integer table, as theirs are.
-const feedComment = `postFeedComment(postID: 100017, text: "comment 4242 on post 100017, by user 1009")`
+const feedComment = `postFeedComment(postID: 100017, text: "comment 4242 on post 100017, by user 100")`
 
 // WASParseField measures the scanner on that mutation and on the workloads'
 // subscription expression.
@@ -138,7 +138,7 @@ func WASMutateFeedComment(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.MutateIn("", 1009, feedComment); err != nil {
+		if _, err := w.MutateIn("", 100, feedComment); err != nil {
 			b.Fatal(err)
 		}
 	}

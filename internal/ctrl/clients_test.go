@@ -212,7 +212,7 @@ func TestWASClientEndToEnd(t *testing.T) {
 		if wantErr == nil {
 			return
 		}
-		for _, sentinel := range []error{was.ErrDenied, was.ErrUnknownField} {
+		for _, sentinel := range []error{was.ErrDenied, was.ErrUnknownField, was.ErrUnknownUser} {
 			if errors.Is(gotErr, sentinel) != errors.Is(wantErr, sentinel) {
 				t.Errorf("%s: errors.Is(%v) differs: wire %v, direct %v", what, sentinel, gotErr, wantErr)
 			}
@@ -238,20 +238,25 @@ func TestWASClientEndToEnd(t *testing.T) {
 			"not ( an expression",
 			"",
 		} {
-			for _, region := range []string{"", "eu"} {
-				got, gotErr := c.wire(region, 7, expr)
-				want, wantErr := c.direct(region, 7, expr)
-				same(fmt.Sprintf("%s(%q, 7, %q)", c.name, region, expr), got, want, gotErr, wantErr)
+			// 101 is beyond the 100-user graph: ErrUnknownUser, on both sides.
+			for _, viewer := range []socialgraph.UserID{7, 101} {
+				for _, region := range []string{"", "eu"} {
+					got, gotErr := c.wire(region, viewer, expr)
+					want, wantErr := c.direct(region, viewer, expr)
+					same(fmt.Sprintf("%s(%q, %d, %q)", c.name, region, viewer, expr), got, want, gotErr, wantErr)
+				}
 			}
 		}
 	}
 
-	for _, expr := range []string{"watch(n: 3)", "watch(n: 0)", "watch(n: x)", "noSuchField"} {
-		got, gotErr := cli.ResolveSubscription(9, expr)
-		want, wantErr := srv.ResolveSubscription(9, expr)
-		same("ResolveSubscription "+expr, nil, nil, gotErr, wantErr)
-		if fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(want) {
-			t.Errorf("ResolveSubscription(%q) over the wire = %v, direct = %v", expr, got, want)
+	for _, viewer := range []socialgraph.UserID{9, 101} {
+		for _, expr := range []string{"watch(n: 3)", "watch(n: 0)", "watch(n: x)", "noSuchField"} {
+			got, gotErr := cli.ResolveSubscription(viewer, expr)
+			want, wantErr := srv.ResolveSubscription(viewer, expr)
+			same(fmt.Sprintf("ResolveSubscription(%d, %q)", viewer, expr), nil, nil, gotErr, wantErr)
+			if fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(want) {
+				t.Errorf("ResolveSubscription(%d, %q) over the wire = %v, direct = %v", viewer, expr, got, want)
+			}
 		}
 	}
 

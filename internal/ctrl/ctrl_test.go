@@ -95,6 +95,7 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 		pylon.ErrUnknownSubscriber,
 		was.ErrDenied,
 		was.ErrUnknownField,
+		was.ErrUnknownUser,
 	}
 	cb.handle(mTestA, intHandler(func(i uint64) (uint64, error) {
 		if int(i) == len(cases) {

@@ -26,6 +26,7 @@ var sentinels = [...]error{
 	5: pylon.ErrUnknownSubscriber,
 	6: was.ErrDenied,
 	7: was.ErrUnknownField,
+	8: was.ErrUnknownUser,
 }
 
 // codeFor maps err to its wire code. errors.Is runs on the server side, so

@@ -1,7 +1,6 @@
 // Package socialgraph models the slice of the social graph that the
 // Bladerunner applications operate on: users with power-law friend lists,
-// block lists, languages, live videos with viewer populations, message
-// threads, and stories. It replaces Facebook's production graph with a
+// block lists and languages. It replaces Facebook's production graph with a
 // synthetic generator whose distributions are configurable; see DESIGN.md §4
 // for why the substitution preserves the behaviour the paper measures.
 package socialgraph
@@ -10,33 +9,19 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // UserID identifies a user. IDs are dense, starting at 1.
 type UserID uint64
 
-// VideoID identifies a live video.
-type VideoID uint64
-
-// ThreadID identifies a messaging thread.
-type ThreadID uint64
-
 // Language tags the language a user posts and reads in.
 type Language uint8
 
-// The language universe used by the generator. The exact set does not
-// matter; LiveVideoComments filters comments whose language differs from the
-// viewer's.
-const (
-	LangEN Language = iota
-	LangES
-	LangPT
-	LangHI
-	LangAR
-	LangFR
-	numLanguages
-)
+// numLanguages is the size of the language universe the generator draws
+// from. The exact set does not matter; LiveVideoComments filters comments
+// whose language differs from the viewer's.
+const numLanguages = 6
 
 // User is one node of the graph.
 type User struct {
@@ -46,11 +31,13 @@ type User struct {
 }
 
 // Graph is an immutable-after-generation social graph. All read methods are
-// safe for concurrent use.
+// safe for concurrent use. Friend rows and block rows are sorted,
+// cap-clipped views of one exact-size array each; Block replaces a row, it
+// never writes into the shared array.
 type Graph struct {
-	users   []User // index = id-1
-	friends [][]UserID
-	blocked []map[UserID]bool
+	users   []User     // index = id-1
+	friends [][]UserID // index = id-1
+	blocked [][]UserID // index = id-1; nil blocks nobody
 }
 
 // Config parameterizes graph generation.
@@ -92,12 +79,12 @@ func Generate(cfg Config) (*Graph, error) {
 	g := &Graph{
 		users:   make([]User, cfg.Users),
 		friends: make([][]UserID, cfg.Users),
-		blocked: make([]map[UserID]bool, cfg.Users),
+		blocked: make([][]UserID, cfg.Users),
 	}
 	for i := range g.users {
 		g.users[i] = User{
 			ID:        UserID(i + 1),
-			Lang:      Language(rng.Intn(int(numLanguages))),
+			Lang:      Language(rng.Intn(numLanguages)),
 			Celebrity: rng.Float64() < cfg.CelebrityFraction,
 		}
 	}
@@ -123,10 +110,10 @@ func (g *Graph) generateFriendships(cfg Config, rng *rand.Rand) {
 		return
 	}
 	n := len(g.users)
-	sets := make([]map[UserID]bool, n)
-	for i := range sets {
-		sets[i] = make(map[UserID]bool)
-	}
+	// rows[i] holds user i+1's friends in draw order; while i draws,
+	// mark[j] == i+1 says user j+1 is one of them already.
+	rows := make([][]UserID, n)
+	mark := make([]int32, n)
 	// Bounded Pareto target degrees with the configured mean: shape 2.0
 	// gives mean 2*xm, so xm = mean/2.
 	xm := float64(cfg.MeanFriends) / 2
@@ -134,32 +121,45 @@ func (g *Graph) generateFriendships(cfg Config, rng *rand.Rand) {
 		xm = 1
 	}
 	maxDeg := n - 1
+	entries := 0
 	for i := 0; i < n; i++ {
 		deg := int(xm / math.Pow(1-rng.Float64(), 0.5))
 		if deg > maxDeg {
 			deg = maxDeg
 		}
-		for len(sets[i]) < deg {
+		stamp := int32(i + 1)
+		for _, f := range rows[i] {
+			mark[f-1] = stamp
+		}
+		for len(rows[i]) < deg {
 			// Preferential attachment: square the uniform to skew
 			// toward low IDs, creating hub users.
 			j := int(rng.Float64() * rng.Float64() * float64(n))
 			if j >= n {
 				j = n - 1
 			}
-			if j == i {
+			if j == i || mark[j] == stamp {
 				continue
 			}
-			sets[i][UserID(j+1)] = true
-			sets[j][UserID(i+1)] = true
+			mark[j] = stamp
+			rows[i] = append(rows[i], UserID(j+1))
+			rows[j] = append(rows[j], UserID(i+1))
+			entries += 2
 		}
 	}
-	for i, set := range sets {
-		lst := make([]UserID, 0, len(set))
-		for f := range set {
-			lst = append(lst, f)
+	// One transpose into one exact-size array: each friend row starts empty
+	// with its final capacity, and walking the users upward appends each to
+	// its friends' rows, so every row comes out sorted.
+	flat := make([]UserID, entries)
+	at := 0
+	for i, r := range rows {
+		g.friends[i] = flat[at : at : at+len(r)]
+		at += len(r)
+	}
+	for j, r := range rows {
+		for _, f := range r {
+			g.friends[f-1] = append(g.friends[f-1], UserID(j+1))
 		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-		g.friends[i] = lst
 	}
 }
 
@@ -168,21 +168,33 @@ func (g *Graph) generateBlocks(cfg Config, rng *rand.Rand) {
 		return
 	}
 	n := len(g.users)
-	// Each user blocks a Poisson-ish number of random users.
+	// Each user blocks a Poisson-ish number of random users. The draws
+	// land behind the previous user's sorted, deduplicated row in one
+	// scratch array, which is then copied to its exact size.
 	meanBlocks := cfg.BlockProb * 20
+	var drawn []UserID
+	ends := make([]int, n)
 	for i := 0; i < n; i++ {
 		k := int(rng.ExpFloat64() * meanBlocks)
-		if k == 0 {
-			continue
-		}
-		m := make(map[UserID]bool, k)
+		start := len(drawn)
 		for b := 0; b < k; b++ {
 			j := UserID(rng.Intn(n) + 1)
 			if int(j) != i+1 {
-				m[j] = true
+				drawn = append(drawn, j)
 			}
 		}
-		g.blocked[i] = m
+		slices.Sort(drawn[start:])
+		drawn = drawn[:start+len(slices.Compact(drawn[start:]))]
+		ends[i] = len(drawn)
+	}
+	flat := make([]UserID, len(drawn))
+	copy(flat, drawn)
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			g.blocked[i] = flat[start:end:end]
+		}
+		start = end
 	}
 }
 
@@ -190,7 +202,8 @@ func (g *Graph) generateBlocks(cfg Config, rng *rand.Rand) {
 func (g *Graph) NumUsers() int { return len(g.users) }
 
 // User returns the user record for id. It panics on out-of-range IDs, which
-// indicate a bug in the caller (IDs are dense and generated here).
+// indicate a bug in the caller: an id that arrives from a device is input,
+// range-checked by the WAS before any resolver reads the graph.
 func (g *Graph) User(id UserID) User {
 	g.check(id)
 	return g.users[id-1]
@@ -207,28 +220,29 @@ func (g *Graph) Friends(id UserID) []UserID {
 func (g *Graph) AreFriends(a, b UserID) bool {
 	g.check(a)
 	g.check(b)
-	lst := g.friends[a-1]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= b })
-	return i < len(lst) && lst[i] == b
+	_, found := slices.BinarySearch(g.friends[a-1], b)
+	return found
 }
 
 // Blocks reports whether viewer has blocked author.
 func (g *Graph) Blocks(viewer, author UserID) bool {
 	g.check(viewer)
 	g.check(author)
-	m := g.blocked[viewer-1]
-	return m != nil && m[author]
+	_, found := slices.BinarySearch(g.blocked[viewer-1], author)
+	return found
 }
 
 // Block adds author to viewer's block list (used by tests and demos; the
-// generator also produces blocks).
+// generator also produces blocks). Inserting into the clipped row always
+// allocates, so the row is replaced by a fresh copy and the array the
+// generated rows share is never written.
 func (g *Graph) Block(viewer, author UserID) {
 	g.check(viewer)
 	g.check(author)
-	if g.blocked[viewer-1] == nil {
-		g.blocked[viewer-1] = make(map[UserID]bool)
+	row := g.blocked[viewer-1]
+	if i, found := slices.BinarySearch(row, author); !found {
+		g.blocked[viewer-1] = slices.Insert(slices.Clip(row), i, author)
 	}
-	g.blocked[viewer-1][author] = true
 }
 
 // RandomUser returns a uniformly random user ID using rng.

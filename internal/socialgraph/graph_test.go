@@ -1,7 +1,11 @@
 package socialgraph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +97,71 @@ func TestDeterministicGeneration(t *testing.T) {
 	}
 }
 
+// digest is an FNV-64a hash over every user's record (language, celebrity),
+// friend row and block row, in id order.
+func digest(g *Graph) uint64 {
+	h := fnv.New64a()
+	var b []byte
+	for i, u := range g.users {
+		b = append(b[:0], byte(u.Lang), 0)
+		if u.Celebrity {
+			b[1] = 1
+		}
+		for _, row := range [][]UserID{g.friends[i], g.blocked[i]} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(len(row)))
+			for _, id := range row {
+				b = binary.LittleEndian.AppendUint64(b, uint64(id))
+			}
+		}
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
+// TestGenerateIsUnchanged pins the generated graph bit for bit. The digests
+// were recorded from the map-based generator this one replaced, over the same
+// byte sequence with its block sets read out in sorted order: the rng draws
+// are the same calls in the same order, so every friend list and block set a
+// cluster is built on is the one it had before.
+func TestGenerateIsUnchanged(t *testing.T) {
+	seed2 := DefaultConfig()
+	seed2.Seed = 2
+	big := DefaultConfig()
+	big.Users, big.MeanFriends = 5000, 40
+	for _, c := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{DefaultConfig(), 0x802b0dce3fa599d7},
+		{seed2, 0x54a25634cbcec396},
+		{big, 0x8a72e7469bd78986},
+		{Config{Users: 100, MeanFriends: 5, BlockProb: 0.3}, 0x87767e5fc1992cde},
+	} {
+		if got := digest(MustGenerate(c.cfg)); got != c.want {
+			t.Errorf("%+v: digest %#016x, want %#016x", c.cfg, got, c.want)
+		}
+	}
+}
+
+// TestGenerateAllocations holds what a cluster pays for its graph before its
+// first stream opens. The map-based generator took 13 344 allocations and
+// 5.13 MiB for the default graph.
+func TestGenerateAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc contract: the race detector allocates")
+	}
+	allocs := testing.AllocsPerRun(5, func() { MustGenerate(DefaultConfig()) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MustGenerate(DefaultConfig())
+	runtime.ReadMemStats(&after)
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("Generate(DefaultConfig): %.0f allocs, %.2f MiB", allocs, mib)
+	if allocs > 8000 || mib > 3 {
+		t.Errorf("Generate(DefaultConfig) = %.0f allocs, %.2f MiB; want <= 8000 and <= 3 MiB", allocs, mib)
+	}
+}
+
 func TestSeedChangesGraph(t *testing.T) {
 	cfg := DefaultConfig()
 	a := MustGenerate(cfg)
@@ -122,6 +191,46 @@ func TestBlocks(t *testing.T) {
 	}
 	if g.Blocks(2, 1) {
 		t.Error("blocking is directional; 2 should not block 1")
+	}
+}
+
+// TestBlockCopiesItsRow: generated block rows are views of one shared array,
+// so Block replaces a row and never writes into that array; a duplicate
+// block is a no-op; blocking stays directional.
+func TestBlockCopiesItsRow(t *testing.T) {
+	g := MustGenerate(Config{Users: 100, MeanFriends: 5, BlockProb: 0.3})
+	// A viewer whose row ends where the next user's row starts, with room
+	// for an author that sorts after all of its entries.
+	v := 0
+	for len(g.blocked[v]) == 0 || len(g.blocked[v+1]) == 0 || g.blocked[v][len(g.blocked[v])-1] == 100 {
+		v++
+	}
+	before := make([][]UserID, len(g.blocked))
+	for i, row := range g.blocked {
+		before[i] = slices.Clone(row)
+	}
+	viewer := UserID(v + 1)
+	// Sorting last, an insert in place would overwrite the next row's first entry.
+	author := g.blocked[v][len(g.blocked[v])-1] + 1
+	shared := g.blocked[v]
+	g.Block(viewer, shared[0])
+	if &g.blocked[v][0] != &shared[0] {
+		t.Error("a duplicate block replaced the row")
+	}
+	g.Block(viewer, author)
+	if want := append(slices.Clone(before[v]), author); !slices.Equal(g.blocked[v], want) {
+		t.Errorf("row after Block(%d, %d) = %v, want %v", viewer, author, g.blocked[v], want)
+	}
+	for i := range g.blocked {
+		if i != v && !slices.Equal(g.blocked[i], before[i]) {
+			t.Errorf("Block(%d, %d) changed user %d's row to %v, was %v", viewer, author, i+1, g.blocked[i], before[i])
+		}
+	}
+	if !g.Blocks(viewer, author) {
+		t.Errorf("Block(%d, %d) not visible", viewer, author)
+	}
+	if g.Blocks(author, viewer) != slices.Contains(before[author-1], viewer) {
+		t.Errorf("Block(%d, %d) changed what %d blocks", viewer, author, author)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 var (
 	ErrUnknownField = errors.New("was: unknown field")
 	ErrDenied       = errors.New("was: privacy check denied")
+	ErrUnknownUser  = errors.New("was: unknown user") // a viewer id is input: never a panic
 )
 
 // Ctx is handed to resolvers, by value: it bundles the server's dependencies
@@ -45,6 +46,16 @@ type Ctx struct {
 // region-local follower when one is registered, else the leader Store.
 // Writes never go through here — resolvers mutate ctx.Srv.TAO directly.
 func (c Ctx) Reader() tao.Reader { return c.Srv.reader(c.Region) }
+
+// User returns the graph record of the user the operation runs as. The
+// system viewer (0) has none: a resolver that reads the viewer's place in
+// the graph answers ErrUnknownUser for it.
+func (c Ctx) User() (socialgraph.User, error) {
+	if c.Viewer == 0 {
+		return socialgraph.User{}, fmt.Errorf("%w: the system viewer", ErrUnknownUser)
+	}
+	return c.Srv.Graph.User(c.Viewer), nil
+}
 
 // Publish emits an update event stamped with the context's region as its
 // origin, so the region plane replicates it outward from where the
@@ -240,21 +251,7 @@ func (s *Server) Query(viewer socialgraph.UserID, expr string) ([]byte, error) {
 // QueryIn is Query executing in a datacenter region: resolver reads go to
 // that region's TAO follower.
 func (s *Server) QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	call, err := ParseField(expr)
-	if err != nil {
-		return nil, err
-	}
-	fn := s.tables.Load().queries[call.Name]
-	if fn == nil {
-		return nil, fmt.Errorf("%w: query %q", ErrUnknownField, call.Name)
-	}
-	s.Queries.Inc()
-	s.CPUMillis.Add(cpuQueryRange)
-	v, err := fn(s.ctxIn(viewer, region), call)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
+	return marshal(run(s, s.tables.Load().queries, "query", &s.Queries, cpuQueryRange, region, viewer, expr))
 }
 
 // Mutate executes a write expression as viewer.
@@ -267,36 +264,44 @@ func (s *Server) Mutate(viewer socialgraph.UserID, expr string) ([]byte, error) 
 // carry the region as their origin, which is where the region plane's
 // cross-region replication starts.
 func (s *Server) MutateIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	call, err := ParseField(expr)
-	if err != nil {
-		return nil, err
-	}
-	fn := s.tables.Load().mutations[call.Name]
-	if fn == nil {
-		return nil, fmt.Errorf("%w: mutation %q", ErrUnknownField, call.Name)
-	}
-	s.Mutations.Inc()
-	s.CPUMillis.Add(cpuMutation)
-	v, err := fn(s.ctxIn(viewer, region), call)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
+	return marshal(run(s, s.tables.Load().mutations, "mutation", &s.Mutations, cpuMutation, region, viewer, expr))
 }
 
 // ResolveSubscription maps a device subscription expression to concrete
 // Pylon topics (BRASS calls this while instantiating a stream).
 func (s *Server) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]pylon.Topic, error) {
+	return run(s, s.tables.Load().subscriptions, "subscription", &s.Subscriptions, 0, "", viewer, expr)
+}
+
+// run parses expr, looks its field up in fns and calls the resolver as
+// viewer in region. Every query, mutation and subscription enters here, so
+// this is where a viewer the graph does not know is refused, by the range
+// rule PrivacyCheck applies, before any resolver is handed it.
+func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F, kind string,
+	calls *metrics.Counter, cpu int64, region string, viewer socialgraph.UserID, expr string) (R, error) {
+	var none R
 	call, err := ParseField(expr)
+	if err != nil {
+		return none, err
+	}
+	fn, ok := fns[call.Name]
+	if !ok {
+		return none, fmt.Errorf("%w: %s %q", ErrUnknownField, kind, call.Name)
+	}
+	if viewer > socialgraph.UserID(s.Graph.NumUsers()) {
+		return none, fmt.Errorf("%w: viewer %d", ErrUnknownUser, viewer)
+	}
+	calls.Inc()
+	s.CPUMillis.Add(cpu)
+	return fn(s.ctxIn(viewer, region), call)
+}
+
+// marshal encodes a resolver's answer as JSON.
+func marshal(v any, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn := s.tables.Load().subscriptions[call.Name]
-	if fn == nil {
-		return nil, fmt.Errorf("%w: subscription %q", ErrUnknownField, call.Name)
-	}
-	s.Subscriptions.Inc()
-	return fn(s.ctxIn(viewer, ""), call)
+	return json.Marshal(v)
 }
 
 // PrivacyCheck reports whether viewer may see content authored by author.
@@ -364,11 +369,7 @@ func (s *Server) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, e
 	if fn == nil {
 		return nil, fmt.Errorf("%w: payload for app %q", ErrUnknownField, app)
 	}
-	v, err := fn(s.ctxIn(0, region), tao.ObjID(ev.Ref), ev)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
+	return marshal(fn(s.ctxIn(0, region), tao.ObjID(ev.Ref), ev))
 }
 
 // Publish emits an update event to Pylon on behalf of a mutation. When

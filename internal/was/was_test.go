@@ -194,6 +194,37 @@ func TestResolveSubscription(t *testing.T) {
 	}
 }
 
+// TestUnknownViewerIsAnError: a viewer id arrives from a device or over
+// ctrl. One beyond the graph is ErrUnknownUser before any resolver runs, and
+// Ctx.User refuses the system viewer (0).
+func TestUnknownViewerIsAnError(t *testing.T) {
+	s, _ := newTestWAS(t)
+	me := func(ctx Ctx, call FieldCall) (any, error) {
+		u, err := ctx.User()
+		return u.ID, err
+	}
+	s.RegisterQuery("me", me)
+	s.RegisterMutation("me", me)
+	s.RegisterSubscription("me", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
+		_, err := ctx.User()
+		return nil, err
+	})
+	for _, viewer := range []socialgraph.UserID{0, 101, 1 << 63} {
+		if _, err := s.Query(viewer, "me"); !errors.Is(err, ErrUnknownUser) {
+			t.Errorf("Query as %d: err = %v, want ErrUnknownUser", viewer, err)
+		}
+		if _, err := s.Mutate(viewer, "me"); !errors.Is(err, ErrUnknownUser) {
+			t.Errorf("Mutate as %d: err = %v, want ErrUnknownUser", viewer, err)
+		}
+		if _, err := s.ResolveSubscription(viewer, "me"); !errors.Is(err, ErrUnknownUser) {
+			t.Errorf("ResolveSubscription as %d: err = %v, want ErrUnknownUser", viewer, err)
+		}
+	}
+	if out, err := s.Query(100, "me"); err != nil || string(out) != "100" {
+		t.Errorf("Query as the last user = %s, %v", out, err)
+	}
+}
+
 func TestPrivacyCheck(t *testing.T) {
 	s, _ := newTestWAS(t)
 	if !s.PrivacyCheck(1, 2) {
