@@ -2,6 +2,7 @@ package apps
 
 import (
 	"encoding/json"
+	"slices"
 	"time"
 
 	"bladerunner/internal/brass"
@@ -72,7 +73,6 @@ func (a *ActiveStatus) Name() string { return AppActiveStatus }
 type asStream struct {
 	online map[uint64]time.Time // friend → last report
 	shown  map[uint64]bool      // what the device currently displays
-	dirty  bool
 	cancel func()
 }
 
@@ -109,30 +109,34 @@ func (in *asInstance) scheduleFlush(st *brass.Stream, state *asStream) {
 }
 
 // flush diffs the fresh-online set against what the device shows and pushes
-// one batch with the changes (paper: "periodically pushes a batch update").
+// one batch with the changes (paper: "periodically pushes a batch update"):
+// the expirations, then the new onlines, each in ascending uid order.
 func (in *asInstance) flush(st *brass.Stream, state *asStream) {
 	now := in.rt.Now()
-	var batch []burst.Delta
-	// Expirations: shown-online friends whose reports went stale.
+	var expired, online []uint64
 	for uid, last := range state.online {
-		if now.Sub(last) > in.app.TTL {
+		switch {
+		case now.Sub(last) > in.app.TTL:
 			delete(state.online, uid)
 			if state.shown[uid] {
 				delete(state.shown, uid)
-				b, _ := json.Marshal(StatusPayload{User: uid, Online: false})
-				batch = append(batch, burst.PayloadDelta(0, b))
+				expired = append(expired, uid)
 			}
+		case !state.shown[uid]:
+			state.shown[uid] = true
+			online = append(online, uid)
 		}
 	}
-	// New onlines.
-	for uid := range state.online {
-		if !state.shown[uid] {
-			state.shown[uid] = true
-			b, _ := json.Marshal(StatusPayload{User: uid, Online: true})
+	var batch []burst.Delta
+	add := func(uids []uint64, isOnline bool) {
+		slices.Sort(uids)
+		for _, uid := range uids {
+			b, _ := json.Marshal(StatusPayload{User: uid, Online: isOnline})
 			batch = append(batch, burst.PayloadDelta(0, b))
 		}
 	}
-	state.dirty = false
+	add(expired, false)
+	add(online, true)
 	_ = st.Push(batch...)
 }
 
@@ -159,7 +163,6 @@ func (in *asInstance) OnEvent(ev pylon.Event) {
 			continue
 		}
 		state.online[ev.Author] = now
-		state.dirty = true
 	}
 }
 

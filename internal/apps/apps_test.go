@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"bladerunner/internal/durlog"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
+	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -29,7 +31,10 @@ type env struct {
 	host  *brass.Host
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t *testing.T) *env { return newEnvOn(t, nil) }
+
+// newEnvOn builds the env with the BRASS host on sched (nil: the wall clock).
+func newEnvOn(t *testing.T, sched sim.Scheduler) *env {
 	t.Helper()
 	nodes := []*kvstore.Node{
 		kvstore.NewNode("a", "us"), kvstore.NewNode("b", "eu"), kvstore.NewNode("c", "ap"),
@@ -48,7 +53,7 @@ func newEnv(t *testing.T) *env {
 	suite.ActiveStatus.BatchInterval = 10 * time.Millisecond
 	suite.ActiveStatus.TTL = 200 * time.Millisecond
 
-	host := brass.NewHost(brass.HostConfig{ID: "brass-1", Region: "us", StickyRouting: true}, pyl, w, nil)
+	host := brass.NewHost(brass.HostConfig{ID: "brass-1", Region: "us", StickyRouting: true}, pyl, w, sched)
 	suite.RegisterBRASS(host)
 	t.Cleanup(host.Close)
 	return &env{graph: graph, tao: store, pylon: pyl, was: w, suite: suite, host: host}
@@ -419,6 +424,152 @@ func TestActiveStatusBatchesMultipleFriends(t *testing.T) {
 	// Both statuses arrive (possibly in one batch).
 	e.host.Quiesce()
 	waitFor(t, "both online", func() bool { return e.host.Deliveries.Value() >= 2 })
+}
+
+// stepScheduler is a sim.Scheduler whose time moves only when a test
+// advances it; the timers due by then run on the advancing goroutine.
+type stepScheduler struct {
+	mu     sync.Mutex
+	now    time.Time
+	timers []*stepTimer
+}
+
+type stepTimer struct {
+	at        time.Time
+	fn        func()
+	cancelled bool
+}
+
+func (s *stepScheduler) Now() time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.now
+}
+
+func (s *stepScheduler) After(d time.Duration, fn func()) func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tm := &stepTimer{at: s.now.Add(d), fn: fn}
+	s.timers = append(s.timers, tm)
+	return func() {
+		s.mu.Lock()
+		tm.cancelled = true
+		s.mu.Unlock()
+	}
+}
+
+// Advance moves time forward by d and runs every live timer due by then.
+func (s *stepScheduler) Advance(d time.Duration) {
+	s.mu.Lock()
+	s.now = s.now.Add(d)
+	var due, later []*stepTimer
+	for _, tm := range s.timers {
+		switch {
+		case tm.cancelled:
+		case tm.at.After(s.now):
+			later = append(later, tm)
+		default:
+			due = append(due, tm)
+		}
+	}
+	s.timers = later
+	s.mu.Unlock()
+	for _, tm := range due {
+		tm.fn()
+	}
+}
+
+// armed reports whether a live timer is waiting.
+func (s *stepScheduler) armed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, tm := range s.timers {
+		if !tm.cancelled {
+			return true
+		}
+	}
+	return false
+}
+
+// TestActiveStatusBatchIsInUidOrder: friends who report inside one
+// BatchInterval reach the device in one batch in ascending uid, whatever
+// order they reported in, and so do their TTL expiries.
+func TestActiveStatusBatchIsInUidOrder(t *testing.T) {
+	sched := &stepScheduler{now: time.Unix(0, 0)}
+	e := newEnvOn(t, sched)
+	var viewer socialgraph.UserID
+	for id := socialgraph.UserID(1); id <= socialgraph.UserID(e.graph.NumUsers()); id++ {
+		if len(e.graph.Friends(id)) >= 3 {
+			viewer = id
+			break
+		}
+	}
+	if viewer == 0 {
+		t.Fatal("no viewer with 3 friends")
+	}
+	friends := e.graph.Friends(viewer)[:3]
+	ascending := slices.Clone(friends)
+	slices.Sort(ascending)
+	st := e.subscribe(t, e.dial(t), AppActiveStatus, "activeStatus", viewer, nil)
+	waitFor(t, "subs", func() bool {
+		for _, f := range friends {
+			if len(e.pylon.Subscribers(StatusTopic(f))) != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, "flush timer", sched.armed)
+
+	// Report highest uid first, so arrival order is descending.
+	fetched := e.host.WASFetches.Value()
+	for i := len(ascending) - 1; i >= 0; i-- {
+		if _, err := e.was.Mutate(ascending[i], "reportActive"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "three reports", func() bool { return e.host.WASFetches.Value() >= fetched+3 })
+	e.host.Quiesce()
+
+	nextBatch := func(what string) []StatusPayload {
+		t.Helper()
+		select {
+		case batch := <-st.Events:
+			var out []StatusPayload
+			for _, d := range batch.Deltas {
+				if d.Type != burst.DeltaPayload {
+					continue
+				}
+				var p StatusPayload
+				if err := json.Unmarshal(d.Payload, &p); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, p)
+			}
+			batch.Release()
+			return out
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for the %s batch", what)
+			return nil
+		}
+	}
+	want := func(online bool) []StatusPayload {
+		out := make([]StatusPayload, len(ascending))
+		for i, f := range ascending {
+			out[i] = StatusPayload{User: uint64(f), Online: online}
+		}
+		return out
+	}
+
+	sched.Advance(e.suite.ActiveStatus.BatchInterval)
+	if got := nextBatch("online"); fmt.Sprint(got) != fmt.Sprint(want(true)) {
+		t.Errorf("online batch = %v, want %v", got, want(true))
+	}
+	waitFor(t, "flush timer", sched.armed)
+	sched.Advance(e.suite.ActiveStatus.TTL + e.suite.ActiveStatus.BatchInterval)
+	if got := nextBatch("expiry"); fmt.Sprint(got) != fmt.Sprint(want(false)) {
+		t.Errorf("expiry batch = %v, want %v", got, want(false))
+	}
 }
 
 func TestTypingIndicatorImmediatePush(t *testing.T) {

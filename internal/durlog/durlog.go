@@ -10,16 +10,18 @@
 // retention, postdates a crash-truncated tail, or crosses a continuity
 // epoch) returns ErrCursorExpired and the serving BRASS falls back to the
 // application's backend. Appends are the delivery hot path and stay
-// allocation-free in steady state: a slab (payload bytes, entry offsets,
-// entry seqs) is allocated once — the first at Open, each other the first
-// time rotation reaches it — and from then on recycled in place by
-// rotation, retention expiry, and gap resets.
+// allocation-free in steady state: a slab is one byte array, sized by its
+// first append and doubled on the ring's first lap — Open allocates none —
+// then recycled in place, capacity kept, by rotation, retention expiry,
+// and gap resets. The budgets stay payload bytes and entries.
 package durlog
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,27 +163,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// segment is one slab: payloads packed contiguously in buf, entry i
-// spanning buf[ends[i-1]:ends[i]] with sequence seqs[i]. A slab is hot
-// while it is the append target and immutable (cold) after rotation seals
-// it; recycling only resets the counters, so steady-state appends never
-// allocate. A slab rotation has not reached yet has nil arrays and n == 0:
-// a topic that never fills its first slab never pays for the rest.
+// segment is one slab: n entries packed in buf as uvarint(len) ‖ payload,
+// seqs first .. first+n-1 (appendLocked only stores tail+1, or the floor of
+// an emptied window). A slab is hot while it is the append target and
+// immutable (cold) after rotation seals it; recycling keeps buf's capacity,
+// so steady-state appends never allocate. A slab no append has reached is
+// nil: a topic that never fills its first slab never pays for the rest.
 type segment struct {
-	buf  []byte   // len = HotBytes, fixed by alloc
-	ends []uint32 // len = SegmentEntries, fixed by alloc
-	seqs []uint64 // len = SegmentEntries, fixed by alloc
-
-	n      int       // entries used
-	used   int       // bytes used
+	buf    []byte
+	first  uint64    // seq of the first entry
+	n      int       // entries held
+	used   int       // payload bytes held, prefixes excluded: the HotBytes budget
 	sealed time.Time // rotation timestamp (zero while hot)
 }
 
-func (s *segment) alloc(cfg *Config) {
-	s.buf = make([]byte, cfg.HotBytes)
-	s.ends = make([]uint32, cfg.SegmentEntries)
-	s.seqs = make([]uint64, cfg.SegmentEntries)
+// grow reallocates buf to hold need bytes: twice its capacity, at least
+// need, at most HotBytes plus a length prefix per entry.
+func (s *segment) grow(need int, cfg *Config) {
+	ceiling := cfg.HotBytes + cfg.SegmentEntries*uvarintLen(uint64(cfg.HotBytes))
+	b := make([]byte, len(s.buf), min(max(2*cap(s.buf), need), ceiling))
+	copy(b, s.buf)
+	s.buf = b
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // topicLog is one topic's slab ring plus its window bookkeeping. The
 // invariants ReadFrom relies on: retained sequences are exactly
@@ -224,9 +230,9 @@ func New(cfg Config) *Log {
 	return &Log{cfg: cfg.withDefaults(), topics: make(map[string]*topicLog)}
 }
 
-// Open allocates topic's ring and its first slab. Idempotent; control path
-// (stream open / app registration). Append on an unopened topic is a no-op
-// returning false.
+// Open allocates topic's ring headers; no slab exists before its first
+// append. Idempotent; control path (stream open / app registration). Append
+// on an unopened topic is a no-op returning false.
 func (l *Log) Open(topic string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -235,7 +241,6 @@ func (l *Log) Open(topic string) {
 	}
 	t := &topicLog{name: topic, epoch: 1, floor: 1}
 	t.segs = make([]segment, l.cfg.Segments)
-	t.segs[0].alloc(&l.cfg)
 	l.topics[topic] = t
 }
 
@@ -250,11 +255,7 @@ func (l *Log) lookup(topic string) *topicLog {
 // is unopened, the sequence is a duplicate (<= tail), or the payload is
 // too large for a slab (which poisons the window — see appendLocked).
 //
-// payload-offset writes into slabs allocated before the write reaches them.
-//
-// only mutex ops, map reads, counter increments, copy, and indexed
-//
-//brlint:hotpath one append per delivered delta on the publish path:
+//brlint:hotpath one append per delivered delta on the publish path: mutex ops, map reads, counter increments, and a copy into a slab that grows only on the ring's first lap
 func (l *Log) Append(topic string, seq uint64, payload []byte) bool {
 	l.mu.RLock()
 	t := l.topics[topic]
@@ -273,9 +274,7 @@ func (l *Log) Append(topic string, seq uint64, payload []byte) bool {
 // reset the window on a sequence gap, rotate when the hot slab is full,
 // then pack the payload.
 //
-// write is copy plus indexed stores.
-//
-//brlint:hotpath append body: slab recycling is index arithmetic, the
+//brlint:hotpath append body: slab recycling is index arithmetic, the write a copy
 func (t *topicLog) appendLocked(l *Log, seq uint64, payload []byte) bool {
 	if seq <= t.tail {
 		l.Dups.Inc()
@@ -292,11 +291,11 @@ func (t *topicLog) appendLocked(l *Log, seq uint64, payload []byte) bool {
 		l.GapResets.Inc()
 	}
 	seg := &t.segs[t.active]
-	if seg.n == len(seg.seqs) || seg.used+len(payload) > len(seg.buf) {
+	if seg.n == l.cfg.SegmentEntries || seg.used+len(payload) > l.cfg.HotBytes {
 		t.rotateLocked(l, now)
 		seg = &t.segs[t.active]
 	}
-	if len(payload) > len(seg.buf) {
+	if len(payload) > l.cfg.HotBytes {
 		// No slab can ever hold it. Poison the window past this
 		// sequence: readers expire (fall back to WAS) rather than
 		// skipping the payload silently.
@@ -305,23 +304,27 @@ func (t *topicLog) appendLocked(l *Log, seq uint64, payload []byte) bool {
 		l.Oversized.Inc()
 		return false
 	}
-	copy(seg.buf[seg.used:], payload)
+	seg.first = seq - uint64(seg.n) // contiguous: seq is first+n
+	off := len(seg.buf)
+	end := off + uvarintLen(uint64(len(payload))) + len(payload)
+	if end > cap(seg.buf) {
+		//brlint:allow(hot-path-alloc) ring warm-up: a slab doubles to its ceiling once, on the first lap
+		seg.grow(end, &l.cfg)
+	}
+	seg.buf = seg.buf[:end]
+	copy(seg.buf[off+binary.PutUvarint(seg.buf[off:], uint64(len(payload))):], payload)
 	seg.used += len(payload)
-	seg.ends[seg.n] = uint32(seg.used)
-	seg.seqs[seg.n] = seq
 	seg.n++
 	t.tail = seq
 	l.Appends.Inc()
 	return true
 }
 
-// rotateLocked seals the hot slab and recycles the eldest slab in place
-// (allocating it on the ring's first lap). Ring pressure advancing over a
-// live cold slab moves the floor — the structural retention bound.
+// rotateLocked seals the hot slab and recycles the eldest slab in place.
+// Ring pressure advancing over a live cold slab moves the floor — the
+// structural retention bound.
 //
-// and counter resets only.
-//
-//brlint:hotpath rotation recycles slabs in place: index arithmetic
+//brlint:hotpath rotation recycles slabs in place: index arithmetic and counter resets only
 func (t *topicLog) rotateLocked(l *Log, now time.Time) {
 	t.segs[t.active].sealed = now
 	if l.cfg.CrashHook != nil {
@@ -333,17 +336,11 @@ func (t *topicLog) rotateLocked(l *Log, now time.Time) {
 		t.active = 0
 	}
 	seg := &t.segs[t.active]
-	if seg.buf == nil {
-		//brlint:allow(hot-path-alloc) ring warm-up: at most Segments-1 times per topic
-		seg.alloc(&l.cfg)
-	}
 	if seg.n > 0 {
-		t.floor = seg.seqs[seg.n-1] + 1
+		t.floor = seg.first + uint64(seg.n)
 		l.Evictions.Inc()
 	}
-	seg.n = 0
-	seg.used = 0
-	seg.sealed = time.Time{}
+	*seg = segment{buf: seg.buf[:0]}
 	l.Rotations.Inc()
 	if l.cfg.CrashHook != nil {
 		//brlint:allow(hot-path-alloc) test-only crash injection; nil in production
@@ -354,9 +351,7 @@ func (t *topicLog) rotateLocked(l *Log, now time.Time) {
 // expireLocked recycles cold slabs older than the retention bound,
 // oldest first, advancing the floor past each.
 //
-// in-place slab resets.
-//
-//brlint:hotpath retention expiry runs per append: time arithmetic and
+//brlint:hotpath retention expiry runs per append: time arithmetic and in-place slab resets
 func (t *topicLog) expireLocked(l *Log, now time.Time) {
 	if l.cfg.Retention < 0 {
 		return
@@ -373,10 +368,8 @@ func (t *topicLog) expireLocked(l *Log, now time.Time) {
 		if seg.sealed.IsZero() || now.Sub(seg.sealed) <= l.cfg.Retention {
 			break
 		}
-		t.floor = seg.seqs[seg.n-1] + 1
-		seg.n = 0
-		seg.used = 0
-		seg.sealed = time.Time{}
+		t.floor = seg.first + uint64(seg.n)
+		*seg = segment{buf: seg.buf[:0]}
 		l.Expirations.Inc()
 	}
 }
@@ -387,9 +380,7 @@ func (t *topicLog) expireLocked(l *Log, now time.Time) {
 //brlint:hotpath window reset recycles every slab in place.
 func (t *topicLog) resetLocked(floorSeq uint64) {
 	for i := range t.segs {
-		t.segs[i].n = 0
-		t.segs[i].used = 0
-		t.segs[i].sealed = time.Time{}
+		t.segs[i] = segment{buf: t.segs[i].buf[:0]}
 	}
 	t.active = 0
 	t.floor = floorSeq
@@ -421,24 +412,32 @@ func (l *Log) ReadFrom(topic string, c Cursor) ([]Entry, Cursor, error) {
 }
 
 // entriesAboveLocked copies out every retained entry with seq > after,
-// oldest slab first.
+// oldest slab first, in two allocations: the entries, then one array their
+// payloads share.
 func (t *topicLog) entriesAboveLocked(after uint64) []Entry {
-	var out []Entry
+	if after+1 < t.floor {
+		after = t.floor - 1
+	}
+	if after >= t.tail {
+		return nil
+	}
+	out := make([]Entry, 0, t.tail-after)
+	size := 0
 	for i := 1; i <= len(t.segs); i++ {
-		idx := (t.active + i) % len(t.segs)
-		seg := &t.segs[idx]
-		for j := 0; j < seg.n; j++ {
-			if seg.seqs[j] <= after {
-				continue
+		seg := &t.segs[(t.active+i)%len(t.segs)]
+		for j, off := 0, 0; j < seg.n; j++ {
+			n, k := binary.Uvarint(seg.buf[off:])
+			off += k + int(n)
+			if seq := seg.first + uint64(j); seq > after {
+				out = append(out, Entry{Seq: seq, Payload: seg.buf[off-int(n) : off]})
+				size += int(n)
 			}
-			var start uint32
-			if j > 0 {
-				start = seg.ends[j-1]
-			}
-			p := make([]byte, seg.ends[j]-start)
-			copy(p, seg.buf[start:seg.ends[j]])
-			out = append(out, Entry{Seq: seg.seqs[j], Payload: p})
 		}
+	}
+	buf := make([]byte, 0, size)
+	for i := range out {
+		buf = append(buf, out[i].Payload...)
+		out[i].Payload = buf[len(buf)-len(out[i].Payload) : len(buf) : len(buf)]
 	}
 	return out
 }

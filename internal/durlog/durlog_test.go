@@ -2,8 +2,10 @@ package durlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"regexp"
 	"testing"
 	"time"
@@ -317,6 +319,92 @@ func allocatedSlabs(l *Log, topic string) int {
 		}
 	}
 	return n
+}
+
+// assertRingContiguous checks the invariant that lets a slab store no seqs:
+// oldest slab first, every non-empty slab starts where the one before it
+// ended — the first at the floor, the last ending at the tail — and its
+// bytes parse as exactly its entries, whose payloads add up to its budget
+// use.
+func assertRingContiguous(t *testing.T, l *Log, topic string) {
+	t.Helper()
+	tl := l.lookup(topic)
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	want := tl.floor
+	for i := 1; i <= len(tl.segs); i++ {
+		seg := &tl.segs[(tl.active+i)%len(tl.segs)]
+		if seg.n > 0 && seg.first != want {
+			t.Fatalf("slab %d starts at seq %d, want %d (window [%d,%d])", i, seg.first, want, tl.floor, tl.tail)
+		}
+		off, used := 0, 0
+		for j := 0; j < seg.n && off < len(seg.buf); j++ {
+			n, k := binary.Uvarint(seg.buf[off:])
+			off += k + int(n)
+			used += int(n)
+		}
+		if off != len(seg.buf) || used != seg.used {
+			t.Fatalf("slab %d: %d entries parse to %d of %d bytes, %d of %d payload bytes", i, seg.n, off, len(seg.buf), used, seg.used)
+		}
+		want += uint64(seg.n)
+	}
+	if want != tl.tail+1 {
+		t.Fatalf("slabs end at seq %d, tail %d", want-1, tl.tail)
+	}
+}
+
+// TestTopicHoldsWhatItRetains: Open allocates no slab; while the ring makes
+// its first lap no slab holds more than twice the bytes it packs (a slab's
+// first size is exactly its first entry); after that lap appends of a
+// repeating size allocate nothing.
+func TestTopicHoldsWhatItRetains(t *testing.T) {
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	l := New(Config{Clock: clk, Retention: -1}) // 16 KiB, 256 entries, 4 slabs
+	for i := 0; i < 100; i++ {
+		l.Open(fmt.Sprintf("/MB/%d", i))
+	}
+	for i := 0; i < 100; i++ {
+		tl := l.lookup(fmt.Sprintf("/MB/%d", i))
+		for j := range tl.segs {
+			if tl.segs[j].buf != nil {
+				t.Fatalf("Open allocated slab %d of /MB/%d", j, i)
+			}
+		}
+	}
+
+	// A mailbox: payloads of 0 to 299 bytes, through the first lap.
+	const topic = "/MB/0"
+	rng := rand.New(rand.NewSource(1))
+	tl := l.lookup(topic)
+	for seq := uint64(1); l.Rotations.Value() < int64(l.cfg.Segments); seq++ {
+		l.Append(topic, seq, make([]byte, rng.Intn(300)))
+		held, capacity := 0, 0
+		tl.mu.Lock()
+		for j := range tl.segs {
+			held += len(tl.segs[j].buf)
+			capacity += cap(tl.segs[j].buf)
+		}
+		tl.mu.Unlock()
+		if capacity > 2*held {
+			t.Fatalf("after %d appends the topic holds %d packed bytes in %d of capacity", seq, held, capacity)
+		}
+		assertRingContiguous(t, l, topic)
+	}
+
+	if testing.Short() {
+		t.Skip("alloc contract: 2000 measured appends")
+	}
+	l2, op := appendOp()
+	for l2.Rotations.Value() < int64(l2.cfg.Segments) {
+		op()
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2000; i++ {
+			op()
+		}
+	}); allocs != 0 {
+		t.Errorf("2000 appends after the first lap allocated %v times, want 0", allocs)
+	}
 }
 
 // assertGapFreeWindow reads topic's whole retained window and checks it is
