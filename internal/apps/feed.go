@@ -35,8 +35,8 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{"text": text,
-			"author": strconv.FormatUint(uint64(ctx.Viewer), 10), "post": strconv.FormatUint(postID, 10)})
+		ref := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{{"text", text},
+			{"author", strconv.FormatUint(uint64(ctx.Viewer), 10)}, {"post", strconv.FormatUint(postID, 10)}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{Topic: PostTopic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return uint64(ref), nil
@@ -55,10 +55,10 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		author, _ := strconv.ParseUint(obj.Data["author"], 10, 64)
-		post, _ := strconv.ParseUint(obj.Data["post"], 10, 64)
+		author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
+		post, _ := strconv.ParseUint(obj.Data.Get("post"), 10, 64)
 		return CommentPayload{CommentID: uint64(ref), VideoID: post, Author: author,
-			Text: obj.Data["text"]}, nil
+			Text: obj.Data.Get("text")}, nil
 	})
 	return a
 }

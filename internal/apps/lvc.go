@@ -81,12 +81,12 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		score := was.QualityScore(author, text)
 
 		// The comment is always stored...
-		ref := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{
-			"text":   text,
-			"author": strconv.FormatUint(uint64(author.ID), 10),
-			"video":  strconv.FormatUint(videoID, 10),
-			"score":  strconv.FormatFloat(score, 'f', 4, 64),
-			"lang":   strconv.Itoa(int(author.Lang)),
+		ref := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{
+			{"text", text},
+			{"author", strconv.FormatUint(uint64(author.ID), 10)},
+			{"video", strconv.FormatUint(videoID, 10)},
+			{"score", strconv.FormatFloat(score, 'f', 4, 64)},
+			{"lang", strconv.Itoa(int(author.Lang))},
 		})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(videoID), "video_comment", ref, ctx.Now, "")
 
@@ -167,14 +167,14 @@ func (a *LiveVideoComments) payload(ctx was.Ctx, ref tao.ObjID) (CommentPayload,
 	if err != nil {
 		return CommentPayload{}, err
 	}
-	author, _ := strconv.ParseUint(obj.Data["author"], 10, 64)
-	video, _ := strconv.ParseUint(obj.Data["video"], 10, 64)
-	score, _ := strconv.ParseFloat(obj.Data["score"], 64)
+	author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
+	video, _ := strconv.ParseUint(obj.Data.Get("video"), 10, 64)
+	score, _ := strconv.ParseFloat(obj.Data.Get("score"), 64)
 	return CommentPayload{
 		CommentID: uint64(ref),
 		VideoID:   video,
 		Author:    author,
-		Text:      obj.Data["text"],
+		Text:      obj.Data.Get("text"),
 		Score:     score,
 	}, nil
 }

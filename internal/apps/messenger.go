@@ -105,8 +105,8 @@ func NewMessenger(w Registrar) *Messenger {
 		if members == nil {
 			return nil, fmt.Errorf("messenger: unknown thread %d", tid)
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("message", map[string]string{"text": text,
-			"author": strconv.FormatUint(uint64(ctx.Viewer), 10), "thread": strconv.FormatUint(tid, 10)})
+		ref := ctx.Srv.TAO.ObjectAdd("message", tao.Props{{"text", text},
+			{"author", strconv.FormatUint(uint64(ctx.Viewer), 10)}, {"thread", strconv.FormatUint(tid, 10)}})
 		for _, member := range members {
 			seq := a.appendToMailbox(ctx, member, ref)
 			ctx.Publish(pylon.Event{Topic: MailboxTopic(member), Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
@@ -139,9 +139,9 @@ func NewMessenger(w Registrar) *Messenger {
 }
 
 func (a *Messenger) payloadFromObj(obj tao.Object, seq uint64) MessagePayload {
-	author, _ := strconv.ParseUint(obj.Data["author"], 10, 64)
-	thread, _ := strconv.ParseUint(obj.Data["thread"], 10, 64)
-	return MessagePayload{Seq: seq, Thread: thread, Author: author, Text: obj.Data["text"]}
+	author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
+	thread, _ := strconv.ParseUint(obj.Data.Get("thread"), 10, 64)
+	return MessagePayload{Seq: seq, Thread: thread, Author: author, Text: obj.Data.Get("text")}
 }
 
 // appendToMailbox assigns the next sequence number and stores the mailbox
@@ -150,8 +150,8 @@ func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref 
 	a.mu.Lock()
 	mb := a.mailbox[member]
 	if mb == nil {
-		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", map[string]string{
-			"owner": strconv.FormatUint(uint64(member), 10),
+		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", tao.Props{
+			{"owner", strconv.FormatUint(uint64(member), 10)},
 		})
 		mb = &mailboxState{ref: anchor}
 		a.mailbox[member] = mb

@@ -59,11 +59,11 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		if err != nil {
 			return nil, err
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("notification", map[string]string{
-			"kind":  kind,
-			"text":  text,
-			"actor": strconv.FormatUint(uint64(ctx.Viewer), 10),
-			"to":    strconv.FormatUint(target, 10),
+		ref := ctx.Srv.TAO.ObjectAdd("notification", tao.Props{
+			{"kind", kind},
+			{"text", text},
+			{"actor", strconv.FormatUint(uint64(ctx.Viewer), 10)},
+			{"to", strconv.FormatUint(target, 10)},
 		})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(target), "user_notif", ref, ctx.Now, kind)
 		ctx.Publish(pylon.Event{Topic: NotifTopic(target), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
@@ -79,9 +79,9 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		if err != nil {
 			return nil, err
 		}
-		actor, _ := strconv.ParseUint(obj.Data["actor"], 10, 64)
+		actor, _ := strconv.ParseUint(obj.Data.Get("actor"), 10, 64)
 		return NotificationPayload{
-			ID: uint64(ref), Kind: obj.Data["kind"], Actor: actor, Text: obj.Data["text"],
+			ID: uint64(ref), Kind: obj.Data.Get("kind"), Actor: actor, Text: obj.Data.Get("text"),
 		}, nil
 	})
 	return a

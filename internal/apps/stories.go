@@ -51,10 +51,10 @@ func NewStories(w Registrar) *Stories {
 			return nil, err
 		}
 		score := was.QualityScore(author, content)
-		ref := ctx.Srv.TAO.ObjectAdd("story", map[string]string{
-			"content": content,
-			"author":  strconv.FormatUint(uint64(author.ID), 10),
-			"score":   strconv.FormatFloat(score, 'f', 4, 64),
+		ref := ctx.Srv.TAO.ObjectAdd("story", tao.Props{
+			{"content", content},
+			{"author", strconv.FormatUint(uint64(author.ID), 10)},
+			{"score", strconv.FormatFloat(score, 'f', 4, 64)},
 		})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(author.ID), "user_story", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{
@@ -84,10 +84,10 @@ func NewStories(w Registrar) *Stories {
 		if err != nil {
 			return nil, err
 		}
-		author, _ := strconv.ParseUint(obj.Data["author"], 10, 64)
-		score, _ := strconv.ParseFloat(obj.Data["score"], 64)
+		author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
+		score, _ := strconv.ParseFloat(obj.Data.Get("score"), 64)
 		return StoryDelta{Op: "story_add", Author: author, StoryID: uint64(ref),
-			Content: obj.Data["content"], Rank: score}, nil
+			Content: obj.Data.Get("content"), Rank: score}, nil
 	})
 	return a
 }

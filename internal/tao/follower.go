@@ -14,9 +14,9 @@ import (
 // the configured replication delay, modelling asynchronous cross-region
 // invalidation.
 //
-// Followers cache objects and full association lists. The paper relies on
-// BRASS point queries having "good caching characteristics" (§5); the
-// Hits/Misses counters let experiments verify that.
+// Followers cache objects and full association lists as the leader stores
+// them. The paper relies on BRASS point queries having "good caching
+// characteristics" (§5); the Hits/Misses counters let experiments verify that.
 type Follower struct {
 	store *Store
 	sched sim.Scheduler
@@ -24,7 +24,10 @@ type Follower struct {
 
 	mu      sync.Mutex
 	objects map[ObjID]Object
-	assocs  map[assocKey][]Assoc
+	assocs  map[assocKey][]assocRow
+	// gen counts invalidations: a fill reads the leader outside mu, and one
+	// that lands meanwhile may be for a write the read predates.
+	gen uint64
 
 	Hits   metrics.Counter
 	Misses metrics.Counter
@@ -41,7 +44,7 @@ func NewFollower(store *Store, sched sim.Scheduler, delay time.Duration) *Follow
 		sched:   sched,
 		delay:   delay,
 		objects: make(map[ObjID]Object),
-		assocs:  make(map[assocKey][]Assoc),
+		assocs:  make(map[assocKey][]assocRow),
 	}
 }
 
@@ -54,15 +57,14 @@ func (f *Follower) ObjectGet(id ObjID) (Object, error) {
 		f.Hits.Inc()
 		return obj, nil
 	}
+	gen := f.gen
 	f.mu.Unlock()
 	f.Misses.Inc()
 	obj, err := f.store.ObjectGet(id)
 	if err != nil {
 		return Object{}, err
 	}
-	f.mu.Lock()
-	f.objects[id] = obj
-	f.mu.Unlock()
+	install(f, f.objects, id, obj, gen)
 	return obj, nil
 }
 
@@ -73,24 +75,35 @@ func (f *Follower) AssocRange(id1 ObjID, typ AssocType, offset, limit int) []Ass
 	if lst, ok := f.assocs[key]; ok {
 		f.mu.Unlock()
 		f.Hits.Inc()
-		return sliceRange(lst, offset, limit)
+		return sliceRange(key, lst, offset, limit)
 	}
+	gen := f.gen
 	f.mu.Unlock()
 	f.Misses.Inc()
-	lst := f.store.AssocRange(id1, typ, 0, 0) // fetch full list for caching
+	// The whole list, accounted as the leader's AssocRange(id1, typ, 0, 0).
+	lst := f.store.rows(key)
+	f.store.stats.recordRange(f.store.rangeShardCost(len(lst)))
+	install(f, f.assocs, key, lst, gen)
+	return sliceRange(key, lst, offset, limit)
+}
+
+// install caches v, read from the leader at invalidation generation gen,
+// under k in m — unless an invalidation has landed since.
+func install[K comparable, V any](f *Follower, m map[K]V, k K, v V, gen uint64) {
 	f.mu.Lock()
-	f.assocs[key] = lst
+	if f.gen == gen {
+		m[k] = v
+	}
 	f.mu.Unlock()
-	return sliceRange(lst, offset, limit)
 }
 
 // ObjectUpdate writes through to the leader and schedules invalidation of
 // this follower's copy after the replication delay.
-func (f *Follower) ObjectUpdate(id ObjID, data map[string]string) error {
+func (f *Follower) ObjectUpdate(id ObjID, data Props) error {
 	if err := f.store.ObjectUpdate(id, data); err != nil {
 		return err
 	}
-	f.scheduleInvalidateObject(id)
+	f.afterDelay(func() { f.InvalidateObject(id) })
 	return nil
 }
 
@@ -98,7 +111,7 @@ func (f *Follower) ObjectUpdate(id ObjID, data map[string]string) error {
 // cached list.
 func (f *Follower) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data string) {
 	f.store.AssocAdd(id1, typ, id2, t, data)
-	f.scheduleInvalidateAssoc(assocKey{id1, typ})
+	f.afterDelay(func() { f.InvalidateAssoc(id1, typ) })
 }
 
 // InvalidateObject drops the cached copy of id immediately. Exposed so the
@@ -106,6 +119,7 @@ func (f *Follower) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, da
 func (f *Follower) InvalidateObject(id ObjID) {
 	f.mu.Lock()
 	delete(f.objects, id)
+	f.gen++
 	f.mu.Unlock()
 }
 
@@ -113,27 +127,17 @@ func (f *Follower) InvalidateObject(id ObjID) {
 func (f *Follower) InvalidateAssoc(id1 ObjID, typ AssocType) {
 	f.mu.Lock()
 	delete(f.assocs, assocKey{id1, typ})
+	f.gen++
 	f.mu.Unlock()
 }
 
-func (f *Follower) scheduleInvalidateObject(id ObjID) {
+// afterDelay runs invalidate now, or after the replication delay if any.
+func (f *Follower) afterDelay(invalidate func()) {
 	if f.delay <= 0 {
-		f.InvalidateObject(id)
+		invalidate()
 		return
 	}
-	f.sched.After(f.delay, func() { f.InvalidateObject(id) })
-}
-
-func (f *Follower) scheduleInvalidateAssoc(key assocKey) {
-	if f.delay <= 0 {
-		f.InvalidateAssoc(key.id1, key.typ)
-		return
-	}
-	f.sched.After(f.delay, func() {
-		f.mu.Lock()
-		delete(f.assocs, key)
-		f.mu.Unlock()
-	})
+	f.sched.After(f.delay, invalidate)
 }
 
 // Both tiers satisfy the region-local read surface.

@@ -15,16 +15,20 @@
 //     served close to the reader and writes invalidate remote followers
 //     after a replication delay.
 //
+// Both tiers store rows, not maps: an object's bag is one slice of (key,
+// value) pairs sorted by key (Props), and a list holds (id2, time, data)
+// rows filed under its (id1, atype) key, as real TAO files them.
+//
 // All methods are safe for concurrent use.
 package tao
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,11 +62,41 @@ type Object struct {
 	ID   ObjID
 	Type ObjType
 	// Data is READ-ONLY once stored: ObjectGet hands every reader the
-	// stored map itself, and ObjectUpdate swaps in a new merged map instead
-	// of writing into it. A reader that wants to change a bag copies it.
-	Data    map[string]string
+	// stored slice itself, and ObjectUpdate swaps in a new merged slice. A
+	// reader that wants to change a bag copies it.
+	Data    Props
 	Created time.Time
 	Version uint64
+}
+
+// Props is a property bag: (key, value) pairs, stored sorted by key with one
+// pair per key. A literal given to ObjectAdd or ObjectUpdate may list its
+// pairs in any order; on a repeated key the last pair wins, as map
+// assignment does.
+type Props [][2]string
+
+// Get returns the value stored under key, or "" if there is none.
+func (p Props) Get(key string) string {
+	if i, ok := slices.BinarySearchFunc(p, key, byKey); ok {
+		return p[i][1]
+	}
+	return ""
+}
+
+func byKey(kv [2]string, key string) int { return strings.Compare(kv[0], key) }
+
+// merge returns a new sorted bag, sized for old and add with no key in
+// common: old's pairs, overwritten and extended by add's in order.
+func merge(old, add Props) Props {
+	out := append(make(Props, 0, len(old)+len(add)), old...)
+	for _, kv := range add {
+		if i, ok := slices.BinarySearchFunc(out, kv[0], byKey); ok {
+			out[i] = kv
+		} else {
+			out = slices.Insert(out, i, kv)
+		}
+	}
+	return out
 }
 
 // Assoc is a typed, directed edge from ID1 to ID2 with a timestamp and
@@ -123,11 +157,23 @@ type assocKey struct {
 	typ AssocType
 }
 
+// assocRow is one association as its list stores it; the list's key
+// supplies the rest.
+type assocRow struct {
+	id2  ObjID
+	t    time.Time
+	data string
+}
+
+func (k assocKey) assoc(r assocRow) Assoc {
+	return Assoc{ID1: k.id1, Type: k.typ, ID2: r.id2, Time: r.t, Data: r.data}
+}
+
 type shard struct {
 	mu      sync.RWMutex
 	objects map[ObjID]*Object
 	// assocs holds time-descending association lists.
-	assocs map[assocKey][]Assoc
+	assocs map[assocKey][]assocRow
 }
 
 // NewStore builds a Store with the given configuration and clock.
@@ -147,7 +193,7 @@ func NewStore(cfg Config, clock sim.Clock) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			objects: make(map[ObjID]*Object),
-			assocs:  make(map[assocKey][]Assoc),
+			assocs:  make(map[assocKey][]assocRow),
 		}
 	}
 	return s, nil
@@ -241,15 +287,15 @@ func (s *Store) shardFor(id ObjID) *shard {
 	return s.shards[h%uint64(len(s.shards))]
 }
 
-// ObjectAdd creates a new object of the given type with data and returns
-// its allocated ID.
-func (s *Store) ObjectAdd(typ ObjType, data map[string]string) ObjID {
+// ObjectAdd creates a new object of the given type with a sorted copy of
+// data and returns its allocated ID.
+func (s *Store) ObjectAdd(typ ObjType, data Props) ObjID {
 	s.nextID.Lock()
 	s.idCtr++
 	id := s.idCtr
 	s.nextID.Unlock()
 
-	obj := &Object{ID: id, Type: typ, Data: cloneData(data), Created: s.clock.Now(), Version: 1}
+	obj := &Object{ID: id, Type: typ, Data: merge(nil, data), Created: s.clock.Now(), Version: 1}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	sh.objects[id] = obj
@@ -280,7 +326,7 @@ func (s *Store) ObjectGet(id ObjID) (Object, error) {
 // ObjectUpdate merges data into the object's property bag and bumps its
 // version. Readers hold the old bag, so the merge goes into a copy that
 // replaces it (copy-on-write).
-func (s *Store) ObjectUpdate(id ObjID, data map[string]string) error {
+func (s *Store) ObjectUpdate(id ObjID, data Props) error {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	obj, ok := sh.objects[id]
@@ -288,10 +334,7 @@ func (s *Store) ObjectUpdate(id ObjID, data map[string]string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("object %d: %w", id, ErrNotFound)
 	}
-	merged := make(map[string]string, len(obj.Data)+len(data))
-	maps.Copy(merged, obj.Data)
-	maps.Copy(merged, data)
-	obj.Data = merged
+	obj.Data = merge(obj.Data, data)
 	obj.Version++
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
@@ -324,7 +367,7 @@ func (s *Store) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data 
 	lst := sh.assocs[key]
 	// Replace if present: take the old one out, then insert as if new.
 	i := 0
-	for i < len(lst) && lst[i].ID2 != id2 {
+	for i < len(lst) && lst[i].id2 != id2 {
 		i++
 	}
 	if i < len(lst) {
@@ -334,9 +377,9 @@ func (s *Store) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data 
 	// those that were ahead of it (j < i; for a new one, all of them) and in
 	// front of the rest — the order a stable sort of the appended list gave.
 	at := sort.Search(len(lst), func(j int) bool {
-		return lst[j].Time.Before(t) || (j >= i && !lst[j].Time.After(t))
+		return lst[j].t.Before(t) || (j >= i && !lst[j].t.After(t))
 	})
-	sh.assocs[key] = slices.Insert(lst, at, Assoc{ID1: id1, Type: typ, ID2: id2, Time: t, Data: data})
+	sh.assocs[key] = slices.Insert(lst, at, assocRow{id2, t, data})
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
 	s.invalidateFollowersAssoc(id1, typ)
@@ -349,7 +392,7 @@ func (s *Store) AssocDelete(id1 ObjID, typ AssocType, id2 ObjID) error {
 	sh.mu.Lock()
 	lst := sh.assocs[key]
 	for i := range lst {
-		if lst[i].ID2 == id2 {
+		if lst[i].id2 == id2 {
 			sh.assocs[key] = append(lst[:i], lst[i+1:]...)
 			sh.mu.Unlock()
 			s.stats.recordWrite(1)
@@ -370,9 +413,9 @@ func (s *Store) AssocGet(id1 ObjID, typ AssocType, id2 ObjID) (Assoc, error) {
 		sh.mu.RUnlock()
 		s.stats.recordPoint(1)
 	}()
-	for _, a := range sh.assocs[key] {
-		if a.ID2 == id2 {
-			return a, nil
+	for _, r := range sh.assocs[key] {
+		if r.id2 == id2 {
+			return key.assoc(r), nil
 		}
 	}
 	return Assoc{}, fmt.Errorf("assoc (%d,%s,%d): %w", id1, typ, id2, ErrNotFound)
@@ -397,7 +440,7 @@ func (s *Store) AssocRange(id1 ObjID, typ AssocType, offset, limit int) []Assoc 
 	key := assocKey{id1, typ}
 	sh.mu.RLock()
 	lst := sh.assocs[key]
-	out := sliceRange(lst, offset, limit)
+	out := sliceRange(key, lst, offset, limit)
 	total := len(lst)
 	sh.mu.RUnlock()
 	s.stats.recordRange(s.rangeShardCost(total))
@@ -405,7 +448,8 @@ func (s *Store) AssocRange(id1 ObjID, typ AssocType, offset, limit int) []Assoc 
 }
 
 // AssocTimeRange returns up to limit associations from (id1, typ) with
-// Time in (since, until], newest first. A zero until means "now".
+// Time in (since, until], newest first; a zero until means "now", a limit
+// <= 0 all.
 func (s *Store) AssocTimeRange(id1 ObjID, typ AssocType, since, until time.Time, limit int) []Assoc {
 	if until.IsZero() {
 		until = s.clock.Now()
@@ -414,15 +458,15 @@ func (s *Store) AssocTimeRange(id1 ObjID, typ AssocType, since, until time.Time,
 	key := assocKey{id1, typ}
 	sh.mu.RLock()
 	lst := sh.assocs[key]
-	out := make([]Assoc, 0, limit)
-	for _, a := range lst { // newest first
-		if !a.Time.After(since) {
+	out := make([]Assoc, 0, min(max(limit, 0), len(lst)))
+	for _, r := range lst { // newest first
+		if !r.t.After(since) {
 			break
 		}
-		if a.Time.After(until) {
+		if r.t.After(until) {
 			continue
 		}
-		out = append(out, a)
+		out = append(out, key.assoc(r))
 		if limit > 0 && len(out) >= limit {
 			break
 		}
@@ -436,27 +480,25 @@ func (s *Store) AssocTimeRange(id1 ObjID, typ AssocType, since, until time.Time,
 // Intersect returns the associations in (id1a, typA) whose ID2 also appears
 // as ID2 in (id1b, typB) — e.g. "comments on video V by friends of U".
 // Intersect queries are the most expensive TAO operation; their cost is the
-// sum of both range costs (paper §1, §2).
+// sum of both range costs (paper §1, §2). A limit <= 0 means all.
 func (s *Store) Intersect(id1a ObjID, typA AssocType, id1b ObjID, typB AssocType, limit int) []Assoc {
-	shA := s.shardFor(id1a)
-	shA.mu.RLock()
-	la := append([]Assoc(nil), shA.assocs[assocKey{id1a, typA}]...)
-	shA.mu.RUnlock()
+	keyA := assocKey{id1a, typA}
+	la := s.rows(keyA)
 
 	shB := s.shardFor(id1b)
 	shB.mu.RLock()
 	lb := shB.assocs[assocKey{id1b, typB}]
 	set := make(map[ObjID]bool, len(lb))
-	for _, a := range lb {
-		set[a.ID2] = true
+	for _, r := range lb {
+		set[r.id2] = true
 	}
 	lbLen := len(lb)
 	shB.mu.RUnlock()
 
-	out := make([]Assoc, 0, limit)
-	for _, a := range la {
-		if set[a.ID2] {
-			out = append(out, a)
+	out := make([]Assoc, 0, min(max(limit, 0), len(la)))
+	for _, r := range la {
+		if set[r.id2] {
+			out = append(out, keyA.assoc(r))
 			if limit > 0 && len(out) >= limit {
 				break
 			}
@@ -476,10 +518,18 @@ func (s *Store) rangeShardCost(n int) int {
 	return c
 }
 
-func sliceRange(lst []Assoc, offset, limit int) []Assoc {
-	if offset < 0 {
-		offset = 0
-	}
+// rows returns a copy of the list key names, unaccounted: the follower's
+// fill and Intersect's first list read it.
+func (s *Store) rows(key assocKey) []assocRow {
+	sh := s.shardFor(key.id1)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return slices.Clone(sh.assocs[key])
+}
+
+// sliceRange builds the Assocs of lst[offset:offset+limit]; limit <= 0 is all.
+func sliceRange(key assocKey, lst []assocRow, offset, limit int) []Assoc {
+	offset = max(offset, 0)
 	if offset >= len(lst) {
 		return nil
 	}
@@ -488,17 +538,8 @@ func sliceRange(lst []Assoc, offset, limit int) []Assoc {
 		end = offset + limit
 	}
 	out := make([]Assoc, end-offset)
-	copy(out, lst[offset:end])
-	return out
-}
-
-func cloneData(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
+	for i, r := range lst[offset:end] {
+		out[i] = key.assoc(r)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package tao
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -34,23 +35,23 @@ func TestNewStoreValidation(t *testing.T) {
 
 func TestObjectLifecycle(t *testing.T) {
 	s, clk := newTestStore(t)
-	id := s.ObjectAdd("user", map[string]string{"name": "ada"})
+	id := s.ObjectAdd("user", Props{{"name", "ada"}})
 	obj, err := s.ObjectGet(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Type != "user" || obj.Data["name"] != "ada" || obj.Version != 1 {
+	if obj.Type != "user" || obj.Data.Get("name") != "ada" || obj.Version != 1 {
 		t.Errorf("obj = %+v", obj)
 	}
 	if !obj.Created.Equal(clk.Now()) {
 		t.Errorf("Created = %v", obj.Created)
 	}
 
-	if err := s.ObjectUpdate(id, map[string]string{"name": "lovelace", "role": "eng"}); err != nil {
+	if err := s.ObjectUpdate(id, Props{{"name", "lovelace"}, {"role", "eng"}}); err != nil {
 		t.Fatal(err)
 	}
 	obj, _ = s.ObjectGet(id)
-	if obj.Data["name"] != "lovelace" || obj.Data["role"] != "eng" || obj.Version != 2 {
+	if obj.Data.Get("name") != "lovelace" || obj.Data.Get("role") != "eng" || obj.Version != 2 {
 		t.Errorf("after update: %+v", obj)
 	}
 
@@ -69,46 +70,46 @@ func TestObjectLifecycle(t *testing.T) {
 }
 
 // A stored property bag is immutable (see Object): a read returns the stored
-// map itself, an update swaps in a merged copy. So a bag already handed out
-// is a snapshot no later update shows through, and the map ObjectAdd was
+// slice itself, an update swaps in a merged copy. So a bag already handed out
+// is a snapshot no later update shows through, and the bag ObjectAdd was
 // given stays the caller's.
 func TestObjectGetReturnsSnapshot(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s, nil, 0)
-	mine := map[string]string{"k": "v"}
+	mine := Props{{"k", "v"}}
 	id := s.ObjectAdd("user", mine)
-	mine["k"] = "mutated by the adder"
+	mine[0][1] = "mutated by the adder"
 	before, _ := s.ObjectGet(id)
 	cached, _ := f.ObjectGet(id) // fill
-	if err := f.ObjectUpdate(id, map[string]string{"k": "v2", "n": "1"}); err != nil {
+	if err := f.ObjectUpdate(id, Props{{"k", "v2"}, {"n", "1"}}); err != nil {
 		t.Fatal(err)
 	}
 	for name, obj := range map[string]Object{"store": before, "follower": cached} {
-		if len(obj.Data) != 1 || obj.Data["k"] != "v" || obj.Version != 1 {
+		if len(obj.Data) != 1 || obj.Data.Get("k") != "v" || obj.Version != 1 {
 			t.Errorf("%s: bag read before the update now reads %v (version %d)", name, obj.Data, obj.Version)
 		}
 	}
 	for name, get := range map[string]func(ObjID) (Object, error){"store": s.ObjectGet, "follower miss": f.ObjectGet, "follower hit": f.ObjectGet} {
-		if obj, _ := get(id); len(obj.Data) != 2 || obj.Data["k"] != "v2" || obj.Data["n"] != "1" || obj.Version != 2 {
+		if obj, _ := get(id); len(obj.Data) != 2 || obj.Data.Get("k") != "v2" || obj.Data.Get("n") != "1" || obj.Version != 2 {
 			t.Errorf("%s: after the update = %v (version %d)", name, obj.Data, obj.Version)
 		}
 	}
 }
 
 // Readers range over the bag ObjectGet returned while a writer updates the
-// same object: under -race this fails if an update writes into a map a reader
+// same object: under -race this fails if an update writes into a bag a reader
 // holds, and every reader must see one complete bag — all keys at one
 // generation — never a mix of two.
 func TestObjectDataReadersRaceUpdate(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s, nil, 0)
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} // past one map group
-	bag := func(gen int) map[string]string {
-		m := make(map[string]string, len(keys))
-		for _, k := range keys {
-			m[k] = strconv.Itoa(gen)
+	keys := []string{"j", "i", "h", "g", "f", "e", "d", "c", "b", "a"} // the merge sorts them
+	bag := func(gen int) Props {
+		p := make(Props, len(keys))
+		for i, k := range keys {
+			p[i] = [2]string{k, strconv.Itoa(gen)}
 		}
-		return m
+		return p
 	}
 	id := s.ObjectAdd("post", bag(0))
 	updates := 2000
@@ -131,9 +132,9 @@ func TestObjectDataReadersRaceUpdate(t *testing.T) {
 					t.Errorf("get: %v", err)
 					return
 				}
-				for k, v := range obj.Data {
-					if v != obj.Data["a"] || len(obj.Data) != len(keys) {
-						t.Errorf("torn bag: %s=%s beside a=%s in %v", k, v, obj.Data["a"], obj.Data)
+				for _, kv := range obj.Data {
+					if kv[1] != obj.Data.Get("a") || len(obj.Data) != len(keys) {
+						t.Errorf("torn bag: %s=%s beside a=%s in %v", kv[0], kv[1], obj.Data.Get("a"), obj.Data)
 						return
 					}
 				}
@@ -318,7 +319,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := s.ObjectAdd("o", map[string]string{"g": "x"})
+				id := s.ObjectAdd("o", Props{{"g", "x"}})
 				if _, err := s.ObjectGet(id); err != nil {
 					t.Errorf("get: %v", err)
 				}
@@ -338,7 +339,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 func TestFollowerCaching(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s, nil, 0)
-	id := s.ObjectAdd("u", map[string]string{"v": "1"})
+	id := s.ObjectAdd("u", Props{{"v", "1"}})
 
 	if _, err := f.ObjectGet(id); err != nil {
 		t.Fatal(err)
@@ -364,19 +365,19 @@ func TestFollowerCaching(t *testing.T) {
 func TestFollowerWriteInvalidates(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s, nil, 0) // zero delay: invalidate immediately
-	id := s.ObjectAdd("u", map[string]string{"v": "1"})
+	id := s.ObjectAdd("u", Props{{"v", "1"}})
 	if _, err := f.ObjectGet(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ObjectUpdate(id, map[string]string{"v": "2"}); err != nil {
+	if err := f.ObjectUpdate(id, Props{{"v", "2"}}); err != nil {
 		t.Fatal(err)
 	}
 	obj, err := f.ObjectGet(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Data["v"] != "2" {
-		t.Errorf("follower served stale value %q after invalidation", obj.Data["v"])
+	if obj.Data.Get("v") != "2" {
+		t.Errorf("follower served stale value %q after invalidation", obj.Data.Get("v"))
 	}
 }
 
@@ -384,22 +385,22 @@ func TestFollowerDelayedInvalidation(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	s := MustNewStore(DefaultConfig(), eng)
 	f := NewFollower(s, eng, 100*time.Millisecond)
-	id := s.ObjectAdd("u", map[string]string{"v": "1"})
+	id := s.ObjectAdd("u", Props{{"v", "1"}})
 	if _, err := f.ObjectGet(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ObjectUpdate(id, map[string]string{"v": "2"}); err != nil {
+	if err := f.ObjectUpdate(id, Props{{"v", "2"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Before replication delay elapses the follower may serve stale data.
 	obj, _ := f.ObjectGet(id)
-	if obj.Data["v"] != "1" {
-		t.Errorf("expected stale read before invalidation, got %q", obj.Data["v"])
+	if obj.Data.Get("v") != "1" {
+		t.Errorf("expected stale read before invalidation, got %q", obj.Data.Get("v"))
 	}
 	eng.RunFor(200 * time.Millisecond)
 	obj, _ = f.ObjectGet(id)
-	if obj.Data["v"] != "2" {
-		t.Errorf("stale after invalidation: %q", obj.Data["v"])
+	if obj.Data.Get("v") != "2" {
+		t.Errorf("stale after invalidation: %q", obj.Data.Get("v"))
 	}
 }
 
@@ -496,5 +497,65 @@ func TestAssocAddOrderMatchesStableSortReference(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.AssocAdd(1, "p", 7, t0.Add(time.Second), "x") }); n != 0 {
 		t.Errorf("AssocAdd replacing in a list with room: %v allocs, want 0", n)
+	}
+}
+
+// A follower's fill reads the leader outside its lock. An invalidation that
+// lands between that read and the install must win: the install is dropped,
+// so the next read misses and sees the write instead of serving the
+// pre-write copy until some later write to the same key.
+func TestFollowerFillLosesToInvalidation(t *testing.T) {
+	s, _ := newTestStore(t)
+	f := NewFollower(s, nil, 0)
+	id := s.ObjectAdd("u", Props{{"v", "1"}})
+	key := assocKey{1, "c"}
+	s.AssocAdd(key.id1, key.typ, 10, t0, "old")
+
+	gen := f.gen // what a miss records before its leader read
+	obj, _ := s.ObjectGet(id)
+	rows := s.rows(key)
+	if err := s.ObjectUpdate(id, Props{{"v", "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	f.InvalidateObject(id)
+	s.AssocAdd(key.id1, key.typ, 10, t0, "new")
+	f.InvalidateAssoc(key.id1, key.typ)
+	install(f, f.objects, id, obj, gen)
+	install(f, f.assocs, key, rows, gen)
+
+	misses := f.Misses.Value()
+	if got, _ := f.ObjectGet(id); got.Data.Get("v") != "2" {
+		t.Errorf("object read after the write = %v, want v=2", got.Data)
+	}
+	if got := f.AssocRange(key.id1, key.typ, 0, 0); len(got) != 1 || got[0].Data != "new" {
+		t.Errorf("list read after the write = %+v, want data new", got)
+	}
+	if d := f.Misses.Value() - misses; d != 2 {
+		t.Errorf("%d misses after the invalidations, want 2: a stale fill was installed", d)
+	}
+}
+
+// A caller's limit bounds the answer, never the allocation: <= 0 means all,
+// as AssocRange has it, and the preallocation stops at the list length.
+func TestLimitIsNotACapacity(t *testing.T) {
+	s, clk := newTestStore(t)
+	const n = 5
+	for i := range n {
+		s.AssocAdd(1, "c", ObjID(10+i), t0.Add(time.Duration(i)*time.Second), "")
+		s.AssocAdd(2, "f", ObjID(10+i), t0, "")
+	}
+	clk.Set(t0.Add(time.Hour))
+	for _, c := range []struct{ limit, want int }{{-1, n}, {0, n}, {1, 1}, {n, n}, {math.MaxInt32, n}} {
+		for name, got := range map[string][]Assoc{
+			"AssocTimeRange": s.AssocTimeRange(1, "c", time.Time{}, time.Time{}, c.limit),
+			"Intersect":      s.Intersect(1, "c", 2, "f", c.limit),
+		} {
+			if len(got) != c.want || (c.limit > 0 && cap(got) > n) {
+				t.Errorf("%s limit %d: len %d cap %d, want len %d (cap <= %d for a positive limit)", name, c.limit, len(got), cap(got), c.want, n)
+			}
+			if len(got) > 0 && got[0].ID2 != 10+n-1 {
+				t.Errorf("%s limit %d: first %d, want the newest", name, c.limit, got[0].ID2)
+			}
+		}
 	}
 }

@@ -147,7 +147,7 @@ func TestMutationDispatchAndTAOWrite(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		id := ctx.Srv.TAO.ObjectAdd("comment", map[string]string{"text": text})
+		id := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{{"text", text}})
 		return uint64(id), nil
 	})
 	out, err := s.Mutate(3, `post(text: "hello")`)
@@ -162,8 +162,8 @@ func TestMutationDispatchAndTAOWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Data["text"] != "hello" {
-		t.Errorf("stored text = %q", obj.Data["text"])
+	if obj.Data.Get("text") != "hello" {
+		t.Errorf("stored text = %q", obj.Data.Get("text"))
 	}
 	if s.Mutations.Value() != 1 {
 		t.Errorf("Mutations = %d", s.Mutations.Value())
@@ -250,13 +250,13 @@ func TestPrivacyCheck(t *testing.T) {
 
 func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 	s, _ := newTestWAS(t)
-	ref := s.TAO.ObjectAdd("comment", map[string]string{"text": "nice"})
+	ref := s.TAO.ObjectAdd("comment", tao.Props{{"text", "nice"}})
 	s.RegisterPayload("lvc", func(ctx Ctx, r tao.ObjID, ev pylon.Event) (any, error) {
 		obj, err := ctx.Srv.TAO.ObjectGet(r)
 		if err != nil {
 			return nil, err
 		}
-		return obj.Data["text"], nil
+		return obj.Data.Get("text"), nil
 	})
 	ev := pylon.Event{Ref: uint64(ref), Author: 2}
 	out, err := s.FetchPayloadIn("", "lvc", 1, ev)
