@@ -7,8 +7,14 @@ import (
 	"sync"
 	"testing"
 
+	"bladerunner/internal/apps"
 	"bladerunner/internal/bench"
+	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/pylon"
+	"bladerunner/internal/socialgraph"
+	"bladerunner/internal/tao"
+	"bladerunner/internal/was"
 )
 
 // TestAllocContracts holds the hot paths to the allocation counts they
@@ -50,6 +56,9 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTSubscribeHop", subscribeHop, 5, "the stream, its header map's two, the one copy of the payload its strings slice; room for one"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 1, "the one copy of the patch both values slice: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
+		{"BRASSStreamOpenClose", streamOpenClose, 11, "the subscribe hop's four, the cancel reason's copy, the Stream and its close reason, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (17 before: the topic-set map's two, two closures, a replica slice per write)"},
+		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
+		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)
 		if res.N != 2000 {
@@ -196,6 +205,58 @@ func subscribeHop(b *testing.B) {
 			b.Fatalf("handler saw a %d-key subscribe, then %d", n, c)
 		}
 	}
+}
+
+// streamOpenClose is a scroll's BRASS half: a feed stream's subscribe
+// through a host's ServerSession, resolved by an in-process WAS and
+// registered with Pylon and its kvstore, then its cancel, which unwinds all
+// of it. The stream table, the topic's maps and its replicas' sets are warm
+// after the first lap.
+func streamOpenClose(b *testing.B) {
+	pyl := pylon.MustNew(pylon.DefaultConfig(), bench.NewKV())
+	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
+	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, pyl, nil)
+	host := brass.NewHost(brass.HostConfig{ID: "open-host", StickyRouting: true}, pyl, w, nil)
+	defer host.Close()
+	closed := make(chan string)
+	host.RegisterApp(closeSignal{apps.NewSuite(w).FeedComments, closed})
+	open := msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: apps.AppFeedComments, burst.HdrSubscription: "feedPostComments(postID: 17)", burst.HdrUser: "9"}})
+	hop := &wireTap{wire: append(open, msgWire(b, burst.FrameCancel, burst.Cancel{Reason: "scrolled"})...),
+		next: make(chan struct{}), closed: make(chan struct{})}
+	host.AcceptSession("open", hop)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop.next <- struct{}{}
+		if reason := <-closed; reason != "cancelled: scrolled" {
+			b.Fatalf("the stream closed with %q", reason)
+		}
+	}
+	if got := host.StreamsOpened.Value(); got != int64(b.N) {
+		b.Fatalf("%d streams opened, want %d", got, b.N)
+	}
+}
+
+// closeSignal is an application whose instances send each stream's close
+// reason on closed once the application has closed it.
+type closeSignal struct {
+	brass.Application
+	closed chan string
+}
+
+func (a closeSignal) NewInstance(rt *brass.Runtime) brass.AppInstance {
+	return closeSignaler{a.Application.NewInstance(rt), a.closed}
+}
+
+type closeSignaler struct {
+	brass.AppInstance
+	closed chan string
+}
+
+func (in closeSignaler) OnStreamClose(st *brass.Stream, reason string) {
+	in.AppInstance.OnStreamClose(st, reason)
+	in.closed <- reason
 }
 
 func resumeBatchDecode(b *testing.B) {

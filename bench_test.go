@@ -151,6 +151,12 @@ func BenchmarkBURSTFrameDecode(b *testing.B) { bench.BURSTFrameDecode(b) }
 
 func BenchmarkPylonPublish(b *testing.B) { bench.PylonPublish(b) }
 
+// A scroll's Pylon half: the subscription writes, then the first publish
+// after them, which misses the subscriber cache.
+func BenchmarkPylonSubscribeChurn(b *testing.B) { bench.PylonSubscribeChurn(b) }
+
+func BenchmarkPylonSlowPublish(b *testing.B) { bench.PylonSlowPublish(b) }
+
 // BenchmarkHotTopicFanout is the subscriber-cache acceptance benchmark:
 // one publish fanning out to 1000 subscribed hosts on one hot topic.
 func BenchmarkHotTopicFanout(b *testing.B) { bench.HotTopicFanout(b) }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -101,21 +102,31 @@ func TestUnknownViewerIsAnError(t *testing.T) {
 }
 
 // TestUnknownViewerStreamIsTerminated: a stream opened as a viewer the graph
-// does not know is terminated with ErrUnknownUser, and the host serves the
-// next stream.
+// does not know, or with a user header that names no user at all, is
+// terminated with ErrUnknownUser, and the host serves the next stream. A bad
+// header is refused before any resolver runs: feedPostComments never reads
+// the graph, so read as the system viewer 0 it would open and see every
+// author's comments, blocked ones included.
 func TestUnknownViewerStreamIsTerminated(t *testing.T) {
 	e := newEnv(t)
 	cli := e.dial(t)
-	for _, viewer := range []socialgraph.UserID{0, socialgraph.UserID(e.graph.NumUsers() + 1)} {
-		st := e.subscribe(t, cli, AppActiveStatus, "activeStatus", viewer, nil)
+	terminated := func(what string, st *burst.ClientStream) {
+		t.Helper()
 		select {
 		case batch := <-st.Events:
 			if d := batch.Deltas[0]; d.Type != burst.DeltaTermination || !strings.Contains(d.Reason, was.ErrUnknownUser.Error()) {
-				t.Errorf("viewer %d's stream got %+v, want a termination naming ErrUnknownUser", viewer, d)
+				t.Errorf("%s's stream got %+v, want a termination naming ErrUnknownUser", what, d)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("viewer %d's stream was never terminated", viewer)
+			t.Fatalf("%s's stream was never terminated", what)
 		}
+	}
+	for _, viewer := range []socialgraph.UserID{0, socialgraph.UserID(e.graph.NumUsers() + 1)} {
+		terminated(fmt.Sprintf("viewer %d", viewer), e.subscribe(t, cli, AppActiveStatus, "activeStatus", viewer, nil))
+	}
+	for _, header := range []string{"", "x", "-1", "0", "18446744073709551616"} {
+		terminated(fmt.Sprintf("user header %q", header), e.subscribe(t, cli, AppFeedComments,
+			"feedPostComments(postID: 1)", 1, burst.Header{burst.HdrUser: header}))
 	}
 	e.subscribe(t, cli, AppActiveStatus, "activeStatus", 1, nil)
 	waitFor(t, "a known viewer's stream to open", func() bool { return e.host.StreamsOpened.Value() == 1 })

@@ -111,6 +111,52 @@ func PylonPublish(b *testing.B) {
 	}
 }
 
+// PylonSubscribeChurn measures one host subscribing to a warmed topic and
+// unsubscribing again — what a scroll writes to the subscription store:
+// two quorum writes to three replicas, the reverse index and two shard
+// version bumps.
+func PylonSubscribeChurn(b *testing.B) {
+	pyl := pylon.MustNew(pylon.DefaultConfig(), NewKV())
+	pyl.RegisterHost(NewSink("sink"))
+	churn := func() {
+		if err := pyl.Subscribe("/churn", "sink"); err != nil {
+			b.Fatal(err)
+		}
+		if err := pyl.Unsubscribe("/churn", "sink"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	churn() // the key, its member and the reverse-index entry exist from here
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn()
+	}
+}
+
+// PylonSlowPublish measures a publish right after a subscribe on its topic:
+// the subscribe invalidates the cached subscriber set, so the publish takes
+// the first-responder read of all three replicas, which agree, and fills the
+// cache again — what the first publish after every scroll pays.
+func PylonSlowPublish(b *testing.B) {
+	pyl := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	sink := NewSink("sink")
+	pyl.RegisterHost(sink)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pyl.Subscribe("/slow", "sink"); err != nil {
+			b.Fatal(err)
+		}
+		if n, err := pyl.Publish(pylon.Event{Topic: "/slow", Ref: uint64(i)}); err != nil || n != 1 {
+			b.Fatalf("publish reached %d hosts, %v", n, err)
+		}
+	}
+	if misses := pyl.SubCacheStale.Value() + pyl.SubCacheMiss.Value(); misses != int64(b.N) {
+		b.Fatalf("%d of %d publishes read the replicas", misses, b.N)
+	}
+}
+
 // HotTopicFanout measures one publish to a topic with 1000 subscribed
 // hosts — the paper's hot-event shape (§3.2) and the case the subscriber
 // cache exists for: repeat publishes must not re-read the replicated

@@ -23,7 +23,7 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 	}
 	names := map[*Stream]string{}
 	stream := func(name string) *Stream {
-		st := &Stream{inst: inst, topics: make(map[pylon.Topic]bool)}
+		st := newStream(nil, inst)
 		names[st] = name
 		return st
 	}

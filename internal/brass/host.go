@@ -20,6 +20,7 @@ import (
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/trace"
+	"bladerunner/internal/was"
 )
 
 // ErrUnknownApp is returned when a stream names an unregistered application.
@@ -553,22 +554,26 @@ type hostSessionHandler struct {
 
 func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream, sub burst.Subscribe) {
 	h := hh.h
+	// A user header is input: present, it must name a user (a decimal uid
+	// >= 1), or the stream would run as the all-seeing system viewer 0.
+	// Absent, the stream is the system viewer's, as in-process tests open.
+	var viewer socialgraph.UserID
+	if uidStr, ok := sub.Header[burst.HdrUser]; ok {
+		uid, err := strconv.ParseUint(uidStr, 10, 64)
+		if err != nil || uid == 0 {
+			_ = bst.Terminate(fmt.Sprintf("%v: user header %q", was.ErrUnknownUser, uidStr))
+			return
+		}
+		viewer = socialgraph.UserID(uid)
+	}
 	appName := sub.Header[burst.HdrApp]
 	inst, err := h.Instance(appName)
 	if err != nil {
 		_ = bst.Terminate(err.Error())
 		return
 	}
-	st := &Stream{
-		burst:  bst,
-		inst:   inst,
-		topics: make(map[pylon.Topic]bool),
-	}
-	if uidStr, ok := sub.Header[burst.HdrUser]; ok {
-		if uid, err := strconv.ParseUint(uidStr, 10, 64); err == nil {
-			st.Viewer = socialgraph.UserID(uid)
-		}
-	}
+	st := newStream(bst, inst)
+	st.Viewer = viewer
 	bst.State = st
 	if h.cfg.StreamDeliverRate > 0 {
 		rate := h.cfg.StreamDeliverRate

@@ -93,12 +93,26 @@ type Instance struct {
 // logic; this bounded queue is the backstop.
 const taskBuffer = 4096
 
-// task is one unit of loop work, held by value: a delivery is its event (fn
-// nil), lifecycle work — open, close, ack, timers — is fn.
+// task is one unit of loop work, held by value: a delivery is its event, a
+// stream's open or close is the stream (and the reason it closed), and acks,
+// timers and calls are fn.
 type task struct {
-	fn func()
-	ev pylon.Event
+	kind   taskKind
+	ev     pylon.Event // taskDeliver
+	st     *Stream     // taskOpen, taskClose
+	reason string      // taskClose
+	fn     func()      // taskFunc
 }
+
+// taskKind says which of task's fields a task carries.
+type taskKind uint8
+
+const (
+	taskDeliver taskKind = iota
+	taskOpen
+	taskClose
+	taskFunc
+)
 
 func newInstance(h *Host, app Application) *Instance {
 	depth := h.cfg.LoopQueueDepth
@@ -144,7 +158,14 @@ func (inst *Instance) loop() {
 // the app — one keep/drop decision per candidate stream (Fig 8's "decisions
 // on updates").
 func (inst *Instance) run(t task) {
-	if t.fn != nil {
+	switch t.kind {
+	case taskOpen:
+		inst.runOpen(t.st)
+		return
+	case taskClose:
+		inst.runClose(t.st, t.reason)
+		return
+	case taskFunc:
 		t.fn()
 		return
 	}
@@ -180,7 +201,7 @@ func (inst *Instance) signalFlow(code burst.FlowCode) {
 // acks, timers): it is never shed. It reports false only when the
 // instance has stopped.
 func (inst *Instance) post(fn func()) bool {
-	return inst.push(task{fn: fn}, overload.Control)
+	return inst.push(task{kind: taskFunc, fn: fn}, overload.Control)
 }
 
 // push enqueues t with an explicit shed class. Data-class work (event
@@ -243,16 +264,22 @@ func (inst *Instance) deliver(ev pylon.Event) {
 
 // addTopicRef registers st's interest in topic (loop-owned).
 func (inst *Instance) addTopicRef(topic pylon.Topic, st *Stream) error {
-	if st.topics[topic] {
-		return nil
-	}
+	// st holds topic exactly when it is on topic's list. Searching that list,
+	// which the append below copies anyway, keeps a k-topic open linear where
+	// searching st.topics would be quadratic; from the tail, because a
+	// repeated add is most often of the topic st added last.
 	set := inst.topicStreams[topic]
+	for i := len(set) - 1; i >= 0; i-- {
+		if set[i] == st {
+			return nil
+		}
+	}
 	inst.topicStreams[topic] = append(slices.Clip(set), st)
-	st.topics[topic] = true
+	st.topics = append(st.topics, topic)
 	if len(set) == 0 {
 		if err := inst.host.subscribeTopic(topic, inst); err != nil {
 			delete(inst.topicStreams, topic)
-			delete(st.topics, topic)
+			st.topics = st.topics[:len(st.topics)-1]
 			return err
 		}
 	}
@@ -262,16 +289,28 @@ func (inst *Instance) addTopicRef(topic pylon.Topic, st *Stream) error {
 // dropTopicRef removes st's interest; the last reference unsubscribes the
 // instance (and possibly the host) from Pylon.
 func (inst *Instance) dropTopicRef(topic pylon.Topic, st *Stream) {
-	if !st.topics[topic] {
+	// From the back: a close drops the last-added topic first.
+	i := len(st.topics) - 1
+	for i >= 0 && st.topics[i] != topic {
+		i--
+	}
+	if i < 0 {
 		return
 	}
-	delete(st.topics, topic)
+	st.topics = slices.Delete(st.topics, i, i+1)
 	if rest := without(inst.topicStreams[topic], st); len(rest) > 0 {
 		inst.topicStreams[topic] = rest
 		return
 	}
 	delete(inst.topicStreams, topic)
 	inst.host.unsubscribeTopic(topic, inst)
+}
+
+// dropTopics drops every topic st holds, the last-added first.
+func (inst *Instance) dropTopics(st *Stream) {
+	for n := len(st.topics); n > 0; n = len(st.topics) {
+		inst.dropTopicRef(st.topics[n-1], st)
+	}
 }
 
 // StreamsForTopic returns the streams interested in topic, in the order they
@@ -293,50 +332,54 @@ func (inst *Instance) Streams() []*Stream {
 	return out
 }
 
-// openStream runs the full stream-open sequence on the loop.
+// openStream queues the stream-open sequence on the loop as a value task:
+// Control class, so it is never shed and runs before any delivery queued
+// after it.
 func (inst *Instance) openStream(st *Stream) {
-	inst.post(func() {
-		inst.flowMu.Lock()
-		inst.streams[st] = true
-		inst.flowMu.Unlock()
-		if err := inst.impl.OnStreamOpen(st); err != nil {
-			inst.flowMu.Lock()
-			delete(inst.streams, st)
-			inst.flowMu.Unlock()
-			for topic := range st.topics {
-				inst.dropTopicRef(topic, st)
-			}
-			_ = st.burst.Terminate(fmt.Sprintf("rejected: %v", err))
-			return
-		}
-		inst.host.StreamsOpened.Inc()
-		// A stream landing on an already-shedding loop learns immediately
-		// that deltas may be dropped, so its device can reopen it.
-		if inst.tasks.Shedding() {
-			st.announce(burst.FlowDegraded, "brass-loop")
-		}
-	})
+	inst.push(task{kind: taskOpen, st: st}, overload.Control)
 }
 
-// closeStream runs the stream-close sequence on the loop.
+// closeStream queues the stream-close sequence on the loop, as openStream.
 func (inst *Instance) closeStream(st *Stream, reason string) {
-	inst.post(func() {
-		if !inst.streams[st] {
-			return
-		}
+	inst.push(task{kind: taskClose, st: st, reason: reason}, overload.Control)
+}
+
+// runOpen is the stream-open sequence (loop-only).
+func (inst *Instance) runOpen(st *Stream) {
+	inst.flowMu.Lock()
+	inst.streams[st] = true
+	inst.flowMu.Unlock()
+	if err := inst.impl.OnStreamOpen(st); err != nil {
 		inst.flowMu.Lock()
 		delete(inst.streams, st)
 		inst.flowMu.Unlock()
-		for topic := range st.topics {
-			inst.dropTopicRef(topic, st)
-		}
-		inst.impl.OnStreamClose(st, reason)
-		inst.host.StreamsClosed.Inc()
-		if len(inst.streams) == 0 {
-			// Per-stream instances despool with their stream.
-			inst.host.despool(inst)
-		}
-	})
+		inst.dropTopics(st)
+		_ = st.burst.Terminate(fmt.Sprintf("rejected: %v", err))
+		return
+	}
+	inst.host.StreamsOpened.Inc()
+	// A stream landing on an already-shedding loop learns immediately
+	// that deltas may be dropped, so its device can reopen it.
+	if inst.tasks.Shedding() {
+		st.announce(burst.FlowDegraded, "brass-loop")
+	}
+}
+
+// runClose is the stream-close sequence (loop-only). A stream closes once.
+func (inst *Instance) runClose(st *Stream, reason string) {
+	if !inst.streams[st] {
+		return
+	}
+	inst.flowMu.Lock()
+	delete(inst.streams, st)
+	inst.flowMu.Unlock()
+	inst.dropTopics(st)
+	inst.impl.OnStreamClose(st, reason)
+	inst.host.StreamsClosed.Inc()
+	if len(inst.streams) == 0 {
+		// Per-stream instances despool with their stream.
+		inst.host.despool(inst)
+	}
 }
 
 // After schedules fn on the event loop after d (application timers).

@@ -2,6 +2,7 @@ package brass
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,8 +32,11 @@ type Stream struct {
 	// Viewer is the subscribing user (parsed from the stream header).
 	Viewer socialgraph.UserID
 
-	// topics tracks the Pylon topics this stream holds references to.
-	topics map[pylon.Topic]bool
+	// topics lists the Pylon topics this stream holds references to, in the
+	// order it added them. It starts on topic1, so the common one-topic
+	// stream allocates nothing for it.
+	topics []pylon.Topic
+	topic1 [1]pylon.Topic
 
 	// State is free space for per-stream application state (ranked
 	// buffers, rate limiters, sequence cursors...). Loop-owned.
@@ -45,6 +49,13 @@ type Stream struct {
 	admitMu  sync.Mutex
 	admit    overload.TokenBucket
 	degraded bool
+}
+
+// newStream returns inst's stream for bst, its topic list on its own array.
+func newStream(bst *burst.ServerStream, inst *Instance) *Stream {
+	st := &Stream{burst: bst, inst: inst}
+	st.topics = st.topic1[:0]
+	return st
 }
 
 // SID returns the BURST stream id.
@@ -63,14 +74,9 @@ func (st *Stream) AddTopic(topic pylon.Topic) error { return st.inst.addTopicRef
 // DropTopic removes the stream's interest in topic. Loop-only.
 func (st *Stream) DropTopic(topic pylon.Topic) { st.inst.dropTopicRef(topic, st) }
 
-// Topics returns the stream's current topic set. Loop-only.
-func (st *Stream) Topics() []pylon.Topic {
-	out := make([]pylon.Topic, 0, len(st.topics))
-	for t := range st.topics {
-		out = append(out, t)
-	}
-	return out
-}
+// Topics returns the stream's current topics, in the order it added them.
+// Loop-only.
+func (st *Stream) Topics() []pylon.Topic { return slices.Clone(st.topics) }
 
 // Push sends the deltas of one application decision — a payload, a payload
 // and the state rewrite that goes with it, several ranked payloads — to the

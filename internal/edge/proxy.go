@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -210,10 +211,23 @@ func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
 		return fmt.Errorf("subscribe via %s: %w", target, err)
 	}
 	r.mu.Lock()
-	r.up = st
+	done := r.done
+	if !done {
+		r.up = st
+	}
 	r.mu.Unlock()
+	if done {
+		// The stream ended downstream while this leg was being opened, and
+		// the cancel went to the leg before it: nothing would pump or cancel
+		// this one.
+		_ = st.Cancel("stream ended during repair")
+		return errRelayDone
+	}
 	return nil
 }
+
+// errRelayDone is connect's answer for a stream that ended while it ran.
+var errRelayDone = errors.New("edge: stream ended")
 
 // run pumps batches from upstream to downstream, repairing the upstream leg
 // on failure (axiom 2: the component downstream from a failure that is
@@ -241,8 +255,8 @@ func (r *relay) run() {
 		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
 			"upstream "+r.target+" lost"))
 		if !r.repair(up.Request()) {
-			r.p.RepairFailures.Inc()
 			if r.setDone() {
+				r.p.RepairFailures.Inc()
 				_ = r.down.Terminate("stream unrecoverable: upstream gone")
 			}
 			return
@@ -305,12 +319,13 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 		}
 		if len(forward) > 0 {
 			if err := r.down.SendBatch(forward...); err != nil {
-				// Downstream is gone: cancel upstream and stop.
+				// Downstream is gone: cancel upstream and stop. A cancel
+				// that already marked the relay done may have gone to an
+				// earlier leg, so this one is cancelled regardless.
 				sp.Annotate("drop", "downstream-lost")
 				sp.End()
-				if r.setDone() {
-					_ = up.Cancel("downstream lost")
-				}
+				r.setDone()
+				_ = up.Cancel("downstream lost")
 				return false
 			}
 		}

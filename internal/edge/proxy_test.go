@@ -98,12 +98,18 @@ type proxyEnv struct {
 
 func newProxyEnv(t *testing.T) *proxyEnv {
 	t.Helper()
+	return newProxyEnvVia(t, func(n *PipeNetwork) Dialer { return n })
+}
+
+// newProxyEnvVia is newProxyEnv with the proxy dialing through dialer(n).
+func newProxyEnvVia(t *testing.T, dialer func(n *PipeNetwork) Dialer) *proxyEnv {
+	t.Helper()
 	n := NewPipeNetwork()
 	a := &upstreamServer{name: "brass-a"}
 	b := &upstreamServer{name: "brass-b"}
 	n.Register("brass-a", a.accept)
 	n.Register("brass-b", b.accept)
-	p := NewProxy("pop-1", n, StickyRouter{Fallback: NewRoundRobinRouter("brass-a", "brass-b")})
+	p := NewProxy("pop-1", dialer(n), StickyRouter{Fallback: NewRoundRobinRouter("brass-a", "brass-b")})
 	n.Register("pop-1", p.Accept)
 	rwc, err := n.Dial("pop-1")
 	if err != nil {
@@ -346,6 +352,75 @@ func TestProxyServerTerminationForwardedAndGCd(t *testing.T) {
 		t.Fatal("termination not forwarded")
 	}
 	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveRelays() == 0 })
+}
+
+// gatedDialer dials through Dialer, except that a dial to target first
+// waits for release; entered is closed when the first such dial waits.
+type gatedDialer struct {
+	Dialer
+	target           string
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (d *gatedDialer) Dial(target string) (io.ReadWriteCloser, error) {
+	if target == d.target {
+		d.once.Do(func() { close(d.entered) })
+		<-d.release
+	}
+	return d.Dialer.Dial(target)
+}
+
+// endDuringRepair kills brass-a under a relayed stream, holds the proxy's
+// redial to brass-b, ends the stream from downstream with end while the dial
+// waits, then lets the dial through. The leg the repair opened on brass-b
+// must be cancelled, and the relay collected.
+func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
+	gate := &gatedDialer{target: "brass-b", entered: make(chan struct{}), release: make(chan struct{})}
+	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { gate.Dialer = n; return gate })
+	st := subscribeSticky(t, env, "brass-a")
+	waitFor(t, "upstream on A", func() bool { return env.brassA.stream(0) != nil })
+	env.net.SetDown("brass-a", true)
+	env.brassA.killSessions()
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the repair never redialed brass-b")
+	}
+	end(env, st)
+	waitFor(t, "the relay to learn the stream ended", func() bool {
+		env.proxy.mu.Lock()
+		relays := make([]*relay, 0, len(env.proxy.relays))
+		for r := range env.proxy.relays {
+			relays = append(relays, r)
+		}
+		env.proxy.mu.Unlock()
+		for _, r := range relays {
+			if !r.isDone() {
+				return false
+			}
+		}
+		return true
+	})
+	close(gate.release)
+	waitFor(t, "the repaired leg cancelled and the relay collected", func() bool {
+		env.brassB.mu.Lock()
+		streams, cancels := len(env.brassB.streams), len(env.brassB.cancels)
+		env.brassB.mu.Unlock()
+		return streams == 1 && cancels == 1 && env.proxy.ActiveRelays() == 0
+	})
+}
+
+func TestCancelDuringRepairCancelsTheRepairedLeg(t *testing.T) {
+	endDuringRepair(t, func(_ *proxyEnv, st *burst.ClientStream) {
+		if err := st.Cancel("scrolled away"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestSessionCloseDuringRepairCancelsTheRepairedLeg(t *testing.T) {
+	endDuringRepair(t, func(env *proxyEnv, _ *burst.ClientStream) { env.client.Close() })
 }
 
 func TestTwoHopChain(t *testing.T) {

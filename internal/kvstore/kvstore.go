@@ -40,41 +40,69 @@ type record struct {
 }
 
 // SetView is a point-in-time, version-annotated view of a replicated set,
-// suitable for merging across replicas.
-type SetView map[Member]VersionedMember
+// suitable for merging across replicas: one entry per member, tombstones
+// included, sorted by member.
+type SetView []VersionedMember
 
-// VersionedMember pairs membership with its LWW version.
+// VersionedMember pairs a member's membership with its LWW version.
 type VersionedMember struct {
+	Member  Member
 	Version uint64
 	Present bool
 }
 
+// Get returns m's entry in the view, tombstone or not, and whether it has
+// one.
+func (v SetView) Get(m Member) (VersionedMember, bool) {
+	i, ok := slices.BinarySearchFunc(v, m, byMember)
+	if !ok {
+		return VersionedMember{}, false
+	}
+	return v[i], true
+}
+
+func byMember(r VersionedMember, m Member) int { return cmp.Compare(r.Member, m) }
+
+func memberOrder(a, b VersionedMember) int { return cmp.Compare(a.Member, b.Member) }
+
 // Members returns the present members of the view in sorted order.
 func (v SetView) Members() []Member {
 	out := make([]Member, 0, len(v))
-	for m, r := range v {
+	for _, r := range v {
 		if r.Present {
-			out = append(out, m)
+			out = append(out, r.Member)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
-// Merge combines several replica views into the LWW-maximal view. Version
-// ties (possible only if two writers raced the version counter) resolve
-// deterministically in favor of the tombstone, keeping Merge commutative.
+// Merge combines several replica views into the LWW-maximal view, a new
+// one. Version ties (possible only if two writers raced the version
+// counter) resolve deterministically in favor of the tombstone, keeping
+// Merge commutative.
 func Merge(views ...SetView) SetView {
-	out := make(SetView)
+	n := 0
 	for _, v := range views {
-		for m, r := range v {
-			cur, ok := out[m]
-			if !ok || newer(r.Version, r.Present, cur.Version, cur.Present) {
-				out[m] = r
-			}
-		}
+		n += len(v)
 	}
-	return out
+	out := make(SetView, 0, n)
+	for _, v := range views {
+		out = append(out, v...)
+	}
+	// newer is a total order on an entry's (version, present), so which of
+	// a member's entries the sort puts first does not change the winner.
+	slices.SortFunc(out, memberOrder)
+	kept := out[:0]
+	for _, r := range out {
+		if last := len(kept) - 1; last >= 0 && kept[last].Member == r.Member {
+			if newer(r.Version, r.Present, kept[last].Version, kept[last].Present) {
+				kept[last] = r
+			}
+			continue
+		}
+		kept = append(kept, r)
+	}
+	return kept
 }
 
 // newer reports whether (v1,p1) supersedes (v2,p2) under LWW with
@@ -183,7 +211,7 @@ func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 	if same != nil && len(set) == len(same) {
 		agree := true
 		for m, r := range set {
-			if same[m] != VersionedMember(r) {
+			if got, ok := same.Get(m); !ok || got.Version != r.Version || got.Present != r.Present {
 				agree = false
 				break
 			}
@@ -192,10 +220,11 @@ func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 			return nil, nil
 		}
 	}
-	out := make(SetView, len(set))
+	out := make(SetView, 0, len(set)) // never nil: an empty set is an answer
 	for m, r := range set {
-		out[m] = VersionedMember{Version: r.Version, Present: r.Present}
+		out = append(out, VersionedMember{Member: m, Version: r.Version, Present: r.Present})
 	}
+	slices.SortFunc(out, memberOrder)
 	return out, nil
 }
 
@@ -248,8 +277,19 @@ func MustNewCluster(nodes []*Node, replicas int) *Cluster {
 // deterministic for a given key; index 0 is the "primary" (typically the
 // fastest responder in the local region).
 func (c *Cluster) ReplicasFor(key string) []*Node {
-	// Every subscribe, unsubscribe, patch and slow-path publish comes through
-	// here: the scores live on the stack, the result is the one allocation.
+	return c.replicasInto(make([]*Node, 0, c.replicas), key)
+}
+
+// stackReplicas is how many replicas the cluster's own reads and writes
+// pick into an array on their stack; a larger replication factor spills to
+// the heap.
+const stackReplicas = 8
+
+// replicasInto appends key's replicas, in ReplicasFor's order, to the empty
+// out. Every subscribe, unsubscribe, patch and slow-path publish comes
+// through here with an out on its caller's stack, so none of them allocates
+// for it; the scores live on this stack.
+func (c *Cluster) replicasInto(out []*Node, key string) []*Node {
 	var few [16]scored
 	all := few[:0]
 	if len(c.nodes) > len(few) {
@@ -258,7 +298,7 @@ func (c *Cluster) ReplicasFor(key string) []*Node {
 	for _, n := range c.nodes {
 		all = append(all, scored{n, rendezvousScore(key, n.ID)})
 	}
-	return pickReplicas(all, c.replicas)
+	return pickReplicas(out, all, c.replicas)
 }
 
 // scored is a node beside its rendezvous score for one key.
@@ -268,16 +308,15 @@ type scored struct {
 }
 
 // pickReplicas orders all by score, highest first (ties by node id), and
-// picks replicas of them: the best node of each region first, then the best
-// of the rest. It reorders all.
-func pickReplicas(all []scored, replicas int) []*Node {
+// appends replicas of them to the empty out: the best node of each region
+// first, then the best of the rest. It reorders all.
+func pickReplicas(out []*Node, all []scored, replicas int) []*Node {
 	slices.SortFunc(all, func(a, b scored) int {
 		if a.s != b.s {
 			return cmp.Compare(b.s, a.s)
 		}
 		return cmp.Compare(a.n.ID, b.n.ID)
 	})
-	out := make([]*Node, 0, replicas)
 	// First pass: best node per unused region.
 	for _, sc := range all {
 		if len(out) == replicas {
@@ -335,7 +374,8 @@ func (c *Cluster) SetRemove(key string, m Member) (int, error) {
 }
 
 func (c *Cluster) write(key string, m Member, present bool) (int, error) {
-	replicas := c.ReplicasFor(key)
+	var few [stackReplicas]*Node
+	replicas := c.replicasInto(few[:0], key)
 	rec := record{Version: c.NextVersion(), Present: present}
 	acked := 0
 	for _, n := range replicas {
@@ -353,7 +393,8 @@ func (c *Cluster) write(key string, m Member, present bool) (int, error) {
 // the primary. The view may be stale; callers that need convergence use
 // ReadAll + Merge.
 func (c *Cluster) ReadOne(key string) (SetView, *Node, error) {
-	for _, n := range c.ReplicasFor(key) {
+	var few [stackReplicas]*Node
+	for _, n := range c.replicasInto(few[:0], key) {
 		v, err := n.View(key)
 		if err == nil {
 			return v, n, nil
@@ -374,7 +415,8 @@ type ReplicaResponse struct {
 // responses in replica order. Pylon uses the first response to start
 // fan-out and the rest — those that differ from it — for patch-up.
 func (c *Cluster) ReadAll(key string) []ReplicaResponse {
-	replicas := c.ReplicasFor(key)
+	var few [stackReplicas]*Node
+	replicas := c.replicasInto(few[:0], key)
 	out := make([]ReplicaResponse, len(replicas))
 	var first SetView
 	for i, n := range replicas {
@@ -395,14 +437,15 @@ func (c *Cluster) Patch(key string, merged SetView) int {
 	if merged == nil {
 		merged = SetView{} // nil would ask viewUnless for plain views
 	}
-	for _, n := range c.ReplicasFor(key) {
+	var few [stackReplicas]*Node
+	for _, n := range c.replicasInto(few[:0], key) {
 		v, err := n.viewUnless(key, merged)
 		if err != nil || v == nil {
 			continue // unreachable, or already holds the merged view
 		}
-		for m, r := range merged {
-			if cur, ok := v[m]; !ok || newer(r.Version, r.Present, cur.Version, cur.Present) {
-				_ = n.apply(key, m, record(r))
+		for _, r := range merged {
+			if cur, ok := v.Get(r.Member); !ok || newer(r.Version, r.Present, cur.Version, cur.Present) {
+				_ = n.apply(key, r.Member, record{Version: r.Version, Present: r.Present})
 			}
 		}
 		patched++
@@ -413,7 +456,8 @@ func (c *Cluster) Patch(key string, merged SetView) int {
 // QuorumAvailable reports whether a majority of key's replicas are up —
 // the paper's "quorum breakage" failure condition (Fig 10 discussion).
 func (c *Cluster) QuorumAvailable(key string) bool {
-	replicas := c.ReplicasFor(key)
+	var few [stackReplicas]*Node
+	replicas := c.replicasInto(few[:0], key)
 	up := 0
 	for _, n := range replicas {
 		if n.Up() {

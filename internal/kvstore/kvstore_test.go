@@ -135,7 +135,7 @@ func TestReplicasForMatchesReference(t *testing.T) {
 			return all
 		}
 		want := referenceReplicas(score(), replicas)
-		if got := pickReplicas(score(), replicas); !slices.Equal(got, want) {
+		if got := pickReplicas(nil, score(), replicas); !slices.Equal(got, want) {
 			t.Fatalf("case %d (%d regions, %d nodes, %d replicas, mask %#x): picked %v, reference %v",
 				i, regions, nodes, replicas, mask, ids(got), ids(want))
 		}
@@ -293,8 +293,8 @@ func TestStaleReplicaPatchedToConsistency(t *testing.T) {
 }
 
 func TestMergeLWWPrefersNewerVersion(t *testing.T) {
-	a := SetView{"m": {Version: 1, Present: true}}
-	b := SetView{"m": {Version: 2, Present: false}} // newer tombstone
+	a := SetView{{Member: "m", Version: 1, Present: true}}
+	b := SetView{{Member: "m", Version: 2, Present: false}} // newer tombstone
 	merged := Merge(a, b)
 	if len(merged.Members()) != 0 {
 		t.Errorf("tombstone lost: %v", merged.Members())
@@ -349,11 +349,11 @@ func TestDownNodeRejectsReadsAndWrites(t *testing.T) {
 // member set (merge is commutative and idempotent).
 func TestMergeCommutativeProperty(t *testing.T) {
 	f := func(versions [6]uint8, present [6]bool) bool {
-		a := SetView{}
-		b := SetView{}
+		var a, b SetView
 		for i := 0; i < 3; i++ {
-			a[Member(fmt.Sprintf("m%d", i))] = VersionedMember{Version: uint64(versions[i]), Present: present[i]}
-			b[Member(fmt.Sprintf("m%d", i))] = VersionedMember{Version: uint64(versions[i+3]), Present: present[i+3]}
+			m := Member(fmt.Sprintf("m%d", i))
+			a = append(a, VersionedMember{Member: m, Version: uint64(versions[i]), Present: present[i]})
+			b = append(b, VersionedMember{Member: m, Version: uint64(versions[i+3]), Present: present[i+3]})
 		}
 		ab := Merge(a, b).Members()
 		ba := Merge(b, a).Members()

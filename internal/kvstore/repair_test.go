@@ -84,7 +84,7 @@ func TestAsymmetricDownPatternsRepair(t *testing.T) {
 	// The tombstone for m1 must be present everywhere, not just absence.
 	for _, n := range replicas {
 		v, _ := n.View(key)
-		rec, ok := v["m1"]
+		rec, ok := v.Get("m1")
 		if !ok || rec.Present {
 			t.Errorf("replica %s: m1 tombstone = %+v, %v", n.ID, rec, ok)
 		}
@@ -142,7 +142,7 @@ func TestFlappingMinorityConvergence(t *testing.T) {
 		t.Fatalf("merged = %v, model wants %d members", got, len(want))
 	}
 	for _, m := range want {
-		if r, ok := merged[m]; !ok || !r.Present {
+		if r, ok := merged.Get(m); !ok || !r.Present {
 			t.Fatalf("merged missing %s", m)
 		}
 	}

@@ -590,11 +590,15 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 		sp.End()
 		return 0, fmt.Errorf("pylon: publish %q: all subscription replicas down", ev.Topic)
 	}
+	// The views are sorted by member, so every stage delivers in member
+	// order, reading the present members in place.
 	merged := resp[first].View
-	members := merged.Members()
 	n := 0
-	for _, m := range members {
-		if sub := hosts[string(m)]; sub != nil {
+	for _, m := range merged {
+		if !m.Present {
+			continue
+		}
+		if sub := hosts[string(m.Member)]; sub != nil {
 			sub.Deliver(ev)
 			n++
 		}
@@ -608,16 +612,21 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 			continue
 		}
 		if sent == nil {
-			sent = make(map[kvstore.Member]bool, len(members))
-			for _, m := range members {
-				sent[m] = hosts[string(m)] != nil
+			sent = make(map[kvstore.Member]bool, len(merged))
+			for _, m := range merged {
+				if m.Present {
+					sent[m.Member] = hosts[string(m.Member)] != nil
+				}
 			}
 		}
 		merged = kvstore.Merge(merged, r.View)
-		for _, m := range r.View.Members() {
-			if sub := hosts[string(m)]; sub != nil && !sent[m] {
+		for _, m := range r.View {
+			if !m.Present {
+				continue
+			}
+			if sub := hosts[string(m.Member)]; sub != nil && !sent[m.Member] {
 				sub.Deliver(ev)
-				sent[m] = true
+				sent[m.Member] = true
 				n++
 				s.PatchForwards.Inc()
 			}
@@ -628,7 +637,6 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 	// that all agree with the first need none: its view is the merged one.
 	patched := 0
 	if sent != nil {
-		members = merged.Members()
 		if patched = s.kv.Patch(string(ev.Topic), merged); patched > 0 {
 			s.Patches.Add(int64(patched))
 		}
@@ -645,9 +653,17 @@ func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]
 			// fan-out loop then never touches the strings again. Interning
 			// is a mutex'd map hit for known hosts — per miss, not per
 			// publish.
-			handles := make([]uint32, len(members))
-			for i, m := range members {
-				handles[i] = s.hostIDs.Intern(string(m))
+			present := 0
+			for _, m := range merged {
+				if m.Present {
+					present++
+				}
+			}
+			handles := make([]uint32, 0, present)
+			for _, m := range merged {
+				if m.Present {
+					handles = append(handles, s.hostIDs.Intern(string(m.Member)))
+				}
 			}
 			s.subCache.Put(ev.Topic, subEntry{ver: ver, handles: handles})
 		}
