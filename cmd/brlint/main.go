@@ -1,63 +1,36 @@
 // Command brlint runs Bladerunner's static-analysis suite (internal/lint)
-// over the module: the concurrency and virtual-time invariants the compiler
-// cannot enforce. It is part of the tier-1 verification line:
+// over the module: the invariants neither the compiler nor `go vet` checks.
+// It is part of the tier-1 verification line:
 //
 //	go build ./... && go vet ./... && go run ./cmd/brlint ./... && go test ./...
 //
 // Usage:
 //
-//	brlint [-rules rule1,rule2] [-suppressions] [packages ...]
+//	brlint [-suppressions] [packages ...]
 //
 // Packages are directories relative to the module root (or absolute), with
-// the go-style "/..." suffix for subtrees; the default is "./...". Exit
-// status is 0 when clean, 1 when diagnostics were reported, 2 on load
-// errors.
+// the go-style "/..." suffix for subtrees; the default is "./...". Every
+// rule runs. Exit status is 0 when clean, 1 when diagnostics were reported,
+// 2 on load or usage errors. Diagnostics follow the
+// "file:line:col: rule: message" shape that
+// .github/brlint-problem-matcher.json turns into GitHub code annotations.
 //
 // With -suppressions, instead of linting, brlint prints every active
 // //brlint:allow(rule) suppression with its file:line and reason — the
 // repository's live invariant debt — and exits 0 (or 1 if any suppression
 // never matched a diagnostic, i.e. is stale).
-//
-// With -json, diagnostics (or, with -suppressions, the suppression audit)
-// are written to stdout as a single JSON array instead of text lines, for
-// editor and CI tooling. Exit codes are unchanged. Plain-text diagnostics
-// follow the "file:line:col: rule: message" shape that
-// .github/brlint-problem-matcher.json turns into GitHub code annotations.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"bladerunner/internal/lint"
 )
 
-// jsonDiagnostic is the -json shape of one diagnostic.
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// jsonSuppression is the -json -suppressions shape of one audit entry.
-type jsonSuppression struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Rule   string `json:"rule"`
-	Reason string `json:"reason"`
-	Stale  bool   `json:"stale"`
-}
-
 func main() {
-	rulesFlag := flag.String("rules", "", "comma-separated rule names to run (default: all)")
 	suppressions := flag.Bool("suppressions", false, "audit //brlint:allow suppressions instead of reporting diagnostics")
-	list := flag.Bool("list", false, "list available rules and exit")
-	jsonOut := flag.Bool("json", false, "write diagnostics (or the suppression audit) as a JSON array on stdout")
 	flag.Parse()
 
 	cwd, err := os.Getwd()
@@ -68,30 +41,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	all := lint.DefaultRules(loader.ModPath)
-	if *list {
-		for _, r := range all {
-			fmt.Printf("%-22s %s\n", r.Name(), r.Doc())
-		}
-		return
-	}
-	rules := all
-	if *rulesFlag != "" {
-		byName := make(map[string]lint.Rule, len(all))
-		for _, r := range all {
-			byName[r.Name()] = r
-		}
-		rules = nil
-		for _, name := range strings.Split(*rulesFlag, ",") {
-			r, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fatal(fmt.Errorf("brlint: unknown rule %q", name))
-			}
-			rules = append(rules, r)
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -101,64 +50,33 @@ func main() {
 		fatal(err)
 	}
 
-	runner := lint.NewRunner(loader, rules...)
+	runner := lint.NewRunner(loader)
 	diags := runner.Run(pkgs)
 
 	if *suppressions {
 		sups := runner.Suppressions()
 		stale := 0
-		out := make([]jsonSuppression, 0, len(sups))
 		for _, s := range sups {
-			if !s.Used {
-				stale++
-			}
-			if *jsonOut {
-				out = append(out, jsonSuppression{File: s.File, Line: s.Line, Rule: s.Rule, Reason: s.Reason, Stale: !s.Used})
-				continue
-			}
 			status := ""
 			if !s.Used {
+				stale++
 				status = "  [stale: suppresses nothing]"
 			}
 			fmt.Printf("%s:%d: allow(%s) %s%s\n", s.File, s.Line, s.Rule, s.Reason, status)
 		}
-		if *jsonOut {
-			emitJSON(out)
-		} else {
-			fmt.Printf("%d suppression(s), %d stale\n", len(sups), stale)
-		}
+		fmt.Printf("%d suppression(s), %d stale\n", len(sups), stale)
 		if stale > 0 {
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *jsonOut {
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiagnostic{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Message: d.Message})
-		}
-		emitJSON(out)
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: %s: %s\n", d.Pos, d.Rule, d.Message)
-		}
-		if len(diags) > 0 {
-			fmt.Printf("brlint: %d diagnostic(s)\n", len(diags))
-		}
+	for _, d := range diags {
+		fmt.Printf("%s: %s: %s\n", d.Pos, d.Rule, d.Message)
 	}
 	if len(diags) > 0 {
+		fmt.Printf("brlint: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// emitJSON writes v indented to stdout; an encoding failure is a tool bug
-// and exits 2 like any other internal error.
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fatal(err)
 	}
 }
 

@@ -18,9 +18,10 @@ type gateApp struct {
 	gate chan struct{}
 	once sync.Once
 
-	mu     sync.Mutex
-	events int
-	acks   []uint64
+	mu      sync.Mutex
+	entered int
+	events  int
+	acks    []uint64
 }
 
 // release opens the gate exactly once (also used as a cleanup so a failed
@@ -45,6 +46,9 @@ func (g *gateInstance) OnStreamOpen(st *Stream) error {
 func (g *gateInstance) OnStreamClose(st *Stream, reason string) {}
 
 func (g *gateInstance) OnEvent(ev pylon.Event) {
+	g.app.mu.Lock()
+	g.app.entered++
+	g.app.mu.Unlock()
 	<-g.app.gate
 	g.app.mu.Lock()
 	g.app.events++
@@ -55,6 +59,12 @@ func (g *gateInstance) OnAck(st *Stream, seq uint64) {
 	g.app.mu.Lock()
 	g.app.acks = append(g.app.acks, seq)
 	g.app.mu.Unlock()
+}
+
+func (a *gateApp) enteredCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.entered
 }
 
 func (a *gateApp) eventCount() int {
@@ -96,7 +106,8 @@ func (c *flowCollector) snapshot() []burst.Delta {
 
 // A saturated instance loop sheds its oldest Data-class delivery, signals
 // FlowDegraded with a shed marker to every stream, never sheds
-// Control-class work (acks), and signals FlowRecovered once drained.
+// Control-class work (a stream open, a stream close, acks), and signals
+// FlowRecovered once drained.
 func TestLoopSaturationShedsDataSignalsFlow(t *testing.T) {
 	app := &gateApp{gate: make(chan struct{})}
 	host := NewHost(HostConfig{ID: "brass-ovl", Region: "us", LoopQueueDepth: 2},
@@ -109,25 +120,38 @@ func TestLoopSaturationShedsDataSignalsFlow(t *testing.T) {
 	cli := burst.NewClient("device", a, nil)
 	host.AcceptSession("host-side", b)
 	t.Cleanup(func() { cli.Close() })
-	cs, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
+	header := burst.Header{
 		burst.HdrApp:   "gate",
 		burst.HdrTopic: "/t",
 		burst.HdrUser:  "7",
-	}})
+	}
+	cs, err := cli.Subscribe(burst.Subscribe{Header: header})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := &flowCollector{}
 	go col.run(cs)
 	waitFor(t, "stream open", func() bool { return host.StreamsOpened.Value() == 1 })
+	inst, err := host.Instance("gate")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// First delivery blocks the loop inside OnEvent; the queue (depth 2)
-	// fills behind it, and further deliveries shed the oldest Data task.
+	// The first delivery blocks the loop inside OnEvent; the rest fill the
+	// queue's Data bound (depth 2) behind it, and each one past the bound
+	// sheds the oldest queued delivery.
 	const deliveries = 10
-	for i := 0; i < deliveries; i++ {
+	host.Deliver(pylon.Event{ID: 1, Topic: "/t"})
+	waitFor(t, "loop blocked", func() bool { return app.enteredCount() == 1 })
+	for i := 1; i < deliveries; i++ {
 		host.Deliver(pylon.Event{ID: uint64(i + 1), Topic: "/t"})
 	}
-	waitFor(t, "loop sheds", func() bool { return host.LoopOverflows.Value() > 0 })
+	if got := inst.tasks.Len(); got != 2 {
+		t.Fatalf("queue holds %d tasks, want its Data bound of 2", got)
+	}
+	if got := host.LoopOverflows.Value(); got != deliveries-3 {
+		t.Fatalf("LoopOverflows = %d, want %d", got, deliveries-3)
+	}
 	waitFor(t, "degraded signal", func() bool {
 		for _, d := range col.snapshot() {
 			if d.Flow == burst.FlowDegraded && overload.IsShedMarker(d.FlowDetail) {
@@ -137,30 +161,41 @@ func TestLoopSaturationShedsDataSignalsFlow(t *testing.T) {
 		return false
 	})
 
-	// Control work posted while shedding must survive: queue acks behind
-	// the blocked loop, beyond the queue depth (2 Data tasks already hold
-	// the whole bound, so every ack exceeds it — and must still land).
-	for i := 0; i < 5; i++ {
-		if err := cs.Ack(uint64(i + 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inst, err := host.Instance("gate")
+	// A stream open and a stream close posted while shedding must survive.
+	// They are Control pushes straight from the session handlers
+	// (openStream, closeStream), not posts: open a second stream and cancel
+	// the first. With the Data bound full, each displaces one queued
+	// delivery (Control makes room by shedding Data, never the reverse).
+	opened, closed := host.StreamsOpened.Value(), host.StreamsClosed.Value()
+	cs2, err := cli.Subscribe(burst.Subscribe{Header: header})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "acks enqueued as control", func() bool {
-		// Each Control ack displaces one queued Data delivery (Control
-		// makes room by shedding Data, never the reverse); once the
-		// queued deliveries are gone the bound is exceeded instead. The
-		// blocked queue ends up holding exactly the 5 acks.
-		return inst.tasks.Len() == 5
+	col2 := &flowCollector{}
+	go col2.run(cs2)
+	if err := cs.Cancel("scrolled away"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "open and close enqueued as control", func() bool {
+		return inst.tasks.Len() == 2 && host.LoopOverflows.Value() == deliveries-1
 	})
+
+	// Acks are Control too: with no queued delivery left to displace, every
+	// ack exceeds the bound — and must still land.
+	for i := 0; i < 5; i++ {
+		if err := cs2.Ack(uint64(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "acks enqueued as control", func() bool { return inst.tasks.Len() == 7 })
 
 	app.release() // release the loop
 	waitFor(t, "acks processed", func() bool { return app.ackCount() == 5 })
+	waitFor(t, "stream opened and closed", func() bool {
+		return host.StreamsOpened.Value() == opened+1 && host.StreamsClosed.Value() == closed+1
+	})
 	waitFor(t, "recovered signal", func() bool {
-		for _, d := range col.snapshot() {
+		for _, d := range col2.snapshot() {
 			if d.Flow == burst.FlowRecovered &&
 				strings.HasPrefix(d.FlowDetail, overload.RecoveredMarkerPrefix) {
 				return true
@@ -168,10 +203,14 @@ func TestLoopSaturationShedsDataSignalsFlow(t *testing.T) {
 		}
 		return false
 	})
-	// Conservation: every delivery was either processed or counted shed.
+	// Conservation: every delivery was either processed or counted shed, so
+	// every shed was a delivery.
 	waitFor(t, "deliveries drain", func() bool {
 		return app.eventCount()+int(host.LoopOverflows.Value()) == deliveries
 	})
+	if got := app.eventCount(); got != 1 {
+		t.Errorf("events processed = %d, want 1 (every queued delivery was displaced)", got)
+	}
 }
 
 // captureApp records the server-side Stream so tests can Push directly.

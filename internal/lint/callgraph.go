@@ -11,8 +11,8 @@ import (
 )
 
 // This file builds the whole-module call graph behind brlint's
-// interprocedural rules (hot-path-alloc, control-never-shed, and the
-// call-chain-aware half of no-lock-across-block). The graph is constructed
+// interprocedural rules (hot-path-alloc and the call-chain-aware half of
+// no-lock-across-block). The graph is constructed
 // once per Runner.Run over every loaded package and shared by all rules —
 // the package graph is parsed and type-checked exactly once (by the
 // Loader), and the Program adds one AST pass per function on top.
@@ -31,8 +31,8 @@ import (
 //     recorded as dynamic: the engine cannot see the target, so rules
 //     treat the edge pessimistically (hot-path-alloc) or optimistically
 //     (blocking — flagging every closure invocation would drown the
-//     signal; the goroutine-hygiene and intra-function checks still cover
-//     the literal's own body).
+//     signal; the intra-function check still covers the literal's own
+//     body).
 //   - Function literals are separate functions: a call site inside a
 //     FuncLit is not attributed to the lexically enclosing declaration
 //     (the literal runs wherever the value is invoked).
@@ -64,33 +64,27 @@ func (n *FuncNode) Name() string { return shortFuncName(n.Fn) }
 
 // CallSite is one call expression inside a FuncNode.
 type CallSite struct {
-	Call *ast.CallExpr
-	Pos  token.Pos
+	Pos token.Pos
 	// Callee is the statically resolved target (origin), nil for calls
 	// through function values. For interface calls it is the interface
 	// method itself.
 	Callee *types.Func
-	// Iface is true when Callee is an interface method; Targets then holds
-	// every module implementation.
-	Iface bool
 	// Targets are the module-internal bodies this call can reach: exactly
 	// one for a static call to a module function, the implementation set
 	// for an interface call, nil for stdlib or dynamic calls.
 	Targets []*FuncNode
 	// Dynamic is true for calls through function values (no static target).
 	Dynamic bool
-	// Spawned/Deferred record `go f(...)` / `defer f(...)` context: spawned
-	// calls run on another goroutine and never block (or allocate on) the
-	// caller's path beyond the spawn itself.
-	Spawned  bool
-	Deferred bool
+	// Spawned records `go f(...)`: the call runs on another goroutine and
+	// never blocks (or allocates on) the caller's path beyond the spawn
+	// itself.
+	Spawned bool
 }
 
 // Program is the whole-module view shared by the interprocedural rules.
 type Program struct {
 	Fset    *token.FileSet
 	ModPath string
-	Pkgs    []*Package
 
 	nodes map[*types.Func]*FuncNode
 	// named collects every named (non-interface) type of the module, for
@@ -104,8 +98,6 @@ type Program struct {
 	allocBusy map[*FuncNode]bool
 	blockMemo map[*FuncNode][]Fact
 	blockBusy map[*FuncNode]bool
-	shedMemo  map[*FuncNode]map[int]shedFact
-	shedBusy  map[*FuncNode]bool
 }
 
 // NewProgram indexes every function of pkgs and resolves their call sites.
@@ -113,15 +105,12 @@ func NewProgram(fset *token.FileSet, modPath string, pkgs []*Package) *Program {
 	p := &Program{
 		Fset:      fset,
 		ModPath:   modPath,
-		Pkgs:      pkgs,
 		nodes:     make(map[*types.Func]*FuncNode),
 		implMemo:  make(map[*types.Func][]*FuncNode),
 		allocMemo: make(map[*FuncNode][]Fact),
 		allocBusy: make(map[*FuncNode]bool),
 		blockMemo: make(map[*FuncNode][]Fact),
 		blockBusy: make(map[*FuncNode]bool),
-		shedMemo:  make(map[*FuncNode]map[int]shedFact),
-		shedBusy:  make(map[*FuncNode]bool),
 	}
 	for _, pkg := range pkgs {
 		p.indexPackage(pkg)
@@ -210,8 +199,7 @@ func (p *Program) NodesIn(pkg *Package) []*FuncNode {
 // where the value is called.
 func (p *Program) resolveCalls(n *FuncNode) {
 	info := n.Pkg.Info
-	var walk func(node ast.Node, spawned, deferred bool)
-	record := func(call *ast.CallExpr, spawned, deferred bool) {
+	record := func(call *ast.CallExpr, spawned bool) {
 		// Conversions (T(x)) and builtins (len, append, ...) are not call
 		// edges; the alloc scanner classifies them separately.
 		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -222,11 +210,10 @@ func (p *Program) resolveCalls(n *FuncNode) {
 				return
 			}
 		}
-		cs := &CallSite{Call: call, Pos: call.Pos(), Spawned: spawned, Deferred: deferred}
+		cs := &CallSite{Pos: call.Pos(), Spawned: spawned}
 		if f := calleeFunc(info, call); f != nil {
 			cs.Callee = origin(f)
 			if isInterfaceMethod(f) {
-				cs.Iface = true
 				cs.Targets = p.implementations(f)
 			} else if t := p.Node(f); t != nil {
 				cs.Targets = []*FuncNode{t}
@@ -236,30 +223,25 @@ func (p *Program) resolveCalls(n *FuncNode) {
 		}
 		n.Calls = append(n.Calls, cs)
 	}
-	walk = func(node ast.Node, spawned, deferred bool) {
-		ast.Inspect(node, func(x ast.Node) bool {
-			switch v := x.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.GoStmt:
-				record(v.Call, true, deferred)
-				for _, arg := range v.Call.Args {
-					walk(arg, spawned, deferred)
-				}
-				return false
-			case *ast.DeferStmt:
-				record(v.Call, spawned, true)
-				for _, arg := range v.Call.Args {
-					walk(arg, spawned, deferred)
-				}
-				return false
-			case *ast.CallExpr:
-				record(v, spawned, deferred)
+	var visit func(x ast.Node) bool
+	visit = func(x ast.Node) bool {
+		switch v := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			// The spawned call is an edge of its own; its arguments are
+			// evaluated here, on the caller's path.
+			record(v.Call, true)
+			for _, arg := range v.Call.Args {
+				ast.Inspect(arg, visit)
 			}
-			return true
-		})
+			return false
+		case *ast.CallExpr:
+			record(v, false)
+		}
+		return true
 	}
-	walk(n.Decl.Body, false, false)
+	ast.Inspect(n.Decl.Body, visit)
 }
 
 // isInterfaceMethod reports whether f is declared on an interface type.

@@ -2,18 +2,16 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
-// This file is the reachability/escape engine on top of the call graph:
-// per-function summaries answering "can this function allocate?", "can it
-// block?", and "can this parameter reach a shedable sink?". Summaries are
-// memoized on the Program, computed lazily, and optimistic on recursion
-// cycles (a cycle member is assumed clean while its own summary is in
-// flight; the fixpoint this computes is the least one, which is sound for
+// This file is the summary engine on top of the call graph: per-function
+// summaries answering "can this function allocate?" and "can it block?".
+// Summaries are memoized on the Program, computed lazily, and optimistic on
+// recursion cycles (a cycle member is assumed clean while its own summary is
+// in flight; the fixpoint this computes is the least one, which is sound for
 // acyclic facts reached from outside the cycle).
 
 // Fact is one reason a summary is dirty: a position inside the summarized
@@ -706,231 +704,4 @@ func (p *Program) blockEdgeFact(cs *CallSite) string {
 		}
 	}
 	return ""
-}
-
-// ---- shed-reachability summaries (control-never-shed) ----
-
-type shedKind uint8
-
-const (
-	shedNever shedKind = iota
-	// shedPerClass: the value sheds iff the class argument at ClassParam
-	// classifies it Data (the sanctioned Queue.Push contract).
-	shedPerClass
-	// shedAlways: the value can shed regardless of any class the caller
-	// attached — the classification is lost on the way to the sink.
-	shedAlways
-)
-
-type shedFact struct {
-	Kind       shedKind
-	ClassParam int
-	Pos        token.Pos
-	Desc       string
-}
-
-// ParamShedFacts computes, per parameter index of n, whether a value
-// passed there can reach a shedable sink: a Data-class (or unconditional)
-// overload.Queue Push, a select-with-default drop, or transitively a
-// shedding parameter of a callee. Parameters captured by function literals
-// are treated optimistically (the literal's invocation point is analyzed
-// on its own).
-func (p *Program) ParamShedFacts(n *FuncNode) map[int]shedFact {
-	if facts, ok := p.shedMemo[n]; ok {
-		return facts
-	}
-	if p.shedBusy[n] {
-		return nil
-	}
-	p.shedBusy[n] = true
-	facts := make(map[int]shedFact)
-	sig := n.Fn.Type().(*types.Signature)
-	paramIdx := make(map[types.Object]int, sig.Params().Len())
-	for i := 0; i < sig.Params().Len(); i++ {
-		paramIdx[sig.Params().At(i)] = i
-	}
-	record := func(i int, f shedFact) {
-		old, ok := facts[i]
-		if !ok || f.Kind > old.Kind {
-			facts[i] = f
-		}
-	}
-	info := n.Pkg.Info
-	refsParam := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		i, ok := paramIdx[info.Uses[id]]
-		return i, ok
-	}
-
-	// Select-with-default sends of a parameter are best-effort drops.
-	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-		sel, ok := x.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			cc := c.(*ast.CommClause)
-			if send, ok := cc.Comm.(*ast.SendStmt); ok {
-				if i, ok := refsParam(send.Value); ok {
-					record(i, shedFact{Kind: shedAlways, Pos: send.Arrow,
-						Desc: "select-with-default drop"})
-				}
-			}
-		}
-		return true
-	})
-
-	for _, cs := range n.Calls {
-		if cs.Callee == nil {
-			continue
-		}
-		// The bounded-queue intrinsic: Push(v, class) sheds v iff class
-		// is Data. This is modeled, not derived — the queue's shed loop
-		// skips Control entries by construction (overload.Queue docs).
-		if vArg, cArg, ok := p.queuePushArgs(cs); ok {
-			if i, isParam := refsParam(vArg); isParam {
-				switch cls := p.classifyClassArg(n, paramIdx, cArg); cls.kind {
-				case classControl:
-					// never sheds
-				case classParam:
-					record(i, shedFact{Kind: shedPerClass, ClassParam: cls.param, Pos: cs.Pos,
-						Desc: "bounded-queue push classified by parameter"})
-				default:
-					record(i, shedFact{Kind: shedAlways, Pos: cs.Pos,
-						Desc: "Data-class push to bounded overload.Queue"})
-				}
-			}
-			continue
-		}
-		for _, t := range cs.Targets {
-			sub := p.ParamShedFacts(t)
-			if len(sub) == 0 {
-				continue
-			}
-			sig := t.Fn.Type().(*types.Signature)
-			for ai, arg := range cs.Call.Args {
-				if ai >= sig.Params().Len() {
-					break
-				}
-				i, isParam := refsParam(arg)
-				if !isParam {
-					continue
-				}
-				sf, ok := sub[ai]
-				if !ok {
-					continue
-				}
-				switch sf.Kind {
-				case shedAlways:
-					record(i, shedFact{Kind: shedAlways, Pos: cs.Pos,
-						Desc: "passed to " + t.Name() + ", which sheds it (" + sf.Desc + " at " + p.shortPos(sf.Pos) + ")"})
-				case shedPerClass:
-					if sf.ClassParam >= len(cs.Call.Args) {
-						continue
-					}
-					switch cls := p.classifyClassArg(n, paramIdx, cs.Call.Args[sf.ClassParam]); cls.kind {
-					case classControl:
-						// classified Control downstream: never sheds
-					case classParam:
-						record(i, shedFact{Kind: shedPerClass, ClassParam: cls.param, Pos: cs.Pos,
-							Desc: "passed to " + t.Name() + " under this function's class parameter"})
-					default:
-						record(i, shedFact{Kind: shedAlways, Pos: cs.Pos,
-							Desc: "passed to " + t.Name() + " as Data class (" + sf.Desc + " at " + p.shortPos(sf.Pos) + ")"})
-					}
-				}
-			}
-		}
-	}
-	p.shedBusy[n] = false
-	p.shedMemo[n] = facts
-	return facts
-}
-
-// queuePushArgs matches a call site against the (*overload.Queue[T]).Push
-// intrinsic and returns its value and class arguments.
-func (p *Program) queuePushArgs(cs *CallSite) (val, class ast.Expr, ok bool) {
-	f := cs.Callee
-	if f == nil || f.Name() != "Push" || len(cs.Call.Args) != 2 {
-		return nil, nil, false
-	}
-	sig, sok := f.Type().(*types.Signature)
-	if !sok || sig.Recv() == nil {
-		return nil, nil, false
-	}
-	rt := sig.Recv().Type()
-	if ptr, isPtr := rt.(*types.Pointer); isPtr {
-		rt = ptr.Elem()
-	}
-	named, nok := rt.(*types.Named)
-	if !nok || named.Obj().Name() != "Queue" || !p.isOverloadPkg(named.Obj().Pkg()) {
-		return nil, nil, false
-	}
-	return cs.Call.Args[0], cs.Call.Args[1], true
-}
-
-func (p *Program) isOverloadPkg(pkg *types.Package) bool {
-	return pkg != nil && pkg.Path() == p.ModPath+"/internal/overload"
-}
-
-type classClassification struct {
-	kind  classKind
-	param int
-}
-
-type classKind uint8
-
-const (
-	classUnknown classKind = iota
-	classData
-	classControl
-	classParam
-)
-
-// classifyClassArg classifies an overload.Class argument expression:
-// the Control constant, the Data constant, a reference to one of n's own
-// Class-typed parameters, or unknown (treated as shedable).
-func (p *Program) classifyClassArg(n *FuncNode, paramIdx map[types.Object]int, e ast.Expr) classClassification {
-	info := n.Pkg.Info
-	if tv, ok := info.Types[e]; ok && tv.Value != nil {
-		if v, exact := constant.Int64Val(tv.Value); exact {
-			if v == 1 {
-				return classClassification{kind: classControl}
-			}
-			return classClassification{kind: classData}
-		}
-	}
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if i, ok := paramIdx[info.Uses[id]]; ok {
-			return classClassification{kind: classParam, param: i}
-		}
-	}
-	return classClassification{kind: classUnknown}
-}
-
-// IsControlConst reports whether e is the overload.Control constant (by
-// type and value, so aliases and renamed imports are still caught).
-func (p *Program) IsControlConst(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Type == nil {
-		return false
-	}
-	named, isNamed := tv.Type.(*types.Named)
-	if !isNamed || named.Obj().Name() != "Class" || !p.isOverloadPkg(named.Obj().Pkg()) {
-		return false
-	}
-	v, exact := constant.Int64Val(tv.Value)
-	return exact && v == 1
 }

@@ -1,7 +1,8 @@
 // Package lint implements brlint, Bladerunner's static-analysis suite. It
-// enforces the concurrency and virtual-time invariants the compiler cannot
-// see but the system's correctness rests on (DESIGN.md "Static analysis &
-// invariants"):
+// checks only the invariants nothing else in the tier-1 line checks — `go
+// vet` covers lock copies, Go 1.22 covers loop-variable capture, and the
+// overload tests cover Control never being shed (DESIGN.md §8a has the
+// table):
 //
 //   - no-direct-time: components take a sim.Clock/sim.Scheduler instead of
 //     calling the time package, so the same logic runs under wall clock and
@@ -10,18 +11,14 @@
 //     channel send/receive, select, or known blocking call — a stalled
 //     receiver would turn Pylon's best-effort AP delivery path into a
 //     system-wide stall.
-//   - mutex-by-value: values whose type contains a lock (or an atomic) must
-//     not be copied.
-//   - goroutine-hygiene: `go func` literals must not capture loop variables,
-//     and unbounded loops inside them need a shutdown path.
-//   - unchecked-unsubscribe: error results from the Pylon/BRASS/BURST
-//     public surfaces must not be silently discarded.
-//   - span-must-end: a span opened with trace.Tracer.Start must reach
-//     Span.End on every return path, or the hop silently disappears from
-//     assembled traces.
 //   - counted-shed: a select with a send and a default clause (best-effort
 //     drop) must record the shed on a metrics instrument — an uncounted
 //     drop is invisible to experiments and conservation checks.
+//   - span-must-end: a span opened with trace.Tracer.Start must reach
+//     Span.End on every return path, or the hop silently disappears from
+//     assembled traces.
+//   - hot-path-alloc: a function annotated //brlint:hotpath in its doc
+//     comment must be statically allocation-free on its non-error paths.
 //
 // Diagnostics are suppressed with an inline escape hatch:
 //
@@ -54,8 +51,6 @@ type Rule interface {
 	// Name is the rule identifier used in diagnostics and in
 	// //brlint:allow(name) suppressions.
 	Name() string
-	// Doc is a one-line description of the invariant.
-	Doc() string
 	// Check inspects c.Pkg and reports violations through c.Reportf.
 	Check(c *Context)
 }
@@ -65,12 +60,10 @@ type Context struct {
 	Pkg *Package
 	// Fset translates token.Pos values into positions.
 	Fset *token.FileSet
-	// ModPath is the module path, for module-relative exemptions.
-	ModPath string
 	// Prog is the whole-module call graph + summary engine, built once per
 	// Run and shared by every (rule, package) pair. Interprocedural rules
-	// (hot-path-alloc, control-never-shed, the call-chain half of
-	// no-lock-across-block) query it; per-function rules ignore it.
+	// (hot-path-alloc, the call-chain half of no-lock-across-block) query
+	// it; per-function rules ignore it.
 	Prog *Program
 
 	rule   string
@@ -106,13 +99,10 @@ func NewRunner(l *Loader, rules ...Rule) *Runner {
 // diagnostics of the pseudo-rule "brlint".
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	// Suppressions are validated against the full rule set, not just the
-	// active subset: running with -rules must not misreport a legitimate
-	// allow comment for a deselected rule as naming an unknown rule.
-	known := make(map[string]bool, len(r.Rules))
+	// active subset: a runner over one rule must not misreport a legitimate
+	// allow comment for another rule as naming an unknown rule.
+	known := make(map[string]bool)
 	for _, rule := range DefaultRules(r.ModPath) {
-		known[rule.Name()] = true
-	}
-	for _, rule := range r.Rules {
 		known[rule.Name()] = true
 	}
 	// One call graph for the whole run: the loader already type-checked
@@ -126,11 +116,10 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 		diags = append(diags, bad...)
 		for _, rule := range r.Rules {
 			c := &Context{
-				Pkg:     pkg,
-				Fset:    r.Fset,
-				ModPath: r.ModPath,
-				Prog:    prog,
-				rule:    rule.Name(),
+				Pkg:  pkg,
+				Fset: r.Fset,
+				Prog: prog,
+				rule: rule.Name(),
 				report: func(pos token.Pos, name, msg string) {
 					p := r.Fset.Position(pos)
 					if s := matchSuppression(sups, name, p); s != nil {
@@ -177,13 +166,9 @@ func DefaultRules(modPath string) []Rule {
 	return []Rule{
 		&NoDirectTime{ModPath: modPath},
 		&NoLockAcrossBlock{ModPath: modPath},
-		&MutexByValue{},
-		&GoroutineHygiene{},
-		&UncheckedUnsubscribe{ModPath: modPath},
 		&SpanMustEnd{ModPath: modPath},
 		&CountedShed{ModPath: modPath},
 		&HotPathAlloc{},
-		&ControlNeverShed{},
 	}
 }
 

@@ -35,10 +35,6 @@ type CountedShed struct {
 
 func (r *CountedShed) Name() string { return "counted-shed" }
 
-func (r *CountedShed) Doc() string {
-	return "a select with a send and a default (best-effort drop) must count the shed on a metrics instrument"
-}
-
 // shedRecorders are the method names that count as recording a shed when
 // invoked on an internal/metrics type.
 var shedRecorders = map[string]bool{

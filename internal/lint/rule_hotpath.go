@@ -35,11 +35,6 @@ type HotPathAlloc struct{}
 // Name implements Rule.
 func (*HotPathAlloc) Name() string { return "hot-path-alloc" }
 
-// Doc implements Rule.
-func (*HotPathAlloc) Doc() string {
-	return "//brlint:hotpath functions must be statically allocation-free"
-}
-
 // Check implements Rule.
 func (r *HotPathAlloc) Check(c *Context) {
 	if c.Prog == nil {

@@ -38,10 +38,6 @@ type NoLockAcrossBlock struct {
 
 func (r *NoLockAcrossBlock) Name() string { return "no-lock-across-block" }
 
-func (r *NoLockAcrossBlock) Doc() string {
-	return "sync.Mutex/RWMutex must not be held across channel operations, select, or blocking calls"
-}
-
 var lockMethods = map[string]bool{
 	"(*sync.Mutex).Lock":    true,
 	"(*sync.RWMutex).Lock":  true,

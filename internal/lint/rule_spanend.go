@@ -25,10 +25,6 @@ type SpanMustEnd struct {
 
 func (r *SpanMustEnd) Name() string { return "span-must-end" }
 
-func (r *SpanMustEnd) Doc() string {
-	return "a span returned by trace.Tracer.Start must reach Span.End on every return path"
-}
-
 func (r *SpanMustEnd) Check(c *Context) {
 	tracePkg := r.ModPath + "/internal/trace"
 	w := &spanWalker{

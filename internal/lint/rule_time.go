@@ -35,10 +35,6 @@ var deniedTimeFuncs = map[string]bool{
 
 func (r *NoDirectTime) Name() string { return "no-direct-time" }
 
-func (r *NoDirectTime) Doc() string {
-	return "wall-clock time package functions are only allowed in internal/sim; inject a sim.Clock/Scheduler"
-}
-
 func (r *NoDirectTime) Check(c *Context) {
 	if c.Pkg.Path == r.ModPath+"/internal/sim" ||
 		strings.HasPrefix(c.Pkg.Path, r.ModPath+"/internal/sim/") {

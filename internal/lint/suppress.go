@@ -23,21 +23,36 @@ var allowRE = regexp.MustCompile(`^//\s*brlint:allow\(([^)\s]+)\)(.*)$`)
 // collectSuppressions extracts every //brlint:allow comment from files.
 // Comments naming an unknown rule or lacking a reason are returned as
 // diagnostics under the pseudo-rule "brlint" instead — a suppression whose
-// rationale is missing is itself invariant debt.
+// rationale is missing is itself invariant debt. So is a //brlint:hotpath
+// outside a function's doc comment: the call-graph layer reads the
+// directive only there (hasHotpathDirective), so anywhere else it gates
+// nothing.
 func collectSuppressions(fset *token.FileSet, files []*ast.File, known map[string]bool) ([]*Suppression, []Diagnostic) {
 	var sups []*Suppression
 	var bad []Diagnostic
 	for _, f := range files {
+		funcDocs := make(map[*ast.CommentGroup]bool)
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
+				funcDocs[fd.Doc] = true
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := allowRE.FindStringSubmatch(c.Text)
 				if m == nil {
-					// //brlint:hotpath is the other valid directive: it
-					// annotates a declaration for the hot-path-alloc rule
-					// (parsed by the call-graph layer, not here).
+					if hotpathRE.MatchString(c.Text) {
+						if !funcDocs[cg] {
+							bad = append(bad, Diagnostic{
+								Pos:     fset.Position(c.Pos()),
+								Rule:    "brlint",
+								Message: "//brlint:hotpath gates nothing here; put it in a function's doc comment, directly above the func",
+							})
+						}
+						continue
+					}
 					if strings.HasPrefix(c.Text, "//brlint:") &&
-						!strings.HasPrefix(c.Text, "//brlint:allow(") &&
-						!hotpathRE.MatchString(c.Text) {
+						!strings.HasPrefix(c.Text, "//brlint:allow(") {
 						bad = append(bad, Diagnostic{
 							Pos:     fset.Position(c.Pos()),
 							Rule:    "brlint",

@@ -1,8 +1,9 @@
-// Package badallow exercises brlint's validation of suppression directives
-// themselves: a wrong verb, an unknown rule name, and a missing reason each
-// surface as diagnostics of the pseudo-rule "brlint", and a reason-less
-// allow does not suppress anything. Checked by TestMalformedSuppressions,
-// which asserts the exact diagnostic set rather than using want comments.
+// Package badallow exercises brlint's validation of its directives
+// themselves: a wrong verb, an unknown rule name, a missing reason and a
+// //brlint:hotpath outside a function's doc comment each surface as
+// diagnostics of the pseudo-rule "brlint", and a reason-less allow does not
+// suppress anything. Checked by TestMalformedSuppressions, which asserts the
+// exact diagnostic set rather than using want comments.
 package badallow
 
 import "time"
@@ -18,4 +19,18 @@ import "time"
 func Bad() time.Time {
 	//brlint:allow(no-direct-time)
 	return time.Now()
+}
+
+// A blank line parts this directive from Detached, so it is no doc comment
+// and gates nothing: the make below is not reported by hot-path-alloc.
+//brlint:hotpath
+
+func Detached() []byte {
+	return make([]byte, 8)
+}
+
+// Inside a body the directive gates nothing either.
+func Inside() []byte {
+	//brlint:hotpath
+	return make([]byte, 8)
 }
