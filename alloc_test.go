@@ -58,6 +58,7 @@ func TestAllocContracts(t *testing.T) {
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSStreamOpenClose", streamOpenClose, 11, "the subscribe hop's four, the cancel reason's copy, the Stream and its close reason, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (17 before: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
+		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 16, "a relay leg is its ClientStream alone, with no stored request and no channel, and the device's stream has no channel; the rest is the two subscribe hops' decode, the relay and its goroutine (20 before: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
 		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)
@@ -123,13 +124,13 @@ func payloadBatchTap(b *testing.B) *wireTap {
 }
 
 // relayHop is one relay's whole turn on hot_fanout's batch, a single payload
-// delta: frame in, decoded into a lease, through the client stream onto
-// Events, re-encoded downstream with SendBatch, lease released.
+// delta: frame in, decoded into a lease, queued on the client stream and
+// taken by Next, re-encoded downstream with SendBatch, lease released.
 func relayHop(b *testing.B) {
 	up := payloadBatchTap(b)
 	cli := burst.NewClient("relay->up", up, nil)
 	defer cli.Close()
-	cli.RelayRewrites = true
+	cli.Relay = true
 	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "feed"}})
 	if err != nil {
 		b.Fatal(err)
@@ -148,7 +149,7 @@ func relayHop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		up.next <- struct{}{}
-		rc := <-st.Events
+		rc, _ := st.Next()
 		if len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
 			b.Fatalf("relay saw %+v", rc.Deltas)
 		}
@@ -177,7 +178,7 @@ func deviceReceive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tap.next <- struct{}{}
-		if rc := <-st.Events; len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
+		if rc, _ := st.Next(); len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
 			b.Fatalf("device saw %+v", rc.Deltas)
 		}
 	}
@@ -284,7 +285,7 @@ func resumeBatchApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tap.next <- struct{}{}
-		batch := <-st.Events
+		batch, _ := st.Next()
 		if len(batch.Deltas) != 1 || batch.Deltas[0].Seq != 41 {
 			b.Fatalf("device saw %+v, want the payload alone", batch.Deltas)
 		}

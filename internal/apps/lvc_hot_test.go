@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/was"
 )
@@ -208,7 +209,7 @@ func TestHotVideoEndToEnd(t *testing.T) {
 		t.Errorf("got %+v, want friend's comment", p)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		for _, dd := range batch.Deltas {
 			if dd.Type == burst.DeltaPayload {
 				var q CommentPayload

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/was"
 )
@@ -109,7 +110,7 @@ func TestEveryAppChecksPrivacyBeforeDelivery(t *testing.T) {
 			deadline := time.After(5 * time.Second)
 			for got := false; !got; {
 				select {
-				case rc := <-allowedSt.Events:
+				case rc := <-bursttest.Events(t, allowedSt):
 					for _, d := range rc.Deltas {
 						got = got || d.Type == burst.DeltaPayload && namesAuthor(d.Payload, author)
 					}
@@ -123,7 +124,7 @@ func TestEveryAppChecksPrivacyBeforeDelivery(t *testing.T) {
 			window := time.After(150 * time.Millisecond)
 			for {
 				select {
-				case rc := <-blockedSt.Events:
+				case rc := <-bursttest.Events(t, blockedSt):
 					for _, d := range rc.Deltas {
 						if d.Type == burst.DeltaPayload && namesAuthor(d.Payload, author) {
 							t.Fatalf("the viewer who blocked %d received %s", author, d.Payload)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/socialgraph"
 )
 
@@ -35,7 +36,7 @@ func TestReactionsAggregation(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for sum(total) < 30 {
 		select {
-		case delta := <-st.Events:
+		case delta := <-bursttest.Events(t, st):
 			for _, d := range delta.Deltas {
 				var agg ReactionAggregate
 				if err := json.Unmarshal(d.Payload, &agg); err != nil {
@@ -85,7 +86,7 @@ func TestReactionsNoFlushWhenIdle(t *testing.T) {
 		return len(e.pylon.Subscribers(ReactionsTopic(78))) == 1
 	})
 	select {
-	case b := <-st.Events:
+	case b := <-bursttest.Events(t, st):
 		t.Errorf("idle stream pushed %+v", b.Deltas)
 	case <-time.After(100 * time.Millisecond):
 	}

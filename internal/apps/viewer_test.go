@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -113,7 +114,7 @@ func TestUnknownViewerStreamIsTerminated(t *testing.T) {
 	terminated := func(what string, st *burst.ClientStream) {
 		t.Helper()
 		select {
-		case batch := <-st.Events:
+		case batch := <-bursttest.Events(t, st):
 			if d := batch.Deltas[0]; d.Type != burst.DeltaTermination || !strings.Contains(d.Reason, was.ErrUnknownUser.Error()) {
 				t.Errorf("%s's stream got %+v, want a termination naming ErrUnknownUser", what, d)
 			}

@@ -19,6 +19,7 @@ import (
 	"bladerunner/internal/apps"
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/edge"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/region"
@@ -317,6 +318,49 @@ func BRASSEventHandOff(b *testing.B) {
 	}
 }
 
+// EdgeRelayOpenClose measures a scroll's edge half: a device opens a stream
+// through one edge.Proxy hop over a PipeNetwork to an upstream that only
+// records it, then cancels it, which the relay passes on. The proxy's upstream
+// session and every stream table are warm after the first lap.
+func EdgeRelayOpenClose(b *testing.B) {
+	pn := edge.NewPipeNetwork()
+	seen := make(chan burst.FrameType)
+	pn.Register("up", func(rwc io.ReadWriteCloser) {
+		burst.NewServerSession("up", rwc, burst.ServerHandlerFuncs{
+			Subscribe: func(*burst.ServerStream, burst.Subscribe) { seen <- burst.FrameSubscribe },
+			Cancel:    func(*burst.ServerStream, burst.Cancel) { seen <- burst.FrameCancel },
+		})
+	})
+	pop := edge.NewProxy("pop", pn, edge.StaticRouter("up"))
+	defer pop.Close()
+	pn.Register("pop", pop.Accept)
+	rwc, err := pn.Dial("pop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cli := burst.NewClient("device", rwc, nil)
+	defer cli.Close()
+	req := burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: apps.AppFeedComments, burst.HdrSubscription: "feedPostComments(postID: 17)", burst.HdrUser: "9"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := cli.Subscribe(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f := <-seen; f != burst.FrameSubscribe {
+			b.Fatalf("upstream saw a %v, want the subscribe", f)
+		}
+		if err := st.Cancel(""); err != nil {
+			b.Fatal(err)
+		}
+		if f := <-seen; f != burst.FrameCancel {
+			b.Fatalf("upstream saw a %v, want the cancel", f)
+		}
+	}
+}
+
 // EndToEndCommentPush measures one comment's full live-stack trip: WAS
 // mutation → TAO write → Pylon publish → BRASS filter+fetch → BURST push →
 // client receive.
@@ -383,7 +427,7 @@ func endToEndCommentPush(b *testing.B, plane *trace.Plane) {
 		}
 		// Wait for the push to arrive at the device.
 		for got := false; !got; {
-			batch, ok := <-st.Events
+			batch, ok := st.Next()
 			if !ok {
 				b.Fatal("stream closed")
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
@@ -159,7 +160,7 @@ func TestUnknownAppTerminatesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if batch.Deltas[0].Type != burst.DeltaTermination {
 			t.Errorf("got %+v, want termination", batch.Deltas[0])
 		}
@@ -182,7 +183,7 @@ func TestEventDeliveryThroughPylon(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if string(batch.Deltas[0].Payload) != "ref=99" {
 			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
@@ -547,7 +548,7 @@ func TestMaxInstancesCapacity(t *testing.T) {
 	// Two succeed; the third is rejected with a capacity termination.
 	waitFor(t, "capacity filled", func() bool { return host.RunningInstances() == 2 })
 	select {
-	case batch := <-streams[2].Events:
+	case batch := <-bursttest.Events(t, streams[2]):
 		if batch.Deltas[0].Type != burst.DeltaTermination ||
 			!strings.Contains(batch.Deltas[0].Reason, "capacity") {
 			t.Errorf("third stream got %+v, want capacity termination", batch.Deltas[0])
@@ -675,11 +676,12 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	waitFor(t, "body rewrite", func() bool { return string(st.Request().Body) == "surface-body" })
 
 	// FetchPayload + push.
+	ev := bursttest.Events(t, st)
 	if _, err := env.pylon.Publish(pylon.Event{Topic: "/surf/a", Meta: map[string]string{"n": "1"}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-ev:
 		if string(batch.Deltas[0].Payload) != `"payload-1"` {
 			t.Errorf("payload = %s", batch.Deltas[0].Payload)
 		}
@@ -695,9 +697,9 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case batch, ok := <-st.Events:
+		case batch, ok := <-ev:
 			if !ok {
-				// Stream closed after redirect; stored request points at
+				// Stream ended after redirect; stored request points at
 				// the new BRASS.
 				if got := st.Request().Header[burst.HdrStickyBRASS]; got != "brass-elsewhere" {
 					t.Errorf("sticky after redirect = %q", got)

@@ -87,7 +87,7 @@ type flowCollector struct {
 }
 
 func (c *flowCollector) run(cs *burst.ClientStream) {
-	for batch := range cs.Events {
+	for batch, ok := cs.Next(); ok; batch, ok = cs.Next() {
 		for _, d := range batch.Deltas {
 			if d.Type == burst.DeltaFlowStatus {
 				c.mu.Lock()
@@ -262,7 +262,7 @@ type recordedBatches struct {
 }
 
 func (r *recordedBatches) run(cs *burst.ClientStream) {
-	for batch := range cs.Events {
+	for batch, ok := cs.Next(); ok; batch, ok = cs.Next() {
 		r.mu.Lock()
 		r.batches = append(r.batches, batch.Deltas)
 		r.mu.Unlock()
@@ -389,7 +389,7 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		for range cs.Events {
+		for _, ok := cs.Next(); ok; _, ok = cs.Next() {
 		}
 	}()
 	waitFor(t, "stream captured", func() bool { return app.stream() != nil })
@@ -419,7 +419,7 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		for range cs2.Events {
+		for _, ok := cs2.Next(); ok; _, ok = cs2.Next() {
 		}
 	}()
 	waitFor(t, "replacement captured", func() bool { return app.stream() != nil })

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/faults"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
@@ -60,7 +61,7 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 	}
 
 	cli := dialHost(t, env.testEnv)
-	st := openStream(t, cli, topic)
+	ev := bursttest.Events(t, openStream(t, cli, topic))
 
 	// The stream stays open with a live local ref and a pending retry; no
 	// Pylon registration exists yet.
@@ -74,7 +75,7 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 		t.Fatalf("subscribers during quorum loss = %v", subs)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-ev:
 		t.Fatalf("stream received %+v during quorum loss, want nothing", batch.Deltas)
 	default:
 	}
@@ -95,7 +96,7 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-ev:
 		if string(batch.Deltas[0].Payload) != "ref=7" {
 			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
@@ -146,7 +147,7 @@ func TestPermanentPylonFailureStillErrors(t *testing.T) {
 	st := openStream(t, cli, "/t/orphan")
 	// The app's OnStreamOpen error terminates the stream.
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if batch.Deltas[0].Type != burst.DeltaTermination {
 			t.Errorf("got %+v, want termination", batch.Deltas[0])
 		}

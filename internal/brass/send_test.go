@@ -15,7 +15,7 @@ import (
 
 // wireDevice is the device end of a host session at FRAME level: it records
 // every batch frame the host writes. A burst.Client would not do — an empty
-// batch is a frame on the wire that never reaches ClientStream.Events.
+// batch is a frame on the wire that ClientStream.Next never hands out.
 type wireDevice struct {
 	sess *burst.Session
 

@@ -195,7 +195,7 @@ func TestRetainedBorrowedPayloadIsPoisoned(t *testing.T) {
 // caught.
 func TestReleasedLeaseIsPoisoned(t *testing.T) {
 	cli, _, srv := newClientServer(t)
-	cli.RelayRewrites = true
+	cli.Relay = true
 	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestReleasedLeaseIsPoisoned(t *testing.T) {
 	if err := srv.stream(0).SendBatch(PayloadDelta(7, []byte("payload")), RewriteDelta(Header{HdrCursor: "1.7"}, []byte("body"))); err != nil {
 		t.Fatal(err)
 	}
-	rc := <-st.Events
+	rc, _ := st.Next()
 	deltas, payload, body, patch := rc.Deltas, rc.Deltas[0].Payload, rc.Deltas[1].Body, rc.Deltas[1].Header
 	if len(deltas) != 2 || string(payload) != "payload" || string(body) != "body" || patch[HdrCursor] != "1.7" {
 		t.Fatalf("leased batch = %+v", deltas)
@@ -226,7 +226,7 @@ func TestReleasedLeaseIsPoisoned(t *testing.T) {
 // keeps every batch intact however many frames the session reads afterwards.
 func TestUnreleasedLeasesStayIntact(t *testing.T) {
 	cli, _, srv := newClientServer(t)
-	cli.RelayRewrites = true
+	cli.Relay = true
 	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestUnreleasedLeasesStayIntact(t *testing.T) {
 			RewriteDelta(Header{HdrResumeSeq: strconv.Itoa(i)}, []byte(text(i)))); err != nil {
 			t.Fatal(err)
 		}
-		rc := <-st.Events
+		rc, _ := st.Next()
 		if i < kept {
 			held = append(held, rc)
 		} else {
@@ -257,12 +257,13 @@ func TestUnreleasedLeasesStayIntact(t *testing.T) {
 	}
 }
 
-// A rewrite salvaged from an evicted batch rides on in a later lease. It
-// aliases the evicted lease's map, so that lease must not be recycled under
-// it: every salvaged rewrite still carries its keys, at their current values.
-func TestSalvagedRewriteOutlivesItsEvictedLease(t *testing.T) {
+// At the bound a queued batch loses its payload in place (the queue is read
+// only after the whole run): its rewrite keeps its slot and the lease it
+// aliases, which is not recycled under it, and a batch left empty is. Every
+// rewrite reaches the consumer, in order, with its patch.
+func TestShedKeepsControlInItsLease(t *testing.T) {
 	cli, _, srv := newClientServer(t)
-	cli.RelayRewrites = true
+	cli.Relay = true
 	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
 	if err != nil {
 		t.Fatal(err)
@@ -270,9 +271,9 @@ func TestSalvagedRewriteOutlivesItsEvictedLease(t *testing.T) {
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
 	ss := srv.stream(0)
 	const total = 2*eventBuffer + 50
-	for i := 1; i <= total; i++ { // nobody reads Events: the buffer fills, evicts, salvages
+	for i := 1; i <= total; i++ {
 		deltas := []Delta{PayloadDelta(uint64(i), []byte("p")), RewriteDelta(Header{HdrResumeSeq: strconv.Itoa(i)}, nil)}
-		if i%3 == 0 { // payload-only batches are evicted whole and their leases recycled in between
+		if i%3 == 0 { // payload-only batches are shed whole and their leases recycled in between
 			deltas = deltas[:1]
 		}
 		if err := ss.SendBatch(deltas...); err != nil {
@@ -280,30 +281,31 @@ func TestSalvagedRewriteOutlivesItsEvictedLease(t *testing.T) {
 		}
 	}
 	waitFor(t, "every batch applied", func() bool { return st.LastSeq() == total })
-	if cli.CtlSalvaged.Value() == 0 || cli.Dropped.Value() == 0 {
-		t.Fatalf("no eviction: salvaged %d, dropped %d", cli.CtlSalvaged.Value(), cli.Dropped.Value())
+	if cli.Dropped.Value() == 0 {
+		t.Fatal("nothing was shed")
+	}
+	if err := st.Cancel(""); err != nil { // Next hands out what is queued, then reports the end
+		t.Fatal(err)
 	}
 	rewrites, last := 0, 0
-	for len(st.Events) > 0 {
-		rc := <-st.Events
+	for rc, ok := st.Next(); ok; rc, ok = st.Next() {
 		for _, d := range rc.Deltas {
-			if d.Type != DeltaRewriteRequest {
-				continue
+			switch d.Type {
+			case DeltaFlowStatus:
+				t.Fatalf("flow status %q: the shed added a delta", d.FlowDetail)
+			case DeltaRewriteRequest:
+				rewrites++
+				v, err := strconv.Atoi(d.Header[HdrResumeSeq])
+				if len(d.Header) != 1 || err != nil || v <= last {
+					t.Fatalf("rewrite %d carries %v after resume-seq %d: its patch was lost or reordered", rewrites, d.Header, last)
+				}
+				last = v
 			}
-			rewrites++
-			v, err := strconv.Atoi(d.Header[HdrResumeSeq])
-			if len(d.Header) != 1 || err != nil || v < last {
-				t.Fatalf("rewrite %d carries %v after resume-seq %d: its patch was lost or went backwards", rewrites, d.Header, last)
-			}
-			last = v
 		}
 		rc.Release()
 	}
 	if want := total - total/3; rewrites != want {
 		t.Errorf("%d rewrites reached the consumer, want all %d", rewrites, want)
-	}
-	if got := st.HeaderField(HdrResumeSeq); got != strconv.Itoa(total) { // total%3 != 0: the last batch rewrote
-		t.Errorf("stored resume-seq = %s, want %d", got, total)
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 // ErrStreamClosed is returned when operating on a terminated stream.
 var ErrStreamClosed = errors.New("burst: stream closed")
 
-// Client is the device-side endpoint of BURST: it opens request-streams
-// over one session and dispatches inbound batches to them.
+// Client is the device-side endpoint of BURST, and a relay's upstream leg: it
+// opens request-streams over one session and queues inbound batches on them.
 //
 // Rewrite deltas are applied transparently: the client updates each
 // stream's stored subscription request so that a later resubscribe (after a
 // failure) carries the BRASS-written state — the application never sees the
 // rewrite (paper §3.5: "rewrites offer a general solution so that the
-// client need not be aware of the states").
+// client need not be aware of the states"). A Relay client stores nothing
+// and hands the rewrites on instead.
 type Client struct {
 	sess *Session
 
@@ -29,11 +30,10 @@ type Client struct {
 	closed  bool
 	onClose func(error)
 
-	// Dropped counts batches whose payload deltas were discarded because a
-	// stream's event buffer was full. Payload delivery is best effort end
+	// Dropped counts queued batches whose payload deltas were shed because
+	// a stream's queue was at its bound. Payload delivery is best effort end
 	// to end; control deltas (flow_status, rewrite_request, termination)
-	// are never dropped — a full buffer evicts the oldest batch and
-	// salvages its control deltas instead (see ClientStream.pushEvents).
+	// are never dropped (see ClientStream.push).
 	Dropped metrics.Counter
 
 	// DecodeErrors counts batch frames whose payload did not decode. The
@@ -43,20 +43,18 @@ type Client struct {
 	// must hear about (axiom 1).
 	DecodeErrors metrics.Counter
 
-	// CtlSalvaged counts control deltas rescued from evicted batches and
-	// re-queued at the front of the incoming batch.
-	CtlSalvaged metrics.Counter
-
-	// RelayRewrites makes rewrite deltas visible on stream Events in
-	// addition to being applied to the stored request. Proxies set this:
-	// they must forward rewrites downstream so the device's copy of the
-	// reconnect state is updated too. Device clients leave it false.
-	RelayRewrites bool
+	// Relay makes a client a relay's upstream leg: its streams keep no
+	// stored request, and rewrite deltas pass through to Next for the relay
+	// to forward. The relay's downstream ServerStream merges each one as it
+	// is forwarded, and that copy is the one it repairs from. Proxies set
+	// this; device clients leave it false and fold rewrites into the stream's
+	// stored request invisibly.
+	Relay bool
 }
 
-// eventBuffer is the per-stream channel capacity. A full buffer causes
-// payload drops (counted), mirroring best-effort delivery under client
-// stall; control deltas survive eviction.
+// eventBuffer bounds the batches a stream queues for Next: at the bound the
+// oldest payload is shed, mirroring best-effort delivery under client stall;
+// control deltas are never shed.
 const eventBuffer = 256
 
 // NewClient starts a BURST client session over rwc. onClose, if non-nil,
@@ -72,26 +70,52 @@ func NewClient(name string, rwc io.ReadWriteCloser, onClose func(error)) *Client
 	return c
 }
 
-// ClientStream is one request-stream from the client's perspective.
+// ClientStream is one request-stream from the client's perspective. Its
+// batches wait in a queue the stream owns until Next hands them out.
 type ClientStream struct {
 	client *Client
 	sid    StreamID
 
 	mu         sync.Mutex
-	sub        Subscribe // current (possibly rewritten) request
+	sub        Subscribe // current (possibly rewritten) request; empty on a Relay client
 	terminated bool
 	lastSeq    uint64
 
-	// Events delivers batches of deltas, each transmitted atomically and
-	// leased to the receiver (see Received); closed when the stream terminates.
-	Events chan *Received
+	// The queue: n batches from head in a ring that starts in inline and
+	// doubles only while more are pending.
+	ring    []*Received
+	head, n int
+	inline  [4]*Received
+	ready   sync.Cond // on mu: a batch was queued, or the stream ended
 }
 
 // SID returns the stream id.
 func (st *ClientStream) SID() StreamID { return st.sid }
 
+// Next returns the oldest batch not yet handed out, waiting for one. Each
+// batch was transmitted atomically and is leased to the caller (see
+// Received). Once the stream has ended, Next hands out what is still queued
+// and then reports false.
+func (st *ClientStream) Next() (*Received, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.n == 0 && !st.terminated {
+		//brlint:allow(no-lock-across-block) the canonical Cond pattern: Wait releases st.mu while parked, so the session's read loop can still queue
+		st.ready.Wait()
+	}
+	if st.n == 0 {
+		return nil, false
+	}
+	rc := st.ring[st.head]
+	st.ring[st.head] = nil
+	st.head = (st.head + 1) % len(st.ring)
+	st.n--
+	return rc, true
+}
+
 // Request returns a copy of the stream's current subscription request,
-// reflecting any rewrites. Devices use this to resubscribe after failures.
+// reflecting any rewrites (empty on a Relay client, which keeps none).
+// Devices use this to resubscribe after failures.
 func (st *ClientStream) Request() Subscribe {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -130,10 +154,10 @@ func (st *ClientStream) Cancel(reason string) error {
 		return nil
 	}
 	st.terminated = true
+	st.ready.Broadcast()
 	st.mu.Unlock()
 	err := st.client.sess.SendMsg(FrameCancel, st.sid, Cancel{Reason: reason})
 	st.client.removeStream(st.sid)
-	close(st.Events)
 	return err
 }
 
@@ -147,12 +171,12 @@ func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
 	}
 	c.nextSID++
 	sid := c.nextSID
-	st := &ClientStream{
-		client: c,
-		sid:    sid,
-		sub:    Subscribe{Header: sub.Header.Clone(), Body: sub.Body},
-		Events: make(chan *Received, eventBuffer),
+	st := &ClientStream{client: c, sid: sid}
+	if !c.Relay {
+		st.sub = Subscribe{Header: sub.Header.Clone(), Body: sub.Body}
 	}
+	st.ring = st.inline[:]
+	st.ready.L = &st.mu
 	c.streams[sid] = st
 	c.mu.Unlock()
 
@@ -228,8 +252,9 @@ func (h clientHandler) HandleClose(err error) {
 }
 
 // apply processes one atomically delivered batch: rewrites patch the stored
-// request invisibly, terminations close the stream, and the remainder is
-// forwarded to the application. It owns rc and filters it in place.
+// request invisibly (a Relay client passes them on instead), terminations end
+// the stream, and the remainder is queued for Next. It owns rc and filters it
+// in place.
 func (st *ClientStream) apply(rc *Received) {
 	terminate := false
 	st.mu.Lock()
@@ -243,8 +268,8 @@ func (st *ClientStream) apply(rc *Received) {
 		d := &rc.Deltas[i]
 		switch d.Type {
 		case DeltaRewriteRequest:
-			st.sub.Patch(d)
-			if !st.client.RelayRewrites {
+			if !st.client.Relay {
+				st.sub.Patch(d)
 				continue
 			}
 		case DeltaPayload:
@@ -260,77 +285,69 @@ func (st *ClientStream) apply(rc *Received) {
 		n++
 	}
 	rc.Deltas = rc.Deltas[:n]
-	if terminate {
-		st.terminated = true
-	}
-	// Send while holding the lock: Cancel/sessionLost close Events only
-	// after setting terminated under the same lock, so this send can
-	// never race with the close. Sends and evictions are non-blocking.
 	if n > 0 {
-		st.pushEvents(rc)
+		st.push(rc)
 	} else {
 		rc.Release()
+	}
+	if terminate {
+		st.terminated = true
+		st.ready.Broadcast()
 	}
 	st.mu.Unlock()
 
 	if terminate {
 		st.client.removeStream(st.sid)
-		close(st.Events)
 	}
 }
 
-// pushEvents delivers one batch to the Events channel without ever losing
-// a control delta. If the buffer is full it evicts the OLDEST buffered
-// batch, sheds that batch's payload deltas (counted in Dropped), salvages
-// its control deltas onto the front of the outgoing batch (order
-// preserved), and retries. A salvaged rewrite jumps behind every batch
-// still buffered, so it re-asserts its keys at their CURRENT stored values
-// (st.sub has applied everything buffered): replayed last it must not put a
-// newer patch's key back, because no later rewrite re-asserts it. This is
-// safe only because the session read goroutine is the sole sender on
-// Events — apply and sessionLost both run there, holding st.mu — so a
-// non-blocking receive here cannot steal from a concurrent producer, and
-// after one eviction the retry always finds room. An evicted lease is released
-// only if nothing was salvaged: salvaged deltas still alias its maps and bytes.
-func (st *ClientStream) pushEvents(rc *Received) {
-	for {
-		select {
-		case st.Events <- rc:
-			return
-		default:
+// push queues rc for Next; the caller holds st.mu. At the bound the oldest
+// queued batch that still carries payload loses it in place (counted in
+// Dropped). Its control deltas keep their slot, so nothing is reordered and
+// a rewrite is forwarded exactly as it arrived; a queue of nothing but
+// control outgrows the bound rather than shed any. A batch left empty leaves
+// the queue and is released. The shed is counted, not announced downstream.
+func (st *ClientStream) push(rc *Received) {
+	if st.n >= eventBuffer {
+		st.shedOldest()
+	}
+	if st.n == len(st.ring) {
+		grown := make([]*Received, 2*len(st.ring))
+		for i := range st.n {
+			grown[i] = st.ring[(st.head+i)%len(st.ring)]
 		}
-		select {
-		case old := <-st.Events:
-			shed := false
-			var salvage []Delta
-			for _, d := range old.Deltas {
-				if d.Type == DeltaPayload {
-					shed = true
-					continue
-				}
-				if d.Type == DeltaRewriteRequest {
-					for k := range d.Header { // the batch was ours alone
-						d.Header[k] = st.sub.Header[k]
-					}
-					if d.Body != nil {
-						d.Body = st.sub.Body
-					}
-				}
-				salvage = append(salvage, d)
+		st.ring, st.head = grown, 0
+	}
+	st.ring[(st.head+st.n)%len(st.ring)] = rc
+	st.n++
+	st.ready.Signal()
+}
+
+func (st *ClientStream) shedOldest() {
+	for i := range st.n {
+		rc := st.ring[(st.head+i)%len(st.ring)]
+		kept := 0
+		for _, d := range rc.Deltas {
+			if d.Type == DeltaPayload {
+				continue
 			}
-			if shed {
-				st.client.Dropped.Inc()
-			}
-			if len(salvage) > 0 {
-				st.client.CtlSalvaged.Add(int64(len(salvage)))
-				rc.Deltas = append(salvage, rc.Deltas...)
-			} else {
-				old.Release()
-			}
-		default:
-			// The consumer drained a slot between our two selects; the
-			// retry will land.
+			rc.Deltas[kept] = d
+			kept++
 		}
+		if kept == len(rc.Deltas) {
+			continue // no payload to shed
+		}
+		st.client.Dropped.Inc()
+		if rc.Deltas = rc.Deltas[:kept]; kept == 0 {
+			for ; i > 0; i-- { // close the gap from the older side
+				st.ring[(st.head+i)%len(st.ring)] = st.ring[(st.head+i-1)%len(st.ring)]
+			}
+			st.ring[st.head] = nil
+			st.head = (st.head + 1) % len(st.ring)
+			st.n--
+			rc.Release()
+		}
+		return
 	}
 }
 
@@ -339,19 +356,17 @@ func (st *ClientStream) pushEvents(rc *Received) {
 // upstream is gone: repair, do not forward" (edge.Proxy).
 const SessionClosedDetail = "session closed"
 
-// sessionLost delivers a synthetic degraded flow status and closes the
-// stream channel: the transport under every stream on the session is gone.
-// The notice is a control delta, so it uses the same never-lost push path.
+// sessionLost queues a synthetic degraded flow status and ends the stream:
+// the transport under every stream on the session is gone.
 func (st *ClientStream) sessionLost() {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.terminated {
-		st.mu.Unlock()
 		return
 	}
-	st.terminated = true
 	rc := lease(nil)
 	rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, SessionClosedDetail))
-	st.pushEvents(rc)
-	st.mu.Unlock()
-	close(st.Events)
+	st.push(rc)
+	st.terminated = true
+	st.ready.Broadcast()
 }

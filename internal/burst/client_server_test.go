@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bladerunner/internal/burst/bursttest"
 )
 
 // echoServer subscribes streams and records events for assertions.
@@ -61,12 +63,13 @@ func newClientServer(t *testing.T) (*Client, *ServerSession, *echoServer) {
 	return cli, ss, srv
 }
 
-func recvBatch(t *testing.T, st *ClientStream) []Delta {
+// recvBatch takes the next batch off ev, a stream's bursttest.Events.
+func recvBatch(t *testing.T, ev <-chan *Received) []Delta {
 	t.Helper()
 	select {
-	case b, ok := <-st.Events:
+	case b, ok := <-ev:
 		if !ok {
-			t.Fatal("stream closed while expecting batch")
+			t.Fatal("stream ended while expecting batch")
 		}
 		return b.Deltas
 	case <-time.After(5 * time.Second):
@@ -89,7 +92,7 @@ func TestSubscribeAndDeliver(t *testing.T) {
 	if err := ss.SendBatch(PayloadDelta(1, []byte("hello")), PayloadDelta(2, []byte("world"))); err != nil {
 		t.Fatal(err)
 	}
-	batch := recvBatch(t, st)
+	batch := recvBatch(t, bursttest.Events(t, st))
 	if len(batch) != 2 || string(batch[0].Payload) != "hello" || string(batch[1].Payload) != "world" {
 		t.Errorf("batch = %+v", batch)
 	}
@@ -110,12 +113,12 @@ func TestMultipleIndependentStreams(t *testing.T) {
 	if err := srv.stream(1).SendBatch(PayloadDelta(0, []byte("b-data"))); err != nil {
 		t.Fatal(err)
 	}
-	batch := recvBatch(t, st2)
+	batch := recvBatch(t, bursttest.Events(t, st2))
 	if string(batch[0].Payload) != "b-data" {
 		t.Errorf("stream2 got %q", batch[0].Payload)
 	}
 	select {
-	case b := <-st1.Events:
+	case b := <-bursttest.Events(t, st1):
 		t.Errorf("stream1 unexpectedly got %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -135,7 +138,7 @@ func TestRewriteUpdatesClientStateInvisibly(t *testing.T) {
 	})
 	// The rewrite must NOT surface as an application event.
 	select {
-	case b := <-st.Events:
+	case b := <-bursttest.Events(t, st):
 		t.Errorf("rewrite surfaced to application: %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -178,8 +181,9 @@ func TestResumptionViaRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ev := bursttest.Events(t, st)
 	for i := 0; i < 3; i++ {
-		recvBatch(t, st)
+		recvBatch(t, ev)
 	}
 	waitFor(t, "resume token", func() bool { return st.Request().Header[HdrResumeSeq] == "3" })
 	// After a failure the device resubscribes with the stored request —
@@ -224,13 +228,14 @@ func TestServerTerminateClosesClientStream(t *testing.T) {
 	if err := srv.stream(0).Terminate("redirect"); err != nil {
 		t.Fatal(err)
 	}
-	batch := recvBatch(t, st)
+	ev := bursttest.Events(t, st)
+	batch := recvBatch(t, ev)
 	if batch[0].Type != DeltaTermination || batch[0].Reason != "redirect" {
 		t.Errorf("termination = %+v", batch[0])
 	}
-	// Channel closes after termination.
-	if _, ok := <-st.Events; ok {
-		t.Error("stream channel still open after termination")
+	// The stream ends after termination.
+	if _, ok := <-ev; ok {
+		t.Error("stream still open after termination")
 	}
 	if got := len(cli.Streams()); got != 0 {
 		t.Errorf("client still tracks %d streams", got)
@@ -271,12 +276,13 @@ func TestSessionFailureSignalsAllStreams(t *testing.T) {
 	// Kill the transport from the server side (BRASS host dies).
 	ss.Close()
 	for _, st := range []*ClientStream{st1, st2} {
-		batch := recvBatch(t, st)
+		ev := bursttest.Events(t, st)
+		batch := recvBatch(t, ev)
 		if batch[0].Type != DeltaFlowStatus || batch[0].Flow != FlowDegraded {
 			t.Errorf("stream %d got %+v, want FlowDegraded", st.SID(), batch[0])
 		}
-		if _, ok := <-st.Events; ok {
-			t.Errorf("stream %d channel open after session loss", st.SID())
+		if _, ok := <-ev; ok {
+			t.Errorf("stream %d open after session loss", st.SID())
 		}
 	}
 	select {

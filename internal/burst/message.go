@@ -287,9 +287,9 @@ type Batch struct {
 	Deltas []Delta
 }
 
-// Received is one batch on ClientStream.Events, LEASED from a pool together
-// with what its deltas alias: the payload bytes, a one- or two-delta batch's
-// backing array, the header-patch maps. The consumer of Events may filter
+// Received is one batch handed out by ClientStream.Next, LEASED from a pool
+// together with what its deltas alias: the payload bytes, a one- or two-delta
+// batch's backing array, the header-patch maps. The caller of Next may filter
 // Deltas in place and is the only one who may Release: at most once, keeping
 // nothing that aliases the lease (a Delta's Payload, Body, Header; strings are
 // copies). It need not: the GC takes an unreleased lease (DESIGN.md §7e).

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"bladerunner/internal/burst/bursttest"
 )
 
 // TestSendBatchCoalescesOneFrame sends a payload and a rewrite in one
@@ -28,7 +30,8 @@ func TestSendBatchCoalescesOneFrame(t *testing.T) {
 	if got := ss.Request().Header["rl-state"]; got != "bucket=3" {
 		t.Fatalf("server request not updated at send time: %q", got)
 	}
-	batch := recvBatch(t, st)
+	ev := bursttest.Events(t, st)
+	batch := recvBatch(t, ev)
 	// The client surfaces only the payload; the rewrite applied invisibly
 	// within the same batch.
 	if len(batch) != 1 || string(batch[0].Payload) != "comment" {
@@ -41,7 +44,7 @@ func TestSendBatchCoalescesOneFrame(t *testing.T) {
 		t.Errorf("LastSeq = %d, want 7", st.LastSeq())
 	}
 	select {
-	case b := <-st.Events:
+	case b := <-ev:
 		t.Fatalf("a second frame followed the batch: %+v", b.Deltas)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -58,11 +61,12 @@ func TestSendMsgPooledEncoding(t *testing.T) {
 
 	big := bytes.Repeat([]byte("x"), 2<<20) // > maxPooledBuf once encoded
 	payloads := [][]byte{[]byte("small"), big}
+	ev := bursttest.Events(t, st)
 	for _, p := range payloads {
 		if err := ss.SendBatch(PayloadDelta(1, p)); err != nil {
 			t.Fatal(err)
 		}
-		batch := recvBatch(t, st)
+		batch := recvBatch(t, ev)
 		if len(batch) != 1 || !bytes.Equal(batch[0].Payload, p) {
 			t.Fatalf("payload of len %d corrupted through pooled encoder (got len %d)",
 				len(p), len(batch[0].Payload))
@@ -92,8 +96,9 @@ func TestPooledBufferReuseIsSafe(t *testing.T) {
 	go send(ssB, 'b')
 
 	check := func(st *ClientStream, tag byte) {
+		ev := bursttest.Events(t, st)
 		for i := 0; i < rounds; i++ {
-			batch := recvBatch(t, st)
+			batch := recvBatch(t, ev)
 			for _, d := range batch {
 				for _, c := range d.Payload {
 					if c != tag {

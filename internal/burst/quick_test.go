@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"bladerunner/internal/burst/bursttest"
 )
 
 // Property: for any sequence of payload/rewrite deltas pushed by the
@@ -54,9 +56,10 @@ func TestClientStateConvergesProperty(t *testing.T) {
 			}
 		}
 		// Drain the payload events so all batches have been applied.
+		ev := bursttest.Events(t, st)
 		for i := 0; i < payloads; i++ {
 			select {
-			case <-st.Events:
+			case <-ev:
 			case <-time.After(5 * time.Second):
 				return false
 			}
@@ -109,9 +112,10 @@ func TestBatchAtomicityProperty(t *testing.T) {
 			}
 			sent = append(sent, batch)
 		}
+		ev := bursttest.Events(t, st)
 		for _, want := range sent {
 			select {
-			case got := <-st.Events:
+			case got := <-ev:
 				if len(got.Deltas) != len(want) {
 					return false // split or merged batch
 				}

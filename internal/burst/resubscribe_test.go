@@ -3,6 +3,8 @@ package burst
 import (
 	"testing"
 	"time"
+
+	"bladerunner/internal/burst/bursttest"
 )
 
 // These tests pin the BURST error paths a resubscribing device can hit: a
@@ -184,13 +186,14 @@ func TestUndecodableBatch(t *testing.T) {
 			if err := raw.SendMsg(FrameBatch, 1, Batch{Deltas: []Delta{PayloadDelta(7, []byte("after"))}}); err != nil {
 				t.Fatal(err)
 			}
+			ev := bursttest.Events(t, st)
 			if tc.wantFlow {
-				got := recvBatch(t, st)
+				got := recvBatch(t, ev)
 				if len(got) != 1 || got[0].Type != DeltaFlowStatus || got[0].Flow != FlowDegraded || got[0].FlowDetail != "undecodable batch" {
 					t.Fatalf("stream got %+v, want one FlowDegraded \"undecodable batch\"", got)
 				}
 			}
-			if got := recvBatch(t, st); len(got) != 1 || got[0].Seq != 7 {
+			if got := recvBatch(t, ev); len(got) != 1 || got[0].Seq != 7 {
 				t.Fatalf("batch after the bad one = %+v, want seq 7", got)
 			}
 			if n := cli.DecodeErrors.Value(); n != 1 {

@@ -242,12 +242,19 @@ func TestSupersededIncarnationMovesNoState(t *testing.T) {
 	st.pushFlowLocked(burst.FlowRecovered) // the reopen's
 	st.mu.Unlock()
 
-	old := &burst.ClientStream{Events: make(chan *burst.Received, 1)}
-	old.Events <- &burst.Received{Deltas: []burst.Delta{
-		burst.PayloadDelta(7, []byte("late")),
-		burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"),
-	}}
-	close(old.Events)
+	cli, streams := pipeSession(t, d)
+	old, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "messenger"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := nextStream(t, streams)
+	if err := srv.SendBatch(burst.PayloadDelta(7, []byte("late")),
+		burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Terminate("superseded"); err != nil { // ends old's queue behind the batch
+		t.Fatal(err)
+	}
 	st.pump(old) // st.cur is not old
 
 	if got := len(st.Updates); got != 1 {

@@ -453,7 +453,11 @@ func (st *Stream) cancelRetryLocked() {
 // pump never releases a batch's lease: the payload deltas it hands the app on
 // Updates alias it, so the garbage collector takes it with them.
 func (st *Stream) pump(cs *burst.ClientStream) {
-	for batch := range cs.Events {
+	for {
+		batch, ok := cs.Next()
+		if !ok {
+			break
+		}
 		for i := range batch.Deltas {
 			delta := &batch.Deltas[i]
 			st.mu.Lock()
@@ -482,7 +486,7 @@ func (st *Stream) pump(cs *burst.ClientStream) {
 			}
 		}
 	}
-	// Channel closed without termination: session loss. The device-level
+	// The stream ended without a termination: session loss. The device-level
 	// reconnect will resubscribe us; nothing to do here. (burst.Patch never
 	// reaches pump: the BURST client merged the rewrite into cs's copy, which
 	// Request reads and resubscribe snapshots.)

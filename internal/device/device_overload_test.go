@@ -10,7 +10,7 @@ import (
 // best-effort-drop WHOLE batches when a stream's buffer was full — control
 // deltas included — so a device that stalled while degraded could lose the
 // FlowRecovered notice and show "degraded" forever. Now only payload
-// deltas shed (burst client evicts + salvages control; the device Flow
+// deltas shed (a burst client stream strips payload and keeps control; the device Flow
 // channel coalesces stale codes). The app must always observe the latest
 // flow state.
 func TestSlowDeviceNeverLosesFlowRecovered(t *testing.T) {

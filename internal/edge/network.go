@@ -5,9 +5,10 @@
 //
 //   - routes each request-stream independently to an upstream chosen by a
 //     pluggable Router (topic-based, load-based, or sticky);
-//   - holds each stream's current subscription request — its upstream
-//     client stream's copy, patched as rewrite deltas pass through — so it
-//     can repair streams after an upstream failure (axiom 2 of §4);
+//   - holds each stream's current subscription request — one copy, its
+//     downstream server stream's, patched as it forwards rewrite deltas; the
+//     upstream client stream keeps none — so it can repair streams after an
+//     upstream failure (axiom 2 of §4);
 //   - propagates flow_status deltas downstream so every participant learns
 //     about failures and recoveries (axiom 1);
 //   - garbage-collects stream state when the stream terminates or the

@@ -5,16 +5,18 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 )
 
 // A rewrite_request is a patch (DESIGN.md §7e): every holder of a stored
-// request — the serving stream, each relay (its upstream client stream and
-// the stream it serves downstream) and the device — owns its copy and merges
+// request — the serving stream, each relay (the stream it serves downstream;
+// its upstream leg keeps none) and the device — owns its copy and merges
 // patches into it in place. These tests hold the three things that design
 // must not lose: the copies agree, nobody shares a map, repair replays the
 // merged state.
@@ -31,7 +33,7 @@ type chain struct {
 // gatedConn is the device's end of its POP connection with a stoppable
 // reader: net.Pipe is synchronous, so a device that does not read blocks the
 // POP's relay in its downstream write and the POP's upstream client stream
-// fills, evicts and salvages.
+// fills and sheds.
 type gatedConn struct {
 	io.ReadWriteCloser
 	gate *sync.Mutex
@@ -67,8 +69,7 @@ func newChain(t *testing.T, subscribe func(*upstreamServer, *burst.ServerStream,
 }
 
 // holders returns a reader for every copy of the one stream's stored
-// request along the chain, named for failure messages. A relay is skipped
-// while it has no upstream (mid-repair).
+// request along the chain, named for failure messages.
 func (c *chain) holders(server *burst.ServerStream, device *burst.ClientStream) map[string]func() burst.Subscribe {
 	out := map[string]func() burst.Subscribe{"device": device.Request}
 	if server != nil {
@@ -77,19 +78,21 @@ func (c *chain) holders(server *burst.ServerStream, device *burst.ClientStream) 
 	for _, p := range []*Proxy{c.rproxy, c.pop} {
 		p.mu.Lock()
 		for r := range p.relays {
-			out[p.name+" downstream"] = r.down.Request
-			r.mu.Lock()
-			if r.up != nil {
-				out[p.name+" upstream"] = r.up.Request
-			}
-			r.mu.Unlock()
+			out[p.name] = r.down.Request
 		}
 		p.mu.Unlock()
 	}
 	return out
 }
 
-// waitConverged waits until all six copies of the stored request equal want.
+// upstreamClient returns p's client session to target.
+func (c *chain) upstreamClient(p *Proxy, target string) *burst.Client {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.upstreams[target].client
+}
+
+// waitConverged waits until all four copies of the stored request equal want.
 func (c *chain) waitConverged(t *testing.T, server *burst.ServerStream, device *burst.ClientStream, want burst.Subscribe) {
 	t.Helper()
 	converged := func() bool {
@@ -99,7 +102,7 @@ func (c *chain) waitConverged(t *testing.T, server *burst.ServerStream, device *
 				return false
 			}
 		}
-		return len(hs) == 6
+		return len(hs) == 4
 	}
 	for deadline := time.Now().Add(5 * time.Second); !converged(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -122,7 +125,7 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		for range st.Events {
+		for _, ok := st.Next(); ok; _, ok = st.Next() {
 		}
 	}()
 	waitFor(t, "upstream stream", func() bool { return c.brassA.stream(0) != nil })
@@ -178,62 +181,114 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 	c.waitConverged(t, ss, st, want)
 
 	// The device stops reading: the POP's relay blocks, its upstream client
-	// stream overflows and must salvage every rewrite from the batches it
-	// evicts, in order — a patch applied out of order or lost leaves a stale
-	// key behind for good, since no later rewrite re-asserts it.
+	// stream overflows and sheds payloads, and must keep every rewrite in its
+	// slot — a patch applied out of order or lost leaves a stale key behind
+	// for good, since no later rewrite re-asserts it.
 	c.gate.Lock()
 	for i := 300; i < 1100; i++ {
 		if i == 310 {
 			// By now the POP's relay is stuck in its downstream write, so this
-			// rewrite waits in the POP's upstream buffer, is evicted and
-			// salvaged — more than once — and nothing ever re-asserts its key:
-			// it reaches the device only if a salvaged rewrite keeps its header
-			// when the lease it was evicted from is released.
-			if err := ss.RewriteHeaderField("salvage-probe", "310"); err != nil {
+			// rewrite waits in the POP's upstream queue while the batches
+			// around it lose their payloads, and nothing ever re-asserts its
+			// key: it reaches the device only if the queue keeps it.
+			if err := ss.RewriteHeaderField("queued-probe", "310"); err != nil {
 				t.Fatal(err)
 			}
-			want.Header["salvage-probe"] = "310"
+			want.Header["queued-probe"] = "310"
 		}
 		step(i)
 	}
-	c.pop.mu.Lock()
-	popUp := c.pop.upstreams["rproxy-1"].client
-	c.pop.mu.Unlock()
-	waitFor(t, "salvage at the POP", func() bool { return popUp.CtlSalvaged.Value() > 0 })
+	// Mostly the POP's leg sheds; on a busy box the reverse proxy's may too.
+	legs := []*burst.Client{c.upstreamClient(c.pop, "rproxy-1"), c.upstreamClient(c.rproxy, "brass-a")}
+	waitFor(t, "a shed on a relay leg", func() bool { return legs[0].Dropped.Value()+legs[1].Dropped.Value() > 0 })
 	c.gate.Unlock()
 	c.waitConverged(t, ss, st, want)
 	waitFor(t, "the POP to relay every rewrite the reverse proxy did", func() bool {
 		return c.pop.RewritesRelayed.Value() == c.rproxy.RewritesRelayed.Value()
 	})
 
-	// Ownership, relay by relay: the downstream stream merges into the map it
-	// decoded (its subscribe handler only borrowed it), the upstream leg owns
-	// the clone Client.Subscribe took, each under its own lock. Were the two
-	// one map, this write and this read would be a data race.
+	// A relay holds one request: its downstream stream's, merged into the map
+	// it decoded (its subscribe handler only borrowed it). The upstream leg,
+	// which that handler opened with it, keeps none.
 	for _, p := range []*Proxy{c.rproxy, c.pop} {
 		p.mu.Lock()
 		for r := range p.relays {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = r.down.RewriteHeaderField("probe-"+p.name, "x") // travels down only
-			}()
-			if got := r.up.HeaderField("probe-" + p.name); got != "" {
-				t.Errorf("%s: a patch to the downstream request shows upstream: %q", p.name, got)
+			r.mu.Lock()
+			if req := r.up.Request(); len(req.Header) != 0 || req.Body != nil {
+				t.Errorf("%s: the upstream leg stores a request: %+v", p.name, req)
 			}
-			wg.Wait()
+			r.mu.Unlock()
 		}
 		p.mu.Unlock()
 	}
+}
+
+// A stalled device overflows its POP's upstream leg with Messenger's shape of
+// traffic: payload batches between batches that patch both resume tokens. The
+// leg may shed payloads only. Every control delta reaches the device in the
+// order the server sent it, and the device's fold ends equal to the server's.
+func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
+	c := newChain(t, nil)
+	st, err := c.client.Subscribe(burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: "messenger", burst.HdrStickyBRASS: "brass-a", burst.HdrResumeSeq: "0", burst.HdrCursor: "1.0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "upstream stream", func() bool { return c.brassA.stream(0) != nil })
+	ss := c.brassA.stream(0)
+	legs := []*burst.Client{c.upstreamClient(c.pop, "rproxy-1"), c.upstreamClient(c.rproxy, "brass-a")}
+	ev := bursttest.Events(t, st)
+
+	const batches = 1200 // several times a leg's bound
+	c.gate.Lock()
+	for i := 1; i <= batches; i++ {
+		v := strconv.Itoa(i)
+		var err error
+		if i%2 == 1 {
+			err = ss.SendBatch(burst.PayloadDelta(uint64(i), []byte(v)))
+		} else {
+			err = ss.SendBatch(burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: v, burst.HdrCursor: "1." + v}, nil),
+				burst.FlowStatusDelta(burst.FlowRecovered, "ctl "+v))
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	// Mostly the POP's leg sheds; on a busy box the reverse proxy's may too.
+	waitFor(t, "a shed on a relay leg", func() bool { return legs[0].Dropped.Value()+legs[1].Dropped.Value() > 0 })
+	c.gate.Unlock()
+
+	last := 0
+	for deadline := time.After(5 * time.Second); last < batches; {
+		select {
+		case rc, ok := <-ev:
+			if !ok {
+				t.Fatalf("stream ended after ctl %d", last)
+			}
+			for _, d := range rc.Deltas {
+				if d.Type != burst.DeltaFlowStatus || !strings.HasPrefix(d.FlowDetail, "ctl ") {
+					continue
+				}
+				if n, _ := strconv.Atoi(strings.TrimPrefix(d.FlowDetail, "ctl ")); n != last+2 {
+					t.Fatalf("control arrived out of order: %q after ctl %d", d.FlowDetail, last)
+				}
+				last += 2
+			}
+		case <-deadline:
+			t.Fatalf("the device saw control up to ctl %d of %d", last, batches)
+		}
+	}
+	waitFor(t, "the device's fold to equal the server's", func() bool {
+		return reflect.DeepEqual(st.Request(), ss.Request())
+	})
 }
 
 // TestRewriteOwnershipUnderRace runs rewrites on the server against reads of
 // every holder's copy while the reverse proxy repairs the stream onto a second
 // server that is rewriting too. Run under -race it fails if any two holders
 // share a map: a relay's downstream stream merges under its own lock into the
-// map it decoded (which its subscribe handler only borrowed), the upstream
-// leg into the clone Client.Subscribe took of it.
+// map it decoded (which its subscribe handler only borrowed), and the repair
+// resubscribes with a copy of it.
 func TestRewriteOwnershipUnderRace(t *testing.T) {
 	const rewrites = 300
 	var wg sync.WaitGroup
@@ -258,6 +313,7 @@ func TestRewriteOwnershipUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := bursttest.Events(t, st)
 	stop := make(chan struct{})
 	defer close(stop)
 	wg.Add(1)
@@ -267,7 +323,7 @@ func TestRewriteOwnershipUnderRace(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			case <-st.Events:
+			case <-ev:
 			default:
 			}
 			for _, read := range c.holders(c.brassA.stream(0), st) {

@@ -15,8 +15,10 @@ import (
 // Proxy is a stream-level BURST relay. POPs and datacenter reverse proxies
 // are both Proxies; they differ only in name, dialer, and router. Streams
 // are relayed independently: each downstream request-stream maps to one
-// upstream request-stream, whose client end holds the stream's current
-// subscription request for repair.
+// upstream request-stream. The relay holds one copy of the stream's current
+// subscription request, its downstream server stream's, which every rewrite
+// it forwards patches; the upstream client stream keeps none. That copy is
+// what a repair resubscribes with.
 type Proxy struct {
 	name   string
 	dialer Dialer
@@ -139,7 +141,7 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 		// Upstream session died — clean peer close (io.EOF, e.g. a
 		// draining BRASS) and transport failure take the same path on
 		// purpose: drop it from the pool so the next subscribe
-		// re-dials. Individual relays learn via their stream channels
+		// re-dials. Individual relays learn from their streams' queues
 		// and repair themselves.
 		p.mu.Lock()
 		if p.upstreams[target] == u {
@@ -147,7 +149,7 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 		}
 		p.mu.Unlock()
 	})
-	u.client.RelayRewrites = true
+	u.client.Relay = true
 
 	p.mu.Lock()
 	if existing, ok := p.upstreams[target]; ok {
@@ -162,8 +164,8 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 }
 
 // relay is the per-stream state machine. It keeps no copy of the stored
-// request: up, which applies every rewrite before the relay sees it, IS the
-// repair state (Request() at repair, HeaderField for one key).
+// request: down, which merges every rewrite the relay forwards, IS the repair
+// state (Request() at repair, HeaderField for one key).
 type relay struct {
 	p    *Proxy
 	down *burst.ServerStream
@@ -254,7 +256,8 @@ func (r *relay) run() {
 		// Upstream leg failed; notify downstream (axiom 1), then repair.
 		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
 			"upstream "+r.target+" lost"))
-		if !r.repair(up.Request()) {
+		// pump drained up, so down has merged every rewrite up received.
+		if !r.repair(r.down.Request()) {
 			if r.setDone() {
 				r.p.RepairFailures.Inc()
 				_ = r.down.Terminate("stream unrecoverable: upstream gone")
@@ -277,10 +280,13 @@ func (r *relay) targetName() string {
 // the ending was a transport failure (repairable) as opposed to an orderly
 // termination/cancel.
 func (r *relay) pump(up *burst.ClientStream) (failed bool) {
-	for rc := range up.Events {
+	for {
+		rc, ok := up.Next()
+		if !ok {
+			break
+		}
 		batch := rc.Deltas
-		sp := r.startRelaySpan(up, batch)
-		sawFailure := false
+		sp := r.startRelaySpan(batch)
 		terminated := false
 		rewrites := 0
 		// The batch is this relay's alone (a lease from the upstream client),
@@ -292,17 +298,17 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 			case burst.DeltaFlowStatus:
 				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
 					// Synthesized by our upstream client: the
-					// transport died. Handled after the loop; do
-					// not forward (we send our own flow status).
-					sawFailure = true
+					// transport died, and Next reports the end
+					// after this batch. Not forwarded: run sends
+					// its own flow status.
 					continue
 				}
 				if overload.IsShedMarker(d.FlowDetail) {
 					r.p.ShedNotices.Inc()
 				}
 			case burst.DeltaRewriteRequest:
-				// up already applied it; pass the rewrite along so
-				// the device updates its copy too.
+				// SendBatch merges it into down's request; pass it
+				// along so the device updates its copy too.
 				r.p.RewritesRelayed.Inc()
 				rewrites++
 			case burst.DeltaTermination:
@@ -335,10 +341,6 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 			r.setDone()
 			return false
 		}
-		if sawFailure {
-			// Channel will close right after; fall through via range.
-			continue
-		}
 	}
 	return !r.isDone()
 }
@@ -346,7 +348,7 @@ func (r *relay) pump(up *burst.ClientStream) (failed bool) {
 // startRelaySpan opens the edge.relay span for one forwarded batch,
 // keying on the first traced delta (inactive when the batch carries no
 // trace context or the proxy has no tracer).
-func (r *relay) startRelaySpan(up *burst.ClientStream, batch []burst.Delta) trace.Span {
+func (r *relay) startRelaySpan(batch []burst.Delta) trace.Span {
 	tr := r.p.Tracer
 	if tr == nil {
 		return trace.Span{}
@@ -362,7 +364,7 @@ func (r *relay) startRelaySpan(up *burst.ClientStream, batch []burst.Delta) trac
 	if sp.Active() {
 		sp.Annotate("proxy", r.p.name)
 		sp.Annotate("upstream", r.targetName())
-		sp.Annotate("stream", up.HeaderField(burst.HdrTraceStream))
+		sp.Annotate("stream", r.down.HeaderField(burst.HdrTraceStream))
 		sp.AnnotateInt("deltas", int64(len(batch)))
 	}
 	return sp

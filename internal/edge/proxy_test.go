@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -145,7 +146,7 @@ func TestProxyRelaysSubscribeAndDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if string(batch.Deltas[0].Payload) != "data" {
 			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
@@ -173,7 +174,7 @@ func TestProxyRelaysRewritesAndTracksState(t *testing.T) {
 	}
 	// No app-visible event for the rewrite at the device.
 	select {
-	case b := <-st.Events:
+	case b := <-bursttest.Events(t, st):
 		t.Errorf("rewrite leaked to device app: %+v", b.Deltas)
 	case <-time.After(30 * time.Millisecond):
 	}
@@ -198,11 +199,12 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	env.brassA.killSessions()
 
 	// Device sees degraded then rerouted, in order.
+	ev := bursttest.Events(t, st)
 	var flows []burst.FlowCode
 	deadline := time.After(5 * time.Second)
 	for len(flows) < 2 {
 		select {
-		case batch := <-st.Events:
+		case batch := <-ev:
 			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaFlowStatus {
 					flows = append(flows, d.Flow)
@@ -233,7 +235,7 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-ev:
 		if string(batch.Deltas[0].Payload) != "post-repair" {
 			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
@@ -261,10 +263,11 @@ func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
 	a.killSessions()
 
 	sawTermination := false
+	ev := bursttest.Events(t, st)
 	deadline := time.After(5 * time.Second)
 	for !sawTermination {
 		select {
-		case batch, ok := <-st.Events:
+		case batch, ok := <-ev:
 			if !ok {
 				t.Fatal("stream closed without termination delta")
 			}
@@ -344,7 +347,7 @@ func TestProxyServerTerminationForwardedAndGCd(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if batch.Deltas[0].Type != burst.DeltaTermination || batch.Deltas[0].Reason != "app says bye" {
 			t.Errorf("batch = %+v", batch)
 		}
@@ -448,7 +451,7 @@ func TestTwoHopChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if string(batch.Deltas[0].Payload) != "through 2 hops" {
 			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}

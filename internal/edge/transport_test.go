@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 )
 
 func TestBURSTOverRealTCP(t *testing.T) {
@@ -43,7 +44,7 @@ func TestBURSTOverRealTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case batch := <-st.Events:
+	case batch := <-bursttest.Events(t, st):
 		if string(batch.Deltas[0].Payload) != "over real sockets" {
 			t.Errorf("payload = %q", batch.Deltas[0].Payload)
 		}
@@ -109,13 +110,14 @@ func TestFlakyLastMileTriggersDeviceRecovery(t *testing.T) {
 		}
 	}
 	signalled := false
+	ev := bursttest.Events(t, st)
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case batch, ok := <-st.Events:
+		case batch, ok := <-ev:
 			if !ok {
 				if !signalled {
-					t.Error("Events closed without the session-closed flow status")
+					t.Error("the stream ended without the session-closed flow status")
 				}
 				return
 			}
