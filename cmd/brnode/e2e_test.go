@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/ctrl"
 	"bladerunner/internal/device"
 	"bladerunner/internal/edge"
@@ -172,21 +173,16 @@ type seqTracker struct {
 
 func trackStream(st *device.Stream) *seqTracker {
 	tr := &seqTracker{seqs: make(map[uint64]bool)}
-	tr.done.Add(2)
+	tr.done.Add(1)
 	go func() {
 		defer tr.done.Done()
-		for d := range st.Updates {
+		for d, ok := st.Next(); ok; d, ok = st.Next() {
 			var m apps.MessagePayload
-			if json.Unmarshal(d.Payload, &m) == nil {
+			if d.Type == burst.DeltaPayload && json.Unmarshal(d.Payload, &m) == nil {
 				tr.mu.Lock()
 				tr.seqs[m.Seq] = true
 				tr.mu.Unlock()
 			}
-		}
-	}()
-	go func() {
-		defer tr.done.Done()
-		for range st.Flow {
 		}
 	}()
 	return tr

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
 	"bladerunner/internal/sim"
@@ -61,8 +62,10 @@ func main() {
 			log.Fatalf("viewer %d subscribe: %v", i, err)
 		}
 		go func(i int) {
-			for range st.Updates {
-				received <- i
+			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+				if delta.Type == burst.DeltaPayload {
+					received <- i
+				}
 			}
 		}(i)
 		defer devices[i].Close()

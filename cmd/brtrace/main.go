@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
 	"bladerunner/internal/experiments"
@@ -185,8 +186,10 @@ func runChaos(seed int64, events int, rate float64) (*trace.Plane, error) {
 	}
 	received := make(chan struct{}, 64)
 	go func() {
-		for range st.Updates {
-			received <- struct{}{}
+		for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+			if delta.Type == burst.DeltaPayload {
+				received <- struct{}{}
+			}
 		}
 	}()
 

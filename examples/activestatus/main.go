@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
+	"bladerunner/internal/device"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 )
@@ -71,38 +73,39 @@ func main() {
 	}
 
 	seen := map[uint64]bool{}
-	deadline := sim.Timeout(clock, 5*time.Second)
+	stop := clock.After(5*time.Second, func() { log.Fatal("timed out waiting for online statuses") })
 	for len(seen) < 2 {
-		select {
-		case delta := <-st.Updates:
-			var p apps.StatusPayload
-			_ = json.Unmarshal(delta.Payload, &p)
-			fmt.Printf("batched push: friend %d online=%v\n", p.User, p.Online)
-			if p.Online {
-				seen[p.User] = true
-			}
-		case <-deadline:
-			log.Fatal("timed out waiting for online statuses")
+		p := nextStatus(st)
+		fmt.Printf("batched push: friend %d online=%v\n", p.User, p.Online)
+		if p.Online {
+			seen[p.User] = true
 		}
 	}
+	stop()
 
 	// No further reports: the TTL expires and the BRASS pushes offline
 	// transitions in a later batch.
 	fmt.Println("friends stop reporting; waiting for TTL expiry...")
 	offline := 0
-	deadline = sim.Timeout(clock, 5*time.Second)
+	stop = clock.After(5*time.Second, func() { log.Fatal("timed out waiting for offline transitions") })
 	for offline < 2 {
-		select {
-		case delta := <-st.Updates:
-			var p apps.StatusPayload
-			_ = json.Unmarshal(delta.Payload, &p)
-			if !p.Online {
-				fmt.Printf("batched push: friend %d online=%v (TTL expired)\n", p.User, p.Online)
-				offline++
-			}
-		case <-deadline:
-			log.Fatal("timed out waiting for offline transitions")
+		if p := nextStatus(st); !p.Online {
+			fmt.Printf("batched push: friend %d online=%v (TTL expired)\n", p.User, p.Online)
+			offline++
 		}
 	}
+	stop()
 	fmt.Println("presence managed entirely by the BRASS: the device only renders diffs")
+}
+
+// nextStatus reads st up to its next payload, a friend's status.
+func nextStatus(st *device.Stream) (p apps.StatusPayload) {
+	for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+		if delta.Type == burst.DeltaPayload {
+			_ = json.Unmarshal(delta.Payload, &p)
+			return p
+		}
+	}
+	log.Fatal("the presence stream ended")
+	return p
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
@@ -62,7 +63,10 @@ func main() {
 			log.Fatal(err)
 		}
 		go func(i int) {
-			for delta := range st.Updates {
+			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+				if delta.Type != burst.DeltaPayload {
+					continue
+				}
 				var c apps.CommentPayload
 				_ = json.Unmarshal(delta.Payload, &c)
 				if delivered.Add(1) <= 5 {

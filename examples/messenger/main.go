@@ -18,6 +18,7 @@ import (
 	"bladerunner/internal/apps"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
+	"bladerunner/internal/device"
 	"bladerunner/internal/sim"
 )
 
@@ -57,23 +58,25 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	recv := func() apps.MessagePayload {
-		select {
-		case delta := <-st.Updates:
-			var m apps.MessagePayload
-			_ = json.Unmarshal(delta.Payload, &m)
-			return m
-		case <-sim.Timeout(clock, 10*time.Second):
-			log.Fatal("timed out waiting for message")
-			return apps.MessagePayload{}
+	// recv reads st up to its next message: Next hands out payloads and
+	// flow statuses in the order they came.
+	recv := func(st *device.Stream) (m apps.MessagePayload) {
+		defer clock.After(10*time.Second, func() { log.Fatal("timed out waiting for message") })()
+		for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+			if delta.Type == burst.DeltaPayload {
+				_ = json.Unmarshal(delta.Payload, &m)
+				return m
+			}
 		}
+		log.Fatal("the stream ended")
+		return m
 	}
 
 	// Live delivery while connected.
 	send("hey bob")
 	send("lunch?")
 	for i := 0; i < 2; i++ {
-		m := recv()
+		m := recv(st)
 		fmt.Printf("bob's phone: seq=%d %q\n", m.Seq, m.Text)
 	}
 
@@ -107,14 +110,8 @@ func main() {
 	}
 	fmt.Println("bob reconnects with the stored resume token...")
 	for i := 0; i < 2; i++ {
-		select {
-		case delta := <-st2.Updates:
-			var m apps.MessagePayload
-			_ = json.Unmarshal(delta.Payload, &m)
-			fmt.Printf("catch-up delivery: seq=%d %q\n", m.Seq, m.Text)
-		case <-sim.Timeout(clock, 10*time.Second):
-			log.Fatal("catch-up timed out")
-		}
+		m := recv(st2)
+		fmt.Printf("catch-up delivery: seq=%d %q\n", m.Seq, m.Text)
 	}
 	fmt.Println("\nno message lost, none duplicated — reliability built by the app on a best-effort substrate")
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/sim"
 )
@@ -62,17 +63,19 @@ func main() {
 	}
 	fmt.Println("user 2 posted a comment")
 
-	// 4. The push arrives on the viewer's stream.
-	select {
-	case delta := <-stream.Updates:
-		var c apps.CommentPayload
-		if err := json.Unmarshal(delta.Payload, &c); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("pushed to viewer: %q (author=%d, score=%.2f)\n", c.Text, c.Author, c.Score)
-	case <-sim.Timeout(clock, 10*time.Second):
-		log.Fatal("timed out waiting for the push")
+	// 4. The push arrives on the viewer's stream, whose Next hands out
+	//    payloads and flow statuses in the order they came.
+	stop := clock.After(10*time.Second, func() { log.Fatal("timed out waiting for the push") })
+	delta, ok := stream.Next()
+	for ok && delta.Type != burst.DeltaPayload {
+		delta, ok = stream.Next()
 	}
+	stop()
+	var c apps.CommentPayload // a stream that ended hands out no payload to decode
+	if err := json.Unmarshal(delta.Payload, &c); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("pushed to viewer: %q (author=%d, score=%.2f)\n", c.Text, c.Author, c.Score)
 
 	// 5. The comment is durable in TAO regardless of push delivery, and
 	//    the device could always recover it by polling:

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/sim"
 )
@@ -49,16 +50,23 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	recv := func(what string) apps.TypingPayload {
-		select {
-		case delta := <-st.Updates:
-			var p apps.TypingPayload
-			_ = json.Unmarshal(delta.Payload, &p)
-			return p
-		case <-sim.Timeout(clock, 10*time.Second):
-			log.Fatalf("timed out waiting for %s", what)
-			return apps.TypingPayload{}
+	// next reads the stream up to its next delta of type typ: Next hands
+	// out payloads and flow statuses in the order they came.
+	next := func(typ burst.DeltaType, what string) burst.Delta {
+		defer clock.After(10*time.Second, func() { log.Fatalf("timed out waiting for %s", what) })()
+		delta, ok := st.Next()
+		for ok && delta.Type != typ {
+			delta, ok = st.Next()
 		}
+		if !ok {
+			log.Fatalf("the stream ended before %s", what)
+		}
+		return delta
+	}
+	recv := func(what string) apps.TypingPayload {
+		var p apps.TypingPayload
+		_ = json.Unmarshal(next(burst.DeltaPayload, what).Payload, &p)
+		return p
 	}
 
 	typeOn()
@@ -78,16 +86,8 @@ func main() {
 	// The reverse proxy detects the failure, signals the stream (axiom 1),
 	// and repairs it to another BRASS using the stored subscription
 	// request (axiom 2). Watch the flow events at the device:
-	sawFlow := false
-	select {
-	case code := <-st.Flow:
-		fmt.Printf("device flow-status: %v (failure signalled end-to-end)\n", code)
-		sawFlow = true
-	case <-sim.Timeout(clock, 5*time.Second):
-	}
-	if !sawFlow {
-		fmt.Println("(flow event already drained)")
-	}
+	code := next(burst.DeltaFlowStatus, "the failure's flow status").Flow
+	fmt.Printf("device flow-status: %v (failure signalled end-to-end)\n", code)
 
 	// Wait for a replacement host to hold the subscription.
 	deadline := clock.Now().Add(10 * time.Second)

@@ -260,7 +260,8 @@ func TestUnreleasedLeasesStayIntact(t *testing.T) {
 // At the bound a queued batch loses its payload in place (the queue is read
 // only after the whole run): its rewrite keeps its slot and the lease it
 // aliases, which is not recycled under it, and a batch left empty is. Every
-// rewrite reaches the consumer, in order, with its patch.
+// rewrite reaches the consumer, in order, with its patch, and the shed adds
+// nothing but its one marker.
 func TestShedKeepsControlInItsLease(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	cli.Relay = true
@@ -287,12 +288,14 @@ func TestShedKeepsControlInItsLease(t *testing.T) {
 	if err := st.Cancel(""); err != nil { // Next hands out what is queued, then reports the end
 		t.Fatal(err)
 	}
-	rewrites, last := 0, 0
+	rewrites, last, marks := 0, 0, 0
 	for rc, ok := st.Next(); ok; rc, ok = st.Next() {
 		for _, d := range rc.Deltas {
 			switch d.Type {
 			case DeltaFlowStatus:
-				t.Fatalf("flow status %q: the shed added a delta", d.FlowDetail)
+				if marks++; d.FlowDetail != QueueShedDetail || marks > 1 {
+					t.Fatalf("flow status %q: the shed added a delta beside its marker", d.FlowDetail)
+				}
 			case DeltaRewriteRequest:
 				rewrites++
 				v, err := strconv.Atoi(d.Header[HdrResumeSeq])
@@ -304,8 +307,8 @@ func TestShedKeepsControlInItsLease(t *testing.T) {
 		}
 		rc.Release()
 	}
-	if want := total - total/3; rewrites != want {
-		t.Errorf("%d rewrites reached the consumer, want all %d", rewrites, want)
+	if want := total - total/3; rewrites != want || marks != 1 {
+		t.Errorf("%d rewrites and %d shed markers reached the consumer, want all %d and one", rewrites, marks, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"bladerunner/internal/metrics"
+	"bladerunner/internal/overload"
 )
 
 // ErrStreamClosed is returned when operating on a terminated stream.
@@ -31,9 +32,10 @@ type Client struct {
 	onClose func(error)
 
 	// Dropped counts queued batches whose payload deltas were shed because
-	// a stream's queue was at its bound. Payload delivery is best effort end
-	// to end; control deltas (flow_status, rewrite_request, termination)
-	// are never dropped (see ClientStream.push).
+	// a stream's queue was at its bound. The first shed of an episode is
+	// announced in the stream with a QueueShedDetail marker; control deltas
+	// (flow_status, rewrite_request, termination) are never dropped (see
+	// ClientStream.push).
 	Dropped metrics.Counter
 
 	// DecodeErrors counts batch frames whose payload did not decode. The
@@ -57,6 +59,13 @@ type Client struct {
 // control deltas are never shed.
 const eventBuffer = 256
 
+// The FlowDetails of a shed episode's markers (see push), on relay legs and
+// device streams alike.
+const (
+	QueueShedDetail      = overload.ShedMarkerPrefix + "client-queue"
+	QueueRecoveredDetail = overload.RecoveredMarkerPrefix + "client-queue"
+)
+
 // NewClient starts a BURST client session over rwc. onClose, if non-nil,
 // runs when the session dies; every open stream also receives a synthetic
 // FlowDegraded delta so the application learns its streams are dark.
@@ -79,6 +88,7 @@ type ClientStream struct {
 	mu         sync.Mutex
 	sub        Subscribe // current (possibly rewritten) request; empty on a Relay client
 	terminated bool
+	shedding   bool // a shed episode's marker is queued and its recovery is not
 	lastSeq    uint64
 
 	// The queue: n batches from head in a ring that starts in inline and
@@ -110,6 +120,12 @@ func (st *ClientStream) Next() (*Received, bool) {
 	st.ring[st.head] = nil
 	st.head = (st.head + 1) % len(st.ring)
 	st.n--
+	if st.shedding && st.n <= eventBuffer/2 && !st.terminated {
+		st.shedding = false
+		rec := lease(nil)
+		rec.Deltas = append(rec.slots[:0], FlowStatusDelta(FlowRecovered, QueueRecoveredDetail))
+		st.push(rec)
+	}
 	return rc, true
 }
 
@@ -306,7 +322,10 @@ func (st *ClientStream) apply(rc *Received) {
 // Dropped). Its control deltas keep their slot, so nothing is reordered and
 // a rewrite is forwarded exactly as it arrived; a queue of nothing but
 // control outgrows the bound rather than shed any. A batch left empty leaves
-// the queue and is released. The shed is counted, not announced downstream.
+// the queue and is released. The first shed of an episode leaves a
+// FlowDegraded marker where the first payload it strips was, so the endpoint
+// hears of the gap where it lies; once Next has drained the queue to half the
+// bound, a FlowRecovered marker is queued behind what is left.
 func (st *ClientStream) push(rc *Received) {
 	if st.n >= eventBuffer {
 		st.shedOldest()
@@ -326,16 +345,22 @@ func (st *ClientStream) push(rc *Received) {
 func (st *ClientStream) shedOldest() {
 	for i := range st.n {
 		rc := st.ring[(st.head+i)%len(st.ring)]
-		kept := 0
+		kept, shed := 0, false
 		for _, d := range rc.Deltas {
 			if d.Type == DeltaPayload {
+				if !st.shedding {
+					st.shedding = true
+					rc.Deltas[kept] = FlowStatusDelta(FlowDegraded, QueueShedDetail)
+					kept++
+				}
+				shed = true
 				continue
 			}
 			rc.Deltas[kept] = d
 			kept++
 		}
-		if kept == len(rc.Deltas) {
-			continue // no payload to shed
+		if !shed {
+			continue
 		}
 		st.client.Dropped.Inc()
 		if rc.Deltas = rc.Deltas[:kept]; kept == 0 {

@@ -2,9 +2,10 @@ package burst
 
 import "testing"
 
-// A stalled client queue sheds payload in place, oldest first: the control
-// delta riding with a shed payload keeps its slot, and the queue holds no more
-// payload batches than its bound (its control-only batches come on top).
+// A stalled client queue sheds payload in place, oldest first: the first shed
+// leaves its marker where the payload was, the control delta riding with a
+// later shed payload keeps its slot, and the queue holds no more payload
+// batches than its bound (its control-only batches come on top).
 func TestClientQueueShedsPayloadNotControl(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
@@ -61,8 +62,8 @@ func TestClientQueueShedsPayloadNotControl(t *testing.T) {
 			}
 		}
 	}
-	if len(flows) != 1 || flows[0] != "pressure" {
-		t.Errorf("flow statuses %q, want the control delta alone", flows)
+	if len(flows) != 2 || flows[0] != QueueShedDetail || flows[1] != "pressure" {
+		t.Errorf("flow statuses %q, want the shed marker, then the control delta", flows)
 	}
 	if prev != last || payloads > eventBuffer || batches > eventBuffer+len(flows) {
 		t.Errorf("%d batches, %d payloads up to %d: want at most %d payload batches beside the control, the newest up to %d",
@@ -70,5 +71,66 @@ func TestClientQueueShedsPayloadNotControl(t *testing.T) {
 	}
 	if int(cli.Dropped.Value())+payloads != int(last) {
 		t.Errorf("Dropped = %d beside %d payloads kept of %d", cli.Dropped.Value(), payloads, last)
+	}
+}
+
+// A shed episode is announced once and closed once: the first shed leaves a
+// FlowDegraded marker at the head, and Next draining the queue to half its
+// bound queues the matching FlowRecovered behind what is left. A second
+// overflow is a second episode with its own pair.
+func TestQueueShedEpisodeIsAnnouncedAndClosed(t *testing.T) {
+	cli, _, srv := newClientServer(t)
+	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
+	ss := srv.stream(0)
+
+	var seq uint64
+	flood := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			seq++
+			if err := ss.SendBatch(PayloadDelta(seq, []byte("x"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "every batch applied", func() bool { return st.LastSeq() == seq })
+	}
+	// read hands out batches until the queue is empty, recording each flow
+	// status and the payload count before it.
+	var flows []string
+	payloads := 0
+	read := func() {
+		t.Helper()
+		for {
+			st.mu.Lock()
+			n := st.n
+			st.mu.Unlock()
+			if n == 0 {
+				return
+			}
+			rc, _ := st.Next()
+			for _, d := range rc.Deltas {
+				if d.Type == DeltaFlowStatus {
+					flows = append(flows, d.FlowDetail)
+				} else {
+					payloads++
+				}
+			}
+			rc.Release()
+		}
+	}
+	for episode := 1; episode <= 2; episode++ {
+		flood(eventBuffer + 10)
+		read()
+		want := []string{QueueShedDetail, QueueRecoveredDetail}
+		if got := flows[len(flows)-2:]; len(flows) != 2*episode || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("episode %d: flow statuses %q, want each episode's %q", episode, flows, want)
+		}
+	}
+	if int(cli.Dropped.Value())+payloads != int(seq) {
+		t.Errorf("Dropped = %d beside %d payloads handed out of %d", cli.Dropped.Value(), payloads, seq)
 	}
 }

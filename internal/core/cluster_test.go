@@ -8,8 +8,31 @@ import (
 
 	"bladerunner/internal/apps"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
+	"bladerunner/internal/device"
 	"bladerunner/internal/socialgraph"
 )
+
+// payload returns the next payload st hands out, skipping flow statuses. It
+// reports false if none comes within the given time or the stream ends.
+func payload(t *testing.T, st *device.Stream, within time.Duration) (burst.Delta, bool) {
+	t.Helper()
+	ev := bursttest.Events(t, st)
+	deadline := time.After(within)
+	for {
+		select {
+		case d, ok := <-ev:
+			if !ok {
+				return d, false
+			}
+			if d.Type == burst.DeltaPayload {
+				return d, true
+			}
+		case <-deadline:
+			return burst.Delta{}, false
+		}
+	}
+}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -95,17 +118,16 @@ func TestClusterEndToEndLVC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	select {
-	case d := <-st.Updates:
-		var p apps.CommentPayload
-		if err := json.Unmarshal(d.Payload, &p); err != nil {
-			t.Fatal(err)
-		}
-		if p.Text != "hello from the edge" || p.Author != 2 {
-			t.Errorf("payload = %+v", p)
-		}
-	case <-time.After(10 * time.Second):
+	d, ok := payload(t, st, 10*time.Second)
+	if !ok {
 		t.Fatal("comment never crossed the full path")
+	}
+	var p apps.CommentPayload
+	if err := json.Unmarshal(d.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Text != "hello from the edge" || p.Author != 2 {
+		t.Errorf("payload = %+v", p)
 	}
 
 	waitFor(t, "counters", func() bool {
@@ -156,27 +178,23 @@ func TestClusterSurvivesBRASSFailure(t *testing.T) {
 	if _, err := peer.Mutate(`setTyping(threadID: 9, on: "true")`); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-st.Updates:
-		var p apps.TypingPayload
-		if err := json.Unmarshal(d.Payload, &p); err != nil {
-			t.Fatal(err)
-		}
-		if p.User != 4 || !p.Typing {
-			t.Errorf("payload = %+v", p)
-		}
-	case <-time.After(10 * time.Second):
+	d, ok := payload(t, st, 10*time.Second)
+	if !ok {
 		t.Fatal("no delivery after BRASS failover")
+	}
+	var p apps.TypingPayload
+	if err := json.Unmarshal(d.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.User != 4 || !p.Typing {
+		t.Errorf("payload = %+v", p)
 	}
 }
 
 func TestClusterMultipleDevicesShareTopic(t *testing.T) {
 	c := newCluster(t)
 	const n = 4
-	type upd struct {
-		ch <-chan burst.Delta
-	}
-	var chans []upd
+	var sts []*device.Stream
 	var streams []*deviceStreamRef
 	for i := 0; i < n; i++ {
 		d := c.NewDevice(socialgraph.UserID(10 + i))
@@ -188,7 +206,7 @@ func TestClusterMultipleDevicesShareTopic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, upd{ch: st.Updates})
+		sts = append(sts, st)
 		streams = append(streams, &deviceStreamRef{req: st.Request})
 	}
 	// Every stream may land on a different BRASS host; wait until each
@@ -212,10 +230,8 @@ func TestClusterMultipleDevicesShareTopic(t *testing.T) {
 	if _, err := author.Mutate(`postFeedComment(postID: 77, text: "to all")`); err != nil {
 		t.Fatal(err)
 	}
-	for i, u := range chans {
-		select {
-		case <-u.ch:
-		case <-time.After(10 * time.Second):
+	for i, st := range sts {
+		if _, ok := payload(t, st, 10*time.Second); !ok {
 			t.Fatalf("device %d never got the comment", i)
 		}
 	}

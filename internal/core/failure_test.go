@@ -56,9 +56,7 @@ func TestPylonQuorumLossBlocksNewSubscriptions(t *testing.T) {
 	if _, err := author.Mutate(`postFeedComment(postID: 42, text: "still flowing")`); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-st.Updates:
-	case <-time.After(10 * time.Second):
+	if _, ok := payload(t, st, 10*time.Second); !ok {
 		t.Fatal("healthy topic delivery stalled during unrelated quorum loss")
 	}
 
@@ -149,15 +147,14 @@ func TestPOPFailureReconnectStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, st := range streams {
-		select {
-		case d := <-st.Updates:
-			var p apps.CommentPayload
-			_ = json.Unmarshal(d.Payload, &p)
-			if p.Text != "after the storm" {
-				t.Errorf("device %d got %q", i, p.Text)
-			}
-		case <-time.After(10 * time.Second):
+		d, ok := payload(t, st, 10*time.Second)
+		if !ok {
 			t.Fatalf("device %d never recovered delivery", i)
+		}
+		var p apps.CommentPayload
+		_ = json.Unmarshal(d.Payload, &p)
+		if p.Text != "after the storm" {
+			t.Errorf("device %d got %q", i, p.Text)
 		}
 	}
 }
@@ -201,17 +198,13 @@ func TestMessengerSurvivesProxyFailure(t *testing.T) {
 
 	recv := func(what string) apps.MessagePayload {
 		t.Helper()
-		deadline := time.After(10 * time.Second)
-		for {
-			select {
-			case d := <-st.Updates:
-				var m apps.MessagePayload
-				_ = json.Unmarshal(d.Payload, &m)
-				return m
-			case <-deadline:
-				t.Fatalf("timed out: %s", what)
-			}
+		d, ok := payload(t, st, 10*time.Second)
+		if !ok {
+			t.Fatalf("timed out: %s", what)
 		}
+		var m apps.MessagePayload
+		_ = json.Unmarshal(d.Payload, &m)
+		return m
 	}
 	send := func(text string) {
 		t.Helper()
@@ -240,17 +233,17 @@ func TestMessengerSurvivesProxyFailure(t *testing.T) {
 	lastSeq := uint64(1) // device-side dedup cursor
 	deadline := time.Now().Add(15 * time.Second)
 	for got[3] == "" && time.Now().Before(deadline) {
-		select {
-		case d := <-st.Updates:
-			var m apps.MessagePayload
-			_ = json.Unmarshal(d.Payload, &m)
-			if m.Seq <= lastSeq {
-				continue // duplicate from the repair window
-			}
-			lastSeq = m.Seq
-			got[m.Seq] = m.Text
-		case <-time.After(200 * time.Millisecond):
+		d, ok := payload(t, st, time.Until(deadline))
+		if !ok {
+			break
 		}
+		var m apps.MessagePayload
+		_ = json.Unmarshal(d.Payload, &m)
+		if m.Seq <= lastSeq {
+			continue // duplicate from the repair window
+		}
+		lastSeq = m.Seq
+		got[m.Seq] = m.Text
 	}
 	if got[2] != "two" || got[3] != "three" {
 		t.Errorf("post-failure messages = %v", got)

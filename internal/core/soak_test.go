@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/device"
 	"bladerunner/internal/socialgraph"
 )
@@ -81,8 +82,10 @@ func TestMixedWorkloadSoak(t *testing.T) {
 		ctr := &atomic.Int64{}
 		received[s.app] = ctr
 		go func(app string, st *device.Stream, ctr *atomic.Int64) {
-			for range st.Updates {
-				ctr.Add(1)
+			for d, ok := st.Next(); ok; d, ok = st.Next() {
+				if d.Type == burst.DeltaPayload {
+					ctr.Add(1)
+				}
 			}
 		}(s.app, st, ctr)
 	}

@@ -39,6 +39,7 @@ import (
 	"sync"
 
 	"bladerunner/internal/frame"
+	"bladerunner/internal/overload"
 )
 
 // ErrConnClosed is wrapped by calls that fail because the connection is
@@ -94,14 +95,12 @@ type Conn struct {
 	err      error
 	onClose  func(error)
 
-	// Incoming requests/notifications queue here (unbounded, so the read
-	// loop never blocks behind a slow handler) and drain in order on the
-	// dispatcher goroutine, which swaps the whole queue for its own drained
-	// batch: two backing arrays, reused for the life of the connection.
-	qmu   sync.Mutex
-	qcond *sync.Cond
-	queue []msg
-	qdone bool
+	// Incoming requests/notifications queue here and drain in order on the
+	// dispatcher goroutine. The queue is unbounded (capacity 0) and every
+	// message is Control, so nothing is ever shed and the read loop never
+	// blocks behind a slow handler. qdone closes when the connection does.
+	queue *overload.Queue[msg]
+	qdone chan struct{}
 	rd    frame.Reader // the dispatcher's, over the message it is serving
 	memo  eventMemo    // the dispatcher's
 
@@ -114,14 +113,14 @@ type Conn struct {
 // every handler first, so a fast peer's first request cannot race
 // registration.
 func NewConn(name string, rwc io.ReadWriteCloser, onClose func(error)) *Conn {
-	c := &Conn{
+	return &Conn{
 		name:    name,
 		rwc:     rwc,
 		pending: make(map[uint64]*slot),
 		onClose: onClose,
+		queue:   overload.NewQueue[msg](0),
+		qdone:   make(chan struct{}),
 	}
-	c.qcond = sync.NewCond(&c.qmu)
-	return c
 }
 
 // Start launches the read and dispatch loops. Call exactly once, after
@@ -308,10 +307,7 @@ func (c *Conn) closeWith(err error) {
 	for _, s := range pend {
 		s.done <- msg{}
 	}
-	c.qmu.Lock()
-	c.qdone = true
-	c.qcond.Broadcast()
-	c.qmu.Unlock()
+	close(c.qdone)
 	_ = c.rwc.Close()
 	if onClose != nil {
 		onClose(err)
@@ -364,10 +360,7 @@ func (c *Conn) readLoop() {
 			_ = c.protocolErr(fmt.Errorf("notify for unknown method %s", m))
 			return
 		}
-		c.qmu.Lock()
-		c.queue = append(c.queue, in)
-		c.qcond.Signal()
-		c.qmu.Unlock()
+		c.queue.Push(in, overload.Control)
 	}
 }
 
@@ -376,23 +369,17 @@ func (c *Conn) readLoop() {
 // the queue has drained.
 func (c *Conn) dispatchLoop() {
 	defer c.wg.Done()
-	var batch []msg
 	for {
-		c.qmu.Lock()
-		for len(c.queue) == 0 && !c.qdone {
-			//brlint:allow(no-lock-across-block) the canonical Cond pattern: Wait atomically releases qmu while parked, so the read loop can still append; the queue must stay unbounded so the read loop never blocks behind a slow handler
-			c.qcond.Wait()
+		for in, _, ok := c.queue.Pop(); ok; in, _, ok = c.queue.Pop() {
+			c.serve(in)
+			frame.PutBuf(in.buf)
 		}
-		if len(c.queue) == 0 {
-			c.qmu.Unlock()
-			return
-		}
-		batch, c.queue = c.queue, batch[:0]
-		c.qmu.Unlock()
-		for i := range batch {
-			c.serve(batch[i])
-			frame.PutBuf(batch[i].buf)
-			batch[i] = msg{} // the backing array outlives the message
+		select {
+		case <-c.queue.Ready():
+		case <-c.qdone:
+			if c.queue.Len() == 0 {
+				return
+			}
 		}
 	}
 }

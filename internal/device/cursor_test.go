@@ -29,11 +29,10 @@ func newIdleDevice(t *testing.T) (*Device, *sim.Engine) {
 
 func newIdleStream(d *Device) *Stream {
 	return &Stream{
-		dev:     d,
-		Updates: make(chan burst.Delta, 4),
-		Flow:    make(chan burst.FlowCode, 4),
-		req:     burst.Subscribe{Header: burst.Header{burst.HdrApp: "messenger"}},
-		bo:      d.backoff.Child(1),
+		dev:   d,
+		req:   burst.Subscribe{Header: burst.Header{burst.HdrApp: "messenger"}},
+		moved: make(chan struct{}, 1),
+		bo:    d.backoff.Child(1),
 	}
 }
 
@@ -60,10 +59,8 @@ func TestCursorResumeCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		select {
-		case <-st.Flow:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("marker %d never surfaced on Flow", i)
+		if d := next(t, st); d.Type != burst.DeltaFlowStatus {
+			t.Fatalf("delta %d is %+v, want the marker", i, d)
 		}
 	}
 	waitFor(t, "two coalesced markers", func() bool { return d.ResumesCoalesced.Value() == 2 })
@@ -170,11 +167,9 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	send(burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"))
 	send(resumeState(9)) // admission shed 6..8 and now 9: only the rewrite survives
 	send(burst.PayloadDelta(9, []byte("m")))
-	for _, want := range []uint64{1, 2, 3, 4, 5, 9} {
-		select {
-		case <-st.Updates:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("update %d never arrived", want)
+	for _, want := range []uint64{1, 2, 3, 4, 5, 0, 9} { // 0: the marker
+		if d := next(t, st); d.Seq != want {
+			t.Fatalf("delta %+v, want seq %d", d, want)
 		}
 	}
 	if got := st.LastSeq(); got != 5 {
@@ -185,8 +180,8 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	}
 
 	// Release the pending resume: cancel + resubscribe on the live session.
-	// (The marker was pumped before payload 9 reached Updates, so its After
-	// is on the engine by now.)
+	// (Next handed out the marker before payload 9, so its After is on the
+	// engine by now.)
 	if !eng.Step() {
 		t.Fatal("no resume pending after the shed marker")
 	}
@@ -203,7 +198,7 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 }
 
 // A stream whose stored request carries no resume token has nothing to
-// resume from: a shed marker only surfaces on Flow.
+// resume from: a shed marker only surfaces.
 func TestShedMarkerWithoutResumeTokenOnlySurfaces(t *testing.T) {
 	d, eng := newIdleDevice(t)
 	_, streams := pipeSession(t, d)
@@ -215,13 +210,8 @@ func TestShedMarkerWithoutResumeTokenOnlySurfaces(t *testing.T) {
 	if err := srv.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"brass-loop")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case code := <-st.Flow:
-		if code != burst.FlowDegraded {
-			t.Fatalf("flow = %v", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("marker never surfaced on Flow")
+	if d := next(t, st); d.Type != burst.DeltaFlowStatus || d.Flow != burst.FlowDegraded {
+		t.Fatalf("delta %+v, want the marker", d)
 	}
 	if eng.Pending() != 0 || d.ResumesCoalesced.Value() != 0 {
 		t.Fatalf("a stream with no resume token scheduled a resume (timers=%d, coalesced=%d)",
@@ -229,18 +219,16 @@ func TestShedMarkerWithoutResumeTokenOnlySurfaces(t *testing.T) {
 	}
 }
 
-// What a superseded incarnation still has buffered reaches Updates but moves
-// no state: its FlowDegraded landing after the reopen's FlowRecovered would
-// leave the app degraded for ever, and its payloads sit behind a gap the
-// reopen is already repairing.
+// What a superseded incarnation still has queued reaches the app as payload
+// but moves no state: its FlowDegraded landing after the reopen's
+// FlowRecovered would leave the app degraded for ever, and its payloads sit
+// behind a gap the reopen is already repairing. The reopen's FlowRecovered is
+// handed out when Next moves on, after all of it.
 func TestSupersededIncarnationMovesNoState(t *testing.T) {
 	d, eng := newIdleDevice(t)
 	st := newIdleStream(d)
 	st.req.Header[burst.HdrCursor] = "1.4"
 	seen(st, 4)
-	st.mu.Lock()
-	st.pushFlowLocked(burst.FlowRecovered) // the reopen's
-	st.mu.Unlock()
 
 	cli, streams := pipeSession(t, d)
 	old, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "messenger"}})
@@ -248,6 +236,12 @@ func TestSupersededIncarnationMovesNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := nextStream(t, streams)
+	reopened, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrApp: "messenger"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextStream(t, streams)
+	st.in, st.cur = old, reopened // Next still drains old
 	if err := srv.SendBatch(burst.PayloadDelta(7, []byte("late")),
 		burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission")); err != nil {
 		t.Fatal(err)
@@ -255,19 +249,24 @@ func TestSupersededIncarnationMovesNoState(t *testing.T) {
 	if err := srv.Terminate("superseded"); err != nil { // ends old's queue behind the batch
 		t.Fatal(err)
 	}
-	st.pump(old) // st.cur is not old
 
-	if got := len(st.Updates); got != 1 {
-		t.Errorf("the superseded stream's payload did not reach Updates (len %d)", got)
+	if got := next(t, st); got.Type != burst.DeltaPayload || got.Seq != 7 {
+		t.Errorf("first delta %+v, want the superseded stream's payload", got)
+	}
+	if got := next(t, st); got.Type != burst.DeltaFlowStatus || got.Flow != burst.FlowRecovered {
+		t.Errorf("second delta %+v, want the reopen's FlowRecovered alone", got)
 	}
 	if got := st.LastSeq(); got != 4 {
 		t.Errorf("resume point = %d, want 4: a superseded payload advanced it", got)
 	}
-	if code := <-st.Flow; code != burst.FlowRecovered || len(st.Flow) != 0 {
-		t.Errorf("Flow = %v then %d more, want FlowRecovered alone", code, len(st.Flow))
-	}
 	if eng.Pending() != 0 {
 		t.Error("a superseded stream's shed marker scheduled a resume")
+	}
+	st.mu.Lock()
+	closed := st.closed
+	st.mu.Unlock()
+	if closed {
+		t.Error("a superseded stream's termination ended the stream")
 	}
 }
 

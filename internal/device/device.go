@@ -81,16 +81,9 @@ type Device struct {
 
 	// Metrics.
 	Updates      metrics.Counter
-	FlowEvents   metrics.Counter
 	Reconnects   metrics.Counter
 	Polls        metrics.Counter
 	Resubscribes metrics.Counter
-	// RenderDrops counts payload deltas shed because the app's Updates
-	// channel was full (the device-side best-effort hop).
-	RenderDrops metrics.Counter
-	// FlowCoalesced counts stale flow codes evicted so a newer one could
-	// land — the Flow channel always delivers the latest state.
-	FlowCoalesced metrics.Counter
 	// Resumes counts shed gaps repaired by reopening the stream from its
 	// stored request, resume tokens lowered to the stream's resume point.
 	Resumes metrics.Counter
@@ -104,18 +97,11 @@ type Device struct {
 	PeerCloses metrics.Counter
 }
 
-// Stream is one application-level subscription held by the device. Its
-// channels survive reconnections: the device resubscribes transparently and
-// keeps feeding the same Updates channel.
+// Stream is one application-level subscription held by the device. It
+// survives reconnections: the device resubscribes transparently and Next
+// reads on from the new incarnation.
 type Stream struct {
 	dev *Device
-
-	// Updates carries payload deltas across reconnects. Closed only when
-	// the stream is cancelled or terminated by the server.
-	Updates chan burst.Delta
-	// Flow carries flow_status events (degraded/recovered/rerouted) so
-	// the app can show connectivity state. Best-effort (drops if full).
-	Flow chan burst.FlowCode
 
 	mu     sync.Mutex
 	cur    *burst.ClientStream
@@ -124,9 +110,15 @@ type Stream struct {
 	closed bool
 
 	// rec decides what every delta of the current incarnation (cur) means
-	// for the stream and what the next resubscribe resumes from; only that
-	// incarnation's pump steps it.
+	// for the stream and what the next resubscribe resumes from; Next steps
+	// it as it hands that incarnation's deltas out.
 	rec burst.Recovery
+
+	// Next's alone: the incarnation it drains (cur, or one cur superseded)
+	// and the rest of its batch. moved wakes Next waiting for the next one.
+	in    *burst.ClientStream
+	batch []burst.Delta
+	moved chan struct{}
 
 	// bo paces per-stream resubscribe retries; retryCancel is the pending
 	// retry timer, cancelled on close or when a resubscribe supersedes it.
@@ -270,26 +262,15 @@ func (d *Device) Subscribe(app, subscription string, extra burst.Header) (*Strea
 	for k, v := range extra {
 		header[k] = v
 	}
-	st := &Stream{
-		dev:     d,
-		Updates: make(chan burst.Delta, 256),
-		Flow:    make(chan burst.FlowCode, 16),
-		req:     burst.Subscribe{Header: header},
-		bo:      d.backoff.Child(salt),
-	}
-	cs, err := cli.Subscribe(st.req)
+	req, bo := burst.Subscribe{Header: header}, d.backoff.Child(salt)
+	cs, err := cli.Subscribe(req)
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	st.cur = cs
-	st.curCli = cli
-	st.mu.Unlock()
-
+	st := &Stream{dev: d, cur: cs, curCli: cli, req: req, in: cs, moved: make(chan struct{}, 1), bo: bo}
 	d.mu.Lock()
 	d.streams[st] = true
 	d.mu.Unlock()
-	go st.pump(cs)
 	return st, nil
 }
 
@@ -368,10 +349,11 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	st.cancelRetryLocked()
 	// Snapshot the request from the old client stream: it holds the latest
 	// rewritten state even if its session is gone. The old incarnation is
-	// superseded from here on, so nothing it still has buffered can move the
+	// superseded from here on, so nothing it still has queued can move the
 	// resume point the request below is built from.
-	if st.cur != nil {
-		st.req = st.cur.Request()
+	old := st.cur
+	if old != nil {
+		st.req = old.Request()
 		st.cur = nil
 	}
 	// The server rewrote the resume tokens forward as it pushed, but what
@@ -382,6 +364,10 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	// still being sent.
 	req := burst.Subscribe{Header: st.req.Header.Clone(), Body: st.req.Body}
 	st.mu.Unlock()
+	// Next reads the old incarnation to its end before it moves on.
+	if old != nil {
+		_ = old.Cancel("superseded")
+	}
 
 	cs, err := cli.Subscribe(req)
 	if err != nil {
@@ -394,11 +380,21 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	st.dev.Resubscribes.Inc()
 	st.bo.Reset()
 	st.mu.Lock()
-	st.cur = cs
-	st.curCli = cli
-	st.pushFlowLocked(burst.FlowRecovered)
+	prev := st.cur // a concurrent resubscribe stored its incarnation first
+	st.cur, st.curCli = cs, cli
 	st.mu.Unlock()
-	go st.pump(cs)
+	if prev != nil {
+		_ = prev.Cancel("superseded")
+	}
+	st.wake()
+}
+
+// wake tells a reader waiting for the next incarnation to look again.
+func (st *Stream) wake() {
+	select {
+	case st.moved <- struct{}{}:
+	default: // a token is pending already: the reader looks again anyway
+	}
 }
 
 // scheduleResubscribe arms a per-stream retry through the device backoff.
@@ -443,101 +439,86 @@ func (st *Stream) cancelRetryLocked() {
 	}
 }
 
-// pump forwards one underlying client stream's batches into the persistent
-// channels. It returns when that client stream ends; reconnection starts a
-// new pump. st.rec decides what each delta means and pump carries it out —
-// for the current incarnation (st.cur == cs) only: what a superseded client
-// stream still has buffered keeps reaching Updates, but it neither moves the
-// resume point nor reports flow — its FlowDegraded landing after the reopen's
-// FlowRecovered would leave the app degraded for ever — nor ends the stream.
-// pump never releases a batch's lease: the payload deltas it hands the app on
-// Updates alias it, so the garbage collector takes it with them.
-func (st *Stream) pump(cs *burst.ClientStream) {
+// Next returns the stream's next payload or flow_status delta in arrival
+// order, waiting for one, and reports false once the stream has ended. It is
+// the app's one read, on the app's goroutine, and recovery runs as it reads:
+// each delta of the current incarnation steps Recovery, so a shed marker
+// freezes the resume point at what the app has and reopens the stream.
+// Rewrites never reach it (the client stream folds them into its request).
+// What a superseded incarnation still has queued reaches the app as payload
+// only, and the reopen's FlowRecovered is handed out when Next moves on to
+// the new incarnation, behind it all. A payload aliases a leased batch that is
+// never released: the garbage collector takes it with the last delta.
+func (st *Stream) Next() (burst.Delta, bool) {
 	for {
-		batch, ok := cs.Next()
-		if !ok {
-			break
+		for len(st.batch) == 0 {
+			rc, ok := st.in.Next()
+			if ok {
+				st.batch = rc.Deltas
+			} else if st.advance() {
+				return burst.FlowStatusDelta(burst.FlowRecovered, "resubscribed"), true
+			} else {
+				return burst.Delta{}, false
+			}
 		}
-		for i := range batch.Deltas {
-			delta := &batch.Deltas[i]
-			st.mu.Lock()
-			act := burst.Ignore
-			if st.cur == cs {
-				act = st.rec.Step(delta, cs)
-			} else if delta.Type == burst.DeltaPayload {
-				act = burst.Apply
-			}
-			switch act {
-			case burst.Apply:
-				st.renderLocked(delta)
-			case burst.Surface, burst.Reopen, burst.Coalesce:
-				st.dev.FlowEvents.Inc()
-				st.pushFlowLocked(delta.Flow)
-				if act == burst.Reopen {
-					st.scheduleResume()
-				} else if act == burst.Coalesce {
-					st.dev.ResumesCoalesced.Inc()
-				}
-			}
+		d := st.batch[0]
+		st.batch = st.batch[1:]
+		st.mu.Lock()
+		if st.closed {
 			st.mu.Unlock()
-			if act == burst.End {
-				st.end(false, "")
-				return
+			return burst.Delta{}, false
+		}
+		act := burst.Ignore
+		if st.cur == st.in {
+			act = st.rec.Step(&d, st.in)
+		} else if d.Type == burst.DeltaPayload {
+			act = burst.Apply
+		}
+		switch act {
+		case burst.Apply:
+			st.dev.Updates.Inc()
+			sp := st.dev.cfg.Tracer.Start(d.Trace, trace.HopApply, trace.HopFlush)
+			sp.AnnotateInt("seq", int64(d.Seq))
+			if sp.Active() {
+				sp.Annotate("stream", st.req.Header[burst.HdrTraceStream])
 			}
+			sp.End()
+		case burst.Reopen:
+			st.scheduleResume()
+		case burst.Coalesce:
+			st.dev.ResumesCoalesced.Inc()
+		}
+		st.mu.Unlock()
+		if act == burst.End {
+			st.end(false, "")
+			return burst.Delta{}, false
+		}
+		if act != burst.Ignore {
+			return d, true
 		}
 	}
-	// The stream ended without a termination: session loss. The device-level
-	// reconnect will resubscribe us; nothing to do here. (burst.Patch never
-	// reaches pump: the BURST client merged the rewrite into cs's copy, which
-	// Request reads and resubscribe snapshots.)
 }
 
-// renderLocked hands one payload delta to the app, best effort. Callers hold
-// st.mu.
-func (st *Stream) renderLocked(delta *burst.Delta) {
-	sp := st.dev.cfg.Tracer.Start(delta.Trace, trace.HopApply, trace.HopFlush)
-	sp.AnnotateInt("seq", int64(delta.Seq))
-	if sp.Active() {
-		sp.Annotate("stream", st.req.Header[burst.HdrTraceStream])
-	}
-	if !st.closed {
-		st.dev.Updates.Inc()
-		select {
-		case st.Updates <- *delta:
-		default: // device is slow; best-effort drop (counted)
-			st.dev.RenderDrops.Inc()
-			sp.Drop("render-queue-full")
-		}
-	}
-	sp.End()
-}
-
-// pushFlowLocked delivers a flow code to the app, coalescing under
-// pressure: a full buffer evicts the OLDEST code so the latest connectivity
-// state always lands. Silently dropping the newest (the old behaviour) could
-// lose a FlowRecovered behind a backlog of stale degraded notices,
-// wedging the app in "degraded" forever. Callers hold st.mu, which
-// serializes producers, so after one eviction the retry always finds room.
-func (st *Stream) pushFlowLocked(code burst.FlowCode) {
-	if st.closed {
-		return
-	}
+// advance moves the reader on from an incarnation it drained to its end to
+// the one a resubscribe stored, waiting for it if need be. It reports false
+// once the stream has closed.
+func (st *Stream) advance() bool {
 	for {
-		select {
-		case st.Flow <- code:
-			return
-		default:
+		st.mu.Lock()
+		closed, cur := st.closed, st.cur
+		st.mu.Unlock()
+		if closed {
+			return false
 		}
-		select {
-		case <-st.Flow:
-			st.dev.FlowCoalesced.Inc()
-		default:
-			// The app drained a slot between the two selects; retry lands.
+		if cur != nil && cur != st.in {
+			st.in = cur
+			return true
 		}
+		<-st.moved
 	}
 }
 
-// scheduleResume repairs a shed gap: off the pump goroutine, cancel the
+// scheduleResume repairs a shed gap: off the reader's goroutine, cancel the
 // current client stream and resubscribe with the stored request, which the
 // serving BRASS answers with everything after the frozen resume point.
 func (st *Stream) scheduleResume() {
@@ -619,8 +600,7 @@ func (st *Stream) end(upstream bool, reason string) {
 	d.mu.Lock()
 	delete(d.streams, st)
 	d.mu.Unlock()
-	close(st.Updates)
-	close(st.Flow)
+	st.wake()
 }
 
 // StartPresence begins the periodic ONLINE report the paper's ActiveStatus

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/edge"
 	"bladerunner/internal/faults"
 	"bladerunner/internal/kvstore"
@@ -27,6 +28,39 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// next returns the next delta st hands out, failing the test if none comes
+// within 5 s or the stream ends.
+func next(t *testing.T, st *Stream) burst.Delta {
+	t.Helper()
+	select {
+	case d, ok := <-bursttest.Events(t, st):
+		if !ok {
+			t.Fatal("the stream ended")
+		}
+		return d
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delta within 5 s")
+	}
+	return burst.Delta{}
+}
+
+// ended waits up to 5 s for st to report its end, discarding what it hands
+// out first.
+func ended(t *testing.T, st *Stream) {
+	t.Helper()
+	ev := bursttest.Events(t, st)
+	for deadline := time.After(5 * time.Second); ; {
+		select {
+		case _, ok := <-ev:
+			if !ok {
+				return
+			}
+		case <-deadline:
+			t.Fatal("the stream did not end")
+		}
+	}
 }
 
 // fakePOP is a scripted BURST endpoint registered as a POP target.
@@ -139,13 +173,8 @@ func TestConnectSubscribeReceive(t *testing.T) {
 	if err := env.popA.stream(0).SendBatch(burst.PayloadDelta(4, []byte("c1"))); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-st.Updates:
-		if string(d.Payload) != "c1" || d.Seq != 4 {
-			t.Errorf("delta = %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no update")
+	if d := next(t, st); d.Type != burst.DeltaPayload || string(d.Payload) != "c1" || d.Seq != 4 {
+		t.Errorf("delta = %+v", d)
 	}
 	if st.LastSeq() != 4 {
 		t.Errorf("LastSeq = %d", st.LastSeq())
@@ -195,13 +224,8 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 		burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: "12"}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-st.Updates:
-		if d.Seq != 12 {
-			t.Fatalf("first update has seq %d", d.Seq)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no update before the failure")
+	if d := next(t, st); d.Type != burst.DeltaPayload || d.Seq != 12 {
+		t.Fatalf("first delta %+v, want payload 12", d)
 	}
 	if got := st.Request().Header[burst.HdrResumeSeq]; got != "12" {
 		t.Fatalf("stored resume-seq = %q after the batch was applied", got)
@@ -219,26 +243,22 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	if env.dev.Reconnects.Value() != 1 || env.dev.Resubscribes.Value() != 1 {
 		t.Errorf("reconnects=%d resubs=%d", env.dev.Reconnects.Value(), env.dev.Resubscribes.Value())
 	}
-	// Flow channel observed recovery.
-	select {
-	case code := <-st.Flow:
-		if code != burst.FlowDegraded && code != burst.FlowRecovered {
-			t.Errorf("flow = %v", code)
-		}
-	case <-time.After(time.Second):
-		t.Error("no flow event after reconnect")
-	}
-	// Stream still delivers.
+	// Stream still delivers, behind the flow statuses of the failure: the
+	// session's loss, if Next read it before the resubscribe, and the
+	// recovery, which is last.
 	if err := env.popB.stream(0).SendBatch(burst.PayloadDelta(13, []byte("after"))); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-st.Updates:
-		if string(d.Payload) != "after" {
-			t.Errorf("payload = %q", d.Payload)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no update after reconnect")
+	var flows []burst.FlowCode
+	d := next(t, st)
+	for ; d.Type == burst.DeltaFlowStatus; d = next(t, st) {
+		flows = append(flows, d.Flow)
+	}
+	if len(flows) == 0 || flows[len(flows)-1] != burst.FlowRecovered {
+		t.Errorf("flow statuses %v before the next payload, want the recovery last", flows)
+	}
+	if string(d.Payload) != "after" {
+		t.Errorf("payload = %q", d.Payload)
 	}
 }
 
@@ -255,8 +275,8 @@ func TestCancelClosesChannelsAndNotifiesServer(t *testing.T) {
 		defer env.popA.mu.Unlock()
 		return env.popA.cancels == 1
 	})
-	if _, ok := <-st.Updates; ok {
-		t.Error("Updates open after cancel")
+	if _, ok := st.Next(); ok {
+		t.Error("Next hands out deltas after cancel")
 	}
 	if env.dev.Streams() != 0 {
 		t.Errorf("Streams = %d", env.dev.Streams())
@@ -272,9 +292,10 @@ func TestServerTerminationClosesStream(t *testing.T) {
 	st, _ := env.dev.Subscribe("a", "s", nil)
 	waitFor(t, "stream", func() bool { return env.popA.stream(0) != nil })
 	_ = env.popA.stream(0).Terminate("bye")
-	waitFor(t, "stream closed", func() bool { return env.dev.Streams() == 0 })
-	for range st.Updates {
-	} // drains and exits: channel closed
+	ended(t, st) // Next reads the termination and ends the stream
+	if env.dev.Streams() != 0 {
+		t.Errorf("Streams = %d after the termination", env.dev.Streams())
+	}
 }
 
 func TestQueryAndMutateHitWAS(t *testing.T) {
@@ -321,7 +342,7 @@ func TestCloseIsFinal(t *testing.T) {
 	}
 	st, _ := env.dev.Subscribe("a", "s", nil)
 	env.dev.Close()
-	if _, ok := <-st.Updates; ok {
+	if _, ok := st.Next(); ok {
 		t.Error("stream open after device close")
 	}
 	if err := env.dev.Connect(); err == nil {
@@ -381,22 +402,20 @@ func TestPerStreamRetryRecoversOrphanedStream(t *testing.T) {
 	}
 	waitFor(t, "initial stream", func() bool { return env.popA.stream(0) != nil })
 
-	// Orphan the stream: no current client stream, healthy session.
+	// Orphan the stream: no current client stream (the one it had has
+	// ended), healthy session.
 	st.mu.Lock()
+	orphaned := st.cur
 	st.cur = nil
 	st.curCli = nil
 	st.mu.Unlock()
+	_ = orphaned.Cancel("orphaned")
 	st.scheduleResubscribe()
 
 	waitFor(t, "retry re-subscribed", func() bool { return env.popA.stream(1) != nil })
-	waitFor(t, "FlowRecovered", func() bool {
-		select {
-		case code := <-st.Flow:
-			return code == burst.FlowRecovered
-		default:
-			return false
-		}
-	})
+	if d := next(t, st); d.Type != burst.DeltaFlowStatus || d.Flow != burst.FlowRecovered {
+		t.Errorf("first delta after the retry %+v, want FlowRecovered", d)
+	}
 	if st.dev.Resubscribes.Value() != 1 {
 		t.Errorf("Resubscribes = %d", st.dev.Resubscribes.Value())
 	}

@@ -227,6 +227,8 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 // traffic: payload batches between batches that patch both resume tokens. The
 // leg may shed payloads only. Every control delta reaches the device in the
 // order the server sent it, and the device's fold ends equal to the server's.
+// Each shed episode is announced in order: its FlowDegraded marker arrives
+// before any payload is missing, and its FlowRecovered after.
 func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	c := newChain(t, nil)
 	st, err := c.client.Subscribe(burst.Subscribe{Header: burst.Header{
@@ -258,25 +260,42 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	waitFor(t, "a shed on a relay leg", func() bool { return legs[0].Dropped.Value()+legs[1].Dropped.Value() > 0 })
 	c.gate.Unlock()
 
-	last := 0
-	for deadline := time.After(5 * time.Second); last < batches; {
+	// open counts the shed episodes announced and not yet recovered: one per
+	// leg that sheds.
+	last, payload, open, marks := 0, 0, 0, 0
+	for deadline := time.After(5 * time.Second); last < batches || open > 0; {
 		select {
 		case rc, ok := <-ev:
 			if !ok {
 				t.Fatalf("stream ended after ctl %d", last)
 			}
 			for _, d := range rc.Deltas {
-				if d.Type != burst.DeltaFlowStatus || !strings.HasPrefix(d.FlowDetail, "ctl ") {
-					continue
+				switch {
+				case d.Type == burst.DeltaPayload:
+					if int(d.Seq) != payload+2 && open == 0 && payload > 0 {
+						t.Fatalf("payload %d after %d outside a shed episode's markers", d.Seq, payload)
+					}
+					payload = int(d.Seq)
+				case d.FlowDetail == burst.QueueShedDetail:
+					open++
+					marks++
+				case d.FlowDetail == burst.QueueRecoveredDetail:
+					if open--; open < 0 {
+						t.Fatalf("a shed recovered after ctl %d before it was announced", last)
+					}
+				case strings.HasPrefix(d.FlowDetail, "ctl "):
+					if n, _ := strconv.Atoi(strings.TrimPrefix(d.FlowDetail, "ctl ")); n != last+2 {
+						t.Fatalf("control arrived out of order: %q after ctl %d", d.FlowDetail, last)
+					}
+					last += 2
 				}
-				if n, _ := strconv.Atoi(strings.TrimPrefix(d.FlowDetail, "ctl ")); n != last+2 {
-					t.Fatalf("control arrived out of order: %q after ctl %d", d.FlowDetail, last)
-				}
-				last += 2
 			}
 		case <-deadline:
-			t.Fatalf("the device saw control up to ctl %d of %d", last, batches)
+			t.Fatalf("the device saw control up to ctl %d of %d, %d shed episodes open", last, batches, open)
 		}
+	}
+	if marks == 0 {
+		t.Error("the relay legs shed without announcing it")
 	}
 	waitFor(t, "the device's fold to equal the server's", func() bool {
 		return reflect.DeepEqual(st.Request(), ss.Request())

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
@@ -84,11 +85,6 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			mu   sync.Mutex
 			seqs = make(map[uint64]bool)
 		)
-		note := func(seq uint64) {
-			mu.Lock()
-			seqs[seq] = true
-			mu.Unlock()
-		}
 		hasAll := func(n uint64) bool {
 			mu.Lock()
 			defer mu.Unlock()
@@ -100,19 +96,16 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			return true
 		}
 		var wg sync.WaitGroup
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for d := range st.Updates {
+			for d, ok := st.Next(); ok; d, ok = st.Next() {
 				var m apps.MessagePayload
-				if json.Unmarshal(d.Payload, &m) == nil {
-					note(m.Seq)
+				if d.Type == burst.DeltaPayload && json.Unmarshal(d.Payload, &m) == nil {
+					mu.Lock()
+					seqs[m.Seq] = true
+					mu.Unlock()
 				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for range st.Flow {
 			}
 		}()
 		var thread uint64

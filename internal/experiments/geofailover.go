@@ -98,10 +98,13 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 		s := &recvState{dev: d, st: st}
 		_ = json.Unmarshal(out, &s.thread)
 		states[i] = s
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for delta := range st.Updates {
+			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+				if delta.Type != burst.DeltaPayload {
+					continue
+				}
 				var m apps.MessagePayload
 				_ = json.Unmarshal(delta.Payload, &m)
 				s.mu.Lock()
@@ -112,11 +115,6 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 					s.recoveredAt = sched.Now().Sub(cutAt)
 				}
 				s.mu.Unlock()
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for range st.Flow {
 			}
 		}()
 	}

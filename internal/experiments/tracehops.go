@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
@@ -55,8 +56,10 @@ func TracedLVCRun(seed int64, viewers, events int, rate float64) (*trace.Plane, 
 		n := new(int64)
 		counters[i] = n
 		go func() {
-			for range st.Updates {
-				atomic.AddInt64(n, 1)
+			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+				if delta.Type == burst.DeltaPayload {
+					atomic.AddInt64(n, 1)
+				}
 			}
 		}()
 	}

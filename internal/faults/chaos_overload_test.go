@@ -192,7 +192,7 @@ func TestChaosOverloadGapFreeResync(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= goroutinesBefore+3
 	})
-	t.Logf("seed %d: sent=%d sheds=%d resubscribes=%d resumes=%d coalesced=%d coalesced-flow=%d",
+	t.Logf("seed %d: sent=%d sheds=%d resubscribes=%d resumes=%d coalesced=%d",
 		seed, sent, sheds, viewer.Resubscribes.Value(), viewer.Resumes.Value(),
-		viewer.ResumesCoalesced.Value(), viewer.FlowCoalesced.Value())
+		viewer.ResumesCoalesced.Value())
 }

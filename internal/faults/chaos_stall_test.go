@@ -1,0 +1,111 @@
+package faults_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"testing"
+	"time"
+
+	"bladerunner/internal/apps"
+	"bladerunner/internal/core"
+	"bladerunner/internal/device"
+	"bladerunner/internal/faults"
+	"bladerunner/internal/socialgraph"
+)
+
+// TestChaosStalledPOPMessengerGapFree stalls a Messenger device's links to
+// every POP while 400 messages go out. The serving POP's upstream leg fills
+// and sheds payloads, and announces it with a marker where the first one was.
+// Once the stall lifts, the device reads on to the marker and reopens the
+// stream from the point it has; the serving BRASS replays everything after it
+// as one batch longer than any queue's bound. Every seq must reach the app.
+func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
+	seed := chaosSeed(t)
+	cfg := core.DefaultConfig()
+	cfg.Graph.Users = 100
+	cfg.Graph.BlockProb = 0
+	c := core.MustNewCluster(cfg, nil)
+	defer c.Close()
+	fn := faults.NewFaultNetwork(c.Net, nil, seed)
+	pops := c.POPTargets()
+
+	const (
+		authorUID = socialgraph.UserID(90)
+		viewerUID = socialgraph.UserID(10)
+		sent      = 400
+	)
+	author := c.NewDevice(authorUID)
+	defer author.Close()
+	viewer := c.NewDeviceVia(fn, device.Config{
+		User:        viewerUID,
+		Backoff:     faults.BackoffPolicy{Base: 10 * time.Millisecond, Max: 160 * time.Millisecond},
+		BackoffSeed: seed + 1,
+	})
+	defer viewer.Close()
+	if err := viewer.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := viewer.Subscribe(apps.AppMessenger, "messenger", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := watch(st)
+
+	var thread uint64
+	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = json.Unmarshal(out, &thread)
+	waitFor(t, "mailbox subscription", func() bool {
+		return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
+	})
+
+	// Each message is one [payload, rewrite{resume-seq, cursor}] batch, so
+	// the reverse proxies have relayed all of them to the stalled POP once
+	// their rewrite count has grown by sent.
+	relayed := func() (n int64) {
+		for _, p := range c.Proxies {
+			n += p.RewritesRelayed.Value()
+		}
+		return n
+	}
+	before := relayed()
+	for _, pop := range pops {
+		fn.Stall(pop)
+	}
+	for i := 1; i <= sent; i++ {
+		if _, err := author.Mutate(fmt.Sprintf(`sendMessage(threadID: %d, text: "m%d")`, thread, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the reverse proxies to relay every message", func() bool { return relayed()-before >= sent })
+	for _, pop := range pops {
+		fn.Unstall(pop)
+	}
+
+	deadline := time.Now().Add(15 * time.Second)
+	for !w.hasAll(sent) {
+		if time.Now().After(deadline) {
+			missing := 0
+			w.mu.Lock()
+			for s := uint64(1); s <= sent; s++ {
+				if !w.seqs[s] {
+					missing++
+				}
+			}
+			w.mu.Unlock()
+			t.Fatalf("seed %d: %d of %d seqs never reached the app (resumes=%d, resubscribes=%d)",
+				seed, missing, sent, viewer.Resumes.Value(), viewer.Resubscribes.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var notices int64
+	for _, p := range c.POPs {
+		notices += p.ShedNotices.Value()
+	}
+	t.Logf("seed %d: %d shed notices, %d resumes, %d resubscribes", seed, notices, viewer.Resumes.Value(), viewer.Resubscribes.Value())
+	if notices == 0 || viewer.Resumes.Value() == 0 {
+		t.Errorf("the stall was repaired without a shed (%d notices) or a resume (%d)", notices, viewer.Resumes.Value())
+	}
+}

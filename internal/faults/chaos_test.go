@@ -21,6 +21,7 @@ import (
 
 	"bladerunner/internal/apps"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
 	"bladerunner/internal/faults"
@@ -68,7 +69,7 @@ func TestChaosScheduleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// streamWatcher drains a stream's channels concurrently, recording payload
+// streamWatcher reads a stream on its own goroutine, recording payload
 // sequence numbers and flow events.
 type streamWatcher struct {
 	mu        sync.Mutex
@@ -82,32 +83,49 @@ type streamWatcher struct {
 
 func watch(st *device.Stream) *streamWatcher {
 	w := &streamWatcher{seqs: make(map[uint64]bool)}
-	w.done.Add(2)
+	w.done.Add(1)
 	go func() {
 		defer w.done.Done()
-		for d := range st.Updates {
-			var m apps.MessagePayload
-			_ = json.Unmarshal(d.Payload, &m)
+		for d, ok := st.Next(); ok; d, ok = st.Next() {
 			w.mu.Lock()
-			w.seqs[m.Seq] = true
-			if m.Seq > w.maxSeq {
-				w.maxSeq = m.Seq
+			if d.Type == burst.DeltaFlowStatus {
+				if d.Flow == burst.FlowRecovered {
+					w.recovered++
+				}
+				w.lastFlow = d.Flow
+			} else {
+				var m apps.MessagePayload
+				_ = json.Unmarshal(d.Payload, &m)
+				w.seqs[m.Seq] = true
+				if m.Seq > w.maxSeq {
+					w.maxSeq = m.Seq
+				}
 			}
-			w.mu.Unlock()
-		}
-	}()
-	go func() {
-		defer w.done.Done()
-		for code := range st.Flow {
-			w.mu.Lock()
-			if code == burst.FlowRecovered {
-				w.recovered++
-			}
-			w.lastFlow = code
 			w.mu.Unlock()
 		}
 	}()
 	return w
+}
+
+// payload returns the next payload st hands out, skipping flow statuses. It
+// reports false if none comes within the given time or the stream ends.
+func payload(t *testing.T, st *device.Stream, within time.Duration) (burst.Delta, bool) {
+	t.Helper()
+	ev := bursttest.Events(t, st)
+	deadline := time.After(within)
+	for {
+		select {
+		case d, ok := <-ev:
+			if !ok {
+				return d, false
+			}
+			if d.Type == burst.DeltaPayload {
+				return d, true
+			}
+		case <-deadline:
+			return burst.Delta{}, false
+		}
+	}
 }
 
 func (w *streamWatcher) hasAll(n uint64) bool {

@@ -301,9 +301,7 @@ func TestTraceReachesTheDeviceForEveryEventDrivenApp(t *testing.T) {
 			if _, err := actor.Mutate(tc.mutation); err != nil {
 				t.Fatal(err)
 			}
-			select {
-			case <-st.Updates:
-			case <-time.After(15 * time.Second):
+			if _, ok := payload(t, st, 15*time.Second); !ok {
 				t.Fatal("no delivery")
 			}
 			// The update reaches the application before the proxies on its

@@ -91,7 +91,10 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 		}
 		r := &devRec{st: st}
 		go func() {
-			for delta := range st.Updates {
+			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+				if delta.Type != burst.DeltaPayload {
+					continue
+				}
 				r.mu.Lock()
 				r.seqs = append(r.seqs, delta.Seq)
 				r.mu.Unlock()
@@ -405,8 +408,8 @@ func openScriptedDevice(t *testing.T, n edge.Dialer) scriptedModel {
 	}
 	var applied atomic.Uint64
 	go func() {
-		for delta := range st.Updates {
-			if delta.Seq > applied.Load() {
+		for delta, ok := st.Next(); ok; delta, ok = st.Next() {
+			if delta.Type == burst.DeltaPayload && delta.Seq > applied.Load() {
 				applied.Store(delta.Seq)
 			}
 		}

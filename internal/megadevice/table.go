@@ -18,7 +18,7 @@
 //   - State machines on the event kernel. Dial, backoff, reconnect-with-
 //     POP-rotation, drop and go-offline are transitions in a packed
 //     16-byte min-heap serviced by ONE sim.Scheduler timer, instead of
-//     per-device timers and pump goroutines. A simulated day of diurnal
+//     per-device timers and goroutines. A simulated day of diurnal
 //     churn is a few tens of millions of heap operations. What a stream's
 //     deltas mean (shed marker, rewrite, termination, what a reopen carries)
 //     and how long a retry waits are decided for this model and

@@ -59,20 +59,17 @@ type seqRecorder struct {
 
 func record(st *device.Stream) *seqRecorder {
 	r := &seqRecorder{seqs: make(map[uint64]bool)}
-	r.done.Add(2)
+	r.done.Add(1)
 	go func() {
 		defer r.done.Done()
-		for d := range st.Updates {
+		for d, ok := st.Next(); ok; d, ok = st.Next() {
 			var m apps.MessagePayload
-			_ = json.Unmarshal(d.Payload, &m)
+			if d.Type != burst.DeltaPayload || json.Unmarshal(d.Payload, &m) != nil {
+				continue
+			}
 			r.mu.Lock()
 			r.seqs[m.Seq] = true
 			r.mu.Unlock()
-		}
-	}()
-	go func() {
-		defer r.done.Done()
-		for range st.Flow {
 		}
 	}()
 	return r
