@@ -165,5 +165,3 @@ func (in *asInstance) OnEvent(ev pylon.Event) {
 		state.online[ev.Author] = now
 	}
 }
-
-func (in *asInstance) OnAck(st *brass.Stream, seq uint64) {}

@@ -98,5 +98,3 @@ func (in *feedInstance) OnEvent(ev pylon.Event) {
 		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
-
-func (in *feedInstance) OnAck(st *brass.Stream, seq uint64) {}

@@ -292,5 +292,3 @@ func (in *lvcInstance) OnEvent(ev pylon.Event) {
 		})
 	}
 }
-
-func (in *lvcInstance) OnAck(st *brass.Stream, seq uint64) {}

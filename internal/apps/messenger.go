@@ -399,9 +399,3 @@ func (in *messengerInstance) OnEvent(ev pylon.Event) {
 		}
 	}
 }
-
-func (in *messengerInstance) OnAck(st *brass.Stream, seq uint64) {
-	// Device-acknowledged delivery; state is already tracked via lastSeq.
-	// Acks exist so BRASSes can implement retransmission policies; the
-	// mailbox makes retransmission a catch-up query here.
-}

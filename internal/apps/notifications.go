@@ -147,12 +147,3 @@ func (in *notifInstance) OnEvent(ev pylon.Event) {
 			burst.Header{HdrUnseenCount: strconv.FormatUint(state.unseen, 10)}, nil))
 	}
 }
-
-// OnAck marks notifications seen: the device acks after the user opens the
-// jewel, resetting the badge.
-func (in *notifInstance) OnAck(st *brass.Stream, seq uint64) {
-	if state, ok := st.State.(*notifStream); ok {
-		state.unseen = 0
-		_ = st.RewriteHeaderField(HdrUnseenCount, "0")
-	}
-}

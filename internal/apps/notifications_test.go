@@ -43,14 +43,6 @@ func TestNotificationsBadgeAndResume(t *testing.T) {
 		return st.Request().Header[HdrUnseenCount] == "2"
 	})
 
-	// The user opens the jewel: ack resets the badge.
-	if err := st.Ack(0); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "badge reset", func() bool {
-		return st.Request().Header[HdrUnseenCount] == "0"
-	})
-
 	// A reconnecting device restores its badge from the header.
 	saved := st.Request()
 	saved.Header[HdrUnseenCount] = "7"

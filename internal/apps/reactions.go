@@ -163,5 +163,3 @@ func (in *reactionsInstance) OnEvent(ev pylon.Event) {
 		// delivers one batch regardless of the event count.
 	}
 }
-
-func (in *reactionsInstance) OnAck(st *brass.Stream, seq uint64) {}

@@ -207,5 +207,3 @@ func (a *Stories) traySize() int {
 	}
 	return a.TraySize
 }
-
-func (in *storiesInstance) OnAck(st *brass.Stream, seq uint64) {}

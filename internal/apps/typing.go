@@ -100,5 +100,3 @@ func (in *tiInstance) OnEvent(ev pylon.Event) {
 		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
-
-func (in *tiInstance) OnAck(st *brass.Stream, seq uint64) {}

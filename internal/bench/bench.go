@@ -274,7 +274,6 @@ type handOff struct {
 func (a *handOff) Name() string                                    { return "handoff" }
 func (a *handOff) NewInstance(rt *brass.Runtime) brass.AppInstance { a.rt = rt; return a }
 func (a *handOff) OnStreamClose(*brass.Stream, string)             {}
-func (a *handOff) OnAck(*brass.Stream, uint64)                     {}
 
 func (a *handOff) OnStreamOpen(st *brass.Stream) error {
 	err := st.AddTopic(pylon.Topic(st.Header(burst.HdrTopic)))

@@ -24,7 +24,6 @@ type echoApp struct {
 	mu     sync.Mutex
 	opened int
 	closed int
-	acks   []uint64
 }
 
 func (a *echoApp) Name() string { return "echo" }
@@ -63,12 +62,6 @@ func (e *echoInstance) OnEvent(ev pylon.Event) {
 		}
 		_ = st.PushPayload(ev, ev.ID, []byte(fmt.Sprintf("ref=%d", ev.Ref)))
 	}
-}
-
-func (e *echoInstance) OnAck(st *Stream, seq uint64) {
-	e.app.mu.Lock()
-	e.app.acks = append(e.app.acks, seq)
-	e.app.mu.Unlock()
 }
 
 type testEnv struct {
@@ -273,25 +266,6 @@ func TestStickyRoutingRewriteOnOpen(t *testing.T) {
 	st := openStream(t, cli, "/t/1")
 	waitFor(t, "sticky header", func() bool {
 		return st.Request().Header[burst.HdrStickyBRASS] == "brass-1"
-	})
-}
-
-func TestAckReachesApp(t *testing.T) {
-	env := newEnv(t)
-	cli := dialHost(t, env)
-	st := openStream(t, cli, "/t/1")
-	waitFor(t, "open", func() bool {
-		env.app.mu.Lock()
-		defer env.app.mu.Unlock()
-		return env.app.opened == 1
-	})
-	if err := st.Ack(5); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "ack", func() bool {
-		env.app.mu.Lock()
-		defer env.app.mu.Unlock()
-		return len(env.app.acks) == 1 && env.app.acks[0] == 5
 	})
 }
 
@@ -634,8 +608,6 @@ func (s *surfaceInstance) OnEvent(ev pylon.Event) {
 		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
-
-func (s *surfaceInstance) OnAck(st *Stream, seq uint64) {}
 
 func TestStreamSurfaceAPI(t *testing.T) {
 	env := newEnv(t)

@@ -86,7 +86,6 @@ func (a *countApp) NewInstance(*Runtime) AppInstance {
 func (c countInstance) OnStreamOpen(*Stream) error    { return nil }
 func (c countInstance) OnStreamClose(*Stream, string) {}
 func (c countInstance) OnEvent(pylon.Event)           { c.n.Add(1) }
-func (c countInstance) OnAck(*Stream, uint64)         {}
 
 // Host.Deliver ranges a topic's instance list outside h.mu while other
 // instances subscribe and unsubscribe the same topic: the list it ranges is

@@ -52,7 +52,7 @@ type HostConfig struct {
 	MaxInstances int
 	// SubscribeBackoff paces the subscription manager's background retries
 	// when Pylon registration fails transiently (quorum loss, no server).
-	// Zero fields take faults.DefaultBackoff values.
+	// Zero fields take the defaults BackoffPolicy.Normalized fills in.
 	SubscribeBackoff faults.BackoffPolicy
 	// BackoffSeed seeds the retry jitter RNG; 0 derives a seed from ID so
 	// a fleet of hosts decorrelates deterministically.
@@ -598,12 +598,6 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream, sub burst.Subs
 func (hh hostSessionHandler) OnCancel(bst *burst.ServerStream, c burst.Cancel) {
 	if st, ok := bst.State.(*Stream); ok {
 		st.inst.closeStream(st, "cancelled: "+c.Reason)
-	}
-}
-
-func (hh hostSessionHandler) OnAck(bst *burst.ServerStream, a burst.Ack) {
-	if st, ok := bst.State.(*Stream); ok {
-		st.inst.post(func() { st.inst.impl.OnAck(st, a.Seq) })
 	}
 }
 

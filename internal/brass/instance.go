@@ -54,8 +54,6 @@ type AppInstance interface {
 	// OnEvent is invoked for each Pylon update event on a topic this
 	// instance subscribed to.
 	OnEvent(ev pylon.Event)
-	// OnAck is invoked when a device acknowledges deltas.
-	OnAck(st *Stream, seq uint64)
 }
 
 // Instance is one spooled-up BRASS: an application's state plus the event
@@ -88,13 +86,13 @@ type Instance struct {
 // taskBuffer bounds the pending work per instance by default
 // (HostConfig.LoopQueueDepth overrides). Pylon delivery is best-effort: a
 // saturated loop sheds the OLDEST delivery task and counts it, while
-// stream-lifecycle work (open/close/ack) rides the Control class and is
+// stream-lifecycle work (open/close) rides the Control class and is
 // never shed — the paper's "drop messages intelligently" happens in app
 // logic; this bounded queue is the backstop.
 const taskBuffer = 4096
 
 // task is one unit of loop work, held by value: a delivery is its event, a
-// stream's open or close is the stream (and the reason it closed), and acks,
+// stream's open or close is the stream (and the reason it closed), and
 // timers and calls are fn.
 type task struct {
 	kind   taskKind
@@ -197,9 +195,9 @@ func (inst *Instance) signalFlow(code burst.FlowCode) {
 	}
 }
 
-// post enqueues fn onto the event loop as Control-class work (lifecycle,
-// acks, timers): it is never shed. It reports false only when the
-// instance has stopped.
+// post enqueues fn onto the event loop as Control-class work (timers and
+// call): it is never shed. It reports false only when the instance has
+// stopped.
 func (inst *Instance) post(fn func()) bool {
 	return inst.push(task{kind: taskFunc, fn: fn}, overload.Control)
 }

@@ -21,7 +21,7 @@ type gateApp struct {
 	mu      sync.Mutex
 	entered int
 	events  int
-	acks    []uint64
+	ticks   int
 }
 
 // release opens the gate exactly once (also used as a cleanup so a failed
@@ -55,12 +55,6 @@ func (g *gateInstance) OnEvent(ev pylon.Event) {
 	g.app.mu.Unlock()
 }
 
-func (g *gateInstance) OnAck(st *Stream, seq uint64) {
-	g.app.mu.Lock()
-	g.app.acks = append(g.app.acks, seq)
-	g.app.mu.Unlock()
-}
-
 func (a *gateApp) enteredCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -73,10 +67,17 @@ func (a *gateApp) eventCount() int {
 	return a.events
 }
 
-func (a *gateApp) ackCount() int {
+// tick is a timer callback: it runs on the instance loop.
+func (a *gateApp) tick() {
+	a.mu.Lock()
+	a.ticks++
+	a.mu.Unlock()
+}
+
+func (a *gateApp) tickCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.acks)
+	return a.ticks
 }
 
 // collect drains a client stream's events in the background, recording
@@ -106,7 +107,7 @@ func (c *flowCollector) snapshot() []burst.Delta {
 
 // A saturated instance loop sheds its oldest Data-class delivery, signals
 // FlowDegraded with a shed marker to every stream, never sheds
-// Control-class work (a stream open, a stream close, acks), and signals
+// Control-class work (a stream open, a stream close, timers), and signals
 // FlowRecovered once drained.
 func TestLoopSaturationShedsDataSignalsFlow(t *testing.T) {
 	app := &gateApp{gate: make(chan struct{})}
@@ -180,17 +181,16 @@ func TestLoopSaturationShedsDataSignalsFlow(t *testing.T) {
 		return inst.tasks.Len() == 2 && host.LoopOverflows.Value() == deliveries-1
 	})
 
-	// Acks are Control too: with no queued delivery left to displace, every
-	// ack exceeds the bound — and must still land.
+	// Timers are Control too (After posts through post): with no queued
+	// delivery left to displace, every timer exceeds the bound — and must
+	// still run.
 	for i := 0; i < 5; i++ {
-		if err := cs2.Ack(uint64(i + 1)); err != nil {
-			t.Fatal(err)
-		}
+		inst.After(0, app.tick)
 	}
-	waitFor(t, "acks enqueued as control", func() bool { return inst.tasks.Len() == 7 })
+	waitFor(t, "timers enqueued as control", func() bool { return inst.tasks.Len() == 7 })
 
 	app.release() // release the loop
-	waitFor(t, "acks processed", func() bool { return app.ackCount() == 5 })
+	waitFor(t, "timers run", func() bool { return app.tickCount() == 5 })
 	waitFor(t, "stream opened and closed", func() bool {
 		return host.StreamsOpened.Value() == opened+1 && host.StreamsClosed.Value() == closed+1
 	})
@@ -233,7 +233,6 @@ func (c *captureInstance) OnStreamOpen(st *Stream) error {
 }
 func (c *captureInstance) OnStreamClose(st *Stream, reason string) {}
 func (c *captureInstance) OnEvent(ev pylon.Event)                  {}
-func (c *captureInstance) OnAck(st *Stream, seq uint64)            {}
 
 func (a *captureApp) stream() *Stream {
 	a.mu.Lock()

@@ -108,7 +108,7 @@ func TestSessionFramingMatchesReadFrame(t *testing.T) {
 		{Type: FrameBatch, SID: 4, Payload: pattern(readBufSize - frame.HeaderSize)}, // header + payload fill the buffer
 		{Type: FrameBatch, SID: 5, Payload: pattern(readBufSize)},                    // the largest borrowed in place
 		{Type: FrameBatch, SID: 6, Payload: pattern(readBufSize + 1)},                // the smallest read into its own allocation
-		{Type: FrameAck, SID: 1 << 40, Payload: encodeMsg(Ack{Seq: 9})},
+		{Type: FrameCancel, SID: 1 << 40, Payload: encodeMsg(Cancel{Reason: "scrolled away"})},
 		{Type: FrameBatch, SID: 7, Payload: pattern(40)},
 	}
 	var whole bytes.Buffer
@@ -317,15 +317,15 @@ func TestShedKeepsControlInItsLease(t *testing.T) {
 func TestStoredSubscribeBodySurvivesLaterFrames(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	body := bytes.Repeat([]byte("opaque-body "), 20)
-	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}, Body: body})
-	if err != nil {
+	if _, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}, Body: body}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ { // same session, same read buffer
-		if err := st.Ack(uint64(i)); err != nil {
+		other, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/other"}, Body: bytes.Repeat([]byte("X"), 300)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/other"}, Body: bytes.Repeat([]byte("X"), 300)}); err != nil {
+		if err := other.Cancel("scrolled away"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,20 +347,15 @@ func TestStoredSubscribeBodySurvivesLaterFrames(t *testing.T) {
 func TestSubscribeHeaderIsBorrowed(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	want := Header{HdrApp: "feed", HdrUser: "7", HdrSubscription: "feedPostComments(postID: 1)", "custom-key": "v"}
-	st, err := cli.Subscribe(Subscribe{Header: want})
-	if err != nil {
+	if _, err := cli.Subscribe(Subscribe{Header: want}); err != nil {
 		t.Fatal(err)
 	}
-	// The ack is handled on the same goroutine, after the subscribe's
-	// HandleFrame has returned and its loan has ended.
-	if err := st.Ack(1); err != nil {
+	// The second subscribe is handled on the same goroutine, after the
+	// first's HandleFrame has returned and its loan has ended.
+	if _, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/next"}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the ack behind the subscribe", func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.acks) == 1
-	})
+	waitFor(t, "the subscribe behind the first", func() bool { return srv.stream(1) != nil })
 	srv.mu.Lock()
 	kept := srv.subs[0].Header
 	srv.mu.Unlock()

@@ -157,11 +157,6 @@ func (st *ClientStream) LastSeq() uint64 {
 	return st.lastSeq
 }
 
-// Ack acknowledges deltas up to and including seq.
-func (st *ClientStream) Ack(seq uint64) error {
-	return st.client.sess.SendMsg(FrameAck, st.sid, Ack{Seq: seq})
-}
-
 // Cancel terminates the stream from the client side.
 func (st *ClientStream) Cancel(reason string) error {
 	st.mu.Lock()

@@ -15,7 +15,6 @@ type echoServer struct {
 	streams []*ServerStream
 	subs    []Subscribe
 	cancels []Cancel
-	acks    []Ack
 	closed  bool
 }
 
@@ -29,12 +28,6 @@ func (e *echoServer) OnSubscribe(st *ServerStream, sub Subscribe) {
 func (e *echoServer) OnCancel(st *ServerStream, c Cancel) {
 	e.mu.Lock()
 	e.cancels = append(e.cancels, c)
-	e.mu.Unlock()
-}
-
-func (e *echoServer) OnAck(st *ServerStream, a Ack) {
-	e.mu.Lock()
-	e.acks = append(e.acks, a)
 	e.mu.Unlock()
 }
 
@@ -248,20 +241,6 @@ func TestServerTerminateClosesClientStream(t *testing.T) {
 	if got := srv.stream(0).HeaderField("k"); got != "" {
 		t.Errorf("rewrite on a terminated stream reached the stored request: %q", got)
 	}
-}
-
-func TestAckFlowsUpstream(t *testing.T) {
-	cli, _, srv := newClientServer(t)
-	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrApp: "msgr"}})
-	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	if err := st.Ack(17); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "ack", func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.acks) == 1 && srv.acks[0].Seq == 17
-	})
 }
 
 func TestSessionFailureSignalsAllStreams(t *testing.T) {

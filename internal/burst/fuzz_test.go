@@ -120,19 +120,6 @@ func FuzzDecodeCancel(f *testing.F) {
 	})
 }
 
-func FuzzDecodeAck(f *testing.F) {
-	f.Add(encodeMsg(Ack{Seq: 1 << 40}))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		a, err := DecodeAck(in)
-		if err != nil {
-			return
-		}
-		if again, err := DecodeAck(encodeMsg(a)); err != nil || again != a {
-			t.Fatalf("re-encoded ack decodes to %+v, %v; want %+v", again, err, a)
-		}
-	})
-}
-
 // FuzzReadFrame feeds a byte stream to ReadFrame until it errors. Every
 // frame it returns must re-encode to exactly the bytes it was read from
 // (so its payload is no longer than the input — ReadFrame's own allocation

@@ -108,15 +108,16 @@ func (h Header) Merge(patch Header) Header {
 // FrameType discriminates the frames exchanged on a BURST session.
 type FrameType uint8
 
-// Frame types. Subscribe/Cancel/Ack flow upstream (toward the BRASS);
-// Batch flows downstream; Ping/Pong flow both ways for liveness.
+// Frame types. Subscribe/Cancel flow upstream (toward the BRASS); Batch
+// flows downstream; Ping/Pong flow both ways for liveness. Type 3 stays
+// reserved, never reused: it is the paper's ack, which this BURST does not
+// have (DESIGN.md §4), and a server counts it as a decode error.
 const (
-	FrameSubscribe FrameType = iota + 1
-	FrameCancel
-	FrameAck
-	FrameBatch
-	FramePing
-	FramePong
+	FrameSubscribe FrameType = 1
+	FrameCancel    FrameType = 2
+	FrameBatch     FrameType = 4
+	FramePing      FrameType = 5
+	FramePong      FrameType = 6
 )
 
 func (t FrameType) String() string {
@@ -125,8 +126,6 @@ func (t FrameType) String() string {
 		return "subscribe"
 	case FrameCancel:
 		return "cancel"
-	case FrameAck:
-		return "ack"
 	case FrameBatch:
 		return "batch"
 	case FramePing:
@@ -165,12 +164,6 @@ func (s *Subscribe) HeaderField(key string) string { return s.Header[key] }
 // client side.
 type Cancel struct {
 	Reason string
-}
-
-// Ack is the payload of a FrameAck: the client acknowledges deltas up to
-// and including Seq (used by applications implementing reliable delivery).
-type Ack struct {
-	Seq uint64
 }
 
 // DeltaType discriminates the deltas inside a batch (paper §3.5).
@@ -355,7 +348,7 @@ func (rc *Received) Release() {
 type Frame struct {
 	Type FrameType
 	SID  StreamID
-	// Payload is the encoding of Subscribe/Cancel/Ack/Batch, and the Decode
+	// Payload is the encoding of Subscribe/Cancel/Batch, and the Decode
 	// functions alias it. From ReadFrame it is a fresh allocation the caller
 	// owns; in FrameHandler.HandleFrame it is borrowed for the call.
 	Payload []byte
@@ -436,8 +429,8 @@ func putBatch(b *bytes.Buffer, deltas []Delta) {
 	}
 }
 
-// putMsg appends the payload encoding of v — a Subscribe, Cancel, Ack or
-// Batch, or nil for an empty payload — and reports whether v was one.
+// putMsg appends the payload encoding of v — a Subscribe, Cancel or Batch,
+// or nil for an empty payload — and reports whether v was one.
 //
 //brlint:hotpath per-frame payload encode into the pooled frame buffer.
 func putMsg(b *bytes.Buffer, v any) bool {
@@ -450,8 +443,6 @@ func putMsg(b *bytes.Buffer, v any) bool {
 		frame.PutBytes(b, m.Body)
 	case Cancel:
 		frame.PutString(b, m.Reason)
-	case Ack:
-		frame.PutUvarint(b, m.Seq)
 	default:
 		return false
 	}
@@ -478,16 +469,6 @@ func DecodeCancel(b []byte) (Cancel, error) {
 		return Cancel{}, fmt.Errorf("burst: decode cancel: %w", err)
 	}
 	return c, nil
-}
-
-// DecodeAck parses an Ack payload.
-func DecodeAck(b []byte) (Ack, error) {
-	r := frame.Reader{B: b}
-	a := Ack{Seq: r.Uvarint()}
-	if err := r.Done(); err != nil {
-		return Ack{}, fmt.Errorf("burst: decode ack: %w", err)
-	}
-	return a, nil
 }
 
 // DecodeBatch parses a Batch payload in one pass. The deltas' Payload and

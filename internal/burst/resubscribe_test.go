@@ -89,27 +89,39 @@ func TestResubscribeErrorPaths(t *testing.T) {
 			wantTopic:        "/MB/live",
 		},
 		{
-			// Cancel and ack for a SID the server never saw (the stream
-			// died in a failover the client hasn't noticed): no-ops.
-			name: "cancel and ack on unknown stream",
+			// Cancel for a SID the server never saw (the stream died in a
+			// failover the client hasn't noticed): a no-op.
+			name: "cancel on unknown stream",
 			steps: []step{
 				{frame: Frame{Type: FrameCancel, SID: 99}, msg: Cancel{Reason: "stale"}},
-				{frame: Frame{Type: FrameAck, SID: 99}, msg: Ack{Seq: 12}},
 				{frame: Frame{Type: FrameSubscribe, SID: 4}, msg: Subscribe{Header: Header{HdrTopic: "/MB/after"}}},
 			},
 			wantStreams: 1,
 			wantTopic:   "/MB/after",
 		},
 		{
-			// Ack with a garbage payload: dropped.
-			name: "malformed ack ignored",
+			// Type 3 is a reserved gap in the frame numbering: the reader
+			// frames it, the server serves nothing for it, and counts it.
+			name: "reserved type 3 counted",
 			steps: []step{
-				{frame: Frame{Type: FrameSubscribe, SID: 5}, msg: Subscribe{Header: Header{HdrTopic: "/MB/acked"}}},
-				{frame: Frame{Type: FrameAck, SID: 5, Payload: []byte{0x80, 0x80}}}, // unterminated varint
+				{frame: Frame{Type: FrameType(3), SID: 5, Payload: []byte{9}}},
+				{frame: Frame{Type: FrameSubscribe, SID: 6}, msg: Subscribe{Header: Header{HdrTopic: "/MB/reserved"}}},
 			},
 			wantDecodeErrors: 1,
 			wantStreams:      1,
-			wantTopic:        "/MB/acked",
+			wantTopic:        "/MB/reserved",
+		},
+		{
+			// Batches flow downstream only: one sent upstream is dropped and
+			// counted, and the session opens the next stream.
+			name: "batch sent upstream counted",
+			steps: []step{
+				{frame: Frame{Type: FrameBatch, SID: 8}, msg: Batch{Deltas: []Delta{PayloadDelta(1, []byte("up"))}}},
+				{frame: Frame{Type: FrameSubscribe, SID: 9}, msg: Subscribe{Header: Header{HdrTopic: "/MB/upstream"}}},
+			},
+			wantDecodeErrors: 1,
+			wantStreams:      1,
+			wantTopic:        "/MB/upstream",
 		},
 	}
 	for _, tc := range cases {

@@ -19,8 +19,6 @@ type ServerHandler interface {
 	// OnCancel is invoked when the peer cancels a stream. The stream is
 	// already unregistered.
 	OnCancel(st *ServerStream, c Cancel)
-	// OnAck is invoked when the peer acknowledges deltas.
-	OnAck(st *ServerStream, a Ack)
 	// OnSessionClose is invoked once when the session dies; all streams
 	// passed in were open at that moment.
 	OnSessionClose(streams []*ServerStream, err error)
@@ -37,9 +35,9 @@ type ServerSession struct {
 	streams map[StreamID]*ServerStream
 	closed  bool
 
-	// DecodeErrors counts subscribe/cancel/ack frames whose payload did not
-	// decode. Each is dropped — one bad stream never kills the multiplexed
-	// session — but never silently.
+	// DecodeErrors counts subscribe/cancel frames whose payload did not
+	// decode and frames of a type no server serves. Each is dropped — one
+	// bad stream never kills the multiplexed session — but never silently.
 	DecodeErrors metrics.Counter
 }
 
@@ -224,18 +222,10 @@ func (d serverDispatch) HandleFrame(f Frame) {
 			st.mu.Unlock()
 			s.handler.OnCancel(st, c)
 		}
-	case FrameAck:
-		a, err := DecodeAck(f.Payload)
-		if err != nil {
-			s.DecodeErrors.Inc()
-			return
-		}
-		s.mu.Lock()
-		st := s.streams[f.SID]
-		s.mu.Unlock()
-		if st != nil {
-			s.handler.OnAck(st, a)
-		}
+	default:
+		// A batch sent upstream or the reserved type 3: nothing a server
+		// serves, so it is dropped like an undecodable payload.
+		s.DecodeErrors.Inc()
 	}
 }
 
@@ -259,7 +249,6 @@ func (d serverDispatch) HandleClose(err error) {
 type ServerHandlerFuncs struct {
 	Subscribe    func(st *ServerStream, sub Subscribe)
 	Cancel       func(st *ServerStream, c Cancel)
-	Ack          func(st *ServerStream, a Ack)
 	SessionClose func(streams []*ServerStream, err error)
 }
 
@@ -274,13 +263,6 @@ func (h ServerHandlerFuncs) OnSubscribe(st *ServerStream, sub Subscribe) {
 func (h ServerHandlerFuncs) OnCancel(st *ServerStream, c Cancel) {
 	if h.Cancel != nil {
 		h.Cancel(st, c)
-	}
-}
-
-// OnAck implements ServerHandler.
-func (h ServerHandlerFuncs) OnAck(st *ServerStream, a Ack) {
-	if h.Ack != nil {
-		h.Ack(st, a)
 	}
 }
 

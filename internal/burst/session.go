@@ -149,9 +149,9 @@ func (s *Session) sendFailed(err error) error {
 	return err
 }
 
-// SendMsg encodes v — a Subscribe, Cancel, Ack or Batch, or nil for an
-// empty payload — as a frame of type t on stream sid. Frame header and
-// payload are appended to one pooled buffer that is written to the wire
+// SendMsg encodes v — a Subscribe, Cancel or Batch, or nil for an empty
+// payload — as a frame of type t on stream sid. Frame header and payload
+// are appended to one pooled buffer that is written to the wire
 // before being reused, so the send path allocates nothing per frame. v is
 // only inspected, never retained: boxing it costs the caller no allocation.
 //

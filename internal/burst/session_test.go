@@ -91,7 +91,7 @@ func TestSessionOrderPreserved(t *testing.T) {
 	defer sb.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := sa.SendMsg(FrameAck, StreamID(i), Ack{Seq: uint64(i)}); err != nil {
+		if err := sa.SendMsg(FrameCancel, StreamID(i), Cancel{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestSessionConcurrentSenders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_ = sa.SendMsg(FrameAck, StreamID(g), Ack{Seq: uint64(i)})
+				_ = sa.SendMsg(FrameCancel, StreamID(g), Cancel{Reason: "scrolled away"})
 			}
 		}(g)
 	}
@@ -178,8 +178,8 @@ func TestSessionConcurrentSenders(t *testing.T) {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	for _, f := range col.frames {
-		if _, err := DecodeAck(f.Payload); err != nil {
-			t.Fatalf("corrupted frame: %v", err)
+		if c, err := DecodeCancel(f.Payload); err != nil || c.Reason != "scrolled away" {
+			t.Fatalf("corrupted frame: %+v, %v", c, err)
 		}
 	}
 }

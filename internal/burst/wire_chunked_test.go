@@ -22,7 +22,7 @@ func TestReadFrameToleratesPartialReads(t *testing.T) {
 		{Type: FrameSubscribe, SID: 1, Payload: encodeMsg(Subscribe{Header: Header{HdrTopic: "/t/1"}})},
 		{Type: FrameBatch, SID: 7, Payload: []byte(strings.Repeat("x", 1000))},
 		{Type: FramePong},
-		{Type: FrameAck, SID: 1 << 40, Payload: encodeMsg(Ack{Seq: 9})},
+		{Type: FrameCancel, SID: 1 << 40, Payload: encodeMsg(Cancel{Reason: "scrolled away"})},
 	}
 	for _, f := range want {
 		if err := WriteFrame(&buf, f); err != nil {

@@ -32,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameSubscribe, SID: 1, Payload: encodeMsg(Subscribe{Header: Header{"app": "lvc"}})},
 		{Type: FrameCancel, SID: 42, Payload: encodeMsg(Cancel{})},
-		{Type: FrameAck, SID: 7, Payload: encodeMsg(Ack{Seq: 9})},
+		{Type: FrameCancel, SID: 7, Payload: encodeMsg(Cancel{Reason: "scrolled away"})},
 		{Type: FrameBatch, SID: 1 << 40, Payload: encodeMsg(Batch{})},
 		{Type: FramePing},
 		{Type: FramePong},
@@ -196,12 +196,6 @@ func TestSubscribeCancelAckRoundTrip(t *testing.T) {
 			t.Errorf("cancel: got %+v, %v; want %+v", got, err, in)
 		}
 	}
-	for _, in := range []Ack{{}, {Seq: 9}, {Seq: math.MaxUint64}} {
-		got, err := DecodeAck(encodeMsg(in))
-		if err != nil || got != in {
-			t.Errorf("ack: got %+v, %v; want %+v", got, err, in)
-		}
-	}
 }
 
 // TestDecodeAliasesFrameBuffer pins the aliasing rule: a decoded payload is
@@ -236,7 +230,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	good := encodeMsg(Batch{Deltas: roundTripDeltas()})
 	subscribe := func(b []byte) error { _, err := DecodeSubscribe(b); return err }
 	cancel := func(b []byte) error { _, err := DecodeCancel(b); return err }
-	ack := func(b []byte) error { _, err := DecodeAck(b); return err }
 	batch := func(b []byte) error { _, err := DecodeBatch(b); return err }
 	cases := []struct {
 		name   string
@@ -245,7 +238,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}{
 		{"empty subscribe", subscribe, nil},
 		{"empty cancel", cancel, nil},
-		{"empty ack", ack, nil},
 		{"empty batch", batch, nil},
 		{"subscribe header count beyond input", subscribe, []byte{1, 100, 1, 'k', 1, 'v', 0}},
 		{"subscribe header value truncated", subscribe, []byte{1, 1, 1, 'k', 5, 'v'}},
@@ -253,8 +245,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"subscribe trailing byte", subscribe, []byte{0, 0, 0}},
 		{"cancel reason length past end", cancel, []byte{4, 'a', 'b'}},
 		{"cancel trailing byte", cancel, []byte{1, 'a', 'b'}},
-		{"ack overlong varint", ack, bytes.Repeat([]byte{0x80}, 11)},
-		{"ack trailing byte", ack, []byte{9, 9}},
 		{"batch count of 2^64-1", batch, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
 		{"batch count beyond input", batch, append([]byte{3}, make([]byte, 2*minDeltaSize)...)},
 		{"batch header count beyond input", batch, []byte{1, byte(DeltaRewriteRequest), 0, 0, 0, 0, 1, 100, 1, 'k', 1, 'v', 0, 0, 0}},

@@ -47,9 +47,9 @@ type Config struct {
 	// preference order. On failure it rotates to the next.
 	POPs []string
 	// Backoff is the jittered-exponential policy pacing reconnects and
-	// per-stream resubscribe retries. A zero Base defaults to 50 ms, the
-	// other zero fields from faults.DefaultBackoff; jitter decorrelates mass
-	// disconnects so a fleet of devices does not re-dial in lockstep.
+	// per-stream resubscribe retries. Zero fields take the defaults
+	// BackoffPolicy.Normalized fills in (Base 50 ms); jitter decorrelates
+	// mass disconnects so a fleet of devices does not re-dial in lockstep.
 	Backoff faults.BackoffPolicy
 	// BackoffSeed seeds the backoff jitter RNG. Devices in experiments
 	// use distinct seeds so their retry schedules diverge deterministically.

@@ -443,17 +443,6 @@ func (h proxyHandler) OnCancel(down *burst.ServerStream, c burst.Cancel) {
 	}
 }
 
-func (h proxyHandler) OnAck(down *burst.ServerStream, a burst.Ack) {
-	if r, ok := down.State.(*relay); ok {
-		r.mu.Lock()
-		up := r.up
-		r.mu.Unlock()
-		if up != nil {
-			_ = up.Ack(a.Seq)
-		}
-	}
-}
-
 func (h proxyHandler) OnSessionClose(streams []*burst.ServerStream, err error) {
 	// The downstream connection died (device vanished, or the downstream
 	// proxy failed). Cancel the upstream leg of each affected stream and

@@ -33,7 +33,6 @@ type upstreamServer struct {
 	mu       sync.Mutex
 	streams  []*burst.ServerStream
 	cancels  []burst.Cancel
-	acks     []burst.Ack
 	sessions []*burst.ServerSession
 }
 
@@ -51,11 +50,6 @@ func (u *upstreamServer) accept(rwc io.ReadWriteCloser) {
 		Cancel: func(st *burst.ServerStream, c burst.Cancel) {
 			u.mu.Lock()
 			u.cancels = append(u.cancels, c)
-			u.mu.Unlock()
-		},
-		Ack: func(st *burst.ServerStream, a burst.Ack) {
-			u.mu.Lock()
-			u.acks = append(u.acks, a)
 			u.mu.Unlock()
 		},
 	})
@@ -307,20 +301,6 @@ func TestProxyCancelPropagatesUpstream(t *testing.T) {
 		t.Errorf("reason = %q", reason)
 	}
 	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveRelays() == 0 })
-}
-
-func TestProxyAckPropagatesUpstream(t *testing.T) {
-	env := newProxyEnv(t)
-	st := subscribeSticky(t, env, "brass-a")
-	waitFor(t, "upstream", func() bool { return env.brassA.stream(0) != nil })
-	if err := st.Ack(23); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "ack", func() bool {
-		env.brassA.mu.Lock()
-		defer env.brassA.mu.Unlock()
-		return len(env.brassA.acks) == 1 && env.brassA.acks[0].Seq == 23
-	})
 }
 
 func TestProxyDeviceDropCancelsUpstreamAndGCs(t *testing.T) {

@@ -103,9 +103,9 @@ func TestFlakyLastMileTriggersDeviceRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	// Acks until the link budget is exhausted; the session dies.
+	// More subscribes until the link budget is exhausted; the session dies.
 	for i := 0; i < 50; i++ {
-		if err := st.Ack(uint64(i)); err != nil {
+		if _, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrTopic: "/g"}}); err != nil {
 			break
 		}
 	}

@@ -53,11 +53,6 @@ type BackoffPolicy struct {
 	NoJitter bool
 }
 
-// DefaultBackoff returns the policy used across the recovery paths.
-func DefaultBackoff() BackoffPolicy {
-	return BackoffPolicy{Base: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
-}
-
 // Normalized fills zero fields with their defaults and clamps the rest
 // (Max >= Base, Jitter in [0,1]). Normalizing twice changes nothing.
 func (p BackoffPolicy) Normalized() BackoffPolicy {

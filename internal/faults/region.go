@@ -6,12 +6,11 @@ import (
 )
 
 // RegionFaults injects region-scoped failures: a whole datacenter region
-// going dark, an inter-region link partitioning (and healing), and
-// brownouts (latency inflation without loss). Each fault is ONE event —
-// the topology flips first (so routers and the dial gate refuse the dead
-// paths), then every established connection crossing the failure boundary
-// is severed atomically via the grouped cut primitives, closing the
-// half-cut window a per-target loop would leave.
+// going dark and an inter-region link partitioning (and healing). Each
+// fault is ONE event — the topology flips first (so routers and the dial
+// gate refuse the dead paths), then every established connection crossing
+// the failure boundary is severed atomically via the grouped cut
+// primitives, closing the half-cut window a per-target loop would leave.
 //
 // The import direction is deliberate: faults drives region, never the
 // reverse — the region plane stays usable without the fault machinery.

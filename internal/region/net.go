@@ -125,8 +125,7 @@ func (d *gatedDialer) Dial(target string) (io.ReadWriteCloser, error) {
 }
 
 // gateConn is a cross-region connection: writes pay the link's sampled
-// one-way latency (including any brownout inflation at write time), and a
-// partition severs it.
+// one-way latency at write time, and a partition severs it.
 type gateConn struct {
 	g     *Gate
 	link  Link

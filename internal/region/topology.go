@@ -81,8 +81,7 @@ type Topology struct {
 	rng        *rand.Rand
 	linkDown   map[Link]bool
 	regionDown map[string]bool
-	brownout   map[Link]sim.Dist // extra latency inflation per link
-	changed    chan struct{}     // closed+replaced on every state change
+	changed    chan struct{} // closed+replaced on every state change
 }
 
 // NewTopology builds a Topology from cfg.
@@ -95,7 +94,6 @@ func NewTopology(cfg Config) (*Topology, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x7e610)),
 		linkDown:   make(map[Link]bool),
 		regionDown: make(map[string]bool),
-		brownout:   make(map[Link]sim.Dist),
 		changed:    make(chan struct{}),
 	}, nil
 }
@@ -135,42 +133,31 @@ func (t *Topology) RegionUp(r string) bool {
 	return !t.regionDown[r]
 }
 
-// SampleLatency draws a one-way network latency for src→dst, including any
-// active brownout inflation. Intra-region latency is zero.
+// SampleLatency draws a one-way network latency for src→dst. Intra-region
+// latency is zero.
 func (t *Topology) SampleLatency(src, dst string) time.Duration {
 	if src == dst {
 		return 0
 	}
-	l := Link{src, dst}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var d time.Duration
-	if dist := t.latencyDistLocked(l); dist != nil {
-		d = dist.Sample(t.rng)
+	if dist := t.latencyDistLocked(Link{src, dst}); dist != nil {
+		return dist.Sample(t.rng)
 	}
-	if extra := t.brownout[l]; extra != nil {
-		d += extra.Sample(t.rng)
-	}
-	return d
+	return 0
 }
 
-// SampleReplLag draws a replication lag for src→dst. Brownouts inflate
-// replication the same way they inflate per-write latency.
+// SampleReplLag draws a replication lag for src→dst.
 func (t *Topology) SampleReplLag(src, dst string) time.Duration {
 	if src == dst {
 		return 0
 	}
-	l := Link{src, dst}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var d time.Duration
-	if dist := t.replDistLocked(l); dist != nil {
-		d = dist.Sample(t.rng)
+	if dist := t.replDistLocked(Link{src, dst}); dist != nil {
+		return dist.Sample(t.rng)
 	}
-	if extra := t.brownout[l]; extra != nil {
-		d += extra.Sample(t.rng)
-	}
-	return d
+	return 0
 }
 
 // ReplLagDist returns the configured replication-lag distribution for the
@@ -213,21 +200,6 @@ func (t *Topology) SetLinkDown(src, dst string, down bool) {
 func (t *Topology) SetRegionDown(r string, down bool) {
 	t.mu.Lock()
 	t.regionDown[r] = down
-	t.bumpLocked()
-	t.mu.Unlock()
-}
-
-// SetBrownout inflates (extra != nil) or clears (extra == nil) the latency
-// of the directed link src→dst by an additional sampled duration per
-// operation — the "slow but not dead" failure mode.
-func (t *Topology) SetBrownout(src, dst string, extra sim.Dist) {
-	t.mu.Lock()
-	l := Link{src, dst}
-	if extra == nil {
-		delete(t.brownout, l)
-	} else {
-		t.brownout[l] = extra
-	}
 	t.bumpLocked()
 	t.mu.Unlock()
 }
