@@ -8,20 +8,15 @@ package bladerunner
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
-	"bladerunner/internal/apps"
 	"bladerunner/internal/bench"
-	"bladerunner/internal/brass"
-	"bladerunner/internal/burst"
 	"bladerunner/internal/experiments"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
-	"bladerunner/internal/was"
 	"bladerunner/internal/workload"
 )
 
@@ -257,52 +252,5 @@ func BenchmarkSocialGraphGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		socialgraph.MustGenerate(socialgraph.DefaultConfig())
-	}
-}
-
-// BenchmarkAblationPerStreamInstances compares shared-instance hosting
-// (production Bladerunner) against the one-instance-per-stream variant §7
-// suggests for lower-scale deployments: the isolation costs one goroutine +
-// event loop per stream.
-func BenchmarkAblationPerStreamInstances(b *testing.B) {
-	for _, perStream := range []bool{false, true} {
-		name := "shared-instance"
-		if perStream {
-			name = "per-stream-instance"
-		}
-		b.Run(name, func(b *testing.B) {
-			pyl := pylon.MustNew(pylon.DefaultConfig(), newBenchKV())
-			store := tao.MustNewStore(tao.DefaultConfig(), nil)
-			graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
-			w := was.New(store, graph, pyl, nil)
-			suite := apps.NewSuite(w)
-			host := brass.NewHost(brass.HostConfig{
-				ID: "bench-host", Region: "us", PerStreamInstances: perStream,
-			}, pyl, w, nil)
-			defer host.Close()
-			suite.RegisterBRASS(host)
-			cliConn, hostConn := net.Pipe()
-			cli := burst.NewClient("bench", cliConn, nil)
-			defer cli.Close()
-			host.AcceptSession("bench", hostConn)
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-					burst.HdrApp:          apps.AppFeedComments,
-					burst.HdrSubscription: fmt.Sprintf("feedPostComments(postID: %d)", i),
-					burst.HdrUser:         "1",
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := st.Cancel("bench"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(host.InstancesSpun.Value()), "instances")
-		})
 	}
 }

@@ -53,17 +53,6 @@ func (s *Sink) ID() string    { return s.id }
 func (s *Sink) Deliver(_ pylon.Event) { s.n++ }
 func (s *Sink) Count() int            { return s.n }
 
-// benchAdmission returns a pylon config with publish admission ENABLED at
-// a rate no benchmark can exhaust. The zero-alloc gates on the hot paths
-// run with the overload plane on: the token-bucket refill on every publish
-// must cost nothing, or the plane is not free when idle.
-func benchAdmission(cfg pylon.Config) pylon.Config {
-	cfg.AdmitRate = 1e7
-	cfg.AdmitBurst = 1e6
-	cfg.AdmitSeed = 1
-	return cfg
-}
-
 // newBenchPlane wraps an origin pylon in a two-region replication plane so
 // the publish benchmarks pay the region plane's hot-path cost: origin
 // delivery plus one per-link enqueue. The remote region gets its own pylon
@@ -76,7 +65,7 @@ func newBenchPlane(b *testing.B, origin *pylon.Service, topics ...pylon.Topic) *
 	if err != nil {
 		b.Fatal(err)
 	}
-	remote := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	remote := pylon.MustNew(pylon.DefaultConfig(), NewKV())
 	for _, topic := range topics {
 		s := NewSink("west-" + string(topic))
 		remote.RegisterHost(s)
@@ -93,10 +82,10 @@ func newBenchPlane(b *testing.B, origin *pylon.Service, topics ...pylon.Topic) *
 }
 
 // PylonPublish measures one publish to a single-subscriber topic — the
-// per-event floor of the fan-out path — with admission control enabled and
-// the event routed through the two-region replication plane.
+// per-event floor of the fan-out path — with the event routed through the
+// two-region replication plane.
 func PylonPublish(b *testing.B) {
-	pyl := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	pyl := pylon.MustNew(pylon.DefaultConfig(), NewKV())
 	sink := NewSink("sink")
 	pyl.RegisterHost(sink)
 	if err := pyl.Subscribe("/bench", "sink"); err != nil {
@@ -140,7 +129,7 @@ func PylonSubscribeChurn(b *testing.B) {
 // the first-responder read of all three replicas, which agree, and fills the
 // cache again — what the first publish after every scroll pays.
 func PylonSlowPublish(b *testing.B) {
-	pyl := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	pyl := pylon.MustNew(pylon.DefaultConfig(), NewKV())
 	sink := NewSink("sink")
 	pyl.RegisterHost(sink)
 	b.ReportAllocs()
@@ -161,13 +150,11 @@ func PylonSlowPublish(b *testing.B) {
 // HotTopicFanout measures one publish to a topic with 1000 subscribed
 // hosts — the paper's hot-event shape (§3.2) and the case the subscriber
 // cache exists for: repeat publishes must not re-read the replicated
-// subscription store per event. Admission control is enabled (at a
-// non-shedding rate) so the alloc gate covers the plane.
-// Publishes route through the two-region plane; the asserted fan-out count
-// is the synchronous origin-region one.
+// subscription store per event. Publishes route through the two-region
+// plane; the asserted fan-out count is the synchronous origin-region one.
 func HotTopicFanout(b *testing.B) {
 	const subscribers = 1000
-	pyl := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	pyl := pylon.MustNew(pylon.DefaultConfig(), NewKV())
 	topic := pylon.Topic("/bench/hot")
 	for i := 0; i < subscribers; i++ {
 		s := NewSink(fmt.Sprintf("sink-%d", i))

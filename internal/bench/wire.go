@@ -65,7 +65,7 @@ func ctrlPair(b *testing.B, name string, setup func(*ctrl.Conn)) *ctrl.Conn {
 // through the control protocol over loopback TCP: encode, socket round
 // trip, dispatch, publish, ack — paid once per mutation.
 func PylonPublishWire(b *testing.B) {
-	pyl := pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	pyl := pylon.MustNew(pylon.DefaultConfig(), NewKV())
 	sink := NewSink("sink")
 	pyl.RegisterHost(sink)
 	if err := pyl.Subscribe("/bench", "sink"); err != nil {
@@ -133,7 +133,7 @@ func WASParseField(b *testing.B) {
 // resolver, two TAO writes, publish to a Pylon without subscribers, encode.
 func WASMutateFeedComment(b *testing.B) {
 	w, _ := visibilityFixture()
-	w.Pylon = pylon.MustNew(benchAdmission(pylon.DefaultConfig()), NewKV())
+	w.Pylon = pylon.MustNew(pylon.DefaultConfig(), NewKV())
 	apps.NewFeedComments(w)
 	b.ReportAllocs()
 	b.ResetTimer()

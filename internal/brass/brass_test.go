@@ -439,110 +439,6 @@ func TestRankedBufferUnlimited(t *testing.T) {
 	}
 }
 
-func TestPerStreamInstancesIsolation(t *testing.T) {
-	env := newEnv(t)
-	// A second host in per-stream mode, sharing the same app + WAS.
-	host := NewHost(HostConfig{ID: "brass-iso", Region: "us", PerStreamInstances: true},
-		env.pylon, env.was, nil)
-	host.RegisterApp(env.app)
-	t.Cleanup(host.Close)
-
-	a1, b1 := net.Pipe()
-	cli1 := burst.NewClient("dev1", a1, nil)
-	host.AcceptSession("s1", b1)
-	t.Cleanup(func() { cli1.Close() })
-	a2, b2 := net.Pipe()
-	cli2 := burst.NewClient("dev2", a2, nil)
-	host.AcceptSession("s2", b2)
-	t.Cleanup(func() { cli2.Close() })
-
-	sub := func(cli *burst.Client) *burst.ClientStream {
-		st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-			burst.HdrApp: "echo", burst.HdrTopic: "/iso/1", burst.HdrUser: "3",
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	st1 := sub(cli1)
-	sub(cli2)
-	// Two streams -> two dedicated instances.
-	waitFor(t, "two instances", func() bool { return host.RunningInstances() == 2 })
-	if host.InstancesSpun.Value() != 2 {
-		t.Errorf("InstancesSpun = %d", host.InstancesSpun.Value())
-	}
-	// The host-level subscription manager still dedups Pylon registration
-	// across the two instances.
-	waitFor(t, "host subscribed once", func() bool {
-		return len(env.pylon.Subscribers("/iso/1")) == 1 && host.TopicRefs("/iso/1") == 2
-	})
-	// Events reach both instances (each makes its own decision).
-	if _, err := env.pylon.Publish(pylon.Event{Topic: "/iso/1", Ref: 5}); err != nil {
-		t.Fatal(err)
-	}
-	host.Quiesce()
-	if got := host.Decisions.Value(); got != 2 {
-		t.Errorf("decisions = %d, want 2 (one per isolated instance)", got)
-	}
-	// Closing one stream despools exactly its instance.
-	_ = st1.Cancel("done")
-	waitFor(t, "despool", func() bool {
-		return host.RunningInstances() == 1 && host.InstancesDespooled.Value() == 1
-	})
-	// The topic stays subscribed for the surviving stream.
-	if len(env.pylon.Subscribers("/iso/1")) != 1 {
-		t.Error("topic unsubscribed while a stream remains")
-	}
-}
-
-func TestMaxInstancesCapacity(t *testing.T) {
-	env := newEnv(t)
-	host := NewHost(HostConfig{
-		ID: "brass-cap", Region: "us", PerStreamInstances: true, MaxInstances: 2,
-	}, env.pylon, env.was, nil)
-	host.RegisterApp(env.app)
-	t.Cleanup(host.Close)
-
-	a, b := net.Pipe()
-	cli := burst.NewClient("dev", a, nil)
-	host.AcceptSession("s", b)
-	t.Cleanup(func() { cli.Close() })
-
-	streams := make([]*burst.ClientStream, 3)
-	for i := range streams {
-		st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-			burst.HdrApp: "echo", burst.HdrTopic: fmt.Sprintf("/cap/%d", i), burst.HdrUser: "1",
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = st
-	}
-	// Two succeed; the third is rejected with a capacity termination.
-	waitFor(t, "capacity filled", func() bool { return host.RunningInstances() == 2 })
-	select {
-	case batch := <-bursttest.Events(t, streams[2]):
-		if batch.Deltas[0].Type != burst.DeltaTermination ||
-			!strings.Contains(batch.Deltas[0].Reason, "capacity") {
-			t.Errorf("third stream got %+v, want capacity termination", batch.Deltas[0])
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("third stream never rejected")
-	}
-	// Cancel one stream; capacity frees and a new stream fits.
-	_ = streams[0].Cancel("make room")
-	waitFor(t, "despool", func() bool { return host.RunningInstances() == 1 })
-	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-		burst.HdrApp: "echo", burst.HdrTopic: "/cap/9", burst.HdrUser: "1",
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st
-	waitFor(t, "refill", func() bool { return host.RunningInstances() == 2 })
-}
-
 // surfaceApp exercises the full Stream/Runtime API from inside the loop.
 type surfaceApp struct {
 	mu     sync.Mutex

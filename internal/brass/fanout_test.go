@@ -1,11 +1,13 @@
 package brass
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 )
 
@@ -68,44 +70,55 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 	}
 }
 
-// countApp counts, per instance, the events it is handed.
+// countApp counts the events its one instance is handed.
 type countApp struct {
-	mu   sync.Mutex
-	seen []*atomic.Int64
+	name string
+	n    atomic.Int64
 }
 
 type countInstance struct{ n *atomic.Int64 }
 
-func (a *countApp) Name() string { return "count" }
-func (a *countApp) NewInstance(*Runtime) AppInstance {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.seen = append(a.seen, new(atomic.Int64))
-	return countInstance{a.seen[len(a.seen)-1]}
-}
+func (a *countApp) Name() string                      { return a.name }
+func (a *countApp) NewInstance(*Runtime) AppInstance  { return countInstance{&a.n} }
 func (c countInstance) OnStreamOpen(*Stream) error    { return nil }
 func (c countInstance) OnStreamClose(*Stream, string) {}
 func (c countInstance) OnEvent(pylon.Event)           { c.n.Add(1) }
 
-// Host.Deliver ranges a topic's instance list outside h.mu while other
-// instances subscribe and unsubscribe the same topic: the list it ranges is
-// one no writer touches (-race says so), and an instance subscribed
-// throughout is handed every event.
+// Three apps' instances on one topic share one Pylon registration: the
+// second and third are deduplicated at the host. Then Host.Deliver ranges
+// the topic's instance list outside h.mu while two instances subscribe and
+// unsubscribe the same topic: the list it ranges is one no writer touches
+// (-race says so), and an instance subscribed throughout is handed every
+// event.
 func TestDeliverRacesSubscribeChurn(t *testing.T) {
-	h := NewHost(HostConfig{ID: "churn", PerStreamInstances: true}, nil, nil, nil)
+	nodes := []*kvstore.Node{kvstore.NewNode("a", "us")}
+	pyl := pylon.MustNew(pylon.DefaultConfig(), kvstore.MustNewCluster(nodes, 1))
+	h := NewHost(HostConfig{ID: "churn"}, pyl, nil, nil)
 	t.Cleanup(h.Close)
-	app := &countApp{}
-	h.RegisterApp(app)
-	instances := make([]*Instance, 3) // [0] stays subscribed, the rest churn
-	for i := range instances {
-		inst, err := h.Instance("count")
+	apps := make([]*countApp, 3) // [0] stays subscribed, the rest churn
+	instances := make([]*Instance, len(apps))
+	for i := range apps {
+		apps[i] = &countApp{name: fmt.Sprintf("count-%d", i)}
+		h.RegisterApp(apps[i])
+		inst, err := h.Instance(apps[i].name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		instances[i] = inst
 	}
-	if err := h.subscribeTopic("/t", instances[0]); err != nil {
-		t.Fatal(err)
+	for _, inst := range instances {
+		if err := h.subscribeTopic("/t", inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if subs, dedups := h.PylonSubs.Value(), h.PylonSubDedups.Value(); subs != 1 || dedups != 2 {
+		t.Errorf("three instances on a topic: %d Pylon registrations and %d dedups, want 1 and 2", subs, dedups)
+	}
+	if got := pyl.Subscribers("/t"); len(got) != 1 {
+		t.Errorf("Pylon lists %v on the topic, want the host once", got)
+	}
+	for _, inst := range instances[1:] {
+		h.unsubscribeTopic("/t", inst)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -131,10 +144,13 @@ func TestDeliverRacesSubscribeChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	h.Quiesce()
-	if got := app.seen[0].Load(); got != events {
+	if got := apps[0].n.Load(); got != events {
 		t.Errorf("the steadily subscribed instance was handed %d of %d events", got, events)
 	}
 	if n := h.TopicRefs("/t"); n != 1 {
 		t.Errorf("%d instances on the topic after the churn, want 1", n)
+	}
+	if subs := h.PylonSubs.Value(); subs != 1 {
+		t.Errorf("%d Pylon registrations after the churn, want 1", subs)
 	}
 }

@@ -26,10 +26,6 @@ import (
 // ErrUnknownApp is returned when a stream names an unregistered application.
 var ErrUnknownApp = errors.New("brass: unknown application")
 
-// ErrHostFull is returned when spooling an instance would exceed the
-// host's MaxInstances capacity.
-var ErrHostFull = errors.New("brass: host at instance capacity")
-
 // HostConfig parameterizes a BRASS host.
 type HostConfig struct {
 	// ID is the host's identity with Pylon and in sticky-routing headers.
@@ -40,16 +36,6 @@ type HostConfig struct {
 	// into every new stream (paper §3.5 "Sticky routing"). On by default
 	// in NewHost.
 	StickyRouting bool
-	// PerStreamInstances spools up a dedicated application instance for
-	// every request-stream instead of sharing one instance per app — the
-	// lower-scale variant §7 suggests for better isolation. Instances
-	// despool automatically when their stream closes.
-	PerStreamInstances bool
-	// MaxInstances caps concurrently running instances on this host
-	// (the paper limits BRASSes to two per core to curb context
-	// switching). 0 = unlimited. Streams that would exceed the cap are
-	// rejected; the router places them elsewhere.
-	MaxInstances int
 	// SubscribeBackoff paces the subscription manager's background retries
 	// when Pylon registration fails transiently (quorum loss, no server).
 	// Zero fields take the defaults BackoffPolicy.Normalized fills in.
@@ -70,17 +56,9 @@ type HostConfig struct {
 	Tracer *trace.Tracer
 	// LoopQueueDepth bounds each instance's event-loop queue: a saturated
 	// loop sheds its oldest Data-class task (event deliveries) and signals
-	// FlowDegraded to the instance's streams. 0 takes the default
-	// (taskBuffer); negative means unbounded (no shedding).
+	// FlowDegraded to the instance's streams. <= 0 takes the default
+	// (taskBuffer).
 	LoopQueueDepth int
-	// DeliverRate, when > 0, enables token-bucket admission control on
-	// Pylon→host delivery: events arriving faster than DeliverRate per
-	// second (above a burst of DeliverBurst, default DeliverRate) are shed
-	// before any instance work happens. Sheds are counted on the host
-	// admission controller and annotated on the event's trace.
-	DeliverRate float64
-	// DeliverBurst is the host admission bucket depth (0 = DeliverRate).
-	DeliverBurst float64
 	// StreamDeliverRate, when > 0, enables a per-stream delivery token
 	// bucket: payload batches Pushed faster than this are shed (control
 	// deltas always pass), with FlowDegraded/FlowRecovered emitted on the
@@ -125,7 +103,6 @@ type Host struct {
 	pendingSubs map[pylon.Topic]*subRetry
 	nextSubSalt int64
 	sessions    map[*burst.ServerSession]bool
-	perStream   map[*Instance]bool
 	closed      bool
 
 	subBackoff *faults.Backoff
@@ -134,11 +111,6 @@ type Host struct {
 	// path (see payload.go). payloadCache is nil when disabled.
 	payloadCache  *cache.LRU[payloadKey, []byte]
 	payloadFlight cache.Group[payloadKey, []byte]
-
-	// Admit is the host-level delivery admission controller (nil when
-	// DeliverRate is unset — the nil receiver admits everything for free).
-	// Its Admitted/Shed counters are exported for tests and experiments.
-	Admit *overload.Admission
 
 	// dlog is the host's durable per-topic log (nil when disabled);
 	// dlogApps is the per-app opt-in set from HostConfig.DurlogApps.
@@ -152,7 +124,6 @@ type Host struct {
 	StreamsOpened      metrics.Counter
 	StreamsClosed      metrics.Counter
 	InstancesSpun      metrics.Counter
-	InstancesDespooled metrics.Counter
 	LoopOverflows      metrics.Counter
 	PylonSubs          metrics.Counter
 	PylonSubDedups     metrics.Counter // Pylon registrations avoided by the manager
@@ -201,7 +172,6 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		topicHostRefs: make(map[pylon.Topic][]*Instance),
 		pendingSubs:   make(map[pylon.Topic]*subRetry),
 		sessions:      make(map[*burst.ServerSession]bool),
-		perStream:     make(map[*Instance]bool),
 		subBackoff:    faults.NewBackoff(cfg.SubscribeBackoff, seed),
 	}
 	if cfg.PayloadCacheSize >= 0 {
@@ -227,16 +197,6 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		for _, app := range cfg.DurlogApps {
 			h.dlogApps[app] = true
 		}
-	}
-	if cfg.DeliverRate > 0 {
-		dburst := cfg.DeliverBurst
-		if dburst == 0 {
-			dburst = cfg.DeliverRate
-		}
-		// Seeded off the host identity: a fleet's admission buckets start
-		// at decorrelated fill levels, so a synchronized storm does not
-		// trip every host's shed at the same instant.
-		h.Admit = overload.NewAdmission(cfg.DeliverRate, dburst, sched, seed)
 	}
 	if pyl != nil {
 		pyl.RegisterHost(h)
@@ -274,21 +234,8 @@ func (h *Host) instanceLocked(appName string) (*Instance, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownApp, appName)
 	}
-	if h.cfg.PerStreamInstances {
-		// One instance per stream: never shared, never cached.
-		if h.atCapacityLocked() {
-			return nil, fmt.Errorf("%w (%d)", ErrHostFull, h.cfg.MaxInstances)
-		}
-		inst := newInstance(h, app)
-		h.perStream[inst] = true
-		h.InstancesSpun.Inc()
-		return inst, nil
-	}
 	if inst, ok := h.instances[appName]; ok {
 		return inst, nil
-	}
-	if h.atCapacityLocked() {
-		return nil, fmt.Errorf("%w (%d)", ErrHostFull, h.cfg.MaxInstances)
 	}
 	inst := newInstance(h, app)
 	h.instances[appName] = inst
@@ -296,49 +243,19 @@ func (h *Host) instanceLocked(appName string) (*Instance, error) {
 	return inst, nil
 }
 
-// atCapacityLocked reports whether another instance would exceed the cap.
-func (h *Host) atCapacityLocked() bool {
-	return h.cfg.MaxInstances > 0 &&
-		len(h.instances)+len(h.perStream) >= h.cfg.MaxInstances
-}
-
-// despool tears down a per-stream instance once its stream has closed.
-// Runs off the instance's own loop to avoid self-join deadlock.
-func (h *Host) despool(inst *Instance) {
-	h.mu.Lock()
-	if !h.perStream[inst] {
-		h.mu.Unlock()
-		return
-	}
-	delete(h.perStream, inst)
-	h.mu.Unlock()
-	go func() {
-		inst.stop()
-		h.InstancesDespooled.Inc()
-	}()
-}
-
 // RunningInstances returns the number of spooled-up instances.
 func (h *Host) RunningInstances() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.instances) + len(h.perStream)
+	return len(h.instances)
 }
 
 // Deliver implements pylon.Subscriber: the host's subscription manager fans
-// the event out to every local instance interested in the topic. Host
-// admission runs first: an over-rate event is shed here, before any
-// instance queueing or app work (the nil check is free when disabled). An
-// event ranges the stored copy-on-write list: membership changes pay the copy.
+// the event out to every local instance interested in the topic. An event
+// ranges the stored copy-on-write list: membership changes pay the copy.
 //
 //brlint:hotpath per-event BRASS fan-out
 func (h *Host) Deliver(ev pylon.Event) {
-	if !h.Admit.Allow() {
-		sp := h.cfg.Tracer.Start(ev.Trace, trace.HopDeliver, trace.HopFanout)
-		sp.Drop("host-admission")
-		sp.End()
-		return
-	}
 	h.mu.Lock()
 	instances := h.topicHostRefs[ev.Topic]
 	h.mu.Unlock()
@@ -530,7 +447,6 @@ func (h *Host) Close() {
 		delete(h.pendingSubs, topic)
 	}
 	instances := h.instancesLocked()
-	h.perStream = make(map[*Instance]bool)
 	sessions := make([]*burst.ServerSession, 0, len(h.sessions))
 	for s := range h.sessions {
 		sessions = append(sessions, s)
@@ -637,11 +553,8 @@ func (h *Host) Quiesce() {
 
 // instancesLocked lists every running instance. Callers hold h.mu.
 func (h *Host) instancesLocked() []*Instance {
-	out := make([]*Instance, 0, len(h.instances)+len(h.perStream))
+	out := make([]*Instance, 0, len(h.instances))
 	for _, inst := range h.instances {
-		out = append(out, inst)
-	}
-	for inst := range h.perStream {
 		out = append(out, inst)
 	}
 	return out

@@ -8,7 +8,8 @@
 //   - Each application has its own BRASS implementation (the Application
 //     interface); there is no generic configurable filter pipeline.
 //   - BRASS is serverless: an instance spools up on a host the first time
-//     a stream for its application arrives there, and despools when idle.
+//     a stream for its application arrives there, and runs until the host
+//     closes.
 //   - Each instance runs single-threaded: all callbacks execute on one
 //     event-loop goroutine, mirroring the JS V8 VMs Facebook uses, so
 //     application code never needs locks.
@@ -114,10 +115,8 @@ const (
 
 func newInstance(h *Host, app Application) *Instance {
 	depth := h.cfg.LoopQueueDepth
-	if depth == 0 {
+	if depth <= 0 {
 		depth = taskBuffer
-	} else if depth < 0 {
-		depth = 0 // explicit "unbounded"
 	}
 	inst := &Instance{
 		host:         h,
@@ -374,10 +373,6 @@ func (inst *Instance) runClose(st *Stream, reason string) {
 	inst.dropTopics(st)
 	inst.impl.OnStreamClose(st, reason)
 	inst.host.StreamsClosed.Inc()
-	if len(inst.streams) == 0 {
-		// Per-stream instances despool with their stream.
-		inst.host.despool(inst)
-	}
 }
 
 // After schedules fn on the event loop after d (application timers).

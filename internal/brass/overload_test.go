@@ -433,48 +433,3 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 		t.Errorf("StreamSheds = %d, want 2 (restored bucket must stay drained)", got)
 	}
 }
-
-// Host-level delivery admission sheds whole events before any instance
-// work, counting decisions on the controller.
-func TestHostDeliverAdmission(t *testing.T) {
-	app := &gateApp{gate: make(chan struct{})}
-	app.release() // never block
-	host := NewHost(HostConfig{
-		ID:           "brass-ha",
-		Region:       "us",
-		DeliverRate:  1,
-		DeliverBurst: 4,
-	}, nil, nil, nil)
-	host.RegisterApp(app)
-	t.Cleanup(host.Close)
-
-	a, b := net.Pipe()
-	cli := burst.NewClient("device", a, nil)
-	host.AcceptSession("host-side", b)
-	t.Cleanup(func() { cli.Close() })
-	if _, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-		burst.HdrApp:   "gate",
-		burst.HdrTopic: "/t",
-		burst.HdrUser:  "7",
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "stream open", func() bool { return host.StreamsOpened.Value() == 1 })
-
-	for i := 0; i < 50; i++ {
-		host.Deliver(pylon.Event{ID: uint64(i + 1), Topic: "/t"})
-	}
-	admitted := host.Admit.Admitted.Value()
-	shed := host.Admit.Shed.Value()
-	if admitted+shed != 50 {
-		t.Errorf("admitted+shed = %d, want 50", admitted+shed)
-	}
-	// Seeded fill ∈ [2, 4] tokens; real-clock refill over the loop adds
-	// at most a fraction more.
-	if admitted < 2 || admitted > 6 {
-		t.Errorf("admitted = %d, want a small burst", admitted)
-	}
-	waitFor(t, "admitted events processed", func() bool {
-		return app.eventCount() == int(admitted)
-	})
-}

@@ -177,7 +177,7 @@ func TestEmptyBytesDecodeAsNil(t *testing.T) {
 	}
 }
 
-func TestSubscribeCancelAckRoundTrip(t *testing.T) {
+func TestSubscribeCancelRoundTrip(t *testing.T) {
 	subs := []Subscribe{
 		{Header: Header{HdrApp: "lvc", HdrTopic: "/LVC/9", HdrUser: "77"}, Body: []byte{0x01, 0x02, 0xFF}},
 		{Header: Header{}},

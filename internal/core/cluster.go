@@ -43,7 +43,7 @@ type Config struct {
 	StickyRouting bool
 	// Overload configures the overload-control plane on every BRASS host.
 	// The zero value leaves the plane in its defaults (bounded loop queue
-	// at the built-in depth, no delivery admission).
+	// at the built-in depth, no per-stream delivery admission).
 	Overload OverloadConfig
 	// Trace, when set, wires the end-to-end tracing plane through every
 	// tier: the WAS samples mutations and each component closes its hop
@@ -69,8 +69,6 @@ type Config struct {
 // fields mirror brass.HostConfig (see there for semantics).
 type OverloadConfig struct {
 	LoopQueueDepth     int
-	DeliverRate        float64
-	DeliverBurst       float64
 	StreamDeliverRate  float64
 	StreamDeliverBurst float64
 }

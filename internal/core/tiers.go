@@ -115,8 +115,6 @@ func brassHostConfig(cfg Config, id, region string) brass.HostConfig {
 		ID: id, Region: region, StickyRouting: cfg.StickyRouting,
 		Tracer:             cfg.Trace.Tracer(id),
 		LoopQueueDepth:     cfg.Overload.LoopQueueDepth,
-		DeliverRate:        cfg.Overload.DeliverRate,
-		DeliverBurst:       cfg.Overload.DeliverBurst,
 		StreamDeliverRate:  cfg.Overload.StreamDeliverRate,
 		StreamDeliverBurst: cfg.Overload.StreamDeliverBurst,
 	}

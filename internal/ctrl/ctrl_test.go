@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,7 +92,6 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	cases := []error{
 		pylon.ErrNoQuorum,
 		pylon.ErrUnavailable,
-		pylon.ErrShed,
 		pylon.ErrUnknownSubscriber,
 		was.ErrDenied,
 		was.ErrUnknownField,
@@ -118,6 +118,15 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	err := ca.call(mTestA, putInt(uint64(len(cases))), nil)
 	if err == nil || codeFor(err) != 0 {
 		t.Errorf("plain remote failure = %v, want an error that is no sentinel", err)
+	}
+	// A reserved code (4) and a code past the table decode as plain
+	// remote failures that keep the message.
+	for _, code := range []byte{4, byte(len(sentinels))} {
+		conn, _ := script(t, kindError, cat([]byte{code}, str("over rate")))
+		err := conn.call(mTestA, nil, nil)
+		if err == nil || codeFor(err) != 0 || !strings.HasSuffix(err.Error(), ": remote: over rate") {
+			t.Errorf("error code %d = %v, want a plain remote failure keeping its message", code, err)
+		}
 	}
 }
 

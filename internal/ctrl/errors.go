@@ -14,15 +14,15 @@ var errUnknownMethod = errors.New("ctrl: unknown method")
 // sentinels is the error-code table: an error frame carries the index of
 // the first entry the error Is (0 = none of them) beside its rendered
 // message. Sentinel errors that callers classify with errors.Is (the brass
-// subscription manager retries transient Pylon failures; the device layer
-// distinguishes shed from failure) must survive the RPC boundary, so each
-// has a stable code that unwire maps back to the sentinel on the calling
-// side. The codes are the protocol: never renumber, only append.
+// subscription manager retries transient Pylon failures) must survive the
+// RPC boundary, so each has a stable code that unwire maps back to the
+// sentinel on the calling side. The codes are the protocol: never
+// renumber, only append.
 var sentinels = [...]error{
 	1: errUnknownMethod,
 	2: pylon.ErrNoQuorum,
 	3: pylon.ErrUnavailable,
-	4: pylon.ErrShed,
+	// 4 is reserved: it was pylon.ErrShed.
 	5: pylon.ErrUnknownSubscriber,
 	6: was.ErrDenied,
 	7: was.ErrUnknownField,
@@ -42,9 +42,11 @@ func codeFor(err error) byte {
 }
 
 // unwire reconstructs a caller-side error, restoring sentinel identity
-// from the code. The remote message is preserved in the rendering.
+// from the code. The remote message is preserved in the rendering. A code
+// with no sentinel (0, a reserved gap, or one past the table) decodes as a
+// plain remote failure.
 func unwire(code byte, text, name string, m method) error {
-	if code > 0 && int(code) < len(sentinels) {
+	if int(code) < len(sentinels) && sentinels[code] != nil {
 		return fmt.Errorf("ctrl %s: %s: %w (remote: %s)", name, m, sentinels[code], text)
 	}
 	return fmt.Errorf("ctrl %s: %s: remote: %s", name, m, text)

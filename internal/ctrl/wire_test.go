@@ -116,14 +116,14 @@ func TestEventRoundTripQuick(t *testing.T) {
 }
 
 // scriptedPeer plays the far end of a Conn by hand: it records each frame
-// the Conn sends and answers requests with the reply payload it was given.
+// the Conn sends and answers requests with the reply frame it was given.
 type scriptedPeer struct {
 	kind    byte
 	payload []byte
 	done    chan struct{}
 }
 
-func script(t *testing.T, reply []byte) (*Conn, *scriptedPeer) {
+func script(t *testing.T, replyKind byte, reply []byte) (*Conn, *scriptedPeer) {
 	t.Helper()
 	a, b := net.Pipe()
 	c := NewConn("stub", a, nil).Start()
@@ -136,7 +136,7 @@ func script(t *testing.T, reply []byte) (*Conn, *scriptedPeer) {
 		}
 		p.kind, p.payload = kind, payload
 		if kind == kindRequest {
-			_, _ = b.Write(rawFrame(kindResponse, id, reply))
+			_, _ = b.Write(rawFrame(replyKind, id, reply))
 		}
 	}()
 	t.Cleanup(func() {
@@ -202,7 +202,7 @@ func TestMethodLayouts(t *testing.T) {
 		if byte(c.m) != c.num {
 			t.Errorf("%s is method %d, the protocol says %d", c.m, c.m, c.num)
 		}
-		conn, peer := script(t, c.reply)
+		conn, peer := script(t, kindResponse, c.reply)
 		got, err := c.call(conn)
 		<-peer.done
 		if err != nil {
@@ -371,7 +371,7 @@ func TestMalformedResponseClosesTheConn(t *testing.T) {
 		"trailing bytes": cat(str("data"), []byte{0}),
 		"truncated":      {200, 'x'},
 	} {
-		conn, _ := script(t, reply)
+		conn, _ := script(t, kindResponse, reply)
 		_, err := NewWASClient(conn).QueryIn("", socialgraph.UserID(1), "q")
 		if err == nil || !strings.Contains(err.Error(), "malformed was.query response") {
 			t.Errorf("%s: call = %v", name, err)

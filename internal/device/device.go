@@ -54,9 +54,6 @@ type Config struct {
 	// BackoffSeed seeds the backoff jitter RNG. Devices in experiments
 	// use distinct seeds so their retry schedules diverge deterministically.
 	BackoffSeed int64
-	// MaxStreams caps concurrent request-streams (browser tabs allow up
-	// to 60, mobile apps up to 20 per the paper). 0 = unlimited.
-	MaxStreams int
 	// Tracer, when set, stamps a stable trace-stream identity header onto
 	// every subscription and closes a device.apply span per traced payload
 	// delta. nil disables tracing on this device.
@@ -238,10 +235,6 @@ func (d *Device) Subscribe(app, subscription string, extra burst.Header) (*Strea
 	if !d.connected || d.client == nil {
 		d.mu.Unlock()
 		return nil, ErrNotConnected
-	}
-	if d.cfg.MaxStreams > 0 && len(d.streams) >= d.cfg.MaxStreams {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("device: stream cap %d reached", d.cfg.MaxStreams)
 	}
 	cli := d.client
 	d.nextSalt++

@@ -184,28 +184,6 @@ func TestConnectSubscribeReceive(t *testing.T) {
 	}
 }
 
-func TestMaxStreams(t *testing.T) {
-	n := edge.NewPipeNetwork()
-	pop := &fakePOP{name: "pop"}
-	n.Register("pop", pop.accept)
-	d := New(Config{User: 1, POPs: []string{"pop"}, MaxStreams: 2}, n, newWAS(t), nil)
-	defer d.Close()
-	if err := d.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := d.Subscribe("a", "s", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Subscribe("a", "s", nil); err == nil {
-		t.Error("stream cap not enforced")
-	}
-	if d.Streams() != 2 {
-		t.Errorf("Streams = %d", d.Streams())
-	}
-}
-
 func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	env := newDevEnv(t)
 	if err := env.dev.Connect(); err != nil {

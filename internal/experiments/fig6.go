@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bladerunner/internal/metrics"
-	"bladerunner/internal/sim"
 )
 
 // Figure6 regenerates the LiveVideoComments latency comparison between the
@@ -105,5 +104,3 @@ func histogramSeries(h *metrics.Histogram[time.Duration], total int) []SeriesPoi
 	}
 	return out
 }
-
-var _ = sim.Constant{} // latency models come from latency.go

@@ -13,9 +13,9 @@
 //     NEVER dropped: losing a FlowRecovered or a rewrite would wedge the
 //     client's view of the stream permanently, which is exactly the class
 //     of bug this package exists to remove.
-//   - TokenBucket / Admission: a token-bucket admission controller used at
-//     Pylon publish and BRASS delivery. Its state round-trips through a
-//     stream header (like brass.RateLimiter) so it survives BRASS failover
+//   - TokenBucket: a loop-owned token bucket, the per-stream delivery
+//     admission of a BRASS stream. Its state round-trips through a stream
+//     header (like brass.RateLimiter) so it survives BRASS failover
 //     rewrites, and restoring is clamped to "now" so a skewed or corrupt
 //     header from a failed host can never stall a stream into the future.
 //
@@ -67,7 +67,7 @@ func IsShedMarker(detail string) bool {
 
 // TokenBucket is a loop-owned (unsynchronized) token bucket: Rate tokens
 // per second refill up to Burst. The zero value with Rate <= 0 admits
-// everything. Use Admission for the concurrent form.
+// everything.
 type TokenBucket struct {
 	// Rate is the refill rate in tokens per second.
 	Rate float64

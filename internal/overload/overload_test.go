@@ -3,8 +3,6 @@ package overload
 import (
 	"testing"
 	"time"
-
-	"bladerunner/internal/sim"
 )
 
 var t0 = time.Date(2021, 10, 26, 0, 0, 0, 0, time.UTC)
@@ -105,54 +103,6 @@ func TestTokenBucketRestoreMalformed(t *testing.T) {
 		if b.tokens != before {
 			t.Fatalf("malformed state %q mutated the bucket", s)
 		}
-	}
-}
-
-func TestAdmissionNilAndSeeding(t *testing.T) {
-	var a *Admission
-	if !a.Allow() {
-		t.Fatal("nil admission must allow")
-	}
-	if NewAdmission(0, 10, nil, 1) != nil {
-		t.Fatal("rate<=0 must return nil (disabled)")
-	}
-
-	clk := sim.NewManualClock(t0)
-	seen := map[float64]bool{}
-	for seed := int64(1); seed <= 8; seed++ {
-		a := NewAdmission(100, 50, clk, seed)
-		tok := a.Tokens()
-		if tok < 25 || tok > 50 {
-			t.Fatalf("seed %d: initial fill %v outside [burst/2, burst]", seed, tok)
-		}
-		seen[tok] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("seeding did not decorrelate initial fills")
-	}
-}
-
-func TestAdmissionCounters(t *testing.T) {
-	clk := sim.NewManualClock(t0)
-	a := NewAdmission(1, 5, clk, 42)
-	allowed, shed := 0, 0
-	for i := 0; i < 10; i++ {
-		if a.Allow() {
-			allowed++
-		} else {
-			shed++
-		}
-	}
-	if allowed == 0 || shed == 0 {
-		t.Fatalf("expected both outcomes at a saturated bucket: allowed=%d shed=%d", allowed, shed)
-	}
-	if a.Admitted.Value() != int64(allowed) || a.Shed.Value() != int64(shed) {
-		t.Fatalf("counter mismatch: %d/%d vs %d/%d",
-			a.Admitted.Value(), a.Shed.Value(), allowed, shed)
-	}
-	clk.Advance(time.Second)
-	if !a.Allow() {
-		t.Fatal("token did not refill on the sim clock")
 	}
 }
 

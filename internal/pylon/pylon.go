@@ -40,7 +40,6 @@ import (
 	"bladerunner/internal/intern"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/metrics"
-	"bladerunner/internal/overload"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/trace"
 )
@@ -117,21 +116,8 @@ type Config struct {
 	// observed — the periodic-refresh half of the invalidation contract.
 	// <= 0 means entries never expire by age.
 	SubCacheTTL time.Duration
-	// Clock drives cache TTL expiry and admission-token refill. nil uses
-	// the wall clock.
+	// Clock drives cache TTL expiry. nil uses the wall clock.
 	Clock sim.Clock
-	// AdmitRate, when > 0, enables token-bucket admission control on the
-	// publish path: sustained publishes beyond this rate (with AdmitBurst
-	// of headroom) are shed with ErrShed BEFORE any replica read or
-	// fan-out work — the paper's "shed at every hop" applied to Pylon's
-	// front door. <= 0 disables admission entirely.
-	AdmitRate float64
-	// AdmitBurst is the admission bucket capacity (defaults to AdmitRate
-	// when 0, i.e. one second of headroom).
-	AdmitBurst float64
-	// AdmitSeed jitters the initial token level so a fleet of Pylon
-	// servers decorrelates deterministically.
-	AdmitSeed int64
 }
 
 // DefaultConfig returns a test-scale configuration with the subscriber
@@ -231,10 +217,6 @@ type Service struct {
 	shardVer []atomic.Uint64
 	subCache *cache.LRU[Topic, subEntry]
 
-	// Admit is the publish admission controller (nil when disabled). Its
-	// Admitted/Shed counters are the publish-side overload accounting.
-	Admit *overload.Admission
-
 	// Metrics.
 	Publishes     metrics.Counter
 	Deliveries    metrics.Counter
@@ -284,11 +266,6 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 		s.subCache = cache.NewLRU[Topic, subEntry](
 			cfg.SubCacheSize, cfg.SubCacheTTL, 0.25, cfg.Clock, 0x0b1ade)
 	}
-	burst := cfg.AdmitBurst
-	if burst == 0 {
-		burst = cfg.AdmitRate
-	}
-	s.Admit = overload.NewAdmission(cfg.AdmitRate, burst, cfg.Clock, cfg.AdmitSeed)
 	return s, nil
 }
 
@@ -351,12 +328,6 @@ func (s *Service) SetServerUp(i int, up bool) {
 
 // ErrUnavailable is returned when no Pylon front end is reachable.
 var ErrUnavailable = errors.New("pylon: no server available")
-
-// ErrShed is returned by Publish when the admission controller sheds the
-// event: the front end is over its configured rate and drops work at the
-// door instead of queueing unboundedly. Best-effort publishers treat it
-// like any other delivery failure.
-var ErrShed = errors.New("pylon: publish shed by admission control")
 
 // bumpShard advances a shard's subscription version, invalidating every
 // cached subscriber set in the shard. Callers bump after the KV write so a
@@ -503,14 +474,6 @@ func (s *Service) Publish(ev Event) (int, error) {
 				break
 			}
 		}
-	}
-	// Admission: shed before any ID assignment, replica read, or fan-out
-	// work. The nil check is free when admission is disabled.
-	if !s.Admit.Allow() {
-		sp := s.Tracer.Start(ev.Trace, trace.HopFanout, trace.HopPublish)
-		sp.Drop("admission")
-		sp.End()
-		return 0, ErrShed
 	}
 	s.serverLoad[srv].v.Add(1)
 	ev.ID = s.nextEventID(shard)
