@@ -46,7 +46,8 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTFrameEncode", bench.BURSTFrameEncode, 0, "header and payload go into one pooled buffer"},
 		{"BURSTFrameDecode", bench.BURSTFrameDecode, 2, "the owning read: the frame buffer and the []Delta that aliases it"},
 		{"BURSTSessionReceive", sessionReceive, 0, "a session lends its handler the payload in place in its read buffer"},
-		{"BURSTRelayHop", relayHop, 1, "the batch is decoded into a pooled lease and released after the re-encode; room for a pool refill after a GC"},
+		{"BURSTRelayHop", relayHop, 1, "the batch is decoded into a pooled lease, forwarded on the downstream session's writer and released after the re-encode; room for a pool refill after a GC"},
+		{"BURSTServerSend", serverSend, 0, "SendBatch encodes into the session's pending buffer from the frame pool, and the writer's round writes it and pools the buffer"},
 		{"BURSTDeviceReceive", deviceReceive, 2, "a consumer that never releases, as the device: one lease and its bytes per batch, what the frame buffer and the []Delta cost before leases"},
 		{"PylonPublishWire", bench.PylonPublishWire, 4, "the topic string and the one-byte result, plus pool refills after a GC"},
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
@@ -58,7 +59,7 @@ func TestAllocContracts(t *testing.T) {
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSStreamOpenClose", streamOpenClose, 11, "the subscribe hop's four, the cancel reason's copy, the Stream and its close reason, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (17 before: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
-		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 16, "a relay leg is its ClientStream alone, with no stored request and no channel, and the device's stream has no channel; the rest is the two subscribe hops' decode, the relay and its goroutine (20 before: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
+		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 13, "a relay leg is its ClientStream alone, with no stored request and no channel, and the device's stream has no channel; the rest is the two subscribe hops' decode and the relay, which has no goroutine: the downstream session's writer forwards its leg (16 before: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
 		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)
@@ -124,8 +125,10 @@ func payloadBatchTap(b *testing.B) *wireTap {
 }
 
 // relayHop is one relay's whole turn on hot_fanout's batch, a single payload
-// delta: frame in, decoded into a lease, queued on the client stream and
-// taken by Next, re-encoded downstream with SendBatch, lease released.
+// delta: frame in, decoded into a lease, queued on the relay leg, which links
+// itself onto the downstream session's ready list; the downstream writer
+// hands it to the forwarder, which re-encodes it with SendBatch and releases
+// the lease, and writes it.
 func relayHop(b *testing.B) {
 	up := payloadBatchTap(b)
 	cli := burst.NewClient("relay->up", up, nil)
@@ -138,28 +141,57 @@ func relayHop(b *testing.B) {
 	// The downstream stream: a peer that sends this one subscribe frame and
 	// takes whatever it is sent.
 	opened := make(chan *burst.ServerStream, 1)
-	down := &wireTap{wire: up.written, next: make(chan struct{}, 1), closed: make(chan struct{})}
+	down := &wireTap{wire: up.written, next: make(chan struct{}, 1), closed: make(chan struct{}), wrote: make(chan struct{})}
 	srv := burst.NewServerSession("down->relay", down, burst.ServerHandlerFuncs{
 		Subscribe: func(st *burst.ServerStream, _ burst.Subscribe) { opened <- st },
 	})
 	defer srv.Close()
 	down.next <- struct{}{}
 	ds := <-opened
+	st.Forward(ds, &hopForwarder{ds})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		up.next <- struct{}{}
-		rc, _ := st.Next()
-		if len(rc.Deltas) != 1 || len(rc.Deltas[0].Payload) != 256 {
-			b.Fatalf("relay saw %+v", rc.Deltas)
-		}
-		if err := ds.SendBatch(rc.Deltas...); err != nil {
+		<-down.wrote
+	}
+	if down.sent != b.N || !bytes.Equal(down.written, up.wire) {
+		b.Fatalf("%d writes went downstream, want %d, the first %x, want the upstream frame %x",
+			down.sent, b.N, down.written, up.wire)
+	}
+}
+
+// hopForwarder forwards every batch unfiltered, as a relay forwards payload.
+type hopForwarder struct{ down *burst.ServerStream }
+
+func (f *hopForwarder) Forward(rc *burst.Received) {
+	_ = f.down.SendBatch(rc.Deltas...)
+	rc.Release()
+}
+
+// serverSend is a BRASS push of hot_fanout's batch: SendBatch encodes it into
+// the session's pending buffer, and the writer's round writes it.
+func serverSend(b *testing.B) {
+	opened := make(chan *burst.ServerStream, 1)
+	tap := &wireTap{wire: msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{burst.HdrApp: "feed"}}),
+		next: make(chan struct{}, 1), closed: make(chan struct{}), wrote: make(chan struct{})}
+	srv := burst.NewServerSession("brass", tap, burst.ServerHandlerFuncs{
+		Subscribe: func(st *burst.ServerStream, _ burst.Subscribe) { opened <- st },
+	})
+	defer srv.Close()
+	tap.next <- struct{}{}
+	st := <-opened
+	payload := burst.PayloadDelta(7, bytes.Repeat([]byte("x"), 256))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.SendBatch(payload); err != nil {
 			b.Fatal(err)
 		}
-		rc.Release()
+		<-tap.wrote
 	}
-	if down.sent != b.N {
-		b.Fatalf("%d frames went downstream, want %d", down.sent, b.N)
+	if tap.sent != b.N || srv.Frames.Value() != int64(b.N) {
+		b.Fatalf("%d writes of %d frames, want %d of each", tap.sent, srv.Frames.Value(), b.N)
 	}
 }
 
@@ -297,18 +329,22 @@ func resumeBatchApply(b *testing.B) {
 }
 
 // wireTap is a transport end that records the first write to it and counts
-// them all, and hands its reader one copy of wire per token on next (never,
-// with a nil next).
+// them all, signalling each on wrote when that is set, and hands its reader
+// one copy of wire per token on next (never, with a nil next).
 type wireTap struct {
 	written, wire []byte
 	sent          int
 	next, closed  chan struct{}
+	wrote         chan struct{}
 	once          sync.Once
 }
 
 func (w *wireTap) Write(p []byte) (int, error) {
 	if w.sent++; w.sent == 1 {
 		w.written = append(w.written, p...)
+	}
+	if w.wrote != nil {
+		w.wrote <- struct{}{}
 	}
 	return len(p), nil
 }

@@ -80,7 +80,8 @@ func NewClient(name string, rwc io.ReadWriteCloser, onClose func(error)) *Client
 }
 
 // ClientStream is one request-stream from the client's perspective. Its
-// batches wait in a queue the stream owns until Next hands them out.
+// batches wait in a queue the stream owns until Next hands them out — or, on
+// a relay leg (Forward), until the writer it forwards to takes them.
 type ClientStream struct {
 	client *Client
 	sid    StreamID
@@ -97,6 +98,14 @@ type ClientStream struct {
 	head, n int
 	inline  [4]*Received
 	ready   sync.Cond // on mu: a batch was queued, or the stream ended
+
+	// A forwarded relay leg's batches go to the writer of to's session, which
+	// hands them to fwd. linked: the leg is on that writer's ready list or
+	// taking its turn; nextLeg, behind it on the list, is under the writer's mu.
+	to      *ServerStream
+	fwd     Forwarder
+	linked  bool
+	nextLeg *ClientStream
 }
 
 // SID returns the stream id.
@@ -116,6 +125,13 @@ func (st *ClientStream) Next() (*Received, bool) {
 	if st.n == 0 {
 		return nil, false
 	}
+	return st.pop(), true
+}
+
+// pop takes the oldest queued batch; the caller holds st.mu and knows one is
+// queued. Draining a shed episode's queue to half the bound queues its
+// recovery marker.
+func (st *ClientStream) pop() *Received {
 	rc := st.ring[st.head]
 	st.ring[st.head] = nil
 	st.head = (st.head + 1) % len(st.ring)
@@ -126,7 +142,40 @@ func (st *ClientStream) Next() (*Received, bool) {
 		rec.Deltas = append(rec.slots[:0], FlowStatusDelta(FlowRecovered, QueueRecoveredDetail))
 		st.push(rec)
 	}
-	return rc, true
+	return rc
+}
+
+// Forward makes st, a Relay leg, a feed of down: from now on the writer of
+// down's session, not Next, takes the leg's batches, in order, and hands each
+// to f. The ring stays the one place a batch waits and is shed.
+func (st *ClientStream) Forward(down *ServerStream, f Forwarder) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.to, st.fwd = down, f
+	if st.n > 0 {
+		st.link()
+	}
+}
+
+// link puts a forwarded leg on its writer's ready list unless it is there;
+// the caller holds st.mu, and the leg has batches.
+func (st *ClientStream) link() {
+	if st.to != nil && !st.linked {
+		st.linked = true
+		st.to.srv.sess.out.link(st)
+	}
+}
+
+// turn, on the writer, hands the leg's oldest batch to its Forwarder and
+// reports whether the leg has more, and so keeps its place on the list.
+func (st *ClientStream) turn() bool {
+	st.mu.Lock()
+	rc := st.pop()
+	st.linked = st.n > 0
+	more, f := st.linked, st.fwd
+	st.mu.Unlock()
+	f.Forward(rc)
+	return more
 }
 
 // Request returns a copy of the stream's current subscription request,
@@ -312,15 +361,16 @@ func (st *ClientStream) apply(rc *Received) {
 	}
 }
 
-// push queues rc for Next; the caller holds st.mu. At the bound the oldest
-// queued batch that still carries payload loses it in place (counted in
-// Dropped). Its control deltas keep their slot, so nothing is reordered and
-// a rewrite is forwarded exactly as it arrived; a queue of nothing but
-// control outgrows the bound rather than shed any. A batch left empty leaves
-// the queue and is released. The first shed of an episode leaves a
-// FlowDegraded marker where the first payload it strips was, so the endpoint
-// hears of the gap where it lies; once Next has drained the queue to half the
-// bound, a FlowRecovered marker is queued behind what is left.
+// push queues rc for Next, or a forwarded leg's writer; the caller holds
+// st.mu. At the bound the oldest queued batch that still carries payload
+// loses it in place (counted in Dropped). Its control deltas keep their
+// slot, so nothing is reordered and a rewrite is forwarded exactly as it
+// arrived; a queue of nothing but control outgrows the bound rather than
+// shed any. A batch left empty leaves the queue and is released. The first
+// shed of an episode leaves a FlowDegraded marker where the first payload it
+// strips was, so the endpoint hears of the gap where it lies; once the queue
+// is drained to half the bound, a FlowRecovered marker is queued behind what
+// is left.
 func (st *ClientStream) push(rc *Received) {
 	if st.n >= eventBuffer {
 		st.shedOldest()
@@ -335,6 +385,7 @@ func (st *ClientStream) push(rc *Received) {
 	st.ring[(st.head+st.n)%len(st.ring)] = rc
 	st.n++
 	st.ready.Signal()
+	st.link()
 }
 
 func (st *ClientStream) shedOldest() {

@@ -26,7 +26,10 @@ type ServerHandler interface {
 
 // ServerSession is the upstream endpoint of a BURST session: it tracks the
 // streams the peer has opened and lets the application push delta batches
-// down each of them.
+// down each of them. Everything it sends goes out through its one writer
+// goroutine, which puts the frames queued since its last write on the
+// transport in one write, and forwards the relay legs that feed its streams
+// (ClientStream.Forward).
 type ServerSession struct {
 	sess    *Session
 	handler ServerHandler
@@ -39,6 +42,10 @@ type ServerSession struct {
 	// decode and frames of a type no server serves. Each is dropped — one
 	// bad stream never kills the multiplexed session — but never silently.
 	DecodeErrors metrics.Counter
+
+	// Writes counts the writer's transport writes and Frames the frames they
+	// carried: Frames/Writes is how many frames a write shares.
+	Writes, Frames metrics.Counter
 }
 
 // ServerStream is one request-stream from the server's perspective.
@@ -66,7 +73,9 @@ func NewServerSession(name string, rwc io.ReadWriteCloser, handler ServerHandler
 		streams: make(map[StreamID]*ServerStream),
 	}
 	s.sess = newSession(name, rwc, serverDispatch{s})
+	s.sess.out = &writer{srv: s, wake: make(chan struct{}, 1), room: make(chan struct{})}
 	go s.sess.readLoop()
+	go s.sess.out.run()
 	return s
 }
 
@@ -132,8 +141,10 @@ func (st *ServerStream) applyRewritesLocked(deltas ...Delta) {
 	}
 }
 
-// SendBatch transmits deltas as one atomic batch, applying any rewrite it
-// carries to the server's stored request first.
+// SendBatch queues deltas for the session's writer as one atomic batch,
+// applying any rewrite it carries to the server's stored request first. It
+// returns once the batch is encoded; it waits only while the session's
+// pending frames are at their bound.
 func (st *ServerStream) SendBatch(deltas ...Delta) error {
 	st.mu.Lock()
 	if st.terminated {
@@ -142,7 +153,7 @@ func (st *ServerStream) SendBatch(deltas ...Delta) error {
 	}
 	st.applyRewritesLocked(deltas...)
 	st.mu.Unlock()
-	return st.srv.sess.SendMsg(FrameBatch, st.sid, Batch{Deltas: deltas})
+	return st.srv.sess.out.send(FrameBatch, st.sid, Batch{Deltas: deltas})
 }
 
 // Rewrite sends a rewrite_request delta: the keys of h are set on the stored
@@ -167,7 +178,7 @@ func (st *ServerStream) Terminate(reason string) error {
 	}
 	st.terminated = true
 	st.mu.Unlock()
-	err := st.srv.sess.SendMsg(FrameBatch, st.sid, Batch{Deltas: []Delta{TerminationDelta(reason)}})
+	err := st.srv.sess.out.send(FrameBatch, st.sid, Batch{Deltas: []Delta{TerminationDelta(reason)}})
 	st.srv.removeStream(st.sid)
 	return err
 }

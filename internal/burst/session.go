@@ -38,6 +38,7 @@ type Session struct {
 	br   *bufio.Reader
 
 	wmu sync.Mutex // serializes frame writes on rwc
+	out *writer    // a server session's one sender, which sends its pongs too
 
 	handler FrameHandler
 
@@ -185,7 +186,15 @@ func (s *Session) closeWith(err error) {
 	s.closed = true
 	s.err = err
 	s.mu.Unlock()
+	s.shutWriter()
 	_ = s.rwc.Close()
+}
+
+// shutWriter stops a server session's writer once the session has closed.
+func (s *Session) shutWriter() {
+	if s.out != nil {
+		s.out.shut()
+	}
 }
 
 // readBufSize is the session's read buffer; a payload that fits it (nearly
@@ -240,6 +249,7 @@ func (s *Session) readLoop() {
 			}
 			finalErr := s.err
 			s.mu.Unlock()
+			s.shutWriter()
 			_ = s.rwc.Close()
 			if alreadyClosed {
 				finalErr = s.Err()
@@ -249,8 +259,13 @@ func (s *Session) readLoop() {
 		}
 		switch f.Type {
 		case FramePing:
-			// Answer liveness probes inline.
-			_ = s.Send(Frame{Type: FramePong})
+			// Answer liveness probes inline (a server session's writer
+			// sends the pong behind what it has queued).
+			if s.out != nil {
+				_ = s.out.send(FramePong, 0, nil)
+			} else {
+				_ = s.Send(Frame{Type: FramePong})
+			}
 		case FramePong:
 			s.mu.Lock()
 			fn := s.onPong

@@ -172,6 +172,13 @@ func TestSlowDeviceNeverLosesFlowRecovered(t *testing.T) {
 	if err := srv.SendBatch(burst.FlowStatusDelta(burst.FlowRecovered, "pressure gone")); err != nil {
 		t.Fatal(err)
 	}
+	// SendBatch returns once its batch is queued for the POP session's
+	// writer, not once the device has it: the flood is over when the device
+	// has applied the last payload.
+	st.mu.Lock()
+	cur := st.cur
+	st.mu.Unlock()
+	waitFor(t, "every payload applied", func() bool { return cur.LastSeq() == payloads })
 	// The slow app reads on until it has seen both recovery notices: the
 	// server's and the one the queue appends once the app has read it down
 	// to half, which closes its shed episode.

@@ -13,6 +13,11 @@
 //     about failures and recoveries (axiom 1);
 //   - garbage-collects stream state when the stream terminates or the
 //     downstream connection dies.
+//
+// A relayed stream costs a relay struct and its upstream leg's ring at each
+// proxy, never a goroutine: the downstream session's one writer forwards
+// every leg that feeds it (burst.ClientStream.Forward), and only a repair,
+// which waits on dials, runs on a goroutine of its own until it has a new leg.
 package edge
 
 import (

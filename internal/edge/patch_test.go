@@ -32,8 +32,8 @@ type chain struct {
 
 // gatedConn is the device's end of its POP connection with a stoppable
 // reader: net.Pipe is synchronous, so a device that does not read blocks the
-// POP's relay in its downstream write and the POP's upstream client stream
-// fills and sheds.
+// POP's session writer in its downstream write and the POP's upstream client
+// stream fills and sheds.
 type gatedConn struct {
 	io.ReadWriteCloser
 	gate *sync.Mutex

@@ -165,7 +165,10 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 
 // relay is the per-stream state machine. It keeps no copy of the stored
 // request: down, which merges every rewrite the relay forwards, IS the repair
-// state (Request() at repair, HeaderField for one key).
+// state (Request() at repair, HeaderField for one key). It has no goroutine
+// of its own: its upstream leg's batches reach it on down's session writer
+// (Forward), and only a repair, which waits on dials, runs on one until it
+// has a new leg.
 type relay struct {
 	p    *Proxy
 	down *burst.ServerStream
@@ -176,13 +179,20 @@ type relay struct {
 	done   bool
 }
 
+// setDone is the relay's one done transition, which also takes it off the
+// proxy's books; it reports whether this call made it.
 func (r *relay) setDone() bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.done {
+		r.mu.Unlock()
 		return false
 	}
 	r.done = true
+	r.mu.Unlock()
+	r.p.mu.Lock()
+	delete(r.p.relays, r)
+	r.p.mu.Unlock()
+	r.p.ActiveStreams.Add(-1)
 	return true
 }
 
@@ -193,6 +203,7 @@ func (r *relay) isDone() bool {
 }
 
 // connect routes and subscribes req, the stream's current request, upstream.
+// The new leg queues what it receives until it is handed to down's writer.
 func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
 	target, err := r.p.router.Route(req, avoid)
 	if err != nil {
@@ -220,8 +231,8 @@ func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
 	r.mu.Unlock()
 	if done {
 		// The stream ended downstream while this leg was being opened, and
-		// the cancel went to the leg before it: nothing would pump or cancel
-		// this one.
+		// the cancel went to the leg before it: nothing would forward or
+		// cancel this one.
 		_ = st.Cancel("stream ended during repair")
 		return errRelayDone
 	}
@@ -231,43 +242,11 @@ func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
 // errRelayDone is connect's answer for a stream that ended while it ran.
 var errRelayDone = errors.New("edge: stream ended")
 
-// run pumps batches from upstream to downstream, repairing the upstream leg
-// on failure (axiom 2: the component downstream from a failure that is
-// closest to it re-establishes connectivity).
-func (r *relay) run() {
-	defer func() {
-		r.p.mu.Lock()
-		delete(r.p.relays, r)
-		r.p.mu.Unlock()
-		r.p.ActiveStreams.Add(-1)
-	}()
-
-	for {
-		r.mu.Lock()
-		up := r.up
-		r.mu.Unlock()
-		failed := r.pump(up)
-		if r.isDone() {
-			return
-		}
-		if !failed {
-			return
-		}
-		// Upstream leg failed; notify downstream (axiom 1), then repair.
-		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
-			"upstream "+r.target+" lost"))
-		// pump drained up, so down has merged every rewrite up received.
-		if !r.repair(r.down.Request()) {
-			if r.setDone() {
-				r.p.RepairFailures.Inc()
-				_ = r.down.Terminate("stream unrecoverable: upstream gone")
-			}
-			return
-		}
-		r.p.Reconnects.Inc()
-		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowRerouted,
-			"stream re-established via "+r.targetName()))
-	}
+// leg returns the current upstream leg.
+func (r *relay) leg() *burst.ClientStream {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.up
 }
 
 func (r *relay) targetName() string {
@@ -276,73 +255,68 @@ func (r *relay) targetName() string {
 	return r.target
 }
 
-// pump forwards batches until the upstream stream ends. It reports whether
-// the ending was a transport failure (repairable) as opposed to an orderly
-// termination/cancel.
-func (r *relay) pump(up *burst.ClientStream) (failed bool) {
-	for {
-		rc, ok := up.Next()
-		if !ok {
-			break
-		}
-		batch := rc.Deltas
-		sp := r.startRelaySpan(batch)
-		terminated := false
-		rewrites := 0
-		// The batch is this relay's alone (a lease from the upstream client),
-		// so it is filtered in place.
-		n := 0
-		for i := range batch {
-			d := &batch[i]
-			switch d.Type {
-			case burst.DeltaFlowStatus:
-				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
-					// Synthesized by our upstream client: the
-					// transport died, and Next reports the end
-					// after this batch. Not forwarded: run sends
-					// its own flow status.
-					continue
-				}
-				if overload.IsShedMarker(d.FlowDetail) {
-					r.p.ShedNotices.Inc()
-				}
-			case burst.DeltaRewriteRequest:
-				// SendBatch merges it into down's request; pass it
-				// along so the device updates its copy too.
-				r.p.RewritesRelayed.Inc()
-				rewrites++
-			case burst.DeltaTermination:
-				terminated = true
+// Forward is the relay's turn on one batch of its upstream leg, on down's
+// session writer (burst.Forwarder). The batch is this relay's alone (a lease
+// from the upstream client), so it is filtered in place, sent down and
+// released.
+func (r *relay) Forward(rc *burst.Received) {
+	batch := rc.Deltas
+	sp := r.startRelaySpan(batch)
+	terminated, lost := false, false
+	rewrites := 0
+	n := 0
+	for i := range batch {
+		d := &batch[i]
+		switch d.Type {
+		case burst.DeltaFlowStatus:
+			if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
+				// Synthesized by our upstream client: the transport died,
+				// and this is the leg's last batch. Not forwarded: the
+				// repair sends its own flow status.
+				lost = true
+				continue
 			}
-			if n != i {
-				batch[n] = *d
+			if overload.IsShedMarker(d.FlowDetail) {
+				r.p.ShedNotices.Inc()
 			}
-			n++
+		case burst.DeltaRewriteRequest:
+			// SendBatch merges it into down's request; pass it
+			// along so the device updates its copy too.
+			r.p.RewritesRelayed.Inc()
+			rewrites++
+		case burst.DeltaTermination:
+			terminated = true
 		}
-		forward := batch[:n]
-		if rewrites > 0 {
-			sp.AnnotateInt("rewrites", int64(rewrites))
+		if n != i {
+			batch[n] = *d
 		}
-		if len(forward) > 0 {
-			if err := r.down.SendBatch(forward...); err != nil {
-				// Downstream is gone: cancel upstream and stop. A cancel
-				// that already marked the relay done may have gone to an
-				// earlier leg, so this one is cancelled regardless.
-				sp.Annotate("drop", "downstream-lost")
-				sp.End()
-				r.setDone()
-				_ = up.Cancel("downstream lost")
-				return false
-			}
-		}
-		rc.Release() // SendBatch merged rewrites by copy and encoded: nothing aliases it now
-		sp.End()
-		if terminated {
+		n++
+	}
+	forward := batch[:n]
+	if rewrites > 0 {
+		sp.AnnotateInt("rewrites", int64(rewrites))
+	}
+	if len(forward) > 0 {
+		if err := r.down.SendBatch(forward...); err != nil {
+			// Downstream is gone: cancel upstream and stop. A cancel that
+			// already marked the relay done may have gone to an earlier
+			// leg, so this one is cancelled regardless.
+			sp.Annotate("drop", "downstream-lost")
+			sp.End()
+			rc.Release()
 			r.setDone()
-			return false
+			_ = r.leg().Cancel("downstream lost")
+			return
 		}
 	}
-	return !r.isDone()
+	rc.Release() // SendBatch merged rewrites by copy and encoded: nothing aliases it now
+	sp.End()
+	if terminated {
+		r.setDone()
+	}
+	if lost && !r.isDone() {
+		go r.repairOff(burst.Subscribe{}, nil)
+	}
 }
 
 // startRelaySpan opens the edge.relay span for one forwarded batch,
@@ -368,6 +342,41 @@ func (r *relay) startRelaySpan(batch []burst.Delta) trace.Span {
 		sp.AnnotateInt("deltas", int64(len(batch)))
 	}
 	return sp
+}
+
+// repairOff repairs the stream on a goroutine of its own, because a repair
+// waits on dials (axiom 2: the component downstream from a failure that is
+// closest to it re-establishes connectivity). With cause nil the leg has
+// died: downstream hears of it (axiom 1), and the request is down's, which
+// has merged every rewrite the writer forwarded from the dead leg. Otherwise
+// cause failed the first route — e.g. a sticky upstream in a dead region, or
+// a cross-region link that just went down — and req is the opening request:
+// the stream should land on ANY healthy upstream, which is what makes
+// cross-region failover of resubscribed streams work at all.
+func (r *relay) repairOff(req burst.Subscribe, cause error) {
+	reason := "stream unrecoverable: upstream gone"
+	if cause == nil {
+		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
+			"upstream "+r.targetName()+" lost"))
+		req = r.down.Request()
+	} else {
+		reason = fmt.Sprintf("no upstream: %v", cause)
+	}
+	if !r.repair(req) {
+		if r.setDone() {
+			r.p.RepairFailures.Inc()
+			_ = r.down.Terminate(reason)
+		}
+		return
+	}
+	r.p.Reconnects.Inc()
+	if cause == nil {
+		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowRerouted,
+			"stream re-established via "+r.targetName()))
+	} else {
+		r.p.StreamsRelayed.Inc()
+	}
+	r.leg().Forward(r.down, r)
 }
 
 // repair re-routes and re-subscribes the stream using req, the stored request.
@@ -407,27 +416,18 @@ func (h proxyHandler) OnSubscribe(down *burst.ServerStream, sub burst.Subscribe)
 	p := h.p
 	r := &relay{p: p, down: down}
 	down.State = r
-
-	if err := r.connect(sub, nil); err != nil {
-		// The first routing choice failed — e.g. a sticky upstream in a
-		// dead region, or a cross-region link that just went down. Run
-		// the repair loop (avoid the failed target, then widen) instead
-		// of terminating: the stream should land on ANY healthy upstream,
-		// which is what makes cross-region failover of resubscribed
-		// streams work at all.
-		if !r.repair(sub) {
-			p.RepairFailures.Inc()
-			_ = down.Terminate(fmt.Sprintf("no upstream: %v", err))
-			return
-		}
-		p.Reconnects.Inc()
-	}
 	p.mu.Lock()
 	p.relays[r] = true
 	p.mu.Unlock()
-	p.StreamsRelayed.Inc()
 	p.ActiveStreams.Add(1)
-	go r.run()
+	if err := r.connect(sub, nil); err != nil {
+		// This read loop serves every other stream of the session: the
+		// repair takes down's copy of the borrowed request elsewhere.
+		go r.repairOff(down.Request(), err)
+		return
+	}
+	p.StreamsRelayed.Inc()
+	r.leg().Forward(down, r)
 }
 
 func (h proxyHandler) OnCancel(down *burst.ServerStream, c burst.Cancel) {

@@ -144,9 +144,10 @@ func (n *TCPNetwork) Close() {
 	n.wg.Wait()
 }
 
-// tuneConn applies the latency-sensitive socket options BURST wants:
-// every frame is flushed individually, so Nagle coalescing only adds
-// round trips.
+// tuneConn applies the latency-sensitive socket options BURST wants. A
+// session's writer already puts everything that queued behind a write into
+// the next one, and never waits for more: Nagle's wait for an ACK would only
+// add a round trip to what it sends alone.
 func tuneConn(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)

@@ -77,8 +77,14 @@ func Begin(b *bytes.Buffer, kind byte, id uint64) {
 // End completes the frame begun in b and returns its wire bytes.
 //
 //brlint:hotpath per-frame length patch.
-func End(b *bytes.Buffer) ([]byte, error) {
-	wire := b.Bytes()
+func End(b *bytes.Buffer) ([]byte, error) { return EndAt(b, 0) }
+
+// EndAt completes the frame begun at offset start of b, behind the frames
+// already there, and returns its wire bytes.
+//
+//brlint:hotpath per-frame length patch.
+func EndAt(b *bytes.Buffer, start int) ([]byte, error) {
+	wire := b.Bytes()[start:]
 	n := len(wire) - HeaderSize
 	if n > MaxPayload {
 		return nil, fmt.Errorf("frame: payload %d exceeds max %d", n, MaxPayload)
