@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"net"
 	"sync"
 	"testing"
 
@@ -57,6 +58,7 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTSubscribeHop", subscribeHop, 5, "the stream, its header map's two, the one copy of the payload its strings slice; room for one"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 1, "the one copy of the patch both values slice: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
+		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
 		{"BRASSStreamOpenClose", streamOpenClose, 11, "the subscribe hop's four, the cancel reason's copy, the Stream and its close reason, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (17 before: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
 		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 13, "a relay leg is its ClientStream alone, with no stored request and no channel, and the device's stream has no channel; the rest is the two subscribe hops' decode and the relay, which has no goroutine: the downstream session's writer forwards its leg (16 before: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
@@ -268,6 +270,80 @@ func streamOpenClose(b *testing.B) {
 	}
 	if got := host.StreamsOpened.Value(); got != int64(b.N) {
 		b.Fatalf("%d streams opened, want %d", got, b.N)
+	}
+}
+
+// payloadMiss is a payload-cache miss on a full cache: an event naming a
+// comment, under an ID the cache has not seen, through Host.Deliver to an
+// app whose one stream fetches its payload — the viewer's privacy check, the
+// LRU miss, the Feed resolver's TAO read and encode on an in-process WAS,
+// and the Put that evicts the oldest entry.
+func payloadMiss(b *testing.B) {
+	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
+	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)
+	apps.NewSuite(w)
+	ref := w.TAO.ObjectAdd("comment", tao.Props{{"text", "what a save!"}, {"author", "7"}, {"post", "17"}})
+	const size = 16
+	host := brass.NewHost(brass.HostConfig{ID: "miss-host", PayloadCacheSize: size}, nil, w, nil)
+	defer host.Close()
+	app := &payloadFetcher{seen: make(chan int)}
+	host.RegisterApp(app)
+	cliConn, hostConn := net.Pipe()
+	cli := burst.NewClient("miss-device", cliConn, nil)
+	defer cli.Close()
+	host.AcceptSession("miss", hostConn)
+	if _, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: apps.AppFeedComments, burst.HdrTopic: "/miss", burst.HdrUser: "9"}}); err != nil {
+		b.Fatal(err)
+	}
+	<-app.seen
+	want := len(apps.CommentPayload{CommentID: uint64(ref), VideoID: 17, Author: 7, Text: "what a save!"}.AppendJSON(nil))
+	ev := pylon.Event{Topic: "/miss", Ref: uint64(ref), Author: 7}
+	fetch := func(id int) {
+		ev.ID = uint64(id)
+		host.Deliver(ev)
+		if n := <-app.seen; n != want {
+			b.Fatalf("event %d: fetched %d payload bytes, want %d", id, n, want)
+		}
+	}
+	for i := 0; i < size; i++ {
+		fetch(i) // fills the cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch(size + i)
+	}
+	if hits, misses := host.PayloadCacheHits.Value(), host.PayloadCacheMisses.Value(); hits != 0 || misses != int64(size+b.N) {
+		b.Fatalf("%d payload-cache hits and %d misses, want 0 and %d", hits, misses, size+b.N)
+	}
+}
+
+// payloadFetcher is an app under the Feed application's name whose streams
+// fetch every event's payload and send its length on seen, -1 for an error;
+// a stream that opens sends 0.
+type payloadFetcher struct {
+	rt   *brass.Runtime
+	seen chan int
+}
+
+func (a *payloadFetcher) Name() string                                    { return apps.AppFeedComments }
+func (a *payloadFetcher) NewInstance(rt *brass.Runtime) brass.AppInstance { a.rt = rt; return a }
+func (a *payloadFetcher) OnStreamClose(*brass.Stream, string)             {}
+
+func (a *payloadFetcher) OnStreamOpen(st *brass.Stream) error {
+	err := st.AddTopic(pylon.Topic(st.Header(burst.HdrTopic)))
+	a.seen <- 0
+	return err
+}
+
+func (a *payloadFetcher) OnEvent(ev pylon.Event) {
+	for _, st := range a.rt.Instance().StreamsForTopic(ev.Topic) {
+		n := -1
+		if b, err := st.FetchPayload(ev); err == nil {
+			n = len(b)
+		}
+		a.seen <- n
 	}
 }
 

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"slices"
 	"time"
 
@@ -61,8 +60,8 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 		return topics, nil
 	})
 
-	w.RegisterPayload(AppActiveStatus, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		return StatusPayload{User: ev.Author, Online: true}, nil
+	w.RegisterPayload(AppActiveStatus, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
+		return StatusPayload{User: ev.Author, Online: true}.AppendJSON(nil), nil
 	})
 	return a
 }
@@ -131,8 +130,7 @@ func (in *asInstance) flush(st *brass.Stream, state *asStream) {
 	add := func(uids []uint64, isOnline bool) {
 		slices.Sort(uids)
 		for _, uid := range uids {
-			b, _ := json.Marshal(StatusPayload{User: uid, Online: isOnline})
-			batch = append(batch, burst.PayloadDelta(0, b))
+			batch = append(batch, burst.PayloadDelta(0, StatusPayload{User: uid, Online: isOnline}.AppendJSON(nil)))
 		}
 	}
 	add(expired, false)

@@ -50,7 +50,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		return []pylon.Topic{PostTopic(postID)}, nil
 	})
 
-	w.RegisterPayload(AppFeedComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppFeedComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -58,7 +58,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
 		post, _ := strconv.ParseUint(obj.Data.Get("post"), 10, 64)
 		return CommentPayload{CommentID: uint64(ref), VideoID: post, Author: author,
-			Text: obj.Data.Get("text")}, nil
+			Text: obj.Data.Get("text")}.AppendJSON(nil), nil
 	})
 	return a
 }

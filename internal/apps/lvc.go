@@ -156,8 +156,12 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		return out, nil
 	})
 
-	w.RegisterPayload(AppLiveComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		return a.payload(ctx, ref)
+	w.RegisterPayload(AppLiveComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
+		p, err := a.payload(ctx, ref)
+		if err != nil {
+			return nil, err
+		}
+		return p.AppendJSON(nil), nil
 	})
 	return a
 }

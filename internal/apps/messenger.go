@@ -128,12 +128,12 @@ func NewMessenger(w Registrar) *Messenger {
 		return []pylon.Topic{MailboxTopic(ctx.Viewer)}, nil
 	})
 
-	w.RegisterPayload(AppMessenger, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppMessenger, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
 		}
-		return a.payloadFromObj(obj, ev.Seq), nil
+		return a.payloadFromObj(obj, ev.Seq).AppendJSON(nil), nil
 	})
 	return a
 }
@@ -283,7 +283,7 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 	if !fromLog {
 		msgs, _ := in.queryMailbox(st.Viewer, floor) // a failed read replays nothing; see below
 		for _, m := range msgs {
-			b, _ := json.Marshal(m)
+			b := m.AppendJSON(nil)
 			in.rt.LogAppend(state.topic, m.Seq, b) // as in catchUp
 			deltas = append(deltas, burst.PayloadDelta(m.Seq, b))
 		}
@@ -344,7 +344,7 @@ func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
 		if m.Seq <= state.lastSeq {
 			continue
 		}
-		b, _ := json.Marshal(m)
+		b := m.AppendJSON(nil)
 		if state.topic != "" {
 			// The log records every delivery decision, including the ones
 			// made from a WAS read: the next resume on this topic replays

@@ -74,7 +74,7 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		return []pylon.Topic{NotifTopic(uint64(ctx.Viewer))}, nil
 	})
 
-	w.RegisterPayload(AppNotifications, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppNotifications, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -82,7 +82,7 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		actor, _ := strconv.ParseUint(obj.Data.Get("actor"), 10, 64)
 		return NotificationPayload{
 			ID: uint64(ref), Kind: obj.Data.Get("kind"), Actor: actor, Text: obj.Data.Get("text"),
-		}, nil
+		}.AppendJSON(nil), nil
 	})
 	return a
 }
@@ -139,7 +139,7 @@ func (in *notifInstance) OnEvent(ev pylon.Event) {
 		}
 		state.unseen++
 		p.Unseen = state.unseen
-		b, _ := json.Marshal(p)
+		b := p.AppendJSON(nil)
 		// One decision, one frame: the device never shows the notification
 		// beside a stale badge, and admission can shed the payload but not
 		// the badge state.

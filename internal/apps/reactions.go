@@ -76,10 +76,10 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		return []pylon.Topic{ReactionsTopic(videoID)}, nil
 	})
 
-	w.RegisterPayload(AppReactions, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppReactions, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		// Aggregates are assembled BRASS-side; a fetch is the privacy
-		// check that gates counting a reaction, its bytes are diagnostics.
-		return ev.Meta, nil
+		// check that gates counting a reaction, and nothing reads bytes.
+		return nil, nil
 	})
 	return a
 }

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"sort"
 	"strconv"
 
@@ -79,7 +78,7 @@ func NewStories(w Registrar) *Stories {
 		return topics, nil
 	})
 
-	w.RegisterPayload(AppStories, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppStories, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		obj, err := ctx.Reader().ObjectGet(ref)
 		if err != nil {
 			return nil, err
@@ -87,7 +86,7 @@ func NewStories(w Registrar) *Stories {
 		author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
 		score, _ := strconv.ParseFloat(obj.Data.Get("score"), 64)
 		return StoryDelta{Op: "story_add", Author: author, StoryID: uint64(ref),
-			Content: obj.Data.Get("content"), Rank: score}, nil
+			Content: obj.Data.Get("content"), Rank: score}.AppendJSON(nil), nil
 	})
 	return a
 }
@@ -178,17 +177,15 @@ func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev 
 	for author := range state.displayed {
 		if !top[author] {
 			delete(state.displayed, author)
-			b, _ := json.Marshal(StoryDelta{Op: "container_remove", Author: author})
-			batch = append(batch, burst.PayloadDelta(0, b))
+			batch = append(batch, burst.PayloadDelta(0, StoryDelta{Op: "container_remove", Author: author}.AppendJSON(nil)))
 		}
 	}
 	// Containers that ranked in.
 	for author := range top {
 		if !state.displayed[author] {
 			state.displayed[author] = true
-			b, _ := json.Marshal(StoryDelta{Op: "container_add", Author: author,
-				Rank: state.containers[author].rank})
-			batch = append(batch, burst.PayloadDelta(0, b))
+			batch = append(batch, burst.PayloadDelta(0, StoryDelta{Op: "container_add", Author: author,
+				Rank: state.containers[author].rank}.AppendJSON(nil)))
 		}
 	}
 	// The new story itself, if its container is displayed.

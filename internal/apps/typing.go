@@ -63,9 +63,9 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 		return []pylon.Topic{TypingTopic(thread, peer)}, nil
 	})
 
-	w.RegisterPayload(AppTyping, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload(AppTyping, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		thread, _ := strconv.ParseUint(ev.Meta["thread"], 10, 64)
-		return TypingPayload{Thread: thread, User: ev.Author, Typing: ev.Meta["on"] == "true"}, nil
+		return TypingPayload{Thread: thread, User: ev.Author, Typing: ev.Meta["on"] == "true"}.AppendJSON(nil), nil
 	})
 	return a
 }

@@ -1,6 +1,7 @@
 package brass
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -509,8 +510,8 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	env := newEnv(t)
 	app := &surfaceApp{probes: map[string]string{}}
 	env.host.RegisterApp(app)
-	env.was.RegisterPayload("surface", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		return "payload-" + ev.Meta["n"], nil
+	env.was.RegisterPayload("surface", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
+		return json.Marshal("payload-" + ev.Meta["n"])
 	})
 
 	cli := dialHost(t, env)

@@ -44,6 +44,6 @@ type Backend interface {
 	// ResolvePayloadIn resolves ev's viewer-independent payload bytes.
 	ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, error)
 	// FetchPayloadIn is CheckEventVisibility + ResolvePayloadIn in one
-	// call (the uncoalesced per-viewer path).
+	// call (the per-viewer path a host with no payload cache takes).
 	FetchPayloadIn(region, app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error)
 }

@@ -107,10 +107,9 @@ type Host struct {
 
 	subBackoff *faults.Backoff
 
-	// payloadCache and payloadFlight implement the hot-event payload fast
-	// path (see payload.go). payloadCache is nil when disabled.
-	payloadCache  *cache.LRU[payloadKey, []byte]
-	payloadFlight cache.Group[payloadKey, []byte]
+	// payloadCache is the hot-event payload fast path (see payload.go);
+	// nil when disabled.
+	payloadCache *cache.LRU[payloadKey, []byte]
 
 	// dlog is the host's durable per-topic log (nil when disabled);
 	// dlogApps is the per-app opt-in set from HostConfig.DurlogApps.
@@ -131,7 +130,7 @@ type Host struct {
 	WASFetches         metrics.Counter // stream-level payload fetch requests
 	PayloadCacheHits   metrics.Counter // fetches served from the payload cache
 	PayloadCacheMisses metrics.Counter // fetches that had to resolve via the WAS
-	CoalescedFetches   metrics.Counter // fetches that shared another caller's WAS read
+	CoalescedFetches   metrics.Counter // always 0: one loop runs an app's fetches (payload.go); the benchmark still reads it
 	FlowSignals        metrics.Counter // FlowDegraded/FlowRecovered control deltas emitted
 	StreamSheds        metrics.Counter // payload deltas shed by per-stream admission
 	LogResumes         metrics.Counter // cursor catch-up reads served from the durable log

@@ -12,11 +12,12 @@ import (
 // design). When one hot event fans out to many viewers on the same BRASS
 // host, every stream needs the same payload bytes but its own privacy
 // decision. The host therefore runs the WAS privacy check per viewer and
-// shares only the TAO read: concurrent fetches for one event coalesce into
-// a single WAS call (singleflight), and the resolved bytes sit in a small
-// TTL-bounded LRU so late-arriving streams of the same event skip the WAS
-// entirely. Cached payload byte slices are shared across streams and must
-// be treated as immutable by application code.
+// shares only the TAO read: the resolved bytes sit in a small TTL-bounded
+// LRU, so later streams of the same event skip the WAS. Nothing coalesces
+// in-flight fetches: one instance loop runs every fetch of one app on one
+// host, and the key names the app. A miss allocates only the bytes the
+// resolver encodes. Cached payload byte slices are shared across streams
+// and must be treated as immutable by application code.
 
 // payloadKey identifies one event's payload on one application. Event IDs
 // are unique per publish, so the key never aliases two payloads.
@@ -36,7 +37,7 @@ const DefaultPayloadCacheSize = 1024
 const DefaultPayloadCacheTTL = 2 * time.Second
 
 // fetchPayload is the host-level payload fetch every stream routes through:
-// per-viewer privacy check, then cache → singleflight → WAS.
+// per-viewer privacy check, then cache, then the WAS into the cache.
 func (h *Host) fetchPayload(app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
 	sp := h.cfg.Tracer.Start(ev.Trace, trace.HopFetch, trace.HopDeliver)
 	defer sp.End()
@@ -60,22 +61,12 @@ func (h *Host) fetchPayload(app string, viewer socialgraph.UserID, ev pylon.Even
 		return b, nil
 	}
 	h.PayloadCacheMisses.Inc()
-	b, err, joined := h.payloadFlight.Do(key, func() ([]byte, error) {
-		// Payload reads come from the host's region-local TAO tier; only
-		// the privacy check above needed the authoritative graph.
-		b, err := h.was.ResolvePayloadIn(h.cfg.Region, app, ev)
-		if err == nil {
-			h.payloadCache.Put(key, b)
-		}
-		return b, err
-	})
-	if joined {
-		// This caller waited on another stream's in-flight WAS read
-		// (singleflight) instead of issuing its own.
-		h.CoalescedFetches.Inc()
-		sp.Annotate("cache", "coalesced")
-	} else {
-		sp.Annotate("cache", "miss")
+	sp.Annotate("cache", "miss")
+	// Payload reads come from the host's region-local TAO tier; only the
+	// privacy check above needed the authoritative graph.
+	b, err := h.was.ResolvePayloadIn(h.cfg.Region, app, ev)
+	if err == nil {
+		h.payloadCache.Put(key, b)
 	}
 	return b, err
 }

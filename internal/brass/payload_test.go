@@ -2,10 +2,9 @@ package brass
 
 import (
 	"bytes"
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
@@ -14,14 +13,12 @@ import (
 	"bladerunner/internal/was"
 )
 
-// payloadEnv builds a host whose WAS counts payload resolutions, with a
-// controllable delay so concurrency tests can hold a fetch open.
+// payloadEnv builds a host whose WAS counts payload resolutions.
 type payloadEnv struct {
 	host    *Host
 	was     *was.Server
 	graph   *socialgraph.Graph
 	resolve *atomic.Int64 // PayloadFunc invocations
-	gate    chan struct{} // nil = resolve immediately; else each resolve receives once
 }
 
 func newPayloadEnv(t *testing.T, cfg HostConfig) *payloadEnv {
@@ -34,12 +31,9 @@ func newPayloadEnv(t *testing.T, cfg HostConfig) *payloadEnv {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 50, MeanFriends: 5, Seed: 1})
 	w := was.New(store, graph, pyl, nil)
 	env := &payloadEnv{was: w, graph: graph, resolve: &atomic.Int64{}}
-	w.RegisterPayload("echo", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	w.RegisterPayload("echo", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		env.resolve.Add(1)
-		if env.gate != nil {
-			<-env.gate
-		}
-		return map[string]uint64{"ref": uint64(ref)}, nil
+		return fmt.Appendf(nil, `{"ref":%d}`, ref), nil
 	})
 	if cfg.ID == "" {
 		cfg.ID = "brass-payload"
@@ -80,51 +74,6 @@ func TestHotEventSharesOneWASFetch(t *testing.T) {
 	}
 	if got := env.host.WASFetches.Value(); got != viewers {
 		t.Errorf("host WASFetches = %d, want %d (one per stream-level request)", got, viewers)
-	}
-}
-
-// TestConcurrentFetchesCoalesce holds the WAS resolution open while many
-// goroutines fetch the same event: they must all join the single in-flight
-// call rather than each hitting the WAS.
-func TestConcurrentFetchesCoalesce(t *testing.T) {
-	env := newPayloadEnv(t, HostConfig{})
-	env.gate = make(chan struct{})
-	ev := pylon.Event{Topic: "/LVC/2", ID: 0x4301, Ref: 7}
-
-	const callers = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := env.host.fetchPayload("echo", socialgraph.UserID(1+i), ev)
-			errs <- err
-		}(i)
-	}
-	// Wait until the leader is inside the resolver, give the rest a moment
-	// to pile onto the flight, then release exactly one resolution.
-	deadline := time.Now().Add(5 * time.Second)
-	for env.resolve.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if env.resolve.Load() == 0 {
-		t.Fatal("no resolver call started")
-	}
-	close(env.gate)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := env.resolve.Load(); got != 1 {
-		t.Errorf("payload resolved %d times, want 1 (coalesced)", got)
-	}
-	if env.host.CoalescedFetches.Value()+env.host.PayloadCacheHits.Value() != callers-1 {
-		t.Errorf("coalesced=%d hits=%d, want them to cover the %d non-leader callers",
-			env.host.CoalescedFetches.Value(), env.host.PayloadCacheHits.Value(), callers-1)
 	}
 }
 

@@ -1,11 +1,7 @@
 package cache
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,101 +138,32 @@ func TestLRUConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSingleflightCoalesces(t *testing.T) {
-	var g Group[string, int]
-	var calls atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-
-	const waiters = 8
-	results := make(chan int, waiters)
-	go func() {
-		v, err, _ := g.Do("k", func() (int, error) {
-			close(started)
-			<-release
-			calls.Add(1)
-			return 42, nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		results <- v
-	}()
-	<-started
-	var wg sync.WaitGroup
-	for i := 0; i < waiters-1; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err, sh := g.Do("k", func() (int, error) {
-				calls.Add(1)
-				return -1, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			if !sh {
-				t.Error("late caller not marked shared")
-			}
-			results <- v
-		}()
+// TestLRUPutAtCapacityAllocatesNothing holds the payload cache's miss path
+// to no allocation of its own: a new key into a full cache takes the slot
+// of the entry it evicts.
+func TestLRUPutAtCapacityAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	c := NewLRU[int, int](capacity, time.Minute, 0.5, nil, 1)
+	next := 0
+	for ; next < capacity; next++ {
+		c.Put(next, next)
 	}
-	// Wait (white box) until every duplicate has joined the in-flight call —
-	// duplicates register under the group lock before blocking — then let
-	// the leader finish.
-	allJoined := func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		c := g.flight["k"]
-		return c != nil && c.joined == waiters-1
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Put(next, next)
+		next++
+	}); allocs != 0 {
+		t.Errorf("Put of a new key into a full cache: %v allocs/op, want 0", allocs)
 	}
-	for !allJoined() {
-		runtime.Gosched()
+	if c.Len() != capacity {
+		t.Fatalf("Len = %d, want %d", c.Len(), capacity)
 	}
-	close(release)
-	wg.Wait()
-	for i := 0; i < waiters; i++ {
-		if v := <-results; v != 42 {
-			t.Fatalf("caller got %d, want 42 (leader's result)", v)
-		}
+	if _, ok := c.Get(next - capacity - 1); ok {
+		t.Error("the evicted key is still resident")
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn ran %d times, want 1", got)
+	if v, ok := c.Get(next - 1); !ok || v != next-1 {
+		t.Errorf("Get(%d) = %d, %v; want the last key put", next-1, v, ok)
 	}
-}
-
-func TestSingleflightErrorSharedAndForgotten(t *testing.T) {
-	var g Group[string, int]
-	boom := errors.New("boom")
-	if _, err, _ := g.Do("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// The key is forgotten after completion: the next call runs afresh.
-	v, err, shared := g.Do("k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 || shared {
-		t.Fatalf("second Do = %d, %v, shared=%v; want 7, nil, false", v, err, shared)
-	}
-}
-
-func TestSingleflightDistinctKeysRunIndependently(t *testing.T) {
-	var g Group[int, string]
-	var wg sync.WaitGroup
-	var calls atomic.Int64
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err, _ := g.Do(i, func() (string, error) {
-				calls.Add(1)
-				return fmt.Sprint(i), nil
-			})
-			if err != nil || v != fmt.Sprint(i) {
-				t.Errorf("Do(%d) = %q, %v", i, v, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if calls.Load() != 16 {
-		t.Fatalf("calls = %d, want 16 (no cross-key coalescing)", calls.Load())
+	if _, _, evictions, _ := c.Stats(); evictions != int64(next-capacity) {
+		t.Errorf("evictions = %d, want %d", evictions, next-capacity)
 	}
 }

@@ -1,12 +1,12 @@
-// Package cache provides the small concurrency-safe caching primitives the
-// hot-path fast lanes are built from: a seeded, TTL-bounded LRU (the BRASS
-// payload cache and the Pylon subscriber-set cache) and a stdlib-only
-// singleflight group (coalescing concurrent fetches of the same key).
+// Package cache provides the concurrency-safe cache the hot-path fast lanes
+// are built from: a seeded, TTL-bounded LRU (the BRASS payload cache and the
+// Pylon subscriber-set cache). A full cache inserts into the slot it evicts,
+// so steady-state churn allocates nothing.
 //
-// Both primitives take an injected sim.Clock so expiry behaves identically
-// under the wall clock and under the deterministic virtual-time engine, and
-// both are seeded where they make randomized decisions (TTL jitter), so a
-// fleet of caches decorrelates its refreshes deterministically.
+// The LRU takes an injected sim.Clock so expiry behaves identically under
+// the wall clock and under the deterministic virtual-time engine, and it is
+// seeded where it makes randomized decisions (TTL jitter), so a fleet of
+// caches decorrelates its refreshes deterministically.
 package cache
 
 import (
@@ -95,7 +95,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 
 // Put inserts or replaces the value for key, marking it most recently used
 // and restarting its TTL. The least recently used entry is evicted if the
-// cache is full.
+// cache is full, and its slot holds the new key.
 func (c *LRU[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,11 +105,14 @@ func (c *LRU[K, V]) Put(key K, val V) {
 		c.moveToFrontLocked(e)
 		return
 	}
-	if len(c.entries) >= c.cap {
-		c.removeLocked(c.tail)
+	e := c.tail
+	if len(c.entries) < c.cap {
+		e = new(entry[K, V])
+	} else {
+		c.removeLocked(e)
 		c.evictions++
 	}
-	e := &entry[K, V]{key: key, val: val, expires: c.deadlineLocked()}
+	*e = entry[K, V]{key: key, val: val, expires: c.deadlineLocked()}
 	c.entries[key] = e
 	c.pushFrontLocked(e)
 }

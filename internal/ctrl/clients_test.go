@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -184,9 +185,9 @@ func newWAS(t testing.TB) *was.Server {
 		}
 		return topics, err
 	})
-	srv.RegisterPayload("app", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	srv.RegisterPayload("app", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		ev.Published = ev.Published.UTC()
-		return fmt.Sprintf("ref=%d|viewer=%d|region=%s|%#v", ref, ctx.Viewer, ctx.Region, ev), nil
+		return json.Marshal(fmt.Sprintf("ref=%d|viewer=%d|region=%s|%#v", ref, ctx.Viewer, ctx.Region, ev))
 	})
 	return srv
 }

@@ -204,6 +204,9 @@ func TestSessionWriterCoalesces(t *testing.T) {
 	for i, st := range streams {
 		expect(st, 2, fmt.Sprintf("batch %d", i))
 	}
+	// The writer counts a write once it returns, which can be after the
+	// device has read it.
+	waitFor(t, "the second write to be counted", func() bool { return down.Writes.Value() >= 2 })
 	if w, f := down.Writes.Value(), down.Frames.Value(); w != 2 || f != n+1 {
 		t.Errorf("the downstream session made %d writes of %d frames, want 2 writes of %d", w, f, n+1)
 	}

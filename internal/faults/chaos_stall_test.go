@@ -74,10 +74,19 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	for _, pop := range pops {
 		fn.Stall(pop)
 	}
-	for i := 1; i <= sent; i++ {
+	send := func(i int) {
 		if _, err := author.Mutate(fmt.Sprintf(`sendMessage(threadID: %d, text: "m%d")`, thread, i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A stall parks the reads that start after it, so the device's read
+	// already waiting takes one more write: the first message. Were the
+	// POP's leg to shed before its writer's first write, that read would
+	// carry the marker, and the device would reopen during the stall.
+	send(1)
+	waitFor(t, "the first message to reach the app", func() bool { return w.hasAll(1) })
+	for i := 2; i <= sent; i++ {
+		send(i)
 	}
 	waitFor(t, "the reverse proxies to relay every message", func() bool { return relayed()-before >= sent })
 	for _, pop := range pops {

@@ -40,7 +40,7 @@ const (
 	HopPublish = "was.publish"   // root: WAS Publish call until the Pylon accepts the event
 	HopFanout  = "pylon.fanout"  // parent was.publish: subscriber resolution + host delivery
 	HopDeliver = "brass.deliver" // parent pylon.fanout: instance event-loop turn for the event
-	HopFetch   = "brass.fetch"   // parent brass.deliver: payload fetch incl. cache/singleflight
+	HopFetch   = "brass.fetch"   // parent brass.deliver: payload fetch incl. the payload cache
 	HopPrivacy = "was.privacy"   // parent brass.fetch: per-viewer visibility check
 	HopResolve = "was.resolve"   // parent brass.fetch: viewer-independent payload resolution
 	HopFlush   = "burst.flush"   // parent brass.fetch: BURST frame encode + send

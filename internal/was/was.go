@@ -86,9 +86,10 @@ type MutationFunc func(ctx Ctx, call FieldCall) (any, error)
 // topic per friend.
 type SubscriptionFunc func(ctx Ctx, call FieldCall) ([]pylon.Topic, error)
 
-// PayloadFunc produces the device-facing payload for an update event after
-// the privacy check passed. ref is the TAO object the event points to.
-type PayloadFunc func(ctx Ctx, ref tao.ObjID, ev pylon.Event) (any, error)
+// PayloadFunc encodes the device-facing payload for an update event after
+// the privacy check passed; the bytes go out as they are, unboxed (apps'
+// AppendJSON). ref is the TAO object the event points to.
+type PayloadFunc func(ctx Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error)
 
 // Server is one WAS. It is safe for concurrent use.
 type Server struct {
@@ -296,7 +297,7 @@ func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F,
 	return fn(s.ctxIn(viewer, region), call)
 }
 
-// marshal encodes a resolver's answer as JSON.
+// marshal encodes a query's or mutation's answer, of any shape, as JSON.
 func marshal(v any, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
@@ -357,8 +358,8 @@ func (s *Server) CheckEventVisibility(viewer socialgraph.UserID, ev pylon.Event)
 // ResolvePayloadIn resolves an event's payload bytes via the application's
 // registered PayloadFunc — the TAO read half of FetchPayloadIn, served from
 // region's follower and independent of any viewer (the resolver runs in the
-// system context). Callers must have already passed CheckEventVisibility for
-// each viewer the bytes are released to.
+// system context), whose bytes it returns as they are. Callers must have
+// already passed CheckEventVisibility for each viewer the bytes go to.
 func (s *Server) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, error) {
 	sp := s.Tracer.Start(ev.Trace, trace.HopResolve, trace.HopFetch)
 	defer sp.End()
@@ -369,7 +370,7 @@ func (s *Server) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, e
 	if fn == nil {
 		return nil, fmt.Errorf("%w: payload for app %q", ErrUnknownField, app)
 	}
-	return marshal(fn(s.ctxIn(0, region), tao.ObjID(ev.Ref), ev))
+	return fn(s.ctxIn(0, region), tao.ObjID(ev.Ref), ev)
 }
 
 // Publish emits an update event to Pylon on behalf of a mutation. When

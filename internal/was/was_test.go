@@ -251,12 +251,12 @@ func TestPrivacyCheck(t *testing.T) {
 func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 	s, _ := newTestWAS(t)
 	ref := s.TAO.ObjectAdd("comment", tao.Props{{"text", "nice"}})
-	s.RegisterPayload("lvc", func(ctx Ctx, r tao.ObjID, ev pylon.Event) (any, error) {
+	s.RegisterPayload("lvc", func(ctx Ctx, r tao.ObjID, ev pylon.Event) ([]byte, error) {
 		obj, err := ctx.Srv.TAO.ObjectGet(r)
 		if err != nil {
 			return nil, err
 		}
-		return obj.Data.Get("text"), nil
+		return json.Marshal(obj.Data.Get("text"))
 	})
 	ev := pylon.Event{Ref: uint64(ref), Author: 2}
 	out, err := s.FetchPayloadIn("", "lvc", 1, ev)
@@ -372,8 +372,8 @@ func TestConcurrentExecutorStress(t *testing.T) {
 	s.RegisterSubscription("s", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
 		return []pylon.Topic{"/stress"}, nil
 	})
-	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
-		return "p", nil
+	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
+		return []byte(`"p"`), nil
 	})
 
 	var wg sync.WaitGroup
@@ -420,9 +420,9 @@ func TestConcurrentExecutorStress(t *testing.T) {
 func TestRegisterWhileServing(t *testing.T) {
 	s, _ := newTestWAS(t)
 	s.RegisterMutation("m0", func(ctx Ctx, call FieldCall) (any, error) { return 0, nil })
-	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) (any, error) {
+	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		_, err := ctx.Reader().ObjectGet(ref) // reads the readers table too
-		return "p", err
+		return []byte(`"p"`), err
 	})
 	ref := uint64(s.TAO.ObjectAdd("o", nil))
 	if _, err := s.MutateIn("eu", 1, "m0"); err != nil {
