@@ -910,6 +910,9 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 		}
 	}
 
+	// The open's own catch-up first: a message that lands before the open
+	// reads the mailbox would arrive in that admission-free batch instead.
+	batchWith("0")
 	send("one")
 	batch := batchWith("1")
 	if len(batch) != 2 || batch[0].Type != burst.DeltaPayload || batch[0].Seq != 1 {

@@ -13,9 +13,9 @@ import (
 // away.
 //
 // Implementations must preserve Pylon's error identities — in particular
-// pylon.ErrNoQuorum and pylon.ErrUnavailable must survive (wrapped is
-// fine), because the host's subscription manager classifies them as
-// transient and retries in the background.
+// pylon.ErrNoQuorum must survive (wrapped is fine), because the host's
+// subscription manager classifies it as transient and retries in the
+// background.
 type PubSub interface {
 	// RegisterHost announces the subscriber so published events can be
 	// delivered to it.

@@ -311,10 +311,10 @@ func without[T comparable](list []T, x T) []T {
 }
 
 // transientPylonErr reports whether a Pylon registration failure is worth
-// retrying: the subscriber store lost quorum or no Pylon server answered.
-// ErrUnknownSubscriber is permanent — this host is not registered.
+// retrying: the subscriber store lost quorum. ErrUnknownSubscriber is
+// permanent — this host is not registered.
 func transientPylonErr(err error) bool {
-	return errors.Is(err, pylon.ErrNoQuorum) || errors.Is(err, pylon.ErrUnavailable)
+	return errors.Is(err, pylon.ErrNoQuorum)
 }
 
 // scheduleSubRetry arms (or keeps) a background retry for topic's Pylon

@@ -128,7 +128,7 @@ func FuzzDecodeCancel(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer
 	for _, fr := range []Frame{
-		{Type: FramePing},
+		{Type: FrameCancel},
 		{Type: FrameSubscribe, SID: 1, Payload: encodeMsg(Subscribe{Header: Header{HdrTopic: "/t"}})},
 		{Type: FrameBatch, SID: 1 << 40, Payload: encodeMsg(Batch{Deltas: roundTripDeltas()})},
 	} {

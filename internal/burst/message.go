@@ -109,15 +109,16 @@ func (h Header) Merge(patch Header) Header {
 type FrameType uint8
 
 // Frame types. Subscribe/Cancel flow upstream (toward the BRASS); Batch
-// flows downstream; Ping/Pong flow both ways for liveness. Type 3 stays
-// reserved, never reused: it is the paper's ack, which this BURST does not
-// have (DESIGN.md §4), and a server counts it as a decode error.
+// flows downstream. Types 3, 5 and 6 stay reserved, never reused. 3 is the
+// paper's ack, which this BURST does not have (DESIGN.md §4): the reader
+// frames it and a server counts it as a decode error. 5 and 6 were ping and
+// pong: liveness is the transport's (a TCP conn's kernel keepalive, a pipe's
+// close), and the reader, whose highest type is FrameBatch, closes the
+// session on either.
 const (
 	FrameSubscribe FrameType = 1
 	FrameCancel    FrameType = 2
 	FrameBatch     FrameType = 4
-	FramePing      FrameType = 5
-	FramePong      FrameType = 6
 )
 
 func (t FrameType) String() string {
@@ -128,10 +129,6 @@ func (t FrameType) String() string {
 		return "cancel"
 	case FrameBatch:
 		return "batch"
-	case FramePing:
-		return "ping"
-	case FramePong:
-		return "pong"
 	default:
 		return fmt.Sprintf("frametype(%d)", uint8(t))
 	}
@@ -343,8 +340,7 @@ func (rc *Received) Release() {
 }
 
 // Frame is one unit on the wire: a type, the stream it belongs to, and a
-// binary payload appropriate to the type (DESIGN.md §7e). Ping/Pong frames
-// have SID 0 and empty payloads.
+// binary payload appropriate to the type (DESIGN.md §7e).
 type Frame struct {
 	Type FrameType
 	SID  StreamID
@@ -429,13 +425,12 @@ func putBatch(b *bytes.Buffer, deltas []Delta) {
 	}
 }
 
-// putMsg appends the payload encoding of v — a Subscribe, Cancel or Batch,
-// or nil for an empty payload — and reports whether v was one.
+// putMsg appends the payload encoding of v — a Subscribe, Cancel or Batch —
+// and reports whether v was one.
 //
 //brlint:hotpath per-frame payload encode into the pooled frame buffer.
 func putMsg(b *bytes.Buffer, v any) bool {
 	switch m := v.(type) {
-	case nil:
 	case Batch:
 		putBatch(b, m.Deltas)
 	case Subscribe:

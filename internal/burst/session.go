@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"bladerunner/internal/frame"
-	"bladerunner/internal/sim"
 )
 
 // ErrSessionClosed is returned when sending on a closed session.
@@ -29,23 +27,20 @@ type FrameHandler interface {
 }
 
 // Session multiplexes BURST frames over one underlying byte transport.
-// Sends are safe for concurrent use. Ping frames are answered with Pong
-// automatically; pongs are surfaced to the optional PongListener for
-// keepalive tracking.
+// Sends are safe for concurrent use.
 type Session struct {
 	name string
 	rwc  io.ReadWriteCloser
 	br   *bufio.Reader
 
 	wmu sync.Mutex // serializes frame writes on rwc
-	out *writer    // a server session's one sender, which sends its pongs too
+	out *writer    // a server session's one sender
 
 	handler FrameHandler
 
 	mu     sync.Mutex
 	closed bool
 	err    error
-	onPong func()
 
 	done chan struct{}
 }
@@ -86,13 +81,6 @@ func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// SetPongListener registers fn to run on each received Pong.
-func (s *Session) SetPongListener(fn func()) {
-	s.mu.Lock()
-	s.onPong = fn
-	s.mu.Unlock()
 }
 
 // Send writes f to the peer. Frames from concurrent senders are serialized;
@@ -150,11 +138,11 @@ func (s *Session) sendFailed(err error) error {
 	return err
 }
 
-// SendMsg encodes v — a Subscribe, Cancel or Batch, or nil for an empty
-// payload — as a frame of type t on stream sid. Frame header and payload
-// are appended to one pooled buffer that is written to the wire
-// before being reused, so the send path allocates nothing per frame. v is
-// only inspected, never retained: boxing it costs the caller no allocation.
+// SendMsg encodes v — a Subscribe, Cancel or Batch — as a frame of type t
+// on stream sid. Frame header and payload are appended to one pooled buffer
+// that is written to the wire before being reused, so the send path
+// allocates nothing per frame. v is only inspected, never retained: boxing
+// it costs the caller no allocation.
 //
 //brlint:hotpath per-delta payload push: binary encode into the pooled frame buffer.
 func (s *Session) SendMsg(t FrameType, sid StreamID, v any) error {
@@ -166,9 +154,6 @@ func (s *Session) SendMsg(t FrameType, sid StreamID, v any) error {
 	}
 	return s.write(buf)
 }
-
-// Ping sends a liveness probe.
-func (s *Session) Ping() error { return s.Send(Frame{Type: FramePing}) }
 
 // Close shuts the session down locally. The handler's HandleClose runs with
 // a nil error.
@@ -221,7 +206,7 @@ func (s *Session) readLoop() {
 		// The payload stays in s.br's buffer while the handler runs; the held
 		// bytes go after. One too large for that (but within MaxPayload, which
 		// ReadHeader checked) gets its own allocation.
-		kind, id, n, err := frame.ReadHeader(s.br, byte(FramePong))
+		kind, id, n, err := frame.ReadHeader(s.br, byte(FrameBatch))
 		f, held := Frame{Type: FrameType(kind), SID: StreamID(id)}, 0
 		switch {
 		case err != nil || n == 0:
@@ -257,25 +242,7 @@ func (s *Session) readLoop() {
 			s.handler.HandleClose(finalErr)
 			return
 		}
-		switch f.Type {
-		case FramePing:
-			// Answer liveness probes inline (a server session's writer
-			// sends the pong behind what it has queued).
-			if s.out != nil {
-				_ = s.out.send(FramePong, 0, nil)
-			} else {
-				_ = s.Send(Frame{Type: FramePong})
-			}
-		case FramePong:
-			s.mu.Lock()
-			fn := s.onPong
-			s.mu.Unlock()
-			if fn != nil {
-				fn()
-			}
-		default:
-			s.handler.HandleFrame(f)
-		}
+		s.handler.HandleFrame(f)
 		poisonBytes(f.Payload)
 		_, _ = s.br.Discard(held) // cannot fail: Peek buffered these bytes
 	}
@@ -298,123 +265,5 @@ func (h HandlerFuncs) HandleFrame(f Frame) {
 func (h HandlerFuncs) HandleClose(err error) {
 	if h.OnClose != nil {
 		h.OnClose(err)
-	}
-}
-
-// Keepalive drives heartbeats on a session: it pings every interval and
-// closes the session if no pong arrives within timeout, providing the fast
-// failure detection the paper's footnote 11 describes (waiting for TCP to
-// notice takes too long).
-//
-// On transports that support read deadlines (real TCP conns) and a
-// wall-clock scheduler, the keepalive also arms a rolling read deadline
-// ahead of each ping, so a session whose *write* side wedges (dead peer
-// with a full kernel send buffer — Ping never returns, so the pong timer
-// would never be armed) is still torn down by the read side.
-type Keepalive struct {
-	sess     *Session
-	sched    sim.Scheduler
-	interval time.Duration
-	timeout  time.Duration
-	deadline deadlineConn // nil unless real clock + deadline-capable conn
-
-	mu      sync.Mutex
-	stopped bool
-	cancel  func() // pending timer: interval tick or in-flight pong timeout
-	alive   bool
-}
-
-// deadlineConn is the subset of net.Conn keepalive uses to bound reads.
-type deadlineConn interface {
-	SetReadDeadline(t time.Time) error
-}
-
-// StartKeepalive begins heartbeating sess. Call Stop to end it.
-func StartKeepalive(sess *Session, sched sim.Scheduler, interval, timeout time.Duration) *Keepalive {
-	if sched == nil {
-		sched = sim.RealClock{}
-	}
-	k := &Keepalive{sess: sess, sched: sched, interval: interval, timeout: timeout, alive: true}
-	// Read deadlines only make sense when scheduler time is wall time:
-	// net.Pipe implements SetReadDeadline against the wall clock, so arming
-	// it from a virtual clock would expire reads instantly.
-	if _, real := sched.(sim.RealClock); real {
-		if dc, ok := sess.rwc.(deadlineConn); ok {
-			k.deadline = dc
-		}
-	}
-	sess.SetPongListener(func() {
-		k.mu.Lock()
-		k.alive = true
-		k.mu.Unlock()
-	})
-	k.schedule()
-	return k
-}
-
-func (k *Keepalive) schedule() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.stopped {
-		return
-	}
-	k.cancel = k.sched.After(k.interval, k.tick)
-}
-
-func (k *Keepalive) tick() {
-	k.mu.Lock()
-	if k.stopped {
-		k.mu.Unlock()
-		return
-	}
-	// Mark not-alive before sending the ping: the pong may arrive on
-	// another goroutine before Ping even returns.
-	k.alive = false
-	k.mu.Unlock()
-	if k.deadline != nil {
-		// Bound the read side past the next full ping cycle; refreshed
-		// every tick while the session is healthy.
-		_ = k.deadline.SetReadDeadline(k.sched.Now().Add(k.interval + 2*k.timeout))
-	}
-	if err := k.sess.Ping(); err != nil {
-		return // session already dead
-	}
-	k.mu.Lock()
-	if k.stopped {
-		// Stop raced the tick: don't arm the pong-timeout timer after
-		// Stop already cancelled everything it could see.
-		k.mu.Unlock()
-		return
-	}
-	k.cancel = k.sched.After(k.timeout, k.pongDeadline)
-	k.mu.Unlock()
-}
-
-// pongDeadline runs timeout after a ping: either the pong arrived (schedule
-// the next tick) or the session is declared dead.
-func (k *Keepalive) pongDeadline() {
-	k.mu.Lock()
-	dead := !k.alive && !k.stopped
-	k.mu.Unlock()
-	if dead {
-		k.sess.closeWith(fmt.Errorf("session %s: heartbeat timeout", k.sess.name))
-		return
-	}
-	k.schedule()
-}
-
-// Stop ends the keepalive without closing the session. Both the interval
-// timer and an in-flight pong-timeout timer are cancelled; no keepalive
-// timer fires after Stop returns.
-func (k *Keepalive) Stop() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.stopped = true
-	if k.cancel != nil {
-		k.cancel()
-		k.cancel = nil
-	}
-	if k.deadline != nil {
-		_ = k.deadline.SetReadDeadline(time.Time{})
 	}
 }

@@ -6,75 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"bladerunner/internal/sim"
 )
-
-// TestKeepaliveStopCancelsInFlightTimeoutTimer is the regression test for
-// the Stop leak: the pong-timeout timer armed by tick() was never stored in
-// k.cancel, so Stop left it pending (and firing) in the scheduler. With a
-// sim.Engine the leak is directly observable: Pending() must drop to zero
-// the moment Stop returns, and running the engine afterwards must execute
-// nothing.
-func TestKeepaliveStopCancelsInFlightTimeoutTimer(t *testing.T) {
-	a, b := pipePair()
-	sa := NewSession("a", a, HandlerFuncs{})
-	sb := NewSession("b", b, HandlerFuncs{}) // answers pings automatically
-	defer sa.Close()
-	defer sb.Close()
-
-	eng := sim.NewEngine(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
-	k := StartKeepalive(sa, eng, 10*time.Millisecond, 30*time.Millisecond)
-	if got := eng.Pending(); got != 1 {
-		t.Fatalf("after start: %d pending timers, want 1 (interval tick)", got)
-	}
-
-	// Fire the interval tick: it pings the peer and arms the pong-timeout
-	// timer. That timer is now the keepalive's only pending event.
-	if !eng.Step() {
-		t.Fatal("no tick event to execute")
-	}
-	if got := eng.Pending(); got != 1 {
-		t.Fatalf("after tick: %d pending timers, want 1 (pong timeout)", got)
-	}
-
-	k.Stop()
-	if got := eng.Pending(); got != 0 {
-		t.Fatalf("after Stop: %d pending timers, want 0 — Stop leaked the in-flight timeout timer", got)
-	}
-	before := eng.Executed()
-	eng.Run()
-	if got := eng.Executed(); got != before {
-		t.Fatalf("%d timer(s) fired after Stop returned", got-before)
-	}
-	select {
-	case <-sa.Done():
-		t.Fatal("session closed by a keepalive that was stopped")
-	default:
-	}
-}
-
-// TestKeepaliveTickDoesNotRearmAfterStop covers the second half of the
-// bug: a tick already executing when Stop is called must not arm a fresh
-// pong-timeout timer afterwards.
-func TestKeepaliveTickDoesNotRearmAfterStop(t *testing.T) {
-	a, b := pipePair()
-	sa := NewSession("a", a, HandlerFuncs{})
-	sb := NewSession("b", b, HandlerFuncs{})
-	defer sa.Close()
-	defer sb.Close()
-
-	eng := sim.NewEngine(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
-	k := StartKeepalive(sa, eng, 10*time.Millisecond, 30*time.Millisecond)
-	// Stop before the tick runs, then force the (already-cancelled)
-	// tick body directly — this is the interleaving where Stop wins the
-	// race but tick still executes.
-	k.Stop()
-	k.tick()
-	if got := eng.Pending(); got != 0 {
-		t.Fatalf("tick after Stop armed %d timer(s)", got)
-	}
-}
 
 // errorConn blocks reads until an error is injected, and swallows writes.
 type errorConn struct {
@@ -245,11 +177,11 @@ func TestSendOnConcurrentlyClosedSession(t *testing.T) {
 	s := NewSession("s", conn, HandlerFuncs{})
 
 	aDone := make(chan error, 1)
-	go func() { aDone <- s.Send(Frame{Type: FramePing}) }()
+	go func() { aDone <- s.Send(Frame{Type: FrameCancel}) }()
 	waitFor(t, "sender A inside Write", func() bool { return conn.writeCount() == 1 })
 
 	bDone := make(chan error, 1)
-	go func() { bDone <- s.Send(Frame{Type: FramePong}) }()
+	go func() { bDone <- s.Send(Frame{Type: FrameCancel, SID: 1}) }()
 	// Give B time to pass any pre-lock closed check and park on the write
 	// lock held by A.
 	time.Sleep(50 * time.Millisecond)
@@ -275,7 +207,7 @@ func TestSendAfterPeerVanishesReturnsSessionClosed(t *testing.T) {
 	sa := NewSession("a", a, HandlerFuncs{OnClose: func(err error) { closed <- err }})
 	_ = b.Close() // raw peer hangup, no session on the far side
 	<-closed
-	if err := sa.Send(Frame{Type: FramePing}); !errors.Is(err, ErrSessionClosed) {
+	if err := sa.Send(Frame{Type: FrameCancel}); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Send = %v, want ErrSessionClosed", err)
 	}
 }

@@ -2,12 +2,12 @@ package burst
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
-
-	"bladerunner/internal/sim"
 )
 
 // pipePair builds a connected client/server byte transport.
@@ -113,7 +113,7 @@ func TestSessionCloseNotifiesPeer(t *testing.T) {
 	defer sb.Close()
 	sa.Close()
 	waitFor(t, "peer close", func() bool { return colB.isClosed() })
-	if err := sb.Send(Frame{Type: FramePing}); err == nil {
+	if err := sb.Send(Frame{Type: FrameCancel}); err == nil {
 		// The pipe is dead; a send must eventually error. net.Pipe errors
 		// immediately on closed peer.
 		t.Error("send on dead session succeeded")
@@ -126,32 +126,35 @@ func TestSessionSendAfterCloseFails(t *testing.T) {
 	NewSession("b", b, HandlerFuncs{})
 	sa.Close()
 	<-sa.Done()
-	if err := sa.Send(Frame{Type: FramePing}); err == nil {
+	if err := sa.Send(Frame{Type: FrameCancel}); err == nil {
 		t.Error("send after close succeeded")
 	}
 }
 
-func TestSessionPingPong(t *testing.T) {
-	a, b := pipePair()
-	sa := NewSession("a", a, HandlerFuncs{})
-	sb := NewSession("b", b, HandlerFuncs{})
-	defer sa.Close()
-	defer sb.Close()
-	var mu sync.Mutex
-	pongs := 0
-	sa.SetPongListener(func() {
-		mu.Lock()
-		pongs++
-		mu.Unlock()
-	})
-	if err := sa.Ping(); err != nil {
-		t.Fatal(err)
+// TestSessionClosesOnReservedFrameType: types 5 and 6, once ping and pong,
+// are reserved like 3 but above the reader's highest type, so a peer that
+// sends one is broken and the session closes with the framing error, as it
+// does on any type no BURST peer sends.
+func TestSessionClosesOnReservedFrameType(t *testing.T) {
+	for _, typ := range []byte{5, 6, 7} {
+		a, b := pipePair()
+		closed := make(chan error, 1)
+		sa := NewSession("a", a, HandlerFuncs{
+			OnFrame: func(f Frame) { t.Errorf("type %d: frame %v reached the handler", typ, f.Type) },
+			OnClose: func(err error) { closed <- err },
+		})
+		go func() { _, _ = b.Write(append([]byte{typ}, make([]byte, 12)...)) }()
+		select {
+		case err := <-closed:
+			if err == nil || errors.Is(err, io.EOF) {
+				t.Errorf("type %d: session closed with %v, want a framing error", typ, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("type %d: the session kept reading", typ)
+		}
+		<-sa.Done()
+		_ = b.Close()
 	}
-	waitFor(t, "pong", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return pongs == 1
-	})
 }
 
 func TestSessionConcurrentSenders(t *testing.T) {
@@ -181,45 +184,5 @@ func TestSessionConcurrentSenders(t *testing.T) {
 		if c, err := DecodeCancel(f.Payload); err != nil || c.Reason != "scrolled away" {
 			t.Fatalf("corrupted frame: %+v, %v", c, err)
 		}
-	}
-}
-
-func TestKeepaliveDetectsDeadPeer(t *testing.T) {
-	a, b := pipePair()
-	closed := make(chan error, 1)
-	sa := NewSession("a", a, HandlerFuncs{OnClose: func(err error) { closed <- err }})
-	// Peer that never answers pings: a raw conn with no session (we just
-	// swallow bytes).
-	go func() {
-		buf := make([]byte, 1024)
-		for {
-			if _, err := b.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	k := StartKeepalive(sa, sim.RealClock{}, 10*time.Millisecond, 30*time.Millisecond)
-	defer k.Stop()
-	select {
-	case <-closed:
-		// Heartbeat timeout closed the session.
-	case <-time.After(5 * time.Second):
-		t.Fatal("keepalive never detected dead peer")
-	}
-}
-
-func TestKeepaliveKeepsHealthySessionOpen(t *testing.T) {
-	a, b := pipePair()
-	sa := NewSession("a", a, HandlerFuncs{})
-	sb := NewSession("b", b, HandlerFuncs{}) // answers pings automatically
-	defer sa.Close()
-	defer sb.Close()
-	k := StartKeepalive(sa, sim.RealClock{}, 5*time.Millisecond, 50*time.Millisecond)
-	defer k.Stop()
-	time.Sleep(100 * time.Millisecond)
-	select {
-	case <-sa.Done():
-		t.Fatal("healthy session was closed by keepalive")
-	default:
 	}
 }

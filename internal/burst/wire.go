@@ -33,7 +33,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 // owned by the returned frame: the read for a caller outside a Session, which
 // lends its handler each payload in place instead (FrameHandler).
 func ReadFrame(br *bufio.Reader) (Frame, error) {
-	kind, id, payload, err := frame.Read(br, byte(FramePong))
+	kind, id, payload, err := frame.Read(br, byte(FrameBatch))
 	if err != nil {
 		return Frame{}, err
 	}

@@ -18,10 +18,10 @@ import (
 func TestReadFrameToleratesPartialReads(t *testing.T) {
 	var buf bytes.Buffer
 	want := []Frame{
-		{Type: FramePing},
+		{Type: FrameCancel},
 		{Type: FrameSubscribe, SID: 1, Payload: encodeMsg(Subscribe{Header: Header{HdrTopic: "/t/1"}})},
 		{Type: FrameBatch, SID: 7, Payload: []byte(strings.Repeat("x", 1000))},
-		{Type: FramePong},
+		{Type: FrameBatch, SID: 2},
 		{Type: FrameCancel, SID: 1 << 40, Payload: encodeMsg(Cancel{Reason: "scrolled away"})},
 	}
 	for _, f := range want {

@@ -1,3 +1,9 @@
+// Package core assembles a complete Bladerunner deployment: the social
+// graph, TAO, the subscription KV cluster, Pylon, the WAS tier, BRASS
+// hosts across regions, reverse proxies, and POPs — wired over an
+// in-process network. It is the entry point the examples and the end-to-end
+// tests use. BRASS placement lives in the routers' target lists; the
+// ZooKeeper-style registry the paper keeps it in (§3.2) is not modelled.
 package core
 
 import (
@@ -108,19 +114,18 @@ func DefaultConfig() Config {
 
 // Cluster is a running Bladerunner deployment.
 type Cluster struct {
-	Cfg      Config
-	Net      *edge.PipeNetwork
-	Graph    *socialgraph.Graph
-	TAO      *tao.Store
-	KV       *kvstore.Cluster
-	Pylon    *pylon.Service
-	WAS      *was.Server
-	Apps     *apps.Suite
-	Registry *Registry
-	Hosts    []*brass.Host
-	Proxies  []*edge.Proxy
-	POPs     []*edge.Proxy
-	Sched    sim.Scheduler
+	Cfg     Config
+	Net     *edge.PipeNetwork
+	Graph   *socialgraph.Graph
+	TAO     *tao.Store
+	KV      *kvstore.Cluster
+	Pylon   *pylon.Service
+	WAS     *was.Server
+	Apps    *apps.Suite
+	Hosts   []*brass.Host
+	Proxies []*edge.Proxy
+	POPs    []*edge.Proxy
+	Sched   sim.Scheduler
 
 	// Multi-region plane (nil/empty unless Cfg.Geo is set). Pylon above
 	// remains the PRIMARY region's service so single-region callers work
@@ -218,16 +223,15 @@ func NewCluster(cfg Config, sched sim.Scheduler) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		Cfg:      cfg,
-		Net:      edge.NewPipeNetwork(),
-		Graph:    graph,
-		TAO:      store,
-		KV:       kv,
-		Pylon:    pyl,
-		WAS:      w,
-		Apps:     suite,
-		Registry: NewRegistry(),
-		Sched:    sched,
+		Cfg:   cfg,
+		Net:   edge.NewPipeNetwork(),
+		Graph: graph,
+		TAO:   store,
+		KV:    kv,
+		Pylon: pyl,
+		WAS:   w,
+		Apps:  suite,
+		Sched: sched,
 	}
 
 	if topo != nil {
@@ -249,7 +253,7 @@ func NewCluster(cfg Config, sched sim.Scheduler) (*Cluster, error) {
 			if r == topo.Primary() {
 				continue
 			}
-			f := tao.NewFollower(store, sched, 0)
+			f := tao.NewFollower(store)
 			store.AttachFollower(r, f, topo.ReplLagDist(topo.Primary(), r),
 				sched, cfg.Geo.Seed^0x7a0)
 			w.RegisterReader(r, f)
@@ -276,7 +280,6 @@ func NewCluster(cfg Config, sched sim.Scheduler) (*Cluster, error) {
 			if c.Gate != nil {
 				c.Gate.RegisterTarget(id, r)
 			}
-			c.Registry.Set("brass/"+id+"/region", r)
 		}
 	}
 

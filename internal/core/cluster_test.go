@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
@@ -88,10 +87,6 @@ func TestClusterTopology(t *testing.T) {
 	}
 	if got := len(c.POPTargets()); got != 2 {
 		t.Errorf("POPTargets = %d", got)
-	}
-	// Registry knows host placement.
-	if v, ok := c.Registry.Get("brass/brass-us-east-0/region"); !ok || v != "us-east" {
-		t.Errorf("registry placement = %q, %v", v, ok)
 	}
 }
 
@@ -234,35 +229,5 @@ func TestClusterMultipleDevicesShareTopic(t *testing.T) {
 		if _, ok := payload(t, st, 10*time.Second); !ok {
 			t.Fatalf("device %d never got the comment", i)
 		}
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if _, ok := r.Get("missing"); ok {
-		t.Error("missing key found")
-	}
-	if got := r.GetDefault("missing", "d"); got != "d" {
-		t.Errorf("GetDefault = %q", got)
-	}
-	ch := r.Watch("k")
-	r.Set("k", "v1")
-	select {
-	case v := <-ch:
-		if v != "v1" {
-			t.Errorf("watch got %q", v)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("watch never fired")
-	}
-	if v, ok := r.Get("k"); !ok || v != "v1" {
-		t.Errorf("Get = %q, %v", v, ok)
-	}
-	if r.Keys() != 1 {
-		t.Errorf("Keys = %d", r.Keys())
-	}
-	// Slow watcher doesn't block Set.
-	for i := 0; i < 20; i++ {
-		r.Set("k", fmt.Sprintf("v%d", i))
 	}
 }

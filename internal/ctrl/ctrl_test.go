@@ -91,7 +91,6 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	ca, cb := pair(t)
 	cases := []error{
 		pylon.ErrNoQuorum,
-		pylon.ErrUnavailable,
 		pylon.ErrUnknownSubscriber,
 		was.ErrDenied,
 		was.ErrUnknownField,
@@ -119,9 +118,9 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	if err == nil || codeFor(err) != 0 {
 		t.Errorf("plain remote failure = %v, want an error that is no sentinel", err)
 	}
-	// A reserved code (4) and a code past the table decode as plain
+	// A reserved code (3, 4) and a code past the table decode as plain
 	// remote failures that keep the message.
-	for _, code := range []byte{4, byte(len(sentinels))} {
+	for _, code := range []byte{3, 4, byte(len(sentinels))} {
 		conn, _ := script(t, kindError, cat([]byte{code}, str("over rate")))
 		err := conn.call(mTestA, nil, nil)
 		if err == nil || codeFor(err) != 0 || !strings.HasSuffix(err.Error(), ": remote: over rate") {

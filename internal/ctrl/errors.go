@@ -21,7 +21,7 @@ var errUnknownMethod = errors.New("ctrl: unknown method")
 var sentinels = [...]error{
 	1: errUnknownMethod,
 	2: pylon.ErrNoQuorum,
-	3: pylon.ErrUnavailable,
+	// 3 is reserved: it was Pylon's "no front-end server up".
 	// 4 is reserved: it was pylon.ErrShed.
 	5: pylon.ErrUnknownSubscriber,
 	6: was.ErrDenied,

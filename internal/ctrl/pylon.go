@@ -16,7 +16,7 @@ import (
 // control connection). The notification's write is a buffered socket write,
 // not a round trip, honoring Pylon's "Deliver must not block" contract to
 // the extent a socket can (a wedged peer's TCP buffer eventually
-// backpressures the writer; the keepalive on the node's BURST side and
+// backpressures the writer; TCP keepalive on the node's sockets and
 // process supervision bound that).
 type remoteSubscriber struct {
 	id   string

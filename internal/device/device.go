@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/edge"
@@ -594,49 +593,4 @@ func (st *Stream) end(upstream bool, reason string) {
 	delete(d.streams, st)
 	d.mu.Unlock()
 	st.wake()
-}
-
-// StartPresence begins the periodic ONLINE report the paper's ActiveStatus
-// application expects from devices ("each device updates the client's
-// status to ONLINE with the WAS every 30 seconds when online"). It returns
-// a stop function. Reports cease automatically when the device is closed.
-func (d *Device) StartPresence(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	var (
-		mu      sync.Mutex
-		stopped bool
-		cancel  func()
-	)
-	var tick func()
-	schedule := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return
-		}
-		cancel = d.sched.After(interval, tick)
-	}
-	tick = func() {
-		d.mu.Lock()
-		closed := d.closed
-		d.mu.Unlock()
-		if closed {
-			return
-		}
-		_, _ = d.Mutate("reportActive")
-		schedule()
-	}
-	// First report immediately: coming online is itself a report.
-	_, _ = d.Mutate("reportActive")
-	schedule()
-	return func() {
-		mu.Lock()
-		defer mu.Unlock()
-		stopped = true
-		if cancel != nil {
-			cancel()
-		}
-	}
 }

@@ -329,41 +329,6 @@ func TestCloseIsFinal(t *testing.T) {
 	env.dev.Close() // idempotent
 }
 
-func TestStartPresenceReportsPeriodically(t *testing.T) {
-	env := newDevEnv(t)
-	w := env.was
-	var mu sync.Mutex
-	reports := 0
-	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) (any, error) {
-		mu.Lock()
-		reports++
-		mu.Unlock()
-		return true, nil
-	})
-	stop := env.dev.StartPresence(10 * time.Millisecond)
-	waitFor(t, "several reports", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return reports >= 3
-	})
-	stop()
-	mu.Lock()
-	at := reports
-	mu.Unlock()
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	after := reports
-	mu.Unlock()
-	if after > at+1 { // one in-flight tick may land after stop
-		t.Errorf("reports continued after stop: %d -> %d", at, after)
-	}
-	// Device close also ends reporting without panics.
-	stop2 := env.dev.StartPresence(5 * time.Millisecond)
-	defer stop2()
-	env.dev.Close()
-	time.Sleep(30 * time.Millisecond)
-}
-
 // TestPerStreamRetryRecoversOrphanedStream exercises the per-stream
 // resubscribe retry: a stream left with no live client stream while the
 // device holds a healthy session (the state a failed session-level

@@ -261,8 +261,14 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	c.gate.Unlock()
 
 	// open counts the shed episodes announced and not yet recovered: one per
-	// leg that sheds.
-	last, payload, open, marks := 0, 0, 0, 0
+	// leg that sheds. A gap is judged over the interval since the last
+	// payload: a leg queues its recovery marker behind the payloads it kept,
+	// so every episode around a gap may have closed by the payload after it.
+	// announced says whether one was open at any point of that interval. A
+	// payload is missing once the next one or the control sent after it
+	// arrives; the first payload sent is 1.
+	last, payload, open, marks := 0, -1, 0, 0
+	announced := false
 	for deadline := time.After(5 * time.Second); last < batches || open > 0; {
 		select {
 		case rc, ok := <-ev:
@@ -272,13 +278,14 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 			for _, d := range rc.Deltas {
 				switch {
 				case d.Type == burst.DeltaPayload:
-					if int(d.Seq) != payload+2 && open == 0 && payload > 0 {
+					if int(d.Seq) != payload+2 && !announced {
 						t.Fatalf("payload %d after %d outside a shed episode's markers", d.Seq, payload)
 					}
-					payload = int(d.Seq)
+					payload, announced = int(d.Seq), open > 0
 				case d.FlowDetail == burst.QueueShedDetail:
 					open++
 					marks++
+					announced = true
 				case d.FlowDetail == burst.QueueRecoveredDetail:
 					if open--; open < 0 {
 						t.Fatalf("a shed recovered after ctl %d before it was announced", last)
@@ -287,7 +294,9 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 					if n, _ := strconv.Atoi(strings.TrimPrefix(d.FlowDetail, "ctl ")); n != last+2 {
 						t.Fatalf("control arrived out of order: %q after ctl %d", d.FlowDetail, last)
 					}
-					last += 2
+					if last += 2; payload != last-1 && !announced {
+						t.Fatalf("ctl %d after payload %d outside a shed episode's markers", last, payload)
+					}
 				}
 			}
 		case <-deadline:

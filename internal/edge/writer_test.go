@@ -214,7 +214,8 @@ func TestSessionWriterCoalesces(t *testing.T) {
 
 // TestRelayFirstRepairLeavesSessionServed: a stream whose first route fails
 // is repaired off the session's read loop. While the repair's dial waits,
-// another stream on the same downstream session opens and a ping is answered.
+// the read loop still serves: another stream on the same downstream session
+// reaches its upstream.
 func TestRelayFirstRepairLeavesSessionServed(t *testing.T) {
 	gate := &gatedDialer{target: "brass-b", entered: make(chan struct{}), release: make(chan struct{})}
 	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { gate.Dialer = n; return gate })
@@ -229,15 +230,8 @@ func TestRelayFirstRepairLeavesSessionServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pongs := make(chan struct{}, 1)
 	dev := burst.NewSession("device-2", rwc, burst.HandlerFuncs{})
 	t.Cleanup(func() { dev.Close() })
-	dev.SetPongListener(func() {
-		select {
-		case pongs <- struct{}{}:
-		default:
-		}
-	})
 	open := func(sid burst.StreamID, topic, sticky string) error {
 		return dev.SendMsg(burst.FrameSubscribe, sid, burst.Subscribe{Header: burst.Header{
 			burst.HdrTopic: topic, burst.HdrStickyBRASS: sticky}})
@@ -259,14 +253,6 @@ func TestRelayFirstRepairLeavesSessionServed(t *testing.T) {
 	waitFor(t, "the second stream upstream while the repair dials", func() bool { return c.stream(0) != nil })
 	if err := <-opened; err != nil {
 		t.Fatal(err)
-	}
-	if err := dev.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-pongs:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a ping went unanswered while the repair dialed")
 	}
 	release()
 	waitFor(t, "the first stream repaired onto brass-b", func() bool { return env.brassB.stream(0) != nil })

@@ -118,7 +118,7 @@ func SwitchoverOn(sched sim.Scheduler, seed int64) Result {
 		"~10x less for LVC",
 		fmt.Sprintf("%d / %d = %s", pollStats.wasCPU, brStats.wasCPU,
 			ratio(pollStats.wasCPU, brStats.wasCPU)), "")
-	r.AddRow("range+intersect queries (poll / stream)", "-",
+	r.AddRow("range queries (poll / stream)", "-",
 		fmt.Sprintf("%d / %d", pollStats.rangeQueries, brStats.rangeQueries),
 		"Bladerunner's fetches are point queries")
 	r.AddRow("empty poll fraction", "~80%", pct(emptyPollRate(pollers)),
@@ -163,7 +163,7 @@ func (e *switchEnv) snapshot() switchStats {
 	return switchStats{
 		taoReads:      e.tao.Stats().Reads(),
 		shardAccesses: e.tao.Stats().ShardAccesses.Value(),
-		rangeQueries:  e.tao.Stats().RangeQueries.Value() + e.tao.Stats().IntersectQueries.Value(),
+		rangeQueries:  e.tao.Stats().RangeQueries.Value(),
 		wasCPU:        e.was.CPUMillis.Value(),
 	}
 }

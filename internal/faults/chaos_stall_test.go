@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bladerunner/internal/apps"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
 	"bladerunner/internal/faults"
@@ -60,6 +61,10 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	waitFor(t, "mailbox subscription", func() bool {
 		return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 	})
+	// The open's own catch-up batch, which stores the resume token, must be
+	// off the wire before the stall: otherwise it is what the device's
+	// waiting read takes, and the first message stalls behind it.
+	waitFor(t, "the open's resume token", func() bool { return st.HeaderField(burst.HdrResumeSeq) != "" })
 
 	// Each message is one [payload, rewrite{resume-seq, cursor}] batch, so
 	// the reverse proxies have relayed all of them to the stalled POP once

@@ -13,8 +13,9 @@
 //     with a subscriber list; when the remaining replicas answer, it
 //     forwards to any subscribers the first list was missing, and patches
 //     replicas that disagree back to a quorum-merged view.
-//   - Topics are partitioned across shards mapped onto Pylon servers so
-//     load can be rebalanced one shard at a time.
+//   - Topics are partitioned across shards. One process serves them all:
+//     the paper's front-end servers and their one-shard-at-a-time
+//     rebalancing are not modelled (DESIGN.md §9).
 //   - Pylon is content-agnostic: events carry metadata identifying the
 //     mutation in TAO, never the data itself (paper §1, unique aspect 3).
 //
@@ -24,9 +25,9 @@
 // subscription mutation bumps a per-shard version counter; Publish serves
 // fan-out from the cache while the version matches (and the TTL holds) and
 // falls back to the full staged replica read — first responder, patch
-// forward, replica repair — on any version change. Host registry and
-// shard→server routing are copy-on-write snapshots, and event-ID assignment
-// is striped, so publishes to distinct shards never contend on a lock.
+// forward, replica repair — on any version change. The host registry is a
+// copy-on-write snapshot, and event-ID assignment is striped, so publishes
+// to distinct shards never contend on a lock.
 package pylon
 
 import (
@@ -102,11 +103,9 @@ const eventStripes = 256
 
 // Config parameterizes the Pylon service.
 type Config struct {
-	// Shards is the number of topic shards (production: 512K). Shards
-	// map onto servers for load accounting.
+	// Shards is the number of topic shards (production: 512K). A shard
+	// stripes event IDs and versions the subscriber cache.
 	Shards int
-	// Servers is the number of Pylon front-end servers.
-	Servers int
 	// SubCacheSize is the capacity (in topics) of the versioned
 	// subscriber-set cache on the publish path. 0 disables the cache and
 	// restores the read-every-publish behaviour.
@@ -125,7 +124,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Shards:       4096,
-		Servers:      8,
 		SubCacheSize: 4096,
 		SubCacheTTL:  2 * time.Second,
 	}
@@ -136,42 +134,6 @@ func DefaultConfig() Config {
 type padded struct {
 	v atomic.Int64
 	_ [56]byte
-}
-
-// routeTable is the immutable shard→server routing state, swapped
-// atomically as a whole so the publish path reads it without locking.
-type routeTable struct {
-	up       []bool
-	override map[int]int // explicit shard→server reassignments (MoveShard)
-	anyUp    bool
-}
-
-func (rt *routeTable) serverFor(shard, servers int) int {
-	if srv, ok := rt.override[shard]; ok {
-		return srv
-	}
-	return shard % servers
-}
-
-func (rt *routeTable) clone() *routeTable {
-	n := &routeTable{
-		up:       append([]bool(nil), rt.up...),
-		override: make(map[int]int, len(rt.override)),
-	}
-	for k, v := range rt.override {
-		n.override[k] = v
-	}
-	return n
-}
-
-func (rt *routeTable) recomputeAnyUp() {
-	rt.anyUp = false
-	for _, up := range rt.up {
-		if up {
-			rt.anyUp = true
-			return
-		}
-	}
 }
 
 // subEntry is one cached subscriber set: the quorum-merged member list as
@@ -190,10 +152,8 @@ type Service struct {
 
 	// hosts is the copy-on-write registry of known BRASS hosts; the
 	// publish path snapshots it once per fan-out. wmu serializes writers
-	// (RegisterHost/RemoveHost and the route-table mutators); readers
-	// never take it.
+	// (RegisterHost/RemoveHost); readers never take it.
 	hosts atomic.Pointer[map[string]Subscriber]
-	route atomic.Pointer[routeTable]
 	// hostIDs interns BRASS host IDs to dense handles; hostSlots is the
 	// matching copy-on-write handle→Subscriber dispatch slice the cached
 	// fan-out path indexes instead of hashing host-ID strings. A removed
@@ -207,8 +167,7 @@ type Service struct {
 	// by wmu.
 	hostTopics map[string]map[Topic]bool
 
-	serverLoad []padded
-	eventSeq   []padded // striped event-ID counters
+	eventSeq []padded // striped event-ID counters
 
 	// shardVer is the per-shard subscription version; every mutation of a
 	// topic's subscriber set bumps its shard AFTER the KV write completes,
@@ -235,7 +194,7 @@ type Service struct {
 
 // New builds a Pylon service over the given subscription KV cluster.
 func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
-	if cfg.Shards <= 0 || cfg.Servers <= 0 {
+	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("pylon: invalid config %+v", cfg)
 	}
 	if kv == nil {
@@ -245,7 +204,6 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 		cfg:        cfg,
 		kv:         kv,
 		hostTopics: make(map[string]map[Topic]bool),
-		serverLoad: make([]padded, cfg.Servers),
 		eventSeq:   make([]padded, eventStripes),
 		shardVer:   make([]atomic.Uint64, cfg.Shards),
 		hostIDs:    intern.New(),
@@ -255,11 +213,6 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 	s.hosts.Store(&hosts)
 	slots := make([]Subscriber, 1) // slot 0 = intern.None
 	s.hostSlots.Store(&slots)
-	rt := &routeTable{up: make([]bool, cfg.Servers), anyUp: true}
-	for i := range rt.up {
-		rt.up[i] = true
-	}
-	s.route.Store(rt)
 	if cfg.SubCacheSize > 0 {
 		// Jittered TTLs decorrelate the periodic refresh across hot
 		// topics; the seed is fixed so runs stay reproducible.
@@ -310,25 +263,6 @@ func (s *Service) Shard(t Topic) int {
 	return int(fnv64(string(t)) % uint64(s.cfg.Shards))
 }
 
-// ServerFor returns the index of the Pylon server owning the topic's
-// shard, honoring any rebalancing overrides.
-func (s *Service) ServerFor(t Topic) int {
-	return s.route.Load().serverFor(s.Shard(t), s.cfg.Servers)
-}
-
-// SetServerUp marks a Pylon front-end up or down (failure injection).
-func (s *Service) SetServerUp(i int, up bool) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	rt := s.route.Load().clone()
-	rt.up[i] = up
-	rt.recomputeAnyUp()
-	s.route.Store(rt)
-}
-
-// ErrUnavailable is returned when no Pylon front end is reachable.
-var ErrUnavailable = errors.New("pylon: no server available")
-
 // bumpShard advances a shard's subscription version, invalidating every
 // cached subscriber set in the shard. Callers bump after the KV write so a
 // publisher that loads the new version always reads post-write state.
@@ -343,10 +277,6 @@ func (s *Service) Subscribe(topic Topic, hostID string) error {
 	shard := s.Shard(topic)
 	if _, known := (*s.hosts.Load())[hostID]; !known {
 		return fmt.Errorf("%w: %q", ErrUnknownSubscriber, hostID)
-	}
-	rt := s.route.Load()
-	if !rt.up[rt.serverFor(shard, s.cfg.Servers)] && !rt.anyUp {
-		return ErrUnavailable
 	}
 	if _, err := s.kv.SetAdd(string(topic), kvstore.Member(hostID)); err != nil {
 		return fmt.Errorf("pylon: subscribe %q: %w", topic, err)
@@ -461,21 +391,6 @@ func (s *Service) nextEventID(shard int) uint64 {
 //brlint:hotpath fast-path fan-out is gated at 0 allocs/op (TestAllocContracts); the slow path lives in publishSlow behind an audited allow
 func (s *Service) Publish(ev Event) (int, error) {
 	shard := s.Shard(ev.Topic)
-	rt := s.route.Load()
-	srv := rt.serverFor(shard, s.cfg.Servers)
-	if !rt.up[srv] {
-		if !rt.anyUp {
-			return 0, ErrUnavailable
-		}
-		// Another front end takes over the down server's shard.
-		for i, up := range rt.up {
-			if up {
-				srv = i
-				break
-			}
-		}
-	}
-	s.serverLoad[srv].v.Add(1)
 	ev.ID = s.nextEventID(shard)
 
 	s.Publishes.Inc()

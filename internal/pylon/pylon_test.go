@@ -48,11 +48,8 @@ func newService(t *testing.T) (*Service, *kvstore.Cluster) {
 
 func TestNewValidation(t *testing.T) {
 	kv := newKV(t)
-	if _, err := New(Config{Shards: 0, Servers: 1}, kv); err == nil {
+	if _, err := New(Config{Shards: 0}, kv); err == nil {
 		t.Error("Shards=0 accepted")
-	}
-	if _, err := New(Config{Shards: 1, Servers: 0}, kv); err == nil {
-		t.Error("Servers=0 accepted")
 	}
 	if _, err := New(DefaultConfig(), nil); err == nil {
 		t.Error("nil kv accepted")
@@ -245,28 +242,6 @@ func TestPublishAllReplicasDown(t *testing.T) {
 	}
 }
 
-func TestServerFailover(t *testing.T) {
-	s, _ := newService(t)
-	h := &fakeHost{id: "h"}
-	s.RegisterHost(h)
-	_ = s.Subscribe("/t", "h")
-	// Take the owning server down; another front end takes over.
-	s.SetServerUp(s.ServerFor("/t"), false)
-	if _, err := s.Publish(Event{Topic: "/t"}); err != nil {
-		t.Errorf("publish with one server down: %v", err)
-	}
-	// All servers down: unavailable.
-	for i := 0; i < DefaultConfig().Servers; i++ {
-		s.SetServerUp(i, false)
-	}
-	if _, err := s.Publish(Event{Topic: "/t"}); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("err = %v", err)
-	}
-	if err := s.Subscribe("/t", "h"); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("subscribe err = %v", err)
-	}
-}
-
 func TestShardMappingStable(t *testing.T) {
 	s, _ := newService(t)
 	for _, topic := range []Topic{"/LVC/1", "/TI/5/9", "/Status/77"} {
@@ -276,10 +251,6 @@ func TestShardMappingStable(t *testing.T) {
 		}
 		if a < 0 || a >= DefaultConfig().Shards {
 			t.Errorf("shard %d out of range", a)
-		}
-		srv := s.ServerFor(topic)
-		if srv < 0 || srv >= DefaultConfig().Servers {
-			t.Errorf("server %d out of range", srv)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -168,76 +167,3 @@ func (m *Mixture) Mean() time.Duration {
 	}
 	return time.Duration(acc)
 }
-
-// Zipf generates integer ranks following a Zipf-Mandelbrot law, used to
-// assign popularity to topics: rank 0 is the hottest topic. It wraps
-// rand.Zipf with a stable configuration.
-type Zipf struct {
-	S    float64 // skew, > 1
-	V    float64 // offset, >= 1
-	N    uint64  // number of ranks
-	zipf *rand.Zipf
-	rng  *rand.Rand
-}
-
-// NewZipf builds a Zipf rank generator backed by rng.
-func NewZipf(rng *rand.Rand, s, v float64, n uint64) (*Zipf, error) {
-	if s <= 1 || v < 1 || n == 0 {
-		return nil, fmt.Errorf("sim: invalid zipf params s=%v v=%v n=%d", s, v, n)
-	}
-	return &Zipf{S: s, V: v, N: n, zipf: rand.NewZipf(rng, s, v, n-1), rng: rng}, nil
-}
-
-// Next returns the next rank in [0, N).
-func (z *Zipf) Next() uint64 { return z.zipf.Uint64() }
-
-// Percentile returns the p-th percentile (p in [0,100]) of a sample slice.
-// The slice is sorted in place. It returns 0 for empty input.
-func Percentile(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	if p <= 0 {
-		return samples[0]
-	}
-	if p >= 100 {
-		return samples[len(samples)-1]
-	}
-	rank := p / 100 * float64(len(samples)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return samples[lo]
-	}
-	frac := rank - float64(lo)
-	return samples[lo] + time.Duration(frac*float64(samples[hi]-samples[lo]))
-}
-
-// Empirical resamples from a set of observed durations (bootstrap), used to
-// replay measured latency distributions through the simulator.
-type Empirical struct {
-	samples []time.Duration
-	mean    time.Duration
-}
-
-// NewEmpirical builds an Empirical distribution from observations.
-func NewEmpirical(samples []time.Duration) (*Empirical, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("sim: empirical distribution needs samples")
-	}
-	cp := append([]time.Duration(nil), samples...)
-	var total time.Duration
-	for _, s := range cp {
-		total += s
-	}
-	return &Empirical{samples: cp, mean: total / time.Duration(len(cp))}, nil
-}
-
-// Sample draws one observation uniformly.
-func (e *Empirical) Sample(rng *rand.Rand) time.Duration {
-	return e.samples[rng.Intn(len(e.samples))]
-}
-
-// Mean returns the sample mean.
-func (e *Empirical) Mean() time.Duration { return e.mean }

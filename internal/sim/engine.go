@@ -65,8 +65,8 @@ func (e *Engine) At(t time.Time, fn func()) func() {
 		// Idempotent, and releases everything it can: the first call drops
 		// the event from the heap (if still pending), its fn closure, and
 		// the closure's own reference to the event struct. Callers routinely
-		// hold cancel funcs long after the event fired (reconnect timers,
-		// keepalives, presence loops) — at a million devices, a retained
+		// hold cancel funcs long after the event fired (reconnect and
+		// retry timers) — at a million devices, a retained
 		// 48-byte event per held cancel is real memory, so a cancel func
 		// must pin nothing once invoked.
 		if ev == nil {

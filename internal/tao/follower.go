@@ -2,25 +2,22 @@ package tao
 
 import (
 	"sync"
-	"time"
 
 	"bladerunner/internal/metrics"
-	"bladerunner/internal/sim"
 )
 
 // Follower is a regional read-through cache in front of a Store, modelling
 // TAO's follower tier. Reads are served from the cache when possible;
-// writes go to the Store (the leader) and invalidate this follower after
-// the configured replication delay, modelling asynchronous cross-region
-// invalidation.
+// writes go to the Store (the leader), which invalidates each attached
+// follower after its replication lag (Store.AttachFollower), modelling
+// asynchronous cross-region invalidation. Objects are never updated, so
+// only association lists are invalidated.
 //
 // Followers cache objects and full association lists as the leader stores
 // them. The paper relies on BRASS point queries having "good caching
 // characteristics" (§5); the Hits/Misses counters let experiments verify that.
 type Follower struct {
 	store *Store
-	sched sim.Scheduler
-	delay time.Duration
 
 	mu      sync.Mutex
 	objects map[ObjID]Object
@@ -33,16 +30,11 @@ type Follower struct {
 	Misses metrics.Counter
 }
 
-// NewFollower returns a follower cache over store. Writes through this
-// follower invalidate its cache after delay (zero means immediately).
-func NewFollower(store *Store, sched sim.Scheduler, delay time.Duration) *Follower {
-	if sched == nil {
-		sched = sim.RealClock{}
-	}
+// NewFollower returns a follower cache over store; attach it to the store
+// for its lists to be invalidated on writes.
+func NewFollower(store *Store) *Follower {
 	return &Follower{
 		store:   store,
-		sched:   sched,
-		delay:   delay,
 		objects: make(map[ObjID]Object),
 		assocs:  make(map[assocKey][]assocRow),
 	}
@@ -97,47 +89,12 @@ func install[K comparable, V any](f *Follower, m map[K]V, k K, v V, gen uint64) 
 	f.mu.Unlock()
 }
 
-// ObjectUpdate writes through to the leader and schedules invalidation of
-// this follower's copy after the replication delay.
-func (f *Follower) ObjectUpdate(id ObjID, data Props) error {
-	if err := f.store.ObjectUpdate(id, data); err != nil {
-		return err
-	}
-	f.afterDelay(func() { f.InvalidateObject(id) })
-	return nil
-}
-
-// AssocAdd writes through to the leader and schedules invalidation of the
-// cached list.
-func (f *Follower) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data string) {
-	f.store.AssocAdd(id1, typ, id2, t, data)
-	f.afterDelay(func() { f.InvalidateAssoc(id1, typ) })
-}
-
-// InvalidateObject drops the cached copy of id immediately. Exposed so the
-// leader tier (or tests) can push invalidations to remote followers.
-func (f *Follower) InvalidateObject(id ObjID) {
-	f.mu.Lock()
-	delete(f.objects, id)
-	f.gen++
-	f.mu.Unlock()
-}
-
 // InvalidateAssoc drops the cached association list immediately.
 func (f *Follower) InvalidateAssoc(id1 ObjID, typ AssocType) {
 	f.mu.Lock()
 	delete(f.assocs, assocKey{id1, typ})
 	f.gen++
 	f.mu.Unlock()
-}
-
-// afterDelay runs invalidate now, or after the replication delay if any.
-func (f *Follower) afterDelay(invalidate func()) {
-	if f.delay <= 0 {
-		invalidate()
-		return
-	}
-	f.sched.After(f.delay, invalidate)
 }
 
 // Both tiers satisfy the region-local read surface.

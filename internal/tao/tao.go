@@ -4,16 +4,20 @@
 //
 // The model preserves the properties the paper's evaluation depends on:
 //
-//   - Objects and typed associations, sharded by id. A point query (object
-//     get, or a specific association) touches exactly one shard.
+//   - Objects and typed associations, sharded by id. A point query (an
+//     object get, a list's count) touches exactly one shard.
 //   - Association lists are time-ordered and, when they grow hot, their
 //     index is partitioned across many shards — so range queries ("all
-//     comments on video V since T") touch many shards, and intersect
-//     queries touch even more. This is the cost asymmetry that makes
-//     polling expensive and BRASS point-fetches cheap (paper §1, §5).
+//     comments on video V") touch many shards. This is the cost asymmetry
+//     that makes polling expensive and BRASS point-fetches cheap (paper §1,
+//     §5).
 //   - Leader/follower caching with asynchronous invalidation, so reads are
 //     served close to the reader and writes invalidate remote followers
 //     after a replication delay.
+//
+// The write surface is what the applications call: objects are added,
+// never updated or deleted, and associations are added (an existing one is
+// replaced in place).
 //
 // Both tiers store rows, not maps: an object's bag is one slice of (key,
 // value) pairs sorted by key (Props), and a list holds (id2, time, data)
@@ -62,17 +66,17 @@ type Object struct {
 	ID   ObjID
 	Type ObjType
 	// Data is READ-ONLY once stored: ObjectGet hands every reader the
-	// stored slice itself, and ObjectUpdate swaps in a new merged slice. A
-	// reader that wants to change a bag copies it.
+	// stored slice itself. A reader that wants to change a bag copies it.
 	Data    Props
 	Created time.Time
+	// Version is 1: an object is never updated. It stays in the read
+	// surface the reads digest pins (reads_test.go).
 	Version uint64
 }
 
 // Props is a property bag: (key, value) pairs, stored sorted by key with one
-// pair per key. A literal given to ObjectAdd or ObjectUpdate may list its
-// pairs in any order; on a repeated key the last pair wins, as map
-// assignment does.
+// pair per key. A literal given to ObjectAdd may list its pairs in any
+// order; on a repeated key the last pair wins, as map assignment does.
 type Props [][2]string
 
 // Get returns the value stored under key, or "" if there is none.
@@ -85,11 +89,11 @@ func (p Props) Get(key string) string {
 
 func byKey(kv [2]string, key string) int { return strings.Compare(kv[0], key) }
 
-// merge returns a new sorted bag, sized for old and add with no key in
-// common: old's pairs, overwritten and extended by add's in order.
-func merge(old, add Props) Props {
-	out := append(make(Props, 0, len(old)+len(add)), old...)
-	for _, kv := range add {
+// sorted returns a sorted copy of p with one pair per key, sized for p with
+// no key repeated: a later pair for a key overwrites an earlier one.
+func sorted(p Props) Props {
+	out := make(Props, 0, len(p))
+	for _, kv := range p {
 		if i, ok := slices.BinarySearchFunc(out, kv[0], byKey); ok {
 			out[i] = kv
 		} else {
@@ -255,19 +259,6 @@ func (s *Store) replSnapshot() []replTask {
 	return tasks
 }
 
-// invalidateFollowersObj propagates an object write to every attached
-// follower after its sampled replication lag.
-func (s *Store) invalidateFollowersObj(id ObjID) {
-	for _, t := range s.replSnapshot() {
-		if t.d <= 0 {
-			t.f.InvalidateObject(id)
-			continue
-		}
-		f := t.f
-		t.sched.After(t.d, func() { f.InvalidateObject(id) })
-	}
-}
-
 // invalidateFollowersAssoc propagates an association-list write to every
 // attached follower after its sampled replication lag.
 func (s *Store) invalidateFollowersAssoc(id1 ObjID, typ AssocType) {
@@ -295,7 +286,7 @@ func (s *Store) ObjectAdd(typ ObjType, data Props) ObjID {
 	id := s.idCtr
 	s.nextID.Unlock()
 
-	obj := &Object{ID: id, Type: typ, Data: merge(nil, data), Created: s.clock.Now(), Version: 1}
+	obj := &Object{ID: id, Type: typ, Data: sorted(data), Created: s.clock.Now(), Version: 1}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	sh.objects[id] = obj
@@ -304,9 +295,8 @@ func (s *Store) ObjectAdd(typ ObjType, data Props) ObjID {
 	return id
 }
 
-// ObjectGet returns the object with the given id as it is now; its Data is
-// the stored, immutable bag (see Object), so a later update does not show
-// through it. This is a point query touching one shard.
+// ObjectGet returns the object with the given id; its Data is the stored,
+// immutable bag (see Object). This is a point query touching one shard.
 func (s *Store) ObjectGet(id ObjID) (Object, error) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
@@ -321,41 +311,6 @@ func (s *Store) ObjectGet(id ObjID) (Object, error) {
 		return Object{}, fmt.Errorf("object %d: %w", id, ErrNotFound)
 	}
 	return out, nil
-}
-
-// ObjectUpdate merges data into the object's property bag and bumps its
-// version. Readers hold the old bag, so the merge goes into a copy that
-// replaces it (copy-on-write).
-func (s *Store) ObjectUpdate(id ObjID, data Props) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	obj, ok := sh.objects[id]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("object %d: %w", id, ErrNotFound)
-	}
-	obj.Data = merge(obj.Data, data)
-	obj.Version++
-	sh.mu.Unlock()
-	s.stats.recordWrite(1)
-	s.invalidateFollowersObj(id)
-	return nil
-}
-
-// ObjectDelete removes the object. Associations referencing it are not
-// cascaded (TAO semantics).
-func (s *Store) ObjectDelete(id ObjID) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.objects[id]; !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("object %d: %w", id, ErrNotFound)
-	}
-	delete(sh.objects, id)
-	sh.mu.Unlock()
-	s.stats.recordWrite(1)
-	s.invalidateFollowersObj(id)
-	return nil
 }
 
 // AssocAdd inserts (or updates) the association (id1, typ, id2) with the
@@ -385,42 +340,6 @@ func (s *Store) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data 
 	s.invalidateFollowersAssoc(id1, typ)
 }
 
-// AssocDelete removes the association (id1, typ, id2).
-func (s *Store) AssocDelete(id1 ObjID, typ AssocType, id2 ObjID) error {
-	sh := s.shardFor(id1)
-	key := assocKey{id1, typ}
-	sh.mu.Lock()
-	lst := sh.assocs[key]
-	for i := range lst {
-		if lst[i].id2 == id2 {
-			sh.assocs[key] = append(lst[:i], lst[i+1:]...)
-			sh.mu.Unlock()
-			s.stats.recordWrite(1)
-			s.invalidateFollowersAssoc(id1, typ)
-			return nil
-		}
-	}
-	sh.mu.Unlock()
-	return fmt.Errorf("assoc (%d,%s,%d): %w", id1, typ, id2, ErrNotFound)
-}
-
-// AssocGet returns the association (id1, typ, id2) — a point query.
-func (s *Store) AssocGet(id1 ObjID, typ AssocType, id2 ObjID) (Assoc, error) {
-	sh := s.shardFor(id1)
-	key := assocKey{id1, typ}
-	sh.mu.RLock()
-	defer func() {
-		sh.mu.RUnlock()
-		s.stats.recordPoint(1)
-	}()
-	for _, r := range sh.assocs[key] {
-		if r.id2 == id2 {
-			return key.assoc(r), nil
-		}
-	}
-	return Assoc{}, fmt.Errorf("assoc (%d,%s,%d): %w", id1, typ, id2, ErrNotFound)
-}
-
 // AssocCount returns the size of the association list (id1, typ). Point
 // query (TAO maintains counts inline).
 func (s *Store) AssocCount(id1 ObjID, typ AssocType) int {
@@ -447,67 +366,6 @@ func (s *Store) AssocRange(id1 ObjID, typ AssocType, offset, limit int) []Assoc 
 	return out
 }
 
-// AssocTimeRange returns up to limit associations from (id1, typ) with
-// Time in (since, until], newest first; a zero until means "now", a limit
-// <= 0 all.
-func (s *Store) AssocTimeRange(id1 ObjID, typ AssocType, since, until time.Time, limit int) []Assoc {
-	if until.IsZero() {
-		until = s.clock.Now()
-	}
-	sh := s.shardFor(id1)
-	key := assocKey{id1, typ}
-	sh.mu.RLock()
-	lst := sh.assocs[key]
-	out := make([]Assoc, 0, min(max(limit, 0), len(lst)))
-	for _, r := range lst { // newest first
-		if !r.t.After(since) {
-			break
-		}
-		if r.t.After(until) {
-			continue
-		}
-		out = append(out, key.assoc(r))
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	total := len(lst)
-	sh.mu.RUnlock()
-	s.stats.recordRange(s.rangeShardCost(total))
-	return out
-}
-
-// Intersect returns the associations in (id1a, typA) whose ID2 also appears
-// as ID2 in (id1b, typB) — e.g. "comments on video V by friends of U".
-// Intersect queries are the most expensive TAO operation; their cost is the
-// sum of both range costs (paper §1, §2). A limit <= 0 means all.
-func (s *Store) Intersect(id1a ObjID, typA AssocType, id1b ObjID, typB AssocType, limit int) []Assoc {
-	keyA := assocKey{id1a, typA}
-	la := s.rows(keyA)
-
-	shB := s.shardFor(id1b)
-	shB.mu.RLock()
-	lb := shB.assocs[assocKey{id1b, typB}]
-	set := make(map[ObjID]bool, len(lb))
-	for _, r := range lb {
-		set[r.id2] = true
-	}
-	lbLen := len(lb)
-	shB.mu.RUnlock()
-
-	out := make([]Assoc, 0, min(max(limit, 0), len(la)))
-	for _, r := range la {
-		if set[r.id2] {
-			out = append(out, keyA.assoc(r))
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-		}
-	}
-	s.stats.recordIntersect(s.rangeShardCost(len(la)) + s.rangeShardCost(lbLen))
-	return out
-}
-
 // rangeShardCost models index partitioning: a list of length n spans
 // ceil(n/IndexShardCapacity) shards, minimum 1.
 func (s *Store) rangeShardCost(n int) int {
@@ -519,7 +377,7 @@ func (s *Store) rangeShardCost(n int) int {
 }
 
 // rows returns a copy of the list key names, unaccounted: the follower's
-// fill and Intersect's first list read it.
+// fill reads it.
 func (s *Store) rows(key assocKey) []assocRow {
 	sh := s.shardFor(key.id1)
 	sh.mu.RLock()
@@ -545,13 +403,12 @@ func sliceRange(key assocKey, lst []assocRow, offset, limit int) []Assoc {
 }
 
 // Stats aggregates query accounting for a Store: the experiment harness
-// uses it to compare polling (range/intersect heavy) against Bladerunner
-// (point heavy). Safe for concurrent use.
+// uses it to compare polling (range heavy) against Bladerunner (point
+// heavy). Safe for concurrent use.
 type Stats struct {
-	PointQueries     metrics.Counter
-	RangeQueries     metrics.Counter
-	IntersectQueries metrics.Counter
-	Writes           metrics.Counter
+	PointQueries metrics.Counter
+	RangeQueries metrics.Counter
+	Writes       metrics.Counter
 	// ShardAccesses counts total shard touches across all queries: the
 	// paper's IOPS proxy.
 	ShardAccesses metrics.Counter
@@ -570,11 +427,6 @@ func (st *Stats) recordRange(shards int) {
 	st.ShardAccesses.Add(int64(shards))
 }
 
-func (st *Stats) recordIntersect(shards int) {
-	st.IntersectQueries.Inc()
-	st.ShardAccesses.Add(int64(shards))
-}
-
 func (st *Stats) recordWrite(shards int) {
 	st.Writes.Inc()
 	st.ShardAccesses.Add(int64(shards))
@@ -582,5 +434,5 @@ func (st *Stats) recordWrite(shards int) {
 
 // Reads returns the total number of read queries.
 func (st *Stats) Reads() int64 {
-	return st.PointQueries.Value() + st.RangeQueries.Value() + st.IntersectQueries.Value()
+	return st.PointQueries.Value() + st.RangeQueries.Value()
 }

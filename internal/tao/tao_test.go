@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -46,108 +45,32 @@ func TestObjectLifecycle(t *testing.T) {
 	if !obj.Created.Equal(clk.Now()) {
 		t.Errorf("Created = %v", obj.Created)
 	}
-
-	if err := s.ObjectUpdate(id, Props{{"name", "lovelace"}, {"role", "eng"}}); err != nil {
-		t.Fatal(err)
-	}
-	obj, _ = s.ObjectGet(id)
-	if obj.Data.Get("name") != "lovelace" || obj.Data.Get("role") != "eng" || obj.Version != 2 {
-		t.Errorf("after update: %+v", obj)
-	}
-
-	if err := s.ObjectDelete(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ObjectGet(id); !errors.Is(err, ErrNotFound) {
-		t.Errorf("get after delete: %v", err)
-	}
-	if err := s.ObjectDelete(id); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-	if err := s.ObjectUpdate(id, nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("update missing: %v", err)
+	if _, err := s.ObjectGet(id + 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("get of an id never added: %v", err)
 	}
 }
 
-// A stored property bag is immutable (see Object): a read returns the stored
-// slice itself, an update swaps in a merged copy. So a bag already handed out
-// is a snapshot no later update shows through, and the bag ObjectAdd was
-// given stays the caller's.
+// A stored property bag is immutable (see Object): ObjectAdd stores a sorted
+// copy, so the bag it was given stays the caller's, and every read — the
+// store's, a follower's miss and its hit — hands out that one stored bag.
 func TestObjectGetReturnsSnapshot(t *testing.T) {
 	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0)
-	mine := Props{{"k", "v"}}
+	f := NewFollower(s)
+	mine := Props{{"k", "v"}, {"a", "1"}}
 	id := s.ObjectAdd("user", mine)
 	mine[0][1] = "mutated by the adder"
-	before, _ := s.ObjectGet(id)
-	cached, _ := f.ObjectGet(id) // fill
-	if err := f.ObjectUpdate(id, Props{{"k", "v2"}, {"n", "1"}}); err != nil {
-		t.Fatal(err)
-	}
-	for name, obj := range map[string]Object{"store": before, "follower": cached} {
-		if len(obj.Data) != 1 || obj.Data.Get("k") != "v" || obj.Version != 1 {
-			t.Errorf("%s: bag read before the update now reads %v (version %d)", name, obj.Data, obj.Version)
+	stored, _ := s.ObjectGet(id)
+	for _, r := range []struct {
+		name string
+		get  func(ObjID) (Object, error)
+	}{{"store", s.ObjectGet}, {"follower miss", f.ObjectGet}, {"follower hit", f.ObjectGet}} {
+		obj, err := r.get(id)
+		if err != nil || len(obj.Data) != 2 || obj.Data.Get("k") != "v" || obj.Data.Get("a") != "1" {
+			t.Errorf("%s: %v, %v; want the bag as added", r.name, obj.Data, err)
+		} else if &obj.Data[0] != &stored.Data[0] {
+			t.Errorf("%s: a copy of the stored bag, want the stored bag itself", r.name)
 		}
 	}
-	for name, get := range map[string]func(ObjID) (Object, error){"store": s.ObjectGet, "follower miss": f.ObjectGet, "follower hit": f.ObjectGet} {
-		if obj, _ := get(id); len(obj.Data) != 2 || obj.Data.Get("k") != "v2" || obj.Data.Get("n") != "1" || obj.Version != 2 {
-			t.Errorf("%s: after the update = %v (version %d)", name, obj.Data, obj.Version)
-		}
-	}
-}
-
-// Readers range over the bag ObjectGet returned while a writer updates the
-// same object: under -race this fails if an update writes into a bag a reader
-// holds, and every reader must see one complete bag — all keys at one
-// generation — never a mix of two.
-func TestObjectDataReadersRaceUpdate(t *testing.T) {
-	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0)
-	keys := []string{"j", "i", "h", "g", "f", "e", "d", "c", "b", "a"} // the merge sorts them
-	bag := func(gen int) Props {
-		p := make(Props, len(keys))
-		for i, k := range keys {
-			p[i] = [2]string{k, strconv.Itoa(gen)}
-		}
-		return p
-	}
-	id := s.ObjectAdd("post", bag(0))
-	updates := 2000
-	if testing.Short() {
-		updates = 300
-	}
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		get := s.ObjectGet
-		if r%2 == 1 {
-			get = f.ObjectGet
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !done.Load() {
-				obj, err := get(id)
-				if err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-				for _, kv := range obj.Data {
-					if kv[1] != obj.Data.Get("a") || len(obj.Data) != len(keys) {
-						t.Errorf("torn bag: %s=%s beside a=%s in %v", kv[0], kv[1], obj.Data.Get("a"), obj.Data)
-						return
-					}
-				}
-			}
-		}()
-	}
-	for gen := 1; gen <= updates; gen++ {
-		if err := f.ObjectUpdate(id, bag(gen)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done.Store(true)
-	wg.Wait()
 }
 
 func TestObjectIDsUnique(t *testing.T) {
@@ -162,27 +85,6 @@ func TestObjectIDsUnique(t *testing.T) {
 	}
 }
 
-func TestAssocAddGetDelete(t *testing.T) {
-	s, _ := newTestStore(t)
-	s.AssocAdd(1, "friend", 2, t0, "since 2010")
-	a, err := s.AssocGet(1, "friend", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Data != "since 2010" || a.ID1 != 1 || a.ID2 != 2 {
-		t.Errorf("assoc = %+v", a)
-	}
-	if _, err := s.AssocGet(1, "friend", 3); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing assoc: %v", err)
-	}
-	if err := s.AssocDelete(1, "friend", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AssocDelete(1, "friend", 2); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-}
-
 func TestAssocAddUpsert(t *testing.T) {
 	s, _ := newTestStore(t)
 	s.AssocAdd(1, "likes", 5, t0, "old")
@@ -190,9 +92,8 @@ func TestAssocAddUpsert(t *testing.T) {
 	if n := s.AssocCount(1, "likes"); n != 1 {
 		t.Fatalf("count after upsert = %d", n)
 	}
-	a, _ := s.AssocGet(1, "likes", 5)
-	if a.Data != "new" || !a.Time.Equal(t0.Add(time.Hour)) {
-		t.Errorf("upserted assoc = %+v", a)
+	if a := s.AssocRange(1, "likes", 0, 1); a[0].Data != "new" || !a[0].Time.Equal(t0.Add(time.Hour)) {
+		t.Errorf("upserted assoc = %+v", a[0])
 	}
 }
 
@@ -223,57 +124,6 @@ func TestAssocRangeNewestFirst(t *testing.T) {
 	}
 }
 
-func TestAssocTimeRange(t *testing.T) {
-	s, clk := newTestStore(t)
-	for i := 0; i < 10; i++ {
-		s.AssocAdd(7, "comment", ObjID(i+1), t0.Add(time.Duration(i)*time.Minute), "")
-	}
-	clk.Set(t0.Add(time.Hour))
-	// Since minute 4 (exclusive): minutes 5..9 = 5 entries.
-	got := s.AssocTimeRange(7, "comment", t0.Add(4*time.Minute), time.Time{}, 0)
-	if len(got) != 5 {
-		t.Fatalf("len = %d, want 5", len(got))
-	}
-	for _, a := range got {
-		if !a.Time.After(t0.Add(4 * time.Minute)) {
-			t.Errorf("entry %v not after since", a.Time)
-		}
-	}
-	// Bounded until.
-	got = s.AssocTimeRange(7, "comment", t0.Add(4*time.Minute), t0.Add(6*time.Minute), 0)
-	if len(got) != 2 {
-		t.Errorf("bounded len = %d, want 2", len(got))
-	}
-	// Limit.
-	got = s.AssocTimeRange(7, "comment", time.Time{}.Add(time.Nanosecond), time.Time{}, 3)
-	if len(got) != 3 {
-		t.Errorf("limited len = %d", len(got))
-	}
-}
-
-func TestIntersect(t *testing.T) {
-	s, _ := newTestStore(t)
-	// Comments on video 1 by users 10,11,12 (ID2 = commenter for this test).
-	s.AssocAdd(1, "commented_by", 10, t0.Add(1*time.Second), "")
-	s.AssocAdd(1, "commented_by", 11, t0.Add(2*time.Second), "")
-	s.AssocAdd(1, "commented_by", 12, t0.Add(3*time.Second), "")
-	// User 99's friends: 10, 12.
-	s.AssocAdd(99, "friend", 10, t0, "")
-	s.AssocAdd(99, "friend", 12, t0, "")
-
-	got := s.Intersect(1, "commented_by", 99, "friend", 0)
-	if len(got) != 2 {
-		t.Fatalf("intersect len = %d: %+v", len(got), got)
-	}
-	// Newest first: 12 then 10.
-	if got[0].ID2 != 12 || got[1].ID2 != 10 {
-		t.Errorf("intersect order: %v, %v", got[0].ID2, got[1].ID2)
-	}
-	if got := s.Intersect(1, "commented_by", 99, "friend", 1); len(got) != 1 {
-		t.Errorf("limited intersect len = %d", len(got))
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	cfg := Config{Shards: 8, IndexShardCapacity: 4}
 	s := MustNewStore(cfg, sim.NewManualClock(t0))
@@ -296,13 +146,7 @@ func TestStatsAccounting(t *testing.T) {
 	if got := s.Stats().RangeQueries.Value(); got != 1 {
 		t.Errorf("ranges = %d", got)
 	}
-	// Intersect cost = 3 (len 10) + 1 (empty list min 1) = 4.
-	before = s.Stats().ShardAccesses.Value()
-	s.Intersect(5, "c", 6, "f", 0)
-	if cost := s.Stats().ShardAccesses.Value() - before; cost != 4 {
-		t.Errorf("intersect shard cost = %d, want 4", cost)
-	}
-	if s.Stats().Reads() != 3 {
+	if s.Stats().Reads() != 2 {
 		t.Errorf("Reads = %d", s.Stats().Reads())
 	}
 	if s.Stats().Writes.Value() != 11 {
@@ -338,7 +182,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 
 func TestFollowerCaching(t *testing.T) {
 	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0)
+	f := NewFollower(s)
 	id := s.ObjectAdd("u", Props{{"v", "1"}})
 
 	if _, err := f.ObjectGet(id); err != nil {
@@ -364,63 +208,61 @@ func TestFollowerCaching(t *testing.T) {
 
 func TestFollowerWriteInvalidates(t *testing.T) {
 	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0) // zero delay: invalidate immediately
-	id := s.ObjectAdd("u", Props{{"v", "1"}})
-	if _, err := f.ObjectGet(id); err != nil {
-		t.Fatal(err)
+	f := NewFollower(s)
+	s.AttachFollower("r", f, nil, nil, 1) // no lag: invalidate immediately
+	s.AssocAdd(1, "c", 10, t0, "old")
+	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
+		t.Fatalf("fill = %+v", got)
 	}
-	if err := f.ObjectUpdate(id, Props{{"v", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	obj, err := f.ObjectGet(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obj.Data.Get("v") != "2" {
-		t.Errorf("follower served stale value %q after invalidation", obj.Data.Get("v"))
+	s.AssocAdd(1, "c", 10, t0, "new")
+	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 || got[0].Data != "new" {
+		t.Errorf("follower served %+v after the leader's write, want data new", got)
 	}
 }
 
 func TestFollowerDelayedInvalidation(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	s := MustNewStore(DefaultConfig(), eng)
-	f := NewFollower(s, eng, 100*time.Millisecond)
-	id := s.ObjectAdd("u", Props{{"v", "1"}})
-	if _, err := f.ObjectGet(id); err != nil {
-		t.Fatal(err)
+	f := NewFollower(s)
+	s.AttachFollower("r", f, sim.Constant{V: 100 * time.Millisecond}, eng, 1)
+	s.AssocAdd(1, "c", 10, t0, "")
+	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
+		t.Fatalf("fill = %+v", got)
 	}
-	if err := f.ObjectUpdate(id, Props{{"v", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	// Before replication delay elapses the follower may serve stale data.
-	obj, _ := f.ObjectGet(id)
-	if obj.Data.Get("v") != "1" {
-		t.Errorf("expected stale read before invalidation, got %q", obj.Data.Get("v"))
+	s.AssocAdd(1, "c", 11, t0.Add(time.Second), "")
+	// Before the replication lag elapses the follower serves stale data.
+	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
+		t.Errorf("expected the stale list before invalidation, got %+v", got)
 	}
 	eng.RunFor(200 * time.Millisecond)
-	obj, _ = f.ObjectGet(id)
-	if obj.Data.Get("v") != "2" {
-		t.Errorf("stale after invalidation: %q", obj.Data.Get("v"))
+	if got := f.AssocRange(1, "c", 0, 0); len(got) != 2 || got[0].ID2 != 11 {
+		t.Errorf("stale after invalidation: %+v", got)
 	}
 }
 
 func TestFollowerAssocCaching(t *testing.T) {
 	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0)
+	f := NewFollower(s)
+	s.AttachFollower("r", f, nil, nil, 1)
 	s.AssocAdd(1, "c", 10, t0, "")
-	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
-		t.Fatalf("len = %d", len(got))
+	for i := 0; i < 2; i++ {
+		if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
+			t.Fatalf("read %d: len = %d", i, len(got))
+		}
 	}
-	f.AssocAdd(1, "c", 11, t0.Add(time.Second), "")
+	if f.Misses.Value() != 1 || f.Hits.Value() != 1 {
+		t.Errorf("fill then hit: hits=%d misses=%d", f.Hits.Value(), f.Misses.Value())
+	}
+	s.AssocAdd(1, "c", 11, t0.Add(time.Second), "")
 	got := f.AssocRange(1, "c", 0, 0)
-	if len(got) != 2 || got[0].ID2 != 11 {
-		t.Errorf("after invalidating write: %+v", got)
+	if len(got) != 2 || got[0].ID2 != 11 || f.Misses.Value() != 2 {
+		t.Errorf("after an invalidating write: %+v, %d misses", got, f.Misses.Value())
 	}
 }
 
 func TestFollowerMissingObject(t *testing.T) {
 	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0)
+	f := NewFollower(s)
 	if _, err := f.ObjectGet(12345); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
@@ -453,7 +295,7 @@ func TestAssocRangeProperty(t *testing.T) {
 // Property: the ordered insert in AssocAdd leaves a list in exactly the
 // order the append-and-stable-sort it replaced did — newest first, equal
 // times in arrival order, a replace keeping its place among its new equals —
-// over a seeded mix of adds, replaces and deletes with colliding timestamps.
+// over a seeded mix of adds and replaces with colliding timestamps.
 // It also allocates nothing beyond growing the list.
 func TestAssocAddOrderMatchesStableSortReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -461,30 +303,20 @@ func TestAssocAddOrderMatchesStableSortReference(t *testing.T) {
 		s, _ := newTestStore(t)
 		var ref []Assoc
 		for op := 0; op < 400; op++ {
-			id2 := ObjID(1 + rng.Intn(40))                         // few ids: about half the adds replace
+			id2 := ObjID(1 + rng.Intn(40))                         // few ids: most adds replace
 			at := t0.Add(time.Duration(rng.Intn(8)) * time.Second) // few times: most collide
 			i := 0
 			for i < len(ref) && ref[i].ID2 != id2 {
 				i++
 			}
-			if rng.Intn(5) == 0 {
-				err := s.AssocDelete(1, "p", id2)
-				if (err == nil) != (i < len(ref)) {
-					t.Fatalf("seed %d op %d: delete of %d: %v, reference has it: %v", seed, op, id2, err, i < len(ref))
-				}
-				if i < len(ref) {
-					ref = append(ref[:i], ref[i+1:]...)
-				}
+			data := strconv.Itoa(op)
+			s.AssocAdd(1, "p", id2, at, data)
+			if i < len(ref) {
+				ref[i].Time, ref[i].Data = at, data
 			} else {
-				data := strconv.Itoa(op)
-				s.AssocAdd(1, "p", id2, at, data)
-				if i < len(ref) {
-					ref[i].Time, ref[i].Data = at, data
-				} else {
-					ref = append(ref, Assoc{ID1: 1, Type: "p", ID2: id2, Time: at, Data: data})
-				}
-				sort.SliceStable(ref, func(i, j int) bool { return ref[i].Time.After(ref[j].Time) })
+				ref = append(ref, Assoc{ID1: 1, Type: "p", ID2: id2, Time: at, Data: data})
 			}
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].Time.After(ref[j].Time) })
 			if got := s.AssocRange(1, "p", 0, 0); !slices.Equal(got, ref) {
 				t.Fatalf("seed %d op %d: order diverged from the stable-sort reference\n got %v\nwant %v", seed, op, got, ref)
 			}
@@ -506,55 +338,44 @@ func TestAssocAddOrderMatchesStableSortReference(t *testing.T) {
 // pre-write copy until some later write to the same key.
 func TestFollowerFillLosesToInvalidation(t *testing.T) {
 	s, _ := newTestStore(t)
-	f := NewFollower(s, nil, 0)
-	id := s.ObjectAdd("u", Props{{"v", "1"}})
+	f := NewFollower(s)
 	key := assocKey{1, "c"}
 	s.AssocAdd(key.id1, key.typ, 10, t0, "old")
 
 	gen := f.gen // what a miss records before its leader read
-	obj, _ := s.ObjectGet(id)
 	rows := s.rows(key)
-	if err := s.ObjectUpdate(id, Props{{"v", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	f.InvalidateObject(id)
 	s.AssocAdd(key.id1, key.typ, 10, t0, "new")
 	f.InvalidateAssoc(key.id1, key.typ)
-	install(f, f.objects, id, obj, gen)
 	install(f, f.assocs, key, rows, gen)
 
 	misses := f.Misses.Value()
-	if got, _ := f.ObjectGet(id); got.Data.Get("v") != "2" {
-		t.Errorf("object read after the write = %v, want v=2", got.Data)
-	}
 	if got := f.AssocRange(key.id1, key.typ, 0, 0); len(got) != 1 || got[0].Data != "new" {
 		t.Errorf("list read after the write = %+v, want data new", got)
 	}
-	if d := f.Misses.Value() - misses; d != 2 {
-		t.Errorf("%d misses after the invalidations, want 2: a stale fill was installed", d)
+	if d := f.Misses.Value() - misses; d != 1 {
+		t.Errorf("%d misses after the invalidation, want 1: a stale fill was installed", d)
 	}
 }
 
 // A caller's limit bounds the answer, never the allocation: <= 0 means all,
-// as AssocRange has it, and the preallocation stops at the list length.
+// and the slice stops at the list length, from the leader or a follower.
 func TestLimitIsNotACapacity(t *testing.T) {
-	s, clk := newTestStore(t)
+	s, _ := newTestStore(t)
+	f := NewFollower(s)
 	const n = 5
 	for i := range n {
 		s.AssocAdd(1, "c", ObjID(10+i), t0.Add(time.Duration(i)*time.Second), "")
-		s.AssocAdd(2, "f", ObjID(10+i), t0, "")
 	}
-	clk.Set(t0.Add(time.Hour))
 	for _, c := range []struct{ limit, want int }{{-1, n}, {0, n}, {1, 1}, {n, n}, {math.MaxInt32, n}} {
-		for name, got := range map[string][]Assoc{
-			"AssocTimeRange": s.AssocTimeRange(1, "c", time.Time{}, time.Time{}, c.limit),
-			"Intersect":      s.Intersect(1, "c", 2, "f", c.limit),
-		} {
-			if len(got) != c.want || (c.limit > 0 && cap(got) > n) {
-				t.Errorf("%s limit %d: len %d cap %d, want len %d (cap <= %d for a positive limit)", name, c.limit, len(got), cap(got), c.want, n)
+		for _, r := range []struct {
+			name string
+			got  []Assoc
+		}{{"Store.AssocRange", s.AssocRange(1, "c", 0, c.limit)}, {"Follower.AssocRange", f.AssocRange(1, "c", 0, c.limit)}} {
+			if len(r.got) != c.want || cap(r.got) > n {
+				t.Errorf("%s limit %d: len %d cap %d, want len %d (cap <= %d)", r.name, c.limit, len(r.got), cap(r.got), c.want, n)
 			}
-			if len(got) > 0 && got[0].ID2 != 10+n-1 {
-				t.Errorf("%s limit %d: first %d, want the newest", name, c.limit, got[0].ID2)
+			if len(r.got) > 0 && r.got[0].ID2 != 10+n-1 {
+				t.Errorf("%s limit %d: first %d, want the newest", r.name, c.limit, r.got[0].ID2)
 			}
 		}
 	}
