@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"strconv"
 	"sync"
 	"testing"
@@ -284,7 +283,7 @@ func BRASSEventHandOff(b *testing.B) {
 	host := brass.NewHost(brass.HostConfig{ID: "handoff-host"}, nil, nil, nil)
 	defer host.Close()
 	host.RegisterApp(app)
-	cliConn, hostConn := net.Pipe()
+	cliConn, hostConn := edge.Pipe()
 	cli := burst.NewClient("handoff-device", cliConn, nil)
 	defer cli.Close()
 	host.AcceptSession("handoff", hostConn)
@@ -389,7 +388,7 @@ func endToEndCommentPush(b *testing.B, plane *trace.Plane) {
 	defer host.Close()
 	suite.RegisterBRASS(host)
 
-	cliConn, hostConn := net.Pipe()
+	cliConn, hostConn := edge.Pipe()
 	cli := burst.NewClient("bench-device", cliConn, nil)
 	defer cli.Close()
 	host.AcceptSession("bench", hostConn)

@@ -5,7 +5,7 @@
 // (device → POP → reverse proxy → BRASS). Each request-stream is a
 // first-class entity: it is routed independently, fails independently, and
 // is multiplexed with other streams over whatever underlying byte transport
-// a hop uses (here: any net.Conn, including net.Pipe and TCP).
+// a hop uses (here: any net.Conn, including edge.Pipe and TCP).
 //
 // The transport guarantee mirrors TCP's: deltas sent on a stream arrive in
 // order, and failures are signalled to the participating nodes. Because a

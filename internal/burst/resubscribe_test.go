@@ -134,7 +134,7 @@ func TestResubscribeErrorPaths(t *testing.T) {
 					}
 					continue
 				}
-				if err := raw.Send(s.frame); err != nil {
+				if err := WriteFrame(raw.rwc, s.frame); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -190,7 +190,7 @@ func TestUndecodableBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if err := raw.Send(Frame{Type: FrameBatch, SID: tc.sid, Payload: tc.payload}); err != nil {
+			if err := WriteFrame(b, Frame{Type: FrameBatch, SID: tc.sid, Payload: tc.payload}); err != nil {
 				t.Fatal(err)
 			}
 			// The session survived: a well-formed batch still lands, behind

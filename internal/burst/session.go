@@ -83,19 +83,6 @@ func (s *Session) Err() error {
 	return s.err
 }
 
-// Send writes f to the peer. Frames from concurrent senders are serialized;
-// each frame goes out immediately (streams are latency-sensitive) as a
-// single write of header and payload together.
-//
-//brlint:hotpath per-frame wire path: header and payload into one pooled buffer.
-func (s *Session) Send(f Frame) error {
-	buf := frame.GetBuf()
-	defer frame.PutBuf(buf)
-	frame.Begin(buf, byte(f.Type), uint64(f.SID))
-	buf.Write(f.Payload)
-	return s.write(buf)
-}
-
 // write completes the frame begun in buf and puts it on the transport.
 //
 //brlint:hotpath per-frame wire path: length patch, one transport write.

@@ -177,11 +177,11 @@ func TestSendOnConcurrentlyClosedSession(t *testing.T) {
 	s := NewSession("s", conn, HandlerFuncs{})
 
 	aDone := make(chan error, 1)
-	go func() { aDone <- s.Send(Frame{Type: FrameCancel}) }()
+	go func() { aDone <- s.SendMsg(FrameCancel, 0, Cancel{}) }()
 	waitFor(t, "sender A inside Write", func() bool { return conn.writeCount() == 1 })
 
 	bDone := make(chan error, 1)
-	go func() { bDone <- s.Send(Frame{Type: FrameCancel, SID: 1}) }()
+	go func() { bDone <- s.SendMsg(FrameCancel, 1, Cancel{}) }()
 	// Give B time to pass any pre-lock closed check and park on the write
 	// lock held by A.
 	time.Sleep(50 * time.Millisecond)
@@ -190,7 +190,7 @@ func TestSendOnConcurrentlyClosedSession(t *testing.T) {
 	close(conn.gate) // release A
 
 	if err := <-bDone; !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("B's Send = %v, want ErrSessionClosed", err)
+		t.Fatalf("B's SendMsg = %v, want ErrSessionClosed", err)
 	}
 	<-aDone
 	if got := conn.writeCount(); got != 1 {
@@ -207,7 +207,7 @@ func TestSendAfterPeerVanishesReturnsSessionClosed(t *testing.T) {
 	sa := NewSession("a", a, HandlerFuncs{OnClose: func(err error) { closed <- err }})
 	_ = b.Close() // raw peer hangup, no session on the far side
 	<-closed
-	if err := sa.Send(Frame{Type: FrameCancel}); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("Send = %v, want ErrSessionClosed", err)
+	if err := sa.SendMsg(FrameCancel, 0, Cancel{}); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("SendMsg = %v, want ErrSessionClosed", err)
 	}
 }

@@ -113,7 +113,7 @@ func TestSessionCloseNotifiesPeer(t *testing.T) {
 	defer sb.Close()
 	sa.Close()
 	waitFor(t, "peer close", func() bool { return colB.isClosed() })
-	if err := sb.Send(Frame{Type: FrameCancel}); err == nil {
+	if err := sb.SendMsg(FrameCancel, 0, Cancel{}); err == nil {
 		// The pipe is dead; a send must eventually error. net.Pipe errors
 		// immediately on closed peer.
 		t.Error("send on dead session succeeded")
@@ -126,7 +126,7 @@ func TestSessionSendAfterCloseFails(t *testing.T) {
 	NewSession("b", b, HandlerFuncs{})
 	sa.Close()
 	<-sa.Done()
-	if err := sa.Send(Frame{Type: FrameCancel}); err == nil {
+	if err := sa.SendMsg(FrameCancel, 0, Cancel{}); err == nil {
 		t.Error("send after close succeeded")
 	}
 }

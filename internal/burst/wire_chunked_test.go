@@ -44,20 +44,19 @@ func TestReadFrameToleratesPartialReads(t *testing.T) {
 	}
 }
 
-// roundTrip runs a session round-trip over the given transport pair, with
-// the receiving side reading through the 1–7-byte chunker.
+// roundTrip writes frames into a and checks that a session on b, reading
+// through the 1–7-byte chunker, receives them whole and in order.
 func roundTrip(t *testing.T, a, b io.ReadWriteCloser) {
 	t.Helper()
 	col := &frameCollector{}
-	sa := NewSession("a", a, HandlerFuncs{})
 	sb := NewSession("b", frametest.NewChunkConn(b), col)
-	defer sa.Close()
+	defer a.Close()
 	defer sb.Close()
 
 	const n = 50
 	for i := 0; i < n; i++ {
 		payload := []byte(fmt.Sprintf(`{"seq":%d,"pad":%q}`, i, strings.Repeat("p", i*13%301)))
-		if err := sa.Send(Frame{Type: FrameBatch, SID: StreamID(i), Payload: payload}); err != nil {
+		if err := WriteFrame(a, Frame{Type: FrameBatch, SID: StreamID(i), Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -60,7 +60,7 @@ var ErrNoRoute = errors.New("edge: no route for stream")
 var ErrUnknownTarget = errors.New("edge: unknown target")
 
 // PipeNetwork is an in-process "network": targets register an accept
-// callback, and Dial hands them one end of a net.Pipe. It stands in for
+// callback, and Dial hands them one end of a Pipe. It stands in for
 // the datacenter fabric in tests, examples, and the live cluster.
 //
 // Open pipes are tracked per target so SetDown can sever established
@@ -223,7 +223,7 @@ func (n *PipeNetwork) Dial(target string) (io.ReadWriteCloser, error) {
 	if isDown {
 		return nil, fmt.Errorf("edge: target %q unreachable", target)
 	}
-	c, s := net.Pipe()
+	c, s := Pipe()
 	pp := &pipePair{n: n, target: target, c: c, s: s}
 	n.mu.Lock()
 	set := n.conns[target]

@@ -26,14 +26,15 @@ type chain struct {
 	net            *PipeNetwork
 	brassA, brassB *upstreamServer
 	rproxy, pop    *Proxy
-	gate           *sync.Mutex // held = the device has stopped reading
+	gate           *sync.Mutex        // held = the device has stopped reading
+	link           io.ReadWriteCloser // the device's end of its POP connection
 	client         *burst.Client
 }
 
 // gatedConn is the device's end of its POP connection with a stoppable
-// reader: net.Pipe is synchronous, so a device that does not read blocks the
-// POP's session writer in its downstream write and the POP's upstream client
-// stream fills and sheds.
+// reader: a device that does not read lets the link fill (linkFull), then
+// blocks the POP's session writer in its downstream write, and the POP's
+// upstream client stream fills and sheds.
 type gatedConn struct {
 	io.ReadWriteCloser
 	gate *sync.Mutex
@@ -63,9 +64,20 @@ func newChain(t *testing.T, subscribe func(*upstreamServer, *burst.ServerStream,
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.link = rwc
 	c.client = burst.NewClient("device", gatedConn{rwc, c.gate}, nil)
 	t.Cleanup(func() { c.client.Close(); c.pop.Close(); c.rproxy.Close() })
 	return c
+}
+
+// linkFull reports whether the POP's link to the device holds PipeBuffer
+// unread bytes: the POP's session writer is stuck in its write, as over a TCP
+// socket whose reader stopped.
+func (c *chain) linkFull() bool {
+	d := c.link.(pipeEnd).Conn.(*pipeConn).rx
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.buf)-d.off == PipeBuffer
 }
 
 // holders returns a reader for every copy of the one stream's stored
@@ -180,22 +192,25 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 	}
 	c.waitConverged(t, ss, st, want)
 
-	// The device stops reading: the POP's relay blocks, its upstream client
-	// stream overflows and sheds payloads, and must keep every rewrite in its
-	// slot — a patch applied out of order or lost leaves a stale key behind
-	// for good, since no later rewrite re-asserts it.
+	// The device stops reading: once the link is full the POP's relay blocks,
+	// its upstream client stream overflows and sheds payloads, and must keep
+	// every rewrite in its slot — a patch applied out of order or lost leaves
+	// a stale key behind for good, since no later rewrite re-asserts it.
 	c.gate.Lock()
-	for i := 300; i < 1100; i++ {
-		if i == 310 {
-			// By now the POP's relay is stuck in its downstream write, so this
-			// rewrite waits in the POP's upstream queue while the batches
-			// around it lose their payloads, and nothing ever re-asserts its
-			// key: it reaches the device only if the queue keeps it.
-			if err := ss.RewriteHeaderField("queued-probe", "310"); err != nil {
-				t.Fatal(err)
-			}
-			want.Header["queued-probe"] = "310"
-		}
+	i := 300
+	for ; !c.linkFull(); i++ {
+		step(i)
+	}
+	// The POP's relay is stuck in its downstream write, so this rewrite
+	// waits in the POP's upstream queue while the batches around it lose
+	// their payloads, and nothing ever re-asserts its key: it reaches the
+	// device only if the queue keeps it.
+	probe := strconv.Itoa(i)
+	if err := ss.RewriteHeaderField("queued-probe", probe); err != nil {
+		t.Fatal(err)
+	}
+	want.Header["queued-probe"] = probe
+	for end := i + 790; i < end; i++ {
 		step(i)
 	}
 	// Mostly the POP's leg sheds; on a busy box the reverse proxy's may too.
@@ -241,9 +256,8 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	legs := []*burst.Client{c.upstreamClient(c.pop, "rproxy-1"), c.upstreamClient(c.rproxy, "brass-a")}
 	ev := bursttest.Events(t, st)
 
-	const batches = 1200 // several times a leg's bound
-	c.gate.Lock()
-	for i := 1; i <= batches; i++ {
+	const overflow = 1200 // several times a leg's bound
+	send := func(i int) {
 		v := strconv.Itoa(i)
 		var err error
 		if i%2 == 1 {
@@ -255,6 +269,17 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
+	}
+	// The link fills first, and only then can a leg overflow. The flood ends
+	// on a control batch, so the last batch sent is one too.
+	c.gate.Lock()
+	i := 1
+	for ; !c.linkFull() || i%2 == 0; i++ {
+		send(i)
+	}
+	batches := i - 1 + overflow
+	for ; i <= batches; i++ {
+		send(i)
 	}
 	// Mostly the POP's leg sheds; on a busy box the reverse proxy's may too.
 	waitFor(t, "a shed on a relay leg", func() bool { return legs[0].Dropped.Value()+legs[1].Dropped.Value() > 0 })

@@ -25,11 +25,10 @@ func TestPoisonHookIsOn(t *testing.T) {
 		OnFrame: func(f burst.Frame) { kept = f.Payload },
 		OnClose: func(error) { close(done) },
 	})
-	tx := burst.NewSession("tx", a, burst.HandlerFuncs{})
-	if err := tx.Send(burst.Frame{Type: burst.FrameBatch, SID: 1, Payload: []byte("payload")}); err != nil {
+	if err := burst.WriteFrame(a, burst.Frame{Type: burst.FrameBatch, SID: 1, Payload: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
-	tx.Close()
+	a.Close()
 	<-done
 	rx.Close()
 	if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, 7)) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"strconv"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"bladerunner/internal/baseline"
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/edge"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/sim"
@@ -76,7 +76,7 @@ func SwitchoverOn(sched sim.Scheduler, seed int64) Result {
 
 	clients := make([]*burst.Client, viewers)
 	for i := range clients {
-		a, b := net.Pipe()
+		a, b := edge.Pipe()
 		clients[i] = burst.NewClient(fmt.Sprintf("viewer-%d", i), a, nil)
 		host.AcceptSession("sess", b)
 		_, err := clients[i].Subscribe(burst.Subscribe{Header: burst.Header{

@@ -10,16 +10,18 @@ import (
 	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
+	"bladerunner/internal/edge"
 	"bladerunner/internal/faults"
 	"bladerunner/internal/socialgraph"
 )
 
 // TestChaosStalledPOPMessengerGapFree stalls a Messenger device's links to
-// every POP while 400 messages go out. The serving POP's upstream leg fills
-// and sheds payloads, and announces it with a marker where the first one was.
-// Once the stall lifts, the device reads on to the marker and reopens the
-// stream from the point it has; the serving BRASS replays everything after it
-// as one batch longer than any queue's bound. Every seq must reach the app.
+// every POP while messages go out. As over TCP, the serving POP's link to the
+// device first buffers edge.PipeBuffer bytes of them; then its upstream leg
+// fills and sheds payloads, and announces it with a marker where the first
+// one was. Once the stall lifts, the device reads on to the marker and reopens
+// the stream from the point it has; the serving BRASS replays everything after
+// it as one batch longer than any queue's bound. Every seq must reach the app.
 func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	seed := chaosSeed(t)
 	cfg := core.DefaultConfig()
@@ -33,7 +35,8 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	const (
 		authorUID = socialgraph.UserID(90)
 		viewerUID = socialgraph.UserID(10)
-		sent      = 400
+		// overflow messages more than the link holds overflow the POP's leg.
+		overflow = 400
 	)
 	author := c.NewDevice(authorUID)
 	defer author.Close()
@@ -90,20 +93,26 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	// carry the marker, and the device would reopen during the stall.
 	send(1)
 	waitFor(t, "the first message to reach the app", func() bool { return w.hasAll(1) })
+	// Each message's batch is longer than its payload, and no payload is
+	// shorter than the first, so fill messages more than fill the link.
+	w.mu.Lock()
+	fill := edge.PipeBuffer/w.minPayload + 1
+	w.mu.Unlock()
+	sent := fill + overflow
 	for i := 2; i <= sent; i++ {
 		send(i)
 	}
-	waitFor(t, "the reverse proxies to relay every message", func() bool { return relayed()-before >= sent })
+	waitFor(t, "the reverse proxies to relay every message", func() bool { return relayed()-before >= int64(sent) })
 	for _, pop := range pops {
 		fn.Unstall(pop)
 	}
 
 	deadline := time.Now().Add(15 * time.Second)
-	for !w.hasAll(sent) {
+	for !w.hasAll(uint64(sent)) {
 		if time.Now().After(deadline) {
 			missing := 0
 			w.mu.Lock()
-			for s := uint64(1); s <= sent; s++ {
+			for s := uint64(1); s <= uint64(sent); s++ {
 				if !w.seqs[s] {
 					missing++
 				}

@@ -70,15 +70,16 @@ func TestChaosScheduleDeterministicPerSeed(t *testing.T) {
 }
 
 // streamWatcher reads a stream on its own goroutine, recording payload
-// sequence numbers and flow events.
+// sequence numbers and sizes and flow events.
 type streamWatcher struct {
-	mu        sync.Mutex
-	seqs      map[uint64]bool
-	maxSeq    uint64
-	regressed bool // a new max was followed by a smaller previously-unseen max
-	recovered int
-	lastFlow  burst.FlowCode
-	done      sync.WaitGroup
+	mu         sync.Mutex
+	seqs       map[uint64]bool
+	maxSeq     uint64
+	minPayload int  // bytes in the shortest payload yet
+	regressed  bool // a new max was followed by a smaller previously-unseen max
+	recovered  int
+	lastFlow   burst.FlowCode
+	done       sync.WaitGroup
 }
 
 func watch(st *device.Stream) *streamWatcher {
@@ -97,6 +98,9 @@ func watch(st *device.Stream) *streamWatcher {
 				var m apps.MessagePayload
 				_ = json.Unmarshal(d.Payload, &m)
 				w.seqs[m.Seq] = true
+				if w.minPayload == 0 || len(d.Payload) < w.minPayload {
+					w.minPayload = len(d.Payload)
+				}
 				if m.Seq > w.maxSeq {
 					w.maxSeq = m.Seq
 				}

@@ -276,7 +276,7 @@ func TestRepoLintsClean(t *testing.T) {
 		"(*pylon.Service).Publish",
 		"(*brass.Host).Deliver",
 		"(*brass.Instance).deliver",
-		"(*burst.Session).Send",
+		"(*burst.Session).write",
 		"(*burst.Session).SendMsg",
 		"(*trace.Span).End",
 		"(*metrics.Histogram[T]).Observe",
