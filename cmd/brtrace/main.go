@@ -40,13 +40,6 @@ import (
 	"bladerunner/internal/trace"
 )
 
-// edgePathHops is the completeness criterion: a trace must cover the full
-// device-facing pipeline to count.
-var edgePathHops = []string{
-	trace.HopPublish, trace.HopFanout, trace.HopFetch,
-	trace.HopFlush, trace.HopRelay, trace.HopApply,
-}
-
 func main() {
 	seed := flag.Int64("seed", 1, "RNG seed for the sampler, graph, and fault plan")
 	workload := flag.String("workload", "quickstart", "workload: quickstart, lvc, chaos")
@@ -75,7 +68,7 @@ func run(seed int64, workload string, events, viewers int, rate float64, out str
 	var complete *trace.Trace
 	completeN := 0
 	for _, t := range traces {
-		if t.Covers(edgePathHops...) {
+		if t.Covers(trace.EdgePathHops...) {
 			completeN++
 			if complete == nil {
 				complete = t
@@ -123,7 +116,7 @@ func run(seed int64, workload string, events, viewers int, rate float64, out str
 	}
 
 	if complete == nil {
-		return fmt.Errorf("no complete multi-hop trace captured (need %v)", edgePathHops)
+		return fmt.Errorf("no complete multi-hop trace captured (need %v)", trace.EdgePathHops)
 	}
 	return nil
 }

@@ -1,11 +1,35 @@
 package burst
 
-import "testing"
+import (
+	"testing"
+
+	"bladerunner/internal/burst/bursttest"
+)
+
+// drain hands out st's batches until its queue is empty, passing each delta
+// to each, and returns how many batches it took.
+func drain(st *ClientStream, each func(Delta)) (batches int) {
+	for {
+		st.mu.Lock()
+		n := st.n
+		st.mu.Unlock()
+		if n == 0 {
+			return batches
+		}
+		rc, _ := st.Next()
+		for _, d := range rc.Deltas {
+			each(d)
+		}
+		rc.Release()
+		batches++
+	}
+}
 
 // A stalled client queue sheds payload in place, oldest first: the first shed
 // leaves its marker where the payload was, the control delta riding with a
-// later shed payload keeps its slot, and the queue holds no more payload
-// batches than its bound (its control-only batches come on top).
+// later shed payload keeps its slot, the queue holds no more payload batches
+// than its bound (its control-only batches come on top), and reading it down
+// queues the episode's recovery behind the payloads it kept.
 func TestClientQueueShedsPayloadNotControl(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
@@ -37,33 +61,31 @@ func TestClientQueueShedsPayloadNotControl(t *testing.T) {
 		}
 	}
 	waitFor(t, "every batch applied", func() bool { return st.LastSeq() == last })
-	if err := st.Cancel(""); err != nil {
-		t.Fatal(err)
-	}
 
+	rule := bursttest.NewGapRule(t)
 	var flows []string
 	var prev uint64
-	batches, payloads := 0, 0
-	for rc, ok := st.Next(); ok; rc, ok = st.Next() {
-		batches++
-		for _, d := range rc.Deltas {
-			switch d.Type {
-			case DeltaFlowStatus:
-				if payloads > 0 {
-					t.Fatalf("%q behind %d payloads: a shed moved control", d.FlowDetail, payloads)
-				}
-				flows = append(flows, d.FlowDetail)
-			case DeltaPayload:
-				if d.Seq <= prev || d.Seq <= uint64(total+1) {
-					t.Fatalf("payload %d after %d: the queue kept an older payload than it shed", d.Seq, prev)
-				}
-				prev = d.Seq
-				payloads++
+	payloads := 0
+	batches := drain(st, func(d Delta) {
+		switch d.Type {
+		case DeltaFlowStatus:
+			if payloads > 0 && d.FlowDetail != QueueRecoveredDetail {
+				t.Fatalf("%q behind %d payloads: a shed moved control", d.FlowDetail, payloads)
 			}
+			flows = append(flows, d.FlowDetail)
+			rule.Flow(d.FlowDetail)
+		case DeltaPayload:
+			if d.Seq <= prev || d.Seq <= uint64(total+1) {
+				t.Fatalf("payload %d after %d: the queue kept an older payload than it shed", d.Seq, prev)
+			}
+			rule.Payload(d.Seq)
+			prev = d.Seq
+			payloads++
 		}
-	}
-	if len(flows) != 2 || flows[0] != QueueShedDetail || flows[1] != "pressure" {
-		t.Errorf("flow statuses %q, want the shed marker, then the control delta", flows)
+	})
+	rule.Close()
+	if len(flows) != 3 || flows[0] != QueueShedDetail || flows[1] != "pressure" || flows[2] != QueueRecoveredDetail {
+		t.Errorf("flow statuses %q, want the shed marker, the control delta, then the recovery", flows)
 	}
 	if prev != last || payloads > eventBuffer || batches > eventBuffer+len(flows) {
 		t.Errorf("%d batches, %d payloads up to %d: want at most %d payload batches beside the control, the newest up to %d",
@@ -98,33 +120,21 @@ func TestQueueShedEpisodeIsAnnouncedAndClosed(t *testing.T) {
 		}
 		waitFor(t, "every batch applied", func() bool { return st.LastSeq() == seq })
 	}
-	// read hands out batches until the queue is empty, recording each flow
-	// status and the payload count before it.
+	rule := bursttest.NewGapRule(t)
 	var flows []string
 	payloads := 0
-	read := func() {
-		t.Helper()
-		for {
-			st.mu.Lock()
-			n := st.n
-			st.mu.Unlock()
-			if n == 0 {
-				return
-			}
-			rc, _ := st.Next()
-			for _, d := range rc.Deltas {
-				if d.Type == DeltaFlowStatus {
-					flows = append(flows, d.FlowDetail)
-				} else {
-					payloads++
-				}
-			}
-			rc.Release()
-		}
-	}
 	for episode := 1; episode <= 2; episode++ {
 		flood(eventBuffer + 10)
-		read()
+		drain(st, func(d Delta) {
+			if d.Type == DeltaFlowStatus {
+				flows = append(flows, d.FlowDetail)
+				rule.Flow(d.FlowDetail)
+			} else {
+				payloads++
+				rule.Payload(d.Seq)
+			}
+		})
+		rule.Close()
 		want := []string{QueueShedDetail, QueueRecoveredDetail}
 		if got := flows[len(flows)-2:]; len(flows) != 2*episode || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("episode %d: flow statuses %q, want each episode's %q", episode, flows, want)

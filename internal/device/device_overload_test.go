@@ -41,6 +41,34 @@ func stalledStream(t *testing.T, env *devEnv, extra burst.Header, n int, rewrite
 	return st, srv
 }
 
+// readJudged reads st as the app does, judging its payloads against its shed
+// markers (bursttest.GapRule) and handing each delta to each, until done
+// holds and no shed episode is open. After 5 s the rule's close check fails
+// the test if an episode is what it waits for.
+func readJudged(t *testing.T, st *Stream, done func() bool, each func(burst.Delta)) {
+	t.Helper()
+	rule := bursttest.NewGapRule(t)
+	ev := bursttest.Events(t, st)
+	for deadline := time.After(5 * time.Second); !done() || rule.Open(); {
+		select {
+		case d, ok := <-ev:
+			if !ok {
+				t.Fatal("the stream ended")
+			}
+			switch d.Type {
+			case burst.DeltaPayload:
+				rule.Payload(d.Seq)
+			case burst.DeltaFlowStatus:
+				rule.Flow(d.FlowDetail)
+			}
+			each(d)
+		case <-deadline:
+			rule.Close()
+			t.Fatal("the app read on for 5 s")
+		}
+	}
+}
+
 // dropped returns the payload batches env's device queue has shed.
 func dropped(env *devEnv) int64 {
 	env.dev.mu.Lock()
@@ -115,20 +143,17 @@ func TestStalledAppWithoutResumeTokenSeesShedThenRecovery(t *testing.T) {
 
 	var flows []string
 	payloads := 0
-	for len(flows) < 2 {
-		switch d := next(t, st); d.Type {
+	readJudged(t, st, func() bool { return len(flows) == 2 }, func(d burst.Delta) {
+		switch d.Type {
 		case burst.DeltaFlowStatus:
 			if len(flows) == 0 && d.Flow != burst.FlowDegraded || len(flows) == 1 && d.Flow != burst.FlowRecovered {
 				t.Errorf("flow %v %q out of order", d.Flow, d.FlowDetail)
 			}
 			flows = append(flows, d.FlowDetail)
 		case burst.DeltaPayload:
-			if len(flows) != 1 {
-				t.Errorf("payload %d outside the shed episode's markers %q", d.Seq, flows)
-			}
 			payloads++
 		}
-	}
+	})
 	if len(flows) != 2 || flows[0] != burst.QueueShedDetail || flows[1] != burst.QueueRecoveredDetail {
 		t.Errorf("flow statuses %q, want the shed marker, then its recovery", flows)
 	}
@@ -182,21 +207,19 @@ func TestSlowDeviceNeverLosesFlowRecovered(t *testing.T) {
 	cur := st.cur
 	st.mu.Unlock()
 	waitFor(t, "every payload applied", func() bool { return cur.LastSeq() == payloads })
-	// The slow app reads on until it has seen both recovery notices: the
-	// server's and the one the queue appends once the app has read it down
-	// to half, which closes its shed episode.
-	handed, flows, recovered := 0, 0, 0
-	for recovered < 2 {
-		switch d := next(t, st); d.Type {
+	// The slow app reads on until it has seen the server's recovery notice
+	// and the queue's, appended once the app has read it down to half,
+	// which closes its shed episode.
+	handed, flows, gone := 0, 0, false
+	readJudged(t, st, func() bool { return gone }, func(d burst.Delta) {
+		switch d.Type {
 		case burst.DeltaFlowStatus:
 			flows++
-			if d.FlowDetail == "pressure gone" || d.FlowDetail == burst.QueueRecoveredDetail {
-				recovered++
-			}
+			gone = gone || d.FlowDetail == "pressure gone"
 		case burst.DeltaPayload:
 			handed++
 		}
-	}
+	})
 	select { // so the last code the app sees is FlowRecovered
 	case d := <-bursttest.Events(t, st):
 		t.Errorf("%+v after both recovery notices", d)

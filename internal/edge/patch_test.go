@@ -257,11 +257,13 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	ev := bursttest.Events(t, st)
 
 	const overflow = 1200 // several times a leg's bound
+	// Batch i is payload (i+1)/2 if i is odd; if it is even, a control batch
+	// sent after payload i/2: a rewrite and the flow status "ctl i".
 	send := func(i int) {
 		v := strconv.Itoa(i)
 		var err error
 		if i%2 == 1 {
-			err = ss.SendBatch(burst.PayloadDelta(uint64(i), []byte(v)))
+			err = ss.SendBatch(burst.PayloadDelta(uint64(i+1)/2, []byte(v)))
 		} else {
 			err = ss.SendBatch(burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: v, burst.HdrCursor: "1." + v}, nil),
 				burst.FlowStatusDelta(burst.FlowRecovered, "ctl "+v))
@@ -285,16 +287,12 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	waitFor(t, "a shed on a relay leg", func() bool { return legs[0].Dropped.Value()+legs[1].Dropped.Value() > 0 })
 	c.gate.Unlock()
 
-	// open counts the shed episodes announced and not yet recovered: one per
-	// leg that sheds. A gap is judged over the interval since the last
-	// payload: a leg queues its recovery marker behind the payloads it kept,
-	// so every episode around a gap may have closed by the payload after it.
-	// announced says whether one was open at any point of that interval. A
-	// payload is missing once the next one or the control sent after it
-	// arrives; the first payload sent is 1.
-	last, payload, open, marks := 0, -1, 0, 0
-	announced := false
-	for deadline := time.After(5 * time.Second); last < batches || open > 0; {
+	// Every missing payload lies in a leg's shed episode, which closes
+	// (bursttest.GapRule); control arrives in the order sent, and after the
+	// payload sent before it.
+	rule := bursttest.NewGapRule(t)
+	last := 0
+	for deadline := time.After(5 * time.Second); last < batches || rule.Open(); {
 		select {
 		case rc, ok := <-ev:
 			if !ok {
@@ -303,32 +301,25 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 			for _, d := range rc.Deltas {
 				switch {
 				case d.Type == burst.DeltaPayload:
-					if int(d.Seq) != payload+2 && !announced {
-						t.Fatalf("payload %d after %d outside a shed episode's markers", d.Seq, payload)
-					}
-					payload, announced = int(d.Seq), open > 0
-				case d.FlowDetail == burst.QueueShedDetail:
-					open++
-					marks++
-					announced = true
-				case d.FlowDetail == burst.QueueRecoveredDetail:
-					if open--; open < 0 {
-						t.Fatalf("a shed recovered after ctl %d before it was announced", last)
-					}
+					rule.Payload(d.Seq)
 				case strings.HasPrefix(d.FlowDetail, "ctl "):
 					if n, _ := strconv.Atoi(strings.TrimPrefix(d.FlowDetail, "ctl ")); n != last+2 {
 						t.Fatalf("control arrived out of order: %q after ctl %d", d.FlowDetail, last)
 					}
-					if last += 2; payload != last-1 && !announced {
-						t.Fatalf("ctl %d after payload %d outside a shed episode's markers", last, payload)
+					if last += 2; rule.Last() > uint64(last/2) {
+						t.Fatalf("payload %d arrived before ctl %d, which was sent ahead of it", rule.Last(), last)
 					}
+					rule.SentAfter(uint64(last / 2))
+				case d.Type == burst.DeltaFlowStatus:
+					rule.Flow(d.FlowDetail)
 				}
 			}
 		case <-deadline:
-			t.Fatalf("the device saw control up to ctl %d of %d, %d shed episodes open", last, batches, open)
+			rule.Close()
+			t.Fatalf("the device saw control up to ctl %d of %d", last, batches)
 		}
 	}
-	if marks == 0 {
+	if rule.Episodes() == 0 {
 		t.Error("the relay legs shed without announcing it")
 	}
 	waitFor(t, "the device's fold to equal the server's", func() bool {

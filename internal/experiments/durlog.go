@@ -114,7 +114,10 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			o.fail = err.Error()
 			return o
 		}
-		_ = json.Unmarshal(out, &thread)
+		if err := json.Unmarshal(out, &thread); err != nil {
+			o.fail = fmt.Sprintf("createThread replied %q: %v", out, err)
+			return o
+		}
 
 		waitUntil := func(cond func() bool) bool {
 			limit := sched.Now().Add(deadline)

@@ -103,14 +103,6 @@ func WaitUntil(sched sim.Scheduler, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// edgePathHops is the hop set a trace must cover to count as a complete
-// end-to-end edge-path trace: publish → fan-out → payload fetch → flush →
-// proxy relay → device apply.
-var edgePathHops = []string{
-	trace.HopPublish, trace.HopFanout, trace.HopFetch,
-	trace.HopFlush, trace.HopRelay, trace.HopApply,
-}
-
 // TraceHops runs the traced LVC workload on the live stack and reports the
 // per-hop latency breakdown the tracing plane measured, alongside trace
 // completeness. The per-hop latencies are the measured decomposition of the
@@ -127,7 +119,7 @@ func TraceHops(seed int64) Result {
 	traces := trace.Assemble(spans)
 	complete := 0
 	for _, t := range traces {
-		if t.Covers(edgePathHops...) {
+		if t.Covers(trace.EdgePathHops...) {
 			complete++
 		}
 	}

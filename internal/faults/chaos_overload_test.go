@@ -15,7 +15,6 @@
 package faults_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -26,173 +25,204 @@ import (
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
 	"bladerunner/internal/faults"
+	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 )
+
+// stormLen messages are far over the 25/s stream budget, so most of them shed.
+const stormLen = 150
+
+// messengerStorm is the scenario the storm tests share: a cluster with an
+// aggressive overload posture — tiny loop queues and a per-stream delivery
+// budget far below the storm rate, so shedding is guaranteed — one
+// Messenger viewer behind a seeded fault network, its author, and the
+// thread between them.
+type messengerStorm struct {
+	t                *testing.T
+	seed             int64
+	goroutinesBefore int
+	c                *core.Cluster
+	fn               *faults.FaultNetwork
+	author, viewer   *device.Device
+	w                *streamWatcher
+	topic            pylon.Topic // the viewer's mailbox topic
+	thread           uint64
+	sent             uint64 // messages sent: the seqs 1..sent the view must hold
+	sheds            int64
+}
+
+// newMessengerStorm builds the cluster with durlog as its durable log (nil:
+// none), subscribes the viewer, and delivers one baseline message to it.
+func newMessengerStorm(t *testing.T, durlog *core.DurlogConfig) *messengerStorm {
+	s := &messengerStorm{t: t, seed: chaosSeed(t), goroutinesBefore: runtime.NumGoroutine()}
+	cfg := core.DefaultConfig()
+	cfg.Graph.Users = 100
+	cfg.Graph.BlockProb = 0
+	cfg.Overload = core.OverloadConfig{
+		LoopQueueDepth:     16,
+		StreamDeliverRate:  25,
+		StreamDeliverBurst: 4,
+	}
+	cfg.Durlog = durlog
+	s.c = core.MustNewCluster(cfg, nil)
+	s.fn = faults.NewFaultNetwork(s.c.Net, nil, s.seed)
+
+	const (
+		authorUID = socialgraph.UserID(90)
+		viewerUID = socialgraph.UserID(10)
+	)
+	s.author = s.c.NewDevice(authorUID)
+	s.viewer = s.c.NewDeviceVia(s.fn, device.Config{
+		User:        viewerUID,
+		Backoff:     faults.BackoffPolicy{Base: 10 * time.Millisecond, Max: 160 * time.Millisecond},
+		BackoffSeed: s.seed + 1,
+	})
+	if err := s.viewer.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.viewer.Subscribe(apps.AppMessenger, "messenger", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.w = watch(st)
+	s.thread = newThread(t, s.author, authorUID, viewerUID)
+	s.topic = apps.MailboxTopic(viewerUID)
+	waitFor(t, "mailbox subscription", func() bool {
+		return len(s.c.Pylon.Subscribers(s.topic)) >= 1
+	})
+	s.send("baseline")
+	waitFor(t, "baseline delivery", func() bool { return s.w.hasAll(s.sent) })
+	return s
+}
+
+// send has the author send one message.
+func (s *messengerStorm) send(text string) {
+	s.t.Helper()
+	msg := fmt.Sprintf(`sendMessage(threadID: %d, text: "%s")`, s.thread, text)
+	if _, err := s.author.Mutate(msg); err != nil {
+		s.t.Fatal(err)
+	}
+	s.sent++
+}
+
+// storm sends stormLen messages, running during, if set, after each.
+func (s *messengerStorm) storm(during func(i int)) {
+	for i := 0; i < stormLen; i++ {
+		s.send(fmt.Sprintf("storm-%d", i))
+		if during != nil {
+			during(i)
+		}
+	}
+}
+
+// cutPOPs puts seeded connection chaos on top of the shedding: it cuts every
+// POP, lets the viewer notice, heals, and requires the viewer's stream to be
+// resubscribed. Then it requires that the storm shed, for the run to mean
+// anything.
+func (s *messengerStorm) cutPOPs() {
+	pops := s.c.POPTargets()
+	for _, pop := range pops {
+		s.fn.Cut(pop)
+	}
+	time.Sleep(50 * time.Millisecond)
+	for _, pop := range pops {
+		s.fn.Heal(pop)
+	}
+	waitFor(s.t, "device reconnected", func() bool { return s.viewer.Connected() })
+	waitFor(s.t, "stream resubscribed", func() bool { return s.viewer.Streams() == 1 })
+	for _, h := range s.c.Hosts {
+		s.sheds += h.StreamSheds.Value() + h.LoopOverflows.Value()
+	}
+	if s.sheds == 0 {
+		s.t.Fatal("storm produced zero sheds; overload plane never engaged")
+	}
+}
+
+// settle trickles messages until the view is gap-free: each is under the
+// admission rate, so it lands and closes any open shed episode, while the
+// reopens backfill everything the storm dropped. FlowRecovered is emitted
+// lazily (on the next admitted payload after a shed episode), so the trickle
+// also drives flow-state convergence. The POP cut can beat the first shed
+// marker, and the reconnect's resubscribe then repairs everything: the gap
+// must have closed through a resubscribe, not necessarily a marker's reopen.
+func (s *messengerStorm) settle() {
+	settled := func() bool {
+		recovered, last := s.w.snapshot()
+		return s.w.hasAll(s.sent) && recovered > 0 && last == burst.FlowRecovered
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for !settled() {
+		if time.Now().After(deadline) {
+			recovered, last := s.w.snapshot()
+			s.t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, resumes=%d, resubscribes=%d, recovered=%d, lastFlow=%v",
+				s.seed, s.sent, s.w.missing(s.sent, 10), s.viewer.Resumes.Value(), s.viewer.Resubscribes.Value(), recovered, last)
+		}
+		s.send("trickle")
+		time.Sleep(50 * time.Millisecond)
+	}
+	if s.viewer.Resubscribes.Value() == 0 {
+		s.t.Error("gap closed without any resubscribe — the recovery path never engaged")
+	}
+}
+
+// close tears the scenario down and requires the goroutine count to return
+// to its baseline.
+func (s *messengerStorm) close() {
+	s.viewer.Close()
+	s.author.Close()
+	s.w.done.Wait()
+	s.c.Close()
+	waitFor(s.t, "goroutines drained", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= s.goroutinesBefore+3
+	})
+}
 
 // TestChaosOverloadGapFreeResync storms one mailbox stream hard enough to
 // shed, cuts the device's POP mid-storm, and asserts the device's view is
 // eventually gap-free purely through stream reopens (shed markers and the
 // reconnect alike) and the BRASS catch-up that answers them.
 func TestChaosOverloadGapFreeResync(t *testing.T) {
-	seed := chaosSeed(t)
-	goroutinesBefore := runtime.NumGoroutine()
-
-	cfg := core.DefaultConfig()
-	cfg.Graph.Users = 100
-	cfg.Graph.BlockProb = 0
-	// Aggressive overload posture: tiny loop queues and a per-stream
-	// delivery budget far below the storm rate, so shedding is guaranteed.
-	cfg.Overload = core.OverloadConfig{
-		LoopQueueDepth:     16,
-		StreamDeliverRate:  25,
-		StreamDeliverBurst: 4,
-	}
-	c := core.MustNewCluster(cfg, nil)
-	fn := faults.NewFaultNetwork(c.Net, nil, seed)
-	pops := c.POPTargets()
-
-	const (
-		authorUID = socialgraph.UserID(90)
-		viewerUID = socialgraph.UserID(10)
-	)
-	author := c.NewDevice(authorUID)
-	viewer := c.NewDeviceVia(fn, device.Config{
-		User:        viewerUID,
-		Backoff:     faults.BackoffPolicy{Base: 10 * time.Millisecond, Max: 160 * time.Millisecond},
-		BackoffSeed: seed + 1,
-	})
-	if err := viewer.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := viewer.Subscribe(apps.AppMessenger, "messenger", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := watch(st)
-
-	var thread uint64
-	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = json.Unmarshal(out, &thread)
-	topic := apps.MailboxTopic(viewerUID)
-	waitFor(t, "mailbox subscription", func() bool {
-		return len(c.Pylon.Subscribers(topic)) >= 1
-	})
-
-	send := func(text string) uint64 {
-		t.Helper()
-		msg := fmt.Sprintf(`sendMessage(threadID: %d, text: "%s")`, thread, text)
-		if _, err := author.Mutate(msg); err != nil {
-			t.Fatal(err)
-		}
-		return 1
-	}
-
-	var sent uint64
-	sent += send("baseline")
-	waitFor(t, "baseline delivery", func() bool { return w.hasAll(sent) })
+	s := newMessengerStorm(t, nil)
 
 	// Mid-storm churner: an extra host subscribes to the hot topic while
 	// shedding is active, then unsubscribes — the version bump must
 	// invalidate every cached member list even under overload.
 	churn := &recHost{id: "churn-overload"}
-	c.Pylon.RegisterHost(churn)
-
-	// The storm: far over the 25/s stream budget, so most of it sheds.
-	const storm = 150
-	for i := 0; i < storm; i++ {
-		sent += send(fmt.Sprintf("storm-%d", i))
+	s.c.Pylon.RegisterHost(churn)
+	s.storm(func(i int) {
 		switch i {
-		case storm / 3:
-			if err := c.Pylon.Subscribe(topic, churn.id); err != nil {
+		case stormLen / 3:
+			if err := s.c.Pylon.Subscribe(s.topic, churn.id); err != nil {
 				t.Fatalf("mid-storm subscribe: %v", err)
 			}
-		case 2 * storm / 3:
-			if err := c.Pylon.Unsubscribe(topic, churn.id); err != nil {
+		case 2 * stormLen / 3:
+			if err := s.c.Pylon.Unsubscribe(s.topic, churn.id); err != nil {
 				t.Fatalf("mid-storm unsubscribe: %v", err)
 			}
 		}
-	}
+	})
 	if churn.n.Load() == 0 {
 		t.Error("churned host saw no deliveries while subscribed mid-storm")
 	}
-	c.Pylon.RemoveHost(churn.id)
+	s.c.Pylon.RemoveHost(churn.id)
 	silentAt := churn.n.Load()
 
-	// Seeded connection chaos on top of the shedding: cut every POP, let
-	// the device notice, heal, and require a full resume.
-	for _, pop := range pops {
-		fn.Cut(pop)
-	}
-	time.Sleep(50 * time.Millisecond)
-	for _, pop := range pops {
-		fn.Heal(pop)
-	}
-	waitFor(t, "device reconnected", func() bool { return viewer.Connected() })
-	waitFor(t, "stream resubscribed", func() bool { return viewer.Streams() == 1 })
-
-	// Shedding must actually have happened for this run to mean anything.
-	var sheds int64
-	for _, h := range c.Hosts {
-		sheds += h.StreamSheds.Value() + h.LoopOverflows.Value()
-	}
-	if sheds == 0 {
-		t.Fatal("storm produced zero sheds; overload plane never engaged")
-	}
-
-	// Post-storm trickle until the view is gap-free: each message is under
-	// the admission rate, so it lands and closes any open shed episode,
-	// while the reopens backfill everything the storm dropped.
-	// FlowRecovered is emitted lazily (on the next admitted payload after a
-	// shed episode), so the trickle also drives flow-state convergence.
-	settled := func() bool {
-		recovered, last := w.snapshot()
-		return w.hasAll(sent) && recovered > 0 && last == burst.FlowRecovered
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for !settled() {
-		if time.Now().After(deadline) {
-			w.mu.Lock()
-			missing := []uint64{}
-			for s := uint64(1); s <= sent && len(missing) < 10; s++ {
-				if !w.seqs[s] {
-					missing = append(missing, s)
-				}
-			}
-			w.mu.Unlock()
-			recovered, last := w.snapshot()
-			t.Fatalf("never settled (seed %d): %d sent, first missing seqs %v, resumes=%d, resubscribes=%d, recovered=%d, lastFlow=%v",
-				seed, sent, missing, viewer.Resumes.Value(), viewer.Resubscribes.Value(), recovered, last)
-		}
-		sent += send("trickle")
-		time.Sleep(50 * time.Millisecond)
-	}
-	if viewer.Resubscribes.Value() == 0 {
-		t.Error("gap closed without any resubscribe — the recovery path never engaged")
-	}
+	s.cutPOPs()
+	s.settle()
 
 	// The removed churn host stays silent for post-removal publishes.
-	sent += send("post-churn")
-	waitFor(t, "post-churn delivery", func() bool { return w.hasAll(sent) })
+	s.send("post-churn")
+	waitFor(t, "post-churn delivery", func() bool { return s.w.hasAll(s.sent) })
 	if got := churn.n.Load(); got != silentAt {
 		t.Errorf("removed host delivered %d events after unsubscribe+remove", got-silentAt)
 	}
-	if c.Pylon.SubCacheStale.Value() == 0 {
+	if s.c.Pylon.SubCacheStale.Value() == 0 {
 		t.Error("subscriber churn never invalidated a cached member list")
 	}
 
-	// Teardown and leak check.
-	viewer.Close()
-	author.Close()
-	w.done.Wait()
-	c.Close()
-	waitFor(t, "goroutines drained", func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= goroutinesBefore+3
-	})
+	s.close()
 	t.Logf("seed %d: sent=%d sheds=%d resubscribes=%d resumes=%d coalesced=%d",
-		seed, sent, sheds, viewer.Resubscribes.Value(), viewer.Resumes.Value(),
-		viewer.ResumesCoalesced.Value())
+		s.seed, s.sent, s.sheds, s.viewer.Resubscribes.Value(), s.viewer.Resumes.Value(),
+		s.viewer.ResumesCoalesced.Value())
 }

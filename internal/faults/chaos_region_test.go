@@ -9,7 +9,6 @@
 package faults_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -108,11 +107,7 @@ func TestChaosRegionCutFailover(t *testing.T) {
 		watchers[i] = watch(st)
 		traceIDs[i] = st.Request().Header[burst.HdrTraceStream]
 
-		out, err := author.Mutate(fmt.Sprintf(`createThread(members: "90,%d")`, uid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = json.Unmarshal(out, &threads[i])
+		threads[i] = newThread(t, author, 90, uid)
 	}
 	waitFor(t, "home-region subscriptions", func() bool {
 		for i := 0; i < nDevices; i++ {
@@ -296,12 +291,7 @@ func TestChaosInterRegionPartitionHeal(t *testing.T) {
 	}
 	w := watch(st)
 
-	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "90,%d")`, uid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var thread uint64
-	_ = json.Unmarshal(out, &thread)
+	thread := newThread(t, author, 90, uid)
 	waitFor(t, "subscription", func() bool {
 		return len(c.RegionPylons["eu-west"].Subscribers(apps.MailboxTopic(uid))) >= 1
 	})

@@ -1,7 +1,6 @@
 package faults_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -55,12 +54,7 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	}
 	w := watch(st)
 
-	var thread uint64
-	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = json.Unmarshal(out, &thread)
+	thread := newThread(t, author, authorUID, viewerUID)
 	waitFor(t, "mailbox subscription", func() bool {
 		return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 	})
@@ -110,16 +104,8 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for !w.hasAll(uint64(sent)) {
 		if time.Now().After(deadline) {
-			missing := 0
-			w.mu.Lock()
-			for s := uint64(1); s <= uint64(sent); s++ {
-				if !w.seqs[s] {
-					missing++
-				}
-			}
-			w.mu.Unlock()
 			t.Fatalf("seed %d: %d of %d seqs never reached the app (resumes=%d, resubscribes=%d)",
-				seed, missing, sent, viewer.Resumes.Value(), viewer.Resubscribes.Value())
+				seed, len(w.missing(uint64(sent), sent)), sent, viewer.Resumes.Value(), viewer.Resubscribes.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}

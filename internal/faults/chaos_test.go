@@ -111,6 +111,22 @@ func watch(st *device.Stream) *streamWatcher {
 	return w
 }
 
+// newThread has author create a Messenger thread with a and b as its members
+// and returns its id. A reply that does not decode fails the test: thread 0
+// would fail every later sendMessage instead.
+func newThread(t *testing.T, author *device.Device, a, b socialgraph.UserID) uint64 {
+	t.Helper()
+	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var thread uint64
+	if err := json.Unmarshal(out, &thread); err != nil {
+		t.Fatalf("createThread replied %q: %v", out, err)
+	}
+	return thread
+}
+
 // payload returns the next payload st hands out, skipping flow statuses. It
 // reports false if none comes within the given time or the stream ends.
 func payload(t *testing.T, st *device.Stream, within time.Duration) (burst.Delta, bool) {
@@ -132,15 +148,20 @@ func payload(t *testing.T, st *device.Stream, within time.Duration) (burst.Delta
 	}
 }
 
-func (w *streamWatcher) hasAll(n uint64) bool {
+func (w *streamWatcher) hasAll(n uint64) bool { return len(w.missing(n, 1)) == 0 }
+
+// missing returns the first seqs up to limit of 1..n the stream has not
+// handed out.
+func (w *streamWatcher) missing(n uint64, limit int) []uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for s := uint64(1); s <= n; s++ {
+	var out []uint64
+	for s := uint64(1); s <= n && len(out) < limit; s++ {
 		if !w.seqs[s] {
-			return false
+			out = append(out, s)
 		}
 	}
-	return true
+	return out
 }
 
 func (w *streamWatcher) snapshot() (recovered int, last burst.FlowCode) {
@@ -193,11 +214,7 @@ func TestChaosRecovery(t *testing.T) {
 		streams[i] = st
 		watchers[i] = watch(st)
 
-		out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, uid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = json.Unmarshal(out, &threads[i])
+		threads[i] = newThread(t, author, authorUID, uid)
 	}
 	waitFor(t, "all mailbox subscriptions", func() bool {
 		for i := 0; i < nDevices; i++ {

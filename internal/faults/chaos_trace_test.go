@@ -12,7 +12,6 @@
 package faults_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -86,12 +85,7 @@ func TestChaosTraceStreamIdentitySurvivesReconnect(t *testing.T) {
 		t.Fatal("subscribe request carries no trace-stream header")
 	}
 
-	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	tid := newThread(t, author, authorUID, viewerUID)
 	waitFor(t, "mailbox subscription", func() bool {
 		return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 	})
@@ -157,8 +151,7 @@ func TestChaosTraceStreamIdentitySurvivesReconnect(t *testing.T) {
 				has = true
 			}
 		}
-		if has && !tr.Covers(trace.HopPublish, trace.HopFanout, trace.HopFetch,
-			trace.HopFlush, trace.HopRelay, trace.HopApply) {
+		if has && !tr.Covers(trace.EdgePathHops...) {
 			t.Errorf("trace %x reached the device but is missing hops: %v", tr.ID, tr.Hops())
 		}
 	}
@@ -195,12 +188,7 @@ func TestChaosTraceSeededWindowLeavesNoDanglingSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := watch(st)
-	out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	tid := newThread(t, author, authorUID, viewerUID)
 	waitFor(t, "mailbox subscription", func() bool {
 		return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 	})
@@ -255,8 +243,7 @@ func TestChaosTraceSeededWindowLeavesNoDanglingSpans(t *testing.T) {
 					tr.ID, s.Hop, s.Parent, tr.Hops())
 			}
 		}
-		if tr.Covers(trace.HopPublish, trace.HopFanout, trace.HopFetch,
-			trace.HopFlush, trace.HopRelay, trace.HopApply) {
+		if tr.Covers(trace.EdgePathHops...) {
 			complete++
 		}
 	}

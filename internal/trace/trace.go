@@ -48,6 +48,11 @@ const (
 	HopApply   = "device.apply"  // parent burst.flush: device-side decode and apply
 )
 
+// EdgePathHops is the hop set a trace must cover to count as a complete
+// end-to-end edge-path trace: publish → fan-out → payload fetch → flush →
+// proxy relay → device apply.
+var EdgePathHops = []string{HopPublish, HopFanout, HopFetch, HopFlush, HopRelay, HopApply}
+
 // Parent returns the canonical parent hop of hop ("" for roots and unknown
 // hops).
 func Parent(hop string) string {
