@@ -38,12 +38,6 @@ func BenchmarkTable2StreamLifetimes(b *testing.B) {
 	}
 }
 
-func BenchmarkTable3ComponentLatencies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Table3(int64(i+1), 2000)
-	}
-}
-
 func BenchmarkFigure6PollVsStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = experiments.Figure6(int64(i+1), 2000)
@@ -59,12 +53,6 @@ func BenchmarkFigure7SubscriptionActivity(b *testing.B) {
 func BenchmarkFigure8DiurnalActivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = experiments.Figure8(int64(i + 1))
-	}
-}
-
-func BenchmarkFigure9LatencyCDFs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Figure9(int64(i+1), 2000)
 	}
 }
 

@@ -50,6 +50,7 @@ func main() {
 
 	// Viewers subscribe to the live video through the full edge path.
 	devices := make([]*device.Device, *viewers)
+	streams := make([]*device.Stream, *viewers)
 	received := make(chan int, 1<<16)
 	for i := range devices {
 		devices[i] = cluster.NewDevice(socialgraph.UserID(i + 1))
@@ -61,6 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("viewer %d subscribe: %v", i, err)
 		}
+		streams[i] = st
 		go func(i int) {
 			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
 				if delta.Type == burst.DeltaPayload {
@@ -70,11 +72,13 @@ func main() {
 		}(i)
 		defer devices[i].Close()
 	}
-	// Give subscriptions a moment to register with Pylon. The demo runs on
-	// the wall clock, reached through the same Scheduler interface every
-	// component takes (rule no-direct-time).
+	// Wait until every viewer's BRASS host has registered with Pylon.
+	if !cluster.WaitForStreams(apps.LVCTopic(*videoID), streams, 5*time.Second) {
+		log.Fatal("a viewer's BRASS host never subscribed to the video")
+	}
+	// The demo runs on the wall clock, reached through the same Scheduler
+	// interface every component takes (rule no-direct-time).
 	clock := sim.RealClock{}
-	cluster.Pylon.WaitForSubscriber(clock, apps.LVCTopic(*videoID), 5*time.Second)
 
 	// Commenters post through the WAS.
 	rng := rand.New(rand.NewSource(*seed))

@@ -124,9 +124,9 @@ func run(seed int64, workload string, events, viewers int, rate float64, out str
 func runWorkload(seed int64, workload string, events, viewers int, rate float64) (*trace.Plane, error) {
 	switch workload {
 	case "quickstart":
-		return experiments.TracedLVCRun(seed, orDefault(viewers, 1), orDefault(events, 3), rate)
+		return experiments.TracedLVCRun(seed, orDefault(viewers, 1), orDefault(events, 3), rate, nil)
 	case "lvc":
-		return experiments.TracedLVCRun(seed, orDefault(viewers, 3), orDefault(events, 25), rate)
+		return experiments.TracedLVCRun(seed, orDefault(viewers, 3), orDefault(events, 25), rate, nil)
 	case "chaos":
 		return runChaos(seed, orDefault(events, 3), rate)
 	default:

@@ -20,6 +20,7 @@ import (
 	"bladerunner/internal/apps"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
+	"bladerunner/internal/device"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
@@ -51,6 +52,7 @@ func main() {
 
 	// Viewers tune in through the edge.
 	var delivered atomic.Int64
+	streams := make([]*device.Stream, nViewers)
 	for i := 0; i < nViewers; i++ {
 		viewer := cluster.NewDevice(socialgraph.UserID(i + 1))
 		defer viewer.Close()
@@ -62,6 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		streams[i] = st
 		go func(i int) {
 			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
 				if delta.Type != burst.DeltaPayload {
@@ -75,8 +78,10 @@ func main() {
 			}
 		}(i)
 	}
+	if !cluster.WaitForStreams(apps.LVCTopic(videoID), streams, 10*time.Second) {
+		log.Fatal("a viewer's BRASS host never subscribed to the video")
+	}
 	clock := sim.RealClock{}
-	cluster.Pylon.WaitForSubscriber(clock, apps.LVCTopic(videoID), 10*time.Second)
 
 	// The eclipse moment: a comment storm.
 	fmt.Printf("posting %d comments in a burst...\n", nBurst)

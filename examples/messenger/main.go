@@ -37,7 +37,9 @@ func main() {
 		log.Fatal(err)
 	}
 	var threadID uint64
-	_ = json.Unmarshal(out, &threadID)
+	if err := json.Unmarshal(out, &threadID); err != nil {
+		log.Fatalf("createThread replied %q: %v", out, err)
+	}
 	fmt.Printf("created thread %d between alice(1) and bob(2)\n", threadID)
 
 	// Bob's phone connects and subscribes to his mailbox.

@@ -86,6 +86,21 @@ func (e *env) subscribe(t *testing.T, cli *burst.Client, app, sub string, viewer
 	return st
 }
 
+// createThread has author create a Messenger thread of members and returns
+// its id; a failed mutation or an undecodable reply fails the test.
+func (e *env) createThread(t *testing.T, author socialgraph.UserID, members string) uint64 {
+	t.Helper()
+	out, err := e.was.Mutate(author, fmt.Sprintf(`createThread(members: "%s")`, members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tid uint64
+	if err := json.Unmarshal(out, &tid); err != nil {
+		t.Fatalf("createThread replied %q: %v", out, err)
+	}
+	return tid
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -670,14 +685,7 @@ func TestMessengerInOrderDelivery(t *testing.T) {
 	e := newEnv(t)
 	cli := e.dial(t)
 	alice, bob := socialgraph.UserID(11), socialgraph.UserID(12)
-	out, err := e.was.Mutate(alice, `createThread(members: "11,12")`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tid uint64
-	if err := json.Unmarshal(out, &tid); err != nil {
-		t.Fatal(err)
-	}
+	tid := e.createThread(t, alice, "11,12")
 
 	st := e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
 	waitFor(t, "mailbox sub", func() bool {
@@ -709,9 +717,7 @@ func TestMessengerGapRepair(t *testing.T) {
 	e := newEnv(t)
 	cli := e.dial(t)
 	alice, bob := socialgraph.UserID(13), socialgraph.UserID(14)
-	out, _ := e.was.Mutate(alice, `createThread(members: "13,14")`)
-	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	tid := e.createThread(t, alice, "13,14")
 
 	st := e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
 	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
@@ -748,9 +754,7 @@ func TestMessengerGapRepair(t *testing.T) {
 func TestMessengerResumeAfterReconnect(t *testing.T) {
 	e := newEnv(t)
 	alice, bob := socialgraph.UserID(15), socialgraph.UserID(16)
-	out, _ := e.was.Mutate(alice, `createThread(members: "15,16")`)
-	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	tid := e.createThread(t, alice, "15,16")
 
 	// First session: receive msg 1, then the device goes dark.
 	cli1 := e.dial(t)
@@ -882,9 +886,7 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 	t.Cleanup(func() { cli.Close() })
 
 	alice, bob := socialgraph.UserID(17), socialgraph.UserID(18)
-	out, _ := e.was.Mutate(alice, `createThread(members: "17,18")`)
-	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	tid := e.createThread(t, alice, "17,18")
 	st := e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
 	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
 	send := func(text string) {
@@ -959,9 +961,7 @@ func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 	t.Cleanup(func() { cli.Close() })
 
 	alice, bob := socialgraph.UserID(19), socialgraph.UserID(20)
-	out, _ := e.was.Mutate(alice, `createThread(members: "19,20")`)
-	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	tid := e.createThread(t, alice, "19,20")
 	topic := string(MailboxTopic(bob))
 
 	// A first stream keeps the host on the topic while ten messages flow:

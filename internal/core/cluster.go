@@ -9,10 +9,12 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"bladerunner/internal/apps"
 	"bladerunner/internal/brass"
+	"bladerunner/internal/burst"
 	"bladerunner/internal/device"
 	"bladerunner/internal/edge"
 	"bladerunner/internal/kvstore"
@@ -430,6 +432,34 @@ func (c *Cluster) NewDeviceVia(dialer edge.Dialer, cfg device.Config) *device.De
 		cfg.Tracer = c.Cfg.Trace.Tracer(fmt.Sprintf("device-%d", cfg.User))
 	}
 	return device.New(cfg, dialer, c.WAS, c.Sched)
+}
+
+// WaitForStreams blocks until each of streams is open at a BRASS host that
+// Pylon lists as a subscriber of topic, polling on the cluster's scheduler,
+// and reports whether that happened before timeout. Viewers land on
+// several hosts: Pylon.WaitForSubscriber returns once the first of them has
+// subscribed, and an update published then misses the viewers of the
+// others. A stream's host is the one its sticky-brass header names, which
+// needs Config.StickyRouting (the default).
+func (c *Cluster) WaitForStreams(topic pylon.Topic, streams []*device.Stream, timeout time.Duration) bool {
+	subscribed := func(st *device.Stream) bool {
+		host := st.HeaderField(burst.HdrStickyBRASS)
+		pyl := c.Pylon
+		if c.Gate != nil {
+			pyl = c.RegionPylons[c.Gate.RegionOf(host)]
+		}
+		return host != "" && pyl != nil && slices.Contains(pyl.Subscribers(topic), host)
+	}
+	deadline := c.Sched.Now().Add(timeout)
+	for _, st := range streams {
+		for !subscribed(st) {
+			if !c.Sched.Now().Before(deadline) {
+				return false
+			}
+			sim.Sleep(c.Sched, time.Millisecond)
+		}
+	}
+	return true
 }
 
 // Close tears the deployment down: POPs, proxies, hosts, then the

@@ -181,7 +181,9 @@ func TestMessengerSurvivesProxyFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	if err := json.Unmarshal(out, &tid); err != nil {
+		t.Fatalf("createThread replied %q: %v", out, err)
+	}
 
 	bobDev := c.NewDevice(bob)
 	defer bobDev.Close()

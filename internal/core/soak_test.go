@@ -50,7 +50,9 @@ func TestMixedWorkloadSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tid uint64
-	_ = json.Unmarshal(out, &tid)
+	if err := json.Unmarshal(out, &tid); err != nil {
+		t.Fatalf("createThread replied %q: %v", out, err)
+	}
 
 	viewer, friend := friendPairCore(t, c.Graph)
 	subs := []*sub{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -21,16 +22,14 @@ import (
 // finds the missing suffix — the WAS mailbox, or its own log — so the run
 // reports each posture's backend mailbox reads beside the log's own
 // counters; the view must converge gap-free in both.
-func DurlogResume(seed int64) Result { return DurlogResumeOn(sim.RealClock{}, seed) }
-
-// DurlogResumeOn is DurlogResume on an explicit scheduler.
-func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
+func DurlogResume(seed int64) Result {
 	const (
 		authorUID = socialgraph.UserID(90)
 		viewerUID = socialgraph.UserID(10)
 		storm     = 150
 		deadline  = 30 * time.Second
 	)
+	sched := sim.RealClock{}
 
 	type outcome struct {
 		sent         uint64
@@ -42,7 +41,7 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 		logCatchUp   int64
 		logAppends   int64
 		converged    bool
-		fail         string
+		fail         error
 	}
 
 	run := func(durable bool) (o outcome) {
@@ -62,7 +61,7 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 		}
 		c, err := core.NewCluster(cfg, nil)
 		if err != nil {
-			o.fail = err.Error()
+			o.fail = err
 			return o
 		}
 		defer c.Close()
@@ -72,12 +71,12 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 		defer author.Close()
 		defer viewer.Close()
 		if err := viewer.Connect(); err != nil {
-			o.fail = err.Error()
+			o.fail = err
 			return o
 		}
 		st, err := viewer.Subscribe(apps.AppMessenger, "messenger", nil)
 		if err != nil {
-			o.fail = err.Error()
+			o.fail = err
 			return o
 		}
 
@@ -111,28 +110,18 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 		var thread uint64
 		out, err := author.Mutate(fmt.Sprintf(`createThread(members: "%d,%d")`, authorUID, viewerUID))
 		if err != nil {
-			o.fail = err.Error()
+			o.fail = err
 			return o
 		}
 		if err := json.Unmarshal(out, &thread); err != nil {
-			o.fail = fmt.Sprintf("createThread replied %q: %v", out, err)
+			o.fail = fmt.Errorf("createThread replied %q: %w", out, err)
 			return o
 		}
 
-		waitUntil := func(cond func() bool) bool {
-			limit := sched.Now().Add(deadline)
-			for !cond() {
-				if sched.Now().After(limit) {
-					return false
-				}
-				sim.Sleep(sched, time.Millisecond)
-			}
-			return true
-		}
-		if !waitUntil(func() bool {
+		if !WaitUntil(sched, deadline, func() bool {
 			return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 		}) {
-			o.fail = "subscription never registered"
+			o.fail = errors.New("subscription never registered")
 			return o
 		}
 
@@ -142,8 +131,8 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 			}
 		}
 		send("baseline")
-		if !waitUntil(func() bool { return hasAll(o.sent) }) {
-			o.fail = "baseline never delivered"
+		if !WaitUntil(sched, deadline, func() bool { return hasAll(o.sent) }) {
+			o.fail = errors.New("baseline never delivered")
 			return o
 		}
 		queriesBase := c.WAS.Queries.Value()
@@ -185,8 +174,8 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 
 	r := Result{ID: "durlog", Title: fmt.Sprintf(
 		"Durable-log resume: overload storm (%d msgs over a 25/s stream budget), catch-up from the WAS mailbox vs the edge log", storm)}
-	if off.fail != "" || on.fail != "" {
-		r.AddRow("ERROR", "-", off.fail+on.fail, "run aborted")
+	if off.fail != nil || on.fail != nil {
+		r.Err = fmt.Errorf("log off: %v; log on: %v", off.fail, on.fail)
 		return r
 	}
 	b := func(v bool) string {
@@ -216,5 +205,8 @@ func DurlogResumeOn(sched sim.Scheduler, seed int64) Result {
 	r.AddRow("log resumes served, log on", "-", fmt.Sprintf("%d", on.logResumes), "")
 	r.AddRow("log appends, log on", "-", fmt.Sprintf("%d", on.logAppends),
 		"every delivery decision journaled on the publish path")
+	if !off.converged || !on.converged {
+		r.Err = fmt.Errorf("the view did not converge gap-free (log off: %s, log on: %s)", b(off.converged), b(on.converged))
+	}
 	return r
 }

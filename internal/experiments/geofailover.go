@@ -32,18 +32,15 @@ import (
 // actual recovery machinery — device backoff, POP rotation, sticky-BRASS
 // rewrite, messenger catch-up — not a model of it.
 func GeoFailover(seed int64) Result {
-	return GeoFailoverOn(sim.RealClock{}, seed)
-}
-
-// GeoFailoverOn runs the geo-failover measurement against an explicit
-// Scheduler; every wait and timestamp goes through sched.
-func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 	const (
 		receivers = 12
 		victim    = "eu-west"
 		tick      = 2 * time.Millisecond
 		deadline  = 15 * time.Second
 	)
+	sched := sim.RealClock{}
+	r := Result{ID: "geofailover", Title: fmt.Sprintf(
+		"Geo-failover: %d streams lose region %s (live stack, 3 regions)", receivers, victim)}
 
 	cfg := core.DefaultConfig()
 	cfg.Regions = []string{"us-east", "eu-west", "ap-south"}
@@ -75,29 +72,41 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 		recoveredAt time.Duration
 	}
 	var cutAt time.Time // set (before the region cut) before watchers read it
-	states := make([]*recvState, receivers)
+	var states []*recvState
 	var wg sync.WaitGroup
-	for i := range states {
+	defer func() {
+		for _, s := range states {
+			s.dev.Close()
+		}
+		wg.Wait()
+	}()
+	for i := 0; i < receivers; i++ {
 		uid := socialgraph.UserID(3*i + 1) // uid%3 == 1 → homed eu-west
-		d := c.NewDeviceVia(fn, device.Config{
+		s := &recvState{dev: c.NewDeviceVia(fn, device.Config{
 			User:        uid,
 			Backoff:     faults.BackoffPolicy{Base: 10 * time.Millisecond, Max: 160 * time.Millisecond},
 			BackoffSeed: seed*1000 + int64(uid),
-		})
-		if err := d.Connect(); err != nil {
-			panic(err)
+		})}
+		states = append(states, s)
+		if err := s.dev.Connect(); err != nil {
+			r.Err = err
+			return r
 		}
-		st, err := d.Subscribe(apps.AppMessenger, "messenger", nil)
+		st, err := s.dev.Subscribe(apps.AppMessenger, "messenger", nil)
 		if err != nil {
-			panic(err)
+			r.Err = err
+			return r
 		}
+		s.st = st
 		out, err := author.Mutate(fmt.Sprintf(`createThread(members: "90,%d")`, uid))
 		if err != nil {
-			panic(err)
+			r.Err = err
+			return r
 		}
-		s := &recvState{dev: d, st: st}
-		_ = json.Unmarshal(out, &s.thread)
-		states[i] = s
+		if err := json.Unmarshal(out, &s.thread); err != nil {
+			r.Err = fmt.Errorf("createThread replied %q: %w", out, err)
+			return r
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -118,30 +127,13 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 			}
 		}()
 	}
-	defer func() {
-		for _, s := range states {
-			s.dev.Close()
-		}
-		wg.Wait()
-	}()
 
 	servedFrom := func(s *recvState) string {
 		return c.Gate.RegionOf(s.st.HeaderField(burst.HdrStickyBRASS))
 	}
-	waitUntil := func(cond func() bool) bool {
-		limit := sched.Now().Add(deadline)
-		for sched.Now().Before(limit) {
-			if cond() {
-				return true
-			}
-			sim.Sleep(sched, time.Millisecond)
-		}
-		return false
-	}
-
 	// Settle: every stream served from its home region, baseline message
 	// (seq 1 per thread) delivered end-to-end.
-	waitUntil(func() bool {
+	WaitUntil(sched, deadline, func() bool {
 		for _, s := range states {
 			if servedFrom(s) != victim {
 				return false
@@ -152,10 +144,11 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 	for _, s := range states {
 		if _, err := author.Mutate(fmt.Sprintf(
 			`sendMessage(threadID: %d, text: "baseline")`, s.thread)); err != nil {
-			panic(err)
+			r.Err = err
+			return r
 		}
 	}
-	waitUntil(func() bool {
+	WaitUntil(sched, deadline, func() bool {
 		for _, s := range states {
 			s.mu.Lock()
 			ok := s.maxSeq >= 1
@@ -193,7 +186,7 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 			}
 		}
 	}()
-	allOver := waitUntil(func() bool {
+	WaitUntil(sched, deadline, func() bool {
 		for _, s := range states {
 			s.mu.Lock()
 			ok := s.recoveredAt != 0
@@ -232,8 +225,6 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 	rf.HealRegion(victim)
 	healed := c.Plane.FlushWait(deadline)
 
-	r := Result{ID: "geofailover", Title: fmt.Sprintf(
-		"Geo-failover: %d streams lose region %s (live stack, 3 regions)", receivers, victim)}
 	r.AddRow("streams failed over", "all (no session restart)",
 		fmt.Sprintf("%d/%d", recovered, receivers),
 		"post-cut payload rendered via a rewritten cross-region stream")
@@ -251,8 +242,9 @@ func GeoFailoverOn(sched sim.Scheduler, seed int64) Result {
 		fmt.Sprintf("%d events replicated during the outage (pre-heal)", replDelivered))
 	r.AddRow("partition backlog drained after heal", "gap-free convergence",
 		fmt.Sprintf("%v", healed), "Plane.FlushWait after HealRegion")
-	if !allOver {
-		r.AddRow("WARNING", "-", "not all streams failed over before the deadline", "")
+	if recovered < receivers || remoteServed < receivers || !healed {
+		r.Err = fmt.Errorf("%d/%d streams failed over, %d/%d served cross-region, backlog drained: %v",
+			recovered, receivers, remoteServed, receivers, healed)
 	}
 
 	fo := make([]SeriesPoint, 0, 40)

@@ -5,16 +5,17 @@
 //
 // Two kinds of experiments exist:
 //
-//   - Live-stack experiments (the LVC switchover, the ablations) drive the
-//     actual components — TAO, Pylon, WAS, BRASS, BURST — and read their
-//     instrumentation.
-//   - Model-composition experiments (the latency tables/figures and the
-//     fleet-scale diurnal curves) run the discrete-event kernel over the
-//     calibrated workload generators and per-component latency models,
-//     because a laptop cannot host hundreds of millions of devices. The
-//     models are the ones documented in DESIGN.md §4; what is verified is
-//     that the *composition* of the system's structure with those inputs
-//     reproduces the paper's end-to-end shapes.
+//   - Live-stack experiments (Table 3 and Fig 9 from the tracing plane's
+//     spans, the LVC switchover, the failover drills, the ablations) drive
+//     the actual components — TAO, Pylon, WAS, BRASS, BURST — and read
+//     their instrumentation.
+//   - Model-composition experiments (the workload tables and figures, the
+//     fleet-scale diurnal curves, and Fig 6's poll-vs-stream latency) run
+//     calibrated workload generators and latency inputs, because a laptop
+//     cannot host hundreds of millions of devices or production's poll
+//     overload. The models are the ones documented in DESIGN.md §4; what
+//     is verified is that the *composition* of the system's structure with
+//     those inputs reproduces the paper's end-to-end shapes.
 package experiments
 
 import (
@@ -43,6 +44,9 @@ type Result struct {
 	Rows  []Row
 	// Series holds the full curves for figures, keyed by curve name.
 	Series map[string][]SeriesPoint
+	// Err is set when the experiment failed to measure what it reports,
+	// or its headline property did not hold; cmd/brbench exits nonzero.
+	Err error
 }
 
 // String renders the result as an aligned text table.
@@ -87,20 +91,20 @@ func maxInt(a, b int) int {
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }
 
 // All runs every experiment at the default scale and returns the results
-// in paper order.
+// in paper order. Table 3 and Fig 9 share one pair of traced runs.
 func All(seed int64) []Result {
+	latency := MeasureLatency(seed)
 	return []Result{
 		Table1(seed, 2_000_000),
 		Figure6(seed, 100_000),
 		Table2(seed, 500_000),
 		Figure7(seed, 200_000),
 		Figure8(seed),
-		Table3(seed, 100_000),
-		Figure9(seed, 100_000),
+		Table3(latency),
+		Figure9(latency),
 		Figure10(seed),
 		Switchover(seed),
 		ReconnectStorm(seed),
-		TraceHops(seed),
 		GeoFailover(seed),
 		DurlogResume(seed),
 	}

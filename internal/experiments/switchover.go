@@ -30,15 +30,6 @@ import (
 // structural (range+point queries per poll vs point queries per delivered
 // update) and unaffected by the scaling.
 func Switchover(seed int64) Result {
-	return SwitchoverOn(sim.RealClock{}, seed)
-}
-
-// SwitchoverOn runs the switchover measurement against an explicit
-// Scheduler. Every wait in the experiment — the poller intervals, the
-// settle windows, the wait for the BRASS host's Pylon registration — goes
-// through sched, so the experiment stays deterministic when driven by the
-// harness's virtual clock instead of the wall clock.
-func SwitchoverOn(sched sim.Scheduler, seed int64) Result {
 	const (
 		viewers     = 30
 		comments    = 40
@@ -46,6 +37,7 @@ func SwitchoverOn(sched sim.Scheduler, seed int64) Result {
 		commentGap  = 2 * time.Millisecond
 		settleAfter = 400 * time.Millisecond
 	)
+	sched := sim.RealClock{}
 
 	// ---- Variant A: client-side polling ----
 	pollEnv := newSwitchEnv(seed)

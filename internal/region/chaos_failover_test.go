@@ -151,7 +151,9 @@ func TestChaosRewriteUnderPartialPartition(t *testing.T) {
 				t.Fatal(err)
 			}
 			var thread uint64
-			_ = json.Unmarshal(out, &thread)
+			if err := json.Unmarshal(out, &thread); err != nil {
+				t.Fatalf("createThread replied %q: %v", out, err)
+			}
 
 			servingRegion := func() string {
 				host := st.Request().Header[burst.HdrStickyBRASS]
