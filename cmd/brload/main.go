@@ -1,19 +1,11 @@
-// Command brload inspects the synthetic workload generators: it prints the
-// sampled distributions (Table 1 area activity, Table 2 stream lifetimes,
-// the diurnal curves) so their calibration can be eyeballed or piped into
-// plotting tools.
-//
-// With -scenario it instead drives the megadevice harness: a million-device
-// virtual fleet attached to a live in-process cluster, measuring delivery
-// latency, churn throughput and per-device memory, and writing the report
-// as JSON.
+// Command brload drives the megadevice harness: a million-device virtual
+// fleet attached to a live in-process cluster, measuring delivery latency,
+// churn throughput and per-device memory, and writing the report as JSON.
+// (The workload generators' calibration against the paper is checked by
+// `brbench -exp table1|table2|fig8` and internal/workload's tests.)
 //
 // Usage:
 //
-//	brload -what areas -n 1000000
-//	brload -what lifetimes -n 100000
-//	brload -what diurnal
-//	brload -what graph -n 10000
 //	brload -scenario diurnal -devices 1000000 -bench-json report.json
 //	brload -scenario storm -short
 //	brload -scenario replay -devices 100000 -bench-json report.json
@@ -24,6 +16,9 @@
 //
 //	brload -net tcp -connect 127.0.0.1:7105 -was-ctrl 127.0.0.1:7102 \
 //	       -devices 500 -areas 20 -sim 15s
+//
+// In live mode -devices and -areas left unset take live-mode sizing (200
+// devices, 20 areas) instead of the scenario defaults.
 package main
 
 import (
@@ -31,28 +26,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"os/exec"
 	"strings"
 	"time"
 
 	"bladerunner/internal/megadevice"
-	"bladerunner/internal/socialgraph"
-	"bladerunner/internal/workload"
 )
 
 func main() {
-	what := flag.String("what", "areas", "areas | lifetimes | diurnal | graph")
-	n := flag.Int("n", 1_000_000, "sample count")
 	seed := flag.Int64("seed", 1, "RNG seed")
-	scenario := flag.String("scenario", "", "run a megadevice scenario instead: diurnal | storm | celebrity | replay")
-	devices := flag.Int("devices", 1_000_000, "scenario: virtual device count")
-	areas := flag.Int("areas", 1000, "scenario: topic/area count")
+	scenario := flag.String("scenario", "", "megadevice scenario: diurnal | storm | celebrity | replay")
+	devices := flag.Int("devices", 1_000_000, "virtual device count")
+	areas := flag.Int("areas", 1000, "topic/area count")
 	zipfS := flag.Float64("zipf", 1.1, "scenario: area-popularity Zipf exponent")
-	simDur := flag.Duration("sim", 0, "scenario: simulated span (0 = scenario default)")
+	simDur := flag.Duration("sim", 0, "simulated span (0 = scenario default)")
 	short := flag.Bool("short", false, "scenario: CI smoke sizing (fewer publishes/probes)")
-	benchJSON := flag.String("bench-json", "", "scenario: write the report JSON to this file")
+	benchJSON := flag.String("bench-json", "", "write the report JSON to this file")
 	maxBPD := flag.Float64("max-bytes-per-device", 0, "scenario: fail if bytes/device exceeds this (0 = no gate)")
 	netMode := flag.String("net", "", "live mode transport: tcp (drive a running brnode cluster)")
 	connect := flag.String("connect", "", "live mode: POP BURST address(es), comma-separated")
@@ -60,47 +50,44 @@ func main() {
 	region := flag.String("region", "us-east", "live mode: cluster region")
 	flag.Parse()
 
-	if *netMode != "" {
+	switch {
+	case *netMode != "":
 		if *netMode != "tcp" {
 			log.Fatalf("brload: unknown -net %q (want tcp)", *netMode)
 		}
+		devs, ars := liveSizing(flag.CommandLine, *devices, *areas)
 		runLive(strings.Split(*connect, ","), *wasCtrl, *region,
-			*devices, *areas, *seed, *simDur, *benchJSON)
-		return
-	}
-
-	if *scenario != "" {
+			devs, ars, *seed, *simDur, *benchJSON)
+	case *scenario != "":
 		runScenario(*scenario, *devices, *areas, *zipfS, *seed, *simDur, *short, *benchJSON, *maxBPD)
-		return
-	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	switch *what {
-	case "areas":
-		showAreas(rng, *n)
-	case "lifetimes":
-		showLifetimes(rng, *n)
-	case "diurnal":
-		showDiurnal()
-	case "graph":
-		showGraph(*seed, *n)
 	default:
-		log.Fatalf("brload: unknown -what %q", *what)
+		fmt.Fprintln(os.Stderr, "brload: need -scenario or -net tcp")
+		flag.Usage()
+		os.Exit(2)
 	}
 }
 
-// runLive drives a live brnode cluster over TCP. The scenario-sized
-// -devices/-areas defaults (a million virtual devices) make no sense
-// against real sockets, so untouched defaults fall back to live-mode
-// sizing (200 devices, 20 areas).
-func runLive(pops []string, wasCtrl, region string, devices, areas int,
-	seed int64, simDur time.Duration, benchJSON string) {
-	if devices == 1_000_000 {
+// liveSizing returns live mode's device and area counts. The scenario-sized
+// defaults (a million virtual devices) make no sense against real sockets,
+// so a flag fs's command line left unset becomes 0, which
+// megadevice.RunLive sizes for live mode; a flag that was given is kept
+// whatever its value.
+func liveSizing(fs *flag.FlagSet, devices, areas int) (int, int) {
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["devices"] {
 		devices = 0
 	}
-	if areas == 1000 {
+	if !set["areas"] {
 		areas = 0
 	}
+	return devices, areas
+}
+
+// runLive drives a live brnode cluster over TCP; devices or areas 0 take
+// live-mode sizing.
+func runLive(pops []string, wasCtrl, region string, devices, areas int,
+	seed int64, simDur time.Duration, benchJSON string) {
 	var clean []string
 	for _, p := range pops {
 		if p = strings.TrimSpace(p); p != "" {
@@ -202,105 +189,4 @@ func gitDescribe() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-func showAreas(rng *rand.Rand, n int) {
-	var zero, b10, b100, mid, b1M, b100M int
-	var total int64
-	for i := 0; i < n; i++ {
-		u := workload.AreaUpdates(rng, workload.Table1Buckets)
-		total += u
-		switch {
-		case u == 0:
-			zero++
-		case u < 10:
-			b10++
-		case u < 100:
-			b100++
-		case u <= 1_000_000:
-			mid++
-		case u <= 100_000_000:
-			b1M++
-		default:
-			b100M++
-		}
-	}
-	fmt.Printf("areas sampled: %d, total daily updates: %d\n", n, total)
-	p := func(c int) float64 { return 100 * float64(c) / float64(n) }
-	fmt.Printf("  0 updates:        %7.4f%%  (paper: 83%%)\n", p(zero))
-	fmt.Printf("  1-9:              %7.4f%%  (paper: 16%%)\n", p(b10))
-	fmt.Printf("  10-99:            %7.4f%%  (paper: 0.95%%)\n", p(b100))
-	fmt.Printf("  100-1M:           %7.4f%%  (paper: elided)\n", p(mid))
-	fmt.Printf("  1M-100M:          %7.4f%%  (paper: 0.049%%)\n", p(b1M))
-	fmt.Printf("  >100M:            %7.4f%%  (paper: 0.0001%%)\n", p(b100M))
-}
-
-func showLifetimes(rng *rand.Rand, n int) {
-	var b15, b1h, b24, more int
-	for i := 0; i < n; i++ {
-		lt := workload.StreamLifetime(rng, workload.Table2Buckets)
-		switch {
-		case lt < 15*time.Minute:
-			b15++
-		case lt < time.Hour:
-			b1h++
-		case lt < 24*time.Hour:
-			b24++
-		default:
-			more++
-		}
-	}
-	p := func(c int) float64 { return 100 * float64(c) / float64(n) }
-	fmt.Printf("stream lifetimes (n=%d):\n", n)
-	fmt.Printf("  <15min:  %6.2f%%  (paper: 45%%)\n", p(b15))
-	fmt.Printf("  15m-1h:  %6.2f%%  (paper: 26%%)\n", p(b1h))
-	fmt.Printf("  1h-24h:  %6.2f%%  (paper: 25%%)\n", p(b24))
-	fmt.Printf("  24h+:    %6.2f%%  (paper: 4%%)\n", p(more))
-}
-
-func showDiurnal() {
-	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
-	fmt.Println("hour, streams/user, subs/min, pubs/min, drops/min(M), reconnects/min(M)")
-	for h := 0; h < 24; h++ {
-		t := day.Add(time.Duration(h) * time.Hour)
-		fmt.Printf("%02d:00, %5.2f, %5.3f, %5.3f, %6.1f, %5.2f\n",
-			h,
-			workload.ActiveStreamsPerUser.At(t),
-			workload.SubscriptionsPerUserMinute.At(t),
-			workload.PublicationsPerUserMinute.At(t),
-			workload.EdgeConnectionDropsPerMinute.At(t)/1e6,
-			workload.ProxyReconnectsPerMinute.At(t)/1e6)
-	}
-}
-
-func showGraph(seed int64, n int) {
-	cfg := socialgraph.DefaultConfig()
-	cfg.Users = n
-	cfg.Seed = seed
-	g, err := socialgraph.Generate(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := g.Degrees()
-	fmt.Printf("graph: %d users, degree min/mean/max = %d/%.1f/%d\n",
-		g.NumUsers(), st.Min, st.Mean, st.Max)
-	// Degree histogram (log buckets).
-	buckets := []int{0, 1, 10, 50, 100, 500, 1000}
-	counts := make([]int, len(buckets))
-	for id := socialgraph.UserID(1); id <= socialgraph.UserID(n); id++ {
-		d := len(g.Friends(id))
-		for i := len(buckets) - 1; i >= 0; i-- {
-			if d >= buckets[i] {
-				counts[i]++
-				break
-			}
-		}
-	}
-	for i, b := range buckets {
-		hi := "∞"
-		if i+1 < len(buckets) {
-			hi = fmt.Sprint(buckets[i+1] - 1)
-		}
-		fmt.Printf("  degree %4d-%4s: %d users\n", b, hi, counts[i])
-	}
 }

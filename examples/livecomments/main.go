@@ -45,7 +45,6 @@ func main() {
 	// 1s relevance TTL (paper: 10s), ranked buffer of 5.
 	cluster.Apps.LVC.RateLimit = 200 * time.Millisecond
 	cluster.Apps.LVC.BufferTTL = 1 * time.Second
-	cluster.Apps.LVC.RankBeforePublish = false
 	// Auto-switch to the high-volume strategy (§3.4) once the burst
 	// exceeds 150 comments inside a 10s window.
 	cluster.Apps.LVC.ConfigureHotDetection(150, 10*time.Second)
@@ -99,8 +98,6 @@ func main() {
 	sim.Sleep(clock, 1500*time.Millisecond) // let rate-limited pushes drain
 	cluster.Quiesce()
 
-	stored := cluster.TAO.Stats().Writes.Value()
-	_ = stored
 	fmt.Printf("\nburst of %d comments posted in %v\n", nBurst, burstDur.Round(time.Millisecond))
 	fmt.Printf("comments stored in TAO:      %d (all of them)\n",
 		countComments(cluster))
@@ -113,6 +110,9 @@ func main() {
 	fmt.Printf("high-volume strategy active: %v (auto-detected mid-burst; ordinary\n",
 		cluster.Apps.LVC.IsHotVideo(videoID))
 	fmt.Println("  comments now route via per-poster topics toward friends only)")
+	if delivered.Load() == 0 {
+		log.Fatal("no viewer received a push")
+	}
 }
 
 func countComments(c *core.Cluster) int {

@@ -30,8 +30,7 @@ func main() {
 	}
 	defer cluster.Close()
 	cluster.Apps.LVC.RateLimit = 100 * time.Millisecond // snappy demo
-	cluster.Apps.LVC.RankBeforePublish = false
-	cluster.Apps.LVC.MinScore = 0 // the demo comment must survive ranking
+	cluster.Apps.LVC.MinScore = 0                       // the demo comment must survive ranking
 
 	// 2. A viewer device connects through a POP and subscribes to the
 	//    comments of live video 7 with a GraphQL-style subscription.

@@ -50,7 +50,6 @@ func newEnvOn(t *testing.T, sched sim.Scheduler) *env {
 	// Fast timers for real-clock tests.
 	suite.LVC.RateLimit = 10 * time.Millisecond
 	suite.LVC.BufferTTL = 10 * time.Second
-	suite.LVC.RankBeforePublish = false // no ranking delay in live tests
 	suite.ActiveStatus.BatchInterval = 10 * time.Millisecond
 	suite.ActiveStatus.TTL = 200 * time.Millisecond
 
@@ -364,6 +363,48 @@ func TestLVCSpamNeverPublished(t *testing.T) {
 	// But it is stored in TAO.
 	if got := e.tao.AssocCount(tao.ObjID(12), "video_comment"); got != 1 {
 		t.Errorf("spam not stored: count=%d", got)
+	}
+}
+
+// The WAS's ranking hold applies to comments alone: with RankDelay set, an
+// LVC comment reaches Pylon only after the hold, a Messenger message at
+// once.
+func TestOnlyCommentsWaitForRanking(t *testing.T) {
+	const hold = 1790 * time.Millisecond
+	e := newEnv(t)
+	eng := sim.NewEngine(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
+	e.was.Sched = eng // the hold runs on simulated time
+	e.was.RankDelay = sim.Constant{V: hold}
+
+	poster := socialgraph.UserID(30)
+	text, ok := findComment(e.graph, poster, was.SpamThreshold, 1.01)
+	if !ok {
+		t.Fatal("no comment text scores above the spam threshold")
+	}
+	before := e.pylon.Publishes.Value()
+	if _, err := e.was.Mutate(poster, fmt.Sprintf(`postComment(videoID: 12, text: %q)`, text)); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(hold - time.Millisecond)
+	if got := e.pylon.Publishes.Value() - before; got != 0 {
+		t.Fatalf("comment published %d times before the ranking hold ended", got)
+	}
+	eng.RunFor(time.Millisecond)
+	if got := e.pylon.Publishes.Value() - before; got != 1 {
+		t.Fatalf("comment published %d times once the hold ended, want 1", got)
+	}
+
+	alice := socialgraph.UserID(17)
+	tid := e.createThread(t, alice, "17,18")
+	before = e.pylon.Publishes.Value()
+	if _, err := e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "hi")`, tid)); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.pylon.Publishes.Value() - before; got == 0 {
+		t.Error("message waited for the ranking hold; only comments are ranked")
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Errorf("%d events pending after the message: something was held", n)
 	}
 }
 
@@ -874,7 +915,7 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 	e := newEnv(t)
 	host := brass.NewHost(brass.HostConfig{
 		ID: "brass-log", Region: "us",
-		Durlog: &durlog.Config{}, DurlogApps: []string{AppMessenger},
+		Durlog:            &durlog.Config{},
 		StreamDeliverRate: 0.01, StreamDeliverBurst: 1, // one delivery, then shed
 	}, e.pylon, e.was, nil)
 	e.suite.RegisterBRASS(host)
@@ -949,7 +990,7 @@ func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 	e := newEnv(t)
 	host := brass.NewHost(brass.HostConfig{
 		ID: "brass-log", Region: "us",
-		Durlog: &durlog.Config{}, DurlogApps: []string{AppMessenger},
+		Durlog:            &durlog.Config{},
 		StreamDeliverRate: 0.01, StreamDeliverBurst: 1,
 	}, e.pylon, e.was, nil)
 	e.suite.RegisterBRASS(host)

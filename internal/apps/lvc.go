@@ -26,17 +26,15 @@ import (
 // payload from the WAS (privacy check included), and pushes it.
 type LiveVideoComments struct {
 	// Tunables (paper values as defaults).
-	RateLimit         time.Duration // max one push per stream per RateLimit
-	BufferK           int           // ranked buffer size (paper: 5)
-	BufferTTL         time.Duration // comments older than this are irrelevant (paper: 10 s)
-	MinScore          float64       // per-viewer quality floor
-	RankBeforePublish bool          // WAS-side pre-ranking of comments
+	RateLimit time.Duration // max one push per stream per RateLimit
+	BufferTTL time.Duration // comments older than this are irrelevant (paper: 10 s)
+	MinScore  float64       // per-viewer quality floor
 
-	// High-volume strategy tunables (lvc_hot.go).
-	HighRankCutoff   float64 // hot mode: scores >= this go to the main topic
-	HotDiscardCutoff float64 // hot mode: scores < this are discarded at the WAS
-	hot              *hotTracker
+	hot *hotTracker // high-volume strategy (lvc_hot.go)
 }
+
+// lvcBufferK is each stream's ranked buffer size (paper: 5).
+const lvcBufferK = 5
 
 // CommentPayload is the device-facing JSON for one comment.
 type CommentPayload struct {
@@ -55,14 +53,10 @@ func LVCTopic(videoID uint64) pylon.Topic {
 // NewLiveVideoComments registers the WAS half and returns the application.
 func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 	a := &LiveVideoComments{
-		RateLimit:         2 * time.Second,
-		BufferK:           5,
-		BufferTTL:         10 * time.Second,
-		MinScore:          0.2,
-		RankBeforePublish: true,
-		HighRankCutoff:    DefaultHighRankCutoff,
-		HotDiscardCutoff:  DefaultHotDiscardCutoff,
-		hot:               newHotTracker(DefaultHotThreshold, DefaultHotWindow),
+		RateLimit: 2 * time.Second,
+		BufferTTL: 10 * time.Second,
+		MinScore:  0.2,
+		hot:       newHotTracker(DefaultHotThreshold, DefaultHotWindow),
 	}
 
 	w.RegisterMutation("postComment", func(ctx was.Ctx, call was.FieldCall) (any, error) {
@@ -105,14 +99,14 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		// poster's friends); the rest are discarded at the WAS.
 		if a.hot.observe(videoID, ctx.Now) {
 			switch {
-			case score >= a.HighRankCutoff:
-			case score < a.HotDiscardCutoff:
+			case score >= HighRankCutoff:
+			case score < HotDiscardCutoff:
 				return uint64(ref), nil // discarded during the storm; still durable in TAO
 			default:
 				ev.Topic = LVCUserTopic(videoID, author.ID)
 			}
 		}
-		ctx.Publish(ev, a.RankBeforePublish)
+		ctx.Publish(ev, true) // rankable: WAS.RankDelay, when set, holds it
 		return uint64(ref), nil
 	})
 
@@ -209,7 +203,7 @@ func (in *lvcInstance) OnStreamOpen(st *brass.Stream) error {
 		return err
 	}
 	state := &lvcStream{
-		buffer:  brass.RankedBuffer{K: in.app.BufferK, TTL: in.app.BufferTTL},
+		buffer:  brass.RankedBuffer{K: lvcBufferK, TTL: in.app.BufferTTL},
 		limiter: brass.RateLimiter{Interval: in.app.RateLimit},
 		lang:    st.Header(HdrLang),
 	}

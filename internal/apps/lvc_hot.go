@@ -27,18 +27,18 @@ import (
 // Hotness is detected automatically from the comment arrival rate in a
 // sliding window, and can be forced for tests and planned events.
 
-// Hot-video tuning defaults.
+// Hot-video tuning.
 const (
 	// DefaultHotThreshold is the windowed comment count beyond which a
 	// video switches to the high-volume strategy.
 	DefaultHotThreshold = 1000
 	// DefaultHotWindow is the rate-measurement window.
 	DefaultHotWindow = 10 * time.Second
-	// DefaultHighRankCutoff routes a comment to the main video topic.
-	DefaultHighRankCutoff = 0.95
-	// DefaultHotDiscardCutoff drops low-value comments at the WAS during
+	// HighRankCutoff routes a comment to the main video topic.
+	HighRankCutoff = 0.95
+	// HotDiscardCutoff drops low-value comments at the WAS during
 	// storms (nobody would ever see them anyway).
-	DefaultHotDiscardCutoff = 0.3
+	HotDiscardCutoff = 0.3
 )
 
 // LVCUserTopic returns the per-poster topic used by the high-volume

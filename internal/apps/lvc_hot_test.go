@@ -83,9 +83,9 @@ func TestHotVideoRoutesByScore(t *testing.T) {
 	// via Pylon subscriber-less publish counters per topic. Subscribe
 	// fake markers to both topic kinds instead.
 	poster := socialgraph.UserID(30)
-	lowText, okLow := findComment(e.graph, poster, was.SpamThreshold, DefaultHotDiscardCutoff)
-	midText, okMid := findComment(e.graph, poster, DefaultHotDiscardCutoff, DefaultHighRankCutoff)
-	hiText, okHi := findComment(e.graph, poster, DefaultHighRankCutoff, 1.01)
+	lowText, okLow := findComment(e.graph, poster, was.SpamThreshold, HotDiscardCutoff)
+	midText, okMid := findComment(e.graph, poster, HotDiscardCutoff, HighRankCutoff)
+	hiText, okHi := findComment(e.graph, poster, HighRankCutoff, 1.01)
 	if !okLow || !okMid || !okHi {
 		t.Skip("could not synthesize all three score classes")
 	}
@@ -187,8 +187,8 @@ func TestHotVideoEndToEnd(t *testing.T) {
 	})
 
 	// Mid-score comments from the friend and from the stranger.
-	friendText, ok1 := findComment(e.graph, friend, DefaultHotDiscardCutoff, DefaultHighRankCutoff)
-	strangerText, ok2 := findComment(e.graph, stranger, DefaultHotDiscardCutoff, DefaultHighRankCutoff)
+	friendText, ok1 := findComment(e.graph, friend, HotDiscardCutoff, HighRankCutoff)
+	strangerText, ok2 := findComment(e.graph, stranger, HotDiscardCutoff, HighRankCutoff)
 	if !ok1 || !ok2 {
 		t.Skip("could not synthesize mid-score comments")
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/cache"
@@ -40,17 +39,11 @@ type HostConfig struct {
 	// when Pylon registration fails transiently (quorum loss, no server).
 	// Zero fields take the defaults BackoffPolicy.Normalized fills in.
 	SubscribeBackoff faults.BackoffPolicy
-	// BackoffSeed seeds the retry jitter RNG; 0 derives a seed from ID so
-	// a fleet of hosts decorrelates deterministically.
-	BackoffSeed int64
 	// PayloadCacheSize caps the host's shared hot-event payload cache
 	// (entries). 0 takes DefaultPayloadCacheSize; negative disables
 	// payload caching and coalescing entirely (every stream fetches from
 	// the WAS independently, the pre-fast-path behaviour).
 	PayloadCacheSize int
-	// PayloadCacheTTL bounds how long resolved payload bytes may be
-	// served without re-reading TAO. 0 takes DefaultPayloadCacheTTL.
-	PayloadCacheTTL time.Duration
 	// Tracer, when set, closes brass.deliver / brass.fetch / burst.flush
 	// spans for sampled events on this host. nil disables tracing.
 	Tracer *trace.Tracer
@@ -68,16 +61,14 @@ type HostConfig struct {
 	// StreamDeliverBurst is the per-stream bucket depth (0 = rate).
 	StreamDeliverBurst float64
 	// Durlog, when non-nil, gives the host a durable per-topic delta log
-	// (internal/durlog): applications listed in DurlogApps append every
-	// delivered delta and serve cursor catch-up reads from it, so a
-	// resuming stream replays the missed suffix from the edge instead of
-	// issuing a WAS point query. A nil Clock in the config takes the
-	// host's scheduler.
+	// (internal/durlog): an application that wants durable resume appends
+	// every delivered delta through its Runtime and serves cursor catch-up
+	// reads from it, so a resuming stream replays the missed suffix from
+	// the edge instead of issuing a WAS point query. An application that
+	// never calls Runtime.Log* (TypingIndicator, whose state is worthless
+	// milliseconds later) never pays for it. A nil Clock in the config
+	// takes the host's scheduler.
 	Durlog *durlog.Config
-	// DurlogApps names the applications the log is enabled for (per-app
-	// opt-in: Messenger wants durable resume; TypingIndicator, whose state
-	// is worthless milliseconds later, does not).
-	DurlogApps []string
 }
 
 // Host is one BRASS host: a multi-tenant machine running one instance per
@@ -111,10 +102,8 @@ type Host struct {
 	// nil when disabled.
 	payloadCache *cache.LRU[payloadKey, []byte]
 
-	// dlog is the host's durable per-topic log (nil when disabled);
-	// dlogApps is the per-app opt-in set from HostConfig.DurlogApps.
-	dlog     *durlog.Log
-	dlogApps map[string]bool
+	// dlog is the host's durable per-topic log (nil when disabled).
+	dlog *durlog.Log
 
 	// Metrics (exported so experiments and tests can assert on them).
 	Decisions          metrics.Counter
@@ -155,12 +144,11 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 	if sched == nil {
 		sched = sim.RealClock{}
 	}
-	seed := cfg.BackoffSeed
-	if seed == 0 {
-		hsh := fnv.New64a()
-		_, _ = hsh.Write([]byte(cfg.ID))
-		seed = int64(hsh.Sum64())
-	}
+	// Seeded off the host identity so a fleet decorrelates its retry
+	// jitter and payload-cache TTL refreshes deterministically.
+	hsh := fnv.New64a()
+	_, _ = hsh.Write([]byte(cfg.ID))
+	seed := int64(hsh.Sum64())
 	h := &Host{
 		cfg:           cfg,
 		pylon:         pyl,
@@ -178,13 +166,7 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		if size == 0 {
 			size = DefaultPayloadCacheSize
 		}
-		ttl := cfg.PayloadCacheTTL
-		if ttl == 0 {
-			ttl = DefaultPayloadCacheTTL
-		}
-		// Seeded off the host identity so a fleet decorrelates its TTL
-		// refreshes deterministically.
-		h.payloadCache = cache.NewLRU[payloadKey, []byte](size, ttl, 0.25, sched, seed)
+		h.payloadCache = cache.NewLRU[payloadKey, []byte](size, payloadCacheTTL, 0.25, sched, seed)
 	}
 	if cfg.Durlog != nil {
 		dcfg := *cfg.Durlog
@@ -192,10 +174,6 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 			dcfg.Clock = sched
 		}
 		h.dlog = durlog.New(dcfg)
-		h.dlogApps = make(map[string]bool, len(cfg.DurlogApps))
-		for _, app := range cfg.DurlogApps {
-			h.dlogApps[app] = true
-		}
 	}
 	if pyl != nil {
 		pyl.RegisterHost(h)

@@ -31,10 +31,10 @@ type payloadKey struct {
 // HostConfig.PayloadCacheSize is 0.
 const DefaultPayloadCacheSize = 1024
 
-// DefaultPayloadCacheTTL bounds payload reuse when HostConfig.PayloadCacheTTL
-// is 0: long enough to cover one hot event's fan-out burst, short enough
-// that an edited payload converges within a couple of seconds.
-const DefaultPayloadCacheTTL = 2 * time.Second
+// payloadCacheTTL bounds payload reuse: long enough to cover one hot
+// event's fan-out burst, short enough that an edited payload converges
+// within a couple of seconds.
+const payloadCacheTTL = 2 * time.Second
 
 // fetchPayload is the host-level payload fetch every stream routes through:
 // per-viewer privacy check, then cache, then the WAS into the cache.

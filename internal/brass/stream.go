@@ -315,11 +315,11 @@ func (rt *Runtime) Query(viewer socialgraph.UserID, expr string) ([]byte, error)
 	return rt.host.was.QueryIn(rt.host.cfg.Region, viewer, expr)
 }
 
-// LogEnabled reports whether the host's durable log is configured AND
-// opted in for this instance's application. Apps must check it before the
-// other Log* accessors; with it false they read their backend instead.
+// LogEnabled reports whether the host's durable log is configured. An
+// application opts in by calling the Log* accessors; with LogEnabled false
+// they are no-ops and the application reads its backend instead.
 func (rt *Runtime) LogEnabled() bool {
-	return rt.host.dlog != nil && rt.host.dlogApps[rt.inst.app.Name()]
+	return rt.host.dlog != nil
 }
 
 // LogOpen ensures a durable-log topic exists (idempotent; no-op when the
@@ -335,7 +335,7 @@ func (rt *Runtime) LogOpen(topic pylon.Topic) {
 //
 //brlint:hotpath
 func (rt *Runtime) LogAppend(topic pylon.Topic, seq uint64, payload []byte) bool {
-	if rt.host.dlog == nil || !rt.host.dlogApps[rt.inst.app.Name()] {
+	if rt.host.dlog == nil {
 		return false
 	}
 	return rt.host.dlog.Append(string(topic), seq, payload)

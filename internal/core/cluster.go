@@ -37,10 +37,9 @@ type Config struct {
 	ProxiesPerRegion int
 	// POPs is the number of edge points of presence.
 	POPs int
-	// KVNodesPerRegion backs Pylon's subscription store.
+	// KVNodesPerRegion backs Pylon's subscription store, which keeps
+	// kvReplicas copies of every subscription.
 	KVNodesPerRegion int
-	// KVReplicas is the subscription replication factor.
-	KVReplicas int
 	// Graph configures the synthetic social graph.
 	Graph socialgraph.Config
 	// TAO configures the graph store.
@@ -59,9 +58,10 @@ type Config struct {
 	// leaves all tracers nil — the zero-overhead configuration.
 	Trace *trace.Plane
 	// Durlog, when set, gives every BRASS host a durable per-topic log
-	// (internal/durlog) and enables cursor-based resume for the listed
-	// applications. nil (the default) keeps the pre-log behaviour: every
-	// resume is served from the application's backend.
+	// (internal/durlog) at that package's default sizing. An application
+	// that calls the host's log (Messenger) then serves cursor-based
+	// resumes from it; the rest never touch it. nil (the default) keeps
+	// the pre-log behaviour: every resume is served from the backend.
 	Durlog *DurlogConfig
 	// Geo, when set, activates the multi-region plane: each region gets
 	// its own Pylon cluster (over its own subscription KV nodes) and TAO
@@ -81,21 +81,11 @@ type OverloadConfig struct {
 	StreamDeliverBurst float64
 }
 
-// DurlogConfig selects the cluster-wide durable-log posture; the sizing
-// fields mirror durlog.Config (zero values take that package's defaults).
-type DurlogConfig struct {
-	// Apps names the applications that opt in. Empty defaults to
-	// Messenger only — the app whose updates are worth replaying later
-	// (TypingIndicator state is worthless milliseconds after the fact, so
-	// it stays out even when the log is on).
-	Apps []string
-	// HotBytes / Segments / SegmentEntries / Retention size each topic's
-	// slab ring; see durlog.Config.
-	HotBytes       int
-	Segments       int
-	SegmentEntries int
-	Retention      time.Duration
-}
+// DurlogConfig turns the durable log on; it has no fields, because every
+// deployment runs the log at durlog.Config's defaults. Which applications
+// use it is theirs to decide: Messenger's resumes read it, while
+// TypingIndicator, whose state is worthless milliseconds later, never does.
+type DurlogConfig struct{}
 
 // DefaultConfig returns a small but fully wired deployment: 2 regions, 2
 // BRASS hosts and 1 proxy per region, 2 POPs.
@@ -106,7 +96,6 @@ func DefaultConfig() Config {
 		ProxiesPerRegion:    1,
 		POPs:                2,
 		KVNodesPerRegion:    2,
-		KVReplicas:          3,
 		Graph:               socialgraph.DefaultConfig(),
 		TAO:                 tao.DefaultConfig(),
 		Pylon:               pylon.DefaultConfig(),

@@ -61,7 +61,6 @@ func newCluster(t *testing.T) *Cluster {
 		t.Fatal(err)
 	}
 	c.Apps.LVC.RateLimit = 10 * time.Millisecond
-	c.Apps.LVC.RankBeforePublish = false
 	t.Cleanup(c.Close)
 	return c
 }

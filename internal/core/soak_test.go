@@ -31,7 +31,6 @@ func TestMixedWorkloadSoak(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	c.Apps.LVC.RateLimit = 10 * time.Millisecond
-	c.Apps.LVC.RankBeforePublish = false
 	c.Apps.LVC.MinScore = 0
 	c.Apps.ActiveStatus.BatchInterval = 20 * time.Millisecond
 	c.Apps.Reactions.FlushInterval = 20 * time.Millisecond

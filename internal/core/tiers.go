@@ -45,6 +45,10 @@ func NewPylonTier(cfg Config) (*PylonTier, error) {
 	return &PylonTier{KV: kv, Pylon: pyl}, nil
 }
 
+// kvReplicas is the subscription replication factor (capped at the node
+// count).
+const kvReplicas = 3
+
 // newKVCluster builds the subscription KV nodes for the given regions.
 func newKVCluster(cfg Config, regions []string) (*kvstore.Cluster, error) {
 	var nodes []*kvstore.Node
@@ -54,11 +58,7 @@ func newKVCluster(cfg Config, regions []string) (*kvstore.Cluster, error) {
 				fmt.Sprintf("kv-%s-%d", r, i), r))
 		}
 	}
-	replicas := cfg.KVReplicas
-	if replicas > len(nodes) {
-		replicas = len(nodes)
-	}
-	return kvstore.NewCluster(nodes, replicas)
+	return kvstore.NewCluster(nodes, min(kvReplicas, len(nodes)))
 }
 
 // WASTier is the backend tier: the social graph, TAO, the WAS with every
@@ -119,16 +119,7 @@ func brassHostConfig(cfg Config, id, region string) brass.HostConfig {
 		StreamDeliverBurst: cfg.Overload.StreamDeliverBurst,
 	}
 	if cfg.Durlog != nil {
-		hcfg.Durlog = &durlog.Config{
-			HotBytes:       cfg.Durlog.HotBytes,
-			Segments:       cfg.Durlog.Segments,
-			SegmentEntries: cfg.Durlog.SegmentEntries,
-			Retention:      cfg.Durlog.Retention,
-		}
-		hcfg.DurlogApps = cfg.Durlog.Apps
-		if len(hcfg.DurlogApps) == 0 {
-			hcfg.DurlogApps = []string{apps.AppMessenger}
-		}
+		hcfg.Durlog = &durlog.Config{}
 	}
 	return hcfg
 }

@@ -118,7 +118,7 @@ func DurlogResume(seed int64) Result {
 			return o
 		}
 
-		if !WaitUntil(sched, deadline, func() bool {
+		if !waitUntil(sched, deadline, func() bool {
 			return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 		}) {
 			o.fail = errors.New("subscription never registered")
@@ -131,7 +131,7 @@ func DurlogResume(seed int64) Result {
 			}
 		}
 		send("baseline")
-		if !WaitUntil(sched, deadline, func() bool { return hasAll(o.sent) }) {
+		if !waitUntil(sched, deadline, func() bool { return hasAll(o.sent) }) {
 			o.fail = errors.New("baseline never delivered")
 			return o
 		}

@@ -48,9 +48,9 @@ func GeoFailover(seed int64) Result {
 	cfg.Graph.Users = 100
 	cfg.Graph.BlockProb = 0
 	cfg.Geo = &region.Config{
-		DefaultLatency: sim.Uniform{Lo: 100 * time.Microsecond, Hi: 500 * time.Microsecond},
-		DefaultReplLag: sim.Uniform{Lo: 1 * time.Millisecond, Hi: 4 * time.Millisecond},
-		Seed:           seed,
+		Latency: sim.Uniform{Lo: 100 * time.Microsecond, Hi: 500 * time.Microsecond},
+		ReplLag: sim.Uniform{Lo: 1 * time.Millisecond, Hi: 4 * time.Millisecond},
+		Seed:    seed,
 	}
 	c := core.MustNewCluster(cfg, nil)
 	defer c.Close()
@@ -133,7 +133,7 @@ func GeoFailover(seed int64) Result {
 	}
 	// Settle: every stream served from its home region, baseline message
 	// (seq 1 per thread) delivered end-to-end.
-	WaitUntil(sched, deadline, func() bool {
+	waitUntil(sched, deadline, func() bool {
 		for _, s := range states {
 			if servedFrom(s) != victim {
 				return false
@@ -148,7 +148,7 @@ func GeoFailover(seed int64) Result {
 			return r
 		}
 	}
-	WaitUntil(sched, deadline, func() bool {
+	waitUntil(sched, deadline, func() bool {
 		for _, s := range states {
 			s.mu.Lock()
 			ok := s.maxSeq >= 1
@@ -186,7 +186,7 @@ func GeoFailover(seed int64) Result {
 			}
 		}
 	}()
-	WaitUntil(sched, deadline, func() bool {
+	waitUntil(sched, deadline, func() bool {
 		for _, s := range states {
 			s.mu.Lock()
 			ok := s.recoveredAt != 0

@@ -146,7 +146,6 @@ func newSwitchEnv(seed int64) *switchEnv {
 	w := was.New(store, graph, pyl, nil)
 	suite := apps.NewSuite(w)
 	suite.LVC.RateLimit = 5 * time.Millisecond
-	suite.LVC.RankBeforePublish = false
 	suite.LVC.MinScore = 0.0
 	return &switchEnv{tao: store, pylon: pyl, was: w, suite: suite}
 }

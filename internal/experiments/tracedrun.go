@@ -104,19 +104,19 @@ func TracedLVCRun(seed int64, viewers, events int, rate float64, rank sim.Dist) 
 			`postComment(videoID: %d, text: "comment %d")`, videoID, ev)); err != nil {
 			return nil, err
 		}
-		if rank == nil && !WaitUntil(sched, 15*time.Second, reached(ev+1)) {
+		if rank == nil && !waitUntil(sched, 15*time.Second, reached(ev+1)) {
 			return nil, fmt.Errorf("traced LVC run: comment %d never reached every viewer", ev)
 		}
 	}
-	if !WaitUntil(sched, 30*time.Second, reached(events)) {
+	if !waitUntil(sched, 30*time.Second, reached(events)) {
 		return nil, fmt.Errorf("traced LVC run: %d comments never reached every viewer", events)
 	}
 	c.Quiesce()
 	return plane, nil
 }
 
-// WaitUntil polls cond through the scheduler until it holds or d elapses.
-func WaitUntil(sched sim.Scheduler, d time.Duration, cond func() bool) bool {
+// waitUntil polls cond through the scheduler until it holds or d elapses.
+func waitUntil(sched sim.Scheduler, d time.Duration, cond func() bool) bool {
 	const step = time.Millisecond
 	for elapsed := time.Duration(0); elapsed < d; elapsed += step {
 		if cond() {

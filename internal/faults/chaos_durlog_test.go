@@ -28,7 +28,7 @@ import (
 func TestChaosDurlogCursorResume(t *testing.T) {
 	// The storm sheds as it does without the log: only the catch-up source
 	// differs, and most of the storm lands only in the host's log.
-	s := newMessengerStorm(t, &core.DurlogConfig{}) // defaults: Messenger on
+	s := newMessengerStorm(t, &core.DurlogConfig{})
 	s.storm(nil)
 	s.cutPOPs() // the resubscribe must carry the stored cursor through reconnect
 	s.settle()

@@ -34,10 +34,10 @@ func geoConfig(seed int64) core.Config {
 	cfg.Graph.Users = 100
 	cfg.Graph.BlockProb = 0
 	cfg.Geo = &region.Config{
-		Regions:        cfg.Regions,
-		DefaultLatency: sim.Uniform{Lo: 100 * time.Microsecond, Hi: 500 * time.Microsecond},
-		DefaultReplLag: sim.Uniform{Lo: time.Millisecond, Hi: 4 * time.Millisecond},
-		Seed:           seed,
+		Regions: cfg.Regions,
+		Latency: sim.Uniform{Lo: 100 * time.Microsecond, Hi: 500 * time.Microsecond},
+		ReplLag: sim.Uniform{Lo: time.Millisecond, Hi: 4 * time.Millisecond},
+		Seed:    seed,
 	}
 	return cfg
 }

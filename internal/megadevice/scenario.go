@@ -454,7 +454,7 @@ func runReplay(o Options) (*Report, error) {
 	if ccfg.Graph.MeanFriends >= ccfg.Graph.Users {
 		ccfg.Graph.MeanFriends = ccfg.Graph.Users - 1
 	}
-	ccfg.Durlog = &core.DurlogConfig{} // defaults; Messenger only
+	ccfg.Durlog = &core.DurlogConfig{}
 	cluster, err := core.NewCluster(ccfg, nil)
 	if err != nil {
 		return nil, err

@@ -117,9 +117,9 @@ func TestChaosRewriteUnderPartialPartition(t *testing.T) {
 			cfg.Graph.Users = 100
 			cfg.Graph.BlockProb = 0
 			cfg.Geo = &region.Config{
-				DefaultLatency: sim.Uniform{Lo: 50 * time.Microsecond, Hi: 300 * time.Microsecond},
-				DefaultReplLag: sim.Uniform{Lo: 500 * time.Microsecond, Hi: 2 * time.Millisecond},
-				Seed:           seed,
+				Latency: sim.Uniform{Lo: 50 * time.Microsecond, Hi: 300 * time.Microsecond},
+				ReplLag: sim.Uniform{Lo: 500 * time.Microsecond, Hi: 2 * time.Millisecond},
+				Seed:    seed,
 			}
 			c := core.MustNewCluster(cfg, nil)
 			fn := faults.NewFaultNetwork(c.Net, nil, seed)

@@ -32,22 +32,15 @@ type Config struct {
 	// primary (the region TAO leaders and the authoritative WAS write
 	// path live in). Must have at least one entry.
 	Regions []string
-	// Latency gives the one-way per-write network latency for a directed
-	// inter-region link. Missing entries fall back to DefaultLatency;
-	// intra-region latency is always zero. Asymmetric routes (A→B fast,
-	// B→A slow) are expressed by distinct entries.
-	Latency map[Link]sim.Dist
-	// DefaultLatency is used for directed links without a Latency entry.
-	// Nil means no added latency.
-	DefaultLatency sim.Dist
-	// ReplLag gives the event/invalidation replication lag for a directed
-	// link (typically larger than Latency: replication is batched and
-	// rate-limited; cross-region links are "a limited resource", §3.4).
-	// Missing entries fall back to DefaultReplLag.
-	ReplLag map[Link]sim.Dist
-	// DefaultReplLag is used for directed links without a ReplLag entry.
-	// Nil means immediate replication.
-	DefaultReplLag sim.Dist
+	// Latency is the one-way per-write network latency of every
+	// inter-region link; intra-region latency is always zero. Nil means
+	// no added latency.
+	Latency sim.Dist
+	// ReplLag is the event/invalidation replication lag of every
+	// inter-region link (typically larger than Latency: replication is
+	// batched and rate-limited; cross-region links are "a limited
+	// resource", §3.4). Nil means immediate replication.
+	ReplLag sim.Dist
 	// Seed drives every latency/lag sample in the topology.
 	Seed int64
 }
@@ -139,12 +132,7 @@ func (t *Topology) SampleLatency(src, dst string) time.Duration {
 	if src == dst {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if dist := t.latencyDistLocked(Link{src, dst}); dist != nil {
-		return dist.Sample(t.rng)
-	}
-	return 0
+	return t.sample(t.cfg.Latency)
 }
 
 // SampleReplLag draws a replication lag for src→dst.
@@ -152,12 +140,16 @@ func (t *Topology) SampleReplLag(src, dst string) time.Duration {
 	if src == dst {
 		return 0
 	}
+	return t.sample(t.cfg.ReplLag)
+}
+
+func (t *Topology) sample(dist sim.Dist) time.Duration {
+	if dist == nil {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if dist := t.replDistLocked(Link{src, dst}); dist != nil {
-		return dist.Sample(t.rng)
-	}
-	return 0
+	return dist.Sample(t.rng)
 }
 
 // ReplLagDist returns the configured replication-lag distribution for the
@@ -168,23 +160,7 @@ func (t *Topology) ReplLagDist(src, dst string) sim.Dist {
 	if src == dst {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.replDistLocked(Link{src, dst})
-}
-
-func (t *Topology) latencyDistLocked(l Link) sim.Dist {
-	if dist, ok := t.cfg.Latency[l]; ok {
-		return dist
-	}
-	return t.cfg.DefaultLatency
-}
-
-func (t *Topology) replDistLocked(l Link) sim.Dist {
-	if dist, ok := t.cfg.ReplLag[l]; ok {
-		return dist
-	}
-	return t.cfg.DefaultReplLag
+	return t.cfg.ReplLag
 }
 
 // SetLinkDown partitions (or heals) the directed link src→dst.
