@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,6 +25,7 @@ import (
 	"bladerunner/internal/device"
 	"bladerunner/internal/edge"
 	"bladerunner/internal/faults"
+	"bladerunner/internal/megadevice"
 	"bladerunner/internal/socialgraph"
 )
 
@@ -153,13 +153,14 @@ func (lc *liveCluster) restartCount(role string) int {
 	return lc.restarts[role]
 }
 
-func dialCtrlT(t *testing.T, name, addr string) *ctrl.Conn {
+// dialLinkT opens a ctrl link to target through tnet, closed at cleanup;
+// setup registers the test's handlers before the conn starts.
+func dialLinkT(t *testing.T, tnet *edge.TCPNetwork, target, name string, setup func(*ctrl.Conn)) *ctrl.Conn {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
+	conn, err := ctrl.Dial(tnet, target, name, setup)
 	if err != nil {
-		t.Fatalf("dial %s at %s: %v", name, addr, err)
+		t.Fatal(err)
 	}
-	conn := ctrl.NewConn(name, c, nil).Start()
 	t.Cleanup(func() { _ = conn.Close() })
 	return conn
 }
@@ -236,23 +237,20 @@ func TestE2EMultiProcessFailover(t *testing.T) {
 	pop0 := lc.child(t, "pop", 0)
 	pop1 := lc.child(t, "pop", 1)
 
-	backend := ctrl.NewWASClient(dialCtrlT(t, "test->was", wasInfo.ctrl))
+	tnet := edge.NewTCPNetwork()
+	defer tnet.Close()
+	tnet.SetAddr("was", wasInfo.ctrl)
+	tnet.SetAddr("pylon", pylonInfo.ctrl)
+	backend := ctrl.NewWASClient(dialLinkT(t, tnet, "was", "test->was", nil))
 	var pylonCli *ctrl.PylonClient
-	pconn, err := net.Dial("tcp", pylonInfo.ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcc := ctrl.NewConn("test->pylon", pconn, nil)
-	pylonCli = ctrl.NewPylonClient(pcc)
-	pcc.Start()
-	t.Cleanup(func() { _ = pcc.Close() })
+	dialLinkT(t, tnet, "pylon", "test->pylon", func(c *ctrl.Conn) {
+		pylonCli = ctrl.NewPylonClient(c)
+	})
 
 	// Each viewer device pins one POP, so killing pop-0 severs exactly
 	// one of them while the other keeps the mailbox topic (and its
 	// durable log) hot on the BRASS host — the second-device-per-user
 	// shape: the phone stays online while the laptop's POP dies.
-	tnet := edge.NewTCPNetwork()
-	defer tnet.Close()
 	tnet.SetAddr("pop-0", pop0.burst)
 	tnet.SetAddr("pop-1", pop1.burst)
 
@@ -365,4 +363,39 @@ func TestE2EMultiProcessFailover(t *testing.T) {
 	trB.done.Wait()
 	t.Logf("sent=%d resubscribes=%d resumes=%d popRestarts=%d",
 		sent, viewerA.Resubscribes.Value(), viewerA.Resumes.Value(), lc.restartCount("pop"))
+}
+
+// TestE2ELiveLoad drives megadevice.RunLive, brload -net tcp's driver,
+// against a 4-process cluster: a virtual fleet's trunks into the POP and
+// publishes through the WAS process's ctrl port.
+func TestE2ELiveLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e: skipped in -short")
+	}
+	lc := launchCluster(t, 4) // pylon + was + brass + 1 pop
+
+	rep, err := megadevice.RunLive(megadevice.LiveOptions{
+		Pops:     []string{lc.child(t, "pop", 0).burst},
+		WASAddr:  lc.child(t, "was", 0).ctrl,
+		Devices:  50,
+		Areas:    5,
+		Seed:     1,
+		Duration: 2 * time.Second,
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("connects=%d dial_failures=%d publishes=%d applied=%d probes=%d misses=%d",
+		rep.Connects, rep.DialFailures, rep.Publishes, rep.Applied, rep.Probes, rep.ProbeMisses)
+	// Nothing drops a device here, so each connects exactly once.
+	if rep.Connects != int64(rep.Devices) {
+		t.Errorf("%d connects for %d devices, want one each", rep.Connects, rep.Devices)
+	}
+	if rep.DialFailures != 0 {
+		t.Errorf("%d dial failures", rep.DialFailures)
+	}
+	if rep.Applied == 0 {
+		t.Error("no delta was applied")
+	}
 }

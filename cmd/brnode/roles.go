@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,82 +69,18 @@ func clusterConfig(b bootstrap) core.Config {
 	return cfg
 }
 
-// ctrlServer accepts control connections and wires each one's services.
-type ctrlServer struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	conns  map[*ctrl.Conn]bool
-	closed bool
-}
-
-// newCtrlServer listens on addr; every accepted conn serves the node
-// admin methods plus whatever setup registers, then starts.
-func newCtrlServer(addr, role string, onDrain func(), setup func(*ctrl.Conn)) (*ctrlServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl listen %s: %w", addr, err)
-	}
-	s := &ctrlServer{ln: ln, conns: make(map[*ctrl.Conn]bool)}
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			conn := ctrl.NewConn(role+"-ctrl", c, nil)
-			ctrl.ServeNode(conn, role, onDrain)
-			if setup != nil {
-				setup(conn)
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				_ = conn.Close()
-				return
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			conn.Start()
+// serveCtrl serves ctrl on addr through tnet: every conn serves the node
+// admin methods (drain runs onDrain) plus whatever setup registers. The
+// listener closes with tnet, the live conns with the returned server.
+func serveCtrl(tnet *edge.TCPNetwork, addr, role string, onDrain func(), setup func(*ctrl.Conn)) (*ctrl.Server, string, error) {
+	srv := ctrl.NewServer(role+"-ctrl", func(c *ctrl.Conn) {
+		ctrl.ServeNode(c, role, onDrain)
+		if setup != nil {
+			setup(c)
 		}
-	}()
-	return s, nil
-}
-
-func (s *ctrlServer) Addr() string { return s.ln.Addr().String() }
-
-func (s *ctrlServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	conns := make([]*ctrl.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	_ = s.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-}
-
-// dialCtrl opens a control connection to a peer tier and starts it after
-// setup has registered any handlers (e.g. the pylon client's deliver
-// dispatcher).
-func dialCtrl(name, addr string, setup func(*ctrl.Conn)) (*ctrl.Conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dial %s at %s: %w", name, addr, err)
-	}
-	conn := ctrl.NewConn(name, c, nil)
-	if setup != nil {
-		setup(conn)
-	}
-	conn.Start()
-	return conn, nil
+	})
+	bound, err := tnet.Listen("ctrl", addr, srv.Accept)
+	return srv, bound, err
 }
 
 // runPylon boots the pub/sub tier: subscription KV + Pylon, served over
@@ -156,15 +91,17 @@ func runPylon(b bootstrap) (*node, error) {
 		return nil, err
 	}
 	n := newNode()
-	cs, err := newCtrlServer(b.Ctrl, "pylon", n.requestDrain, func(c *ctrl.Conn) {
+	tnet := edge.NewTCPNetwork()
+	srv, ctrlAddr, err := serveCtrl(tnet, b.Ctrl, "pylon", n.requestDrain, func(c *ctrl.Conn) {
 		ctrl.ServePylon(c, pt.Pylon, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.onDrain(cs.Close)
-	log.Printf("pylon up: ctrl=%s", cs.Addr())
-	ready("pylon", cs.Addr(), "")
+	n.onDrain(tnet.Close)
+	n.onDrain(srv.Close)
+	log.Printf("pylon up: ctrl=%s", ctrlAddr)
+	ready("pylon", ctrlAddr, "")
 	return n, nil
 }
 
@@ -174,8 +111,10 @@ func runWAS(b bootstrap) (*node, error) {
 	if b.PylonAddr == "" {
 		return nil, fmt.Errorf("role was: -pylon address required")
 	}
+	tnet := edge.NewTCPNetwork()
+	tnet.SetAddr("pylon", b.PylonAddr)
 	var pc *ctrl.PylonClient
-	pconn, err := dialCtrl("was->pylon", b.PylonAddr, func(c *ctrl.Conn) {
+	pconn, err := ctrl.Dial(tnet, "pylon", "was->pylon", func(c *ctrl.Conn) {
 		pc = ctrl.NewPylonClient(c)
 	})
 	if err != nil {
@@ -183,20 +122,22 @@ func runWAS(b bootstrap) (*node, error) {
 	}
 	wt, err := core.NewWASTier(clusterConfig(b), nil, pc, nil)
 	if err != nil {
+		_ = pconn.Close()
 		return nil, err
 	}
 	n := newNode()
-	cs, err := newCtrlServer(b.Ctrl, "was", n.requestDrain, func(c *ctrl.Conn) {
+	srv, ctrlAddr, err := serveCtrl(tnet, b.Ctrl, "was", n.requestDrain, func(c *ctrl.Conn) {
 		ctrl.ServeWAS(c, wt.WAS)
 	})
 	if err != nil {
 		_ = pconn.Close()
 		return nil, err
 	}
-	n.onDrain(cs.Close)
+	n.onDrain(tnet.Close)
+	n.onDrain(srv.Close)
 	n.onDrain(func() { _ = pconn.Close() })
-	log.Printf("was up: ctrl=%s pylon=%s users=%d", cs.Addr(), b.PylonAddr, b.Users)
-	ready("was", cs.Addr(), "")
+	log.Printf("was up: ctrl=%s pylon=%s users=%d", ctrlAddr, b.PylonAddr, b.Users)
+	ready("was", ctrlAddr, "")
 	return n, nil
 }
 
@@ -206,15 +147,18 @@ func runBrass(b bootstrap) (*node, error) {
 	if b.PylonAddr == "" || b.WASAddr == "" {
 		return nil, fmt.Errorf("role brass: -pylon and -was addresses required")
 	}
+	tnet := edge.NewTCPNetwork()
+	tnet.SetAddr("pylon", b.PylonAddr)
+	tnet.SetAddr("was", b.WASAddr)
 	var pc *ctrl.PylonClient
-	pconn, err := dialCtrl("brass->pylon", b.PylonAddr, func(c *ctrl.Conn) {
+	pconn, err := ctrl.Dial(tnet, "pylon", "brass->pylon", func(c *ctrl.Conn) {
 		pc = ctrl.NewPylonClient(c)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var wc *ctrl.WASClient
-	wconn, err := dialCtrl("brass->was", b.WASAddr, func(c *ctrl.Conn) {
+	wconn, err := ctrl.Dial(tnet, "was", "brass->was", func(c *ctrl.Conn) {
 		wc = ctrl.NewWASClient(c)
 	})
 	if err != nil {
@@ -227,7 +171,6 @@ func runBrass(b bootstrap) (*node, error) {
 	suite := apps.NewSuite(apps.NopRegistrar{})
 	tier := core.NewBrassTier(clusterConfig(b), b.Region, "", suite, pc, wc, nil)
 
-	tnet := edge.NewTCPNetwork()
 	var next uint32
 	var sess uint64
 	bound, err := tnet.Listen(tier.Hosts[0].ID(), b.Listen, func(rwc io.ReadWriteCloser) {
@@ -241,7 +184,7 @@ func runBrass(b bootstrap) (*node, error) {
 	}
 
 	n := newNode()
-	cs, err := newCtrlServer(b.Ctrl, "brass", n.requestDrain, nil)
+	srv, ctrlAddr, err := serveCtrl(tnet, b.Ctrl, "brass", n.requestDrain, nil)
 	if err != nil {
 		_ = pconn.Close()
 		_ = wconn.Close()
@@ -256,11 +199,11 @@ func runBrass(b bootstrap) (*node, error) {
 			h.Close()
 		}
 	})
-	n.onDrain(cs.Close)
+	n.onDrain(srv.Close)
 	n.onDrain(func() { _ = pconn.Close() })
 	n.onDrain(func() { _ = wconn.Close() })
-	log.Printf("brass up: burst=%s ctrl=%s hosts=%d", bound, cs.Addr(), len(tier.Hosts))
-	ready("brass", cs.Addr(), bound)
+	log.Printf("brass up: burst=%s ctrl=%s hosts=%d", bound, ctrlAddr, len(tier.Hosts))
+	ready("brass", ctrlAddr, bound)
 	return n, nil
 }
 
@@ -283,15 +226,15 @@ func runPOP(b bootstrap) (*node, error) {
 		return nil, err
 	}
 	n := newNode()
-	cs, err := newCtrlServer(b.Ctrl, "pop", n.requestDrain, nil)
+	srv, ctrlAddr, err := serveCtrl(tnet, b.Ctrl, "pop", n.requestDrain, nil)
 	if err != nil {
 		tnet.Close()
 		return nil, err
 	}
 	n.onDrain(tnet.Close)
 	n.onDrain(pop.Close)
-	n.onDrain(cs.Close)
-	log.Printf("pop up: burst=%s ctrl=%s brass=%v", bound, cs.Addr(), targets)
-	ready("pop", cs.Addr(), bound)
+	n.onDrain(srv.Close)
+	log.Printf("pop up: burst=%s ctrl=%s brass=%v", bound, ctrlAddr, targets)
+	ready("pop", ctrlAddr, bound)
 	return n, nil
 }

@@ -6,57 +6,34 @@
 package bench
 
 import (
-	"net"
 	"testing"
 
 	"bladerunner/internal/apps"
 	"bladerunner/internal/ctrl"
+	"bladerunner/internal/edge"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
 )
 
-// wirePair returns both ends of one accepted loopback TCP connection.
-func wirePair(b *testing.B) (client, server net.Conn) {
+// ctrlLink serves setup's handlers behind a loopback edge.TCPNetwork
+// listener and returns a client Conn dialed to them.
+func ctrlLink(b *testing.B, name string, setup func(*ctrl.Conn)) *ctrl.Conn {
 	b.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tnet := edge.NewTCPNetwork()
+	srv := ctrl.NewServer(name+"-srv", setup)
+	if _, err := tnet.Serve("srv", srv.Accept); err != nil {
+		b.Fatal(err)
+	}
+	cli, err := ctrl.Dial(tnet, "srv", name, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ln.Close()
-	type accepted struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan accepted, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- accepted{c, err}
-	}()
-	cli, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := <-ch
-	if srv.err != nil {
-		b.Fatal(srv.err)
-	}
-	return cli, srv.c
-}
-
-// ctrlPair wires a served Conn (setup registers its handlers) to a client
-// Conn over one loopback TCP connection.
-func ctrlPair(b *testing.B, name string, setup func(*ctrl.Conn)) *ctrl.Conn {
-	b.Helper()
-	cliConn, srvConn := wirePair(b)
-	srv := ctrl.NewConn(name+"-srv", srvConn, nil)
-	setup(srv)
-	srv.Start()
-	cli := ctrl.NewConn(name, cliConn, nil).Start()
 	b.Cleanup(func() {
 		_ = cli.Close()
-		_ = srv.Close()
+		tnet.Close()
+		srv.Close()
 	})
 	return cli
 }
@@ -71,7 +48,7 @@ func PylonPublishWire(b *testing.B) {
 	if err := pyl.Subscribe("/bench", "sink"); err != nil {
 		b.Fatal(err)
 	}
-	cli := ctrlPair(b, "bench->pylon", func(c *ctrl.Conn) {
+	cli := ctrlLink(b, "bench->pylon", func(c *ctrl.Conn) {
 		ctrl.ServePylon(c, pyl, nil)
 	})
 	pc := ctrl.NewPylonClient(cli)
@@ -100,7 +77,7 @@ func visibilityFixture() (*was.Server, pylon.Event) {
 // multi-process deployment pays once per delivery.
 func CtrlCheckVisibilityWire(b *testing.B) {
 	w, ev := visibilityFixture()
-	wc := ctrl.NewWASClient(ctrlPair(b, "brass->was", func(c *ctrl.Conn) {
+	wc := ctrl.NewWASClient(ctrlLink(b, "brass->was", func(c *ctrl.Conn) {
 		ctrl.ServeWAS(c, w)
 	}))
 	b.ReportAllocs()

@@ -1,9 +1,10 @@
 // Package ctrl is the control protocol between Bladerunner tier processes:
 // a small binary RPC carried over any io.ReadWriteCloser (in production a
-// TCP connection from edge.TCPNetwork). It exists so the multi-process
-// deployment (cmd/brnode) can cut the in-process cluster at its interface
-// seams — brass.PubSub, brass.Backend, device.Backend — and replace a
-// function call with a socket without the tiers noticing.
+// TCP connection from edge.TCPNetwork; Server and Dial build a link over
+// any edge network). It exists so the multi-process deployment
+// (cmd/brnode) can cut the in-process cluster at its interface seams —
+// brass.PubSub, brass.Backend, device.Backend — and replace a function
+// call with a socket without the tiers noticing.
 //
 // Every message is one internal/frame frame; the frame kind says what the
 // message is, and each method (methods.go) has one fixed field layout for

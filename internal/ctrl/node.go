@@ -7,8 +7,9 @@ import (
 )
 
 // ServeNode registers the node admin handlers: ping answers with the
-// node's role (the launcher's readiness probe), drain triggers a graceful
-// drain (the same path as SIGTERM) via the supplied callback.
+// node's role, so a peer can ask what it dialed (the launcher learns a
+// child is ready from its READY line, not from a ping); drain triggers a
+// graceful drain (the same path as SIGTERM) via the supplied callback.
 func ServeNode(conn *Conn, role string, drain func()) {
 	conn.handle(mPing, func(r *frame.Reader, out *bytes.Buffer) error {
 		frame.PutString(out, role)
@@ -25,7 +26,8 @@ func ServeNode(conn *Conn, role string, drain func()) {
 	})
 }
 
-// Ping round-trips a node.ping, returning the remote role.
+// Ping round-trips a node.ping, returning the remote role. Nothing waits on
+// it for readiness: brnode's launcher parses its children's READY lines.
 func Ping(conn *Conn) (role string, err error) {
 	err = conn.call(mPing, nil, func(r *frame.Reader) { role = r.Str() })
 	return role, err

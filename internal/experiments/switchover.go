@@ -7,10 +7,9 @@ import (
 
 	"bladerunner/internal/apps"
 	"bladerunner/internal/baseline"
-	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/core"
 	"bladerunner/internal/edge"
-	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/sim"
 	"bladerunner/internal/socialgraph"
@@ -44,7 +43,7 @@ func Switchover(seed int64) Result {
 	pollers := make([]*baseline.ClientPoller, viewers)
 	for i := range pollers {
 		pollers[i] = &baseline.ClientPoller{
-			WAS:      pollEnv.was,
+			WAS:      pollEnv.WAS,
 			Viewer:   socialgraph.UserID(i + 1),
 			Query:    "videoComments(videoID: 900, limit: 10)",
 			Interval: pollEvery,
@@ -52,7 +51,7 @@ func Switchover(seed int64) Result {
 		}
 		pollers[i].Start()
 	}
-	postComments(sched, pollEnv.was, comments, commentGap)
+	postComments(sched, pollEnv.WAS, comments, commentGap)
 	sim.Sleep(sched, settleAfter)
 	for _, p := range pollers {
 		p.Stop()
@@ -61,10 +60,8 @@ func Switchover(seed int64) Result {
 
 	// ---- Variant B: Bladerunner streams ----
 	brEnv := newSwitchEnv(seed)
-	host := brass.NewHost(brass.HostConfig{ID: "brass-x", Region: "us", StickyRouting: false},
-		brEnv.pylon, brEnv.was, nil)
+	host := core.NewBrassTier(brEnv.cfg, "us", "", brEnv.Apps, brEnv.pylon, brEnv.WAS, nil).Hosts[0]
 	defer host.Close()
-	brEnv.suite.RegisterBRASS(host)
 
 	clients := make([]*burst.Client, viewers)
 	for i := range clients {
@@ -83,7 +80,7 @@ func Switchover(seed int64) Result {
 	}
 	// Wait for the host to register the topic with Pylon.
 	brEnv.pylon.WaitForSubscriber(sched, apps.LVCTopic(900), 2*time.Second)
-	postComments(sched, brEnv.was, comments, commentGap)
+	postComments(sched, brEnv.WAS, comments, commentGap)
 	sim.Sleep(sched, settleAfter)
 	host.Quiesce()
 	brStats := brEnv.snapshot()
@@ -120,11 +117,12 @@ func Switchover(seed int64) Result {
 	return r
 }
 
+// switchEnv is one variant's backend: the Pylon and WAS tiers, built as
+// core.NewCluster builds them.
 type switchEnv struct {
-	tao   *tao.Store
+	cfg   core.Config
 	pylon *pylon.Service
-	was   *was.Server
-	suite *apps.Suite
+	*core.WASTier
 }
 
 type switchStats struct {
@@ -135,27 +133,33 @@ type switchStats struct {
 }
 
 func newSwitchEnv(seed int64) *switchEnv {
-	nodes := []*kvstore.Node{
-		kvstore.NewNode("a", "us"), kvstore.NewNode("b", "eu"), kvstore.NewNode("c", "ap"),
+	cfg := core.Config{
+		Regions:             []string{"us"},
+		BRASSHostsPerRegion: 1,
+		KVNodesPerRegion:    3,
+		Graph:               socialgraph.Config{Users: 200, MeanFriends: 10, Seed: seed},
+		TAO:                 tao.Config{Shards: 64, IndexShardCapacity: 8},
+		Pylon:               pylon.DefaultConfig(),
 	}
-	pyl := pylon.MustNew(pylon.DefaultConfig(), kvstore.MustNewCluster(nodes, 3))
-	store := tao.MustNewStore(tao.Config{Shards: 64, IndexShardCapacity: 8}, nil)
-	graph := socialgraph.MustGenerate(socialgraph.Config{
-		Users: 200, MeanFriends: 10, Seed: seed,
-	})
-	w := was.New(store, graph, pyl, nil)
-	suite := apps.NewSuite(w)
-	suite.LVC.RateLimit = 5 * time.Millisecond
-	suite.LVC.MinScore = 0.0
-	return &switchEnv{tao: store, pylon: pyl, was: w, suite: suite}
+	pt, err := core.NewPylonTier(cfg)
+	if err != nil {
+		panic(err)
+	}
+	wt, err := core.NewWASTier(cfg, pt.Pylon, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	wt.Apps.LVC.RateLimit = 5 * time.Millisecond
+	wt.Apps.LVC.MinScore = 0.0
+	return &switchEnv{cfg: cfg, pylon: pt.Pylon, WASTier: wt}
 }
 
 func (e *switchEnv) snapshot() switchStats {
 	return switchStats{
-		taoReads:      e.tao.Stats().Reads(),
-		shardAccesses: e.tao.Stats().ShardAccesses.Value(),
-		rangeQueries:  e.tao.Stats().RangeQueries.Value(),
-		wasCPU:        e.was.CPUMillis.Value(),
+		taoReads:      e.TAO.Stats().Reads(),
+		shardAccesses: e.TAO.Stats().ShardAccesses.Value(),
+		rangeQueries:  e.TAO.Stats().RangeQueries.Value(),
+		wasCPU:        e.WAS.CPUMillis.Value(),
 	}
 }
 

@@ -2,7 +2,6 @@ package megadevice
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"bladerunner/internal/apps"
@@ -38,15 +37,17 @@ type LiveOptions struct {
 	Seed    int64
 	// Duration is the wall-clock driving span (default 10s).
 	Duration time.Duration
-	// PubsPerMinute paces background publishes (default 600).
-	PubsPerMinute int
-	// ProbesPerMinute paces delivery-latency probes (default 60).
-	ProbesPerMinute float64
-	// ProbeWait bounds one probe's wall-clock delivery wait (default 2s).
-	ProbeWait time.Duration
 	// Logf receives progress lines (nil discards).
 	Logf func(format string, args ...any)
 }
+
+// Live mode's pacing: background publishes and delivery-latency probes per
+// wall-clock second, and the wait for one probe's delivery.
+const (
+	livePubsPerSec   = 10
+	liveProbesPerSec = 1
+	liveProbeWait    = 2 * time.Second
+)
 
 func (o *LiveOptions) normalize() error {
 	if len(o.Pops) == 0 {
@@ -66,15 +67,6 @@ func (o *LiveOptions) normalize() error {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 10 * time.Second
-	}
-	if o.PubsPerMinute <= 0 {
-		o.PubsPerMinute = 600
-	}
-	if o.ProbesPerMinute <= 0 {
-		o.ProbesPerMinute = 60
-	}
-	if o.ProbeWait <= 0 {
-		o.ProbeWait = 2 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -96,17 +88,17 @@ func RunLive(o LiveOptions) (*Report, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 
 	// Publish path: the WAS process's control port.
-	wconn, err := net.Dial("tcp", o.WASAddr)
+	tnet := edge.NewTCPNetwork()
+	defer tnet.Close()
+	tnet.SetAddr("was", o.WASAddr)
+	cc, err := ctrl.Dial(tnet, "was", "brload->was", nil)
 	if err != nil {
-		return nil, fmt.Errorf("megadevice: dial WAS ctrl %s: %w", o.WASAddr, err)
+		return nil, fmt.Errorf("megadevice: %w", err)
 	}
-	cc := ctrl.NewConn("brload->was", wconn, nil).Start()
 	defer cc.Close()
 	wc := ctrl.NewWASClient(cc)
 
 	// Delta path: real TCP trunks into the live POPs.
-	tnet := edge.NewTCPNetwork()
-	defer tnet.Close()
 	popNames := make([]string, len(o.Pops))
 	for i, addr := range o.Pops {
 		popNames[i] = fmt.Sprintf("pop-%d", i)
@@ -174,7 +166,7 @@ func RunLive(o LiveOptions) (*Report, error) {
 		fleet.ProbeArm(uint32(area), wall.Now().UnixNano())
 		publish(area)
 		rep.Probes++
-		limit := wall.Now().Add(o.ProbeWait)
+		limit := wall.Now().Add(liveProbeWait)
 		for fleet.ProbeArmed(uint32(area)) {
 			if wall.Now().After(limit) {
 				if fleet.ProbeDisarm(uint32(area)) {
@@ -187,20 +179,13 @@ func RunLive(o LiveOptions) (*Report, error) {
 	}
 
 	// Drive wall-clock seconds: paced publishes plus latency probes.
-	pubsPerSec := float64(o.PubsPerMinute) / 60
-	probesPerSec := o.ProbesPerMinute / 60
-	pubDebt, probeDebt := 0.0, 0.0
 	secs := int(o.Duration / time.Second)
 	for s := 0; s < secs; s++ {
 		tick := wall.Now().Add(time.Second)
-		pubDebt += pubsPerSec
-		for pubDebt >= 1 {
-			pubDebt--
+		for i := 0; i < livePubsPerSec; i++ {
 			publish(zipf.Sample(rng))
 		}
-		probeDebt += probesPerSec
-		for probeDebt >= 1 {
-			probeDebt--
+		for i := 0; i < liveProbesPerSec; i++ {
 			probe(zipf.Sample(rng))
 		}
 		if rest := tick.Sub(wall.Now()); rest > 0 {

@@ -35,14 +35,6 @@ type Options struct {
 	// SimDuration is the simulated span (defaults: diurnal 24h, storm
 	// 60m, celebrity 30m).
 	SimDuration time.Duration
-	// PubsPerMinute is the peak background publish rate into the live
-	// cluster (scaled by the diurnal curve; default 120, Short 30).
-	PubsPerMinute int
-	// ProbesPerMinute paces delivery-latency probes (fractional rates
-	// accumulate; default 2, Short 0.2).
-	ProbesPerMinute float64
-	// ProbeWait bounds the wall-clock wait for one probe's delivery.
-	ProbeWait time.Duration
 	// Short trims publish/probe volume for CI smoke runs; the device
 	// count and simulated span stay full-size.
 	Short bool
@@ -111,6 +103,16 @@ type Report struct {
 	GitDescribe string `json:"git_describe,omitempty"`
 }
 
+// A scenario's pacing against the live cluster: the peak background publish
+// rate (scaled by the diurnal curve) and the delivery-latency probe rate
+// (fractional rates accumulate), each per simulated minute and each
+// trimmed under Short, and the wall-clock wait for one probe's delivery.
+const (
+	pubsPerMinute, shortPubsPerMinute     = 120, 30
+	probesPerMinute, shortProbesPerMinute = 2.0, 0.2
+	probeWait                             = 500 * time.Millisecond
+)
+
 func (o *Options) normalize() error {
 	switch o.Scenario {
 	case ScenarioDiurnal, ScenarioStorm, ScenarioCelebrity, ScenarioReplay:
@@ -140,23 +142,6 @@ func (o *Options) normalize() error {
 		default:
 			o.SimDuration = 30 * time.Minute
 		}
-	}
-	if o.PubsPerMinute <= 0 {
-		if o.Short {
-			o.PubsPerMinute = 30
-		} else {
-			o.PubsPerMinute = 120
-		}
-	}
-	if o.ProbesPerMinute <= 0 {
-		if o.Short {
-			o.ProbesPerMinute = 0.2
-		} else {
-			o.ProbesPerMinute = 2
-		}
-	}
-	if o.ProbeWait <= 0 {
-		o.ProbeWait = 500 * time.Millisecond
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -290,9 +275,9 @@ func Run(o Options) (*Report, error) {
 		}
 	}
 	rep.HotTopicSubs = areaSubs[hotArea]
-	burstPubs := 100
+	burstPubs, pubRate, probeRate := 100, pubsPerMinute, probesPerMinute
 	if o.Short {
-		burstPubs = 25
+		burstPubs, pubRate, probeRate = 25, shortPubsPerMinute, shortProbesPerMinute
 	}
 
 	publish := func(area int) {
@@ -306,7 +291,7 @@ func Run(o Options) (*Report, error) {
 		fleet.ProbeArm(uint32(area), wall.Now().UnixNano())
 		publish(area)
 		rep.Probes++
-		deadline := wall.Now().Add(o.ProbeWait)
+		deadline := wall.Now().Add(probeWait)
 		for fleet.ProbeArmed(uint32(area)) {
 			if wall.Now().After(deadline) {
 				if fleet.ProbeDisarm(uint32(area)) {
@@ -365,7 +350,7 @@ func Run(o Options) (*Report, error) {
 		// diurnal publication curve. Uniform area targeting spreads the
 		// load the way Table 1's breadth does; the celebrity scenario
 		// supplies the hot-topic depth explicitly.
-		pubs := int(float64(o.PubsPerMinute) * online.At(simNow))
+		pubs := int(float64(pubRate) * online.At(simNow))
 		for i := 0; i < pubs; i++ {
 			publish(rng.Intn(o.Areas))
 		}
@@ -387,7 +372,7 @@ func Run(o Options) (*Report, error) {
 		}
 
 		// Delivery probes (fractional rate accumulates).
-		probeDebt += o.ProbesPerMinute
+		probeDebt += probeRate
 		for probeDebt >= 1 {
 			probeDebt--
 			probe(zipf.Sample(rng))
