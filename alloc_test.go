@@ -55,13 +55,13 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch both values slice; resume-seq and cursor decode to the package constants"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
 		{"WASMutateFeedComment", bench.WASMutateFeedComment, 7, "the resolver's own work: two formatted ids, the TAO object and its sorted bag (the resolver's literal stays on its stack), the association, the topic, the boxed and encoded result; no parse, Ctx or closure allocation, and the event carries no map"},
-		{"BURSTSubscribeHop", subscribeHop, 5, "the stream, its header map's two, the one copy of the payload its strings slice; room for one"},
+		{"BURSTSubscribeHop", subscribeHop, 2, "the stream, whose inline pairs hold the request, and the one copy of the header its strings slice (4 before: a header map's two)"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 1, "the one copy of the patch both values slice: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
-		{"BRASSStreamOpenClose", streamOpenClose, 11, "the subscribe hop's four, the cancel reason's copy, the Stream and its close reason, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (17 before: the topic-set map's two, two closures, a replica slice per write)"},
+		{"BRASSStreamOpenClose", streamOpenClose, 8, "the subscribe hop's two, the Stream and its close reason — the one copy of the borrowed cancel reason —, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (11 before: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
-		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 13, "a relay leg is its ClientStream alone, with no stored request and no channel, and the device's stream has no channel; the rest is the two subscribe hops' decode and the relay, which has no goroutine: the downstream session's writer forwards its leg (16 before: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
+		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 8, "the device's stream and its pairs, each subscribe hop's stream and header copy, the relay and its leg, which is its ClientStream alone, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (13 before: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
 		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)
@@ -145,7 +145,7 @@ func relayHop(b *testing.B) {
 	opened := make(chan *burst.ServerStream, 1)
 	down := &wireTap{wire: up.written, next: make(chan struct{}, 1), closed: make(chan struct{}), wrote: make(chan struct{})}
 	srv := burst.NewServerSession("down->relay", down, burst.ServerHandlerFuncs{
-		Subscribe: func(st *burst.ServerStream, _ burst.Subscribe) { opened <- st },
+		Subscribe: func(st *burst.ServerStream) { opened <- st },
 	})
 	defer srv.Close()
 	down.next <- struct{}{}
@@ -178,7 +178,7 @@ func serverSend(b *testing.B) {
 	tap := &wireTap{wire: msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{burst.HdrApp: "feed"}}),
 		next: make(chan struct{}, 1), closed: make(chan struct{}), wrote: make(chan struct{})}
 	srv := burst.NewServerSession("brass", tap, burst.ServerHandlerFuncs{
-		Subscribe: func(st *burst.ServerStream, _ burst.Subscribe) { opened <- st },
+		Subscribe: func(st *burst.ServerStream) { opened <- st },
 	})
 	defer srv.Close()
 	tap.next <- struct{}{}
@@ -219,8 +219,9 @@ func deviceReceive(b *testing.B) {
 }
 
 // subscribeHop is what one hop pays to open a stream: the benchmark's
-// three-key subscribe frame through a ServerSession to its handler, then a
-// cancel (no reason: nothing to copy) that keeps the stream table at one entry.
+// three-key subscribe frame through a ServerSession to its handler, which
+// reads the keys from the stream, then a cancel that keeps the stream table at
+// one entry.
 func subscribeHop(b *testing.B) {
 	open := msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{
 		burst.HdrApp: "feedcomments", burst.HdrSubscription: "feedPostComments(postID: 17)", burst.HdrUser: "9"}})
@@ -228,8 +229,16 @@ func subscribeHop(b *testing.B) {
 		next: make(chan struct{}), closed: make(chan struct{})}
 	seen := make(chan int)
 	srv := burst.NewServerSession("hop", hop, burst.ServerHandlerFuncs{
-		Subscribe: func(_ *burst.ServerStream, sub burst.Subscribe) { seen <- len(sub.Header) },
-		Cancel:    func(*burst.ServerStream, burst.Cancel) { seen <- 0 },
+		Subscribe: func(st *burst.ServerStream) {
+			n := 0
+			for _, k := range [...]string{burst.HdrApp, burst.HdrSubscription, burst.HdrUser} {
+				if st.HeaderField(k) != "" {
+					n++
+				}
+			}
+			seen <- n
+		},
+		Cancel: func(*burst.ServerStream, burst.Cancel) { seen <- 0 },
 	})
 	defer srv.Close()
 	b.ReportAllocs()

@@ -24,6 +24,11 @@
 // path: stop accepting, close live sessions cleanly (peers observe
 // io.EOF, not an error), exit 0.
 //
+// A single role started with -debug-addr host:port also serves, on that
+// address, net/http/pprof under /debug/pprof/ (e.g. /debug/pprof/allocs)
+// and /debug/counters, a plain-text dump of the counters the role keeps. It
+// is off by default; the flag is not part of the JSON config.
+//
 // Bootstrap config is static: flags, or -config pointing at a JSON file
 // with the same keys (flags win). There is no dynamic membership — the
 // paper's Bladerunner leans on Facebook's deployment machinery for that,
@@ -100,6 +105,7 @@ func main() {
 	durlog := flag.Bool("durlog", def.Durlog, "enable the BRASS durable log")
 	procs := flag.Int("procs", def.Procs, "process count for -role all")
 	confPath := flag.String("config", "", "JSON bootstrap config file (flags override)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /debug/counters on this address (single roles; off when empty)")
 	flag.Parse()
 
 	cfg := def
@@ -177,6 +183,14 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *debugAddr != "" {
+		bound, stop, err := serveDebug(*debugAddr, n.counters)
+		if err != nil {
+			log.Fatalf("-debug-addr: %v", err)
+		}
+		n.onDrain(stop)
+		log.Printf("debug: http://%s/debug/pprof/ and /debug/counters", bound)
 	}
 
 	// SIGTERM/SIGINT and a remote node.drain share one graceful path.

@@ -20,7 +20,8 @@ type node struct {
 	drained   chan struct{}
 	reqOnce   sync.Once
 	drainOnce sync.Once
-	closers   []func() // run in order on drain
+	closers   []func()       // run in order on drain
+	counters  map[string]any // what -debug-addr's counter page dumps, by name
 }
 
 func newNode() *node { return &node{drained: make(chan struct{})} }
@@ -100,6 +101,7 @@ func runPylon(b bootstrap) (*node, error) {
 	}
 	n.onDrain(tnet.Close)
 	n.onDrain(srv.Close)
+	n.counters = map[string]any{"pylon": pt.Pylon}
 	log.Printf("pylon up: ctrl=%s", ctrlAddr)
 	ready("pylon", ctrlAddr, "")
 	return n, nil
@@ -136,6 +138,7 @@ func runWAS(b bootstrap) (*node, error) {
 	n.onDrain(tnet.Close)
 	n.onDrain(srv.Close)
 	n.onDrain(func() { _ = pconn.Close() })
+	n.counters = map[string]any{"was": wt.WAS}
 	log.Printf("was up: ctrl=%s pylon=%s users=%d", ctrlAddr, b.PylonAddr, b.Users)
 	ready("was", ctrlAddr, "")
 	return n, nil
@@ -202,6 +205,10 @@ func runBrass(b bootstrap) (*node, error) {
 	n.onDrain(srv.Close)
 	n.onDrain(func() { _ = pconn.Close() })
 	n.onDrain(func() { _ = wconn.Close() })
+	n.counters = map[string]any{}
+	for _, h := range tier.Hosts {
+		n.counters[h.ID()] = h
+	}
 	log.Printf("brass up: burst=%s ctrl=%s hosts=%d", bound, ctrlAddr, len(tier.Hosts))
 	ready("brass", ctrlAddr, bound)
 	return n, nil
@@ -234,6 +241,7 @@ func runPOP(b bootstrap) (*node, error) {
 	n.onDrain(tnet.Close)
 	n.onDrain(pop.Close)
 	n.onDrain(srv.Close)
+	n.counters = map[string]any{pop.Name(): pop}
 	log.Printf("pop up: burst=%s ctrl=%s brass=%v", bound, ctrlAddr, targets)
 	ready("pop", ctrlAddr, bound)
 	return n, nil

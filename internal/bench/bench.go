@@ -312,7 +312,7 @@ func EdgeRelayOpenClose(b *testing.B) {
 	seen := make(chan burst.FrameType)
 	pn.Register("up", func(rwc io.ReadWriteCloser) {
 		burst.NewServerSession("up", rwc, burst.ServerHandlerFuncs{
-			Subscribe: func(*burst.ServerStream, burst.Subscribe) { seen <- burst.FrameSubscribe },
+			Subscribe: func(*burst.ServerStream) { seen <- burst.FrameSubscribe },
 			Cancel:    func(*burst.ServerStream, burst.Cancel) { seen <- burst.FrameCancel },
 		})
 	})

@@ -445,13 +445,13 @@ type hostSessionHandler struct {
 	get func() *burst.ServerSession
 }
 
-func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream, sub burst.Subscribe) {
+func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream) {
 	h := hh.h
 	// A user header is input: present, it must name a user (a decimal uid
 	// >= 1), or the stream would run as the all-seeing system viewer 0.
 	// Absent, the stream is the system viewer's, as in-process tests open.
 	var viewer socialgraph.UserID
-	if uidStr, ok := sub.Header[burst.HdrUser]; ok {
+	if uidStr, ok := bst.LookupHeader(burst.HdrUser); ok {
 		uid, err := strconv.ParseUint(uidStr, 10, 64)
 		if err != nil || uid == 0 {
 			_ = bst.Terminate(fmt.Sprintf("%v: user header %q", was.ErrUnknownUser, uidStr))
@@ -459,7 +459,7 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream, sub burst.Subs
 		}
 		viewer = socialgraph.UserID(uid)
 	}
-	appName := sub.Header[burst.HdrApp]
+	appName := bst.HeaderField(burst.HdrApp)
 	inst, err := h.Instance(appName)
 	if err != nil {
 		_ = bst.Terminate(err.Error())
@@ -478,7 +478,7 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream, sub burst.Subs
 		// A failover replacement stream carries the old stream's bucket in
 		// its rewritten header; restoring (clamped to now) keeps a device
 		// from doubling its delivery rate by bouncing between hosts.
-		st.admit.RestoreHeaderState(sub.Header[HdrAdmissionState], h.sched.Now())
+		st.admit.RestoreHeaderState(bst.HeaderField(HdrAdmissionState), h.sched.Now())
 	}
 	// Sticky routing: pin this host into the reconnect state immediately
 	// (paper §3.5). Proxies snooping the batch update their copy too.
@@ -488,6 +488,8 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream, sub burst.Subs
 	inst.openStream(st)
 }
 
+// OnCancel closes the stream with a reason of its own: the concatenation is
+// the borrowed reason's one copy.
 func (hh hostSessionHandler) OnCancel(bst *burst.ServerStream, c burst.Cancel) {
 	if st, ok := bst.State.(*Stream); ok {
 		st.inst.closeStream(st, "cancelled: "+c.Reason)

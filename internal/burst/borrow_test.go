@@ -341,28 +341,37 @@ func TestStoredSubscribeBodySurvivesLaterFrames(t *testing.T) {
 	}
 }
 
-// A subscribe header is borrowed by the handler and owned by the stream: what
-// a handler keeps past OnSubscribe reads empty under the poison hook, while
-// the stream still holds the whole request.
-func TestSubscribeHeaderIsBorrowed(t *testing.T) {
-	cli, _, srv := newClientServer(t)
-	want := Header{HdrApp: "feed", HdrUser: "7", HdrSubscription: "feedPostComments(postID: 1)", "custom-key": "v"}
-	if _, err := cli.Subscribe(Subscribe{Header: want}); err != nil {
-		t.Fatal(err)
+// A cancel's reason is borrowed from its frame: what a handler keeps past
+// OnCancel reads 0xDB under the poison hook (TestMain turns it on), while a
+// copy made inside the call reads as sent.
+func TestCancelReasonIsBorrowed(t *testing.T) {
+	a, b := pipePair()
+	cli := NewClient("device", a, nil)
+	var mu sync.Mutex
+	var kept, copied []string
+	ss := NewServerSession("brass", b, ServerHandlerFuncs{Cancel: func(_ *ServerStream, c Cancel) {
+		mu.Lock()
+		kept, copied = append(kept, c.Reason), append(copied, strings.Clone(c.Reason))
+		mu.Unlock()
+	}})
+	t.Cleanup(func() { cli.Close(); ss.Close() })
+	reasons := []string{"scrolled away", "closed the app"}
+	for _, reason := range reasons {
+		st, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/t"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Cancel(reason); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The second subscribe is handled on the same goroutine, after the
-	// first's HandleFrame has returned and its loan has ended.
-	if _, err := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/next"}}); err != nil {
-		t.Fatal(err)
+	waitFor(t, "both cancels", func() bool { mu.Lock(); defer mu.Unlock(); return len(copied) == 2 })
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(copied, reasons) {
+		t.Errorf("copies made inside OnCancel read %q, want %q", copied, reasons)
 	}
-	waitFor(t, "the subscribe behind the first", func() bool { return srv.stream(1) != nil })
-	srv.mu.Lock()
-	kept := srv.subs[0].Header
-	srv.mu.Unlock()
-	if len(kept) != 0 {
-		t.Errorf("the header a handler kept past OnSubscribe still reads %v", kept)
-	}
-	if got := srv.stream(0).Request().Header; !reflect.DeepEqual(got, want) {
-		t.Errorf("stored request = %v, want %v", got, want)
+	if want := strings.Repeat("\xdb", len(reasons[0])); kept[0] != want {
+		t.Errorf("the reason a handler kept past OnCancel still reads %q", kept[0])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 
+	"bladerunner/internal/frame"
 	"bladerunner/internal/metrics"
 	"bladerunner/internal/overload"
 )
@@ -20,8 +21,8 @@ var ErrStreamClosed = errors.New("burst: stream closed")
 // stream's stored subscription request so that a later resubscribe (after a
 // failure) carries the BRASS-written state — the application never sees the
 // rewrite (paper §3.5: "rewrites offer a general solution so that the
-// client need not be aware of the states"). A Relay client stores nothing
-// and hands the rewrites on instead.
+// client need not be aware of the states"). A Relay client hands the
+// rewrites on instead, and its legs store nothing.
 type Client struct {
 	sess *Session
 
@@ -45,12 +46,12 @@ type Client struct {
 	// must hear about (axiom 1).
 	DecodeErrors metrics.Counter
 
-	// Relay makes a client a relay's upstream leg: its streams keep no
-	// stored request, and rewrite deltas pass through to Next for the relay
-	// to forward. The relay's downstream ServerStream merges each one as it
-	// is forwarded, and that copy is the one it repairs from. Proxies set
-	// this; device clients leave it false and fold rewrites into the stream's
-	// stored request invisibly.
+	// Relay makes a client a relay's upstream leg: rewrite deltas pass
+	// through to Next for the relay to forward, and a leg opened with OpenLeg
+	// keeps no stored request. The relay's downstream ServerStream merges each
+	// rewrite as it is forwarded, and that copy is the one it repairs from.
+	// Proxies set this; device clients leave it false and fold rewrites into
+	// the stream's stored request invisibly.
 	Relay bool
 }
 
@@ -87,7 +88,7 @@ type ClientStream struct {
 	sid    StreamID
 
 	mu         sync.Mutex
-	sub        Subscribe // current (possibly rewritten) request; empty on a Relay client
+	req        request // current (possibly rewritten) request; empty on a relay leg
 	terminated bool
 	shedding   bool // a shed episode's marker is queued and its recovery is not
 	lastSeq    uint64
@@ -179,16 +180,12 @@ func (st *ClientStream) turn() bool {
 }
 
 // Request returns a copy of the stream's current subscription request,
-// reflecting any rewrites (empty on a Relay client, which keeps none).
+// reflecting any rewrites (empty on a relay leg, which keeps none).
 // Devices use this to resubscribe after failures.
 func (st *ClientStream) Request() Subscribe {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := Subscribe{Header: st.sub.Header.Clone()}
-	if st.sub.Body != nil {
-		out.Body = append([]byte(nil), st.sub.Body...)
-	}
-	return out
+	return st.req.subscribe()
 }
 
 // HeaderField returns one header key of the current request without copying
@@ -196,7 +193,8 @@ func (st *ClientStream) Request() Subscribe {
 func (st *ClientStream) HeaderField(key string) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.sub.Header[key]
+	v, _ := st.req.lookup(key)
+	return v
 }
 
 // LastSeq returns the highest payload sequence number received.
@@ -222,8 +220,28 @@ func (st *ClientStream) Cancel(reason string) error {
 }
 
 // Subscribe opens a new request-stream with the given request — a fresh one,
-// or a stored (rewritten) one reopening a stream after a failure.
+// or a stored (rewritten) one reopening a stream after a failure. The stream
+// stores it as pairs, in the order it sends them.
 func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
+	req := request{body: sub.Body}
+	if sub.Header != nil {
+		req.pairs = make([]pair, 0, max(len(sub.Header), storedRoom))
+		for k, v := range sub.Header {
+			req.pairs = append(req.pairs, pair{k, v})
+		}
+	}
+	return c.open(req, nil)
+}
+
+// OpenLeg opens a Relay client's leg for down: its subscribe is encoded from
+// down's stored request, and it stores none.
+func (c *Client) OpenLeg(down *ServerStream) (*ClientStream, error) {
+	return c.open(request{}, down)
+}
+
+// open registers a stream that stores req, and sends as its subscribe down's
+// request, or req if down is nil, encoded under the holder's lock.
+func (c *Client) open(req request, down *ServerStream) (*ClientStream, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -231,16 +249,23 @@ func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
 	}
 	c.nextSID++
 	sid := c.nextSID
-	st := &ClientStream{client: c, sid: sid}
-	if !c.Relay {
-		st.sub = Subscribe{Header: sub.Header.Clone(), Body: sub.Body}
-	}
+	st := &ClientStream{client: c, sid: sid, req: req}
 	st.ring = st.inline[:]
 	st.ready.L = &st.mu
 	c.streams[sid] = st
 	c.mu.Unlock()
 
-	if err := c.sess.SendMsg(FrameSubscribe, sid, sub); err != nil {
+	holder, from := &st.mu, &st.req
+	if down != nil {
+		holder, from = &down.mu, &down.req
+	}
+	buf := frame.GetBuf()
+	defer frame.PutBuf(buf)
+	frame.Begin(buf, byte(FrameSubscribe), uint64(sid))
+	holder.Lock()
+	from.put(buf)
+	holder.Unlock()
+	if err := c.sess.write(buf); err != nil {
 		c.removeStream(sid)
 		return nil, err
 	}
@@ -329,7 +354,7 @@ func (st *ClientStream) apply(rc *Received) {
 		switch d.Type {
 		case DeltaRewriteRequest:
 			if !st.client.Relay {
-				st.sub.Patch(d)
+				st.req.patch(d)
 				continue
 			}
 		case DeltaPayload:

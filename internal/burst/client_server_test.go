@@ -2,6 +2,7 @@ package burst
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,16 +19,18 @@ type echoServer struct {
 	closed  bool
 }
 
-func (e *echoServer) OnSubscribe(st *ServerStream, sub Subscribe) {
+// OnSubscribe records the request as the stream held it when it opened.
+func (e *echoServer) OnSubscribe(st *ServerStream) {
 	e.mu.Lock()
 	e.streams = append(e.streams, st)
-	e.subs = append(e.subs, sub)
+	e.subs = append(e.subs, st.Request())
 	e.mu.Unlock()
 }
 
+// OnCancel keeps a copy of the borrowed reason.
 func (e *echoServer) OnCancel(st *ServerStream, c Cancel) {
 	e.mu.Lock()
-	e.cancels = append(e.cancels, c)
+	e.cancels = append(e.cancels, Cancel{Reason: strings.Clone(c.Reason)})
 	e.mu.Unlock()
 }
 

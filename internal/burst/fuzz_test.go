@@ -3,9 +3,13 @@ package burst
 import (
 	"bufio"
 	"bytes"
+	"maps"
 	"reflect"
+	"strconv"
 	"testing"
 	"unsafe"
+
+	"bladerunner/internal/frame"
 )
 
 // The fuzz targets share three properties, checked on every input the
@@ -89,10 +93,22 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(checkBatch)
 }
 
+// decodeSubscribe parses a Subscribe payload as a server stream does, its
+// pairs as a map: the header's strings are slices of ONE copy of the header's
+// bytes, Body aliases b.
+func decodeSubscribe(b []byte) (Subscribe, error) {
+	r := frame.Reader{B: b}
+	q := request{pairs: readPairs(&r, nil), body: r.Bytes()}
+	if err := r.Done(); err != nil {
+		return Subscribe{}, err
+	}
+	return Subscribe{Header: q.subscribe().Header, Body: q.body}, nil
+}
+
 func FuzzDecodeSubscribe(f *testing.F) {
 	f.Add(encodeMsg(Subscribe{Header: Header{HdrApp: "lvc", HdrCursor: "1.5"}, Body: []byte("body")}))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		sub, err := DecodeSubscribe(in)
+		sub, err := decodeSubscribe(in)
 		if err != nil {
 			return
 		}
@@ -100,7 +116,7 @@ func FuzzDecodeSubscribe(f *testing.F) {
 		if len(sub.Header) > len(in)/2 || !within(sub.Body, in) {
 			t.Fatalf("%d header pairs from %d bytes, body aliased=%v", len(sub.Header), len(in), within(sub.Body, in))
 		}
-		again, err := DecodeSubscribe(encodeMsg(sub))
+		again, err := decodeSubscribe(encodeMsg(sub))
 		if err != nil || !reflect.DeepEqual(again, sub) {
 			t.Fatalf("re-encoded subscribe decodes to %+v, %v; want %+v", again, err, sub)
 		}
@@ -156,6 +172,122 @@ func FuzzReadFrame(f *testing.F) {
 			if fr.Type == FrameBatch {
 				checkBatch(t, fr.Payload)
 			}
+		}
+	})
+}
+
+// storedKeys are the keys FuzzStoredRequest draws from: well-known ones,
+// others, and the empty key.
+var storedKeys = [...]string{HdrApp, HdrUser, HdrSubscription, HdrStickyBRASS, HdrResumeSeq,
+	HdrCursor, "admission-state", "rl-state", "", "k9", "k10", "k11"}
+
+// FuzzStoredRequest checks the request a server stream stores against a map
+// reference built with Header.Merge. The input's first byte is the header's
+// pair count (255: no header), then one byte a pair picks its key, so keys
+// repeat and a header can outgrow storedRoom; the last pair's byte, if its
+// high bit is set, adds a body. The rest is a script of rewrites: one byte gives a patch's key
+// count (low two bits) and whether it replaces the body (high bit), one byte
+// a key follows. After the open and after every rewrite, the stored pairs,
+// HeaderField, LookupHeader, Request() and the pairs' own encoding decoded
+// again must all agree with the reference.
+func FuzzStoredRequest(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 1, 3})
+	f.Add([]byte{9, 0, 1, 2, 0, 4, 5, 6, 7, 8, 0x82, 3, 4, 0x80})
+	f.Add([]byte{255, 2, 5, 9})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		n, in := int(in[0]), in[1:]
+		var wire bytes.Buffer
+		var ref Header
+		if n == 255 {
+			wire.WriteByte(0)
+			n = 0
+		} else {
+			n = min(n, len(in))
+			ref = Header{}
+			wire.WriteByte(1)
+			frame.PutUvarint(&wire, uint64(n))
+			for i, b := range in[:n] {
+				k, v := storedKeys[int(b)%len(storedKeys)], "w"+strconv.Itoa(i)
+				frame.PutString(&wire, k)
+				frame.PutString(&wire, v)
+				ref = ref.Merge(Header{k: v})
+			}
+		}
+		wireKeys := maps.Clone(ref) // the keys the subscribe carried
+		var refBody []byte
+		if n > 0 && in[n-1]&0x80 != 0 {
+			refBody = []byte("body")
+		}
+		frame.PutBytes(&wire, refBody)
+		s := &ServerSession{handler: ServerHandlerFuncs{}, streams: map[StreamID]*ServerStream{}}
+		serverDispatch{s}.HandleFrame(Frame{Type: FrameSubscribe, SID: 1, Payload: wire.Bytes()})
+		st := s.streams[1]
+		if st == nil {
+			t.Fatal("a well-formed subscribe opened no stream")
+		}
+		// The most pairs the stream has held; one opened without a header has
+		// no inline room to patch into.
+		most := len(st.req.pairs)
+		if ref == nil {
+			most = storedRoom + 1
+		}
+		check := func(step int) {
+			t.Helper()
+			q := &st.req
+			if most = max(most, len(q.pairs)); most <= storedRoom && len(q.pairs) > 0 && &q.pairs[0] != &st.inline[0] {
+				t.Fatalf("step %d: %d pairs left the stream's inline room", step, len(q.pairs))
+			}
+			if (q.pairs == nil) != (ref == nil) {
+				t.Fatalf("step %d: stored pairs %v, reference %v: a nil header is not an empty one", step, q.pairs, ref)
+			}
+			added := 0 // a patch sets a key in its place: only a key new to the request adds a pair
+			for k := range ref {
+				if _, ok := wireKeys[k]; !ok {
+					added++
+				}
+			}
+			if len(q.pairs) != n+added {
+				t.Fatalf("step %d: %d stored pairs %v, want the subscribe's %d and %d added", step, len(q.pairs), q.pairs, n, added)
+			}
+			for _, k := range storedKeys {
+				want, present := ref[k]
+				if got, ok := st.LookupHeader(k); got != want || ok != present || st.HeaderField(k) != want {
+					t.Fatalf("step %d: key %q reads %q (present %v), reference %q (%v)", step, k, got, ok, want, present)
+				}
+			}
+			if got := st.Request(); !reflect.DeepEqual(got, Subscribe{Header: ref, Body: refBody}) {
+				t.Fatalf("step %d: Request() = %+v, reference %v %q", step, got, ref, refBody)
+			}
+			var b bytes.Buffer
+			q.put(&b)
+			r := frame.Reader{B: b.Bytes()}
+			again := request{pairs: readPairs(&r, nil), body: r.Bytes()}
+			if err := r.Done(); err != nil || !reflect.DeepEqual(again.pairs, q.pairs) || !bytes.Equal(again.body, q.body) {
+				t.Fatalf("step %d: stored pairs %v re-encode to %v, %v", step, q.pairs, again.pairs, err)
+			}
+		}
+		check(0)
+		for step, script := 1, in[n:]; len(script) > 0; step++ {
+			op := script[0]
+			keys := script[1:min(1+int(op&3), len(script))]
+			script = script[1+len(keys):]
+			patch := Header{}
+			for j, b := range keys {
+				patch[storedKeys[int(b)%len(storedKeys)]] = "p" + strconv.Itoa(step) + "." + strconv.Itoa(j)
+			}
+			var body []byte
+			if op&0x80 != 0 {
+				body = []byte{op}
+				refBody = body
+			}
+			ref = ref.Merge(patch)
+			st.mu.Lock()
+			st.applyRewritesLocked(RewriteDelta(patch, body))
+			st.mu.Unlock()
+			check(step)
 		}
 	})
 }

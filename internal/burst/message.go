@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"bladerunner/internal/frame"
 	"bladerunner/internal/trace"
@@ -79,8 +80,8 @@ const (
 var wellKnownKeys = [...]string{HdrApp, HdrSubscription, HdrTopic, HdrUser, HdrStickyBRASS,
 	HdrResumeSeq, HdrClientVersion, HdrCursor, HdrTraceStream}
 
-// Clone returns a deep copy of the header. It is for stream open and
-// Request(); nothing on a per-delta path calls it.
+// Clone returns a deep copy of the header. It is for a holder's resubscribe;
+// nothing on a per-delta path calls it.
 func (h Header) Clone() Header {
 	if h == nil {
 		return nil
@@ -144,8 +145,9 @@ type Subscribe struct {
 }
 
 // Patch folds a rewrite_request delta into the stored request s: the header
-// patch is merged, a nil body leaves the body unchanged. Every holder of a
-// stored request merges a rewrite here; the caller holds the request's lock.
+// patch is merged, a nil body leaves the body unchanged. It is for a holder
+// that keeps its stored request as a Subscribe (a megadevice trunk stream;
+// BURST's own streams keep pairs); the caller holds the request's lock.
 func (s *Subscribe) Patch(d *Delta) {
 	s.Header = s.Header.Merge(d.Header)
 	if d.Body != nil {
@@ -156,6 +158,80 @@ func (s *Subscribe) Patch(d *Delta) {
 // HeaderField returns one header key of the request (Stored, for a holder
 // that keeps the request under its own lock).
 func (s *Subscribe) HeaderField(key string) string { return s.Header[key] }
+
+// pair is one key and its value in a stored request's header.
+type pair struct{ key, val string }
+
+// request is a stored request as its holder keeps it (DESIGN.md §7e): the
+// header's pairs in wire order (nil when the frame carried no header; a key
+// on the wire twice stays twice and the last one counts, as in a map decode),
+// then keys patches add; and the body. The holder's lock guards it.
+type request struct {
+	pairs []pair
+	body  []byte
+}
+
+func (q *request) lookup(key string) (v string, ok bool) {
+	for _, p := range q.pairs {
+		if p.key == key {
+			v, ok = p.val, true
+		}
+	}
+	return v, ok
+}
+
+// patch folds a rewrite_request delta in: each key of the patch is set in its
+// place, or behind the rest; a nil body leaves the body unchanged.
+func (q *request) patch(d *Delta) {
+next:
+	for k, v := range d.Header {
+		for i := len(q.pairs) - 1; i >= 0; i-- {
+			if q.pairs[i].key == k {
+				q.pairs[i].val = v
+				continue next
+			}
+		}
+		q.pairs = append(q.pairs, pair{k, v})
+	}
+	if d.Body != nil {
+		q.body = append([]byte(nil), d.Body...)
+	}
+}
+
+// subscribe returns a copy of the request as a message.
+func (q *request) subscribe() Subscribe {
+	var s Subscribe
+	if q.body != nil {
+		s.Body = append([]byte(nil), q.body...)
+	}
+	if q.pairs != nil {
+		s.Header = make(Header, len(q.pairs))
+		for _, p := range q.pairs {
+			s.Header[p.key] = p.val
+		}
+	}
+	return s
+}
+
+// put appends the request as a subscribe payload, its pairs in their order: a
+// relay that re-sends a request no rewrite has touched sends the bytes it got.
+func (q *request) put(b *bytes.Buffer) {
+	if q.pairs == nil {
+		b.WriteByte(0)
+	} else {
+		b.WriteByte(1)
+		frame.PutUvarint(b, uint64(len(q.pairs)))
+		for _, p := range q.pairs {
+			frame.PutString(b, p.key)
+			frame.PutString(b, p.val)
+		}
+	}
+	frame.PutBytes(b, q.body)
+}
+
+// storedRoom is how many pairs a server stream holds inline: the handful a
+// subscribe carries and its rewrites add. A device's stream gets as many.
+const storedRoom = 6
 
 // Cancel is the payload of a FrameCancel: it terminates a stream from the
 // client side.
@@ -369,13 +445,14 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 	frame.PutUvarint(b, uint64(d.Trace))
 }
 
-// readHeader reads what frame.PutStringMap wrote, into a map from rc, with
-// ONE copy (DESIGN.md §7e rule 1a): a skip pass finds the pairs' encoded
-// span, which is copied once, and every value and every key that is not a
-// well-known constant is a slice of that copy — a header outlives its frame
-// and must not pin it. The loops need no error check: Count bounds them by
-// the input and a failed Reader yields zero values until Done.
-func readHeader(r *frame.Reader, rc *Received) Header {
+// readPairs reads what frame.PutStringMap wrote, in wire order, into pairs
+// backed by into while they fit it (nil for a nil header), with ONE copy
+// (DESIGN.md §7e rule 1a): a skip pass finds the pairs' encoded span, which
+// is copied once, and every value and every key that is not a well-known
+// constant is a slice of that copy — a header outlives its frame and must not
+// pin it. The loops need no error check: Count bounds them by the input and a
+// failed Reader yields zero values until Done.
+func readPairs(r *frame.Reader, into []pair) []pair {
 	if r.Byte() == 0 {
 		return nil
 	}
@@ -386,9 +463,26 @@ func readHeader(r *frame.Reader, rc *Received) Header {
 	}
 	span = span[:len(span)-len(r.B)]
 	pairs := frame.Reader{B: span, Own: string(span)}
-	h := rc.header(n)
-	for ; n > 0; n-- {
-		h[headerKey(&pairs)] = pairs.Str()
+	if into == nil || cap(into) < n {
+		into = make([]pair, 0, n)
+	}
+	for into = into[:0]; n > 0; n-- {
+		into = append(into, pair{headerKey(&pairs), pairs.Str()})
+	}
+	return into
+}
+
+// readHeader reads a rewrite patch into a map from rc; a key on the wire
+// twice folds in wire order, last wins.
+func readHeader(r *frame.Reader, rc *Received) Header {
+	var buf [maxLeasedPairs]pair
+	ps := readPairs(r, buf[:0])
+	if ps == nil {
+		return nil
+	}
+	h := rc.header(len(ps))
+	for _, p := range ps {
+		h[p.key] = p.val
 	}
 	return h
 }
@@ -444,26 +538,15 @@ func putMsg(b *bytes.Buffer, v any) bool {
 	return true
 }
 
-// DecodeSubscribe parses a Subscribe payload. The header's strings are slices
-// of ONE copy of the header's bytes (a request outlives its frame); Body
-// aliases b.
-func DecodeSubscribe(b []byte) (Subscribe, error) {
-	r := frame.Reader{B: b}
-	s := Subscribe{Header: readHeader(&r, nil), Body: r.Bytes()}
-	if err := r.Done(); err != nil {
-		return Subscribe{}, fmt.Errorf("burst: decode subscribe: %w", err)
-	}
-	return s, nil
-}
-
-// DecodeCancel parses a Cancel payload.
+// DecodeCancel parses a Cancel payload. Its Reason ALIASES b, as a payload
+// field does: valid while b is (in OnCancel, until it returns).
 func DecodeCancel(b []byte) (Cancel, error) {
 	r := frame.Reader{B: b}
-	c := Cancel{Reason: r.Str()}
+	p := r.Bytes()
 	if err := r.Done(); err != nil {
 		return Cancel{}, fmt.Errorf("burst: decode cancel: %w", err)
 	}
-	return c, nil
+	return Cancel{Reason: unsafe.String(unsafe.SliceData(p), len(p))}, nil
 }
 
 // DecodeBatch parses a Batch payload in one pass. The deltas' Payload and

@@ -36,7 +36,8 @@ const (
 )
 
 // Stored reads one header key of a stream's stored (rewritten) request under
-// the holder's own synchronisation. *ClientStream and *Subscribe satisfy it.
+// the holder's own synchronisation. *ClientStream, *ServerStream and
+// *Subscribe satisfy it.
 type Stored interface {
 	HeaderField(key string) string
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"unsafe"
 
+	"bladerunner/internal/frame"
 	"bladerunner/internal/metrics"
 )
 
@@ -13,11 +15,12 @@ import (
 // proxy) side of a session. Callbacks run on the session's read goroutine.
 type ServerHandler interface {
 	// OnSubscribe is invoked when a new stream is requested. The stream
-	// is already registered; the handler may send batches immediately. sub
-	// is BORROWED from the stream: read-only, valid until OnSubscribe returns.
-	OnSubscribe(st *ServerStream, sub Subscribe)
+	// is already registered and holds the request (HeaderField); the handler
+	// may send batches immediately.
+	OnSubscribe(st *ServerStream)
 	// OnCancel is invoked when the peer cancels a stream. The stream is
-	// already unregistered.
+	// already unregistered. c.Reason is BORROWED from the frame: valid until
+	// OnCancel returns.
 	OnCancel(st *ServerStream, c Cancel)
 	// OnSessionClose is invoked once when the session dies; all streams
 	// passed in were open at that moment.
@@ -54,7 +57,8 @@ type ServerStream struct {
 	sid StreamID
 
 	mu         sync.Mutex
-	sub        Subscribe
+	req        request // its pairs sit in inline while they fit
+	inline     [storedRoom]pair
 	terminated bool
 
 	// State is free space for the application (e.g. the BRASS keeps its
@@ -114,29 +118,31 @@ func (st *ServerStream) SID() StreamID { return st.sid }
 func (st *ServerStream) Request() Subscribe {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := Subscribe{Header: st.sub.Header.Clone()}
-	if st.sub.Body != nil {
-		out.Body = append([]byte(nil), st.sub.Body...)
-	}
-	return out
+	return st.req.subscribe()
 }
 
 // HeaderField returns one header key of the stored request without copying
 // the rest.
 func (st *ServerStream) HeaderField(key string) string {
+	v, _ := st.LookupHeader(key)
+	return v
+}
+
+// LookupHeader is HeaderField that also reports whether the key is present.
+func (st *ServerStream) LookupHeader(key string) (string, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.sub.Header[key]
+	return st.req.lookup(key)
 }
 
 // applyRewritesLocked folds the rewrite deltas among deltas into the
 // server's own copy of the stored request, keeping both ends of the stream
 // (and the proxies in between, which snoop batches) in agreement about the
-// reconnect state. It is the only writer of st.sub; callers hold st.mu.
+// reconnect state. It is the only writer of st.req; callers hold st.mu.
 func (st *ServerStream) applyRewritesLocked(deltas ...Delta) {
 	for i := range deltas {
 		if deltas[i].Type == DeltaRewriteRequest {
-			st.sub.Patch(&deltas[i])
+			st.req.patch(&deltas[i])
 		}
 	}
 }
@@ -195,16 +201,16 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	s := d.s
 	switch f.Type {
 	case FrameSubscribe:
-		sub, err := DecodeSubscribe(f.Payload)
-		if err != nil {
+		// The stream decodes its request into itself (rewrites merge into it
+		// in place). The body, never written, must outlive the borrowed frame.
+		st := &ServerStream{srv: s, sid: f.SID}
+		r := frame.Reader{B: f.Payload}
+		st.req = request{pairs: readPairs(&r, st.inline[:0]), body: r.Bytes()}
+		if err := r.Done(); err != nil {
 			s.DecodeErrors.Inc()
 			return
 		}
-		// The stream owns the decoded header map (rewrites merge into it in
-		// place), the handler borrows it. The body, shared and never
-		// written, must outlive the borrowed frame.
-		sub.Body = bytes.Clone(sub.Body)
-		st := &ServerStream{srv: s, sid: f.SID, sub: sub}
+		st.req.body = bytes.Clone(st.req.body)
 		s.mu.Lock()
 		if _, dup := s.streams[f.SID]; dup {
 			s.mu.Unlock()
@@ -212,16 +218,17 @@ func (d serverDispatch) HandleFrame(f Frame) {
 		}
 		s.streams[f.SID] = st
 		s.mu.Unlock()
-		if poison != "" { // lend a copy that reads empty once the loan has ended
-			sub.Header = sub.Header.Clone()
-			defer clear(sub.Header)
-		}
-		s.handler.OnSubscribe(st, sub)
+		s.handler.OnSubscribe(st)
 	case FrameCancel:
-		c, err := DecodeCancel(f.Payload)
+		c, err := DecodeCancel(f.Payload) // the reason aliases the borrowed frame
 		if err != nil {
 			s.DecodeErrors.Inc()
 			return
+		}
+		if poison != "" { // lend a copy that reads 0xDB once the loan has ended
+			p := []byte(c.Reason)
+			c.Reason = unsafe.String(unsafe.SliceData(p), len(p))
+			defer poisonBytes(p)
 		}
 		s.mu.Lock()
 		st := s.streams[f.SID]
@@ -258,15 +265,15 @@ func (d serverDispatch) HandleClose(err error) {
 
 // ServerHandlerFuncs adapts plain functions to ServerHandler.
 type ServerHandlerFuncs struct {
-	Subscribe    func(st *ServerStream, sub Subscribe)
+	Subscribe    func(st *ServerStream)
 	Cancel       func(st *ServerStream, c Cancel)
 	SessionClose func(streams []*ServerStream, err error)
 }
 
 // OnSubscribe implements ServerHandler.
-func (h ServerHandlerFuncs) OnSubscribe(st *ServerStream, sub Subscribe) {
+func (h ServerHandlerFuncs) OnSubscribe(st *ServerStream) {
 	if h.Subscribe != nil {
-		h.Subscribe(st, sub)
+		h.Subscribe(st)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestSessionSendReceive(t *testing.T) {
 	if f.Type != FrameSubscribe || f.SID != 1 {
 		t.Errorf("frame = %+v", f)
 	}
-	sub, err := DecodeSubscribe(f.Payload)
+	sub, err := decodeSubscribe(f.Payload)
 	if err != nil || sub.Header[HdrApp] != "x" {
 		t.Errorf("payload = %+v err=%v", sub, err)
 	}

@@ -173,7 +173,7 @@ func TestEmptyBytesDecodeAsNil(t *testing.T) {
 	if d := got.Deltas[0]; d.Payload != nil || d.Body != nil {
 		t.Errorf("empty payload/body decoded as %#v / %#v, want nil", d.Payload, d.Body)
 	}
-	sub, err := DecodeSubscribe(encodeMsg(Subscribe{Body: []byte{}}))
+	sub, err := decodeSubscribe(encodeMsg(Subscribe{Body: []byte{}}))
 	if err != nil || sub.Body != nil || sub.Header != nil {
 		t.Errorf("subscribe with empty body decoded as %+v, %v", sub, err)
 	}
@@ -187,7 +187,7 @@ func TestSubscribeCancelRoundTrip(t *testing.T) {
 		{},
 	}
 	for _, in := range subs {
-		got, err := DecodeSubscribe(encodeMsg(in))
+		got, err := decodeSubscribe(encodeMsg(in))
 		if err != nil || !reflect.DeepEqual(got, in) {
 			t.Errorf("subscribe: got %+v, %v; want %+v", got, err, in)
 		}
@@ -230,7 +230,7 @@ func TestDecodeAliasesFrameBuffer(t *testing.T) {
 
 func TestDecodeRejectsMalformed(t *testing.T) {
 	good := encodeMsg(Batch{Deltas: roundTripDeltas()})
-	subscribe := func(b []byte) error { _, err := DecodeSubscribe(b); return err }
+	subscribe := func(b []byte) error { _, err := decodeSubscribe(b); return err }
 	cancel := func(b []byte) error { _, err := DecodeCancel(b); return err }
 	batch := func(b []byte) error { _, err := DecodeBatch(b); return err }
 	cases := []struct {
@@ -294,7 +294,7 @@ func TestHeaderDecodeKeys(t *testing.T) {
 	}
 	checkHeaderKeys(t, got.Deltas[1].Header, wire)
 	wire = encodeMsg(Subscribe{Header: all})
-	sub, err := DecodeSubscribe(wire)
+	sub, err := decodeSubscribe(wire)
 	if err != nil || !reflect.DeepEqual(sub.Header, all) {
 		t.Fatalf("decoded %+v, %v; want %+v", sub, err, all)
 	}

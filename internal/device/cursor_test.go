@@ -116,7 +116,7 @@ func pipeSession(t *testing.T, d *Device) (cli *burst.Client, streams chan *burs
 	a, b := net.Pipe()
 	streams = make(chan *burst.ServerStream, 4) // as many as any test opens
 	srv := burst.NewServerSession("brass", b, burst.ServerHandlerFuncs{
-		Subscribe: func(ss *burst.ServerStream, _ burst.Subscribe) { streams <- ss },
+		Subscribe: func(ss *burst.ServerStream) { streams <- ss },
 	})
 	cli = burst.NewClient("dev", a, nil)
 	t.Cleanup(func() { cli.Close(); srv.Close() })

@@ -76,7 +76,7 @@ type fakePOP struct {
 func (f *fakePOP) accept(rwc io.ReadWriteCloser) {
 	var ss *burst.ServerSession
 	ss = burst.NewServerSession(f.name, rwc, burst.ServerHandlerFuncs{
-		Subscribe: func(st *burst.ServerStream, sub burst.Subscribe) {
+		Subscribe: func(st *burst.ServerStream) {
 			f.mu.Lock()
 			f.streams = append(f.streams, st)
 			f.mu.Unlock()

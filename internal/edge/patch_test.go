@@ -46,7 +46,7 @@ func (g gatedConn) Read(p []byte) (int, error) {
 	return g.ReadWriteCloser.Read(p)
 }
 
-func newChain(t *testing.T, subscribe func(*upstreamServer, *burst.ServerStream, burst.Subscribe)) *chain {
+func newChain(t *testing.T, subscribe func(*upstreamServer, *burst.ServerStream)) *chain {
 	t.Helper()
 	c := &chain{
 		net:    NewPipeNetwork(),
@@ -337,9 +337,9 @@ func TestRewriteOwnershipUnderRace(t *testing.T) {
 	const rewrites = 300
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	c := newChain(t, func(u *upstreamServer, ss *burst.ServerStream, sub burst.Subscribe) {
-		if sub.Header[burst.HdrTraceStream] != "dev/1" { // borrowed: read here, not kept
-			t.Errorf("%s was handed %v", u.name, sub.Header)
+	c := newChain(t, func(u *upstreamServer, ss *burst.ServerStream) {
+		if ss.HeaderField(burst.HdrTraceStream) != "dev/1" {
+			t.Errorf("%s was handed %v", u.name, ss.Request().Header)
 		}
 		wg.Add(1)
 		go func() {

@@ -165,7 +165,8 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 
 // relay is the per-stream state machine. It keeps no copy of the stored
 // request: down, which merges every rewrite the relay forwards, IS the repair
-// state (Request() at repair, HeaderField for one key). It has no goroutine
+// state, routed on (HeaderField) and encoded upstream from its pairs
+// (Client.OpenLeg) at open and at every repair. It has no goroutine
 // of its own: its upstream leg's batches reach it on down's session writer
 // (Forward), and only a repair, which waits on dials, runs on one until it
 // has a new leg.
@@ -202,10 +203,10 @@ func (r *relay) isDone() bool {
 	return r.done
 }
 
-// connect routes and subscribes req, the stream's current request, upstream.
-// The new leg queues what it receives until it is handed to down's writer.
-func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
-	target, err := r.p.router.Route(req, avoid)
+// connect routes and subscribes down's current request upstream. The new leg
+// queues what it receives until it is handed to down's writer.
+func (r *relay) connect(avoid map[string]bool) error {
+	target, err := r.p.router.Route(r.down, avoid)
 	if err != nil {
 		return err
 	}
@@ -219,7 +220,7 @@ func (r *relay) connect(req burst.Subscribe, avoid map[string]bool) error {
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", target, err)
 	}
-	st, err := u.client.Subscribe(req)
+	st, err := u.client.OpenLeg(r.down)
 	if err != nil {
 		return fmt.Errorf("subscribe via %s: %w", target, err)
 	}
@@ -315,7 +316,7 @@ func (r *relay) Forward(rc *burst.Received) {
 		r.setDone()
 	}
 	if lost && !r.isDone() {
-		go r.repairOff(burst.Subscribe{}, nil)
+		go r.repairOff(nil)
 	}
 }
 
@@ -346,23 +347,22 @@ func (r *relay) startRelaySpan(batch []burst.Delta) trace.Span {
 
 // repairOff repairs the stream on a goroutine of its own, because a repair
 // waits on dials (axiom 2: the component downstream from a failure that is
-// closest to it re-establishes connectivity). With cause nil the leg has
-// died: downstream hears of it (axiom 1), and the request is down's, which
-// has merged every rewrite the writer forwarded from the dead leg. Otherwise
-// cause failed the first route — e.g. a sticky upstream in a dead region, or
-// a cross-region link that just went down — and req is the opening request:
-// the stream should land on ANY healthy upstream, which is what makes
-// cross-region failover of resubscribed streams work at all.
-func (r *relay) repairOff(req burst.Subscribe, cause error) {
+// closest to it re-establishes connectivity). The request is down's. With
+// cause nil the leg has died: downstream hears of it (axiom 1), and down has
+// merged every rewrite the writer forwarded from the dead leg. Otherwise cause
+// failed the first route — e.g. a sticky upstream in a dead region, or a
+// cross-region link that just went down — and down still holds the opening
+// request: the stream should land on ANY healthy upstream, which is what
+// makes cross-region failover of resubscribed streams work at all.
+func (r *relay) repairOff(cause error) {
 	reason := "stream unrecoverable: upstream gone"
 	if cause == nil {
 		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
 			"upstream "+r.targetName()+" lost"))
-		req = r.down.Request()
 	} else {
 		reason = fmt.Sprintf("no upstream: %v", cause)
 	}
-	if !r.repair(req) {
+	if !r.repair() {
 		if r.setDone() {
 			r.p.RepairFailures.Inc()
 			_ = r.down.Terminate(reason)
@@ -379,18 +379,18 @@ func (r *relay) repairOff(req burst.Subscribe, cause error) {
 	r.leg().Forward(r.down, r)
 }
 
-// repair re-routes and re-subscribes the stream using req, the stored request.
+// repair re-routes and re-subscribes the stream with down's stored request.
 // Failed targets accumulate into the avoid set so successive attempts fan
 // out across the healthy fleet (a sticky target in a dead region must not
 // be retried on every pass); the final attempt widens to every target
 // again, in case an avoided one has recovered.
-func (r *relay) repair(req burst.Subscribe) bool {
+func (r *relay) repair() bool {
 	avoid := map[string]bool{r.targetName(): true}
 	for attempt := 0; attempt < r.p.MaxRepairAttempts; attempt++ {
 		if r.isDone() {
 			return false
 		}
-		if err := r.connect(req, avoid); err == nil {
+		if err := r.connect(avoid); err == nil {
 			return true
 		}
 		if attempt == r.p.MaxRepairAttempts-2 {
@@ -412,7 +412,7 @@ type proxyHandler struct {
 	sess func() *burst.ServerSession
 }
 
-func (h proxyHandler) OnSubscribe(down *burst.ServerStream, sub burst.Subscribe) {
+func (h proxyHandler) OnSubscribe(down *burst.ServerStream) {
 	p := h.p
 	r := &relay{p: p, down: down}
 	down.State = r
@@ -420,16 +420,18 @@ func (h proxyHandler) OnSubscribe(down *burst.ServerStream, sub burst.Subscribe)
 	p.relays[r] = true
 	p.mu.Unlock()
 	p.ActiveStreams.Add(1)
-	if err := r.connect(sub, nil); err != nil {
+	if err := r.connect(nil); err != nil {
 		// This read loop serves every other stream of the session: the
-		// repair takes down's copy of the borrowed request elsewhere.
-		go r.repairOff(down.Request(), err)
+		// repair waits on dials elsewhere.
+		go r.repairOff(err)
 		return
 	}
 	p.StreamsRelayed.Inc()
 	r.leg().Forward(down, r)
 }
 
+// OnCancel passes the borrowed reason upstream: Cancel encodes it before it
+// returns.
 func (h proxyHandler) OnCancel(down *burst.ServerStream, c burst.Cancel) {
 	if r, ok := down.State.(*relay); ok {
 		if r.setDone() {

@@ -1,6 +1,8 @@
 package edge
 
 import (
+	"bufio"
+	"bytes"
 	"io"
 	"reflect"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/burst/bursttest"
+	"bladerunner/internal/frame"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -28,7 +31,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 type upstreamServer struct {
 	name string
 	// onSubscribe, if set, runs after a stream is recorded.
-	onSubscribe func(*upstreamServer, *burst.ServerStream, burst.Subscribe)
+	onSubscribe func(*upstreamServer, *burst.ServerStream)
 
 	mu       sync.Mutex
 	streams  []*burst.ServerStream
@@ -39,17 +42,17 @@ type upstreamServer struct {
 func (u *upstreamServer) accept(rwc io.ReadWriteCloser) {
 	var ss *burst.ServerSession
 	ss = burst.NewServerSession(u.name, rwc, burst.ServerHandlerFuncs{
-		Subscribe: func(st *burst.ServerStream, sub burst.Subscribe) {
+		Subscribe: func(st *burst.ServerStream) {
 			u.mu.Lock()
 			u.streams = append(u.streams, st)
 			u.mu.Unlock()
 			if u.onSubscribe != nil {
-				u.onSubscribe(u, st, sub)
+				u.onSubscribe(u, st)
 			}
 		},
 		Cancel: func(st *burst.ServerStream, c burst.Cancel) {
 			u.mu.Lock()
-			u.cancels = append(u.cancels, c)
+			u.cancels = append(u.cancels, burst.Cancel{Reason: strings.Clone(c.Reason)}) // the reason is borrowed
 			u.mu.Unlock()
 		},
 	})
@@ -175,7 +178,8 @@ func TestProxyRelaysRewritesAndTracksState(t *testing.T) {
 }
 
 func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
-	env := newProxyEnv(t)
+	wire := &wireLog{}
+	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { wire.inner = n; return wire })
 	st := subscribeSticky(t, env, "brass-a")
 	waitFor(t, "upstream on A", func() bool { return env.brassA.stream(0) != nil })
 
@@ -221,6 +225,17 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	if got := env.brassB.stream(0).Request().Header; !reflect.DeepEqual(got, want) {
 		t.Errorf("repair carried %+v, want the merged state %+v", got, want)
 	}
+	// The repair is encoded from the relay's stored pairs, not from a map:
+	// the subscribe's keys in the order the device sent them, then the three
+	// patched keys in the order they were patched.
+	opened, repaired := wire.subscribes(t, "brass-a"), wire.subscribes(t, "brass-b")
+	if len(opened) != 1 || len(repaired) != 1 {
+		t.Fatalf("%d subscribes to brass-a and %d to brass-b, want one each", len(opened), len(repaired))
+	}
+	wantPairs := append(wirePairs(t, opened[0]), [][2]string{{"resume-seq", "7"}, {"cursor", "1.7"}, {"rl-state", "bucket=3"}}...)
+	if got := wirePairs(t, repaired[0]); !reflect.DeepEqual(got, wantPairs) {
+		t.Errorf("the repair sent the pairs %q, want %q", got, wantPairs)
+	}
 	if env.proxy.Reconnects.Value() != 1 {
 		t.Errorf("Reconnects = %d", env.proxy.Reconnects.Value())
 	}
@@ -236,6 +251,128 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery after repair")
 	}
+}
+
+// A subscribe relayed through two proxies reaches the upstream with its pairs
+// in the device's order: a relay encodes the upstream leg's subscribe from
+// the pairs its downstream stream stored, so with no rewrite in between the
+// header is the same bytes at every hop (a map's iteration order used to make
+// them differ).
+func TestRelayedSubscribeKeepsDeviceOrder(t *testing.T) {
+	n := NewPipeNetwork()
+	wire := &wireLog{inner: n}
+	up := &upstreamServer{name: "brass-a"}
+	n.Register("brass-a", up.accept)
+	rproxy := NewProxy("rproxy-1", wire, StaticRouter("brass-a"))
+	n.Register("rproxy-1", rproxy.Accept)
+	pop := NewProxy("pop-1", wire, StaticRouter("rproxy-1"))
+	n.Register("pop-1", pop.Accept)
+	rwc, err := wire.Dial("pop-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := burst.NewClient("device", rwc, nil)
+	t.Cleanup(func() { cli.Close(); pop.Close(); rproxy.Close() })
+	hdr := burst.Header{burst.HdrApp: "feedcomments", burst.HdrSubscription: "feedPostComments(postID: 17)",
+		burst.HdrUser: "9", burst.HdrTraceStream: "dev/1", burst.HdrClientVersion: "7", "lang": "en", "tz": "UTC"}
+	for i := 0; i < 8; i++ {
+		if _, err := cli.Subscribe(burst.Subscribe{Header: hdr, Body: []byte("body")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every stream upstream", func() bool { return up.streamCount() == 8 })
+	device, popUp, proxyUp := wire.subscribes(t, "pop-1"), wire.subscribes(t, "rproxy-1"), wire.subscribes(t, "brass-a")
+	if len(device) != 8 || len(popUp) != 8 || len(proxyUp) != 8 {
+		t.Fatalf("subscribes: %d from the device, %d from the POP, %d from the proxy; want 8 each", len(device), len(popUp), len(proxyUp))
+	}
+	for i := range device {
+		if got := wirePairs(t, device[i]); len(got) != len(hdr) {
+			t.Fatalf("the device sent %q", got)
+		}
+		if !bytes.Equal(popUp[i], device[i]) || !bytes.Equal(proxyUp[i], device[i]) {
+			t.Errorf("stream %d: the device sent %q, the POP %q, the proxy %q", i,
+				wirePairs(t, device[i]), wirePairs(t, popUp[i]), wirePairs(t, proxyUp[i]))
+		}
+	}
+}
+
+// wireLog is a Dialer that keeps a copy of every byte written to each target
+// it dials.
+type wireLog struct {
+	inner Dialer
+	mu    sync.Mutex
+	sent  map[string]*bytes.Buffer
+}
+
+func (w *wireLog) Dial(target string) (io.ReadWriteCloser, error) {
+	rwc, err := w.inner.Dial(target)
+	if err != nil {
+		return nil, err
+	}
+	return loggedConn{rwc, w, target}, nil
+}
+
+type loggedConn struct {
+	io.ReadWriteCloser
+	log    *wireLog
+	target string
+}
+
+func (c loggedConn) Write(p []byte) (int, error) {
+	c.log.mu.Lock()
+	if c.log.sent == nil {
+		c.log.sent = make(map[string]*bytes.Buffer)
+	}
+	if c.log.sent[c.target] == nil {
+		c.log.sent[c.target] = new(bytes.Buffer)
+	}
+	c.log.sent[c.target].Write(p) // a session writes whole frames
+	c.log.mu.Unlock()
+	return c.ReadWriteCloser.Write(p)
+}
+
+// subscribes returns the payloads of the subscribe frames written to target,
+// in the order they were written.
+func (w *wireLog) subscribes(t *testing.T, target string) [][]byte {
+	t.Helper()
+	w.mu.Lock()
+	var sent []byte
+	if b := w.sent[target]; b != nil {
+		sent = bytes.Clone(b.Bytes())
+	}
+	w.mu.Unlock()
+	var out [][]byte
+	br := bufio.NewReader(bytes.NewReader(sent))
+	for {
+		f, err := burst.ReadFrame(br)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("frames to %s: %v", target, err)
+		}
+		if f.Type == burst.FrameSubscribe {
+			out = append(out, f.Payload)
+		}
+	}
+}
+
+// wirePairs reads a subscribe payload's header pairs in wire order.
+func wirePairs(t *testing.T, payload []byte) [][2]string {
+	t.Helper()
+	r := frame.Reader{B: payload}
+	if r.Byte() == 0 {
+		return nil
+	}
+	pairs := make([][2]string, r.Count(2))
+	for i := range pairs {
+		pairs[i] = [2]string{r.Str(), r.Str()}
+	}
+	r.Bytes() // the body
+	if err := r.Done(); err != nil {
+		t.Fatalf("subscribe payload %q: %v", payload, err)
+	}
+	return pairs
 }
 
 func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
@@ -541,7 +678,7 @@ func TestOrderlyCloseKeepsPeerEOF(t *testing.T) {
 }
 
 func TestRouters(t *testing.T) {
-	sub := burst.Subscribe{Header: burst.Header{burst.HdrTopic: "/t/1"}}
+	sub := &burst.Subscribe{Header: burst.Header{burst.HdrTopic: "/t/1"}}
 
 	if tgt, err := (StaticRouter("a")).Route(sub, nil); err != nil || tgt != "a" {
 		t.Errorf("static: %v %v", tgt, err)
@@ -565,7 +702,7 @@ func TestRouters(t *testing.T) {
 	}
 
 	sticky := StickyRouter{Fallback: StaticRouter("fallback")}
-	s := burst.Subscribe{Header: burst.Header{burst.HdrStickyBRASS: "pinned"}}
+	s := &burst.Subscribe{Header: burst.Header{burst.HdrStickyBRASS: "pinned"}}
 	if tgt, _ := sticky.Route(s, nil); tgt != "pinned" {
 		t.Errorf("sticky = %q", tgt)
 	}
@@ -581,7 +718,7 @@ func TestRoundRobinSetTargets(t *testing.T) {
 	rr := NewRoundRobinRouter("a")
 	rr.SetTargets("x", "y")
 	seen := map[string]bool{}
-	sub := burst.Subscribe{}
+	sub := &burst.Subscribe{}
 	for i := 0; i < 4; i++ {
 		tgt, err := rr.Route(sub, nil)
 		if err != nil {

@@ -6,18 +6,19 @@ import (
 	"bladerunner/internal/burst"
 )
 
-// Router chooses the upstream target for a subscription request. avoid
-// lists targets known to be failing for this stream right now (the router
-// may still return one if nothing else exists).
+// Router chooses the upstream target for a subscription request, req: a
+// relay's downstream stream, which holds it. avoid lists targets known to be
+// failing for this stream right now (the router may still return one if
+// nothing else exists).
 type Router interface {
-	Route(sub burst.Subscribe, avoid map[string]bool) (string, error)
+	Route(req burst.Stored, avoid map[string]bool) (string, error)
 }
 
 // StaticRouter always routes to one target.
 type StaticRouter string
 
 // Route implements Router.
-func (r StaticRouter) Route(burst.Subscribe, map[string]bool) (string, error) {
+func (r StaticRouter) Route(burst.Stored, map[string]bool) (string, error) {
 	return string(r), nil
 }
 
@@ -44,7 +45,7 @@ func (r *RoundRobinRouter) SetTargets(targets ...string) {
 }
 
 // Route implements Router.
-func (r *RoundRobinRouter) Route(_ burst.Subscribe, avoid map[string]bool) (string, error) {
+func (r *RoundRobinRouter) Route(_ burst.Stored, avoid map[string]bool) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.targets) == 0 {
@@ -68,9 +69,9 @@ type StickyRouter struct {
 }
 
 // Route implements Router.
-func (r StickyRouter) Route(sub burst.Subscribe, avoid map[string]bool) (string, error) {
-	if target := sub.Header[burst.HdrStickyBRASS]; target != "" && !avoid[target] {
+func (r StickyRouter) Route(req burst.Stored, avoid map[string]bool) (string, error) {
+	if target := req.HeaderField(burst.HdrStickyBRASS); target != "" && !avoid[target] {
 		return target, nil
 	}
-	return r.Fallback.Route(sub, avoid)
+	return r.Fallback.Route(req, avoid)
 }

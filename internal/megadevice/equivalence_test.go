@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,12 +327,13 @@ func newScriptedPOP(t *testing.T) *scriptedPOP {
 	}
 	p.net.Register("pop", func(rwc io.ReadWriteCloser) {
 		sess := burst.NewServerSession("pop", rwc, burst.ServerHandlerFuncs{
-			Subscribe: func(ss *burst.ServerStream, sub burst.Subscribe) {
-				p.record(upFrame{Kind: "subscribe", Header: sub.Header.Clone(), Body: string(sub.Body)})
+			Subscribe: func(ss *burst.ServerStream) {
+				req := ss.Request()
+				p.record(upFrame{Kind: "subscribe", Header: req.Header, Body: string(req.Body)})
 				p.streams <- ss
 			},
 			Cancel: func(_ *burst.ServerStream, c burst.Cancel) {
-				p.record(upFrame{Kind: "cancel", Reason: c.Reason})
+				p.record(upFrame{Kind: "cancel", Reason: strings.Clone(c.Reason)}) // the reason is borrowed
 			},
 		})
 		t.Cleanup(func() { _ = sess.Close() })

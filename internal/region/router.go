@@ -47,7 +47,7 @@ func (r *Router) AddTarget(region, target string) {
 }
 
 // Route implements edge.Router.
-func (r *Router) Route(_ burst.Subscribe, avoid map[string]bool) (string, error) {
+func (r *Router) Route(_ burst.Stored, avoid map[string]bool) (string, error) {
 	// Pass 1: home region first, then remote regions in priority order
 	// over reachable links.
 	regions := append([]string{r.home}, r.remoteRegions()...)
