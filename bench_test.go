@@ -75,7 +75,7 @@ func BenchmarkSwitchoverResourceUsage(b *testing.B) {
 
 func BenchmarkAblationMetadataVsPayload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = experiments.AblationMetadataVsPayload(1000, 2, 0.09)
+		_ = experiments.AblationMetadataVsPayload(1000, 2)
 	}
 }
 
@@ -85,42 +85,10 @@ func BenchmarkAblationSubscriptionDedup(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationFirstResponder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.AblationFirstResponder(1000)
-	}
-}
-
 func BenchmarkAblationRateLimitOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = experiments.AblationRateLimitOrder(1000, 10, 0.2, nil)
+		_ = experiments.AblationRateLimitOrder(10)
 	}
-}
-
-// BenchmarkAblationGenericVsPerApp compares the per-message cost of the
-// abandoned generic configurable filter chain against compiled per-app
-// filter code (the paper's argument for per-application BRASSes).
-func BenchmarkAblationGenericVsPerApp(b *testing.B) {
-	meta := map[string]string{"score": "0.53", "lang": "2", "author": "99"}
-	cfg := experiments.GenericFilterConfig{
-		"min_score":   "0.2",
-		"lang_filter": "on",
-		"viewer_lang": "2",
-		"drop_own":    "on",
-		"viewer":      "7",
-	}
-	b.Run("generic-config-chain", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = experiments.GenericFilter(cfg, meta)
-		}
-	})
-	b.Run("per-app-compiled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = experiments.PerAppFilter(0.2, "2", "7", meta)
-		}
-	})
 }
 
 // ---- Microbenchmarks of the hot paths ----

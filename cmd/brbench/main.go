@@ -53,10 +53,9 @@ func main() {
 
 	ablations := func() []experiments.Result {
 		return []experiments.Result{
-			experiments.AblationMetadataVsPayload(100000, 2, 0.09),
+			experiments.AblationMetadataVsPayload(100000, 2),
 			experiments.AblationSubscriptionDedup(50, 4),
-			experiments.AblationFirstResponder(10000),
-			experiments.AblationRateLimitOrder(1000, 10, 0.2, nil),
+			experiments.AblationRateLimitOrder(10),
 		}
 	}
 

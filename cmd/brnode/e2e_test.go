@@ -398,4 +398,19 @@ func TestE2ELiveLoad(t *testing.T) {
 	if rep.Applied == 0 {
 		t.Error("no delta was applied")
 	}
+
+	// 100 areas put every viewer past the cluster's 100 users: the WAS
+	// refuses each stream, nothing applies, and the run must fail naming
+	// the graph size it needed.
+	_, err = megadevice.RunLive(megadevice.LiveOptions{
+		Pops:     []string{lc.child(t, "pop", 0).burst},
+		WASAddr:  lc.child(t, "was", 0).ctrl,
+		Devices:  20,
+		Areas:    100,
+		Seed:     1,
+		Duration: time.Second,
+	})
+	if err == nil || !strings.Contains(err.Error(), "201 users") {
+		t.Errorf("100 areas on a 100-user graph: err %v, want one naming the 201 users needed", err)
+	}
 }

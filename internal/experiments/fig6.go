@@ -42,14 +42,14 @@ func Figure6(seed int64, samples int) Result {
 	r := Result{ID: "fig6", Title: "LVC comment latency: poll vs stream (model)"}
 	ps, ss := pollHist.Snapshot(), streamHist.Snapshot()
 	secs := func(d time.Duration) string { return fmt.Sprintf("%.1fs", d.Seconds()) }
-	r.AddRow("poll mean", "4.8s", secs(ps.Mean), "")
-	r.AddRow("stream mean", "3.4s", secs(ss.Mean), "")
-	r.AddRow("poll p75", "6s", secs(ps.P75), "")
-	r.AddRow("stream p75", "4s", secs(ss.P75), "")
-	r.AddRow("poll p95", "14s", secs(ps.P95), "long tail")
-	r.AddRow("stream p95", "6s", secs(ss.P95), "tail eliminated")
-	r.AddRow("poll p99", "-", secs(ps.P99), "not reported; tail persists")
-	r.AddRow("stream p99", "-", secs(ss.P99), "bounded by 10s buffer cap")
+	r.AddRow("poll mean", "4.8s", secs(ps.Mean), "model")
+	r.AddRow("stream mean", "3.4s", secs(ss.Mean), "model")
+	r.AddRow("poll p75", "6s", secs(ps.P75), "model")
+	r.AddRow("stream p75", "4s", secs(ss.P75), "model")
+	r.AddRow("poll p95", "14s", secs(ps.P95), "model: long tail")
+	r.AddRow("stream p95", "6s", secs(ss.P95), "model: tail eliminated")
+	r.AddRow("poll p99", "-", secs(ps.P99), "model: not reported; tail persists")
+	r.AddRow("stream p99", "-", secs(ss.P99), "model: bounded by 10s buffer cap")
 
 	// The figure's histogram: fraction of deliveries per 1-second bucket,
 	// 1..20 s (matching the paper's x-axis).

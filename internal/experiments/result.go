@@ -1,21 +1,21 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) from this repository's implementation, printing
-// paper-reported values next to measured ones. See DESIGN.md §5 for the
-// experiment index and EXPERIMENTS.md for a recorded run.
+// paper-reported values next to this repository's. See DESIGN.md §5 for
+// the experiment index and EXPERIMENTS.md for a recorded run.
 //
-// Two kinds of experiments exist:
+// Every printed row is one of three kinds, and its note says which:
 //
-//   - Live-stack experiments (Table 3 and Fig 9 from the tracing plane's
-//     spans, the LVC switchover, the failover drills, the ablations) drive
-//     the actual components — TAO, Pylon, WAS, BRASS, BURST — and read
-//     their instrumentation.
-//   - Model-composition experiments (the workload tables and figures, the
-//     fleet-scale diurnal curves, and Fig 6's poll-vs-stream latency) run
-//     calibrated workload generators and latency inputs, because a laptop
-//     cannot host hundreds of millions of devices or production's poll
-//     overload. The models are the ones documented in DESIGN.md §4; what
-//     is verified is that the *composition* of the system's structure with
-//     those inputs reproduces the paper's end-to-end shapes.
+//   - Measured rows read the instrumentation of a run of the actual
+//     components — TAO, Pylon, WAS, BRASS, BURST: Table 3 and Fig 9 from
+//     the tracing plane's spans, the LVC switchover, the reconnect storm,
+//     the failover drills and the subscription-dedup ablation.
+//   - Input rows (note "input:") replay the paper's production workload
+//     through the calibrated generators of DESIGN.md §4, because a laptop
+//     cannot host hundreds of millions of devices: Tables 1 and 2 and the
+//     Fig 8 and Fig 10 curves.
+//   - Model rows (note "model:") compose such inputs with the system's
+//     structure: Fig 6's poll-vs-stream latency, Fig 7, and the
+//     metadata-only and rate-limit-order ablations.
 package experiments
 
 import (
@@ -55,9 +55,9 @@ func (r Result) String() string {
 	fmt.Fprintf(&b, "=== %s: %s ===\n", r.ID, r.Title)
 	labelW, paperW, measW := len("metric"), len("paper"), len("measured")
 	for _, row := range r.Rows {
-		labelW = maxInt(labelW, len(row.Label))
-		paperW = maxInt(paperW, len(row.Paper))
-		measW = maxInt(measW, len(row.Measured))
+		labelW = max(labelW, len(row.Label))
+		paperW = max(paperW, len(row.Paper))
+		measW = max(measW, len(row.Measured))
 	}
 	fmt.Fprintf(&b, "%-*s  %*s  %*s  %s\n", labelW, "metric", paperW, "paper", measW, "measured", "note")
 	for _, row := range r.Rows {
@@ -78,13 +78,6 @@ func (r *Result) AddSeries(name string, pts []SeriesPoint) {
 		r.Series = make(map[string][]SeriesPoint)
 	}
 	r.Series[name] = pts
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // pct formats a fraction as a percentage.

@@ -19,9 +19,9 @@ import (
 // recovery paths now share, reporting the peak dial rate the POP absorbs and
 // the time until the whole fleet is back.
 //
-// The run is a model composition on the discrete-event kernel: devices are
-// retry loops dialing through a FaultNetwork, so the whole storm is
-// single-threaded and deterministic for a given seed.
+// The run measures the real retry policies on the discrete-event kernel:
+// devices are retry loops dialing through a FaultNetwork, so the whole
+// storm is single-threaded and deterministic for a given seed.
 func ReconnectStorm(seed int64) Result {
 	const (
 		devices = 2000

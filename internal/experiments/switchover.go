@@ -22,71 +22,20 @@ import (
 // client-side polling and once by Bladerunner, against the real TAO, WAS,
 // Pylon, and BRASS implementations, and the backend resource usage is
 // compared. The paper reports a 10× reduction in LVC-related social-graph
-// queries-per-second and WAS CPU load.
+// queries-per-second and WAS CPU load. The Bladerunner variant also reports
+// what its BRASS host decided: how many delivery decisions it made, how
+// many of them it filtered, and how many privacy checks LVC's
+// pop-check-repop spent on a graph where every viewer blocks a fifth of
+// the commenters.
 //
 // Timers are scaled (milliseconds stand in for seconds) so the experiment
 // runs in under a second of wall-clock time; the resource ratios are
 // structural (range+point queries per poll vs point queries per delivered
 // update) and unaffected by the scaling.
 func Switchover(seed int64) Result {
-	const (
-		viewers     = 30
-		comments    = 40
-		pollEvery   = 20 * time.Millisecond // stands in for the 2s production poll
-		commentGap  = 2 * time.Millisecond
-		settleAfter = 400 * time.Millisecond
-	)
-	sched := sim.RealClock{}
+	pollStats, pollers := runPolls(seed)
+	brStats, lc := runStreams(seed)
 
-	// ---- Variant A: client-side polling ----
-	pollEnv := newSwitchEnv(seed)
-	pollers := make([]*baseline.ClientPoller, viewers)
-	for i := range pollers {
-		pollers[i] = &baseline.ClientPoller{
-			WAS:      pollEnv.WAS,
-			Viewer:   socialgraph.UserID(i + 1),
-			Query:    "videoComments(videoID: 900, limit: 10)",
-			Interval: pollEvery,
-			Sched:    sched,
-		}
-		pollers[i].Start()
-	}
-	postComments(sched, pollEnv.WAS, comments, commentGap)
-	sim.Sleep(sched, settleAfter)
-	for _, p := range pollers {
-		p.Stop()
-	}
-	pollStats := pollEnv.snapshot()
-
-	// ---- Variant B: Bladerunner streams ----
-	brEnv := newSwitchEnv(seed)
-	host := core.NewBrassTier(brEnv.cfg, "us", "", brEnv.Apps, brEnv.pylon, brEnv.WAS, nil).Hosts[0]
-	defer host.Close()
-
-	clients := make([]*burst.Client, viewers)
-	for i := range clients {
-		a, b := edge.Pipe()
-		clients[i] = burst.NewClient(fmt.Sprintf("viewer-%d", i), a, nil)
-		host.AcceptSession("sess", b)
-		_, err := clients[i].Subscribe(burst.Subscribe{Header: burst.Header{
-			burst.HdrApp:          apps.AppLiveComments,
-			burst.HdrSubscription: "liveVideoComments(videoID: 900)",
-			burst.HdrUser:         strconv.Itoa(i + 1),
-		}})
-		if err != nil {
-			panic(err)
-		}
-		defer clients[i].Close()
-	}
-	// Wait for the host to register the topic with Pylon.
-	brEnv.pylon.WaitForSubscriber(sched, apps.LVCTopic(900), 2*time.Second)
-	postComments(sched, brEnv.WAS, comments, commentGap)
-	sim.Sleep(sched, settleAfter)
-	host.Quiesce()
-	brStats := brEnv.snapshot()
-	delivered := host.Deliveries.Value()
-
-	// ---- Comparison ----
 	r := Result{ID: "switchover", Title: "LVC polling vs Bladerunner: backend resource usage (live stack)"}
 	ratio := func(a, b int64) string {
 		if b == 0 {
@@ -112,9 +61,112 @@ func Switchover(seed int64) Result {
 		"Bladerunner's fetches are point queries")
 	r.AddRow("empty poll fraction", "~80%", pct(emptyPollRate(pollers)),
 		"polls returning no new data")
-	r.AddRow("updates delivered (stream)", "-", fmt.Sprintf("%d", delivered),
+	r.AddRow("BRASS decisions (stream)", "-", fmt.Sprintf("%d", lc.decisions),
+		fmt.Sprintf("%d streams x %d publishes", switchViewers, lc.published))
+	r.AddRow("updates delivered (stream)", "-", fmt.Sprintf("%d", lc.deliveries),
 		"pushes, rate-limited per viewer")
+	r.AddRow("fraction filtered at BRASS", ">80%", pct(lc.filtered),
+		"1 - deliveries/decisions, the host's counters")
+	r.AddRow("privacy checks (per-app BRASS)", "-", fmt.Sprintf("%d", lc.checks),
+		"LVC checks at pop time and pops again on a denial")
+	r.AddRow("privacy denials (per-app BRASS)", "-", fmt.Sprintf("%d", lc.denied),
+		fmt.Sprintf("each viewer blocks 1/%d of the commenters", switchBlockEvery))
+	if lc.decisions == 0 {
+		r.Err = fmt.Errorf("the stream variant's host made no delivery decision")
+	}
 	return r
+}
+
+// The switchover's workload: switchViewers viewers watch one live video
+// while switchComments comments arrive, each from a different commenter,
+// and viewer v blocks commenter c when (v+c) % switchBlockEvery == 0.
+const (
+	switchViewers    = 30
+	switchComments   = 40
+	switchBlockEvery = 5
+
+	pollEvery   = 20 * time.Millisecond // stands in for the 2s production poll
+	commentGap  = 2 * time.Millisecond
+	settleAfter = 400 * time.Millisecond
+)
+
+// commenter is the author of the switchover's i-th comment.
+func commenter(i int) socialgraph.UserID { return socialgraph.UserID(100 + i) }
+
+// runPolls serves the comments to client-side pollers.
+func runPolls(seed int64) (switchStats, []*baseline.ClientPoller) {
+	sched := sim.RealClock{}
+	env := newSwitchEnv(seed)
+	pollers := make([]*baseline.ClientPoller, switchViewers)
+	for i := range pollers {
+		pollers[i] = &baseline.ClientPoller{
+			WAS:      env.WAS,
+			Viewer:   socialgraph.UserID(i + 1),
+			Query:    "videoComments(videoID: 900, limit: 10)",
+			Interval: pollEvery,
+			Sched:    sched,
+		}
+		pollers[i].Start()
+	}
+	postComments(sched, env.WAS)
+	sim.Sleep(sched, settleAfter)
+	for _, p := range pollers {
+		p.Stop()
+	}
+	return env.snapshot(), pollers
+}
+
+// lvcCounts is what the stream variant's WAS and BRASS host counted.
+type lvcCounts struct {
+	published  int64   // WAS publishes emitted
+	decisions  int64   // host delivery decisions
+	deliveries int64   // host payload deltas sent
+	filtered   float64 // host.FilterRate: 1 - deliveries/decisions
+	checks     int64   // WAS privacy checks
+	denied     int64   // WAS privacy denials
+	sheds      int64   // payload deltas shed by per-stream admission
+}
+
+// runStreams serves the comments to Bladerunner streams on one BRASS host.
+func runStreams(seed int64) (switchStats, lvcCounts) {
+	sched := sim.RealClock{}
+	env := newSwitchEnv(seed)
+	host := core.NewBrassTier(env.cfg, "us", "", env.Apps, env.pylon, env.WAS, nil).Hosts[0]
+	defer host.Close()
+
+	for i := 0; i < switchViewers; i++ {
+		a, b := edge.Pipe()
+		c := burst.NewClient(fmt.Sprintf("viewer-%d", i), a, nil)
+		host.AcceptSession("sess", b)
+		_, err := c.Subscribe(burst.Subscribe{Header: burst.Header{
+			burst.HdrApp:          apps.AppLiveComments,
+			burst.HdrSubscription: "liveVideoComments(videoID: 900)",
+			burst.HdrUser:         strconv.Itoa(i + 1),
+		}})
+		if err != nil {
+			panic(err)
+		}
+		defer c.Close()
+	}
+	// Every stream is open and the host holds the topic on Pylon before
+	// the first comment, so each publish meets all the viewers.
+	deadline := sched.Now().Add(2 * time.Second)
+	for host.StreamsOpened.Value() < switchViewers && sched.Now().Before(deadline) {
+		sim.Sleep(sched, time.Millisecond)
+	}
+	env.pylon.WaitForSubscriber(sched, apps.LVCTopic(900), 2*time.Second)
+	postComments(sched, env.WAS)
+	sim.Sleep(sched, settleAfter)
+	host.Quiesce()
+	return env.snapshot(), lvcCounts{
+		published:  env.WAS.PublishesEmitted.Value(),
+		decisions:  host.Decisions.Value(),
+		deliveries: host.Deliveries.Value(),
+		filtered:   host.FilterRate(),
+		checks:     env.WAS.PrivacyChecks.Value(),
+		denied:     env.WAS.PrivacyDenied.Value(),
+		sheds:      host.StreamSheds.Value(),
+	}
 }
 
 // switchEnv is one variant's backend: the Pylon and WAS tiers, built as
@@ -151,6 +203,13 @@ func newSwitchEnv(seed int64) *switchEnv {
 	}
 	wt.Apps.LVC.RateLimit = 5 * time.Millisecond
 	wt.Apps.LVC.MinScore = 0.0
+	for v := socialgraph.UserID(1); v <= switchViewers; v++ {
+		for i := 0; i < switchComments; i++ {
+			if c := commenter(i); (v+c)%switchBlockEvery == 0 {
+				wt.Graph.Block(v, c)
+			}
+		}
+	}
 	return &switchEnv{cfg: cfg, pylon: pt.Pylon, WASTier: wt}
 }
 
@@ -163,11 +222,10 @@ func (e *switchEnv) snapshot() switchStats {
 	}
 }
 
-func postComments(sched sim.Scheduler, w *was.Server, n int, gap time.Duration) {
-	for i := 0; i < n; i++ {
-		author := socialgraph.UserID(100 + i%50)
-		_, _ = w.Mutate(author, fmt.Sprintf(`postComment(videoID: 900, text: "live comment %d")`, i))
-		sim.Sleep(sched, gap)
+func postComments(sched sim.Scheduler, w *was.Server) {
+	for i := 0; i < switchComments; i++ {
+		_, _ = w.Mutate(commenter(i), fmt.Sprintf(`postComment(videoID: 900, text: "live comment %d")`, i))
+		sim.Sleep(sched, commentGap)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Table1 regenerates the paper's Table 1: the distribution of daily update
 // counts over areas of interest. nAreas areas are sampled from the
-// calibrated generator; the measured bucket fractions are compared with the
-// paper's row.
+// calibrated generator, so the bucket fractions are inputs read back next
+// to the paper's row.
 func Table1(seed int64, nAreas int) Result {
 	rng := rand.New(rand.NewSource(seed))
 	var zero, under10, under100, over1M, over100M int
@@ -33,15 +33,16 @@ func Table1(seed int64, nAreas int) Result {
 	}
 	r := Result{ID: "table1", Title: "Updates per area of interest over 24h"}
 	f := func(c int) float64 { return float64(c) / float64(nAreas) }
-	r.AddRow("areas with 0 updates", "83%", pct(f(zero)), "")
-	r.AddRow("areas with <10 updates", "16%", pct(f(under10)), "")
-	r.AddRow("areas with <100 updates", "0.95%", pct(f(under100)), "")
-	r.AddRow("areas with >1M updates", "0.049%", pct(f(over1M)), "")
-	r.AddRow("areas with >100M updates", "0.0001%", pct(f(over100M)), "rarest bucket; wide CI at this sample size")
+	r.AddRow("areas with 0 updates", "83%", pct(f(zero)), "input")
+	r.AddRow("areas with <10 updates", "16%", pct(f(under10)), "input")
+	r.AddRow("areas with <100 updates", "0.95%", pct(f(under100)), "input")
+	r.AddRow("areas with >1M updates", "0.049%", pct(f(over1M)), "input")
+	r.AddRow("areas with >100M updates", "0.0001%", pct(f(over100M)), "input: rarest bucket; wide CI at this sample size")
 	return r
 }
 
-// Table2 regenerates the request-stream lifetime distribution.
+// Table2 samples the calibrated request-stream lifetime distribution, an
+// input.
 func Table2(seed int64, nStreams int) Result {
 	rng := rand.New(rand.NewSource(seed))
 	var b15m, b1h, b24h, bMore int
@@ -60,10 +61,10 @@ func Table2(seed int64, nStreams int) Result {
 	}
 	r := Result{ID: "table2", Title: "Request-stream lifetime distribution"}
 	f := func(c int) string { return pct(float64(c) / float64(nStreams)) }
-	r.AddRow("<15 min", "45%", f(b15m), "")
-	r.AddRow("15 min - 1 hr", "26%", f(b1h), "")
-	r.AddRow("1 hr - 24 hr", "25%", f(b24h), "")
-	r.AddRow("24 hr+", "4%", f(bMore), "")
+	r.AddRow("<15 min", "45%", f(b15m), "input")
+	r.AddRow("15 min - 1 hr", "26%", f(b1h), "input")
+	r.AddRow("1 hr - 24 hr", "25%", f(b24h), "input")
+	r.AddRow("24 hr+", "4%", f(bMore), "input")
 	return r
 }
 
@@ -127,9 +128,9 @@ func Figure7(seed int64, nStreams int) Result {
 	}
 	r := Result{ID: "fig7", Title: "Publications per request-stream subscription"}
 	f := func(c int) string { return pct(float64(c) / float64(nStreams)) }
-	r.AddRow("0 updates", "~75%", f(zero), "paper: 74.0-75.9% across 12 samples")
-	r.AddRow("1-9 updates", "~19%", f(b9), "paper: 18.3-19.5%")
-	r.AddRow("10-99 updates", "~5.5%", f(b99), "paper: 5.2-6.1%")
-	r.AddRow("100+ updates", "~0.6%", f(b100), "paper: 0.5-0.7%")
+	r.AddRow("0 updates", "~75%", f(zero), "model: paper 74.0-75.9% across 12 samples")
+	r.AddRow("1-9 updates", "~19%", f(b9), "model: paper 18.3-19.5%")
+	r.AddRow("10-99 updates", "~5.5%", f(b99), "model: paper 5.2-6.1%")
+	r.AddRow("100+ updates", "~0.6%", f(b100), "model: paper 0.5-0.7%")
 	return r
 }

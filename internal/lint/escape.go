@@ -24,9 +24,9 @@ type Fact struct {
 	Desc string
 }
 
-// maxFacts caps facts retained per summary; diagnostics only ever surface
+// factLimit caps facts retained per summary; diagnostics only ever surface
 // the first, the rest exist so tests can assert multiplicity.
-const maxFacts = 4
+const factLimit = 4
 
 // ---- allocation summaries ----
 
@@ -124,7 +124,7 @@ func (p *Program) AllocFacts(n *FuncNode) []Fact {
 	p.allocBusy[n] = true
 	var facts []Fact
 	p.scanAllocs(n, func(pos token.Pos, desc string) {
-		if len(facts) < maxFacts {
+		if len(facts) < factLimit {
 			facts = append(facts, Fact{Pos: pos, Desc: desc})
 		}
 	})
@@ -620,7 +620,7 @@ func (p *Program) BlockFacts(n *FuncNode) []Fact {
 	p.blockBusy[n] = true
 	var facts []Fact
 	emit := func(pos token.Pos, desc string) {
-		if len(facts) < maxFacts {
+		if len(facts) < factLimit {
 			facts = append(facts, Fact{Pos: pos, Desc: desc})
 		}
 	}

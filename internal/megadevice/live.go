@@ -78,7 +78,8 @@ func (o *LiveOptions) normalize() error {
 // measures end-to-end delivery over real sockets: brload trunk -> POP
 // proxy -> BRASS session for deltas, and brload -> WAS ctrl -> Pylon ctrl
 // -> BRASS for the publish path. Everything rides the wall clock; there
-// is no simulated time in this mode.
+// is no simulated time in this mode. A run that applied no delta, or whose
+// every probe missed, returns an error instead of a report.
 func RunLive(o LiveOptions) (*Report, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
@@ -155,12 +156,19 @@ func RunLive(o LiveOptions) (*Report, error) {
 	// the first publish, so early probes don't all miss.
 	sim.Sleep(wall, 200*time.Millisecond)
 
+	var pubErrs int64
+	var pubErr error
 	publish := func(area int) {
 		_, err := wc.MutateIn(o.Region, socialUser(ownerUser(area)),
 			fmt.Sprintf(`setTyping(threadID: %d, on: "true")`, area))
-		if err == nil {
-			rep.Publishes++
+		if err != nil {
+			pubErrs++
+			if pubErr == nil {
+				pubErr = err
+			}
+			return
 		}
+		rep.Publishes++
 	}
 	probe := func(area int) {
 		fleet.ProbeArm(uint32(area), wall.Now().UnixNano())
@@ -216,5 +224,16 @@ func RunLive(o LiveOptions) (*Report, error) {
 	}
 	rep.LatencyNS = fleet.ApplyLatency.Snapshot()
 	rep.LatencyCDF = fleet.ApplyLatency.CDF(20)
+	// A fleet whose streams the WAS refuses, or whose publishes fail,
+	// applies nothing; that is a failed run, not a report.
+	if rep.Applied == 0 || rep.ProbeMisses == rep.Probes {
+		err := fmt.Errorf("megadevice: live run applied %d deltas and missed %d of %d probes; "+
+			"%d areas need a WAS graph of at least 2*Areas+1 = %d users (brnode -users)",
+			rep.Applied, rep.ProbeMisses, rep.Probes, o.Areas, 2*o.Areas+1)
+		if pubErr != nil {
+			err = fmt.Errorf("%w; %d publishes failed, first: %v", err, pubErrs, pubErr)
+		}
+		return nil, err
+	}
 	return rep, nil
 }

@@ -136,7 +136,7 @@ func (d Diurnal) At(t time.Time) float64 {
 	return mid + amp*math.Cos(phase)
 }
 
-// Paper Fig 8 per-user curves.
+// Paper Fig 8's driving per-user curves.
 var (
 	// ActiveStreamsPerUser: 6.5 .. 11 active request-streams.
 	ActiveStreamsPerUser = Diurnal{Min: 6.5, Max: 11, PeakHour: 19}
@@ -144,10 +144,6 @@ var (
 	SubscriptionsPerUserMinute = Diurnal{Min: 0.5, Max: 0.75, PeakHour: 19}
 	// PublicationsPerUserMinute: 0.8 .. 1.5 Pylon publications.
 	PublicationsPerUserMinute = Diurnal{Min: 0.8, Max: 1.5, PeakHour: 19}
-	// DecisionsPerUserMinute: 1.1 .. 3.2 BRASS delivery decisions.
-	DecisionsPerUserMinute = Diurnal{Min: 1.1, Max: 3.2, PeakHour: 19}
-	// DeliveriesPerUserMinute: 0.1 .. 0.25 update deliveries.
-	DeliveriesPerUserMinute = Diurnal{Min: 0.1, Max: 0.25, PeakHour: 19}
 )
 
 // Paper Fig 10 fleet-wide curves (absolute counts per minute).
