@@ -59,6 +59,7 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTResumeBatchApply", resumeBatchApply, 1, "the one copy of the patch both values slice: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
+		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, send builds the payload and patch deltas on its stack array, the patch merges into a stored request that holds its key, and SendBatch encodes into the session's pending buffer"},
 		{"BRASSStreamOpenClose", streamOpenClose, 8, "the subscribe hop's two, the Stream and its close reason — the one copy of the borrowed cancel reason —, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (11 before: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
 		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 8, "the device's stream and its pairs, each subscribe hop's stream and header copy, the relay and its leg, which is its ClientStream alone, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (13 before: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
@@ -328,12 +329,53 @@ func payloadMiss(b *testing.B) {
 	}
 }
 
+// fetchPush is the road from a privacy check to the wire on a warm cache:
+// an event through Host.Deliver to an app whose one stream Fetches it — the
+// viewer's check and a payload-cache hit — and Pushes it with a one-key
+// patch, the LVC and Notifications shape, through the host session's
+// writer to its transport.
+func fetchPush(b *testing.B) {
+	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
+	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)
+	apps.NewSuite(w)
+	ref := w.TAO.ObjectAdd("comment", tao.Props{{"text", "what a save!"}, {"author", "7"}, {"post", "17"}})
+	host := brass.NewHost(brass.HostConfig{ID: "push-host"}, nil, w, nil)
+	defer host.Close()
+	app := &payloadFetcher{seen: make(chan int), patch: burst.Header{brass.HdrRateLimiterState: "1"}}
+	host.RegisterApp(app)
+	tap := &wireTap{wire: msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: apps.AppFeedComments, burst.HdrTopic: "/hot", burst.HdrUser: "9"}}),
+		next: make(chan struct{}), closed: make(chan struct{}), wrote: make(chan struct{})}
+	host.AcceptSession("push", tap)
+	tap.next <- struct{}{}
+	<-app.seen
+	ev := pylon.Event{Topic: "/hot", ID: 1, Ref: uint64(ref), Author: 7}
+	push := func() {
+		host.Deliver(ev)
+		if n := <-app.seen; n <= 0 {
+			b.Fatalf("fetched %d payload bytes", n)
+		}
+		<-tap.wrote
+	}
+	push() // the one miss fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push()
+	}
+	if hits := host.PayloadCacheHits.Value(); hits != int64(b.N) || tap.sent != b.N+1 {
+		b.Fatalf("%d payload-cache hits and %d writes, want %d and %d", hits, tap.sent, b.N, b.N+1)
+	}
+}
+
 // payloadFetcher is an app under the Feed application's name whose streams
-// fetch every event's payload and send its length on seen, -1 for an error;
-// a stream that opens sends 0.
+// fetch every event's payload and send its length on seen, -1 for a denial;
+// with a patch set they push the payload and the patch first. A stream that
+// opens sends 0.
 type payloadFetcher struct {
-	rt   *brass.Runtime
-	seen chan int
+	rt    *brass.Runtime
+	seen  chan int
+	patch burst.Header
 }
 
 func (a *payloadFetcher) Name() string                                    { return apps.AppFeedComments }
@@ -349,8 +391,11 @@ func (a *payloadFetcher) OnStreamOpen(st *brass.Stream) error {
 func (a *payloadFetcher) OnEvent(ev pylon.Event) {
 	for _, st := range a.rt.Instance().StreamsForTopic(ev.Topic) {
 		n := -1
-		if b, err := st.FetchPayload(ev); err == nil {
-			n = len(b)
+		if p, ok := st.Fetch(ev, ev.ID); ok {
+			n = len(p.Bytes())
+			if a.patch != nil {
+				_ = st.Push(a.patch, p)
+			}
 		}
 		a.seen <- n
 	}

@@ -1,11 +1,11 @@
 package apps
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
 	"bladerunner/internal/brass"
-	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
@@ -70,9 +70,17 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 func (a *ActiveStatus) Name() string { return AppActiveStatus }
 
 type asStream struct {
-	online map[uint64]time.Time // friend → last report
-	shown  map[uint64]bool      // what the device currently displays
+	online map[uint64]asReport // friend → last report
+	shown  map[uint64]bool     // what the device currently displays
 	cancel func()
+}
+
+// asReport is a friend's last report the viewer may see: when it came, and
+// the Fetch that cleared it, the proof of every status pushed for the friend.
+type asReport struct {
+	uid   uint64
+	at    time.Time
+	proof brass.Payload
 }
 
 type asInstance struct {
@@ -90,7 +98,7 @@ func (in *asInstance) OnStreamOpen(st *brass.Stream) error {
 		return err
 	}
 	state := &asStream{
-		online: make(map[uint64]time.Time),
+		online: make(map[uint64]asReport),
 		shown:  make(map[uint64]bool),
 	}
 	st.State = state
@@ -112,30 +120,30 @@ func (in *asInstance) scheduleFlush(st *brass.Stream, state *asStream) {
 // the expirations, then the new onlines, each in ascending uid order.
 func (in *asInstance) flush(st *brass.Stream, state *asStream) {
 	now := in.rt.Now()
-	var expired, online []uint64
-	for uid, last := range state.online {
+	var expired, online []asReport
+	for uid, r := range state.online {
 		switch {
-		case now.Sub(last) > in.app.TTL:
+		case now.Sub(r.at) > in.app.TTL:
 			delete(state.online, uid)
 			if state.shown[uid] {
 				delete(state.shown, uid)
-				expired = append(expired, uid)
+				expired = append(expired, r)
 			}
 		case !state.shown[uid]:
 			state.shown[uid] = true
-			online = append(online, uid)
+			online = append(online, r)
 		}
 	}
-	var batch []burst.Delta
-	add := func(uids []uint64, isOnline bool) {
-		slices.Sort(uids)
-		for _, uid := range uids {
-			batch = append(batch, burst.PayloadDelta(0, StatusPayload{User: uid, Online: isOnline}.AppendJSON(nil)))
+	var batch []brass.Payload
+	add := func(rs []asReport, isOnline bool) {
+		slices.SortFunc(rs, func(a, b asReport) int { return cmp.Compare(a.uid, b.uid) })
+		for _, r := range rs {
+			batch = append(batch, r.proof.Derive(StatusPayload{User: r.uid, Online: isOnline}.AppendJSON(nil)))
 		}
 	}
 	add(expired, false)
 	add(online, true)
-	_ = st.Push(batch...)
+	_ = st.Push(nil, batch...)
 }
 
 func (in *asInstance) OnStreamClose(st *brass.Stream, reason string) {
@@ -156,10 +164,8 @@ func (in *asInstance) OnEvent(ev pylon.Event) {
 		if !ok {
 			continue
 		}
-		if _, err := st.FetchPayload(ev); err != nil {
-			st.Filtered()
-			continue
+		if p, ok := st.Fetch(ev, 0); ok {
+			state.online[ev.Author] = asReport{uid: ev.Author, at: now, proof: p}
 		}
-		state.online[ev.Author] = now
 	}
 }

@@ -905,6 +905,38 @@ func TestVideoCommentsPollQuery(t *testing.T) {
 	if e.tao.Stats().RangeQueries.Value() == 0 {
 		t.Error("poll query not accounted as range query")
 	}
+
+	// A poll is a delivery: the comments of an author the viewer blocked
+	// are skipped, and another viewer still reads them.
+	blocked := socialgraph.UserID(23)
+	e.graph.Block(1, blocked)
+	for i := 0; i < 2; i++ {
+		if _, err := e.was.Mutate(blocked,
+			fmt.Sprintf(`postComment(videoID: 400, text: "b%d")`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	authors := func(viewer socialgraph.UserID) map[uint64]int {
+		out, err := e.was.Query(viewer, "videoComments(videoID: 400, limit: 10)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var comments []CommentPayload
+		if err := json.Unmarshal(out, &comments); err != nil {
+			t.Fatal(err)
+		}
+		n := map[uint64]int{}
+		for _, c := range comments {
+			n[c.Author]++
+		}
+		return n
+	}
+	if got := authors(1); got[uint64(blocked)] != 0 || got[uint64(commenter)] != 5 {
+		t.Errorf("viewer 1, who blocked %d, polled comments by author %v", blocked, got)
+	}
+	if got := authors(2); got[uint64(blocked)] != 2 || got[uint64(commenter)] != 5 {
+		t.Errorf("viewer 2 polled comments by author %v, want 5 by %d and 2 by %d", got, commenter, blocked)
+	}
 }
 
 // An in-order Messenger event is ONE decision and ONE batch: the payload and

@@ -90,11 +90,8 @@ func (in *feedInstance) OnEvent(ev pylon.Event) {
 			st.Filtered()
 			continue
 		}
-		payload, err := st.FetchPayload(ev)
-		if err != nil {
-			st.Filtered()
-			continue
+		if p, ok := st.Fetch(ev, ev.ID); ok {
+			_ = st.Push(nil, p)
 		}
-		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
+	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
 )
@@ -128,7 +129,9 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 	})
 
 	// The poll-model read path (used by the baseline comparison and for
-	// initial state): a range query over the video's comment index.
+	// initial state): a range query over the video's comment index. A poll
+	// is a delivery like any other: a comment whose author the viewer may
+	// not see is skipped.
 	w.RegisterQuery("videoComments", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
@@ -142,10 +145,9 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		out := make([]CommentPayload, 0, len(assocs))
 		for _, as := range assocs {
 			p, err := a.payload(ctx, as.ID2)
-			if err != nil {
-				continue
+			if err == nil && ctx.Srv.PrivacyCheck(ctx.Viewer, socialgraph.UserID(p.Author)) {
+				out = append(out, p)
 			}
-			out = append(out, p)
 		}
 		return out, nil
 	})
@@ -235,18 +237,14 @@ func (in *lvcInstance) flush(st *brass.Stream, state *lvcStream) {
 		if !ok {
 			return
 		}
-		ev := pylon.Event{Ref: item.Seq, Author: item.Author, Trace: item.Trace}
-		payload, err := st.FetchPayload(ev)
-		if err != nil {
-			// Privacy denial or fetch failure: skip to next candidate.
-			st.Filtered()
-			continue
+		p, ok := st.Fetch(pylon.Event{Ref: item.Seq, Author: item.Author, Trace: item.Trace}, item.Seq)
+		if !ok {
+			continue // privacy denial or fetch failure: the next candidate
 		}
 		// One decision, one frame: the comment and the limiter-state
 		// rewrite (the persisted cadence a replacement BRASS resumes from
 		// after failover, §3.5 "Resumption").
-		_ = st.Push(brass.PayloadFor(ev, item.Seq, payload), burst.RewriteDelta(
-			burst.Header{brass.HdrRateLimiterState: state.limiter.HeaderState()}, nil))
+		_ = st.Push(burst.Header{brass.HdrRateLimiterState: state.limiter.HeaderState()}, p)
 		return
 	}
 }

@@ -271,13 +271,14 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 	}
 	state.lastSeq = floor
 
-	var deltas []burst.Delta
+	var ps []brass.Payload
+	last := floor
 	fromLog := false
 	if ok {
 		entries, _, err := in.rt.LogRead(state.topic, durlog.Cursor{Epoch: c.Epoch, Seq: floor})
 		fromLog = err == nil
 		for _, e := range entries {
-			deltas = append(deltas, burst.PayloadDelta(e.Seq, e.Payload))
+			ps, last = append(ps, st.Own(e.Seq, e.Payload)), e.Seq
 		}
 	}
 	if !fromLog {
@@ -285,16 +286,12 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 		for _, m := range msgs {
 			b := m.AppendJSON(nil)
 			in.rt.LogAppend(state.topic, m.Seq, b) // as in catchUp
-			deltas = append(deltas, burst.PayloadDelta(m.Seq, b))
+			ps, last = append(ps, st.Own(m.Seq, b)), m.Seq
 		}
-	}
-	last := floor
-	if n := len(deltas); n > 0 {
-		last = deltas[n-1].Seq
 	}
 	// If nothing could be read or sent lastSeq stays at the floor, and the
 	// next live event finds the gap and repairs it through catchUp.
-	if st.PushCatchUp(append(deltas, burst.RewriteDelta(in.resumePatch(state, last), nil))...) == nil {
+	if st.PushCatchUp(in.resumePatch(state, last), ps...) == nil {
 		state.lastSeq = last
 	}
 }
@@ -351,7 +348,7 @@ func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
 			// them from the edge instead.
 			in.rt.LogAppend(state.topic, m.Seq, b)
 		}
-		if st.PushPayload(pylon.Event{}, m.Seq, b) == nil {
+		if st.Push(nil, st.Own(m.Seq, b)) == nil {
 			state.lastSeq = m.Seq
 		}
 	}
@@ -380,14 +377,12 @@ func (in *messengerInstance) OnEvent(ev pylon.Event) {
 			// applied all-or-nothing (§3.5), so the device's stored resume
 			// state cannot lag the payload it applied; admission sheds
 			// only the payload, never the rewrite.
-			payload, err := st.FetchPayload(ev)
-			if err != nil {
-				st.Filtered()
+			p, ok := st.Fetch(ev, ev.Seq)
+			if !ok {
 				continue
 			}
-			in.rt.LogAppend(ev.Topic, ev.Seq, payload)
-			if st.Push(brass.PayloadFor(ev, ev.Seq, payload),
-				burst.RewriteDelta(in.resumePatch(state, ev.Seq), nil)) == nil {
+			in.rt.LogAppend(ev.Topic, ev.Seq, p.Bytes())
+			if st.Push(in.resumePatch(state, ev.Seq), p) == nil {
 				state.lastSeq = ev.Seq
 			}
 		default:

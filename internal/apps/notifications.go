@@ -127,23 +127,21 @@ func (in *notifInstance) OnEvent(ev pylon.Event) {
 		if !ok {
 			continue
 		}
-		raw, err := st.FetchPayload(ev)
-		if err != nil {
-			st.Filtered() // privacy-denied actor
-			continue
+		fetched, ok := st.Fetch(ev, ev.ID)
+		if !ok {
+			continue // privacy-denied actor
 		}
 		var p NotificationPayload
-		if err := json.Unmarshal(raw, &p); err != nil {
+		if err := json.Unmarshal(fetched.Bytes(), &p); err != nil {
 			st.Filtered()
 			continue
 		}
 		state.unseen++
 		p.Unseen = state.unseen
-		b := p.AppendJSON(nil)
 		// One decision, one frame: the device never shows the notification
 		// beside a stale badge, and admission can shed the payload but not
 		// the badge state.
-		_ = st.Push(brass.PayloadFor(ev, ev.ID, b), burst.RewriteDelta(
-			burst.Header{HdrUnseenCount: strconv.FormatUint(state.unseen, 10)}, nil))
+		_ = st.Push(burst.Header{HdrUnseenCount: strconv.FormatUint(state.unseen, 10)},
+			fetched.Reencode(p.AppendJSON(nil)))
 	}
 }

@@ -90,6 +90,7 @@ func (a *LiveVideoReactions) Name() string { return AppReactions }
 type reactionsStream struct {
 	videoID uint64
 	counts  map[string]int64
+	proof   brass.Payload // the last counted reaction's Fetch: the flush derives from it
 	cancel  func()
 }
 
@@ -132,7 +133,7 @@ func (in *reactionsInstance) flush(st *brass.Stream, state *reactionsStream) {
 	if err != nil {
 		return
 	}
-	_ = st.PushPayload(pylon.Event{}, 0, b)
+	_ = st.Push(nil, state.proof.Derive(b))
 }
 
 func (in *reactionsInstance) OnStreamClose(st *brass.Stream, reason string) {
@@ -152,10 +153,11 @@ func (in *reactionsInstance) OnEvent(ev pylon.Event) {
 		if !ok {
 			continue
 		}
-		if _, err := st.FetchPayload(ev); err != nil {
-			st.Filtered() // a reactor the viewer may not see is not counted
-			continue
+		p, ok := st.Fetch(ev, 0)
+		if !ok {
+			continue // a reactor the viewer may not see is not counted
 		}
+		state.proof = p
 		state.videoID = video
 		state.counts[kind]++
 		// Aggregated, not forwarded: this counts as intelligent

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"bladerunner/internal/brass"
-	"bladerunner/internal/burst"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
@@ -96,7 +95,8 @@ func (a *Stories) Name() string { return AppStories }
 
 type storyContainer struct {
 	author uint64
-	rank   float64 // best score seen
+	rank   float64       // best score seen
+	proof  brass.Payload // the latest story's Fetch: its tray ops derive from it
 }
 
 type storiesStream struct {
@@ -136,9 +136,8 @@ func (in *storiesInstance) OnEvent(ev pylon.Event) {
 		if !ok {
 			continue
 		}
-		payload, err := st.FetchPayload(ev)
-		if err != nil {
-			st.Filtered()
+		p, ok := st.Fetch(ev, ev.ID)
+		if !ok {
 			continue
 		}
 		c := state.containers[ev.Author]
@@ -149,14 +148,15 @@ func (in *storiesInstance) OnEvent(ev pylon.Event) {
 		if score > c.rank {
 			c.rank = score
 		}
-		in.reconcile(st, state, ev, payload)
+		c.proof = p
+		in.reconcile(st, state, ev, p)
 	}
 }
 
 // reconcile recomputes the top-N containers and pushes the diff plus the
 // new story when its container is displayed. The BRASS — not the device —
 // decides what the tray shows.
-func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev pylon.Event, payload []byte) {
+func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev pylon.Event, story brass.Payload) {
 	ranked := make([]*storyContainer, 0, len(state.containers))
 	for _, c := range state.containers {
 		ranked = append(ranked, c)
@@ -172,29 +172,31 @@ func (in *storiesInstance) reconcile(st *brass.Stream, state *storiesStream, ev 
 		top[c.author] = true
 	}
 
-	var batch []burst.Delta
+	var batch []brass.Payload
 	// Containers that fell out of the tray.
 	for author := range state.displayed {
 		if !top[author] {
 			delete(state.displayed, author)
-			batch = append(batch, burst.PayloadDelta(0, StoryDelta{Op: "container_remove", Author: author}.AppendJSON(nil)))
+			batch = append(batch, state.containers[author].proof.Derive(
+				StoryDelta{Op: "container_remove", Author: author}.AppendJSON(nil)))
 		}
 	}
 	// Containers that ranked in.
 	for author := range top {
 		if !state.displayed[author] {
 			state.displayed[author] = true
-			batch = append(batch, burst.PayloadDelta(0, StoryDelta{Op: "container_add", Author: author,
-				Rank: state.containers[author].rank}.AppendJSON(nil)))
+			c := state.containers[author]
+			batch = append(batch, c.proof.Derive(
+				StoryDelta{Op: "container_add", Author: author, Rank: c.rank}.AppendJSON(nil)))
 		}
 	}
 	// The new story itself, if its container is displayed.
 	if state.displayed[ev.Author] {
-		batch = append(batch, brass.PayloadFor(ev, ev.ID, payload))
+		batch = append(batch, story)
 	} else {
 		st.Filtered()
 	}
-	_ = st.Push(batch...)
+	_ = st.Push(nil, batch...)
 }
 
 // traySize returns the configured tray size with a safe floor.

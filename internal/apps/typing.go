@@ -92,11 +92,8 @@ func (in *tiInstance) OnStreamClose(st *brass.Stream, reason string) {}
 
 func (in *tiInstance) OnEvent(ev pylon.Event) {
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
-		payload, err := st.FetchPayload(ev)
-		if err != nil {
-			st.Filtered() // privacy denial
-			continue
+		if p, ok := st.Fetch(ev, ev.ID); ok {
+			_ = st.Push(nil, p)
 		}
-		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }

@@ -61,7 +61,7 @@ func (e *echoInstance) OnEvent(ev pylon.Event) {
 			st.Filtered()
 			continue
 		}
-		_ = st.PushPayload(ev, ev.ID, []byte(fmt.Sprintf("ref=%d", ev.Ref)))
+		_ = st.Push(nil, cleared(ev.ID, ev.Trace, []byte(fmt.Sprintf("ref=%d", ev.Ref))))
 	}
 }
 
@@ -464,9 +464,6 @@ func (s *surfaceInstance) set(k, v string) {
 }
 
 func (s *surfaceInstance) OnStreamOpen(st *Stream) error {
-	s.set("host", s.rt.HostID())
-	s.set("region", s.rt.Region())
-	s.set("sid", fmt.Sprint(st.SID()))
 	if !s.rt.Now().IsZero() {
 		s.set("now", "ok")
 	}
@@ -476,10 +473,8 @@ func (s *surfaceInstance) OnStreamOpen(st *Stream) error {
 	if err := st.AddTopic("/surf/b"); err != nil {
 		return err
 	}
-	s.set("topics", fmt.Sprint(len(st.Topics())))
 	st.DropTopic("/surf/b")
-	s.set("topicsAfterDrop", fmt.Sprint(len(st.Topics())))
-	s.set("reqApp", st.Request().Header[burst.HdrApp])
+	s.set("reqApp", st.Header(burst.HdrApp))
 	_ = st.Rewrite(nil, []byte("surface-body"))
 	// Runtime timer fires on the loop.
 	s.rt.After(time.Millisecond, func() { s.set("timer", "fired") })
@@ -493,16 +488,13 @@ func (s *surfaceInstance) OnStreamClose(st *Stream, reason string) {}
 func (s *surfaceInstance) OnEvent(ev pylon.Event) {
 	for _, st := range s.rt.Instance().StreamsForTopic(ev.Topic) {
 		if ev.Meta["redirect"] != "" {
-			_ = st.RewriteHeaderField(burst.HdrStickyBRASS, ev.Meta["redirect"])
+			_ = st.Rewrite(burst.Header{burst.HdrStickyBRASS: ev.Meta["redirect"]}, nil)
 			_ = st.Terminate("redirect to " + ev.Meta["redirect"])
 			continue
 		}
-		payload, err := st.FetchPayload(ev)
-		if err != nil {
-			st.Filtered()
-			continue
+		if p, ok := st.Fetch(ev, ev.ID); ok {
+			_ = st.Push(nil, p)
 		}
-		_ = st.PushPayload(ev, ev.ID, payload)
 	}
 }
 
@@ -527,12 +519,6 @@ func TestStreamSurfaceAPI(t *testing.T) {
 		return app.probes[k]
 	}
 	waitFor(t, "probes", func() bool { return probe("timer") == "fired" })
-	if probe("host") != "brass-1" || probe("region") != "us" {
-		t.Errorf("host/region = %q/%q", probe("host"), probe("region"))
-	}
-	if probe("topics") != "2" || probe("topicsAfterDrop") != "1" {
-		t.Errorf("topics = %q, after drop %q", probe("topics"), probe("topicsAfterDrop"))
-	}
 	if probe("reqApp") != "surface" || probe("streams") != "1" || probe("now") != "ok" {
 		t.Errorf("reqApp=%q streams=%q now=%q", probe("reqApp"), probe("streams"), probe("now"))
 	}
@@ -544,7 +530,7 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	// Body rewrite reached the client's stored request.
 	waitFor(t, "body rewrite", func() bool { return string(st.Request().Body) == "surface-body" })
 
-	// FetchPayload + push.
+	// Fetch + push.
 	ev := bursttest.Events(t, st)
 	if _, err := env.pylon.Publish(pylon.Event{Topic: "/surf/a", Meta: map[string]string{"n": "1"}}); err != nil {
 		t.Fatal(err)

@@ -302,15 +302,12 @@ func TestStreamAdmissionShedsPayloadsKeepsControl(t *testing.T) {
 	waitFor(t, "stream captured", func() bool { return app.stream() != nil })
 	st := app.stream()
 
-	if err := st.Push(burst.PayloadDelta(1, []byte("p1"))); err != nil {
+	if err := st.Push(nil, cleared(1, 0, []byte("p1"))); err != nil {
 		t.Fatal(err) // bucket starts full: admitted
 	}
-	// Immediate second push: no token. Payload sheds; the batch's control
-	// delta still goes through.
-	if err := st.Push(
-		burst.PayloadDelta(2, []byte("p2")),
-		burst.FlowStatusDelta(burst.FlowRerouted, "moving"),
-	); err != nil {
+	// Immediate second push: no token. Payload sheds; the batch's header
+	// patch still goes through.
+	if err := st.Push(burst.Header{"k": "moving"}, cleared(2, 0, []byte("p2"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := host.StreamSheds.Value(); got != 1 {
@@ -322,7 +319,7 @@ func TestStreamAdmissionShedsPayloadsKeepsControl(t *testing.T) {
 
 	// Refill one token and push again: FlowRecovered precedes the payload.
 	time.Sleep(400 * time.Millisecond)
-	if err := st.Push(burst.PayloadDelta(3, []byte("p3"))); err != nil {
+	if err := st.Push(nil, cleared(3, 0, []byte("p3"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,17 +339,19 @@ func TestStreamAdmissionShedsPayloadsKeepsControl(t *testing.T) {
 			kinds = append(kinds, "payload")
 		case d.Flow == burst.FlowDegraded && overload.IsShedMarker(d.FlowDetail):
 			kinds = append(kinds, "degraded-shed")
-		case d.Flow == burst.FlowRerouted:
-			kinds = append(kinds, "rerouted")
 		case d.Flow == burst.FlowRecovered:
 			kinds = append(kinds, "recovered")
 		}
 	}
-	want := []string{"payload", "degraded-shed", "rerouted", "recovered", "payload"}
+	want := []string{"payload", "degraded-shed", "recovered", "payload"}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Errorf("delta order = %v, want %v", kinds, want)
 	}
-	// The client's stored request carries the persisted bucket state.
+	// The client's stored request carries the shed batch's patch and the
+	// persisted bucket state.
+	if got := cs.HeaderField("k"); got != "moving" {
+		t.Errorf("the shed batch's patch reached the device as k=%q, want moving", got)
+	}
 	if cs.Request().Header[HdrAdmissionState] == "" {
 		t.Error("admission state was not rewritten into the stream header")
 	}
@@ -395,8 +394,8 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 	st := app.stream()
 
 	// Drain the bucket and shed once so the state is persisted.
-	_ = st.Push(burst.PayloadDelta(1, []byte("p1")))
-	_ = st.Push(burst.PayloadDelta(2, []byte("p2")))
+	_ = st.Push(nil, cleared(1, 0, []byte("p1")))
+	_ = st.Push(nil, cleared(2, 0, []byte("p2")))
 	waitFor(t, "shed recorded", func() bool { return host.StreamSheds.Value() == 1 })
 	// The shed is counted before its rewrite is sent: wait for the header,
 	// not the counter.
@@ -426,7 +425,7 @@ func TestStreamAdmissionStateSurvivesFailover(t *testing.T) {
 
 	// A fresh stream would admit immediately (full bucket); the restored
 	// one is still drained, so the first push sheds.
-	if err := st2.Push(burst.PayloadDelta(3, []byte("p3"))); err != nil {
+	if err := st2.Push(nil, cleared(3, 0, []byte("p3"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := host.StreamSheds.Value(); got != 2 {

@@ -142,3 +142,25 @@ func TestPayloadCacheDistinctEventsDistinctEntries(t *testing.T) {
 		t.Errorf("payload resolved %d times, want 2", got)
 	}
 }
+
+// TestFetchIsThePrivacyCheck: a denied Fetch answers false and counts one
+// Filtered itself; an allowed one carries the seq it was given and the
+// event's trace context.
+func TestFetchIsThePrivacyCheck(t *testing.T) {
+	env := newPayloadEnv(t, HostConfig{})
+	env.graph.Block(7, 9)
+	st := &Stream{inst: &Instance{host: env.host, app: &echoApp{}}, Viewer: 7}
+	if p, ok := st.Fetch(pylon.Event{ID: 1, Ref: 5, Author: 9, Trace: 3}, 1); ok || p.ok {
+		t.Errorf("a blocked author's event was cleared: %+v", p)
+	}
+	if got := env.host.Filtered.Value(); got != 1 {
+		t.Errorf("Filtered = %d after one denial, want 1", got)
+	}
+	p, ok := st.Fetch(pylon.Event{ID: 2, Ref: 5, Author: 8, Trace: 3}, 42)
+	if !ok || p.seq != 42 || p.trace != 3 || string(p.Bytes()) != `{"ref":5}` {
+		t.Errorf("allowed Fetch = %+v, %v; want seq 42, trace 3, {\"ref\":5}", p, ok)
+	}
+	if got := env.host.Filtered.Value(); got != 1 {
+		t.Errorf("Filtered = %d after an allowed Fetch, want 1", got)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"bladerunner/internal/burst"
-	"bladerunner/internal/pylon"
 	"bladerunner/internal/trace"
 )
 
@@ -57,22 +56,28 @@ func (d *wireDevice) snapshot() [][]burst.Delta {
 	return append([][]burst.Delta(nil), d.frames...)
 }
 
+// cleared is a Payload as a Fetch makes it, for tests that push bytes of
+// their own.
+func cleared(seq uint64, id trace.ID, b []byte) Payload {
+	return Payload{b: b, seq: seq, trace: id, ok: true}
+}
+
 // TestSendIsTheOnePath pins what Push and PushCatchUp share (they are both
 // Stream.send) and the one thing they do not: an empty batch writes no
 // frame, a frame counts one delivery per PAYLOAD delta and closes one
 // burst.flush span under the first traced delta's id, control passes a
-// denied admission bucket, and only PushCatchUp carries payloads past one.
+// denied admission bucket, only PushCatchUp carries payloads past one, and
+// a batch holding a Payload no check made fails whole.
 func TestSendIsTheOnePath(t *testing.T) {
 	const sentinel = 999
-	payload := func(seq uint64, id trace.ID) burst.Delta {
-		return PayloadFor(pylon.Event{Trace: id}, seq, []byte("p"))
-	}
-	rewrite := burst.RewriteDelta(burst.Header{"k": "v"}, nil)
+	payload := func(seq uint64, id trace.ID) Payload { return cleared(seq, id, []byte("p")) }
+	rewrite := burst.Header{"k": "v"}
 
 	for _, tc := range []struct {
 		name   string
 		denied bool // spend the stream's only admission token first
 		run    func(st *Stream) error
+		fails  bool // run must return an error
 
 		frames     [][]burst.DeltaType // per frame written, its delta types
 		deliveries int64
@@ -80,11 +85,11 @@ func TestSendIsTheOnePath(t *testing.T) {
 		spans      []trace.ID // burst.flush spans closed, by trace id
 	}{
 		{name: "Push of nothing writes no frame",
-			run: func(st *Stream) error { return st.Push() }},
+			run: func(st *Stream) error { return st.Push(nil) }},
 		{name: "PushCatchUp of nothing writes no frame",
-			run: func(st *Stream) error { return st.PushCatchUp() }},
+			run: func(st *Stream) error { return st.PushCatchUp(nil) }},
 		{name: "Push counts payload deltas only and spans the first traced one",
-			run: func(st *Stream) error { return st.Push(payload(1, 0), payload(2, 7), payload(3, 8), rewrite) },
+			run: func(st *Stream) error { return st.Push(rewrite, payload(1, 0), payload(2, 7), payload(3, 8)) },
 			frames: [][]burst.DeltaType{{burst.DeltaPayload, burst.DeltaPayload, burst.DeltaPayload,
 				burst.DeltaRewriteRequest}},
 			deliveries: 3, spans: []trace.ID{7}},
@@ -92,9 +97,15 @@ func TestSendIsTheOnePath(t *testing.T) {
 			run:    func(st *Stream) error { return st.Push(rewrite) },
 			frames: [][]burst.DeltaType{{burst.DeltaRewriteRequest}}},
 		{name: "PushCatchUp passes a denied bucket and still counts", denied: true,
-			run:        func(st *Stream) error { return st.PushCatchUp(payload(1, 9), payload(2, 0), rewrite) },
+			run:        func(st *Stream) error { return st.PushCatchUp(rewrite, payload(1, 9), payload(2, 0)) },
 			frames:     [][]burst.DeltaType{{burst.DeltaPayload, burst.DeltaPayload, burst.DeltaRewriteRequest}},
 			deliveries: 2, spans: []trace.ID{9}},
+		{name: "Push of a zero Payload fails and writes no frame", fails: true,
+			run: func(st *Stream) error { return st.Push(rewrite, payload(1, 7), Payload{}) }},
+		{name: "PushCatchUp of a zero-derived Payload fails and writes no frame", fails: true,
+			run: func(st *Stream) error { return st.PushCatchUp(rewrite, Payload{}.Derive([]byte("p"))) }},
+		{name: "Push of a zero re-encoded Payload fails and writes no frame", fails: true,
+			run: func(st *Stream) error { return st.Push(nil, Payload{}.Reencode([]byte("p"))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plane := trace.NewPlane(trace.Config{Rate: 1, Seed: 1})
@@ -111,16 +122,16 @@ func TestSendIsTheOnePath(t *testing.T) {
 
 			skip := 0 // frames and deliveries that are the fixture's, not the row's
 			if tc.denied {
-				if err := st.Push(payload(100, 0)); err != nil {
+				if err := st.Push(nil, payload(100, 0)); err != nil {
 					t.Fatal(err)
 				}
 				skip = 1
 			}
-			if err := tc.run(st); err != nil {
-				t.Fatal(err)
+			if err := tc.run(st); (err != nil) != tc.fails {
+				t.Fatalf("run returned %v, want an error: %v", err, tc.fails)
 			}
 			// The sentinel bypasses admission, so it always lands, last.
-			if err := st.PushCatchUp(payload(sentinel, 0)); err != nil {
+			if err := st.PushCatchUp(nil, payload(sentinel, 0)); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "sentinel frame", func() bool {
@@ -163,9 +174,8 @@ func TestSendIsTheOnePath(t *testing.T) {
 // on purpose.
 func TestStreamMethodSet(t *testing.T) {
 	want := []string{
-		"AddTopic", "DropTopic", "FetchPayload", "Filtered", "Header", "Push",
-		"PushCatchUp", "PushPayload", "Request", "Rewrite", "RewriteHeaderField",
-		"SID", "Terminate", "Topics",
+		"AddTopic", "DropTopic", "Fetch", "Filtered", "Header", "Own", "Push",
+		"PushCatchUp", "Rewrite", "Terminate",
 	}
 	typ := reflect.TypeOf(&Stream{})
 	var got []string

@@ -2,7 +2,6 @@ package brass
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -58,12 +57,6 @@ func newStream(bst *burst.ServerStream, inst *Instance) *Stream {
 	return st
 }
 
-// SID returns the BURST stream id.
-func (st *Stream) SID() burst.StreamID { return st.burst.SID() }
-
-// Request returns the stream's current subscription request.
-func (st *Stream) Request() burst.Subscribe { return st.burst.Request() }
-
 // Header returns a specific header field of the current request.
 func (st *Stream) Header(key string) string { return st.burst.HeaderField(key) }
 
@@ -74,75 +67,118 @@ func (st *Stream) AddTopic(topic pylon.Topic) error { return st.inst.addTopicRef
 // DropTopic removes the stream's interest in topic. Loop-only.
 func (st *Stream) DropTopic(topic pylon.Topic) { st.inst.dropTopicRef(topic, st) }
 
-// Topics returns the stream's current topics, in the order it added them.
-// Loop-only.
-func (st *Stream) Topics() []pylon.Topic { return slices.Clone(st.topics) }
+// Payload is an update the stream's viewer may see: the only thing Push and
+// PushCatchUp send, and only this package makes one, in three ways. Fetch
+// privacy-checks an event as the viewer (step 8 of Fig 5); Own takes rows
+// the viewer read themself; Reencode and Derive build new bytes from a
+// Payload one of those two made, which stays their proof. The zero Payload
+// proves nothing, and send refuses it.
+type Payload struct {
+	b     []byte
+	seq   uint64
+	trace trace.ID
+	ok    bool
+}
 
-// Push sends the deltas of one application decision — a payload, a payload
-// and the state rewrite that goes with it, several ranked payloads — to the
-// device as one atomic batch: one frame, applied all-or-nothing. When
-// per-stream admission is enabled (HostConfig.StreamDeliverRate), an
-// over-rate batch has its payload deltas shed — control deltas always go
-// through — and the device is told via FlowDegraded with a shed marker so it
-// can reopen the stream from its resume point.
-func (st *Stream) Push(deltas ...burst.Delta) error { return st.send(deltas, true) }
+// errUncleared is send's answer to a Payload no privacy check made.
+var errUncleared = errors.New("brass: push of a payload no privacy check cleared")
+
+// Bytes returns the cleared bytes. They may be shared with other streams
+// through the payload cache: read them, never write them.
+func (p Payload) Bytes() []byte { return p.b }
+
+// Reencode is the same delivery in new bytes b — seq and trace kept — for
+// an application that rewrites what it fetched (a notification's badge).
+func (p Payload) Reencode(b []byte) Payload { p.b = b; return p }
+
+// Derive is a new update built from what p cleared — a tray diff, a status
+// batch, an aggregate — with seq 0 and no trace: no single event caused it.
+func (p Payload) Derive(b []byte) Payload { return Payload{b: b, ok: p.ok} }
+
+// Fetch asks the WAS for the device-facing payload of ev as this stream's
+// viewer: the privacy check, then the TAO read, which the host shares
+// across the streams fanning out the same event (payload.go). The Payload
+// carries seq and ev's trace context onto the wire, so the flush, the
+// proxies and the device attribute it to the mutation that produced it. A
+// denial or a failed read is counted Filtered and answers false.
+func (st *Stream) Fetch(ev pylon.Event, seq uint64) (Payload, bool) {
+	b, err := st.inst.host.fetchPayload(st.inst.app.Name(), st.Viewer, ev)
+	if err != nil {
+		st.Filtered()
+		return Payload{}, false
+	}
+	return Payload{b: b, seq: seq, trace: ev.Trace, ok: true}, true
+}
+
+// Own makes the Payload of a row read as the viewer, with no event to
+// check: a WAS query run as the viewer, whose resolver skipped what they
+// may not see (Messenger's mailbox), or a durable-log entry appended from
+// such a row or from a Fetch on the viewer's own topic (its replay).
+func (st *Stream) Own(seq uint64, b []byte) Payload {
+	return Payload{b: b, seq: seq, ok: true}
+}
+
+// Push sends one application decision — its payloads in order, then at most
+// one header patch (nil for none) — to the device as one atomic batch: one
+// frame, applied all-or-nothing. When per-stream admission is enabled
+// (HostConfig.StreamDeliverRate), an over-rate batch has its payloads shed —
+// the patch always goes through — and the device is told via FlowDegraded
+// with a shed marker so it can reopen the stream from its resume point.
+func (st *Stream) Push(patch burst.Header, ps ...Payload) error { return st.send(patch, ps, true) }
 
 // send is the one road from an application decision to the session writer,
-// and it holds no buffer: per-stream admission unless the caller bypasses
-// it, one burst.flush span keyed on the first traced delta, one SendBatch,
-// one delivery counted per payload delta sent. An empty batch — nothing
-// passed, or everything shed — writes no frame.
-func (st *Stream) send(deltas []burst.Delta, admit bool) error {
-	if admit {
-		admitted, shed := st.admitPayloads(deltas)
-		if shed > 0 {
-			sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
-			sp.Drop("stream-admission")
-			sp.End()
+// and it holds no buffer: the deltas on a stack array, per-stream admission
+// unless the caller bypasses it, one burst.flush span keyed on the first
+// traced payload, one SendBatch, one delivery counted per payload sent. An
+// empty batch — nothing passed, or everything shed — writes no frame; a
+// batch with a zero Payload in it writes none either and fails.
+func (st *Stream) send(patch burst.Header, ps []Payload, admit bool) error {
+	var buf [2]burst.Delta
+	deltas := buf[:0]
+	var id trace.ID
+	for _, p := range ps {
+		if !p.ok {
+			return errUncleared
 		}
-		deltas = admitted
+		if id == 0 {
+			id = p.trace
+		}
+		deltas = append(deltas, burst.Delta{Type: burst.DeltaPayload, Seq: p.seq, Payload: p.b, Trace: p.trace})
+	}
+	if len(patch) > 0 {
+		deltas = append(deltas, burst.RewriteDelta(patch, nil))
+	}
+	sent := len(ps)
+	if admit && sent > 0 && !st.admitPayloads(sent) {
+		sp := st.startFlushSpan(id, len(deltas))
+		sp.Drop("stream-admission")
+		sp.End()
+		deltas, sent, id = deltas[sent:], 0, 0
 	}
 	if len(deltas) == 0 {
 		return nil
 	}
-	sp := st.startFlushSpan(firstTrace(deltas), len(deltas))
+	sp := st.startFlushSpan(id, len(deltas))
 	defer sp.End()
 	if err := st.burst.SendBatch(deltas...); err != nil {
 		sp.Annotate("error", "send-failed")
 		return err
 	}
-	st.inst.host.Deliveries.Add(int64(payloadCount(deltas)))
+	st.inst.host.Deliveries.Add(int64(sent))
 	return nil
 }
 
-// payloadCount returns how many of deltas are payload deltas — what
-// admission meters and Deliveries counts; control deltas are neither.
-func payloadCount(deltas []burst.Delta) int {
-	n := 0
-	for _, d := range deltas {
-		if d.Type == burst.DeltaPayload {
-			n++
-		}
-	}
-	return n
-}
-
-// admitPayloads runs the per-stream delivery bucket over one batch. A
-// batch with no payload deltas passes untouched (control is never rate
-// limited). On a denied batch every payload delta is shed and the stream
-// enters the degraded state: exactly one FlowDegraded with a shed marker
-// is emitted, and the bucket state is persisted to HdrAdmissionState so a
-// failover replacement resumes the same admission state (the paper's
-// rewrite mechanism, §3.5). The first admitted batch afterwards emits
-// FlowRecovered. Returns the surviving deltas and the shed count.
-func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
+// admitPayloads runs the per-stream delivery bucket over one batch of n
+// payloads (control is never rate limited). On a denied batch every payload
+// is shed and the stream enters the degraded state: exactly one
+// FlowDegraded with a shed marker is emitted, and the bucket state is
+// persisted to HdrAdmissionState so a failover replacement resumes the same
+// admission state (the paper's rewrite mechanism, §3.5). The first admitted
+// batch afterwards emits FlowRecovered. Reports whether the batch passed.
+func (st *Stream) admitPayloads(n int) bool {
 	h := st.inst.host
 	if h.cfg.StreamDeliverRate <= 0 {
-		return deltas, 0
-	}
-	payloads := payloadCount(deltas)
-	if payloads == 0 {
-		return deltas, 0
+		return true
 	}
 	const none, entered, recovered = 0, 1, 2
 	st.admitMu.Lock()
@@ -165,32 +201,29 @@ func (st *Stream) admitPayloads(deltas []burst.Delta) ([]burst.Delta, int) {
 			st.announce(burst.FlowRecovered, "stream-admission")
 			_ = st.burst.RewriteHeaderField(HdrAdmissionState, state)
 		}
-		return deltas, 0
+		return true
 	}
-	kept := make([]burst.Delta, 0, len(deltas)-payloads)
-	for _, d := range deltas {
-		if d.Type != burst.DeltaPayload {
-			kept = append(kept, d)
-		}
-	}
-	h.StreamSheds.Add(int64(payloads))
+	h.StreamSheds.Add(int64(n))
 	if transition == entered {
 		st.announce(burst.FlowDegraded, "stream-admission")
 		_ = st.burst.RewriteHeaderField(HdrAdmissionState, state)
 	}
-	return kept, payloads
+	return false
 }
 
-// PushCatchUp sends the deltas an application replays at stream open — from
-// the durable log or from its backend — as one atomic batch, BYPASSING
-// per-stream admission. Catch-up is not live fan-out: the deltas were
-// already admitted (and possibly shed) once when they were first delivered,
+// PushCatchUp sends the payloads an application replays at stream open —
+// from the durable log or from its backend — and their resume patch as one
+// atomic batch, BYPASSING per-stream admission. Catch-up is not live
+// fan-out: the payloads were already admitted (and possibly shed) once when
+// they were first delivered,
 // and the whole point of a resume is to close the gap — running the replay
 // through the admission bucket again would shed it, emit a fresh marker, and
 // trap the stream in a shed→resume→shed livelock. The batch is bounded by
 // what the device is missing, so the bypass cannot be abused for sustained
 // over-rate delivery.
-func (st *Stream) PushCatchUp(deltas ...burst.Delta) error { return st.send(deltas, false) }
+func (st *Stream) PushCatchUp(patch burst.Header, ps ...Payload) error {
+	return st.send(patch, ps, false)
+}
 
 // announce tells the device that a shed episode on this stream began
 // (FlowDegraded) or ended (FlowRecovered) at source. The detail carries the
@@ -218,46 +251,15 @@ func (st *Stream) startFlushSpan(id trace.ID, deltas int) trace.Span {
 	return sp
 }
 
-// firstTrace returns the trace context of the first sampled delta in the
-// batch (a batch carries the deltas of one application decision, so one
-// trace context describes it).
-func firstTrace(deltas []burst.Delta) trace.ID {
-	for _, d := range deltas {
-		if d.Trace != 0 {
-			return d.Trace
-		}
-	}
-	return 0
-}
-
-// PayloadFor builds the payload delta that delivers ev: it carries the
-// event's trace context onto the wire, so the flush, the proxies and the
-// device attribute the delta to the mutation that produced it. A push no
-// event caused (a timer-driven summary) passes the zero Event.
-func PayloadFor(ev pylon.Event, seq uint64, payload []byte) burst.Delta {
-	d := burst.PayloadDelta(seq, payload)
-	d.Trace = ev.Trace
-	return d
-}
-
-// PushPayload is shorthand for Push of the single payload delta of ev.
-func (st *Stream) PushPayload(ev pylon.Event, seq uint64, payload []byte) error {
-	return st.Push(PayloadFor(ev, seq, payload))
-}
-
 // Filtered records that the application decided not to deliver an update
-// to this stream (the complement of Push in the decision accounting).
+// to this stream (the complement of Push in the decision accounting). Fetch
+// counts its own denials.
 func (st *Stream) Filtered() { st.inst.host.Filtered.Inc() }
 
 // Rewrite patches the stream's stored subscription request (paper §3.5):
 // resume tokens, rate-limiter state, redirect targets. The keys of h are set
 // at every hop and every other key is kept.
 func (st *Stream) Rewrite(h burst.Header, body []byte) error { return st.burst.Rewrite(h, body) }
-
-// RewriteHeaderField patches one header key.
-func (st *Stream) RewriteHeaderField(key, value string) error {
-	return st.burst.RewriteHeaderField(key, value)
-}
 
 // Terminate ends the stream from the BRASS side and runs the close
 // sequence.
@@ -267,14 +269,6 @@ func (st *Stream) Terminate(reason string) error {
 	return err
 }
 
-// FetchPayload asks the WAS for the device-facing payload of ev, running
-// the privacy check as this stream's viewer (step 8 of Fig 5). The TAO
-// read is shared host-wide across the streams fanning out the same event
-// (see payload.go); the returned bytes must not be mutated.
-func (st *Stream) FetchPayload(ev pylon.Event) ([]byte, error) {
-	return st.inst.host.fetchPayload(st.inst.app.Name(), st.Viewer, ev)
-}
-
 // Runtime is the capability surface handed to application instances. Apps
 // never touch TAO or the social graph directly — every backend interaction
 // goes through the WAS, exactly as in production.
@@ -282,12 +276,6 @@ type Runtime struct {
 	host *Host
 	inst *Instance
 }
-
-// HostID returns the hosting machine's id.
-func (rt *Runtime) HostID() string { return rt.host.cfg.ID }
-
-// Region returns the hosting machine's region.
-func (rt *Runtime) Region() string { return rt.host.cfg.Region }
 
 // Instance returns the runtime's instance for stream/topic queries.
 func (rt *Runtime) Instance() *Instance { return rt.inst }

@@ -257,7 +257,7 @@ func TestChaosTraceSeededWindowLeavesNoDanglingSpans(t *testing.T) {
 
 // TestTraceReachesTheDeviceForEveryEventDrivenApp: a payload delta carries
 // the trace of the event that caused it whichever application pushed it
-// (brass.PayloadFor is the one spelling), so a sampled typing indicator or
+// (brass.Stream.Fetch makes the payload and carries ev.Trace), so a sampled typing indicator or
 // notification closes burst.flush, edge.relay and device.apply like a
 // sampled message does — not a trace that ends at brass.fetch.
 func TestTraceReachesTheDeviceForEveryEventDrivenApp(t *testing.T) {
