@@ -68,7 +68,6 @@ func runAll(b bootstrap) error {
 		"-region", b.Region,
 		"-users", fmt.Sprint(b.Users),
 		"-seed", fmt.Sprint(b.Seed),
-		fmt.Sprintf("-durlog=%v", b.Durlog),
 	}
 
 	var children []*child

@@ -27,16 +27,15 @@
 // A single role started with -debug-addr host:port also serves, on that
 // address, net/http/pprof under /debug/pprof/ (e.g. /debug/pprof/allocs)
 // and /debug/counters, a plain-text dump of the counters the role keeps. It
-// is off by default; the flag is not part of the JSON config.
+// is off by default.
 //
-// Bootstrap config is static: flags, or -config pointing at a JSON file
-// with the same keys (flags win). There is no dynamic membership — the
-// paper's Bladerunner leans on Facebook's deployment machinery for that,
-// and this reproduction keeps the seam honest by keeping bootstrap dumb.
+// Bootstrap config is static and comes from flags only; every BRASS host
+// runs the durable log. There is no dynamic membership — the paper's
+// Bladerunner leans on Facebook's deployment machinery for that, and this
+// reproduction keeps the seam honest by keeping bootstrap dumb.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -46,118 +45,56 @@ import (
 	"syscall"
 )
 
-// bootstrap is the static per-process configuration. JSON keys match the
-// flag names.
+// bootstrap is the static per-process configuration, one field per flag.
 type bootstrap struct {
-	Role   string `json:"role"`
-	Region string `json:"region"`
+	Role   string
+	Region string
 	// Listen is the BURST listen address (brass, pop).
-	Listen string `json:"listen"`
+	Listen string
 	// Ctrl is the control-protocol listen address (every role).
-	Ctrl string `json:"ctrl"`
+	Ctrl string
 	// PylonAddr is the pylon tier's ctrl address (was, brass).
-	PylonAddr string `json:"pylon"`
+	PylonAddr string
 	// WASAddr is the WAS tier's ctrl address (brass).
-	WASAddr string `json:"was"`
+	WASAddr string
 	// BrassAddrs maps brass target names to BURST addresses (pop), in
 	// "name=addr,name=addr" flag form.
-	BrassAddrs map[string]string `json:"brass"`
+	BrassAddrs map[string]string
 	// Hosts is the BRASS host count in this process.
-	Hosts int `json:"hosts"`
+	Hosts int
 	// Users sizes the synthetic social graph (was).
-	Users int `json:"users"`
+	Users int
 	// Seed seeds the social graph (was).
-	Seed int64 `json:"seed"`
-	// Durlog enables the durable per-topic log on BRASS hosts.
-	Durlog bool `json:"durlog"`
+	Seed int64
 	// Procs is the process count for -role all.
-	Procs int `json:"procs"`
-}
-
-func defaults() bootstrap {
-	return bootstrap{
-		Region: "us-east",
-		Listen: "127.0.0.1:0",
-		Ctrl:   "127.0.0.1:0",
-		Hosts:  1,
-		Users:  100,
-		Seed:   1,
-		Durlog: true,
-		Procs:  4,
-	}
+	Procs int
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("brnode: ")
 
-	def := defaults()
-	role := flag.String("role", "", "tier to run: pylon|was|brass|pop|all")
-	region := flag.String("region", def.Region, "region label")
-	listen := flag.String("listen", def.Listen, "BURST listen address (brass, pop)")
-	ctrlAddr := flag.String("ctrl", def.Ctrl, "control-protocol listen address")
-	pylonAddr := flag.String("pylon", "", "pylon ctrl address (was, brass)")
-	wasAddr := flag.String("was", "", "WAS ctrl address (brass)")
+	var cfg bootstrap
+	flag.StringVar(&cfg.Role, "role", "", "tier to run: pylon|was|brass|pop|all")
+	flag.StringVar(&cfg.Region, "region", "us-east", "region label")
+	flag.StringVar(&cfg.Listen, "listen", "127.0.0.1:0", "BURST listen address (brass, pop)")
+	flag.StringVar(&cfg.Ctrl, "ctrl", "127.0.0.1:0", "control-protocol listen address")
+	flag.StringVar(&cfg.PylonAddr, "pylon", "", "pylon ctrl address (was, brass)")
+	flag.StringVar(&cfg.WASAddr, "was", "", "WAS ctrl address (brass)")
 	brassAddrs := flag.String("brass", "", "brass targets for a pop: name=addr,name=addr")
-	hosts := flag.Int("hosts", def.Hosts, "BRASS hosts in this process")
-	users := flag.Int("users", def.Users, "social graph size (was)")
-	seed := flag.Int64("seed", def.Seed, "social graph seed (was)")
-	durlog := flag.Bool("durlog", def.Durlog, "enable the BRASS durable log")
-	procs := flag.Int("procs", def.Procs, "process count for -role all")
-	confPath := flag.String("config", "", "JSON bootstrap config file (flags override)")
+	flag.IntVar(&cfg.Hosts, "hosts", 1, "BRASS hosts in this process")
+	flag.IntVar(&cfg.Users, "users", 100, "social graph size (was)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "social graph seed (was)")
+	flag.IntVar(&cfg.Procs, "procs", 4, "process count for -role all")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /debug/counters on this address (single roles; off when empty)")
 	flag.Parse()
-
-	cfg := def
-	if *confPath != "" {
-		raw, err := os.ReadFile(*confPath)
+	if *brassAddrs != "" {
+		m, err := parseTargets(*brassAddrs)
 		if err != nil {
-			log.Fatalf("read -config: %v", err)
+			log.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			log.Fatalf("parse -config %s: %v", *confPath, err)
-		}
+		cfg.BrassAddrs = m
 	}
-	// Flags the user actually set override the file.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	override := func(name string, apply func()) {
-		if set[name] || *confPath == "" {
-			apply()
-		}
-	}
-	override("role", func() {
-		if *role != "" {
-			cfg.Role = *role
-		}
-	})
-	override("region", func() { cfg.Region = *region })
-	override("listen", func() { cfg.Listen = *listen })
-	override("ctrl", func() { cfg.Ctrl = *ctrlAddr })
-	override("pylon", func() {
-		if *pylonAddr != "" {
-			cfg.PylonAddr = *pylonAddr
-		}
-	})
-	override("was", func() {
-		if *wasAddr != "" {
-			cfg.WASAddr = *wasAddr
-		}
-	})
-	override("brass", func() {
-		if *brassAddrs != "" {
-			m, err := parseTargets(*brassAddrs)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.BrassAddrs = m
-		}
-	})
-	override("hosts", func() { cfg.Hosts = *hosts })
-	override("users", func() { cfg.Users = *users })
-	override("seed", func() { cfg.Seed = *seed })
-	override("durlog", func() { cfg.Durlog = *durlog })
-	override("procs", func() { cfg.Procs = *procs })
 
 	var (
 		n   *node

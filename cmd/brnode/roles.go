@@ -52,8 +52,9 @@ func ready(role, ctrlAddr, burst string) {
 }
 
 // clusterConfig maps the bootstrap onto the shared cluster Config the
-// tier constructors consume. BlockProb is zeroed so independently booted
-// processes agree on the graph without coordination.
+// tier constructors consume, with the durable log on. BlockProb is zeroed
+// so independently booted processes agree on the graph without
+// coordination.
 func clusterConfig(b bootstrap) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Regions = []string{b.Region}
@@ -64,9 +65,7 @@ func clusterConfig(b bootstrap) core.Config {
 	if cfg.Graph.MeanFriends >= b.Users {
 		cfg.Graph.MeanFriends = b.Users / 2
 	}
-	if b.Durlog {
-		cfg.Durlog = &core.DurlogConfig{}
-	}
+	cfg.Durlog = &core.DurlogConfig{}
 	return cfg
 }
 

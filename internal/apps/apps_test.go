@@ -765,7 +765,7 @@ func TestMessengerGapRepair(t *testing.T) {
 
 	// msg 1 delivered live.
 	_, _ = e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "one")`, tid))
-	d := recvPayload(t, st)
+	recvPayload(t, st)
 
 	// Detach the host from Pylon behind its back: msg 2's event is lost
 	// in transit (best-effort delivery failure).
@@ -778,18 +778,51 @@ func TestMessengerGapRepair(t *testing.T) {
 	}
 	_, _ = e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "three")`, tid))
 
-	var texts []string
-	for len(texts) < 2 {
-		d = recvPayload(t, st)
-		var m MessagePayload
-		if err := json.Unmarshal(d.Payload, &m); err != nil {
-			t.Fatal(err)
-		}
-		texts = append(texts, m.Text)
+	// The repair is one batch: both rows, then their resume patch, which
+	// the client applies to its stored request before it hands the batch out.
+	var batch *burst.Received
+	select {
+	case batch = <-bursttest.Events(t, st):
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the repair")
 	}
-	if texts[0] != "two" || texts[1] != "three" {
+	var texts []string
+	for _, d := range batch.Deltas {
+		var m MessagePayload
+		if d.Type == burst.DeltaPayload && json.Unmarshal(d.Payload, &m) == nil {
+			texts = append(texts, m.Text)
+		}
+	}
+	if len(texts) != 2 || texts[0] != "two" || texts[1] != "three" {
 		t.Errorf("repaired order = %v, want [two three]", texts)
 	}
+	if got := st.Request().Header[burst.HdrResumeSeq]; got != "3" {
+		t.Errorf("resume-seq after the repair batch = %q, want 3", got)
+	}
+}
+
+// recvMessages reads batches until n Messenger payloads have arrived and
+// returns their texts in order.
+func recvMessages(t *testing.T, st *burst.ClientStream, n int) []string {
+	t.Helper()
+	var got []string
+	for len(got) < n {
+		select {
+		case batch := <-bursttest.Events(t, st):
+			for _, d := range batch.Deltas {
+				if d.Type == burst.DeltaPayload {
+					var m MessagePayload
+					if err := json.Unmarshal(d.Payload, &m); err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, m.Text)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %d messages; got %v", n, got)
+		}
+	}
+	return got
 }
 
 func TestMessengerResumeAfterReconnect(t *testing.T) {
@@ -823,21 +856,7 @@ func TestMessengerResumeAfterReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for len(got) < 2 { // the catch-up is one batch of two payloads
-		select {
-		case batch := <-bursttest.Events(t, st2):
-			for _, d := range batch.Deltas {
-				if d.Type == burst.DeltaPayload {
-					var m MessagePayload
-					_ = json.Unmarshal(d.Payload, &m)
-					got = append(got, m.Text)
-				}
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for the catch-up; got %v", got)
-		}
-	}
+	got := recvMessages(t, st2, 2) // the catch-up is one batch of two payloads
 	if len(got) != 2 || got[0] != "while offline 1" || got[1] != "while offline 2" {
 		t.Errorf("catch-up = %v", got)
 	}
@@ -947,7 +966,7 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 	e := newEnv(t)
 	host := brass.NewHost(brass.HostConfig{
 		ID: "brass-log", Region: "us",
-		Durlog:            &durlog.Config{},
+		Durlog:            true,
 		StreamDeliverRate: 0.01, StreamDeliverBurst: 1, // one delivery, then shed
 	}, e.pylon, e.was, nil)
 	e.suite.RegisterBRASS(host)
@@ -1022,7 +1041,7 @@ func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 	e := newEnv(t)
 	host := brass.NewHost(brass.HostConfig{
 		ID: "brass-log", Region: "us",
-		Durlog:            &durlog.Config{},
+		Durlog:            true,
 		StreamDeliverRate: 0.01, StreamDeliverBurst: 1,
 	}, e.pylon, e.was, nil)
 	e.suite.RegisterBRASS(host)

@@ -282,12 +282,7 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 		}
 	}
 	if !fromLog {
-		msgs, _ := in.queryMailbox(st.Viewer, floor) // a failed read replays nothing; see below
-		for _, m := range msgs {
-			b := m.AppendJSON(nil)
-			in.rt.LogAppend(state.topic, m.Seq, b) // as in catchUp
-			ps, last = append(ps, st.Own(m.Seq, b)), m.Seq
-		}
+		ps, last, _ = in.mailboxAfter(st, state, floor) // a failed read replays nothing; see below
 	}
 	// If nothing could be read or sent lastSeq stays at the floor, and the
 	// next live event finds the gap and repairs it through catchUp.
@@ -318,41 +313,40 @@ func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) bur
 	return state.patch
 }
 
-// queryMailbox asks the WAS for viewer's messages after since, oldest first.
-func (in *messengerInstance) queryMailbox(viewer socialgraph.UserID, since uint64) ([]MessagePayload, error) {
-	raw, err := in.rt.Query(viewer, fmt.Sprintf("mailboxSince(seq: %d)", since))
+// mailboxAfter reads the viewer's mailbox after seq, oldest first, and makes
+// each row a Payload with Own: the WAS ran the read as the viewer. Each row
+// is logged too, because the log records every delivery decision, including
+// the ones made from a WAS read: the next resume on this topic replays them
+// from the edge instead. last is the highest seq read, seq when none was.
+func (in *messengerInstance) mailboxAfter(st *brass.Stream, state *messengerStream, seq uint64) (ps []brass.Payload, last uint64, err error) {
+	raw, err := in.rt.Query(st.Viewer, fmt.Sprintf("mailboxSince(seq: %d)", seq))
 	if err != nil {
-		return nil, err
+		return nil, seq, err
 	}
 	var msgs []MessagePayload
-	err = json.Unmarshal(raw, &msgs)
-	return msgs, err
+	if err := json.Unmarshal(raw, &msgs); err != nil {
+		return nil, seq, err
+	}
+	last = seq
+	for _, m := range msgs {
+		b := m.AppendJSON(nil)
+		in.rt.LogAppend(state.topic, m.Seq, b)
+		ps, last = append(ps, st.Own(m.Seq, b)), m.Seq
+	}
+	return ps, last, nil
 }
 
-// catchUp repairs a gap the BRASS itself detected on the live path: it polls
-// the mailbox for messages after state.lastSeq and pushes them in order,
-// through admission like any live delivery.
+// catchUp repairs a gap the BRASS itself detected on the live path: it reads
+// the mailbox after state.lastSeq and pushes the rows with their resume
+// patch as one batch, through admission like any live delivery.
 func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
-	msgs, err := in.queryMailbox(st.Viewer, state.lastSeq)
+	ps, last, err := in.mailboxAfter(st, state, state.lastSeq)
 	if err != nil {
 		return
 	}
-	for _, m := range msgs {
-		if m.Seq <= state.lastSeq {
-			continue
-		}
-		b := m.AppendJSON(nil)
-		if state.topic != "" {
-			// The log records every delivery decision, including the ones
-			// made from a WAS read: the next resume on this topic replays
-			// them from the edge instead.
-			in.rt.LogAppend(state.topic, m.Seq, b)
-		}
-		if st.Push(nil, st.Own(m.Seq, b)) == nil {
-			state.lastSeq = m.Seq
-		}
+	if st.Push(in.resumePatch(state, last), ps...) == nil {
+		state.lastSeq = last
 	}
-	_ = st.Rewrite(in.resumePatch(state, state.lastSeq), nil)
 }
 
 func (in *messengerInstance) OnStreamClose(st *brass.Stream, reason string) { st.State = nil }

@@ -35,10 +35,6 @@ type HostConfig struct {
 	// into every new stream (paper §3.5 "Sticky routing"). On by default
 	// in NewHost.
 	StickyRouting bool
-	// SubscribeBackoff paces the subscription manager's background retries
-	// when Pylon registration fails transiently (quorum loss, no server).
-	// Zero fields take the defaults BackoffPolicy.Normalized fills in.
-	SubscribeBackoff faults.BackoffPolicy
 	// PayloadCacheSize caps the host's shared hot-event payload cache
 	// (entries). 0 takes DefaultPayloadCacheSize; negative disables
 	// payload caching and coalescing entirely (every stream fetches from
@@ -60,15 +56,15 @@ type HostConfig struct {
 	StreamDeliverRate float64
 	// StreamDeliverBurst is the per-stream bucket depth (0 = rate).
 	StreamDeliverBurst float64
-	// Durlog, when non-nil, gives the host a durable per-topic delta log
-	// (internal/durlog): an application that wants durable resume appends
-	// every delivered delta through its Runtime and serves cursor catch-up
-	// reads from it, so a resuming stream replays the missed suffix from
-	// the edge instead of issuing a WAS point query. An application that
-	// never calls Runtime.Log* (TypingIndicator, whose state is worthless
-	// milliseconds later) never pays for it. A nil Clock in the config
-	// takes the host's scheduler.
-	Durlog *durlog.Config
+	// Durlog gives the host a durable per-topic delta log (internal/durlog)
+	// at that package's default sizing, timed by the host's scheduler: an
+	// application that wants durable resume appends every delivered delta
+	// through its Runtime and serves cursor catch-up reads from it, so a
+	// resuming stream replays the missed suffix from the edge instead of
+	// issuing a WAS point query. An application that never calls
+	// Runtime.Log* (TypingIndicator, whose state is worthless milliseconds
+	// later) never pays for it.
+	Durlog bool
 }
 
 // Host is one BRASS host: a multi-tenant machine running one instance per
@@ -96,6 +92,9 @@ type Host struct {
 	sessions    map[*burst.ServerSession]bool
 	closed      bool
 
+	// subBackoff paces the subscription manager's background retries when
+	// Pylon registration fails transiently (quorum loss, no server), at the
+	// defaults faults.BackoffPolicy.Normalized fills in.
 	subBackoff *faults.Backoff
 
 	// payloadCache is the hot-event payload fast path (see payload.go);
@@ -159,7 +158,7 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		topicHostRefs: make(map[pylon.Topic][]*Instance),
 		pendingSubs:   make(map[pylon.Topic]*subRetry),
 		sessions:      make(map[*burst.ServerSession]bool),
-		subBackoff:    faults.NewBackoff(cfg.SubscribeBackoff, seed),
+		subBackoff:    faults.NewBackoff(faults.BackoffPolicy{}, seed),
 	}
 	if cfg.PayloadCacheSize >= 0 {
 		size := cfg.PayloadCacheSize
@@ -168,12 +167,8 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		}
 		h.payloadCache = cache.NewLRU[payloadKey, []byte](size, payloadCacheTTL, 0.25, sched, seed)
 	}
-	if cfg.Durlog != nil {
-		dcfg := *cfg.Durlog
-		if dcfg.Clock == nil {
-			dcfg.Clock = sched
-		}
-		h.dlog = durlog.New(dcfg)
+	if cfg.Durlog {
+		h.dlog = durlog.New(durlog.Config{Clock: sched})
 	}
 	if pyl != nil {
 		pyl.RegisterHost(h)

@@ -6,7 +6,6 @@ import (
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/burst/bursttest"
-	"bladerunner/internal/faults"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
@@ -35,7 +34,6 @@ func newRetryEnv(t *testing.T) *retryEnv {
 	app := &echoApp{}
 	host := NewHost(HostConfig{
 		ID: "brass-1", Region: "us", StickyRouting: true,
-		SubscribeBackoff: faults.BackoffPolicy{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond},
 	}, pyl, w, nil)
 	host.RegisterApp(app)
 	t.Cleanup(host.Close)

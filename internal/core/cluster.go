@@ -44,8 +44,6 @@ type Config struct {
 	Graph socialgraph.Config
 	// TAO configures the graph store.
 	TAO tao.Config
-	// Pylon configures the pub/sub tier.
-	Pylon pylon.Config
 	// StickyRouting enables BRASS sticky-routing rewrites.
 	StickyRouting bool
 	// Overload configures the overload-control plane on every BRASS host.
@@ -98,7 +96,6 @@ func DefaultConfig() Config {
 		KVNodesPerRegion:    2,
 		Graph:               socialgraph.DefaultConfig(),
 		TAO:                 tao.DefaultConfig(),
-		Pylon:               pylon.DefaultConfig(),
 		StickyRouting:       true,
 	}
 }
@@ -186,7 +183,7 @@ func NewCluster(cfg Config, sched sim.Scheduler) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			rp, err := pylon.New(cfg.Pylon, rkv)
+			rp, err := pylon.New(pylon.DefaultConfig(), rkv)
 			if err != nil {
 				return nil, err
 			}

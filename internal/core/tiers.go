@@ -5,7 +5,6 @@ import (
 
 	"bladerunner/internal/apps"
 	"bladerunner/internal/brass"
-	"bladerunner/internal/durlog"
 	"bladerunner/internal/edge"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
@@ -38,7 +37,7 @@ func NewPylonTier(cfg Config) (*PylonTier, error) {
 	if err != nil {
 		return nil, err
 	}
-	pyl, err := pylon.New(cfg.Pylon, kv)
+	pyl, err := pylon.New(pylon.DefaultConfig(), kv)
 	if err != nil {
 		return nil, err
 	}
@@ -111,17 +110,14 @@ func NewBrassTier(cfg Config, region, idPrefix string, suite *apps.Suite, pubsub
 
 // brassHostConfig maps the cluster config onto one host's HostConfig.
 func brassHostConfig(cfg Config, id, region string) brass.HostConfig {
-	hcfg := brass.HostConfig{
+	return brass.HostConfig{
 		ID: id, Region: region, StickyRouting: cfg.StickyRouting,
 		Tracer:             cfg.Trace.Tracer(id),
 		LoopQueueDepth:     cfg.Overload.LoopQueueDepth,
 		StreamDeliverRate:  cfg.Overload.StreamDeliverRate,
 		StreamDeliverBurst: cfg.Overload.StreamDeliverBurst,
+		Durlog:             cfg.Durlog != nil,
 	}
-	if cfg.Durlog != nil {
-		hcfg.Durlog = &durlog.Config{}
-	}
-	return hcfg
 }
 
 // NewPOPTier builds one POP proxy that routes streams (sticky-first)

@@ -23,9 +23,6 @@ type Proxy struct {
 	name   string
 	dialer Dialer
 	router Router
-	// MaxRepairAttempts bounds reconnection attempts per failure before
-	// the proxy gives up and terminates the stream downstream.
-	MaxRepairAttempts int
 
 	mu        sync.Mutex
 	upstreams map[string]*upstream
@@ -58,13 +55,12 @@ type upstream struct {
 // NewProxy builds a proxy that routes with router and connects with dialer.
 func NewProxy(name string, dialer Dialer, router Router) *Proxy {
 	return &Proxy{
-		name:              name,
-		dialer:            dialer,
-		router:            router,
-		MaxRepairAttempts: 3,
-		upstreams:         make(map[string]*upstream),
-		relays:            make(map[*relay]bool),
-		downs:             make(map[*burst.ServerSession]bool),
+		name:      name,
+		dialer:    dialer,
+		router:    router,
+		upstreams: make(map[string]*upstream),
+		relays:    make(map[*relay]bool),
+		downs:     make(map[*burst.ServerSession]bool),
 	}
 }
 
@@ -379,6 +375,10 @@ func (r *relay) repairOff(cause error) {
 	r.leg().Forward(r.down, r)
 }
 
+// maxRepairAttempts bounds reconnection attempts per failure before the
+// proxy gives up and terminates the stream downstream.
+const maxRepairAttempts = 3
+
 // repair re-routes and re-subscribes the stream with down's stored request.
 // Failed targets accumulate into the avoid set so successive attempts fan
 // out across the healthy fleet (a sticky target in a dead region must not
@@ -386,14 +386,14 @@ func (r *relay) repairOff(cause error) {
 // again, in case an avoided one has recovered.
 func (r *relay) repair() bool {
 	avoid := map[string]bool{r.targetName(): true}
-	for attempt := 0; attempt < r.p.MaxRepairAttempts; attempt++ {
+	for attempt := 0; attempt < maxRepairAttempts; attempt++ {
 		if r.isDone() {
 			return false
 		}
 		if err := r.connect(avoid); err == nil {
 			return true
 		}
-		if attempt == r.p.MaxRepairAttempts-2 {
+		if attempt == maxRepairAttempts-2 {
 			avoid = nil // last attempt: the avoided targets may have recovered
 			continue
 		}

@@ -380,7 +380,6 @@ func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
 	a := &upstreamServer{name: "brass-a"}
 	n.Register("brass-a", a.accept)
 	p := NewProxy("pop-1", n, StaticRouter("brass-a"))
-	p.MaxRepairAttempts = 2
 	n.Register("pop-1", p.Accept)
 	rwc, _ := n.Dial("pop-1")
 	cli := burst.NewClient("device", rwc, nil)

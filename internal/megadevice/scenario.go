@@ -226,7 +226,6 @@ func Run(o Options) (*Report, error) {
 		POPs:       cluster.POPTargets(),
 		Dialer:     cluster.Net,
 		Sched:      engine,
-		Clock:      sim.RealClock{},
 		Seed:       o.Seed,
 	})
 	if err != nil {
@@ -491,7 +490,6 @@ func runReplay(o Options) (*Report, error) {
 		POPs:       cluster.POPTargets(),
 		Dialer:     cluster.Net,
 		Sched:      engine,
-		Clock:      sim.RealClock{},
 		Seed:       o.Seed,
 		HomePOP: func(dev uint32) int {
 			if int(dev) < seedDevs {

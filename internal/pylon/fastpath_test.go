@@ -105,7 +105,6 @@ func TestSubCacheTTLForcesPeriodicRefresh(t *testing.T) {
 	clk := sim.NewManualClock(time.Unix(1700000000, 0))
 	cfg := DefaultConfig()
 	cfg.Clock = clk
-	cfg.SubCacheTTL = time.Second
 	s := MustNew(cfg, kv)
 	h := &fakeHost{id: "h"}
 	s.RegisterHost(h)
@@ -123,7 +122,7 @@ func TestSubCacheTTLForcesPeriodicRefresh(t *testing.T) {
 	if views.Load() != base {
 		t.Fatal("within-TTL publish read replicas")
 	}
-	clk.Advance(2 * time.Second) // past the TTL even with jitter
+	clk.Advance(subCacheTTL + time.Millisecond) // jitter only shortens the TTL
 	if _, err := s.Publish(Event{Topic: topic}); err != nil {
 		t.Fatal(err)
 	}

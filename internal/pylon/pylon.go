@@ -101,20 +101,21 @@ var ErrUnknownSubscriber = errors.New("pylon: unknown subscriber host")
 // byte (ID = seq<<8 | stripe), which keeps them unique across stripes.
 const eventStripes = 256
 
+// shards is the number of topic shards (production: 512K). A shard stripes
+// event IDs and versions the subscriber cache.
+const shards = 4096
+
+// subCacheTTL bounds how long a cached subscriber set may be served without
+// re-reading the replicas even when no version change was observed — the
+// periodic-refresh half of the invalidation contract.
+const subCacheTTL = 2 * time.Second
+
 // Config parameterizes the Pylon service.
 type Config struct {
-	// Shards is the number of topic shards (production: 512K). A shard
-	// stripes event IDs and versions the subscriber cache.
-	Shards int
 	// SubCacheSize is the capacity (in topics) of the versioned
 	// subscriber-set cache on the publish path. 0 disables the cache and
 	// restores the read-every-publish behaviour.
 	SubCacheSize int
-	// SubCacheTTL bounds how long a cached subscriber set may be served
-	// without re-reading the replicas even when no version change was
-	// observed — the periodic-refresh half of the invalidation contract.
-	// <= 0 means entries never expire by age.
-	SubCacheTTL time.Duration
 	// Clock drives cache TTL expiry. nil uses the wall clock.
 	Clock sim.Clock
 }
@@ -122,11 +123,7 @@ type Config struct {
 // DefaultConfig returns a test-scale configuration with the subscriber
 // cache enabled.
 func DefaultConfig() Config {
-	return Config{
-		Shards:       4096,
-		SubCacheSize: 4096,
-		SubCacheTTL:  2 * time.Second,
-	}
+	return Config{SubCacheSize: 4096}
 }
 
 // padded is a cache-line-padded atomic counter; slices of these are updated
@@ -194,9 +191,6 @@ type Service struct {
 
 // New builds a Pylon service over the given subscription KV cluster.
 func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("pylon: invalid config %+v", cfg)
-	}
 	if kv == nil {
 		return nil, errors.New("pylon: nil kv cluster")
 	}
@@ -205,7 +199,7 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 		kv:         kv,
 		hostTopics: make(map[string]map[Topic]bool),
 		eventSeq:   make([]padded, eventStripes),
-		shardVer:   make([]atomic.Uint64, cfg.Shards),
+		shardVer:   make([]atomic.Uint64, shards),
 		hostIDs:    intern.New(),
 		FanoutSize: metrics.NewHistogram[int64](),
 	}
@@ -217,7 +211,7 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 		// Jittered TTLs decorrelate the periodic refresh across hot
 		// topics; the seed is fixed so runs stay reproducible.
 		s.subCache = cache.NewLRU[Topic, subEntry](
-			cfg.SubCacheSize, cfg.SubCacheTTL, 0.25, cfg.Clock, 0x0b1ade)
+			cfg.SubCacheSize, subCacheTTL, 0.25, cfg.Clock, 0x0b1ade)
 	}
 	return s, nil
 }
@@ -260,7 +254,7 @@ func (s *Service) RegisterHost(sub Subscriber) {
 
 // Shard returns the topic's shard index.
 func (s *Service) Shard(t Topic) int {
-	return int(fnv64(string(t)) % uint64(s.cfg.Shards))
+	return int(fnv64(string(t)) % shards)
 }
 
 // bumpShard advances a shard's subscription version, invalidating every

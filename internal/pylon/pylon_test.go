@@ -47,10 +47,6 @@ func newService(t *testing.T) (*Service, *kvstore.Cluster) {
 }
 
 func TestNewValidation(t *testing.T) {
-	kv := newKV(t)
-	if _, err := New(Config{Shards: 0}, kv); err == nil {
-		t.Error("Shards=0 accepted")
-	}
 	if _, err := New(DefaultConfig(), nil); err == nil {
 		t.Error("nil kv accepted")
 	}
@@ -249,7 +245,7 @@ func TestShardMappingStable(t *testing.T) {
 		if a != b {
 			t.Errorf("shard for %q unstable", topic)
 		}
-		if a < 0 || a >= DefaultConfig().Shards {
+		if a < 0 || a >= shards {
 			t.Errorf("shard %d out of range", a)
 		}
 	}

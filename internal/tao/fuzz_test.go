@@ -24,7 +24,7 @@ func FuzzAssocOps(f *testing.F) {
 		lists := []assocKey{{1, "a"}, {1, "b"}, {2, "a"}, {3, "a"}}
 		times := []time.Time{t0, t0.Add(time.Second), t0.Add(2 * time.Second), t0.Add(3 * time.Second)}
 		counts := []int{0, 1, 3, -1}
-		s := MustNewStore(Config{Shards: 2, IndexShardCapacity: 4}, sim.NewManualClock(t0.Add(time.Hour)))
+		s := MustNewStore(Config{IndexShardCapacity: 4}, sim.NewManualClock(t0.Add(time.Hour)))
 		ref := make(map[assocKey][]Assoc)
 		for i := 0; i+1 < len(ops); i += 2 {
 			key := lists[ops[i]>>3&3]

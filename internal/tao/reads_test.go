@@ -31,7 +31,7 @@ func bagPairs(obj Object) [][2]string { return obj.Data }
 func readsDigest(seed int64, ops int) uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	clk := sim.NewManualClock(t0)
-	s := MustNewStore(Config{Shards: 8, IndexShardCapacity: 4}, clk)
+	s := MustNewStore(Config{IndexShardCapacity: 4}, clk)
 	h := fnv.New64a()
 	keys := []string{"a", "author", "b", "post", "text", "z"}
 	randPairs := func() [][2]string {

@@ -113,10 +113,11 @@ type Assoc struct {
 	Data string
 }
 
+// shards is the number of storage shards.
+const shards = 64
+
 // Config parameterizes a Store.
 type Config struct {
-	// Shards is the number of storage shards. Must be > 0.
-	Shards int
 	// IndexShardCapacity models index partitioning for hot association
 	// lists: a range query over a list of length L is accounted as
 	// touching ceil(L/IndexShardCapacity) shards (minimum 1). The paper's
@@ -127,7 +128,7 @@ type Config struct {
 // DefaultConfig returns a Store configuration suitable for tests and the
 // experiment harness.
 func DefaultConfig() Config {
-	return Config{Shards: 64, IndexShardCapacity: 512}
+	return Config{IndexShardCapacity: 512}
 }
 
 // Store is the sharded graph store (the "TAO leader" tier).
@@ -182,9 +183,6 @@ type shard struct {
 
 // NewStore builds a Store with the given configuration and clock.
 func NewStore(cfg Config, clock sim.Clock) (*Store, error) {
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("tao: Shards must be positive, got %d", cfg.Shards)
-	}
 	if cfg.IndexShardCapacity <= 0 {
 		return nil, fmt.Errorf("tao: IndexShardCapacity must be positive, got %d",
 			cfg.IndexShardCapacity)
@@ -193,7 +191,7 @@ func NewStore(cfg Config, clock sim.Clock) (*Store, error) {
 		clock = sim.RealClock{}
 	}
 	s := &Store{cfg: cfg, clock: clock, stats: NewStats()}
-	s.shards = make([]*shard, cfg.Shards)
+	s.shards = make([]*shard, shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			objects: make(map[ObjID]*Object),

@@ -24,10 +24,7 @@ func newTestStore(t *testing.T) (*Store, *sim.ManualClock) {
 }
 
 func TestNewStoreValidation(t *testing.T) {
-	if _, err := NewStore(Config{Shards: 0, IndexShardCapacity: 1}, nil); err == nil {
-		t.Error("Shards=0 accepted")
-	}
-	if _, err := NewStore(Config{Shards: 1, IndexShardCapacity: 0}, nil); err == nil {
+	if _, err := NewStore(Config{IndexShardCapacity: 0}, nil); err == nil {
 		t.Error("IndexShardCapacity=0 accepted")
 	}
 }
@@ -125,7 +122,7 @@ func TestAssocRangeNewestFirst(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	cfg := Config{Shards: 8, IndexShardCapacity: 4}
+	cfg := Config{IndexShardCapacity: 4}
 	s := MustNewStore(cfg, sim.NewManualClock(t0))
 	id := s.ObjectAdd("u", nil) // 1 write
 	if _, err := s.ObjectGet(id); err != nil {

@@ -131,7 +131,6 @@ type Server struct {
 	PrivacyChecks    metrics.Counter
 	PrivacyDenied    metrics.Counter
 	PublishLatency   *metrics.Histogram[time.Duration] // mutation commit → publish sent
-	CPUMillis        metrics.Counter                   // modeled CPU cost accounting
 	PublishesEmitted metrics.Counter
 }
 
@@ -176,15 +175,6 @@ func (r *rngSource) next() uint64 {
 	r.s ^= r.s << 17
 	return r.s
 }
-
-// Modeled CPU costs in milliseconds per operation class, used for the
-// resource-usage comparisons (paper §5: poll queries cost far more than
-// point fetches).
-const (
-	cpuQueryRange = 12
-	cpuMutation   = 2
-	cpuPayload    = 1
-)
 
 // New builds a WAS over the given substrates.
 func New(store *tao.Store, graph *socialgraph.Graph, pyl *pylon.Service, sched sim.Scheduler) *Server {
@@ -252,7 +242,7 @@ func (s *Server) Query(viewer socialgraph.UserID, expr string) ([]byte, error) {
 // QueryIn is Query executing in a datacenter region: resolver reads go to
 // that region's TAO follower.
 func (s *Server) QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return marshal(run(s, s.tables.Load().queries, "query", &s.Queries, cpuQueryRange, region, viewer, expr))
+	return marshal(run(s, s.tables.Load().queries, "query", &s.Queries, region, viewer, expr))
 }
 
 // Mutate executes a write expression as viewer.
@@ -265,13 +255,13 @@ func (s *Server) Mutate(viewer socialgraph.UserID, expr string) ([]byte, error) 
 // carry the region as their origin, which is where the region plane's
 // cross-region replication starts.
 func (s *Server) MutateIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return marshal(run(s, s.tables.Load().mutations, "mutation", &s.Mutations, cpuMutation, region, viewer, expr))
+	return marshal(run(s, s.tables.Load().mutations, "mutation", &s.Mutations, region, viewer, expr))
 }
 
 // ResolveSubscription maps a device subscription expression to concrete
 // Pylon topics (BRASS calls this while instantiating a stream).
 func (s *Server) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]pylon.Topic, error) {
-	return run(s, s.tables.Load().subscriptions, "subscription", &s.Subscriptions, 0, "", viewer, expr)
+	return run(s, s.tables.Load().subscriptions, "subscription", &s.Subscriptions, "", viewer, expr)
 }
 
 // run parses expr, looks its field up in fns and calls the resolver as
@@ -279,7 +269,7 @@ func (s *Server) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]
 // this is where a viewer the graph does not know is refused, by the range
 // rule PrivacyCheck applies, before any resolver is handed it.
 func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F, kind string,
-	calls *metrics.Counter, cpu int64, region string, viewer socialgraph.UserID, expr string) (R, error) {
+	calls *metrics.Counter, region string, viewer socialgraph.UserID, expr string) (R, error) {
 	var none R
 	call, err := ParseField(expr)
 	if err != nil {
@@ -293,7 +283,6 @@ func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F,
 		return none, fmt.Errorf("%w: viewer %d", ErrUnknownUser, viewer)
 	}
 	calls.Inc()
-	s.CPUMillis.Add(cpu)
 	return fn(s.ctxIn(viewer, region), call)
 }
 
@@ -365,7 +354,6 @@ func (s *Server) ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, e
 	defer sp.End()
 	sp.Annotate("app", app)
 	s.PayloadFetches.Inc()
-	s.CPUMillis.Add(cpuPayload)
 	fn := s.tables.Load().payloads[app]
 	if fn == nil {
 		return nil, fmt.Errorf("%w: payload for app %q", ErrUnknownField, app)
