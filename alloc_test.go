@@ -2,6 +2,7 @@ package bladerunner
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"bladerunner/internal/bench"
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
+	"bladerunner/internal/frame"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
@@ -48,6 +50,7 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTFrameDecode", bench.BURSTFrameDecode, 2, "the owning read: the frame buffer and the []Delta that aliases it"},
 		{"BURSTSessionReceive", sessionReceive, 0, "a session lends its handler the payload in place in its read buffer"},
 		{"BURSTRelayHop", relayHop, 1, "the batch is decoded into a pooled lease, forwarded on the downstream session's writer and released after the re-encode; room for a pool refill after a GC"},
+		{"BURSTRelayControlHop", relayControlHop, 0, "a relay leg's last batch, a flow_status with a detail and a termination with a reason: the lease lends both strings to the re-encode (2 before: a copy of each)"},
 		{"BURSTServerSend", serverSend, 0, "SendBatch encodes into the session's pending buffer from the frame pool, and the writer's round writes it and pools the buffer"},
 		{"BURSTDeviceReceive", deviceReceive, 2, "a consumer that never releases, as the device: one lease and its bytes per batch, what the frame buffer and the []Delta cost before leases"},
 		{"PylonPublishWire", bench.PylonPublishWire, 4, "the topic string and the one-byte result, plus pool refills after a GC"},
@@ -55,14 +58,14 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch both values slice; resume-seq and cursor decode to the package constants"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
 		{"WASMutateFeedComment", bench.WASMutateFeedComment, 7, "the resolver's own work: two formatted ids, the TAO object and its sorted bag (the resolver's literal stays on its stack), the association, the topic, the boxed and encoded result; no parse, Ctx or closure allocation, and the event carries no map"},
-		{"BURSTSubscribeHop", subscribeHop, 2, "the stream, whose inline pairs hold the request, and the one copy of the header its strings slice (4 before: a header map's two)"},
+		{"BURSTSubscribeHop", subscribeHop, 1, "the stream, whose inline pairs hold the request and whose inline bytes hold the one copy of the header they slice (2 before: that copy a string of its own; 4 before that: a header map's two)"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 1, "the one copy of the patch both values slice: the lease brings its own deltas, bytes and patch map, and merging into a header that has both keys allocates nothing"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
 		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, send builds the payload and patch deltas on its stack array, the patch merges into a stored request that holds its key, and SendBatch encodes into the session's pending buffer"},
-		{"BRASSStreamOpenClose", streamOpenClose, 8, "the subscribe hop's two, the Stream and its close reason — the one copy of the borrowed cancel reason —, the instance's and host's copy-on-write topic lists, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the kvstore writes pick replicas on the stack (11 before: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
+		{"BRASSStreamOpenClose", streamOpenClose, 5, "the subscribe hop's one, the Stream and its close reason — the one copy of the borrowed cancel reason —, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (8 before: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
-		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 8, "the device's stream and its pairs, each subscribe hop's stream and header copy, the relay and its leg, which is its ClientStream alone, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (13 before: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
+		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 5, "the device's stream and its pairs, each subscribe hop's stream, which holds the header's one copy, and the relay, which holds its first leg, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (8 before: each hop's header copy, the leg an object of its own; 13 before that: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
 		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)
@@ -160,6 +163,46 @@ func relayHop(b *testing.B) {
 	}
 	if down.sent != b.N || !bytes.Equal(down.written, up.wire) {
 		b.Fatalf("%d writes went downstream, want %d, the first %x, want the upstream frame %x",
+			down.sent, b.N, down.written, up.wire)
+	}
+}
+
+// relayControlHop is relayHop's turn on a leg's last batch, a flow_status
+// with a detail and a termination with a reason, which ends the leg: each
+// iteration opens a fresh leg with the timer stopped, and times the batch from
+// the wire to the downstream write.
+func relayControlHop(b *testing.B) {
+	up := &wireTap{wire: batchWire(b, burst.FlowStatusDelta(burst.FlowRerouted, "stream re-established via brass-2"),
+		burst.TerminationDelta("stream unrecoverable: upstream gone")), next: make(chan struct{}), closed: make(chan struct{})}
+	cli := burst.NewClient("relay->up", up, nil)
+	defer cli.Close()
+	cli.Relay = true
+	opened := make(chan *burst.ServerStream, 1)
+	open := msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{burst.HdrApp: "feed"}})
+	down := &wireTap{wire: open, next: make(chan struct{}, 1), closed: make(chan struct{}), wrote: make(chan struct{})}
+	srv := burst.NewServerSession("down->relay", down, burst.ServerHandlerFuncs{
+		Subscribe: func(st *burst.ServerStream) { opened <- st },
+	})
+	defer srv.Close()
+	down.next <- struct{}{}
+	ds := <-opened
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := cli.Subscribe(burst.Subscribe{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Forward(ds, &hopForwarder{ds})
+		binary.BigEndian.PutUint64(up.wire[1:9], uint64(st.SID()))
+		b.StartTimer()
+		up.next <- struct{}{}
+		<-down.wrote
+	}
+	b.StopTimer()
+	if down.sent != b.N || !bytes.Equal(down.written[frame.HeaderSize:], up.wire[frame.HeaderSize:]) {
+		b.Fatalf("%d writes went downstream, want %d, the first %x, want the upstream batch %x",
 			down.sent, b.N, down.written, up.wire)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"reflect"
 	"sort"
+	"syscall"
 
 	"bladerunner/internal/metrics"
 )
@@ -17,7 +18,8 @@ import (
 // /debug/counters, a plain-text dump of the counters the role already keeps:
 // one "name.Field value" line for every exported metrics.Counter and
 // metrics.Gauge field of each object in counters (a proxy, a BRASS host,
-// Pylon, the WAS). It returns the bound address and a stop function.
+// Pylon, the WAS), then the process's CPU time and peak RSS. It returns the
+// bound address and a stop function.
 func serveDebug(addr string, counters map[string]any) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -32,6 +34,7 @@ func serveDebug(addr string, counters map[string]any) (string, func(), error) {
 	mux.HandleFunc("/debug/counters", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		writeCounters(w, counters)
+		writeProcess(w)
 	})
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
@@ -60,4 +63,14 @@ func writeCounters(w io.Writer, counters map[string]any) {
 			}
 		}
 	}
+}
+
+// writeProcess writes the CPU time and peak RSS getrusage(RUSAGE_SELF) reports.
+func writeProcess(w io.Writer) {
+	var ru syscall.Rusage
+	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) != nil {
+		return
+	}
+	fmt.Fprintf(w, "process.cpu_user_us %d\nprocess.cpu_sys_us %d\nprocess.max_rss_kb %d\n",
+		ru.Utime.Nano()/1e3, ru.Stime.Nano()/1e3, ru.Maxrss)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // The -debug-addr endpoint answers the allocation profile and the counter
-// page, the latter with one line per counter and gauge a POP keeps.
+// page, the latter with one line per counter and gauge a POP keeps and the
+// process's CPU time and peak RSS.
 func TestDebugEndpointServesAllocsAndCounters(t *testing.T) {
 	pop := edge.NewProxy("pop-0", edge.NewPipeNetwork(), edge.StaticRouter("brass"))
 	defer pop.Close()
@@ -42,5 +44,24 @@ func TestDebugEndpointServesAllocsAndCounters(t *testing.T) {
 		if !strings.Contains(counters, line) {
 			t.Errorf("/debug/counters lacks %q:\n%s", line, counters)
 		}
+	}
+	// The process lines: a count each, and the test has used some memory.
+	process := map[string]int64{}
+	for _, line := range strings.Split(counters, "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "process.") {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || n < 0 {
+				t.Errorf("%q is not a count", line)
+			}
+			process[name] = n
+		}
+	}
+	for _, name := range []string{"process.cpu_user_us", "process.cpu_sys_us", "process.max_rss_kb"} {
+		if _, ok := process[name]; !ok {
+			t.Errorf("/debug/counters lacks %s:\n%s", name, counters)
+		}
+	}
+	if process["process.max_rss_kb"] == 0 {
+		t.Errorf("process.max_rss_kb reads 0")
 	}
 }

@@ -26,8 +26,8 @@
 //
 // A single role started with -debug-addr host:port also serves, on that
 // address, net/http/pprof under /debug/pprof/ (e.g. /debug/pprof/allocs)
-// and /debug/counters, a plain-text dump of the counters the role keeps. It
-// is off by default.
+// and /debug/counters, a plain-text dump of the counters the role keeps and
+// of the process's CPU time and peak RSS. It is off by default.
 //
 // Bootstrap config is static and comes from flags only; every BRASS host
 // runs the durable log. There is no dynamic membership — the paper's

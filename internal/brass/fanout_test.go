@@ -64,6 +64,33 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 		if got := inst.StreamsForTopic("/t"); got != nil {
 			t.Errorf("after the last drop StreamsForTopic = %v, want nil", spell(got))
 		}
+
+		// A one-member list is its member's own array, the host's too. Handed
+		// out, it stays as it was through a second add and its member's drop,
+		// and a list that drops to one is the survivor's.
+		if err := a.AddTopic("/one"); err != nil {
+			t.Fatal(err)
+		}
+		one := inst.StreamsForTopic("/one")
+		h.mu.Lock()
+		hostOne := h.topicHostRefs["/one"]
+		h.mu.Unlock()
+		if &one[0] != &a.self[0] || len(hostOne) != 1 || &hostOne[0] != &inst.self[0] {
+			t.Errorf("a one-member list is not its member's own array")
+		}
+		_ = b.AddTopic("/one")
+		a.DropTopic("/one")
+		if got := inst.StreamsForTopic("/one"); !slices.Equal(spell(got), []string{"b"}) || &got[0] != &b.self[0] {
+			t.Errorf("after a second add and the first's drop StreamsForTopic = %v, want b's own [b]", spell(got))
+		}
+		survivor := inst.StreamsForTopic("/one")
+		b.DropTopic("/one")
+		if !slices.Equal(spell(one), []string{"a"}) || !slices.Equal(spell(survivor), []string{"b"}) {
+			t.Errorf("handed-out one-member lists now read %v and %v, want [a] and [b]", spell(one), spell(survivor))
+		}
+		if got := inst.StreamsForTopic("/one"); got != nil {
+			t.Errorf("after the last drop StreamsForTopic(/one) = %v, want nil", spell(got))
+		}
 	})
 	if n := h.TopicRefs("/t"); n != 0 {
 		t.Errorf("host still counts %d instances on the topic", n)

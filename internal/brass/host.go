@@ -243,7 +243,7 @@ func (h *Host) subscribeTopic(topic pylon.Topic, inst *Instance) error {
 	h.mu.Lock()
 	set := h.topicHostRefs[topic]
 	needPylon := len(set) == 0
-	h.topicHostRefs[topic] = append(slices.Clip(set), inst)
+	h.topicHostRefs[topic] = with(set, inst)
 	h.mu.Unlock()
 
 	if !needPylon {
@@ -273,12 +273,28 @@ func (h *Host) subscribeTopic(topic pylon.Topic, inst *Instance) error {
 	return nil
 }
 
-// without returns list minus x as a new slice, or list itself: like
-// append(slices.Clip(list), x), it never writes a stored copy-on-write list.
-func without[T comparable](list []T, x T) []T {
+// member is an element of a copy-on-write list: alone is the list of it
+// alone, over an array inside it written before it is shared.
+type member[T any] interface {
+	comparable
+	alone() []T
+}
+
+// with returns list plus x, and without list minus x, or list itself: neither
+// writes a stored copy-on-write list, and a list of one is its member's own.
+func with[T member[T]](list []T, x T) []T {
+	if len(list) == 0 {
+		return x.alone()
+	}
+	return append(slices.Clip(list), x)
+}
+
+func without[T member[T]](list []T, x T) []T {
 	i := slices.Index(list, x)
 	if i < 0 {
 		return list
+	} else if len(list) == 2 {
+		return list[1-i].alone()
 	}
 	return append(list[:i:i], list[i+1:]...)
 }

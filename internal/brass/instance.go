@@ -73,6 +73,7 @@ type Instance struct {
 	// list is copy-on-write, in open order: StreamsForTopic hands out the
 	// stored slice, and an AddTopic/DropTopic stores a new one.
 	topicStreams map[pylon.Topic][]*Stream
+	self         [1]*Instance // alone's array: this instance, set before it is shared
 
 	// streams is the open-stream set. The loop writes it under flowMu and
 	// reads it freely; the degraded-mode signaler, which runs on whatever
@@ -127,6 +128,7 @@ func newInstance(h *Host, app Application) *Instance {
 		topicStreams: make(map[pylon.Topic][]*Stream),
 		streams:      make(map[*Stream]bool),
 	}
+	inst.self[0] = inst
 	inst.tasks.OnDegraded = func() { inst.signalFlow(burst.FlowDegraded) }
 	inst.tasks.OnRecovered = func() { inst.signalFlow(burst.FlowRecovered) }
 	inst.rt = &Runtime{host: h, inst: inst}
@@ -259,6 +261,8 @@ func (inst *Instance) deliver(ev pylon.Event) {
 	inst.push(task{ev: ev}, overload.Data)
 }
 
+func (inst *Instance) alone() []*Instance { return inst.self[:] }
+
 // addTopicRef registers st's interest in topic (loop-owned).
 func (inst *Instance) addTopicRef(topic pylon.Topic, st *Stream) error {
 	// st holds topic exactly when it is on topic's list. Searching that list,
@@ -271,7 +275,7 @@ func (inst *Instance) addTopicRef(topic pylon.Topic, st *Stream) error {
 			return nil
 		}
 	}
-	inst.topicStreams[topic] = append(slices.Clip(set), st)
+	inst.topicStreams[topic] = with(set, st)
 	st.topics = append(st.topics, topic)
 	if len(set) == 0 {
 		if err := inst.host.subscribeTopic(topic, inst); err != nil {

@@ -36,6 +36,7 @@ type Stream struct {
 	// stream allocates nothing for it.
 	topics []pylon.Topic
 	topic1 [1]pylon.Topic
+	self   [1]*Stream // alone's array: this stream, set before it is shared
 
 	// State is free space for per-stream application state (ranked
 	// buffers, rate limiters, sequence cursors...). Loop-owned.
@@ -54,8 +55,11 @@ type Stream struct {
 func newStream(bst *burst.ServerStream, inst *Instance) *Stream {
 	st := &Stream{burst: bst, inst: inst}
 	st.topics = st.topic1[:0]
+	st.self[0] = st
 	return st
 }
+
+func (st *Stream) alone() []*Stream { return st.self[:] }
 
 // Header returns a specific header field of the current request.
 func (st *Stream) Header(key string) string { return st.burst.HeaderField(key) }

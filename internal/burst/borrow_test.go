@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"bladerunner/internal/frame"
 	"bladerunner/internal/frame/frametest"
@@ -338,6 +339,50 @@ func TestStoredSubscribeBodySurvivesLaterFrames(t *testing.T) {
 	srv.mu.Unlock()
 	if !bytes.Equal(handed, body) {
 		t.Errorf("the body the subscribe handler was handed now reads %.24q...", handed)
+	}
+}
+
+// The stored request's header outlives the borrowed subscribe frame whether
+// its bytes fit the stream's inline room or, one byte longer, take a copy of
+// their own: later frames overwrite the read buffer, and rewrites merge beside
+// the pairs without writing the room.
+func TestStoredSubscribeHeaderSurvivesLaterFrames(t *testing.T) {
+	cli, _, srv := newClientServer(t)
+	subs := []Subscribe{headerOf(headerRoom), headerOf(headerRoom + 1)}
+	for _, sub := range subs {
+		if _, err := cli.Subscribe(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ { // same session, same read buffer
+		other, err := cli.Subscribe(Subscribe{Header: Header{"k": strings.Repeat("X", headerRoom-3)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Cancel("scrolled away"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every later stream", func() bool { return srv.stream(len(subs)+199) != nil })
+	for i, sub := range subs {
+		st := srv.stream(i)
+		st.mu.Lock()
+		room, val := st.hdr, st.req.pairs[0].val
+		st.mu.Unlock()
+		if inRoom := within(unsafe.Slice(unsafe.StringData(val), len(val)), st.hdr[:]); inRoom != (i == 0) {
+			t.Errorf("a %d-byte header's value in the stream's %d-byte room: %v", headerRoom+i, headerRoom, inRoom)
+		}
+		if err := st.Rewrite(Header{HdrCursor: "1.7", HdrResumeSeq: "7"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := sub.Header.Clone().Merge(Header{HdrCursor: "1.7", HdrResumeSeq: "7"})
+		if got := st.Request().Header; !reflect.DeepEqual(got, want) {
+			t.Errorf("stream %d's stored header now reads %.40q, want %.40q", i, got, want)
+		}
+		if st.mu.Lock(); st.hdr != room {
+			t.Errorf("stream %d's rewrites wrote its header room", i)
+		}
+		st.mu.Unlock()
 	}
 }
 

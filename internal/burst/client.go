@@ -230,18 +230,20 @@ func (c *Client) Subscribe(sub Subscribe) (*ClientStream, error) {
 			req.pairs = append(req.pairs, pair{k, v})
 		}
 	}
-	return c.open(req, nil)
+	return c.open(new(ClientStream), req, nil)
 }
 
-// OpenLeg opens a Relay client's leg for down: its subscribe is encoded from
-// down's stored request, and it stores none.
-func (c *Client) OpenLeg(down *ServerStream) (*ClientStream, error) {
-	return c.open(request{}, down)
+// OpenLeg opens a Relay client's leg for down in st, a zero ClientStream its
+// caller owns and opens no other leg in: its subscribe is encoded from down's
+// stored request, and it stores none.
+func (c *Client) OpenLeg(st *ClientStream, down *ServerStream) error {
+	_, err := c.open(st, request{}, down)
+	return err
 }
 
-// open registers a stream that stores req, and sends as its subscribe down's
-// request, or req if down is nil, encoded under the holder's lock.
-func (c *Client) open(req request, down *ServerStream) (*ClientStream, error) {
+// open registers st, a zero stream, storing req, and sends as its subscribe
+// down's request, or req if down is nil, encoded under the holder's lock.
+func (c *Client) open(st *ClientStream, req request, down *ServerStream) (*ClientStream, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -249,7 +251,7 @@ func (c *Client) open(req request, down *ServerStream) (*ClientStream, error) {
 	}
 	c.nextSID++
 	sid := c.nextSID
-	st := &ClientStream{client: c, sid: sid, req: req}
+	st.client, st.sid, st.req = c, sid, req
 	st.ring = st.inline[:]
 	st.ready.L = &st.mu
 	c.streams[sid] = st

@@ -3,9 +3,13 @@ package burst
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"maps"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -95,26 +99,58 @@ func FuzzDecodeBatch(f *testing.F) {
 
 // decodeSubscribe parses a Subscribe payload as a server stream does, its
 // pairs as a map: the header's strings are slices of ONE copy of the header's
-// bytes, Body aliases b.
+// bytes, and the body is a copy too.
 func decodeSubscribe(b []byte) (Subscribe, error) {
-	r := frame.Reader{B: b}
-	q := request{pairs: readPairs(&r, nil), body: r.Bytes()}
-	if err := r.Done(); err != nil {
-		return Subscribe{}, err
+	st := subscribed(b)
+	if st == nil {
+		return Subscribe{}, errors.New("undecodable subscribe")
 	}
-	return Subscribe{Header: q.subscribe().Header, Body: q.body}, nil
+	return st.req.subscribe(), nil
+}
+
+// subscribed is the stream a server session opens for the subscribe payload
+// b, or nil if it opens none.
+func subscribed(b []byte) *ServerStream {
+	s := &ServerSession{handler: ServerHandlerFuncs{}, streams: map[StreamID]*ServerStream{}}
+	serverDispatch{s}.HandleFrame(Frame{Type: FrameSubscribe, SID: 1, Payload: b})
+	return s.streams[1]
+}
+
+// headerOf returns a subscribe whose header's pairs encode in n bytes: one
+// unknown key and a value that pads it out (n in 4..130).
+func headerOf(n int) Subscribe {
+	return Subscribe{Header: Header{"k": strings.Repeat("v", n-3)}}
 }
 
 func FuzzDecodeSubscribe(f *testing.F) {
 	f.Add(encodeMsg(Subscribe{Header: Header{HdrApp: "lvc", HdrCursor: "1.5"}, Body: []byte("body")}))
+	for _, n := range []int{headerRoom - 1, headerRoom, headerRoom + 1} {
+		f.Add(encodeMsg(headerOf(n)))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		sub, err := decodeSubscribe(in)
-		if err != nil {
+		st := subscribed(in)
+		if st == nil {
 			return
 		}
+		sub := st.req.subscribe()
 		checkHeaderKeys(t, sub.Header, in)
-		if len(sub.Header) > len(in)/2 || !within(sub.Body, in) {
-			t.Fatalf("%d header pairs from %d bytes, body aliased=%v", len(sub.Header), len(in), within(sub.Body, in))
+		if len(sub.Header) > len(in)/2 || within(st.req.body, in) && len(st.req.body) > 0 {
+			t.Fatalf("%d header pairs from %d bytes, body aliased=%v", len(sub.Header), len(in), within(st.req.body, in))
+		}
+		// The pairs' encoded span is copied into the stream's room when it
+		// fits and into a string of its own when it does not: never the input.
+		span := 0
+		for _, p := range st.req.pairs {
+			span += len(p.key) + len(p.val) + uvarintLen(len(p.key)) + uvarintLen(len(p.val))
+		}
+		for _, p := range st.req.pairs {
+			for _, s := range [...]string{p.key, p.val} {
+				b := unsafe.Slice(unsafe.StringData(s), len(s))
+				if len(s) > 0 && !slices.Contains(wellKnownKeys[:], s) && (within(b, in) || within(b, st.hdr[:]) != (span <= headerRoom)) {
+					t.Fatalf("%q of a %d-byte header: in the input %v, in the stream's %d-byte room %v",
+						s, span, within(b, in), headerRoom, within(b, st.hdr[:]))
+				}
+			}
 		}
 		again, err := decodeSubscribe(encodeMsg(sub))
 		if err != nil || !reflect.DeepEqual(again, sub) {
@@ -122,6 +158,8 @@ func FuzzDecodeSubscribe(f *testing.F) {
 		}
 	})
 }
+
+func uvarintLen(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
 
 func FuzzDecodeCancel(f *testing.F) {
 	f.Add(encodeMsg(Cancel{Reason: "scrolled away"}))
@@ -222,9 +260,7 @@ func FuzzStoredRequest(f *testing.F) {
 			refBody = []byte("body")
 		}
 		frame.PutBytes(&wire, refBody)
-		s := &ServerSession{handler: ServerHandlerFuncs{}, streams: map[StreamID]*ServerStream{}}
-		serverDispatch{s}.HandleFrame(Frame{Type: FrameSubscribe, SID: 1, Payload: wire.Bytes()})
-		st := s.streams[1]
+		st := subscribed(wire.Bytes())
 		if st == nil {
 			t.Fatal("a well-formed subscribe opened no stream")
 		}
@@ -264,7 +300,7 @@ func FuzzStoredRequest(f *testing.F) {
 			var b bytes.Buffer
 			q.put(&b)
 			r := frame.Reader{B: b.Bytes()}
-			again := request{pairs: readPairs(&r, nil), body: r.Bytes()}
+			again := request{pairs: readPairs(&r, nil, nil), body: r.Bytes()}
 			if err := r.Done(); err != nil || !reflect.DeepEqual(again.pairs, q.pairs) || !bytes.Equal(again.body, q.body) {
 				t.Fatalf("step %d: stored pairs %v re-encode to %v, %v", step, q.pairs, again.pairs, err)
 			}

@@ -233,6 +233,10 @@ func (q *request) put(b *bytes.Buffer) {
 // subscribe carries and its rewrites add. A device's stream gets as many.
 const storedRoom = 6
 
+// headerRoom is how many bytes of a subscribe's header a server stream holds
+// inline for its pairs to slice: the tree's subscribes encode in 47 to 117.
+const headerRoom = 128
+
 // Cancel is the payload of a FrameCancel: it terminates a stream from the
 // client side.
 type Cancel struct {
@@ -357,8 +361,8 @@ type Batch struct {
 // together with what its deltas alias: the payload bytes, a one- or two-delta
 // batch's backing array, the header-patch maps. The caller of Next may filter
 // Deltas in place and is the only one who may Release: at most once, keeping
-// nothing that aliases the lease (a Delta's Payload, Body, Header; strings are
-// copies). It need not: the GC takes an unreleased lease (DESIGN.md §7e).
+// nothing that aliases the lease (a Delta's Payload, Body, Header, FlowDetail
+// or Reason). It need not: the GC takes an unreleased lease (DESIGN.md §7e).
 type Received struct {
 	Deltas []Delta
 
@@ -448,11 +452,12 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 // readPairs reads what frame.PutStringMap wrote, in wire order, into pairs
 // backed by into while they fit it (nil for a nil header), with ONE copy
 // (DESIGN.md §7e rule 1a): a skip pass finds the pairs' encoded span, which
-// is copied once, and every value and every key that is not a well-known
-// constant is a slice of that copy — a header outlives its frame and must not
-// pin it. The loops need no error check: Count bounds them by the input and a
-// failed Reader yields zero values until Done.
-func readPairs(r *frame.Reader, into []pair) []pair {
+// is copied once — into room, which nothing reads yet, when it fits — and
+// every value and every key that is not a well-known constant is a slice of
+// that copy: a header outlives its frame and must not pin it. The loops need
+// no error check: Count bounds them by the input and a failed Reader yields
+// zero values until Done.
+func readPairs(r *frame.Reader, into []pair, room []byte) []pair {
 	if r.Byte() == 0 {
 		return nil
 	}
@@ -462,7 +467,13 @@ func readPairs(r *frame.Reader, into []pair) []pair {
 		r.Bytes()
 	}
 	span = span[:len(span)-len(r.B)]
-	pairs := frame.Reader{B: span, Own: string(span)}
+	var own string
+	if len(span) <= len(room) {
+		own = borrow(room[:copy(room, span)])
+	} else {
+		own = string(span)
+	}
+	pairs := frame.Reader{B: span, Own: own}
 	if into == nil || cap(into) < n {
 		into = make([]pair, 0, n)
 	}
@@ -476,7 +487,7 @@ func readPairs(r *frame.Reader, into []pair) []pair {
 // twice folds in wire order, last wins.
 func readHeader(r *frame.Reader, rc *Received) Header {
 	var buf [maxLeasedPairs]pair
-	ps := readPairs(r, buf[:0])
+	ps := readPairs(r, buf[:0], nil)
 	if ps == nil {
 		return nil
 	}
@@ -510,6 +521,9 @@ func readDelta(r *frame.Reader, d *Delta, rc *Received) {
 	d.Reason = r.Str()
 	d.Trace = trace.ID(r.Uvarint())
 }
+
+// borrow is p as a string that aliases it: valid while p's bytes are.
+func borrow(p []byte) string { return unsafe.String(unsafe.SliceData(p), len(p)) }
 
 //brlint:hotpath per-batch encode into the pooled frame buffer.
 func putBatch(b *bytes.Buffer, deltas []Delta) {
@@ -546,7 +560,7 @@ func DecodeCancel(b []byte) (Cancel, error) {
 	if err := r.Done(); err != nil {
 		return Cancel{}, fmt.Errorf("burst: decode cancel: %w", err)
 	}
-	return Cancel{Reason: unsafe.String(unsafe.SliceData(p), len(p))}, nil
+	return Cancel{Reason: borrow(p)}, nil
 }
 
 // DecodeBatch parses a Batch payload in one pass. The deltas' Payload and
@@ -558,9 +572,13 @@ func DecodeBatch(b []byte) (Batch, error) {
 }
 
 // decodeBatch is DecodeBatch into a lease's slots and maps, where they
-// suffice, instead of fresh ones: the same pass, the same checks.
+// suffice, instead of fresh ones: the same pass, the same checks. A lease's
+// strings are borrowed from its bytes, as a cancel's reason is from its frame.
 func decodeBatch(b []byte, rc *Received) ([]Delta, error) {
 	r := frame.Reader{B: b}
+	if rc != nil {
+		r.Own = borrow(b)
+	}
 	var deltas []Delta
 	if n := r.Count(minDeltaSize); rc != nil && n <= len(rc.slots) {
 		deltas = rc.slots[:n]

@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"strings"
 	"testing"
 
 	"bladerunner/internal/burst/bursttest"
@@ -72,7 +73,7 @@ func TestClientQueueShedsPayloadNotControl(t *testing.T) {
 			if payloads > 0 && d.FlowDetail != QueueRecoveredDetail {
 				t.Fatalf("%q behind %d payloads: a shed moved control", d.FlowDetail, payloads)
 			}
-			flows = append(flows, d.FlowDetail)
+			flows = append(flows, strings.Clone(d.FlowDetail)) // borrowed from the lease drain releases
 			rule.Flow(d.FlowDetail)
 		case DeltaPayload:
 			if d.Seq <= prev || d.Seq <= uint64(total+1) {
@@ -127,7 +128,7 @@ func TestQueueShedEpisodeIsAnnouncedAndClosed(t *testing.T) {
 		flood(eventBuffer + 10)
 		drain(st, func(d Delta) {
 			if d.Type == DeltaFlowStatus {
-				flows = append(flows, d.FlowDetail)
+				flows = append(flows, strings.Clone(d.FlowDetail))
 				rule.Flow(d.FlowDetail)
 			} else {
 				payloads++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"unsafe"
 
 	"bladerunner/internal/frame"
 	"bladerunner/internal/metrics"
@@ -59,6 +58,7 @@ type ServerStream struct {
 	mu         sync.Mutex
 	req        request // its pairs sit in inline while they fit
 	inline     [storedRoom]pair
+	hdr        [headerRoom]byte // the header's bytes while they fit, written before the stream is published
 	terminated bool
 
 	// State is free space for the application (e.g. the BRASS keeps its
@@ -201,11 +201,12 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	s := d.s
 	switch f.Type {
 	case FrameSubscribe:
-		// The stream decodes its request into itself (rewrites merge into it
-		// in place). The body, never written, must outlive the borrowed frame.
+		// The stream decodes its request into itself, and the header's bytes
+		// while they fit (rewrites merge into it in place). The body, never
+		// written, must outlive the borrowed frame.
 		st := &ServerStream{srv: s, sid: f.SID}
 		r := frame.Reader{B: f.Payload}
-		st.req = request{pairs: readPairs(&r, st.inline[:0]), body: r.Bytes()}
+		st.req = request{pairs: readPairs(&r, st.inline[:0], st.hdr[:]), body: r.Bytes()}
 		if err := r.Done(); err != nil {
 			s.DecodeErrors.Inc()
 			return
@@ -227,7 +228,7 @@ func (d serverDispatch) HandleFrame(f Frame) {
 		}
 		if poison != "" { // lend a copy that reads 0xDB once the loan has ended
 			p := []byte(c.Reason)
-			c.Reason = unsafe.String(unsafe.SliceData(p), len(p))
+			c.Reason = borrow(p)
 			defer poisonBytes(p)
 		}
 		s.mu.Lock()

@@ -165,10 +165,12 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 // (Client.OpenLeg) at open and at every repair. It has no goroutine
 // of its own: its upstream leg's batches reach it on down's session writer
 // (Forward), and only a repair, which waits on dials, runs on one until it
-// has a new leg.
+// has a new leg. Its first leg lives inside it, so a relayed stream is one
+// object; a repair opens each leg afresh.
 type relay struct {
-	p    *Proxy
-	down *burst.ServerStream
+	p     *Proxy
+	down  *burst.ServerStream
+	first burst.ClientStream
 
 	mu     sync.Mutex
 	up     *burst.ClientStream
@@ -199,9 +201,9 @@ func (r *relay) isDone() bool {
 	return r.done
 }
 
-// connect routes and subscribes down's current request upstream. The new leg
-// queues what it receives until it is handed to down's writer.
-func (r *relay) connect(avoid map[string]bool) error {
+// connect routes and subscribes down's current request upstream on st, a leg
+// never opened, which queues what it receives until it is handed to down's writer.
+func (r *relay) connect(avoid map[string]bool, st *burst.ClientStream) error {
 	target, err := r.p.router.Route(r.down, avoid)
 	if err != nil {
 		return err
@@ -216,8 +218,7 @@ func (r *relay) connect(avoid map[string]bool) error {
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", target, err)
 	}
-	st, err := u.client.OpenLeg(r.down)
-	if err != nil {
+	if err := u.client.OpenLeg(st, r.down); err != nil {
 		return fmt.Errorf("subscribe via %s: %w", target, err)
 	}
 	r.mu.Lock()
@@ -390,7 +391,7 @@ func (r *relay) repair() bool {
 		if r.isDone() {
 			return false
 		}
-		if err := r.connect(avoid); err == nil {
+		if err := r.connect(avoid, new(burst.ClientStream)); err == nil {
 			return true
 		}
 		if attempt == maxRepairAttempts-2 {
@@ -420,7 +421,7 @@ func (h proxyHandler) OnSubscribe(down *burst.ServerStream) {
 	p.relays[r] = true
 	p.mu.Unlock()
 	p.ActiveStreams.Add(1)
-	if err := r.connect(nil); err != nil {
+	if err := r.connect(nil, &r.first); err != nil {
 		// This read loop serves every other stream of the session: the
 		// repair waits on dials elsewhere.
 		go r.repairOff(err)

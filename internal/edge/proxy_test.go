@@ -182,6 +182,14 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { wire.inner = n; return wire })
 	st := subscribeSticky(t, env, "brass-a")
 	waitFor(t, "upstream on A", func() bool { return env.brassA.stream(0) != nil })
+	env.proxy.mu.Lock()
+	var r *relay
+	for r = range env.proxy.relays {
+	}
+	env.proxy.mu.Unlock()
+	if r == nil || r.leg() != &r.first {
+		t.Fatal("the relay's first leg is not the one inside it")
+	}
 
 	// BRASS patches three different keys; the repair must carry all three
 	// and every key of the original subscribe.
@@ -238,6 +246,10 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	}
 	if env.proxy.Reconnects.Value() != 1 {
 		t.Errorf("Reconnects = %d", env.proxy.Reconnects.Value())
+	}
+	// The repair opened a fresh leg: the first is never reopened.
+	if up := r.leg(); up == nil || up == &r.first {
+		t.Errorf("the repaired relay's leg is %p, its first %p: want a fresh one", up, &r.first)
 	}
 	// The repaired stream still works end to end.
 	if err := env.brassB.stream(0).SendBatch(burst.PayloadDelta(8, []byte("post-repair"))); err != nil {

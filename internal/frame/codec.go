@@ -69,8 +69,9 @@ func PutStringMap(b *bytes.Buffer, m map[string]string) {
 // once.
 type Reader struct {
 	B []byte
-	// Own, when set, is one string copy of what B started as: Str returns
-	// slices of it, so a message that outlives its frame is copied once.
+	// Own, when set, is what B started as, as a string — one copy, so a
+	// message that outlives its frame is copied once, or B itself, for a
+	// reader whose strings may alias it: Str returns slices of it.
 	Own string
 	err error
 }
@@ -128,9 +129,9 @@ func (r *Reader) Bytes() []byte {
 	return p
 }
 
-// Str returns the next byte string without aliasing the input — a copy, or
-// a slice of Own: strings outlive the frame buffer in stored requests and
-// events, so they must not pin it.
+// Str returns the next byte string as a copy, or a slice of Own: strings
+// outlive the frame buffer in stored requests and events, so only a reader
+// whose Own is B itself returns strings that pin it.
 func (r *Reader) Str() string { return r.StrOf(r.Bytes()) }
 
 // StrOf is Str for p, the byte string Bytes has just returned.
