@@ -111,6 +111,8 @@ func BenchmarkPylonSlowPublish(b *testing.B) { bench.PylonSlowPublish(b) }
 // A scroll's edge half: a stream opened and cancelled through one proxy hop.
 func BenchmarkEdgeRelayOpenClose(b *testing.B) { bench.EdgeRelayOpenClose(b) }
 
+func BenchmarkEdgeRelayRewriteHop(b *testing.B) { bench.EdgeRelayRewriteHop(b) }
+
 // BenchmarkHotTopicFanout is the subscriber-cache acceptance benchmark:
 // one publish fanning out to 1000 subscribed hosts on one hot topic.
 func BenchmarkHotTopicFanout(b *testing.B) { bench.HotTopicFanout(b) }

@@ -9,6 +9,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -35,11 +37,13 @@ type childInfo struct {
 	pid   int
 	ctrl  string
 	burst string
+	debug string
 }
 
-// launchCluster builds brnode, boots -role all -procs N, and returns the
-// children by role (pops in announcement order) once CLUSTER-READY
-// arrives. Restarted children update the pid in place.
+// launchCluster builds brnode, boots -role all -procs N with any extra
+// launcher flags, and returns the children by role (pops in announcement
+// order) once CLUSTER-READY arrives. Restarted children update the pid in
+// place.
 type liveCluster struct {
 	cmd *exec.Cmd
 
@@ -49,7 +53,7 @@ type liveCluster struct {
 	ready    chan struct{}
 }
 
-func launchCluster(t *testing.T, procs int) *liveCluster {
+func launchCluster(t *testing.T, procs int, extra ...string) *liveCluster {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "brnode")
 	build := exec.Command("go", "build", "-o", bin, ".")
@@ -58,7 +62,7 @@ func launchCluster(t *testing.T, procs int) *liveCluster {
 		t.Fatalf("build brnode: %v", err)
 	}
 
-	cmd := exec.Command(bin, "-role", "all", "-procs", strconv.Itoa(procs), "-users", "100")
+	cmd := exec.Command(bin, append([]string{"-role", "all", "-procs", strconv.Itoa(procs), "-users", "100"}, extra...)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -91,6 +95,8 @@ func launchCluster(t *testing.T, procs int) *liveCluster {
 						ci.ctrl = v
 					case "burst":
 						ci.burst = v
+					case "debug":
+						ci.debug = v
 					}
 				}
 				lc.mu.Lock()
@@ -367,12 +373,14 @@ func TestE2EMultiProcessFailover(t *testing.T) {
 
 // TestE2ELiveLoad drives megadevice.RunLive, brload -net tcp's driver,
 // against a 4-process cluster: a virtual fleet's trunks into the POP and
-// publishes through the WAS process's ctrl port.
+// publishes through the WAS process's ctrl port. The launcher gives every
+// child a debug port of its own, and each child's counter page names what
+// the load did to it.
 func TestE2ELiveLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e: skipped in -short")
 	}
-	lc := launchCluster(t, 4) // pylon + was + brass + 1 pop
+	lc := launchCluster(t, 4, "-debug-addr", "127.0.0.1:0") // pylon + was + brass + 1 pop
 
 	rep, err := megadevice.RunLive(megadevice.LiveOptions{
 		Pops:     []string{lc.child(t, "pop", 0).burst},
@@ -399,6 +407,26 @@ func TestE2ELiveLoad(t *testing.T) {
 		t.Error("no delta was applied")
 	}
 
+	// One line per child that the load must have moved off zero, beside the
+	// process lines every page ends with.
+	seen := map[string]bool{}
+	for role, counter := range map[string]string{
+		"pylon": "pylon.Publishes", "was": "was.Mutations", "brass": "brass-us-east-0.StreamsOpened", "pop": "pop-0.StreamsRelayed",
+	} {
+		ci := lc.child(t, role, 0)
+		if seen[ci.debug] || !strings.HasPrefix(ci.debug, "127.0.0.1:") {
+			t.Errorf("%s child's debug address %q: want a loopback port of its own", role, ci.debug)
+			continue
+		}
+		seen[ci.debug] = true
+		page := debugCounters(t, ci.debug)
+		for _, name := range []string{counter, "process.max_rss_kb"} {
+			if n, err := strconv.ParseInt(page[name], 10, 64); err != nil || n <= 0 {
+				t.Errorf("%s child's /debug/counters: %s reads %q, want a count above 0", role, name, page[name])
+			}
+		}
+	}
+
 	// 100 areas put every viewer past the cluster's 100 users: the WAS
 	// refuses each stream, nothing applies, and the run must fail naming
 	// the graph size it needed.
@@ -413,4 +441,25 @@ func TestE2ELiveLoad(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "201 users") {
 		t.Errorf("100 areas on a 100-user graph: err %v, want one naming the 201 users needed", err)
 	}
+}
+
+// debugCounters reads the /debug/counters page at addr, one value by name.
+func debugCounters(t *testing.T, addr string) map[string]string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/debug/counters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/debug/counters: %s, %v", addr, resp.Status, err)
+	}
+	page := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok {
+			page[name] = v
+		}
+	}
+	return page
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -25,6 +26,9 @@ type child struct {
 	// devices redial it).
 	ctrlAddr  string
 	burstAddr string
+	// debugAddr is the -debug-addr the child starts with: the launcher's
+	// host:0 until the first boot binds a port, then that port, pinned too.
+	debugAddr string
 
 	mu  sync.Mutex
 	cmd *exec.Cmd
@@ -37,11 +41,12 @@ type child struct {
 // supervisor runs the 4-process cluster: spawn in dependency order, parse
 // each child's READY line, restart unexpected deaths, drain on SIGTERM.
 type supervisor struct {
-	exe      string
-	draining chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	failed   chan error
+	exe       string
+	debugAddr string // -debug-addr host:0 for every child, or empty
+	draining  chan struct{}
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
+	failed    chan error
 }
 
 // stop marks the cluster as draining so supervise loops treat child
@@ -52,8 +57,14 @@ func (s *supervisor) stop() {
 
 const restartLimit = 5
 
-// runAll is the -role all entry point.
-func runAll(b bootstrap) error {
+// runAll is the -role all entry point. A non-empty debugAddr, host:0, gives
+// every child a debug endpoint on a port of its own.
+func runAll(b bootstrap, debugAddr string) error {
+	if debugAddr != "" {
+		if _, port, err := net.SplitHostPort(debugAddr); err != nil || port != "0" {
+			return fmt.Errorf("-role all -debug-addr %q: want host:0, each child binds a port of its own", debugAddr)
+		}
+	}
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locate own binary: %w", err)
@@ -62,7 +73,7 @@ func runAll(b bootstrap) error {
 	if total < 4 {
 		total = 4
 	}
-	sup := &supervisor{exe: exe, draining: make(chan struct{}), failed: make(chan error, total)}
+	sup := &supervisor{exe: exe, debugAddr: debugAddr, draining: make(chan struct{}), failed: make(chan error, total)}
 
 	common := []string{
 		"-region", b.Region,
@@ -136,6 +147,7 @@ func reverse(cs []*child) []*child {
 // boot starts ch for the first time, waits for its READY line, records
 // its bound addresses, announces it, and begins supervising it.
 func (s *supervisor) boot(ch *child) error {
+	ch.debugAddr = s.debugAddr
 	cmd, done, err := s.spawn(ch)
 	if err != nil {
 		return err
@@ -161,6 +173,9 @@ func (s *supervisor) spawn(ch *child) (*exec.Cmd, chan error, error) {
 	}
 	if ch.burstAddr != "" && ch.burstAddr != "-" {
 		args = append(args, "-listen", ch.burstAddr)
+	}
+	if ch.debugAddr != "" {
+		args = append(args, "-debug-addr", ch.debugAddr)
 	}
 	args = append(args, ch.args...)
 	cmd := exec.Command(s.exe, args...)
@@ -202,6 +217,9 @@ func (s *supervisor) spawn(ch *child) (*exec.Cmd, chan error, error) {
 	case kv := <-readyc:
 		ch.ctrlAddr = kv["ctrl"]
 		ch.burstAddr = kv["burst"]
+		if d := kv["debug"]; d != "-" && d != "" {
+			ch.debugAddr = d
+		}
 		return cmd, done, nil
 	case werr := <-done:
 		return nil, nil, fmt.Errorf("%s exited before READY: %v", ch.role, werr)
@@ -213,7 +231,7 @@ func (s *supervisor) spawn(ch *child) (*exec.Cmd, chan error, error) {
 
 // announce prints the machine-readable per-child line.
 func (s *supervisor) announce(ch *child, pid int) {
-	fmt.Printf("CHILD role=%s pid=%d ctrl=%s burst=%s\n", ch.role, pid, ch.ctrlAddr, ch.burstAddr)
+	fmt.Printf("CHILD role=%s pid=%d ctrl=%s burst=%s debug=%s\n", ch.role, pid, ch.ctrlAddr, ch.burstAddr, orDash(ch.debugAddr))
 }
 
 // supervise restarts ch when it dies outside a drain, pinning its old

@@ -27,7 +27,10 @@
 // A single role started with -debug-addr host:port also serves, on that
 // address, net/http/pprof under /debug/pprof/ (e.g. /debug/pprof/allocs)
 // and /debug/counters, a plain-text dump of the counters the role keeps and
-// of the process's CPU time and peak RSS. It is off by default.
+// of the process's CPU time and peak RSS, and names the bound address on its
+// READY line. It is off by default. The launcher takes -debug-addr host:0
+// and starts every child with it, so each binds a port of its own on host,
+// which its CHILD line reports as debug=host:port.
 //
 // Bootstrap config is static and comes from flags only; every BRASS host
 // runs the durable log. There is no dynamic membership — the paper's
@@ -86,7 +89,7 @@ func main() {
 	flag.IntVar(&cfg.Users, "users", 100, "social graph size (was)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "social graph seed (was)")
 	flag.IntVar(&cfg.Procs, "procs", 4, "process count for -role all")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /debug/counters on this address (single roles; off when empty)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /debug/counters on this address (-role all: host:0, a port per child; off when empty)")
 	flag.Parse()
 	if *brassAddrs != "" {
 		m, err := parseTargets(*brassAddrs)
@@ -110,7 +113,7 @@ func main() {
 	case "pop":
 		n, err = runPOP(cfg)
 	case "all":
-		err = runAll(cfg)
+		err = runAll(cfg, *debugAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -121,14 +124,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var debugBound string
 	if *debugAddr != "" {
 		bound, stop, err := serveDebug(*debugAddr, n.counters)
 		if err != nil {
 			log.Fatalf("-debug-addr: %v", err)
 		}
 		n.onDrain(stop)
+		debugBound = bound
 		log.Printf("debug: http://%s/debug/pprof/ and /debug/counters", bound)
 	}
+	ready(cfg.Role, n, debugBound)
 
 	// SIGTERM/SIGINT and a remote node.drain share one graceful path.
 	sigc := make(chan os.Signal, 1)

@@ -22,6 +22,9 @@ type node struct {
 	drainOnce sync.Once
 	closers   []func()       // run in order on drain
 	counters  map[string]any // what -debug-addr's counter page dumps, by name
+	// The bound addresses the READY line reports; burst is empty for roles
+	// with no BURST listener.
+	ctrlAddr, burstAddr string
 }
 
 func newNode() *node { return &node{drained: make(chan struct{})} }
@@ -43,12 +46,17 @@ func (n *node) drain() {
 func (n *node) onDrain(fn func()) { n.closers = append(n.closers, fn) }
 
 // ready prints the machine-readable readiness line the launcher (and the
-// e2e harness) parses. burst is "-" for roles with no BURST listener.
-func ready(role, ctrlAddr, burst string) {
-	if burst == "" {
-		burst = "-"
+// e2e harness) parses: n's addresses and the debug endpoint's, "-" for one
+// the process does not serve.
+func ready(role string, n *node, debugAddr string) {
+	fmt.Printf("READY role=%s ctrl=%s burst=%s debug=%s\n", role, n.ctrlAddr, orDash(n.burstAddr), orDash(debugAddr))
+}
+
+func orDash(addr string) string {
+	if addr == "" {
+		return "-"
 	}
-	fmt.Printf("READY role=%s ctrl=%s burst=%s\n", role, ctrlAddr, burst)
+	return addr
 }
 
 // clusterConfig maps the bootstrap onto the shared cluster Config the
@@ -102,7 +110,7 @@ func runPylon(b bootstrap) (*node, error) {
 	n.onDrain(srv.Close)
 	n.counters = map[string]any{"pylon": pt.Pylon}
 	log.Printf("pylon up: ctrl=%s", ctrlAddr)
-	ready("pylon", ctrlAddr, "")
+	n.ctrlAddr = ctrlAddr
 	return n, nil
 }
 
@@ -139,7 +147,7 @@ func runWAS(b bootstrap) (*node, error) {
 	n.onDrain(func() { _ = pconn.Close() })
 	n.counters = map[string]any{"was": wt.WAS}
 	log.Printf("was up: ctrl=%s pylon=%s users=%d", ctrlAddr, b.PylonAddr, b.Users)
-	ready("was", ctrlAddr, "")
+	n.ctrlAddr = ctrlAddr
 	return n, nil
 }
 
@@ -209,7 +217,7 @@ func runBrass(b bootstrap) (*node, error) {
 		n.counters[h.ID()] = h
 	}
 	log.Printf("brass up: burst=%s ctrl=%s hosts=%d", bound, ctrlAddr, len(tier.Hosts))
-	ready("brass", ctrlAddr, bound)
+	n.ctrlAddr, n.burstAddr = ctrlAddr, bound
 	return n, nil
 }
 
@@ -242,6 +250,6 @@ func runPOP(b bootstrap) (*node, error) {
 	n.onDrain(srv.Close)
 	n.counters = map[string]any{pop.Name(): pop}
 	log.Printf("pop up: burst=%s ctrl=%s brass=%v", bound, ctrlAddr, targets)
-	ready("pop", ctrlAddr, bound)
+	n.ctrlAddr, n.burstAddr = ctrlAddr, bound
 	return n, nil
 }

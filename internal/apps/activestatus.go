@@ -40,9 +40,9 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 	a := &ActiveStatus{TTL: 30 * time.Second, BatchInterval: 5 * time.Second}
 
 	// Devices call this every 30 s while online.
-	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		ctx.Publish(pylon.Event{Topic: StatusTopic(ctx.Viewer), Author: uint64(ctx.Viewer)}, false)
-		return true, nil
+		return []byte("true"), nil
 	})
 
 	// One device subscribe → one topic per friend (many BRASS→Pylon

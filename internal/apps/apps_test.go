@@ -3,6 +3,7 @@ package apps
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 	"bladerunner/internal/burst"
 	"bladerunner/internal/burst/bursttest"
 	"bladerunner/internal/durlog"
+	"bladerunner/internal/edge"
 	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/sim"
@@ -1029,6 +1031,82 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 	entries, _, err := host.DurLog().ReadFrom(string(MailboxTopic(bob)), cur)
 	if err != nil || len(entries) != 1 || entries[0].Seq != 2 {
 		t.Errorf("log after cursor %v = %+v, %v; want the shed seq 2", cur, entries, err)
+	}
+}
+
+// Messenger lends each resume patch from the one buffer its stream formats
+// both tokens into, over again for every delivery: nothing on the way may keep
+// it. With that buffer overwritten once the last Push has returned, the stored
+// request of every holder — the host's, both relays' and the device's — still
+// reads the tokens that were sent.
+func TestMessengerResumePatchIsLent(t *testing.T) {
+	e := newEnv(t)
+	host := brass.NewHost(brass.HostConfig{ID: "brass-log", Region: "us", Durlog: true}, e.pylon, e.was, nil)
+	e.suite.RegisterBRASS(host)
+	t.Cleanup(host.Close)
+	pn := edge.NewPipeNetwork()
+	pn.Register("brass", func(rwc io.ReadWriteCloser) { host.AcceptSession("brass-in", rwc) })
+	relayed := map[string]chan *burst.ServerSession{"rproxy": make(chan *burst.ServerSession, 1), "pop": make(chan *burst.ServerSession, 1)}
+	for name, up := range map[string]string{"rproxy": "brass", "pop": "rproxy"} {
+		p := edge.NewProxy(name, pn, edge.StaticRouter(up))
+		t.Cleanup(p.Close)
+		pn.Register(name, func(rwc io.ReadWriteCloser) { relayed[name] <- p.AcceptSession(name+"-down", rwc) })
+	}
+	rwc, err := pn.Dial("pop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := burst.NewClient("device", rwc, nil)
+	t.Cleanup(func() { cli.Close() })
+
+	alice, bob := socialgraph.UserID(17), socialgraph.UserID(18)
+	tid := e.createThread(t, alice, "17,18")
+	st := e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
+	pop, rproxy := <-relayed["pop"], <-relayed["rproxy"]
+	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
+	const sent = 12 // resume-seq reaches two digits: the buffer's bytes move
+	for i := 1; i <= sent; i++ {
+		if _, err := e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "m%d")`, tid, i)); err != nil {
+			t.Fatal(err)
+		}
+		if d := recvPayload(t, st); d.Seq != uint64(i) {
+			t.Fatalf("payload %d arrived as seq %d", i, d.Seq)
+		}
+	}
+	inst, err := host.Instance(AppMessenger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := inst.StreamsForTopic(MailboxTopic(bob))
+	if len(streams) != 1 {
+		t.Fatalf("%d host streams on bob's mailbox, want 1", len(streams))
+	}
+	tail, ok := host.DurLog().TailCursor(string(MailboxTopic(bob)))
+	if !ok || tail.Seq != sent {
+		t.Fatalf("bob's log tail is %+v (%v), want seq %d", tail, ok, sent)
+	}
+	want := map[string]string{burst.HdrResumeSeq: strconv.Itoa(sent), burst.HdrCursor: string(tail.AppendTo(nil))}
+	// The device has the last payload, so every hop has merged the patch that
+	// rode with it; the app's loop is idle until the next event.
+	tokens := &streams[0].State.(*messengerStream).tokens
+	if both := want[burst.HdrResumeSeq] + want[burst.HdrCursor]; string(tokens[:len(both)]) != both {
+		t.Fatalf("the stream's tokens buffer holds %q, want the last patch's two tokens %q", tokens, both)
+	}
+	for i := range tokens {
+		tokens[i] = 0xDB
+	}
+	holders := map[string]func(string) string{
+		"host":   streams[0].Header,
+		"rproxy": rproxy.Streams()[0].HeaderField,
+		"pop":    pop.Streams()[0].HeaderField,
+		"device": st.HeaderField,
+	}
+	for name, read := range holders {
+		for k, v := range want {
+			if got := read(k); got != v {
+				t.Errorf("%s's stored %s reads %q, want %q", name, k, got, v)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func PostTopic(postID uint64) pylon.Topic {
 func NewFeedComments(w Registrar) *FeedComments {
 	a := &FeedComments{}
 
-	w.RegisterMutation("postFeedComment", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("postFeedComment", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		postID, err := call.Uint64Arg("postID")
 		if err != nil {
 			return nil, err
@@ -39,7 +39,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 			{"author", strconv.FormatUint(uint64(ctx.Viewer), 10)}, {"post", strconv.FormatUint(postID, 10)}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{Topic: PostTopic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
-		return uint64(ref), nil
+		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
 	w.RegisterSubscription("feedPostComments", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {

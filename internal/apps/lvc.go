@@ -60,7 +60,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		hot:       newHotTracker(DefaultHotThreshold, DefaultHotWindow),
 	}
 
-	w.RegisterMutation("postComment", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("postComment", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -87,7 +87,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 
 		// ...but spam and junk never reach Pylon (WAS pre-ranking).
 		if score < was.SpamThreshold {
-			return uint64(ref), nil
+			return strconv.AppendUint(nil, uint64(ref), 10), nil
 		}
 		ev := pylon.Event{Topic: LVCTopic(videoID), Ref: uint64(ref), Author: uint64(author.ID),
 			Meta: map[string]string{
@@ -102,13 +102,13 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 			switch {
 			case score >= HighRankCutoff:
 			case score < HotDiscardCutoff:
-				return uint64(ref), nil // discarded during the storm; still durable in TAO
+				return strconv.AppendUint(nil, uint64(ref), 10), nil // discarded during the storm; still durable in TAO
 			default:
 				ev.Topic = LVCUserTopic(videoID, author.ID)
 			}
 		}
 		ctx.Publish(ev, true) // rankable: WAS.RankDelay, when set, holds it
-		return uint64(ref), nil
+		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
 	w.RegisterSubscription("liveVideoComments", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {

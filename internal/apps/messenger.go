@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
@@ -63,7 +64,7 @@ func NewMessenger(w Registrar) *Messenger {
 	}
 
 	// createThread(members: "1,2,3") → thread id.
-	w.RegisterMutation("createThread", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("createThread", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		raw, err := call.StringArg("members")
 		if err != nil {
 			return nil, err
@@ -84,13 +85,13 @@ func NewMessenger(w Registrar) *Messenger {
 		tid := a.nextTID
 		a.threads[tid] = members
 		a.mu.Unlock()
-		return tid, nil
+		return strconv.AppendUint(nil, tid, 10), nil
 	})
 
 	// sendMessage(threadID: T, text: "..."): append to every member's
 	// mailbox with that mailbox's next sequence number, then publish one
 	// event per member mailbox.
-	w.RegisterMutation("sendMessage", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("sendMessage", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		tid, err := call.Uint64Arg("threadID")
 		if err != nil {
 			return nil, err
@@ -111,7 +112,7 @@ func NewMessenger(w Registrar) *Messenger {
 			seq := a.appendToMailbox(ctx, member, ref)
 			ctx.Publish(pylon.Event{Topic: MailboxTopic(member), Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
 		}
-		return uint64(ref), nil
+		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
 	// mailboxSince(seq: S) → messages with sequence > S, oldest first.
@@ -208,9 +209,11 @@ type messengerStream struct {
 	// deliveries and serves cursor catch-ups under when the host's
 	// durable log is enabled for Messenger.
 	topic pylon.Topic
-	// patch is the stream's one resume patch, refilled per delivery: SendBatch
-	// merges it by copy and encodes it before Push returns.
-	patch burst.Header
+	// patch is the stream's one resume patch, refilled per delivery, and tokens
+	// the bytes its values are lent from, room for any seq and cursor:
+	// SendBatch merges a patch by copy and encodes it before Push returns.
+	patch  burst.Header
+	tokens [64]byte
 }
 
 type messengerInstance struct {
@@ -295,17 +298,18 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 // state. With the durable log enabled both tokens (WAS sequence + log
 // cursor) travel in ONE delta: a failover between two separate single-field
 // rewrites could strand a stream carrying a seq and a cursor from different
-// moments. Without the log, only the sequence field. Both values are slices
-// of one string: one allocation per patch (DESIGN.md §7e rule 1a).
+// moments. Without the log, only the sequence field. Both values are lent
+// from the stream's tokens buffer, formatted over again each time: the patch
+// allocates nothing, and is valid until the next one (DESIGN.md §7e rule 1a).
 func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) burst.Header {
-	b := strconv.AppendUint(make([]byte, 0, 64), seq, 10)
+	b := strconv.AppendUint(state.tokens[:0], seq, 10)
 	n := len(b)
 	if in.rt.LogEnabled() && state.topic != "" {
 		if tail, ok := in.rt.LogTail(state.topic); ok {
 			b = tail.AppendTo(b)
 		}
 	}
-	s := string(b)
+	s := unsafe.String(unsafe.SliceData(b), len(b))
 	state.patch[burst.HdrResumeSeq] = s[:n]
 	if n < len(s) { // a log never drops a topic: a stream's patch has a cursor always or never
 		state.patch[burst.HdrCursor] = s[n:]

@@ -46,7 +46,7 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 
 	// notify(user: U, kind: "...", text: "..."): some product surface
 	// generated a notification for U (the caller is the actor).
-	w.RegisterMutation("notify", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("notify", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		target, err := call.Uint64Arg("user")
 		if err != nil {
 			return nil, err
@@ -67,7 +67,7 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(target), "user_notif", ref, ctx.Now, kind)
 		ctx.Publish(pylon.Event{Topic: NotifTopic(target), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
-		return uint64(ref), nil
+		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
 	w.RegisterSubscription("websiteNotifications", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {

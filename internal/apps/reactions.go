@@ -42,7 +42,7 @@ type ReactionAggregate struct {
 func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 	a := &LiveVideoReactions{FlushInterval: time.Second}
 
-	w.RegisterMutation("reactToVideo", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("reactToVideo", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -65,7 +65,7 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 			Author: uint64(ctx.Viewer),
 			Meta:   map[string]string{"kind": kind, "video": strconv.FormatUint(videoID, 10)},
 		}, false)
-		return true, nil
+		return []byte("true"), nil
 	})
 
 	w.RegisterSubscription("liveVideoReactions", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {

@@ -39,7 +39,7 @@ type StoryDelta struct {
 func NewStories(w Registrar) *Stories {
 	a := &Stories{TraySize: 3}
 
-	w.RegisterMutation("postStory", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("postStory", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		content, err := call.StringArg("content")
 		if err != nil {
 			return nil, err
@@ -61,7 +61,7 @@ func NewStories(w Registrar) *Stories {
 			Author: uint64(author.ID),
 			Meta:   map[string]string{"score": strconv.FormatFloat(score, 'f', 4, 64)},
 		}, false)
-		return uint64(ref), nil
+		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
 	w.RegisterSubscription("storiesTray", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {

@@ -34,7 +34,7 @@ type TypingPayload struct {
 func NewTypingIndicator(w Registrar) *TypingIndicator {
 	a := &TypingIndicator{}
 
-	w.RegisterMutation("setTyping", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	w.RegisterMutation("setTyping", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		thread, err := call.Uint64Arg("threadID")
 		if err != nil {
 			return nil, err
@@ -48,7 +48,7 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 			Author: uint64(ctx.Viewer),
 			Meta:   map[string]string{"thread": strconv.FormatUint(thread, 10), "on": on},
 		}, false)
-		return true, nil
+		return []byte("true"), nil
 	})
 
 	w.RegisterSubscription("typingIndicator", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {

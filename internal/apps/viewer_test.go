@@ -1,8 +1,11 @@
 package apps
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +39,30 @@ func (r *recorder) RegisterSubscription(name string, fn was.SubscriptionFunc) {
 	r.Server.RegisterSubscription(name, fn)
 }
 
+// fieldExprs holds one expression per field the suite registers, with the
+// arguments its resolver parses.
+var fieldExprs = map[string]string{
+	"query videoComments":               "videoComments(videoID: 1)",
+	"query mailboxSince":                "mailboxSince(seq: 0)",
+	"mutation postComment":              `postComment(videoID: 1, text: "hi")`,
+	"mutation reportActive":             "reportActive",
+	"mutation setTyping":                `setTyping(threadID: 1, on: "true")`,
+	"mutation postStory":                `postStory(content: "hi")`,
+	"mutation createThread":             `createThread(members: "1,2")`,
+	"mutation sendMessage":              `sendMessage(threadID: 1, text: "hi")`,
+	"mutation postFeedComment":          `postFeedComment(postID: 1, text: "hi")`,
+	"mutation reactToVideo":             `reactToVideo(videoID: 1, kind: "love")`,
+	"mutation notify":                   `notify(user: 1, kind: "mention", text: "hi")`,
+	"subscription liveVideoComments":    "liveVideoComments(videoID: 1)",
+	"subscription activeStatus":         "activeStatus",
+	"subscription typingIndicator":      "typingIndicator(threadID: 1, peer: 2)",
+	"subscription storiesTray":          "storiesTray",
+	"subscription messenger":            "messenger",
+	"subscription feedPostComments":     "feedPostComments(postID: 1)",
+	"subscription liveVideoReactions":   "liveVideoReactions(videoID: 1)",
+	"subscription websiteNotifications": "websiteNotifications",
+}
+
 // TestUnknownViewerIsAnError: a device's user header is input. No field the
 // suite registers panics for a viewer the graph does not know or for the
 // system viewer (0); the first is ErrUnknownUser everywhere, and so is the
@@ -44,35 +71,13 @@ func TestUnknownViewerIsAnError(t *testing.T) {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	rec := &recorder{Server: was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)}
 	NewSuite(rec)
-	// One expression per field, with the arguments its resolver parses.
-	exprs := map[string]string{
-		"query videoComments":               "videoComments(videoID: 1)",
-		"query mailboxSince":                "mailboxSince(seq: 0)",
-		"mutation postComment":              `postComment(videoID: 1, text: "hi")`,
-		"mutation reportActive":             "reportActive",
-		"mutation setTyping":                `setTyping(threadID: 1, on: "true")`,
-		"mutation postStory":                `postStory(content: "hi")`,
-		"mutation createThread":             `createThread(members: "1,2")`,
-		"mutation sendMessage":              `sendMessage(threadID: 1, text: "hi")`,
-		"mutation postFeedComment":          `postFeedComment(postID: 1, text: "hi")`,
-		"mutation reactToVideo":             `reactToVideo(videoID: 1, kind: "love")`,
-		"mutation notify":                   `notify(user: 1, kind: "mention", text: "hi")`,
-		"subscription liveVideoComments":    "liveVideoComments(videoID: 1)",
-		"subscription activeStatus":         "activeStatus",
-		"subscription typingIndicator":      "typingIndicator(threadID: 1, peer: 2)",
-		"subscription storiesTray":          "storiesTray",
-		"subscription messenger":            "messenger",
-		"subscription feedPostComments":     "feedPostComments(postID: 1)",
-		"subscription liveVideoReactions":   "liveVideoReactions(videoID: 1)",
-		"subscription websiteNotifications": "websiteNotifications",
-	}
 	readsGraph := map[string]bool{
 		"mutation postComment": true, "mutation postStory": true,
 		"subscription activeStatus": true, "subscription storiesTray": true,
 	}
 	beyond := socialgraph.UserID(graph.NumUsers() + 1)
 	for _, field := range rec.fields {
-		expr, ok := exprs[field]
+		expr, ok := fieldExprs[field]
 		if !ok {
 			t.Errorf("%s: no expression for it in this table", field)
 			continue
@@ -131,4 +136,34 @@ func TestUnknownViewerStreamIsTerminated(t *testing.T) {
 	}
 	e.subscribe(t, cli, AppActiveStatus, "activeStatus", 1, nil)
 	waitFor(t, "a known viewer's stream to open", func() bool { return e.host.StreamsOpened.Value() == 1 })
+}
+
+// Every mutation encodes its own answer, an id's digits or true, and the bytes
+// are what json.Marshal gives for the value.
+func TestMutationAnswersAreJSON(t *testing.T) {
+	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
+	rec := &recorder{Server: was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)}
+	NewSuite(rec)
+	mutations := 0
+	for _, field := range rec.fields {
+		if !strings.HasPrefix(field, "mutation ") {
+			continue
+		}
+		mutations++
+		out, err := rec.Mutate(1, fieldExprs[field])
+		if err != nil {
+			t.Errorf("%s: %v", field, err)
+			continue
+		}
+		var v any = true
+		if n, err := strconv.ParseUint(string(out), 10, 64); err == nil {
+			v = n
+		}
+		if want, _ := json.Marshal(v); !bytes.Equal(out, want) {
+			t.Errorf("%s answered %q, json.Marshal gives %q", field, out, want)
+		}
+	}
+	if mutations != 9 {
+		t.Errorf("the suite registers %d mutations, this test was written for 9", mutations)
+	}
 }

@@ -346,6 +346,62 @@ func EdgeRelayOpenClose(b *testing.B) {
 	}
 }
 
+// EdgeRelayRewriteHop measures Messenger's per-delivery batch, a payload and a
+// rewrite patching both resume tokens to new values, from an upstream server
+// stream through one edge.Proxy hop over a PipeNetwork to a device that reads
+// and releases it: the relay's lease, its Forward, its downstream SendBatch,
+// which merges the patch into the stream the relay serves, and the Release.
+// Every holder copies the values it keeps into its stored request's room.
+func EdgeRelayRewriteHop(b *testing.B) {
+	pn := edge.NewPipeNetwork()
+	ups := make(chan *burst.ServerStream, 1)
+	pn.Register("up", func(rwc io.ReadWriteCloser) {
+		burst.NewServerSession("up", rwc, burst.ServerHandlerFuncs{Subscribe: func(st *burst.ServerStream) { ups <- st }})
+	})
+	pop := edge.NewProxy("pop", pn, edge.StaticRouter("up"))
+	defer pop.Close()
+	downs := make(chan *burst.ServerSession, 1)
+	pn.Register("pop", func(rwc io.ReadWriteCloser) { downs <- pop.AcceptSession("pop-downstream", rwc) })
+	rwc, err := pn.Dial("pop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cli := burst.NewClient("device", rwc, nil)
+	defer cli.Close()
+	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
+		burst.HdrApp: apps.AppMessenger, burst.HdrUser: "7", burst.HdrResumeSeq: "0", burst.HdrCursor: "1.0"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	up, down := <-ups, <-downs
+	seqs, cursors := make([]string, b.N), make([]string, b.N)
+	for i := range seqs {
+		seqs[i] = strconv.Itoa(i + 1)
+		cursors[i] = "1." + seqs[i]
+	}
+	payload := []byte(`{"seq":41,"thread":1,"author":7,"text":"hi"}`)
+	patch := burst.Header{burst.HdrResumeSeq: "", burst.HdrCursor: ""}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		patch[burst.HdrResumeSeq], patch[burst.HdrCursor] = seqs[i], cursors[i]
+		if err := up.SendBatch(burst.PayloadDelta(uint64(i+1), payload), burst.RewriteDelta(patch, nil)); err != nil {
+			b.Fatal(err)
+		}
+		rc, ok := st.Next()
+		if !ok || len(rc.Deltas) != 1 || rc.Deltas[0].Seq != uint64(i+1) {
+			b.Fatalf("device saw %+v, want payload %d alone", rc, i+1)
+		}
+		rc.Release()
+	}
+	b.StopTimer()
+	relayed := down.Streams()
+	if last := cursors[b.N-1]; len(relayed) != 1 || relayed[0].HeaderField(burst.HdrCursor) != last ||
+		st.HeaderField(burst.HdrCursor) != last || up.HeaderField(burst.HdrCursor) != last {
+		b.Fatalf("the stored cursors do not all read %s", last)
+	}
+}
+
 // EndToEndCommentPush measures one comment's full live-stack trip: WAS
 // mutation → TAO write → Pylon publish → BRASS filter+fetch → BURST push →
 // client receive.

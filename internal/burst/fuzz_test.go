@@ -54,6 +54,16 @@ func checkBatch(t *testing.T, in []byte) {
 		if (lerr == nil) != (err == nil) || !reflect.DeepEqual(deltas, batch.Deltas) {
 			t.Fatalf("leased decode %d = %+v, %v; DecodeBatch = %+v, %v", i, deltas, lerr, batch.Deltas, err)
 		}
+		// A lease lends a patch's keys and values: each is a window of it.
+		for _, d := range deltas {
+			for k, v := range d.Header {
+				for _, s := range [...]string{k, v} {
+					if b := unsafe.Slice(unsafe.StringData(s), len(s)); !slices.Contains(wellKnownKeys[:], s) && !within(b, rc.buf.Bytes()) {
+						t.Fatalf("leased decode %d: patch string %q is not a window of the lease", i, s)
+					}
+				}
+			}
+		}
 		rc.Deltas = rc.slots[:0]
 		rc.Release()
 	}
@@ -225,13 +235,21 @@ var storedKeys = [...]string{HdrApp, HdrUser, HdrSubscription, HdrStickyBRASS, H
 // repeat and a header can outgrow storedRoom; the last pair's byte, if its
 // high bit is set, adds a body. The rest is a script of rewrites: one byte gives a patch's key
 // count (low two bits) and whether it replaces the body (high bit), one byte
-// a key follows. After the open and after every rewrite, the stored pairs,
+// a key follows. Each patch is lent from a buffer that reads 0xDB once the
+// merge returns. After the open and after every rewrite, the stored pairs,
 // HeaderField, LookupHeader, Request() and the pairs' own encoding decoded
-// again must all agree with the reference.
+// again must all agree with the reference, and every string an accessor has
+// handed out so far must still read what it read then: the request copies
+// what it keeps into a room it only appends to.
 func FuzzStoredRequest(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 1, 3})
 	f.Add([]byte{9, 0, 1, 2, 0, 4, 5, 6, 7, 8, 0x82, 3, 4, 0x80})
 	f.Add([]byte{255, 2, 5, 9})
+	// Enough rewrites of resume-seq, cursor and an unknown key to outgrow the
+	// rest of the stream's header array and then a room or two of its own,
+	// behind a short header and behind one that fills no room at all.
+	f.Add(append([]byte{2, 0, 1}, bytes.Repeat([]byte{3, 4, 5, 9, 2, 4, 5}, 40)...))
+	f.Add(append(append([]byte{30}, bytes.Repeat([]byte{7, 2, 10}, 10)...), bytes.Repeat([]byte{3, 11, 4, 5, 1, 6}, 50)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return
@@ -264,6 +282,14 @@ func FuzzStoredRequest(f *testing.F) {
 		if st == nil {
 			t.Fatal("a well-formed subscribe opened no stream")
 		}
+		// Every string an accessor handed out, by where its bytes are, and what
+		// it read then.
+		type handout struct {
+			at *byte
+			n  int
+		}
+		handed := map[handout]string{}
+		hand := func(s, want string) { handed[handout{unsafe.StringData(s), len(s)}] = want }
 		// The most pairs the stream has held; one opened without a header has
 		// no inline room to patch into.
 		most := len(st.req.pairs)
@@ -272,6 +298,11 @@ func FuzzStoredRequest(f *testing.F) {
 		}
 		check := func(step int) {
 			t.Helper()
+			for h, want := range handed {
+				if got := unsafe.String(h.at, h.n); got != want {
+					t.Fatalf("step %d: a string handed out as %q now reads %q: the request rewrote bytes it had handed out", step, want, got)
+				}
+			}
 			q := &st.req
 			if most = max(most, len(q.pairs)); most <= storedRoom && len(q.pairs) > 0 && &q.pairs[0] != &st.inline[0] {
 				t.Fatalf("step %d: %d pairs left the stream's inline room", step, len(q.pairs))
@@ -290,39 +321,63 @@ func FuzzStoredRequest(f *testing.F) {
 			}
 			for _, k := range storedKeys {
 				want, present := ref[k]
-				if got, ok := st.LookupHeader(k); got != want || ok != present || st.HeaderField(k) != want {
+				got, ok := st.LookupHeader(k)
+				field := st.HeaderField(k)
+				if got != want || ok != present || field != want {
 					t.Fatalf("step %d: key %q reads %q (present %v), reference %q (%v)", step, k, got, ok, want, present)
 				}
+				hand(got, want)
+				hand(field, want)
 			}
-			if got := st.Request(); !reflect.DeepEqual(got, Subscribe{Header: ref, Body: refBody}) {
+			got := st.Request()
+			if !reflect.DeepEqual(got, Subscribe{Header: ref, Body: refBody}) {
 				t.Fatalf("step %d: Request() = %+v, reference %v %q", step, got, ref, refBody)
+			}
+			for k, v := range got.Header {
+				hand(k, strings.Clone(k))
+				hand(v, ref[k])
 			}
 			var b bytes.Buffer
 			q.put(&b)
 			r := frame.Reader{B: b.Bytes()}
-			again := request{pairs: readPairs(&r, nil, nil), body: r.Bytes()}
+			pairs, _ := readPairs(&r, nil, nil)
+			again := request{pairs: pairs, body: r.Bytes()}
 			if err := r.Done(); err != nil || !reflect.DeepEqual(again.pairs, q.pairs) || !bytes.Equal(again.body, q.body) {
 				t.Fatalf("step %d: stored pairs %v re-encode to %v, %v", step, q.pairs, again.pairs, err)
 			}
 		}
 		check(0)
+		var lent []byte // the bytes each patch is lent from, as a lease lends it
+		lend := func(s string) string {
+			at := len(lent)
+			lent = append(lent, s...)
+			return borrow(lent[at:])
+		}
 		for step, script := 1, in[n:]; len(script) > 0; step++ {
 			op := script[0]
 			keys := script[1:min(1+int(op&3), len(script))]
 			script = script[1+len(keys):]
-			patch := Header{}
+			patch, owned := Header{}, Header{}
+			lent = make([]byte, 0, 256) // room for three keys and values: lend never reallocates
 			for j, b := range keys {
-				patch[storedKeys[int(b)%len(storedKeys)]] = "p" + strconv.Itoa(step) + "." + strconv.Itoa(j)
+				k, v := storedKeys[int(b)%len(storedKeys)], "p"+strconv.Itoa(step)+"."+strconv.Itoa(j)
+				patch[lend(k)], owned[k] = lend(v), v
 			}
 			var body []byte
 			if op&0x80 != 0 {
 				body = []byte{op}
-				refBody = body
+				refBody = bytes.Clone(body)
 			}
-			ref = ref.Merge(patch)
+			ref = ref.Merge(owned)
 			st.mu.Lock()
 			st.applyRewritesLocked(RewriteDelta(patch, body))
 			st.mu.Unlock()
+			for i := range lent[:cap(lent)] {
+				lent[:cap(lent)][i] = 0xDB
+			}
+			for i := range body {
+				body[i] = 0xDB
+			}
 			check(step)
 		}
 	})

@@ -147,7 +147,9 @@ type Subscribe struct {
 // Patch folds a rewrite_request delta into the stored request s: the header
 // patch is merged, a nil body leaves the body unchanged. It is for a holder
 // that keeps its stored request as a Subscribe (a megadevice trunk stream;
-// BURST's own streams keep pairs); the caller holds the request's lock.
+// BURST's own streams keep pairs); the caller holds the request's lock. It
+// keeps the patch's strings, so d must be owned, not lent: the trunk's come
+// from DecodeBatch, which copies them.
 func (s *Subscribe) Patch(d *Delta) {
 	s.Header = s.Header.Merge(d.Header)
 	if d.Body != nil {
@@ -165,10 +167,14 @@ type pair struct{ key, val string }
 // request is a stored request as its holder keeps it (DESIGN.md §7e): the
 // header's pairs in wire order (nil when the frame carried no header; a key
 // on the wire twice stays twice and the last one counts, as in a map decode),
-// then keys patches add; and the body. The holder's lock guards it.
+// then keys patches add; the body; and the room patches copy into. The holder's
+// lock guards it.
 type request struct {
 	pairs []pair
 	body  []byte
+	// room is append-only: a patch writes behind what it holds and a full room
+	// is replaced, never rewritten, so no string an accessor handed out changes.
+	room []byte
 }
 
 func (q *request) lookup(key string) (v string, ok bool) {
@@ -181,21 +187,49 @@ func (q *request) lookup(key string) (v string, ok bool) {
 }
 
 // patch folds a rewrite_request delta in: each key of the patch is set in its
-// place, or behind the rest; a nil body leaves the body unchanged.
+// place, or behind the rest; a nil body leaves the body unchanged. The delta is
+// borrowed: each value the request keeps, and each key that is not a Hdr*
+// constant, is copied into the room, and a value equal to the stored one
+// writes nothing.
 func (q *request) patch(d *Delta) {
 next:
 	for k, v := range d.Header {
 		for i := len(q.pairs) - 1; i >= 0; i-- {
 			if q.pairs[i].key == k {
-				q.pairs[i].val = v
+				if q.pairs[i].val != v {
+					q.pairs[i].val = q.keep(v)
+				}
 				continue next
 			}
 		}
-		q.pairs = append(q.pairs, pair{k, v})
+		q.pairs = append(q.pairs, pair{q.keepKey(k), q.keep(v)})
 	}
 	if d.Body != nil {
 		q.body = append([]byte(nil), d.Body...)
 	}
+}
+
+// keep copies s behind what the room holds and returns the copy; a room too
+// full for s is replaced by a fresh one of headerRoom bytes, or of s's size.
+func (q *request) keep(s string) string {
+	if s == "" {
+		return ""
+	}
+	if len(s) > cap(q.room)-len(q.room) {
+		q.room = make([]byte, 0, max(headerRoom, len(s)))
+	}
+	q.room = append(q.room, s...)
+	return borrow(q.room[len(q.room)-len(s):])
+}
+
+// keepKey is keep for a key: a Hdr* key is its constant.
+func (q *request) keepKey(k string) string {
+	for _, w := range wellKnownKeys {
+		if k == w {
+			return w
+		}
+	}
+	return q.keep(k)
 }
 
 // subscribe returns a copy of the request as a message.
@@ -450,16 +484,17 @@ func putDelta(b *bytes.Buffer, d *Delta) {
 }
 
 // readPairs reads what frame.PutStringMap wrote, in wire order, into pairs
-// backed by into while they fit it (nil for a nil header), with ONE copy
-// (DESIGN.md §7e rule 1a): a skip pass finds the pairs' encoded span, which
-// is copied once — into room, which nothing reads yet, when it fits — and
+// backed by into while they fit it (nil for a nil header), with at most ONE
+// copy (DESIGN.md §7e rule 1a): a skip pass finds the pairs' encoded span, and
 // every value and every key that is not a well-known constant is a slice of
-// that copy: a header outlives its frame and must not pin it. The loops need
-// no error check: Count bounds them by the input and a failed Reader yields
-// zero values until Done.
-func readPairs(r *frame.Reader, into []pair, room []byte) []pair {
+// it. A reader with an Own — a lease — lends the span from it; otherwise the
+// span is copied once, into room when it fits (used is then its length) and
+// into a string of its own when not: a subscribe's header outlives its frame
+// and must not pin it. The loops need no error check: Count bounds them by the
+// input and a failed Reader yields zero values until Done.
+func readPairs(r *frame.Reader, into []pair, room []byte) (pairs []pair, used int) {
 	if r.Byte() == 0 {
-		return nil
+		return nil, 0
 	}
 	n := r.Count(2) // a pair is at least two length bytes
 	span := r.B
@@ -468,26 +503,28 @@ func readPairs(r *frame.Reader, into []pair, room []byte) []pair {
 	}
 	span = span[:len(span)-len(r.B)]
 	var own string
-	if len(span) <= len(room) {
-		own = borrow(room[:copy(room, span)])
+	if r.Own == "" && len(span) <= len(room) {
+		used = copy(room, span)
+		own = borrow(room[:used])
 	} else {
-		own = string(span)
+		own = r.StrOf(span)
 	}
-	pairs := frame.Reader{B: span, Own: own}
+	ps := frame.Reader{B: span, Own: own}
 	if into == nil || cap(into) < n {
 		into = make([]pair, 0, n)
 	}
 	for into = into[:0]; n > 0; n-- {
-		into = append(into, pair{headerKey(&pairs), pairs.Str()})
+		into = append(into, pair{headerKey(&ps), ps.Str()})
 	}
-	return into
+	return into, used
 }
 
 // readHeader reads a rewrite patch into a map from rc; a key on the wire
-// twice folds in wire order, last wins.
+// twice folds in wire order, last wins. Into a lease the keys and values are
+// borrowed from it; DecodeBatch's (nil rc) slice one copy.
 func readHeader(r *frame.Reader, rc *Received) Header {
 	var buf [maxLeasedPairs]pair
-	ps := readPairs(r, buf[:0], nil)
+	ps, _ := readPairs(r, buf[:0], nil)
 	if ps == nil {
 		return nil
 	}

@@ -58,7 +58,7 @@ type ServerStream struct {
 	mu         sync.Mutex
 	req        request // its pairs sit in inline while they fit
 	inline     [storedRoom]pair
-	hdr        [headerRoom]byte // the header's bytes while they fit, written before the stream is published
+	hdr        [headerRoom]byte // the header's bytes while they fit, then req's first room
 	terminated bool
 
 	// State is free space for the application (e.g. the BRASS keeps its
@@ -149,8 +149,9 @@ func (st *ServerStream) applyRewritesLocked(deltas ...Delta) {
 
 // SendBatch queues deltas for the session's writer as one atomic batch,
 // applying any rewrite it carries to the server's stored request first. It
-// returns once the batch is encoded; it waits only while the session's
-// pending frames are at their bound.
+// returns once the batch is encoded, and keeps nothing of deltas: a caller
+// lends them, patch strings too, for the call. It waits only while the
+// session's pending frames are at their bound.
 func (st *ServerStream) SendBatch(deltas ...Delta) error {
 	st.mu.Lock()
 	if st.terminated {
@@ -202,11 +203,12 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	switch f.Type {
 	case FrameSubscribe:
 		// The stream decodes its request into itself, and the header's bytes
-		// while they fit (rewrites merge into it in place). The body, never
-		// written, must outlive the borrowed frame.
+		// while they fit; the rest of hdr is the room rewrites copy into. The
+		// body, never written, must outlive the borrowed frame.
 		st := &ServerStream{srv: s, sid: f.SID}
 		r := frame.Reader{B: f.Payload}
-		st.req = request{pairs: readPairs(&r, st.inline[:0], st.hdr[:]), body: r.Bytes()}
+		pairs, used := readPairs(&r, st.inline[:0], st.hdr[:])
+		st.req = request{pairs: pairs, body: r.Bytes(), room: st.hdr[used:used]}
 		if err := r.Done(); err != nil {
 			s.DecodeErrors.Inc()
 			return

@@ -176,7 +176,13 @@ func newWAS(t testing.TB) *was.Server {
 		return fmt.Sprintf("%s|%s|viewer=%d|region=%s", call.Name, text, ctx.Viewer, ctx.Region), nil
 	}
 	srv.RegisterQuery("read", echo)
-	srv.RegisterMutation("write", echo)
+	srv.RegisterMutation("write", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
+		out, err := echo(ctx, call)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(out)
+	})
 	srv.RegisterSubscription("watch", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		n, err := call.Uint64Arg("n")
 		topics := make([]pylon.Topic, n)

@@ -3,6 +3,7 @@ package device
 import (
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -282,8 +283,8 @@ func TestQueryAndMutateHitWAS(t *testing.T) {
 	w.RegisterQuery("ping", func(ctx was.Ctx, call was.FieldCall) (any, error) {
 		return "pong", nil
 	})
-	w.RegisterMutation("set", func(ctx was.Ctx, call was.FieldCall) (any, error) {
-		return ctx.Viewer, nil
+	w.RegisterMutation("set", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
+		return strconv.AppendUint(nil, uint64(ctx.Viewer), 10), nil
 	})
 	out, err := env.dev.Query("ping")
 	if err != nil || string(out) != `"pong"` {

@@ -77,8 +77,10 @@ type Publisher interface {
 // QueryFunc resolves a read field to a JSON-encodable value.
 type QueryFunc func(ctx Ctx, call FieldCall) (any, error)
 
-// MutationFunc applies a write field and optionally returns a value.
-type MutationFunc func(ctx Ctx, call FieldCall) (any, error)
+// MutationFunc applies a write field and returns its answer as JSON, encoded
+// by the resolver (an id is strconv.AppendUint's digits, a flag "true"), as
+// PayloadFunc returns its payload.
+type MutationFunc func(ctx Ctx, call FieldCall) ([]byte, error)
 
 // SubscriptionFunc resolves a subscription expression to the concrete Pylon
 // topics it maps to (step 5 of Fig 3). Most subscriptions map to one topic;
@@ -255,7 +257,7 @@ func (s *Server) Mutate(viewer socialgraph.UserID, expr string) ([]byte, error) 
 // carry the region as their origin, which is where the region plane's
 // cross-region replication starts.
 func (s *Server) MutateIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return marshal(run(s, s.tables.Load().mutations, "mutation", &s.Mutations, region, viewer, expr))
+	return run(s, s.tables.Load().mutations, "mutation", &s.Mutations, region, viewer, expr)
 }
 
 // ResolveSubscription maps a device subscription expression to concrete
@@ -286,7 +288,7 @@ func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F,
 	return fn(s.ctxIn(viewer, region), call)
 }
 
-// marshal encodes a query's or mutation's answer, of any shape, as JSON.
+// marshal encodes a query's answer, of any shape, as JSON.
 func marshal(v any, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,13 +143,13 @@ func TestQueryDispatch(t *testing.T) {
 
 func TestMutationDispatchAndTAOWrite(t *testing.T) {
 	s, _ := newTestWAS(t)
-	s.RegisterMutation("post", func(ctx Ctx, call FieldCall) (any, error) {
+	s.RegisterMutation("post", func(ctx Ctx, call FieldCall) ([]byte, error) {
 		text, err := call.StringArg("text")
 		if err != nil {
 			return nil, err
 		}
 		id := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{{"text", text}})
-		return uint64(id), nil
+		return strconv.AppendUint(nil, uint64(id), 10), nil
 	})
 	out, err := s.Mutate(3, `post(text: "hello")`)
 	if err != nil {
@@ -204,7 +205,10 @@ func TestUnknownViewerIsAnError(t *testing.T) {
 		return u.ID, err
 	}
 	s.RegisterQuery("me", me)
-	s.RegisterMutation("me", me)
+	s.RegisterMutation("me", func(ctx Ctx, call FieldCall) ([]byte, error) {
+		u, err := ctx.User()
+		return strconv.AppendUint(nil, uint64(u.ID), 10), err
+	})
 	s.RegisterSubscription("me", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
 		_, err := ctx.User()
 		return nil, err
@@ -364,10 +368,10 @@ func TestConcurrentExecutorStress(t *testing.T) {
 	s, _ := newTestWAS(t)
 	s.Sched = sim.RealClock{} // timers must actually run concurrently
 	s.RegisterQuery("q", func(ctx Ctx, call FieldCall) (any, error) { return 1, nil })
-	s.RegisterMutation("m", func(ctx Ctx, call FieldCall) (any, error) {
+	s.RegisterMutation("m", func(ctx Ctx, call FieldCall) ([]byte, error) {
 		id := ctx.Srv.TAO.ObjectAdd("o", nil)
 		ctx.Srv.Publish(pylon.Event{Topic: "/stress", Ref: uint64(id)}, false)
-		return uint64(id), nil
+		return strconv.AppendUint(nil, uint64(id), 10), nil
 	})
 	s.RegisterSubscription("s", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
 		return []pylon.Topic{"/stress"}, nil
@@ -419,7 +423,7 @@ func TestConcurrentExecutorStress(t *testing.T) {
 // resolver registered after the first call is found by the next one.
 func TestRegisterWhileServing(t *testing.T) {
 	s, _ := newTestWAS(t)
-	s.RegisterMutation("m0", func(ctx Ctx, call FieldCall) (any, error) { return 0, nil })
+	s.RegisterMutation("m0", func(ctx Ctx, call FieldCall) ([]byte, error) { return []byte("0"), nil })
 	s.RegisterPayload("app", func(ctx Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
 		_, err := ctx.Reader().ObjectGet(ref) // reads the readers table too
 		return []byte(`"p"`), err
@@ -435,7 +439,7 @@ func TestRegisterWhileServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; i <= rounds; i++ {
-			s.RegisterMutation(fmt.Sprintf("m%d", i), func(ctx Ctx, call FieldCall) (any, error) { return i, nil })
+			s.RegisterMutation(fmt.Sprintf("m%d", i), func(ctx Ctx, call FieldCall) ([]byte, error) { return strconv.AppendInt(nil, int64(i), 10), nil })
 			s.RegisterReader(fmt.Sprintf("region-%d", i), s.TAO)
 		}
 	}()
