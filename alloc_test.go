@@ -198,7 +198,7 @@ func relayControlHop(b *testing.B) {
 			b.Fatal(err)
 		}
 		st.Forward(ds, &hopForwarder{ds})
-		binary.BigEndian.PutUint64(up.wire[1:9], uint64(st.SID()))
+		binary.BigEndian.PutUint64(up.wire[1:9], uint64(i+1)) // the client's (i+1)th stream
 		b.StartTimer()
 		up.next <- struct{}{}
 		<-down.wrote

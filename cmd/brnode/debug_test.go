@@ -17,7 +17,7 @@ func TestDebugEndpointServesAllocsAndCounters(t *testing.T) {
 	pop := edge.NewProxy("pop-0", edge.NewPipeNetwork(), edge.StaticRouter("brass"))
 	defer pop.Close()
 	pop.StreamsRelayed.Add(3)
-	pop.ActiveStreams.Set(2)
+	pop.ActiveStreams.Add(2)
 	bound, stop, err := serveDebug("127.0.0.1:0", map[string]any{"pop-0": pop})
 	if err != nil {
 		t.Fatal(err)

@@ -387,11 +387,11 @@ func TestOnlyCommentsWaitForRanking(t *testing.T) {
 	if _, err := e.was.Mutate(poster, fmt.Sprintf(`postComment(videoID: 12, text: %q)`, text)); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunFor(hold - time.Millisecond)
+	eng.RunUntil(eng.Now().Add(hold - time.Millisecond))
 	if got := e.pylon.Publishes.Value() - before; got != 0 {
 		t.Fatalf("comment published %d times before the ranking hold ended", got)
 	}
-	eng.RunFor(time.Millisecond)
+	eng.RunUntil(eng.Now().Add(time.Millisecond))
 	if got := e.pylon.Publishes.Value() - before; got != 1 {
 		t.Fatalf("comment published %d times once the hold ended, want 1", got)
 	}
@@ -1144,8 +1144,8 @@ func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 		}
 	}
 	waitFor(t, "ten entries journaled", func() bool {
-		epoch, _, tail, _ := host.DurLog().Window(topic)
-		return epoch == 1 && tail == 10
+		tail, _ := host.DurLog().TailCursor(topic)
+		return tail == durlog.Cursor{Epoch: 1, Seq: 10}
 	})
 
 	for _, tc := range []struct {

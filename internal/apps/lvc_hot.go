@@ -25,7 +25,7 @@ import (
 //     comments only travel toward viewers who know the poster.
 //
 // Hotness is detected automatically from the comment arrival rate in a
-// sliding window, and can be forced for tests and planned events.
+// sliding window.
 
 // Hot-video tuning.
 const (
@@ -56,7 +56,6 @@ type hotTracker struct {
 	window    time.Duration
 	counts    map[uint64]*windowCount
 	hot       map[uint64]bool
-	forced    map[uint64]bool
 }
 
 type windowCount struct {
@@ -70,7 +69,6 @@ func newHotTracker(threshold int, window time.Duration) *hotTracker {
 		window:    window,
 		counts:    make(map[uint64]*windowCount),
 		hot:       make(map[uint64]bool),
-		forced:    make(map[uint64]bool),
 	}
 }
 
@@ -79,9 +77,6 @@ func newHotTracker(threshold int, window time.Duration) *hotTracker {
 func (h *hotTracker) observe(videoID uint64, now time.Time) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.forced[videoID] {
-		return true
-	}
 	wc := h.counts[videoID]
 	if wc == nil || now.Sub(wc.start) > h.window {
 		wc = &windowCount{start: now}
@@ -98,25 +93,7 @@ func (h *hotTracker) observe(videoID uint64, now time.Time) bool {
 func (h *hotTracker) isHot(videoID uint64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.forced[videoID] || h.hot[videoID]
-}
-
-// force pins a video into (or out of) high-volume mode.
-func (h *hotTracker) force(videoID uint64, hot bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.forced[videoID] = hot
-	if !hot {
-		delete(h.hot, videoID)
-		delete(h.counts, videoID)
-	}
-}
-
-// SetHotVideo pins a video into or out of the high-volume strategy
-// (planned events, tests). Streams resolve their topics at open time, so
-// switch the mode before viewers subscribe.
-func (a *LiveVideoComments) SetHotVideo(videoID uint64, hot bool) {
-	a.hot.force(videoID, hot)
+	return h.hot[videoID]
 }
 
 // IsHotVideo reports whether videoID is in high-volume mode.

@@ -3,6 +3,7 @@ package apps
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,18 +47,6 @@ func TestHotTrackerWindowResets(t *testing.T) {
 	}
 }
 
-func TestHotTrackerForce(t *testing.T) {
-	h := newHotTracker(1000, time.Second)
-	h.force(9, true)
-	if !h.isHot(9) {
-		t.Error("forced video not hot")
-	}
-	h.force(9, false)
-	if h.isHot(9) {
-		t.Error("unforce did not clear hotness")
-	}
-}
-
 // findComment searches a user's plausible comment texts for one whose score
 // lands in [lo, hi).
 func findComment(g *socialgraph.Graph, uid socialgraph.UserID, lo, hi float64) (string, bool) {
@@ -75,7 +64,7 @@ func findComment(g *socialgraph.Graph, uid socialgraph.UserID, lo, hi float64) (
 func TestHotVideoRoutesByScore(t *testing.T) {
 	e := newEnv(t)
 	const vid = 500
-	e.suite.LVC.SetHotVideo(vid, true)
+	markHot(e.suite.LVC, vid)
 
 	// The events must be observable: subscribe a host-level listener by
 	// registering interest through a viewer whose friends include the
@@ -131,7 +120,7 @@ func TestHotVideoRoutesByScore(t *testing.T) {
 func TestHotVideoSubscriptionIncludesFriendTopics(t *testing.T) {
 	e := newEnv(t)
 	const vid = 501
-	e.suite.LVC.SetHotVideo(vid, true)
+	markHot(e.suite.LVC, vid)
 	viewer, _ := friendPair(t, e.graph)
 	topics, err := e.was.ResolveSubscription(viewer, fmt.Sprintf("liveVideoComments(videoID: %d)", vid))
 	if err != nil {
@@ -154,6 +143,15 @@ func TestHotVideoSubscriptionIncludesFriendTopics(t *testing.T) {
 	}
 }
 
+// markHot puts videoID in high-volume mode, as enough comments in one
+// window would. Streams resolve their topics at open time, so it runs
+// before viewers subscribe.
+func markHot(a *LiveVideoComments, videoID uint64) {
+	a.hot.mu.Lock()
+	a.hot.hot[videoID] = true
+	a.hot.mu.Unlock()
+}
+
 // TestHotVideoEndToEnd verifies the full high-volume path: an ordinary
 // comment from a friend reaches the viewer via the per-poster topic, while
 // the same comment from a stranger does not reach them at all.
@@ -163,14 +161,14 @@ func TestHotVideoEndToEnd(t *testing.T) {
 	}
 	e := newEnv(t)
 	const vid = 503
-	e.suite.LVC.SetHotVideo(vid, true)
+	markHot(e.suite.LVC, vid)
 	e.suite.LVC.MinScore = 0
 
 	viewer, friend := friendPair(t, e.graph)
 	// A non-friend poster.
 	var stranger socialgraph.UserID
 	for id := socialgraph.UserID(1); id <= socialgraph.UserID(e.graph.NumUsers()); id++ {
-		if id != viewer && !e.graph.AreFriends(viewer, id) {
+		if id != viewer && !slices.Contains(e.graph.Friends(viewer), id) {
 			stranger = id
 			break
 		}

@@ -39,7 +39,8 @@ type Messenger struct {
 }
 
 type mailboxState struct {
-	ref     tao.ObjID // TAO object anchoring the mailbox assoc list
+	ref     tao.ObjID   // TAO object anchoring the mailbox assoc list
+	topic   pylon.Topic // MailboxTopic(owner), formatted once
 	nextSeq uint64
 }
 
@@ -109,8 +110,8 @@ func NewMessenger(w Registrar) *Messenger {
 		ref := ctx.Srv.TAO.ObjectAdd("message", tao.Props{{"text", text},
 			{"author", strconv.FormatUint(uint64(ctx.Viewer), 10)}, {"thread", strconv.FormatUint(tid, 10)}})
 		for _, member := range members {
-			seq := a.appendToMailbox(ctx, member, ref)
-			ctx.Publish(pylon.Event{Topic: MailboxTopic(member), Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
+			topic, seq := a.appendToMailbox(ctx, member, ref)
+			ctx.Publish(pylon.Event{Topic: topic, Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
 		}
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
@@ -146,23 +147,23 @@ func (a *Messenger) payloadFromObj(obj tao.Object, seq uint64) MessagePayload {
 }
 
 // appendToMailbox assigns the next sequence number and stores the mailbox
-// association in TAO (assoc data = seq).
-func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref tao.ObjID) uint64 {
+// association in TAO (assoc data = seq). It returns the mailbox's topic
+// with the sequence number.
+func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref tao.ObjID) (pylon.Topic, uint64) {
 	a.mu.Lock()
 	mb := a.mailbox[member]
 	if mb == nil {
 		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", tao.Props{
 			{"owner", strconv.FormatUint(uint64(member), 10)},
 		})
-		mb = &mailboxState{ref: anchor}
+		mb = &mailboxState{ref: anchor, topic: MailboxTopic(member)}
 		a.mailbox[member] = mb
 	}
 	mb.nextSeq++
-	seq := mb.nextSeq
-	anchor := mb.ref
+	seq, anchor, topic := mb.nextSeq, mb.ref, mb.topic
 	a.mu.Unlock()
 	ctx.Srv.TAO.AssocAdd(anchor, "mailbox_msg", ref, ctx.Now, strconv.FormatUint(seq, 10))
-	return seq
+	return topic, seq
 }
 
 // mailboxSince reads messages with seq > since, oldest first.

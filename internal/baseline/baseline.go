@@ -94,12 +94,3 @@ func (p *ClientPoller) Stop() {
 		p.cancel()
 	}
 }
-
-// EmptyPollRate returns the fraction of polls that found nothing new.
-func (p *ClientPoller) EmptyPollRate() float64 {
-	total := p.Polls.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(p.EmptyPolls.Value()) / float64(total)
-}

@@ -39,9 +39,9 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 	}
 	p.Start()
 	// 5 polls of unchanged data, then a change, then 4 more.
-	eng.RunFor(5 * time.Second)
+	eng.RunUntil(eng.Now().Add(5 * time.Second))
 	val = "v1"
-	eng.RunFor(5 * time.Second)
+	eng.RunUntil(eng.Now().Add(5 * time.Second))
 	p.Stop()
 	eng.Run()
 
@@ -52,8 +52,8 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 	if p.EmptyPolls.Value() != 8 {
 		t.Errorf("EmptyPolls = %d, want 8", p.EmptyPolls.Value())
 	}
-	if got := p.EmptyPollRate(); got != 0.8 {
-		t.Errorf("EmptyPollRate = %v, want 0.8 (the paper's number)", got)
+	if got := float64(p.EmptyPolls.Value()) / float64(p.Polls.Value()); got != 0.8 {
+		t.Errorf("empty poll rate = %v, want 0.8 (the paper's number)", got)
 	}
 	if len(seen) != 2 || seen[1] != `"v1"` {
 		t.Errorf("seen = %v", seen)
@@ -69,10 +69,10 @@ func TestClientPollerStopIsFinal(t *testing.T) {
 	w.RegisterQuery("d", func(was.Ctx, was.FieldCall) (any, error) { return 1, nil })
 	p := &ClientPoller{WAS: w, Viewer: 1, Query: "d", Interval: time.Second, Sched: eng}
 	p.Start()
-	eng.RunFor(3 * time.Second)
+	eng.RunUntil(eng.Now().Add(3 * time.Second))
 	p.Stop()
 	before := p.Polls.Value()
-	eng.RunFor(10 * time.Second)
+	eng.RunUntil(eng.Now().Add(10 * time.Second))
 	if p.Polls.Value() != before {
 		t.Error("poller kept polling after Stop")
 	}

@@ -314,8 +314,11 @@ func TestRateLimiter(t *testing.T) {
 	if !r.Allow(t1.Add(time.Second)) {
 		t.Error("denied at interval boundary")
 	}
-	if got := r.Next(); !got.Equal(t1.Add(2 * time.Second)) {
-		t.Errorf("Next = %v", got)
+	if r.Allow(t1.Add(2*time.Second - time.Nanosecond)) {
+		t.Error("allowed within the interval after the last delivery")
+	}
+	if !r.Allow(t1.Add(2 * time.Second)) {
+		t.Error("denied one interval after the last delivery")
 	}
 	// Zero interval always allows.
 	r0 := RateLimiter{}
@@ -397,8 +400,8 @@ func TestRankedBuffer(t *testing.T) {
 	for i, score := range []float64{0.5, 0.9, 0.1, 0.7, 0.3} {
 		b.Add(RankedItem{Score: score, Time: t1, Seq: uint64(i)})
 	}
-	if b.Len() != 3 {
-		t.Errorf("Len = %d, want K=3", b.Len())
+	if len(b.items) != 3 {
+		t.Errorf("Len = %d, want K=3", len(b.items))
 	}
 	item, ok := b.Pop(t1.Add(time.Second))
 	if !ok || item.Score != 0.9 {
@@ -420,8 +423,8 @@ func TestRankedBuffer(t *testing.T) {
 	b3 := RankedBuffer{K: 5, TTL: time.Second}
 	b3.Add(RankedItem{Score: 0.4, Time: t1})
 	b3.Expire(t1.Add(2 * time.Second))
-	if b3.Len() != 0 {
-		t.Errorf("Expire left %d items", b3.Len())
+	if len(b3.items) != 0 {
+		t.Errorf("Expire left %d items", len(b3.items))
 	}
 }
 
@@ -431,8 +434,8 @@ func TestRankedBufferUnlimited(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Add(RankedItem{Score: float64(i), Time: t1})
 	}
-	if b.Len() != 100 {
-		t.Errorf("Len = %d", b.Len())
+	if len(b.items) != 100 {
+		t.Errorf("Len = %d", len(b.items))
 	}
 	item, ok := b.Pop(t1.Add(time.Hour))
 	if !ok || item.Score != 99 {
@@ -473,7 +476,7 @@ func (s *surfaceInstance) OnStreamOpen(st *Stream) error {
 	if err := st.AddTopic("/surf/b"); err != nil {
 		return err
 	}
-	st.DropTopic("/surf/b")
+	st.inst.dropTopicRef("/surf/b", st)
 	s.set("reqApp", st.Header(burst.HdrApp))
 	_ = st.Rewrite(nil, []byte("surface-body"))
 	// Runtime timer fires on the loop.
@@ -489,7 +492,9 @@ func (s *surfaceInstance) OnEvent(ev pylon.Event) {
 	for _, st := range s.rt.Instance().StreamsForTopic(ev.Topic) {
 		if ev.Meta["redirect"] != "" {
 			_ = st.Rewrite(burst.Header{burst.HdrStickyBRASS: ev.Meta["redirect"]}, nil)
-			_ = st.Terminate("redirect to " + ev.Meta["redirect"])
+			reason := "redirect to " + ev.Meta["redirect"]
+			_ = st.burst.Terminate(reason)
+			st.inst.closeStream(st, reason)
 			continue
 		}
 		if p, ok := st.Fetch(ev, ev.ID); ok {
@@ -522,7 +527,7 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	if probe("reqApp") != "surface" || probe("streams") != "1" || probe("now") != "ok" {
 		t.Errorf("reqApp=%q streams=%q now=%q", probe("reqApp"), probe("streams"), probe("now"))
 	}
-	// DropTopic removed the host's Pylon registration for /surf/b.
+	// Dropping the topic removed the host's Pylon registration for /surf/b.
 	waitFor(t, "topic b unsubscribed", func() bool {
 		return len(env.pylon.Subscribers("/surf/b")) == 0 &&
 			len(env.pylon.Subscribers("/surf/a")) == 1

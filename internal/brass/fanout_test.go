@@ -46,10 +46,10 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 		for _, st := range inst.StreamsForTopic("/t") {
 			seen = append(seen, st)
 			if st == a {
-				b.DropTopic("/t")    // dropped
-				_ = d.AddTopic("/t") // opened
-				_ = b.AddTopic("/t") // re-added
-				c.DropTopic("/t")    // dropped before the range reaches it
+				b.inst.dropTopicRef("/t", b) // dropped
+				_ = d.AddTopic("/t")         // opened
+				_ = b.AddTopic("/t")         // re-added
+				c.inst.dropTopicRef("/t", c) // dropped before the range reaches it
 			}
 		}
 		if got := spell(seen); !slices.Equal(got, []string{"a", "b", "c"}) {
@@ -59,7 +59,7 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 			t.Errorf("after the churn StreamsForTopic = %v, want [a d b]: open order, a re-add at the end", got)
 		}
 		for _, st := range []*Stream{a, b, d} {
-			st.DropTopic("/t")
+			st.inst.dropTopicRef("/t", st)
 		}
 		if got := inst.StreamsForTopic("/t"); got != nil {
 			t.Errorf("after the last drop StreamsForTopic = %v, want nil", spell(got))
@@ -79,12 +79,12 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 			t.Errorf("a one-member list is not its member's own array")
 		}
 		_ = b.AddTopic("/one")
-		a.DropTopic("/one")
+		a.inst.dropTopicRef("/one", a)
 		if got := inst.StreamsForTopic("/one"); !slices.Equal(spell(got), []string{"b"}) || &got[0] != &b.self[0] {
 			t.Errorf("after a second add and the first's drop StreamsForTopic = %v, want b's own [b]", spell(got))
 		}
 		survivor := inst.StreamsForTopic("/one")
-		b.DropTopic("/one")
+		b.inst.dropTopicRef("/one", b)
 		if !slices.Equal(spell(one), []string{"a"}) || !slices.Equal(spell(survivor), []string{"b"}) {
 			t.Errorf("handed-out one-member lists now read %v and %v, want [a] and [b]", spell(one), spell(survivor))
 		}

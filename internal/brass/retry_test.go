@@ -21,6 +21,9 @@ type retryEnv struct {
 	kv      *kvstore.Cluster
 }
 
+// kvDown is the fault hook of a KV node that is down: every op fails.
+func kvDown(op, key string) error { return kvstore.ErrNodeDown }
+
 func newRetryEnv(t *testing.T) *retryEnv {
 	t.Helper()
 	nodes := []*kvstore.Node{
@@ -55,7 +58,7 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 	// partial acks linger on a surviving replica.
 	replicas := env.kv.ReplicasFor(topic)
 	for _, n := range replicas {
-		n.SetUp(false)
+		n.SetOpHook(kvDown)
 	}
 
 	cli := dialHost(t, env.testEnv)
@@ -80,7 +83,7 @@ func TestTransientPylonFailureRetriedInBackground(t *testing.T) {
 
 	// Quorum heals; the background retry lands.
 	for _, n := range replicas {
-		n.SetUp(true)
+		n.SetOpHook(nil)
 	}
 	waitFor(t, "registration re-established", func() bool {
 		return env.host.PendingSubs() == 0 && len(env.pylon.Subscribers(topic)) == 1
@@ -111,7 +114,7 @@ func TestStreamCloseCancelsPendingRetry(t *testing.T) {
 	const topic = "/t/cancelled"
 	replicas := env.kv.ReplicasFor(topic)
 	for _, n := range replicas {
-		n.SetUp(false)
+		n.SetOpHook(kvDown)
 	}
 
 	cli := dialHost(t, env.testEnv)
@@ -127,7 +130,7 @@ func TestStreamCloseCancelsPendingRetry(t *testing.T) {
 
 	// Quorum heals; nothing re-registers because no stream wants the topic.
 	for _, n := range replicas {
-		n.SetUp(true)
+		n.SetOpHook(nil)
 	}
 	time.Sleep(100 * time.Millisecond)
 	if subs := env.pylon.Subscribers(topic); len(subs) != 0 {

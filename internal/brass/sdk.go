@@ -39,14 +39,6 @@ func (r *RateLimiter) Allow(now time.Time) bool {
 	return false
 }
 
-// Next returns the earliest time a delivery will be allowed.
-func (r *RateLimiter) Next() time.Time {
-	if r.last.IsZero() {
-		return time.Time{}
-	}
-	return r.last.Add(r.Interval)
-}
-
 // HeaderState encodes the limiter state for a rewrite.
 func (r *RateLimiter) HeaderState() string {
 	return strconv.FormatInt(r.last.UnixNano(), 10)
@@ -97,9 +89,6 @@ type RankedBuffer struct {
 
 	items []RankedItem
 }
-
-// Len returns the number of buffered items.
-func (b *RankedBuffer) Len() int { return len(b.items) }
 
 // Add inserts a candidate, evicting the lowest-scored item if the buffer
 // exceeds K.

@@ -26,7 +26,7 @@ func TestRankedBufferOrderProperty(t *testing.T) {
 		b := RankedBuffer{K: kk, TTL: time.Hour}
 		for _, s := range scores {
 			b.Add(RankedItem{Score: float64(s), Time: sdkT0})
-			if b.Len() > kk {
+			if len(b.items) > kk {
 				return false
 			}
 		}
@@ -42,7 +42,7 @@ func TestRankedBufferOrderProperty(t *testing.T) {
 			}
 			prev = item.Score
 		}
-		return b.Len() == 0
+		return len(b.items) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: quickCount(t)}); err != nil {
 		t.Error(err)

@@ -174,8 +174,8 @@ func TestSendIsTheOnePath(t *testing.T) {
 // on purpose.
 func TestStreamMethodSet(t *testing.T) {
 	want := []string{
-		"AddTopic", "DropTopic", "Fetch", "Filtered", "Header", "Own", "Push",
-		"PushCatchUp", "Rewrite", "Terminate",
+		"AddTopic", "Fetch", "Filtered", "Header", "Own", "Push", "PushCatchUp",
+		"Rewrite",
 	}
 	typ := reflect.TypeOf(&Stream{})
 	var got []string

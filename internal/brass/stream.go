@@ -68,9 +68,6 @@ func (st *Stream) Header(key string) string { return st.burst.HeaderField(key) }
 // reference triggers instance→host→Pylon registration. Loop-only.
 func (st *Stream) AddTopic(topic pylon.Topic) error { return st.inst.addTopicRef(topic, st) }
 
-// DropTopic removes the stream's interest in topic. Loop-only.
-func (st *Stream) DropTopic(topic pylon.Topic) { st.inst.dropTopicRef(topic, st) }
-
 // Payload is an update the stream's viewer may see: the only thing Push and
 // PushCatchUp send, and only this package makes one, in three ways. Fetch
 // privacy-checks an event as the viewer (step 8 of Fig 5); Own takes rows
@@ -264,14 +261,6 @@ func (st *Stream) Filtered() { st.inst.host.Filtered.Inc() }
 // resume tokens, rate-limiter state, redirect targets. The keys of h are set
 // at every hop and every other key is kept.
 func (st *Stream) Rewrite(h burst.Header, body []byte) error { return st.burst.Rewrite(h, body) }
-
-// Terminate ends the stream from the BRASS side and runs the close
-// sequence.
-func (st *Stream) Terminate(reason string) error {
-	err := st.burst.Terminate(reason)
-	st.inst.closeStream(st, reason)
-	return err
-}
 
 // Runtime is the capability surface handed to application instances. Apps
 // never touch TAO or the social graph directly — every backend interaction

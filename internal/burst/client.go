@@ -109,9 +109,6 @@ type ClientStream struct {
 	nextLeg *ClientStream
 }
 
-// SID returns the stream id.
-func (st *ClientStream) SID() StreamID { return st.sid }
-
 // Next returns the oldest batch not yet handed out, waiting for one. Each
 // batch was transmitted atomically and is leased to the caller (see
 // Received). Once the stream has ended, Next hands out what is still queued
@@ -198,6 +195,8 @@ func (st *ClientStream) HeaderField(key string) string {
 }
 
 // LastSeq returns the highest payload sequence number received.
+//
+//brlint:allow(test-only-export) the per-stream table of ROADMAP item 4(c) (its seq column) is its caller
 func (st *ClientStream) LastSeq() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -272,17 +271,6 @@ func (c *Client) open(st *ClientStream, req request, down *ServerStream) (*Clien
 		return nil, err
 	}
 	return st, nil
-}
-
-// Streams returns the currently open streams.
-func (c *Client) Streams() []*ClientStream {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*ClientStream, 0, len(c.streams))
-	for _, st := range c.streams {
-		out = append(out, st)
-	}
-	return out
 }
 
 // Close tears down the session; open streams receive FlowDegraded and are

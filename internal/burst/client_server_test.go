@@ -101,7 +101,7 @@ func TestMultipleIndependentStreams(t *testing.T) {
 	cli, _, srv := newClientServer(t)
 	st1, _ := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/a"}})
 	st2, _ := cli.Subscribe(Subscribe{Header: Header{HdrTopic: "/b"}})
-	if st1.SID() == st2.SID() {
+	if st1.sid == st2.sid {
 		t.Fatal("stream ids collide")
 	}
 	waitFor(t, "two streams", func() bool { return srv.stream(1) != nil })
@@ -233,7 +233,7 @@ func TestServerTerminateClosesClientStream(t *testing.T) {
 	if _, ok := <-ev; ok {
 		t.Error("stream still open after termination")
 	}
-	if got := len(cli.Streams()); got != 0 {
+	if got := clientStreams(cli); got != 0 {
 		t.Errorf("client still tracks %d streams", got)
 	}
 	// Every send on the terminated stream fails server-side, and a rewrite
@@ -261,10 +261,10 @@ func TestSessionFailureSignalsAllStreams(t *testing.T) {
 		ev := bursttest.Events(t, st)
 		batch := recvBatch(t, ev)
 		if batch[0].Type != DeltaFlowStatus || batch[0].Flow != FlowDegraded {
-			t.Errorf("stream %d got %+v, want FlowDegraded", st.SID(), batch[0])
+			t.Errorf("stream %d got %+v, want FlowDegraded", st.sid, batch[0])
 		}
 		if _, ok := <-ev; ok {
-			t.Errorf("stream %d open after session loss", st.SID())
+			t.Errorf("stream %d open after session loss", st.sid)
 		}
 	}
 	select {
@@ -336,25 +336,35 @@ func TestDuplicateSIDIgnored(t *testing.T) {
 
 func TestServerSessionAccessors(t *testing.T) {
 	cli, ss, srv := newClientServer(t)
-	if ss.Name() != "brass" {
-		t.Errorf("Name = %q", ss.Name())
+	if ss.sess.name != "brass" {
+		t.Errorf("name = %q", ss.sess.name)
 	}
 	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrApp: "x"}})
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
 	sst := srv.stream(0)
-	if got := ss.Stream(sst.SID()); got != sst {
-		t.Error("Stream lookup by SID failed")
+	ss.mu.Lock()
+	got, unknown := ss.streams[sst.sid], ss.streams[9999]
+	ss.mu.Unlock()
+	if got != sst {
+		t.Error("stream lookup by SID failed")
 	}
-	if ss.Stream(9999) != nil {
+	if unknown != nil {
 		t.Error("unknown SID returned a stream")
 	}
 	_ = st.Cancel("done")
 	ss.Close()
 	select {
-	case <-ss.Done():
+	case <-ss.sess.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("Done never closed")
 	}
+}
+
+// clientStreams is how many streams the client tracks.
+func clientStreams(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.streams)
 }
 
 func TestStreamsAccessor(t *testing.T) {
@@ -368,7 +378,7 @@ func TestStreamsAccessor(t *testing.T) {
 	if got := len(ss.Streams()); got != 3 {
 		t.Errorf("server Streams = %d", got)
 	}
-	if got := len(cli.Streams()); got != 3 {
+	if got := clientStreams(cli); got != 3 {
 		t.Errorf("client Streams = %d", got)
 	}
 }

@@ -245,7 +245,7 @@ func TestRewriteRacingResubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.SID() == st.SID() {
+	if st2.sid == st.sid {
 		t.Fatal("resubscribe reused the old SID")
 	}
 
@@ -258,7 +258,7 @@ func TestRewriteRacingResubscribe(t *testing.T) {
 		t.Log("rewrite sent before cancel dispatched; relying on client-side drop")
 	}
 
-	waitFor(t, "new stream", func() bool { return len(cli.Streams()) == 1 })
+	waitFor(t, "new stream", func() bool { return clientStreams(cli) == 1 })
 	time.Sleep(30 * time.Millisecond) // let any late rewrite arrive
 
 	// The new stream's request is exactly the replayed one — the racing

@@ -59,6 +59,8 @@ type Recovery struct {
 }
 
 // Seq returns the resume point.
+//
+//brlint:allow(test-only-export) the per-stream table of ROADMAP item 4(c) (its resume point) is its caller
 func (r *Recovery) Seq() uint64 { return r.seq }
 
 // Ended reports whether a termination has ended the stream.

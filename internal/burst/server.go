@@ -83,12 +83,6 @@ func NewServerSession(name string, rwc io.ReadWriteCloser, handler ServerHandler
 	return s
 }
 
-// Name returns the underlying session name.
-func (s *ServerSession) Name() string { return s.sess.Name() }
-
-// Done is closed when the underlying session has shut down.
-func (s *ServerSession) Done() <-chan struct{} { return s.sess.Done() }
-
 // Close tears the session down.
 func (s *ServerSession) Close() error { return s.sess.Close() }
 
@@ -103,18 +97,10 @@ func (s *ServerSession) Streams() []*ServerStream {
 	return out
 }
 
-// Stream returns the stream with the given id, or nil.
-func (s *ServerSession) Stream(sid StreamID) *ServerStream {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streams[sid]
-}
-
-// SID returns the stream id.
-func (st *ServerStream) SID() StreamID { return st.sid }
-
 // Request returns a copy of the subscription request that opened the
 // stream, including any rewrites this server has issued since.
+//
+//brlint:allow(test-only-export) the per-stream table of ROADMAP item 4(c) (cursor and rewrites) is its caller
 func (st *ServerStream) Request() Subscribe {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -69,9 +69,6 @@ func newSession(name string, rwc io.ReadWriteCloser, handler FrameHandler) *Sess
 	}
 }
 
-// Name returns the session's diagnostic name.
-func (s *Session) Name() string { return s.name }
-
 // Done is closed when the session has fully shut down.
 func (s *Session) Done() <-chan struct{} { return s.done }
 

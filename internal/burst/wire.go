@@ -2,8 +2,6 @@ package burst
 
 import (
 	"bufio"
-	"fmt"
-	"io"
 
 	"bladerunner/internal/frame"
 )
@@ -12,22 +10,6 @@ import (
 // the 13-byte header): kind = FrameType, id = StreamID, payload per frame
 // type (DESIGN.md §7e). A payload is at most frame.MaxPayload; a sender with
 // a larger batch must split it.
-
-// WriteFrame encodes f to w in a single write.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf := frame.GetBuf()
-	defer frame.PutBuf(buf)
-	frame.Begin(buf, byte(f.Type), uint64(f.SID))
-	buf.Write(f.Payload)
-	wire, err := frame.End(buf)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(wire); err != nil {
-		return fmt.Errorf("burst: write frame: %w", err)
-	}
-	return nil
-}
 
 // ReadFrame decodes one frame from br. The payload is a fresh allocation
 // owned by the returned frame: the read for a caller outside a Session, which

@@ -334,7 +334,7 @@ func TestRewriteDuplicateKeyLastWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
-	if err := WriteFrame(ss.sess.rwc, Frame{Type: FrameBatch, SID: st.SID(), Payload: b.Bytes()}); err != nil {
+	if err := WriteFrame(ss.sess.rwc, Frame{Type: FrameBatch, SID: st.sid, Payload: b.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "patch applied", func() bool { return st.HeaderField("k") == "v" })

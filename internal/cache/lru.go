@@ -38,8 +38,6 @@ type LRU[K comparable, V any] struct {
 	entries map[K]*entry[K, V]
 	// head is most recently used, tail least. Sentinel-free list.
 	head, tail *entry[K, V]
-
-	hits, misses, evictions, expirations int64
 }
 
 // NewLRU builds a cache holding at most capacity entries. Entries expire ttl
@@ -77,19 +75,15 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		var zero V
 		return zero, false
 	}
 	if !e.expires.IsZero() && !c.clock.Now().Before(e.expires) {
 		c.removeLocked(e)
-		c.expirations++
-		c.misses++
 		var zero V
 		return zero, false
 	}
 	c.moveToFrontLocked(e)
-	c.hits++
 	return e.val, true
 }
 
@@ -110,35 +104,10 @@ func (c *LRU[K, V]) Put(key K, val V) {
 		e = new(entry[K, V])
 	} else {
 		c.removeLocked(e)
-		c.evictions++
 	}
 	*e = entry[K, V]{key: key, val: val, expires: c.deadlineLocked()}
 	c.entries[key] = e
 	c.pushFrontLocked(e)
-}
-
-// Delete removes key if present.
-func (c *LRU[K, V]) Delete(key K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.removeLocked(e)
-	}
-}
-
-// Len returns the number of resident entries (including not-yet-reclaimed
-// expired ones).
-func (c *LRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats returns cumulative hit/miss/eviction/expiration counts.
-func (c *LRU[K, V]) Stats() (hits, misses, evictions, expirations int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.expirations
 }
 
 // deadlineLocked computes a fresh entry deadline with seeded jitter.

@@ -380,15 +380,6 @@ func (c *Cluster) POPTargetsFor(region string) []string {
 	return out
 }
 
-// HomeRegion returns the region user's devices are homed in ("" without a
-// region plane).
-func (c *Cluster) HomeRegion(user socialgraph.UserID) string {
-	if c.Topo == nil {
-		return ""
-	}
-	return c.Topo.Home(uint64(user))
-}
-
 // NewDevice builds a device for user wired to this cluster's POPs. Under
 // a region plane the device is homed by user id: its reads hit its home
 // region's TAO follower, its POP preference order starts at home, and its
@@ -470,15 +461,6 @@ func (c *Cluster) TotalDecisions() int64 {
 	var total int64
 	for _, h := range c.Hosts {
 		total += h.Decisions.Value()
-	}
-	return total
-}
-
-// TotalDeliveries sums update deliveries across all BRASS hosts.
-func (c *Cluster) TotalDeliveries() int64 {
-	var total int64
-	for _, h := range c.Hosts {
-		total += h.Deliveries.Value()
 	}
 	return total
 }

@@ -125,8 +125,17 @@ func TestClusterEndToEndLVC(t *testing.T) {
 	}
 
 	waitFor(t, "counters", func() bool {
-		return c.TotalDecisions() > 0 && c.TotalDeliveries() > 0
+		return c.TotalDecisions() > 0 && totalDeliveries(c) > 0
 	})
+}
+
+// totalDeliveries sums update deliveries across all BRASS hosts.
+func totalDeliveries(c *Cluster) int64 {
+	var total int64
+	for _, h := range c.Hosts {
+		total += h.Deliveries.Value()
+	}
+	return total
 }
 
 // TestClusterSurvivesBRASSFailure kills the serving BRASS host and checks

@@ -10,12 +10,16 @@ import (
 	"bladerunner/internal/apps"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/device"
+	"bladerunner/internal/kvstore"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 )
 
 // Failure-injection tests: the paper's §4 failure axioms exercised on the
 // full wired deployment.
+
+// kvDown is the fault hook of a KV node that is down: every op fails.
+func kvDown(op, key string) error { return kvstore.ErrNodeDown }
 
 // TestPylonQuorumLossBlocksNewSubscriptions kills enough KV replicas to
 // break the subscription quorum for a topic: new subscriptions must fail
@@ -40,11 +44,8 @@ func TestPylonQuorumLossBlocksNewSubscriptions(t *testing.T) {
 	// Break the quorum for a *different* topic's replicas.
 	victim := apps.PostTopic(43)
 	replicas := c.KV.ReplicasFor(string(victim))
-	replicas[0].SetUp(false)
-	replicas[1].SetUp(false)
-	if c.KV.QuorumAvailable(string(victim)) {
-		t.Fatal("quorum still available after killing 2 replicas")
-	}
+	replicas[0].SetOpHook(kvDown)
+	replicas[1].SetOpHook(kvDown)
 	// A direct Pylon subscribe for the victim topic fails CP-style.
 	if err := c.Pylon.Subscribe(victim, c.Hosts[0].ID()); !errors.Is(err, pylon.ErrNoQuorum) {
 		t.Errorf("subscribe with broken quorum: %v", err)
@@ -61,8 +62,8 @@ func TestPylonQuorumLossBlocksNewSubscriptions(t *testing.T) {
 	}
 
 	// Replicas recover; the victim topic becomes subscribable again.
-	replicas[0].SetUp(true)
-	replicas[1].SetUp(true)
+	replicas[0].SetOpHook(nil)
+	replicas[1].SetOpHook(nil)
 	if err := c.Pylon.Subscribe(victim, c.Hosts[0].ID()); err != nil {
 		t.Errorf("subscribe after recovery: %v", err)
 	}
@@ -96,14 +97,15 @@ func TestPOPFailureReconnectStorm(t *testing.T) {
 		return opened == n && len(c.Pylon.Subscribers(apps.PostTopic(88))) >= 1
 	})
 
-	// Kill pop-0: every device connected through it loses its session.
+	// Kill pop-0: every device connected through it (all of them: each
+	// dials its first POP) loses its session.
 	c.Net.SetDown("pop-0", true)
 	c.POPs[0].Close()
 
 	// All devices reconnect (through pop-1) and resubscribe.
 	waitFor(t, "reconnect storm settles", func() bool {
 		for _, d := range devices {
-			if !d.Connected() {
+			if d.Reconnects.Value() < 1 {
 				return false
 			}
 		}
@@ -114,12 +116,10 @@ func TestPOPFailureReconnectStorm(t *testing.T) {
 	// stream's serving host (identified by the sticky-routing header its
 	// BRASS rewrote) is re-registered with Pylon, then post.
 	waitFor(t, "resubscribed", func() bool {
-		total := 0
 		for _, d := range devices {
-			total += d.Streams()
-		}
-		if total != n {
-			return false
+			if d.Resubscribes.Value() < 1 {
+				return false
+			}
 		}
 		subs := map[string]bool{}
 		for _, s := range c.Pylon.Subscribers(apps.PostTopic(88)) {

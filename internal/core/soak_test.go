@@ -146,8 +146,8 @@ func TestMixedWorkloadSoak(t *testing.T) {
 		}
 	}
 	// System invariants.
-	if c.TotalDeliveries() > c.TotalDecisions() {
-		t.Errorf("deliveries %d > decisions %d", c.TotalDeliveries(), c.TotalDecisions())
+	if totalDeliveries(c) > c.TotalDecisions() {
+		t.Errorf("deliveries %d > decisions %d", totalDeliveries(c), c.TotalDecisions())
 	}
 	if c.Pylon.Publishes.Value() == 0 || c.Pylon.Deliveries.Value() == 0 {
 		t.Error("pylon accounting empty")

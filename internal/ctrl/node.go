@@ -26,14 +26,9 @@ func ServeNode(conn *Conn, role string, drain func()) {
 	})
 }
 
-// Ping round-trips a node.ping, returning the remote role. Nothing waits on
-// it for readiness: brnode's launcher parses its children's READY lines.
-func Ping(conn *Conn) (role string, err error) {
-	err = conn.call(mPing, nil, func(r *frame.Reader) { role = r.Str() })
-	return role, err
-}
-
 // Drain asks the remote node to drain gracefully.
+//
+//brlint:allow(test-only-export) the launcher's rolling restart of ROADMAP item 15 is its caller
 func Drain(conn *Conn) error {
 	return conn.call(mDrain, nil, nil)
 }

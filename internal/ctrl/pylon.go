@@ -164,14 +164,3 @@ func (c *PylonClient) Publish(ev pylon.Event) (n int, err error) {
 		func(r *frame.Reader) { n = int(r.Uvarint()) })
 	return n, err
 }
-
-// WaitForSubscriber blocks (remotely) until topic has a subscriber or
-// timeout elapses, mirroring pylon.Service.WaitForSubscriber for the
-// quickstart flow.
-func (c *PylonClient) WaitForSubscriber(topic pylon.Topic, timeout time.Duration) (ok bool) {
-	err := c.conn.call(mWaitSubscriber, func(b *bytes.Buffer) {
-		frame.PutString(b, string(topic))
-		frame.PutUvarint(b, uint64(max(timeout, 0)))
-	}, func(r *frame.Reader) { ok = r.Byte() != 0 })
-	return ok && err == nil
-}

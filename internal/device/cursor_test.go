@@ -172,7 +172,7 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 			t.Fatalf("delta %+v, want seq %d", d, want)
 		}
 	}
-	if got := st.LastSeq(); got != 5 {
+	if got := resumePoint(st); got != 5 {
 		t.Fatalf("resume point = %d after marker + isolated payload 9, want 5", got)
 	}
 	if got := st.HeaderField(burst.HdrResumeSeq); got != "9" {
@@ -192,7 +192,7 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	if got := d.Resumes.Value(); got != 1 {
 		t.Errorf("Resumes = %d, want 1", got)
 	}
-	if got := st.LastSeq(); got != 5 {
+	if got := resumePoint(st); got != 5 {
 		t.Errorf("resume point = %d after the reopen, want 5", got)
 	}
 }
@@ -256,7 +256,7 @@ func TestSupersededIncarnationMovesNoState(t *testing.T) {
 	if got := next(t, st); got.Type != burst.DeltaFlowStatus || got.Flow != burst.FlowRecovered {
 		t.Errorf("second delta %+v, want the reopen's FlowRecovered alone", got)
 	}
-	if got := st.LastSeq(); got != 4 {
+	if got := resumePoint(st); got != 4 {
 		t.Errorf("resume point = %d, want 4: a superseded payload advanced it", got)
 	}
 	if eng.Pending() != 0 {

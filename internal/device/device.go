@@ -143,10 +143,6 @@ func New(cfg Config, dialer edge.Dialer, wasrv Backend, sched sim.Scheduler) *De
 	}
 }
 
-// Backoff exposes the device's reconnect backoff state (attempts, retry
-// and saturation counters shared with the per-stream resubscribe retries).
-func (d *Device) Backoff() *faults.Backoff { return d.backoff }
-
 // Connect dials the current POP and starts the session.
 func (d *Device) Connect() error {
 	d.mu.Lock()
@@ -181,13 +177,6 @@ func (d *Device) Connect() error {
 	d.connected = true
 	d.mu.Unlock()
 	return nil
-}
-
-// Connected reports whether a session is up.
-func (d *Device) Connected() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.connected
 }
 
 // Close tears the device down; all streams close.
@@ -264,13 +253,6 @@ func (d *Device) Subscribe(app, subscription string, extra burst.Header) (*Strea
 	d.streams[st] = true
 	d.mu.Unlock()
 	return st, nil
-}
-
-// Streams returns the number of open streams.
-func (d *Device) Streams() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.streams)
 }
 
 // onSessionLost runs when the BURST session dies: schedule a reconnect that
@@ -540,14 +522,6 @@ func (st *Stream) scheduleResume() {
 	})
 }
 
-// LastSeq returns the stream's resume point: the highest payload sequence
-// number received with no shed gap known below it.
-func (st *Stream) LastSeq() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rec.Seq()
-}
-
 // HeaderField returns one header key of the current stored request.
 func (st *Stream) HeaderField(key string) string {
 	st.mu.Lock()
@@ -568,9 +542,6 @@ func (st *Stream) Request() burst.Subscribe {
 	}
 	return st.req
 }
-
-// Cancel ends the stream from the device side.
-func (st *Stream) Cancel(reason string) { st.end(true, reason) }
 
 // end closes the stream, once: the device's own Cancel also cancels the live
 // client stream upstream; a server termination (burst.End) and device

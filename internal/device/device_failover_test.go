@@ -16,12 +16,12 @@ import (
 // saturated delay into its first retry on the healthy one, stretching
 // failover by up to the backoff cap.
 //
-// The observable is the stream backoff's attempt counter after an attach
-// whose direct resubscribe fails: pop-flaky accepts then immediately drops
-// every connection, so Connect succeeds but the resubscribe send errors
-// and arms a per-stream retry. With the reset in place that leaves the
-// counter at exactly 1 (the failed retry's own Next); pre-fix it would sit
-// at escalation+1.
+// The observable is the stream backoff's next delay after an attach whose
+// direct resubscribe fails: pop-flaky accepts then immediately drops every
+// connection, so Connect succeeds but the resubscribe send errors and arms
+// a per-stream retry. With the reset in place that leaves the attempt
+// counter at exactly 1 (the failed retry's own Next), so the next delay is
+// attempt 1's; pre-fix it would sit at escalation+1.
 func TestReconnectResetsStreamBackoff(t *testing.T) {
 	n := edge.NewPipeNetwork()
 	a := &fakePOP{name: "pop-a"}
@@ -48,8 +48,8 @@ func TestReconnectResetsStreamBackoff(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		st.bo.Next()
 	}
-	if got := st.bo.Attempt(); got != 6 {
-		t.Fatalf("escalated Attempt() = %d, want 6", got)
+	if got := st.bo.Next(); got != 640*time.Millisecond {
+		t.Fatalf("escalated delay = %v, want 10ms·2^6 = 640ms (attempt 6)", got)
 	}
 
 	// Simulate a processed session loss, then drive one reconnect cycle.
@@ -66,10 +66,11 @@ func TestReconnectResetsStreamBackoff(t *testing.T) {
 	}
 	// The reset-before-resubscribe invariant: the attach rewound the
 	// stream backoff, so the failed resubscribe's retry was armed at
-	// base-scale delay — attempt 1, not the escalated 7.
-	if got := st.bo.Attempt(); got > 1 {
-		t.Fatalf("stream backoff Attempt() = %d after attach, want <= 1 "+
-			"(reconnect must reset per-stream backoff before resubscribing)", got)
+	// base-scale delay — attempt 1, not the escalated 8 — and the next
+	// delay is attempt 1's 20ms, not the 3s cap.
+	if got := st.bo.Next(); got > 20*time.Millisecond {
+		t.Fatalf("stream backoff delay = %v after attach, want <= 20ms (attempt <= 1): "+
+			"reconnect must reset per-stream backoff before resubscribing", got)
 	}
 
 	// And the stream recovers promptly: the flaky session's loss rotates

@@ -108,7 +108,7 @@ func TestStalledAppResumesBelowItsGap(t *testing.T) {
 	if got := env.dev.Resumes.Value(); got != 1 {
 		t.Errorf("Resumes = %d, want 1", got)
 	}
-	if got := st.LastSeq(); got >= lacking {
+	if got := resumePoint(st); got >= lacking {
 		t.Errorf("resume point %d, not below seq %d, the lowest the app lacks", got, lacking)
 	}
 	waitFor(t, "the reopen on the POP", func() bool { return env.popA.stream(1) != nil })

@@ -159,7 +159,7 @@ func TestConnectSubscribeReceive(t *testing.T) {
 	if err := env.dev.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	if !env.dev.Connected() {
+	if !connected(env.dev) {
 		t.Fatal("not connected")
 	}
 	st, err := env.dev.Subscribe("lvc", "liveVideoComments(videoID: 3)", burst.Header{"x": "y"})
@@ -177,8 +177,8 @@ func TestConnectSubscribeReceive(t *testing.T) {
 	if d := next(t, st); d.Type != burst.DeltaPayload || string(d.Payload) != "c1" || d.Seq != 4 {
 		t.Errorf("delta = %+v", d)
 	}
-	if st.LastSeq() != 4 {
-		t.Errorf("LastSeq = %d", st.LastSeq())
+	if resumePoint(st) != 4 {
+		t.Errorf("LastSeq = %d", resumePoint(st))
 	}
 	if env.dev.Updates.Value() != 1 {
 		t.Errorf("Updates = %d", env.dev.Updates.Value())
@@ -248,7 +248,7 @@ func TestCancelClosesChannelsAndNotifiesServer(t *testing.T) {
 	}
 	st, _ := env.dev.Subscribe("a", "s", nil)
 	waitFor(t, "stream", func() bool { return env.popA.stream(0) != nil })
-	st.Cancel("done")
+	st.end(true, "done")
 	waitFor(t, "server cancel", func() bool {
 		env.popA.mu.Lock()
 		defer env.popA.mu.Unlock()
@@ -257,10 +257,32 @@ func TestCancelClosesChannelsAndNotifiesServer(t *testing.T) {
 	if _, ok := st.Next(); ok {
 		t.Error("Next hands out deltas after cancel")
 	}
-	if env.dev.Streams() != 0 {
-		t.Errorf("Streams = %d", env.dev.Streams())
+	if n := openStreams(env.dev); n != 0 {
+		t.Errorf("device holds %d streams", n)
 	}
-	st.Cancel("again") // idempotent
+	st.end(true, "again") // idempotent
+}
+
+// resumePoint is st's resume point: the highest payload seq handed out
+// with no shed gap known below it.
+func resumePoint(st *Stream) uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.rec.Seq()
+}
+
+// openStreams is how many streams d holds.
+func openStreams(d *Device) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.streams)
+}
+
+// connected reports whether d has a session up.
+func connected(d *Device) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.connected
 }
 
 func TestServerTerminationClosesStream(t *testing.T) {
@@ -272,8 +294,8 @@ func TestServerTerminationClosesStream(t *testing.T) {
 	waitFor(t, "stream", func() bool { return env.popA.stream(0) != nil })
 	_ = env.popA.stream(0).Terminate("bye")
 	ended(t, st) // Next reads the termination and ends the stream
-	if env.dev.Streams() != 0 {
-		t.Errorf("Streams = %d after the termination", env.dev.Streams())
+	if n := openStreams(env.dev); n != 0 {
+		t.Errorf("device holds %d streams after the termination", n)
 	}
 }
 
@@ -309,7 +331,7 @@ func TestDialFailureRotatesPOP(t *testing.T) {
 	if err := env.dev.Connect(); err != nil {
 		t.Fatalf("second connect: %v", err)
 	}
-	if !env.dev.Connected() {
+	if !connected(env.dev) {
 		t.Error("not connected after rotation")
 	}
 }
@@ -427,7 +449,7 @@ func TestCancelStopsPendingRetry(t *testing.T) {
 	if !armed {
 		t.Fatal("retry not armed")
 	}
-	st.Cancel("test")
+	st.end(true, "test")
 	st.mu.Lock()
 	cleared := st.retryCancel == nil
 	st.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 // TestSetDownGroupAtomic pins the half-cut regression: a grouped cut must
 // never be observable partially applied. A toggler flips a 4-target group
 // up and down with SetDownGroup while a checker snapshots the group's down
-// flags with DownStates; any snapshot where some targets are down and
+// flags under one lock acquisition; any snapshot where some targets are down and
 // others up is the racy per-target-loop behaviour the grouped primitive
 // exists to eliminate.
 func TestSetDownGroupAtomic(t *testing.T) {
@@ -44,7 +44,12 @@ func TestSetDownGroupAtomic(t *testing.T) {
 			return
 		default:
 		}
-		states := n.DownStates(targets...)
+		n.mu.Lock()
+		states := make([]bool, len(targets))
+		for i, target := range targets {
+			states[i] = n.down[target]
+		}
+		n.mu.Unlock()
 		first := states[0]
 		for _, s := range states[1:] {
 			if s != first {

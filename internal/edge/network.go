@@ -70,7 +70,6 @@ type PipeNetwork struct {
 	mu      sync.Mutex
 	targets map[string]func(io.ReadWriteCloser)
 	down    map[string]bool
-	dials   map[string]int
 	conns   map[string]map[*pipePair]bool
 }
 
@@ -79,7 +78,6 @@ func NewPipeNetwork() *PipeNetwork {
 	return &PipeNetwork{
 		targets: make(map[string]func(io.ReadWriteCloser)),
 		down:    make(map[string]bool),
-		dials:   make(map[string]int),
 		conns:   make(map[string]map[*pipePair]bool),
 	}
 }
@@ -142,13 +140,6 @@ func (n *PipeNetwork) Register(target string, accept func(io.ReadWriteCloser)) {
 	n.targets[target] = accept
 }
 
-// Unregister removes a target (host decommissioned).
-func (n *PipeNetwork) Unregister(target string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.targets, target)
-}
-
 // SetDown marks a target unreachable without unregistering it (failure
 // injection: the host exists but connections fail). Taking a target down
 // also severs every established connection to it — its sessions die like
@@ -169,9 +160,9 @@ func (n *PipeNetwork) SetDown(target string, down bool) {
 }
 
 // SetDownGroup flips the down state of many targets atomically: every down
-// flag changes under ONE lock acquisition, so no concurrent Dial or
-// DownStates call can observe a half-cut group — the whole region fails (or
-// heals) as one event. The established connections of newly-down targets
+// flag changes under ONE lock acquisition, so no concurrent Dial can
+// observe a half-cut group — the whole region fails (or heals) as one
+// event. The established connections of newly-down targets
 // are severed after the flags are published, exactly as SetDown does.
 //
 // A region-cut implemented as a loop of per-target SetDown calls has a
@@ -195,27 +186,11 @@ func (n *PipeNetwork) SetDownGroup(down bool, targets ...string) {
 	}
 }
 
-// DownStates returns the down flags of targets as one atomic snapshot —
-// all flags are read under a single lock acquisition, so a concurrent
-// SetDownGroup is observed either entirely or not at all.
-func (n *PipeNetwork) DownStates(targets ...string) []bool {
-	out := make([]bool, len(targets))
-	n.mu.Lock()
-	for i, target := range targets {
-		out[i] = n.down[target]
-	}
-	n.mu.Unlock()
-	return out
-}
-
 // Dial implements Dialer.
 func (n *PipeNetwork) Dial(target string) (io.ReadWriteCloser, error) {
 	n.mu.Lock()
 	accept, ok := n.targets[target]
 	isDown := n.down[target]
-	if ok && !isDown {
-		n.dials[target]++
-	}
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, target)
@@ -242,31 +217,6 @@ func (n *PipeNetwork) Dial(target string) (io.ReadWriteCloser, error) {
 	}
 	accept(pipeEnd{Conn: s, pair: pp, client: false})
 	return pipeEnd{Conn: c, pair: pp, client: true}, nil
-}
-
-// Targets returns the registered target names.
-func (n *PipeNetwork) Targets() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.targets))
-	for t := range n.targets {
-		out = append(out, t)
-	}
-	return out
-}
-
-// DialCount reports how many successful dials target has received.
-func (n *PipeNetwork) DialCount(target string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dials[target]
-}
-
-// OpenConns reports how many established connections target currently has.
-func (n *PipeNetwork) OpenConns(target string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.conns[target])
 }
 
 var (

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/frame"
 )
 
 // burst's poison hook (burst/session.go) overwrites a frame payload once its
@@ -25,7 +26,14 @@ func TestPoisonHookIsOn(t *testing.T) {
 		OnFrame: func(f burst.Frame) { kept = f.Payload },
 		OnClose: func(error) { close(done) },
 	})
-	if err := burst.WriteFrame(a, burst.Frame{Type: burst.FrameBatch, SID: 1, Payload: []byte("payload")}); err != nil {
+	buf := frame.GetBuf()
+	frame.Begin(buf, byte(burst.FrameBatch), 1)
+	buf.WriteString("payload")
+	wire, err := frame.End(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Write(wire); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()

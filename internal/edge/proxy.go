@@ -82,6 +82,8 @@ func (p *Proxy) AcceptSession(name string, rwc io.ReadWriteCloser) *burst.Server
 func (p *Proxy) Accept(rwc io.ReadWriteCloser) { p.AcceptSession(p.name+"-downstream", rwc) }
 
 // ActiveRelays returns the number of live relayed streams.
+//
+//brlint:allow(test-only-export) an operator stat; the per-node stats registry of ROADMAP item 4(b) is its caller
 func (p *Proxy) ActiveRelays() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -36,14 +36,6 @@ func NewRoundRobinRouter(targets ...string) *RoundRobinRouter {
 	return &RoundRobinRouter{targets: cp}
 }
 
-// SetTargets replaces the target list (rebalancing, host churn).
-func (r *RoundRobinRouter) SetTargets(targets ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.targets = append([]string(nil), targets...)
-	r.next = 0
-}
-
 // Route implements Router.
 func (r *RoundRobinRouter) Route(_ burst.Stored, avoid map[string]bool) (string, error) {
 	r.mu.Lock()

@@ -25,7 +25,6 @@ type TCPNetwork struct {
 	mu     sync.Mutex
 	addrs  map[string]string // target -> dial address
 	lns    map[string]net.Listener
-	dials  map[string]int
 	closed bool
 
 	wg sync.WaitGroup // accept loops
@@ -37,7 +36,6 @@ func NewTCPNetwork() *TCPNetwork {
 		DialTimeout: 5 * time.Second,
 		addrs:       make(map[string]string),
 		lns:         make(map[string]net.Listener),
-		dials:       make(map[string]int),
 	}
 }
 
@@ -47,13 +45,6 @@ func (n *TCPNetwork) SetAddr(target, addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.addrs[target] = addr
-}
-
-// Addr returns the dial address for target ("" when unknown).
-func (n *TCPNetwork) Addr(target string) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.addrs[target]
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") for target and feeds every
@@ -113,18 +104,7 @@ func (n *TCPNetwork) Dial(target string) (io.ReadWriteCloser, error) {
 		return nil, fmt.Errorf("edge: dial %q (%s): %w", target, addr, err)
 	}
 	tuneConn(c)
-	n.mu.Lock()
-	n.dials[target]++
-	n.mu.Unlock()
 	return c, nil
-}
-
-// DialCount reports how many successful dials target has received from
-// this side (parity with PipeNetwork; counts are per-process here).
-func (n *TCPNetwork) DialCount(target string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dials[target]
 }
 
 // Close shuts every listener down and waits for the accept loops to exit.

@@ -179,10 +179,10 @@ func TestSessionWriterCoalesces(t *testing.T) {
 		select {
 		case b := <-bursttest.Events(t, st):
 			if len(b.Deltas) != 1 || b.Deltas[0].Seq != seq || string(b.Deltas[0].Payload) != payload {
-				t.Fatalf("stream %d got %+v, want seq %d %q", st.SID(), b.Deltas, seq, payload)
+				t.Fatalf("got %+v, want seq %d %q", b.Deltas, seq, payload)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("stream %d: seq %d %q never arrived", st.SID(), seq, payload)
+			t.Fatalf("seq %d %q never arrived", seq, payload)
 		}
 	}
 

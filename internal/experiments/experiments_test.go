@@ -150,9 +150,9 @@ func TestTable3MatchesPaper(t *testing.T) {
 	if l.Err != nil {
 		t.Fatal(l.Err)
 	}
-	if h := l.Ranked.seg.Hist(trace.HopPublish); h.Count() != latencyEvents || h.Min() < RankingHold.Min {
+	if s := l.Ranked.seg.Hist(trace.HopPublish).Snapshot(); s.Count != latencyEvents || s.Min < RankingHold.Min {
 		t.Errorf("ranked run: %d was.publish spans, shortest %v; want %d, none under the hold's minimum %v",
-			h.Count(), h.Min(), latencyEvents, RankingHold.Min)
+			s.Count, s.Min, latencyEvents, RankingHold.Min)
 	}
 	for name, run := range map[string]*spanRun{"unranked": l.Unranked, "ranked": l.Ranked} {
 		if run.complete != latencyEvents {

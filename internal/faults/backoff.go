@@ -30,8 +30,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"bladerunner/internal/metrics"
 )
 
 // BackoffPolicy parameterizes a jittered exponential backoff. The zero
@@ -81,17 +79,14 @@ func (p BackoffPolicy) Normalized() BackoffPolicy {
 
 // Delay is the one backoff formula: the delay before retry number attempt
 // (0 is the first) of a Normalized policy — Base·Multiplier^attempt capped at
-// Max, which it reports as saturated — spread by the caller's randomness
+// Max — spread by the caller's randomness
 // u in [0,1) uniformly over [raw·(1−Jitter), raw·(1+Jitter)]: the same mean
 // as the fixed schedule, but a fleet of retries decorrelates. It keeps no
 // state, so a holder may draw u from a seeded RNG (Backoff) or from a hash
 // of what it already stores (megadevice's 0 B/device).
-func (p BackoffPolicy) Delay(attempt int, u float64) (d time.Duration, saturated bool) {
-	raw := float64(p.Base) * math.Pow(p.Multiplier, float64(attempt))
-	if raw >= float64(p.Max) {
-		raw, saturated = float64(p.Max), true
-	}
-	return time.Duration(raw * (1 - p.Jitter + 2*p.Jitter*u)), saturated
+func (p BackoffPolicy) Delay(attempt int, u float64) time.Duration {
+	raw := min(float64(p.Base)*math.Pow(p.Multiplier, float64(attempt)), float64(p.Max))
+	return time.Duration(raw * (1 - p.Jitter + 2*p.Jitter*u))
 }
 
 // String renders the normalized policy.
@@ -103,41 +98,25 @@ func (p BackoffPolicy) String() string {
 
 // Backoff is one retry sequence's state: each Next call returns the next
 // jittered delay and advances the attempt counter; Reset rewinds after a
-// success. Safe for concurrent use. Child backoffs (per-stream, per-topic)
-// share the parent's counters so a component can expose one set of
-// retry/saturation metrics.
+// success. Safe for concurrent use.
 type Backoff struct {
 	mu      sync.Mutex
 	policy  BackoffPolicy
 	rng     *rand.Rand
 	attempt int
-
-	retries     *metrics.Counter
-	saturations *metrics.Counter
 }
 
 // NewBackoff builds a Backoff with the given (normalized) policy and seed.
 func NewBackoff(p BackoffPolicy, seed int64) *Backoff {
-	return &Backoff{
-		policy:      p.Normalized(),
-		rng:         rand.New(rand.NewSource(seed)),
-		retries:     &metrics.Counter{},
-		saturations: &metrics.Counter{},
-	}
+	return &Backoff{policy: p.Normalized(), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Child derives an independent retry sequence (own attempt counter and RNG
-// stream, derived deterministically from seed+salt) that shares the
-// parent's metrics counters.
+// stream, derived deterministically from seed+salt).
 func (b *Backoff) Child(salt int64) *Backoff {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return &Backoff{
-		policy:      b.policy,
-		rng:         rand.New(rand.NewSource(b.rng.Int63() ^ salt)),
-		retries:     b.retries,
-		saturations: b.saturations,
-	}
+	return &Backoff{policy: b.policy, rng: rand.New(rand.NewSource(b.rng.Int63() ^ salt))}
 }
 
 // Next returns the delay to wait before the next attempt and advances the
@@ -145,12 +124,8 @@ func (b *Backoff) Child(salt int64) *Backoff {
 func (b *Backoff) Next() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d, saturated := b.policy.Delay(b.attempt, b.rng.Float64())
-	if saturated {
-		b.saturations.Inc()
-	}
+	d := b.policy.Delay(b.attempt, b.rng.Float64())
 	b.attempt++
-	b.retries.Inc()
 	return d
 }
 
@@ -160,18 +135,3 @@ func (b *Backoff) Reset() {
 	b.attempt = 0
 	b.mu.Unlock()
 }
-
-// Attempt returns the number of Next calls since the last Reset.
-func (b *Backoff) Attempt() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attempt
-}
-
-// Retries returns the total retry delays handed out by this backoff and
-// all backoffs sharing its counters (children).
-func (b *Backoff) Retries() int64 { return b.retries.Value() }
-
-// Saturations returns how many delays hit the policy's Max cap — sustained
-// saturation means the outage outlasted the whole backoff ramp.
-func (b *Backoff) Saturations() int64 { return b.saturations.Value() }

@@ -24,6 +24,9 @@ type recHost struct {
 	n  atomic.Int64
 }
 
+// kvDown is the fault hook of a KV node that is down: every op fails.
+func kvDown(op, key string) error { return kvstore.ErrNodeDown }
+
 func (h *recHost) ID() string             { return h.id }
 func (h *recHost) Deliver(ev pylon.Event) { h.n.Add(1) }
 
@@ -69,11 +72,11 @@ func TestChaosSubscriberCacheInvariants(t *testing.T) {
 		down := -1
 		for i := 0; !stop.Load(); i++ {
 			if down >= 0 {
-				nodes[down].SetUp(true)
+				nodes[down].SetOpHook(nil)
 				down = -1
 			} else {
 				down = src.Intn(len(nodes))
-				nodes[down].SetUp(false)
+				nodes[down].SetOpHook(kvDown)
 			}
 			// A burst of scheduling points between flips.
 			for j := 0; j < 50 && !stop.Load(); j++ {
@@ -81,7 +84,7 @@ func TestChaosSubscriberCacheInvariants(t *testing.T) {
 			}
 		}
 		if down >= 0 {
-			nodes[down].SetUp(true)
+			nodes[down].SetOpHook(nil)
 		}
 	}()
 
@@ -142,7 +145,7 @@ func TestChaosSubscriberCacheInvariants(t *testing.T) {
 	// Heal everything, then verify removed hosts are silent for publishes
 	// that start after the in-flight rounds drained.
 	for _, n := range nodes {
-		n.SetUp(true)
+		n.SetOpHook(nil)
 	}
 	counts := make(map[string]int64, len(removed))
 	for _, h := range removed {

@@ -121,6 +121,7 @@ func (s *messengerStorm) storm(during func(i int)) {
 // anything.
 func (s *messengerStorm) cutPOPs() {
 	pops := s.c.POPTargets()
+	attached, resubs := s.viewer.Reconnects.Value(), s.viewer.Resubscribes.Value()
 	for _, pop := range pops {
 		s.fn.Cut(pop)
 	}
@@ -128,8 +129,8 @@ func (s *messengerStorm) cutPOPs() {
 	for _, pop := range pops {
 		s.fn.Heal(pop)
 	}
-	waitFor(s.t, "device reconnected", func() bool { return s.viewer.Connected() })
-	waitFor(s.t, "stream resubscribed", func() bool { return s.viewer.Streams() == 1 })
+	waitFor(s.t, "device reconnected", func() bool { return s.viewer.Reconnects.Value() > attached })
+	waitFor(s.t, "stream resubscribed", func() bool { return s.viewer.Resubscribes.Value() > resubs })
 	for _, h := range s.c.Hosts {
 		s.sheds += h.StreamSheds.Value() + h.LoopOverflows.Value()
 	}

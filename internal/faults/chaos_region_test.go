@@ -88,8 +88,8 @@ func TestChaosRegionCutFailover(t *testing.T) {
 	const seededAdmission = "1500@1"
 	for i := 0; i < nDevices; i++ {
 		uid := socialgraph.UserID(10 + 3*i) // 10,13,16,19 → all home eu-west
-		if c.HomeRegion(uid) != cut {
-			t.Fatalf("uid %d homed in %q, want %q", uid, c.HomeRegion(uid), cut)
+		if home := c.Topo.Home(uint64(uid)); home != cut {
+			t.Fatalf("uid %d homed in %q, want %q", uid, home, cut)
 		}
 		devices[i] = geoDevice(c, fn, uid, seed)
 		if err := devices[i].Connect(); err != nil {
@@ -152,16 +152,10 @@ func TestChaosRegionCutFailover(t *testing.T) {
 
 	// Region-cut: eu-west goes dark as ONE event — topology, gate, and
 	// every dialable target in the region.
+	before := reconnects(devices)
 	rf.CutRegion(cut)
 
-	waitFor(t, "all devices re-attached cross-region", func() bool {
-		for _, d := range devices {
-			if !d.Connected() {
-				return false
-			}
-		}
-		return true
-	})
+	waitFor(t, "all devices re-attached cross-region", func() bool { return reconnected(devices, before) })
 	waitFor(t, "all streams rewritten to a healthy region", func() bool {
 		for i := range streams {
 			r := stickyRegion(c, streams[i])
@@ -220,7 +214,7 @@ func TestChaosRegionCutFailover(t *testing.T) {
 		if last != burst.FlowRecovered {
 			t.Errorf("stream %d final flow = %v, want FlowRecovered", i, last)
 		}
-		if devices[i].Streams() != 1 {
+		if w.isEnded() {
 			t.Errorf("device %d lost its stream (control delta dropped?)", i)
 		}
 	}

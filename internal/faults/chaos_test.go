@@ -79,6 +79,7 @@ type streamWatcher struct {
 	regressed  bool // a new max was followed by a smaller previously-unseen max
 	recovered  int
 	lastFlow   burst.FlowCode
+	ended      bool // Next reported the stream over
 	done       sync.WaitGroup
 }
 
@@ -107,6 +108,9 @@ func watch(st *device.Stream) *streamWatcher {
 			}
 			w.mu.Unlock()
 		}
+		w.mu.Lock()
+		w.ended = true
+		w.mu.Unlock()
 	}()
 	return w
 }
@@ -168,6 +172,32 @@ func (w *streamWatcher) snapshot() (recovered int, last burst.FlowCode) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.recovered, w.lastFlow
+}
+
+func (w *streamWatcher) isEnded() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.ended
+}
+
+// reconnected reports whether every device attached a new session since
+// before, a snapshot of their Reconnects counters.
+func reconnected(devices []*device.Device, before []int64) bool {
+	for i, d := range devices {
+		if d.Reconnects.Value() <= before[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// reconnects snapshots every device's Reconnects counter.
+func reconnects(devices []*device.Device) []int64 {
+	out := make([]int64, len(devices))
+	for i, d := range devices {
+		out[i] = d.Reconnects.Value()
+	}
+	return out
 }
 
 // TestChaosRecovery runs a seeded fault schedule against the live stack,
@@ -258,6 +288,10 @@ func TestChaosRecovery(t *testing.T) {
 	time.Sleep(horizon/2 + 100*time.Millisecond)
 
 	// Mass disconnect: every POP down at once, so every stream faults.
+	before, resubs := reconnects(devices), make([]int64, len(devices))
+	for i, d := range devices {
+		resubs[i] = d.Resubscribes.Value()
+	}
 	for _, pop := range pops {
 		fn.Cut(pop)
 	}
@@ -265,17 +299,10 @@ func TestChaosRecovery(t *testing.T) {
 	for _, pop := range pops {
 		fn.Heal(pop)
 	}
-	waitFor(t, "all devices reconnected", func() bool {
-		for _, d := range devices {
-			if !d.Connected() {
-				return false
-			}
-		}
-		return true
-	})
+	waitFor(t, "all devices reconnected", func() bool { return reconnected(devices, before) })
 	waitFor(t, "all streams resubscribed", func() bool {
 		for i, d := range devices {
-			if d.Streams() != 1 {
+			if d.Resubscribes.Value() <= resubs[i] || watchers[i].isEnded() {
 				return false
 			}
 			// The stream's serving host must hold a live Pylon interest.

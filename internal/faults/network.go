@@ -92,10 +92,6 @@ func NewFaultNetwork(inner *edge.PipeNetwork, sched sim.Scheduler, seed int64) *
 	}
 }
 
-// Inner returns the wrapped PipeNetwork (for registration helpers that
-// need the concrete type).
-func (n *FaultNetwork) Inner() *edge.PipeNetwork { return n.inner }
-
 // Register makes target dialable through the fault plane: the server end
 // of every accepted connection is wrapped so faults apply to both halves.
 func (n *FaultNetwork) Register(target string, accept func(io.ReadWriteCloser)) {
@@ -103,9 +99,6 @@ func (n *FaultNetwork) Register(target string, accept func(io.ReadWriteCloser)) 
 		accept(n.track(target, rwc, FromTarget))
 	})
 }
-
-// Unregister removes a target.
-func (n *FaultNetwork) Unregister(target string) { n.inner.Unregister(target) }
 
 // Dial implements edge.Dialer; the client end is wrapped in the fault
 // plane.
@@ -116,10 +109,6 @@ func (n *FaultNetwork) Dial(target string) (io.ReadWriteCloser, error) {
 	}
 	return n.track(target, rwc, ToTarget), nil
 }
-
-// DialCount reports successful dials to target (delegates to the inner
-// network, which counts them).
-func (n *FaultNetwork) DialCount(target string) int { return n.inner.DialCount(target) }
 
 // linkLocked returns target's fault state, creating it on first use.
 func (n *FaultNetwork) linkLocked(target string) *link {
@@ -139,20 +128,11 @@ func (n *FaultNetwork) track(target string, rwc io.ReadWriteCloser, dir Directio
 	return c
 }
 
-// OpenConns returns the number of live tracked connections to target
-// (both ends of each pipe count separately).
-func (n *FaultNetwork) OpenConns(target string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if l := n.links[target]; l != nil {
-		return len(l.conns)
-	}
-	return 0
-}
-
 // SetLatency applies a per-write latency distribution to target's links
 // (nil clears it). Latency sleeps block the writer via sim.Sleep, so under
 // a virtual Scheduler the writer must not be the engine goroutine.
+//
+//brlint:allow(test-only-export) a fault-plane knob; tests inject faults with it
 func (n *FaultNetwork) SetLatency(target string, d sim.Dist) {
 	n.mu.Lock()
 	n.linkLocked(target).latency = d
@@ -161,6 +141,8 @@ func (n *FaultNetwork) SetLatency(target string, d sim.Dist) {
 
 // SetDropProb makes each write to/from target cut its connection with
 // probability p — a corrupt-free mid-stream failure.
+//
+//brlint:allow(test-only-export) a fault-plane knob; tests inject faults with it
 func (n *FaultNetwork) SetDropProb(target string, p float64) {
 	n.mu.Lock()
 	n.linkLocked(target).dropProb = p
@@ -170,6 +152,8 @@ func (n *FaultNetwork) SetDropProb(target string, p float64) {
 // SetBlackhole silently swallows writes in one direction of target's
 // links: an asymmetric partition. The writer sees success; nothing
 // arrives.
+//
+//brlint:allow(test-only-export) a fault-plane knob; tests inject faults with it
 func (n *FaultNetwork) SetBlackhole(target string, dir Direction, on bool) {
 	n.mu.Lock()
 	n.linkLocked(target).blackhole[dir] = on
@@ -178,6 +162,8 @@ func (n *FaultNetwork) SetBlackhole(target string, dir Direction, on bool) {
 
 // Stall parks all reads on target's links until Unstall — a slow reader
 // whose backpressure propagates to senders.
+//
+//brlint:allow(test-only-export) a fault-plane knob; tests inject faults with it
 func (n *FaultNetwork) Stall(target string) {
 	n.mu.Lock()
 	l := n.linkLocked(target)
@@ -188,6 +174,8 @@ func (n *FaultNetwork) Stall(target string) {
 }
 
 // Unstall releases readers parked by Stall.
+//
+//brlint:allow(test-only-export) a fault-plane knob; tests inject faults with it
 func (n *FaultNetwork) Unstall(target string) {
 	n.mu.Lock()
 	l := n.linkLocked(target)

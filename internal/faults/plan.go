@@ -44,16 +44,14 @@ func (p *Plan) HealAt(at time.Duration, target string) *Plan {
 	return p.Add(at, fmt.Sprintf("heal %s", target), func(n *FaultNetwork) { n.Heal(target) })
 }
 
-// DropAt schedules a probabilistic corrupt-free-cut rate on target.
-func (p *Plan) DropAt(at time.Duration, target string, prob float64) *Plan {
-	return p.Add(at, fmt.Sprintf("drop(%s) p=%.3f", target, prob),
-		func(n *FaultNetwork) { n.SetDropProb(target, prob) })
-}
-
 // Len returns the number of scheduled actions.
+//
+//brlint:allow(test-only-export) a fault-plan fixture; the chaos tests read the plan they run
 func (p *Plan) Len() int { return len(p.actions) }
 
 // Horizon returns the offset of the last action.
+//
+//brlint:allow(test-only-export) a fault-plan fixture; the chaos tests read the plan they run
 func (p *Plan) Horizon() time.Duration {
 	var h time.Duration
 	for _, a := range p.actions {
@@ -74,6 +72,8 @@ func (p *Plan) sorted() []Action {
 
 // Schedule renders the timeline deterministically — chaos tests assert
 // that two plans built from the same seed render identically.
+//
+//brlint:allow(test-only-export) a fault-plan fixture; the chaos tests log the plan they run
 func (p *Plan) Schedule() string {
 	var b strings.Builder
 	for _, a := range p.sorted() {
@@ -108,6 +108,8 @@ func (p *Plan) Start(n *FaultNetwork) (cancel func()) {
 // over the horizon, each against a seeded-random target, with outage
 // lengths drawn from [horizon/20, horizon/4]. The same seed produces the
 // identical plan.
+//
+//brlint:allow(test-only-export) a fault-plan fixture; the chaos tests draw their seeded plans from it
 func RandomPlan(seed int64, targets []string, horizon time.Duration, nFaults int) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	p := &Plan{}

@@ -61,6 +61,8 @@ func (rf *RegionFaults) HealRegion(r string) {
 // cross-region dials between them fail, established connections die, and
 // event replication parks until HealLink. Both regions stay up — each
 // keeps serving its own devices from its own Pylon.
+//
+//brlint:allow(test-only-export) a region fault knob; tests inject faults with it
 func (rf *RegionFaults) PartitionLink(a, b string) {
 	rf.Partitions.Inc()
 	rf.Topo.SetLinkDown(a, b, true)
@@ -71,6 +73,8 @@ func (rf *RegionFaults) PartitionLink(a, b string) {
 
 // HealLink heals the a↔b partition in both directions; parked replication
 // backlog drains in order, converging the two regions' views.
+//
+//brlint:allow(test-only-export) a region fault knob; tests inject faults with it
 func (rf *RegionFaults) HealLink(a, b string) {
 	rf.Topo.SetLinkDown(a, b, false)
 	rf.Topo.SetLinkDown(b, a, false)

@@ -3,19 +3,10 @@
 // would otherwise hash, compare, or copy the same topic / host / user
 // strings millions of times — a handle is 4 bytes, comparable with one
 // integer instruction, and usable as an index into a dense side table
-// (struct-of-array layouts, COW dispatch slices).
-//
-// The read side is lock-free: resolving a handle back to its string loads
-// one atomic pointer and indexes a slice, so readers scale across cores
-// with no shared cache-line writes. Interning (the write side) takes a
-// mutex and publishes a grown copy-on-write slice; it is expected to be
-// rare relative to reads (register once, look up forever).
+// (struct-of-array layouts, COW dispatch slices) that the caller keeps.
 package intern
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // None is the zero handle. Table never issues it: valid handles start at 1,
 // so a zero value in a record unambiguously means "no string".
@@ -24,20 +15,13 @@ const None uint32 = 0
 // Table is a string interner. The zero value is NOT ready to use; call New.
 // All methods are safe for concurrent use.
 type Table struct {
-	// strs is the copy-on-write handle→string slice; index 0 is the
-	// reserved None slot. Readers load it once and index without locking.
-	strs atomic.Pointer[[]string]
-
 	mu    sync.Mutex
 	byStr map[string]uint32
 }
 
 // New returns an empty table.
 func New() *Table {
-	t := &Table{byStr: make(map[string]uint32)}
-	s := make([]string, 1) // slot 0 = None
-	t.strs.Store(&s)
-	return t
+	return &Table{byStr: make(map[string]uint32)}
 }
 
 // Intern returns the stable handle for s, assigning the next dense handle
@@ -48,43 +32,17 @@ func (t *Table) Intern(s string) uint32 {
 	if h, ok := t.byStr[s]; ok {
 		return h
 	}
-	old := *t.strs.Load()
-	grown := make([]string, len(old)+1)
-	copy(grown, old)
-	h := uint32(len(old))
-	grown[h] = s
+	h := uint32(len(t.byStr) + 1)
 	t.byStr[s] = h
-	t.strs.Store(&grown)
 	return h
 }
 
 // Lookup returns the handle for s if it has been interned. It takes the
-// writer mutex (map reads cannot race map writes); hot paths should carry
+// mutex (map reads cannot race map writes); hot paths should carry
 // handles, not strings.
 func (t *Table) Lookup(s string) (uint32, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h, ok := t.byStr[s]
 	return h, ok
-}
-
-// StringOf resolves a handle to its string. It is lock-free and safe to
-// call from any goroutine. None and out-of-range handles resolve to "".
-//
-// check; it runs inside delivery loops and must stay allocation-free.
-//
-//brlint:hotpath handle→string resolution is one atomic load plus a bounds
-func (t *Table) StringOf(h uint32) string {
-	s := *t.strs.Load()
-	if int(h) >= len(s) {
-		return ""
-	}
-	return s[h]
-}
-
-// Len returns the number of interned strings (excluding the None slot).
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byStr)
 }

@@ -19,11 +19,8 @@ func TestInternStableHandles(t *testing.T) {
 	if got := tb.Intern("/TI/1/1"); got != a {
 		t.Fatalf("re-intern changed the handle: %d != %d", got, a)
 	}
-	if got := tb.StringOf(a); got != "/TI/1/1" {
-		t.Fatalf("StringOf(%d) = %q", a, got)
-	}
-	if got := tb.StringOf(b); got != "/TI/1/2" {
-		t.Fatalf("StringOf(%d) = %q", b, got)
+	if h, ok := tb.Lookup("/TI/1/1"); !ok || h != a {
+		t.Fatalf("Lookup = (%d, %v), want (%d, true)", h, ok, a)
 	}
 	if h, ok := tb.Lookup("/TI/1/2"); !ok || h != b {
 		t.Fatalf("Lookup = (%d, %v), want (%d, true)", h, ok, b)
@@ -31,8 +28,8 @@ func TestInternStableHandles(t *testing.T) {
 	if _, ok := tb.Lookup("nope"); ok {
 		t.Fatal("Lookup of never-interned string reported ok")
 	}
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tb.Len())
+	if len(tb.byStr) != 2 {
+		t.Fatalf("%d strings interned, want 2", len(tb.byStr))
 	}
 }
 
@@ -46,19 +43,9 @@ func TestInternDenseFromOne(t *testing.T) {
 	}
 }
 
-func TestInternZeroAndOutOfRange(t *testing.T) {
-	tb := New()
-	if got := tb.StringOf(None); got != "" {
-		t.Fatalf("StringOf(None) = %q, want empty", got)
-	}
-	if got := tb.StringOf(999); got != "" {
-		t.Fatalf("StringOf(out-of-range) = %q, want empty", got)
-	}
-}
-
-// TestInternConcurrent hammers Intern and StringOf from many goroutines
-// under -race: readers must always observe either "" (not yet published)
-// or the exact interned string, never a torn slice.
+// TestInternConcurrent hammers Intern and Lookup from many goroutines
+// under -race: a reader finds a string's handle or nothing, and every
+// handle stays the one its string was given.
 func TestInternConcurrent(t *testing.T) {
 	tb := New()
 	const writers, strsPer = 8, 200
@@ -70,8 +57,8 @@ func TestInternConcurrent(t *testing.T) {
 			for i := 0; i < strsPer; i++ {
 				s := fmt.Sprintf("w%d-%d", w, i)
 				h := tb.Intern(s)
-				if got := tb.StringOf(h); got != s {
-					t.Errorf("StringOf(%d) = %q, want %q", h, got, s)
+				if got, ok := tb.Lookup(s); !ok || got != h {
+					t.Errorf("Lookup(%q) = (%d, %v), want (%d, true)", s, got, ok, h)
 					return
 				}
 			}
@@ -83,47 +70,22 @@ func TestInternConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10_000; i++ {
-				_ = tb.StringOf(uint32(i % (writers*strsPer + 1)))
+				_, _ = tb.Lookup(fmt.Sprintf("w%d-%d", i%writers, i%strsPer))
 			}
 		}()
 	}
 	wg.Wait()
-	if tb.Len() != writers*strsPer {
-		t.Fatalf("Len = %d, want %d", tb.Len(), writers*strsPer)
+	if len(tb.byStr) != writers*strsPer {
+		t.Fatalf("%d strings interned, want %d", len(tb.byStr), writers*strsPer)
 	}
-	// Every handle must round-trip.
-	for w := 0; w < writers; w++ {
-		for i := 0; i < strsPer; i++ {
-			s := fmt.Sprintf("w%d-%d", w, i)
-			h, ok := tb.Lookup(s)
-			if !ok || tb.StringOf(h) != s {
-				t.Fatalf("round-trip failed for %q: h=%d ok=%v got=%q", s, h, ok, tb.StringOf(h))
-			}
+	// The handles are dense: every one from 1 to the count, each once.
+	seen := make(map[uint32]bool, len(tb.byStr))
+	for s, h := range tb.byStr {
+		if h < 1 || int(h) > writers*strsPer || seen[h] {
+			t.Fatalf("handle %d for %q is out of range or issued twice", h, s)
 		}
+		seen[h] = true
 	}
-}
-
-// BenchmarkInternStringOfParallel measures the lock-free read side: every
-// core resolving handles concurrently with zero shared writes.
-func BenchmarkInternStringOfParallel(b *testing.B) {
-	tb := New()
-	const n = 1024
-	for i := 0; i < n; i++ {
-		tb.Intern(fmt.Sprintf("/TI/%d/%d", i, i))
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		h := uint32(1)
-		for pb.Next() {
-			if tb.StringOf(h) == "" {
-				b.Fatal("unexpected miss")
-			}
-			h++
-			if h > n {
-				h = 1
-			}
-		}
-	})
 }
 
 // BenchmarkInternHit measures re-interning an existing string (the

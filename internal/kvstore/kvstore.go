@@ -26,7 +26,8 @@ import (
 // key's replicas.
 var ErrNoQuorum = errors.New("kvstore: no quorum of replicas reachable")
 
-// ErrNodeDown is returned when reading from an unreachable node.
+// ErrNodeDown is the error a fault hook (OpHook) returns to model an
+// unreachable node.
 var ErrNodeDown = errors.New("kvstore: node down")
 
 // Member is one element of a replicated set (for Pylon: a BRASS host ID).
@@ -116,8 +117,8 @@ func newer(v1 uint64, p1 bool, v2 uint64, p2 bool) bool {
 
 // OpHook is an injectable per-operation fault hook: called with the op name
 // ("apply" or "view") and the key before the node executes the operation.
-// Returning an error fails the op exactly as if the node were down; a hook
-// may also block (sleeping via its own captured scheduler) to model replica
+// Returning an error fails the op (ErrNodeDown for a node that is down); a
+// hook may also block (sleeping via its own captured scheduler) to model replica
 // latency. Hooks run outside the node's lock.
 type OpHook func(op, key string) error
 
@@ -127,28 +128,13 @@ type Node struct {
 	Region string
 
 	mu   sync.RWMutex
-	up   bool
 	hook OpHook
 	data map[string]map[Member]record
 }
 
-// NewNode returns an empty, up node.
+// NewNode returns an empty node.
 func NewNode(id, region string) *Node {
-	return &Node{ID: id, Region: region, up: true, data: make(map[string]map[Member]record)}
-}
-
-// Up reports whether the node is reachable.
-func (n *Node) Up() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.up
-}
-
-// SetUp marks the node reachable or unreachable (failure injection).
-func (n *Node) SetUp(up bool) {
-	n.mu.Lock()
-	n.up = up
-	n.mu.Unlock()
+	return &Node{ID: id, Region: region, data: make(map[string]map[Member]record)}
 }
 
 // SetOpHook installs (or, with nil, removes) the node's fault hook.
@@ -176,9 +162,6 @@ func (n *Node) apply(key string, m Member, rec record) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.up {
-		return fmt.Errorf("node %s: %w", n.ID, ErrNodeDown)
-	}
 	set, ok := n.data[key]
 	if !ok {
 		set = make(map[Member]record)
@@ -190,23 +173,16 @@ func (n *Node) apply(key string, m Member, rec record) error {
 	return nil
 }
 
-// View returns the node's current view of key.
-func (n *Node) View(key string) (SetView, error) {
-	return n.viewUnless(key, nil)
-}
-
-// viewUnless is View, except that a node whose set at key already equals a
-// non-nil same answers nil without copying it: Patch asks every replica on
-// every slow-path publish, and nearly always they agree.
+// viewUnless returns the node's current view of key, except that a node
+// whose set at key already equals a non-nil same answers nil without
+// copying it: Patch asks every replica on every slow-path publish, and
+// nearly always they agree.
 func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 	if err := n.runHook("view", key); err != nil {
 		return nil, fmt.Errorf("node %s: %w", n.ID, err)
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if !n.up {
-		return nil, fmt.Errorf("node %s: %w", n.ID, ErrNodeDown)
-	}
 	set := n.data[key]
 	if same != nil && len(set) == len(same) {
 		agree := true
@@ -226,13 +202,6 @@ func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 	}
 	slices.SortFunc(out, memberOrder)
 	return out, nil
-}
-
-// Keys returns the number of keys stored (diagnostics).
-func (n *Node) Keys() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.data)
 }
 
 // Cluster is a set of nodes with rendezvous-hashed replica placement.
@@ -389,20 +358,6 @@ func (c *Cluster) write(key string, m Member, present bool) (int, error) {
 	return acked, nil
 }
 
-// ReadOne returns the first reachable replica's view of key, preferring
-// the primary. The view may be stale; callers that need convergence use
-// ReadAll + Merge.
-func (c *Cluster) ReadOne(key string) (SetView, *Node, error) {
-	var few [stackReplicas]*Node
-	for _, n := range c.replicasInto(few[:0], key) {
-		v, err := n.View(key)
-		if err == nil {
-			return v, n, nil
-		}
-	}
-	return nil, nil, fmt.Errorf("key %q: all replicas down: %w", key, ErrNodeDown)
-}
-
 // ReplicaResponse is one replica's answer in a ReadAll. A replica that holds
 // exactly what the first responder returned copies nothing: nil View, nil Err.
 type ReplicaResponse struct {
@@ -451,18 +406,4 @@ func (c *Cluster) Patch(key string, merged SetView) int {
 		patched++
 	}
 	return patched
-}
-
-// QuorumAvailable reports whether a majority of key's replicas are up —
-// the paper's "quorum breakage" failure condition (Fig 10 discussion).
-func (c *Cluster) QuorumAvailable(key string) bool {
-	var few [stackReplicas]*Node
-	replicas := c.replicasInto(few[:0], key)
-	up := 0
-	for _, n := range replicas {
-		if n.Up() {
-			up++
-		}
-	}
-	return up*2 > len(replicas)
 }

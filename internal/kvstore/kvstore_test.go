@@ -10,6 +10,9 @@ import (
 	"testing/quick"
 )
 
+// down is the fault hook of a node that is down: every op fails.
+func down(op, key string) error { return ErrNodeDown }
+
 func newTestCluster(t *testing.T, nodes, replicas int) *Cluster {
 	t.Helper()
 	regions := []string{"us-east", "eu-west", "ap-south"}
@@ -186,19 +189,14 @@ func TestSetAddRemoveMembers(t *testing.T) {
 	if _, err := c.SetAdd("topic", "hostB"); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := c.ReadOne("topic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.Members()
+	got := readAllMerge(c, "topic").Members()
 	if len(got) != 2 || got[0] != "hostA" || got[1] != "hostB" {
 		t.Errorf("members = %v", got)
 	}
 	if _, err := c.SetRemove("topic", "hostA"); err != nil {
 		t.Fatal(err)
 	}
-	v, _, _ = c.ReadOne("topic")
-	got = v.Members()
+	got = readAllMerge(c, "topic").Members()
 	if len(got) != 1 || got[0] != "hostB" {
 		t.Errorf("after remove: %v", got)
 	}
@@ -207,49 +205,14 @@ func TestSetAddRemoveMembers(t *testing.T) {
 func TestWriteFailsWithoutQuorum(t *testing.T) {
 	c := newTestCluster(t, 3, 3)
 	replicas := c.ReplicasFor("k")
-	replicas[0].SetUp(false)
-	replicas[1].SetUp(false)
+	replicas[0].SetOpHook(down)
+	replicas[1].SetOpHook(down)
 	if _, err := c.SetAdd("k", "m"); !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("err = %v, want ErrNoQuorum", err)
 	}
-	if c.QuorumAvailable("k") {
-		t.Error("QuorumAvailable true with 2/3 down")
-	}
-	replicas[1].SetUp(true)
+	replicas[1].SetOpHook(nil)
 	if _, err := c.SetAdd("k", "m"); err != nil {
 		t.Errorf("write with 2/3 up failed: %v", err)
-	}
-	if !c.QuorumAvailable("k") {
-		t.Error("QuorumAvailable false with 2/3 up")
-	}
-}
-
-func TestReadOneFallsBackToSecondary(t *testing.T) {
-	c := newTestCluster(t, 6, 3)
-	if _, err := c.SetAdd("k", "m"); err != nil {
-		t.Fatal(err)
-	}
-	replicas := c.ReplicasFor("k")
-	replicas[0].SetUp(false)
-	v, n, err := c.ReadOne("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == replicas[0] {
-		t.Error("read served by down primary")
-	}
-	if len(v.Members()) != 1 {
-		t.Errorf("members = %v", v.Members())
-	}
-}
-
-func TestReadOneAllDown(t *testing.T) {
-	c := newTestCluster(t, 3, 3)
-	for _, n := range c.ReplicasFor("k") {
-		n.SetUp(false)
-	}
-	if _, _, err := c.ReadOne("k"); !errors.Is(err, ErrNodeDown) {
-		t.Errorf("err = %v", err)
 	}
 }
 
@@ -257,13 +220,13 @@ func TestStaleReplicaPatchedToConsistency(t *testing.T) {
 	c := newTestCluster(t, 3, 3)
 	replicas := c.ReplicasFor("k")
 	// Take one replica down; write succeeds on the other two.
-	replicas[2].SetUp(false)
+	replicas[2].SetOpHook(down)
 	if _, err := c.SetAdd("k", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	replicas[2].SetUp(true)
+	replicas[2].SetOpHook(nil)
 	// The recovered replica is stale.
-	v2, _ := replicas[2].View("k")
+	v2, _ := replicas[2].viewUnless("k", nil)
 	if len(v2.Members()) != 0 {
 		t.Fatalf("replica 2 should be stale, has %v", v2.Members())
 	}
@@ -282,7 +245,7 @@ func TestStaleReplicaPatchedToConsistency(t *testing.T) {
 	if patched := c.Patch("k", merged); patched == 0 {
 		t.Error("no replica patched")
 	}
-	v2, _ = replicas[2].View("k")
+	v2, _ = replicas[2].viewUnless("k", nil)
 	if got := v2.Members(); len(got) != 1 || got[0] != "m1" {
 		t.Errorf("replica 2 after patch = %v", got)
 	}
@@ -316,31 +279,18 @@ func TestRemoveThenAddWins(t *testing.T) {
 	if _, err := c.SetAdd("k", "m"); err != nil {
 		t.Fatal(err)
 	}
-	v, _, _ := c.ReadOne("k")
-	if got := v.Members(); len(got) != 1 {
+	if got := readAllMerge(c, "k").Members(); len(got) != 1 {
 		t.Errorf("members = %v, want [m]", got)
-	}
-}
-
-func TestNodeKeys(t *testing.T) {
-	n := NewNode("a", "r")
-	if n.Keys() != 0 {
-		t.Error("fresh node has keys")
-	}
-	_ = n.apply("k1", "m", record{Version: 1, Present: true})
-	_ = n.apply("k2", "m", record{Version: 2, Present: true})
-	if n.Keys() != 2 {
-		t.Errorf("Keys = %d", n.Keys())
 	}
 }
 
 func TestDownNodeRejectsReadsAndWrites(t *testing.T) {
 	n := NewNode("a", "r")
-	n.SetUp(false)
+	n.SetOpHook(down)
 	if err := n.apply("k", "m", record{Version: 1, Present: true}); !errors.Is(err, ErrNodeDown) {
 		t.Errorf("apply err = %v", err)
 	}
-	if _, err := n.View("k"); !errors.Is(err, ErrNodeDown) {
+	if _, err := n.viewUnless("k", nil); !errors.Is(err, ErrNodeDown) {
 		t.Errorf("view err = %v", err)
 	}
 }

@@ -21,6 +21,7 @@ func TestPartitionConvergenceStress(t *testing.T) {
 		c := MustNewCluster(nodes, 3)
 		key := fmt.Sprintf("topic-%d", trial)
 		replicas := c.ReplicasFor(key)
+		isDown := map[*Node]bool{}
 
 		// Ground truth: last-writer-wins over every write that reached
 		// at least one replica. Failed quorum writes are NOT rolled
@@ -32,7 +33,12 @@ func TestPartitionConvergenceStress(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1: // flip one replica's availability
 				r := replicas[rng.Intn(len(replicas))]
-				r.SetUp(!r.Up())
+				isDown[r] = !isDown[r]
+				if isDown[r] {
+					r.SetOpHook(down)
+				} else {
+					r.SetOpHook(nil)
+				}
 			default:
 				m := Member(fmt.Sprintf("host%d", rng.Intn(5)))
 				if rng.Intn(2) == 0 {
@@ -48,7 +54,7 @@ func TestPartitionConvergenceStress(t *testing.T) {
 		}
 		// Heal everything and run anti-entropy.
 		for _, r := range replicas {
-			r.SetUp(true)
+			r.SetOpHook(nil)
 		}
 		views := make([]SetView, 0, len(replicas))
 		for _, resp := range c.ReadAll(key) {
@@ -80,7 +86,7 @@ func TestPartitionConvergenceStress(t *testing.T) {
 			}
 		}
 		for _, r := range replicas {
-			v, err := r.View(key)
+			v, err := r.viewUnless(key, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func readAllMerge(c *Cluster, key string) SetView {
 func assertConverged(t *testing.T, c *Cluster, key string, want []Member) {
 	t.Helper()
 	for _, n := range c.ReplicasFor(key) {
-		v, err := n.View(key)
+		v, err := n.viewUnless(key, nil)
 		if err != nil {
 			t.Fatalf("replica %s: %v", n.ID, err)
 		}
@@ -52,25 +52,25 @@ func TestAsymmetricDownPatternsRepair(t *testing.T) {
 	replicas := c.ReplicasFor(key)
 
 	// Write 1: replica 0 misses the add of m1.
-	replicas[0].SetUp(false)
+	replicas[0].SetOpHook(down)
 	if _, err := c.SetAdd(key, "m1"); err != nil {
 		t.Fatal(err)
 	}
-	replicas[0].SetUp(true)
+	replicas[0].SetOpHook(nil)
 
 	// Write 2: replica 1 misses the add of m2.
-	replicas[1].SetUp(false)
+	replicas[1].SetOpHook(down)
 	if _, err := c.SetAdd(key, "m2"); err != nil {
 		t.Fatal(err)
 	}
-	replicas[1].SetUp(true)
+	replicas[1].SetOpHook(nil)
 
 	// Write 3: replica 2 misses the removal of m1 (a tombstone).
-	replicas[2].SetUp(false)
+	replicas[2].SetOpHook(down)
 	if _, err := c.SetRemove(key, "m1"); err != nil {
 		t.Fatal(err)
 	}
-	replicas[2].SetUp(true)
+	replicas[2].SetOpHook(nil)
 
 	// Every replica now has a different partial history.
 	merged := readAllMerge(c, key)
@@ -83,7 +83,7 @@ func TestAsymmetricDownPatternsRepair(t *testing.T) {
 	assertConverged(t, c, key, []Member{"m2"})
 	// The tombstone for m1 must be present everywhere, not just absence.
 	for _, n := range replicas {
-		v, _ := n.View(key)
+		v, _ := n.viewUnless(key, nil)
 		rec, ok := v.Get("m1")
 		if !ok || rec.Present {
 			t.Errorf("replica %s: m1 tombstone = %+v, %v", n.ID, rec, ok)
@@ -108,10 +108,10 @@ func TestFlappingMinorityConvergence(t *testing.T) {
 
 	for i := 0; i < 60; i++ {
 		// A minority (one of three) may be down for this write.
-		var down *Node
+		var off *Node
 		if rng.Intn(2) == 0 {
-			down = replicas[rng.Intn(len(replicas))]
-			down.SetUp(false)
+			off = replicas[rng.Intn(len(replicas))]
+			off.SetOpHook(down)
 		}
 		m := Member(fmt.Sprintf("m%d", rng.Intn(8)))
 		if rng.Intn(3) == 0 {
@@ -125,8 +125,8 @@ func TestFlappingMinorityConvergence(t *testing.T) {
 			}
 			model[m] = true
 		}
-		if down != nil {
-			down.SetUp(true)
+		if off != nil {
+			off.SetOpHook(nil)
 		}
 	}
 
@@ -151,8 +151,8 @@ func TestFlappingMinorityConvergence(t *testing.T) {
 }
 
 // TestOpHookInjectsFailures covers the injectable per-op hooks: an erroring
-// hook must degrade a replica exactly like SetUp(false) — writes lose its
-// ack (but keep quorum), reads fall through to the next replica — and the
+// hook must degrade a replica like a down node — writes lose its ack (but
+// keep quorum), its reads fail while the others answer — and the
 // replica patches back to consistency once the hook is removed.
 func TestOpHookInjectsFailures(t *testing.T) {
 	c := newTestCluster(t, 3, 3)
@@ -186,16 +186,14 @@ func TestOpHookInjectsFailures(t *testing.T) {
 		t.Error("apply hook never ran")
 	}
 
-	// Reads fall back past the erroring primary.
-	v, n, err := c.ReadOne(key)
-	if err != nil {
-		t.Fatal(err)
+	// The erroring primary's read fails; the others answer with m1.
+	for _, r := range c.ReadAll(key) {
+		if (r.Node == replicas[0]) != errors.Is(r.Err, errInjected) {
+			t.Errorf("replica %s read err = %v", r.Node.ID, r.Err)
+		}
 	}
-	if n == replicas[0] {
-		t.Error("ReadOne used the erroring replica")
-	}
-	if got := v.Members(); len(got) != 1 || got[0] != "m1" {
-		t.Errorf("ReadOne view = %v", got)
+	if got := readAllMerge(c, key).Members(); len(got) != 1 || got[0] != "m1" {
+		t.Errorf("merged view = %v", got)
 	}
 	if views == 0 {
 		t.Error("view hook never ran")

@@ -19,6 +19,9 @@
 //     assembled traces.
 //   - hot-path-alloc: a function annotated //brlint:hotpath in its doc
 //     comment must be statically allocation-free on its non-error paths.
+//   - test-only-export: an exported function or method must be named by
+//     some non-test file of the module (or satisfy an interface), so code
+//     only tests run does not pass for an API.
 //
 // Diagnostics are suppressed with an inline escape hatch:
 //
@@ -65,6 +68,9 @@ type Context struct {
 	// (hot-path-alloc, the call-chain half of no-lock-across-block) query
 	// it; per-function rules ignore it.
 	Prog *Program
+	// Loader loaded Pkg; module-wide rules (test-only-export) load the
+	// rest of their scope through it.
+	Loader *Loader
 
 	rule   string
 	report func(pos token.Pos, rule, msg string)
@@ -81,6 +87,7 @@ type Runner struct {
 	Fset    *token.FileSet
 	ModPath string
 
+	loader       *Loader
 	suppressions []Suppression
 }
 
@@ -90,7 +97,7 @@ func NewRunner(l *Loader, rules ...Rule) *Runner {
 	if len(rules) == 0 {
 		rules = DefaultRules(l.ModPath)
 	}
-	return &Runner{Rules: rules, Fset: l.Fset, ModPath: l.ModPath}
+	return &Runner{Rules: rules, Fset: l.Fset, ModPath: l.ModPath, loader: l}
 }
 
 // Run checks every package and returns the surviving diagnostics, sorted by
@@ -108,18 +115,21 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	// One call graph for the whole run: the loader already type-checked
 	// the package graph once; the Program adds a single AST pass per
 	// function, and its memoized summaries are shared across all rules
-	// and packages (the tier-1 lint-time budget, DESIGN.md §8b).
-	prog := NewProgram(r.Fset, r.ModPath, pkgs)
+	// and packages (the tier-1 lint-time budget, DESIGN.md §8b). It spans
+	// the packages' module dependencies too, so a callee outside them is
+	// judged by its body, as it is when the whole module is linted.
+	prog := NewProgram(r.Fset, r.ModPath, r.loader.withDeps(pkgs))
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		sups, bad := collectSuppressions(r.Fset, pkg.Files, known)
 		diags = append(diags, bad...)
 		for _, rule := range r.Rules {
 			c := &Context{
-				Pkg:  pkg,
-				Fset: r.Fset,
-				Prog: prog,
-				rule: rule.Name(),
+				Pkg:    pkg,
+				Fset:   r.Fset,
+				Prog:   prog,
+				Loader: r.loader,
+				rule:   rule.Name(),
 				report: func(pos token.Pos, name, msg string) {
 					p := r.Fset.Position(pos)
 					if s := matchSuppression(sups, name, p); s != nil {
@@ -169,6 +179,7 @@ func DefaultRules(modPath string) []Rule {
 		&SpanMustEnd{ModPath: modPath},
 		&CountedShed{ModPath: modPath},
 		&HotPathAlloc{},
+		&TestOnlyExport{Scope: "./..."},
 	}
 }
 

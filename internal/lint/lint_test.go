@@ -3,6 +3,7 @@ package lint_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -74,9 +75,7 @@ func collectWants(t *testing.T, l *lint.Loader, pkgs []*lint.Package) []*expecta
 }
 
 // runFixture loads one testdata fixture package, runs the given rules over
-// it, and checks the diagnostics against the fixture's want comments. It
-// also asserts that every suppression inside the fixture absorbed a
-// diagnostic — a stale allow in a fixture means the rule regressed.
+// it, and checks the diagnostics against the fixture's want comments.
 func runFixture(t *testing.T, name string, rules ...lint.Rule) {
 	t.Helper()
 	l := testLoader(t)
@@ -87,6 +86,15 @@ func runFixture(t *testing.T, name string, rules ...lint.Rule) {
 	if len(pkgs) != 1 {
 		t.Fatalf("fixture %s: got %d packages, want 1", name, len(pkgs))
 	}
+	checkFixture(t, l, pkgs, rules...)
+}
+
+// checkFixture runs the rules over pkgs and checks the diagnostics against
+// their want comments. It also asserts that every suppression inside them
+// absorbed a diagnostic — a stale allow in a fixture means the rule
+// regressed.
+func checkFixture(t *testing.T, l *lint.Loader, pkgs []*lint.Package, rules ...lint.Rule) {
+	t.Helper()
 	r := lint.NewRunner(l, rules...)
 	diags := r.Run(pkgs)
 	wants := collectWants(t, l, pkgs)
@@ -138,6 +146,31 @@ func TestCountedShedFixture(t *testing.T) {
 
 func TestHotPathAllocFixture(t *testing.T) {
 	runFixture(t, "hotpath", &lint.HotPathAlloc{})
+}
+
+// TestTestOnlyExportFixture covers test-only-export over a three-package
+// tree: lib's exports that only lib_test.go calls are reported, unless
+// allowed; a call from app, a method value, a generic instantiation, an
+// interface app mentions and fmt.Stringer each count as a caller; and
+// neither app nor orphan, which no non-test package imports, is judged.
+// Linting lib alone judges it against the whole tree all the same.
+func TestTestOnlyExportFixture(t *testing.T) {
+	const root = "internal/lint/testdata/src/testonlyexport"
+	l := testLoader(t)
+	pkgs, err := l.Load(root + "/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 3 {
+		t.Fatalf("got %d packages, want app, lib and orphan", len(pkgs))
+	}
+	checkFixture(t, l, pkgs, &lint.TestOnlyExport{Scope: root + "/..."})
+
+	lib, err := l.Load(root + "/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFixture(t, l, lib, &lint.TestOnlyExport{Scope: root + "/..."})
 }
 
 // TestLockChainFixture covers the interprocedural upgrade of
@@ -234,6 +267,68 @@ func TestSuppressionsAudit(t *testing.T) {
 		if byRule[rule] != want {
 			t.Errorf("rule %s: %d suppressions in fixtures, want %d", rule, byRule[rule], want)
 		}
+	}
+}
+
+// TestSuppressionCensus pins the module's live //brlint:allow comments, by
+// rule and file: each is invariant debt with a reason (ROADMAP item 12(1)),
+// so adding or deleting one means editing this list in the same change.
+// `brlint -suppressions` prints them with their reasons.
+func TestSuppressionCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	census := map[string]map[string]int{
+		"hot-path-alloc": {
+			"internal/brass/instance.go":   1,
+			"internal/durlog/durlog.go":    3,
+			"internal/megadevice/apply.go": 1,
+			"internal/pylon/pylon.go":      2,
+			"internal/trace/trace.go":      3,
+		},
+		"counted-shed":         {"cmd/brnode/launcher.go": 1},
+		"no-lock-across-block": {"internal/burst/client.go": 1},
+		// Fault and clock fixtures, and exports a ROADMAP item names as
+		// their caller: 4(b) the stats registry, 4(c) the per-stream
+		// table, 15 the drain.
+		"test-only-export": {
+			"internal/brass/host.go":     3, // 4(b)
+			"internal/burst/client.go":   1, // 4(c)
+			"internal/burst/resume.go":   1, // 4(c)
+			"internal/burst/server.go":   1, // 4(c)
+			"internal/ctrl/node.go":      1, // 15
+			"internal/durlog/durlog.go":  2, // 15
+			"internal/edge/proxy.go":     1, // 4(b)
+			"internal/faults/network.go": 5,
+			"internal/faults/plan.go":    4,
+			"internal/faults/region.go":  2,
+			"internal/region/plane.go":   1, // 4(b)
+			"internal/sim/clock.go":      3,
+		},
+	}
+	l := testLoader(t)
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	r := lint.NewRunner(l)
+	r.Run(pkgs)
+	got := map[string]map[string]int{}
+	for _, s := range r.Suppressions() {
+		rel, err := filepath.Rel(l.ModRoot, s.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[s.Rule] == nil {
+			got[s.Rule] = map[string]int{}
+		}
+		got[s.Rule][filepath.ToSlash(rel)]++
+		if !s.Used {
+			t.Errorf("%s:%d: allow(%s) suppresses nothing", rel, s.Line, s.Rule)
+		}
+	}
+	if !reflect.DeepEqual(got, census) {
+		t.Errorf("live suppressions by rule and file:\n%v\nthe census lists:\n%v", got, census)
 	}
 }
 

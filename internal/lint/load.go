@@ -94,6 +94,29 @@ func findModule(dir string) (root, modPath string, err error) {
 // testdata, hidden directories, and directories starting with "_" are
 // skipped during "..." expansion, mirroring the go tool.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	dirs, err := l.expand(patterns)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		path, err := l.importPathFor(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := l.loadPackage(path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
+}
+
+// expand resolves package patterns into the directories that hold Go
+// files, without loading them.
+func (l *Loader) expand(patterns []string) ([]string, error) {
 	var dirs []string
 	seen := make(map[string]bool)
 	add := func(d string) {
@@ -137,27 +160,17 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 
-	var pkgs []*Package
+	var withGo []string
 	for _, dir := range dirs {
 		hasGo, err := dirHasGoFiles(dir)
 		if err != nil {
 			return nil, err
 		}
-		if !hasGo {
-			continue
+		if hasGo {
+			withGo = append(withGo, dir)
 		}
-		path, err := l.importPathFor(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.loadPackage(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
+	return withGo, nil
 }
 
 func dirHasGoFiles(dir string) (bool, error) {
@@ -250,6 +263,25 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
+}
+
+// withDeps returns pkgs followed by the module packages they import,
+// directly or not.
+func (l *Loader) withDeps(pkgs []*Package) []*Package {
+	out := append([]*Package(nil), pkgs...)
+	seen := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		seen[p.Path] = true
+	}
+	for i := 0; i < len(out); i++ {
+		for _, imp := range out[i].Types.Imports() {
+			if dep, ok := l.pkgs[imp.Path()]; ok && !seen[dep.Path] {
+				seen[dep.Path] = true
+				out = append(out, dep)
+			}
+		}
+	}
+	return out
 }
 
 // importDep resolves one import: module-internal packages go through the

@@ -71,7 +71,6 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 	// Device-model fleet on c1: one device per virtual device, one stream
 	// each, a collector goroutine recording the delivered seq trace.
 	type devRec struct {
-		st   *device.Stream
 		mu   sync.Mutex
 		seqs []uint64
 	}
@@ -90,7 +89,7 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("device %d subscribe: %v", i, err)
 		}
-		r := &devRec{st: st}
+		r := &devRec{}
 		go func() {
 			for delta, ok := st.Next(); ok; delta, ok = st.Next() {
 				if delta.Type != burst.DeltaPayload {
@@ -159,7 +158,12 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 	converged := func(a int) (uint64, bool) {
 		var v uint64
 		for i := a; i < eqN; i += eqAreas {
-			ds := recs[i].st.LastSeq()
+			var ds uint64 // the last payload seq the device's stream handed out
+			recs[i].mu.Lock()
+			if n := len(recs[i].seqs); n > 0 {
+				ds = recs[i].seqs[n-1]
+			}
+			recs[i].mu.Unlock()
 			fs := fleet.LastSeq(uint32(i))
 			if v == 0 {
 				v = ds
@@ -232,11 +236,15 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 
 	// Sever the POP everyone started on, on BOTH clusters. Both models
 	// rotate to the next POP through jittered backoff and re-attach.
+	before := make([]int64, len(devs))
+	for i, d := range devs {
+		before[i] = d.Reconnects.Value()
+	}
 	c1.Net.SetDown(pops[0], true)
 	c2.Net.SetDown(pops[0], true)
 	waitFor("device fleet reconnect", func() bool {
-		for _, d := range devs {
-			if !d.Connected() {
+		for i, d := range devs {
+			if d.Reconnects.Value() <= before[i] {
 				return false
 			}
 		}
@@ -409,16 +417,18 @@ func openScriptedDevice(t *testing.T, n edge.Dialer) scriptedModel {
 		t.Fatal(err)
 	}
 	var applied atomic.Uint64
+	var ended atomic.Bool
 	go func() {
 		for delta, ok := st.Next(); ok; delta, ok = st.Next() {
 			if delta.Type == burst.DeltaPayload && delta.Seq > applied.Load() {
 				applied.Store(delta.Seq)
 			}
 		}
+		ended.Store(true) // Next handed out the end: the device dropped the stream
 	}()
 	return scriptedModel{
 		applied: applied.Load,
-		ended:   func() bool { return d.Streams() == 0 },
+		ended:   ended.Load,
 		redial:  func() {}, // a device redials by itself
 	}
 }

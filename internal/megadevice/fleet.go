@@ -219,9 +219,6 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Devices returns the device count.
-func (f *Fleet) Devices() int { return f.cfg.Devices }
-
 // Streams returns the total stream count.
 func (f *Fleet) Streams() int {
 	f.mu.Lock()
@@ -241,13 +238,6 @@ func (f *Fleet) State(dev uint32) uint8 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.tab.state[dev]
-}
-
-// Pending returns the number of queued transitions.
-func (f *Fleet) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.heap)
 }
 
 // ConnectAt schedules dev to dial at absolute scheduler time at. A no-op
@@ -496,7 +486,7 @@ func (f *Fleet) detachStreamLocked(t *trunk, sid uint32) {
 // faults' one formula, its randomness hashed from (seed, device, attempt)
 // instead of drawn from per-device RNG state.
 func (f *Fleet) backoffDelay(dev uint32, attempt uint8) int64 {
-	d, _ := f.policy.Delay(int(attempt), unitFrac(splitmix64(f.seedBase^uint64(dev)<<8^uint64(attempt))))
+	d := f.policy.Delay(int(attempt), unitFrac(splitmix64(f.seedBase^uint64(dev)<<8^uint64(attempt))))
 	return int64(d)
 }
 

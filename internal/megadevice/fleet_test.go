@@ -234,7 +234,7 @@ func TestBackoffDelayIsTheOneFormula(t *testing.T) {
 			for attempt := 0; attempt <= 40; attempt++ {
 				got := time.Duration(f.backoffDelay(dev, uint8(attempt)))
 				u := unitFrac(splitmix64(f.seedBase ^ uint64(dev)<<8 ^ uint64(attempt)))
-				if want, _ := p.Normalized().Delay(attempt, u); got != want || u < 0 || u >= 1 {
+				if want := p.Normalized().Delay(attempt, u); got != want || u < 0 || u >= 1 {
 					t.Fatalf("%v dev %d attempt %d: backoffDelay = %v, Delay(u=%v) = %v", p, dev, attempt, got, u, want)
 				}
 				if next := b.Next(); p.NoJitter && got != next {
@@ -377,7 +377,7 @@ func TestTrunkDeathRedialsAttachedDevices(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		f.Service()
-		engine.RunFor(10 * time.Second)
+		engine.RunUntil(engine.Now().Add(10 * time.Second))
 		if f.TrunkDeaths.Value() >= 1 && f.ConnectedCount() == 100 {
 			break
 		}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -48,22 +47,6 @@ type Histogram[T ~int64] struct {
 	count, sum atomic.Int64
 	min, max   atomic.Int64
 	buckets    [numBuckets]atomic.Int64
-
-	// exemplars is a small ring of recent (value, trace ID) pairs recorded
-	// via ObserveExemplar, linking histogram tails back to concrete traces.
-	exMu      sync.Mutex
-	exemplars [ExemplarCap]Exemplar[T]
-	exCount   int
-}
-
-// ExemplarCap bounds the exemplar ring of each histogram: enough to chase
-// a handful of recent outliers without growing the struct meaningfully.
-const ExemplarCap = 8
-
-// Exemplar is one observation tagged with the trace that produced it.
-type Exemplar[T ~int64] struct {
-	Value   T
-	TraceID uint64
 }
 
 // NewHistogram returns an empty Histogram.
@@ -90,39 +73,11 @@ func (h *Histogram[T]) Observe(v T) {
 	h.count.Add(1)
 }
 
-// ObserveExemplar records one value and, when traceID is nonzero,
-// remembers (v, traceID) in the bounded exemplar ring. With a zero traceID
-// it is exactly Observe.
-func (h *Histogram[T]) ObserveExemplar(v T, traceID uint64) {
-	h.Observe(v)
-	if traceID == 0 {
-		return
-	}
-	h.exMu.Lock()
-	h.exemplars[h.exCount%ExemplarCap] = Exemplar[T]{Value: v, TraceID: traceID}
-	h.exCount++
-	h.exMu.Unlock()
-}
-
-// Exemplars returns a copy of the recorded exemplars (most recent last for
-// an unwrapped ring; order is unspecified once the ring has wrapped).
-func (h *Histogram[T]) Exemplars() []Exemplar[T] {
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	return append([]Exemplar[T](nil), h.exemplars[:min(h.exCount, ExemplarCap)]...)
-}
-
 // Count returns the number of observations.
 func (h *Histogram[T]) Count() int64 { return h.count.Load() }
 
-// Sum returns the total of all observations.
-func (h *Histogram[T]) Sum() T { return T(h.sum.Load()) }
-
 // Mean returns the mean (rounded toward zero), or 0 with no observations.
 func (h *Histogram[T]) Mean() T { return T(h.sum.Load() / max(h.count.Load(), 1)) }
-
-// Min returns the smallest observation (0 if empty).
-func (h *Histogram[T]) Min() T { return T(h.view().min) }
 
 // Max returns the largest observation (0 if empty).
 func (h *Histogram[T]) Max() T { return T(h.view().max) }

@@ -77,10 +77,10 @@ func TestHistogramErrorBoundProperty(t *testing.T) {
 			}
 			sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
 
-			if h.Count() != int64(n) || h.Sum() != sum || h.Mean() != sum/int64(n) ||
-				h.Min() != sample[0] || h.Max() != sample[n-1] {
+			if s := h.Snapshot(); h.Count() != int64(n) || s.Sum != sum || h.Mean() != sum/int64(n) ||
+				s.Min != sample[0] || h.Max() != sample[n-1] {
 				t.Fatalf("%s/%d: count/sum/mean/min/max = %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d", name, seed,
-					h.Count(), h.Sum(), h.Mean(), h.Min(), h.Max(), n, sum, sum/int64(n), sample[0], sample[n-1])
+					h.Count(), s.Sum, h.Mean(), s.Min, h.Max(), n, sum, sum/int64(n), sample[0], sample[n-1])
 			}
 			for _, p := range []float64{0, 1, 10, 25, 50, 75, 90, 95, 99, 99.9, 100} {
 				got, want := h.Percentile(p), exactPercentile(sample, p)
@@ -112,7 +112,7 @@ func TestHistogramErrorBoundProperty(t *testing.T) {
 
 func TestHistogramInt64Basics(t *testing.T) {
 	h := NewHistogram[int64]()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Snapshot().Min != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	if s := h.Snapshot(); s != (Snapshot[int64]{}) {
@@ -121,13 +121,13 @@ func TestHistogramInt64Basics(t *testing.T) {
 	for _, v := range []int64{4, 2, 8, 2} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 || h.Sum() != 16 || h.Mean() != 4 || h.Min() != 2 || h.Max() != 8 {
+	if s := h.Snapshot(); h.Count() != 4 || s.Sum != 16 || h.Mean() != 4 || s.Min != 2 || h.Max() != 8 {
 		t.Fatalf("count/sum/mean/min/max = %d/%d/%d/%d/%d, want 4/16/4/2/8",
-			h.Count(), h.Sum(), h.Mean(), h.Min(), h.Max())
+			h.Count(), s.Sum, h.Mean(), s.Min, h.Max())
 	}
 	h.Observe(-3)
-	if h.Min() != -3 || h.Sum() != 13 || h.Percentile(0) != -3 {
-		t.Fatalf("negative observation: min=%d sum=%d p0=%d, want -3/13/-3", h.Min(), h.Sum(), h.Percentile(0))
+	if s := h.Snapshot(); s.Min != -3 || s.Sum != 13 || h.Percentile(0) != -3 {
+		t.Fatalf("negative observation: min=%d sum=%d p0=%d, want -3/13/-3", s.Min, s.Sum, h.Percentile(0))
 	}
 }
 

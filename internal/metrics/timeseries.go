@@ -11,11 +11,10 @@ import (
 // Fig 10 in the paper), which report per-minute rates averaged over 15-minute
 // intervals.
 type TimeSeries struct {
-	mu     sync.Mutex
-	start  time.Time
-	width  time.Duration
-	sums   []float64
-	counts []int64
+	mu    sync.Mutex
+	start time.Time
+	width time.Duration
+	sums  []float64
 }
 
 // NewTimeSeries returns a TimeSeries with n buckets of the given width
@@ -25,10 +24,9 @@ func NewTimeSeries(start time.Time, width time.Duration, n int) *TimeSeries {
 		panic(fmt.Sprintf("metrics: invalid time series width=%v n=%d", width, n))
 	}
 	return &TimeSeries{
-		start:  start,
-		width:  width,
-		sums:   make([]float64, n),
-		counts: make([]int64, n),
+		start: start,
+		width: width,
+		sums:  make([]float64, n),
 	}
 }
 
@@ -41,7 +39,6 @@ func (ts *TimeSeries) Add(t time.Time, v float64) {
 		return
 	}
 	ts.sums[i] += v
-	ts.counts[i]++
 }
 
 // Inc records an occurrence (v=1) at time t.
@@ -62,12 +59,6 @@ func (ts *TimeSeries) index(t time.Time) int {
 // Buckets returns the number of buckets.
 func (ts *TimeSeries) Buckets() int { return len(ts.sums) }
 
-// Width returns the bucket width.
-func (ts *TimeSeries) Width() time.Duration { return ts.width }
-
-// Start returns the window start.
-func (ts *TimeSeries) Start() time.Time { return ts.start }
-
 // BucketTime returns the start time of bucket i.
 func (ts *TimeSeries) BucketTime(i int) time.Time {
 	return ts.start.Add(time.Duration(i) * ts.width)
@@ -78,40 +69,6 @@ func (ts *TimeSeries) Sum(i int) float64 {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return ts.sums[i]
-}
-
-// Count returns the number of observations in bucket i.
-func (ts *TimeSeries) Count(i int) int64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.counts[i]
-}
-
-// Mean returns the mean observation in bucket i, or 0 if empty.
-func (ts *TimeSeries) Mean(i int) float64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.counts[i] == 0 {
-		return 0
-	}
-	return ts.sums[i] / float64(ts.counts[i])
-}
-
-// RatePerMinute returns bucket i's total divided by the bucket width in
-// minutes — the paper's per-minute rate averaged over the bucket.
-func (ts *TimeSeries) RatePerMinute(i int) float64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.sums[i] / ts.width.Minutes()
-}
-
-// Totals returns a copy of the per-bucket sums.
-func (ts *TimeSeries) Totals() []float64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]float64, len(ts.sums))
-	copy(out, ts.sums)
-	return out
 }
 
 // Max returns the largest per-bucket sum and the index of its bucket —

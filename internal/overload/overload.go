@@ -130,16 +130,6 @@ func (b *TokenBucket) Allow(now time.Time) bool {
 	return false
 }
 
-// Tokens returns the level the bucket would hold at time now, without
-// consuming anything.
-func (b *TokenBucket) Tokens(now time.Time) float64 {
-	if b.Rate <= 0 {
-		return b.burstCap()
-	}
-	b.refill(now)
-	return b.tokens
-}
-
 // HeaderState encodes the bucket's admission state for persistence in a
 // stream header: "<tokens-milli>@<last-unix-nano>".
 func (b *TokenBucket) HeaderState() string {

@@ -16,6 +16,9 @@ type fakeHost struct {
 	events []Event
 }
 
+// kvDown is the fault hook of a KV node that is down: every op fails.
+func kvDown(op, key string) error { return kvstore.ErrNodeDown }
+
 func (h *fakeHost) ID() string { return h.id }
 
 func (h *fakeHost) Deliver(ev Event) {
@@ -169,8 +172,8 @@ func TestSubscribeFailsWithoutQuorum(t *testing.T) {
 	h := &fakeHost{id: "h"}
 	s.RegisterHost(h)
 	replicas := kv.ReplicasFor("/t")
-	replicas[0].SetUp(false)
-	replicas[1].SetUp(false)
+	replicas[0].SetOpHook(kvDown)
+	replicas[1].SetOpHook(kvDown)
 	if err := s.Subscribe("/t", "h"); !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("err = %v", err)
 	}
@@ -191,11 +194,11 @@ func TestFirstResponderWithStaleReplica(t *testing.T) {
 	}
 	// Take the primary down; h2's subscription lands only on the others.
 	replicas := kv.ReplicasFor("/t")
-	replicas[0].SetUp(false)
+	replicas[0].SetOpHook(kvDown)
 	if err := s.Subscribe("/t", "h2"); err != nil {
 		t.Fatal(err)
 	}
-	replicas[0].SetUp(true) // primary is back, but stale (missing h2)
+	replicas[0].SetOpHook(nil) // primary is back, but stale (missing h2)
 
 	n, err := s.Publish(Event{Topic: "/t"})
 	if err != nil {
@@ -231,7 +234,7 @@ func TestPublishAllReplicasDown(t *testing.T) {
 	s.RegisterHost(h)
 	_ = s.Subscribe("/t", "h")
 	for _, n := range kv.ReplicasFor("/t") {
-		n.SetUp(false)
+		n.SetOpHook(kvDown)
 	}
 	if _, err := s.Publish(Event{Topic: "/t"}); err == nil {
 		t.Error("publish succeeded with all replicas down")

@@ -51,11 +51,15 @@ func replicaReadsDigest(seed int64, steps int) uint64 {
 	regions := []string{"us", "eu", "ap"}
 	nodes := make([]*kvstore.Node, 5)
 	failing := make([]string, len(nodes)) // the op each node's hook fails, or ""
+	down := make(map[*kvstore.Node]bool, len(nodes))
 	for i := range nodes {
 		nodes[i] = kvstore.NewNode(fmt.Sprintf("kv%d", i), regions[i%3])
 		nodes[i].SetOpHook(func(op, key string) error {
 			if failing[i] == op {
 				return errHook
+			}
+			if down[nodes[i]] {
+				return kvstore.ErrNodeDown
 			}
 			return nil
 		})
@@ -93,7 +97,7 @@ func replicaReadsDigest(seed int64, steps int) uint64 {
 			foldErr(h, err)
 		case op < 9:
 			n := nodes[rng.Intn(len(nodes))]
-			n.SetUp(!n.Up())
+			down[n] = !down[n]
 		case op < 11:
 			failing[rng.Intn(len(nodes))] = []string{"", "apply", "view"}[rng.Intn(3)]
 		default:
@@ -106,7 +110,12 @@ func replicaReadsDigest(seed int64, steps int) uint64 {
 			fmt.Fprintf(h, "patched %d;", kv.Patch(key, kvstore.Merge(views...)))
 		}
 		var views []kvstore.SetView
+		var one *kvstore.Node // ReadOne's answer: the first replica that answers
+		var v kvstore.SetView
 		for _, r := range kv.ReadAll(key) {
+			if one == nil && r.Err == nil {
+				one, v = r.Node, r.View
+			}
 			fmt.Fprintf(h, "resp %s:", r.Node.ID)
 			foldErr(h, r.Err)
 			foldView(h, r.View)
@@ -116,13 +125,26 @@ func replicaReadsDigest(seed int64, steps int) uint64 {
 		}
 		fmt.Fprint(h, "merged:")
 		foldView(h, kvstore.Merge(views...))
-		v, n, err := kv.ReadOne(key)
+		// ReadOne and QuorumAvailable as the store had them when the
+		// digests were recorded: the first replica that answers (its
+		// ReadAll view is whole), and whether a majority of the replicas
+		// is up.
+		replicas, up := kv.ReplicasFor(key), 0
+		for _, n := range replicas {
+			if !down[n] {
+				up++
+			}
+		}
+		var err error
+		if one == nil {
+			err = kvstore.ErrNodeDown
+		}
 		foldErr(h, err)
-		if n != nil {
-			fmt.Fprintf(h, "one %s:", n.ID)
+		if one != nil {
+			fmt.Fprintf(h, "one %s:", one.ID)
 		}
 		foldView(h, v)
-		fmt.Fprintf(h, "quorum %t; subscribers %q;", kv.QuorumAvailable(key), cached.Subscribers(topic))
+		fmt.Fprintf(h, "quorum %t; subscribers %q;", up*2 > len(replicas), cached.Subscribers(topic))
 		for _, s := range []*Service{cached, plain} {
 			log = log[:0]
 			sent, err := s.Publish(Event{Topic: topic})

@@ -89,12 +89,6 @@ func NewPlane(topo *Topology, sched sim.Scheduler, pylons map[string]*pylon.Serv
 	return p, nil
 }
 
-// Pylon returns the region-local Pylon service for r (nil if unknown).
-func (p *Plane) Pylon(r string) *pylon.Service { return p.pylons[r] }
-
-// Topology returns the plane's topology.
-func (p *Plane) Topology() *Topology { return p.topo }
-
 // Publish implements was.Publisher: the event is delivered synchronously
 // in its origin region's Pylon (empty Origin means the primary region) and
 // enqueued for asynchronous replication to every other region. The return
@@ -198,6 +192,8 @@ func (l *replLink) run() {
 // QueueDepths reports the current per-link queue depth, keyed by link —
 // observability for partition experiments (how much backlog a heal must
 // drain).
+//
+//brlint:allow(test-only-export) an operator stat; the per-node stats registry of ROADMAP item 4(b) is its caller
 func (p *Plane) QueueDepths() map[Link]int {
 	out := make(map[Link]int, len(p.links))
 	for _, l := range p.links {

@@ -57,6 +57,8 @@ type ManualClock struct {
 }
 
 // NewManualClock returns a ManualClock starting at start.
+//
+//brlint:allow(test-only-export) the hand-stepped clock fixture tests drive time with
 func NewManualClock(start time.Time) *ManualClock {
 	return &ManualClock{now: start}
 }
@@ -69,6 +71,8 @@ func (c *ManualClock) Now() time.Time {
 }
 
 // Advance moves the clock forward by d.
+//
+//brlint:allow(test-only-export) the hand-stepped clock fixture tests drive time with
 func (c *ManualClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -76,6 +80,8 @@ func (c *ManualClock) Advance(d time.Duration) {
 }
 
 // Set sets the clock to t. Setting time backwards is allowed (tests only).
+//
+//brlint:allow(test-only-export) the hand-stepped clock fixture tests drive time with
 func (c *ManualClock) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -125,9 +125,6 @@ func (e *Engine) RunUntil(deadline time.Time) {
 	}
 }
 
-// RunFor advances the simulation by d (RunUntil now+d).
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
-
 // Pending returns the number of queued (non-cancelled) events. Cancelled
 // events are removed eagerly, so this is exact.
 func (e *Engine) Pending() int { return e.queue.Len() }

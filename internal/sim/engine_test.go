@@ -95,9 +95,9 @@ func TestEngineRunUntilLeavesFutureEvents(t *testing.T) {
 	}
 }
 
-func TestEngineRunForAdvancesIdleClock(t *testing.T) {
+func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	e := NewEngine(t0)
-	e.RunFor(time.Hour)
+	e.RunUntil(e.Now().Add(time.Hour))
 	if e.Now() != t0.Add(time.Hour) {
 		t.Errorf("Now = %v, want +1h", e.Now())
 	}

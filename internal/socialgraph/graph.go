@@ -216,14 +216,6 @@ func (g *Graph) Friends(id UserID) []UserID {
 	return g.friends[id-1]
 }
 
-// AreFriends reports whether a and b are friends.
-func (g *Graph) AreFriends(a, b UserID) bool {
-	g.check(a)
-	g.check(b)
-	_, found := slices.BinarySearch(g.friends[a-1], b)
-	return found
-}
-
 // Blocks reports whether viewer has blocked author.
 func (g *Graph) Blocks(viewer, author UserID) bool {
 	g.check(viewer)
@@ -245,41 +237,8 @@ func (g *Graph) Block(viewer, author UserID) {
 	}
 }
 
-// RandomUser returns a uniformly random user ID using rng.
-func (g *Graph) RandomUser(rng *rand.Rand) UserID {
-	return UserID(rng.Intn(len(g.users)) + 1)
-}
-
 func (g *Graph) check(id UserID) {
 	if id == 0 || int(id) > len(g.users) {
 		panic(fmt.Sprintf("socialgraph: user id %d out of range [1,%d]", id, len(g.users)))
 	}
-}
-
-// DegreeStats summarizes the friend-count distribution, used by tests to
-// verify the generator produces a heavy tail.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-}
-
-// Degrees computes DegreeStats over all users.
-func (g *Graph) Degrees() DegreeStats {
-	if len(g.users) == 0 {
-		return DegreeStats{}
-	}
-	st := DegreeStats{Min: math.MaxInt}
-	total := 0
-	for _, f := range g.friends {
-		d := len(f)
-		total += d
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-	}
-	st.Mean = float64(total) / float64(len(g.users))
-	return st
 }

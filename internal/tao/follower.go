@@ -102,12 +102,3 @@ var (
 	_ Reader = (*Store)(nil)
 	_ Reader = (*Follower)(nil)
 )
-
-// HitRate returns the cache hit fraction, or 0 with no lookups.
-func (f *Follower) HitRate() float64 {
-	h, m := f.Hits.Value(), f.Misses.Value()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}

@@ -198,8 +198,8 @@ func TestFollowerCaching(t *testing.T) {
 	if s.Stats().Reads() != leaderReads {
 		t.Error("cache hit still queried the leader")
 	}
-	if f.HitRate() != 0.5 {
-		t.Errorf("HitRate = %v", f.HitRate())
+	if f.Hits.Value() != 1 || f.Misses.Value() != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/1", f.Hits.Value(), f.Misses.Value())
 	}
 }
 
@@ -231,7 +231,7 @@ func TestFollowerDelayedInvalidation(t *testing.T) {
 	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
 		t.Errorf("expected the stale list before invalidation, got %+v", got)
 	}
-	eng.RunFor(200 * time.Millisecond)
+	eng.RunUntil(eng.Now().Add(200 * time.Millisecond))
 	if got := f.AssocRange(1, "c", 0, 0); len(got) != 2 || got[0].ID2 != 11 {
 		t.Errorf("stale after invalidation: %+v", got)
 	}

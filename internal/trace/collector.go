@@ -131,18 +131,6 @@ func (p *Plane) Tracer(proc string) *Tracer {
 	return t
 }
 
-// Procs returns the registered process names sorted lexically.
-func (p *Plane) Procs() []string {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := append([]string(nil), p.order...)
-	sort.Strings(out)
-	return out
-}
-
 // Gather snapshots every collector and returns all spans in a
 // deterministic order (process name, then collection order within the
 // process). This is the merger's input.

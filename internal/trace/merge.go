@@ -141,20 +141,6 @@ func bestParent(nodes []*Node, child *Node) *Node {
 	return best
 }
 
-// Hops returns the set of hop names present in the trace, sorted.
-func (t *Trace) Hops() []string {
-	seen := make(map[string]bool)
-	for _, d := range t.Spans {
-		seen[d.Hop] = true
-	}
-	out := make([]string, 0, len(seen))
-	for h := range seen {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Covers reports whether the trace contains every listed hop.
 func (t *Trace) Covers(hops ...string) bool {
 	seen := make(map[string]bool)
@@ -215,10 +201,7 @@ func Forest(traces []*Trace) string {
 	return b.String()
 }
 
-// Breakdown aggregates per-hop latency histograms from spans, wiring each
-// observation into the metrics histogram together with its trace ID as an
-// exemplar, so a suspicious percentile can be chased back to a concrete
-// trace.
+// Breakdown aggregates per-hop latency histograms from spans.
 type Breakdown struct {
 	mu   sync.Mutex
 	hops map[string]*metrics.Histogram[time.Duration]
@@ -232,7 +215,7 @@ func NewBreakdown() *Breakdown {
 // Record folds spans into the per-hop histograms.
 func (b *Breakdown) Record(spans []SpanData) {
 	for _, d := range spans {
-		b.Hist(d.Hop).ObserveExemplar(d.Duration(), uint64(d.Trace))
+		b.Hist(d.Hop).Observe(d.Duration())
 	}
 }
 

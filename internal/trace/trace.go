@@ -53,24 +53,6 @@ const (
 // proxy relay → device apply.
 var EdgePathHops = []string{HopPublish, HopFanout, HopFetch, HopFlush, HopRelay, HopApply}
 
-// Parent returns the canonical parent hop of hop ("" for roots and unknown
-// hops).
-func Parent(hop string) string {
-	switch hop {
-	case HopFanout:
-		return HopPublish
-	case HopDeliver:
-		return HopFanout
-	case HopFetch:
-		return HopDeliver
-	case HopPrivacy, HopResolve, HopFlush:
-		return HopFetch
-	case HopRelay, HopApply:
-		return HopFlush
-	}
-	return ""
-}
-
 // Sampler decides, deterministically under a seed, which mutations get a
 // trace context. It is safe for concurrent use; a nil Sampler never
 // samples.
@@ -157,14 +139,6 @@ type Tracer struct {
 	proc  string
 	clock sim.Clock
 	col   *Collector
-}
-
-// Proc returns the process name spans from this tracer carry.
-func (t *Tracer) Proc() string {
-	if t == nil {
-		return ""
-	}
-	return t.proc
 }
 
 // Start opens a span for the given trace at the given hop. It returns an

@@ -160,7 +160,7 @@ func TestAssembleBuildsPipelineTree(t *testing.T) {
 	}
 	tr := traces[0]
 	if !tr.Covers(HopPublish, HopFanout, HopDeliver, HopFetch, HopFlush, HopRelay, HopApply) {
-		t.Fatalf("trace misses hops: %v", tr.Hops())
+		t.Fatalf("trace misses hops:\n%s", tr.Tree())
 	}
 	if len(tr.Roots) != 1 || tr.Roots[0].Hop != HopPublish {
 		t.Fatalf("want single %s root, got %+v", HopPublish, tr.Roots)
@@ -261,10 +261,6 @@ func TestBreakdown(t *testing.T) {
 	if s := stats[HopRelay]; s.Count != 2 {
 		t.Fatalf("relay count = %d, want 2 (two proxy hops)", s.Count)
 	}
-	ex := b.Hist(HopPublish).Exemplars()
-	if len(ex) != 1 || ex[0].TraceID != 0xabc {
-		t.Fatalf("exemplar not recorded: %+v", ex)
-	}
 	table := b.Table()
 	if !strings.Contains(table, HopPublish) || !strings.Contains(table, HopApply) {
 		t.Fatalf("table missing hops:\n%s", table)
@@ -292,22 +288,5 @@ func TestPlaneGatherDeterministic(t *testing.T) {
 	var nilPlane *Plane
 	if nilPlane.Tracer("x") != nil || nilPlane.Gather() != nil || nilPlane.Evicted() != 0 {
 		t.Fatalf("nil plane not inert")
-	}
-	if got := p.Procs(); len(got) != 3 || got[0] != "brass-0" {
-		t.Fatalf("procs wrong: %v", got)
-	}
-}
-
-func TestParentChain(t *testing.T) {
-	want := map[string]string{
-		HopPublish: "", HopFanout: HopPublish, HopDeliver: HopFanout,
-		HopFetch: HopDeliver, HopPrivacy: HopFetch, HopResolve: HopFetch,
-		HopFlush: HopFetch, HopRelay: HopFlush, HopApply: HopFlush,
-		"unknown": "",
-	}
-	for hop, parent := range want {
-		if got := Parent(hop); got != parent {
-			t.Fatalf("Parent(%s) = %q, want %q", hop, got, parent)
-		}
 	}
 }

@@ -182,40 +182,6 @@ func Poisson(rng *rand.Rand, mean float64) int64 {
 	}
 }
 
-// CommentBurst models a live-video comment storm: a base Poisson rate with
-// occasional multiplicative bursts (the lunar-eclipse moment of §2).
-type CommentBurst struct {
-	BaseRatePerSec  float64
-	BurstMultiplier float64
-	BurstProb       float64 // probability a given second is inside a burst
-}
-
-// RateAt returns the expected comments per second at second index i.
-func (c CommentBurst) RateAt(rng *rand.Rand, i int) float64 {
-	rate := c.BaseRatePerSec
-	if rng.Float64() < c.BurstProb {
-		rate *= c.BurstMultiplier
-	}
-	return rate
-}
-
-// Validate sanity-checks bucket tables.
-func Validate(buckets []UpdateBucket) error {
-	if len(buckets) == 0 {
-		return fmt.Errorf("workload: empty bucket table")
-	}
-	t := totalProb(buckets)
-	if t <= 0 {
-		return fmt.Errorf("workload: bucket probabilities sum to %v", t)
-	}
-	for i, b := range buckets {
-		if b.Prob < 0 || b.Lo > b.Hi {
-			return fmt.Errorf("workload: bad bucket %d: %+v", i, b)
-		}
-	}
-	return nil
-}
-
 // Zipf is a power-law popularity distribution over n ranked items (areas
 // of interest, topics): item k (0-based rank) is drawn with probability
 // proportional to 1/(k+1)^S. This is the shape of topic popularity the
@@ -228,7 +194,6 @@ func Validate(buckets []UpdateBucket) error {
 // event and fully deterministic under a seeded rng.
 type Zipf struct {
 	cum []float64 // cum[k] = sum of weights of ranks 0..k, normalized to 1
-	s   float64
 }
 
 // NewZipf builds a Zipf distribution over n items with exponent s. n must
@@ -246,16 +211,10 @@ func NewZipf(n int, s float64) *Zipf {
 	for k := range cum {
 		cum[k] /= total
 	}
-	return &Zipf{cum: cum, s: s}
+	return &Zipf{cum: cum}
 }
 
-// N returns the number of ranked items.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
-
-// Sample draws one rank in [0, N).
+// Sample draws one rank in [0, n).
 func (z *Zipf) Sample(rng *rand.Rand) int {
 	x := rng.Float64()
 	lo, hi := 0, len(z.cum)-1
@@ -268,15 +227,4 @@ func (z *Zipf) Sample(rng *rand.Rand) int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability mass of rank k.
-func (z *Zipf) Prob(k int) float64 {
-	if k < 0 || k >= len(z.cum) {
-		return 0
-	}
-	if k == 0 {
-		return z.cum[0]
-	}
-	return z.cum[k] - z.cum[k-1]
 }
