@@ -57,15 +57,15 @@ func TestAllocContracts(t *testing.T) {
 		{"BURSTDeviceReceive", deviceReceive, 2, "a consumer that never releases, as the device: one lease and its bytes per batch, what the frame buffer and the []Delta cost before leases"},
 		{"PylonPublishWire", bench.PylonPublishWire, 4, "the topic string and the one-byte result, plus pool refills after a GC"},
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
-		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch both values slice; resume-seq and cursor decode to the package constants"},
+		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch its cursor slices; the key decodes to the package constant"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
 		{"WASMutateFeedComment", bench.WASMutateFeedComment, 6, "the resolver's own work: two formatted ids, the TAO object and its sorted bag (the resolver's literal stays on its stack), the association, the topic, the answer's digits appended by the resolver; no parse, Ctx or closure allocation, and the event carries no map (7 before: the answer a boxed uint64 through json.Marshal)"},
 		{"BURSTSubscribeHop", subscribeHop, 1, "the stream, whose inline pairs hold the request and whose inline bytes hold the one copy of the header they slice (2 before: that copy a string of its own; 4 before that: a header map's two)"},
-		{"BURSTResumeBatchApply", resumeBatchApply, 0, "the lease brings its own deltas, bytes and patch map and lends the patch, whose new values the stored request copies into its room, a fresh 128 bytes once its patches fill one (1 before: the decoder's copy of the patch)"},
-		{"EdgeRelayRewriteHop", bench.EdgeRelayRewriteHop, 0, "the relay's lease lends the patch to Forward, its downstream SendBatch copies the new values into the stored request's room, a fresh 128 bytes once its patches fill one, re-encodes and releases; the server and the device do the same (2 before: the relay's and the device's copy of each patch)"},
+		{"BURSTResumeBatchApply", resumeBatchApply, 0, "the lease brings its own deltas, bytes and patch map and lends the patch, whose new cursor the stored request copies into its room, a fresh 128 bytes once its patches fill one (1 before: the decoder's copy of the patch)"},
+		{"EdgeRelayRewriteHop", bench.EdgeRelayRewriteHop, 0, "the relay's lease lends the patch to Forward, its downstream SendBatch copies the new cursor into the stored request's room, a fresh 128 bytes once its patches fill one, re-encodes and releases; the server and the device do the same (2 before: the relay's and the device's copy of each patch)"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
-		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, the app lends its resume patch from a buffer it formats both tokens into, send builds the payload and patch deltas on its stack array, the patch's new values are copied into the stored request's room, and SendBatch encodes into the session's pending buffer"},
+		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, the app lends its resume patch from a buffer it formats the cursor into, send builds the payload and patch deltas on its stack array, the patch's new cursor is copied into the stored request's room, and SendBatch encodes into the session's pending buffer"},
 		{"BRASSStreamOpenClose", streamOpenClose, 5, "the subscribe hop's one, the Stream and its close reason — the one copy of the borrowed cancel reason —, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (8 before: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
 		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 5, "the device's stream and its pairs, each subscribe hop's stream, which holds the header's one copy, and the relay, which holds its first leg, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (8 before: each hop's header copy, the leg an object of its own; 13 before that: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
@@ -102,11 +102,11 @@ func batchWire(b *testing.B, deltas ...burst.Delta) []byte {
 }
 
 // resumeBatchWire is Messenger's per-delivery batch — the payload and the
-// rewrite patching both resume tokens — as the frame client stream 1 reads.
+// rewrite patching its cursor — as the frame client stream 1 reads.
 func resumeBatchWire(b *testing.B) []byte {
 	return batchWire(b,
 		burst.PayloadDelta(41, []byte(`{"seq":41,"thread":1,"author":7,"text":"hi"}`)),
-		burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: "41", burst.HdrCursor: "1.41"}, nil))
+		burst.RewriteDelta(burst.Header{burst.HdrCursor: "1.41"}, nil))
 }
 
 // sessionReceive is what every hop pays to take a batch frame off the wire
@@ -378,7 +378,7 @@ func payloadMiss(b *testing.B) {
 // fetchPush is the road from a privacy check to the wire on a warm cache:
 // an event through Host.Deliver to an app whose one stream Fetches it — the
 // viewer's check and a payload-cache hit — and Pushes it with Messenger's
-// resume patch, both tokens new each time, through the host session's writer
+// resume patch, its cursor new each time, through the host session's writer
 // to its transport.
 func fetchPush(b *testing.B) {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
@@ -387,7 +387,7 @@ func fetchPush(b *testing.B) {
 	ref := w.TAO.ObjectAdd("comment", tao.Props{{"text", "what a save!"}, {"author", "7"}, {"post", "17"}})
 	host := brass.NewHost(brass.HostConfig{ID: "push-host"}, nil, w, nil)
 	defer host.Close()
-	app := &payloadFetcher{seen: make(chan int), patch: burst.Header{burst.HdrResumeSeq: "", burst.HdrCursor: ""}}
+	app := &payloadFetcher{seen: make(chan int), patch: burst.Header{burst.HdrCursor: ""}}
 	host.RegisterApp(app)
 	tap := &wireTap{wire: msgWire(b, burst.FrameSubscribe, burst.Subscribe{Header: burst.Header{
 		burst.HdrApp: apps.AppFeedComments, burst.HdrTopic: "/hot", burst.HdrUser: "9"}}),
@@ -418,7 +418,7 @@ func fetchPush(b *testing.B) {
 // fetch every event's payload and send its length on seen, -1 for a denial;
 // with a patch set they push the payload first, and the patch with each of its
 // keys set to the count of pushes, lent from tokens as Messenger lends its
-// resume tokens. A stream that opens sends 0.
+// cursor. A stream that opens sends 0.
 type payloadFetcher struct {
 	rt     *brass.Runtime
 	seen   chan int
@@ -482,30 +482,28 @@ func resumeBatchDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch, err := burst.DecodeBatch(payload)
-		if err != nil || len(batch.Deltas) != 2 || len(batch.Deltas[1].Header) != 2 {
+		if err != nil || len(batch.Deltas) != 2 || len(batch.Deltas[1].Header) != 1 {
 			b.Fatalf("decoded %+v, %v", batch, err)
 		}
 	}
 }
 
 // resumeBatchApply is Messenger's batch into a device's client stream, which
-// merges the patch and hands the payload to Next; both resume tokens take new
-// values every iteration (two digits written into the frame), so each merge
-// copies them.
+// merges the patch and hands the payload to Next; the cursor takes a new
+// value every iteration (two digits written into the frame), so each merge
+// copies it.
 func resumeBatchApply(b *testing.B) {
 	tap := &wireTap{wire: resumeBatchWire(b), next: make(chan struct{}), closed: make(chan struct{})}
-	seqAt := bytes.Index(tap.wire, []byte(burst.HdrResumeSeq+"\x0241")) + len(burst.HdrResumeSeq) + 1
 	cursorAt := bytes.Index(tap.wire, []byte(burst.HdrCursor+"\x041.41")) + len(burst.HdrCursor) + 3
 	set := func(i int) string {
 		d := []byte{'0' + byte(i/10%9) + 1, '0' + byte(i%10)} // 10..99, never the last two
-		copy(tap.wire[seqAt:], d)
 		copy(tap.wire[cursorAt:], d)
 		return "1." + string(d)
 	}
 	cli := burst.NewClient("device", tap, nil)
 	defer cli.Close()
 	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-		burst.HdrApp: "messenger", burst.HdrUser: "7", burst.HdrResumeSeq: "40", burst.HdrCursor: "1.40"}})
+		burst.HdrApp: "messenger", burst.HdrUser: "7", burst.HdrCursor: "1.40"}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Messenger: reliable, in-order message delivery built on Bladerunner's
 // best-effort substrate (paper §4). Mailbox sequence numbers let the BRASS
-// detect and repair gaps; resume tokens persisted in the stream header via
+// detect and repair gaps; a cursor persisted in the stream header via
 // BURST rewrites let a reconnecting device catch up on everything it missed
 // — even though the device never tracked sequence numbers itself.
 //
@@ -19,6 +19,7 @@ import (
 	"bladerunner/internal/burst"
 	"bladerunner/internal/core"
 	"bladerunner/internal/device"
+	"bladerunner/internal/durlog"
 	"bladerunner/internal/sim"
 )
 
@@ -82,14 +83,15 @@ func main() {
 		fmt.Printf("bob's phone: seq=%d %q\n", m.Seq, m.Text)
 	}
 
-	// The stream header now carries bob's resume token, written by the
-	// BRASS through a BURST rewrite — bob's app never tracked it.
-	for st.Request().Header[burst.HdrResumeSeq] != "2" {
+	// The stream header now carries bob's cursor, written by the BRASS
+	// through a BURST rewrite — bob's app never tracked it.
+	seq := func() uint64 { c, _ := durlog.Parse(st.HeaderField(burst.HdrCursor)); return c.Seq }
+	for seq() != 2 {
 		sim.Sleep(clock, 5*time.Millisecond)
 	}
 	saved := st.Request()
-	fmt.Printf("resume token in stream header: seq=%s (maintained by rewrites)\n",
-		saved.Header[burst.HdrResumeSeq])
+	fmt.Printf("cursor in stream header: %s (maintained by rewrites)\n",
+		saved.Header[burst.HdrCursor])
 
 	// Bob's phone goes into a tunnel.
 	bob.Close()
@@ -99,18 +101,18 @@ func main() {
 	fmt.Println("alice sent 2 messages while bob was offline")
 
 	// Bob reconnects. The device resubscribes with the stored (rewritten)
-	// request; the BRASS sees the resume token and replays the mailbox.
+	// request; the BRASS sees the cursor and replays the mailbox.
 	bob2 := cluster.NewDevice(2)
 	defer bob2.Close()
 	if err := bob2.Connect(); err != nil {
 		log.Fatal(err)
 	}
 	st2, err := bob2.Subscribe(apps.AppMessenger, "messenger",
-		burst.Header{burst.HdrResumeSeq: saved.Header[burst.HdrResumeSeq]})
+		burst.Header{burst.HdrCursor: saved.Header[burst.HdrCursor]})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("bob reconnects with the stored resume token...")
+	fmt.Println("bob reconnects with the stored cursor...")
 	for i := 0; i < 2; i++ {
 		m := recv(st2)
 		fmt.Printf("catch-up delivery: seq=%d %q\n", m.Seq, m.Text)

@@ -750,9 +750,9 @@ func TestMessengerInOrderDelivery(t *testing.T) {
 			t.Errorf("got seq %d text %q, want seq %d", m.Seq, m.Text, want)
 		}
 	}
-	// Resume token tracked via rewrites.
-	waitFor(t, "resume token", func() bool {
-		return st.Request().Header[burst.HdrResumeSeq] == "3"
+	// The cursor is tracked via rewrites; a host without a log writes epoch 0.
+	waitFor(t, "cursor", func() bool {
+		return st.Request().Header[burst.HdrCursor] == "0.3"
 	})
 }
 
@@ -798,8 +798,8 @@ func TestMessengerGapRepair(t *testing.T) {
 	if len(texts) != 2 || texts[0] != "two" || texts[1] != "three" {
 		t.Errorf("repaired order = %v, want [two three]", texts)
 	}
-	if got := st.Request().Header[burst.HdrResumeSeq]; got != "3" {
-		t.Errorf("resume-seq after the repair batch = %q, want 3", got)
+	if got := st.Request().Header[burst.HdrCursor]; got != "0.3" {
+		t.Errorf("cursor after the repair batch = %q, want 0.3", got)
 	}
 }
 
@@ -827,6 +827,9 @@ func recvMessages(t *testing.T, st *burst.ClientStream, n int) []string {
 	return got
 }
 
+// On a host without a log a stream's cursor is 0.N, which no log serves: the
+// resubscribe that carries it replays the mailbox after N, and the host's log
+// counters do not move.
 func TestMessengerResumeAfterReconnect(t *testing.T) {
 	e := newEnv(t)
 	alice, bob := socialgraph.UserID(15), socialgraph.UserID(16)
@@ -838,8 +841,8 @@ func TestMessengerResumeAfterReconnect(t *testing.T) {
 	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
 	_, _ = e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "before drop")`, tid))
 	recvPayload(t, st1)
-	waitFor(t, "resume-seq 1", func() bool {
-		return st1.Request().Header[burst.HdrResumeSeq] == "1"
+	waitFor(t, "cursor 0.1", func() bool {
+		return st1.Request().Header[burst.HdrCursor] == "0.1"
 	})
 	saved := st1.Request() // device persists the rewritten request
 	cli1.Close()
@@ -861,6 +864,9 @@ func TestMessengerResumeAfterReconnect(t *testing.T) {
 	got := recvMessages(t, st2, 2) // the catch-up is one batch of two payloads
 	if len(got) != 2 || got[0] != "while offline 1" || got[1] != "while offline 2" {
 		t.Errorf("catch-up = %v", got)
+	}
+	if r, x := e.host.LogResumes.Value(), e.host.LogExpired.Value(); r != 0 || x != 0 {
+		t.Errorf("a host without a log counted %d log resumes and %d expired cursors", r, x)
 	}
 }
 
@@ -961,7 +967,7 @@ func TestVideoCommentsPollQuery(t *testing.T) {
 }
 
 // An in-order Messenger event is ONE decision and ONE batch: the payload and
-// a rewrite patching exactly resume-seq and cursor. With the per-stream
+// a rewrite patching exactly the cursor. With the per-stream
 // delivery rate exhausted the payload is shed but the rewrite still goes out,
 // and the durable log already holds the entry the device will resume from.
 func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
@@ -989,19 +995,19 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// batchWith returns the first batch carrying a rewrite of resume-seq to seq.
+	// batchWith returns the first batch carrying a rewrite of the cursor to seq.
 	batchWith := func(seq string) []burst.Delta {
 		t.Helper()
 		for {
 			select {
 			case batch := <-bursttest.Events(t, st):
 				for _, d := range batch.Deltas {
-					if d.Type == burst.DeltaRewriteRequest && d.Header[burst.HdrResumeSeq] == seq {
+					if d.Type == burst.DeltaRewriteRequest && d.Header[burst.HdrCursor] == "1."+seq {
 						return batch.Deltas
 					}
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("no rewrite of resume-seq to %s", seq)
+				t.Fatalf("no rewrite of the cursor to 1.%s", seq)
 			}
 		}
 	}
@@ -1015,13 +1021,13 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 		t.Fatalf("in-order delivery arrived as %+v, want ONE batch [payload 1, rewrite]", batch)
 	}
 	patch := batch[1].Header
-	if len(patch) != 2 || patch[burst.HdrCursor] == "" || batch[1].Body != nil {
-		t.Errorf("resume rewrite = %+v, want a patch of exactly resume-seq and cursor", batch[1])
+	if len(patch) != 1 || batch[1].Body != nil {
+		t.Errorf("resume rewrite = %+v, want a patch of exactly the cursor", batch[1])
 	}
 
 	send("two") // over the rate: shed
 	batch = batchWith("2")
-	if len(batch) != 1 || len(batch[0].Header) != 2 {
+	if len(batch) != 1 || len(batch[0].Header) != 1 {
 		t.Errorf("shed delivery arrived as %+v, want the resume patch alone", batch)
 	}
 	if got := host.StreamSheds.Value(); got != 1 {
@@ -1035,10 +1041,10 @@ func TestMessengerPayloadAndResumePatchShareOneBatch(t *testing.T) {
 }
 
 // Messenger lends each resume patch from the one buffer its stream formats
-// both tokens into, over again for every delivery: nothing on the way may keep
+// the cursor into, over again for every delivery: nothing on the way may keep
 // it. With that buffer overwritten once the last Push has returned, the stored
 // request of every holder — the host's, both relays' and the device's — still
-// reads the tokens that were sent.
+// reads the cursor that was sent.
 func TestMessengerResumePatchIsLent(t *testing.T) {
 	e := newEnv(t)
 	host := brass.NewHost(brass.HostConfig{ID: "brass-log", Region: "us", Durlog: true}, e.pylon, e.was, nil)
@@ -1064,7 +1070,7 @@ func TestMessengerResumePatchIsLent(t *testing.T) {
 	st := e.subscribe(t, cli, AppMessenger, "messenger", bob, nil)
 	pop, rproxy := <-relayed["pop"], <-relayed["rproxy"]
 	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(MailboxTopic(bob))) == 1 })
-	const sent = 12 // resume-seq reaches two digits: the buffer's bytes move
+	const sent = 12 // the cursor's seq reaches two digits: the buffer's bytes move
 	for i := 1; i <= sent; i++ {
 		if _, err := e.was.Mutate(alice, fmt.Sprintf(`sendMessage(threadID: %d, text: "m%d")`, tid, i)); err != nil {
 			t.Fatal(err)
@@ -1085,12 +1091,12 @@ func TestMessengerResumePatchIsLent(t *testing.T) {
 	if !ok || tail.Seq != sent {
 		t.Fatalf("bob's log tail is %+v (%v), want seq %d", tail, ok, sent)
 	}
-	want := map[string]string{burst.HdrResumeSeq: strconv.Itoa(sent), burst.HdrCursor: string(tail.AppendTo(nil))}
+	want := tail.String()
 	// The device has the last payload, so every hop has merged the patch that
 	// rode with it; the app's loop is idle until the next event.
 	tokens := &streams[0].State.(*messengerStream).tokens
-	if both := want[burst.HdrResumeSeq] + want[burst.HdrCursor]; string(tokens[:len(both)]) != both {
-		t.Fatalf("the stream's tokens buffer holds %q, want the last patch's two tokens %q", tokens, both)
+	if string(tokens[:len(want)]) != want {
+		t.Fatalf("the stream's tokens buffer holds %q, want the last patch's cursor %q", tokens, want)
 	}
 	for i := range tokens {
 		tokens[i] = 0xDB
@@ -1102,18 +1108,17 @@ func TestMessengerResumePatchIsLent(t *testing.T) {
 		"device": st.HeaderField,
 	}
 	for name, read := range holders {
-		for k, v := range want {
-			if got := read(k); got != v {
-				t.Errorf("%s's stored %s reads %q, want %q", name, k, got, v)
-			}
+		if got := read(burst.HdrCursor); got != want {
+			t.Errorf("%s's stored cursor reads %q, want %q", name, got, want)
 		}
 	}
 }
 
 // A stream open is answered from ONE place (messengerInstance.resume): the
-// floor is the lower of the request's two resume tokens, the suffix comes
-// from the host's log when the cursor proves continuity and from the mailbox
-// when it does not, and either way it goes out with its resume state as one
+// floor is the request's cursor's seq, the suffix comes from the host's log
+// when the cursor proves continuity and from the mailbox when it does not —
+// a cursor from a dead epoch replays the mailbox from its seq and counts one
+// expired cursor — and either way it goes out with its new cursor as one
 // batch that the stream's exhausted admission bucket cannot shed.
 func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 	e := newEnv(t)
@@ -1158,9 +1163,7 @@ func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sheds := host.StreamSheds.Value()
 			resumes, expired, served := host.LogResumes.Value(), host.LogExpired.Value(), host.LogCatchUpDeltas.Value()
-			// resume-seq over-claims (9 > 5): the floor must be the cursor's 5.
 			st := e.subscribe(t, cli, AppMessenger, "messenger", bob, burst.Header{
-				burst.HdrResumeSeq:      "9",
 				burst.HdrCursor:         tc.cursor,
 				brass.HdrAdmissionState: fmt.Sprintf("0@%d", time.Now().UnixNano()), // bucket exhausted
 			})
@@ -1183,8 +1186,8 @@ func TestMessengerResumeChoosesLogOrMailbox(t *testing.T) {
 					t.Fatalf("delta %d = %v seq %d, want payload seq %d", i, d.Type, d.Seq, 6+i)
 				}
 			}
-			if p := batch[5]; p.Type != burst.DeltaRewriteRequest || p.Header[burst.HdrResumeSeq] != "10" || p.Header[burst.HdrCursor] != "1.10" {
-				t.Errorf("resume patch = %+v, want resume-seq 10 and the live cursor 1.10", p)
+			if p := batch[5]; p.Type != burst.DeltaRewriteRequest || len(p.Header) != 1 || p.Header[burst.HdrCursor] != "1.10" {
+				t.Errorf("resume patch = %+v, want the live cursor 1.10 alone", p)
 			}
 			if got := host.StreamSheds.Value() - sheds; got != 0 {
 				t.Errorf("catch-up shed %d payloads; it must bypass admission", got)

@@ -24,13 +24,13 @@ import (
 // detectable at both the BRASS and the device, and the BRASS repairs them
 // by querying the WAS — so the device rarely has to.
 //
-// Resumption state (the last sequence number pushed and, with the durable
-// log on, its cursor) is persisted in the stream header via rewrites: after
-// a failure or a shed marker the resubscribe arrives carrying both tokens,
-// lowered by the device to what it actually has, and the (possibly
-// different) serving BRASS replays what is missing — from its log if the
-// cursor proves continuity, else from the mailbox — before resuming live
-// delivery (resume).
+// Resumption state (the cursor: the last sequence number pushed under the
+// host log's epoch, 0 without a log) is persisted in the stream header via
+// rewrites: after a failure or a shed marker the resubscribe arrives
+// carrying it, lowered by the device to what it actually has, and the
+// (possibly different) serving BRASS replays what is missing — from its log
+// if the cursor proves continuity, else from the mailbox — before resuming
+// live delivery (resume).
 type Messenger struct {
 	mu      sync.Mutex
 	threads map[uint64][]socialgraph.UserID // thread → members
@@ -211,10 +211,10 @@ type messengerStream struct {
 	// durable log is enabled for Messenger.
 	topic pylon.Topic
 	// patch is the stream's one resume patch, refilled per delivery, and tokens
-	// the bytes its values are lent from, room for any seq and cursor:
+	// the bytes its cursor is lent from, room for any epoch and seq:
 	// SendBatch merges a patch by copy and encodes it before Push returns.
 	patch  burst.Header
-	tokens [64]byte
+	tokens [41]byte
 }
 
 type messengerInstance struct {
@@ -232,7 +232,7 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 	if err != nil {
 		return err
 	}
-	state := &messengerStream{patch: make(burst.Header, 2)}
+	state := &messengerStream{patch: make(burst.Header, 1)}
 	st.State = state
 	if len(topics) > 0 {
 		state.topic = topics[0]
@@ -243,19 +243,17 @@ func (in *messengerInstance) OnStreamOpen(st *brass.Stream) error {
 }
 
 // resume serves a stream open: it replays everything after the request's
-// resume point and persists the new resume state, the one place that chooses
-// between the two sources. The resume point is the LOWER of the two tokens
-// the request carries: the device lowers both to what it actually has before
-// it resubscribes, so neither may be used to skip what the other admits is
-// missing. The source is the host's durable log when the cursor proves
-// continuity — gap-free, no backend read — and otherwise (no log, no cursor,
-// a malformed one, or durlog.ErrCursorExpired: a cursor is NEVER repaired
-// into a fabricated one) the mailbox. Either way the suffix goes out with
-// its resume state as ONE batch that bypasses per-stream admission (see
-// Stream.PushCatchUp). The input-only sentinels keep their meaning: "live"
-// skips the backlog, "earliest" replays the whole retained window.
+// cursor and persists the new one, the one place that chooses between the
+// two sources. The cursor's seq is the floor: the device lowers it to what it
+// actually has before it resubscribes. The source is the host's durable log
+// when the cursor proves continuity — gap-free, no backend read — and
+// otherwise (no log, epoch 0, no cursor, a malformed one, or
+// durlog.ErrCursorExpired: a cursor is NEVER repaired into a fabricated one)
+// the mailbox. Either way the suffix goes out with its cursor as ONE batch
+// that bypasses per-stream admission (see Stream.PushCatchUp). The input-only
+// sentinels keep their meaning: "live" skips the backlog, "earliest" replays
+// the whole retained window.
 func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
-	floor, seqErr := strconv.ParseUint(st.Header(burst.HdrResumeSeq), 10, 64)
 	// The Log* accessors answer "no" for a host or topic without a log, so
 	// every log branch below falls through to the mailbox by itself.
 	raw := st.Header(burst.HdrCursor)
@@ -263,30 +261,27 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 	switch raw {
 	case durlog.SentinelLive:
 		if tail, live := in.rt.LogTail(state.topic); live {
-			state.lastSeq = max(floor, tail.Seq)
+			state.lastSeq = tail.Seq
 			_ = st.Rewrite(in.resumePatch(state, state.lastSeq), nil)
 			return
 		}
 	case durlog.SentinelEarliest:
 		c, ok = in.rt.LogEarliest(state.topic)
 	}
-	if ok && (seqErr != nil || c.Seq < floor) {
-		floor = c.Seq
-	}
-	state.lastSeq = floor
+	state.lastSeq = c.Seq
 
 	var ps []brass.Payload
-	last := floor
+	last := c.Seq
 	fromLog := false
 	if ok {
-		entries, _, err := in.rt.LogRead(state.topic, durlog.Cursor{Epoch: c.Epoch, Seq: floor})
+		entries, _, err := in.rt.LogRead(state.topic, c)
 		fromLog = err == nil
 		for _, e := range entries {
 			ps, last = append(ps, st.Own(e.Seq, e.Payload)), e.Seq
 		}
 	}
 	if !fromLog {
-		ps, last, _ = in.mailboxAfter(st, state, floor) // a failed read replays nothing; see below
+		ps, last, _ = in.mailboxAfter(st, state, c.Seq) // a failed read replays nothing; see below
 	}
 	// If nothing could be read or sent lastSeq stays at the floor, and the
 	// next live event finds the gap and repairs it through catchUp.
@@ -295,26 +290,15 @@ func (in *messengerInstance) resume(st *brass.Stream, state *messengerStream) {
 	}
 }
 
-// resumePatch is the header patch that persists seq as the stream's resume
-// state. With the durable log enabled both tokens (WAS sequence + log
-// cursor) travel in ONE delta: a failover between two separate single-field
-// rewrites could strand a stream carrying a seq and a cursor from different
-// moments. Without the log, only the sequence field. Both values are lent
-// from the stream's tokens buffer, formatted over again each time: the patch
-// allocates nothing, and is valid until the next one (DESIGN.md §7e rule 1a).
+// resumePatch is the header patch that persists seq as the stream's cursor:
+// seq under the host log's current epoch for the topic, or epoch 0 on a host
+// without one, which no log serves. The value is lent from the stream's
+// tokens buffer, formatted over again each time: the patch allocates nothing,
+// and is valid until the next one (DESIGN.md §7e rule 1a).
 func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) burst.Header {
-	b := strconv.AppendUint(state.tokens[:0], seq, 10)
-	n := len(b)
-	if in.rt.LogEnabled() && state.topic != "" {
-		if tail, ok := in.rt.LogTail(state.topic); ok {
-			b = tail.AppendTo(b)
-		}
-	}
-	s := unsafe.String(unsafe.SliceData(b), len(b))
-	state.patch[burst.HdrResumeSeq] = s[:n]
-	if n < len(s) { // a log never drops a topic: a stream's patch has a cursor always or never
-		state.patch[burst.HdrCursor] = s[n:]
-	}
+	tail, _ := in.rt.LogTail(state.topic)
+	b := durlog.Cursor{Epoch: tail.Epoch, Seq: seq}.AppendTo(state.tokens[:0])
+	state.patch[burst.HdrCursor] = unsafe.String(unsafe.SliceData(b), len(b))
 	return state.patch
 }
 

@@ -347,7 +347,7 @@ func EdgeRelayOpenClose(b *testing.B) {
 }
 
 // EdgeRelayRewriteHop measures Messenger's per-delivery batch, a payload and a
-// rewrite patching both resume tokens to new values, from an upstream server
+// rewrite patching its cursor to a new value, from an upstream server
 // stream through one edge.Proxy hop over a PipeNetwork to a device that reads
 // and releases it: the relay's lease, its Forward, its downstream SendBatch,
 // which merges the patch into the stream the relay serves, and the Release.
@@ -369,22 +369,21 @@ func EdgeRelayRewriteHop(b *testing.B) {
 	cli := burst.NewClient("device", rwc, nil)
 	defer cli.Close()
 	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{
-		burst.HdrApp: apps.AppMessenger, burst.HdrUser: "7", burst.HdrResumeSeq: "0", burst.HdrCursor: "1.0"}})
+		burst.HdrApp: apps.AppMessenger, burst.HdrUser: "7", burst.HdrCursor: "1.0"}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	up, down := <-ups, <-downs
-	seqs, cursors := make([]string, b.N), make([]string, b.N)
-	for i := range seqs {
-		seqs[i] = strconv.Itoa(i + 1)
-		cursors[i] = "1." + seqs[i]
+	cursors := make([]string, b.N)
+	for i := range cursors {
+		cursors[i] = "1." + strconv.Itoa(i+1)
 	}
 	payload := []byte(`{"seq":41,"thread":1,"author":7,"text":"hi"}`)
-	patch := burst.Header{burst.HdrResumeSeq: "", burst.HdrCursor: ""}
+	patch := burst.Header{burst.HdrCursor: ""}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		patch[burst.HdrResumeSeq], patch[burst.HdrCursor] = seqs[i], cursors[i]
+		patch[burst.HdrCursor] = cursors[i]
 		if err := up.SendBatch(burst.PayloadDelta(uint64(i+1), payload), burst.RewriteDelta(patch, nil)); err != nil {
 			b.Fatal(err)
 		}

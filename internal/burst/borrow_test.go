@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"bladerunner/internal/durlog"
 	"bladerunner/internal/frame"
 	"bladerunner/internal/frame/frametest"
 )
@@ -239,7 +240,7 @@ func TestUnreleasedLeasesStayIntact(t *testing.T) {
 	var held []*Received
 	for i := 0; i < kept+later; i++ {
 		if err := ss.SendBatch(PayloadDelta(uint64(i+1), []byte(text(i))),
-			RewriteDelta(Header{HdrResumeSeq: strconv.Itoa(i)}, []byte(text(i)))); err != nil {
+			RewriteDelta(Header{HdrCursor: "1." + strconv.Itoa(i)}, []byte(text(i)))); err != nil {
 			t.Fatal(err)
 		}
 		rc, _ := st.Next()
@@ -252,7 +253,7 @@ func TestUnreleasedLeasesStayIntact(t *testing.T) {
 	for i, rc := range held {
 		d := rc.Deltas
 		if len(d) != 2 || d[0].Seq != uint64(i+1) || string(d[0].Payload) != text(i) ||
-			string(d[1].Body) != text(i) || len(d[1].Header) != 1 || d[1].Header[HdrResumeSeq] != strconv.Itoa(i) {
+			string(d[1].Body) != text(i) || len(d[1].Header) != 1 || d[1].Header[HdrCursor] != "1."+strconv.Itoa(i) {
 			t.Fatalf("batch %d, never released, now reads %+v", i, d)
 		}
 	}
@@ -274,7 +275,7 @@ func TestShedKeepsControlInItsLease(t *testing.T) {
 	ss := srv.stream(0)
 	const total = 2*eventBuffer + 50
 	for i := 1; i <= total; i++ {
-		deltas := []Delta{PayloadDelta(uint64(i), []byte("p")), RewriteDelta(Header{HdrResumeSeq: strconv.Itoa(i)}, nil)}
+		deltas := []Delta{PayloadDelta(uint64(i), []byte("p")), RewriteDelta(Header{HdrCursor: "1." + strconv.Itoa(i)}, nil)}
 		if i%3 == 0 { // payload-only batches are shed whole and their leases recycled in between
 			deltas = deltas[:1]
 		}
@@ -289,7 +290,7 @@ func TestShedKeepsControlInItsLease(t *testing.T) {
 	if err := st.Cancel(""); err != nil { // Next hands out what is queued, then reports the end
 		t.Fatal(err)
 	}
-	rewrites, last, marks := 0, 0, 0
+	rewrites, last, marks := 0, uint64(0), 0
 	for rc, ok := st.Next(); ok; rc, ok = st.Next() {
 		for _, d := range rc.Deltas {
 			switch d.Type {
@@ -299,11 +300,11 @@ func TestShedKeepsControlInItsLease(t *testing.T) {
 				}
 			case DeltaRewriteRequest:
 				rewrites++
-				v, err := strconv.Atoi(d.Header[HdrResumeSeq])
-				if len(d.Header) != 1 || err != nil || v <= last {
-					t.Fatalf("rewrite %d carries %v after resume-seq %d: its patch was lost or reordered", rewrites, d.Header, last)
+				c, ok := durlog.Parse(d.Header[HdrCursor])
+				if len(d.Header) != 1 || !ok || c.Seq <= last {
+					t.Fatalf("rewrite %d carries %v after cursor seq %d: its patch was lost or reordered", rewrites, d.Header, last)
 				}
-				last = v
+				last = c.Seq
 			}
 		}
 		rc.Release()
@@ -372,10 +373,10 @@ func TestStoredSubscribeHeaderSurvivesLaterFrames(t *testing.T) {
 		if inRoom := within(unsafe.Slice(unsafe.StringData(val), len(val)), st.hdr[:]); inRoom != (i == 0) {
 			t.Errorf("a %d-byte header's value in the stream's %d-byte room: %v", headerRoom+i, headerRoom, inRoom)
 		}
-		if err := st.Rewrite(Header{HdrCursor: "1.7", HdrResumeSeq: "7"}, nil); err != nil {
+		if err := st.Rewrite(Header{HdrCursor: "1.7", HdrStickyBRASS: "brass-7"}, nil); err != nil {
 			t.Fatal(err)
 		}
-		want := sub.Header.Clone().Merge(Header{HdrCursor: "1.7", HdrResumeSeq: "7"})
+		want := sub.Header.Clone().Merge(Header{HdrCursor: "1.7", HdrStickyBRASS: "brass-7"})
 		if got := st.Request().Header; !reflect.DeepEqual(got, want) {
 			t.Errorf("stream %d's stored header now reads %.40q, want %.40q", i, got, want)
 		}

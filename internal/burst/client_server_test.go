@@ -165,15 +165,15 @@ func TestRewriteBodyReplacement(t *testing.T) {
 
 func TestResumptionViaRewrite(t *testing.T) {
 	cli, _, srv := newClientServer(t)
-	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrApp: "msgr", HdrResumeSeq: "0"}})
+	st, _ := cli.Subscribe(Subscribe{Header: Header{HdrApp: "msgr", HdrCursor: "0.0"}})
 	waitFor(t, "stream", func() bool { return srv.stream(0) != nil })
 	ss := srv.stream(0)
-	// Deliver payloads 1..3, each followed by a resume-token rewrite.
+	// Deliver payloads 1..3, each followed by a cursor rewrite.
 	for seq := uint64(1); seq <= 3; seq++ {
 		if err := ss.SendBatch(PayloadDelta(seq, []byte("m"))); err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.RewriteHeaderField(HdrResumeSeq, "3"); err != nil && seq == 3 {
+		if err := ss.RewriteHeaderField(HdrCursor, "0.3"); err != nil && seq == 3 {
 			t.Fatal(err)
 		}
 	}
@@ -181,11 +181,11 @@ func TestResumptionViaRewrite(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		recvBatch(t, ev)
 	}
-	waitFor(t, "resume token", func() bool { return st.Request().Header[HdrResumeSeq] == "3" })
+	waitFor(t, "cursor", func() bool { return st.Request().Header[HdrCursor] == "0.3" })
 	// After a failure the device resubscribes with the stored request —
-	// it carries the resume token without the app tracking it.
-	if st.Request().Header[HdrResumeSeq] != "3" {
-		t.Errorf("resume seq = %q", st.Request().Header[HdrResumeSeq])
+	// it carries the cursor without the app tracking it.
+	if st.Request().Header[HdrCursor] != "0.3" {
+		t.Errorf("cursor = %q", st.Request().Header[HdrCursor])
 	}
 }
 

@@ -226,7 +226,7 @@ func FuzzReadFrame(f *testing.F) {
 
 // storedKeys are the keys FuzzStoredRequest draws from: well-known ones,
 // others, and the empty key.
-var storedKeys = [...]string{HdrApp, HdrUser, HdrSubscription, HdrStickyBRASS, HdrResumeSeq,
+var storedKeys = [...]string{HdrApp, HdrUser, HdrSubscription, HdrStickyBRASS, HdrTraceStream,
 	HdrCursor, "admission-state", "rl-state", "", "k9", "k10", "k11"}
 
 // FuzzStoredRequest checks the request a server stream stores against a map
@@ -245,7 +245,7 @@ func FuzzStoredRequest(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 1, 3})
 	f.Add([]byte{9, 0, 1, 2, 0, 4, 5, 6, 7, 8, 0x82, 3, 4, 0x80})
 	f.Add([]byte{255, 2, 5, 9})
-	// Enough rewrites of resume-seq, cursor and an unknown key to outgrow the
+	// Enough rewrites of trace-stream, cursor and an unknown key to outgrow the
 	// rest of the stream's header array and then a room or two of its own,
 	// behind a short header and behind one that fills no room at all.
 	f.Add(append([]byte{2, 0, 1}, bytes.Repeat([]byte{3, 4, 5, 9, 2, 4, 5}, 40)...))

@@ -51,20 +51,18 @@ const (
 	// HdrStickyBRASS pins the stream to a BRASS instance on reconnect
 	// (sticky routing; written by a rewrite as soon as a stream lands).
 	HdrStickyBRASS = "sticky-brass"
-	// HdrResumeSeq is the sequence number the serving BRASS last decided
-	// to push (resumption; maintained by rewrites). It over-claims whenever
-	// admission shed the payload the rewrite rode with, so its holder lowers
-	// it to the stream's resume point (Recovery.Reopen) on every reopen.
-	HdrResumeSeq = "resume-seq"
 	// HdrClientVersion expresses client capabilities to the BRASS.
 	HdrClientVersion = "client-version"
-	// HdrCursor is the durable-log resume cursor ("epoch.seq", or the
-	// sentinels internal/durlog accepts): the server rewrites it forward
-	// as deltas are delivered, the holder lowers it to the stream's resume
-	// point (Recovery.Reopen) on every reopen, and the serving BRASS answers
-	// it with a gap-free log catch-up — or expires it, NEVER fabricating one, and
-	// serves the same suffix from the application's backend instead. Like
-	// HdrAdmissionState it lives in the stored request, so failover
+	// HdrCursor is the stream's resume position ("epoch.seq", or the
+	// sentinels internal/durlog accepts): seq is the highest the serving
+	// BRASS decided to push, epoch the host log's epoch for the topic, 0
+	// on a host without a log. The server rewrites it forward as deltas are
+	// decided — over-claiming whenever admission shed the payload the
+	// rewrite rode with — the holder lowers it to the stream's resume point
+	// (Recovery.Reopen) on every reopen, and the serving BRASS answers it
+	// with a gap-free log catch-up — or expires it, NEVER fabricating one,
+	// and serves the same suffix from the application's backend instead.
+	// Like HdrAdmissionState it lives in the stored request, so failover
 	// rewrites and resubscriptions carry it across hosts.
 	HdrCursor = "cursor"
 	// HdrTraceStream is a stable stream identity stamped by the device at
@@ -76,9 +74,9 @@ const (
 )
 
 // wellKnownKeys are the Hdr* constants above. Header decode returns them
-// instead of copying "resume-seq" out of every frame at every hop.
+// instead of copying "cursor" out of every frame at every hop.
 var wellKnownKeys = [...]string{HdrApp, HdrSubscription, HdrTopic, HdrUser, HdrStickyBRASS,
-	HdrResumeSeq, HdrClientVersion, HdrCursor, HdrTraceStream}
+	HdrClientVersion, HdrCursor, HdrTraceStream}
 
 // Clone returns a deep copy of the header. It is for a holder's resubscribe;
 // nothing on a per-delta path calls it.

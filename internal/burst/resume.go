@@ -1,8 +1,6 @@
 package burst
 
 import (
-	"strconv"
-
 	"bladerunner/internal/durlog"
 	"bladerunner/internal/overload"
 )
@@ -47,7 +45,7 @@ type Stored interface {
 // streams). It keeps the resume point — the highest payload seq seen on the
 // stream's current incarnation before any shed marker, the ground truth the
 // stored request cannot give because the serving BRASS rewrites the resume
-// tokens forward for payloads that admission shed or that died with a session
+// cursor forward for payloads that admission shed or that died with a session
 // — and whether the stream is frozen behind a gap, waiting for a reopen, or
 // ended. It has no lock and no clock: the holder serializes calls, feeds it
 // the deltas of the current incarnation only, and executes what it answers.
@@ -68,7 +66,7 @@ func (r *Recovery) Ended() bool { return r.ended }
 
 // Step classifies one delta of the stream's current incarnation. stored is
 // the stream's stored request: a shed marker is repairable only if it carries
-// a resume token for the serving BRASS to replay from — a stream without one
+// a cursor for the serving BRASS to replay from — a stream without one
 // has nothing to resume and the application only hears the code. The matching
 // shed-recovered marker triggers nothing: it follows its FlowDegraded on a
 // server stream the reopen has already replaced.
@@ -89,8 +87,7 @@ func (r *Recovery) Step(d *Delta, stored Stored) Action {
 	case DeltaRewriteRequest:
 		return Patch
 	case DeltaFlowStatus:
-		if d.Flow != FlowDegraded || !overload.IsShedMarker(d.FlowDetail) ||
-			(stored.HeaderField(HdrCursor) == "" && stored.HeaderField(HdrResumeSeq) == "") {
+		if d.Flow != FlowDegraded || !overload.IsShedMarker(d.FlowDetail) || stored.HeaderField(HdrCursor) == "" {
 			return Surface
 		}
 		r.frozen = true
@@ -106,18 +103,15 @@ func (r *Recovery) Step(d *Delta, stored Stored) Action {
 	return Ignore
 }
 
-// Reopen lowers the resume tokens of sub, the request about to open the
-// stream's next incarnation, to the resume point — it never raises one, and
-// sentinels and malformed values pass through — and starts that incarnation
-// unfrozen with no reopen pending. Lowering is always safe (the server
-// re-serves a prefix the holder dedups by seq); raising would fabricate
-// progress. Every reopen goes through here, whatever caused it.
+// Reopen lowers the cursor of sub, the request about to open the stream's
+// next incarnation, to the resume point — it never raises it, and sentinels
+// and malformed values pass through — and starts that incarnation unfrozen
+// with no reopen pending. Lowering is always safe (the server re-serves a
+// prefix the holder dedups by seq); raising would fabricate progress. Every
+// reopen goes through here, whatever caused it.
 func (r *Recovery) Reopen(sub *Subscribe) {
 	if c := sub.Header[HdrCursor]; c != "" {
 		sub.Header[HdrCursor] = durlog.Clamp(c, r.seq)
-	}
-	if n, err := strconv.ParseUint(sub.Header[HdrResumeSeq], 10, 64); err == nil && n > r.seq {
-		sub.Header[HdrResumeSeq] = strconv.FormatUint(r.seq, 10)
 	}
 	r.frozen, r.pending = false, false
 }

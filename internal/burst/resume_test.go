@@ -2,7 +2,6 @@ package burst
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"bladerunner/internal/durlog"
@@ -12,8 +11,7 @@ import (
 // The rule both device models hold a Recovery for, stated once: what every
 // kind of delta makes the holder do, how the resume point follows the
 // payloads of the current incarnation up to the first repairable shed marker,
-// and that a reopen lowers the request's resume tokens to it, never raises
-// them.
+// and that a reopen lowers the request's cursor to it, never raises it.
 func TestResumePoint(t *testing.T) {
 	type step struct {
 		delta  Delta  // Step(&delta, stored) unless reopen is set...
@@ -36,32 +34,34 @@ func TestResumePoint(t *testing.T) {
 		{"in-order payloads advance", nil, []step{payload(1), payload(2), payload(3)}, 3},
 		{"a duplicate does not retreat", nil, []step{payload(4), payload(2)}, 4},
 		{"marker then isolated later payload does not", nil, []step{payload(5), marker(Reopen), payload(9)}, 5},
-		{"an over-claim of both tokens is lowered", nil, []step{
+		{"an over-claiming cursor is lowered", nil, []step{
 			payload(5), marker(Reopen), payload(9),
-			reopen(Header{HdrResumeSeq: "9", HdrCursor: "1.9", HdrApp: "messenger"},
-				Header{HdrResumeSeq: "5", HdrCursor: "1.5", HdrApp: "messenger"}),
+			reopen(Header{HdrCursor: "1.9", HdrApp: "messenger"}, Header{HdrCursor: "1.5", HdrApp: "messenger"}),
+		}, 5},
+		{"a log-less cursor keeps its epoch 0", nil, []step{
+			payload(5), reopen(Header{HdrCursor: "0.9"}, Header{HdrCursor: "0.5"}),
 		}, 5},
 		{"an honest lower token is untouched", nil, []step{
-			payload(5),
-			reopen(Header{HdrResumeSeq: "3", HdrCursor: "2.4"}, Header{HdrResumeSeq: "3", HdrCursor: "2.4"}),
+			payload(5), reopen(Header{HdrCursor: "2.4"}, Header{HdrCursor: "2.4"}),
 		}, 5},
 		{"sentinels and malformed values pass through", nil, []step{
 			payload(5),
 			reopen(Header{HdrCursor: "earliest"}, Header{HdrCursor: "earliest"}),
-			reopen(Header{HdrCursor: "live", HdrResumeSeq: "many"}, Header{HdrCursor: "live", HdrResumeSeq: "many"}),
+			reopen(Header{HdrCursor: "live"}, Header{HdrCursor: "live"}),
+			reopen(Header{HdrCursor: "many"}, Header{HdrCursor: "many"}),
 		}, 5},
 		{"a request without tokens gains none", nil, []step{
 			payload(5), reopen(Header{HdrApp: "typing"}, Header{HdrApp: "typing"}),
 		}, 5},
 		{"after Reopen the point advances again", nil, []step{
 			payload(5), marker(Reopen), payload(9),
-			reopen(Header{HdrResumeSeq: "9"}, Header{HdrResumeSeq: "5"}),
+			reopen(Header{HdrCursor: "1.9"}, Header{HdrCursor: "1.5"}),
 			payload(6), payload(7),
 		}, 7},
 		{"a marker without a resume token only surfaces", Header{HdrApp: "typing"}, []step{
 			payload(5), marker(Surface), payload(9),
 		}, 9},
-		{"a resume-seq alone makes a marker repairable", Header{HdrResumeSeq: "2"}, []step{
+		{"a log-less cursor makes a marker repairable", Header{HdrCursor: "0.2"}, []step{
 			payload(5), marker(Reopen), payload(9),
 		}, 5},
 		{"two markers are one reopen", nil, []step{payload(5), marker(Reopen), marker(Coalesce), marker(Coalesce)}, 5},
@@ -80,7 +80,7 @@ func TestResumePoint(t *testing.T) {
 			payload(6),
 		}, 6},
 		{"a rewrite is a patch and moves nothing", nil, []step{
-			payload(5), {delta: RewriteDelta(Header{HdrResumeSeq: "9", HdrCursor: "1.9"}, nil), want: Patch},
+			payload(5), {delta: RewriteDelta(Header{HdrCursor: "1.9"}, nil), want: Patch},
 		}, 5},
 		{"after a termination everything is ignored", nil, []step{
 			payload(5), {delta: TerminationDelta("done"), want: End},
@@ -127,8 +127,9 @@ func TestResumePoint(t *testing.T) {
 	}
 }
 
-// No sequence of steps makes Reopen raise a token: whatever a stream lived
-// through, the request that reopens it claims at most what it claimed before.
+// No sequence of steps makes Reopen raise a cursor: whatever a stream lived
+// through, the request that reopens it claims at most what it claimed before,
+// under the same epoch.
 func TestRecoveryReopenNeverRaises(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	stored := &Subscribe{Header: Header{HdrCursor: "1.0"}}
@@ -142,7 +143,7 @@ func TestRecoveryReopenNeverRaises(t *testing.T) {
 			case 1:
 				d = FlowStatusDelta(FlowRecovered, overload.RecoveredMarkerPrefix+"x")
 			case 2:
-				d = RewriteDelta(Header{HdrResumeSeq: "99"}, nil)
+				d = RewriteDelta(Header{HdrCursor: "3.99"}, nil)
 			case 3:
 				if rng.Intn(8) == 0 {
 					d = TerminationDelta("done")
@@ -157,19 +158,15 @@ func TestRecoveryReopenNeverRaises(t *testing.T) {
 				r.Reopen(&Subscribe{Header: Header{}})
 			}
 		}
-		seq, cur := uint64(rng.Intn(60)), durlog.Cursor{Epoch: 3, Seq: uint64(rng.Intn(60))}
-		sub := Subscribe{Header: Header{HdrResumeSeq: strconv.FormatUint(seq, 10), HdrCursor: cur.String()}}
+		cur := durlog.Cursor{Epoch: uint64(rng.Intn(4)), Seq: uint64(rng.Intn(60))}
+		sub := Subscribe{Header: Header{HdrCursor: cur.String()}}
 		r.Reopen(&sub)
-		gotSeq, err := strconv.ParseUint(sub.Header[HdrResumeSeq], 10, 64)
-		gotCur, ok := durlog.Parse(sub.Header[HdrCursor])
-		if err != nil || !ok {
-			t.Fatalf("round %d: reopened with unparsable tokens %v", round, sub.Header)
+		got, ok := durlog.Parse(sub.Header[HdrCursor])
+		if !ok {
+			t.Fatalf("round %d: reopened with an unparsable cursor %v", round, sub.Header)
 		}
-		if gotSeq > seq || gotCur.Seq > cur.Seq || gotCur.Epoch != cur.Epoch {
-			t.Fatalf("round %d: Reopen raised a token: resume-seq %d -> %d, cursor %v -> %v", round, seq, gotSeq, cur, gotCur)
-		}
-		if gotSeq != min(seq, r.Seq()) {
-			t.Fatalf("round %d: resume-seq = %d, want min(claim %d, point %d)", round, gotSeq, seq, r.Seq())
+		if got.Epoch != cur.Epoch || got.Seq != min(cur.Seq, r.Seq()) {
+			t.Fatalf("round %d: Reopen turned cursor %v into %v, want seq min(claim %d, point %d)", round, cur, got, cur.Seq, r.Seq())
 		}
 	}
 }

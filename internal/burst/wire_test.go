@@ -131,7 +131,7 @@ func roundTripDeltas() []Delta {
 		FlowStatusDelta(FlowRecovered, "proxy back"),
 		FlowStatusDelta(FlowDegraded, ""),
 		RewriteDelta(Header{HdrStickyBRASS: "brass-7", "": ""}, []byte{0, 1, 0xFF}),
-		RewriteDelta(Header{HdrResumeSeq: "41", HdrCursor: "1.41", "rl-state": "bucket=3"}, nil),
+		RewriteDelta(Header{HdrCursor: "1.41", "rl-state": "bucket=3"}, nil),
 		RewriteDelta(Header{}, nil),
 		RewriteDelta(nil, []byte("body only")),
 		TerminationDelta("load shed"),
@@ -317,19 +317,19 @@ func TestRewriteDuplicateKeyLastWins(t *testing.T) {
 	b.Write([]byte{0, 0, 0, 0}) // seq, payload, flow, flow detail
 	b.WriteByte(1)              // header present
 	frame.PutUvarint(&b, 3)
-	for _, kv := range [][2]string{{HdrResumeSeq, "1"}, {"k", "v"}, {HdrResumeSeq, "2"}} {
+	for _, kv := range [][2]string{{HdrCursor, "1.1"}, {"k", "v"}, {HdrCursor, "1.2"}} {
 		frame.PutString(&b, kv[0])
 		frame.PutString(&b, kv[1])
 	}
 	b.Write([]byte{0, 0, 0}) // body, reason, trace
 	got, err := DecodeBatch(b.Bytes())
-	want := Header{HdrResumeSeq: "2", "k": "v"}
+	want := Header{HdrCursor: "1.2", "k": "v"}
 	if err != nil || !reflect.DeepEqual(got.Deltas[0].Header, want) {
 		t.Fatalf("decoded %+v, %v; want %+v", got.Deltas, err, want)
 	}
 
 	cli, ss, srv := newClientServer(t)
-	st, err := cli.Subscribe(Subscribe{Header: Header{HdrApp: "m", HdrResumeSeq: "0"}})
+	st, err := cli.Subscribe(Subscribe{Header: Header{HdrApp: "m", HdrCursor: "1.0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestRewriteDuplicateKeyLastWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "patch applied", func() bool { return st.HeaderField("k") == "v" })
-	if got, want := st.Request().Header, (Header{HdrApp: "m", HdrResumeSeq: "2", "k": "v"}); !reflect.DeepEqual(got, want) {
+	if got, want := st.Request().Header, (Header{HdrApp: "m", HdrCursor: "1.2", "k": "v"}); !reflect.DeepEqual(got, want) {
 		t.Errorf("stored request = %+v, want %+v", got, want)
 	}
 }

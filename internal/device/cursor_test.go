@@ -14,7 +14,7 @@ import (
 
 // These are white-box tests of the device's one recovery path: a shed marker
 // freezes the stream's resume point and reopens the stream from its stored
-// request, resume tokens lowered to the point; repeated markers coalesce.
+// request, its cursor lowered to the point; repeated markers coalesce.
 
 // newIdleDevice builds a device on a manual engine whose timers never fire:
 // After(0, fn) stays pending, which makes pending-state assertions
@@ -140,7 +140,7 @@ func nextStream(t *testing.T, streams chan *burst.ServerStream) *burst.ServerStr
 // TestShedResumeReopensFromFrozenPoint is the regression for the resync
 // hole: after a shed marker, neither a payload that lands behind the gap nor
 // a rewrite describing payloads that never arrived may lift the resume
-// point. The resubscribe must carry BOTH tokens lowered to the last payload
+// point. The resubscribe must carry the cursor lowered to the last payload
 // seen before the marker.
 func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	d, eng := newIdleDevice(t)
@@ -152,8 +152,7 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	srv := nextStream(t, streams)
 
 	resumeState := func(seq uint64) burst.Delta {
-		n := strconv.FormatUint(seq, 10)
-		return burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: n, burst.HdrCursor: "1." + n}, nil)
+		return burst.RewriteDelta(burst.Header{burst.HdrCursor: "1." + strconv.FormatUint(seq, 10)}, nil)
 	}
 	send := func(deltas ...burst.Delta) {
 		t.Helper()
@@ -175,8 +174,8 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 	if got := resumePoint(st); got != 5 {
 		t.Fatalf("resume point = %d after marker + isolated payload 9, want 5", got)
 	}
-	if got := st.HeaderField(burst.HdrResumeSeq); got != "9" {
-		t.Fatalf("stored resume-seq = %q, want the over-claim 9 the server rewrote", got)
+	if got := st.HeaderField(burst.HdrCursor); got != "1.9" {
+		t.Fatalf("stored cursor = %q, want the over-claim 1.9 the server rewrote", got)
 	}
 
 	// Release the pending resume: cancel + resubscribe on the live session.
@@ -186,8 +185,8 @@ func TestShedResumeReopensFromFrozenPoint(t *testing.T) {
 		t.Fatal("no resume pending after the shed marker")
 	}
 	req := nextStream(t, streams).Request()
-	if seq, cur := req.Header[burst.HdrResumeSeq], req.Header[burst.HdrCursor]; seq != "5" || cur != "1.5" {
-		t.Fatalf("resubscribe carried resume-seq %q cursor %q, want 5 and 1.5", seq, cur)
+	if cur := req.Header[burst.HdrCursor]; cur != "1.5" {
+		t.Fatalf("resubscribe carried cursor %q, want 1.5", cur)
 	}
 	if got := d.Resumes.Value(); got != 1 {
 		t.Errorf("Resumes = %d, want 1", got)
@@ -273,13 +272,12 @@ func TestSupersededIncarnationMovesNoState(t *testing.T) {
 // Resubscribes race by design — the reconnect, a per-stream retry and a
 // shed-marker resume may each decide to reopen the stream — so the request
 // one of them is still sending must not be the map the next one lowers its
-// tokens in. Fails under -race if they share it.
+// cursor in. Fails under -race if they share it.
 func TestConcurrentResubscribesShareNoRequest(t *testing.T) {
 	d, _ := newIdleDevice(t)
 	cli, streams := pipeSession(t, d)
 	st := newIdleStream(d)
 	st.req.Header[burst.HdrCursor] = "1.9"
-	st.req.Header[burst.HdrResumeSeq] = "9"
 	seen(st, 5)
 
 	const n = 4
@@ -293,7 +291,7 @@ func TestConcurrentResubscribesShareNoRequest(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < n; i++ {
-		if h := nextStream(t, streams).Request().Header; h[burst.HdrCursor] != "1.5" || h[burst.HdrResumeSeq] != "5" {
+		if h := nextStream(t, streams).Request().Header; h[burst.HdrCursor] != "1.5" {
 			t.Errorf("resubscribe %d carried %v", i, h)
 		}
 	}

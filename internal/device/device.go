@@ -81,7 +81,7 @@ type Device struct {
 	Polls        metrics.Counter
 	Resubscribes metrics.Counter
 	// Resumes counts shed gaps repaired by reopening the stream from its
-	// stored request, resume tokens lowered to the stream's resume point.
+	// stored request, its cursor lowered to the stream's resume point.
 	Resumes metrics.Counter
 	// ResumesCoalesced counts shed markers absorbed by a resume already
 	// scheduled — they did NOT become an extra resubscribe because the
@@ -330,8 +330,8 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 		st.req = old.Request()
 		st.cur = nil
 	}
-	// The server rewrote the resume tokens forward as it pushed, but what
-	// admission shed or a dead session swallowed never arrived: lower both
+	// The server rewrote the cursor forward as it pushed, but what
+	// admission shed or a dead session swallowed never arrived: lower it
 	// to what this device actually has.
 	st.rec.Reopen(&st.req)
 	// A copy: another resubscribe may lower st.req again while this one is

@@ -7,13 +7,14 @@ import (
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/burst/bursttest"
+	"bladerunner/internal/durlog"
 )
 
 // stalledStream subscribes env's device with extra header fields, stalls the
 // app — nobody calls Next — while the POP sends the payloads 1..n, one batch
 // each, and waits until the device's queue has applied them all, shedding
 // what did not fit. With rewrite set, each batch also rewrites the stream's
-// resume token to its payload, as Messenger's do.
+// cursor to its payload, as Messenger's do.
 func stalledStream(t *testing.T, env *devEnv, extra burst.Header, n int, rewrite bool) (*Stream, *burst.ServerStream) {
 	t.Helper()
 	if err := env.dev.Connect(); err != nil {
@@ -28,7 +29,7 @@ func stalledStream(t *testing.T, env *devEnv, extra burst.Header, n int, rewrite
 	for seq := 1; seq <= n; seq++ {
 		deltas := []burst.Delta{burst.PayloadDelta(uint64(seq), []byte("m"))}
 		if rewrite {
-			deltas = append(deltas, burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: strconv.Itoa(seq)}, nil))
+			deltas = append(deltas, burst.RewriteDelta(burst.Header{burst.HdrCursor: "1." + strconv.Itoa(seq)}, nil))
 		}
 		if err := srv.SendBatch(deltas...); err != nil {
 			t.Fatal(err)
@@ -83,7 +84,7 @@ func dropped(env *devEnv) int64 {
 func TestStalledAppResumesBelowItsGap(t *testing.T) {
 	env := newDevEnv(t)
 	const sent = 400
-	st, _ := stalledStream(t, env, burst.Header{burst.HdrResumeSeq: "0"}, sent, true)
+	st, _ := stalledStream(t, env, burst.Header{burst.HdrCursor: "1.0"}, sent, true)
 	if got := dropped(env); got != sent-256 {
 		t.Fatalf("the queue shed %d payloads, want %d", got, sent-256)
 	}
@@ -113,14 +114,14 @@ func TestStalledAppResumesBelowItsGap(t *testing.T) {
 	}
 	waitFor(t, "the reopen on the POP", func() bool { return env.popA.stream(1) != nil })
 	srv := env.popA.stream(1)
-	from, err := strconv.ParseUint(srv.Request().Header[burst.HdrResumeSeq], 10, 64)
-	if err != nil || from >= lacking {
-		t.Fatalf("the reopen resumes from %q, want below %d", srv.Request().Header[burst.HdrResumeSeq], lacking)
+	c, ok := durlog.Parse(srv.Request().Header[burst.HdrCursor])
+	if from := c.Seq; !ok || from >= lacking {
+		t.Fatalf("the reopen resumes from %q, want below %d", srv.Request().Header[burst.HdrCursor], lacking)
 	}
 	// The serving side replays everything after the resume point in one
 	// batch, as a BRASS does.
 	var replay []burst.Delta
-	for seq := from + 1; seq <= sent; seq++ {
+	for seq := c.Seq + 1; seq <= sent; seq++ {
 		replay = append(replay, burst.PayloadDelta(seq, []byte("m")))
 	}
 	if err := srv.SendBatch(replay...); err != nil {

@@ -196,18 +196,18 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	}
 	waitFor(t, "stream on pop-a", func() bool { return env.popA.stream(0) != nil })
 
-	// The serving side delivers seq 12 and rewrites the resume token that
-	// describes it into the request, as one batch. (A token for a payload
+	// The serving side delivers seq 12 and rewrites the cursor that
+	// describes it into the request, as one batch. (A cursor for a payload
 	// that never arrived would, correctly, be lowered on resubscribe.)
 	if err := env.popA.stream(0).SendBatch(burst.PayloadDelta(12, []byte("before")),
-		burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: "12"}, nil)); err != nil {
+		burst.RewriteDelta(burst.Header{burst.HdrCursor: "0.12"}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if d := next(t, st); d.Type != burst.DeltaPayload || d.Seq != 12 {
 		t.Fatalf("first delta %+v, want payload 12", d)
 	}
-	if got := st.Request().Header[burst.HdrResumeSeq]; got != "12" {
-		t.Fatalf("stored resume-seq = %q after the batch was applied", got)
+	if got := st.Request().Header[burst.HdrCursor]; got != "0.12" {
+		t.Fatalf("stored cursor = %q after the batch was applied", got)
 	}
 
 	env.popA.kill() // POP fails
@@ -216,7 +216,7 @@ func TestReconnectRotatesPOPAndResubscribes(t *testing.T) {
 	// rewritten request.
 	waitFor(t, "resubscribed on pop-b", func() bool { return env.popB.stream(0) != nil })
 	req := env.popB.stream(0).Request()
-	if req.Header[burst.HdrResumeSeq] != "12" {
+	if req.Header[burst.HdrCursor] != "0.12" {
 		t.Errorf("resubscribe lost rewrite: %+v", req.Header)
 	}
 	if env.dev.Reconnects.Value() != 1 || env.dev.Resubscribes.Value() != 1 {

@@ -197,6 +197,30 @@ func TestMidStreamFirstAppend(t *testing.T) {
 	}
 }
 
+// Epoch 0 is the cursor of a host that keeps no log: every topic starts at
+// epoch 1, so an opened topic refuses epoch 0 at every seq — empty, mid-window
+// and at its tail — and the serving BRASS falls back to the backend.
+func TestEpochZeroIsNeverServed(t *testing.T) {
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	l := New(testConfig(clk))
+	l.Open("/T/1")
+	refused := func(when string) {
+		t.Helper()
+		_, _, tail, _ := l.Window("/T/1")
+		for seq := uint64(0); seq <= tail+1; seq++ {
+			if _, _, err := l.ReadFrom("/T/1", Cursor{Epoch: 0, Seq: seq}); !errors.Is(err, ErrCursorExpired) {
+				t.Fatalf("%s: ReadFrom(0.%d) = %v, want ErrCursorExpired", when, seq, err)
+			}
+		}
+		mustRead(t, l, "/T/1", Cursor{Epoch: 1, Seq: tail}) // the topic's own epoch is served
+	}
+	refused("empty")
+	for seq := uint64(1); seq <= 6; seq++ {
+		l.Append("/T/1", seq, payload(seq))
+		refused(fmt.Sprintf("tail %d", seq))
+	}
+}
+
 func TestOversizedPayloadPoisonsWindow(t *testing.T) {
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	l := New(testConfig(clk))
@@ -486,6 +510,7 @@ func FuzzParseCursor(f *testing.F) {
 	for _, s := range []string{
 		"1.5", "0.0", "18446744073709551615.1", "1.18446744073709551616", "007.08",
 		SentinelEarliest, SentinelLive, "", "5", ".5", "5.", "a.b", "1.2.3", "-1.2", "+1.2", "1_0.2", "1. 2", "1.2\n",
+		"0.18446744073709551615",
 	} {
 		f.Add(s, uint64(5))
 	}

@@ -143,7 +143,7 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 	waitFor(t, "upstream stream", func() bool { return c.brassA.stream(0) != nil })
 	ss := c.brassA.stream(0)
 
-	keys := []string{burst.HdrResumeSeq, burst.HdrCursor, burst.HdrStickyBRASS, "rl-state", "admission-state", ""}
+	keys := []string{burst.HdrClientVersion, burst.HdrCursor, burst.HdrStickyBRASS, "rl-state", "admission-state", ""}
 	rng := rand.New(rand.NewSource(18))
 	seq := uint64(0)
 	step := func(i int) {
@@ -239,7 +239,7 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 }
 
 // A stalled device overflows its POP's upstream leg with Messenger's shape of
-// traffic: payload batches between batches that patch both resume tokens. The
+// traffic: payload batches between batches that patch the cursor. The
 // leg may shed payloads only. Every control delta reaches the device in the
 // order the server sent it, and the device's fold ends equal to the server's.
 // Each shed episode is announced in order: its FlowDegraded marker arrives
@@ -247,7 +247,7 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 	c := newChain(t, nil)
 	st, err := c.client.Subscribe(burst.Subscribe{Header: burst.Header{
-		burst.HdrApp: "messenger", burst.HdrStickyBRASS: "brass-a", burst.HdrResumeSeq: "0", burst.HdrCursor: "1.0"}})
+		burst.HdrApp: "messenger", burst.HdrStickyBRASS: "brass-a", burst.HdrCursor: "1.0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestOverflowedRelayLegKeepsControlInOrder(t *testing.T) {
 		if i%2 == 1 {
 			err = ss.SendBatch(burst.PayloadDelta(uint64(i+1)/2, []byte(v)))
 		} else {
-			err = ss.SendBatch(burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: v, burst.HdrCursor: "1." + v}, nil),
+			err = ss.SendBatch(burst.RewriteDelta(burst.Header{burst.HdrCursor: "1." + v}, nil),
 				burst.FlowStatusDelta(burst.FlowRecovered, "ctl "+v))
 		}
 		if err != nil {
@@ -345,7 +345,7 @@ func TestRewriteOwnershipUnderRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= rewrites; i++ {
-				k := [...]string{burst.HdrResumeSeq, burst.HdrCursor, burst.HdrApp}[i%3]
+				k := [...]string{burst.HdrClientVersion, burst.HdrCursor, burst.HdrApp}[i%3]
 				if ss.RewriteHeaderField(k, u.name+"-"+strconv.Itoa(i)) != nil {
 					return // this server was killed
 				}
@@ -374,17 +374,17 @@ func TestRewriteOwnershipUnderRace(t *testing.T) {
 				_ = read().Header[burst.HdrCursor]
 			}
 			if up := c.brassB.stream(0); up != nil {
-				_ = up.HeaderField(burst.HdrResumeSeq)
+				_ = up.HeaderField(burst.HdrClientVersion)
 			}
-			_ = st.HeaderField(burst.HdrResumeSeq)
+			_ = st.HeaderField(burst.HdrClientVersion)
 		}
 	}()
 
-	waitFor(t, "rewrites from brass-a", func() bool { return st.HeaderField(burst.HdrResumeSeq) != "" })
+	waitFor(t, "rewrites from brass-a", func() bool { return st.HeaderField(burst.HdrClientVersion) != "" })
 	c.net.SetDown("brass-a", true) // repair in flight while both ends keep going
 	waitFor(t, "repair onto brass-b", func() bool { return c.brassB.stream(0) != nil })
 	last := "brass-b-" + strconv.Itoa(rewrites)
-	waitFor(t, "brass-b's last rewrite at the device", func() bool { return st.HeaderField(burst.HdrResumeSeq) == last })
+	waitFor(t, "brass-b's last rewrite at the device", func() bool { return st.HeaderField(burst.HdrClientVersion) == last })
 	if got := st.HeaderField(burst.HdrTraceStream); got != "dev/1" {
 		t.Errorf("a key no patch carried changed: trace-stream = %q", got)
 	}

@@ -159,12 +159,12 @@ func TestProxyRelaysRewritesAndTracksState(t *testing.T) {
 	env := newProxyEnv(t)
 	st := subscribeSticky(t, env, "brass-a")
 	waitFor(t, "upstream stream", func() bool { return env.brassA.stream(0) != nil })
-	if err := env.brassA.stream(0).RewriteHeaderField("resume-seq", "41"); err != nil {
+	if err := env.brassA.stream(0).RewriteHeaderField("cursor", "1.41"); err != nil {
 		t.Fatal(err)
 	}
 	// The device's stored request gets the rewrite through the proxy.
 	waitFor(t, "device rewrite", func() bool {
-		return st.Request().Header["resume-seq"] == "41"
+		return st.Request().Header["cursor"] == "1.41"
 	})
 	if env.proxy.RewritesRelayed.Value() != 1 {
 		t.Errorf("RewritesRelayed = %d", env.proxy.RewritesRelayed.Value())
@@ -193,7 +193,7 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 
 	// BRASS patches three different keys; the repair must carry all three
 	// and every key of the original subscribe.
-	for _, kv := range [][2]string{{"resume-seq", "7"}, {"cursor", "1.7"}, {"rl-state", "bucket=3"}} {
+	for _, kv := range [][2]string{{"client-version", "7"}, {"cursor", "1.7"}, {"rl-state", "bucket=3"}} {
 		if err := env.brassA.stream(0).RewriteHeaderField(kv[0], kv[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	waitFor(t, "repaired on B", func() bool { return env.brassB.stream(0) != nil })
 	want := burst.Header{
 		burst.HdrApp: "echo", burst.HdrTopic: "/t/1", burst.HdrStickyBRASS: "brass-a",
-		"resume-seq": "7", "cursor": "1.7", "rl-state": "bucket=3",
+		"client-version": "7", "cursor": "1.7", "rl-state": "bucket=3",
 	}
 	if got := env.brassB.stream(0).Request().Header; !reflect.DeepEqual(got, want) {
 		t.Errorf("repair carried %+v, want the merged state %+v", got, want)
@@ -240,7 +240,7 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	if len(opened) != 1 || len(repaired) != 1 {
 		t.Fatalf("%d subscribes to brass-a and %d to brass-b, want one each", len(opened), len(repaired))
 	}
-	wantPairs := append(wirePairs(t, opened[0]), [][2]string{{"resume-seq", "7"}, {"cursor", "1.7"}, {"rl-state", "bucket=3"}}...)
+	wantPairs := append(wirePairs(t, opened[0]), [][2]string{{"client-version", "7"}, {"cursor", "1.7"}, {"rl-state", "bucket=3"}}...)
 	if got := wirePairs(t, repaired[0]); !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("the repair sent the pairs %q, want %q", got, wantPairs)
 	}

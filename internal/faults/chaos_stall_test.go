@@ -58,12 +58,12 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	waitFor(t, "mailbox subscription", func() bool {
 		return len(c.Pylon.Subscribers(apps.MailboxTopic(viewerUID))) >= 1
 	})
-	// The open's own catch-up batch, which stores the resume token, must be
+	// The open's own catch-up batch, which stores the cursor, must be
 	// off the wire before the stall: otherwise it is what the device's
 	// waiting read takes, and the first message stalls behind it.
-	waitFor(t, "the open's resume token", func() bool { return st.HeaderField(burst.HdrResumeSeq) != "" })
+	waitFor(t, "the open's cursor", func() bool { return st.HeaderField(burst.HdrCursor) != "" })
 
-	// Each message is one [payload, rewrite{resume-seq, cursor}] batch, so
+	// Each message is one [payload, rewrite{cursor}] batch, so
 	// the reverse proxies have relayed all of them to the stalled POP once
 	// their rewrite count has grown by sent.
 	relayed := func() (n int64) {

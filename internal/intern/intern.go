@@ -8,11 +8,9 @@ package intern
 
 import "sync"
 
-// None is the zero handle. Table never issues it: valid handles start at 1,
-// so a zero value in a record unambiguously means "no string".
-const None uint32 = 0
-
-// Table is a string interner. The zero value is NOT ready to use; call New.
+// Table is a string interner. Handles start at 1: Table never issues 0, so
+// a zero value in a record unambiguously means "no string". The zero value
+// is NOT ready to use; call New.
 // All methods are safe for concurrent use.
 type Table struct {
 	mu    sync.Mutex

@@ -10,8 +10,8 @@ func TestInternStableHandles(t *testing.T) {
 	tb := New()
 	a := tb.Intern("/TI/1/1")
 	b := tb.Intern("/TI/1/2")
-	if a == None || b == None {
-		t.Fatalf("valid handles must not be None: a=%d b=%d", a, b)
+	if a == 0 || b == 0 {
+		t.Fatalf("valid handles must not be 0: a=%d b=%d", a, b)
 	}
 	if a == b {
 		t.Fatalf("distinct strings got the same handle %d", a)

@@ -28,6 +28,8 @@ var ErrNoQuorum = errors.New("kvstore: no quorum of replicas reachable")
 
 // ErrNodeDown is the error a fault hook (OpHook) returns to model an
 // unreachable node.
+//
+//brlint:allow(test-only-export) a fault fixture: the OpHook of five packages' tests returns it for a down node
 var ErrNodeDown = errors.New("kvstore: node down")
 
 // Member is one element of a replicated set (for Pylon: a BRASS host ID).

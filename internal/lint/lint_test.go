@@ -150,8 +150,10 @@ func TestHotPathAllocFixture(t *testing.T) {
 
 // TestTestOnlyExportFixture covers test-only-export over a three-package
 // tree: lib's exports that only lib_test.go calls are reported, unless
-// allowed; a call from app, a method value, a generic instantiation, an
-// interface app mentions and fmt.Stringer each count as a caller; and
+// allowed — functions, methods, and package-scope vars, consts (one of an
+// iota group) and types alike; a call from app, a method value, a generic
+// instantiation, an interface app mentions and fmt.Stringer each count as a
+// caller, and app's reading a var, a const and a type as a use; and
 // neither app nor orphan, which no non-test package imports, is judged.
 // Linting lib alone judges it against the whole tree all the same.
 func TestTestOnlyExportFixture(t *testing.T) {
@@ -292,18 +294,19 @@ func TestSuppressionCensus(t *testing.T) {
 		// their caller: 4(b) the stats registry, 4(c) the per-stream
 		// table, 15 the drain.
 		"test-only-export": {
-			"internal/brass/host.go":     3, // 4(b)
-			"internal/burst/client.go":   1, // 4(c)
-			"internal/burst/resume.go":   1, // 4(c)
-			"internal/burst/server.go":   1, // 4(c)
-			"internal/ctrl/node.go":      1, // 15
-			"internal/durlog/durlog.go":  2, // 15
-			"internal/edge/proxy.go":     1, // 4(b)
-			"internal/faults/network.go": 5,
-			"internal/faults/plan.go":    4,
-			"internal/faults/region.go":  2,
-			"internal/region/plane.go":   1, // 4(b)
-			"internal/sim/clock.go":      3,
+			"internal/brass/host.go":      3, // 4(b)
+			"internal/burst/client.go":    1, // 4(c)
+			"internal/burst/resume.go":    1, // 4(c)
+			"internal/burst/server.go":    1, // 4(c)
+			"internal/ctrl/node.go":       1, // 15
+			"internal/durlog/durlog.go":   2, // 15
+			"internal/edge/proxy.go":      1, // 4(b)
+			"internal/faults/network.go":  5,
+			"internal/faults/plan.go":     4,
+			"internal/faults/region.go":   2,
+			"internal/kvstore/kvstore.go": 1,
+			"internal/region/plane.go":    1, // 4(b)
+			"internal/sim/clock.go":       3,
 		},
 	}
 	l := testLoader(t)

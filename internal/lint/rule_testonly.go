@@ -6,16 +6,18 @@ import (
 	"go/types"
 )
 
-// test-only-export: code that only tests run goes. An exported function or
-// method declared in a non-test file must be the target of some Info.Uses
-// in a non-test file of the Scope, compared by Origin so a method value or
-// a generic instantiation counts. Exempt are a method that satisfies an
-// interface — one the Scope names as a type or as a parameter of a function
-// it uses (net.Conn's Read, sort.Sort's Less), error, fmt.Stringer — and a
-// package no non-test package imports (a test plane such as bursttest, or a
-// main). Uses are judged against the whole Scope even when brlint runs on
-// one package. //brlint:allow(test-only-export) is for a fixture only tests
-// drive, or an export a ROADMAP item names as its future caller.
+// test-only-export: code that only tests run goes. An exported function,
+// method, or package-scope var, const or type declared in a non-test file
+// must be the target of some Info.Uses in a non-test file of the Scope,
+// compared by Origin so a method value or a generic instantiation counts (a
+// type's own method receivers are uses of it). Exempt are a method that
+// satisfies an interface — one the Scope names as a type or as a parameter
+// of a function it uses (net.Conn's Read, sort.Sort's Less), error,
+// fmt.Stringer — and a package no non-test package imports (a test plane
+// such as bursttest, or a main). Uses are judged against the whole Scope
+// even when brlint runs on one package. //brlint:allow(test-only-export) is
+// for a fixture only tests drive, or an export a ROADMAP item names as its
+// future caller.
 
 // TestOnlyExport implements the test-only-export rule.
 type TestOnlyExport struct {
@@ -61,10 +63,25 @@ func (r *TestOnlyExport) Check(c *Context) {
 	}
 	for _, f := range c.Pkg.Files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-				fn := c.Pkg.Info.Defs[fd.Name].(*types.Func)
-				if !r.used[fn] && !r.satisfies(fn) {
-					c.Reportf(fd.Name.Pos(), "%s is exported but no non-test file calls it; delete it, move it into an export_test.go, or give it its production caller", fn.FullName())
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if fn := c.Pkg.Info.Defs[d.Name].(*types.Func); d.Name.IsExported() && !r.used[fn] && !r.satisfies(fn) {
+					c.Reportf(d.Name.Pos(), "%s is exported but no non-test file calls it; delete it, move it into an export_test.go, or give it its production caller", fn.FullName())
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					var names []*ast.Ident
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						names = spec.Names
+					case *ast.TypeSpec:
+						names = []*ast.Ident{spec.Name}
+					}
+					for _, id := range names {
+						if obj := c.Pkg.Info.Defs[id]; id.IsExported() && !r.used[obj] {
+							c.Reportf(id.Pos(), "%s.%s is exported but no non-test file uses it; delete it, move it into an export_test.go, or give it its production user", obj.Pkg().Path(), id.Name)
+						}
+					}
 				}
 			}
 		}
@@ -98,8 +115,9 @@ func (r *TestOnlyExport) load(l *Loader) error {
 		}
 		for _, obj := range p.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				r.used[fn.Origin()] = true
+				obj = fn.Origin()
 			}
+			r.used[obj] = true
 		}
 		for _, tv := range p.Info.Types {
 			if tv.IsType() {

@@ -11,5 +11,9 @@ func Run() int {
 	f()
 	var g lib.Getter = lib.T{}
 	var b lib.Box[int]
-	return g.Fetch() + b.Get() + lib.Ident[int](1)
+	var m lib.Mode = lib.ModeA
+	if lib.ErrUsed != nil {
+		m++
+	}
+	return g.Fetch() + b.Get() + lib.Ident[int](1) + int(m)
 }

@@ -1,6 +1,8 @@
 // Package lib is imported by app, so its exports are judged.
 package lib
 
+import "errors"
+
 // OnlyTested is called from lib_test.go alone.
 func OnlyTested() {} // want `test-only-export: bladerunner/internal/lint/testdata/src/testonlyexport/lib.OnlyTested is exported but no non-test file calls it`
 
@@ -41,3 +43,26 @@ func Ident[V any](v V) V { return v }
 //
 //brlint:allow(test-only-export) a fixture the package's tests drive
 func Fixture() {}
+
+// ErrUsed is a var app reads.
+var ErrUsed = errors.New("used")
+
+// ErrTested is a var only lib_test.go reads.
+var ErrTested = errors.New("tested") // want `test-only-export: bladerunner/internal/lint/testdata/src/testonlyexport/lib.ErrTested is exported but no non-test file uses it`
+
+// Mode is a type app names.
+type Mode int
+
+// The modes: app reads ModeA, only lib_test.go reads ModeB.
+const (
+	ModeA Mode = iota
+	ModeB      // want `test-only-export: bladerunner/internal/lint/testdata/src/testonlyexport/lib.ModeB is exported but no non-test file uses it`
+)
+
+// Options is a type only lib_test.go names.
+type Options struct{ N int } // want `test-only-export: bladerunner/internal/lint/testdata/src/testonlyexport/lib.Options is exported but no non-test file uses it`
+
+// ErrFixture is kept for tests on purpose.
+//
+//brlint:allow(test-only-export) a fixture the package's tests return
+var ErrFixture = errors.New("fixture")

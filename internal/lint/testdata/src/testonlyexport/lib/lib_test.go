@@ -8,4 +8,5 @@ func TestOnlyTested(t *testing.T) {
 	var b Box[string]
 	b.Put("x")
 	T{}.Unused()
+	_, _, _, _ = ErrTested, ErrFixture, ModeB, Options{N: 1}
 }

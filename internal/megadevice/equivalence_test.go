@@ -465,15 +465,14 @@ func openScriptedFleet(t *testing.T, n edge.Dialer) scriptedModel {
 func testShedEpisodeEquivalence(t *testing.T) {
 	marker := burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission")
 	resumeState := func(seq uint64) burst.Delta {
-		v := strconv.FormatUint(seq, 10)
-		return burst.RewriteDelta(burst.Header{burst.HdrResumeSeq: v, burst.HdrCursor: "1." + v}, nil)
+		return burst.RewriteDelta(burst.Header{burst.HdrCursor: "1." + strconv.FormatUint(seq, 10)}, nil)
 	}
 	// opening sends payloads 1..n on the stream the model opens, each with
-	// its resume state if the stream is to have resume tokens.
-	opening := func(p *scriptedPOP, n uint64, tokens bool) *burst.ServerStream {
+	// its resume state if the stream is to have a cursor.
+	opening := func(p *scriptedPOP, n uint64, resumable bool) *burst.ServerStream {
 		srv := p.nextStream()
 		for seq := uint64(1); seq <= n; seq++ {
-			if tokens {
+			if resumable {
 				p.send(srv, burst.PayloadDelta(seq, []byte("m")), resumeState(seq))
 			} else {
 				p.send(srv, burst.PayloadDelta(seq, []byte("m")))
@@ -486,11 +485,11 @@ func testShedEpisodeEquivalence(t *testing.T) {
 		play  func(t *testing.T, p *scriptedPOP, m scriptedModel)
 		kinds []string // the upstream frames both models must answer with
 		// What the last subscribe must carry ("" = must not carry the key).
-		resumeSeq, cursor, body string
+		cursor, body string
 	}{
 		{
 			// The resync hole's script: ONE batch holding a shed marker, a
-			// rewrite that over-claims both tokens (it describes payloads
+			// rewrite that over-claims the cursor (it describes payloads
 			// admission shed) and a payload from behind the gap.
 			name: "over-claiming rewrite",
 			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
@@ -498,7 +497,7 @@ func testShedEpisodeEquivalence(t *testing.T) {
 				p.send(srv, marker, resumeState(9), burst.PayloadDelta(9, []byte("m")))
 				p.nextStream()
 			},
-			kinds: []string{"subscribe", "cancel", "subscribe"}, resumeSeq: "5", cursor: "1.5",
+			kinds: []string{"subscribe", "cancel", "subscribe"}, cursor: "1.5",
 		},
 		{
 			name: "marker on a stream without resume tokens",
@@ -516,7 +515,7 @@ func testShedEpisodeEquivalence(t *testing.T) {
 				p.send(srv, marker, marker)
 				p.nextStream()
 			},
-			kinds: []string{"subscribe", "cancel", "subscribe"}, resumeSeq: "5", cursor: "1.5",
+			kinds: []string{"subscribe", "cancel", "subscribe"}, cursor: "1.5",
 		},
 		{
 			name: "body rewrite then marker",
@@ -526,7 +525,7 @@ func testShedEpisodeEquivalence(t *testing.T) {
 				p.send(srv, marker)
 				p.nextStream()
 			},
-			kinds: []string{"subscribe", "cancel", "subscribe"}, resumeSeq: "2", cursor: "1.2", body: "filter-v2",
+			kinds: []string{"subscribe", "cancel", "subscribe"}, cursor: "1.2", body: "filter-v2",
 		},
 		{
 			// The application ended the stream: the device drops it and stays
@@ -568,9 +567,9 @@ func testShedEpisodeEquivalence(t *testing.T) {
 				t.Fatalf("the device answered %v, want %v", kinds, sc.kinds)
 			}
 			last := dev[len(dev)-1]
-			if last.Header[burst.HdrResumeSeq] != sc.resumeSeq || last.Header[burst.HdrCursor] != sc.cursor || last.Body != sc.body {
-				t.Errorf("last subscribe carried resume-seq %q cursor %q body %q, want %q %q %q",
-					last.Header[burst.HdrResumeSeq], last.Header[burst.HdrCursor], last.Body, sc.resumeSeq, sc.cursor, sc.body)
+			if last.Header[burst.HdrCursor] != sc.cursor || last.Body != sc.body {
+				t.Errorf("last subscribe carried cursor %q body %q, want %q %q",
+					last.Header[burst.HdrCursor], last.Body, sc.cursor, sc.body)
 			}
 		})
 	}

@@ -181,14 +181,7 @@ func Run(o Options) (*Report, error) {
 	start := wall.Now()
 	rng := rand.New(rand.NewSource(o.Seed))
 
-	ccfg := core.DefaultConfig()
-	ccfg.POPs = 4
-	ccfg.Graph.Users = 2*o.Areas + 1
-	ccfg.Graph.BlockProb = 0
-	if ccfg.Graph.MeanFriends >= ccfg.Graph.Users {
-		ccfg.Graph.MeanFriends = ccfg.Graph.Users - 1
-	}
-	cluster, err := core.NewCluster(ccfg, nil)
+	cluster, err := core.NewCluster(clusterConfig(o.Areas), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +390,28 @@ func Run(o Options) (*Report, error) {
 	sim.Sleep(wall, 100*time.Millisecond)
 	fleet.Service()
 
-	rep.WallSecs = wall.Now().Sub(start).Seconds()
+	rep.count(fleet, engine, wall.Now().Sub(start))
+	rep.LatencyCDF = fleet.ApplyLatency.CDF(20)
+	return rep, nil
+}
+
+// clusterConfig is the cluster every scenario runs on: four POPs and a
+// social graph of 2*areas+1 users with blocks disabled (see ownerUser).
+func clusterConfig(areas int) core.Config {
+	ccfg := core.DefaultConfig()
+	ccfg.POPs = 4
+	ccfg.Graph.Users = 2*areas + 1
+	ccfg.Graph.BlockProb = 0
+	if ccfg.Graph.MeanFriends >= ccfg.Graph.Users {
+		ccfg.Graph.MeanFriends = ccfg.Graph.Users - 1
+	}
+	return ccfg
+}
+
+// count freezes a finished run's fleet and engine counters into the report,
+// with the wall time the run took.
+func (rep *Report) count(fleet *Fleet, engine *sim.Engine, wall time.Duration) {
+	rep.WallSecs = wall.Seconds()
 	rep.EngineEvents = engine.Executed()
 	rep.Transitions = fleet.Transitions.Value()
 	rep.Connects = fleet.Connects.Value()
@@ -413,8 +427,6 @@ func Run(o Options) (*Report, error) {
 		rep.EventsPerSec = (float64(rep.EngineEvents) + float64(rep.Applied)) / rep.WallSecs
 	}
 	rep.LatencyNS = fleet.ApplyLatency.Snapshot()
-	rep.LatencyCDF = fleet.ApplyLatency.CDF(20)
-	return rep, nil
 }
 
 // runReplay demonstrates the durable log end to end at fleet scale: a
@@ -429,15 +441,9 @@ func runReplay(o Options) (*Report, error) {
 	wall := sim.RealClock{}
 	start := wall.Now()
 
-	ccfg := core.DefaultConfig()
+	ccfg := clusterConfig(o.Areas)
 	ccfg.Regions = []string{"us-east"}
 	ccfg.BRASSHostsPerRegion = 1
-	ccfg.POPs = 4
-	ccfg.Graph.Users = 2*o.Areas + 1
-	ccfg.Graph.BlockProb = 0
-	if ccfg.Graph.MeanFriends >= ccfg.Graph.Users {
-		ccfg.Graph.MeanFriends = ccfg.Graph.Users - 1
-	}
 	ccfg.Durlog = &core.DurlogConfig{}
 	cluster, err := core.NewCluster(ccfg, nil)
 	if err != nil {
@@ -585,18 +591,7 @@ func runReplay(o Options) (*Report, error) {
 	fleet.Service()
 
 	rep.ReplayCatchUpApplied = fleet.Applied.Value() - seedApplied
-	rep.WallSecs = wall.Now().Sub(start).Seconds()
-	rep.EngineEvents = engine.Executed()
-	rep.Transitions = fleet.Transitions.Value()
-	rep.Connects = fleet.Connects.Value()
-	rep.Drops = fleet.Drops.Value()
-	rep.DialFailures = fleet.DialFailures.Value()
-	rep.TrunkDeaths = fleet.TrunkDeaths.Value()
-	rep.Deltas = fleet.Deltas.Value()
-	rep.Applied = fleet.Applied.Value()
-	rep.FlowEvents = fleet.FlowEvents.Value()
-	rep.Resumes = fleet.Resumes.Value()
-	rep.BytesPerDevice = fleet.BytesPerDevice()
+	rep.count(fleet, engine, wall.Now().Sub(start))
 	for _, h := range cluster.Hosts {
 		rep.LogResumes += h.LogResumes.Value()
 		rep.LogCatchUpDeltas += h.LogCatchUpDeltas.Value()
@@ -605,10 +600,6 @@ func runReplay(o Options) (*Report, error) {
 			rep.LogAppends += l.Appends.Value()
 		}
 	}
-	if rep.WallSecs > 0 {
-		rep.EventsPerSec = (float64(rep.EngineEvents) + float64(rep.Applied)) / rep.WallSecs
-	}
-	rep.LatencyNS = fleet.ApplyLatency.Snapshot()
 	o.Logf("replay: joiners applied %d of %d backlog deltas from the log (log resumes=%d, expired=%d)",
 		rep.ReplayCatchUpApplied, int64(backlogPerArea)*int64(o.Devices-seedDevs), rep.LogResumes, rep.LogExpired)
 	return rep, nil

@@ -113,7 +113,7 @@ func (t *trunk) resumeSub(ts *topicSub) {
 }
 
 // openUnlock opens ts's next incarnation under a fresh stream id from the
-// stored (rewrite-maintained) request, resume tokens lowered to what the
+// stored (rewrite-maintained) request, its cursor lowered to what the
 // stream has seen, cancelling the incarnation it replaces if asked to — the
 // one place the fleet builds a subscribe request, as resubscribe is the
 // device's. Frames still in flight for the old id find no subscription and

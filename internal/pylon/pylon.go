@@ -205,7 +205,7 @@ func New(cfg Config, kv *kvstore.Cluster) (*Service, error) {
 	}
 	hosts := make(map[string]Subscriber)
 	s.hosts.Store(&hosts)
-	slots := make([]Subscriber, 1) // slot 0 = intern.None
+	slots := make([]Subscriber, 1) // slot 0: the handle intern never issues
 	s.hostSlots.Store(&slots)
 	if cfg.SubCacheSize > 0 {
 		// Jittered TTLs decorrelate the periodic refresh across hot
