@@ -66,7 +66,7 @@ func TestAllocContracts(t *testing.T) {
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
 		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, the app lends its resume patch from a buffer it formats the cursor into, send builds the payload and patch deltas on its stack array, the patch's new cursor is copied into the stored request's room, and SendBatch encodes into the session's pending buffer"},
-		{"BRASSStreamOpenClose", streamOpenClose, 5, "the subscribe hop's one, the Stream and its close reason — the one copy of the borrowed cancel reason —, the WAS's topic slice and string; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (8 before: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
+		{"BRASSStreamOpenClose", streamOpenClose, 4, "the subscribe hop's one, the Stream, the WAS's topic slice and string; the stream closes with a constant reason, so the borrowed cancel reason is not copied; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (5 before: the close reason, a copy of the cancel's; 8 before that: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
 		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 5, "the device's stream and its pairs, each subscribe hop's stream, which holds the header's one copy, and the relay, which holds its first leg, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (8 before: each hop's header copy, the leg an object of its own; 13 before that: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
 		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
@@ -176,7 +176,7 @@ func relayHop(b *testing.B) {
 // the wire to the downstream write.
 func relayControlHop(b *testing.B) {
 	up := &wireTap{wire: batchWire(b, burst.FlowStatusDelta(burst.FlowRerouted, "stream re-established via brass-2"),
-		burst.TerminationDelta("stream unrecoverable: upstream gone")), next: make(chan struct{}), closed: make(chan struct{})}
+		burst.TerminationDelta("conversation deleted by its owner")), next: make(chan struct{}), closed: make(chan struct{})}
 	cli := burst.NewClient("relay->up", up, nil)
 	defer cli.Close()
 	cli.Relay = true
@@ -320,7 +320,7 @@ func streamOpenClose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hop.next <- struct{}{}
-		if reason := <-closed; reason != "cancelled: scrolled" {
+		if reason := <-closed; reason != "cancelled" {
 			b.Fatalf("the stream closed with %q", reason)
 		}
 	}

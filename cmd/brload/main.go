@@ -164,7 +164,7 @@ func runScenario(name string, devices, areas int, zipfS float64, seed int64,
 		fmt.Printf("  replay: %d late joiners caught up %d deltas from the edge log (backlog=%d, log resumes=%d)\n",
 			rep.ReplayLateJoiners, rep.ReplayCatchUpApplied, rep.ReplayBacklog, rep.LogResumes)
 		fmt.Printf("  log: appends=%d catchup_deltas=%d expired=%d resumes=%d\n",
-			rep.LogAppends, rep.LogCatchUpDeltas, rep.LogExpired, rep.Resumes)
+			rep.LogAppends, rep.LogCatchUpDeltas, rep.LogExpired, rep.LogResumes)
 	}
 	if benchJSON != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

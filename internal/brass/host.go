@@ -502,11 +502,11 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream) {
 	inst.openStream(st)
 }
 
-// OnCancel closes the stream with a reason of its own: the concatenation is
-// the borrowed reason's one copy.
-func (hh hostSessionHandler) OnCancel(bst *burst.ServerStream, c burst.Cancel) {
+// OnCancel closes the stream with a constant reason: no application reads
+// why its device went away, so the borrowed reason is not copied.
+func (hh hostSessionHandler) OnCancel(bst *burst.ServerStream, _ burst.Cancel) {
 	if st, ok := bst.State.(*Stream); ok {
-		st.inst.closeStream(st, "cancelled: "+c.Reason)
+		st.inst.closeStream(st, "cancelled")
 	}
 }
 

@@ -437,10 +437,12 @@ func (st *ClientStream) shedOldest() {
 	}
 }
 
-// SessionClosedDetail is the FlowDetail of the degraded flow status a client
-// stream synthesises when its transport dies. A relay recognises it as "my
-// upstream is gone: repair, do not forward" (edge.Proxy).
-const SessionClosedDetail = "session closed"
+// UpstreamLostDetail is the FlowDetail of the degraded flow status that says
+// "my upstream is gone", with one meaning at every hop: a client stream
+// synthesises it when its transport dies, and a relay that could not re-route
+// hands it down (edge.Proxy). Whoever holds the stream's stored request below
+// repairs from it — a relay re-routes, a device reopens (Recovery.Step).
+const UpstreamLostDetail = "upstream lost"
 
 // sessionLost queues a synthetic degraded flow status and ends the stream:
 // the transport under every stream on the session is gone.
@@ -451,7 +453,7 @@ func (st *ClientStream) sessionLost() {
 		return
 	}
 	rc := lease(nil)
-	rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, SessionClosedDetail))
+	rc.Deltas = append(rc.slots[:0], FlowStatusDelta(FlowDegraded, UpstreamLostDetail))
 	st.push(rc)
 	st.terminated = true
 	st.ready.Broadcast()

@@ -21,13 +21,15 @@ const (
 	Patch
 	// Surface: a flow_status the application hears and nothing else.
 	Surface
-	// Reopen: a repairable shed marker, the first of its episode. Surface
+	// Reopen: a repairable marker — the upstream-lost marker, or a shed
+	// marker on a stream with a cursor — the first of its episode. Surface
 	// it, then cancel the stream and open it again from the stored request,
-	// passed through Recovery.Reopen.
+	// passed through Recovery.Reopen: at once after a shed gap, under the
+	// holder's backoff after a lost upstream.
 	Reopen
-	// Coalesce: a repairable shed marker behind a reopen that has not run
-	// yet, which replays everything after the frozen point already. Surface
-	// it and count it; it is not a second reopen.
+	// Coalesce: a repairable marker behind a reopen that has not run yet,
+	// which replays everything after the frozen point already. Surface it and
+	// count it; it is not a second reopen.
 	Coalesce
 	// End: a termination. The stream is over and is not opened again.
 	End
@@ -42,12 +44,14 @@ type Stored interface {
 
 // Recovery is every recovery decision about one request-stream, made once for
 // every model that holds one (device.Stream, megadevice's shared trunk
-// streams). It keeps the resume point — the highest payload seq seen on the
-// stream's current incarnation before any shed marker, the ground truth the
-// stored request cannot give because the serving BRASS rewrites the resume
-// cursor forward for payloads that admission shed or that died with a session
-// — and whether the stream is frozen behind a gap, waiting for a reopen, or
-// ended. It has no lock and no clock: the holder serializes calls, feeds it
+// streams). Its one repair is the reopen from the stored request: no hop above
+// the holder ends a stream it could reopen, it hands the loss down as the
+// upstream-lost marker instead. It keeps the resume point — the highest
+// payload seq seen on the stream's current incarnation before any shed
+// marker, the ground truth the stored request cannot give because the
+// serving BRASS rewrites the resume cursor forward for payloads that
+// admission shed or that died with a session — and whether the stream is
+// frozen behind a gap, waiting for a reopen, or ended. It has no lock and no clock: the holder serializes calls, feeds it
 // the deltas of the current incarnation only, and executes what it answers.
 type Recovery struct {
 	seq     uint64
@@ -65,9 +69,11 @@ func (r *Recovery) Seq() uint64 { return r.seq }
 func (r *Recovery) Ended() bool { return r.ended }
 
 // Step classifies one delta of the stream's current incarnation. stored is
-// the stream's stored request: a shed marker is repairable only if it carries
-// a cursor for the serving BRASS to replay from — a stream without one
-// has nothing to resume and the application only hears the code. The matching
+// the stream's stored request. The upstream-lost marker is always repairable:
+// a stream without a cursor reopens live-only, and the application has heard
+// the gap in the marker. A shed marker is repairable only if the request
+// carries a cursor for the serving BRASS to replay from — a stream without
+// one keeps flowing, and the application only hears the code. The matching
 // shed-recovered marker triggers nothing: it follows its FlowDegraded on a
 // server stream the reopen has already replaced.
 //
@@ -87,7 +93,8 @@ func (r *Recovery) Step(d *Delta, stored Stored) Action {
 	case DeltaRewriteRequest:
 		return Patch
 	case DeltaFlowStatus:
-		if d.Flow != FlowDegraded || !overload.IsShedMarker(d.FlowDetail) || stored.HeaderField(HdrCursor) == "" {
+		if d.Flow != FlowDegraded || d.FlowDetail != UpstreamLostDetail &&
+			(!overload.IsShedMarker(d.FlowDetail) || stored.HeaderField(HdrCursor) == "") {
 			return Surface
 		}
 		r.frozen = true

@@ -23,6 +23,9 @@ func TestResumePoint(t *testing.T) {
 	marker := func(want Action) step {
 		return step{delta: FlowStatusDelta(FlowDegraded, overload.ShedMarkerPrefix+"stream-admission"), want: want}
 	}
+	lost := func(want Action) step {
+		return step{delta: FlowStatusDelta(FlowDegraded, UpstreamLostDetail), want: want}
+	}
 	reopen := func(h, want Header) step { return step{reopen: h, header: want} }
 	resumable := Header{HdrApp: "messenger", HdrCursor: "1.0"}
 	cases := []struct {
@@ -75,10 +78,25 @@ func TestResumePoint(t *testing.T) {
 			{delta: FlowStatusDelta(FlowRecovered, overload.RecoveredMarkerPrefix+"stream-admission"), want: Surface},
 			{delta: FlowStatusDelta(FlowRecovered, overload.ShedMarkerPrefix+"mislabelled"), want: Surface},
 			{delta: FlowStatusDelta(FlowDegraded, overload.RecoveredMarkerPrefix+"stream-admission"), want: Surface},
-			{delta: FlowStatusDelta(FlowDegraded, SessionClosedDetail), want: Surface},
 			{delta: FlowStatusDelta(FlowRerouted, "failover"), want: Surface},
 			payload(6),
 		}, 6},
+		{"the upstream-lost marker reopens a stream with a cursor", nil, []step{
+			payload(5), lost(Reopen), payload(9),
+			reopen(Header{HdrCursor: "1.9"}, Header{HdrCursor: "1.5"}),
+		}, 5},
+		{"the upstream-lost marker reopens a stream without a cursor", Header{HdrApp: "typing"}, []step{
+			payload(5), lost(Reopen), lost(Coalesce), payload(9),
+			reopen(Header{HdrApp: "typing"}, Header{HdrApp: "typing"}),
+		}, 5},
+		{"a shed marker behind a lost upstream is the same reopen", nil, []step{
+			payload(5), lost(Reopen), marker(Coalesce),
+			reopen(Header{HdrCursor: "1.9"}, Header{HdrCursor: "1.5"}),
+			payload(6), lost(Reopen),
+		}, 6},
+		{"other degraded details only surface", Header{HdrApp: "typing"}, []step{
+			payload(5), {delta: FlowStatusDelta(FlowDegraded, "upstream brass-1 lost"), want: Surface}, payload(9),
+		}, 9},
 		{"a rewrite is a patch and moves nothing", nil, []step{
 			payload(5), {delta: RewriteDelta(Header{HdrCursor: "1.9"}, nil), want: Patch},
 		}, 5},

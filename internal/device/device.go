@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"bladerunner/internal/burst"
 	"bladerunner/internal/edge"
@@ -46,7 +47,7 @@ type Config struct {
 	// preference order. On failure it rotates to the next.
 	POPs []string
 	// Backoff is the jittered-exponential policy pacing reconnects and
-	// per-stream resubscribe retries. Zero fields take the defaults
+	// per-stream reopens. Zero fields take the defaults
 	// BackoffPolicy.Normalized fills in (Base 50 ms); jitter decorrelates
 	// mass disconnects so a fleet of devices does not re-dial in lockstep.
 	Backoff faults.BackoffPolicy
@@ -80,8 +81,9 @@ type Device struct {
 	Reconnects   metrics.Counter
 	Polls        metrics.Counter
 	Resubscribes metrics.Counter
-	// Resumes counts shed gaps repaired by reopening the stream from its
-	// stored request, its cursor lowered to the stream's resume point.
+	// Resumes counts the reopens a stream's Recovery answered — a shed gap
+	// or a lost upstream — carried out from its stored request, its cursor
+	// lowered to the stream's resume point.
 	Resumes metrics.Counter
 	// ResumesCoalesced counts shed markers absorbed by a resume already
 	// scheduled — they did NOT become an extra resubscribe because the
@@ -101,7 +103,6 @@ type Stream struct {
 
 	mu     sync.Mutex
 	cur    *burst.ClientStream
-	curCli *burst.Client // session the current client stream lives on
 	req    burst.Subscribe
 	closed bool
 
@@ -116,10 +117,12 @@ type Stream struct {
 	batch []burst.Delta
 	moved chan struct{}
 
-	// bo paces per-stream resubscribe retries; retryCancel is the pending
-	// retry timer, cancelled on close or when a resubscribe supersedes it.
-	bo          *faults.Backoff
-	retryCancel func()
+	// bo paces reopens after a lost upstream or a failed send, growing until
+	// an incarnation is proven by a payload or a rewrite; reopenCancel is
+	// the one reopen timer, cancelled on close or by a resubscribe.
+	bo           *faults.Backoff
+	proven       bool
+	reopenCancel func()
 }
 
 // New builds a device. dialer reaches POP targets; wasrv serves the initial
@@ -248,7 +251,7 @@ func (d *Device) Subscribe(app, subscription string, extra burst.Header) (*Strea
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{dev: d, cur: cs, curCli: cli, req: req, in: cs, moved: make(chan struct{}, 1), bo: bo}
+	st := &Stream{dev: d, cur: cs, req: req, in: cs, moved: make(chan struct{}, 1), bo: bo}
 	d.mu.Lock()
 	d.streams[st] = true
 	d.mu.Unlock()
@@ -319,8 +322,8 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 		st.mu.Unlock()
 		return
 	}
-	// This attempt supersedes any pending per-stream retry.
-	st.cancelRetryLocked()
+	// This attempt supersedes any pending reopen.
+	st.cancelReopenLocked()
 	// Snapshot the request from the old client stream: it holds the latest
 	// rewritten state even if its session is gone. The old incarnation is
 	// superseded from here on, so nothing it still has queued can move the
@@ -340,22 +343,23 @@ func (st *Stream) resubscribe(cli *burst.Client) {
 	st.mu.Unlock()
 	// Next reads the old incarnation to its end before it moves on.
 	if old != nil {
-		_ = old.Cancel("superseded")
+		_ = old.Cancel("reopen")
 	}
 
 	cs, err := cli.Subscribe(req)
 	if err != nil {
 		// The session may still be alive (transient send failure) — do
-		// not wait for the next session loss; schedule a per-stream
-		// retry so the stream cannot strand.
-		st.scheduleResubscribe()
+		// not wait for the next session loss; reopen under the backoff
+		// so the stream cannot strand.
+		st.mu.Lock()
+		st.reopenLocked(nil, true)
+		st.mu.Unlock()
 		return
 	}
 	st.dev.Resubscribes.Inc()
-	st.bo.Reset()
 	st.mu.Lock()
 	prev := st.cur // a concurrent resubscribe stored its incarnation first
-	st.cur, st.curCli = cs, cli
+	st.cur, st.proven = cs, false
 	st.mu.Unlock()
 	if prev != nil {
 		_ = prev.Cancel("superseded")
@@ -371,45 +375,47 @@ func (st *Stream) wake() {
 	}
 }
 
-// scheduleResubscribe arms a per-stream retry through the device backoff.
-// The retry fires only while the device holds a live session; if the
-// session is down, the session-level reconnect path owns recovery.
-func (st *Stream) scheduleResubscribe() {
-	d := st.dev
-	delay := st.bo.Next()
-	st.mu.Lock()
-	if st.closed || st.retryCancel != nil {
-		st.mu.Unlock()
+// reopenLocked arms the stream's one reopen timer, for a shed gap at once and
+// otherwise under bo. It fires only if from, the incarnation whose Recovery
+// answered Reopen (nil after a failed send), is still current, and a session
+// that is down by then leaves the reopen to reconnect. Callers hold st.mu.
+func (st *Stream) reopenLocked(from *burst.ClientStream, paced bool) {
+	if st.closed || st.reopenCancel != nil {
 		return
 	}
-	st.retryCancel = d.sched.After(delay, func() {
+	delay, d := time.Duration(0), st.dev
+	if paced {
+		delay = st.bo.Next()
+	}
+	st.reopenCancel = d.sched.After(delay, func() {
 		st.mu.Lock()
-		st.retryCancel = nil
+		stale := st.closed || st.cur != from
+		if !stale {
+			st.reopenCancel = nil
+		}
 		st.mu.Unlock()
+		if stale {
+			return // a resubscribe superseded the incarnation and this timer
+		}
 		d.mu.Lock()
 		cli := d.client
 		ok := d.connected && !d.closed && cli != nil
 		d.mu.Unlock()
 		if !ok {
-			return // session down: reconnect will resubscribe every stream
+			return // session down: reconnect reopens every stream
 		}
-		st.mu.Lock()
-		already := st.curCli == cli && st.cur != nil
-		st.mu.Unlock()
-		if already {
-			return // a session-level resubscribe beat the retry to it
+		if from != nil {
+			d.Resumes.Inc()
 		}
 		st.resubscribe(cli)
 	})
-	st.mu.Unlock()
 }
 
-// cancelRetryLocked stops any pending per-stream retry timer. Callers hold
-// st.mu.
-func (st *Stream) cancelRetryLocked() {
-	if st.retryCancel != nil {
-		st.retryCancel()
-		st.retryCancel = nil
+// cancelReopenLocked stops the pending reopen timer. Callers hold st.mu.
+func (st *Stream) cancelReopenLocked() {
+	if st.reopenCancel != nil {
+		st.reopenCancel()
+		st.reopenCancel = nil
 	}
 }
 
@@ -445,6 +451,10 @@ func (st *Stream) Next() (burst.Delta, bool) {
 		act := burst.Ignore
 		if st.cur == st.in {
 			act = st.rec.Step(&d, st.in)
+			if !st.proven && (act == burst.Apply || act == burst.Patch) {
+				st.proven = true
+				st.bo.Reset()
+			}
 		} else if d.Type == burst.DeltaPayload {
 			act = burst.Apply
 		}
@@ -458,7 +468,7 @@ func (st *Stream) Next() (burst.Delta, bool) {
 			}
 			sp.End()
 		case burst.Reopen:
-			st.scheduleResume()
+			st.reopenLocked(st.in, d.FlowDetail == burst.UpstreamLostDetail)
 		case burst.Coalesce:
 			st.dev.ResumesCoalesced.Inc()
 		}
@@ -490,36 +500,6 @@ func (st *Stream) advance() bool {
 		}
 		<-st.moved
 	}
-}
-
-// scheduleResume repairs a shed gap: off the reader's goroutine, cancel the
-// current client stream and resubscribe with the stored request, which the
-// serving BRASS answers with everything after the frozen resume point.
-func (st *Stream) scheduleResume() {
-	d := st.dev
-	d.sched.After(0, func() {
-		st.mu.Lock()
-		closed := st.closed
-		cur := st.cur
-		st.mu.Unlock()
-		if closed {
-			return
-		}
-		d.mu.Lock()
-		cli := d.client
-		ok := d.connected && !d.closed && cli != nil
-		d.mu.Unlock()
-		if !ok {
-			// Session down: the reconnect path resubscribes every stream
-			// from the same stored request and the same resume point.
-			return
-		}
-		if cur != nil {
-			_ = cur.Cancel("shed-resume")
-		}
-		d.Resumes.Inc()
-		st.resubscribe(cli)
-	})
 }
 
 // HeaderField returns one header key of the current stored request.
@@ -554,7 +534,7 @@ func (st *Stream) end(upstream bool, reason string) {
 	}
 	st.closed = true
 	cur := st.cur
-	st.cancelRetryLocked()
+	st.cancelReopenLocked()
 	st.mu.Unlock()
 	if upstream && cur != nil {
 		_ = cur.Cancel(reason)

@@ -373,10 +373,11 @@ func TestPerStreamRetryRecoversOrphanedStream(t *testing.T) {
 	st.mu.Lock()
 	orphaned := st.cur
 	st.cur = nil
-	st.curCli = nil
 	st.mu.Unlock()
 	_ = orphaned.Cancel("orphaned")
-	st.scheduleResubscribe()
+	st.mu.Lock()
+	st.reopenLocked(nil, true)
+	st.mu.Unlock()
 
 	waitFor(t, "retry re-subscribed", func() bool { return env.popA.stream(1) != nil })
 	if d := next(t, st); d.Type != burst.DeltaFlowStatus || d.Flow != burst.FlowRecovered {
@@ -408,7 +409,6 @@ func TestResubscribeFailureArmsRetry(t *testing.T) {
 	dead := burst.NewClient("dead", c1, func(error) {})
 	st.mu.Lock()
 	st.cur = nil
-	st.curCli = nil
 	st.mu.Unlock()
 	st.resubscribe(dead)
 
@@ -440,18 +440,15 @@ func TestCancelStopsPendingRetry(t *testing.T) {
 	waitFor(t, "initial stream", func() bool { return pop.stream(0) != nil })
 	st.mu.Lock()
 	st.cur = nil
-	st.curCli = nil
-	st.mu.Unlock()
-	st.scheduleResubscribe()
-	st.mu.Lock()
-	armed := st.retryCancel != nil
+	st.reopenLocked(nil, true)
+	armed := st.reopenCancel != nil
 	st.mu.Unlock()
 	if !armed {
 		t.Fatal("retry not armed")
 	}
 	st.end(true, "test")
 	st.mu.Lock()
-	cleared := st.retryCancel == nil
+	cleared := st.reopenCancel == nil
 	st.mu.Unlock()
 	if !cleared {
 		t.Error("Cancel left the retry armed")

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -34,7 +33,7 @@ type Proxy struct {
 	StreamsRelayed  metrics.Counter
 	ActiveStreams   metrics.Gauge
 	Reconnects      metrics.Counter // proxy-induced stream reconnects (Fig 10)
-	RepairFailures  metrics.Counter
+	RepairFailures  metrics.Counter // losses handed down as the upstream-lost marker
 	RewritesRelayed metrics.Counter
 	DownstreamDrops metrics.Counter
 	// ShedNotices counts shed-marker flow deltas this proxy relayed —
@@ -164,20 +163,21 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 // relay is the per-stream state machine. It keeps no copy of the stored
 // request: down, which merges every rewrite the relay forwards, IS the repair
 // state, routed on (HeaderField) and encoded upstream from its pairs
-// (Client.OpenLeg) at open and at every repair. It has no goroutine
+// (Client.OpenLeg) at open and at its re-route. It has no goroutine
 // of its own: its upstream leg's batches reach it on down's session writer
-// (Forward), and only a repair, which waits on dials, runs on one until it
-// has a new leg. Its first leg lives inside it, so a relayed stream is one
-// object; a repair opens each leg afresh.
+// (Forward), and only the re-route, which waits on dials, runs on one until
+// it has a new leg. Its first leg lives inside it, so a relayed stream is one
+// object; the re-route opens its leg afresh.
 type relay struct {
 	p     *Proxy
 	down  *burst.ServerStream
 	first burst.ClientStream
 
-	mu     sync.Mutex
-	up     *burst.ClientStream
-	target string
-	done   bool
+	mu       sync.Mutex
+	up       *burst.ClientStream
+	target   string
+	rerouted bool // the one re-route is spent: the next loss is handed down
+	done     bool
 }
 
 // setDone is the relay's one done transition, which also takes it off the
@@ -204,24 +204,22 @@ func (r *relay) isDone() bool {
 }
 
 // connect routes and subscribes down's current request upstream on st, a leg
-// never opened, which queues what it receives until it is handed to down's writer.
-func (r *relay) connect(avoid map[string]bool, st *burst.ClientStream) error {
+// never opened, which queues what it receives until it is handed to down's
+// writer. It reports whether st is now the relay's leg.
+func (r *relay) connect(avoid map[string]bool, st *burst.ClientStream) bool {
 	target, err := r.p.router.Route(r.down, avoid)
 	if err != nil {
-		return err
+		return false
 	}
-	// Record the routing choice before dialing so a failed attempt is
-	// avoidable on the next repair pass (a sticky upstream in a dead
-	// region would otherwise be retried forever).
+	// Record the routing choice before dialing so the re-route avoids a
+	// failed attempt (a sticky upstream in a dead region would otherwise be
+	// picked again).
 	r.mu.Lock()
 	r.target = target
 	r.mu.Unlock()
 	u, err := r.p.upstreamFor(target)
-	if err != nil {
-		return fmt.Errorf("dial %s: %w", target, err)
-	}
-	if err := u.client.OpenLeg(st, r.down); err != nil {
-		return fmt.Errorf("subscribe via %s: %w", target, err)
+	if err != nil || u.client.OpenLeg(st, r.down) != nil {
+		return false
 	}
 	r.mu.Lock()
 	done := r.done
@@ -234,13 +232,9 @@ func (r *relay) connect(avoid map[string]bool, st *burst.ClientStream) error {
 		// the cancel went to the leg before it: nothing would forward or
 		// cancel this one.
 		_ = st.Cancel("stream ended during repair")
-		return errRelayDone
 	}
-	return nil
+	return !done
 }
-
-// errRelayDone is connect's answer for a stream that ended while it ran.
-var errRelayDone = errors.New("edge: stream ended")
 
 // leg returns the current upstream leg.
 func (r *relay) leg() *burst.ClientStream {
@@ -269,10 +263,12 @@ func (r *relay) Forward(rc *burst.Received) {
 		d := &batch[i]
 		switch d.Type {
 		case burst.DeltaFlowStatus:
-			if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
-				// Synthesized by our upstream client: the transport died,
-				// and this is the leg's last batch. Not forwarded: the
-				// repair sends its own flow status.
+			if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.UpstreamLostDetail {
+				// The leg's upstream is gone: our upstream client
+				// synthesised this when the transport died, or the relay
+				// above could not re-route. Either way it is the leg's last
+				// batch, and not forwarded: the re-route sends its own flow
+				// status, or hands this marker down itself.
 				lost = true
 				continue
 			}
@@ -315,7 +311,7 @@ func (r *relay) Forward(rc *burst.Received) {
 		r.setDone()
 	}
 	if lost && !r.isDone() {
-		go r.repairOff(nil)
+		go r.reroute(true)
 	}
 }
 
@@ -344,70 +340,49 @@ func (r *relay) startRelaySpan(batch []burst.Delta) trace.Span {
 	return sp
 }
 
-// repairOff repairs the stream on a goroutine of its own, because a repair
-// waits on dials (axiom 2: the component downstream from a failure that is
-// closest to it re-establishes connectivity). The request is down's. With
-// cause nil the leg has died: downstream hears of it (axiom 1), and down has
-// merged every rewrite the writer forwarded from the dead leg. Otherwise cause
-// failed the first route — e.g. a sticky upstream in a dead region, or a
-// cross-region link that just went down — and down still holds the opening
-// request: the stream should land on ANY healthy upstream, which is what
-// makes cross-region failover of resubscribed streams work at all.
-func (r *relay) repairOff(cause error) {
-	reason := "stream unrecoverable: upstream gone"
-	if cause == nil {
-		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded,
-			"upstream "+r.targetName()+" lost"))
-	} else {
-		reason = fmt.Sprintf("no upstream: %v", cause)
+// reroute repairs the stream on a goroutine of its own, because it waits on
+// a dial (axiom 2: the component downstream from a failure that is closest to
+// it re-establishes connectivity). The request is down's. With legLost the
+// leg was lost — its transport died, or the relay above handed the
+// upstream-lost marker down on a session that still lives — and downstream
+// hears of it (axiom 1); down has merged every rewrite the writer forwarded
+// from the lost leg. Otherwise the first route failed, e.g. a sticky upstream
+// in a dead region, and down still holds the opening request.
+//
+// A relay re-routes once in its life, avoiding the target that just failed.
+// When that fails, or its leg is lost in turn, the relay hands the loss down:
+// it sends the upstream-lost marker, cancels its leg and is done. The hop
+// below repairs from its own stored request — a relay re-routes, a device
+// reopens under its backoff, with no avoid set — so a relay never ends a
+// stream and never retries on a clock of its own.
+func (r *relay) reroute(legLost bool) {
+	r.mu.Lock()
+	failed, spent := r.target, r.rerouted
+	r.rerouted = true
+	r.mu.Unlock()
+	if up := r.leg(); up != nil {
+		_ = up.Cancel("upstream lost")
 	}
-	if !r.repair() {
-		if r.setDone() {
-			r.p.RepairFailures.Inc()
-			_ = r.down.Terminate(reason)
+	if !spent && !r.isDone() {
+		if legLost {
+			_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded, "upstream "+failed+" lost"))
 		}
-		return
-	}
-	r.p.Reconnects.Inc()
-	if cause == nil {
-		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowRerouted,
-			"stream re-established via "+r.targetName()))
-	} else {
-		r.p.StreamsRelayed.Inc()
-	}
-	r.leg().Forward(r.down, r)
-}
-
-// maxRepairAttempts bounds reconnection attempts per failure before the
-// proxy gives up and terminates the stream downstream.
-const maxRepairAttempts = 3
-
-// repair re-routes and re-subscribes the stream with down's stored request.
-// Failed targets accumulate into the avoid set so successive attempts fan
-// out across the healthy fleet (a sticky target in a dead region must not
-// be retried on every pass); the final attempt widens to every target
-// again, in case an avoided one has recovered.
-func (r *relay) repair() bool {
-	avoid := map[string]bool{r.targetName(): true}
-	for attempt := 0; attempt < maxRepairAttempts; attempt++ {
-		if r.isDone() {
-			return false
-		}
-		if err := r.connect(avoid, new(burst.ClientStream)); err == nil {
-			return true
-		}
-		if attempt == maxRepairAttempts-2 {
-			avoid = nil // last attempt: the avoided targets may have recovered
-			continue
-		}
-		if t := r.targetName(); t != "" {
-			if avoid == nil {
-				avoid = make(map[string]bool)
+		if r.connect(map[string]bool{failed: true}, new(burst.ClientStream)) {
+			r.p.Reconnects.Inc()
+			if legLost {
+				_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowRerouted,
+					"stream re-established via "+r.targetName()))
+			} else {
+				r.p.StreamsRelayed.Inc()
 			}
-			avoid[t] = true
+			r.leg().Forward(r.down, r)
+			return
 		}
 	}
-	return false
+	if r.setDone() {
+		r.p.RepairFailures.Inc()
+		_ = r.down.SendBatch(burst.FlowStatusDelta(burst.FlowDegraded, burst.UpstreamLostDetail))
+	}
 }
 
 type proxyHandler struct {
@@ -423,10 +398,10 @@ func (h proxyHandler) OnSubscribe(down *burst.ServerStream) {
 	p.relays[r] = true
 	p.mu.Unlock()
 	p.ActiveStreams.Add(1)
-	if err := r.connect(nil, &r.first); err != nil {
+	if !r.connect(nil, &r.first) {
 		// This read loop serves every other stream of the session: the
-		// repair waits on dials elsewhere.
-		go r.repairOff(err)
+		// re-route waits on its dial elsewhere.
+		go r.reroute(false)
 		return
 	}
 	p.StreamsRelayed.Inc()

@@ -387,7 +387,12 @@ func wirePairs(t *testing.T, payload []byte) [][2]string {
 	return pairs
 }
 
-func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
+// TestProxyHandsTheLossDown: a relay whose upstream always refuses makes its
+// one re-route, then hands the loss down. The device's stream gets the
+// upstream-lost marker to reopen from and is never terminated, and nothing of
+// the relay outlives Proxy.Close.
+func TestProxyHandsTheLossDown(t *testing.T) {
+	before := settledGoroutines()
 	n := NewPipeNetwork()
 	a := &upstreamServer{name: "brass-a"}
 	n.Register("brass-a", a.accept)
@@ -395,7 +400,6 @@ func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
 	n.Register("pop-1", p.Accept)
 	rwc, _ := n.Dial("pop-1")
 	cli := burst.NewClient("device", rwc, nil)
-	defer cli.Close()
 	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrTopic: "/t"}})
 	if err != nil {
 		t.Fatal(err)
@@ -404,29 +408,112 @@ func TestProxyTerminatesWhenRepairImpossible(t *testing.T) {
 	n.SetDown("brass-a", true)
 	a.killSessions()
 
-	sawTermination := false
 	ev := bursttest.Events(t, st)
 	deadline := time.After(5 * time.Second)
-	for !sawTermination {
+	for lost := false; !lost; {
 		select {
 		case batch, ok := <-ev:
 			if !ok {
-				t.Fatal("stream closed without termination delta")
+				t.Fatal("the stream ended without the upstream-lost marker")
 			}
 			for _, d := range batch.Deltas {
 				if d.Type == burst.DeltaTermination {
-					sawTermination = true
-					if !strings.Contains(d.Reason, "unrecoverable") {
-						t.Errorf("reason = %q", d.Reason)
+					t.Fatalf("the relay terminated the stream: %q", d.Reason)
+				}
+				lost = lost || d.Flow == burst.FlowDegraded && d.FlowDetail == burst.UpstreamLostDetail
+			}
+		case <-deadline:
+			t.Fatal("no upstream-lost marker")
+		}
+	}
+	waitFor(t, "the relay collected", func() bool { return p.ActiveRelays() == 0 })
+	select {
+	case batch, ok := <-ev:
+		t.Fatalf("the stream got %+v (open %v) after the hand-down, want nothing", batch, ok)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := p.RepairFailures.Value(); got != 1 {
+		t.Errorf("RepairFailures = %d, want one hand-down", got)
+	}
+	if got := p.Reconnects.Value(); got != 0 {
+		t.Errorf("Reconnects = %d, want 0", got)
+	}
+	cli.Close()
+	p.Close()
+	for range ev { // the device's own session loss, then the pump's end
+	}
+	waitFor(t, "the relay's goroutines gone", func() bool { return settledGoroutines() <= before })
+}
+
+// TestRelayReroutesAroundAHandedDownLoss: the upstream-lost marker from the
+// relay above is the relay's own lost leg. The POP cancels that leg, whose
+// session still lives, and re-routes to the other reverse proxy; the device
+// only hears the re-route.
+func TestRelayReroutesAroundAHandedDownLoss(t *testing.T) {
+	n := NewPipeNetwork()
+	a, b := &upstreamServer{name: "brass-a"}, &upstreamServer{name: "brass-b"}
+	n.Register("brass-a", a.accept)
+	n.Register("brass-b", b.accept)
+	rp1 := NewProxy("rproxy-1", n, StaticRouter("brass-a"))
+	rp2 := NewProxy("rproxy-2", n, StaticRouter("brass-b"))
+	n.Register("rproxy-1", rp1.Accept)
+	n.Register("rproxy-2", rp2.Accept)
+	pop := NewProxy("pop-1", n, NewRoundRobinRouter("rproxy-1", "rproxy-2"))
+	n.Register("pop-1", pop.Accept)
+	rwc, err := n.Dial("pop-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := burst.NewClient("device", rwc, nil)
+	t.Cleanup(func() { cli.Close(); pop.Close(); rp1.Close(); rp2.Close() })
+	st, err := cli.Subscribe(burst.Subscribe{Header: burst.Header{burst.HdrTopic: "/t/3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the stream on brass-a", func() bool { return a.stream(0) != nil })
+
+	n.SetDown("brass-a", true)
+	a.killSessions()
+	waitFor(t, "the stream re-routed onto brass-b", func() bool { return b.stream(0) != nil })
+	// The POP's session to rproxy-1 lives on, and its cancel takes the
+	// handed-down stream off it.
+	downstreamStreams := func() (sessions, streams int) {
+		rp1.mu.Lock()
+		defer rp1.mu.Unlock()
+		for ss := range rp1.downs {
+			sessions, streams = sessions+1, streams+len(ss.Streams())
+		}
+		return sessions, streams
+	}
+	waitFor(t, "rproxy-1 handing down and the POP cancelling that leg", func() bool {
+		sessions, streams := downstreamStreams()
+		return rp1.RepairFailures.Value() == 1 && sessions == 1 && streams == 0
+	})
+	if got := pop.RepairFailures.Value(); got != 0 {
+		t.Errorf("the POP handed down %d losses, want 0: it had its re-route left", got)
+	}
+	if err := b.stream(0).SendBatch(burst.PayloadDelta(2, []byte("via rproxy-2"))); err != nil {
+		t.Fatal(err)
+	}
+	ev := bursttest.Events(t, st)
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case batch := <-ev:
+			for _, d := range batch.Deltas {
+				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.UpstreamLostDetail {
+					t.Fatal("the POP handed the loss down although its re-route landed")
+				}
+				if d.Type == burst.DeltaPayload {
+					if string(d.Payload) != "via rproxy-2" {
+						t.Fatalf("payload %q", d.Payload)
 					}
+					return
 				}
 			}
 		case <-deadline:
-			t.Fatal("no termination")
+			t.Fatal("no delivery after the re-route")
 		}
-	}
-	if p.RepairFailures.Value() != 1 {
-		t.Errorf("RepairFailures = %d", p.RepairFailures.Value())
 	}
 }
 

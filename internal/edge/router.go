@@ -8,8 +8,9 @@ import (
 
 // Router chooses the upstream target for a subscription request, req: a
 // relay's downstream stream, which holds it. avoid lists targets known to be
-// failing for this stream right now (the router may still return one if
-// nothing else exists).
+// failing for this stream right now; a router that has no target outside it
+// returns ErrNoRoute (RoundRobinRouter does), and the relay hands the loss
+// down. StaticRouter, which has one target, ignores it.
 type Router interface {
 	Route(req burst.Stored, avoid map[string]bool) (string, error)
 }
@@ -22,8 +23,9 @@ func (r StaticRouter) Route(burst.Stored, map[string]bool) (string, error) {
 	return string(r), nil
 }
 
-// RoundRobinRouter cycles through targets, skipping avoided ones when
-// possible — the paper's load-based routing for high-fanout applications.
+// RoundRobinRouter cycles through targets, skipping avoided ones — the
+// paper's load-based routing for high-fanout applications. With every target
+// avoided it returns ErrNoRoute.
 type RoundRobinRouter struct {
 	mu      sync.Mutex
 	targets []string

@@ -117,12 +117,12 @@ func TestFlakyLastMileTriggersDeviceRecovery(t *testing.T) {
 		case batch, ok := <-ev:
 			if !ok {
 				if !signalled {
-					t.Error("the stream ended without the session-closed flow status")
+					t.Error("the stream ended without the upstream-lost flow status")
 				}
 				return
 			}
 			for _, d := range batch.Deltas {
-				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.SessionClosedDetail {
+				if d.Flow == burst.FlowDegraded && d.FlowDetail == burst.UpstreamLostDetail {
 					signalled = true
 				}
 			}

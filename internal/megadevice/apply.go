@@ -18,8 +18,10 @@ func (f *Fleet) apply(ts *topicSub, sid burst.StreamID, d *burst.Delta) {
 	if ts.sid == sid {
 		switch ts.rec.Step(d, &ts.req) {
 		case burst.Apply:
+			ts.lost = 0 // the incarnation reaches an upstream
 			f.applyPayload(ts, d.Seq)
 		case burst.Patch:
+			ts.lost = 0
 			// Sticky-brass, resume tokens, a new body: the shared stream
 			// carries them for the trunk's lifetime. A NEW trunk re-subscribes
 			// from the area's original request — sticky state is per-trunk
@@ -30,9 +32,14 @@ func (f *Fleet) apply(ts *topicSub, sid burst.StreamID, d *burst.Delta) {
 			f.FlowEvents.Inc()
 		case burst.Reopen:
 			// ONE reopen for the shared stream, where a real fleet would
-			// reopen one stream per device (DESIGN.md §10).
+			// reopen one stream per device (DESIGN.md §10): at once after a
+			// shed gap, under the backoff after a lost upstream.
 			f.FlowEvents.Inc()
-			enqueue(f, &f.extResumes, ts)
+			q := &f.extResumes
+			if d.FlowDetail == burst.UpstreamLostDetail {
+				q = &f.extLost
+			}
+			enqueue(f, q, ts)
 		case burst.End:
 			f.Terminations.Inc()
 			enqueue(f, &f.extEnds, ts)

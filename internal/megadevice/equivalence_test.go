@@ -458,12 +458,14 @@ func openScriptedFleet(t *testing.T, n edge.Dialer) scriptedModel {
 	}
 }
 
-// testShedEpisodeEquivalence plays each recovery script to BOTH models and
+// testShedEpisodeEquivalence plays each recovery script — shed markers, the
+// upstream-lost marker, rewrites, a termination — to BOTH models and
 // compares every upstream frame they answer it with — subscribe and cancel,
 // header and body. Recovery decides for both, so a difference here is a
 // holder carrying the same answer out differently.
 func testShedEpisodeEquivalence(t *testing.T) {
 	marker := burst.FlowStatusDelta(burst.FlowDegraded, overload.ShedMarkerPrefix+"stream-admission")
+	lost := burst.FlowStatusDelta(burst.FlowDegraded, burst.UpstreamLostDetail)
 	resumeState := func(seq uint64) burst.Delta {
 		return burst.RewriteDelta(burst.Header{burst.HdrCursor: "1." + strconv.FormatUint(seq, 10)}, nil)
 	}
@@ -526,6 +528,28 @@ func testShedEpisodeEquivalence(t *testing.T) {
 				p.nextStream()
 			},
 			kinds: []string{"subscribe", "cancel", "subscribe"}, cursor: "1.2", body: "filter-v2",
+		},
+		{
+			// The POP reached no upstream and handed the loss down: both
+			// models reopen, under their backoff, from the stored request.
+			name: "upstream lost with a cursor",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				srv := opening(p, 5, true)
+				p.send(srv, lost)
+				p.nextStream()
+			},
+			kinds: []string{"subscribe", "cancel", "subscribe"}, cursor: "1.5",
+		},
+		{
+			// Nothing to resume from: the stream reopens live-only, and the
+			// marker told the app of the gap.
+			name: "upstream lost without a cursor",
+			play: func(t *testing.T, p *scriptedPOP, m scriptedModel) {
+				srv := opening(p, 5, false)
+				p.send(srv, lost)
+				p.nextStream()
+			},
+			kinds: []string{"subscribe", "cancel", "subscribe"},
 		},
 		{
 			// The application ended the stream: the device drops it and stays

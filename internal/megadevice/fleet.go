@@ -108,6 +108,7 @@ type Fleet struct {
 	extMu      sync.Mutex
 	extClosed  []*trunk
 	extResumes []*topicSub
+	extLost    []*topicSub
 	extEnds    []*topicSub
 
 	// probeWall holds, per area, the wall-clock nanos of an armed
@@ -126,7 +127,7 @@ type Fleet struct {
 	Deltas       metrics.Counter // payload deltas decoded on trunks
 	Applied      metrics.Counter // per-virtual-device delta applications
 	FlowEvents   metrics.Counter
-	Resumes      metrics.Counter // shed episodes repaired by reopening the shared stream
+	Resumes      metrics.Counter // reopens of a shared stream its Recovery answered: shed episodes and lost upstreams
 	Rewrites     metrics.Counter
 	Terminations metrics.Counter
 	Connects     metrics.Counter
@@ -482,25 +483,27 @@ func (f *Fleet) detachStreamLocked(t *trunk, sid uint32) {
 	f.tab.streamSubIdx[sid] = noIndex
 }
 
-// backoffDelay is the device's delay before redial number attempt:
-// faults' one formula, its randomness hashed from (seed, device, attempt)
+// backoffDelay is the delay before retry number attempt of key — a device's
+// redial, or a shared stream's reopen after a lost upstream, keyed by its
+// area: faults' one formula, its randomness hashed from (seed, key, attempt)
 // instead of drawn from per-device RNG state.
-func (f *Fleet) backoffDelay(dev uint32, attempt uint8) int64 {
-	d := f.policy.Delay(int(attempt), unitFrac(splitmix64(f.seedBase^uint64(dev)<<8^uint64(attempt))))
+func (f *Fleet) backoffDelay(key uint32, attempt uint8) int64 {
+	d := f.policy.Delay(int(attempt), unitFrac(splitmix64(f.seedBase^uint64(key)<<8^uint64(attempt))))
 	return int64(d)
 }
 
 // Service drains externally queued events: terminations (the shared stream
 // leaves its trunk, its virtual streams end), trunk deaths (detach everyone
-// attached, schedule their redials) and shed episodes (reopen the shared
-// stream) — in that order, so a stream that ended just before its trunk died
-// is not redialed and an ended stream is not reopened. Engine-driven callers
+// attached, schedule their redials), shed episodes (reopen the shared
+// stream) and lost upstreams (reopen it after its backoff) — in that order,
+// so a stream that ended just before its trunk died is not redialed and an
+// ended stream is not reopened. Engine-driven callers
 // invoke it between engine bursts; Async fleets self-schedule it. Safe to
 // call at any time.
 func (f *Fleet) Service() {
 	f.extMu.Lock()
-	ends, closed, resumes := f.extEnds, f.extClosed, f.extResumes
-	f.extEnds, f.extClosed, f.extResumes = nil, nil, nil
+	ends, closed, resumes, lost := f.extEnds, f.extClosed, f.extResumes, f.extLost
+	f.extEnds, f.extClosed, f.extResumes, f.extLost = nil, nil, nil, nil
 	f.extMu.Unlock()
 
 	if len(ends)+len(closed) > 0 {
@@ -519,6 +522,17 @@ func (f *Fleet) Service() {
 	// Recovery answers Reopen once per episode, so each entry is one reopen.
 	for _, ts := range resumes {
 		ts.trunk.resumeSub(ts)
+	}
+	// A lost upstream reopens under the backoff, further apart each time
+	// the POP reaches none.
+	for _, ts := range lost {
+		ts.mu.Lock()
+		delay := f.backoffDelay(ts.area, ts.lost)
+		if ts.lost < 255 {
+			ts.lost++
+		}
+		ts.mu.Unlock()
+		f.sched.After(time.Duration(delay), func() { ts.trunk.resumeSub(ts) })
 	}
 }
 
@@ -559,8 +573,8 @@ func (f *Fleet) drainTrunkLocked(t *trunk) {
 }
 
 // enqueue records an external event on its Service queue — a trunk death
-// (f.extClosed), a shed episode (f.extResumes) or a termination (f.extEnds)
-// — from the trunk's read goroutine.
+// (f.extClosed), a shed episode (f.extResumes), a lost upstream (f.extLost)
+// or a termination (f.extEnds) — from the trunk's read goroutine.
 func enqueue[T any](f *Fleet, q *[]T, v T) {
 	f.extMu.Lock()
 	*q = append(*q, v)

@@ -42,6 +42,7 @@ type topicSub struct {
 	streams []uint32
 	req     burst.Subscribe // stored request, patched by rewrites
 	rec     burst.Recovery  // stepped by the deltas of sid, the current incarnation, only
+	lost    uint8           // upstream-lost reopens since an incarnation last reached an upstream
 }
 
 // trunkForLocked returns the live trunk for pop, dialing one if needed.
@@ -97,10 +98,11 @@ func (t *trunk) sub(area uint32) (ts *topicSub, fresh bool) {
 	return ts, true
 }
 
-// resumeSub repairs a shed gap on a shared stream: cancel the shed
-// subscription and reopen it from the stored request — the trunk-model
-// analogue of device.Stream's shed-resume. One reopen covers every virtual
-// device attached to the stream. Called from Service, outside all fleet locks.
+// resumeSub carries out a reopen its Recovery answered — a shed gap or a lost
+// upstream: cancel the shared stream's incarnation and reopen it from the
+// stored request, as device.Stream's reopen does. One reopen covers every
+// virtual device attached to the stream. Called from Service, or after a
+// lost upstream's backoff, outside all fleet locks.
 func (t *trunk) resumeSub(ts *topicSub) {
 	t.mu.Lock()
 	if t.sess == nil || t.subs[ts.area] != ts {
@@ -141,7 +143,7 @@ func (t *trunk) openUnlock(ts *topicSub, cancelOld bool) bool {
 		// Fire-and-forget like burst.Client: a send failure means the
 		// session is dying and HandleClose will detach everyone.
 		if cancelOld {
-			_ = t.sess.SendMsg(burst.FrameCancel, old, burst.Cancel{Reason: "shed-resume"})
+			_ = t.sess.SendMsg(burst.FrameCancel, old, burst.Cancel{Reason: "reopen"})
 		}
 		_ = t.sess.SendMsg(burst.FrameSubscribe, sid, req)
 	}
