@@ -59,7 +59,7 @@ func TestAllocContracts(t *testing.T) {
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch its cursor slices; the key decodes to the package constant"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
-		{"WASMutateFeedComment", bench.WASMutateFeedComment, 6, "the resolver's own work: two formatted ids, the TAO object and its sorted bag (the resolver's literal stays on its stack), the association, the topic, the answer's digits appended by the resolver; no parse, Ctx or closure allocation, and the event carries no map (7 before: the answer a boxed uint64 through json.Marshal)"},
+		{"WASMutateFeedComment", bench.WASMutateFeedComment, 3, "the TAO object with its text inside it, the topic, the answer's digits (the resolver's literal stays on its stack, its ids are typed, the association row amortizes below one); no parse, Ctx or closure allocation, and the event carries no map (6 before: two formatted ids and a sorted bag of its own; 7 before that: the answer a boxed uint64 through json.Marshal)"},
 		{"BURSTSubscribeHop", subscribeHop, 1, "the stream, whose inline pairs hold the request and whose inline bytes hold the one copy of the header they slice (2 before: that copy a string of its own; 4 before that: a header map's two)"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 0, "the lease brings its own deltas, bytes and patch map and lends the patch, whose new cursor the stored request copies into its room, a fresh 128 bytes once its patches fill one (1 before: the decoder's copy of the patch)"},
 		{"EdgeRelayRewriteHop", bench.EdgeRelayRewriteHop, 0, "the relay's lease lends the patch to Forward, its downstream SendBatch copies the new cursor into the stored request's room, a fresh 128 bytes once its patches fill one, re-encodes and releases; the server and the device do the same (2 before: the relay's and the device's copy of each patch)"},
@@ -338,7 +338,7 @@ func payloadMiss(b *testing.B) {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)
 	apps.NewSuite(w)
-	ref := w.TAO.ObjectAdd("comment", tao.Props{{"text", "what a save!"}, {"author", "7"}, {"post", "17"}})
+	ref := w.TAO.ObjectAdd("comment", 7, 17, 0, tao.Props{{"text", "what a save!"}})
 	const size = 16
 	host := brass.NewHost(brass.HostConfig{ID: "miss-host", PayloadCacheSize: size}, nil, w, nil)
 	defer host.Close()
@@ -384,7 +384,7 @@ func fetchPush(b *testing.B) {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)
 	apps.NewSuite(w)
-	ref := w.TAO.ObjectAdd("comment", tao.Props{{"text", "what a save!"}, {"author", "7"}, {"post", "17"}})
+	ref := w.TAO.ObjectAdd("comment", 7, 17, 0, tao.Props{{"text", "what a save!"}})
 	host := brass.NewHost(brass.HostConfig{ID: "push-host"}, nil, w, nil)
 	defer host.Close()
 	app := &payloadFetcher{seen: make(chan int), patch: burst.Header{burst.HdrCursor: ""}}

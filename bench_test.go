@@ -161,7 +161,7 @@ func BenchmarkPylonSubscribe(b *testing.B) {
 
 func BenchmarkTAOPointQuery(b *testing.B) {
 	store := tao.MustNewStore(tao.DefaultConfig(), nil)
-	id := store.ObjectAdd("comment", tao.Props{{"text", "hello"}})
+	id := store.ObjectAdd("comment", 7, 17, 0, tao.Props{{"text", "hello"}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -35,8 +35,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{{"text", text},
-			{"author", strconv.FormatUint(uint64(ctx.Viewer), 10)}, {"post", strconv.FormatUint(postID, 10)}})
+		ref := ctx.Srv.TAO.ObjectAdd("comment", uint64(ctx.Viewer), postID, 0, tao.Props{{"text", text}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{Topic: PostTopic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
@@ -55,9 +54,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
-		post, _ := strconv.ParseUint(obj.Data.Get("post"), 10, 64)
-		return CommentPayload{CommentID: uint64(ref), VideoID: post, Author: author,
+		return CommentPayload{CommentID: uint64(ref), VideoID: obj.Parent, Author: obj.Author,
 			Text: obj.Data.Get("text")}.AppendJSON(nil), nil
 	})
 	return a

@@ -74,15 +74,10 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 			return nil, err
 		}
 		score := was.QualityScore(author, text)
+		scoreText, stored := score4(score)
 
 		// The comment is always stored...
-		ref := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{
-			{"text", text},
-			{"author", strconv.FormatUint(uint64(author.ID), 10)},
-			{"video", strconv.FormatUint(videoID, 10)},
-			{"score", strconv.FormatFloat(score, 'f', 4, 64)},
-			{"lang", strconv.Itoa(int(author.Lang))},
-		})
+		ref := ctx.Srv.TAO.ObjectAdd("comment", uint64(author.ID), videoID, stored, tao.Props{{"text", text}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(videoID), "video_comment", ref, ctx.Now, "")
 
 		// ...but spam and junk never reach Pylon (WAS pre-ranking).
@@ -91,7 +86,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		}
 		ev := pylon.Event{Topic: LVCTopic(videoID), Ref: uint64(ref), Author: uint64(author.ID),
 			Meta: map[string]string{
-				"score": strconv.FormatFloat(score, 'f', 4, 64),
+				"score": scoreText,
 				"lang":  strconv.Itoa(int(author.Lang)),
 			}}
 		// High-volume strategy (§3.4): on hot videos, only extremely
@@ -167,16 +162,8 @@ func (a *LiveVideoComments) payload(ctx was.Ctx, ref tao.ObjID) (CommentPayload,
 	if err != nil {
 		return CommentPayload{}, err
 	}
-	author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
-	video, _ := strconv.ParseUint(obj.Data.Get("video"), 10, 64)
-	score, _ := strconv.ParseFloat(obj.Data.Get("score"), 64)
-	return CommentPayload{
-		CommentID: uint64(ref),
-		VideoID:   video,
-		Author:    author,
-		Text:      obj.Data.Get("text"),
-		Score:     score,
-	}, nil
+	return CommentPayload{CommentID: uint64(ref), VideoID: obj.Parent, Author: obj.Author,
+		Text: obj.Data.Get("text"), Score: obj.Score}, nil
 }
 
 // Name implements brass.Application.

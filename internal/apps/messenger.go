@@ -107,8 +107,7 @@ func NewMessenger(w Registrar) *Messenger {
 		if members == nil {
 			return nil, fmt.Errorf("messenger: unknown thread %d", tid)
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("message", tao.Props{{"text", text},
-			{"author", strconv.FormatUint(uint64(ctx.Viewer), 10)}, {"thread", strconv.FormatUint(tid, 10)}})
+		ref := ctx.Srv.TAO.ObjectAdd("message", uint64(ctx.Viewer), tid, 0, tao.Props{{"text", text}})
 		for _, member := range members {
 			topic, seq := a.appendToMailbox(ctx, member, ref)
 			ctx.Publish(pylon.Event{Topic: topic, Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
@@ -141,9 +140,7 @@ func NewMessenger(w Registrar) *Messenger {
 }
 
 func (a *Messenger) payloadFromObj(obj tao.Object, seq uint64) MessagePayload {
-	author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
-	thread, _ := strconv.ParseUint(obj.Data.Get("thread"), 10, 64)
-	return MessagePayload{Seq: seq, Thread: thread, Author: author, Text: obj.Data.Get("text")}
+	return MessagePayload{Seq: seq, Thread: obj.Parent, Author: obj.Author, Text: obj.Data.Get("text")}
 }
 
 // appendToMailbox assigns the next sequence number and stores the mailbox
@@ -153,9 +150,7 @@ func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref 
 	a.mu.Lock()
 	mb := a.mailbox[member]
 	if mb == nil {
-		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", tao.Props{
-			{"owner", strconv.FormatUint(uint64(member), 10)},
-		})
+		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", uint64(member), 0, 0, nil)
 		mb = &mailboxState{ref: anchor, topic: MailboxTopic(member)}
 		a.mailbox[member] = mb
 	}

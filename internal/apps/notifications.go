@@ -59,12 +59,8 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		if err != nil {
 			return nil, err
 		}
-		ref := ctx.Srv.TAO.ObjectAdd("notification", tao.Props{
-			{"kind", kind},
-			{"text", text},
-			{"actor", strconv.FormatUint(uint64(ctx.Viewer), 10)},
-			{"to", strconv.FormatUint(target, 10)},
-		})
+		ref := ctx.Srv.TAO.ObjectAdd("notification", uint64(ctx.Viewer), target, 0,
+			tao.Props{{"kind", kind}, {"text", text}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(target), "user_notif", ref, ctx.Now, kind)
 		ctx.Publish(pylon.Event{Topic: NotifTopic(target), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
@@ -79,9 +75,8 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		if err != nil {
 			return nil, err
 		}
-		actor, _ := strconv.ParseUint(obj.Data.Get("actor"), 10, 64)
 		return NotificationPayload{
-			ID: uint64(ref), Kind: obj.Data.Get("kind"), Actor: actor, Text: obj.Data.Get("text"),
+			ID: uint64(ref), Kind: obj.Data.Get("kind"), Actor: obj.Author, Text: obj.Data.Get("text"),
 		}.AppendJSON(nil), nil
 	})
 	return a

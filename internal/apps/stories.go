@@ -48,18 +48,14 @@ func NewStories(w Registrar) *Stories {
 		if err != nil {
 			return nil, err
 		}
-		score := was.QualityScore(author, content)
-		ref := ctx.Srv.TAO.ObjectAdd("story", tao.Props{
-			{"content", content},
-			{"author", strconv.FormatUint(uint64(author.ID), 10)},
-			{"score", strconv.FormatFloat(score, 'f', 4, 64)},
-		})
+		scoreText, score := score4(was.QualityScore(author, content))
+		ref := ctx.Srv.TAO.ObjectAdd("story", uint64(author.ID), 0, score, tao.Props{{"content", content}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(author.ID), "user_story", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{
 			Topic:  StoriesTopic(uint64(author.ID)),
 			Ref:    uint64(ref),
 			Author: uint64(author.ID),
-			Meta:   map[string]string{"score": strconv.FormatFloat(score, 'f', 4, 64)},
+			Meta:   map[string]string{"score": scoreText},
 		}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
@@ -82,10 +78,8 @@ func NewStories(w Registrar) *Stories {
 		if err != nil {
 			return nil, err
 		}
-		author, _ := strconv.ParseUint(obj.Data.Get("author"), 10, 64)
-		score, _ := strconv.ParseFloat(obj.Data.Get("score"), 64)
-		return StoryDelta{Op: "story_add", Author: author, StoryID: uint64(ref),
-			Content: obj.Data.Get("content"), Rank: score}.AppendJSON(nil), nil
+		return StoryDelta{Op: "story_add", Author: obj.Author, StoryID: uint64(ref),
+			Content: obj.Data.Get("content"), Rank: obj.Score}.AppendJSON(nil), nil
 	})
 	return a
 }

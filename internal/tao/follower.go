@@ -13,14 +13,15 @@ import (
 // asynchronous cross-region invalidation. Objects are never updated, so
 // only association lists are invalidated.
 //
-// Followers cache objects and full association lists as the leader stores
-// them. The paper relies on BRASS point queries having "good caching
-// characteristics" (§5); the Hits/Misses counters let experiments verify that.
+// Followers cache association lists as the leader stores them and share the
+// leader's stored objects. The paper relies on BRASS point queries having
+// "good caching characteristics" (§5); the Hits/Misses counters let
+// experiments verify that.
 type Follower struct {
 	store *Store
 
 	mu      sync.Mutex
-	objects map[ObjID]Object
+	objects map[ObjID]*object
 	assocs  map[assocKey][]assocRow
 	// gen counts invalidations: a fill reads the leader outside mu, and one
 	// that lands meanwhile may be for a write the read predates.
@@ -35,29 +36,29 @@ type Follower struct {
 func NewFollower(store *Store) *Follower {
 	return &Follower{
 		store:   store,
-		objects: make(map[ObjID]Object),
+		objects: make(map[ObjID]*object),
 		assocs:  make(map[assocKey][]assocRow),
 	}
 }
 
 // ObjectGet serves the object from cache, filling from the leader on miss.
-// Its Data is the leader's immutable bag (see Object), shared, never cloned.
+// Its cache holds the leader's stored object itself (see Object), never a copy.
 func (f *Follower) ObjectGet(id ObjID) (Object, error) {
 	f.mu.Lock()
-	if obj, ok := f.objects[id]; ok {
+	if o, ok := f.objects[id]; ok {
 		f.mu.Unlock()
 		f.Hits.Inc()
-		return obj, nil
+		return o.Object, nil
 	}
 	gen := f.gen
 	f.mu.Unlock()
 	f.Misses.Inc()
-	obj, err := f.store.ObjectGet(id)
+	o, err := f.store.stored(id)
 	if err != nil {
 		return Object{}, err
 	}
-	install(f, f.objects, id, obj, gen)
-	return obj, nil
+	install(f, f.objects, id, o, gen)
+	return o.Object, nil
 }
 
 // AssocRange serves the association list from cache, filling on miss.

@@ -1,6 +1,7 @@
 package tao
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"testing"
@@ -54,6 +55,81 @@ func FuzzAssocOps(f *testing.F) {
 			for _, k := range lists {
 				if got := s.AssocCount(k.id1, k.typ); got != len(ref[k]) {
 					t.Fatalf("op %d: count of %v = %d, reference %d", i/2, k, got, len(ref[k]))
+				}
+			}
+		}
+	})
+}
+
+// FuzzObjectAdd drives ObjectAdd with bags of 0 to 7 pairs over 4 keys, so
+// repeated keys are common and bags fall on both sides of the room a stored
+// object holds (bagRoom). After each add it overwrites the bag it passed,
+// then reads every object added so far from the leader and through a
+// Follower — a miss the first time, a hit after — and checks each against a
+// map reference in which a key's last pair wins.
+//
+// An add is one header byte and a byte a pair. The header's low 3 bits are
+// the bag's size and the whole byte seeds the typed fields; a pair's low 2
+// bits pick its key and the rest its value. Seeds are in
+// testdata/fuzz/FuzzObjectAdd.
+func FuzzObjectAdd(f *testing.F) {
+	type want struct {
+		typ            ObjType
+		author, parent uint64
+		score          float64
+		bag            map[string]string
+	}
+	keys := []string{"a", "kind", "text", "z"}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		clk := sim.NewManualClock(t0)
+		s := MustNewStore(DefaultConfig(), clk)
+		fol := NewFollower(s)
+		ref := make(map[ObjID]want)
+		for i := 0; i < len(b) && len(ref) < 64; {
+			h := b[i]
+			i++
+			bag := make(Props, min(int(h&7), len(b)-i))
+			w := want{typ: ObjType(keys[h>>3&3]), author: uint64(h >> 3), parent: uint64(h) << 40,
+				score: float64(h) / 8, bag: make(map[string]string)}
+			for j := range bag {
+				bag[j] = [2]string{keys[b[i]&3], string(rune('0' + b[i]>>2))}
+				w.bag[bag[j][0]] = bag[j][1]
+				i++
+			}
+			id := s.ObjectAdd(w.typ, w.author, w.parent, w.score, bag)
+			ref[id] = w
+			for j := range bag {
+				bag[j] = [2]string{"mutated", "by the adder"}
+			}
+			clk.Advance(time.Second)
+			for id, w := range ref {
+				for _, r := range []struct {
+					name string
+					get  func(ObjID) (Object, error)
+				}{{"leader", s.ObjectGet}, {"follower", fol.ObjectGet}} {
+					obj, err := r.get(id)
+					if err != nil {
+						t.Fatalf("%s: object %d: %v", r.name, id, err)
+					}
+					if obj.ID != id || obj.Type != w.typ || obj.Author != w.author || obj.Parent != w.parent ||
+						obj.Score != w.score || obj.Version != 1 {
+						t.Fatalf("%s: object %d = %+v, reference %+v", r.name, id, obj, w)
+					}
+					got := make(map[string]string)
+					for j, kv := range obj.Data {
+						if j > 0 && obj.Data[j-1][0] >= kv[0] {
+							t.Fatalf("%s: object %d: bag %q not sorted with one pair per key", r.name, id, obj.Data)
+						}
+						got[kv[0]] = kv[1]
+					}
+					if !maps.Equal(got, w.bag) || cap(obj.Data) != len(obj.Data) {
+						t.Fatalf("%s: object %d: bag %q (cap %d), reference %v", r.name, id, obj.Data, cap(obj.Data), w.bag)
+					}
+					for _, k := range keys {
+						if obj.Data.Get(k) != w.bag[k] {
+							t.Fatalf("%s: object %d: Get(%q) = %q, reference %q", r.name, id, k, obj.Data.Get(k), w.bag[k])
+						}
+					}
 				}
 			}
 		}

@@ -19,9 +19,12 @@
 // never updated or deleted, and associations are added (an existing one is
 // replaced in place).
 //
-// Both tiers store rows, not maps: an object's bag is one slice of (key,
-// value) pairs sorted by key (Props), and a list holds (id2, time, data)
-// rows filed under its (id1, atype) key, as real TAO files them.
+// Both tiers store rows, not maps. An object carries its numbers typed —
+// Author, Parent, Score — and its few strings as a bag, one slice of (key,
+// value) pairs sorted by key (Props) that sits inside the stored object when
+// it has at most two pairs; the follower tier shares the leader's stored
+// object. A list holds (id2, time, data) rows filed under its (id1, atype)
+// key, as real TAO files them.
 //
 // All methods are safe for concurrent use.
 package tao
@@ -34,6 +37,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bladerunner/internal/metrics"
@@ -61,10 +65,15 @@ type AssocType string
 // ErrNotFound is returned when an object or association does not exist.
 var ErrNotFound = errors.New("tao: not found")
 
-// Object is a node with a free-form property bag.
+// Object is a node with typed numeric fields and a bag of free-form strings.
 type Object struct {
 	ID   ObjID
 	Type ObjType
+	// Author made the object (a comment's or message's author, a
+	// notification's actor, a mailbox's owner), Parent is what it hangs off
+	// (a post, video, thread or notified user), Score its quality score.
+	Author, Parent uint64
+	Score          float64
 	// Data is READ-ONLY once stored: ObjectGet hands every reader the
 	// stored slice itself. A reader that wants to change a bag copies it.
 	Data    Props
@@ -89,18 +98,28 @@ func (p Props) Get(key string) string {
 
 func byKey(kv [2]string, key string) int { return strings.Compare(kv[0], key) }
 
-// sorted returns a sorted copy of p with one pair per key, sized for p with
-// no key repeated: a later pair for a key overwrites an earlier one.
-func sorted(p Props) Props {
-	out := make(Props, 0, len(p))
+// sortInto inserts p's pairs into dst, empty with room for all of them, in
+// key order with one pair per key: a later pair for a key overwrites an
+// earlier one.
+func sortInto(dst, p Props) Props {
 	for _, kv := range p {
-		if i, ok := slices.BinarySearchFunc(out, kv[0], byKey); ok {
-			out[i] = kv
+		if i, ok := slices.BinarySearchFunc(dst, kv[0], byKey); ok {
+			dst[i] = kv
 		} else {
-			out = slices.Insert(out, i, kv)
+			dst = slices.Insert(dst, i, kv)
 		}
 	}
-	return out
+	return dst
+}
+
+// bagRoom is how many pairs a stored object holds inside itself: every app's
+// bag fits, so its add is one allocation.
+const bagRoom = 2
+
+// object is an Object as a shard stores it, with room for a small bag.
+type object struct {
+	Object
+	room [bagRoom][2]string
 }
 
 // Assoc is a typed, directed edge from ID1 to ID2 with a timestamp and
@@ -136,8 +155,7 @@ type Store struct {
 	cfg    Config
 	clock  sim.Clock
 	shards []*shard
-	nextID sync.Mutex // guards idCounter
-	idCtr  ObjID
+	lastID atomic.Uint64
 
 	stats *Stats
 
@@ -176,7 +194,7 @@ func (k assocKey) assoc(r assocRow) Assoc {
 
 type shard struct {
 	mu      sync.RWMutex
-	objects map[ObjID]*Object
+	objects map[ObjID]*object
 	// assocs holds time-descending association lists.
 	assocs map[assocKey][]assocRow
 }
@@ -194,7 +212,7 @@ func NewStore(cfg Config, clock sim.Clock) (*Store, error) {
 	s.shards = make([]*shard, shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			objects: make(map[ObjID]*Object),
+			objects: make(map[ObjID]*object),
 			assocs:  make(map[assocKey][]assocRow),
 		}
 	}
@@ -276,18 +294,21 @@ func (s *Store) shardFor(id ObjID) *shard {
 	return s.shards[h%uint64(len(s.shards))]
 }
 
-// ObjectAdd creates a new object of the given type with a sorted copy of
-// data and returns its allocated ID.
-func (s *Store) ObjectAdd(typ ObjType, data Props) ObjID {
-	s.nextID.Lock()
-	s.idCtr++
-	id := s.idCtr
-	s.nextID.Unlock()
-
-	obj := &Object{ID: id, Type: typ, Data: sorted(data), Created: s.clock.Now(), Version: 1}
+// ObjectAdd creates a new object of the given type with its numeric fields
+// and a sorted copy of data, and returns its allocated ID. A bag of at most
+// bagRoom pairs is copied into the stored object itself.
+func (s *Store) ObjectAdd(typ ObjType, author, parent uint64, score float64, data Props) ObjID {
+	id := ObjID(s.lastID.Add(1))
+	o := &object{Object: Object{ID: id, Type: typ, Author: author, Parent: parent, Score: score,
+		Created: s.clock.Now(), Version: 1}}
+	bag := o.room[:0]
+	if len(data) > bagRoom {
+		bag = make(Props, 0, len(data))
+	}
+	o.Data = slices.Clip(sortInto(bag, data))
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	sh.objects[id] = obj
+	sh.objects[id] = o
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
 	return id
@@ -296,19 +317,24 @@ func (s *Store) ObjectAdd(typ ObjType, data Props) ObjID {
 // ObjectGet returns the object with the given id; its Data is the stored,
 // immutable bag (see Object). This is a point query touching one shard.
 func (s *Store) ObjectGet(id ObjID) (Object, error) {
+	o, err := s.stored(id)
+	if err != nil {
+		return Object{}, err
+	}
+	return o.Object, nil
+}
+
+// stored is ObjectGet's read of the stored object itself, which followers share.
+func (s *Store) stored(id ObjID) (*object, error) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
-	obj, ok := sh.objects[id]
-	var out Object
-	if ok {
-		out = *obj
-	}
+	o, ok := sh.objects[id]
 	sh.mu.RUnlock()
 	s.stats.recordPoint(1)
 	if !ok {
-		return Object{}, fmt.Errorf("object %d: %w", id, ErrNotFound)
+		return nil, fmt.Errorf("object %d: %w", id, ErrNotFound)
 	}
-	return out, nil
+	return o, nil
 }
 
 // AssocAdd inserts (or updates) the association (id1, typ, id2) with the
@@ -367,11 +393,7 @@ func (s *Store) AssocRange(id1 ObjID, typ AssocType, offset, limit int) []Assoc 
 // rangeShardCost models index partitioning: a list of length n spans
 // ceil(n/IndexShardCapacity) shards, minimum 1.
 func (s *Store) rangeShardCost(n int) int {
-	c := (n + s.cfg.IndexShardCapacity - 1) / s.cfg.IndexShardCapacity
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return max((n+s.cfg.IndexShardCapacity-1)/s.cfg.IndexShardCapacity, 1)
 }
 
 // rows returns a copy of the list key names, unaccounted: the follower's

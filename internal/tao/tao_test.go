@@ -31,12 +31,13 @@ func TestNewStoreValidation(t *testing.T) {
 
 func TestObjectLifecycle(t *testing.T) {
 	s, clk := newTestStore(t)
-	id := s.ObjectAdd("user", Props{{"name", "ada"}})
+	id := s.ObjectAdd("user", 7, 17, 0.5, Props{{"name", "ada"}})
 	obj, err := s.ObjectGet(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Type != "user" || obj.Data.Get("name") != "ada" || obj.Version != 1 {
+	if obj.Type != "user" || obj.Author != 7 || obj.Parent != 17 || obj.Score != 0.5 ||
+		obj.Data.Get("name") != "ada" || obj.Version != 1 {
 		t.Errorf("obj = %+v", obj)
 	}
 	if !obj.Created.Equal(clk.Now()) {
@@ -54,7 +55,7 @@ func TestObjectGetReturnsSnapshot(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s)
 	mine := Props{{"k", "v"}, {"a", "1"}}
-	id := s.ObjectAdd("user", mine)
+	id := s.ObjectAdd("user", 0, 0, 0, mine)
 	mine[0][1] = "mutated by the adder"
 	stored, _ := s.ObjectGet(id)
 	for _, r := range []struct {
@@ -74,7 +75,7 @@ func TestObjectIDsUnique(t *testing.T) {
 	s, _ := newTestStore(t)
 	seen := make(map[ObjID]bool)
 	for i := 0; i < 1000; i++ {
-		id := s.ObjectAdd("x", nil)
+		id := s.ObjectAdd("x", 0, 0, 0, nil)
 		if seen[id] {
 			t.Fatalf("duplicate id %d", id)
 		}
@@ -124,7 +125,7 @@ func TestAssocRangeNewestFirst(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	cfg := Config{IndexShardCapacity: 4}
 	s := MustNewStore(cfg, sim.NewManualClock(t0))
-	id := s.ObjectAdd("u", nil) // 1 write
+	id := s.ObjectAdd("u", 0, 0, 0, nil) // 1 write
 	if _, err := s.ObjectGet(id); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := s.ObjectAdd("o", Props{{"g", "x"}})
+				id := s.ObjectAdd("o", 0, 0, 0, Props{{"g", "x"}})
 				if _, err := s.ObjectGet(id); err != nil {
 					t.Errorf("get: %v", err)
 				}
@@ -180,7 +181,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 func TestFollowerCaching(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s)
-	id := s.ObjectAdd("u", Props{{"v", "1"}})
+	id := s.ObjectAdd("u", 0, 0, 0, Props{{"v", "1"}})
 
 	if _, err := f.ObjectGet(id); err != nil {
 		t.Fatal(err)

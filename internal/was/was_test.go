@@ -148,7 +148,7 @@ func TestMutationDispatchAndTAOWrite(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		id := ctx.Srv.TAO.ObjectAdd("comment", tao.Props{{"text", text}})
+		id := ctx.Srv.TAO.ObjectAdd("comment", 0, 0, 0, tao.Props{{"text", text}})
 		return strconv.AppendUint(nil, uint64(id), 10), nil
 	})
 	out, err := s.Mutate(3, `post(text: "hello")`)
@@ -254,7 +254,7 @@ func TestPrivacyCheck(t *testing.T) {
 
 func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 	s, _ := newTestWAS(t)
-	ref := s.TAO.ObjectAdd("comment", tao.Props{{"text", "nice"}})
+	ref := s.TAO.ObjectAdd("comment", 0, 0, 0, tao.Props{{"text", "nice"}})
 	s.RegisterPayload("lvc", func(ctx Ctx, r tao.ObjID, ev pylon.Event) ([]byte, error) {
 		obj, err := ctx.Srv.TAO.ObjectGet(r)
 		if err != nil {
@@ -369,7 +369,7 @@ func TestConcurrentExecutorStress(t *testing.T) {
 	s.Sched = sim.RealClock{} // timers must actually run concurrently
 	s.RegisterQuery("q", func(ctx Ctx, call FieldCall) (any, error) { return 1, nil })
 	s.RegisterMutation("m", func(ctx Ctx, call FieldCall) ([]byte, error) {
-		id := ctx.Srv.TAO.ObjectAdd("o", nil)
+		id := ctx.Srv.TAO.ObjectAdd("o", 0, 0, 0, nil)
 		ctx.Srv.Publish(pylon.Event{Topic: "/stress", Ref: uint64(id)}, false)
 		return strconv.AppendUint(nil, uint64(id), 10), nil
 	})
@@ -428,7 +428,7 @@ func TestRegisterWhileServing(t *testing.T) {
 		_, err := ctx.Reader().ObjectGet(ref) // reads the readers table too
 		return []byte(`"p"`), err
 	})
-	ref := uint64(s.TAO.ObjectAdd("o", nil))
+	ref := uint64(s.TAO.ObjectAdd("o", 0, 0, 0, nil))
 	if _, err := s.MutateIn("eu", 1, "m0"); err != nil {
 		t.Fatal(err)
 	}
