@@ -85,12 +85,6 @@ func BenchmarkAblationSubscriptionDedup(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationRateLimitOrder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.AblationRateLimitOrder(10)
-	}
-}
-
 // ---- Microbenchmarks of the hot paths ----
 //
 // The headline hot-path benchmarks live in internal/bench so that

@@ -55,7 +55,6 @@ func main() {
 		return []experiments.Result{
 			experiments.AblationMetadataVsPayload(100000, 2),
 			experiments.AblationSubscriptionDedup(50, 4),
-			experiments.AblationRateLimitOrder(10),
 		}
 	}
 

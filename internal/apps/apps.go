@@ -16,6 +16,7 @@
 package apps
 
 import (
+	"math"
 	"strconv"
 
 	"bladerunner/internal/brass"
@@ -40,13 +41,8 @@ func idTopic(prefix string, id uint64) pylon.Topic {
 	return pylon.Topic(strconv.AppendUint(append(buf[:0], prefix...), id, 10))
 }
 
-// score4 is score at the four decimals events and payloads carry: its text,
-// for an event's Meta, and the value that text reads back as, for TAO.
-func score4(score float64) (string, float64) {
-	text := strconv.FormatFloat(score, 'f', 4, 64)
-	v, _ := strconv.ParseFloat(text, 64)
-	return text, v
-}
+// score4 is score at the four decimals events and payloads carry.
+func score4(score float64) float64 { return math.Round(score*1e4) / 1e4 }
 
 // openTopics is the open sequence every application shares: the stream's
 // subscription expression, resolved by the WAS, becomes the stream's topics.

@@ -192,24 +192,60 @@ func TestLVCFiltersOwnComments(t *testing.T) {
 	}
 }
 
+// TestLVCLanguageFilter pins the lang stream header's meaning. It is device
+// input: absent, nothing is filtered; a language's decimal passes only that
+// language; any other spelling, a zero-padded one too, matches no language.
 func TestLVCLanguageFilter(t *testing.T) {
 	e := newEnv(t)
 	cli := e.dial(t)
 	viewer := socialgraph.UserID(4)
-	commenter := socialgraph.UserID(5)
-	commenterLang := int(e.graph.User(commenter).Lang)
-	otherLang := strconv.Itoa(commenterLang + 1)
-	st := e.subscribe(t, cli, AppLiveComments, "liveVideoComments(videoID: 9)", viewer,
-		burst.Header{HdrLang: otherLang})
-	waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(LVCTopic(9))) == 1 })
-	if _, err := e.was.Mutate(commenter, `postComment(videoID: 9, text: "hola")`); err != nil {
-		t.Fatal(err)
+	commenter := socialgraph.UserID(0)
+	for id := socialgraph.UserID(1); commenter == 0; id++ {
+		if id != viewer && e.graph.User(id).Lang == 2 { // so "02" is a padded spelling of it
+			commenter = id
+		}
 	}
-	e.host.Quiesce()
-	select {
-	case b := <-bursttest.Events(t, st):
-		t.Errorf("foreign-language comment delivered: %+v", b.Deltas)
-	case <-time.After(100 * time.Millisecond):
+	text := "hola"
+	for i := 1; was.QualityScore(e.graph.User(commenter), text) < e.suite.LVC.MinScore; i++ {
+		text = fmt.Sprintf("hola %d", i)
+	}
+	cases := []struct {
+		name string
+		hdr  burst.Header
+		want bool // delivered
+	}{
+		{"absent", nil, true},
+		{"the commenter's language", burst.Header{HdrLang: "2"}, true},
+		{"another language", burst.Header{HdrLang: "3"}, false},
+		{"zero-padded", burst.Header{HdrLang: "02"}, false},
+		{"not a number", burst.Header{HdrLang: "abc"}, false},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			video := uint64(20 + i)
+			st := e.subscribe(t, cli, AppLiveComments, fmt.Sprintf("liveVideoComments(videoID: %d)", video), viewer, c.hdr)
+			waitFor(t, "sub", func() bool { return len(e.pylon.Subscribers(LVCTopic(video))) == 1 })
+			filtered := e.host.Filtered.Value()
+			if _, err := e.was.Mutate(commenter, fmt.Sprintf("postComment(videoID: %d, text: %q)", video, text)); err != nil {
+				t.Fatal(err)
+			}
+			e.host.Quiesce()
+			if c.want {
+				var p CommentPayload
+				if err := json.Unmarshal(recvPayload(t, st).Payload, &p); err != nil || p.Author != uint64(commenter) {
+					t.Errorf("payload = %+v, %v", p, err)
+				}
+				return
+			}
+			if got := e.host.Filtered.Value() - filtered; got != 1 {
+				t.Errorf("filtered %d comments, want 1", got)
+			}
+			select {
+			case b := <-bursttest.Events(t, st):
+				t.Errorf("comment delivered: %+v", b.Deltas)
+			case <-time.After(100 * time.Millisecond):
+			}
+		})
 	}
 }
 

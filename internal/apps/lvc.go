@@ -74,7 +74,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 			return nil, err
 		}
 		score := was.QualityScore(author, text)
-		scoreText, stored := score4(score)
+		stored := score4(score)
 
 		// The comment is always stored...
 		ref := ctx.Srv.TAO.ObjectAdd("comment", uint64(author.ID), videoID, stored, tao.Props{{"text", text}})
@@ -85,10 +85,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 			return strconv.AppendUint(nil, uint64(ref), 10), nil
 		}
 		ev := pylon.Event{Topic: LVCTopic(videoID), Ref: uint64(ref), Author: uint64(author.ID),
-			Meta: map[string]string{
-				"score": scoreText,
-				"lang":  strconv.Itoa(int(author.Lang)),
-			}}
+			Meta: pylon.Meta{Score: stored, Lang: uint8(author.Lang)}}
 		// High-volume strategy (§3.4): on hot videos, only extremely
 		// high-ranked comments hit the main topic; ordinary ones go to
 		// the poster's per-user topic (delivered only toward the
@@ -173,8 +170,24 @@ func (a *LiveVideoComments) Name() string { return AppLiveComments }
 type lvcStream struct {
 	buffer  brass.RankedBuffer
 	limiter brass.RateLimiter
-	lang    string
+	lang    int // viewerLang of the stream's lang header
 	cancel  func()
+}
+
+// anyLang is a stream without a lang header: its viewer reads every language.
+const anyLang = -1
+
+// viewerLang reads the lang header once, at open. It is device input: a
+// spelling no Lang prints as ("02", "abc", "256") is -2, which matches none.
+func viewerLang(h string) int {
+	n, _ := strconv.Atoi(h) // what fails to parse fails the Itoa check too
+	switch {
+	case h == "":
+		return anyLang
+	case strconv.Itoa(int(uint8(n))) != h:
+		return -2
+	}
+	return n
 }
 
 type lvcInstance struct {
@@ -194,7 +207,7 @@ func (in *lvcInstance) OnStreamOpen(st *brass.Stream) error {
 	state := &lvcStream{
 		buffer:  brass.RankedBuffer{K: lvcBufferK, TTL: in.app.BufferTTL},
 		limiter: brass.RateLimiter{Interval: in.app.RateLimit},
-		lang:    st.Header(HdrLang),
+		lang:    viewerLang(st.Header(HdrLang)),
 	}
 	state.limiter.RestoreHeaderState(st.Header(brass.HdrRateLimiterState), in.rt.Now())
 	st.State = state
@@ -246,28 +259,21 @@ func (in *lvcInstance) OnStreamClose(st *brass.Stream, reason string) {
 }
 
 func (in *lvcInstance) OnEvent(ev pylon.Event) {
-	score, _ := strconv.ParseFloat(ev.Meta["score"], 64)
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		state, ok := st.State.(*lvcStream)
 		if !ok {
 			continue
 		}
-		// Per-viewer filtering on metadata only — no payload fetched
-		// for comments that never surface.
-		if score < in.app.MinScore {
-			st.Filtered()
-			continue
-		}
-		if ev.Author == uint64(st.Viewer) {
-			st.Filtered() // the viewer already sees their own comment locally
-			continue
-		}
-		if state.lang != "" && ev.Meta["lang"] != "" && state.lang != ev.Meta["lang"] {
+		// Per-viewer filtering on metadata only — no payload fetched for
+		// comments that never surface: below the quality floor, the
+		// viewer's own (they already see it locally), another language.
+		if ev.Meta.Score < in.app.MinScore || ev.Author == uint64(st.Viewer) ||
+			state.lang != anyLang && state.lang != int(ev.Meta.Lang) {
 			st.Filtered()
 			continue
 		}
 		state.buffer.Add(brass.RankedItem{
-			Score:  score,
+			Score:  ev.Meta.Score,
 			Time:   in.rt.Now(),
 			Seq:    ev.Ref,
 			Author: ev.Author,

@@ -3,7 +3,7 @@ package apps
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
+	"slices"
 	"time"
 
 	"bladerunner/internal/brass"
@@ -32,6 +32,10 @@ func ReactionsTopic(videoID uint64) pylon.Topic {
 	return idTopic("/LVR/", videoID)
 }
 
+// reactionKinds are the kinds reactToVideo accepts; an event's Meta.Kind
+// indexes them.
+var reactionKinds = [...]string{"like", "love", "wow", "haha", "sad", "angry"}
+
 // ReactionAggregate is the device-facing batched counter update.
 type ReactionAggregate struct {
 	VideoID uint64           `json:"video_id"`
@@ -51,9 +55,8 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		if err != nil {
 			return nil, err
 		}
-		switch kind {
-		case "like", "love", "wow", "haha", "sad", "angry":
-		default:
+		k := slices.Index(reactionKinds[:], kind)
+		if k < 0 {
 			return nil, fmt.Errorf("reactions: unknown kind %q", kind)
 		}
 		// Reactions are tiny and ephemeral: no TAO object per reaction,
@@ -62,8 +65,9 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 			tao.ObjID(ctx.Viewer), ctx.Now, "")
 		ctx.Publish(pylon.Event{
 			Topic:  ReactionsTopic(videoID),
+			Ref:    videoID,
 			Author: uint64(ctx.Viewer),
-			Meta:   map[string]string{"kind": kind, "video": strconv.FormatUint(videoID, 10)},
+			Meta:   pylon.Meta{Kind: uint8(k)},
 		}, false)
 		return []byte("true"), nil
 	})
@@ -146,8 +150,9 @@ func (in *reactionsInstance) OnStreamClose(st *brass.Stream, reason string) {
 }
 
 func (in *reactionsInstance) OnEvent(ev pylon.Event) {
-	kind := ev.Meta["kind"]
-	video, _ := strconv.ParseUint(ev.Meta["video"], 10, 64)
+	if int(ev.Meta.Kind) >= len(reactionKinds) {
+		return // not a kind reactToVideo publishes: ctrl events come from another process
+	}
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		state, ok := st.State.(*reactionsStream)
 		if !ok {
@@ -158,8 +163,8 @@ func (in *reactionsInstance) OnEvent(ev pylon.Event) {
 			continue // a reactor the viewer may not see is not counted
 		}
 		state.proof = p
-		state.videoID = video
-		state.counts[kind]++
+		state.videoID = ev.Ref
+		state.counts[reactionKinds[ev.Meta.Kind]]++
 		// Aggregated, not forwarded: this counts as intelligent
 		// dropping in the decision/delivery accounting — the flush
 		// delivers one batch regardless of the event count.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst/bursttest"
+	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 )
 
@@ -89,5 +90,31 @@ func TestReactionsNoFlushWhenIdle(t *testing.T) {
 	case b := <-bursttest.Events(t, st):
 		t.Errorf("idle stream pushed %+v", b.Deltas)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestReactionsIgnoreKindOutsideTable: ctrl events arrive from another
+// process, so a Meta.Kind that indexes no kind is not counted, and it does
+// not panic the instance; a good event delivered after it counts alone.
+func TestReactionsIgnoreKindOutsideTable(t *testing.T) {
+	e := newEnv(t)
+	e.suite.Reactions.FlushInterval = 10 * time.Millisecond
+	cli := e.dial(t)
+	st := e.subscribe(t, cli, AppReactions, "liveVideoReactions(videoID: 79)", 42, nil)
+	waitFor(t, "sub", func() bool {
+		return len(e.pylon.Subscribers(ReactionsTopic(79))) == 1
+	})
+	for i, k := range []uint8{uint8(len(reactionKinds)), 255, 1} {
+		e.host.Deliver(pylon.Event{Topic: ReactionsTopic(79), ID: uint64(i + 1), Ref: 79, Author: 43, Meta: pylon.Meta{Kind: k}})
+	}
+	select {
+	case b := <-bursttest.Events(t, st):
+		var agg ReactionAggregate
+		if err := json.Unmarshal(b.Deltas[0].Payload, &agg); err != nil || agg.VideoID != 79 ||
+			len(agg.Counts) != 1 || agg.Counts["love"] != 1 {
+			t.Errorf("aggregate = %+v, %v; want one love on video 79", agg, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no aggregate")
 	}
 }

@@ -48,14 +48,14 @@ func NewStories(w Registrar) *Stories {
 		if err != nil {
 			return nil, err
 		}
-		scoreText, score := score4(was.QualityScore(author, content))
+		score := score4(was.QualityScore(author, content))
 		ref := ctx.Srv.TAO.ObjectAdd("story", uint64(author.ID), 0, score, tao.Props{{"content", content}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(author.ID), "user_story", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{
 			Topic:  StoriesTopic(uint64(author.ID)),
 			Ref:    uint64(ref),
 			Author: uint64(author.ID),
-			Meta:   map[string]string{"score": scoreText},
+			Meta:   pylon.Meta{Score: score},
 		}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
@@ -124,7 +124,6 @@ func (in *storiesInstance) OnStreamClose(st *brass.Stream, reason string) { st.S
 // OnEvent privacy-checks the story first: a story the viewer may not see
 // does not rank its author's container into the tray either.
 func (in *storiesInstance) OnEvent(ev pylon.Event) {
-	score, _ := strconv.ParseFloat(ev.Meta["score"], 64)
 	for _, st := range in.rt.Instance().StreamsForTopic(ev.Topic) {
 		state, ok := st.State.(*storiesStream)
 		if !ok {
@@ -139,8 +138,8 @@ func (in *storiesInstance) OnEvent(ev pylon.Event) {
 			c = &storyContainer{author: ev.Author}
 			state.containers[ev.Author] = c
 		}
-		if score > c.rank {
-			c.rank = score
+		if ev.Meta.Score > c.rank {
+			c.rank = ev.Meta.Score
 		}
 		c.proof = p
 		in.reconcile(st, state, ev, p)

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"strconv"
 
 	"bladerunner/internal/brass"
 	"bladerunner/internal/pylon"
@@ -45,8 +44,9 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 		}
 		ctx.Publish(pylon.Event{
 			Topic:  TypingTopic(thread, uint64(ctx.Viewer)),
+			Ref:    thread,
 			Author: uint64(ctx.Viewer),
-			Meta:   map[string]string{"thread": strconv.FormatUint(thread, 10), "on": on},
+			Meta:   pylon.Meta{On: on == "true"},
 		}, false)
 		return []byte("true"), nil
 	})
@@ -64,8 +64,7 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 	})
 
 	w.RegisterPayload(AppTyping, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
-		thread, _ := strconv.ParseUint(ev.Meta["thread"], 10, 64)
-		return TypingPayload{Thread: thread, User: ev.Author, Typing: ev.Meta["on"] == "true"}.AppendJSON(nil), nil
+		return TypingPayload{Thread: ev.Ref, User: ev.Author, Typing: ev.Meta.On}.AppendJSON(nil), nil
 	})
 	return a
 }

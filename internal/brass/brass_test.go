@@ -20,7 +20,7 @@ import (
 
 // echoApp is a minimal application: it subscribes each stream to the topic
 // named in the subscription header and forwards every event's Ref as the
-// payload, filtering events whose Meta["drop"] is set.
+// payload, filtering events whose Meta.On is set.
 type echoApp struct {
 	mu     sync.Mutex
 	opened int
@@ -57,7 +57,7 @@ func (e *echoInstance) OnStreamClose(st *Stream, reason string) {
 
 func (e *echoInstance) OnEvent(ev pylon.Event) {
 	for _, st := range e.rt.Instance().StreamsForTopic(ev.Topic) {
-		if ev.Meta["drop"] != "" {
+		if ev.Meta.On {
 			st.Filtered()
 			continue
 		}
@@ -195,7 +195,7 @@ func TestFilteringCountsDecisionsNotDeliveries(t *testing.T) {
 	cli := dialHost(t, env)
 	openStream(t, cli, "/t/1")
 	waitFor(t, "subscription", func() bool { return len(env.pylon.Subscribers("/t/1")) == 1 })
-	if _, err := env.pylon.Publish(pylon.Event{Topic: "/t/1", Meta: map[string]string{"drop": "1"}}); err != nil {
+	if _, err := env.pylon.Publish(pylon.Event{Topic: "/t/1", Meta: pylon.Meta{On: true}}); err != nil {
 		t.Fatal(err)
 	}
 	env.host.Quiesce()
@@ -490,9 +490,9 @@ func (s *surfaceInstance) OnStreamClose(st *Stream, reason string) {}
 
 func (s *surfaceInstance) OnEvent(ev pylon.Event) {
 	for _, st := range s.rt.Instance().StreamsForTopic(ev.Topic) {
-		if ev.Meta["redirect"] != "" {
-			_ = st.Rewrite(burst.Header{burst.HdrStickyBRASS: ev.Meta["redirect"]}, nil)
-			reason := "redirect to " + ev.Meta["redirect"]
+		if ev.Meta.On {
+			_ = st.Rewrite(burst.Header{burst.HdrStickyBRASS: "brass-elsewhere"}, nil)
+			reason := "redirect to brass-elsewhere"
 			_ = st.burst.Terminate(reason)
 			st.inst.closeStream(st, reason)
 			continue
@@ -508,7 +508,7 @@ func TestStreamSurfaceAPI(t *testing.T) {
 	app := &surfaceApp{probes: map[string]string{}}
 	env.host.RegisterApp(app)
 	env.was.RegisterPayload("surface", func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
-		return json.Marshal("payload-" + ev.Meta["n"])
+		return json.Marshal(fmt.Sprintf("payload-%d", ev.Ref))
 	})
 
 	cli := dialHost(t, env)
@@ -537,7 +537,7 @@ func TestStreamSurfaceAPI(t *testing.T) {
 
 	// Fetch + push.
 	ev := bursttest.Events(t, st)
-	if _, err := env.pylon.Publish(pylon.Event{Topic: "/surf/a", Meta: map[string]string{"n": "1"}}); err != nil {
+	if _, err := env.pylon.Publish(pylon.Event{Topic: "/surf/a", Ref: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -549,9 +549,8 @@ func TestStreamSurfaceAPI(t *testing.T) {
 		t.Fatal("no payload push")
 	}
 
-	// Redirect: rewrite sticky target + terminate.
-	if _, err := env.pylon.Publish(pylon.Event{Topic: "/surf/a",
-		Meta: map[string]string{"redirect": "brass-elsewhere"}}); err != nil {
+	// Redirect (an event with Meta.On): rewrite sticky target + terminate.
+	if _, err := env.pylon.Publish(pylon.Event{Topic: "/surf/a", Meta: pylon.Meta{On: true}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)

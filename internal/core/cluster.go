@@ -242,8 +242,7 @@ func NewCluster(cfg Config, sched sim.Scheduler) (*Cluster, error) {
 				continue
 			}
 			f := tao.NewFollower(store)
-			store.AttachFollower(r, f, topo.ReplLagDist(topo.Primary(), r),
-				sched, cfg.Geo.Seed^0x7a0)
+			store.AttachFollower(f, topo.ReplLagDist(topo.Primary(), r), sched, cfg.Geo.Seed^0x7a0)
 			w.RegisterReader(r, f)
 			c.Followers[r] = f
 		}

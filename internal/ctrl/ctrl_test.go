@@ -56,23 +56,22 @@ func putInt(v uint64) func(*bytes.Buffer) {
 func TestCallRoundTrip(t *testing.T) {
 	ca, cb := pair(t)
 	cb.handle(mTestA, func(r *frame.Reader, out *bytes.Buffer) error {
-		in := r.StringMap()
+		in := r.Str()
 		if err := r.Done(); err != nil {
 			return err
 		}
-		in["seen"] = "yes"
-		frame.PutStringMap(out, in)
+		frame.PutString(out, in+" seen")
 		return nil
 	})
-	var out map[string]string
+	var out string
 	err := ca.call(mTestA,
-		func(b *bytes.Buffer) { frame.PutStringMap(b, map[string]string{"k": "v"}) },
-		func(r *frame.Reader) { out = r.StringMap() })
+		func(b *bytes.Buffer) { frame.PutString(b, "k") },
+		func(r *frame.Reader) { out = r.Str() })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out["k"] != "v" || out["seen"] != "yes" {
-		t.Errorf("out = %v", out)
+	if out != "k seen" {
+		t.Errorf("out = %q", out)
 	}
 }
 

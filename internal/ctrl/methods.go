@@ -3,6 +3,8 @@ package ctrl
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"bladerunner/internal/frame"
@@ -65,8 +67,10 @@ func (m method) String() string {
 	return fmt.Sprintf("method(%d)", uint8(m))
 }
 
-// putEvent appends ev, every field in declaration order. Published travels
-// as UnixNano with the zero time as 0: the instant survives, its monotonic
+// putEvent appends ev, every field in declaration order: Meta is its
+// Score's bits byte-reversed as a varint (a zero or round score is short),
+// then a byte a field, so the zero Meta is four bytes. Published travels as
+// UnixNano with the zero time as 0: the instant survives, its monotonic
 // reading and zone do not. publish, deliver, check-visibility and the two
 // payload methods all carry an event, and this is its one encoding.
 //
@@ -77,7 +81,10 @@ func putEvent(b *bytes.Buffer, ev *pylon.Event) {
 	frame.PutUvarint(b, ev.Ref)
 	frame.PutUvarint(b, ev.Seq)
 	frame.PutUvarint(b, ev.Author)
-	frame.PutStringMap(b, ev.Meta)
+	frame.PutUvarint(b, bits.ReverseBytes64(math.Float64bits(ev.Meta.Score)))
+	b.WriteByte(ev.Meta.Lang)
+	b.WriteByte(ev.Meta.Kind)
+	b.WriteByte(boolByte(ev.Meta.On))
 	var ns int64
 	if !ev.Published.IsZero() {
 		ns = ev.Published.UnixNano()
@@ -94,7 +101,10 @@ func readEvent(r *frame.Reader) (ev pylon.Event) {
 	ev.Ref = r.Uvarint()
 	ev.Seq = r.Uvarint()
 	ev.Author = r.Uvarint()
-	ev.Meta = r.StringMap()
+	ev.Meta.Score = math.Float64frombits(bits.ReverseBytes64(r.Uvarint()))
+	ev.Meta.Lang = r.Byte()
+	ev.Meta.Kind = r.Byte()
+	ev.Meta.On = r.Byte() != 0
 	if ns := int64(r.Uvarint()); ns != 0 {
 		ev.Published = time.Unix(0, ns)
 	}
@@ -105,11 +115,10 @@ func readEvent(r *frame.Reader) (ev pylon.Event) {
 
 // eventMemo remembers the events a connection's dispatcher decoded last,
 // by their encoding. A fan-out asks about one event once per viewer; in
-// process those deliveries share one Event and its Meta map, if any (which
-// nobody writes to), and the memo gives the served side the same sharing in
-// place of a topic, a map and its strings per viewer. Only the dispatcher
-// goroutine touches it. Eight entries cover the handful of events a
-// BRASS host has in flight at once.
+// process those deliveries share one Event, and the memo gives the served
+// side the same sharing in place of a topic and an origin per viewer. Only
+// the dispatcher goroutine touches it. Eight entries cover the handful of
+// events a BRASS host has in flight at once.
 type eventMemo struct {
 	enc  [8][]byte
 	ev   [8]pylon.Event

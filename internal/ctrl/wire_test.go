@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"bladerunner/internal/frame"
 	"bladerunner/internal/frame/frametest"
@@ -50,23 +52,29 @@ func decodeEvent(b []byte) (pylon.Event, error) {
 }
 
 var goldenEvent = pylon.Event{
-	Topic: "/t/1", ID: 7, Ref: 42, Seq: 3, Author: 12, Meta: map[string]string{"lang": "2"},
+	Topic: "/t/1", ID: 7, Ref: 42, Seq: 3, Author: 12, Meta: pylon.Meta{Score: 0.5, Lang: 2, Kind: 3, On: true},
 	Published: time.Unix(0, 1000), Origin: "eu", Trace: 9,
 }
 
-var goldenEventBytes = cat(str("/t/1"), []byte{7, 42, 3, 12}, []byte{1, 1}, str("lang"), str("2"),
+// 0.5 is 0x3fe0000000000000, byte-reversed 0xe03f: the varint bf c0 03.
+var goldenEventBytes = cat(str("/t/1"), []byte{7, 42, 3, 12}, []byte{0xbf, 0xc0, 0x03, 2, 3, 1},
 	[]byte{0xe8, 0x07}, str("eu"), []byte{9})
 
 func TestEventRoundTrip(t *testing.T) {
 	if got := encodeEvent(goldenEvent); !bytes.Equal(got, goldenEventBytes) {
 		t.Errorf("golden event encodes to % x\n                    want % x", got, goldenEventBytes)
 	}
+	if got, want := encodeEvent(pylon.Event{}), cat(str(""), []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, []byte{0}, str(""), []byte{0}); !bytes.Equal(got, want) {
+		t.Errorf("zero event encodes to % x, want % x: the zero Meta is four bytes", got, want)
+	}
 	cases := map[string]pylon.Event{
 		"zero":           {},
 		"golden":         goldenEvent,
-		"nil meta":       {Topic: "/t", Meta: nil},
-		"empty meta":     {Topic: "/t", Meta: map[string]string{}},
-		"empty strings":  {Meta: map[string]string{"": ""}},
+		"widest meta":    {Topic: "/t", Meta: pylon.Meta{Score: -math.MaxFloat64, Lang: 255, Kind: 255, On: true}},
+		"NaN score":      {Meta: pylon.Meta{Score: math.NaN()}},
+		"NaN payload":    {Meta: pylon.Meta{Score: math.Float64frombits(0xfff0000000000001)}},
+		"-0 score":       {Meta: pylon.Meta{Score: math.Copysign(0, -1)}},
+		"tiny score":     {Meta: pylon.Meta{Score: math.SmallestNonzeroFloat64}},
 		"zero published": {Topic: "/t", Published: time.Time{}},
 		"published":      {Topic: "/t", Published: time.Date(2021, 10, 26, 12, 0, 0, 987654321, time.FixedZone("x", 3600))},
 		"before 1970":    {Published: time.Unix(-5, 0)},
@@ -80,7 +88,7 @@ func TestEventRoundTrip(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if !sameEvent(got, ev) || (got.Meta == nil) != (ev.Meta == nil) {
+		if !sameEvent(got, ev) {
 			t.Errorf("%s: round trip = %#v, want %#v", name, got, ev)
 		}
 		if _, mono := got.Published, strings.Contains(got.Published.String(), "m="); mono {
@@ -99,16 +107,14 @@ func TestEventRoundTrip(t *testing.T) {
 }
 
 func TestEventRoundTripQuick(t *testing.T) {
-	prop := func(topic, origin string, id, ref, seq, author, tr uint64, meta map[string]string, emptyMeta bool, ns int64) bool {
-		ev := pylon.Event{Topic: pylon.Topic(topic), ID: id, Ref: ref, Seq: seq, Author: author, Meta: meta, Origin: origin, Trace: trace.ID(tr)}
-		if emptyMeta {
-			ev.Meta = map[string]string{}
-		}
+	prop := func(topic, origin string, id, ref, seq, author, tr, score uint64, lang, kind uint8, on bool, ns int64) bool {
+		ev := pylon.Event{Topic: pylon.Topic(topic), ID: id, Ref: ref, Seq: seq, Author: author, Origin: origin, Trace: trace.ID(tr),
+			Meta: pylon.Meta{Score: math.Float64frombits(score), Lang: lang, Kind: kind, On: on}}
 		if ns != 0 { // 0 is how the zero time travels; the epoch itself is not representable
 			ev.Published = time.Unix(0, ns)
 		}
 		got, err := decodeEvent(encodeEvent(ev))
-		return err == nil && sameEvent(got, ev) && (got.Meta == nil) == (ev.Meta == nil)
+		return err == nil && sameEvent(got, ev)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
@@ -391,18 +397,18 @@ func TestEventMemo(t *testing.T) {
 		ev := c.readEvent(&r)
 		return ev, r.Done()
 	}
-	sameMap := func(a, b pylon.Event) bool {
-		return reflect.ValueOf(a.Meta).Pointer() == reflect.ValueOf(b.Meta).Pointer()
+	shared := func(a, b pylon.Event) bool {
+		return unsafe.StringData(string(a.Topic)) == unsafe.StringData(string(b.Topic))
 	}
 	first, err := read(goldenEventBytes)
 	again, err2 := read(goldenEventBytes)
-	if err != nil || err2 != nil || !sameEvent(first, goldenEvent) || !sameEvent(again, goldenEvent) || !sameMap(first, again) {
-		t.Fatalf("repeat of one encoding: %#v, %v then %#v, %v (shared=%v)", first, err, again, err2, sameMap(first, again))
+	if err != nil || err2 != nil || !sameEvent(first, goldenEvent) || !sameEvent(again, goldenEvent) || !shared(first, again) {
+		t.Fatalf("repeat of one encoding: %#v, %v then %#v, %v (shared=%v)", first, err, again, err2, shared(first, again))
 	}
 	other := goldenEvent
 	other.Ref++
-	if got, err := read(encodeEvent(other)); err != nil || !sameEvent(got, other) || sameMap(got, first) {
-		t.Errorf("a different event = %#v, %v (shared=%v)", got, err, sameMap(got, first))
+	if got, err := read(encodeEvent(other)); err != nil || !sameEvent(got, other) || shared(got, first) {
+		t.Errorf("a different event = %#v, %v (shared=%v)", got, err, shared(got, first))
 	}
 	for _, bad := range [][]byte{nil, goldenEventBytes[:9], append(append([]byte(nil), goldenEventBytes...), 0)} {
 		for i := 0; i < 2; i++ { // twice: a malformed encoding must not be remembered
@@ -417,8 +423,8 @@ func TestEventMemo(t *testing.T) {
 			t.Fatalf("event %d = %#v, %v", i, got, err)
 		}
 	}
-	if evicted, err := read(goldenEventBytes); err != nil || !sameEvent(evicted, goldenEvent) || sameMap(evicted, first) {
-		t.Errorf("after eviction: %#v, %v (shared=%v)", evicted, err, sameMap(evicted, first))
+	if evicted, err := read(goldenEventBytes); err != nil || !sameEvent(evicted, goldenEvent) || shared(evicted, first) {
+		t.Errorf("after eviction: %#v, %v (shared=%v)", evicted, err, shared(evicted, first))
 	}
 }
 

@@ -24,7 +24,7 @@ func AblationMetadataVsPayload(events int, remoteRegions int) Result {
 		Topic:  "/LVC/12345",
 		Ref:    987654321,
 		Author: 123456789,
-		Meta:   map[string]string{"score": "0.8312", "lang": "2"},
+		Meta:   pylon.Meta{Score: 0.8312, Lang: 2},
 	}
 	type fullEvent struct {
 		pylon.Event
@@ -113,25 +113,3 @@ type aliasHost struct {
 
 func (h *aliasHost) ID() string             { return h.id }
 func (h *aliasHost) Deliver(ev pylon.Event) { h.to.Deliver(ev) }
-
-// AblationRateLimitOrder models the configuration-interaction anecdote in
-// §2 for one switchover viewer: switchComments comments, a fifth of them
-// from commenters the viewer blocked, and slots deliveries the rate limit
-// allows. Privacy-checking every comment is wasteful; privacy-checking
-// after rate-limiting delivers fewer comments than intended. Per-app BRASS
-// code checks at pop time and pops again on a denial; Switchover measures
-// that order on live LVC streams.
-func AblationRateLimitOrder(slots int) Result {
-	denied := switchComments / switchBlockEvery
-	// Rate-limit first: the selected comments carry their share of denials.
-	checksB := min(slots, switchComments)
-
-	r := Result{ID: "ablation-ratelimit-order", Title: "Privacy check vs rate limit ordering (§2), per viewer"}
-	r.AddRow("checks (privacy first)", "-", fmt.Sprintf("%d", switchComments),
-		"model: checks filtered-out comments too")
-	r.AddRow("delivered (privacy first)", "-", fmt.Sprintf("%d", min(slots, switchComments-denied)), "model")
-	r.AddRow("checks (rate-limit first)", "-", fmt.Sprintf("%d", checksB), "model: cheap")
-	r.AddRow("delivered (rate-limit first)", "-", fmt.Sprintf("%d", checksB-checksB/switchBlockEvery),
-		"model: the viewer gets fewer comments than intended")
-	return r
-}

@@ -282,22 +282,6 @@ func TestAblationSubscriptionDedup(t *testing.T) {
 	}
 }
 
-// TestAblationRateLimitOrder checks the two modelled orders for one
-// switchover viewer: 40 comments, a fifth of them denied, 10 slots.
-func TestAblationRateLimitOrder(t *testing.T) {
-	r := AblationRateLimitOrder(10)
-	checksA, _ := strconv.Atoi(row(t, r, "checks (privacy first)").Measured)
-	deliveredA, _ := strconv.Atoi(row(t, r, "delivered (privacy first)").Measured)
-	checksB, _ := strconv.Atoi(row(t, r, "checks (rate-limit first)").Measured)
-	deliveredB, _ := strconv.Atoi(row(t, r, "delivered (rate-limit first)").Measured)
-	if checksA != 40 || deliveredA != 10 {
-		t.Errorf("privacy first: %d checks, %d delivered; want 40, 10", checksA, deliveredA)
-	}
-	if checksB != 10 || deliveredB != 8 {
-		t.Errorf("rate-limit first: %d checks, %d delivered; want 10, 8", checksB, deliveredB)
-	}
-}
-
 // TestSwitchoverStreamCountsAddUp checks how the stream variant's live
 // counters relate, whatever their values: each publish is one decision per
 // open stream, a delivery needs a decision, the blocks deny some pops, and

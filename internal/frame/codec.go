@@ -157,20 +157,6 @@ func (r *Reader) Count(minSize int) int {
 	return int(n)
 }
 
-// StringMap reads what PutStringMap wrote; its strings are copies.
-func (r *Reader) StringMap() map[string]string {
-	if r.Byte() == 0 {
-		return nil
-	}
-	n := r.Count(2) // a pair is at least two length bytes
-	m := make(map[string]string, n)
-	for ; n > 0 && r.err == nil; n-- {
-		k := r.Str()
-		m[k] = r.Str()
-	}
-	return m
-}
-
 // Done reports the first decode failure, or leftover input.
 func (r *Reader) Done() error {
 	if r.err == nil && len(r.B) != 0 {

@@ -57,9 +57,6 @@ func TestReaderPrimitives(t *testing.T) {
 	PutUvarint(&b, 300)
 	PutBytes(&b, []byte("abc"))
 	PutString(&b, "")
-	PutStringMap(&b, nil)
-	PutStringMap(&b, map[string]string{})
-	PutStringMap(&b, map[string]string{"k": "v"})
 	in := b.Bytes()
 
 	r := Reader{B: in}
@@ -73,15 +70,6 @@ func TestReaderPrimitives(t *testing.T) {
 	if s := r.Str(); s != "" {
 		t.Errorf("Str = %q", s)
 	}
-	if m := r.StringMap(); m != nil {
-		t.Errorf("nil map read as %#v", m)
-	}
-	if m := r.StringMap(); m == nil || len(m) != 0 {
-		t.Errorf("empty map read as %#v", m)
-	}
-	if m := r.StringMap(); len(m) != 1 || m["k"] != "v" {
-		t.Errorf("map read as %#v", m)
-	}
 	if err := r.Done(); err != nil {
 		t.Errorf("Done = %v", err)
 	}
@@ -91,9 +79,6 @@ func TestReaderPrimitives(t *testing.T) {
 		r.Uvarint()
 		r.Bytes()
 		r.Str()
-		r.StringMap()
-		r.StringMap()
-		r.StringMap()
 		if r.Done() != errTruncated {
 			t.Errorf("prefix %d: Done = %v", n, r.Done())
 		}
@@ -108,8 +93,13 @@ func TestReaderPrimitives(t *testing.T) {
 	if n := r.Count(1); n != 0 || r.Done() != errTruncated {
 		t.Errorf("Count beyond the input = %d, %v", n, r.Done())
 	}
-	r = Reader{B: []byte{1, 0xff, 0xff, 0x03}}
-	if m := r.StringMap(); len(m) != 0 || r.Done() != errTruncated {
-		t.Errorf("map count beyond the input = %#v, %v", m, r.Done())
+
+	// A map is a presence byte (0 = nil), a pair count and the pairs.
+	var m bytes.Buffer
+	PutStringMap(&m, nil)
+	PutStringMap(&m, map[string]string{})
+	PutStringMap(&m, map[string]string{"k": "v"})
+	if want := []byte{0, 1, 0, 1, 1, 1, 'k', 1, 'v'}; !bytes.Equal(m.Bytes(), want) {
+		t.Errorf("maps encode to % x, want % x", m.Bytes(), want)
 	}
 }

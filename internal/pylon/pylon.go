@@ -58,7 +58,9 @@ type Event struct {
 	// unique across all topics and monotonic per shard stripe; they carry
 	// no global ordering.
 	ID uint64
-	// Ref identifies the mutated object in TAO (e.g. the comment id).
+	// Ref identifies the object the event is about: the mutated object in
+	// TAO (a comment id), or the video or thread of an event that writes no
+	// object.
 	Ref uint64
 	// Seq is an optional application-assigned sequence number (used by
 	// Messenger-style reliable applications).
@@ -66,10 +68,9 @@ type Event struct {
 	// Author is the uid whose action the event reports (0 = none): the one
 	// piece of metadata the system itself reads, for the privacy check.
 	Author uint64
-	// Meta is private to the application that published it (ML quality
-	// score, language, ...): nothing else reads a key. Small by design, nil
-	// when the app has nothing to say; cross-region links are limited.
-	Meta map[string]string
+	// Meta is private to the application that published it: nothing else
+	// reads a field.
+	Meta Meta
 	// Published is the publish timestamp.
 	Published time.Time
 	// Origin is the datacenter region the mutation committed in. The
@@ -80,6 +81,15 @@ type Event struct {
 	// Trace is the sampled trace context stamped by the WAS (zero when the
 	// mutation was not sampled). Pylon and BRASS propagate it unchanged.
 	Trace trace.ID
+}
+
+// Meta is the metadata a BRASS filters on before it fetches anything. Each
+// field has one reader; the zero value says nothing.
+type Meta struct {
+	Score float64 // ML quality score: LiveVideoComments, Stories
+	Lang  uint8   // the author's language: LiveVideoComments' filter
+	Kind  uint8   // an index into LiveVideoReactions' kinds
+	On    bool    // typing started, not stopped: TypingIndicator
 }
 
 // Subscriber is the delivery endpoint for one BRASS host. Deliver must not

@@ -169,10 +169,9 @@ type Store struct {
 
 // replicaLink is one attached regional follower and its invalidation lag.
 type replicaLink struct {
-	region string
-	f      *Follower
-	lag    sim.Dist
-	sched  sim.Scheduler
+	f     *Follower
+	lag   sim.Dist
+	sched sim.Scheduler
 }
 
 type assocKey struct {
@@ -235,7 +234,7 @@ func (s *Store) Stats() *Stats { return s.stats }
 // every committed write on this leader invalidates f's cached copy after a
 // lag sampled from dist (nil or zero-mean = immediately). sched drives the
 // delayed invalidations; seed makes the lag sampling deterministic.
-func (s *Store) AttachFollower(region string, f *Follower, lag sim.Dist, sched sim.Scheduler, seed int64) {
+func (s *Store) AttachFollower(f *Follower, lag sim.Dist, sched sim.Scheduler, seed int64) {
 	if sched == nil {
 		sched = sim.RealClock{}
 	}
@@ -244,7 +243,7 @@ func (s *Store) AttachFollower(region string, f *Follower, lag sim.Dist, sched s
 	if s.replRng == nil {
 		s.replRng = rand.New(rand.NewSource(seed))
 	}
-	s.repl = append(s.repl, replicaLink{region: region, f: f, lag: lag, sched: sched})
+	s.repl = append(s.repl, replicaLink{f: f, lag: lag, sched: sched})
 }
 
 // replTask is one scheduled follower invalidation.

@@ -207,7 +207,7 @@ func TestFollowerCaching(t *testing.T) {
 func TestFollowerWriteInvalidates(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s)
-	s.AttachFollower("r", f, nil, nil, 1) // no lag: invalidate immediately
+	s.AttachFollower(f, nil, nil, 1) // no lag: invalidate immediately
 	s.AssocAdd(1, "c", 10, t0, "old")
 	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
 		t.Fatalf("fill = %+v", got)
@@ -222,7 +222,7 @@ func TestFollowerDelayedInvalidation(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	s := MustNewStore(DefaultConfig(), eng)
 	f := NewFollower(s)
-	s.AttachFollower("r", f, sim.Constant{V: 100 * time.Millisecond}, eng, 1)
+	s.AttachFollower(f, sim.Constant{V: 100 * time.Millisecond}, eng, 1)
 	s.AssocAdd(1, "c", 10, t0, "")
 	if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {
 		t.Fatalf("fill = %+v", got)
@@ -241,7 +241,7 @@ func TestFollowerDelayedInvalidation(t *testing.T) {
 func TestFollowerAssocCaching(t *testing.T) {
 	s, _ := newTestStore(t)
 	f := NewFollower(s)
-	s.AttachFollower("r", f, nil, nil, 1)
+	s.AttachFollower(f, nil, nil, 1)
 	s.AssocAdd(1, "c", 10, t0, "")
 	for i := 0; i < 2; i++ {
 		if got := f.AssocRange(1, "c", 0, 0); len(got) != 1 {

@@ -283,15 +283,15 @@ func TestFetchPayloadPrivacyAndResolution(t *testing.T) {
 }
 
 // TestVisibilityChecksTheEventAuthor: the privacy check reads the event's
-// Author field and nothing else — a Meta key of that name is the app's own
-// business — and an event without an author (a system event) passes.
+// Author field and nothing else — the object the event is about, Ref, is
+// not its author — and an event without an author (a system event) passes.
 func TestVisibilityChecksTheEventAuthor(t *testing.T) {
 	s, _ := newTestWAS(t)
 	s.Graph.Block(1, 12)
 	if err := s.CheckEventVisibility(1, pylon.Event{Author: 12}); !errors.Is(err, ErrDenied) {
 		t.Errorf("blocked author 12: err = %v, want ErrDenied", err)
 	}
-	if err := s.CheckEventVisibility(1, pylon.Event{Author: 13, Meta: map[string]string{"author": "12"}}); err != nil {
+	if err := s.CheckEventVisibility(1, pylon.Event{Author: 13, Ref: 12}); err != nil {
 		t.Errorf("unblocked author 13: %v", err)
 	}
 	if err := s.CheckEventVisibility(1, pylon.Event{}); err != nil {
