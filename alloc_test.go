@@ -59,17 +59,18 @@ func TestAllocContracts(t *testing.T) {
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch its cursor slices; the key decodes to the package constant"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
-		{"WASMutateFeedComment", bench.WASMutateFeedComment, 3, "the TAO object with its text inside it, the topic, the answer's digits (the resolver's literal stays on its stack, its ids are typed, the association row amortizes below one); no parse, Ctx or closure allocation, and the event carries no map (6 before: two formatted ids and a sorted bag of its own; 7 before that: the answer a boxed uint64 through json.Marshal)"},
+		{"WASMutateFeedComment", bench.WASMutateFeedComment, 2, "the TAO object with its text inside it, the answer's digits (the post's topic is the one its app's table built, the resolver's literal stays on its stack, its ids are typed, the association row amortizes below one); no parse, Ctx or closure allocation, and the event carries no map (3 before: the topic formatted per comment; 6 before that: two formatted ids and a sorted bag of its own; 7 before that: the answer a boxed uint64 through json.Marshal)"},
+		{"WASResolveFeedSubscription", resolveFeedSubscription, 0, "an open of an already-named post: the expression is scanned in place and the resolver returns the list its app's table holds (2 before: the topic string and its one-element slice)"},
 		{"BURSTSubscribeHop", subscribeHop, 1, "the stream, whose inline pairs hold the request and whose inline bytes hold the one copy of the header they slice (2 before: that copy a string of its own; 4 before that: a header map's two)"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 0, "the lease brings its own deltas, bytes and patch map and lends the patch, whose new cursor the stored request copies into its room, a fresh 128 bytes once its patches fill one (1 before: the decoder's copy of the patch)"},
 		{"EdgeRelayRewriteHop", bench.EdgeRelayRewriteHop, 0, "the relay's lease lends the patch to Forward, its downstream SendBatch copies the new cursor into the stored request's room, a fresh 128 bytes once its patches fill one, re-encodes and releases; the server and the device do the same (2 before: the relay's and the device's copy of each patch)"},
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
 		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, the app lends its resume patch from a buffer it formats the cursor into, send builds the payload and patch deltas on its stack array, the patch's new cursor is copied into the stored request's room, and SendBatch encodes into the session's pending buffer"},
-		{"BRASSStreamOpenClose", streamOpenClose, 4, "the subscribe hop's one, the Stream, the WAS's topic slice and string; the stream closes with a constant reason, so the borrowed cancel reason is not copied; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (5 before: the close reason, a copy of the cancel's; 8 before that: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
+		{"BRASSStreamOpenClose", streamOpenClose, 2, "the subscribe hop's one, the Stream; the WAS hands back the post's topic list its app's table built on the first open; the stream closes with a constant reason, so the borrowed cancel reason is not copied; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (4 before: the WAS's topic slice and string per open; 5 before that: the close reason, a copy of the cancel's; 8 before that: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
 		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 5, "the device's stream and its pairs, each subscribe hop's stream, which holds the header's one copy, and the relay, which holds its first leg, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (8 before: each hop's header copy, the leg an object of its own; 13 before that: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
-		{"PylonSlowPublish", bench.PylonSlowPublish, 3, "the response slice, the first responder's view, read in place, and the cache's handles; the replicas agree, so nothing merges (7 before: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
+		{"PylonSlowPublish", bench.PylonSlowPublish, 2, "the first responder's view, read in place, and the cache's handles; the replica responses sit in an array on the publish's stack and the replicas agree, so nothing merges (3 before: the response slice; 7 before that: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)
 		if res.N != 2000 {
@@ -326,6 +327,28 @@ func streamOpenClose(b *testing.B) {
 	}
 	if got := host.StreamsOpened.Value(); got != int64(b.N) {
 		b.Fatalf("%d streams opened, want %d", got, b.N)
+	}
+}
+
+// resolveFeedSubscription is a feed open's WAS half for a post the resolver
+// has named before: the expression scanned, the resolver, the post's topic
+// list.
+func resolveFeedSubscription(b *testing.B) {
+	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
+	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)
+	apps.NewFeedComments(w)
+	const expr = "feedPostComments(postID: 100017)"
+	want := apps.PostTopic(100017)
+	if _, err := w.ResolveSubscription(100, expr); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topics, err := w.ResolveSubscription(100, expr)
+		if err != nil || len(topics) != 1 || topics[0] != want {
+			b.Fatalf("resolved %v, %v; want [%s]", topics, err, want)
+		}
 	}
 }
 

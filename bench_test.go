@@ -73,12 +73,6 @@ func BenchmarkSwitchoverResourceUsage(b *testing.B) {
 
 // ---- Ablation benches (DESIGN.md §6) ----
 
-func BenchmarkAblationMetadataVsPayload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.AblationMetadataVsPayload(1000, 2)
-	}
-}
-
 func BenchmarkAblationSubscriptionDedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = experiments.AblationSubscriptionDedup(50, 4)
@@ -127,6 +121,8 @@ func BenchmarkCtrlCheckVisibility(b *testing.B) { bench.CtrlCheckVisibilityWire(
 func BenchmarkWASParseField(b *testing.B) { bench.WASParseField(b) }
 
 func BenchmarkWASMutateFeedComment(b *testing.B) { bench.WASMutateFeedComment(b) }
+
+func BenchmarkWASResolveFeedSubscription(b *testing.B) { resolveFeedSubscription(b) }
 
 // BenchmarkEndToEndCommentPushHops is the same pipeline with the tracing
 // plane sampling every mutation: the per-hop latency breakdown (publish,

@@ -48,29 +48,17 @@ func main() {
 		"storm":       func() experiments.Result { return experiments.ReconnectStorm(*seed) },
 		"geofailover": func() experiments.Result { return experiments.GeoFailover(*seed) },
 		"durlog":      func() experiments.Result { return experiments.DurlogResume(*seed) },
-		"ablations":   nil, // expanded below
-	}
-
-	ablations := func() []experiments.Result {
-		return []experiments.Result{
-			experiments.AblationMetadataVsPayload(100000, 2),
-			experiments.AblationSubscriptionDedup(50, 4),
-		}
+		"ablations":   func() experiments.Result { return experiments.AblationSubscriptionDedup(50, 4) },
 	}
 
 	var results []experiments.Result
 	if *exp == "all" {
-		results = experiments.All(*seed)
-		results = append(results, ablations()...)
-	} else if *exp == "ablations" {
-		results = ablations()
-	} else {
-		run, ok := runners[*exp]
-		if !ok || run == nil {
-			fmt.Fprintf(os.Stderr, "brbench: unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
+		results = append(experiments.All(*seed), runners["ablations"]())
+	} else if run, ok := runners[*exp]; ok {
 		results = []experiments.Result{run()}
+	} else {
+		fmt.Fprintf(os.Stderr, "brbench: unknown experiment %q\n", *exp)
+		os.Exit(2)
 	}
 
 	failed := false

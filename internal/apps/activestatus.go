@@ -22,6 +22,7 @@ type ActiveStatus struct {
 	TTL time.Duration
 	// BatchInterval is the push cadence.
 	BatchInterval time.Duration
+	users         *topicTable[socialgraph.UserID] // user → StatusTopic
 }
 
 // StatusTopic returns the Pylon topic for one user's presence.
@@ -37,11 +38,11 @@ type StatusPayload struct {
 
 // NewActiveStatus registers the WAS half and returns the application.
 func NewActiveStatus(w Registrar) *ActiveStatus {
-	a := &ActiveStatus{TTL: 30 * time.Second, BatchInterval: 5 * time.Second}
+	a := &ActiveStatus{TTL: 30 * time.Second, BatchInterval: 5 * time.Second, users: newTopicTable(StatusTopic)}
 
 	// Devices call this every 30 s while online.
 	w.RegisterMutation("reportActive", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
-		ctx.Publish(pylon.Event{Topic: StatusTopic(ctx.Viewer), Author: uint64(ctx.Viewer)}, false)
+		ctx.Publish(pylon.Event{Topic: a.users.topic(ctx.Viewer), Author: uint64(ctx.Viewer)}, false)
 		return []byte("true"), nil
 	})
 
@@ -52,12 +53,7 @@ func NewActiveStatus(w Registrar) *ActiveStatus {
 		if err != nil {
 			return nil, err
 		}
-		friends := ctx.Srv.Graph.Friends(me.ID)
-		topics := make([]pylon.Topic, len(friends))
-		for i, f := range friends {
-			topics[i] = StatusTopic(f)
-		}
-		return topics, nil
+		return a.users.topics(ctx.Srv.Graph.Friends(me.ID)), nil
 	})
 
 	w.RegisterPayload(AppActiveStatus, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

@@ -18,6 +18,7 @@ package apps
 import (
 	"math"
 	"strconv"
+	"sync"
 
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
@@ -39,6 +40,50 @@ const (
 func idTopic(prefix string, id uint64) pylon.Topic {
 	var buf [32]byte
 	return pylon.Topic(strconv.AppendUint(append(buf[:0], prefix...), id, 10))
+}
+
+// pairTopic returns prefix+a+"/"+b, idTopic's two-id form: one allocation.
+func pairTopic(prefix string, a, b uint64) pylon.Topic {
+	var buf [64]byte
+	out := append(strconv.AppendUint(append(buf[:0], prefix...), a, 10), '/')
+	return pylon.Topic(strconv.AppendUint(out, b, 10))
+}
+
+// topicTable is one application's topics, one per object they name: the first
+// event or open naming an object formats its topic, every later one reads that
+// string. An entry per object named bounds it by the TAO objects and users.
+type topicTable[K comparable] struct {
+	format func(K) pylon.Topic
+	mu     sync.Mutex
+	lists  map[K][]pylon.Topic
+}
+
+func newTopicTable[K comparable](format func(K) pylon.Topic) *topicTable[K] {
+	return &topicTable[K]{format: format, lists: make(map[K][]pylon.Topic)}
+}
+
+// list returns k's one-topic list, cap 1: shared, so read-only; appends copy.
+func (t *topicTable[K]) list(k K) []pylon.Topic {
+	t.mu.Lock()
+	l, ok := t.lists[k]
+	if !ok {
+		l = []pylon.Topic{t.format(k)}
+		t.lists[k] = l
+	}
+	t.mu.Unlock()
+	return l
+}
+
+// topic returns k's topic.
+func (t *topicTable[K]) topic(k K) pylon.Topic { return t.list(k)[0] }
+
+// topics returns the topic of each of keys, in a new slice.
+func (t *topicTable[K]) topics(keys []K) []pylon.Topic {
+	out := make([]pylon.Topic, len(keys))
+	for i, k := range keys {
+		out[i] = t.topic(k)
+	}
+	return out
 }
 
 // score4 is score at the four decimals events and payloads carry.

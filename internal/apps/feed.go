@@ -15,7 +15,9 @@ import (
 // comment immediately (after the WAS privacy check) without ranking — the
 // interesting property here is the rapidly changing focus: a user scrolling
 // their feed cancels and opens these streams constantly (§1 challenge 2).
-type FeedComments struct{}
+type FeedComments struct {
+	posts *topicTable[uint64] // post → PostTopic
+}
 
 // PostTopic returns the Pylon topic for a post's comments.
 func PostTopic(postID uint64) pylon.Topic {
@@ -24,7 +26,7 @@ func PostTopic(postID uint64) pylon.Topic {
 
 // NewFeedComments registers the WAS half and returns the application.
 func NewFeedComments(w Registrar) *FeedComments {
-	a := &FeedComments{}
+	a := &FeedComments{posts: newTopicTable(PostTopic)}
 
 	w.RegisterMutation("postFeedComment", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		postID, err := call.Uint64Arg("postID")
@@ -37,7 +39,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		}
 		ref := ctx.Srv.TAO.ObjectAdd("comment", uint64(ctx.Viewer), postID, 0, tao.Props{{"text", text}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
-		ctx.Publish(pylon.Event{Topic: PostTopic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
+		ctx.Publish(pylon.Event{Topic: a.posts.topic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
@@ -46,7 +48,7 @@ func NewFeedComments(w Registrar) *FeedComments {
 		if err != nil {
 			return nil, err
 		}
-		return []pylon.Topic{PostTopic(postID)}, nil
+		return a.posts.list(postID), nil
 	})
 
 	w.RegisterPayload(AppFeedComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

@@ -31,7 +31,9 @@ type LiveVideoComments struct {
 	BufferTTL time.Duration // comments older than this are irrelevant (paper: 10 s)
 	MinScore  float64       // per-viewer quality floor
 
-	hot *hotTracker // high-volume strategy (lvc_hot.go)
+	hot     *hotTracker            // high-volume strategy (lvc_hot.go)
+	videos  *topicTable[uint64]    // video → LVCTopic
+	posters *topicTable[[2]uint64] // {video, poster} → LVCUserTopic
 }
 
 // lvcBufferK is each stream's ranked buffer size (paper: 5).
@@ -58,6 +60,8 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		BufferTTL: 10 * time.Second,
 		MinScore:  0.2,
 		hot:       newHotTracker(DefaultHotThreshold, DefaultHotWindow),
+		videos:    newTopicTable(LVCTopic),
+		posters:   newTopicTable(func(k [2]uint64) pylon.Topic { return LVCUserTopic(k[0], socialgraph.UserID(k[1])) }),
 	}
 
 	w.RegisterMutation("postComment", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
@@ -84,7 +88,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		if score < was.SpamThreshold {
 			return strconv.AppendUint(nil, uint64(ref), 10), nil
 		}
-		ev := pylon.Event{Topic: LVCTopic(videoID), Ref: uint64(ref), Author: uint64(author.ID),
+		ev := pylon.Event{Topic: a.videos.topic(videoID), Ref: uint64(ref), Author: uint64(author.ID),
 			Meta: pylon.Meta{Score: stored, Lang: uint8(author.Lang)}}
 		// High-volume strategy (§3.4): on hot videos, only extremely
 		// high-ranked comments hit the main topic; ordinary ones go to
@@ -96,7 +100,7 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 			case score < HotDiscardCutoff:
 				return strconv.AppendUint(nil, uint64(ref), 10), nil // discarded during the storm; still durable in TAO
 			default:
-				ev.Topic = LVCUserTopic(videoID, author.ID)
+				ev.Topic = a.posters.topic([2]uint64{videoID, uint64(author.ID)})
 			}
 		}
 		ctx.Publish(ev, true) // rankable: WAS.RankDelay, when set, holds it
@@ -108,13 +112,14 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 		if err != nil {
 			return nil, err
 		}
-		topics := []pylon.Topic{LVCTopic(videoID)}
+		topics := a.videos.list(videoID)
 		// High-volume strategy: the BRASS additionally subscribes to
 		// the per-poster topic of each of the viewer's friends, so
-		// ordinary comments reach only viewers who know the poster.
+		// ordinary comments reach only viewers who know the poster (the
+		// first append copies the video's shared list).
 		if a.hot.isHot(videoID) && ctx.Viewer != 0 {
 			for _, f := range ctx.Srv.Graph.Friends(ctx.Viewer) {
-				topics = append(topics, LVCUserTopic(videoID, f))
+				topics = append(topics, a.posters.topic([2]uint64{videoID, uint64(f)}))
 			}
 		}
 		return topics, nil

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -44,7 +43,7 @@ const (
 // LVCUserTopic returns the per-poster topic used by the high-volume
 // strategy: /LVC/videoID/uid.
 func LVCUserTopic(videoID uint64, uid socialgraph.UserID) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/LVC/%d/%d", videoID, uid))
+	return pairTopic("/LVC/", videoID, uint64(uid))
 }
 
 // hotTracker measures per-video comment rates and remembers which videos

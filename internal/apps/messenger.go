@@ -36,11 +36,11 @@ type Messenger struct {
 	threads map[uint64][]socialgraph.UserID // thread → members
 	mailbox map[socialgraph.UserID]*mailboxState
 	nextTID uint64
+	topics  *topicTable[socialgraph.UserID] // owner → MailboxTopic
 }
 
 type mailboxState struct {
-	ref     tao.ObjID   // TAO object anchoring the mailbox assoc list
-	topic   pylon.Topic // MailboxTopic(owner), formatted once
+	ref     tao.ObjID // TAO object anchoring the mailbox assoc list
 	nextSeq uint64
 }
 
@@ -62,6 +62,7 @@ func NewMessenger(w Registrar) *Messenger {
 	a := &Messenger{
 		threads: make(map[uint64][]socialgraph.UserID),
 		mailbox: make(map[socialgraph.UserID]*mailboxState),
+		topics:  newTopicTable(MailboxTopic),
 	}
 
 	// createThread(members: "1,2,3") → thread id.
@@ -109,8 +110,8 @@ func NewMessenger(w Registrar) *Messenger {
 		}
 		ref := ctx.Srv.TAO.ObjectAdd("message", uint64(ctx.Viewer), tid, 0, tao.Props{{"text", text}})
 		for _, member := range members {
-			topic, seq := a.appendToMailbox(ctx, member, ref)
-			ctx.Publish(pylon.Event{Topic: topic, Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
+			seq := a.appendToMailbox(ctx, member, ref)
+			ctx.Publish(pylon.Event{Topic: a.topics.topic(member), Ref: uint64(ref), Seq: seq, Author: uint64(ctx.Viewer)}, false)
 		}
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
@@ -126,7 +127,7 @@ func NewMessenger(w Registrar) *Messenger {
 	})
 
 	w.RegisterSubscription("messenger", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
-		return []pylon.Topic{MailboxTopic(ctx.Viewer)}, nil
+		return a.topics.list(ctx.Viewer), nil
 	})
 
 	w.RegisterPayload(AppMessenger, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {
@@ -144,21 +145,20 @@ func (a *Messenger) payloadFromObj(obj tao.Object, seq uint64) MessagePayload {
 }
 
 // appendToMailbox assigns the next sequence number and stores the mailbox
-// association in TAO (assoc data = seq). It returns the mailbox's topic
-// with the sequence number.
-func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref tao.ObjID) (pylon.Topic, uint64) {
+// association in TAO (assoc data = seq). It returns the sequence number.
+func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref tao.ObjID) uint64 {
 	a.mu.Lock()
 	mb := a.mailbox[member]
 	if mb == nil {
 		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", uint64(member), 0, 0, nil)
-		mb = &mailboxState{ref: anchor, topic: MailboxTopic(member)}
+		mb = &mailboxState{ref: anchor}
 		a.mailbox[member] = mb
 	}
 	mb.nextSeq++
-	seq, anchor, topic := mb.nextSeq, mb.ref, mb.topic
+	seq, anchor := mb.nextSeq, mb.ref
 	a.mu.Unlock()
 	ctx.Srv.TAO.AssocAdd(anchor, "mailbox_msg", ref, ctx.Now, strconv.FormatUint(seq, 10))
-	return topic, seq
+	return seq
 }
 
 // mailboxSince reads messages with seq > since, oldest first.

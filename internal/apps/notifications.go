@@ -21,7 +21,9 @@ const AppNotifications = "notifications"
 // badge. The unseen count is persisted into the stream header via rewrites,
 // so a reconnecting device shows the right badge immediately, before any
 // notification payloads arrive.
-type WebsiteNotifications struct{}
+type WebsiteNotifications struct {
+	users *topicTable[uint64] // user → NotifTopic
+}
 
 // HdrUnseenCount is the stream header carrying the badge state.
 const HdrUnseenCount = "unseen-count"
@@ -42,7 +44,7 @@ type NotificationPayload struct {
 
 // NewWebsiteNotifications registers the WAS half and returns the app.
 func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
-	a := &WebsiteNotifications{}
+	a := &WebsiteNotifications{users: newTopicTable(NotifTopic)}
 
 	// notify(user: U, kind: "...", text: "..."): some product surface
 	// generated a notification for U (the caller is the actor).
@@ -62,12 +64,12 @@ func NewWebsiteNotifications(w Registrar) *WebsiteNotifications {
 		ref := ctx.Srv.TAO.ObjectAdd("notification", uint64(ctx.Viewer), target, 0,
 			tao.Props{{"kind", kind}, {"text", text}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(target), "user_notif", ref, ctx.Now, kind)
-		ctx.Publish(pylon.Event{Topic: NotifTopic(target), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
+		ctx.Publish(pylon.Event{Topic: a.users.topic(target), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
 	w.RegisterSubscription("websiteNotifications", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
-		return []pylon.Topic{NotifTopic(uint64(ctx.Viewer))}, nil
+		return a.users.list(uint64(ctx.Viewer)), nil
 	})
 
 	w.RegisterPayload(AppNotifications, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

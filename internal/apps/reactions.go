@@ -25,6 +25,7 @@ const AppReactions = "reactions"
 type LiveVideoReactions struct {
 	// FlushInterval is the aggregate push cadence.
 	FlushInterval time.Duration
+	videos        *topicTable[uint64] // video → ReactionsTopic
 }
 
 // ReactionsTopic returns the Pylon topic for a video's reactions.
@@ -36,6 +37,14 @@ func ReactionsTopic(videoID uint64) pylon.Topic {
 // indexes them.
 var reactionKinds = [...]string{"like", "love", "wow", "haha", "sad", "angry"}
 
+// reactionAssocs are the counter associations, "reaction_"+kind, by kind index.
+var reactionAssocs = func() (a [len(reactionKinds)]tao.AssocType) {
+	for k, kind := range reactionKinds {
+		a[k] = tao.AssocType("reaction_" + kind)
+	}
+	return a
+}()
+
 // ReactionAggregate is the device-facing batched counter update.
 type ReactionAggregate struct {
 	VideoID uint64           `json:"video_id"`
@@ -44,7 +53,7 @@ type ReactionAggregate struct {
 
 // NewLiveVideoReactions registers the WAS half and returns the application.
 func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
-	a := &LiveVideoReactions{FlushInterval: time.Second}
+	a := &LiveVideoReactions{FlushInterval: time.Second, videos: newTopicTable(ReactionsTopic)}
 
 	w.RegisterMutation("reactToVideo", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		videoID, err := call.Uint64Arg("videoID")
@@ -61,10 +70,9 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		}
 		// Reactions are tiny and ephemeral: no TAO object per reaction,
 		// only an aggregate counter association bump and the event.
-		ctx.Srv.TAO.AssocAdd(tao.ObjID(videoID), tao.AssocType("reaction_"+kind),
-			tao.ObjID(ctx.Viewer), ctx.Now, "")
+		ctx.Srv.TAO.AssocAdd(tao.ObjID(videoID), reactionAssocs[k], tao.ObjID(ctx.Viewer), ctx.Now, "")
 		ctx.Publish(pylon.Event{
-			Topic:  ReactionsTopic(videoID),
+			Topic:  a.videos.topic(videoID),
 			Ref:    videoID,
 			Author: uint64(ctx.Viewer),
 			Meta:   pylon.Meta{Kind: uint8(k)},
@@ -77,7 +85,7 @@ func NewLiveVideoReactions(w Registrar) *LiveVideoReactions {
 		if err != nil {
 			return nil, err
 		}
-		return []pylon.Topic{ReactionsTopic(videoID)}, nil
+		return a.videos.list(videoID), nil
 	})
 
 	w.RegisterPayload(AppReactions, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

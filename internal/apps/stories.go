@@ -6,6 +6,7 @@ import (
 
 	"bladerunner/internal/brass"
 	"bladerunner/internal/pylon"
+	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
 	"bladerunner/internal/was"
 )
@@ -19,6 +20,7 @@ import (
 type Stories struct {
 	// TraySize is the number of containers a device displays (paper: n).
 	TraySize int
+	authors  *topicTable[socialgraph.UserID] // author → StoriesTopic
 }
 
 // StoriesTopic returns the Pylon topic for one author's stories.
@@ -37,7 +39,7 @@ type StoryDelta struct {
 
 // NewStories registers the WAS half and returns the application.
 func NewStories(w Registrar) *Stories {
-	a := &Stories{TraySize: 3}
+	a := &Stories{TraySize: 3, authors: newTopicTable(func(u socialgraph.UserID) pylon.Topic { return StoriesTopic(uint64(u)) })}
 
 	w.RegisterMutation("postStory", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		content, err := call.StringArg("content")
@@ -52,7 +54,7 @@ func NewStories(w Registrar) *Stories {
 		ref := ctx.Srv.TAO.ObjectAdd("story", uint64(author.ID), 0, score, tao.Props{{"content", content}})
 		ctx.Srv.TAO.AssocAdd(tao.ObjID(author.ID), "user_story", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{
-			Topic:  StoriesTopic(uint64(author.ID)),
+			Topic:  a.authors.topic(author.ID),
 			Ref:    uint64(ref),
 			Author: uint64(author.ID),
 			Meta:   pylon.Meta{Score: score},
@@ -65,12 +67,7 @@ func NewStories(w Registrar) *Stories {
 		if err != nil {
 			return nil, err
 		}
-		friends := ctx.Srv.Graph.Friends(me.ID)
-		topics := make([]pylon.Topic, len(friends))
-		for i, f := range friends {
-			topics[i] = StoriesTopic(uint64(f))
-		}
-		return topics, nil
+		return a.authors.topics(ctx.Srv.Graph.Friends(me.ID)), nil
 	})
 
 	w.RegisterPayload(AppStories, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"bladerunner/internal/brass"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/tao"
@@ -15,11 +13,13 @@ import (
 // arrive — no buffering — but each delivery still passes through the WAS
 // for privacy checking and device-specific transformation (Fig 9's
 // description of the generalized TypingIndicator).
-type TypingIndicator struct{}
+type TypingIndicator struct {
+	topics *topicTable[[2]uint64] // {thread, uid} → TypingTopic
+}
 
 // TypingTopic returns the topic for one user's typing state in a thread.
 func TypingTopic(threadID uint64, uid uint64) pylon.Topic {
-	return pylon.Topic(fmt.Sprintf("/TI/%d/%d", threadID, uid))
+	return pairTopic("/TI/", threadID, uid)
 }
 
 // TypingPayload is the device-facing typing-state change.
@@ -31,7 +31,7 @@ type TypingPayload struct {
 
 // NewTypingIndicator registers the WAS half and returns the application.
 func NewTypingIndicator(w Registrar) *TypingIndicator {
-	a := &TypingIndicator{}
+	a := &TypingIndicator{topics: newTopicTable(func(k [2]uint64) pylon.Topic { return TypingTopic(k[0], k[1]) })}
 
 	w.RegisterMutation("setTyping", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		thread, err := call.Uint64Arg("threadID")
@@ -43,7 +43,7 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 			return nil, err
 		}
 		ctx.Publish(pylon.Event{
-			Topic:  TypingTopic(thread, uint64(ctx.Viewer)),
+			Topic:  a.topics.topic([2]uint64{thread, uint64(ctx.Viewer)}),
 			Ref:    thread,
 			Author: uint64(ctx.Viewer),
 			Meta:   pylon.Meta{On: on == "true"},
@@ -60,7 +60,7 @@ func NewTypingIndicator(w Registrar) *TypingIndicator {
 		if err != nil {
 			return nil, err
 		}
-		return []pylon.Topic{TypingTopic(thread, peer)}, nil
+		return a.topics.list([2]uint64{thread, peer}), nil
 	})
 
 	w.RegisterPayload(AppTyping, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"bladerunner/internal/kvstore"
@@ -9,46 +8,8 @@ import (
 )
 
 // This file quantifies the design choices DESIGN.md §6 calls out. Each
-// ablation compares Bladerunner's choice against the alternative the paper
-// argues against; rows a run does not measure say model: in their note.
-
-// AblationMetadataVsPayload quantifies the third "unique aspect" of §1:
-// publishing metadata-only events (BRASS fetches payloads from the WAS on
-// demand) vs pushing full payloads through Pylon. The benefit is that
-// cross-region links carry only metadata, and filtered-out updates never
-// move payload bytes at all; the cost, one extra point query per delivered
-// update, is what Switchover's stream variant pays. The byte counts are the
-// JSON sizes of one hand-built LVC event with and without its payload.
-func AblationMetadataVsPayload(events int, remoteRegions int) Result {
-	meta := pylon.Event{
-		Topic:  "/LVC/12345",
-		Ref:    987654321,
-		Author: 123456789,
-		Meta:   pylon.Meta{Score: 0.8312, Lang: 2},
-	}
-	type fullEvent struct {
-		pylon.Event
-		Payload []byte `json:"payload"`
-	}
-	payload := make([]byte, 2048) // a comment payload with user context
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	metaBytes, _ := json.Marshal(meta)
-	fullBytes, _ := json.Marshal(fullEvent{Event: meta, Payload: payload})
-
-	crossMeta := int64(events) * int64(len(metaBytes)) * int64(remoteRegions)
-	crossFull := int64(events) * int64(len(fullBytes)) * int64(remoteRegions)
-
-	r := Result{ID: "ablation-metadata", Title: "Metadata-only publish vs full-payload publish"}
-	mb := func(b int64) string { return fmt.Sprintf("%.1fMB", float64(b)/1e6) }
-	r.AddRow("cross-region bytes (metadata-only)", "-", mb(crossMeta),
-		fmt.Sprintf("model: %d events x %dB x %d remote regions", events, len(metaBytes), remoteRegions))
-	r.AddRow("cross-region bytes (full payload)", "-", mb(crossFull),
-		"model: would more than double cross-region usage already paid by TAO replication")
-	r.AddRow("bytes saved", "-", pct(1-float64(crossMeta)/float64(crossFull)), "model")
-	return r
-}
+// ablation runs Bladerunner's choice and the alternative the paper argues
+// against on the real components.
 
 // AblationSubscriptionDedup quantifies footnote 10: the per-host
 // subscription manager registers each topic with Pylon once per host, no

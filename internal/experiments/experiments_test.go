@@ -262,14 +262,6 @@ func TestSwitchoverReproduces10x(t *testing.T) {
 	}
 }
 
-func TestAblationMetadataVsPayload(t *testing.T) {
-	r := AblationMetadataVsPayload(1000, 2)
-	saved := parsePct(t, row(t, r, "bytes saved").Measured)
-	if saved < 80 {
-		t.Errorf("bytes saved = %v%%, metadata should be far smaller", saved)
-	}
-}
-
 func TestAblationSubscriptionDedup(t *testing.T) {
 	r := AblationSubscriptionDedup(50, 4)
 	dedup := row(t, r, "Pylon subscribers (deduped)").Measured

@@ -14,8 +14,7 @@
 //     cannot host hundreds of millions of devices: Tables 1 and 2 and the
 //     Fig 8 and Fig 10 curves.
 //   - Model rows (note "model:") compose such inputs with the system's
-//     structure: Fig 6's poll-vs-stream latency, Fig 7, and the
-//     metadata-only and rate-limit-order ablations.
+//     structure: Fig 6's poll-vs-stream latency and Fig 7.
 package experiments
 
 import (

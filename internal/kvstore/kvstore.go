@@ -251,10 +251,10 @@ func (c *Cluster) ReplicasFor(key string) []*Node {
 	return c.replicasInto(make([]*Node, 0, c.replicas), key)
 }
 
-// stackReplicas is how many replicas the cluster's own reads and writes
-// pick into an array on their stack; a larger replication factor spills to
-// the heap.
-const stackReplicas = 8
+// StackReplicas is how many replicas the cluster's own reads and writes,
+// and a caller's ReadAll, pick into an array on their stack; a larger
+// replication factor spills to the heap.
+const StackReplicas = 8
 
 // replicasInto appends key's replicas, in ReplicasFor's order, to the empty
 // out. Every subscribe, unsubscribe, patch and slow-path publish comes
@@ -345,7 +345,7 @@ func (c *Cluster) SetRemove(key string, m Member) (int, error) {
 }
 
 func (c *Cluster) write(key string, m Member, present bool) (int, error) {
-	var few [stackReplicas]*Node
+	var few [StackReplicas]*Node
 	replicas := c.replicasInto(few[:0], key)
 	rec := record{Version: c.NextVersion(), Present: present}
 	acked := 0
@@ -368,17 +368,16 @@ type ReplicaResponse struct {
 	Err  error
 }
 
-// ReadAll queries every replica of key and returns their individual
-// responses in replica order. Pylon uses the first response to start
-// fan-out and the rest — those that differ from it — for patch-up.
-func (c *Cluster) ReadAll(key string) []ReplicaResponse {
-	var few [stackReplicas]*Node
-	replicas := c.replicasInto(few[:0], key)
-	out := make([]ReplicaResponse, len(replicas))
+// ReadAll appends every replica's response for key, in replica order, to out
+// (an array on the caller's stack costs no allocation). Pylon uses the first
+// response to start fan-out and the rest — those that differ from it — for
+// patch-up.
+func (c *Cluster) ReadAll(out []ReplicaResponse, key string) []ReplicaResponse {
+	var few [StackReplicas]*Node
 	var first SetView
-	for i, n := range replicas {
+	for _, n := range c.replicasInto(few[:0], key) {
 		v, err := n.viewUnless(key, first)
-		out[i] = ReplicaResponse{Node: n, View: v, Err: err}
+		out = append(out, ReplicaResponse{Node: n, View: v, Err: err})
 		if first == nil {
 			first = v
 		}
@@ -394,7 +393,7 @@ func (c *Cluster) Patch(key string, merged SetView) int {
 	if merged == nil {
 		merged = SetView{} // nil would ask viewUnless for plain views
 	}
-	var few [stackReplicas]*Node
+	var few [StackReplicas]*Node
 	for _, n := range c.replicasInto(few[:0], key) {
 		v, err := n.viewUnless(key, merged)
 		if err != nil || v == nil {

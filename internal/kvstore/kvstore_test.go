@@ -231,7 +231,7 @@ func TestStaleReplicaPatchedToConsistency(t *testing.T) {
 		t.Fatalf("replica 2 should be stale, has %v", v2.Members())
 	}
 	// ReadAll + Merge + Patch converges it.
-	resp := c.ReadAll("k")
+	resp := c.ReadAll(nil, "k")
 	views := make([]SetView, 0, len(resp))
 	for _, r := range resp {
 		if r.Err == nil {

@@ -57,7 +57,7 @@ func TestPartitionConvergenceStress(t *testing.T) {
 			r.SetOpHook(nil)
 		}
 		views := make([]SetView, 0, len(replicas))
-		for _, resp := range c.ReadAll(key) {
+		for _, resp := range c.ReadAll(nil, key) {
 			if resp.Err == nil {
 				views = append(views, resp.View)
 			}

@@ -15,7 +15,7 @@ import (
 // readAllMerge gathers every reachable replica view of key and merges.
 func readAllMerge(c *Cluster, key string) SetView {
 	var views []SetView
-	for _, r := range c.ReadAll(key) {
+	for _, r := range c.ReadAll(nil, key) {
 		if r.Err == nil {
 			views = append(views, r.View)
 		}
@@ -187,7 +187,7 @@ func TestOpHookInjectsFailures(t *testing.T) {
 	}
 
 	// The erroring primary's read fails; the others answer with m1.
-	for _, r := range c.ReadAll(key) {
+	for _, r := range c.ReadAll(nil, key) {
 		if (r.Node == replicas[0]) != errors.Is(r.Err, errInjected) {
 			t.Errorf("replica %s read err = %v", r.Node.ID, r.Err)
 		}

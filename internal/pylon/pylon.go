@@ -349,7 +349,7 @@ func (s *Service) RemoveHost(hostID string) {
 // flow). It always reads the replicas.
 func (s *Service) Subscribers(topic Topic) []string {
 	var views []kvstore.SetView
-	for _, r := range s.kv.ReadAll(string(topic)) {
+	for _, r := range s.kv.ReadAll(nil, string(topic)) {
 		if r.View != nil { // down, or no different from the first
 			views = append(views, r.View)
 		}
@@ -457,7 +457,8 @@ func (s *Service) Publish(ev Event) (int, error) {
 // forwards, divergence repair, and cache fill. It owns sp from here on and
 // ends it on every path.
 func (s *Service) publishSlow(ev Event, shard int, ver uint64, hosts map[string]Subscriber, sp trace.Span) (int, error) {
-	resp := s.kv.ReadAll(string(ev.Topic))
+	var few [kvstore.StackReplicas]kvstore.ReplicaResponse
+	resp := s.kv.ReadAll(few[:0], string(ev.Topic))
 
 	// Stage 1: first successful replica response starts fan-out.
 	first := 0

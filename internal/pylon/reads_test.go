@@ -102,7 +102,7 @@ func replicaReadsDigest(seed int64, steps int) uint64 {
 			failing[rng.Intn(len(nodes))] = []string{"", "apply", "view"}[rng.Intn(3)]
 		default:
 			var views []kvstore.SetView
-			for _, r := range kv.ReadAll(key) {
+			for _, r := range kv.ReadAll(nil, key) {
 				if r.View != nil {
 					views = append(views, r.View)
 				}
@@ -112,7 +112,7 @@ func replicaReadsDigest(seed int64, steps int) uint64 {
 		var views []kvstore.SetView
 		var one *kvstore.Node // ReadOne's answer: the first replica that answers
 		var v kvstore.SetView
-		for _, r := range kv.ReadAll(key) {
+		for _, r := range kv.ReadAll(nil, key) {
 			if one == nil && r.Err == nil {
 				one, v = r.Node, r.View
 			}

@@ -85,7 +85,8 @@ type MutationFunc func(ctx Ctx, call FieldCall) ([]byte, error)
 // SubscriptionFunc resolves a subscription expression to the concrete Pylon
 // topics it maps to (step 5 of Fig 3). Most subscriptions map to one topic;
 // ActiveStatus-style subscriptions map a single device subscribe to one
-// topic per friend.
+// topic per friend. The returned slice is read-only: a resolver may hand the
+// same list to every subscribe that names the same object.
 type SubscriptionFunc func(ctx Ctx, call FieldCall) ([]pylon.Topic, error)
 
 // PayloadFunc encodes the device-facing payload for an update event after
