@@ -115,8 +115,8 @@ const HdrLang = "lang"
 // process, reached over the control protocol, so local registration is a
 // no-op there.
 type Registrar interface {
-	RegisterQuery(name string, fn was.QueryFunc)
-	RegisterMutation(name string, fn was.MutationFunc)
+	RegisterQuery(name string, fn was.FieldFunc)
+	RegisterMutation(name string, fn was.FieldFunc)
 	RegisterSubscription(name string, fn was.SubscriptionFunc)
 	RegisterPayload(app string, fn was.PayloadFunc)
 }
@@ -125,8 +125,8 @@ type Registrar interface {
 // applications' BRASS halves but whose WAS resolvers live elsewhere.
 type NopRegistrar struct{}
 
-func (NopRegistrar) RegisterQuery(string, was.QueryFunc)               {}
-func (NopRegistrar) RegisterMutation(string, was.MutationFunc)         {}
+func (NopRegistrar) RegisterQuery(string, was.FieldFunc)               {}
+func (NopRegistrar) RegisterMutation(string, was.FieldFunc)            {}
 func (NopRegistrar) RegisterSubscription(string, was.SubscriptionFunc) {}
 func (NopRegistrar) RegisterPayload(string, was.PayloadFunc)           {}
 

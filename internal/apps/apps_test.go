@@ -964,6 +964,14 @@ func TestVideoCommentsPollQuery(t *testing.T) {
 	if len(comments) != 3 {
 		t.Errorf("limit ignored: %d comments", len(comments))
 	}
+	// The resolver writes the answer itself: json.Marshal's bytes, and `[]`
+	// for a video nobody commented on.
+	if want, _ := json.Marshal(comments); string(out) != string(want) {
+		t.Errorf("answer %s, json.Marshal of its rows gives %s", out, want)
+	}
+	if out, err := e.was.Query(1, "videoComments(videoID: 401)"); err != nil || string(out) != "[]" {
+		t.Errorf("a video without comments answered %q, %v; want []", out, err)
+	}
 	// Range query cost accounted in TAO stats.
 	if e.tao.Stats().RangeQueries.Value() == 0 {
 		t.Error("poll query not accounted as range query")

@@ -128,8 +128,8 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 	// The poll-model read path (used by the baseline comparison and for
 	// initial state): a range query over the video's comment index. A poll
 	// is a delivery like any other: a comment whose author the viewer may
-	// not see is skipped.
-	w.RegisterQuery("videoComments", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	// not see is skipped; the answer is the kept comments' JSON array.
+	w.RegisterQuery("videoComments", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		videoID, err := call.Uint64Arg("videoID")
 		if err != nil {
 			return nil, err
@@ -139,14 +139,14 @@ func NewLiveVideoComments(w Registrar) *LiveVideoComments {
 			limit = int(n)
 		}
 		assocs := ctx.Reader().AssocRange(tao.ObjID(videoID), "video_comment", 0, limit)
-		out := make([]CommentPayload, 0, len(assocs))
+		out := []byte{'['}
 		for _, as := range assocs {
 			p, err := a.payload(ctx, as.ID2)
 			if err == nil && ctx.Srv.PrivacyCheck(ctx.Viewer, socialgraph.UserID(p.Author)) {
-				out = append(out, p)
+				out = append(p.AppendJSON(out), ',')
 			}
 		}
-		return out, nil
+		return append(out[:max(1, len(out)-1)], ']'), nil // the last ',' dropped
 	})
 
 	w.RegisterPayload(AppLiveComments, func(ctx was.Ctx, ref tao.ObjID, ev pylon.Event) ([]byte, error) {

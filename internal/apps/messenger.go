@@ -1,8 +1,9 @@
 package apps
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"bladerunner/internal/brass"
 	"bladerunner/internal/burst"
 	"bladerunner/internal/durlog"
+	"bladerunner/internal/frame"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
@@ -34,14 +36,9 @@ import (
 type Messenger struct {
 	mu      sync.Mutex
 	threads map[uint64][]socialgraph.UserID // thread → members
-	mailbox map[socialgraph.UserID]*mailboxState
+	lastSeq map[socialgraph.UserID]uint64   // owner → the mailbox's last seq assigned
 	nextTID uint64
 	topics  *topicTable[socialgraph.UserID] // owner → MailboxTopic
-}
-
-type mailboxState struct {
-	ref     tao.ObjID // TAO object anchoring the mailbox assoc list
-	nextSeq uint64
 }
 
 // MessagePayload is the device-facing message JSON.
@@ -61,11 +58,11 @@ func MailboxTopic(uid socialgraph.UserID) pylon.Topic {
 func NewMessenger(w Registrar) *Messenger {
 	a := &Messenger{
 		threads: make(map[uint64][]socialgraph.UserID),
-		mailbox: make(map[socialgraph.UserID]*mailboxState),
+		lastSeq: make(map[socialgraph.UserID]uint64),
 		topics:  newTopicTable(MailboxTopic),
 	}
 
-	// createThread(members: "1,2,3") → thread id.
+	// createThread(members: "1,2,3") → thread id; a member named twice is one.
 	w.RegisterMutation("createThread", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		raw, err := call.StringArg("members")
 		if err != nil {
@@ -77,10 +74,9 @@ func NewMessenger(w Registrar) *Messenger {
 			if err != nil {
 				return nil, fmt.Errorf("messenger: bad member %q", part)
 			}
-			members = append(members, socialgraph.UserID(uid))
-		}
-		if len(members) == 0 {
-			return nil, fmt.Errorf("messenger: thread needs members")
+			if !slices.Contains(members, socialgraph.UserID(uid)) {
+				members = append(members, socialgraph.UserID(uid))
+			}
 		}
 		a.mu.Lock()
 		a.nextTID++
@@ -116,9 +112,9 @@ func NewMessenger(w Registrar) *Messenger {
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})
 
-	// mailboxSince(seq: S) → messages with sequence > S, oldest first.
-	// The BRASS uses this for gap repair and resume catch-up.
-	w.RegisterQuery("mailboxSince", func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	// mailboxSince(seq: S) → the viewer's mailbox rows with sequence > S,
+	// in seq order. The BRASS uses this for gap repair and resume catch-up.
+	w.RegisterQuery("mailboxSince", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		since, err := call.Uint64Arg("seq")
 		if err != nil {
 			return nil, err
@@ -145,23 +141,19 @@ func (a *Messenger) payloadFromObj(obj tao.Object, seq uint64) MessagePayload {
 }
 
 // appendToMailbox assigns the next sequence number and stores the mailbox
-// association in TAO (assoc data = seq). It returns the sequence number.
+// association, keyed by its owner, in TAO (assoc data = seq). It returns the seq.
 func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref tao.ObjID) uint64 {
 	a.mu.Lock()
-	mb := a.mailbox[member]
-	if mb == nil {
-		anchor := ctx.Srv.TAO.ObjectAdd("mailbox", uint64(member), 0, 0, nil)
-		mb = &mailboxState{ref: anchor}
-		a.mailbox[member] = mb
-	}
-	mb.nextSeq++
-	seq, anchor := mb.nextSeq, mb.ref
+	a.lastSeq[member]++
+	seq := a.lastSeq[member]
 	a.mu.Unlock()
-	ctx.Srv.TAO.AssocAdd(anchor, "mailbox_msg", ref, ctx.Now, strconv.FormatUint(seq, 10))
+	ctx.Srv.TAO.AssocAdd(tao.ObjID(member), "mailbox_msg", ref, ctx.Now, strconv.FormatUint(seq, 10))
 	return seq
 }
 
-// mailboxSince reads messages with seq > since, oldest first.
+// mailboxSince encodes owner's rows after since in seq order (decodeMailbox),
+// up to the first seq whose row is not yet committed: past it, the BRASS would
+// drop that row's event as a duplicate.
 //
 // This read deliberately stays on the TAO LEADER, not the region-local
 // follower (ctx.Reader()): it is the reliable catch-up path that closes
@@ -171,29 +163,46 @@ func (a *Messenger) appendToMailbox(ctx was.Ctx, member socialgraph.UserID, ref 
 // individual (immutable, created-once) message objects is safe on
 // followers; the authoritative mailbox index is not. Catch-up is a delivery
 // like any other: a message whose author the owner may not see is skipped.
-func (a *Messenger) mailboxSince(ctx was.Ctx, owner socialgraph.UserID, since uint64) []MessagePayload {
+func (a *Messenger) mailboxSince(ctx was.Ctx, owner socialgraph.UserID, since uint64) []byte {
 	a.mu.Lock()
-	mb := a.mailbox[owner]
+	last := a.lastSeq[owner]
 	a.mu.Unlock()
-	if mb == nil {
+	if since >= last {
 		return nil
 	}
-	assocs := ctx.Srv.TAO.AssocRange(mb.ref, "mailbox_msg", 0, 0) // newest first
-	out := make([]MessagePayload, 0, len(assocs))
-	for i := len(assocs) - 1; i >= 0; i-- { // reverse to oldest-first
-		seq, _ := strconv.ParseUint(assocs[i].Data, 10, 64)
-		if seq <= since {
-			continue
-		}
-		obj, err := ctx.Srv.TAO.ObjectGet(assocs[i].ID2)
-		if err != nil {
-			continue
-		}
-		if m := a.payloadFromObj(obj, seq); ctx.Srv.PrivacyCheck(owner, socialgraph.UserID(m.Author)) {
-			out = append(out, m)
+	slots := make([]tao.ObjID, last-since) // seq since+1+i at i; 0: no row yet
+	for _, as := range ctx.Srv.TAO.AssocRange(tao.ObjID(owner), "mailbox_msg", 0, 0) {
+		if seq, _ := strconv.ParseUint(as.Data, 10, 64); seq > since && seq <= last {
+			slots[seq-since-1] = as.ID2
 		}
 	}
-	return out
+	out, msg := new(bytes.Buffer), []byte(nil)
+	for i := 0; i < len(slots) && slots[i] != 0; i++ {
+		obj, err := ctx.Srv.TAO.ObjectGet(slots[i])
+		if seq := since + 1 + uint64(i); err == nil && ctx.Srv.PrivacyCheck(owner, socialgraph.UserID(obj.Author)) {
+			msg = a.payloadFromObj(obj, seq).AppendJSON(msg[:0])
+			frame.PutUvarint(out, seq)
+			frame.PutBytes(out, msg)
+		}
+	}
+	return out.Bytes()
+}
+
+// mailboxRow is one row of a mailboxSince answer: the seq's varint, then the
+// message's JSON behind its length.
+type mailboxRow struct {
+	seq uint64
+	msg []byte
+}
+
+// decodeMailbox reads an answer's rows to its end, each msg aliasing b.
+func decodeMailbox(b []byte) ([]mailboxRow, error) {
+	r := frame.Reader{B: b}
+	var rows []mailboxRow
+	for len(r.B) > 0 {
+		rows = append(rows, mailboxRow{seq: r.Uvarint(), msg: r.Bytes()})
+	}
+	return rows, r.Done()
 }
 
 // Name implements brass.Application.
@@ -297,25 +306,24 @@ func (in *messengerInstance) resumePatch(state *messengerStream, seq uint64) bur
 	return state.patch
 }
 
-// mailboxAfter reads the viewer's mailbox after seq, oldest first, and makes
-// each row a Payload with Own: the WAS ran the read as the viewer. Each row
-// is logged too, because the log records every delivery decision, including
-// the ones made from a WAS read: the next resume on this topic replays them
-// from the edge instead. last is the highest seq read, seq when none was.
+// mailboxAfter reads the viewer's mailbox after seq, in seq order, and makes
+// each row's JSON, as the WAS wrote it, a Payload with Own: the WAS ran the
+// read as the viewer. Each row is logged too, because the log records every
+// delivery decision, including the ones from a WAS read: the next resume on
+// this topic replays them from the edge instead. last is the highest seq read.
 func (in *messengerInstance) mailboxAfter(st *brass.Stream, state *messengerStream, seq uint64) (ps []brass.Payload, last uint64, err error) {
 	raw, err := in.rt.Query(st.Viewer, fmt.Sprintf("mailboxSince(seq: %d)", seq))
 	if err != nil {
 		return nil, seq, err
 	}
-	var msgs []MessagePayload
-	if err := json.Unmarshal(raw, &msgs); err != nil {
+	rows, err := decodeMailbox(raw)
+	if err != nil {
 		return nil, seq, err
 	}
 	last = seq
-	for _, m := range msgs {
-		b := m.AppendJSON(nil)
-		in.rt.LogAppend(state.topic, m.Seq, b)
-		ps, last = append(ps, st.Own(m.Seq, b)), m.Seq
+	for _, row := range rows {
+		in.rt.LogAppend(state.topic, row.seq, row.msg)
+		ps, last = append(ps, st.Own(row.seq, row.msg)), row.seq
 	}
 	return ps, last, nil
 }
@@ -325,10 +333,7 @@ func (in *messengerInstance) mailboxAfter(st *brass.Stream, state *messengerStre
 // patch as one batch, through admission like any live delivery.
 func (in *messengerInstance) catchUp(st *brass.Stream, state *messengerStream) {
 	ps, last, err := in.mailboxAfter(st, state, state.lastSeq)
-	if err != nil {
-		return
-	}
-	if st.Push(in.resumePatch(state, last), ps...) == nil {
+	if err == nil && st.Push(in.resumePatch(state, last), ps...) == nil {
 		state.lastSeq = last
 	}
 }

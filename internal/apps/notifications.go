@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/json"
 	"strconv"
 
 	"bladerunner/internal/brass"
@@ -107,10 +106,8 @@ func (in *notifInstance) OnStreamOpen(st *brass.Stream) error {
 	}
 	state := &notifStream{}
 	// A reconnecting device carries its badge state in the header.
-	if v := st.Header(HdrUnseenCount); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			state.unseen = n
-		}
+	if n, err := strconv.ParseUint(st.Header(HdrUnseenCount), 10, 64); err == nil {
+		state.unseen = n
 	}
 	st.State = state
 	return nil
@@ -128,17 +125,15 @@ func (in *notifInstance) OnEvent(ev pylon.Event) {
 		if !ok {
 			continue // privacy-denied actor
 		}
-		var p NotificationPayload
-		if err := json.Unmarshal(fetched.Bytes(), &p); err != nil {
+		b, ok := withUnseen(fetched.Bytes(), state.unseen+1)
+		if !ok {
 			st.Filtered()
 			continue
 		}
 		state.unseen++
-		p.Unseen = state.unseen
 		// One decision, one frame: the device never shows the notification
 		// beside a stale badge, and admission can shed the payload but not
 		// the badge state.
-		_ = st.Push(burst.Header{HdrUnseenCount: strconv.FormatUint(state.unseen, 10)},
-			fetched.Reencode(p.AppendJSON(nil)))
+		_ = st.Push(burst.Header{HdrUnseenCount: strconv.FormatUint(state.unseen, 10)}, fetched.Reencode(b))
 	}
 }

@@ -53,6 +53,17 @@ func (p NotificationPayload) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
+// withUnseen is b, a NotificationPayload's JSON with Unseen 0, with Unseen n in
+// new bytes (b is shared through the payload cache); false if b does not fit.
+func withUnseen(b []byte, n uint64) ([]byte, bool) {
+	const zero = `,"unseen":0}`
+	if len(b) < len(zero) || string(b[len(b)-len(zero):]) != zero {
+		return nil, false
+	}
+	out := slices.Grow(slices.Clip(b[:len(b)-len(`0}`)]), uintLen(n)+1)
+	return append(strconv.AppendUint(out, n, 10), '}'), true
+}
+
 // AppendJSON appends d's JSON encoding to b, leaving out the zero
 // omitempty fields as json.Marshal does (a -0 rank is zero too).
 func (d StoryDelta) AppendJSON(b []byte) []byte {

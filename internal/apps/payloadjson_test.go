@@ -12,7 +12,8 @@ import (
 // The seeds cover what encoding/json escapes (`<>&`, `"` and `\`, control
 // bytes, invalid UTF-8, U+2028/2029), the empty string, the float formats
 // (-0, the exponent cutoffs, a long mantissa, a negative value) and
-// StoryDelta's omitempty fields both zero and set.
+// StoryDelta's omitempty fields both zero and set. Notifications' badge
+// splice, withUnseen, is held to AppendJSON the same way.
 func FuzzPayloadJSON(f *testing.F) {
 	strs := []string{"", "what a save!", "<b>&amp;</b>", `say "hi" \o/`, "\x00\x01\b\f\n\r\t\x1b\x1f\x7f",
 		"bad \xff\xfe utf-8 \xe2\x82", "line\u2028para\u2029end", "héllo ✓ 🎉"}
@@ -44,6 +45,21 @@ func FuzzPayloadJSON(f *testing.F) {
 			if got := v.AppendJSON([]byte("[")); !bytes.Equal(got, append([]byte("["), want...)) {
 				t.Fatalf("%T %+v: AppendJSON overwrote its prefix: %s", v, v, got)
 			}
+		}
+		// The badge splice: the fetched bytes (Unseen 0) with the count set
+		// are AppendJSON's bytes for that count, and the fetched bytes, spare
+		// capacity included, are never written.
+		fetched := NotificationPayload{ID: x, Kind: s1, Actor: y, Text: s2}.AppendJSON(make([]byte, 0, 512))
+		before := bytes.Clone(fetched[:cap(fetched)])
+		want := NotificationPayload{ID: x, Kind: s1, Actor: y, Text: s2, Unseen: z}.AppendJSON(nil)
+		if got, ok := withUnseen(fetched, z); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("withUnseen(%s, %d) = %s, %v; want %s", fetched, z, got, ok, want)
+		}
+		if !bytes.Equal(fetched[:cap(fetched)], before) {
+			t.Fatalf("withUnseen wrote into the fetched bytes: %s", fetched[:cap(fetched)])
+		}
+		if _, ok := withUnseen(want, 1); ok != (z == 0) {
+			t.Fatalf("withUnseen(%s) = %v: only an unseen count of 0 splices", want, ok)
 		}
 	})
 }

@@ -24,12 +24,12 @@ type recorder struct {
 	fields []string
 }
 
-func (r *recorder) RegisterQuery(name string, fn was.QueryFunc) {
+func (r *recorder) RegisterQuery(name string, fn was.FieldFunc) {
 	r.fields = append(r.fields, "query "+name)
 	r.Server.RegisterQuery(name, fn)
 }
 
-func (r *recorder) RegisterMutation(name string, fn was.MutationFunc) {
+func (r *recorder) RegisterMutation(name string, fn was.FieldFunc) {
 	r.fields = append(r.fields, "mutation "+name)
 	r.Server.RegisterMutation(name, fn)
 }

@@ -29,8 +29,8 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	w := newWASEnv(t, eng)
 	val := "v0"
-	w.RegisterQuery("data", func(ctx was.Ctx, call was.FieldCall) (any, error) {
-		return val, nil
+	w.RegisterQuery("data", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
+		return []byte(`"` + val + `"`), nil
 	})
 	var seen []string
 	p := &ClientPoller{
@@ -66,7 +66,7 @@ func TestClientPollerEmptyPolls(t *testing.T) {
 func TestClientPollerStopIsFinal(t *testing.T) {
 	eng := sim.NewEngine(t0)
 	w := newWASEnv(t, eng)
-	w.RegisterQuery("d", func(was.Ctx, was.FieldCall) (any, error) { return 1, nil })
+	w.RegisterQuery("d", func(was.Ctx, was.FieldCall) ([]byte, error) { return []byte("1"), nil })
 	p := &ClientPoller{WAS: w, Viewer: 1, Query: "d", Interval: time.Second, Sched: eng}
 	p.Start()
 	eng.RunUntil(eng.Now().Add(3 * time.Second))

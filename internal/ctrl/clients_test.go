@@ -168,21 +168,15 @@ func newWAS(t testing.TB) *was.Server {
 	store := tao.MustNewStore(tao.DefaultConfig(), nil)
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	srv := was.New(store, graph, newPylon(t), nil)
-	echo := func(ctx was.Ctx, call was.FieldCall) (any, error) {
+	echo := func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		if fail, _ := call.StringArg("fail"); fail != "" {
 			return nil, fmt.Errorf("resolver failed on %s", fail)
 		}
 		text, _ := call.StringArg("text")
-		return fmt.Sprintf("%s|%s|viewer=%d|region=%s", call.Name, text, ctx.Viewer, ctx.Region), nil
+		return json.Marshal(fmt.Sprintf("%s|%s|viewer=%d|region=%s", call.Name, text, ctx.Viewer, ctx.Region))
 	}
 	srv.RegisterQuery("read", echo)
-	srv.RegisterMutation("write", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
-		out, err := echo(ctx, call)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(out)
-	})
+	srv.RegisterMutation("write", echo)
 	srv.RegisterSubscription("watch", func(ctx was.Ctx, call was.FieldCall) ([]pylon.Topic, error) {
 		n, err := call.Uint64Arg("n")
 		topics := make([]pylon.Topic, n)

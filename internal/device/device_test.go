@@ -302,8 +302,8 @@ func TestServerTerminationClosesStream(t *testing.T) {
 func TestQueryAndMutateHitWAS(t *testing.T) {
 	env := newDevEnv(t)
 	w := env.was
-	w.RegisterQuery("ping", func(ctx was.Ctx, call was.FieldCall) (any, error) {
-		return "pong", nil
+	w.RegisterQuery("ping", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
+		return []byte(`"pong"`), nil
 	})
 	w.RegisterMutation("set", func(ctx was.Ctx, call was.FieldCall) ([]byte, error) {
 		return strconv.AppendUint(nil, uint64(ctx.Viewer), 10), nil

@@ -7,7 +7,6 @@
 package was
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -74,13 +73,9 @@ type Publisher interface {
 	Publish(ev pylon.Event) (int, error)
 }
 
-// QueryFunc resolves a read field to a JSON-encodable value.
-type QueryFunc func(ctx Ctx, call FieldCall) (any, error)
-
-// MutationFunc applies a write field and returns its answer as JSON, encoded
-// by the resolver (an id is strconv.AppendUint's digits, a flag "true"), as
-// PayloadFunc returns its payload.
-type MutationFunc func(ctx Ctx, call FieldCall) ([]byte, error)
+// FieldFunc resolves a query or applies a mutation and returns its answer,
+// encoded by the resolver as PayloadFunc encodes its payload.
+type FieldFunc func(ctx Ctx, call FieldCall) ([]byte, error)
 
 // SubscriptionFunc resolves a subscription expression to the concrete Pylon
 // topics it maps to (step 5 of Fig 3). Most subscriptions map to one topic;
@@ -139,8 +134,8 @@ type Server struct {
 
 // tables is one immutable generation of what registration fills.
 type tables struct {
-	queries       map[string]QueryFunc
-	mutations     map[string]MutationFunc
+	queries       map[string]FieldFunc
+	mutations     map[string]FieldFunc
 	subscriptions map[string]SubscriptionFunc
 	payloads      map[string]PayloadFunc
 	readers       map[string]tao.Reader
@@ -197,12 +192,12 @@ func New(store *tao.Store, graph *socialgraph.Graph, pyl *pylon.Service, sched s
 }
 
 // RegisterQuery installs a read resolver.
-func (s *Server) RegisterQuery(name string, fn QueryFunc) {
+func (s *Server) RegisterQuery(name string, fn FieldFunc) {
 	s.register(func(t *tables) { t.queries = with(t.queries, name, fn) })
 }
 
 // RegisterMutation installs a write resolver.
-func (s *Server) RegisterMutation(name string, fn MutationFunc) {
+func (s *Server) RegisterMutation(name string, fn FieldFunc) {
 	s.register(func(t *tables) { t.mutations = with(t.mutations, name, fn) })
 }
 
@@ -236,8 +231,8 @@ func (s *Server) reader(region string) tao.Reader {
 	return s.TAO
 }
 
-// Query executes a read expression as viewer and returns the result
-// marshalled to JSON.
+// Query executes a read expression as viewer and returns the answer its
+// resolver encoded.
 func (s *Server) Query(viewer socialgraph.UserID, expr string) ([]byte, error) {
 	return s.QueryIn("", viewer, expr)
 }
@@ -245,7 +240,7 @@ func (s *Server) Query(viewer socialgraph.UserID, expr string) ([]byte, error) {
 // QueryIn is Query executing in a datacenter region: resolver reads go to
 // that region's TAO follower.
 func (s *Server) QueryIn(region string, viewer socialgraph.UserID, expr string) ([]byte, error) {
-	return marshal(run(s, s.tables.Load().queries, "query", &s.Queries, region, viewer, expr))
+	return run(s, s.tables.Load().queries, "query", &s.Queries, region, viewer, expr)
 }
 
 // Mutate executes a write expression as viewer.
@@ -272,8 +267,7 @@ func (s *Server) ResolveSubscription(viewer socialgraph.UserID, expr string) ([]
 // this is where a viewer the graph does not know is refused, by the range
 // rule PrivacyCheck applies, before any resolver is handed it.
 func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F, kind string,
-	calls *metrics.Counter, region string, viewer socialgraph.UserID, expr string) (R, error) {
-	var none R
+	calls *metrics.Counter, region string, viewer socialgraph.UserID, expr string) (none R, err error) {
 	call, err := ParseField(expr)
 	if err != nil {
 		return none, err
@@ -287,14 +281,6 @@ func run[R any, F ~func(Ctx, FieldCall) (R, error)](s *Server, fns map[string]F,
 	}
 	calls.Inc()
 	return fn(s.ctxIn(viewer, region), call)
-}
-
-// marshal encodes a query's answer, of any shape, as JSON.
-func marshal(v any, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
 }
 
 // PrivacyCheck reports whether viewer may see content authored by author.

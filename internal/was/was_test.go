@@ -112,12 +112,12 @@ func TestFieldCallHelpers(t *testing.T) {
 
 func TestQueryDispatch(t *testing.T) {
 	s, _ := newTestWAS(t)
-	s.RegisterQuery("friendCount", func(ctx Ctx, call FieldCall) (any, error) {
+	s.RegisterQuery("friendCount", func(ctx Ctx, call FieldCall) ([]byte, error) {
 		uid, err := call.Uint64Arg("user")
 		if err != nil {
 			return nil, err
 		}
-		return len(ctx.Srv.Graph.Friends(socialgraph.UserID(uid))), nil
+		return strconv.AppendInt(nil, int64(len(ctx.Srv.Graph.Friends(socialgraph.UserID(uid)))), 10), nil
 	})
 	out, err := s.Query(1, "friendCount(user: 1)")
 	if err != nil {
@@ -200,15 +200,12 @@ func TestResolveSubscription(t *testing.T) {
 // Ctx.User refuses the system viewer (0).
 func TestUnknownViewerIsAnError(t *testing.T) {
 	s, _ := newTestWAS(t)
-	me := func(ctx Ctx, call FieldCall) (any, error) {
-		u, err := ctx.User()
-		return u.ID, err
-	}
-	s.RegisterQuery("me", me)
-	s.RegisterMutation("me", func(ctx Ctx, call FieldCall) ([]byte, error) {
+	me := func(ctx Ctx, call FieldCall) ([]byte, error) {
 		u, err := ctx.User()
 		return strconv.AppendUint(nil, uint64(u.ID), 10), err
-	})
+	}
+	s.RegisterQuery("me", me)
+	s.RegisterMutation("me", me)
 	s.RegisterSubscription("me", func(ctx Ctx, call FieldCall) ([]pylon.Topic, error) {
 		_, err := ctx.User()
 		return nil, err
@@ -367,7 +364,7 @@ func TestQualityScoreRangeProperty(t *testing.T) {
 func TestConcurrentExecutorStress(t *testing.T) {
 	s, _ := newTestWAS(t)
 	s.Sched = sim.RealClock{} // timers must actually run concurrently
-	s.RegisterQuery("q", func(ctx Ctx, call FieldCall) (any, error) { return 1, nil })
+	s.RegisterQuery("q", func(ctx Ctx, call FieldCall) ([]byte, error) { return []byte("1"), nil })
 	s.RegisterMutation("m", func(ctx Ctx, call FieldCall) ([]byte, error) {
 		id := ctx.Srv.TAO.ObjectAdd("o", 0, 0, 0, nil)
 		ctx.Srv.Publish(pylon.Event{Topic: "/stress", Ref: uint64(id)}, false)
