@@ -59,7 +59,7 @@ func TestAllocContracts(t *testing.T) {
 		{"CtrlCheckVisibility", bench.CtrlCheckVisibilityWire, 2, "params in a pooled buffer, event shared through the memo; room for pool refills only"},
 		{"BURSTResumeBatchDecode", resumeBatchDecode, 4, "the []Delta, the patch map's two, the one copy of the patch its cursor slices; the key decodes to the package constant"},
 		{"WASParseField", bench.WASParseField, 0, "a mutation and a subscription expression are scanned in place: name and values are substrings, arguments sit in the FieldCall"},
-		{"WASMutateFeedComment", bench.WASMutateFeedComment, 2, "the TAO object with its text inside it, the answer's digits (the post's topic is the one its app's table built, the resolver's literal stays on its stack, its ids are typed, the association row amortizes below one); no parse, Ctx or closure allocation, and the event carries no map (3 before: the topic formatted per comment; 6 before that: two formatted ids and a sorted bag of its own; 7 before that: the answer a boxed uint64 through json.Marshal)"},
+		{"WASMutateFeedComment", bench.WASMutateFeedComment, 1, "the answer's digits (the TAO object and its text sit in the table's slot, the post's topic is the one its app's table built, the resolver's literal stays on its stack, its ids are typed); no parse, Ctx or closure allocation, and the event carries no map (2 before: the stored object; 3 before that: the topic formatted per comment; 6 before that: two formatted ids and a sorted bag of its own; 7 before that: the answer a boxed uint64 through json.Marshal)"},
 		{"WASResolveFeedSubscription", resolveFeedSubscription, 0, "an open of an already-named post: the expression is scanned in place and the resolver returns the list its app's table holds (2 before: the topic string and its one-element slice)"},
 		{"BURSTSubscribeHop", subscribeHop, 1, "the stream, whose inline pairs hold the request and whose inline bytes hold the one copy of the header they slice (2 before: that copy a string of its own; 4 before that: a header map's two)"},
 		{"BURSTResumeBatchApply", resumeBatchApply, 0, "the lease brings its own deltas, bytes and patch map and lends the patch, whose new cursor the stored request copies into its room, a fresh 128 bytes once its patches fill one (1 before: the decoder's copy of the patch)"},

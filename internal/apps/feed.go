@@ -38,7 +38,6 @@ func NewFeedComments(w Registrar) *FeedComments {
 			return nil, err
 		}
 		ref := ctx.Srv.TAO.ObjectAdd("comment", uint64(ctx.Viewer), postID, 0, tao.Props{{"text", text}})
-		ctx.Srv.TAO.AssocAdd(tao.ObjID(postID), "post_comment", ref, ctx.Now, "")
 		ctx.Publish(pylon.Event{Topic: a.posts.topic(postID), Ref: uint64(ref), Author: uint64(ctx.Viewer)}, false)
 		return strconv.AppendUint(nil, uint64(ref), 10), nil
 	})

@@ -107,7 +107,7 @@ func WASParseField(b *testing.B) {
 }
 
 // WASMutateFeedComment measures one feed comment through the WAS: scan,
-// resolver, two TAO writes, publish to a Pylon without subscribers, encode.
+// resolver, one TAO write, publish to a Pylon without subscribers, encode.
 func WASMutateFeedComment(b *testing.B) {
 	w, _ := visibilityFixture()
 	w.Pylon = pylon.MustNew(pylon.DefaultConfig(), NewKV())

@@ -1,6 +1,7 @@
 package tao
 
 import (
+	"errors"
 	"maps"
 	"slices"
 	"sort"
@@ -66,7 +67,8 @@ func FuzzAssocOps(f *testing.F) {
 // object holds (bagRoom). After each add it overwrites the bag it passed,
 // then reads every object added so far from the leader and through a
 // Follower — a miss the first time, a hit after — and checks each against a
-// map reference in which a key's last pair wins.
+// map reference in which a key's last pair wins. Id 0 and the id one past
+// the last added read as ErrNotFound from both.
 //
 // An add is one header byte and a byte a pair. The header's low 3 bits are
 // the bag's size and the whole byte seeds the typed fields; a pair's low 2
@@ -102,6 +104,14 @@ func FuzzObjectAdd(f *testing.F) {
 				bag[j] = [2]string{"mutated", "by the adder"}
 			}
 			clk.Advance(time.Second)
+			for _, none := range []ObjID{0, id + 1} {
+				if _, err := s.ObjectGet(none); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("leader: object %d of %d: %v, want ErrNotFound", none, id, err)
+				}
+				if _, err := fol.ObjectGet(none); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("follower: object %d of %d: %v, want ErrNotFound", none, id, err)
+				}
+			}
 			for id, w := range ref {
 				for _, r := range []struct {
 					name string

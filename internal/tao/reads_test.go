@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bladerunner/internal/sim"
 )
@@ -121,14 +122,19 @@ func retainedPer(n int, add func(i int)) float64 {
 }
 
 // TestStoreHoldsWhatItStores pins the stored form. A comment with its text
-// and two ids is one 176-byte stored object — the 104-byte Object, its ids
-// typed, and room for two pairs that holds the text — and its shard-index
-// slot; as a 3-pair bag beside an 80-byte Object it held about 205, as a
-// 3-key map 428. An association row is 48 bytes plus its list's growth
-// slack, filed under the list's key rather than repeating it (80-byte rows:
-// 140). ObjectAdd copies the caller's bag, so the literal stays on the
-// caller's stack.
+// and two ids is one 168-byte slot of the object table — the 104-byte
+// Object, its ids typed, and room for two pairs that holds the text — and
+// the table's 1024-slot chunks are whole 8-KiB pages, so a comment retains
+// ~170 B and ObjectAdd allocates nothing; as a 176-byte object of its own
+// behind a shard map's slot it retained ~205 in one allocation, as a 3-pair
+// bag beside an 80-byte Object about 205 in two, as a 3-key map 428. An
+// association row is 48 bytes plus its list's growth slack, filed under the
+// list's key rather than repeating it (80-byte rows: 140). ObjectAdd copies
+// the caller's bag, so the literal stays on the caller's stack.
 func TestStoreHoldsWhatItStores(t *testing.T) {
+	if size := unsafe.Sizeof(chunk{}); size%8192 != 0 {
+		t.Errorf("a chunk of the object table is %d B, not a whole number of 8-KiB pages", size)
+	}
 	if testing.Short() {
 		t.Skip("heap measurement: 20 000 adds each, and the race detector allocates")
 	}
@@ -138,23 +144,23 @@ func TestStoreHoldsWhatItStores(t *testing.T) {
 		s.ObjectAdd("comment", 7, 17, 0, Props{{"text", "nice"}})
 	})
 	runtime.KeepAlive(s)
-	// A post's comments, over focus_churn's 256 posts.
+	// A video's comments, over 256 videos.
 	s = MustNewStore(DefaultConfig(), nil)
 	row := retainedPer(n, func(i int) {
-		s.AssocAdd(ObjID(1+i%256), "post_comment", ObjID(1000+i), t0.Add(time.Duration(i)), "")
+		s.AssocAdd(ObjID(1+i%256), "video_comment", ObjID(1000+i), t0.Add(time.Duration(i)), "")
 	})
 	runtime.KeepAlive(s)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.ObjectAdd("comment", 7, 17, 0, Props{{"text", "nice"}})
 	})
 	t.Logf("comment object %.1f B, association row %.1f B, ObjectAdd %v allocs", obj, row, allocs)
-	if obj > 210 {
-		t.Errorf("a comment object retains %.1f B, want <= 210", obj)
+	if obj > 176 {
+		t.Errorf("a comment object retains %.1f B, want <= 176", obj)
 	}
 	if row > 90 {
 		t.Errorf("an association row retains %.1f B, want <= 90", row)
 	}
-	if allocs > 1 {
-		t.Errorf("ObjectAdd: %v allocs, want <= 1 (the stored object, its bag inside it)", allocs)
+	if allocs != 0 {
+		t.Errorf("ObjectAdd: %v allocs, want 0 (the object and its bag sit in the table's slot)", allocs)
 	}
 }

@@ -19,12 +19,14 @@
 // never updated or deleted, and associations are added (an existing one is
 // replaced in place).
 //
-// Both tiers store rows, not maps. An object carries its numbers typed —
-// Author, Parent, Score — and its few strings as a bag, one slice of (key,
-// value) pairs sorted by key (Props) that sits inside the stored object when
-// it has at most two pairs; the follower tier shares the leader's stored
-// object. A list holds (id2, time, data) rows filed under its (id1, atype)
-// key, as real TAO files them.
+// Both tiers store rows, not maps. The store allocates object ids densely
+// and never deletes an object, so objects sit in one table indexed by id−1:
+// fixed chunks that never move, each allocated when the id counter reaches
+// it. An object carries its numbers typed — Author, Parent, Score — and its
+// few strings as a bag, one slice of (key, value) pairs sorted by key (Props)
+// that sits inside its table slot when it has at most two pairs; the follower
+// tier shares the leader's slot. A list holds (id2, time, data) rows filed
+// under its (id1, atype) key, as real TAO files them.
 //
 // All methods are safe for concurrent use.
 package tao
@@ -113,14 +115,22 @@ func sortInto(dst, p Props) Props {
 }
 
 // bagRoom is how many pairs a stored object holds inside itself: every app's
-// bag fits, so its add is one allocation.
+// bag fits, so its add allocates nothing.
 const bagRoom = 2
 
-// object is an Object as a shard stores it, with room for a small bag.
+// object is an Object as the table stores it, with room for a small bag.
 type object struct {
 	Object
 	room [bagRoom][2]string
 }
+
+// chunkSlots is how many objects one chunk of the object table holds: 1024
+// 168-byte objects are exactly 21 8-KiB pages.
+const chunkSlots = 1024
+
+// chunk is one block of the object table. It never moves, so a handed-out
+// bag and a follower's cached slot stay valid.
+type chunk [chunkSlots]object
 
 // Assoc is a typed, directed edge from ID1 to ID2 with a timestamp and
 // payload. The inverse edge is not created implicitly.
@@ -156,6 +166,12 @@ type Store struct {
 	clock  sim.Clock
 	shards []*shard
 	lastID atomic.Uint64
+	// table holds the object with id i in slot (i-1)%chunkSlots of chunk
+	// (i-1)/chunkSlots, written under i's shard lock (an unwritten slot's ID
+	// is 0). Its chunk list grows copy-on-write under growMu, so a reader
+	// finds a chunk without a lock.
+	table  atomic.Pointer[[]*chunk]
+	growMu sync.Mutex
 
 	stats *Stats
 
@@ -192,8 +208,7 @@ func (k assocKey) assoc(r assocRow) Assoc {
 }
 
 type shard struct {
-	mu      sync.RWMutex
-	objects map[ObjID]*object
+	mu sync.RWMutex
 	// assocs holds time-descending association lists.
 	assocs map[assocKey][]assocRow
 }
@@ -208,12 +223,10 @@ func NewStore(cfg Config, clock sim.Clock) (*Store, error) {
 		clock = sim.RealClock{}
 	}
 	s := &Store{cfg: cfg, clock: clock, stats: NewStats()}
+	s.table.Store(new([]*chunk))
 	s.shards = make([]*shard, shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			objects: make(map[ObjID]*object),
-			assocs:  make(map[assocKey][]assocRow),
-		}
+		s.shards[i] = &shard{assocs: make(map[assocKey][]assocRow)}
 	}
 	return s, nil
 }
@@ -293,21 +306,44 @@ func (s *Store) shardFor(id ObjID) *shard {
 	return s.shards[h%uint64(len(s.shards))]
 }
 
+// slot returns id's slot in the object table, or nil when no chunk holds it.
+func (s *Store) slot(id ObjID) *object {
+	t, i := *s.table.Load(), uint64(id)-1
+	if id == 0 || i/chunkSlots >= uint64(len(t)) {
+		return nil
+	}
+	return &t[i/chunkSlots][i%chunkSlots]
+}
+
+// grow appends chunks to the table until one holds id, and returns its slot.
+func (s *Store) grow(id ObjID) *object {
+	s.growMu.Lock()
+	defer s.growMu.Unlock()
+	t := slices.Clip(*s.table.Load())
+	for uint64(len(t)) <= (uint64(id)-1)/chunkSlots {
+		t = append(t, new(chunk))
+	}
+	s.table.Store(&t)
+	return s.slot(id)
+}
+
 // ObjectAdd creates a new object of the given type with its numeric fields
 // and a sorted copy of data, and returns its allocated ID. A bag of at most
-// bagRoom pairs is copied into the stored object itself.
+// bagRoom pairs is copied into the object's table slot itself.
 func (s *Store) ObjectAdd(typ ObjType, author, parent uint64, score float64, data Props) ObjID {
 	id := ObjID(s.lastID.Add(1))
-	o := &object{Object: Object{ID: id, Type: typ, Author: author, Parent: parent, Score: score,
-		Created: s.clock.Now(), Version: 1}}
+	o := s.slot(id)
+	if o == nil {
+		o = s.grow(id)
+	}
 	bag := o.room[:0]
 	if len(data) > bagRoom {
 		bag = make(Props, 0, len(data))
 	}
-	o.Data = slices.Clip(sortInto(bag, data))
+	obj := Object{ID: id, Type: typ, Author: author, Parent: parent, Score: score, Created: s.clock.Now(), Version: 1}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	sh.objects[id] = o
+	o.Object, o.Data = obj, slices.Clip(sortInto(bag, data))
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
 	return id
@@ -323,14 +359,19 @@ func (s *Store) ObjectGet(id ObjID) (Object, error) {
 	return o.Object, nil
 }
 
-// stored is ObjectGet's read of the stored object itself, which followers share.
+// stored is ObjectGet's read of the object's slot, which followers share.
 func (s *Store) stored(id ObjID) (*object, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	o, ok := sh.objects[id]
-	sh.mu.RUnlock()
+	o := s.slot(id)
+	if o != nil {
+		sh := s.shardFor(id)
+		sh.mu.RLock()
+		if o.ID != id {
+			o = nil
+		}
+		sh.mu.RUnlock()
+	}
 	s.stats.recordPoint(1)
-	if !ok {
+	if o == nil {
 		return nil, fmt.Errorf("object %d: %w", id, ErrNotFound)
 	}
 	return o, nil

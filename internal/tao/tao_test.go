@@ -2,12 +2,15 @@ package tao
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -375,6 +378,102 @@ func TestLimitIsNotACapacity(t *testing.T) {
 			if len(r.got) > 0 && r.got[0].ID2 != 10+n-1 {
 				t.Errorf("%s limit %d: first %d, want the newest", r.name, c.limit, r.got[0].ID2)
 			}
+		}
+	}
+}
+
+// The object table's one concurrency hazard is a slot write against chunk
+// growth: a reader probing at and past the id counter while writers cross
+// chunk boundaries must see either ErrNotFound or the object exactly as
+// added — never a zero object with a nil error — from the leader and
+// through a follower.
+func TestObjectTableConcurrentAddGet(t *testing.T) {
+	const writers, per = 4, (3*chunkSlots + chunkSlots/2) / 4
+	s, _ := newTestStore(t)
+	f := NewFollower(s)
+	tiers := []struct {
+		who string
+		get func(ObjID) (Object, error)
+	}{{"leader", s.ObjectGet}, {"follower", f.ObjectGet}}
+	// bag is what writer w adds as its seq-th object: 1 to 3 pairs, so
+	// bags sit in the slot's room and beside it.
+	bag := func(w, seq uint64) Props {
+		b := Props{{"text", fmt.Sprint(w, "/", seq)}, {"a", "x"}, {"z", "y"}}
+		return b[:1+seq%3]
+	}
+	check := func(who string, id ObjID, obj Object, err error) bool {
+		if errors.Is(err, ErrNotFound) {
+			return true
+		}
+		w, seq := obj.Author, obj.Parent
+		want := slices.Clone(bag(w, seq))
+		slices.SortFunc(want, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
+		if err != nil || obj.ID != id || obj.Type != ObjType(fmt.Sprint("t", w)) || w >= writers ||
+			obj.Score != float64(seq)+0.5 || !slices.Equal(obj.Data, want) || obj.Version != 1 || !obj.Created.Equal(t0) {
+			t.Errorf("%s: object %d = %+v, %v; want ErrNotFound or the object as added", who, id, obj, err)
+			return false
+		}
+		return true
+	}
+	var done atomic.Bool
+	var readers sync.WaitGroup
+	for _, r := range tiers {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !done.Load() {
+				last := ObjID(s.lastID.Load())
+				for id := last - min(last, 8); id <= last+64; id++ {
+					if obj, err := r.get(id); !check(r.who, id, obj, err) {
+						return
+					}
+				}
+				if obj, err := r.get(0); !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s: object 0 = %+v, %v; want ErrNotFound", r.who, obj, err)
+					return
+				}
+			}
+		}()
+	}
+	ids := make([][]ObjID, writers)
+	var wg sync.WaitGroup
+	for w := range uint64(writers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := range uint64(per) {
+				ids[w] = append(ids[w], s.ObjectAdd(ObjType(fmt.Sprint("t", w)), w, seq, float64(seq)+0.5, bag(w, seq)))
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+
+	last := ObjID(writers * per)
+	if chunks := len(*s.table.Load()); chunks < 4 {
+		t.Fatalf("%d objects fill %d chunks, want >= 4", last, chunks)
+	}
+	seen := make(map[ObjID]bool)
+	for w, mine := range ids {
+		for seq, id := range mine {
+			for _, r := range tiers {
+				obj, err := r.get(id)
+				if err != nil || obj.Author != uint64(w) || obj.Parent != uint64(seq) || !check(r.who, id, obj, err) {
+					t.Fatalf("%s: object %d = %+v, %v; want writer %d's object %d", r.who, id, obj, err, w, seq)
+				}
+			}
+			seen[id] = true
+		}
+	}
+	for id := ObjID(1); id <= last; id++ {
+		if !seen[id] {
+			t.Errorf("id %d was never handed out", id)
+		}
+	}
+	for _, id := range []ObjID{0, last + 1, last + chunkSlots} {
+		if _, err := s.ObjectGet(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("object %d of %d: %v, want ErrNotFound", id, last, err)
 		}
 	}
 }
