@@ -67,9 +67,9 @@ func TestAllocContracts(t *testing.T) {
 		{"BRASSEventHandOff", bench.BRASSEventHandOff, 0, "Host.Deliver ranges the stored instance list, the event rides the loop queue as a value task, StreamsForTopic hands out the stored stream list"},
 		{"BRASSPayloadMiss", payloadMiss, 1, "the payload's own bytes, encoded once by the Feed resolver's AppendJSON: the privacy check, the LRU miss, the TAO read and the Put into the slot it evicts allocate nothing (4 before: the boxed payload, json.Marshal's copy, the LRU entry, the fetch flight)"},
 		{"BRASSFetchPush", fetchPush, 0, "the viewer's privacy check and the cache hit read in place, the app lends its resume patch from a buffer it formats the cursor into, send builds the payload and patch deltas on its stack array, the patch's new cursor is copied into the stored request's room, and SendBatch encodes into the session's pending buffer"},
-		{"BRASSStreamOpenClose", streamOpenClose, 2, "the subscribe hop's one, the Stream; the WAS hands back the post's topic list its app's table built on the first open; the stream closes with a constant reason, so the borrowed cancel reason is not copied; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (4 before: the WAS's topic slice and string per open; 5 before that: the close reason, a copy of the cancel's; 8 before that: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
+		{"BRASSStreamOpenClose", streamOpenClose, 1, "the subscribe hop's one, the Stream, which holds its BURST stream; the WAS hands back the post's topic list its app's table built on the first open; the stream closes with a constant reason, so the borrowed cancel reason is not copied; open and close ride the loop as value tasks, the topic set sits in the Stream, the instance's and host's lists of a one-stream topic are the Stream's and the Instance's own, the kvstore writes pick replicas on the stack (2 before: the subscribe hop's stream an object of its own; 4 before that: the WAS's topic slice and string per open; 5 before that: the close reason, a copy of the cancel's; 8 before that: the header's copy, those two lists; 11 before that: a header map's two, the decoder's copy of the reason; 17 before that: the topic-set map's two, two closures, a replica slice per write)"},
 		{"PylonSubscribeChurn", bench.PylonSubscribeChurn, 0, "both quorum writes pick their replicas on the stack, and every map they touch already holds the key (2 before: a replica slice per write)"},
-		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 5, "the device's stream and its pairs, each subscribe hop's stream, which holds the header's one copy, and the relay, which holds its first leg, encoded from the downstream stream's pairs, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (8 before: each hop's header copy, the leg an object of its own; 13 before that: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
+		{"EdgeRelayOpenClose", bench.EdgeRelayOpenClose, 4, "the device's stream and its pairs, the upstream hop's stream, and the relay, which holds its downstream stream and its first leg, encoded from that stream's pairs; each hop's stream holds the header's one copy, with no stored request and no channel; the relay has no goroutine (the downstream session's writer forwards its leg) and passes the borrowed cancel reason on uncopied (5 before: the subscribe hop's stream an object of its own; 8 before that: each hop's header copy, the leg an object of its own; 13 before that: a header map's two at the device and at each hop; 16 before that: the relay goroutine's closure and room for one; 20 before that: a 256-slot channel's two on each client stream, the leg's header clone's two)"},
 		{"PylonSlowPublish", bench.PylonSlowPublish, 2, "the first responder's view, read in place, and the cache's handles; the replica responses sit in an array on the publish's stack and the replicas agree, so nothing merges (3 before: the response slice; 7 before that: the subscribe's and the read's replica slices, a view map's two, the Members copy)"},
 	} {
 		res := testing.Benchmark(c.body)

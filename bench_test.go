@@ -101,6 +101,11 @@ func BenchmarkEdgeRelayOpenClose(b *testing.B) { bench.EdgeRelayOpenClose(b) }
 
 func BenchmarkEdgeRelayRewriteHop(b *testing.B) { bench.EdgeRelayRewriteHop(b) }
 
+// A scroll's BRASS half, and the subscribe frame through one hop's session.
+func BenchmarkBRASSStreamOpenClose(b *testing.B) { streamOpenClose(b) }
+
+func BenchmarkBURSTSubscribeHop(b *testing.B) { subscribeHop(b) }
+
 // BenchmarkHotTopicFanout is the subscriber-cache acceptance benchmark:
 // one publish fanning out to 1000 subscribed hosts on one hot topic.
 func BenchmarkHotTopicFanout(b *testing.B) { bench.HotTopicFanout(b) }
@@ -110,6 +115,10 @@ func BenchmarkEndToEndCommentPush(b *testing.B) { bench.EndToEndCommentPush(b) }
 // BenchmarkBRASSEventHandOff: one event from Host.Deliver to an app's range
 // over StreamsForTopic, with nothing else on the path.
 func BenchmarkBRASSEventHandOff(b *testing.B) { bench.BRASSEventHandOff(b) }
+
+// A payload-cache miss on a full cache: the privacy check, the TAO read, the
+// encode and the Put that evicts.
+func BenchmarkBRASSPayloadMiss(b *testing.B) { payloadMiss(b) }
 
 // The two tier RPCs on the hot paths, over loopback TCP: publish is paid
 // once per mutation, the visibility check once per delivery.

@@ -166,6 +166,84 @@ func TestUnknownAppTerminatesStream(t *testing.T) {
 	}
 }
 
+// TestRefusedSubscribeNeverCloses sends a host, on one raw session, a
+// subscribe it refuses, then that stream's cancel, a second refused subscribe
+// left open, and a subscribe it serves; then the session closes. A refused
+// subscribe was decoded into a Stream with no instance, so neither its cancel
+// nor the session's close may reach closeStream: the app sees only the
+// served stream open and close.
+func TestRefusedSubscribeNeverCloses(t *testing.T) {
+	served := burst.Header{burst.HdrApp: "echo", burst.HdrTopic: "/t/served", burst.HdrUser: "7"}
+	for _, c := range []struct {
+		name   string
+		header burst.Header
+	}{
+		{"user 0", burst.Header{burst.HdrApp: "echo", burst.HdrTopic: "/t/refused", burst.HdrUser: "0"}},
+		{"user abc", burst.Header{burst.HdrApp: "echo", burst.HdrTopic: "/t/refused", burst.HdrUser: "abc"}},
+		{"unknown app", burst.Header{burst.HdrApp: "ghost", burst.HdrTopic: "/t/refused", burst.HdrUser: "7"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := newEnv(t)
+			a, b := net.Pipe()
+			terminated := make(chan burst.StreamID, 8)
+			dev := burst.NewSession("device", a, burst.HandlerFuncs{OnFrame: func(f burst.Frame) {
+				if f.Type != burst.FrameBatch {
+					return
+				}
+				batch, err := burst.DecodeBatch(f.Payload)
+				if err != nil {
+					t.Errorf("stream %d: %v", f.SID, err)
+					return
+				}
+				for _, d := range batch.Deltas {
+					if d.Type == burst.DeltaTermination {
+						terminated <- f.SID
+					}
+				}
+			}})
+			defer dev.Close()
+			env.host.AcceptSession("host-side", b)
+			for _, m := range []struct {
+				t   burst.FrameType
+				sid burst.StreamID
+				v   any
+			}{
+				{burst.FrameSubscribe, 1, burst.Subscribe{Header: c.header}},
+				{burst.FrameCancel, 1, burst.Cancel{Reason: "scrolled"}},
+				{burst.FrameSubscribe, 3, burst.Subscribe{Header: c.header}},
+				{burst.FrameSubscribe, 5, burst.Subscribe{Header: served}},
+			} {
+				if err := dev.SendMsg(m.t, m.sid, m.v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 2 {
+				select {
+				case sid := <-terminated:
+					if sid != 1 && sid != 3 {
+						t.Errorf("stream %d terminated; only 1 and 3 were refused", sid)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a refused subscribe was never terminated")
+				}
+			}
+			waitFor(t, "the served stream open", func() bool { return env.host.StreamsOpened.Value() == 1 })
+			_ = dev.Close()
+			waitFor(t, "the served stream closed", func() bool { return env.host.StreamsClosed.Value() == 1 })
+			env.host.Quiesce()
+			env.app.mu.Lock()
+			opened, closed := env.app.opened, env.app.closed
+			env.app.mu.Unlock()
+			if opened != 1 || closed != 1 {
+				t.Errorf("the app saw %d opens and %d closes, want 1 and 1: only the served stream", opened, closed)
+			}
+			if o, cl := env.host.StreamsOpened.Value(), env.host.StreamsClosed.Value(); o != cl {
+				t.Errorf("StreamsOpened %d, StreamsClosed %d", o, cl)
+			}
+		})
+	}
+}
+
 func TestEventDeliveryThroughPylon(t *testing.T) {
 	env := newEnv(t)
 	cli := dialHost(t, env)

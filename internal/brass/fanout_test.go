@@ -25,7 +25,8 @@ func TestStreamsForTopicIsASnapshot(t *testing.T) {
 	}
 	names := map[*Stream]string{}
 	stream := func(name string) *Stream {
-		st := newStream(nil, inst)
+		st := newStream()
+		st.inst = inst
 		names[st] = name
 		return st
 	}

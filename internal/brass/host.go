@@ -459,6 +459,18 @@ type hostSessionHandler struct {
 	get func() *burst.ServerSession
 }
 
+// NewStream is a new Stream's BURST stream: the subscribe decodes into the
+// Stream itself.
+func (hh hostSessionHandler) NewStream() *burst.ServerStream { return &newStream().burst }
+
+// refuse ends a subscribe BRASS will not serve. Its Stream has no instance,
+// so State stops leading to it first: a cancel or the session's close that
+// follows never reaches closeStream.
+func refuse(bst *burst.ServerStream, reason string) {
+	bst.State = nil
+	_ = bst.Terminate(reason)
+}
+
 func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream) {
 	h := hh.h
 	// A user header is input: present, it must name a user (a decimal uid
@@ -468,7 +480,7 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream) {
 	if uidStr, ok := bst.LookupHeader(burst.HdrUser); ok {
 		uid, err := strconv.ParseUint(uidStr, 10, 64)
 		if err != nil || uid == 0 {
-			_ = bst.Terminate(fmt.Sprintf("%v: user header %q", was.ErrUnknownUser, uidStr))
+			refuse(bst, fmt.Sprintf("%v: user header %q", was.ErrUnknownUser, uidStr))
 			return
 		}
 		viewer = socialgraph.UserID(uid)
@@ -476,12 +488,11 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream) {
 	appName := bst.HeaderField(burst.HdrApp)
 	inst, err := h.Instance(appName)
 	if err != nil {
-		_ = bst.Terminate(err.Error())
+		refuse(bst, err.Error())
 		return
 	}
-	st := newStream(bst, inst)
-	st.Viewer = viewer
-	bst.State = st
+	st := bst.State.(*Stream)
+	st.inst, st.Viewer = inst, viewer
 	if h.cfg.StreamDeliverRate > 0 {
 		rate := h.cfg.StreamDeliverRate
 		dburst := h.cfg.StreamDeliverBurst

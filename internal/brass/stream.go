@@ -23,9 +23,10 @@ const HdrAdmissionState = "admission-state"
 // Stream is one device request-stream as seen by application code. All
 // methods that mutate stream state must be called from the instance's event
 // loop (i.e. from application callbacks); Push and Rewrite are safe
-// anywhere because the underlying BURST stream serializes sends.
+// anywhere because the underlying BURST stream serializes sends. It holds
+// that stream, so a stream is one object at the BRASS hop.
 type Stream struct {
-	burst *burst.ServerStream
+	burst burst.ServerStream
 	inst  *Instance
 
 	// Viewer is the subscribing user (parsed from the stream header).
@@ -51,9 +52,12 @@ type Stream struct {
 	degraded bool
 }
 
-// newStream returns inst's stream for bst, its topic list on its own array.
-func newStream(bst *burst.ServerStream, inst *Instance) *Stream {
-	st := &Stream{burst: bst, inst: inst}
+// newStream returns a stream for a subscribe to decode into, its topic list
+// on its own array and its BURST stream's State leading back to it. Its
+// instance is set once the subscribe names one.
+func newStream() *Stream {
+	st := new(Stream)
+	st.burst.State = st
 	st.topics = st.topic1[:0]
 	st.self[0] = st
 	return st

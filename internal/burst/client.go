@@ -91,6 +91,7 @@ type ClientStream struct {
 	req        request // current (possibly rewritten) request; empty on a relay leg
 	terminated bool
 	shedding   bool // a shed episode's marker is queued and its recovery is not
+	linked     bool // a forwarded leg is on its writer's ready list or taking its turn; beside the flags, it packs with them
 	lastSeq    uint64
 
 	// The queue: n batches from head in a ring that starts in inline and
@@ -101,11 +102,10 @@ type ClientStream struct {
 	ready   sync.Cond // on mu: a batch was queued, or the stream ended
 
 	// A forwarded relay leg's batches go to the writer of to's session, which
-	// hands them to fwd. linked: the leg is on that writer's ready list or
-	// taking its turn; nextLeg, behind it on the list, is under the writer's mu.
+	// hands them to fwd; nextLeg, behind it on the writer's ready list, is
+	// under the writer's mu.
 	to      *ServerStream
 	fwd     Forwarder
-	linked  bool
 	nextLeg *ClientStream
 }
 

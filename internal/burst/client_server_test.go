@@ -19,6 +19,9 @@ type echoServer struct {
 	closed  bool
 }
 
+// NewStream hands out a stream of its own, as ServerHandlerFuncs does.
+func (e *echoServer) NewStream() *ServerStream { return new(ServerStream) }
+
 // OnSubscribe records the request as the stream held it when it opened.
 func (e *echoServer) OnSubscribe(st *ServerStream) {
 	e.mu.Lock()

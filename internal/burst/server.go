@@ -13,9 +13,15 @@ import (
 // ServerHandler receives stream lifecycle events on the upstream (BRASS or
 // proxy) side of a session. Callbacks run on the session's read goroutine.
 type ServerHandler interface {
-	// OnSubscribe is invoked when a new stream is requested. The stream
-	// is already registered and holds the request (HeaderField); the handler
-	// may send batches immediately.
+	// NewStream returns the zero stream a subscribe is decoded into. A
+	// handler whose per-stream object holds its ServerStream by value hands
+	// out that field, so a stream is one object per hop; State is its way
+	// back to the owner. The stream may be dropped unseen (a request that
+	// does not decode, a duplicate id) or refused by OnSubscribe.
+	NewStream() *ServerStream
+	// OnSubscribe is invoked when a new stream is requested, with the stream
+	// NewStream returned. It is already registered and holds the request
+	// (HeaderField); the handler may send batches immediately.
 	OnSubscribe(st *ServerStream)
 	// OnCancel is invoked when the peer cancels a stream. The stream is
 	// already unregistered. c.Reason is BORROWED from the frame: valid until
@@ -61,9 +67,9 @@ type ServerStream struct {
 	hdr        [headerRoom]byte // the header's bytes while they fit, then req's first room
 	terminated bool
 
-	// State is free space for the application (e.g. the BRASS keeps its
-	// per-stream filter state here). Synchronize externally if accessed
-	// from multiple goroutines.
+	// State is free space for the application: the way back from the stream
+	// to the object that holds it (BRASS's Stream, a proxy's relay).
+	// Synchronize externally if accessed from multiple goroutines.
 	State any
 }
 
@@ -188,10 +194,12 @@ func (d serverDispatch) HandleFrame(f Frame) {
 	s := d.s
 	switch f.Type {
 	case FrameSubscribe:
-		// The stream decodes its request into itself, and the header's bytes
-		// while they fit; the rest of hdr is the room rewrites copy into. The
-		// body, never written, must outlive the borrowed frame.
-		st := &ServerStream{srv: s, sid: f.SID}
+		// The stream the handler lends decodes its request into itself, and
+		// the header's bytes while they fit; the rest of hdr is the room
+		// rewrites copy into. The body, never written, must outlive the
+		// borrowed frame.
+		st := s.handler.NewStream()
+		st.srv, st.sid = s, f.SID
 		r := frame.Reader{B: f.Payload}
 		pairs, used := readPairs(&r, st.inline[:0], st.hdr[:])
 		st.req = request{pairs: pairs, body: r.Bytes(), room: st.hdr[used:used]}
@@ -258,6 +266,9 @@ type ServerHandlerFuncs struct {
 	Cancel       func(st *ServerStream, c Cancel)
 	SessionClose func(streams []*ServerStream, err error)
 }
+
+// NewStream implements ServerHandler: each stream is an object of its own.
+func (h ServerHandlerFuncs) NewStream() *ServerStream { return new(ServerStream) }
 
 // OnSubscribe implements ServerHandler.
 func (h ServerHandlerFuncs) OnSubscribe(st *ServerStream) {

@@ -166,11 +166,11 @@ func (p *Proxy) upstreamFor(target string) (*upstream, error) {
 // (Client.OpenLeg) at open and at its re-route. It has no goroutine
 // of its own: its upstream leg's batches reach it on down's session writer
 // (Forward), and only the re-route, which waits on dials, runs on one until
-// it has a new leg. Its first leg lives inside it, so a relayed stream is one
-// object; the re-route opens its leg afresh.
+// it has a new leg. Its downstream stream and its first leg live inside it,
+// so a relayed stream is one object; the re-route opens its leg afresh.
 type relay struct {
 	p     *Proxy
-	down  *burst.ServerStream
+	down  burst.ServerStream
 	first burst.ClientStream
 
 	mu       sync.Mutex
@@ -207,7 +207,7 @@ func (r *relay) isDone() bool {
 // never opened, which queues what it receives until it is handed to down's
 // writer. It reports whether st is now the relay's leg.
 func (r *relay) connect(avoid map[string]bool, st *burst.ClientStream) bool {
-	target, err := r.p.router.Route(r.down, avoid)
+	target, err := r.p.router.Route(&r.down, avoid)
 	if err != nil {
 		return false
 	}
@@ -218,7 +218,7 @@ func (r *relay) connect(avoid map[string]bool, st *burst.ClientStream) bool {
 	r.target = target
 	r.mu.Unlock()
 	u, err := r.p.upstreamFor(target)
-	if err != nil || u.client.OpenLeg(st, r.down) != nil {
+	if err != nil || u.client.OpenLeg(st, &r.down) != nil {
 		return false
 	}
 	r.mu.Lock()
@@ -375,7 +375,7 @@ func (r *relay) reroute(legLost bool) {
 			} else {
 				r.p.StreamsRelayed.Inc()
 			}
-			r.leg().Forward(r.down, r)
+			r.leg().Forward(&r.down, r)
 			return
 		}
 	}
@@ -390,10 +390,17 @@ type proxyHandler struct {
 	sess func() *burst.ServerSession
 }
 
+// NewStream is a new relay's downstream stream: the subscribe decodes into
+// the relay itself.
+func (h proxyHandler) NewStream() *burst.ServerStream {
+	r := &relay{p: h.p}
+	r.down.State = r
+	return &r.down
+}
+
 func (h proxyHandler) OnSubscribe(down *burst.ServerStream) {
 	p := h.p
-	r := &relay{p: p, down: down}
-	down.State = r
+	r := down.State.(*relay)
 	p.mu.Lock()
 	p.relays[r] = true
 	p.mu.Unlock()

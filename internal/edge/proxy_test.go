@@ -606,20 +606,7 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 		t.Fatal("the repair never redialed brass-b")
 	}
 	end(env, st)
-	waitFor(t, "the relay to learn the stream ended", func() bool {
-		env.proxy.mu.Lock()
-		relays := make([]*relay, 0, len(env.proxy.relays))
-		for r := range env.proxy.relays {
-			relays = append(relays, r)
-		}
-		env.proxy.mu.Unlock()
-		for _, r := range relays {
-			if !r.isDone() {
-				return false
-			}
-		}
-		return true
-	})
+	waitFor(t, "the relay to learn the stream ended", func() bool { return relaysDone(env.proxy) })
 	close(gate.release)
 	waitFor(t, "the repaired leg cancelled and the relay collected", func() bool {
 		env.brassB.mu.Lock()
@@ -627,6 +614,68 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 		env.brassB.mu.Unlock()
 		return streams == 1 && cancels == 1 && env.proxy.ActiveRelays() == 0
 	})
+}
+
+// relaysDone reports whether every relay p holds has been marked done.
+func relaysDone(p *Proxy) bool {
+	p.mu.Lock()
+	relays := make([]*relay, 0, len(p.relays))
+	for r := range p.relays {
+		relays = append(relays, r)
+	}
+	p.mu.Unlock()
+	for _, r := range relays {
+		if !r.isDone() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEndDuringFirstRouteReroute cancels a relayed stream, then closes its
+// downstream session, while the relay is still re-routing from a first route
+// that failed: its sticky upstream refuses dials, and the re-route's dial to
+// the other upstream waits. The relay is its downstream stream's State from
+// the subscribe on, with no leg yet: the cancel marks it done, the session's
+// close finds nothing left, and the leg the re-route then opens is cancelled,
+// with no loss handed down and no count left behind.
+func TestEndDuringFirstRouteReroute(t *testing.T) {
+	gate := &gatedDialer{target: "brass-b", entered: make(chan struct{}), release: make(chan struct{})}
+	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { gate.Dialer = n; return gate })
+	env.net.SetDown("brass-a", true)
+	st := subscribeSticky(t, env, "brass-a")
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the re-route never dialed brass-b")
+	}
+	if err := st.Cancel("scrolled away"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the relay to learn the stream ended", func() bool { return relaysDone(env.proxy) })
+	env.client.Close()
+	waitFor(t, "the downstream session dropped", func() bool {
+		env.proxy.mu.Lock()
+		defer env.proxy.mu.Unlock()
+		return len(env.proxy.downs) == 0
+	})
+	close(gate.release)
+	waitFor(t, "the re-routed leg cancelled and the relay collected", func() bool {
+		env.brassB.mu.Lock()
+		streams, cancels := len(env.brassB.streams), len(env.brassB.cancels)
+		env.brassB.mu.Unlock()
+		return streams == 1 && cancels == 1 && env.proxy.ActiveRelays() == 0
+	})
+	p := env.proxy
+	if n := env.brassA.streamCount(); n != 0 {
+		t.Errorf("brass-a saw %d streams; it refused every dial", n)
+	}
+	if a, d := p.ActiveStreams.Value(), p.DownstreamDrops.Value(); a != 0 || d != 0 {
+		t.Errorf("ActiveStreams %d, DownstreamDrops %d; want 0, 0: the cancel ended the stream before its session closed", a, d)
+	}
+	if r, f, s := p.Reconnects.Value(), p.RepairFailures.Value(), p.StreamsRelayed.Value(); r != 0 || f != 0 || s != 0 {
+		t.Errorf("Reconnects %d, RepairFailures %d, StreamsRelayed %d; want all 0 for a stream that ended before any leg", r, f, s)
+	}
 }
 
 func TestCancelDuringRepairCancelsTheRepairedLeg(t *testing.T) {

@@ -76,7 +76,10 @@ type TokenBucket struct {
 	Burst float64
 
 	tokens float64
-	last   time.Time
+	// last is the UnixNano of the last refill, 0 for a fresh bucket: 8
+	// bytes, not a 24-byte time.Time, so the brass.Stream that holds the
+	// bucket stays in its size class.
+	last int64
 }
 
 // burstCap returns the effective bucket capacity.
@@ -94,18 +97,19 @@ func (b *TokenBucket) burstCap() float64 {
 // already accumulated are kept, future refills run from the earlier time.
 func (b *TokenBucket) refill(now time.Time) {
 	cap := b.burstCap()
-	if b.last.IsZero() {
+	at := now.UnixNano()
+	if b.last == 0 {
 		b.tokens = cap
-		b.last = now
+		b.last = at
 		return
 	}
-	el := now.Sub(b.last)
+	el := time.Duration(at - b.last)
 	if el < 0 {
 		// Tolerate clock retreat: never let a future-dated `last` freeze
 		// the bucket. Small retreats (within one token of refill) keep the
 		// old anchor; larger ones re-anchor at now.
 		if b.Rate <= 0 || float64(-el)/float64(time.Second)*b.Rate > 1 {
-			b.last = now
+			b.last = at
 		}
 		return
 	}
@@ -113,7 +117,7 @@ func (b *TokenBucket) refill(now time.Time) {
 	if b.tokens > cap {
 		b.tokens = cap
 	}
-	b.last = now
+	b.last = at
 }
 
 // Allow consumes one token at time now, reporting whether the caller may
@@ -134,7 +138,7 @@ func (b *TokenBucket) Allow(now time.Time) bool {
 // stream header: "<tokens-milli>@<last-unix-nano>".
 func (b *TokenBucket) HeaderState() string {
 	return strconv.FormatInt(int64(b.tokens*1000), 10) + "@" +
-		strconv.FormatInt(b.last.UnixNano(), 10)
+		strconv.FormatInt(b.last, 10)
 }
 
 // RestoreHeaderState loads state written by HeaderState, clamping it to
@@ -160,9 +164,9 @@ func (b *TokenBucket) RestoreHeaderState(s string, now time.Time) {
 	if err1 != nil || err2 != nil || ns <= 0 {
 		return
 	}
-	last := time.Unix(0, ns)
-	if last.After(now) {
-		last = now
+	last := ns
+	if at := now.UnixNano(); last > at {
+		last = at
 	}
 	tokens := float64(milli) / 1000
 	if tokens < 0 {

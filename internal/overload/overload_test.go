@@ -69,7 +69,7 @@ func TestTokenBucketHeaderStateRoundTrip(t *testing.T) {
 func TestTokenBucketRestoreClampsFuture(t *testing.T) {
 	future := TokenBucket{Rate: 1, Burst: 1}
 	future.tokens = 0
-	future.last = t0.Add(24 * time.Hour)
+	future.last = t0.Add(24 * time.Hour).UnixNano()
 	s := future.HeaderState()
 
 	r := TokenBucket{Rate: 1, Burst: 1}
