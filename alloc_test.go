@@ -362,8 +362,8 @@ func payloadMiss(b *testing.B) {
 	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, nil, nil)
 	apps.NewSuite(w)
 	ref := w.TAO.ObjectAdd("comment", 7, 17, 0, tao.Props{{"text", "what a save!"}})
-	const size = 16
-	host := brass.NewHost(brass.HostConfig{ID: "miss-host", PayloadCacheSize: size}, nil, w, nil)
+	const size = 64 // the host's payload cache capacity (brass payload.go)
+	host := brass.NewHost(brass.HostConfig{ID: "miss-host"}, nil, w, nil)
 	defer host.Close()
 	app := &payloadFetcher{seen: make(chan int)}
 	host.RegisterApp(app)

@@ -120,6 +120,9 @@ func BenchmarkBRASSEventHandOff(b *testing.B) { bench.BRASSEventHandOff(b) }
 // encode and the Put that evicts.
 func BenchmarkBRASSPayloadMiss(b *testing.B) { payloadMiss(b) }
 
+// A payload-cache hit through Fetch and Push to a host session's writer.
+func BenchmarkBRASSFetchPush(b *testing.B) { fetchPush(b) }
+
 // The two tier RPCs on the hot paths, over loopback TCP: publish is paid
 // once per mutation, the visibility check once per delivery.
 func BenchmarkPylonPublishWire(b *testing.B) { bench.PylonPublishWire(b) }

@@ -27,8 +27,8 @@ func TestSettingsCensus(t *testing.T) {
 		{reflect.TypeOf(tao.Config{}), []string{"IndexShardCapacity"}},
 		{reflect.TypeOf(device.Config{}), []string{"User", "Region", "POPs", "Backoff", "BackoffSeed", "Tracer"}},
 		{reflect.TypeOf(durlog.Config{}), []string{"Clock", "HotBytes", "SegmentEntries", "Segments", "Retention", "CrashHook"}},
-		{reflect.TypeOf(brass.HostConfig{}), []string{"ID", "Region", "StickyRouting", "PayloadCacheSize",
-			"Tracer", "LoopQueueDepth", "StreamDeliverRate", "StreamDeliverBurst", "Durlog"}},
+		{reflect.TypeOf(brass.HostConfig{}), []string{"ID", "Region", "StickyRouting", "Tracer",
+			"LoopQueueDepth", "StreamDeliverRate", "StreamDeliverBurst", "Durlog"}},
 		{reflect.TypeOf(core.Config{}), []string{"Regions", "BRASSHostsPerRegion", "ProxiesPerRegion", "POPs",
 			"KVNodesPerRegion", "Graph", "TAO", "StickyRouting", "Overload", "Trace", "Durlog", "Geo"}},
 		{reflect.TypeOf(core.OverloadConfig{}), []string{"LoopQueueDepth", "StreamDeliverRate", "StreamDeliverBurst"}},

@@ -43,7 +43,7 @@ type Backend interface {
 	CheckEventVisibility(viewer socialgraph.UserID, ev pylon.Event) error
 	// ResolvePayloadIn resolves ev's viewer-independent payload bytes.
 	ResolvePayloadIn(region, app string, ev pylon.Event) ([]byte, error)
-	// FetchPayloadIn is CheckEventVisibility + ResolvePayloadIn in one
-	// call (the per-viewer path a host with no payload cache takes).
+	// FetchPayloadIn is CheckEventVisibility + ResolvePayloadIn in one call.
+	// No host calls it; the benchmark's traced backend forwards it.
 	FetchPayloadIn(region, app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error)
 }

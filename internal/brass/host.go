@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"bladerunner/internal/burst"
-	"bladerunner/internal/cache"
 	"bladerunner/internal/durlog"
 	"bladerunner/internal/faults"
 	"bladerunner/internal/metrics"
@@ -35,11 +34,6 @@ type HostConfig struct {
 	// into every new stream (paper §3.5 "Sticky routing"). On by default
 	// in NewHost.
 	StickyRouting bool
-	// PayloadCacheSize caps the host's shared hot-event payload cache
-	// (entries). 0 takes DefaultPayloadCacheSize; negative disables
-	// payload caching and coalescing entirely (every stream fetches from
-	// the WAS independently, the pre-fast-path behaviour).
-	PayloadCacheSize int
 	// Tracer, when set, closes brass.deliver / brass.fetch / burst.flush
 	// spans for sampled events on this host. nil disables tracing.
 	Tracer *trace.Tracer
@@ -96,10 +90,7 @@ type Host struct {
 	// Pylon registration fails transiently (quorum loss, no server), at the
 	// defaults faults.BackoffPolicy.Normalized fills in.
 	subBackoff *faults.Backoff
-
-	// payloadCache is the hot-event payload fast path (see payload.go);
-	// nil when disabled.
-	payloadCache *cache.LRU[payloadKey, []byte]
+	seed       int64 // the host identity's hash; every instance's payload cache takes it
 
 	// dlog is the host's durable per-topic log (nil when disabled).
 	dlog *durlog.Log
@@ -159,13 +150,7 @@ func NewHost(cfg HostConfig, pyl PubSub, wasrv Backend, sched sim.Scheduler) *Ho
 		pendingSubs:   make(map[pylon.Topic]*subRetry),
 		sessions:      make(map[*burst.ServerSession]bool),
 		subBackoff:    faults.NewBackoff(faults.BackoffPolicy{}, seed),
-	}
-	if cfg.PayloadCacheSize >= 0 {
-		size := cfg.PayloadCacheSize
-		if size == 0 {
-			size = DefaultPayloadCacheSize
-		}
-		h.payloadCache = cache.NewLRU[payloadKey, []byte](size, payloadCacheTTL, 0.25, sched, seed)
+		seed:          seed,
 	}
 	if cfg.Durlog {
 		h.dlog = durlog.New(durlog.Config{Clock: sched})

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/cache"
 	"bladerunner/internal/overload"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/trace"
@@ -73,7 +74,8 @@ type Instance struct {
 	// list is copy-on-write, in open order: StreamsForTopic hands out the
 	// stored slice, and an AddTopic/DropTopic stores a new one.
 	topicStreams map[pylon.Topic][]*Stream
-	self         [1]*Instance // alone's array: this instance, set before it is shared
+	self         [1]*Instance                   // alone's array: this instance, set before it is shared
+	payloads     *cache.LRU[payloadKey, []byte] // the app's payload cache (payload.go)
 
 	// streams is the open-stream set. The loop writes it under flowMu and
 	// reads it freely; the degraded-mode signaler, which runs on whatever
@@ -129,6 +131,7 @@ func newInstance(h *Host, app Application) *Instance {
 		streams:      make(map[*Stream]bool),
 	}
 	inst.self[0] = inst
+	inst.payloads = cache.NewLRU[payloadKey, []byte](payloadCacheSize, payloadCacheTTL, 0.25, h.sched, h.seed)
 	inst.tasks.OnDegraded = func() { inst.signalFlow(burst.FlowDegraded) }
 	inst.tasks.OnRecovered = func() { inst.signalFlow(burst.FlowRecovered) }
 	inst.rt = &Runtime{host: h, inst: inst}

@@ -13,49 +13,46 @@ import (
 // host, every stream needs the same payload bytes but its own privacy
 // decision. The host therefore runs the WAS privacy check per viewer and
 // shares only the TAO read: the resolved bytes sit in a small TTL-bounded
-// LRU, so later streams of the same event skip the WAS. Nothing coalesces
-// in-flight fetches: one instance loop runs every fetch of one app on one
-// host, and the key names the app. A miss allocates only the bytes the
-// resolver encodes. Cached payload byte slices are shared across streams
-// and must be treated as immutable by application code.
+// LRU, so later streams of the same event skip the WAS. Each instance keeps
+// its own, and one loop makes all its fetches: nothing coalesces in-flight
+// fetches, and one app's events never evict another's. A miss allocates only
+// the bytes the resolver encodes. Cached payload byte slices are shared
+// across streams and must be treated as immutable by application code.
 
-// payloadKey identifies one event's payload on one application. Event IDs
-// are unique per publish, so the key never aliases two payloads.
+// payloadKey identifies one event's payload within one application. Event
+// IDs are unique per publish, so the key never aliases two payloads.
 type payloadKey struct {
-	app string
 	id  uint64
 	ref uint64
 }
 
-// DefaultPayloadCacheSize is the per-host payload cache capacity used when
-// HostConfig.PayloadCacheSize is 0.
-const DefaultPayloadCacheSize = 1024
+// payloadCacheSize is each instance's capacity: one event's fan-out, served
+// inside one OnEvent, or the comments LVC's viewers pop up to one rate limit
+// apart, while fewer than 64 others are fetched between (DESIGN.md §7b).
+const payloadCacheSize = 64
 
 // payloadCacheTTL bounds payload reuse: long enough to cover one hot
 // event's fan-out burst, short enough that an edited payload converges
 // within a couple of seconds.
 const payloadCacheTTL = 2 * time.Second
 
-// fetchPayload is the host-level payload fetch every stream routes through:
-// per-viewer privacy check, then cache, then the WAS into the cache.
-func (h *Host) fetchPayload(app string, viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
+// fetchPayload is the payload fetch every stream of the instance routes
+// through: per-viewer privacy check, then cache, then the WAS into the cache.
+func (inst *Instance) fetchPayload(viewer socialgraph.UserID, ev pylon.Event) ([]byte, error) {
+	h, app := inst.host, inst.app.Name()
 	sp := h.cfg.Tracer.Start(ev.Trace, trace.HopFetch, trace.HopDeliver)
 	defer sp.End()
 	sp.Annotate("host", h.cfg.ID)
 	sp.Annotate("app", app)
 	h.WASFetches.Inc()
-	if h.payloadCache == nil {
-		sp.Annotate("cache", "disabled")
-		return h.was.FetchPayloadIn(h.cfg.Region, app, viewer, ev)
-	}
 	// The privacy check is mandatory per viewer; only the TAO read below
 	// is shared.
 	if err := h.was.CheckEventVisibility(viewer, ev); err != nil {
 		sp.Annotate("denied", "privacy")
 		return nil, err
 	}
-	key := payloadKey{app: app, id: ev.ID, ref: ev.Ref}
-	if b, ok := h.payloadCache.Get(key); ok {
+	key := payloadKey{id: ev.ID, ref: ev.Ref}
+	if b, ok := inst.payloads.Get(key); ok {
 		h.PayloadCacheHits.Inc()
 		sp.Annotate("cache", "hit")
 		return b, nil
@@ -66,7 +63,7 @@ func (h *Host) fetchPayload(app string, viewer socialgraph.UserID, ev pylon.Even
 	// privacy check above needed the authoritative graph.
 	b, err := h.was.ResolvePayloadIn(h.cfg.Region, app, ev)
 	if err == nil {
-		h.payloadCache.Put(key, b)
+		inst.payloads.Put(key, b)
 	}
 	return b, err
 }

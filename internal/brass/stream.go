@@ -101,13 +101,13 @@ func (p Payload) Reencode(b []byte) Payload { p.b = b; return p }
 func (p Payload) Derive(b []byte) Payload { return Payload{b: b, ok: p.ok} }
 
 // Fetch asks the WAS for the device-facing payload of ev as this stream's
-// viewer: the privacy check, then the TAO read, which the host shares
+// viewer: the privacy check, then the TAO read, which the instance shares
 // across the streams fanning out the same event (payload.go). The Payload
 // carries seq and ev's trace context onto the wire, so the flush, the
 // proxies and the device attribute it to the mutation that produced it. A
 // denial or a failed read is counted Filtered and answers false.
 func (st *Stream) Fetch(ev pylon.Event, seq uint64) (Payload, bool) {
-	b, err := st.inst.host.fetchPayload(st.inst.app.Name(), st.Viewer, ev)
+	b, err := st.inst.fetchPayload(st.Viewer, ev)
 	if err != nil {
 		st.Filtered()
 		return Payload{}, false

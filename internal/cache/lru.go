@@ -1,7 +1,7 @@
 // Package cache provides the concurrency-safe cache the hot-path fast lanes
-// are built from: a seeded, TTL-bounded LRU (the BRASS payload cache and the
-// Pylon subscriber-set cache). A full cache inserts into the slot it evicts,
-// so steady-state churn allocates nothing.
+// are built from: a seeded, TTL-bounded LRU (each BRASS instance's payload
+// cache and the Pylon subscriber-set cache). A full cache inserts into the
+// slot it evicts, so steady-state churn allocates nothing.
 //
 // The LRU takes an injected sim.Clock so expiry behaves identically under
 // the wall clock and under the deterministic virtual-time engine, and it is

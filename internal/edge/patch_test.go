@@ -88,11 +88,9 @@ func (c *chain) holders(server *burst.ServerStream, device *burst.ClientStream) 
 		out["server"] = server.Request
 	}
 	for _, p := range []*Proxy{c.rproxy, c.pop} {
-		p.mu.Lock()
-		for r := range p.relays {
+		for _, r := range relays(p) {
 			out[p.name] = r.down.Request
 		}
-		p.mu.Unlock()
 	}
 	return out
 }
@@ -226,15 +224,13 @@ func TestRewritePatchesFoldAtEveryHop(t *testing.T) {
 	// it decoded (its subscribe handler only borrowed it). The upstream leg,
 	// which that handler opened with it, keeps none.
 	for _, p := range []*Proxy{c.rproxy, c.pop} {
-		p.mu.Lock()
-		for r := range p.relays {
+		for _, r := range relays(p) {
 			r.mu.Lock()
 			if req := r.up.Request(); len(req.Header) != 0 || req.Body != nil {
 				t.Errorf("%s: the upstream leg stores a request: %+v", p.name, req)
 			}
 			r.mu.Unlock()
 		}
-		p.mu.Unlock()
 	}
 }
 

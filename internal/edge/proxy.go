@@ -25,7 +25,6 @@ type Proxy struct {
 
 	mu        sync.Mutex
 	upstreams map[string]*upstream
-	relays    map[*relay]bool
 	downs     map[*burst.ServerSession]bool
 	closed    bool
 
@@ -58,7 +57,6 @@ func NewProxy(name string, dialer Dialer, router Router) *Proxy {
 		dialer:    dialer,
 		router:    router,
 		upstreams: make(map[string]*upstream),
-		relays:    make(map[*relay]bool),
 		downs:     make(map[*burst.ServerSession]bool),
 	}
 }
@@ -83,11 +81,7 @@ func (p *Proxy) Accept(rwc io.ReadWriteCloser) { p.AcceptSession(p.name+"-downst
 // ActiveRelays returns the number of live relayed streams.
 //
 //brlint:allow(test-only-export) an operator stat; the per-node stats registry of ROADMAP item 4(b) is its caller
-func (p *Proxy) ActiveRelays() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.relays)
-}
+func (p *Proxy) ActiveRelays() int { return int(p.ActiveStreams.Value()) }
 
 // Close simulates the proxy machine dying: every session it terminates —
 // upstream and downstream — is severed, so neighbours detect the failure
@@ -190,9 +184,6 @@ func (r *relay) setDone() bool {
 	}
 	r.done = true
 	r.mu.Unlock()
-	r.p.mu.Lock()
-	delete(r.p.relays, r)
-	r.p.mu.Unlock()
 	r.p.ActiveStreams.Add(-1)
 	return true
 }
@@ -401,9 +392,6 @@ func (h proxyHandler) NewStream() *burst.ServerStream {
 func (h proxyHandler) OnSubscribe(down *burst.ServerStream) {
 	p := h.p
 	r := down.State.(*relay)
-	p.mu.Lock()
-	p.relays[r] = true
-	p.mu.Unlock()
 	p.ActiveStreams.Add(1)
 	if !r.connect(nil, &r.first) {
 		// This read loop serves every other stream of the session: the

@@ -182,14 +182,11 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { wire.inner = n; return wire })
 	st := subscribeSticky(t, env, "brass-a")
 	waitFor(t, "upstream on A", func() bool { return env.brassA.stream(0) != nil })
-	env.proxy.mu.Lock()
-	var r *relay
-	for r = range env.proxy.relays {
-	}
-	env.proxy.mu.Unlock()
-	if r == nil || r.leg() != &r.first {
+	rs := relays(env.proxy)
+	if len(rs) != 1 || rs[0].leg() != &rs[0].first {
 		t.Fatal("the relay's first leg is not the one inside it")
 	}
+	r := rs[0]
 
 	// BRASS patches three different keys; the repair must carry all three
 	// and every key of the original subscribe.
@@ -572,6 +569,23 @@ func TestProxyServerTerminationForwardedAndGCd(t *testing.T) {
 	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveRelays() == 0 })
 }
 
+// relays returns the relays of p's open downstream streams.
+func relays(p *Proxy) []*relay {
+	p.mu.Lock()
+	downs := make([]*burst.ServerSession, 0, len(p.downs))
+	for ss := range p.downs {
+		downs = append(downs, ss)
+	}
+	p.mu.Unlock()
+	var out []*relay
+	for _, ss := range downs {
+		for _, down := range ss.Streams() {
+			out = append(out, down.State.(*relay))
+		}
+	}
+	return out
+}
+
 // gatedDialer dials through Dialer, except that a dial to target first
 // waits for release; entered is closed when the first such dial waits.
 type gatedDialer struct {
@@ -606,7 +620,7 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 		t.Fatal("the repair never redialed brass-b")
 	}
 	end(env, st)
-	waitFor(t, "the relay to learn the stream ended", func() bool { return relaysDone(env.proxy) })
+	waitFor(t, "the relay to learn the stream ended", func() bool { return env.proxy.ActiveRelays() == 0 })
 	close(gate.release)
 	waitFor(t, "the repaired leg cancelled and the relay collected", func() bool {
 		env.brassB.mu.Lock()
@@ -614,22 +628,6 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 		env.brassB.mu.Unlock()
 		return streams == 1 && cancels == 1 && env.proxy.ActiveRelays() == 0
 	})
-}
-
-// relaysDone reports whether every relay p holds has been marked done.
-func relaysDone(p *Proxy) bool {
-	p.mu.Lock()
-	relays := make([]*relay, 0, len(p.relays))
-	for r := range p.relays {
-		relays = append(relays, r)
-	}
-	p.mu.Unlock()
-	for _, r := range relays {
-		if !r.isDone() {
-			return false
-		}
-	}
-	return true
 }
 
 // TestEndDuringFirstRouteReroute cancels a relayed stream, then closes its
@@ -652,7 +650,7 @@ func TestEndDuringFirstRouteReroute(t *testing.T) {
 	if err := st.Cancel("scrolled away"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the relay to learn the stream ended", func() bool { return relaysDone(env.proxy) })
+	waitFor(t, "the relay to learn the stream ended", func() bool { return env.proxy.ActiveRelays() == 0 })
 	env.client.Close()
 	waitFor(t, "the downstream session dropped", func() bool {
 		env.proxy.mu.Lock()

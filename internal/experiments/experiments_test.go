@@ -276,8 +276,9 @@ func TestAblationSubscriptionDedup(t *testing.T) {
 
 // TestSwitchoverStreamCountsAddUp checks how the stream variant's live
 // counters relate, whatever their values: each publish is one decision per
-// open stream, a delivery needs a decision, the blocks deny some pops, and
-// every privacy check LVC makes at pop time ends in a delivery or a denial.
+// open stream, a delivery needs a decision, the blocks deny some pops, every
+// privacy check LVC makes at pop time ends in a delivery or a denial, and the
+// host's payload cache resolves each comment the viewers received once.
 func TestSwitchoverStreamCountsAddUp(t *testing.T) {
 	_, lc := runStreams(1)
 	t.Logf("%+v", lc)
@@ -297,6 +298,10 @@ func TestSwitchoverStreamCountsAddUp(t *testing.T) {
 			"per-stream admission sheds the push (%d sheds) or the session send fails) or a check "+
 			"ran outside LVC's pop",
 			lc.checks, lc.deliveries, lc.denied, lc.checks-lc.deliveries-lc.denied, lc.sheds)
+	}
+	if lc.fetched == 0 || lc.resolved != lc.fetched {
+		t.Errorf("%d WAS payload resolutions for %d distinct comments received: the host's payload cache "+
+			"let a comment's later pops resolve it again", lc.resolved, lc.fetched)
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bladerunner/internal/apps"
@@ -122,6 +124,8 @@ type lvcCounts struct {
 	checks     int64   // WAS privacy checks
 	denied     int64   // WAS privacy denials
 	sheds      int64   // payload deltas shed by per-stream admission
+	resolved   int64   // WAS payload resolutions
+	fetched    int64   // distinct comments the viewers received
 }
 
 // runStreams serves the comments to Bladerunner streams on one BRASS host.
@@ -131,11 +135,16 @@ func runStreams(seed int64) (switchStats, lvcCounts) {
 	host := core.NewBrassTier(env.cfg, "us", "", env.Apps, env.pylon, env.WAS, nil).Hosts[0]
 	defer host.Close()
 
+	// The viewers read their streams as batches arrive. Each payload delta's
+	// seq is its comment's ID (LVC's flush).
+	var mu sync.Mutex
+	fetched := make(map[uint64]bool)
+	var received atomic.Int64
 	for i := 0; i < switchViewers; i++ {
 		a, b := edge.Pipe()
 		c := burst.NewClient(fmt.Sprintf("viewer-%d", i), a, nil)
 		host.AcceptSession("sess", b)
-		_, err := c.Subscribe(burst.Subscribe{Header: burst.Header{
+		st, err := c.Subscribe(burst.Subscribe{Header: burst.Header{
 			burst.HdrApp:          apps.AppLiveComments,
 			burst.HdrSubscription: "liveVideoComments(videoID: 900)",
 			burst.HdrUser:         strconv.Itoa(i + 1),
@@ -144,17 +153,32 @@ func runStreams(seed int64) (switchStats, lvcCounts) {
 			panic(err)
 		}
 		defer c.Close()
+		go func() {
+			for rc, ok := st.Next(); ok; rc, ok = st.Next() {
+				mu.Lock()
+				for _, d := range rc.Deltas {
+					if d.Type == burst.DeltaPayload {
+						fetched[d.Seq] = true
+						received.Add(1)
+					}
+				}
+				mu.Unlock()
+				rc.Release()
+			}
+		}()
 	}
 	// Every stream is open and the host holds the topic on Pylon before
 	// the first comment, so each publish meets all the viewers.
-	deadline := sched.Now().Add(2 * time.Second)
-	for host.StreamsOpened.Value() < switchViewers && sched.Now().Before(deadline) {
-		sim.Sleep(sched, time.Millisecond)
-	}
+	waitUntil(sched, 2*time.Second, func() bool { return host.StreamsOpened.Value() >= switchViewers })
 	env.pylon.WaitForSubscriber(sched, apps.LVCTopic(900), 2*time.Second)
 	postComments(sched, env.WAS)
 	sim.Sleep(sched, settleAfter)
 	host.Quiesce()
+	// The host's writers and the pipes may still hold payloads it sent: wait
+	// until the viewers have read as many as it delivered.
+	waitUntil(sched, 2*time.Second, func() bool { return received.Load() >= host.Deliveries.Value() })
+	mu.Lock()
+	defer mu.Unlock()
 	return env.snapshot(), lvcCounts{
 		published:  env.WAS.PublishesEmitted.Value(),
 		decisions:  host.Decisions.Value(),
@@ -163,6 +187,8 @@ func runStreams(seed int64) (switchStats, lvcCounts) {
 		checks:     env.WAS.PrivacyChecks.Value(),
 		denied:     env.WAS.PrivacyDenied.Value(),
 		sheds:      host.StreamSheds.Value(),
+		resolved:   env.WAS.PayloadFetches.Value(),
+		fetched:    int64(len(fetched)),
 	}
 }
 
