@@ -42,13 +42,14 @@ func NewFollower(store *Store) *Follower {
 }
 
 // ObjectGet serves the object from cache, filling from the leader on miss.
-// Its cache holds the leader's stored object itself (see Object), never a copy.
+// Its cache holds the leader's table slot itself, never a copy, and builds
+// the Object from it as the leader does.
 func (f *Follower) ObjectGet(id ObjID) (Object, error) {
 	f.mu.Lock()
 	if o, ok := f.objects[id]; ok {
 		f.mu.Unlock()
 		f.Hits.Inc()
-		return o.Object, nil
+		return o.get(id), nil
 	}
 	gen := f.gen
 	f.mu.Unlock()
@@ -58,7 +59,7 @@ func (f *Follower) ObjectGet(id ObjID) (Object, error) {
 		return Object{}, err
 	}
 	install(f, f.objects, id, o, gen)
-	return o.Object, nil
+	return o.get(id), nil
 }
 
 // AssocRange serves the association list from cache, filling on miss.

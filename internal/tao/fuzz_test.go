@@ -67,8 +67,10 @@ func FuzzAssocOps(f *testing.F) {
 // object holds (bagRoom). After each add it overwrites the bag it passed,
 // then reads every object added so far from the leader and through a
 // Follower — a miss the first time, a hit after — and checks each against a
-// map reference in which a key's last pair wins. Id 0 and the id one past
-// the last added read as ErrNotFound from both.
+// map reference in which a key's last pair wins, its type and typed fields,
+// Version 1 and Created, the clock's time at the add in UTC (==, so no
+// monotonic reading). Id 0 and the id one past the last added read as
+// ErrNotFound from both.
 //
 // An add is one header byte and a byte a pair. The header's low 3 bits are
 // the bag's size and the whole byte seeds the typed fields; a pair's low 2
@@ -79,6 +81,7 @@ func FuzzObjectAdd(f *testing.F) {
 		typ            ObjType
 		author, parent uint64
 		score          float64
+		created        time.Time
 		bag            map[string]string
 	}
 	keys := []string{"a", "kind", "text", "z"}
@@ -92,7 +95,7 @@ func FuzzObjectAdd(f *testing.F) {
 			i++
 			bag := make(Props, min(int(h&7), len(b)-i))
 			w := want{typ: ObjType(keys[h>>3&3]), author: uint64(h >> 3), parent: uint64(h) << 40,
-				score: float64(h) / 8, bag: make(map[string]string)}
+				score: float64(h) / 8, created: clk.Now(), bag: make(map[string]string)}
 			for j := range bag {
 				bag[j] = [2]string{keys[b[i]&3], string(rune('0' + b[i]>>2))}
 				w.bag[bag[j][0]] = bag[j][1]
@@ -122,7 +125,7 @@ func FuzzObjectAdd(f *testing.F) {
 						t.Fatalf("%s: object %d: %v", r.name, id, err)
 					}
 					if obj.ID != id || obj.Type != w.typ || obj.Author != w.author || obj.Parent != w.parent ||
-						obj.Score != w.score || obj.Version != 1 {
+						obj.Score != w.score || obj.Version != 1 || obj.Created != w.created {
 						t.Fatalf("%s: object %d = %+v, reference %+v", r.name, id, obj, w)
 					}
 					got := make(map[string]string)

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 	"unsafe"
@@ -122,14 +123,17 @@ func retainedPer(n int, add func(i int)) float64 {
 }
 
 // TestStoreHoldsWhatItStores pins the stored form. A comment with its text
-// and two ids is one 168-byte slot of the object table — the 104-byte
-// Object, its ids typed, and room for two pairs that holds the text — and
+// and two ids is one 128-byte slot of the object table — its type, ids,
+// score and creation time, and room for two pairs that holds the text — and
 // the table's 1024-slot chunks are whole 8-KiB pages, so a comment retains
-// ~170 B and ObjectAdd allocates nothing; as a 176-byte object of its own
-// behind a shard map's slot it retained ~205 in one allocation, as a 3-pair
-// bag beside an 80-byte Object about 205 in two, as a 3-key map 428. An
-// association row is 48 bytes plus its list's growth slack, filed under the
-// list's key rather than repeating it (80-byte rows: 140). ObjectAdd copies
+// ~129 B and ObjectAdd allocates nothing. An association row is 32 bytes
+// plus its list's growth slack, filed under the list's key rather than
+// repeating it. A list grows by doubling into size classes, with an 8-byte
+// malloc header past 512 B, so what a row retains is mostly where its
+// list's length falls against that capacity: ~64 B over 256 video lists of
+// 78 rows (151-row capacity, 4 832 B; 48-byte rows read ~54, their 85-row
+// capacity, 4 080 B, nearer the length), ~61 B over 1 000 mailboxes of 40
+// rows (71-row capacity, 2 272 B; 48-byte rows read ~105). ObjectAdd copies
 // the caller's bag, so the literal stays on the caller's stack.
 func TestStoreHoldsWhatItStores(t *testing.T) {
 	if size := unsafe.Sizeof(chunk{}); size%8192 != 0 {
@@ -150,15 +154,24 @@ func TestStoreHoldsWhatItStores(t *testing.T) {
 		s.AssocAdd(ObjID(1+i%256), "video_comment", ObjID(1000+i), t0.Add(time.Duration(i)), "")
 	})
 	runtime.KeepAlive(s)
+	// A mailbox's messages, each row's data its seq, over 1 000 mailboxes.
+	s = MustNewStore(DefaultConfig(), nil)
+	mail := retainedPer(40*1000, func(i int) {
+		s.AssocAdd(ObjID(1+i%1000), "mailbox_msg", ObjID(1000+i), t0.Add(time.Duration(i)), strconv.Itoa(1+i/1000))
+	})
+	runtime.KeepAlive(s)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.ObjectAdd("comment", 7, 17, 0, Props{{"text", "nice"}})
 	})
-	t.Logf("comment object %.1f B, association row %.1f B, ObjectAdd %v allocs", obj, row, allocs)
-	if obj > 176 {
-		t.Errorf("a comment object retains %.1f B, want <= 176", obj)
+	t.Logf("comment object %.1f B, association row %.1f B (video) %.1f B (mailbox), ObjectAdd %v allocs", obj, row, mail, allocs)
+	if obj > 136 {
+		t.Errorf("a comment object retains %.1f B, want <= 136", obj)
 	}
 	if row > 90 {
-		t.Errorf("an association row retains %.1f B, want <= 90", row)
+		t.Errorf("a video's association row retains %.1f B, want <= 90", row)
+	}
+	if mail > 72 {
+		t.Errorf("a mailbox's association row retains %.1f B, want <= 72", mail)
 	}
 	if allocs != 0 {
 		t.Errorf("ObjectAdd: %v allocs, want 0 (the object and its bag sit in the table's slot)", allocs)

@@ -21,12 +21,15 @@
 //
 // Both tiers store rows, not maps. The store allocates object ids densely
 // and never deletes an object, so objects sit in one table indexed by id−1:
-// fixed chunks that never move, each allocated when the id counter reaches
-// it. An object carries its numbers typed — Author, Parent, Score — and its
-// few strings as a bag, one slice of (key, value) pairs sorted by key (Props)
-// that sits inside its table slot when it has at most two pairs; the follower
-// tier shares the leader's slot. A list holds (id2, time, data) rows filed
-// under its (id1, atype) key, as real TAO files them.
+// fixed chunks of 128-byte slots that never move, each allocated when the id
+// counter reaches it. An object carries its numbers typed — Author, Parent,
+// Score — and its few strings as a bag, one slice of (key, value) pairs
+// sorted by key (Props) that sits inside its table slot when it has at most
+// two pairs; a slot keeps its creation time as Unix nanoseconds and neither
+// its id (its place in the table) nor its version (always 1). The follower
+// tier shares the leader's slot. A list holds 32-byte (id2, time, data) rows
+// filed under its (id1, atype) key, as real TAO files them, oldest first, so
+// the common add, a row newer than every other, is an append.
 //
 // All methods are safe for concurrent use.
 package tao
@@ -68,6 +71,8 @@ type AssocType string
 var ErrNotFound = errors.New("tao: not found")
 
 // Object is a node with typed numeric fields and a bag of free-form strings.
+// The store keeps Created as Unix nanoseconds, so a read returns it in UTC,
+// without a monotonic clock reading.
 type Object struct {
 	ID   ObjID
 	Type ObjType
@@ -118,14 +123,35 @@ func sortInto(dst, p Props) Props {
 // bag fits, so its add allocates nothing.
 const bagRoom = 2
 
-// object is an Object as the table stores it, with room for a small bag.
+// object is an Object as the table stores it, in 128 bytes. Its id is its
+// place in the table and its Version is always 1, so neither is stored;
+// created is Unix nanoseconds. A bag of at most bagRoom pairs sits in room,
+// n of them; a larger one is big's.
 type object struct {
-	Object
-	room [bagRoom][2]string
+	typ            ObjType
+	author, parent uint64
+	score          float64
+	created        int64
+	room           [bagRoom][2]string
+	big            *Props
+	n              uint8
+	// set is false until the slot is written: a slot reserved by the id
+	// counter reads as not found.
+	set bool
+}
+
+// get builds the Object o stores under id; its Data is o's bag itself.
+func (o *object) get(id ObjID) Object {
+	data := Props(o.room[:o.n:o.n])
+	if o.big != nil {
+		data = *o.big
+	}
+	return Object{ID: id, Type: o.typ, Author: o.author, Parent: o.parent, Score: o.score,
+		Data: data, Created: time.Unix(0, o.created).UTC(), Version: 1}
 }
 
 // chunkSlots is how many objects one chunk of the object table holds: 1024
-// 168-byte objects are exactly 21 8-KiB pages.
+// 128-byte objects are exactly 16 8-KiB pages.
 const chunkSlots = 1024
 
 // chunk is one block of the object table. It never moves, so a handed-out
@@ -133,7 +159,9 @@ const chunkSlots = 1024
 type chunk [chunkSlots]object
 
 // Assoc is a typed, directed edge from ID1 to ID2 with a timestamp and
-// payload. The inverse edge is not created implicitly.
+// payload. The inverse edge is not created implicitly. The store keeps Time
+// as Unix nanoseconds, so it must fall between the years 1678 and 2262, and
+// a read returns it in UTC, without a monotonic clock reading.
 type Assoc struct {
 	ID1  ObjID
 	Type AssocType
@@ -167,9 +195,8 @@ type Store struct {
 	shards []*shard
 	lastID atomic.Uint64
 	// table holds the object with id i in slot (i-1)%chunkSlots of chunk
-	// (i-1)/chunkSlots, written under i's shard lock (an unwritten slot's ID
-	// is 0). Its chunk list grows copy-on-write under growMu, so a reader
-	// finds a chunk without a lock.
+	// (i-1)/chunkSlots, written under i's shard lock. Its chunk list grows
+	// copy-on-write under growMu, so a reader finds a chunk without a lock.
 	table  atomic.Pointer[[]*chunk]
 	growMu sync.Mutex
 
@@ -195,22 +222,85 @@ type assocKey struct {
 	typ AssocType
 }
 
-// assocRow is one association as its list stores it; the list's key
-// supplies the rest.
+// assocRow is one association as its list stores it, in 32 bytes: the
+// list's key supplies the rest, and t is Unix nanoseconds.
 type assocRow struct {
 	id2  ObjID
-	t    time.Time
+	t    int64
 	data string
 }
 
 func (k assocKey) assoc(r assocRow) Assoc {
-	return Assoc{ID1: k.id1, Type: k.typ, ID2: r.id2, Time: r.t, Data: r.data}
+	return Assoc{ID1: k.id1, Type: k.typ, ID2: r.id2, Time: time.Unix(0, r.t).UTC(), Data: r.data}
+}
+
+// assocList is one association list. Its rows are oldest first, and rows
+// of one time are in the order AssocRange answers them. maxID2 is the
+// largest id2 it holds: an add above it replaces no row, so it skips the
+// search for one.
+type assocList struct {
+	rows   []assocRow
+	maxID2 ObjID
+}
+
+// add files r, replacing the row with r's id2 if the list holds one, and
+// returns how many rows it scanned for that row or moved. A new row goes
+// behind the rows of its time: an append, when it is the newest.
+func (l *assocList) add(r assocRow) (touched int) {
+	if r.id2 <= l.maxID2 {
+		for i := len(l.rows) - 1; i >= 0; i-- {
+			touched++
+			if l.rows[i].id2 == r.id2 {
+				return touched + l.replace(i, r)
+			}
+		}
+	}
+	l.maxID2 = max(l.maxID2, r.id2)
+	return touched + l.insert(l.behind(r.t), r)
+}
+
+// replace puts r in the place of row i, which has r's id2, and returns how
+// many rows it moved. Among the rows of r's time, a newer row goes behind
+// them, an older one in front of them, and one whose time is unchanged
+// keeps its place: the order a stable sort gave the newest-first list.
+func (l *assocList) replace(i int, r assocRow) int {
+	old := l.rows[i].t
+	if r.t == old {
+		l.rows[i] = r
+		return 0
+	}
+	l.rows = slices.Delete(l.rows, i, i+1)
+	moved := len(l.rows) - i
+	var at int
+	if r.t > old {
+		at = l.behind(r.t)
+	} else {
+		at = sort.Search(len(l.rows), func(j int) bool { return l.rows[j].t >= r.t })
+	}
+	return moved + l.insert(at, r)
+}
+
+// behind returns the index behind every row no newer than t.
+func (l *assocList) behind(t int64) int {
+	n := len(l.rows)
+	if n == 0 || l.rows[n-1].t <= t {
+		return n
+	}
+	return sort.Search(n, func(j int) bool { return l.rows[j].t > t })
+}
+
+// insert puts r at index at and returns how many rows it moved.
+func (l *assocList) insert(at int, r assocRow) int {
+	l.rows = slices.Insert(l.rows, at, r)
+	return len(l.rows) - 1 - at
 }
 
 type shard struct {
-	mu sync.RWMutex
-	// assocs holds time-descending association lists.
-	assocs map[assocKey][]assocRow
+	mu     sync.RWMutex
+	assocs map[assocKey]assocList
+	// touched counts the rows AssocAdd scanned or moved in this shard's
+	// lists, so a test can tell an append from a shift.
+	touched int
 }
 
 // NewStore builds a Store with the given configuration and clock.
@@ -226,7 +316,7 @@ func NewStore(cfg Config, clock sim.Clock) (*Store, error) {
 	s.table.Store(new([]*chunk))
 	s.shards = make([]*shard, shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{assocs: make(map[assocKey][]assocRow)}
+		s.shards[i] = &shard{assocs: make(map[assocKey]assocList)}
 	}
 	return s, nil
 }
@@ -336,14 +426,18 @@ func (s *Store) ObjectAdd(typ ObjType, author, parent uint64, score float64, dat
 	if o == nil {
 		o = s.grow(id)
 	}
-	bag := o.room[:0]
+	var big *Props
 	if len(data) > bagRoom {
-		bag = make(Props, 0, len(data))
+		bag := slices.Clip(sortInto(make(Props, 0, len(data)), data))
+		big = &bag
 	}
-	obj := Object{ID: id, Type: typ, Author: author, Parent: parent, Score: score, Created: s.clock.Now(), Version: 1}
+	created := s.clock.Now().UnixNano()
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	o.Object, o.Data = obj, slices.Clip(sortInto(bag, data))
+	*o = object{typ: typ, author: author, parent: parent, score: score, created: created, big: big, set: true}
+	if big == nil {
+		o.n = uint8(len(sortInto(o.room[:0], data)))
+	}
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
 	return id
@@ -356,7 +450,7 @@ func (s *Store) ObjectGet(id ObjID) (Object, error) {
 	if err != nil {
 		return Object{}, err
 	}
-	return o.Object, nil
+	return o.get(id), nil
 }
 
 // stored is ObjectGet's read of the object's slot, which followers share.
@@ -365,7 +459,7 @@ func (s *Store) stored(id ObjID) (*object, error) {
 	if o != nil {
 		sh := s.shardFor(id)
 		sh.mu.RLock()
-		if o.ID != id {
+		if !o.set {
 			o = nil
 		}
 		sh.mu.RUnlock()
@@ -384,21 +478,8 @@ func (s *Store) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data 
 	key := assocKey{id1, typ}
 	sh.mu.Lock()
 	lst := sh.assocs[key]
-	// Replace if present: take the old one out, then insert as if new.
-	i := 0
-	for i < len(lst) && lst[i].id2 != id2 {
-		i++
-	}
-	if i < len(lst) {
-		lst = append(lst[:i], lst[i+1:]...)
-	}
-	// Ordered insert, newest first. Among equal times an assoc goes behind
-	// those that were ahead of it (j < i; for a new one, all of them) and in
-	// front of the rest — the order a stable sort of the appended list gave.
-	at := sort.Search(len(lst), func(j int) bool {
-		return lst[j].t.Before(t) || (j >= i && !lst[j].t.After(t))
-	})
-	sh.assocs[key] = slices.Insert(lst, at, assocRow{id2, t, data})
+	sh.touched += lst.add(assocRow{id2, t.UnixNano(), data})
+	sh.assocs[key] = lst
 	sh.mu.Unlock()
 	s.stats.recordWrite(1)
 	s.invalidateFollowersAssoc(id1, typ)
@@ -409,7 +490,7 @@ func (s *Store) AssocAdd(id1 ObjID, typ AssocType, id2 ObjID, t time.Time, data 
 func (s *Store) AssocCount(id1 ObjID, typ AssocType) int {
 	sh := s.shardFor(id1)
 	sh.mu.RLock()
-	n := len(sh.assocs[assocKey{id1, typ}])
+	n := len(sh.assocs[assocKey{id1, typ}].rows)
 	sh.mu.RUnlock()
 	s.stats.recordPoint(1)
 	return n
@@ -422,7 +503,7 @@ func (s *Store) AssocRange(id1 ObjID, typ AssocType, offset, limit int) []Assoc 
 	sh := s.shardFor(id1)
 	key := assocKey{id1, typ}
 	sh.mu.RLock()
-	lst := sh.assocs[key]
+	lst := sh.assocs[key].rows
 	out := sliceRange(key, lst, offset, limit)
 	total := len(lst)
 	sh.mu.RUnlock()
@@ -442,22 +523,34 @@ func (s *Store) rows(key assocKey) []assocRow {
 	sh := s.shardFor(key.id1)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return slices.Clone(sh.assocs[key])
+	return slices.Clone(sh.assocs[key].rows)
 }
 
-// sliceRange builds the Assocs of lst[offset:offset+limit]; limit <= 0 is all.
-func sliceRange(key assocKey, lst []assocRow, offset, limit int) []Assoc {
+// sliceRange builds the Assocs at [offset, offset+limit) of rows read newest
+// first; limit <= 0 is all. rows is a list's, oldest first, so it walks the
+// runs of equal times from the tail, each in its stored order.
+func sliceRange(key assocKey, rows []assocRow, offset, limit int) []Assoc {
 	offset = max(offset, 0)
-	if offset >= len(lst) {
+	if offset >= len(rows) {
 		return nil
 	}
-	end := len(lst)
-	if limit > 0 && offset+limit < end {
-		end = offset + limit
+	n := len(rows) - offset
+	if limit > 0 {
+		n = min(n, limit)
 	}
-	out := make([]Assoc, end-offset)
-	for i, r := range lst[offset:end] {
-		out[i] = key.assoc(r)
+	out := make([]Assoc, 0, n)
+	for hi := len(rows); len(out) < n; {
+		lo := hi - 1
+		for lo > 0 && rows[lo-1].t == rows[lo].t {
+			lo--
+		}
+		run := rows[lo:hi]
+		skip := min(offset, len(run))
+		offset -= skip
+		for _, r := range run[skip:min(len(run), skip+n-len(out))] {
+			out = append(out, key.assoc(r))
+		}
+		hi = lo
 	}
 	return out
 }

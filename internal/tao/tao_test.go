@@ -385,7 +385,8 @@ func TestLimitIsNotACapacity(t *testing.T) {
 // The object table's one concurrency hazard is a slot write against chunk
 // growth: a reader probing at and past the id counter while writers cross
 // chunk boundaries must see either ErrNotFound or the object exactly as
-// added — never a zero object with a nil error — from the leader and
+// added — its type, typed fields and bag, Version 1 and Created the clock's
+// time in UTC — never a zero object with a nil error, from the leader and
 // through a follower.
 func TestObjectTableConcurrentAddGet(t *testing.T) {
 	const writers, per = 4, (3*chunkSlots + chunkSlots/2) / 4
@@ -409,7 +410,7 @@ func TestObjectTableConcurrentAddGet(t *testing.T) {
 		want := slices.Clone(bag(w, seq))
 		slices.SortFunc(want, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
 		if err != nil || obj.ID != id || obj.Type != ObjType(fmt.Sprint("t", w)) || w >= writers ||
-			obj.Score != float64(seq)+0.5 || !slices.Equal(obj.Data, want) || obj.Version != 1 || !obj.Created.Equal(t0) {
+			obj.Score != float64(seq)+0.5 || !slices.Equal(obj.Data, want) || obj.Version != 1 || obj.Created != t0 {
 			t.Errorf("%s: object %d = %+v, %v; want ErrNotFound or the object as added", who, id, obj, err)
 			return false
 		}
@@ -475,5 +476,81 @@ func TestObjectTableConcurrentAddGet(t *testing.T) {
 		if _, err := s.ObjectGet(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("object %d of %d: %v, want ErrNotFound", id, last, err)
 		}
+	}
+}
+
+// The store keeps times as Unix nanoseconds, so a time read back is the
+// instant written, in UTC, with no monotonic reading — from a clock whose
+// times carry one in the local zone, as the real clock's do.
+func TestTimesReadBackInUTC(t *testing.T) {
+	s := MustNewStore(DefaultConfig(), sim.RealClock{})
+	f := NewFollower(s)
+	before := time.Now()
+	id := s.ObjectAdd("comment", 1, 2, 0, nil)
+	after := time.Now()
+	at := time.Now().In(time.FixedZone("east", 3600))
+	s.AssocAdd(1, "c", id, at, "")
+	for _, r := range []struct {
+		name string
+		get  func(ObjID) (Object, error)
+		rng  func(ObjID, AssocType, int, int) []Assoc
+	}{{"leader", s.ObjectGet, s.AssocRange}, {"follower", f.ObjectGet, f.AssocRange}} {
+		obj, err := r.get(id)
+		if c := obj.Created; err != nil || c.Location() != time.UTC || c != c.Round(0) || c.Before(before.Round(0)) || c.After(after.Round(0)) {
+			t.Errorf("%s: Created %v, %v; want a UTC time without a monotonic reading between %v and %v", r.name, c, err, before, after)
+		}
+		if as := r.rng(1, "c", 0, 0); len(as) != 1 || as[0].Time != at.UTC().Round(0) {
+			t.Errorf("%s: %+v, want one association at %v", r.name, as, at.UTC().Round(0))
+		}
+	}
+}
+
+// A list is stored oldest first, so an add of the newest row is an append:
+// a fresh id2 above the list's largest is never searched for, and no row
+// moves. By the count of rows AssocAdd scanned or moved, such an add costs
+// nothing at n = 100 and at n = 10 000, tied with the tail or newer, and a
+// replace of the tail row with a newer time scans that one row. The list
+// still reads as the stable-sort reference says — newest first, equal
+// times in arrival order — after replaces that move middle rows among
+// their new equals.
+func TestAssocAddAppendsAtTheTail(t *testing.T) {
+	costs := make(map[int][3]int)
+	for _, n := range []int{100, 10000} {
+		s, _ := newTestStore(t)
+		sh := s.shardFor(1)
+		var ref []Assoc
+		add := func(id2 ObjID, at time.Time) int {
+			before := sh.touched
+			s.AssocAdd(1, "p", id2, at, "")
+			if i := slices.IndexFunc(ref, func(a Assoc) bool { return a.ID2 == id2 }); i >= 0 {
+				ref[i].Time = at
+			} else {
+				ref = append(ref, Assoc{ID1: 1, Type: "p", ID2: id2, Time: at})
+			}
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].Time.After(ref[j].Time) })
+			return sh.touched - before
+		}
+		for i := range n {
+			at := t0.Add(time.Duration(i) * time.Millisecond)
+			s.AssocAdd(1, "p", ObjID(2*i+2), at, "")
+			ref = append(ref, Assoc{ID1: 1, Type: "p", ID2: ObjID(2*i + 2), Time: at})
+		}
+		slices.Reverse(ref)
+		tail := t0.Add(time.Duration(n) * time.Millisecond)
+		costs[n] = [3]int{
+			add(ObjID(2*n+2), tail),                       // a fresh id2, newest
+			add(ObjID(2*n+4), tail),                       // a fresh id2, tied with the tail
+			add(ObjID(2*n+4), tail.Add(time.Millisecond)), // the tail row, replaced newer
+		}
+		add(ObjID(3), tail)                       // a fresh id2 below the largest: searched for
+		add(ObjID(n), tail.Add(time.Millisecond)) // a middle row moved to the front, tied
+		add(ObjID(n+2), t0.Add(time.Millisecond)) // a middle row moved back, tied
+		if got := s.AssocRange(1, "p", 0, 0); !slices.Equal(got, ref) {
+			t.Fatalf("n = %d: the list diverged from the stable-sort reference", n)
+		}
+	}
+	t.Logf("rows scanned or moved by a fresh add, a tied add and a tail replace: %v at n = 100, %v at n = 10 000", costs[100], costs[10000])
+	if costs[100] != costs[10000] || costs[100] != [3]int{0, 0, 1} {
+		t.Errorf("rows scanned or moved: %v at n = 100, %v at n = 10 000; want [0 0 1] at both", costs[100], costs[10000])
 	}
 }
