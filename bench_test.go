@@ -38,18 +38,6 @@ func BenchmarkTable2StreamLifetimes(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure6PollVsStream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Figure6(int64(i+1), 2000)
-	}
-}
-
-func BenchmarkFigure7SubscriptionActivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Figure7(int64(i+1), 2000)
-	}
-}
-
 func BenchmarkFigure8DiurnalActivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = experiments.Figure8(int64(i + 1))
@@ -67,7 +55,7 @@ func BenchmarkSwitchoverResourceUsage(b *testing.B) {
 		b.Skip("live-stack experiment")
 	}
 	for i := 0; i < b.N; i++ {
-		_ = experiments.Switchover(int64(i + 1))
+		_ = experiments.Switchover(experiments.MeasureSwitchover(int64(i + 1)))
 	}
 }
 

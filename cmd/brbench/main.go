@@ -10,6 +10,7 @@
 //	brbench -series          # also dump the full figure series as CSV
 //
 // table3 and fig9 read the spans of two traced LVC runs on the live stack,
+// fig6 and switchover the switchover's poll and stream runs; each pair is
 // made once per invocation. brbench prints every result, then exits 1 if
 // any experiment failed: a run that could not measure, or a drill whose
 // headline property did not hold.
@@ -29,22 +30,22 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: all, table1, table2, table3, fig6, fig7, fig8, fig9, fig10, switchover, storm, geofailover, durlog, ablations")
+	exp := flag.String("exp", "all", "experiment id: all, table1, table2, table3, fig6, fig8, fig9, fig10, switchover, storm, geofailover, durlog, ablations")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	series := flag.Bool("series", false, "dump full figure series as CSV after each result")
 	flag.Parse()
 
 	measured := sync.OnceValue(func() experiments.LiveLatency { return experiments.MeasureLatency(*seed) })
+	switchover := sync.OnceValue(func() experiments.SwitchoverRuns { return experiments.MeasureSwitchover(*seed) })
 	runners := map[string]func() experiments.Result{
 		"table1":      func() experiments.Result { return experiments.Table1(*seed, 2_000_000) },
 		"table2":      func() experiments.Result { return experiments.Table2(*seed, 500_000) },
 		"table3":      func() experiments.Result { return experiments.Table3(measured()) },
-		"fig6":        func() experiments.Result { return experiments.Figure6(*seed, 100_000) },
-		"fig7":        func() experiments.Result { return experiments.Figure7(*seed, 200_000) },
+		"fig6":        func() experiments.Result { return experiments.Figure6(switchover()) },
 		"fig8":        func() experiments.Result { return experiments.Figure8(*seed) },
 		"fig9":        func() experiments.Result { return experiments.Figure9(measured()) },
 		"fig10":       func() experiments.Result { return experiments.Figure10(*seed) },
-		"switchover":  func() experiments.Result { return experiments.Switchover(*seed) },
+		"switchover":  func() experiments.Result { return experiments.Switchover(switchover()) },
 		"storm":       func() experiments.Result { return experiments.ReconnectStorm(*seed) },
 		"geofailover": func() experiments.Result { return experiments.GeoFailover(*seed) },
 		"durlog":      func() experiments.Result { return experiments.DurlogResume(*seed) },

@@ -64,78 +64,14 @@ func TestTable2MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestFigure7ShapeMatchesPaper(t *testing.T) {
-	n := 100_000
-	if testing.Short() {
-		n = 20_000
-	}
-	r := Figure7(1, n)
-	zero := parsePct(t, row(t, r, "0 updates").Measured)
-	b9 := parsePct(t, row(t, r, "1-9 updates").Measured)
-	b99 := parsePct(t, row(t, r, "10-99 updates").Measured)
-	b100 := parsePct(t, row(t, r, "100+ updates").Measured)
-	// Tolerant bands around the paper's 75/19/5.5/0.6.
-	if zero < 70 || zero > 82 {
-		t.Errorf("zero = %v%%, want ~75%%", zero)
-	}
-	if b9 < 12 || b9 > 24 {
-		t.Errorf("1-9 = %v%%, want ~19%%", b9)
-	}
-	if b99 < 3 || b99 > 8 {
-		t.Errorf("10-99 = %v%%, want ~5.5%%", b99)
-	}
-	if b100 < 0.1 || b100 > 1.5 {
-		t.Errorf("100+ = %v%%, want ~0.6%%", b100)
-	}
-	// The shape: monotonically decreasing buckets.
-	if !(zero > b9 && b9 > b99 && b99 > b100) {
-		t.Errorf("bucket shape broken: %v %v %v %v", zero, b9, b99, b100)
-	}
-}
-
-func parseSeconds(t *testing.T, s string) float64 {
+// parseMillis extracts the numeric value of a "12.3ms" measurement.
+func parseMillis(t *testing.T, s string) float64 {
 	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
+	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
 	if err != nil {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return v
-}
-
-func TestFigure6ShapeMatchesPaper(t *testing.T) {
-	r := Figure6(1, 50_000)
-	pollMean := parseSeconds(t, row(t, r, "poll mean").Measured)
-	streamMean := parseSeconds(t, row(t, r, "stream mean").Measured)
-	pollP95 := parseSeconds(t, row(t, r, "poll p95").Measured)
-	streamP95 := parseSeconds(t, row(t, r, "stream p95").Measured)
-	pollP99 := parseSeconds(t, row(t, r, "poll p99").Measured)
-	streamP99 := parseSeconds(t, row(t, r, "stream p99").Measured)
-
-	// Who wins: streaming beats polling at every aggregate.
-	if streamMean >= pollMean {
-		t.Errorf("stream mean %v >= poll mean %v", streamMean, pollMean)
-	}
-	if streamP95 >= pollP95 {
-		t.Errorf("stream p95 %v >= poll p95 %v", streamP95, pollP95)
-	}
-	// Rough factors: paper's mean ratio 4.8/3.4 ≈ 1.4, p95 ratio 14/6 ≈ 2.3.
-	if ratio := pollMean / streamMean; ratio < 1.2 || ratio > 2.2 {
-		t.Errorf("mean ratio = %v, want ~1.4", ratio)
-	}
-	if ratio := pollP95 / streamP95; ratio < 1.6 || ratio > 3.2 {
-		t.Errorf("p95 ratio = %v, want ~2.3", ratio)
-	}
-	// The defining shape: polling has a long tail, streaming is bounded.
-	if pollP99 < 2*streamP99 {
-		t.Errorf("poll tail p99=%v not clearly longer than stream p99=%v", pollP99, streamP99)
-	}
-	if streamP99 > 12 {
-		t.Errorf("stream p99 = %v, should be bounded near the 10s cap", streamP99)
-	}
-	// Histogram series present for both curves.
-	if len(r.Series["poll"]) != 20 || len(r.Series["stream"]) != 20 {
-		t.Errorf("series lengths: poll=%d stream=%d", len(r.Series["poll"]), len(r.Series["stream"]))
-	}
 }
 
 // TestTable3MatchesPaper makes the two traced LVC runs Table 3 reads and
@@ -238,11 +174,20 @@ func TestFigure10Ranges(t *testing.T) {
 	}
 }
 
-func TestSwitchoverReproduces10x(t *testing.T) {
+// TestSwitchoverAndFigure6 makes the switchover's two live runs once and
+// checks what both results read from them: the poll variant's TAO queries
+// and empty polls against the stream variant's, and Fig 6's one shape the
+// live stack can show, stream p50 below poll p50 at the switchover's poll
+// interval.
+func TestSwitchoverAndFigure6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-stack experiment; skipped in -short")
 	}
-	r := Switchover(1)
+	runs := MeasureSwitchover(1)
+	r := Switchover(runs)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
 	// "TAO read queries (poll / stream)" measured is "A / B = Rx".
 	m := row(t, r, "TAO read queries (poll / stream)").Measured
 	parts := strings.Split(m, "= ")
@@ -259,6 +204,20 @@ func TestSwitchoverReproduces10x(t *testing.T) {
 	empty := parsePct(t, row(t, r, "empty poll fraction").Measured)
 	if empty < 60 {
 		t.Errorf("empty polls = %v%%, want >=60%% (paper: ~80%%)", empty)
+	}
+
+	f := Figure6(runs)
+	if f.Err != nil {
+		t.Fatal(f.Err)
+	}
+	poll := parseMillis(t, row(t, f, "poll p50").Measured)
+	stream := parseMillis(t, row(t, f, "stream p50").Measured)
+	t.Logf("p50 poll %vms, stream %vms; timed %s", poll, stream, row(t, f, "deliveries timed (poll / stream)").Measured)
+	if stream >= poll {
+		t.Errorf("stream p50 %vms >= poll p50 %vms", stream, poll)
+	}
+	if len(f.Series["poll"]) != 20 || len(f.Series["stream"]) != 20 {
+		t.Errorf("series lengths: poll=%d stream=%d", len(f.Series["poll"]), len(f.Series["stream"]))
 	}
 }
 
@@ -319,7 +278,7 @@ func TestAllRuns(t *testing.T) {
 		t.Skip("runs every experiment including the live switchover")
 	}
 	results := All(2)
-	if len(results) != 12 {
+	if len(results) != 11 {
 		t.Fatalf("All returned %d results", len(results))
 	}
 	ids := map[string]bool{}
@@ -329,7 +288,7 @@ func TestAllRuns(t *testing.T) {
 		}
 		ids[r.ID] = true
 	}
-	for _, want := range []string{"table1", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "switchover", "storm", "geofailover", "durlog"} {
+	for _, want := range []string{"table1", "table2", "table3", "fig6", "fig8", "fig9", "fig10", "switchover", "storm", "geofailover", "durlog"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
 		}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"bladerunner/internal/workload"
@@ -65,72 +63,5 @@ func Table2(seed int64, nStreams int) Result {
 	r.AddRow("15 min - 1 hr", "26%", f(b1h), "input")
 	r.AddRow("1 hr - 24 hr", "25%", f(b24h), "input")
 	r.AddRow("24 hr+", "4%", f(bMore), "input")
-	return r
-}
-
-// Figure7 regenerates the per-subscription publication-count distribution:
-// request-streams sampled at twelve points in time, counting the update
-// events targeting each stream's subscription over the stream's lifetime.
-//
-// Two effects are modelled beyond the raw generators:
-//
-//   - Length-biased sampling: the paper picked twelve instants and looked
-//     at the streams *active at those instants*, which over-represents
-//     long-lived streams in proportion to their lifetime.
-//   - Popularity-biased subscription: users subscribe to what they are
-//     looking at, which correlates with activity (popular live videos have
-//     both more viewers and more comments). The saturating weight is the
-//     one calibration constant (see DESIGN.md §4).
-func Figure7(seed int64, nStreams int) Result {
-	rng := rand.New(rand.NewSource(seed))
-
-	// An area population with Table 1 daily rates.
-	const nAreasPool = 100_000
-	rates := make([]float64, nAreasPool)
-	cum := make([]float64, nAreasPool) // cumulative weights for sampling
-	var totalW float64
-	for i := range rates {
-		rates[i] = float64(workload.AreaUpdates(rng, workload.Table1Buckets))
-		totalW += 1.0 + 1.45*rates[i]/(rates[i]+2) + 0.05*math.Log1p(rates[i])
-		cum[i] = totalW
-	}
-	// Sample streams: pick an area by weight, a length-biased lifetime
-	// from Table 2, and draw the stream's update count from
-	// Poisson(rate × lifetime).
-	maxLifetime := 72 * time.Hour
-	var zero, b9, b99, b100 int
-	for s := 0; s < nStreams; s++ {
-		x := rng.Float64() * totalW
-		idx := sort.SearchFloat64s(cum, x)
-		if idx >= nAreasPool {
-			idx = nAreasPool - 1
-		}
-		// Length-biased lifetime via rejection sampling.
-		var lifetime time.Duration
-		for {
-			lifetime = workload.StreamLifetime(rng, workload.Table2Buckets)
-			if rng.Float64() < float64(lifetime)/float64(maxLifetime) {
-				break
-			}
-		}
-		mean := rates[idx] * lifetime.Hours() / 24
-		n := workload.Poisson(rng, mean)
-		switch {
-		case n == 0:
-			zero++
-		case n <= 9:
-			b9++
-		case n <= 99:
-			b99++
-		default:
-			b100++
-		}
-	}
-	r := Result{ID: "fig7", Title: "Publications per request-stream subscription"}
-	f := func(c int) string { return pct(float64(c) / float64(nStreams)) }
-	r.AddRow("0 updates", "~75%", f(zero), "model: paper 74.0-75.9% across 12 samples")
-	r.AddRow("1-9 updates", "~19%", f(b9), "model: paper 18.3-19.5%")
-	r.AddRow("10-99 updates", "~5.5%", f(b99), "model: paper 5.2-6.1%")
-	r.AddRow("100+ updates", "~0.6%", f(b100), "model: paper 0.5-0.7%")
 	return r
 }

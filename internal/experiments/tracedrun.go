@@ -22,8 +22,9 @@ import (
 // stack's own time.
 var RankingHold = sim.Exponential{MeanVal: 1790 * time.Millisecond, Min: 900 * time.Millisecond}
 
-// lvcRateLimit is TracedLVCRun's per-stream push interval (production: 2 s):
-// a buffered comment waits up to this long for its pop.
+// lvcRateLimit is the per-stream push interval of TracedLVCRun and the
+// switchover (production: 2 s): a buffered comment waits up to this long for
+// its pop.
 const lvcRateLimit = 5 * time.Millisecond
 
 // TracedLVCRun boots a fully wired cluster with the tracing plane sampling

@@ -1,8 +1,8 @@
 // Package workload generates synthetic load calibrated to the published
 // characterization of Bladerunner's production traffic (paper §5): the
 // Pareto-distributed update counts over areas of interest (Table 1), the
-// request-stream lifetime mixture (Table 2), the per-stream publication
-// activity (Fig 7), and the diurnal per-user rate curves (Fig 8).
+// request-stream lifetime mixture (Table 2), and the diurnal per-user rate
+// curves (Fig 8).
 //
 // The paper itself characterizes the workload it measured; we generate from
 // those published distributions and then verify that the system reproduces
