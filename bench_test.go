@@ -1,13 +1,12 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (run with `go test -bench=. -benchmem`), the ablation benches for the
-// design choices called out in DESIGN.md §6, and microbenchmarks of the
-// hot paths (BURST framing, Pylon publish, TAO queries, the full
-// end-to-end push pipeline).
+// Benchmarks of the LVC switchover experiment (run with
+// `go test -bench=. -benchmem`), the ablation benches for the design
+// choices called out in DESIGN.md §6, and microbenchmarks of the hot paths
+// (BURST framing, Pylon publish, TAO queries, the full end-to-end push
+// pipeline).
 package bladerunner
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -17,38 +16,9 @@ import (
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/tao"
-	"bladerunner/internal/workload"
 )
 
-// ---- One bench per paper table/figure (DESIGN.md §5) ----
-
-func BenchmarkTable1AreaUpdateDistribution(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = workload.AreaUpdates(rng, workload.Table1Buckets)
-	}
-}
-
-func BenchmarkTable2StreamLifetimes(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = workload.StreamLifetime(rng, workload.Table2Buckets)
-	}
-}
-
-func BenchmarkFigure8DiurnalActivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Figure8(int64(i + 1))
-	}
-}
-
-func BenchmarkFigure10FailureRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Figure10(int64(i + 1))
-	}
-}
+// ---- The switchover experiment (DESIGN.md §5) ----
 
 func BenchmarkSwitchoverResourceUsage(b *testing.B) {
 	if testing.Short() {

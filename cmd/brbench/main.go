@@ -5,7 +5,8 @@
 // Usage:
 //
 //	brbench                  # run every experiment
-//	brbench -exp table3      # run one (see -exp's help for the ids)
+//	brbench -exp table3      # run one: fig6, table3, fig9, switchover, storm,
+//	                         # geofailover, durlog or ablations
 //	brbench -seed 7          # change the RNG seed
 //	brbench -series          # also dump the full figure series as CSV
 //
@@ -13,7 +14,7 @@
 // fig6 and switchover the switchover's poll and stream runs; each pair is
 // made once per invocation. brbench prints every result, then exits 1 if
 // any experiment failed: a run that could not measure, or a drill whose
-// headline property did not hold.
+// headline property did not hold. An unknown id exits 2.
 //
 // What the system costs to run (allocations, heap, set-up, per-layer time)
 // is `go run ./benchmark`'s job, not this command's.
@@ -24,40 +25,49 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"bladerunner/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: all, table1, table2, table3, fig6, fig8, fig9, fig10, switchover, storm, geofailover, durlog, ablations")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	series := flag.Bool("series", false, "dump full figure series as CSV after each result")
-	flag.Parse()
-
 	measured := sync.OnceValue(func() experiments.LiveLatency { return experiments.MeasureLatency(*seed) })
 	switchover := sync.OnceValue(func() experiments.SwitchoverRuns { return experiments.MeasureSwitchover(*seed) })
-	runners := map[string]func() experiments.Result{
-		"table1":      func() experiments.Result { return experiments.Table1(*seed, 2_000_000) },
-		"table2":      func() experiments.Result { return experiments.Table2(*seed, 500_000) },
-		"table3":      func() experiments.Result { return experiments.Table3(measured()) },
-		"fig6":        func() experiments.Result { return experiments.Figure6(switchover()) },
-		"fig8":        func() experiments.Result { return experiments.Figure8(*seed) },
-		"fig9":        func() experiments.Result { return experiments.Figure9(measured()) },
-		"fig10":       func() experiments.Result { return experiments.Figure10(*seed) },
-		"switchover":  func() experiments.Result { return experiments.Switchover(switchover()) },
-		"storm":       func() experiments.Result { return experiments.ReconnectStorm(*seed) },
-		"geofailover": func() experiments.Result { return experiments.GeoFailover(*seed) },
-		"durlog":      func() experiments.Result { return experiments.DurlogResume(*seed) },
-		"ablations":   func() experiments.Result { return experiments.AblationSubscriptionDedup(50, 4) },
+	// runners in paper order, brbench's one list of experiment ids; "all"
+	// runs experiments.All and then the last, the ablation.
+	runners := []struct {
+		id  string
+		run func() experiments.Result
+	}{
+		{"fig6", func() experiments.Result { return experiments.Figure6(switchover()) }},
+		{"table3", func() experiments.Result { return experiments.Table3(measured()) }},
+		{"fig9", func() experiments.Result { return experiments.Figure9(measured()) }},
+		{"switchover", func() experiments.Result { return experiments.Switchover(switchover()) }},
+		{"storm", func() experiments.Result { return experiments.ReconnectStorm(*seed) }},
+		{"geofailover", func() experiments.Result { return experiments.GeoFailover(*seed) }},
+		{"durlog", func() experiments.Result { return experiments.DurlogResume(*seed) }},
+		{"ablations", func() experiments.Result { return experiments.AblationSubscriptionDedup(50, 4) }},
 	}
+	ids := []string{"all"}
+	for _, r := range runners {
+		ids = append(ids, r.id)
+	}
+	exp := flag.String("exp", "all", "experiment id: "+strings.Join(ids, ", "))
+	flag.Parse()
 
 	var results []experiments.Result
+	for _, r := range runners {
+		if r.id == *exp {
+			results = []experiments.Result{r.run()}
+		}
+	}
 	if *exp == "all" {
-		results = append(experiments.All(*seed), runners["ablations"]())
-	} else if run, ok := runners[*exp]; ok {
-		results = []experiments.Result{run()}
-	} else {
+		results = append(experiments.All(*seed), runners[len(runners)-1].run())
+	}
+	if results == nil {
 		fmt.Fprintf(os.Stderr, "brbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}

@@ -1,8 +1,8 @@
 // Command brload drives the megadevice harness: a million-device virtual
 // fleet attached to a live in-process cluster, measuring delivery latency,
 // churn throughput and per-device memory, and writing the report as JSON.
-// (The workload generators' calibration against the paper is checked by
-// `brbench -exp table1|table2|fig8` and internal/workload's tests.)
+// The diurnal scenario's drop rate is the paper's Fig 10 drop curve over
+// the paper's 2 B devices (internal/megadevice).
 //
 // Usage:
 //

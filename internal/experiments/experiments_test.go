@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,41 +28,6 @@ func row(t *testing.T, r Result, label string) Row {
 	}
 	t.Fatalf("%s: no row %q", r.ID, label)
 	return Row{}
-}
-
-func TestTable1MatchesPaper(t *testing.T) {
-	r := Table1(1, 500_000)
-	checks := []struct {
-		label  string
-		lo, hi float64
-	}{
-		{"areas with 0 updates", 82, 84},
-		{"areas with <10 updates", 15, 17},
-		{"areas with <100 updates", 0.8, 1.1},
-		{"areas with >1M updates", 0.03, 0.07},
-	}
-	for _, c := range checks {
-		got := parsePct(t, row(t, r, c.label).Measured)
-		if got < c.lo || got > c.hi {
-			t.Errorf("%s = %v%%, want [%v,%v]", c.label, got, c.lo, c.hi)
-		}
-	}
-}
-
-func TestTable2MatchesPaper(t *testing.T) {
-	r := Table2(1, 200_000)
-	checks := map[string][2]float64{
-		"<15 min":       {43, 47},
-		"15 min - 1 hr": {24, 28},
-		"1 hr - 24 hr":  {23, 27},
-		"24 hr+":        {3, 5},
-	}
-	for label, bounds := range checks {
-		got := parsePct(t, row(t, r, label).Measured)
-		if got < bounds[0] || got > bounds[1] {
-			t.Errorf("%s = %v%%, want [%v,%v]", label, got, bounds[0], bounds[1])
-		}
-	}
 }
 
 // parseMillis extracts the numeric value of a "12.3ms" measurement.
@@ -129,47 +95,6 @@ func TestFigure9Shape(t *testing.T) {
 				t.Errorf("fig9 series %s not monotone at %d", name, i)
 				break
 			}
-		}
-	}
-}
-
-func TestFigure8RangesMatchPaper(t *testing.T) {
-	r := Figure8(1)
-	// All three input curves present with 96 buckets.
-	for _, name := range []string{"streams", "subscriptions", "publications"} {
-		if len(r.Series[name]) != 96 {
-			t.Errorf("series %s has %d points", name, len(r.Series[name]))
-		}
-	}
-	// Diurnal shape: peak clearly above trough for streams.
-	pts := r.Series["streams"]
-	lo, hi := pts[0].Y, pts[0].Y
-	for _, p := range pts {
-		if p.Y < lo {
-			lo = p.Y
-		}
-		if p.Y > hi {
-			hi = p.Y
-		}
-	}
-	if hi < 1.5*lo {
-		t.Errorf("streams curve not diurnal: [%v, %v]", lo, hi)
-	}
-}
-
-func TestFigure10Ranges(t *testing.T) {
-	r := Figure10(1)
-	if len(r.Series["drops"]) != 96 || len(r.Series["reconnects"]) != 96 {
-		t.Fatal("missing series")
-	}
-	for _, p := range r.Series["drops"] {
-		if p.Y < 15e6 || p.Y > 40e6 {
-			t.Errorf("drops %v/min outside plausible band", p.Y)
-		}
-	}
-	for _, p := range r.Series["reconnects"] {
-		if p.Y < 0.3e6 || p.Y > 4e6 {
-			t.Errorf("reconnects %v/min outside plausible band", p.Y)
 		}
 	}
 }
@@ -273,24 +198,22 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// TestAllRuns runs every experiment and checks All's ids exactly, in paper
+// order: an id that lingers after its experiment goes, or a new one left
+// off the list, fails here.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment including the live switchover")
 	}
-	results := All(2)
-	if len(results) != 11 {
-		t.Fatalf("All returned %d results", len(results))
-	}
-	ids := map[string]bool{}
-	for _, r := range results {
+	var ids []string
+	for _, r := range All(2) {
 		if len(r.Rows) == 0 {
 			t.Errorf("%s has no rows", r.ID)
 		}
-		ids[r.ID] = true
+		ids = append(ids, r.ID)
 	}
-	for _, want := range []string{"table1", "table2", "table3", "fig6", "fig8", "fig9", "fig10", "switchover", "storm", "geofailover", "durlog"} {
-		if !ids[want] {
-			t.Errorf("missing experiment %s", want)
-		}
+	want := []string{"fig6", "table3", "fig9", "switchover", "storm", "geofailover", "durlog"}
+	if !slices.Equal(ids, want) {
+		t.Errorf("All's ids = %v, want %v", ids, want)
 	}
 }

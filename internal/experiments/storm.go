@@ -30,6 +30,8 @@ func ReconnectStorm(seed int64) Result {
 		bucket  = 250 * time.Millisecond
 		horizon = 2 * time.Minute
 	)
+	// The storm's simulated start: the cut lands at T+0.
+	start := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
 	type outcome struct {
 		peakRate float64       // dials/sec in the worst bucket
@@ -40,11 +42,11 @@ func ReconnectStorm(seed int64) Result {
 	}
 
 	run := func(policy faults.BackoffPolicy) outcome {
-		eng := sim.NewEngine(figStart)
+		eng := sim.NewEngine(start)
 		fn := faults.NewFaultNetwork(edge.NewPipeNetwork(), eng, seed)
 		fn.Register("pop", func(rwc io.ReadWriteCloser) { _ = rwc.Close() })
 
-		dials := metrics.NewTimeSeries(figStart, bucket, int(horizon/bucket))
+		dials := metrics.NewTimeSeries(start, bucket, int(horizon/bucket))
 		parent := faults.NewBackoff(policy, seed)
 		var lastRec time.Duration
 
@@ -59,7 +61,7 @@ func ReconnectStorm(seed int64) Result {
 					return
 				}
 				_ = c.Close()
-				if rec := eng.Now().Sub(figStart); rec > lastRec {
+				if rec := eng.Now().Sub(start); rec > lastRec {
 					lastRec = rec
 				}
 			}
@@ -75,7 +77,7 @@ func ReconnectStorm(seed int64) Result {
 		var curve []SeriesPoint
 		for i := 0; i < dials.Buckets(); i++ {
 			curve = append(curve, SeriesPoint{
-				X: dials.BucketTime(i).Sub(figStart).Seconds(),
+				X: dials.BucketTime(i).Sub(start).Seconds(),
 				Y: dials.Sum(i) / bucket.Seconds(),
 			})
 		}

@@ -113,6 +113,20 @@ const (
 	probeWait                             = 500 * time.Millisecond
 )
 
+// paperDevices is the fleet the paper's fleet-wide Fig 10 curves count
+// over: about 2 B devices.
+const paperDevices = 2e9
+
+// dropsPerDeviceMinute is the involuntary edge-drop rate of one online
+// device a simulated minute: the paper's fleet-wide drop curve over the
+// paper's fleet, 18M/2B = 0.009 at the trough and 33M/2B = 0.0165 at the
+// peak hour.
+var dropsPerDeviceMinute = workload.Diurnal{
+	Min:      workload.EdgeConnectionDropsPerMinute.Min / paperDevices,
+	Max:      workload.EdgeConnectionDropsPerMinute.Max / paperDevices,
+	PeakHour: workload.EdgeConnectionDropsPerMinute.PeakHour,
+}
+
 func (o *Options) normalize() error {
 	switch o.Scenario {
 	case ScenarioDiurnal, ScenarioStorm, ScenarioCelebrity, ScenarioReplay:
@@ -232,16 +246,14 @@ func Run(o Options) (*Report, error) {
 		SimSeconds: o.SimDuration.Seconds(),
 	}
 
-	// Online fraction over the day, shaped like the paper's diurnal
-	// active-stream curve; storm and celebrity hold the fleet near-fully
+	// Online fraction over the day: the fleet's own diurnal curve, 62% of
+	// the devices online at the trough and 97% at the peak hour (no paper
+	// figure gives it); storm and celebrity hold the fleet near-fully
 	// online so the failure/fanout signal dominates.
 	online := workload.Diurnal{Min: 0.62, Max: 0.97, PeakHour: 19}
 	if o.Scenario != ScenarioDiurnal {
 		online = workload.Diurnal{Min: 0.95, Max: 0.97, PeakHour: 19}
 	}
-	// Involuntary edge drops per device-minute, shaped like the paper's
-	// fleet-wide drop curve (18-33M/min across ~2B devices).
-	dropRate := workload.Diurnal{Min: 0.009, Max: 0.0165, PeakHour: 19}
 
 	minutes := int(o.SimDuration / time.Minute)
 	target := int(float64(o.Devices) * online.At(t0))
@@ -327,7 +339,7 @@ func Run(o Options) (*Report, error) {
 		target = newTarget
 
 		// Involuntary drops, Poisson around the curve's rate.
-		drops := workload.Poisson(rng, dropRate.At(simNow)*float64(target))
+		drops := workload.Poisson(rng, dropsPerDeviceMinute.At(simNow)*float64(target))
 		for i := int64(0); i < drops; i++ {
 			dev := uint32(rng.Intn(target))
 			if fleet.State(dev) == StateConnected {

@@ -7,9 +7,8 @@ import (
 )
 
 // TimeSeries accumulates values into fixed-width time buckets over a window
-// [Start, Start+Width*Buckets). It backs the diurnal figures (Fig 8 and
-// Fig 10 in the paper), which report per-minute rates averaged over 15-minute
-// intervals.
+// [Start, Start+Width*Buckets). It backs the reconnect storm's dial-rate
+// curve (experiments.ReconnectStorm), dials counted in 250 ms buckets.
 type TimeSeries struct {
 	mu    sync.Mutex
 	start time.Time

@@ -7,86 +7,6 @@ import (
 	"time"
 )
 
-func TestTable1BucketsValid(t *testing.T) {
-	if total := totalProb(Table1Buckets); total <= 0 {
-		t.Fatalf("bucket probabilities sum to %v", total)
-	}
-	for i, b := range Table1Buckets {
-		if b.Prob < 0 || b.Lo > b.Hi {
-			t.Fatalf("bad bucket %d: %+v", i, b)
-		}
-	}
-}
-
-func TestAreaUpdatesMatchesTable1(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 2_000_000
-	var zero, under10, under100, over1M, over100M int
-	for i := 0; i < n; i++ {
-		u := AreaUpdates(rng, Table1Buckets)
-		switch {
-		case u == 0:
-			zero++
-		case u < 10:
-			under10++
-		case u < 100:
-			under100++
-		case u > 100_000_000:
-			over100M++
-		case u > 1_000_000:
-			over1M++
-		}
-	}
-	frac := func(c int) float64 { return float64(c) / n }
-	if f := frac(zero); f < 0.82 || f > 0.84 {
-		t.Errorf("zero fraction = %v, want ~0.83", f)
-	}
-	if f := frac(under10); f < 0.15 || f > 0.17 {
-		t.Errorf("<10 fraction = %v, want ~0.16", f)
-	}
-	if f := frac(under100); f < 0.008 || f > 0.011 {
-		t.Errorf("<100 fraction = %v, want ~0.0095", f)
-	}
-	if f := frac(over1M); f < 0.0003 || f > 0.0007 {
-		t.Errorf(">1M fraction = %v, want ~0.00049", f)
-	}
-	_ = over100M // too rare to assert tightly at this sample size
-}
-
-func TestStreamLifetimeMatchesTable2(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = 200_000
-	var b15m, b1h, b24h, bMore int
-	for i := 0; i < n; i++ {
-		lt := StreamLifetime(rng, Table2Buckets)
-		switch {
-		case lt < 15*time.Minute:
-			b15m++
-		case lt < time.Hour:
-			b1h++
-		case lt < 24*time.Hour:
-			b24h++
-		default:
-			bMore++
-		}
-	}
-	checks := []struct {
-		name string
-		got  float64
-		want float64
-	}{
-		{"<15m", float64(b15m) / n, 0.45},
-		{"15m-1h", float64(b1h) / n, 0.26},
-		{"1h-24h", float64(b24h) / n, 0.25},
-		{"24h+", float64(bMore) / n, 0.04},
-	}
-	for _, c := range checks {
-		if c.got < c.want-0.01 || c.got > c.want+0.01 {
-			t.Errorf("%s fraction = %v, want ~%v", c.name, c.got, c.want)
-		}
-	}
-}
-
 func TestDiurnalBoundsAndPeak(t *testing.T) {
 	d := Diurnal{Min: 6.5, Max: 11, PeakHour: 19}
 	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
@@ -140,19 +60,6 @@ func TestPoissonSmallAndLargeMeans(t *testing.T) {
 	}
 	if Poisson(rng, 0) != 0 || Poisson(rng, -1) != 0 {
 		t.Error("non-positive mean should give 0")
-	}
-}
-
-func TestLogUniformWithinBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 10000; i++ {
-		v := sampleLogUniform(rng, 10, 99)
-		if v < 10 || v > 99 {
-			t.Fatalf("sample %d out of [10,99]", v)
-		}
-	}
-	if sampleLogUniform(rng, 7, 7) != 7 {
-		t.Error("degenerate range")
 	}
 }
 
