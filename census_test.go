@@ -10,6 +10,7 @@ import (
 	"bladerunner/internal/device"
 	"bladerunner/internal/durlog"
 	"bladerunner/internal/faults"
+	"bladerunner/internal/megadevice"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/tao"
 )
@@ -33,6 +34,8 @@ func TestSettingsCensus(t *testing.T) {
 			"KVNodesPerRegion", "Graph", "TAO", "StickyRouting", "Overload", "Trace", "Durlog", "Geo"}},
 		{reflect.TypeOf(core.OverloadConfig{}), []string{"LoopQueueDepth", "StreamDeliverRate", "StreamDeliverBurst"}},
 		{reflect.TypeOf(faults.BackoffPolicy{}), []string{"Base", "Max", "Multiplier", "Jitter", "NoJitter"}},
+		{reflect.TypeOf(megadevice.Config{}), []string{"Devices", "Areas", "DeviceArea", "POPs", "Dialer", "Sched",
+			"Backoff", "Seed", "RecordDeliveries", "HomePOP"}},
 	}
 	for _, c := range census {
 		var got []string

@@ -78,11 +78,6 @@ func (p *Proxy) AcceptSession(name string, rwc io.ReadWriteCloser) *burst.Server
 // Accept is the io-only form used with PipeNetwork.Register.
 func (p *Proxy) Accept(rwc io.ReadWriteCloser) { p.AcceptSession(p.name+"-downstream", rwc) }
 
-// ActiveRelays returns the number of live relayed streams.
-//
-//brlint:allow(test-only-export) an operator stat; the per-node stats registry of ROADMAP item 4(b) is its caller
-func (p *Proxy) ActiveRelays() int { return int(p.ActiveStreams.Value()) }
-
 // Close simulates the proxy machine dying: every session it terminates —
 // upstream and downstream — is severed, so neighbours detect the failure
 // and run their own recovery (devices reconnect to another POP; POPs

@@ -150,8 +150,8 @@ func TestProxyRelaysSubscribeAndDeltas(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("delta never relayed")
 	}
-	if env.proxy.StreamsRelayed.Value() != 1 || env.proxy.ActiveRelays() != 1 {
-		t.Errorf("relayed=%d active=%d", env.proxy.StreamsRelayed.Value(), env.proxy.ActiveRelays())
+	if env.proxy.StreamsRelayed.Value() != 1 || env.proxy.ActiveStreams.Value() != 1 {
+		t.Errorf("relayed=%d active=%d", env.proxy.StreamsRelayed.Value(), env.proxy.ActiveStreams.Value())
 	}
 }
 
@@ -423,7 +423,7 @@ func TestProxyHandsTheLossDown(t *testing.T) {
 			t.Fatal("no upstream-lost marker")
 		}
 	}
-	waitFor(t, "the relay collected", func() bool { return p.ActiveRelays() == 0 })
+	waitFor(t, "the relay collected", func() bool { return p.ActiveStreams.Value() == 0 })
 	select {
 	case batch, ok := <-ev:
 		t.Fatalf("the stream got %+v (open %v) after the hand-down, want nothing", batch, ok)
@@ -532,7 +532,7 @@ func TestProxyCancelPropagatesUpstream(t *testing.T) {
 	if reason != "scrolled away" {
 		t.Errorf("reason = %q", reason)
 	}
-	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveRelays() == 0 })
+	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveStreams.Value() == 0 })
 }
 
 func TestProxyDeviceDropCancelsUpstreamAndGCs(t *testing.T) {
@@ -544,7 +544,7 @@ func TestProxyDeviceDropCancelsUpstreamAndGCs(t *testing.T) {
 		env.brassA.mu.Lock()
 		cancels := len(env.brassA.cancels)
 		env.brassA.mu.Unlock()
-		return cancels == 1 && env.proxy.ActiveRelays() == 0
+		return cancels == 1 && env.proxy.ActiveStreams.Value() == 0
 	})
 	if env.proxy.DownstreamDrops.Value() != 1 {
 		t.Errorf("DownstreamDrops = %d", env.proxy.DownstreamDrops.Value())
@@ -566,7 +566,7 @@ func TestProxyServerTerminationForwardedAndGCd(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("termination not forwarded")
 	}
-	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveRelays() == 0 })
+	waitFor(t, "relay GC", func() bool { return env.proxy.ActiveStreams.Value() == 0 })
 }
 
 // relays returns the relays of p's open downstream streams.
@@ -620,13 +620,13 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 		t.Fatal("the repair never redialed brass-b")
 	}
 	end(env, st)
-	waitFor(t, "the relay to learn the stream ended", func() bool { return env.proxy.ActiveRelays() == 0 })
+	waitFor(t, "the relay to learn the stream ended", func() bool { return env.proxy.ActiveStreams.Value() == 0 })
 	close(gate.release)
 	waitFor(t, "the repaired leg cancelled and the relay collected", func() bool {
 		env.brassB.mu.Lock()
 		streams, cancels := len(env.brassB.streams), len(env.brassB.cancels)
 		env.brassB.mu.Unlock()
-		return streams == 1 && cancels == 1 && env.proxy.ActiveRelays() == 0
+		return streams == 1 && cancels == 1 && env.proxy.ActiveStreams.Value() == 0
 	})
 }
 
@@ -650,7 +650,7 @@ func TestEndDuringFirstRouteReroute(t *testing.T) {
 	if err := st.Cancel("scrolled away"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the relay to learn the stream ended", func() bool { return env.proxy.ActiveRelays() == 0 })
+	waitFor(t, "the relay to learn the stream ended", func() bool { return env.proxy.ActiveStreams.Value() == 0 })
 	env.client.Close()
 	waitFor(t, "the downstream session dropped", func() bool {
 		env.proxy.mu.Lock()
@@ -662,7 +662,7 @@ func TestEndDuringFirstRouteReroute(t *testing.T) {
 		env.brassB.mu.Lock()
 		streams, cancels := len(env.brassB.streams), len(env.brassB.cancels)
 		env.brassB.mu.Unlock()
-		return streams == 1 && cancels == 1 && env.proxy.ActiveRelays() == 0
+		return streams == 1 && cancels == 1 && env.proxy.ActiveStreams.Value() == 0
 	})
 	p := env.proxy
 	if n := env.brassA.streamCount(); n != 0 {

@@ -53,7 +53,7 @@ func relayGoroutines(t *testing.T, n int) int {
 		return func() bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			return len(srv.cancels) == want && pop.ActiveRelays() == 0 && proxy.ActiveRelays() == 0
+			return len(srv.cancels) == want && pop.ActiveStreams.Value() == 0 && proxy.ActiveStreams.Value() == 0
 		}
 	}
 	// A first stream dials each hop's upstream session, which outlives it.
@@ -70,7 +70,7 @@ func relayGoroutines(t *testing.T, n int) int {
 		streams[i] = open(i + 1)
 	}
 	waitFor(t, "every stream upstream", func() bool {
-		return srv.streamCount() == n+1 && pop.ActiveRelays() == n && proxy.ActiveRelays() == n
+		return srv.streamCount() == n+1 && pop.ActiveStreams.Value() == int64(n) && proxy.ActiveStreams.Value() == int64(n)
 	})
 	added := settledGoroutines() - start
 	for _, st := range streams {

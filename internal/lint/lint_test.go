@@ -300,7 +300,6 @@ func TestSuppressionCensus(t *testing.T) {
 			"internal/burst/server.go":    1, // 4(c)
 			"internal/ctrl/node.go":       1, // 15
 			"internal/durlog/durlog.go":   2, // 15
-			"internal/edge/proxy.go":      1, // 4(b)
 			"internal/faults/network.go":  5,
 			"internal/faults/plan.go":     4,
 			"internal/faults/region.go":   2,

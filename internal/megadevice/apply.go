@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bladerunner/internal/burst"
+	"bladerunner/internal/sim"
 )
 
 // apply carries out what the shared stream's Recovery decides about one delta
@@ -52,21 +53,22 @@ func (f *Fleet) apply(ts *topicSub, sid burst.StreamID, d *burst.Delta) {
 // attached to the shared stream. This is the model's per-delta cost at 10^6
 // devices — a linear pass of atomic stores over a dense uint32 slice, two
 // counters, and (when a probe is armed on the topic) one histogram
-// observation, all inside apply's critical section. streamSeq is written
-// atomically so LastSeq readers on other goroutines need no fleet-wide lock.
+// observation, all inside apply's critical section. The seq column is
+// written atomically so LastSeq readers on other goroutines need no
+// fleet-wide lock.
 // Callers hold ts.mu.
 //
 //brlint:hotpath per-delta fan-in of the million-device harness: an allocation here is paid per delta, per trunk on a hot topic, per attached device.
 func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 	streams := ts.streams
 	if len(streams) > 0 {
-		for _, sid := range streams {
-			if seq > atomic.LoadUint64(&f.tab.streamSeq[sid]) {
-				atomic.StoreUint64(&f.tab.streamSeq[sid], seq)
+		for _, dev := range streams {
+			if seq > atomic.LoadUint64(&f.tab.seq[dev]) {
+				atomic.StoreUint64(&f.tab.seq[dev], seq)
 			}
 			if f.rec != nil {
 				//brlint:allow(hot-path-alloc) equivalence-test instrumentation: RecordDeliveries fleets are <=a few hundred devices, and production fleets run with rec nil so this branch never executes
-				f.rec[sid] = append(f.rec[sid], seq)
+				f.rec[dev] = append(f.rec[dev], seq)
 			}
 		}
 		f.Applied.Add(int64(len(streams)))
@@ -75,7 +77,7 @@ func (f *Fleet) applyPayload(ts *topicSub, seq uint64) {
 		// latency sample. Claims only count when a device is attached —
 		// a delta applied to zero devices delivered nothing.
 		if w := atomic.SwapInt64(&f.probeWall[ts.area].v, 0); w != 0 {
-			f.ApplyLatency.Observe(time.Duration(f.clock.Now().UnixNano() - w))
+			f.ApplyLatency.Observe(time.Duration(sim.RealClock{}.Now().UnixNano() - w))
 		}
 	}
 	f.Deltas.Inc()

@@ -104,8 +104,8 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 		defer d.Close()
 	}
 
-	// megadevice fleet on c2, same shape: device i's single stream is
-	// sid i (streams are added in device order), area i%eqAreas.
+	// megadevice fleet on c2, same shape: device i's stream is in area
+	// i%eqAreas, the fleet's round-robin default.
 	areas := make([]Area, eqAreas)
 	for a := range areas {
 		areas[a] = Area{
@@ -118,7 +118,6 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 	fleet, err := New(Config{
 		Devices:          eqN,
 		Areas:            areas,
-		StreamArea:       func(dev uint32, _ int) uint32 { return dev % eqAreas },
 		POPs:             c2.POPTargets(),
 		Dialer:           c2.Net,
 		Seed:             42,

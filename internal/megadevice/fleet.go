@@ -7,7 +7,6 @@ import (
 
 	"bladerunner/internal/edge"
 	"bladerunner/internal/faults"
-	"bladerunner/internal/intern"
 	"bladerunner/internal/metrics"
 	"bladerunner/internal/sim"
 )
@@ -33,14 +32,14 @@ type Area struct {
 // Config parameterizes a Fleet.
 type Config struct {
 	// Devices is the number of virtual devices (dense ids 0..Devices-1).
+	// Each device holds one stream, so a device id is also its stream id.
 	Devices int
-	// StreamsPerDevice is the subscription count per device (default 1).
-	StreamsPerDevice int
-	// Areas are the subscription targets streams attach to.
+	// Areas are the subscription targets devices attach to; no two share
+	// a topic.
 	Areas []Area
-	// StreamArea maps (device, stream ordinal) to an area index. nil
-	// defaults to round-robin (dev+k) % len(Areas).
-	StreamArea func(dev uint32, k int) uint32
+	// DeviceArea holds each device's area index (len Devices); New copies
+	// it. nil assigns round-robin, dev % len(Areas).
+	DeviceArea []uint32
 	// POPs are the dialable edge targets, in rotation order.
 	POPs []string
 	// Dialer reaches the POPs. nil builds a fleet with VIRTUAL trunks
@@ -48,22 +47,16 @@ type Config struct {
 	// that inject deltas directly.
 	Dialer edge.Dialer
 	// Sched drives all transitions. With a *sim.Engine the caller owns
-	// the pump (run the engine, call Service between bursts); with
-	// sim.RealClock set Async so external events self-service.
+	// the pump (run the engine, call Service between bursts). nil runs the
+	// fleet on sim.RealClock, where external events (trunk deaths, shed
+	// episodes, terminations) schedule their own Service call.
 	Sched sim.Scheduler
-	// Clock supplies wall timestamps for delivery-latency probes
-	// (default sim.RealClock{}); it is read on the apply hot path and
-	// must be cheap.
-	Clock sim.Clock
-	// Async marks Sched as goroutine-safe: trunk-death notifications
-	// schedule their own Service call instead of waiting for the driver.
-	Async bool
 	// Backoff paces redials, as device.Config.Backoff does (zero fields
 	// default through faults.BackoffPolicy.Normalized).
 	Backoff faults.BackoffPolicy
 	// Seed decorrelates the stateless per-device jitter.
 	Seed int64
-	// RecordDeliveries keeps the full per-stream delivered-seq trace
+	// RecordDeliveries keeps the full per-device delivered-seq trace
 	// (equivalence tests only; costs per-delivery memory, excluded from
 	// Footprint's per-device budget by design — see DeliveredSeqs).
 	RecordDeliveries bool
@@ -81,12 +74,9 @@ type Config struct {
 type Fleet struct {
 	cfg    Config
 	sched  sim.Scheduler
-	clock  sim.Clock
+	async  bool // Sched is the wall clock: external events self-service
 	policy faults.BackoffPolicy
 
-	topics   *intern.Table
-	areaOf   []uint32 // topic handle -> area index
-	topicOf  []uint32 // area index -> topic handle
 	seedBase uint64
 
 	mu       sync.Mutex
@@ -119,7 +109,7 @@ type Fleet struct {
 	// connected counts devices in StateConnected.
 	connected int
 
-	// rec, when RecordDeliveries is set, holds each stream's delivered
+	// rec, when RecordDeliveries is set, holds each device's delivered
 	// payload-seq trace (appended under the owning topicSub's mutex).
 	rec [][]uint64
 
@@ -157,74 +147,50 @@ func New(cfg Config) (*Fleet, error) {
 	if len(cfg.POPs) == 0 {
 		return nil, fmt.Errorf("megadevice: need at least one POP")
 	}
-	if cfg.StreamsPerDevice <= 0 {
-		cfg.StreamsPerDevice = 1
+	if cfg.DeviceArea != nil && len(cfg.DeviceArea) != cfg.Devices {
+		return nil, fmt.Errorf("megadevice: DeviceArea holds %d devices, want %d", len(cfg.DeviceArea), cfg.Devices)
 	}
-	if cfg.Sched == nil {
-		cfg.Sched = sim.RealClock{}
-		cfg.Async = true
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = sim.RealClock{}
+	seen := make(map[string]bool, len(cfg.Areas))
+	for _, a := range cfg.Areas {
+		if seen[a.Topic] {
+			return nil, fmt.Errorf("megadevice: duplicate area topic %q", a.Topic)
+		}
+		seen[a.Topic] = true
 	}
 
 	f := &Fleet{
 		cfg:          cfg,
 		sched:        cfg.Sched,
-		clock:        cfg.Clock,
+		async:        cfg.Sched == nil,
 		policy:       cfg.Backoff.Normalized(),
-		topics:       intern.New(),
 		seedBase:     splitmix64(uint64(cfg.Seed) ^ 0xb1adeb1ade),
 		trunks:       make(map[string]*trunk, len(cfg.POPs)),
 		probeWall:    make([]paddedInt64, len(cfg.Areas)),
 		ApplyLatency: metrics.NewHistogram[time.Duration](),
 	}
-
-	// Intern every area topic up front: handles are dense from 1 in area
-	// order, and areaOf inverts them for the apply path.
-	f.areaOf = make([]uint32, len(cfg.Areas)+1)
-	f.topicOf = make([]uint32, len(cfg.Areas))
-	for i, a := range cfg.Areas {
-		h := f.topics.Intern(a.Topic)
-		if int(h) >= len(f.areaOf) {
-			return nil, fmt.Errorf("megadevice: duplicate area topic %q", a.Topic)
-		}
-		f.areaOf[h] = uint32(i)
-		f.topicOf[i] = h
+	if f.async {
+		f.sched = sim.RealClock{}
 	}
 
 	f.tab = newTables(cfg.Devices)
-	if cfg.HomePOP != nil {
-		for dev := 0; dev < cfg.Devices; dev++ {
+	for dev := range f.tab.area {
+		area := uint32(dev % len(cfg.Areas))
+		if cfg.DeviceArea != nil {
+			area = cfg.DeviceArea[dev]
+		}
+		if int(area) >= len(cfg.Areas) {
+			return nil, fmt.Errorf("megadevice: DeviceArea[%d] = %d out of range", dev, area)
+		}
+		f.tab.area[dev] = area
+		if cfg.HomePOP != nil {
 			f.tab.popIdx[dev] = uint8(cfg.HomePOP(uint32(dev)) % len(cfg.POPs))
 		}
 	}
-	assign := cfg.StreamArea
-	if assign == nil {
-		assign = func(dev uint32, k int) uint32 {
-			return uint32((int(dev) + k) % len(cfg.Areas))
-		}
-	}
-	for dev := 0; dev < cfg.Devices; dev++ {
-		for k := 0; k < cfg.StreamsPerDevice; k++ {
-			area := assign(uint32(dev), k)
-			if int(area) >= len(cfg.Areas) {
-				return nil, fmt.Errorf("megadevice: StreamArea(%d,%d) = %d out of range", dev, k, area)
-			}
-			f.tab.addStream(uint32(dev), f.topicOf[area])
-		}
-	}
+	f.cfg.DeviceArea = nil // copied into tab.area; the fleet does not pin the caller's slice
 	if cfg.RecordDeliveries {
-		f.rec = make([][]uint64, len(f.tab.streamTopic))
+		f.rec = make([][]uint64, cfg.Devices)
 	}
 	return f, nil
-}
-
-// Streams returns the total stream count.
-func (f *Fleet) Streams() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.tab.streamTopic)
 }
 
 // ConnectedCount returns the number of devices currently Connected.
@@ -358,7 +324,7 @@ func (f *Fleet) onTimer() {
 
 // dialLocked is the Backoff->Connected (or Backoff->Backoff on failure)
 // transition: dial the device's current POP through the shared trunk and
-// attach every stream. Mirrors device.Device.Connect + reconnect: a dial
+// attach the device's stream. Mirrors device.Device.Connect + reconnect: a dial
 // failure rotates the POP and grows the backoff.
 func (f *Fleet) dialLocked(dev uint32) {
 	if f.tab.state[dev] != StateBackoff {
@@ -384,9 +350,7 @@ func (f *Fleet) dialLocked(dev uint32) {
 	f.tab.trunk[dev] = t.id
 	f.connected++
 	f.Connects.Inc()
-	for sid := f.tab.firstStream[dev]; sid != noStream; sid = f.tab.streamNext[sid] {
-		f.attachLocked(t, sid)
-	}
+	f.attachLocked(t, dev)
 }
 
 // dropLocked is the Connected->Backoff transition for an edge-network
@@ -409,7 +373,7 @@ func (f *Fleet) dropLocked(dev uint32) {
 }
 
 // offLocked sends a device Idle. From Backoff the pending kDial becomes a
-// stale no-op (it checks state); from Connected the streams detach.
+// stale no-op (it checks state); from Connected the stream detaches.
 func (f *Fleet) offLocked(dev uint32) {
 	switch f.tab.state[dev] {
 	case StateConnected:
@@ -421,40 +385,36 @@ func (f *Fleet) offLocked(dev uint32) {
 	f.tab.attempt[dev] = 0
 }
 
-// detachDeviceLocked removes every stream of dev from its trunk's shared
-// subscriptions and clears the trunk binding. The trunk's real streams
-// stay open (warm) even at refcount zero: topics churn back quickly under
-// diurnal load, and re-instantiating a BRASS stream per swing would
-// thrash the very tier the harness is measuring.
+// detachDeviceLocked removes dev from its trunk's shared subscription and
+// clears the trunk binding. The trunk's real streams stay open (warm) even
+// at refcount zero: topics churn back quickly under diurnal load, and
+// re-instantiating a BRASS stream per swing would thrash the very tier the
+// harness is measuring.
 func (f *Fleet) detachDeviceLocked(dev uint32) {
 	tid := f.tab.trunk[dev]
 	if tid == noTrunk {
 		return
 	}
-	t := f.trunkIDs[tid]
-	for sid := f.tab.firstStream[dev]; sid != noStream; sid = f.tab.streamNext[sid] {
-		f.detachStreamLocked(t, sid)
-	}
+	f.detachLocked(f.trunkIDs[tid], dev)
 	f.tab.trunk[dev] = noTrunk
 	if f.tab.state[dev] == StateConnected {
 		f.connected--
 	}
 }
 
-// attachLocked adds a stream to the (trunk, topic) shared subscription,
+// attachLocked adds dev's stream to the (trunk, area) shared subscription,
 // creating (and really subscribing) it on first use — attached first, then
 // opened: the first batch can arrive before the subscribe call returns, and
 // it fans out to whoever is attached. A stream a termination ended stays
 // ended: its device dropped it and remains connected.
-func (f *Fleet) attachLocked(t *trunk, sid uint32) {
-	if f.tab.streamSubIdx[sid] == endedIndex {
+func (f *Fleet) attachLocked(t *trunk, dev uint32) {
+	if f.tab.subIdx[dev] == endedIndex {
 		return
 	}
-	area := f.areaOf[f.tab.streamTopic[sid]]
-	ts, fresh := t.sub(area)
+	ts, fresh := t.sub(f.tab.area[dev])
 	ts.mu.Lock()
-	f.tab.streamSubIdx[sid] = uint32(len(ts.streams))
-	ts.streams = append(ts.streams, sid)
+	f.tab.subIdx[dev] = uint32(len(ts.streams))
+	ts.streams = append(ts.streams, dev)
 	ts.mu.Unlock()
 	if fresh {
 		t.mu.Lock()
@@ -462,25 +422,24 @@ func (f *Fleet) attachLocked(t *trunk, sid uint32) {
 	}
 }
 
-// detachStreamLocked swap-removes a stream from its shared subscription
-// in O(1) via the stored membership index.
-func (f *Fleet) detachStreamLocked(t *trunk, sid uint32) {
-	area := f.areaOf[f.tab.streamTopic[sid]]
-	ts := t.lookupSub(area)
-	if ts == nil || f.tab.streamSubIdx[sid] == endedIndex {
+// detachLocked swap-removes dev's stream from its shared subscription in
+// O(1) via the stored membership index.
+func (f *Fleet) detachLocked(t *trunk, dev uint32) {
+	ts := t.lookupSub(f.tab.area[dev])
+	if ts == nil || f.tab.subIdx[dev] == endedIndex {
 		return
 	}
 	ts.mu.Lock()
-	i := f.tab.streamSubIdx[sid]
-	if i != noIndex && int(i) < len(ts.streams) && ts.streams[i] == sid {
+	i := f.tab.subIdx[dev]
+	if i != noIndex && int(i) < len(ts.streams) && ts.streams[i] == dev {
 		last := len(ts.streams) - 1
 		moved := ts.streams[last]
 		ts.streams[i] = moved
-		f.tab.streamSubIdx[moved] = i
+		f.tab.subIdx[moved] = i
 		ts.streams = ts.streams[:last]
 	}
 	ts.mu.Unlock()
-	f.tab.streamSubIdx[sid] = noIndex
+	f.tab.subIdx[dev] = noIndex
 }
 
 // backoffDelay is the delay before retry number attempt of key — a device's
@@ -498,7 +457,7 @@ func (f *Fleet) backoffDelay(key uint32, attempt uint8) int64 {
 // stream) and lost upstreams (reopen it after its backoff) — in that order,
 // so a stream that ended just before its trunk died is not redialed and an
 // ended stream is not reopened. Engine-driven callers
-// invoke it between engine bursts; Async fleets self-schedule it. Safe to
+// invoke it between engine bursts; wall-clock fleets self-schedule it. Safe to
 // call at any time.
 func (f *Fleet) Service() {
 	f.extMu.Lock()
@@ -509,8 +468,8 @@ func (f *Fleet) Service() {
 	if len(ends)+len(closed) > 0 {
 		f.mu.Lock()
 		for _, ts := range ends {
-			for _, sid := range ts.trunk.endSub(ts) {
-				f.tab.streamSubIdx[sid] = endedIndex
+			for _, dev := range ts.trunk.endSub(ts) {
+				f.tab.subIdx[dev] = endedIndex
 			}
 		}
 		for _, t := range closed {
@@ -538,8 +497,7 @@ func (f *Fleet) Service() {
 
 // drainTrunkLocked handles a dead trunk: every attached device goes to
 // Backoff with a rotated POP and a jittered redial — the reconnect storm
-// the storm scenario measures. Devices with several streams on the trunk
-// transition once (guarded by state).
+// the storm scenario measures.
 func (f *Fleet) drainTrunkLocked(t *trunk) {
 	if f.trunks[t.pop] == t {
 		delete(f.trunks, t.pop)
@@ -556,9 +514,8 @@ func (f *Fleet) drainTrunkLocked(t *trunk) {
 		streams := ts.streams
 		ts.streams = nil
 		ts.mu.Unlock()
-		for _, sid := range streams {
-			f.tab.streamSubIdx[sid] = noIndex
-			dev := f.tab.streamOwner[sid]
+		for _, dev := range streams {
+			f.tab.subIdx[dev] = noIndex
 			if f.tab.state[dev] != StateConnected || f.tab.trunk[dev] != t.id {
 				continue
 			}
@@ -579,7 +536,7 @@ func enqueue[T any](f *Fleet, q *[]T, v T) {
 	f.extMu.Lock()
 	*q = append(*q, v)
 	f.extMu.Unlock()
-	if f.cfg.Async {
+	if f.async {
 		f.sched.After(0, f.Service)
 	}
 }

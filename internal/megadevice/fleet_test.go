@@ -30,7 +30,6 @@ func virtualFleet(t testing.TB, devices, areas int) (*Fleet, *sim.Engine) {
 		Areas:   as,
 		POPs:    []string{"pop-0", "pop-1"},
 		Sched:   engine,
-		Clock:   engine,
 		Seed:    7,
 	})
 	if err != nil {
@@ -50,12 +49,12 @@ func TestFleetConnectsAllVirtual(t *testing.T) {
 	if got := f.Connects.Value(); got != 1000 {
 		t.Fatalf("Connects = %d, want 1000", got)
 	}
-	// Every stream must be attached to its trunk's shared subscription.
+	// Every device must be attached to its trunk's shared subscription.
 	f.mu.Lock()
-	for sid := range f.tab.streamTopic {
-		if f.tab.streamSubIdx[sid] == noIndex {
+	for dev, i := range f.tab.subIdx {
+		if i == noIndex {
 			f.mu.Unlock()
-			t.Fatalf("stream %d not attached", sid)
+			t.Fatalf("device %d not attached", dev)
 		}
 	}
 	trunks := len(f.trunks)
@@ -82,29 +81,18 @@ func TestDropReconnectRotatesPOP(t *testing.T) {
 	}
 	f.mu.Lock()
 	pop := f.trunkIDs[f.tab.trunk[0]].pop
-	idx := f.tab.subIdxOK(0)
+	idx := f.tab.subIdx[0]
 	f.mu.Unlock()
 	if pop != "pop-1" {
 		t.Fatalf("reconnected to %s, want rotated pop-1", pop)
 	}
-	if !idx {
+	if idx == noIndex {
 		t.Fatal("stream not re-attached after reconnect")
 	}
 	// The reconnect must have waited out a backoff delay.
 	if engine.Now().Sub(t0) < time.Second+25*time.Millisecond {
 		t.Fatalf("reconnect too fast: %v", engine.Now().Sub(t0))
 	}
-}
-
-// subIdxOK reports whether device 0's streams are all attached (test
-// helper on tables).
-func (tb *tables) subIdxOK(dev uint32) bool {
-	for sid := tb.firstStream[dev]; sid != noStream; sid = tb.streamNext[sid] {
-		if tb.streamSubIdx[sid] == noIndex {
-			return false
-		}
-	}
-	return true
 }
 
 func TestOffGoesIdleUntilReconnected(t *testing.T) {
@@ -154,7 +142,6 @@ func TestDialFailureBacksOffAndRotates(t *testing.T) {
 		POPs:    []string{"pop-0", "pop-1"},
 		Dialer:  failPopDialer{fail: map[string]bool{"pop-0": true}},
 		Sched:   engine,
-		Clock:   engine,
 		Seed:    3,
 	})
 	if err != nil {
@@ -339,10 +326,10 @@ func TestTerminationEndsSharedStream(t *testing.T) {
 		t.Fatalf("after the termination the area's stream is %+v, want a fresh one holding stream 3 alone", fresh)
 	}
 	f.mu.Lock()
-	idx := append([]uint32(nil), f.tab.streamSubIdx...)
+	idx := append([]uint32(nil), f.tab.subIdx...)
 	f.mu.Unlock()
 	if idx[0] != endedIndex || idx[1] != endedIndex || idx[2] != endedIndex || idx[3] != 0 {
-		t.Fatalf("streamSubIdx = %v, want three ended streams and stream 3 attached", idx)
+		t.Fatalf("subIdx = %v, want three ended streams and stream 3 attached", idx)
 	}
 }
 
@@ -360,7 +347,6 @@ func TestTrunkDeathRedialsAttachedDevices(t *testing.T) {
 		POPs:    []string{"pop-0", "pop-1"},
 		Dialer:  net,
 		Sched:   engine,
-		Clock:   engine,
 		Seed:    11,
 	})
 	if err != nil {
@@ -413,8 +399,8 @@ func TestFootprintStaysUnderBudget(t *testing.T) {
 	}
 	engine.Run()
 	bpd := f.BytesPerDevice()
-	if bpd > 64 {
-		t.Fatalf("bytes/device = %.1f, want <= 64", bpd)
+	if bpd > 40 {
+		t.Fatalf("bytes/device = %.1f, want <= 40", bpd)
 	}
 	t.Logf("bytes/device = %.1f (footprint %d for %d devices)", bpd, f.Footprint(), devices)
 }

@@ -124,11 +124,11 @@ func RunLive(o LiveOptions) (*Report, error) {
 	fleet, err := New(Config{
 		Devices:    o.Devices,
 		Areas:      areas,
-		StreamArea: func(dev uint32, _ int) uint32 { return assign[dev] },
+		DeviceArea: assign,
 		POPs:       popNames,
 		Dialer:     tnet,
 		Seed:       o.Seed,
-		// Sched nil: RealClock + Async — external trunk events self-serve.
+		// Sched nil: the wall clock — external trunk events self-serve.
 	})
 	if err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func RunLive(o LiveOptions) (*Report, error) {
 	defer fleet.Close()
 
 	rep := &Report{
-		Scenario: ScenarioLive, Devices: o.Devices, Streams: fleet.Streams(),
+		Scenario: ScenarioLive, Devices: o.Devices,
 		Areas: o.Areas, ZipfS: 1.1, Seed: o.Seed,
 		SimSeconds: o.Duration.Seconds(),
 	}

@@ -47,7 +47,6 @@ type Options struct {
 type Report struct {
 	Scenario   string  `json:"scenario"`
 	Devices    int     `json:"devices"`
-	Streams    int     `json:"streams"`
 	Areas      int     `json:"areas"`
 	ZipfS      float64 `json:"zipf_s"`
 	Seed       int64   `json:"seed"`
@@ -82,10 +81,12 @@ type Report struct {
 	// simulated minutes from cut to full reattach.
 	ConnectedSeries []int   `json:"connected_series,omitempty"`
 	ReattachMinutes float64 `json:"reattach_minutes,omitempty"`
-	// Celebrity-only: fanout throughput while draining the hot-topic
-	// burst (per-device applies per wall second).
-	FanoutPerSec float64 `json:"fanout_per_sec,omitempty"`
-	HotTopicSubs int     `json:"hot_topic_subs,omitempty"`
+	// Celebrity-only: the devices assigned to the hottest area, the
+	// per-device applies while draining the burst into it, and their
+	// throughput (applies per wall second).
+	FanoutPerSec    float64 `json:"fanout_per_sec,omitempty"`
+	HotTopicSubs    int     `json:"hot_topic_subs,omitempty"`
+	HotTopicApplied int64   `json:"hot_topic_applied,omitempty"`
 
 	// Replay-only: late joiners resuming from the "earliest" cursor pull
 	// the backlog from the BRASS durable log instead of backend reads.
@@ -105,12 +106,23 @@ type Report struct {
 
 // A scenario's pacing against the live cluster: the peak background publish
 // rate (scaled by the diurnal curve) and the delivery-latency probe rate
-// (fractional rates accumulate), each per simulated minute and each
-// trimmed under Short, and the wall-clock wait for one probe's delivery.
+// (fractional rates accumulate), each per simulated minute, the celebrity
+// burst's publishes, each trimmed under Short, and the wall-clock wait for
+// one probe's delivery.
 const (
 	pubsPerMinute, shortPubsPerMinute     = 120, 30
 	probesPerMinute, shortProbesPerMinute = 2.0, 0.2
+	burstPubs, shortBurstPubs             = 100, 25
 	probeWait                             = 500 * time.Millisecond
+)
+
+// The fleet's online fraction over the day: its own diurnal curve, 62% of
+// the devices online at the trough and 97% at the peak hour (no paper
+// figure gives it). Storm and celebrity hold the fleet near-fully online
+// so the failure/fanout signal dominates.
+var (
+	diurnalOnline = workload.Diurnal{Min: 0.62, Max: 0.97, PeakHour: 19}
+	steadyOnline  = workload.Diurnal{Min: 0.95, Max: 0.97, PeakHour: 19}
 )
 
 // paperDevices is the fleet the paper's fleet-wide Fig 10 curves count
@@ -229,7 +241,7 @@ func Run(o Options) (*Report, error) {
 	fleet, err := New(Config{
 		Devices:    o.Devices,
 		Areas:      areas,
-		StreamArea: func(dev uint32, _ int) uint32 { return assign[dev] },
+		DeviceArea: assign,
 		POPs:       cluster.POPTargets(),
 		Dialer:     cluster.Net,
 		Sched:      engine,
@@ -241,18 +253,14 @@ func Run(o Options) (*Report, error) {
 	defer fleet.Close()
 
 	rep := &Report{
-		Scenario: o.Scenario, Devices: o.Devices, Streams: fleet.Streams(),
+		Scenario: o.Scenario, Devices: o.Devices,
 		Areas: o.Areas, ZipfS: o.ZipfS, Seed: o.Seed, Short: o.Short,
 		SimSeconds: o.SimDuration.Seconds(),
 	}
 
-	// Online fraction over the day: the fleet's own diurnal curve, 62% of
-	// the devices online at the trough and 97% at the peak hour (no paper
-	// figure gives it); storm and celebrity hold the fleet near-fully
-	// online so the failure/fanout signal dominates.
-	online := workload.Diurnal{Min: 0.62, Max: 0.97, PeakHour: 19}
+	online := diurnalOnline
 	if o.Scenario != ScenarioDiurnal {
-		online = workload.Diurnal{Min: 0.95, Max: 0.97, PeakHour: 19}
+		online = steadyOnline
 	}
 
 	minutes := int(o.SimDuration / time.Minute)
@@ -279,9 +287,9 @@ func Run(o Options) (*Report, error) {
 		}
 	}
 	rep.HotTopicSubs = areaSubs[hotArea]
-	burstPubs, pubRate, probeRate := 100, pubsPerMinute, probesPerMinute
+	burst, pubRate, probeRate := burstPubs, pubsPerMinute, probesPerMinute
 	if o.Short {
-		burstPubs, pubRate, probeRate = 25, shortPubsPerMinute, shortProbesPerMinute
+		burst, pubRate, probeRate = shortBurstPubs, shortPubsPerMinute, shortProbesPerMinute
 	}
 
 	publish := func(area int) {
@@ -320,6 +328,10 @@ func Run(o Options) (*Report, error) {
 				o.Logf("minute %d: cutting POPs %v", m, cutPops)
 				cluster.Net.SetDownGroup(true, cutPops...)
 				cutMinute = m
+				// The severed trunks report their deaths from their read
+				// loops; waiting for them puts the dip in this minute's
+				// sample, not in whichever minute the loops finish by.
+				fleet.awaitTrunkDeaths(cutPops)
 			}
 			if m == healAt {
 				o.Logf("minute %d: healing POPs %v", m, cutPops)
@@ -360,18 +372,19 @@ func Run(o Options) (*Report, error) {
 		}
 		if o.Scenario == ScenarioCelebrity && m == cutAt {
 			o.Logf("minute %d: celebrity burst, %d publishes into area %d (%d subscribers)",
-				m, burstPubs, hotArea, areaSubs[hotArea])
+				m, burst, hotArea, areaSubs[hotArea])
 			base := fleet.Applied.Value()
 			burstStart := wall.Now()
-			for i := 0; i < burstPubs; i++ {
+			for i := 0; i < burst; i++ {
 				publish(hotArea)
 			}
-			want := base + int64(burstPubs)*int64(areaSubs[hotArea])*95/100
+			want := base + int64(burst)*int64(areaSubs[hotArea])*95/100
 			for fleet.Applied.Value() < want && wall.Now().Sub(burstStart) < 30*time.Second {
 				sim.Sleep(wall, time.Millisecond)
 			}
+			rep.HotTopicApplied = fleet.Applied.Value() - base
 			if w := wall.Now().Sub(burstStart).Seconds(); w > 0 {
-				rep.FanoutPerSec = float64(fleet.Applied.Value()-base) / w
+				rep.FanoutPerSec = float64(rep.HotTopicApplied) / w
 			}
 		}
 
@@ -405,6 +418,22 @@ func Run(o Options) (*Report, error) {
 	rep.count(fleet, engine, wall.Now().Sub(start))
 	rep.LatencyCDF = fleet.ApplyLatency.CDF(20)
 	return rep, nil
+}
+
+// awaitTrunkDeaths waits until the read loops of the live trunks on pops
+// have queued their deaths for Service.
+func (f *Fleet) awaitTrunkDeaths(pops []string) {
+	f.mu.Lock()
+	var dying []*trunk
+	for _, pop := range pops {
+		if t := f.trunks[pop]; t != nil && t.sess != nil {
+			dying = append(dying, t)
+		}
+	}
+	f.mu.Unlock()
+	for _, t := range dying {
+		<-t.sess.Done()
+	}
 }
 
 // clusterConfig is the cluster every scenario runs on: four POPs and a
@@ -504,7 +533,7 @@ func runReplay(o Options) (*Report, error) {
 	fleet, err := New(Config{
 		Devices:    o.Devices,
 		Areas:      areas,
-		StreamArea: func(dev uint32, _ int) uint32 { return assign[dev] },
+		DeviceArea: assign,
 		POPs:       cluster.POPTargets(),
 		Dialer:     cluster.Net,
 		Sched:      engine,
@@ -522,7 +551,7 @@ func runReplay(o Options) (*Report, error) {
 	defer fleet.Close()
 
 	rep := &Report{
-		Scenario: o.Scenario, Devices: o.Devices, Streams: fleet.Streams(),
+		Scenario: o.Scenario, Devices: o.Devices,
 		Areas: o.Areas, ZipfS: o.ZipfS, Seed: o.Seed, Short: o.Short,
 		SimSeconds:        o.SimDuration.Seconds(),
 		ReplaySeedDevices: seedDevs, ReplayLateJoiners: o.Devices - seedDevs,

@@ -9,11 +9,11 @@
 // The design trades per-device fidelity for density, explicitly:
 //
 //   - Struct-of-arrays tables. A virtual device is a row across a handful
-//     of parallel fixed-width arrays (state, attempt, popIdx, trunk,
-//     firstStream), a stream is a row across five more. No per-device
-//     heap objects, no pointers, no goroutines, no channels. Strings
-//     (topics, POP names) appear once, interned to dense uint32 handles
-//     (internal/intern); rows carry only handles.
+//     of parallel fixed-width arrays (state, attempt, popIdx, trunk, area,
+//     subIdx, seq): one device is one stream, subscribed to one area. No
+//     per-device heap objects, no pointers, no goroutines, no channels.
+//     Strings (topics, POP names) appear once, in the fleet's Config; rows
+//     carry only indexes.
 //
 //   - State machines on the event kernel. Dial, backoff, reconnect-with-
 //     POP-rotation, drop and go-offline are transitions in a packed
@@ -45,86 +45,61 @@ const (
 	StateConnected
 )
 
-// Sentinels for "no trunk" / "no stream" / "not attached" / "ended by a
-// termination: never attached again".
+// Sentinels for "no trunk" / "not attached" / "ended by a termination:
+// never attached again".
 const (
 	noTrunk    = ^uint16(0)
-	noStream   = ^uint32(0)
 	noIndex    = ^uint32(0)
 	endedIndex = noIndex - 1
 )
 
 // tables is the struct-of-arrays core: parallel fixed-width columns
-// indexed by dense device and stream ids. Per-device cost:
+// indexed by dense device ids, each sized once. Per-device cost:
 //
-//	state+attempt+popIdx      3 B
-//	trunk                     2 B
-//	firstStream               4 B   -> 9 B per device
+//	state+attempt+popIdx   3 B
+//	trunk                  2 B
+//	area   (area index)    4 B
+//	subIdx (pos in sub)    4 B
+//	seq    (last applied)  8 B  -> 21 B per device
 //
-//	streamTopic (intern handle) 4 B
-//	streamNext  (chain)         4 B
-//	streamOwner (device id)     4 B
-//	streamSubIdx (pos in sub)   4 B
-//	streamSeq   (last applied)  8 B  -> 24 B per stream
-//
-// With one stream per device that is 33 B before the transition heap
-// (16 B/entry, peak-bounded) and per-topic membership slices (4 B per
-// attached stream) — comfortably inside the 64 B/device budget the CI
-// gate enforces via Footprint.
+// That is before the transition heap (16 B/entry, peak-bounded) and the
+// per-topic membership slices (4 B per attached device) — comfortably
+// inside the 40 B/device budget TestFootprintStaysUnderBudget enforces via
+// Footprint.
 type tables struct {
-	// Device columns (len = device count).
-	state       []uint8
-	attempt     []uint8
-	popIdx      []uint8
-	trunk       []uint16
-	firstStream []uint32
-
-	// Stream columns (len = stream count).
-	streamTopic  []uint32 // interned topic handle
-	streamNext   []uint32 // next stream of the same device, noStream ends
-	streamOwner  []uint32 // owning device id
-	streamSubIdx []uint32 // index in the topicSub membership; noIndex if detached, endedIndex if terminated
-	streamSeq    []uint64 // highest applied payload seq (atomic access)
+	state   []uint8
+	attempt []uint8
+	popIdx  []uint8
+	trunk   []uint16
+	area    []uint32 // index into Config.Areas
+	subIdx  []uint32 // index in the topicSub membership; noIndex if detached, endedIndex if terminated
+	seq     []uint64 // highest applied payload seq (atomic access)
 }
 
 func newTables(devices int) *tables {
 	t := &tables{
-		state:       make([]uint8, devices),
-		attempt:     make([]uint8, devices),
-		popIdx:      make([]uint8, devices),
-		trunk:       make([]uint16, devices),
-		firstStream: make([]uint32, devices),
+		state:   make([]uint8, devices),
+		attempt: make([]uint8, devices),
+		popIdx:  make([]uint8, devices),
+		trunk:   make([]uint16, devices),
+		area:    make([]uint32, devices),
+		subIdx:  make([]uint32, devices),
+		seq:     make([]uint64, devices),
 	}
 	for i := range t.trunk {
 		t.trunk[i] = noTrunk
-		t.firstStream[i] = noStream
+		t.subIdx[i] = noIndex
 	}
 	return t
-}
-
-// addStream appends a stream row owned by dev, linking it into the
-// device's chain, and returns its id.
-func (t *tables) addStream(dev uint32, topicHandle uint32) uint32 {
-	sid := uint32(len(t.streamTopic))
-	t.streamTopic = append(t.streamTopic, topicHandle)
-	t.streamNext = append(t.streamNext, t.firstStream[dev])
-	t.streamOwner = append(t.streamOwner, dev)
-	t.streamSubIdx = append(t.streamSubIdx, noIndex)
-	t.streamSeq = append(t.streamSeq, 0)
-	t.firstStream[dev] = sid
-	return sid
 }
 
 // bytes returns the exact size of the table columns' backing arrays.
 func (t *tables) bytes() int64 {
 	b := int64(cap(t.state)) + int64(cap(t.attempt)) + int64(cap(t.popIdx))
 	b += 2 * int64(cap(t.trunk))
-	b += 4 * int64(cap(t.firstStream))
-	b += 4 * int64(cap(t.streamTopic))
-	b += 4 * int64(cap(t.streamNext))
-	b += 4 * int64(cap(t.streamOwner))
-	b += 4 * int64(cap(t.streamSubIdx))
-	b += 8 * int64(cap(t.streamSeq))
+	b += 4 * int64(cap(t.area))
+	b += 4 * int64(cap(t.subIdx))
+	b += 8 * int64(cap(t.seq))
 	return b
 }
 

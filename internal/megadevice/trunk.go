@@ -39,7 +39,7 @@ type topicSub struct {
 	sid   burst.StreamID
 
 	mu      sync.Mutex
-	streams []uint32
+	streams []uint32        // ids of the attached devices, each one virtual stream
 	req     burst.Subscribe // stored request, patched by rewrites
 	rec     burst.Recovery  // stepped by the deltas of sid, the current incarnation, only
 	lost    uint8           // upstream-lost reopens since an incarnation last reached an upstream
@@ -151,7 +151,7 @@ func (t *trunk) openUnlock(ts *topicSub, cancelOld bool) bool {
 }
 
 // endSub executes a termination: the shared stream leaves the trunk and the
-// virtual streams attached to it are returned for the fleet to mark ended.
+// devices attached to it are returned for the fleet to mark their streams ended.
 // A device that attaches to the area later opens a fresh stream, as a new
 // device.Subscribe would. Called from Service, under f.mu.
 func (t *trunk) endSub(ts *topicSub) []uint32 {
