@@ -3,6 +3,7 @@ package brass
 import (
 	"time"
 
+	"bladerunner/internal/cache"
 	"bladerunner/internal/pylon"
 	"bladerunner/internal/socialgraph"
 	"bladerunner/internal/trace"
@@ -25,6 +26,9 @@ type payloadKey struct {
 	id  uint64
 	ref uint64
 }
+
+// Hash spreads payloadKeys over an instance's payload cache.
+func (k payloadKey) Hash() uint64 { return cache.Uint64Hash(k.id ^ cache.Uint64Hash(k.ref)) }
 
 // payloadCacheSize is each instance's capacity: one event's fan-out, served
 // inside one OnEvent, or the comments LVC's viewers pop up to one rate limit

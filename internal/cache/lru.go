@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -28,14 +29,19 @@ type entry[K comparable, V any] struct {
 // LRU is a fixed-capacity, TTL-bounded, least-recently-used cache. Safe for
 // concurrent use. Expired entries are treated as absent on Get and reclaimed
 // lazily; eviction removes the least recently used live entry.
-type LRU[K comparable, V any] struct {
-	mu      sync.Mutex
-	cap     int
-	ttl     time.Duration
-	jitter  float64
-	clock   sim.Clock
-	rng     uint64 // xorshift state for seeded TTL jitter
-	entries map[K]*entry[K, V]
+type LRU[K Key, V any] struct {
+	mu     sync.Mutex
+	cap    int
+	ttl    time.Duration
+	jitter float64
+	clock  sim.Clock
+	rng    uint64 // xorshift state for seeded TTL jitter
+	// index is an open-addressed table of the live entries, linear probing
+	// from each key's hash, sized once to at least twice the capacity.
+	// Deletion shifts the probe run back rather than leaving a tombstone,
+	// so churn never grows it.
+	index []*entry[K, V]
+	n     int // live entries
 	// head is most recently used, tail least. Sentinel-free list.
 	head, tail *entry[K, V]
 }
@@ -45,7 +51,7 @@ type LRU[K comparable, V any] struct {
 // entry's TTL by a seeded random fraction of up to jitter*ttl so co-resident
 // entries do not all expire (and refetch) in the same instant. clock may be
 // nil for the wall clock.
-func NewLRU[K comparable, V any](capacity int, ttl time.Duration, jitter float64, clock sim.Clock, seed int64) *LRU[K, V] {
+func NewLRU[K Key, V any](capacity int, ttl time.Duration, jitter float64, clock sim.Clock, seed int64) *LRU[K, V] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: non-positive LRU capacity %d", capacity))
 	}
@@ -59,22 +65,65 @@ func NewLRU[K comparable, V any](capacity int, ttl time.Duration, jitter float64
 	if s == 0 {
 		s = 0x9E3779B97F4A7C15
 	}
-	return &LRU[K, V]{
-		cap:     capacity,
-		ttl:     ttl,
-		jitter:  jitter,
-		clock:   clock,
-		rng:     s,
-		entries: make(map[K]*entry[K, V], capacity),
+	slots := 2
+	for slots < 2*capacity {
+		slots *= 2
 	}
+	return &LRU[K, V]{
+		cap:    capacity,
+		ttl:    ttl,
+		jitter: jitter,
+		clock:  clock,
+		rng:    s,
+		index:  make([]*entry[K, V], slots),
+	}
+}
+
+// Key is what an LRU is keyed by: a comparable value whose Hash spreads it
+// over the cache's index (StringHash for a string, Uint64Hash of its fields
+// for integers).
+type Key interface {
+	comparable
+	Hash() uint64
+}
+
+var stringSeed = maphash.MakeSeed()
+
+// StringHash hashes a string.
+func StringHash(s string) uint64 { return maphash.String(stringSeed, s) }
+
+// Uint64Hash hashes an integer: splitmix64's finalizer, so
+// keys that differ in a few low bits land far apart.
+func Uint64Hash(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// slot returns the index slot that holds key, or the empty slot that ends
+// its probe run, and the entry there (nil when key is absent).
+func (c *LRU[K, V]) slot(key K) (int, *entry[K, V]) {
+	mask := len(c.index) - 1
+	for i := c.home(key); ; i = (i + 1) & mask {
+		if e := c.index[i]; e == nil || e.key == key {
+			return i, e
+		}
+	}
+}
+
+// home is the slot key's probe run starts at.
+func (c *LRU[K, V]) home(key K) int {
+	return int(key.Hash() & uint64(len(c.index)-1))
 }
 
 // Get returns the live value for key, marking it most recently used.
 func (c *LRU[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
+	_, e := c.slot(key)
+	if e == nil {
 		var zero V
 		return zero, false
 	}
@@ -93,20 +142,23 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 func (c *LRU[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	i, e := c.slot(key)
+	if e != nil {
 		e.val = val
 		e.expires = c.deadlineLocked()
 		c.moveToFrontLocked(e)
 		return
 	}
-	e := c.tail
-	if len(c.entries) < c.cap {
+	e = c.tail
+	if c.n < c.cap {
 		e = new(entry[K, V])
 	} else {
 		c.removeLocked(e)
+		i, _ = c.slot(key) // the removal may have shifted key's run
 	}
 	*e = entry[K, V]{key: key, val: val, expires: c.deadlineLocked()}
-	c.entries[key] = e
+	c.index[i] = e
+	c.n++
 	c.pushFrontLocked(e)
 }
 
@@ -147,9 +199,29 @@ func (c *LRU[K, V]) moveToFrontLocked(e *entry[K, V]) {
 	c.pushFrontLocked(e)
 }
 
+// removeLocked unlinks e and deletes it from the index, moving each later
+// entry of its probe run that may sit at the hole back into it (backward
+// shift), so every live key stays reachable from its home without a
+// tombstone.
 func (c *LRU[K, V]) removeLocked(e *entry[K, V]) {
 	c.unlinkLocked(e)
-	delete(c.entries, e.key)
+	c.n--
+	mask := len(c.index) - 1
+	hole, _ := c.slot(e.key)
+	for j := hole; ; {
+		j = (j + 1) & mask
+		next := c.index[j]
+		if next == nil {
+			break
+		}
+		// next moves back when the hole is on its probe path: its home is
+		// at or before the hole, counting along the run.
+		if (j-c.home(next.key))&mask >= (j-hole)&mask {
+			c.index[hole] = next
+			hole = j
+		}
+	}
+	c.index[hole] = nil
 }
 
 func (c *LRU[K, V]) unlinkLocked(e *entry[K, V]) {

@@ -11,9 +11,10 @@
 // epoch) returns ErrCursorExpired and the serving BRASS falls back to the
 // application's backend. Appends are the delivery hot path and stay
 // allocation-free in steady state: a slab is one byte array, sized by its
-// first append and doubled on the ring's first lap — Open allocates none —
-// then recycled in place, capacity kept, by rotation, retention expiry,
-// and gap resets. The budgets stay payload bytes and entries.
+// first append and grown on the ring's first lap in the steps append takes,
+// one allocator size class each — Open allocates none — then recycled in
+// place, capacity kept, by rotation, retention expiry, and gap resets. The
+// budgets stay payload bytes and entries.
 package durlog
 
 import (
@@ -22,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,13 +179,17 @@ type segment struct {
 	sealed time.Time // rotation timestamp (zero while hot)
 }
 
-// grow reallocates buf to hold need bytes: twice its capacity, at least
-// need, at most HotBytes plus a length prefix per entry.
+// grow reallocates buf to hold need bytes in the steps append takes for a
+// []byte — twice a capacity under 256 bytes, about 1.25× above — at least
+// need, at most HotBytes plus a length prefix per entry, and keeps the whole
+// size class the allocator hands out.
 func (s *segment) grow(need int, cfg *Config) {
 	ceiling := cfg.HotBytes + cfg.SegmentEntries*uvarintLen(uint64(cfg.HotBytes))
-	b := make([]byte, len(s.buf), min(max(2*cap(s.buf), need), ceiling))
-	copy(b, s.buf)
-	s.buf = b
+	size := 2 * cap(s.buf)
+	if c := cap(s.buf); c >= 256 {
+		size = c + (c+3*256)/4
+	}
+	s.buf = append(slices.Grow([]byte(nil), min(max(size, need), ceiling)), s.buf...)
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -308,7 +314,7 @@ func (t *topicLog) appendLocked(l *Log, seq uint64, payload []byte) bool {
 	off := len(seg.buf)
 	end := off + uvarintLen(uint64(len(payload))) + len(payload)
 	if end > cap(seg.buf) {
-		//brlint:allow(hot-path-alloc) ring warm-up: a slab doubles to its ceiling once, on the first lap
+		//brlint:allow(hot-path-alloc) ring warm-up: a slab grows by size class to its ceiling once, on the first lap
 		seg.grow(end, &l.cfg)
 	}
 	seg.buf = seg.buf[:end]

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -378,9 +379,10 @@ func assertRingContiguous(t *testing.T, l *Log, topic string) {
 }
 
 // TestTopicHoldsWhatItRetains: Open allocates no slab; while the ring makes
-// its first lap no slab holds more than twice the bytes it packs (a slab's
-// first size is exactly its first entry); after that lap appends of a
-// repeating size allocate nothing.
+// its first lap no slab's capacity is more than the size class of 1.25× the
+// bytes it packs plus 192 — append's step for a []byte, so about 1.25× plus
+// one entry (a slab's first size is the size class of its first entry);
+// after that lap appends of a repeating size allocate nothing.
 func TestTopicHoldsWhatItRetains(t *testing.T) {
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	l := New(Config{Clock: clk, Retention: -1}) // 16 KiB, 256 entries, 4 slabs
@@ -400,17 +402,15 @@ func TestTopicHoldsWhatItRetains(t *testing.T) {
 	const topic = "/MB/0"
 	rng := rand.New(rand.NewSource(1))
 	tl := l.lookup(topic)
+	sizeClass := func(n int) int { return cap(slices.Grow([]byte(nil), n)) }
 	for seq := uint64(1); l.Rotations.Value() < int64(l.cfg.Segments); seq++ {
 		l.Append(topic, seq, make([]byte, rng.Intn(300)))
-		held, capacity := 0, 0
 		tl.mu.Lock()
-		for j := range tl.segs {
-			held += len(tl.segs[j].buf)
-			capacity += cap(tl.segs[j].buf)
-		}
+		hot := tl.segs[tl.active].buf
 		tl.mu.Unlock()
-		if capacity > 2*held {
-			t.Fatalf("after %d appends the topic holds %d packed bytes in %d of capacity", seq, held, capacity)
+		// The slab the lap's last rotation recycles keeps its capacity.
+		if held := len(hot); l.Evictions.Value() == 0 && cap(hot) > sizeClass(held+held/4+192) {
+			t.Fatalf("after %d appends the hot slab holds %d packed bytes in %d of capacity", seq, held, cap(hot))
 		}
 		assertRingContiguous(t, l, topic)
 	}

@@ -35,13 +35,6 @@ var ErrNodeDown = errors.New("kvstore: node down")
 // Member is one element of a replicated set (for Pylon: a BRASS host ID).
 type Member string
 
-// record tracks one member with LWW metadata. Tombstones (Present=false)
-// are retained so removals replicate correctly.
-type record struct {
-	Version uint64
-	Present bool
-}
-
 // SetView is a point-in-time, version-annotated view of a replicated set,
 // suitable for merging across replicas: one entry per member, tombstones
 // included, sorted by member.
@@ -124,19 +117,21 @@ func newer(v1 uint64, p1 bool, v2 uint64, p2 bool) bool {
 // latency. Hooks run outside the node's lock.
 type OpHook func(op, key string) error
 
-// Node is one KV replica server.
+// Node is one KV replica server. It stores each key's set as the view it
+// answers with, sorted by member; tombstones (Present=false) are kept so
+// removals replicate correctly.
 type Node struct {
 	ID     string
 	Region string
 
 	mu   sync.RWMutex
 	hook OpHook
-	data map[string]map[Member]record
+	data map[string]SetView
 }
 
 // NewNode returns an empty node.
 func NewNode(id, region string) *Node {
-	return &Node{ID: id, Region: region, data: make(map[string]map[Member]record)}
+	return &Node{ID: id, Region: region, data: make(map[string]SetView)}
 }
 
 // SetOpHook installs (or, with nil, removes) the node's fault hook.
@@ -157,28 +152,28 @@ func (n *Node) runHook(op, key string) error {
 	return h(op, key)
 }
 
-// apply records a membership change if it is newer than the stored record.
-func (n *Node) apply(key string, m Member, rec record) error {
+// apply records a membership change if it is newer than the member's stored
+// entry: in place, or inserted at its sorted position.
+func (n *Node) apply(key string, r VersionedMember) error {
 	if err := n.runHook("apply", key); err != nil {
 		return fmt.Errorf("node %s: %w", n.ID, err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	set, ok := n.data[key]
-	if !ok {
-		set = make(map[Member]record)
-		n.data[key] = set
-	}
-	if cur, ok := set[m]; !ok || newer(rec.Version, rec.Present, cur.Version, cur.Present) {
-		set[m] = rec
+	set := n.data[key]
+	if i, ok := slices.BinarySearchFunc(set, r.Member, byMember); !ok {
+		n.data[key] = slices.Insert(set, i, r)
+	} else if newer(r.Version, r.Present, set[i].Version, set[i].Present) {
+		set[i] = r
 	}
 	return nil
 }
 
-// viewUnless returns the node's current view of key, except that a node
+// viewUnless returns a copy of the node's view of key, except that a node
 // whose set at key already equals a non-nil same answers nil without
 // copying it: Patch asks every replica on every slow-path publish, and
-// nearly always they agree.
+// nearly always they agree. The copy never aliases the stored view, which
+// apply changes in place.
 func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 	if err := n.runHook("view", key); err != nil {
 		return nil, fmt.Errorf("node %s: %w", n.ID, err)
@@ -186,24 +181,10 @@ func (n *Node) viewUnless(key string, same SetView) (SetView, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	set := n.data[key]
-	if same != nil && len(set) == len(same) {
-		agree := true
-		for m, r := range set {
-			if got, ok := same.Get(m); !ok || got.Version != r.Version || got.Present != r.Present {
-				agree = false
-				break
-			}
-		}
-		if agree {
-			return nil, nil
-		}
+	if same != nil && slices.Equal(set, same) {
+		return nil, nil
 	}
-	out := make(SetView, 0, len(set)) // never nil: an empty set is an answer
-	for m, r := range set {
-		out = append(out, VersionedMember{Member: m, Version: r.Version, Present: r.Present})
-	}
-	slices.SortFunc(out, memberOrder)
-	return out, nil
+	return append(make(SetView, 0, len(set)), set...), nil // never nil: an empty set is an answer
 }
 
 // Cluster is a set of nodes with rendezvous-hashed replica placement.
@@ -347,10 +328,10 @@ func (c *Cluster) SetRemove(key string, m Member) (int, error) {
 func (c *Cluster) write(key string, m Member, present bool) (int, error) {
 	var few [StackReplicas]*Node
 	replicas := c.replicasInto(few[:0], key)
-	rec := record{Version: c.NextVersion(), Present: present}
+	r := VersionedMember{Member: m, Version: c.NextVersion(), Present: present}
 	acked := 0
 	for _, n := range replicas {
-		if err := n.apply(key, m, rec); err == nil {
+		if err := n.apply(key, r); err == nil {
 			acked++
 		}
 	}
@@ -401,7 +382,7 @@ func (c *Cluster) Patch(key string, merged SetView) int {
 		}
 		for _, r := range merged {
 			if cur, ok := v.Get(r.Member); !ok || newer(r.Version, r.Present, cur.Version, cur.Present) {
-				_ = n.apply(key, r.Member, record{Version: r.Version, Present: r.Present})
+				_ = n.apply(key, r)
 			}
 		}
 		patched++

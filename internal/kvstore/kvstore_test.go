@@ -287,7 +287,7 @@ func TestRemoveThenAddWins(t *testing.T) {
 func TestDownNodeRejectsReadsAndWrites(t *testing.T) {
 	n := NewNode("a", "r")
 	n.SetOpHook(down)
-	if err := n.apply("k", "m", record{Version: 1, Present: true}); !errors.Is(err, ErrNodeDown) {
+	if err := n.apply("k", VersionedMember{Member: "m", Version: 1, Present: true}); !errors.Is(err, ErrNodeDown) {
 		t.Errorf("apply err = %v", err)
 	}
 	if _, err := n.viewUnless("k", nil); !errors.Is(err, ErrNodeDown) {

@@ -89,6 +89,9 @@ var stdlibAllocFreeFuncs = map[string]bool{
 
 	"errors.Is": true,
 
+	// String hashes the string's bytes in place, whatever the string.
+	"hash/maphash.String": true,
+
 	"(*math/rand.Rand).Int63n": true,
 
 	// Interface methods the module cannot resolve statically but the hot

@@ -49,6 +49,9 @@ import (
 // path: /LVC/videoID, /TI/threadID/uid, /Status/uid.
 type Topic string
 
+// Hash spreads topics over the subscriber cache's index.
+func (t Topic) Hash() uint64 { return cache.StringHash(string(t)) }
+
 // Event is a published update event: metadata only, pointing at the data in
 // TAO. BRASSes fetch the payload from the WAS when (and only when) they
 // decide a client should see it.

@@ -19,10 +19,10 @@ import (
 // target "entry" and reports the heap they leave live, per stream: HeapAlloc
 // after two GCs (the second empties sync.Pool's victim cache, whatever ran
 // before), before the opens and after every one has reached the server end,
-// which signals each on opened. The device and its streams stay open until
-// release, which the test defers, so no teardown frees heap while the next
-// is measured.
-func heldStreams(t *testing.T, pn *edge.PipeNetwork, n int, opened <-chan struct{}) (perStream float64, release func()) {
+// which signals each on opened, and settle, if non-nil, has returned for
+// each. The device and its streams stay open until release, which the test
+// defers, so no teardown frees heap while the next is measured.
+func heldStreams(t *testing.T, pn *edge.PipeNetwork, n int, opened <-chan struct{}, settle func(*burst.ClientStream)) (perStream float64, release func()) {
 	t.Helper()
 	rwc, err := pn.Dial("entry")
 	if err != nil {
@@ -42,6 +42,11 @@ func heldStreams(t *testing.T, pn *edge.PipeNetwork, n int, opened <-chan struct
 			t.Fatal(err)
 		}
 		<-opened
+	}
+	if settle != nil {
+		for _, st := range held {
+			settle(st)
+		}
 	}
 	runtime.GC()
 	runtime.GC()
@@ -120,7 +125,7 @@ func TestOpenStreamsHoldOneObjectPerHop(t *testing.T) {
 	}
 	pn := edge.NewPipeNetwork()
 	pn.Register("entry", upstream)
-	bare, release := heldStreams(t, pn, n, opened)
+	bare, release := heldStreams(t, pn, n, opened, nil)
 	defer release()
 
 	pn = edge.NewPipeNetwork()
@@ -128,7 +133,7 @@ func TestOpenStreamsHoldOneObjectPerHop(t *testing.T) {
 	pop := edge.NewProxy("pop", pn, edge.StaticRouter("up"))
 	defer pop.Close()
 	pn.Register("entry", pop.Accept)
-	relayed, release := heldStreams(t, pn, n, opened)
+	relayed, release := heldStreams(t, pn, n, opened, nil)
 	defer release()
 
 	pn = edge.NewPipeNetwork()
@@ -136,7 +141,7 @@ func TestOpenStreamsHoldOneObjectPerHop(t *testing.T) {
 	defer host.Close()
 	host.RegisterApp(holdApp{opened})
 	pn.Register("entry", func(rwc io.ReadWriteCloser) { host.AcceptSession("hold", rwc) })
-	hosted, release := heldStreams(t, pn, n, opened)
+	hosted, release := heldStreams(t, pn, n, opened, nil)
 	defer release()
 
 	relay, hop := relayed-bare, hosted-bare
