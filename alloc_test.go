@@ -308,7 +308,7 @@ func streamOpenClose(b *testing.B) {
 	pyl := pylon.MustNew(pylon.DefaultConfig(), bench.NewKV())
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 100, MeanFriends: 5, Seed: 1})
 	w := was.New(tao.MustNewStore(tao.DefaultConfig(), nil), graph, pyl, nil)
-	host := brass.NewHost(brass.HostConfig{ID: "open-host", StickyRouting: true}, pyl, w, nil)
+	host := brass.NewHost(brass.HostConfig{ID: "open-host"}, pyl, w, nil)
 	defer host.Close()
 	closed := make(chan string)
 	host.RegisterApp(closeSignal{apps.NewSuite(w).FeedComments, closed})

@@ -38,10 +38,10 @@ func TestSettingsCensus(t *testing.T) {
 		{reflect.TypeOf(tao.Config{}), []string{"IndexShardCapacity"}},
 		{reflect.TypeOf(device.Config{}), []string{"User", "Region", "POPs", "Backoff", "BackoffSeed", "Tracer"}},
 		{reflect.TypeOf(durlog.Config{}), []string{"Clock", "HotBytes", "SegmentEntries", "Segments", "Retention", "CrashHook"}},
-		{reflect.TypeOf(brass.HostConfig{}), []string{"ID", "Region", "StickyRouting", "Tracer",
+		{reflect.TypeOf(brass.HostConfig{}), []string{"ID", "Region", "Tracer",
 			"LoopQueueDepth", "StreamDeliverRate", "StreamDeliverBurst", "Durlog"}},
 		{reflect.TypeOf(core.Config{}), []string{"Regions", "BRASSHostsPerRegion", "ProxiesPerRegion", "POPs",
-			"KVNodesPerRegion", "Graph", "TAO", "StickyRouting", "Overload", "Trace", "Durlog", "Geo"}},
+			"KVNodesPerRegion", "Graph", "TAO", "Overload", "Trace", "Durlog", "Geo"}},
 		{reflect.TypeOf(core.OverloadConfig{}), []string{"LoopQueueDepth", "StreamDeliverRate", "StreamDeliverBurst"}},
 		{reflect.TypeOf(faults.BackoffPolicy{}), []string{"Base", "Max", "Multiplier", "Jitter", "NoJitter"}},
 		{reflect.TypeOf(megadevice.Config{}), []string{"Devices", "Areas", "DeviceArea", "POPs", "Dialer", "Sched",
@@ -143,11 +143,11 @@ func TestRetainedCensus(t *testing.T) {
 				return s, 20000
 			})
 		}},
-		// A BRASS hop as core.DefaultConfig builds it, sticky routing on,
-		// less the bare end's ServerStream: TestOpenStreamsHoldOneObjectPerHop's
-		// hop (~165 B) plus the pinned host in the header the stream and
-		// the device each keep, measured once the device has applied the
-		// rewrite.
+		// A BRASS hop less the bare end's ServerStream: its Stream, 568
+		// bytes holding its BURST stream (the 576-byte class), and the
+		// instance's map entry (~165 B), plus the pinned host in the header
+		// the stream and the device each keep, measured once the device has
+		// applied the sticky rewrite.
 		{"stream at a sticky BRASS hop", 340, func(t *testing.T) float64 {
 			defer awaitTeardown(t, goroutineIDs())
 			const n = 2000
@@ -161,7 +161,7 @@ func TestRetainedCensus(t *testing.T) {
 			bare, release := heldStreams(t, pn, n, opened, nil)
 			defer release()
 			pn = edge.NewPipeNetwork()
-			host := brass.NewHost(brass.HostConfig{ID: "hold-host", StickyRouting: true}, nil, nil, nil)
+			host := brass.NewHost(brass.HostConfig{ID: "hold-host"}, nil, nil, nil)
 			defer host.Close()
 			host.RegisterApp(holdApp{opened})
 			pn.Register("entry", func(rwc io.ReadWriteCloser) { host.AcceptSession("hold", rwc) })

@@ -76,7 +76,7 @@ func main() {
 	// Kill the BRASS host serving this stream.
 	servingID := cluster.Pylon.Subscribers(topic)[0]
 	fmt.Printf("\nkilling BRASS host %s (software upgrade, say)...\n", servingID)
-	cluster.Net.SetDown(servingID, true)
+	cluster.Net.SetDown(true, servingID)
 	for _, h := range cluster.Hosts {
 		if h.ID() == servingID {
 			h.Close()

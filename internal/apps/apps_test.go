@@ -55,7 +55,7 @@ func newEnvOn(t *testing.T, sched sim.Scheduler) *env {
 	suite.ActiveStatus.BatchInterval = 10 * time.Millisecond
 	suite.ActiveStatus.TTL = 200 * time.Millisecond
 
-	host := brass.NewHost(brass.HostConfig{ID: "brass-1", Region: "us", StickyRouting: true}, pyl, w, sched)
+	host := brass.NewHost(brass.HostConfig{ID: "brass-1", Region: "us"}, pyl, w, sched)
 	suite.RegisterBRASS(host)
 	t.Cleanup(host.Close)
 	return &env{graph: graph, tao: store, pylon: pyl, was: w, suite: suite, host: host}

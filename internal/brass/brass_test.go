@@ -82,7 +82,7 @@ func newEnv(t *testing.T) *testEnv {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 50, MeanFriends: 5, Seed: 1})
 	w := was.New(store, graph, pyl, nil)
 	app := &echoApp{}
-	host := NewHost(HostConfig{ID: "brass-1", Region: "us", StickyRouting: true}, pyl, w, nil)
+	host := NewHost(HostConfig{ID: "brass-1", Region: "us"}, pyl, w, nil)
 	host.RegisterApp(app)
 	t.Cleanup(host.Close)
 	return &testEnv{pylon: pyl, was: w, host: host, app: app}

@@ -30,10 +30,6 @@ type HostConfig struct {
 	ID string
 	// Region labels the host's datacenter region.
 	Region string
-	// StickyRouting controls whether the host rewrites HdrStickyBRASS
-	// into every new stream (paper §3.5 "Sticky routing"). On by default
-	// in NewHost.
-	StickyRouting bool
 	// Tracer, when set, closes brass.deliver / brass.fetch / burst.flush
 	// spans for sampled events on this host. nil disables tracing.
 	Tracer *trace.Tracer
@@ -492,9 +488,7 @@ func (hh hostSessionHandler) OnSubscribe(bst *burst.ServerStream) {
 	}
 	// Sticky routing: pin this host into the reconnect state immediately
 	// (paper §3.5). Proxies snooping the batch update their copy too.
-	if h.cfg.StickyRouting {
-		_ = bst.RewriteHeaderField(burst.HdrStickyBRASS, h.cfg.ID)
-	}
+	_ = bst.RewriteHeaderField(burst.HdrStickyBRASS, h.cfg.ID)
 	inst.openStream(st)
 }
 

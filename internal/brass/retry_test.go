@@ -35,9 +35,7 @@ func newRetryEnv(t *testing.T) *retryEnv {
 	graph := socialgraph.MustGenerate(socialgraph.Config{Users: 50, MeanFriends: 5, Seed: 1})
 	w := was.New(store, graph, pyl, nil)
 	app := &echoApp{}
-	host := NewHost(HostConfig{
-		ID: "brass-1", Region: "us", StickyRouting: true,
-	}, pyl, w, nil)
+	host := NewHost(HostConfig{ID: "brass-1", Region: "us"}, pyl, w, nil)
 	host.RegisterApp(app)
 	t.Cleanup(host.Close)
 	return &retryEnv{

@@ -44,8 +44,6 @@ type Config struct {
 	Graph socialgraph.Config
 	// TAO configures the graph store.
 	TAO tao.Config
-	// StickyRouting enables BRASS sticky-routing rewrites.
-	StickyRouting bool
 	// Overload configures the overload-control plane on every BRASS host.
 	// The zero value leaves the plane in its defaults (bounded loop queue
 	// at the built-in depth, no per-stream delivery admission).
@@ -96,7 +94,6 @@ func DefaultConfig() Config {
 		KVNodesPerRegion:    2,
 		Graph:               socialgraph.DefaultConfig(),
 		TAO:                 tao.DefaultConfig(),
-		StickyRouting:       true,
 	}
 }
 
@@ -389,7 +386,7 @@ func (c *Cluster) NewDevice(user socialgraph.UserID) *device.Device {
 
 // NewDeviceVia builds a device that reaches the cluster's POPs through the
 // given dialer — e.g. a faults.FaultNetwork wrapping this cluster's Net, so
-// chaos tests can inject faults on the device's last mile.
+// chaos tests can cut or stall the device's last mile.
 //
 // Device dials are deliberately NOT gated by the region topology: devices
 // reach POPs over the public internet, not the inter-region backbone, so a
@@ -415,8 +412,7 @@ func (c *Cluster) NewDeviceVia(dialer edge.Dialer, cfg device.Config) *device.De
 // and reports whether that happened before timeout. Viewers land on
 // several hosts: Pylon.WaitForSubscriber returns once the first of them has
 // subscribed, and an update published then misses the viewers of the
-// others. A stream's host is the one its sticky-brass header names, which
-// needs Config.StickyRouting (the default).
+// others. A stream's host is the one its sticky-brass header names.
 func (c *Cluster) WaitForStreams(topic pylon.Topic, streams []*device.Stream, timeout time.Duration) bool {
 	subscribed := func(st *device.Stream) bool {
 		host := st.HeaderField(burst.HdrStickyBRASS)

@@ -166,7 +166,7 @@ func TestClusterSurvivesBRASSFailure(t *testing.T) {
 	if serving == -1 {
 		t.Fatalf("serving host %q not found", servingID)
 	}
-	c.Net.SetDown(servingID, true)
+	c.Net.SetDown(true, servingID)
 	c.Hosts[serving].Close()
 
 	// The proxy repairs the stream to another BRASS, which resubscribes

@@ -99,7 +99,7 @@ func TestPOPFailureReconnectStorm(t *testing.T) {
 
 	// Kill pop-0: every device connected through it (all of them: each
 	// dials its first POP) loses its session.
-	c.Net.SetDown("pop-0", true)
+	c.Net.SetDown(true, "pop-0")
 	c.POPs[0].Close()
 
 	// All devices reconnect (through pop-1) and resubscribe.
@@ -221,7 +221,7 @@ func TestMessengerSurvivesProxyFailure(t *testing.T) {
 	}
 
 	// Kill every proxy in one region; POP repairs through the rest.
-	c.Net.SetDown("proxy-us-east-0", true)
+	c.Net.SetDown(true, "proxy-us-east-0")
 	c.Proxies[0].Close()
 
 	// Messages sent during/after the failure still arrive, possibly via

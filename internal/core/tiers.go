@@ -111,7 +111,8 @@ func NewBrassTier(cfg Config, region, idPrefix string, suite *apps.Suite, pubsub
 // brassHostConfig maps the cluster config onto one host's HostConfig.
 func brassHostConfig(cfg Config, id, region string) brass.HostConfig {
 	return brass.HostConfig{
-		ID: id, Region: region, StickyRouting: cfg.StickyRouting,
+		ID:                 id,
+		Region:             region,
 		Tracer:             cfg.Trace.Tracer(id),
 		LoopQueueDepth:     cfg.Overload.LoopQueueDepth,
 		StreamDeliverRate:  cfg.Overload.StreamDeliverRate,

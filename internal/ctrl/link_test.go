@@ -25,7 +25,7 @@ var listenNets = []struct {
 		return n
 	}},
 	{"fault", func(t *testing.T, target string, accept func(io.ReadWriteCloser)) edge.Dialer {
-		n := faults.NewFaultNetwork(edge.NewPipeNetwork(), nil, 1)
+		n := faults.NewFaultNetwork(edge.NewPipeNetwork(), nil)
 		n.Register(target, accept)
 		return n
 	}},
@@ -92,7 +92,7 @@ func TestCutLinkFailsCallsAndDials(t *testing.T) {
 		})
 	})
 	t.Cleanup(srv.Close)
-	fn := faults.NewFaultNetwork(edge.NewPipeNetwork(), nil, 1)
+	fn := faults.NewFaultNetwork(edge.NewPipeNetwork(), nil)
 	fn.Register("pylon", srv.Accept)
 	cli := pylonLink(t, fn)
 

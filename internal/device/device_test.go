@@ -323,7 +323,7 @@ func TestQueryAndMutateHitWAS(t *testing.T) {
 
 func TestDialFailureRotatesPOP(t *testing.T) {
 	env := newDevEnv(t)
-	env.net.SetDown("pop-a", true)
+	env.net.SetDown(true, "pop-a")
 	if err := env.dev.Connect(); err == nil {
 		t.Fatal("dial to down pop succeeded")
 	}

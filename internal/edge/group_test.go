@@ -8,10 +8,10 @@ import (
 
 // TestSetDownGroupAtomic pins the half-cut regression: a grouped cut must
 // never be observable partially applied. A toggler flips a 4-target group
-// up and down with SetDownGroup while a checker snapshots the group's down
-// flags under one lock acquisition; any snapshot where some targets are down and
-// others up is the racy per-target-loop behaviour the grouped primitive
-// exists to eliminate.
+// up and down, one SetDown call a flip, while a checker snapshots the
+// group's down flags under one lock acquisition; any snapshot where some
+// targets are down and others up is the racy per-target-loop behaviour one
+// call over the group rules out.
 func TestSetDownGroupAtomic(t *testing.T) {
 	n := NewPipeNetwork()
 	targets := []string{"brass-r-0", "brass-r-1", "proxy-r-0", "pop-r-0"}
@@ -27,7 +27,7 @@ func TestSetDownGroupAtomic(t *testing.T) {
 		defer wg.Done()
 		down := true
 		for i := 0; i < iterations; i++ {
-			n.SetDownGroup(down, targets...)
+			n.SetDown(down, targets...)
 			down = !down
 		}
 		close(stop)
@@ -60,10 +60,10 @@ func TestSetDownGroupAtomic(t *testing.T) {
 	}
 }
 
-// TestSetDownGroupSeversAndHeals checks the group primitive keeps SetDown's
-// semantics: taking a group down severs every established connection to its
-// members and refuses new dials; healing the group restores dialability
-// without resurrecting the severed connections.
+// TestSetDownGroupSeversAndHeals checks a grouped SetDown keeps the
+// one-target semantics: taking a group down severs every established
+// connection to its members and refuses new dials; healing the group
+// restores dialability without resurrecting the severed connections.
 func TestSetDownGroupSeversAndHeals(t *testing.T) {
 	n := NewPipeNetwork()
 	targets := []string{"a", "b"}
@@ -79,7 +79,7 @@ func TestSetDownGroupSeversAndHeals(t *testing.T) {
 		conns = append(conns, c)
 	}
 
-	n.SetDownGroup(true, targets...)
+	n.SetDown(true, targets...)
 	for i, c := range conns {
 		if _, err := c.Write([]byte("x")); err == nil {
 			t.Errorf("write on severed conn to %s succeeded", targets[i])
@@ -91,7 +91,7 @@ func TestSetDownGroupSeversAndHeals(t *testing.T) {
 		}
 	}
 
-	n.SetDownGroup(false, targets...)
+	n.SetDown(false, targets...)
 	for _, target := range targets {
 		c, err := n.Dial(target)
 		if err != nil {

@@ -140,36 +140,18 @@ func (n *PipeNetwork) Register(target string, accept func(io.ReadWriteCloser)) {
 	n.targets[target] = accept
 }
 
-// SetDown marks a target unreachable without unregistering it (failure
-// injection: the host exists but connections fail). Taking a target down
-// also severs every established connection to it — its sessions die like
-// the machine did, so "down" means down, not merely "no new dials".
-func (n *PipeNetwork) SetDown(target string, down bool) {
-	n.mu.Lock()
-	n.down[target] = down
-	var pairs []*pipePair
-	if down {
-		for pp := range n.conns[target] {
-			pairs = append(pairs, pp)
-		}
-	}
-	n.mu.Unlock()
-	for _, pp := range pairs {
-		pp.sever()
-	}
-}
-
-// SetDownGroup flips the down state of many targets atomically: every down
-// flag changes under ONE lock acquisition, so no concurrent Dial can
-// observe a half-cut group — the whole region fails (or heals) as one
-// event. The established connections of newly-down targets
-// are severed after the flags are published, exactly as SetDown does.
+// SetDown marks targets unreachable (down) or reachable again without
+// unregistering them (failure injection: the host exists but connections
+// fail). Taking a target down also severs every established connection to
+// it — its sessions die like the machine did, so "down" means down, not
+// merely "no new dials".
 //
-// A region-cut implemented as a loop of per-target SetDown calls has a
-// window where some of the region's targets refuse dials and others still
-// accept them; routing decisions made inside that window land streams on
-// hosts that are about to die. SetDownGroup closes the window.
-func (n *PipeNetwork) SetDownGroup(down bool, targets ...string) {
+// Every flag flips under ONE lock acquisition, so no concurrent Dial can
+// observe a half-cut group — a whole region fails (or heals) as one event.
+// A region cut made of per-target calls has a window where some of its
+// targets refuse dials and others still accept them; routing decisions made
+// inside it land streams on hosts that are about to die.
+func (n *PipeNetwork) SetDown(down bool, targets ...string) {
 	n.mu.Lock()
 	var pairs []*pipePair
 	for _, target := range targets {

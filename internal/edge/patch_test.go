@@ -377,7 +377,7 @@ func TestRewriteOwnershipUnderRace(t *testing.T) {
 	}()
 
 	waitFor(t, "rewrites from brass-a", func() bool { return st.HeaderField(burst.HdrClientVersion) != "" })
-	c.net.SetDown("brass-a", true) // repair in flight while both ends keep going
+	c.net.SetDown(true, "brass-a") // repair in flight while both ends keep going
 	waitFor(t, "repair onto brass-b", func() bool { return c.brassB.stream(0) != nil })
 	last := "brass-b-" + strconv.Itoa(rewrites)
 	waitFor(t, "brass-b's last rewrite at the device", func() bool { return st.HeaderField(burst.HdrClientVersion) == last })

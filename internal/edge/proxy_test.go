@@ -198,7 +198,7 @@ func TestProxyRepairsStreamAfterUpstreamFailure(t *testing.T) {
 	waitFor(t, "rewrites", func() bool { return st.HeaderField("rl-state") == "bucket=3" })
 
 	// Kill brass-a: its sessions die and the target becomes undialable.
-	env.net.SetDown("brass-a", true)
+	env.net.SetDown(true, "brass-a")
 	env.brassA.killSessions()
 
 	// Device sees degraded then rerouted, in order.
@@ -402,7 +402,7 @@ func TestProxyHandsTheLossDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "upstream", func() bool { return a.stream(0) != nil })
-	n.SetDown("brass-a", true)
+	n.SetDown(true, "brass-a")
 	a.killSessions()
 
 	ev := bursttest.Events(t, st)
@@ -469,7 +469,7 @@ func TestRelayReroutesAroundAHandedDownLoss(t *testing.T) {
 	}
 	waitFor(t, "the stream on brass-a", func() bool { return a.stream(0) != nil })
 
-	n.SetDown("brass-a", true)
+	n.SetDown(true, "brass-a")
 	a.killSessions()
 	waitFor(t, "the stream re-routed onto brass-b", func() bool { return b.stream(0) != nil })
 	// The POP's session to rproxy-1 lives on, and its cancel takes the
@@ -612,7 +612,7 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { gate.Dialer = n; return gate })
 	st := subscribeSticky(t, env, "brass-a")
 	waitFor(t, "upstream on A", func() bool { return env.brassA.stream(0) != nil })
-	env.net.SetDown("brass-a", true)
+	env.net.SetDown(true, "brass-a")
 	env.brassA.killSessions()
 	select {
 	case <-gate.entered:
@@ -640,7 +640,7 @@ func endDuringRepair(t *testing.T, end func(*proxyEnv, *burst.ClientStream)) {
 func TestEndDuringFirstRouteReroute(t *testing.T) {
 	gate := &gatedDialer{target: "brass-b", entered: make(chan struct{}), release: make(chan struct{})}
 	env := newProxyEnvVia(t, func(n *PipeNetwork) Dialer { gate.Dialer = n; return gate })
-	env.net.SetDown("brass-a", true)
+	env.net.SetDown(true, "brass-a")
 	st := subscribeSticky(t, env, "brass-a")
 	select {
 	case <-gate.entered:
@@ -739,11 +739,11 @@ func TestPipeNetwork(t *testing.T) {
 	if _, err := n.Dial("x"); err != nil || accepted != 1 {
 		t.Errorf("dial: err=%v accepted=%d", err, accepted)
 	}
-	n.SetDown("x", true)
+	n.SetDown(true, "x")
 	if _, err := n.Dial("x"); err == nil {
 		t.Error("dial down target succeeded")
 	}
-	n.SetDown("x", false)
+	n.SetDown(false, "x")
 	if _, err := n.Dial("x"); err != nil {
 		t.Error("dial recovered target failed")
 	}
@@ -771,7 +771,7 @@ func TestSetDownSeversEstablishedConns(t *testing.T) {
 		t.Fatalf("OpenConns = %d, want 1", got)
 	}
 
-	n.SetDown("x", true)
+	n.SetDown(true, "x")
 	if _, err := client.Write([]byte("a")); err == nil {
 		t.Error("write on severed client end succeeded")
 	}
@@ -783,7 +783,7 @@ func TestSetDownSeversEstablishedConns(t *testing.T) {
 	}
 
 	// Healing restores dialability; the old connection stays dead.
-	n.SetDown("x", false)
+	n.SetDown(false, "x")
 	c2, err := n.Dial("x")
 	if err != nil {
 		t.Fatalf("dial after heal: %v", err)

@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// dialTimeout bounds a TCPNetwork's connection establishment.
+const dialTimeout = 5 * time.Second
+
 // TCPNetwork is a Dialer backed by real TCP sockets: the multi-process
 // counterpart of PipeNetwork. Target names resolve through an address book
 // (target -> host:port), so the code above the Dialer seam — devices,
@@ -19,9 +22,6 @@ import (
 // on a real network are injected by killing processes, which is what the
 // multi-process chaos tests do.
 type TCPNetwork struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-
 	mu     sync.Mutex
 	addrs  map[string]string // target -> dial address
 	lns    map[string]net.Listener
@@ -33,9 +33,8 @@ type TCPNetwork struct {
 // NewTCPNetwork returns a network with an empty address book.
 func NewTCPNetwork() *TCPNetwork {
 	return &TCPNetwork{
-		DialTimeout: 5 * time.Second,
-		addrs:       make(map[string]string),
-		lns:         make(map[string]net.Listener),
+		addrs: make(map[string]string),
+		lns:   make(map[string]net.Listener),
 	}
 }
 
@@ -94,12 +93,11 @@ func (n *TCPNetwork) Serve(target string, accept func(io.ReadWriteCloser)) (stri
 func (n *TCPNetwork) Dial(target string) (io.ReadWriteCloser, error) {
 	n.mu.Lock()
 	addr, ok := n.addrs[target]
-	timeout := n.DialTimeout
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, target)
 	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("edge: dial %q (%s): %w", target, addr, err)
 	}

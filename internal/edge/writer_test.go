@@ -224,7 +224,7 @@ func TestRelayFirstRepairLeavesSessionServed(t *testing.T) {
 	t.Cleanup(release)
 	c := &upstreamServer{name: "brass-c"}
 	env.net.Register("brass-c", c.accept)
-	env.net.SetDown("brass-a", true)
+	env.net.SetDown(true, "brass-a")
 
 	rwc, err := env.net.Dial("pop-1")
 	if err != nil {

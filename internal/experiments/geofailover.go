@@ -54,7 +54,7 @@ func GeoFailover(seed int64) Result {
 	}
 	c := core.MustNewCluster(cfg, nil)
 	defer c.Close()
-	fn := faults.NewFaultNetwork(c.Net, nil, seed)
+	fn := faults.NewFaultNetwork(c.Net, nil)
 	rf := faults.NewRegionFaults(fn, c.Gate, c.Topo)
 
 	// Author homed in the primary region; receivers homed in the victim.

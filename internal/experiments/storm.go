@@ -43,7 +43,7 @@ func ReconnectStorm(seed int64) Result {
 
 	run := func(policy faults.BackoffPolicy) outcome {
 		eng := sim.NewEngine(start)
-		fn := faults.NewFaultNetwork(edge.NewPipeNetwork(), eng, seed)
+		fn := faults.NewFaultNetwork(edge.NewPipeNetwork(), eng)
 		fn.Register("pop", func(rwc io.ReadWriteCloser) { _ = rwc.Close() })
 
 		dials := metrics.NewTimeSeries(start, bucket, int(horizon/bucket))

@@ -5,11 +5,9 @@
 // are only worth anything if they can be exercised. This package provides
 // the machinery to do that reproducibly:
 //
-//   - FaultNetwork wraps edge.PipeNetwork and applies faults to
-//     *established* connections, not just new dials: per-link latency
-//     distributions, probabilistic corrupt-free cuts, directional
-//     blackholes (asymmetric partitions), slow-reader stalls, and hard
-//     cuts that sever live pipes.
+//   - FaultNetwork is an edge.PipeNetwork plus the two faults the chaos
+//     suite drives: hard cuts that sever live pipes and refuse new dials,
+//     and slow-reader stalls.
 //   - Plan is a scheduled fault timeline ("at T+x cut pop-0, at T+y heal")
 //     driven through an injected sim.Scheduler, so the same plan replays
 //     identically under the wall clock and under the discrete-event engine.

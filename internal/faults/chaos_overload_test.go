@@ -65,7 +65,7 @@ func newMessengerStorm(t *testing.T, durlog *core.DurlogConfig) *messengerStorm 
 	}
 	cfg.Durlog = durlog
 	s.c = core.MustNewCluster(cfg, nil)
-	s.fn = faults.NewFaultNetwork(s.c.Net, nil, s.seed)
+	s.fn = faults.NewFaultNetwork(s.c.Net, nil)
 
 	const (
 		authorUID = socialgraph.UserID(90)

@@ -96,7 +96,7 @@ func TestRefusedUpstreamReopensUnderBackoff(t *testing.T) {
 	// Every BRASS host refuses, and the sessions to them die.
 	setDown := func(down bool) {
 		for _, h := range c.Hosts {
-			c.Net.SetDown(h.ID(), down)
+			c.Net.SetDown(down, h.ID())
 		}
 	}
 	setDown(true)

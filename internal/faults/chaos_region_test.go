@@ -72,7 +72,7 @@ func TestChaosRegionCutFailover(t *testing.T) {
 
 	cfg := geoConfig(seed)
 	c := core.MustNewCluster(cfg, nil)
-	fn := faults.NewFaultNetwork(c.Net, nil, seed)
+	fn := faults.NewFaultNetwork(c.Net, nil)
 	rf := faults.NewRegionFaults(fn, c.Gate, c.Topo)
 
 	const cut = "eu-west" // receivers' home: uid%3 == 1
@@ -270,7 +270,7 @@ func TestChaosInterRegionPartitionHeal(t *testing.T) {
 
 	cfg := geoConfig(seed)
 	c := core.MustNewCluster(cfg, nil)
-	fn := faults.NewFaultNetwork(c.Net, nil, seed)
+	fn := faults.NewFaultNetwork(c.Net, nil)
 	rf := faults.NewRegionFaults(fn, c.Gate, c.Topo)
 
 	author := c.NewDevice(socialgraph.UserID(90)) // us-east

@@ -28,7 +28,7 @@ func TestChaosStalledPOPMessengerGapFree(t *testing.T) {
 	cfg.Graph.BlockProb = 0
 	c := core.MustNewCluster(cfg, nil)
 	defer c.Close()
-	fn := faults.NewFaultNetwork(c.Net, nil, seed)
+	fn := faults.NewFaultNetwork(c.Net, nil)
 	pops := c.POPTargets()
 
 	const (

@@ -212,7 +212,7 @@ func TestChaosRecovery(t *testing.T) {
 	cfg.Graph.Users = 100
 	cfg.Graph.BlockProb = 0
 	c := core.MustNewCluster(cfg, nil)
-	fn := faults.NewFaultNetwork(c.Net, nil, seed)
+	fn := faults.NewFaultNetwork(c.Net, nil)
 	pops := c.POPTargets()
 
 	const (

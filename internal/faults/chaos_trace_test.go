@@ -37,7 +37,7 @@ func tracedChaosCluster(t *testing.T, seed int64) (*core.Cluster, *faults.FaultN
 	cfg.Graph.Seed = seed
 	cfg.Trace = plane
 	c := core.MustNewCluster(cfg, nil)
-	return c, faults.NewFaultNetwork(c.Net, nil, seed), plane
+	return c, faults.NewFaultNetwork(c.Net, nil), plane
 }
 
 // applySpans returns every device.apply span in the gathered plane, keyed

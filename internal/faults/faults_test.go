@@ -145,9 +145,9 @@ func TestBackoffChildSharesCounters(t *testing.T) {
 
 // echoNetwork registers target with an echo server: every byte written by
 // the dialer comes straight back.
-func echoNetwork(t *testing.T, target string, sched sim.Scheduler, seed int64) *FaultNetwork {
+func echoNetwork(t *testing.T, target string) *FaultNetwork {
 	t.Helper()
-	fn := NewFaultNetwork(edge.NewPipeNetwork(), sched, seed)
+	fn := NewFaultNetwork(edge.NewPipeNetwork(), nil)
 	fn.Register(target, func(rwc io.ReadWriteCloser) {
 		go func() {
 			_, _ = io.Copy(rwc, rwc)
@@ -158,7 +158,7 @@ func echoNetwork(t *testing.T, target string, sched sim.Scheduler, seed int64) *
 }
 
 func TestFaultNetworkPassthrough(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
+	fn := echoNetwork(t, "pop")
 	c, err := fn.Dial("pop")
 	if err != nil {
 		t.Fatal(err)
@@ -171,16 +171,13 @@ func TestFaultNetworkPassthrough(t *testing.T) {
 	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "ping" {
 		t.Fatalf("echo = %q, %v", buf, err)
 	}
-	fn.mu.Lock()
-	got := len(fn.links["pop"].conns)
-	fn.mu.Unlock()
-	if got != 2 {
-		t.Errorf("open conns = %d, want 2 (both ends tracked)", got)
+	if got := fn.StalledReads.Value(); got != 0 {
+		t.Errorf("StalledReads = %d on a link never stalled", got)
 	}
 }
 
 func TestFaultNetworkCutSeversAndHealRestores(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
+	fn := echoNetwork(t, "pop")
 	c, err := fn.Dial("pop")
 	if err != nil {
 		t.Fatal(err)
@@ -203,53 +200,8 @@ func TestFaultNetworkCutSeversAndHealRestores(t *testing.T) {
 	_ = c2.Close()
 }
 
-func TestFaultNetworkDropCutsConnection(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
-	c, err := fn.Dial("pop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn.SetDropProb("pop", 1)
-	if _, err := c.Write([]byte("x")); err == nil {
-		t.Fatal("write with drop prob 1 succeeded")
-	}
-	if fn.InjectedDrops.Value() != 1 {
-		t.Errorf("InjectedDrops = %d", fn.InjectedDrops.Value())
-	}
-	// The cut is corrupt-free: the connection is dead, not garbled.
-	if _, err := c.Write([]byte("y")); err == nil {
-		t.Error("write on dropped conn succeeded")
-	}
-}
-
-func TestFaultNetworkBlackholeSwallowsOneDirection(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
-	c, err := fn.Dial("pop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fn.SetBlackhole("pop", ToTarget, true)
-	if _, err := c.Write([]byte("lost")); err != nil {
-		t.Fatalf("blackholed write errored: %v", err)
-	}
-	if fn.BlackholedWrites.Value() != 1 {
-		t.Errorf("BlackholedWrites = %d", fn.BlackholedWrites.Value())
-	}
-	// Nothing echoes back from the swallowed write; after clearing, the
-	// link works again.
-	fn.SetBlackhole("pop", ToTarget, false)
-	if _, err := c.Write([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "ping" {
-		t.Fatalf("post-blackhole echo = %q, %v", buf, err)
-	}
-}
-
 func TestFaultNetworkStallParksReaders(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
+	fn := echoNetwork(t, "pop")
 	c, err := fn.Dial("pop")
 	if err != nil {
 		t.Fatal(err)
@@ -287,53 +239,57 @@ func TestFaultNetworkStallParksReaders(t *testing.T) {
 	}
 }
 
-func TestFaultNetworkCutReleasesStalledReader(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
-	c, err := fn.Dial("pop")
-	if err != nil {
-		t.Fatal(err)
+// A stalled read ends one of three ways: Unstall hands it the data waiting
+// on the link, while a Cut of its target and a Close of its own conn each
+// end it with an error.
+func TestFaultNetworkStalledReadEnds(t *testing.T) {
+	cases := []struct {
+		name    string
+		release func(fn *FaultNetwork, c io.ReadWriteCloser)
+		wantErr bool
+	}{
+		{"unstall", func(fn *FaultNetwork, _ io.ReadWriteCloser) { fn.Unstall("pop") }, false},
+		{"cut", func(fn *FaultNetwork, _ io.ReadWriteCloser) { fn.Cut("pop") }, true},
+		{"close", func(_ *FaultNetwork, c io.ReadWriteCloser) { _ = c.Close() }, true},
 	}
-	fn.Stall("pop")
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Read(make([]byte, 1))
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	fn.Cut("pop")
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("read on cut conn returned nil error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cut did not release stalled reader")
-	}
-}
-
-func TestFaultNetworkLatencyDelaysWrites(t *testing.T) {
-	fn := echoNetwork(t, "pop", nil, 1)
-	fn.SetLatency("pop", sim.Constant{V: 20 * time.Millisecond})
-	c, err := fn.Dial("pop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if _, err := c.Write([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("write completed in %v, want >= 20ms", elapsed)
-	}
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "ping" {
-		t.Fatalf("echo = %q, %v", buf, err)
-	}
-	// The echo server's write back traverses the FromTarget wrapper with
-	// the same latency, so at least two delayed writes are counted.
-	if got := fn.DelayedWrites.Value(); got < 2 {
-		t.Errorf("DelayedWrites = %d, want >= 2", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fn := echoNetwork(t, "pop")
+			c, err := fn.Dial("pop")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write([]byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			fn.Stall("pop")
+			type result struct {
+				data string
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				buf := make([]byte, 1)
+				n, err := c.Read(buf)
+				done <- result{string(buf[:n]), err}
+			}()
+			for fn.StalledReads.Value() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			tc.release(fn, c)
+			select {
+			case r := <-done:
+				if tc.wantErr && r.err == nil {
+					t.Errorf("read returned %q, nil; want an error", r.data)
+				}
+				if !tc.wantErr && (r.err != nil || r.data != "x") {
+					t.Errorf("read = %q, %v; want \"x\"", r.data, r.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s did not end the stalled read", tc.name)
+			}
+		})
 	}
 }
 
@@ -358,7 +314,7 @@ func TestPlanScheduleDeterministicPerSeed(t *testing.T) {
 
 func TestPlanRunsOnVirtualClock(t *testing.T) {
 	eng := sim.NewEngine(time.Unix(0, 0))
-	fn := NewFaultNetwork(edge.NewPipeNetwork(), eng, 1)
+	fn := NewFaultNetwork(edge.NewPipeNetwork(), eng)
 	fn.inner.Register("pop", func(rwc io.ReadWriteCloser) {})
 	plan := new(Plan).CutAt(10*time.Millisecond, "pop").HealAt(20*time.Millisecond, "pop")
 	plan.Start(fn)
@@ -377,7 +333,7 @@ func TestPlanRunsOnVirtualClock(t *testing.T) {
 
 func TestPlanStartCancelStopsPendingActions(t *testing.T) {
 	eng := sim.NewEngine(time.Unix(0, 0))
-	fn := NewFaultNetwork(edge.NewPipeNetwork(), eng, 1)
+	fn := NewFaultNetwork(edge.NewPipeNetwork(), eng)
 	fn.inner.Register("pop", func(rwc io.ReadWriteCloser) {})
 	cancel := new(Plan).CutAt(10*time.Millisecond, "pop").Start(fn)
 	cancel()

@@ -9,14 +9,11 @@ import (
 	"time"
 )
 
-// Action is one scheduled fault-plane operation.
-type Action struct {
-	// At is the offset from Plan.Start at which the action fires.
-	At time.Duration
-	// Desc names the action in Schedule renderings and logs.
-	Desc string
-	// Do applies the action.
-	Do func(*FaultNetwork)
+// step is one scheduled cut or heal of a target.
+type step struct {
+	at     time.Duration // offset from Plan.Start
+	target string
+	heal   bool
 }
 
 // Plan is a scheduled fault timeline: "at T+x, cut pop-0; at T+y, heal".
@@ -25,48 +22,42 @@ type Action struct {
 // engine. Seeded RandomPlan construction makes whole chaos runs
 // reproducible: same seed ⇒ same schedule (assertable via Schedule).
 type Plan struct {
-	actions []Action
-}
-
-// Add appends an arbitrary action.
-func (p *Plan) Add(at time.Duration, desc string, do func(*FaultNetwork)) *Plan {
-	p.actions = append(p.actions, Action{At: at, Desc: desc, Do: do})
-	return p
+	steps []step
 }
 
 // CutAt schedules a hard cut of target.
 func (p *Plan) CutAt(at time.Duration, target string) *Plan {
-	return p.Add(at, fmt.Sprintf("cut %s", target), func(n *FaultNetwork) { n.Cut(target) })
+	p.steps = append(p.steps, step{at: at, target: target})
+	return p
 }
 
 // HealAt schedules a heal of target.
 func (p *Plan) HealAt(at time.Duration, target string) *Plan {
-	return p.Add(at, fmt.Sprintf("heal %s", target), func(n *FaultNetwork) { n.Heal(target) })
+	p.steps = append(p.steps, step{at: at, target: target, heal: true})
+	return p
 }
 
-// Len returns the number of scheduled actions.
+// Len returns the number of scheduled steps.
 //
 //brlint:allow(test-only-export) a fault-plan fixture; the chaos tests read the plan they run
-func (p *Plan) Len() int { return len(p.actions) }
+func (p *Plan) Len() int { return len(p.steps) }
 
-// Horizon returns the offset of the last action.
+// Horizon returns the offset of the last step.
 //
 //brlint:allow(test-only-export) a fault-plan fixture; the chaos tests read the plan they run
 func (p *Plan) Horizon() time.Duration {
 	var h time.Duration
-	for _, a := range p.actions {
-		if a.At > h {
-			h = a.At
-		}
+	for _, st := range p.steps {
+		h = max(h, st.at)
 	}
 	return h
 }
 
-// sorted returns the actions in firing order (stable on build order for
+// sorted returns the steps in firing order (stable on build order for
 // equal times, mirroring the sim engine's FIFO tiebreak).
-func (p *Plan) sorted() []Action {
-	out := append([]Action(nil), p.actions...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+func (p *Plan) sorted() []step {
+	out := append([]step(nil), p.steps...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
 	return out
 }
 
@@ -76,22 +67,31 @@ func (p *Plan) sorted() []Action {
 //brlint:allow(test-only-export) a fault-plan fixture; the chaos tests log the plan they run
 func (p *Plan) Schedule() string {
 	var b strings.Builder
-	for _, a := range p.sorted() {
-		fmt.Fprintf(&b, "T+%v %s\n", a.At, a.Desc)
+	for _, st := range p.sorted() {
+		verb := "cut"
+		if st.heal {
+			verb = "heal"
+		}
+		fmt.Fprintf(&b, "T+%v %s %s\n", st.at, verb, st.target)
 	}
 	return b.String()
 }
 
-// Start schedules every action onto n's Scheduler relative to now and
+// Start schedules every step onto n's Scheduler relative to now and
 // returns a cancel function for the not-yet-fired remainder.
 func (p *Plan) Start(n *FaultNetwork) (cancel func()) {
 	var (
 		mu      sync.Mutex
 		cancels []func()
 	)
-	for _, a := range p.sorted() {
-		a := a
-		c := n.sched.After(a.At, func() { a.Do(n) })
+	for _, st := range p.sorted() {
+		c := n.sched.After(st.at, func() {
+			if st.heal {
+				n.Heal(st.target)
+			} else {
+				n.Cut(st.target)
+			}
+		})
 		cancels = append(cancels, c)
 	}
 	return func() {

@@ -9,8 +9,8 @@ import (
 // going dark and an inter-region link partitioning (and healing). Each
 // fault is ONE event — the topology flips first (so routers and the dial
 // gate refuse the dead paths), then every established connection crossing
-// the failure boundary is severed atomically via the grouped cut
-// primitives, closing the half-cut window a per-target loop would leave.
+// the failure boundary is severed atomically by one Cut over all its
+// targets, closing the half-cut window a per-target loop would leave.
 //
 // The import direction is deliberate: faults drives region, never the
 // reverse — the region plane stays usable without the fault machinery.
@@ -42,7 +42,7 @@ func (rf *RegionFaults) CutRegion(r string) {
 	rf.Topo.SetRegionDown(r, true)
 	rf.Gate.SeverRegion(r)
 	if targets := rf.Gate.TargetsIn(r); len(targets) > 0 {
-		rf.Net.CutGroup(targets...)
+		rf.Net.Cut(targets...)
 	}
 }
 
@@ -52,7 +52,7 @@ func (rf *RegionFaults) CutRegion(r string) {
 // client's resubscribe, exactly as with host-level Cut/Heal.
 func (rf *RegionFaults) HealRegion(r string) {
 	if targets := rf.Gate.TargetsIn(r); len(targets) > 0 {
-		rf.Net.HealGroup(targets...)
+		rf.Net.Heal(targets...)
 	}
 	rf.Topo.SetRegionDown(r, false)
 }

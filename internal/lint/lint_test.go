@@ -300,7 +300,7 @@ func TestSuppressionCensus(t *testing.T) {
 			"internal/burst/server.go":    1, // 4(c)
 			"internal/ctrl/node.go":       1, // 15
 			"internal/durlog/durlog.go":   2, // 15
-			"internal/faults/network.go":  5,
+			"internal/faults/network.go":  2,
 			"internal/faults/plan.go":     4,
 			"internal/faults/region.go":   2,
 			"internal/kvstore/kvstore.go": 1,

@@ -239,8 +239,8 @@ func TestEquivalenceWithDeviceModel(t *testing.T) {
 	for i, d := range devs {
 		before[i] = d.Reconnects.Value()
 	}
-	c1.Net.SetDown(pops[0], true)
-	c2.Net.SetDown(pops[0], true)
+	c1.Net.SetDown(true, pops[0])
+	c2.Net.SetDown(true, pops[0])
 	waitFor("device fleet reconnect", func() bool {
 		for i, d := range devs {
 			if d.Reconnects.Value() <= before[i] {

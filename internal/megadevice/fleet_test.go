@@ -359,7 +359,7 @@ func TestTrunkDeathRedialsAttachedDevices(t *testing.T) {
 		t.Fatalf("connected = %d, want 100", f.ConnectedCount())
 	}
 
-	net.SetDown("pop-0", true)
+	net.SetDown(true, "pop-0")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		f.Service()

@@ -326,7 +326,7 @@ func Run(o Options) (*Report, error) {
 		if o.Scenario == ScenarioStorm {
 			if m == cutAt {
 				o.Logf("minute %d: cutting POPs %v", m, cutPops)
-				cluster.Net.SetDownGroup(true, cutPops...)
+				cluster.Net.SetDown(true, cutPops...)
 				cutMinute = m
 				// The severed trunks report their deaths from their read
 				// loops; waiting for them puts the dip in this minute's
@@ -335,7 +335,7 @@ func Run(o Options) (*Report, error) {
 			}
 			if m == healAt {
 				o.Logf("minute %d: healing POPs %v", m, cutPops)
-				cluster.Net.SetDownGroup(false, cutPops...)
+				cluster.Net.SetDown(false, cutPops...)
 			}
 		}
 

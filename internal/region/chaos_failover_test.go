@@ -122,7 +122,7 @@ func TestChaosRewriteUnderPartialPartition(t *testing.T) {
 				Seed:    seed,
 			}
 			c := core.MustNewCluster(cfg, nil)
-			fn := faults.NewFaultNetwork(c.Net, nil, seed)
+			fn := faults.NewFaultNetwork(c.Net, nil)
 			rf := faults.NewRegionFaults(fn, c.Gate, c.Topo)
 
 			// Author homed ap-south (92 % 3 == 2): with the receiver's home

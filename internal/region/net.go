@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bladerunner/internal/edge"
-	"bladerunner/internal/metrics"
 	"bladerunner/internal/sim"
 )
 
@@ -23,11 +22,6 @@ type Gate struct {
 	mu       sync.Mutex
 	regionOf map[string]string           // target → region
 	conns    map[Link]map[*gateConn]bool // live cross-region conns by link
-
-	// RefusedDials counts dials rejected because the link was down.
-	RefusedDials metrics.Counter
-	// Severed counts established connections killed by a link/region cut.
-	Severed metrics.Counter
 }
 
 // NewGate returns a Gate over topo. sched drives the latency model; nil
@@ -97,7 +91,6 @@ func (d *gatedDialer) Dial(target string) (io.ReadWriteCloser, error) {
 		return d.inner.Dial(target)
 	}
 	if !g.topo.LinkUp(d.src, dst) {
-		g.RefusedDials.Inc()
 		return nil, fmt.Errorf("region: link %s→%s down dialing %q", d.src, dst, target)
 	}
 	rwc, err := d.inner.Dial(target)
@@ -111,7 +104,6 @@ func (d *gatedDialer) Dial(target string) (io.ReadWriteCloser, error) {
 	if !g.topo.LinkUp(d.src, dst) {
 		g.mu.Unlock()
 		_ = rwc.Close()
-		g.RefusedDials.Inc()
 		return nil, fmt.Errorf("region: link %s→%s down dialing %q", d.src, dst, target)
 	}
 	set := g.conns[gc.link]
@@ -212,7 +204,6 @@ func (g *Gate) severLinks(links ...Link) {
 	}
 	g.mu.Unlock()
 	for _, gc := range victims {
-		g.Severed.Inc()
 		gc.sever()
 	}
 }
